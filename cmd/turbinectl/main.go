@@ -168,12 +168,9 @@ func main() {
 			if l, ok := byShard[k]; ok {
 				holder = l.Holder
 				epoch = strconv.FormatInt(l.Epoch, 10)
-				switch {
-				case l.Live(now):
+				if l.Live(now) {
 					lease = fmt.Sprintf("live, expires in %s", l.Expires.Sub(now).Round(time.Second))
-				case l.Expires.IsZero():
-					lease = "released"
-				default:
+				} else {
 					lease = fmt.Sprintf("expired %s ago (stealable)", now.Sub(l.Expires).Round(time.Second))
 				}
 			}

@@ -246,7 +246,9 @@ func (s *Scaler) Scan() []Action {
 	} else {
 		// Workers keep sparse (index, action) results so a mostly-healthy
 		// fleet allocates nothing per job; the merge re-establishes
-		// JobNames order.
+		// JobNames order. That is why this fan-out is its own and not
+		// workpool.Run: the per-worker result slices need the worker
+		// index, and the pool hands fn only the item index.
 		type indexed struct {
 			i int
 			a Action

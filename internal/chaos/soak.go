@@ -40,11 +40,11 @@ type Options struct {
 	// job is created and deleted mid-run to probe teardown under faults.
 	Jobs  int
 	Hosts int
-	// SyncerShards selects the State Syncer topology for BOTH clusters
-	// (baseline and faulty): <= 1 is the classic single syncer; N > 1
-	// runs N lease-coordinated shard Nodes. Sharded runs additionally
-	// schedule a shard-crash + lease-steal sequence and background
-	// shard-round partitions, and assert zero lease violations.
+	// SyncerShards is the number of lease-coordinated State Syncer Nodes
+	// in BOTH clusters (baseline and faulty); <= 1 means one. Every run
+	// faults the Node ↔ slice transport and asserts zero lease
+	// violations; runs with a peer to steal (N > 1) additionally
+	// schedule a Node crash + lease-steal sequence.
 	SyncerShards int
 	// FeedTransport selects the remote Task Service's spec-feed binding:
 	// "" or "loopback" is the in-process transport with the PR 9
@@ -77,7 +77,7 @@ type Result struct {
 	StoreRestores int
 	// LeaseSteals counts slices whose lease epoch moved past its first
 	// grant in the faulty run — evidence the steal path actually ran
-	// (sharded runs schedule at least one).
+	// (runs with more than one Node schedule at least one).
 	LeaseSteals int
 	// RemoteFeed is the faulty cluster's remote Task Service subscriber
 	// counters: its polls ran through the OpSpecFeed fault rules, and its
@@ -139,11 +139,10 @@ func jobConfig(name string, tasks, partitions int) *config.JobConfig {
 // rules is the seeded fault schedule: background error rates on every
 // seam during the fault window, two bounded heartbeat blackouts (one
 // shorter than the failover interval, one longer), and one syncer crash
-// on each side of a commit. Sharded runs add background shard-round
-// partitions and slow-shard latency on the Node ↔ slice transport; TCP
-// feed runs swap the force-resync storm for byte-stream faults on the
-// socket itself.
-func rules(clusterName string, shards int, transport string) []faultinject.Rule {
+// on each side of a commit, plus background shard-round partitions and
+// slow-shard latency on the Node ↔ slice transport; TCP feed runs swap
+// the force-resync storm for byte-stream faults on the socket itself.
+func rules(clusterName string, transport string) []faultinject.Rule {
 	// Container IDs follow the cluster's deterministic layout:
 	// <name>-tc<host>-<slot>. The blackout victims sit on hosts 0 and 1;
 	// the host-kill event below uses host 2, so the faults never overlap
@@ -223,18 +222,16 @@ func rules(clusterName string, shards int, transport string) []faultinject.Rule 
 			faultinject.Rule{Op: faultinject.OpSpecFeed, Key: remoteSub(clusterName), Rate: 0.10, Kind: faultinject.KindForceResync, After: faultsFrom, Until: faultsUntil},
 		)
 	}
-	if shards > 1 {
-		// Shard-round partitions: the Node skips the slice's round and
-		// withholds its lease renewal, so a sustained partition decays
-		// the lease toward a steal; the rediscovery sweep and journal
-		// resync cover whatever the skipped rounds missed. Latency
-		// records slow shards without failing them.
-		rs = append(rs,
-			faultinject.Rule{Op: faultinject.OpShardRound, Rate: 0.10, Kind: faultinject.KindError, After: faultsFrom, Until: faultsUntil},
-			faultinject.Rule{Op: faultinject.OpShardRound, Rate: 0.05, Kind: faultinject.KindLatency, Latency: 3 * time.Second, After: faultsFrom, Until: faultsUntil},
-		)
-	}
-	return rs
+	// Shard-round partitions: the Node skips the slice's round and
+	// withholds its lease renewal, so a sustained partition decays the
+	// lease toward a steal (or, with no peer, toward the Node's own
+	// re-acquire); the rediscovery sweep and journal resync cover
+	// whatever the skipped rounds missed. Latency records slow shards
+	// without failing them.
+	return append(rs,
+		faultinject.Rule{Op: faultinject.OpShardRound, Rate: 0.10, Kind: faultinject.KindError, After: faultsFrom, Until: faultsUntil},
+		faultinject.Rule{Op: faultinject.OpShardRound, Rate: 0.05, Kind: faultinject.KindLatency, Latency: 3 * time.Second, After: faultsFrom, Until: faultsUntil},
+	)
 }
 
 // Run executes one soak. It returns an error the moment any invariant
@@ -304,7 +301,7 @@ func newCluster(opts Options, name string, faults bool) (*cluster.Cluster, *faul
 	var inj *faultinject.Injector
 	if faults {
 		clk := simclock.NewSim(start)
-		inj = faultinject.New(opts.Seed, clk, rules(name, opts.SyncerShards, opts.FeedTransport))
+		inj = faultinject.New(opts.Seed, clk, rules(name, opts.FeedTransport))
 		cfg.Clock = clk
 		cfg.WrapActuator = inj.Actuator
 		cfg.WrapSM = func(id string, inner taskmanager.ShardManagerClient) taskmanager.ShardManagerClient {
@@ -335,7 +332,6 @@ func newCluster(opts Options, name string, faults bool) (*cluster.Cluster, *faul
 // The schedule is identical for baseline and faulty runs — only the
 // injector (and the host-kill event, itself a fault) differ.
 func runSchedule(c *cluster.Cluster, inj *faultinject.Injector, opts Options, res *Result) error {
-	sharded := len(c.SyncerNodes) > 0
 	var remote *taskservice.FeedClient
 	var dialTr *taskservice.DialTransport
 	var feedLis *jobservice.FeedListener
@@ -393,31 +389,20 @@ func runSchedule(c *cluster.Cluster, inj *faultinject.Injector, opts Options, re
 			}
 			lastStale = 0
 		})
-		// A crash fault kills the live syncer instance on the spot; a
+		// A crash fault kills the syncer Node driving the faulted job's
+		// slice on the spot (the crash fires inside its round); a
 		// 10-second supervisor poll then boots a replacement from the
 		// store's serialized snapshot and re-arms injection — the
-		// crash-restart loop the durable sync state exists for. In the
-		// sharded topology the victim is the Node driving the faulted
-		// job's slice (the crash fires inside its round), and only that
-		// Node is restarted — its peers keep their slices.
+		// crash-restart loop the durable sync state exists for. Only the
+		// victim is restarted — its peers, if any, keep their slices.
 		crashVictim := 0
 		inj.OnCrash(func(ev faultinject.Event) {
-			if sharded {
-				crashVictim = c.SyncerNodeFor(ev.Key)
-				c.KillSyncerNode(crashVictim)
-				return
-			}
-			c.Syncer.Kill()
+			crashVictim = c.SyncerNodeFor(ev.Key)
+			c.KillSyncerNode(crashVictim)
 		})
 		c.Clk.TickEvery(10*time.Second, func() {
 			if inj.Crashed() {
-				var err error
-				if sharded {
-					err = c.RestartSyncerNode(crashVictim, true)
-				} else {
-					err = c.RestartSyncer(true)
-				}
-				if err != nil {
+				if err := c.RestartSyncerNode(crashVictim, true); err != nil {
 					panic(fmt.Sprintf("chaos: syncer restart: %v", err))
 				}
 				inj.Rearm()
@@ -477,8 +462,8 @@ func runSchedule(c *cluster.Cluster, inj *faultinject.Injector, opts Options, re
 		if err := c.KillHost(c.Hosts()[2]); err != nil {
 			return err
 		}
-		if sharded {
-			// Scheduled shard crash: Node 1 goes dark mid-storm. Its
+		if len(c.Syncer) > 1 { // a steal needs a peer
+			// Scheduled Node crash: Node 1 goes dark mid-storm. Its
 			// slice lease (90 s TTL) expires unrenewed and a peer steals
 			// the slice — including any divergence the dead Node left
 			// behind, converged by the thief's O(slice) resync round.
@@ -492,7 +477,7 @@ func runSchedule(c *cluster.Cluster, inj *faultinject.Injector, opts Options, re
 		if err := c.RestoreHost(c.Hosts()[2]); err != nil {
 			return err
 		}
-		if sharded {
+		if len(c.Syncer) > 1 {
 			// The crashed Node returns (via the snapshot-restore boot
 			// path) after its slice was stolen: it must respect the
 			// thief's live lease and run as a standby, not force the
@@ -559,24 +544,22 @@ func runSchedule(c *cluster.Cluster, inj *faultinject.Injector, opts Options, re
 	if qs := c.Jobs.Quarantined(); len(qs) != 0 {
 		return fmt.Errorf("jobs still quarantined after the tail: %v", qs)
 	}
-	// Sharded topology: no round ever committed against a stolen lease,
-	// and every slice ends the run under a live lease (fully serviced).
-	for k, node := range c.SyncerNodes {
+	// No round ever committed against a stolen lease, and every slice
+	// ends the run under a live lease (fully serviced).
+	for k, node := range c.Syncer {
 		if v := node.Violations(); v != 0 {
 			return fmt.Errorf("syncer node %d committed %d rounds against stolen leases", k, v)
 		}
 	}
-	if sharded {
-		now := c.Clk.Now()
-		live := 0
-		for _, l := range c.Store.ShardLeases() {
-			if l.Live(now) {
-				live++
-			}
+	now := c.Clk.Now()
+	live := 0
+	for _, l := range c.Store.ShardLeases() {
+		if l.Live(now) {
+			live++
 		}
-		if live != len(c.SyncerNodes) {
-			return fmt.Errorf("%d of %d shard slices under a live lease after the tail", live, len(c.SyncerNodes))
-		}
+	}
+	if live != len(c.Syncer) {
+		return fmt.Errorf("%d of %d shard slices under a live lease after the tail", live, len(c.Syncer))
 	}
 	// Remote-vs-local index identity across the spec-feed seam: after the
 	// fault-free tail the remote subscriber — dropped polls, clamped

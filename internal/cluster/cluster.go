@@ -62,14 +62,14 @@ type Config struct {
 	EnableScaler   bool
 	EnableCapacity bool
 
-	// SyncerShards selects the State Syncer topology: 0 or 1 runs the
-	// classic single full-fleet syncer (Cluster.Syncer); N > 1 runs N
-	// lease-coordinated syncer Nodes (Cluster.SyncerNodes), each home to
-	// one stripe slice of the fleet and stealing a peer's slice only
-	// when its lease expires.
+	// SyncerShards is the number of lease-coordinated State Syncer Nodes
+	// (Cluster.Syncer), each home to one contiguous stripe slice of the
+	// fleet and stealing a peer's slice only when its lease expires. It
+	// is a size, not a mode: 0 and 1 both mean one Node whose slice is
+	// the whole fleet.
 	SyncerShards int
-	// SyncerLeaseTTL tunes the shard-lease TTL (sharded topology only);
-	// zero defaults to 3× the round interval.
+	// SyncerLeaseTTL tunes the slice-lease TTL; zero defaults to 3× the
+	// round interval.
 	SyncerLeaseTTL time.Duration
 
 	Syncer   statesyncer.Options
@@ -90,8 +90,8 @@ type Config struct {
 	CapacityPool *capacity.Pool
 
 	// WrapShardDriver interposes on each shard slice's Node ↔ round-
-	// engine transport (sharded topology only), keyed by slice index —
-	// the fault injector's partition/slow-shard/lease-expiry seam.
+	// engine transport, keyed by slice index — the fault injector's
+	// partition/slow-shard/lease-expiry seam.
 	WrapShardDriver func(slice int, d statesyncer.ShardDriver) statesyncer.ShardDriver
 
 	// WrapActuator, WrapSM, and WrapTaskSource interpose on the
@@ -133,6 +133,9 @@ func (c *Config) fillDefaults() {
 	}
 	if c.NumShards <= 0 {
 		c.NumShards = 256
+	}
+	if c.SyncerShards <= 0 {
+		c.SyncerShards = 1
 	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = time.Minute
@@ -186,19 +189,16 @@ type Cluster struct {
 	Feed *jobservice.SpecFeedServer
 	SM   *shardmanager.Manager
 	TW   *tupperware.Cluster
-	// Syncer is the single full-fleet syncer (SyncerShards <= 1); nil in
-	// the sharded topology, where SyncerNodes drive the fleet instead.
-	Syncer *statesyncer.Syncer
-	// SyncerNodes are the sharded topology's N lease-coordinated syncer
-	// processes, indexed by home slice; empty when Syncer is set.
-	SyncerNodes []*statesyncer.Node
-	Scaler      *autoscaler.Scaler
-	CapMgr      *capacity.Manager
-	Metrics     *metrics.Store
-	Health      *health.Reporter
+	// Syncer is the State Syncer: Cfg.SyncerShards lease-coordinated
+	// Nodes, indexed by home slice.
+	Syncer  Syncers
+	Scaler  *autoscaler.Scaler
+	CapMgr  *capacity.Manager
+	Metrics *metrics.Store
+	Health  *health.Reporter
 
 	tms []tmEntry
-	act statesyncer.Actuator // possibly wrapped; reused by RestartSyncer
+	act statesyncer.Actuator // possibly wrapped; reused by RestartSyncerNode
 
 	mu          sync.Mutex
 	profiles    map[string]*engine.Profile
@@ -216,6 +216,18 @@ type Cluster struct {
 	seriesTaskCount *metrics.Series
 	seriesInputRate *metrics.Series
 	seriesDropped   *metrics.Series
+}
+
+// Syncers is a State Syncer deployment: one Node per shard slice.
+type Syncers []*statesyncer.Node
+
+// Stats sums the Nodes' cumulative round counters.
+func (ns Syncers) Stats() statesyncer.Stats {
+	var sum statesyncer.Stats
+	for _, n := range ns {
+		sum = sum.Add(n.Stats())
+	}
+	return sum
 }
 
 // jobSeries caches the metric-store handles for one job's per-minute
@@ -327,12 +339,8 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.WrapActuator != nil {
 		c.act = cfg.WrapActuator(c.act)
 	}
-	if cfg.SyncerShards > 1 {
-		for k := 0; k < cfg.SyncerShards; k++ {
-			c.SyncerNodes = append(c.SyncerNodes, c.newSyncerNode(k))
-		}
-	} else {
-		c.Syncer = statesyncer.New(c.Store, c.act, c.Clk, cfg.Syncer)
+	for k := 0; k < cfg.SyncerShards; k++ {
+		c.Syncer = append(c.Syncer, c.newSyncerNode(k))
 	}
 
 	profileFn := func(spec engine.TaskSpec) *engine.Profile {
@@ -417,10 +425,7 @@ func (c *Cluster) Start() {
 	}
 	c.SM.AssignUnassigned()
 	c.SM.Start()
-	if c.Syncer != nil {
-		c.Syncer.Start()
-	}
-	for _, n := range c.SyncerNodes {
+	for _, n := range c.Syncer {
 		n.Start()
 	}
 	if c.Scaler != nil {
@@ -542,104 +547,57 @@ func (c *Cluster) newSyncerNode(k int) *statesyncer.Node {
 	})
 }
 
-// RestartSyncer models the State Syncer process crash-restarting: the
-// old instance is killed (its periodic rounds stop, its in-memory state
-// is lost) and a fresh instance is built over the same durable Job Store
-// and actuator. With viaSnapshot the store is additionally round-tripped
-// through Snapshot/Restore first, modeling a replacement syncer booting
-// from the database's serialized state rather than warm memory. The new
-// instance starts its periodic rounds if the cluster is running. In the
-// sharded topology every Node restarts; use RestartSyncerNode to crash-
-// restart a single one.
-func (c *Cluster) RestartSyncer(viaSnapshot bool) error {
-	if len(c.SyncerNodes) > 0 {
-		for k := range c.SyncerNodes {
-			c.SyncerNodes[k].Kill()
-		}
-		if err := c.maybeSnapshotRestore(viaSnapshot); err != nil {
-			return err
-		}
-		for k := range c.SyncerNodes {
-			c.restartNodeLocked(k)
-		}
-		return nil
-	}
-	c.Syncer.Kill()
-	if err := c.maybeSnapshotRestore(viaSnapshot); err != nil {
-		return err
-	}
-	c.Syncer = statesyncer.New(c.Store, c.act, c.Clk, c.Cfg.Syncer)
-	c.mu.Lock()
-	started := c.started
-	c.mu.Unlock()
-	if started {
-		c.Syncer.Start()
-	}
-	return nil
-}
-
-func (c *Cluster) maybeSnapshotRestore(viaSnapshot bool) error {
-	if !viaSnapshot {
-		return nil
-	}
-	data, err := c.Store.Snapshot()
-	if err != nil {
-		return fmt.Errorf("cluster: snapshot for syncer restart: %w", err)
-	}
-	if err := c.Store.Restore(data); err != nil {
-		return fmt.Errorf("cluster: restore for syncer restart: %w", err)
-	}
-	return nil
-}
-
-// KillSyncerNode crash-kills one syncer Node of the sharded topology:
-// its ticks stop, in-flight writes are suppressed, and its slice leases
-// run down until a peer steals them.
+// KillSyncerNode crash-kills one syncer Node: its ticks stop, in-flight
+// writes are suppressed, and its slice leases run down until a peer
+// steals them (or, with no peer, until its replacement re-acquires).
 func (c *Cluster) KillSyncerNode(k int) {
-	if k >= 0 && k < len(c.SyncerNodes) {
-		c.SyncerNodes[k].Kill()
+	if k >= 0 && k < len(c.Syncer) {
+		c.Syncer[k].Kill()
 	}
 }
 
-// RestartSyncerNode replaces one killed (or live) syncer Node with a
-// fresh instance over the same durable store, optionally round-tripping
-// the store through Snapshot/Restore first — the single-Node analogue
-// of RestartSyncer. The replacement re-claims its home slice through
-// the ordinary lease path: if a peer stole the slice meanwhile, the
-// newcomer waits for that lease to lapse rather than forcing it.
+// RestartSyncerNode models one State Syncer process crash-restarting:
+// the old Node is killed (its ticks stop, its in-memory state is lost)
+// and a fresh one is built over the same durable Job Store and actuator.
+// With viaSnapshot the store is additionally round-tripped through
+// Snapshot/Restore first, modeling a replacement booting from the
+// database's serialized state rather than warm memory. The replacement
+// starts ticking if the cluster is running and re-claims its home slice
+// through the ordinary lease path: it keeps its predecessor's ID, so an
+// unstolen lease is re-acquired on its first tick; if a peer stole the
+// slice meanwhile, the newcomer waits for that lease to lapse rather
+// than forcing it.
 func (c *Cluster) RestartSyncerNode(k int, viaSnapshot bool) error {
-	if k < 0 || k >= len(c.SyncerNodes) {
+	if k < 0 || k >= len(c.Syncer) {
 		return fmt.Errorf("cluster: no syncer node %d", k)
 	}
-	c.SyncerNodes[k].Kill()
-	if err := c.maybeSnapshotRestore(viaSnapshot); err != nil {
-		return err
+	c.Syncer[k].Kill()
+	if viaSnapshot {
+		data, err := c.Store.Snapshot()
+		if err != nil {
+			return fmt.Errorf("cluster: snapshot for syncer restart: %w", err)
+		}
+		if err := c.Store.Restore(data); err != nil {
+			return fmt.Errorf("cluster: restore for syncer restart: %w", err)
+		}
 	}
-	c.restartNodeLocked(k)
-	return nil
-}
-
-func (c *Cluster) restartNodeLocked(k int) {
-	c.SyncerNodes[k] = c.newSyncerNode(k)
+	c.Syncer[k] = c.newSyncerNode(k)
 	c.mu.Lock()
 	started := c.started
 	c.mu.Unlock()
 	if started {
-		c.SyncerNodes[k].Start()
+		c.Syncer[k].Start()
 	}
+	return nil
 }
 
 // SyncerNodeFor returns the index of the syncer Node currently
 // responsible for the job: the holder of its slice's lease if one is
-// recorded, the slice's home Node otherwise. Sharded topology only.
+// recorded, the slice's home Node otherwise.
 func (c *Cluster) SyncerNodeFor(job string) int {
-	n := len(c.SyncerNodes)
-	if n == 0 {
-		return 0
-	}
-	slice := statesyncer.SliceOfName(job, n)
+	slice := statesyncer.SliceOfName(job, len(c.Syncer))
 	if l, ok := c.Store.ShardLeaseOf(slice); ok {
-		for k, node := range c.SyncerNodes {
+		for k, node := range c.Syncer {
 			if node.ID() == l.Holder {
 				return k
 			}

@@ -19,7 +19,7 @@ func TestDirtyMarksAndConditionalClear(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	marks := s.DirtyMarks()
+	marks := s.DirtyMarksRangeInto(0, NumStripes, nil)
 	if len(marks) != 2 || marks[0].Name != "a" || marks[1].Name != "b" {
 		t.Fatalf("DirtyMarks = %+v", marks)
 	}
@@ -108,7 +108,7 @@ func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 		}
 	}
 	// "quiet" converged: its mark is consumed. The other two stay dirty.
-	for _, m := range s.DirtyMarks() {
+	for _, m := range s.DirtyMarksRangeInto(0, NumStripes, nil) {
 		if m.Name == "quiet" {
 			s.ClearDirtyIf(m.Name, m.Seq)
 		}

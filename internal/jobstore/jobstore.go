@@ -254,7 +254,7 @@ func New() *Store {
 const NumStripes = numStripes
 
 // StripeOf returns the stripe index the job name hashes onto (FNV-1a),
-// in [0, NumStripes). Sharded State Syncers use it to route jobs to the
+// in [0, NumStripes). State Syncer Nodes use it to route jobs to the
 // shard slice owning their stripe.
 func StripeOf(name string) int {
 	const (
@@ -662,19 +662,9 @@ func (s *Store) collectNames(size func(*stripe) int, appendKeys func(*stripe, []
 	return out
 }
 
-// MarkDirty flags a job for the State Syncer's next change-driven round
-// even though none of its store entries changed — an operator's manual
-// re-sync nudge.
-func (s *Store) MarkDirty(name string) {
-	st := s.stripeFor(name)
-	st.mu.Lock()
-	s.markLocked(st, name)
-	st.mu.Unlock()
-}
-
 // DrainDirty atomically takes the set of jobs marked changed since the
 // last drain and returns it sorted. Jobs are marked by Create, SetLayer,
-// Delete, ClearQuarantine, Restore, and MarkDirty — every write that can
+// Delete, ClearQuarantine, and Restore — every write that can
 // make a job need synchronization. A write landing concurrently with the
 // drain is either included now or left marked for the next drain, never
 // lost.
@@ -695,27 +685,14 @@ func (s *Store) DrainDirty() []string {
 	return out
 }
 
-// DirtyMarks returns the current change set without clearing it, sorted
-// by name. The State Syncer reads the marks at the start of a round and
-// clears each one only after the job's synchronization succeeded
-// (ClearDirtyIf), so a crash mid-round leaves every unfinished job
-// marked for the successor syncer.
-func (s *Store) DirtyMarks() []DirtyMark {
-	return s.DirtyMarksInto(nil)
-}
-
-// DirtyMarksInto appends the current change set to buf (typically the
-// [:0] reslice of a caller-owned scratch buffer) without clearing it,
-// sorted by name, and returns the extended slice. With an empty change
-// set and a reusable buffer — the State Syncer's converged steady state —
-// it performs no allocation.
-func (s *Store) DirtyMarksInto(buf []DirtyMark) []DirtyMark {
-	return s.DirtyMarksRangeInto(0, numStripes, buf)
-}
-
-// DirtyMarksRangeInto is DirtyMarksInto restricted to stripes [lo, hi):
-// the per-stripe dirty drain of a sharded State Syncer, which reads only
-// its own slice of the change set instead of walking all 64 stripes.
+// DirtyMarksRangeInto appends the change set of stripes [lo, hi) to buf
+// (typically the [:0] reslice of a caller-owned scratch buffer) without
+// clearing it, sorted by name, and returns the extended slice. A State
+// Syncer engine reads only its own slice of the change set at the start
+// of a round and clears each mark only after the job's synchronization
+// succeeded (ClearDirtyIf), so a crash mid-round leaves every unfinished
+// job marked for the successor. With an empty change set and a reusable
+// buffer — the converged steady state — it performs no allocation.
 func (s *Store) DirtyMarksRangeInto(lo, hi int, buf []DirtyMark) []DirtyMark {
 	out := buf
 	for i := lo; i < hi; i++ {

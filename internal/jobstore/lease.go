@@ -1,7 +1,6 @@
-// Shard-lease table: the Job Store side of sharded State Syncer
-// coordination.
+// Shard-lease table: the Job Store side of State Syncer coordination.
 //
-// A sharded deployment partitions the fleet into N shard slices by
+// A deployment partitions the fleet into N >= 1 shard slices by
 // job-name stripe; at most one syncer may drive a slice at a time (the
 // paper's one-owner-mutates-a-job discipline). Ownership is a TTL lease
 // committed here, in the store — the same durable system of record that
@@ -18,10 +17,11 @@
 //   - Renew extends the TTL only if both holder and epoch still match —
 //     a holder that lost its lease to a steal can never renew itself
 //     back in, it must go through Acquire and observe the new epoch.
-//   - Release drops the lease so another holder can claim the slice
-//     without waiting out the TTL (clean shutdown).
 //
-// All three are serialized on one mutex: the table has N entries (N =
+// There is no release: a Node that shuts down lets its leases run down,
+// and a replacement under the same holder ID re-acquires at once.
+//
+// Both are serialized on one mutex: the table has N entries (N =
 // shard count, single digits), so striping would be noise. Expiry is
 // judged against a caller-supplied clock reading — the store itself is
 // clockless, which keeps the harness's simulated time in charge.
@@ -79,8 +79,8 @@ func (s *Store) AcquireShardLease(shard int, holder string, now time.Time, ttl t
 }
 
 // RenewShardLease extends the lease iff holder still owns the slice at
-// the given epoch. A false return means the lease was stolen (or
-// released): the holder must stop driving the slice and go back through
+// the given epoch. A false return means the lease was stolen: the
+// holder must stop driving the slice and go back through
 // AcquireShardLease.
 func (s *Store) RenewShardLease(shard int, holder string, epoch int64, now time.Time, ttl time.Duration) bool {
 	s.leaseMu.Lock()
@@ -91,18 +91,6 @@ func (s *Store) RenewShardLease(shard int, holder string, epoch int64, now time.
 	}
 	l.Expires = now.Add(ttl)
 	return true
-}
-
-// ReleaseShardLease drops the holder's lease on a slice (clean
-// shutdown), if it still owns it. The row is kept with a zero Expires —
-// an expired lease — so successors take the steal path and the epoch
-// keeps fencing.
-func (s *Store) ReleaseShardLease(shard int, holder string) {
-	s.leaseMu.Lock()
-	defer s.leaseMu.Unlock()
-	if l, ok := s.leases[shard]; ok && l.Holder == holder {
-		l.Expires = time.Time{}
-	}
 }
 
 // ClearShardLeases drops every lease row — the operator's "reset shard

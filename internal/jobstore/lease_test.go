@@ -59,31 +59,6 @@ func TestShardLeaseAcquireRenewSteal(t *testing.T) {
 	}
 }
 
-func TestShardLeaseRelease(t *testing.T) {
-	s := New()
-	t0 := time.Unix(0, 0)
-	ttl := time.Minute
-
-	s.AcquireShardLease(0, "a", t0, ttl)
-	s.ReleaseShardLease(0, "b") // non-holder release is a no-op
-	if l, _ := s.ShardLeaseOf(0); !l.Live(t0) {
-		t.Fatal("non-holder release dropped the lease")
-	}
-	s.ReleaseShardLease(0, "a")
-	l, ok := s.ShardLeaseOf(0)
-	if !ok {
-		t.Fatal("release deleted the lease row; it must stay for epoch fencing")
-	}
-	if l.Live(t0) {
-		t.Fatal("released lease still live")
-	}
-	// A successor claims through the steal path: the epoch keeps fencing.
-	next, ok := s.AcquireShardLease(0, "b", t0, ttl)
-	if !ok || next.Epoch != 2 {
-		t.Fatalf("post-release acquire = %+v, %v; want epoch 2", next, ok)
-	}
-}
-
 func TestShardLeasesListingAndClear(t *testing.T) {
 	s := New()
 	t0 := time.Unix(0, 0)

@@ -54,11 +54,6 @@ func TestDirtySetSemantics(t *testing.T) {
 	if got := s.DrainDirty(); !reflect.DeepEqual(got, []string{"a"}) {
 		t.Fatalf("DrainDirty after ClearQuarantine = %v, want [a]", got)
 	}
-
-	s.MarkDirty("a")
-	if got := s.DrainDirty(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("DrainDirty after MarkDirty = %v, want [a]", got)
-	}
 }
 
 func TestNameSnapshotsAreCopyOnWrite(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -254,6 +255,7 @@ func (s *legacySyncer) recordFailure(job string, err error, res *RoundResult) {
 // the quarantine threshold, some fail redistribution or resume. Two
 // instances driven by equivalent syncers observe identical sequences.
 type flakyActuator struct {
+	mu          sync.Mutex // complex plans run in parallel; budgets are per job, so outcomes stay deterministic
 	stopFails   map[string]int
 	redistFails map[string]int
 	resumeFails map[string]int
@@ -282,6 +284,8 @@ func (f *flakyActuator) StopJobTasks(job string) error {
 	case h%5 == 0:
 		budget = 2 // transient
 	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.stopFails[job] < budget {
 		f.stopFails[job]++
 		return fmt.Errorf("stop %s: injected failure %d", job, f.stopFails[job])
@@ -290,6 +294,8 @@ func (f *flakyActuator) StopJobTasks(job string) error {
 }
 
 func (f *flakyActuator) RedistributeCheckpoints(job string, _, _, _ int) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if jobHash(job)%17 == 0 && f.redistFails[job] < 1 {
 		f.redistFails[job]++
 		return fmt.Errorf("redistribute %s: injected failure", job)
@@ -298,6 +304,8 @@ func (f *flakyActuator) RedistributeCheckpoints(job string, _, _, _ int) error {
 }
 
 func (f *flakyActuator) ResumeJob(job string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if jobHash(job)%11 == 0 && f.resumeFails[job] < 2 {
 		f.resumeFails[job]++
 		return fmt.Errorf("resume %s: injected failure %d", job, f.resumeFails[job])

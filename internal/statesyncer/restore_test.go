@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/jobstore"
-	"repro/internal/simclock"
 )
 
 // killAfterCommit installs commit hooks that simulate the syncer dying
@@ -134,45 +133,6 @@ func TestCrashBeforeCommitRestoreReplansInOneRound(t *testing.T) {
 	}
 	if n := restored.DirtyCount(); n != 0 {
 		t.Fatalf("%d dirty marks left after one round", n)
-	}
-}
-
-func TestBackoffDelayDeterministicAndBounded(t *testing.T) {
-	clk := simclock.NewSim(epoch)
-	s := New(jobstore.New(), nil, clk, Options{
-		Interval:         30 * time.Second,
-		RetryBackoffBase: 30 * time.Second,
-		RetryBackoffMax:  5 * time.Minute,
-	})
-	if d := s.backoffDelay("j", 1); d != 0 {
-		t.Fatalf("streak-1 delay = %v, want 0 (first failure retries next round)", d)
-	}
-	prevNominal := time.Duration(0)
-	for streak := 2; streak <= 12; streak++ {
-		d1 := s.backoffDelay("j", streak)
-		d2 := s.backoffDelay("j", streak)
-		if d1 != d2 {
-			t.Fatalf("streak %d: nondeterministic delay %v vs %v", streak, d1, d2)
-		}
-		nominal := 30 * time.Second << (streak - 2)
-		if nominal > 5*time.Minute {
-			nominal = 5 * time.Minute
-		}
-		if d1 > nominal || d1 < nominal-nominal/4-1 {
-			t.Fatalf("streak %d: delay %v outside (%v - quarter jitter, %v]", streak, d1, nominal, nominal)
-		}
-		if nominal > prevNominal && d1 <= 0 {
-			t.Fatalf("streak %d: non-positive delay %v", streak, d1)
-		}
-		prevNominal = nominal
-	}
-	// Jitter spreads distinct jobs apart (not in lockstep).
-	spread := map[time.Duration]bool{}
-	for _, job := range []string{"a", "b", "c", "d", "e", "f"} {
-		spread[s.backoffDelay(job, 4)] = true
-	}
-	if len(spread) < 2 {
-		t.Fatal("per-job jitter produced identical delays for every job")
 	}
 }
 

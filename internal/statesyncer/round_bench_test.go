@@ -2,6 +2,7 @@ package statesyncer
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -90,4 +91,60 @@ func BenchmarkSyncerRound50kChurn10pct(b *testing.B) {
 			b.Fatalf("round synced %d jobs, want 5000", res.Simple)
 		}
 	}
+}
+
+// BenchmarkSyncerRound50kNodeVsEngineConverged is the guard on making the
+// lease-coordinated Node the only topology: a converged one-slice
+// Node.Tick (engine round + lease check + renewal) against the bare
+// engine's RunRound over identical 50 000-job fleets, timed back-to-back
+// inside every iteration in alternating order so machine-load drift
+// cancels. Reports engine-ns/op, node-ns/op and their ratio, and fails if
+// the pair allocates past the steady-state ceiling — either side
+// allocating per round is a regression.
+func BenchmarkSyncerRound50kNodeVsEngineConverged(b *testing.B) {
+	const jobs = 50_000
+	_, engine := benchFleet(b, jobs, Options{})
+	_, nodes, clk := benchShardedFleet(b, jobs, 1)
+	node := nodes[0]
+	for r := 0; r < 10; r++ { // every rotation slice once: scratch at high water
+		engine.RunRound()
+		tickFleet(nodes, clk)
+	}
+	var tEngine, tNode time.Duration
+	runEngine := func() {
+		t0 := time.Now()
+		engine.RunRound()
+		tEngine += time.Since(t0)
+	}
+	runNode := func() {
+		t0 := time.Now()
+		node.Tick()
+		tNode += time.Since(t0)
+	}
+	b.ReportAllocs()
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%2 == 0 {
+			runEngine()
+			runNode()
+		} else {
+			runNode()
+			runEngine()
+		}
+		clk.RunFor(30 * time.Second)
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&m1)
+	if per := float64(m1.Mallocs-m0.Mallocs) / float64(b.N); per > steadyAllocCeiling {
+		b.Fatalf("converged engine round + one-slice node tick allocate %.1f objects/op, ceiling %d", per, steadyAllocCeiling)
+	}
+	if st := node.Status()[0]; !st.Held || st.Rounds < b.N {
+		b.Fatalf("node did not drive its slice every tick: %+v", st)
+	}
+	b.ReportMetric(float64(tEngine.Nanoseconds())/float64(b.N), "engine-ns/op")
+	b.ReportMetric(float64(tNode.Nanoseconds())/float64(b.N), "node-ns/op")
+	b.ReportMetric(tNode.Seconds()/tEngine.Seconds(), "node/engine")
 }

@@ -1,20 +1,26 @@
-// Sharded State Syncer topology: N lease-coordinated shard slices.
+// The State Syncer's one topology: N lease-coordinated Nodes, N >= 1.
 //
-// A sharded deployment partitions the Job Store's stripe space into N
-// contiguous shard slices and runs one syncer Node per slice. Each Node
-// owns a round engine (a NewStriped Syncer) for its home slice and
-// drives it only while holding that slice's TTL lease in the Job Store
-// (jobstore.AcquireShardLease and friends). The lease table lives in the
-// store — the durable system of record — so ownership rides
-// Snapshot/Restore and survives any process crash.
+// A deployment partitions the Job Store's stripe space into N contiguous
+// shard slices and runs one syncer Node per slice; N is a size, not a
+// mode — the single-syncer deployment is one Node over one slice
+// covering every stripe. Each Node owns a round engine (a NewStriped
+// Syncer) for its home slice and drives it only while holding that
+// slice's TTL lease in the Job Store (jobstore.AcquireShardLease and
+// friends). The lease table lives in the store — the durable system of
+// record — so ownership rides Snapshot/Restore and survives any process
+// crash. The Node is also the only scheduler: the engine has no ticker
+// of its own, RunRound is a lease-free call harnesses and tools drive
+// directly.
 //
 // Ownership protocol, per slice, per scheduling tick:
 //
 //   - A Node always claims its home slice: Acquire grants it when the
 //     slice is unclaimed, already its own, or the standing lease has
-//     expired. A live foreign lease (a thief took the slice while this
-//     Node was dark) is respected — ownership is sticky until the
-//     holder goes dark past its TTL.
+//     expired. A replacement Node booted under its predecessor's ID
+//     therefore resumes on its first tick, with no TTL wait. A live
+//     foreign lease (a thief took the slice while this Node was dark) is
+//     respected — ownership is sticky until the holder goes dark past
+//     its TTL.
 //   - A Node steals a foreign slice only when that slice HAS a lease
 //     row and the lease has expired: the slice's home Node claimed it
 //     once and then went dark. An absent row means the home Node has
@@ -25,7 +31,8 @@
 //     only after the round SUCCEEDS. A Node whose transport to a slice
 //     is partitioned therefore stops renewing, its lease runs down, and
 //     a peer steals the slice — lease expiry falls out of the driver
-//     seam with no extra fault plumbing.
+//     seam with no extra fault plumbing. With no peer (N = 1) the Node
+//     re-acquires its own lapsed lease once the partition heals.
 //   - Renewal is epoch-fenced: a renewal after a mid-round steal fails,
 //     the Node drops the slice, and — if that round committed work — the
 //     event is counted as a lease violation. With the TTL well above the
@@ -114,7 +121,7 @@ func (d inprocDriver) RunSliceRound() (RoundResult, error) {
 	return res, nil
 }
 
-// NodeOptions configure one syncer Node of a sharded deployment.
+// NodeOptions configure one syncer Node.
 type NodeOptions struct {
 	// Shards is the total slice count N; Index in [0, N) is this Node's
 	// home slice.
@@ -176,10 +183,9 @@ type sliceState struct {
 	lastRoundAt time.Time
 }
 
-// Node is one syncer process of a sharded deployment: home to one shard
-// slice, backstop for the others. Create one per slice with NewNode and
-// Start them on a shared clock; they coordinate purely through the Job
-// Store's lease table.
+// Node is one syncer process: home to one shard slice, backstop for the
+// others. Create one per slice with NewNode and Start them on a shared
+// clock; they coordinate purely through the Job Store's lease table.
 type Node struct {
 	store *jobstore.Store
 	act   Actuator
@@ -264,8 +270,7 @@ func (n *Node) Stop() {
 // Kill simulates the Node process crashing: ticks stop, every slice
 // engine is killed (suppressing in-flight store writes and actuator
 // calls), and the Node never touches the lease table again — its leases
-// expire on their own and peers steal the slices. The counterpart of
-// Syncer.Kill for the sharded topology; like it, Kill is safe to call
+// expire on their own and peers steal the slices. Kill is safe to call
 // from a fault hook that fires inside one of this Node's own rounds.
 func (n *Node) Kill() {
 	n.killed.Store(true)
@@ -379,6 +384,17 @@ func (n *Node) Status() []SliceStatus {
 		}
 	}
 	return out
+}
+
+// Stats sums the cumulative round counters of the Node's slice engines.
+// It takes no Node lock (the engines are fixed at NewNode and guard their
+// own counters), so a fault hook firing inside a round may call it.
+func (n *Node) Stats() Stats {
+	var sum Stats
+	for _, st := range n.slices {
+		sum = sum.Add(st.engine.Stats())
+	}
+	return sum
 }
 
 // Violations sums lease violations across the Node's slices (rounds

@@ -256,12 +256,103 @@ func TestShardedLeaseStealConvergence(t *testing.T) {
 	}
 }
 
-// TestShardedVsSingleEquivalence is the headline invariant: a 4-shard
-// deployment fed the same writes as a single syncer — including a node
-// crash and the lease steal that recovers from it — must end with a
-// byte-identical Job Store (lease table aside, which records who did
-// the driving rather than what the fleet runs).
+// TestShardedVsSingleEquivalence is the headline invariant: an N-Node
+// deployment fed the same writes as the bare lease-free round engine
+// must end with a byte-identical Job Store (lease table aside, which
+// records who did the driving rather than what the fleet runs). N=4 runs
+// through a node crash and the lease steal that recovers from it; N=1 —
+// the deployment every single-syncer cluster now is — additionally
+// matches the engine's Stats counter for counter.
 func TestShardedVsSingleEquivalence(t *testing.T) {
+	t.Run("shards=4", testFourShardsVsEngine)
+	t.Run("shards=1", testOneSliceNodeVsEngine)
+}
+
+// testOneSliceNodeVsEngine drives a one-slice Node and a bare engine
+// through the same commit / scale / delete schedule over flaky actuators
+// failing the same calls: the lease layer must add nothing but the lease
+// row.
+func testOneSliceNodeVsEngine(t *testing.T) {
+	const jobs = 120
+	name := func(i int) string { return fmt.Sprintf("j%05d", i) }
+	flaky := func() *fakeActuator {
+		act := newFakeActuator()
+		act.failStops[name(3)] = 2   // two failed rounds, then backoff, then success
+		act.failStops[name(5)] = 1   // the teardown of a deleted job fails once
+		act.failResumes[name(6)] = 1 // commit lands, follow-up retried
+		return act
+	}
+	bare, noded := jobstore.New(), jobstore.New()
+	stores := []*jobstore.Store{bare, noded}
+	clkA, clkB := simclock.NewSim(epoch), simclock.NewSim(epoch)
+	engine := New(bare, flaky(), clkA, Options{})
+	node := NewNode(noded, flaky(), clkB, NodeOptions{})
+	round := func() {
+		engine.RunRound()
+		node.Tick()
+		clkA.RunFor(30 * time.Second)
+		clkB.RunFor(30 * time.Second)
+	}
+	set := func(job string, layer config.Layer, path string, v any) {
+		for _, store := range stores {
+			if _, err := store.SetLayer(job, layer, config.Doc{}.SetPath(path, v), jobstore.AnyVersion); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < jobs; i++ {
+		shardJob(t, bare, name(i))
+		shardJob(t, noded, name(i))
+	}
+	round()
+	for r := 2; r < 12; r++ {
+		for i := r; i < jobs; i += 7 { // commits: simple syncs
+			set(name(i), config.LayerProvisioner, "package.version", fmt.Sprintf("v%d", r))
+		}
+		if r == 3 { // scales: complex syncs through the flaky actuator
+			for _, i := range []int{3, 6, 9, 12} {
+				set(name(i), config.LayerScaler, "taskCount", 8)
+			}
+		}
+		if r == 5 { // deletes (i%7 == 5: no later commit touches them)
+			for _, i := range []int{5, 19, 26} {
+				for _, store := range stores {
+					if err := store.Delete(name(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		round()
+	}
+
+	if v := node.Violations(); v != 0 {
+		t.Fatalf("one-slice node reports %d lease violations", v)
+	}
+	if got, want := node.Stats(), engine.Stats(); got != want {
+		t.Fatalf("one-slice node stats %+v, bare engine %+v", got, want)
+	}
+	if want := engine.Stats(); want.ComplexSyncs == 0 || want.Deletes != 3 || want.Failures == 0 {
+		t.Fatalf("schedule did not exercise complex/delete/failure paths: %+v", want)
+	}
+	if l, ok := noded.ShardLeaseOf(0); !ok || l.Holder != node.ID() || l.Epoch != 1 {
+		t.Fatalf("one-slice node's lease row = %+v, %v; want holder %s at epoch 1", l, ok, node.ID())
+	}
+	noded.ClearShardLeases()
+	a, err := bare.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := noded.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatalf("bare engine and one-slice node diverged: %d vs %d bytes", len(a), len(b))
+	}
+}
+
+func testFourShardsVsEngine(t *testing.T) {
 	const jobs, shards, rounds = 300, 4, 6
 
 	single := jobstore.New()

@@ -49,6 +49,12 @@
 // redistributes their checkpoints among the future tasks, and only then
 // starts the new ones. A job whose plan fails repeatedly is quarantined
 // and an alert is raised for the oncall.
+//
+// Syncer, in this file, is the round engine: RunRound is one lease-free
+// pass, callable by anything that owns a clock (benchmarks, experiments,
+// turbinectl plan). Deployments never schedule it directly — a Node
+// (shard.go) ticks it once per Interval under a Job Store lease, and a
+// cluster is always N >= 1 Nodes.
 package statesyncer
 
 import (
@@ -61,9 +67,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/config"
 	"repro/internal/jobstore"
 	"repro/internal/simclock"
+	"repro/internal/workpool"
 )
 
 // Actuator is the State Syncer's interface to the task-management world:
@@ -234,6 +242,23 @@ type Stats struct {
 	SweepJobs     int // jobs visited via sweeps, full or sliced
 }
 
+// Add returns the field-wise sum of two counter sets: a Node sums its
+// slice engines, a deployment sums its Nodes.
+func (a Stats) Add(b Stats) Stats {
+	a.Rounds += b.Rounds
+	a.SimpleSyncs += b.SimpleSyncs
+	a.ComplexSyncs += b.ComplexSyncs
+	a.Deletes += b.Deletes
+	a.Failures += b.Failures
+	a.Quarantines += b.Quarantines
+	a.JobsExamined += b.JobsExamined
+	a.JobsConverged += b.JobsConverged
+	a.Sweeps += b.Sweeps
+	a.SweepSlices += b.SweepSlices
+	a.SweepJobs += b.SweepJobs
+	return a
+}
+
 // Options tune the syncer.
 type Options struct {
 	// Interval between rounds; defaults to the paper's 30 seconds.
@@ -279,7 +304,8 @@ type Options struct {
 // Options.RetryBackoffBase.
 const NoBackoff time.Duration = -1
 
-// Syncer drives expected→running convergence. All crash-critical
+// Syncer is the round engine that drives expected→running convergence
+// over one stripe range. All crash-critical
 // per-job bookkeeping (failure streaks, backoff deadlines, pending
 // post-commit follow-ups) lives in the Job Store, not on the Syncer —
 // a replacement Syncer over the same store resumes seamlessly.
@@ -293,9 +319,8 @@ type Syncer struct {
 	// store and the actuator mid-flight, exactly as a dead process would.
 	killed atomic.Bool
 
-	mu     sync.Mutex
-	stats  Stats
-	ticker simclock.Ticker
+	mu    sync.Mutex
+	stats Stats
 
 	// Shard scope: the syncer examines only jobs whose store stripe
 	// falls in [stripeLo, stripeHi). The default full-fleet syncer spans
@@ -320,7 +345,7 @@ type Syncer struct {
 	scratch   roundScratch
 	expView   stripeView
 	runView   stripeView
-	wp        *workerPool
+	wp        *workpool.Pool
 	planFn    func(int)
 	simpleFn  func(int)
 	complexFn func(int)
@@ -453,15 +478,12 @@ func NewStriped(store *jobstore.Store, act Actuator, clock simclock.Clock, opts 
 }
 
 // Kill simulates a syncer process crash, for restart testing and the
-// chaos harness: periodic rounds stop and every in-flight store write or
-// actuator call is suppressed from this point on. The Job Store — which
-// models a durable external database — retains whatever the syncer had
-// persisted; a new Syncer over the same store (or over a Restore of its
-// Snapshot) picks up exactly where this one died.
-func (s *Syncer) Kill() {
-	s.killed.Store(true)
-	s.Stop()
-}
+// chaos harness: every in-flight store write or actuator call is
+// suppressed from this point on and later rounds do nothing. The Job
+// Store — which models a durable external database — retains whatever
+// the syncer had persisted; a new Syncer over the same store (or over a
+// Restore of its Snapshot) picks up exactly where this one died.
+func (s *Syncer) Kill() { s.killed.Store(true) }
 
 // Killed reports whether Kill was called.
 func (s *Syncer) Killed() bool { return s.killed.Load() }
@@ -480,26 +502,6 @@ func (s *Syncer) Stripes() (lo, hi int) { return s.stripeLo, s.stripeHi }
 // errKilled aborts plan execution after a simulated crash. It is never
 // recorded as a job failure: a dead syncer does no accounting.
 var errKilled = errors.New("statesyncer: syncer killed")
-
-// Start schedules periodic rounds on the syncer's clock.
-func (s *Syncer) Start() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ticker != nil {
-		return
-	}
-	s.ticker = s.clock.TickEvery(s.opts.Interval, func() { s.RunRound() })
-}
-
-// Stop cancels periodic rounds.
-func (s *Syncer) Stop() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ticker != nil {
-		s.ticker.Stop()
-		s.ticker = nil
-	}
-}
 
 // Stats returns a copy of cumulative counters.
 func (s *Syncer) Stats() Stats {
@@ -722,47 +724,6 @@ type planned struct {
 	// backedOff marks a mid-streak candidate whose backoff deadline has
 	// not passed: skipped entirely this round, dirty mark retained.
 	backedOff bool
-}
-
-// backoffDelay returns how long after its streak-th consecutive failure
-// a job waits before the next retry: 0 for the first failure, then
-// base·2^(streak-2) capped at RetryBackoffMax, minus a deterministic
-// per-(job, streak) jitter of up to a quarter of the delay so failing
-// jobs spread out instead of retrying in lockstep. Seed-stable: the same
-// job and streak always yield the same delay.
-func (s *Syncer) backoffDelay(job string, streak int) time.Duration {
-	if s.opts.RetryBackoffBase == NoBackoff || streak <= 1 {
-		return 0
-	}
-	d := s.opts.RetryBackoffBase
-	for i := 2; i < streak && d < s.opts.RetryBackoffMax; i++ {
-		d *= 2
-	}
-	if d > s.opts.RetryBackoffMax {
-		d = s.opts.RetryBackoffMax
-	}
-	h := fnv64(job, uint64(streak))
-	d -= time.Duration(h % uint64(d/4+1))
-	return d
-}
-
-// fnv64 hashes a string plus a salt (FNV-1a), the deterministic jitter
-// source.
-func fnv64(sstr string, salt uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(sstr); i++ {
-		h ^= uint64(sstr[i])
-		h *= prime64
-	}
-	for i := 0; i < 8; i++ {
-		h ^= (salt >> (8 * i)) & 0xff
-		h *= prime64
-	}
-	return h
 }
 
 // planJob classifies one candidate job and builds its plan if divergent.
@@ -1174,9 +1135,9 @@ func (s *Syncer) forEach(n, par, minParallel int, fn func(int)) {
 		if s.opts.MaxParallelComplex > helpers {
 			helpers = s.opts.MaxParallelComplex
 		}
-		s.wp = newWorkerPool(helpers - 1)
+		s.wp = workpool.New(helpers - 1)
 	}
-	s.wp.run(n, par, fn)
+	s.wp.Run(n, par, fn)
 }
 
 // handlePlanError routes a plan failure. Post-commit (afterError)
@@ -1216,10 +1177,11 @@ func (s *Syncer) recordFailure(job string, err error, res *RoundResult) {
 	s.store.UpdateSyncState(job, func(ss *jobstore.SyncState) {
 		ss.FailureStreak++
 		n = ss.FailureStreak
-		if d := s.backoffDelay(job, n); d > 0 {
-			ss.NextRetryAt = now.Add(d)
-		} else {
-			ss.NextRetryAt = time.Time{}
+		// The first failure retries next round; the Nth (N >= 2) waits
+		// base·2^(N-2) capped at RetryBackoffMax, less per-job jitter.
+		ss.NextRetryAt = time.Time{}
+		if n > 1 && s.opts.RetryBackoffBase != NoBackoff {
+			ss.NextRetryAt = now.Add(backoff.Delay(s.opts.RetryBackoffBase, s.opts.RetryBackoffMax, n-2, job, uint64(n)))
 		}
 	})
 	quarantine := n >= s.opts.QuarantineAfter

@@ -330,25 +330,30 @@ func TestBatchedSimpleSyncsManyJobs(t *testing.T) {
 	}
 }
 
+// TestPeriodicRoundsOnClock: the Node is the scheduler — a one-slice
+// Node started on the clock runs one engine round per interval.
 func TestPeriodicRoundsOnClock(t *testing.T) {
-	svc, syncer, _, clk := newWorld(t, Options{Interval: 30 * time.Second})
+	clk := simclock.NewSim(epoch)
+	store := jobstore.New()
+	svc := jobservice.New(store)
+	node := NewNode(store, newFakeActuator(), clk, NodeOptions{Syncer: Options{Interval: 30 * time.Second}})
 	svc.Provision(validConfig("j1"))
-	syncer.Start()
-	defer syncer.Stop()
+	node.Start()
+	defer node.Stop()
 	clk.RunFor(29 * time.Second)
-	if _, ok := svc.Store().GetRunning("j1"); ok {
+	if _, ok := store.GetRunning("j1"); ok {
 		t.Fatal("synced before first interval")
 	}
 	clk.RunFor(2 * time.Second)
-	if _, ok := svc.Store().GetRunning("j1"); !ok {
+	if _, ok := store.GetRunning("j1"); !ok {
 		t.Fatal("not synced after interval")
 	}
-	if syncer.Stats().Rounds != 1 {
-		t.Fatalf("Rounds = %d", syncer.Stats().Rounds)
+	if got := node.Stats().Rounds; got != 1 {
+		t.Fatalf("Rounds = %d", got)
 	}
-	syncer.Start() // idempotent
-	syncer.Stop()
-	syncer.Stop() // idempotent
+	node.Start() // idempotent
+	node.Stop()
+	node.Stop() // idempotent
 }
 
 func TestBuildPlanKinds(t *testing.T) {

@@ -47,7 +47,7 @@ func divergeAndDropMark(t *testing.T, store *jobstore.Store, job string) {
 	if _, err := store.SetLayer(job, config.LayerProvisioner, doc, jobstore.AnyVersion); err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range store.DirtyMarks() {
+	for _, m := range store.DirtyMarksRangeInto(0, jobstore.NumStripes, nil) {
 		if m.Name == job && !store.ClearDirtyIf(m.Name, m.Seq) {
 			t.Fatalf("could not drop %s's dirty mark", job)
 		}

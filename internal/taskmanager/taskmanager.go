@@ -185,7 +185,7 @@ type Manager struct {
 	shards      map[shardmanager.ShardID]struct{}
 	tasks       map[string]*runningTask
 	connected   bool
-	unreachable bool // last heartbeat timed out (partition-shaped failure)
+	unreachable bool // last heartbeat timed out (partition-shaped), or the container died and has not heartbeat since
 	lastContact time.Time
 	rebootedEp  bool // already rebooted in this disconnection episode
 	stats       Stats
@@ -578,11 +578,16 @@ func (m *Manager) OOMsByJob() map[string]int {
 // OnContainerDead force-releases everything after the container's host
 // died: the processes are gone, so their partition leases no longer
 // represent active instances. The cluster harness calls this when it kills
-// a host.
+// a host. The manager is left unreachable: a container revived just
+// before its fetch tick still holds the shard list it died with, and the
+// Shard Manager may have failed those shards over meanwhile — Refresh
+// must start nothing until the first post-revival heartbeat has either
+// confirmed the shards or learned of the failover and re-registered.
 func (m *Manager) OnContainerDead() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.dirty = true
+	m.unreachable = true
 	for id, rt := range m.tasks {
 		rt.task.Kill()
 		delete(m.tasks, id)

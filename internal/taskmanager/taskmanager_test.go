@@ -32,6 +32,13 @@ type world struct {
 
 func newWorld(t *testing.T, containers int) *world {
 	t.Helper()
+	return newWorldWrapped(t, containers, nil)
+}
+
+// newWorldWrapped is newWorld with container i's Shard Manager link run
+// through wrap (nil: the Shard Manager itself).
+func newWorldWrapped(t *testing.T, containers int, wrap func(i int, sm ShardManagerClient) ShardManagerClient) *world {
+	t.Helper()
 	w := &world{
 		clk:   simclock.NewSim(epoch),
 		store: jobstore.New(),
@@ -53,7 +60,11 @@ func newWorld(t *testing.T, containers int) *world {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tm := New(ct, w.clk, w.ts, w.sm, w.bus, w.ckpt, profile, Options{})
+		var smc ShardManagerClient = w.sm
+		if wrap != nil {
+			smc = wrap(i, smc)
+		}
+		tm := New(ct, w.clk, w.ts, smc, w.bus, w.ckpt, profile, Options{})
 		tm.Start()
 		w.tms = append(w.tms, tm)
 	}

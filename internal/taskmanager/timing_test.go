@@ -155,3 +155,74 @@ func TestHeartbeatTimeoutCountsTowardProactiveReboot(t *testing.T) {
 		t.Fatalf("duplicate instances existed: %d violations", ckpt.Violations())
 	}
 }
+
+// beatProbe calls onBeat before each heartbeat its container sends.
+type beatProbe struct {
+	ShardManagerClient
+	onBeat func()
+}
+
+func (p *beatProbe) Heartbeat(id string) error {
+	p.onBeat()
+	return p.ShardManagerClient.Heartbeat(id)
+}
+
+// TestRevivedManagerStartsNothingBeforeFirstHeartbeat: a container whose
+// host died was failed over; revived, it still holds the shard list it
+// died with. Whatever second of the 60 s fetch period it comes back at —
+// second 58 puts the fetch tick ahead of the first heartbeat — it must
+// start nothing until that heartbeat has told it about the failover, or
+// it restarts tasks of shards it no longer owns.
+func TestRevivedManagerStartsNothingBeforeFirstHeartbeat(t *testing.T) {
+	for _, second := range []int{1, 31, 58} {
+		t.Run(fmt.Sprintf("second=%d", second), func(t *testing.T) {
+			var w *world
+			revived := false
+			attemptsAtRevival, attemptsAtFirstBeat := 0, -1
+			attempts := func() int { st := w.tms[0].Stats(); return st.Started + st.StartErrors }
+			w = newWorldWrapped(t, 3, func(i int, sm ShardManagerClient) ShardManagerClient {
+				if i != 0 {
+					return sm
+				}
+				return &beatProbe{ShardManagerClient: sm, onBeat: func() {
+					if revived && attemptsAtFirstBeat < 0 {
+						attemptsAtFirstBeat = attempts()
+					}
+				}}
+			})
+			w.addJob(t, "j1", 12, 24)
+			w.refreshAll()
+			w.sm.Start()
+			defer w.sm.Stop()
+			if w.tms[0].TaskCount() == 0 {
+				t.Skip("no shards of j1 on tc0; hash layout changed")
+			}
+
+			w.tw.SetHostHealthy("h0", false)
+			w.tms[0].OnContainerDead()
+			w.clk.RunFor(2 * time.Minute) // failed over; survivors run everything
+			if got := w.tms[1].TaskCount() + w.tms[2].TaskCount(); got != 12 {
+				t.Fatalf("survivors run %d tasks after failover, want 12", got)
+			}
+
+			// The tickers started at the epoch, so the clock sits on a fetch
+			// tick: advance to the wanted second of the period and revive.
+			w.clk.RunFor(time.Duration(second) * time.Second)
+			attemptsAtRevival = attempts()
+			revived = true
+			w.tw.SetHostHealthy("h0", true)
+
+			w.clk.RunFor(3 * time.Minute)
+			if attemptsAtFirstBeat != attemptsAtRevival {
+				t.Fatalf("revived manager attempted %d task starts before its first heartbeat",
+					attemptsAtFirstBeat-attemptsAtRevival)
+			}
+			if v := w.ckpt.Violations(); v != 0 {
+				t.Fatalf("%d lease violations after revival", v)
+			}
+			if got := w.totalRunning(); got != 12 {
+				t.Fatalf("fleet runs %d tasks after revival, want 12", got)
+			}
+		})
+	}
+}

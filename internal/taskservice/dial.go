@@ -4,7 +4,7 @@
 // client's problem:
 //
 //   - Reconnect with bounded exponential backoff and deterministic
-//     jitter (the PR 5 retry idiom, keyed by address + streak): a dead
+//     jitter (backoff.Delay, keyed by address + streak): a dead
 //     or refusing server costs one dial per backoff window, not one per
 //     poll — polls inside the window fail fast with ErrBackoff. Backoff
 //     deadlines live on the injected Clock so simulated deployments
@@ -30,6 +30,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/simclock"
 	"repro/internal/wire"
 	"repro/internal/wire/stream"
@@ -215,43 +216,11 @@ func (t *DialTransport) fail(err error) error {
 		t.rd = nil
 	}
 	t.streak++
-	t.nextDial = t.opts.Clock.Now().Add(t.backoffDelay())
+	// base·2^(streak-1) capped at BackoffMax, less per-(addr, streak)
+	// jitter: seed-stable, so a simulated redial cadence replays.
+	t.nextDial = t.opts.Clock.Now().Add(backoff.Delay(
+		t.opts.BackoffBase, t.opts.BackoffMax, t.streak-1, t.addr, uint64(t.streak)))
 	return err
-}
-
-// backoffDelay is the PR 5 retry idiom: base·2^(streak-1) capped at
-// BackoffMax, minus a deterministic per-(addr, streak) jitter of up to
-// a quarter of the delay. Seed-stable: the same address and streak
-// always yield the same delay.
-func (t *DialTransport) backoffDelay() time.Duration {
-	d := t.opts.BackoffBase
-	for i := 1; i < t.streak && d < t.opts.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > t.opts.BackoffMax {
-		d = t.opts.BackoffMax
-	}
-	h := dialFNV(t.addr, uint64(t.streak))
-	return d - time.Duration(h%uint64(d/4+1))
-}
-
-// dialFNV hashes a string plus a salt (FNV-1a), the deterministic
-// jitter source.
-func dialFNV(s string, salt uint64) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	for i := 0; i < 8; i++ {
-		h ^= salt >> (8 * i) & 0xff
-		h *= prime64
-	}
-	return h
 }
 
 // putU32 writes v little-endian at the start of b.

@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/jobservice"
 	"repro/internal/jobstore"
 	"repro/internal/simclock"
@@ -243,10 +244,11 @@ func TestSocketDeadServerBackoffGating(t *testing.T) {
 	// reproducible for the same (addr, streak).
 	prev := time.Duration(0)
 	for streak := 1; streak <= 8; streak++ {
-		tr.streak = streak
-		d := tr.backoffDelay()
-		if d != tr.backoffDelay() {
-			t.Fatalf("streak %d: delay not deterministic", streak)
+		tr.streak = streak - 1
+		_ = tr.fail(nil) // the streak-th consecutive failure arms the window
+		d := tr.nextDial.Sub(clk.Now())
+		if want := backoff.Delay(time.Second, time.Minute, streak-1, addr, uint64(streak)); d != want {
+			t.Fatalf("streak %d: window %v, want %v (not reproducible)", streak, d, want)
 		}
 		ideal := time.Second << (streak - 1)
 		if ideal > time.Minute {

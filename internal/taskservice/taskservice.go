@@ -46,6 +46,7 @@ import (
 	"repro/internal/jobstore"
 	"repro/internal/shardmanager"
 	"repro/internal/simclock"
+	"repro/internal/workpool"
 )
 
 // Service generates and caches task-spec snapshots.
@@ -71,15 +72,15 @@ type Service struct {
 	changeBuf      []jobstore.Change    // reused ChangesSince buffer
 	genCount       int
 	version        int
-	quiesced     map[string]struct{}
-	quiesceDirty map[string]struct{} // quiesce flags toggled since the last regeneration
+	quiesced       map[string]struct{}
+	quiesceDirty   map[string]struct{} // quiesce flags toggled since the last regeneration
 
 	// Parallel group-rebuild machinery (guarded by regenMu): changed
 	// jobs' spec groups are generated on a persistent worker pool before
 	// the sequential splice pass, which then hits a warm cache. The
 	// scratch slices and the pre-bound worker closure are reused across
 	// regenerations, like the State Syncer's round scratch.
-	wp           *workerPool
+	wp           *workpool.Pool
 	rebuildPar   int
 	rebuildNames []string
 	rebuildRevs  []int64
@@ -419,9 +420,9 @@ func (s *Service) rebuildGroups() {
 		}
 	} else {
 		if s.wp == nil {
-			s.wp = newWorkerPool(s.rebuildPar - 1)
+			s.wp = workpool.New(s.rebuildPar - 1)
 		}
-		s.wp.run(n, par, s.buildFn)
+		s.wp.Run(n, par, s.buildFn)
 	}
 	for i, name := range s.rebuildNames {
 		s.groups[name] = s.rebuilt[i]

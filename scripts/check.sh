@@ -1,8 +1,8 @@
 #!/bin/sh
-# Tier-1 verification: vet, build, race-enabled tests, and a one-shot
+# Tier-1 verification: vet, build, race-enabled tests, a one-shot
 # benchmark smoke pass (compiles and exercises every benchmark body once;
 # perf numbers come from `go test -bench . -benchtime 2s`, see
-# EXPERIMENTS.md).
+# EXPERIMENTS.md), and the end-to-end harness's own vet + tests.
 set -eux
 cd "$(dirname "$0")/.."
 
@@ -12,6 +12,12 @@ go test -race ./...
 # -short keeps the Scale* 1M-fleet benchmarks out of tier-1; CI's
 # scale-smoke job runs them once, and `make bench-scale` measures them.
 go test -short ./... -run 'XXXNONE' -bench . -benchtime 1x
+# bench/ is a module of its own (BENCHMARK.json's frozen harness), so
+# `./...` above never compiles it: vet it and run its smoke tests — the
+# per-op correctness gate on all four workloads — so an API change that
+# breaks the harness fails here, not in the benchmark run after merge.
+go -C bench vet .
+go -C bench test .
 # Wire-codec fuzz smoke: a few seconds per target over the committed
 # corpus plus fresh mutations. Long fuzzing sessions grow the corpus
 # offline; this catches frame-decoder and round-trip regressions fast.
