@@ -652,7 +652,7 @@ func (c *Cluster) monitorTick() {
 	oomTotals := make(map[string]int)
 	for _, e := range c.tms {
 		for id, st := range e.tm.TaskStats() {
-			job := jobOfTaskID(id)
+			job := engine.JobOfTaskID(id)
 			a := aggs[job]
 			if a == nil {
 				a = &agg{}
@@ -774,14 +774,6 @@ func (c *Cluster) seriesFor(job string) jobSeries {
 	c.jobSeries[job] = js
 	c.mu.Unlock()
 	return js
-}
-
-// jobOfTaskID recovers the job name from a task ID "job#index".
-func jobOfTaskID(id string) string {
-	if i := strings.LastIndex(id, "#"); i >= 0 {
-		return id[:i]
-	}
-	return id
 }
 
 // JobHealth implements health.Source: assemble the §VII health inputs for

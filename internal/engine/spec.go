@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"repro/internal/config"
@@ -74,6 +75,15 @@ func (s *TaskSpec) ID() string { return TaskID(s.Job, s.Index) }
 // called for every task on every refresh and shard lookup, so it avoids
 // fmt's reflection path.
 func TaskID(job string, index int) string { return job + "#" + strconv.Itoa(index) }
+
+// JobOfTaskID recovers the job name from an identity TaskID built; an ID
+// without the separator is returned whole.
+func JobOfTaskID(id string) string {
+	if i := strings.LastIndexByte(id, '#'); i >= 0 {
+		return id[:i]
+	}
+	return id
+}
 
 // hashComputations counts actual (non-memoized) hash computations; tests
 // and benchmarks use it to verify the at-most-once-per-spec guarantee.

@@ -3,11 +3,20 @@
 // processing tasks.
 //
 // Each Task Manager periodically (every 60 seconds) fetches the FULL
-// snapshot of task specs from the Task Service, computes each task's shard
-// with an MD5 hash of its identity, and runs exactly the tasks whose
-// shards the Shard Manager has assigned to its container. Keeping the full
-// list means load balancing and fail-over keep working even when the Task
-// Service or Job Management layer is degraded (§IV-D).
+// snapshot of task specs from the Task Service — as an immutable index
+// that already carries each task's MD5-derived shard — and runs exactly
+// the tasks whose shards the Shard Manager has assigned to its container.
+// Keeping the full list means load balancing and fail-over keep working
+// even when the Task Service or Job Management layer is degraded (§IV-D).
+//
+// The fetch is full; the reconciliation is O(changed). All per-task state
+// is one record per owned shard: the index bucket the shard was last
+// reconciled against and, position for position, the tasks started from
+// it. The index publishes immutable buckets and shares every untouched
+// one between versions, so a shard whose record still holds the very
+// slice the current index publishes (taskservice.SameBucket), with every
+// position running, is clean and costs one comparison; Refresh, AddShard
+// and StopJob touch only the other shards.
 //
 // Fail-over safety (§IV-C): the Task Manager heartbeats the Shard Manager;
 // if it cannot reach it, it proactively times out (40 seconds) BEFORE the
@@ -19,9 +28,12 @@
 package taskmanager
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -36,10 +48,9 @@ import (
 )
 
 // TaskSource provides full task-spec snapshots (implemented by the Task
-// Service) as immutable indexes. The index's version changes whenever the
-// snapshot content does, letting Task Managers skip reconciliation when
-// nothing changed; its shard buckets let a manager reconcile by iterating
-// only the shards it owns.
+// Service) as immutable indexes. Its shard buckets let a manager look at
+// only the shards it owns, and because successive indexes share every
+// bucket that did not change, only at the ones whose content moved.
 type TaskSource interface {
 	Index() *taskservice.SnapshotIndex
 }
@@ -148,11 +159,21 @@ func ValidateFailoverTiming(connectionTimeout, failoverInterval time.Duration) e
 	return nil
 }
 
-type runningTask struct {
-	task  *engine.Task
-	hash  string
-	shard shardmanager.ShardID // fixed at start: identity (and so shard) never changes
-	stats engine.Stats
+// ownedShard is everything the manager knows about one shard it owns.
+// bucket is the index's own published slice the shard was last reconciled
+// against — retained, never written — and tasks runs parallel to it:
+// tasks[i] is the live task started from bucket[i].Spec, nil where none
+// runs. ID, hash and job are read from the bucket, stats from the task.
+//
+// Invariant: while pending is false every entry of tasks is non-nil.
+// Whatever empties a slot (StopJob, reboot, container death, a failed
+// start) sets pending, so a shard is clean — Refresh has nothing to do
+// for it — iff !pending and bucket is still the slice the current index
+// publishes for it (taskservice.SameBucket).
+type ownedShard struct {
+	bucket  []taskservice.IndexedSpec
+	tasks   []*engine.Task
+	pending bool
 }
 
 // Stats are cumulative Task Manager counters.
@@ -163,9 +184,11 @@ type Stats struct {
 	StartErrors int // lease conflicts etc.
 	Reboots     int // proactive self-reboots
 	OOMKills    int
-	// DegradedSkips counts Refresh passes skipped because the task
-	// source's staleness bound exceeded the ConnectionTimeout gate:
-	// running tasks kept serving, nothing new started.
+	// DegradedSkips counts Refresh passes skipped because the task source
+	// could not be trusted — its staleness bound exceeded the
+	// ConnectionTimeout gate, or its index was bucketed for a different
+	// shard space than the Shard Manager's: running tasks kept serving,
+	// nothing new started.
 	DegradedSkips int
 }
 
@@ -182,8 +205,9 @@ type Manager struct {
 	opts      Options
 
 	mu          sync.Mutex
-	shards      map[shardmanager.ShardID]struct{}
-	tasks       map[string]*runningTask
+	shards      map[shardmanager.ShardID]*ownedShard
+	running     int                    // non-nil entries across every shard's tasks
+	visit       []shardmanager.ShardID // Refresh's scratch: the shards that are not clean
 	connected   bool
 	unreachable bool // last heartbeat timed out (partition-shaped), or the container died and has not heartbeat since
 	lastContact time.Time
@@ -191,13 +215,6 @@ type Manager struct {
 	stats       Stats
 	oomsByJob   map[string]int
 	tickers     []simclock.Ticker
-
-	// Refresh fast-path state: skip reconciliation when neither the
-	// snapshot nor the local shard set changed and the last pass was
-	// clean.
-	dirty               bool
-	lastSnapshotVersion int
-	lastStartErrors     int
 
 	// loadSeries caches per-shard metric series handles (and their names
 	// for window reads) so the per-tick load sampling allocates nothing
@@ -228,8 +245,7 @@ func New(container *tupperware.Container, clock simclock.Clock, source TaskSourc
 		ckpt:        ckpt,
 		profile:     profile,
 		opts:        opts,
-		shards:      make(map[shardmanager.ShardID]struct{}),
-		tasks:       make(map[string]*runningTask),
+		shards:      make(map[shardmanager.ShardID]*ownedShard),
 		connected:   true,
 		lastContact: clock.Now(),
 	}
@@ -265,11 +281,7 @@ func (m *Manager) Shutdown() {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for id, rt := range m.tasks {
-		rt.task.Stop()
-		delete(m.tasks, id)
-		m.stats.Stopped++
-	}
+	m.stopAllLocked()
 }
 
 // SetConnected simulates the network path to the Shard Manager going down
@@ -286,14 +298,25 @@ func (m *Manager) SetConnected(connected bool) {
 }
 
 // AddShard implements shardmanager.Handler: the container now owns the
-// shard; start its tasks from the latest snapshot.
+// shard. It only records the shard as pending; Refresh — the one
+// reconcile path — starts its tasks from the latest snapshot, or leaves
+// the record pending for the next pass if a gate holds it back.
 func (m *Manager) AddShard(s shardmanager.ShardID) error {
 	m.mu.Lock()
-	m.shards[s] = struct{}{}
-	m.dirty = true
+	m.ownLocked(s)
 	m.mu.Unlock()
 	m.Refresh()
 	return nil
+}
+
+// ownLocked records shard s as owned and due for reconciliation.
+func (m *Manager) ownLocked(s shardmanager.ShardID) {
+	sh, owned := m.shards[s]
+	if !owned {
+		sh = &ownedShard{}
+		m.shards[s] = sh
+	}
+	sh.pending = true
 }
 
 // DropShard implements shardmanager.Handler: stop the shard's tasks and
@@ -301,16 +324,39 @@ func (m *Manager) AddShard(s shardmanager.ShardID) error {
 func (m *Manager) DropShard(s shardmanager.ShardID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	delete(m.shards, s)
-	m.dirty = true
-	for id, rt := range m.tasks {
-		if rt.shard == s {
-			rt.task.Stop()
-			delete(m.tasks, id)
-			m.stats.Stopped++
-		}
+	if sh, ok := m.shards[s]; ok {
+		m.stats.Stopped += m.endShardLocked(sh, (*engine.Task).Stop)
+		delete(m.shards, s)
 	}
 	return nil
+}
+
+// endShardLocked ends every running task of one shard with end
+// (Task.Stop or Task.Kill), empties the slots, marks the shard pending
+// if anything ran, and returns how many tasks it ended.
+func (m *Manager) endShardLocked(sh *ownedShard, end func(*engine.Task)) int {
+	n := 0
+	for i, t := range sh.tasks {
+		if t != nil {
+			end(t)
+			sh.tasks[i] = nil
+			n++
+		}
+	}
+	if n > 0 {
+		sh.pending = true
+		m.running -= n
+	}
+	return n
+}
+
+// stopAllLocked cleanly stops every running task; the shard records stay,
+// pending, so the tasks restart in place on the next Refresh that passes
+// its gates.
+func (m *Manager) stopAllLocked() {
+	for _, sh := range m.shards {
+		m.stats.Stopped += m.endShardLocked(sh, (*engine.Task).Stop)
+	}
 }
 
 // Shards returns the shards this container currently owns, sorted.
@@ -321,17 +367,27 @@ func (m *Manager) Shards() []shardmanager.ShardID {
 	for s := range m.shards {
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// Refresh fetches the task-spec snapshot index and reconciles the running
-// task set: start tasks newly mapped to owned shards, stop tasks no longer
-// in the snapshot or no longer owned, and restart tasks whose spec changed
-// (detected by spec hash). Reconciliation iterates only the index buckets
-// of the shards this container owns — not the full snapshot — and uses
-// the index's precomputed identities, hashes, and shards, so a refresh
-// performs no MD5 or JSON work of its own.
+// Refresh fetches the full task-spec snapshot index and reconciles the
+// running task set with it: start tasks newly mapped to owned shards,
+// stop tasks no longer in the snapshot, and restart tasks whose spec
+// changed (detected by spec hash). The work is proportional to what
+// changed, not to what runs: each owned shard costs one bucket-identity
+// comparison, and only shards that are not clean (see ownedShard) are
+// reconciled — in ascending shard order, each bucket in its fixed (job,
+// task index) order, so the same history starts the same tasks in the
+// same sequence. A refresh does no MD5 or JSON work of its own; identity,
+// hash and shard all come precomputed from the index.
+//
+// Reconciliation is two-phase over all visited shards: every task whose
+// spec vanished or changed is stopped before any task is started. A
+// partition a new spec claims may be held by a task this same pass stops
+// in a later shard (a repartitioned job spans shards); releasing first
+// means the start finds the lease free instead of failing and waiting a
+// whole fetch interval for its retry.
 func (m *Manager) Refresh() {
 	if !m.container.Alive() {
 		return
@@ -364,77 +420,116 @@ func (m *Manager) Refresh() {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	version := idx.Version()
-	// Fast path: the snapshot hasn't changed, our shard set hasn't
-	// changed, and the last reconciliation completed cleanly — nothing to
-	// do. This keeps the 60-second fetch loop cheap at fleet scale.
-	if !m.dirty && version == m.lastSnapshotVersion && m.lastStartErrors == 0 {
+	if idx.NumShards() != m.sm.NumShards() {
+		// Mis-wired Task Service: its buckets are keyed by a different
+		// shard space than the one ownership is expressed in, so no bucket
+		// says what this container should run. Same contract as the gates
+		// above: keep what runs, start nothing, count the skip.
+		m.stats.DegradedSkips++
 		return
 	}
-	m.lastSnapshotVersion = version
-	m.dirty = false
-	errsBefore := m.stats.StartErrors
-
-	numShards := m.sm.NumShards()
-	desired := make(map[string]taskservice.IndexedSpec)
-	if idx.NumShards() == numShards {
-		// Indexed path: walk only the owned shards' buckets.
-		for s := range m.shards {
-			for _, is := range idx.ShardSpecs(s) {
-				desired[is.ID] = is
-			}
-		}
-	} else {
-		// Shard-space mismatch (mis-wired Task Service): fall back to a
-		// full scan with locally computed shards so correctness never
-		// depends on the wiring.
-		idx.Each(func(is taskservice.IndexedSpec) {
-			shard := shardmanager.ShardOf(is.ID, numShards)
-			if _, owned := m.shards[shard]; owned {
-				is.Shard = shard
-				desired[is.ID] = is
-			}
-		})
-	}
-
-	// Stop tasks that are no longer desired.
-	for id, rt := range m.tasks {
-		if _, ok := desired[id]; !ok {
-			rt.task.Stop()
-			delete(m.tasks, id)
-			m.stats.Stopped++
+	visit := m.visit[:0]
+	for s, sh := range m.shards {
+		if sh.pending || !taskservice.SameBucket(sh.bucket, idx.ShardSpecs(s)) {
+			visit = append(visit, s)
 		}
 	}
-
-	// Start new tasks and restart changed ones, in deterministic order.
-	ids := make([]string, 0, len(desired))
-	for id := range desired {
-		ids = append(ids, id)
+	m.visit = visit
+	if len(visit) == 0 {
+		return
 	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		is := desired[id]
-		if rt, ok := m.tasks[id]; ok {
-			if rt.hash == is.Hash {
-				continue
-			}
-			// Spec changed (package bump, resource change, repartition):
-			// restart with the new spec.
-			rt.task.Stop()
-			delete(m.tasks, id)
-			m.stats.Restarted++
+	slices.Sort(visit)
+	for _, s := range visit {
+		m.rebaseLocked(m.shards[s], idx.ShardSpecs(s))
+	}
+	for _, s := range visit {
+		m.startMissingLocked(m.shards[s])
+	}
+}
+
+// rebaseLocked is reconcile phase 1 for one shard: move the record onto
+// the bucket the current index publishes, carrying over every task whose
+// spec is still there with the same hash and stopping the rest. Both
+// buckets are in (job, task index) order, so one merge walk pairs them.
+func (m *Manager) rebaseLocked(sh *ownedShard, next []taskservice.IndexedSpec) {
+	if taskservice.SameBucket(sh.bucket, next) {
+		return // pending only: the slots already line up with next
+	}
+	old, oldTasks := sh.bucket, sh.tasks
+	tasks := make([]*engine.Task, len(next))
+	i := 0
+	for j := range next {
+		for i < len(old) && specOrder(old[i].Spec, next[j].Spec) < 0 {
+			m.stopVanishedLocked(oldTasks[i])
+			i++
 		}
-		spec := *is.Spec // copy out of the immutable index
-		task := engine.NewTask(spec, m.profile(spec), m.bus, m.ckpt)
-		if err := task.Start(); err != nil {
-			// Lease conflict or similar; retry on the next refresh.
-			m.stats.StartErrors++
+		if i == len(old) || specOrder(old[i].Spec, next[j].Spec) > 0 {
+			continue // new to the shard: phase 2 starts it
+		}
+		if t := oldTasks[i]; t != nil {
+			if old[i].Hash == next[j].Hash {
+				tasks[j] = t
+			} else {
+				// Spec changed (package bump, resource change,
+				// repartition): phase 2 restarts it with the new spec.
+				t.Stop()
+				m.running--
+				m.stats.Restarted++
+			}
+		}
+		i++
+	}
+	for ; i < len(old); i++ {
+		m.stopVanishedLocked(oldTasks[i])
+	}
+	sh.bucket, sh.tasks = next, tasks
+}
+
+// specOrder orders specs the way index buckets do: by job name, then
+// task index. An entry the index carried over from a bucket's previous
+// version still points at the same spec, so most pairs compare equal on
+// the pointer alone.
+func specOrder(a, b *engine.TaskSpec) int {
+	if a == b {
+		return 0
+	}
+	if c := strings.Compare(a.Job, b.Job); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Index, b.Index)
+}
+
+// stopVanishedLocked stops a task whose spec left the shard's bucket (job
+// dropped, quiesced, or scaled down). t is nil if the slot was empty.
+func (m *Manager) stopVanishedLocked(t *engine.Task) {
+	if t != nil {
+		t.Stop()
+		m.running--
+		m.stats.Stopped++
+	}
+}
+
+// startMissingLocked is reconcile phase 2 for one shard, and the only
+// place tasks are started: fill every empty slot from its bucket entry.
+// A start that fails (lease conflict or similar) leaves the slot empty
+// and the shard pending, which is what makes the next Refresh retry it.
+func (m *Manager) startMissingLocked(sh *ownedShard) {
+	sh.pending = false
+	for i, t := range sh.tasks {
+		if t != nil {
 			continue
 		}
-		m.tasks[id] = &runningTask{task: task, hash: is.Hash, shard: is.Shard}
+		spec := *sh.bucket[i].Spec // copy out of the immutable index
+		task := engine.NewTask(spec, m.profile(spec), m.bus, m.ckpt)
+		if err := task.Start(); err != nil {
+			m.stats.StartErrors++
+			sh.pending = true
+			continue
+		}
+		sh.tasks[i] = task
+		m.running++
 		m.stats.Started++
 	}
-	m.lastStartErrors = m.stats.StartErrors - errsBefore
 }
 
 // heartbeat maintains liveness with the Shard Manager and implements the
@@ -494,13 +589,8 @@ func (m *Manager) heartbeat() {
 		// The Shard Manager no longer knows us: we were failed over while
 		// away. Re-register as a new, empty container (§IV-C).
 		m.mu.Lock()
-		m.shards = make(map[shardmanager.ShardID]struct{})
-		m.dirty = true
-		for id, rt := range m.tasks {
-			rt.task.Stop()
-			delete(m.tasks, id)
-			m.stats.Stopped++
-		}
+		m.stopAllLocked()
+		clear(m.shards)
 		m.mu.Unlock()
 		m.sm.RegisterInRegion(m.id, m.opts.Region, m.container.Capacity(), m)
 	}
@@ -508,7 +598,7 @@ func (m *Manager) heartbeat() {
 
 // adoptStoredMapping loads the shards mapped to this container from the
 // Shard Manager's stored mapping — the §IV-D degraded mode for a Task
-// Manager that restarted while the service is down.
+// Manager that restarted while the service is down and owns nothing yet.
 func (m *Manager) adoptStoredMapping() {
 	adopted := false
 	for s, owner := range m.sm.Mapping() {
@@ -516,12 +606,9 @@ func (m *Manager) adoptStoredMapping() {
 			continue
 		}
 		m.mu.Lock()
-		if _, ok := m.shards[s]; !ok {
-			m.shards[s] = struct{}{}
-			m.dirty = true
-			adopted = true
-		}
+		m.ownLocked(s)
 		m.mu.Unlock()
+		adopted = true
 	}
 	if adopted {
 		m.Refresh()
@@ -535,32 +622,39 @@ func (m *Manager) adoptStoredMapping() {
 func (m *Manager) reboot() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.dirty = true
-	for id, rt := range m.tasks {
-		rt.task.Stop()
-		delete(m.tasks, id)
-		m.stats.Stopped++
-	}
+	m.stopAllLocked()
 	m.stats.Reboots++
 }
 
 // StopJob cleanly stops every running task of one job on this container.
 // The State Syncer's actuator calls it across the fleet as the first phase
 // of a complex synchronization (§III-B). It returns how many tasks it
-// stopped.
+// stopped. A bucket keeps each job's entries in one run, in job-name
+// order, so each owned shard costs a binary search, and only shards where
+// something stopped become pending: if the job is still in the snapshot
+// at the next Refresh (the caller did not quiesce it), those tasks start
+// again.
 func (m *Manager) StopJob(job string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.dirty = true
 	n := 0
-	for id, rt := range m.tasks {
-		if rt.task.Spec().Job == job {
-			rt.task.Stop()
-			delete(m.tasks, id)
-			m.stats.Stopped++
-			n++
+	for _, sh := range m.shards {
+		// The job name is read off the entry's own ID ("job#index") rather
+		// than through its Spec pointer: one cache miss less per probe, and
+		// the fleet-wide fan-out makes managers × shards of these searches
+		// per job.
+		i := sort.Search(len(sh.bucket), func(i int) bool { return engine.JobOfTaskID(sh.bucket[i].ID) >= job })
+		for ; i < len(sh.bucket) && engine.JobOfTaskID(sh.bucket[i].ID) == job; i++ {
+			if t := sh.tasks[i]; t != nil {
+				t.Stop()
+				sh.tasks[i] = nil
+				sh.pending = true
+				n++
+			}
 		}
 	}
+	m.running -= n
+	m.stats.Stopped += n
 	return n
 }
 
@@ -586,61 +680,56 @@ func (m *Manager) OOMsByJob() map[string]int {
 func (m *Manager) OnContainerDead() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.dirty = true
 	m.unreachable = true
-	for id, rt := range m.tasks {
-		rt.task.Kill()
-		delete(m.tasks, id)
+	for _, sh := range m.shards {
+		m.endShardLocked(sh, (*engine.Task).Kill)
 	}
 }
 
-// Advance drives every running task by dt of simulated processing and
-// records their stats. The cluster harness calls it from the simulation
-// loop.
+// Advance drives every running task by dt of simulated processing. The
+// cluster harness calls it from the simulation loop. With Options.Metrics
+// set, the same walk records each owned shard's summed usage into the
+// metrics store — the samples ReportLoads later folds into a windowed
+// mean. Shards with no running tasks record zeros, so idle periods pull
+// the window average down instead of being invisible.
 func (m *Manager) Advance(dt time.Duration) {
 	if !m.container.Alive() {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, rt := range m.tasks {
-		st := rt.task.Advance(dt)
-		rt.stats = st
-		if st.OOMKilled {
-			m.stats.OOMKills++
-			if m.oomsByJob == nil {
-				m.oomsByJob = make(map[string]int)
+	for s, sh := range m.shards {
+		var u config.Resources
+		for i, t := range sh.tasks {
+			if t == nil {
+				continue
 			}
-			m.oomsByJob[rt.task.Spec().Job]++
+			st := t.Advance(dt)
+			addUsage(&u, st)
+			if st.OOMKilled {
+				m.stats.OOMKills++
+				if m.oomsByJob == nil {
+					m.oomsByJob = make(map[string]int)
+				}
+				m.oomsByJob[sh.bucket[i].Spec.Job]++
+			}
 		}
-	}
-	if m.opts.Metrics != nil {
-		m.sampleShardLoadsLocked()
+		if m.opts.Metrics != nil {
+			ls := m.shardSeriesLocked(s)
+			ls.cpu.Record(u.CPUCores)
+			ls.mem.Record(float64(u.MemoryBytes))
+			ls.disk.Record(float64(u.DiskBytes))
+			ls.net.Record(float64(u.NetworkBps))
+		}
 	}
 }
 
-// sampleShardLoadsLocked records each owned shard's current usage into the
-// metrics store — the samples ReportLoads later folds into a windowed
-// mean. Shards with no running tasks record zeros, so idle periods pull
-// the window average down instead of being invisible.
-func (m *Manager) sampleShardLoadsLocked() {
-	for s := range m.shards {
-		var u config.Resources
-		for _, rt := range m.tasks {
-			if rt.shard != s {
-				continue
-			}
-			u.CPUCores += rt.stats.CPUCores
-			u.MemoryBytes += rt.stats.MemoryBytes
-			u.DiskBytes += rt.stats.DiskBytes
-			u.NetworkBps += rt.stats.NetworkBps
-		}
-		ls := m.shardSeriesLocked(s)
-		ls.cpu.Record(u.CPUCores)
-		ls.mem.Record(float64(u.MemoryBytes))
-		ls.disk.Record(float64(u.DiskBytes))
-		ls.net.Record(float64(u.NetworkBps))
-	}
+// addUsage adds one task's last-observed consumption to u.
+func addUsage(u *config.Resources, st engine.Stats) {
+	u.CPUCores += st.CPUCores
+	u.MemoryBytes += st.MemoryBytes
+	u.DiskBytes += st.DiskBytes
+	u.NetworkBps += st.NetworkBps
 }
 
 func (m *Manager) shardSeriesLocked(s shardmanager.ShardID) *shardLoadSeries {
@@ -669,9 +758,13 @@ func (m *Manager) shardSeriesLocked(s shardmanager.ShardID) *shardLoadSeries {
 func (m *Manager) TaskStats() map[string]engine.Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]engine.Stats, len(m.tasks))
-	for id, rt := range m.tasks {
-		out[id] = rt.stats
+	out := make(map[string]engine.Stats, m.running)
+	for _, sh := range m.shards {
+		for i, t := range sh.tasks {
+			if t != nil {
+				out[sh.bucket[i].ID] = t.LastStats()
+			}
+		}
 	}
 	return out
 }
@@ -680,11 +773,15 @@ func (m *Manager) TaskStats() map[string]engine.Stats {
 func (m *Manager) RunningTaskIDs() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.tasks))
-	for id := range m.tasks {
-		out = append(out, id)
+	out := make([]string, 0, m.running)
+	for _, sh := range m.shards {
+		for i, t := range sh.tasks {
+			if t != nil {
+				out = append(out, sh.bucket[i].ID)
+			}
+		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -692,20 +789,28 @@ func (m *Manager) RunningTaskIDs() []string {
 func (m *Manager) TaskCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.tasks)
+	return m.running
+}
+
+// shardUsage sums the last-observed consumption of one shard's tasks.
+func shardUsage(sh *ownedShard) config.Resources {
+	var u config.Resources
+	for _, t := range sh.tasks {
+		if t != nil {
+			addUsage(&u, t.LastStats())
+		}
+	}
+	return u
 }
 
 // Usage returns the container's current resource consumption: the sum of
-// its tasks' last-observed CPU and memory.
+// its tasks' last-observed usage.
 func (m *Manager) Usage() config.Resources {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var u config.Resources
-	for _, rt := range m.tasks {
-		u.CPUCores += rt.stats.CPUCores
-		u.MemoryBytes += rt.stats.MemoryBytes
-		u.DiskBytes += rt.stats.DiskBytes
-		u.NetworkBps += rt.stats.NetworkBps
+	for _, sh := range m.shards {
+		u = u.Add(shardUsage(sh))
 	}
 	return u
 }
@@ -721,18 +826,9 @@ func (m *Manager) ReportLoads() {
 		return
 	}
 	m.mu.Lock()
-	loads := make(map[shardmanager.ShardID]config.Resources)
-	for s := range m.shards {
-		loads[s] = config.Resources{}
-	}
-	for _, rt := range m.tasks {
-		s := rt.shard
-		l := loads[s]
-		l.CPUCores += rt.stats.CPUCores
-		l.MemoryBytes += rt.stats.MemoryBytes
-		l.DiskBytes += rt.stats.DiskBytes
-		l.NetworkBps += rt.stats.NetworkBps
-		loads[s] = l
+	loads := make(map[shardmanager.ShardID]config.Resources, len(m.shards))
+	for s, sh := range m.shards {
+		loads[s] = shardUsage(sh)
 	}
 	var windows map[shardmanager.ShardID]*shardLoadSeries
 	if m.opts.Metrics != nil {

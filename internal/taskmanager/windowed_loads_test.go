@@ -33,7 +33,7 @@ func TestReportLoadsUsesWindowedMean(t *testing.T) {
 	bus := scribe.NewBus()
 	ckpt := engine.NewCheckpointStore()
 	tw := tupperware.NewCluster()
-	ts := taskservice.New(store, clk, 90*time.Second, 64)
+	ts := taskservice.New(store, clk, 90*time.Second, 8)
 	sm := shardmanager.New(clk, shardmanager.Options{NumShards: 8})
 	rec := &recordingSM{Manager: sm}
 	ms := metrics.NewStore(clk, time.Hour)
@@ -118,7 +118,7 @@ func TestReportLoadsUsesWindowedMean(t *testing.T) {
 	// Without a metrics store the same setup reports the instantaneous sum.
 	tm2 := New(ct, clk, ts, rec, bus, ckpt, profile, Options{LoadReportInterval: time.Minute})
 	tm2.mu.Lock()
-	tm2.shards = map[shardmanager.ShardID]struct{}{0: {}}
+	tm2.shards = map[shardmanager.ShardID]*ownedShard{0: {}}
 	tm2.mu.Unlock()
 	tm2.ReportLoads()
 	if got := rec.last[0]; got != (config.Resources{}) {

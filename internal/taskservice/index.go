@@ -34,11 +34,27 @@ import (
 // precomputed: stable identity, content hash, and shard. The Spec pointer
 // targets the index's internal storage — callers must treat it as
 // read-only and copy the value (`spec := *is.Spec`) before any mutation.
+// The same holds for a bucket of them (ShardSpecs): a consumer may retain
+// the slice across index versions and compare it with SameBucket, and may
+// never write through it.
 type IndexedSpec struct {
 	ID    string
 	Hash  string
 	Shard shardmanager.ShardID
 	Spec  *engine.TaskSpec
+}
+
+// SameBucket reports whether a and b are one and the same published
+// bucket: equal length and the same backing array. It rests on the
+// immutability contract of this file — newIndex and spliceBucket build
+// every bucket in a fresh array and nothing writes an array once an index
+// holding it is published — plus the caller's own reference, which keeps
+// a retained bucket's address from being recycled. So same array ⇒ same
+// content, and a consumer that reconciled against a can skip b. The
+// converse does not hold: a from-scratch resync republishes unchanged
+// content in new arrays, and those buckets compare different.
+func SameBucket(a, b []IndexedSpec) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // groupShard is one job's contribution to one shard's bucket: the
@@ -192,15 +208,17 @@ func (idx *SnapshotIndex) Version() int { return idx.version }
 
 // NumShards returns the shard-space size the index was bucketed with. It
 // must equal the Shard Manager's shard count for ShardSpecs to be
-// meaningful; Task Managers verify this and fall back to a full scan on
-// mismatch.
+// meaningful; Task Managers verify this and start nothing on a mismatch.
 func (idx *SnapshotIndex) NumShards() int { return idx.numShards }
 
 // Len returns the total number of task specs in the snapshot.
 func (idx *SnapshotIndex) Len() int { return idx.total }
 
-// ShardSpecs returns the specs whose tasks hash to the given shard, in
-// job order. The returned slice is shared and read-only.
+// ShardSpecs returns the specs whose tasks hash to the given shard,
+// ordered by job name, then task index. The returned slice is shared and
+// read-only; it stays valid (and unchanged) for as long as the caller
+// holds it, and successive indexes return the identical slice for a shard
+// none of whose jobs changed (see SameBucket).
 func (idx *SnapshotIndex) ShardSpecs(s shardmanager.ShardID) []IndexedSpec {
 	ci := int(s) >> chunkShift
 	if ci < 0 || ci >= len(idx.chunks) {
@@ -213,9 +231,10 @@ func (idx *SnapshotIndex) ShardSpecs(s shardmanager.ShardID) []IndexedSpec {
 	return c.buckets[int(s)&(chunkWidth-1)]
 }
 
-// Each calls fn for every spec in the snapshot, in job order. It is the
-// full-scan fallback for consumers whose shard space differs from the
-// index's.
+// Each calls fn for every spec in the snapshot, in job order, without
+// copying anything. The Task Manager reads buckets, never the whole
+// snapshot; this is for audits that need every spec once (the frozen
+// benchmark harness is the one caller outside tests).
 func (idx *SnapshotIndex) Each(fn func(IndexedSpec)) {
 	for _, g := range idx.groups {
 		for _, is := range g.indexed {
