@@ -97,28 +97,16 @@ func mergeInto(dst, top Doc) {
 	}
 }
 
-// MergeLayers folds docs in order: docs[0] is the bottom layer, the last
-// doc has the highest precedence. Nil docs are skipped. The fold merges
-// into one privately-owned accumulator, so each layer's content is copied
-// exactly once — not once per higher layer as a naive Merge chain would.
-func MergeLayers(docs ...Doc) Doc {
-	out := Doc{}
-	for _, d := range docs {
-		if d != nil {
-			mergeInto(out, d)
-		}
-	}
-	return out
-}
-
-// MergeLayersShared is MergeLayers without the deep copies: subtrees (and
-// leaf values) contributed by a single layer are aliased directly into the
-// result, and only map levels where layers actually collide are freshly
-// allocated. The result therefore shares memory with the input docs — it
-// is only safe where both the inputs and the output are immutable, which
-// is exactly the Job Store's merge-cache contract: layer docs are replaced
-// wholesale (never mutated) by SetLayer, and the cached merged doc is
-// handed out as shared read-only. A package-version bump on a 20-field
+// MergeLayersShared folds docs with Merge, in order: docs[0] is the bottom
+// layer, the last doc has the highest precedence, nil docs are skipped —
+// but without Merge's deep copies: subtrees (and leaf values) contributed
+// by a single layer are aliased directly into the result, and only map
+// levels where layers actually collide are freshly allocated. The result
+// therefore shares memory with the input docs — it is only safe where both
+// the inputs and the output are immutable, which is exactly the Job
+// Store's contract: layer docs are replaced wholesale (never mutated) by
+// SetLayer, the cached merged doc is handed out as shared read-only, and
+// the Job Service's trial merge is decoded and dropped. A package-version bump on a 20-field
 // config re-merges by allocating two small maps instead of deep-copying
 // the whole document — and because unchanged subtrees keep their identity
 // across re-merges, Diff's same-map fast path skips them wholesale.

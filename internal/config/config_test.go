@@ -2,7 +2,10 @@ package config
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -83,7 +86,7 @@ func TestMergeLayersPrecedence(t *testing.T) {
 	provisioner := Doc{"pkg": "v2"}
 	scaler := Doc{"taskCount": 15}
 	oncall := Doc{"taskCount": 30}
-	got := MergeLayers(base, provisioner, scaler, oncall)
+	got := MergeLayersShared(base, provisioner, scaler, oncall)
 	if got["taskCount"] != 30 {
 		t.Fatalf("oncall must win: taskCount = %v", got["taskCount"])
 	}
@@ -96,7 +99,7 @@ func TestMergeLayersPrecedence(t *testing.T) {
 }
 
 func TestMergeLayersSkipsNil(t *testing.T) {
-	got := MergeLayers(nil, Doc{"a": 1}, nil)
+	got := MergeLayersShared(nil, Doc{"a": 1}, nil)
 	if got["a"] != 1 {
 		t.Fatalf("got %v", got)
 	}
@@ -207,7 +210,7 @@ func TestMergeTopWinsProperty(t *testing.T) {
 
 // Note: Algorithm 1's merge is NOT associative in general — if a key holds
 // a scalar in one layer and a map in another, grouping changes the result.
-// MergeLayers therefore always folds left from the bottom layer, exactly as
+// MergeLayersShared therefore always folds left from the bottom layer, exactly as
 // the paper's precedence stack does. The associativity property DOES hold
 // when no key changes kind across layers, which we verify here with
 // same-shaped documents.
@@ -224,6 +227,33 @@ func TestMergeAssociativeForConsistentShapes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Property: the alias-sharing layer fold is Algorithm 1 — a left fold of
+// Merge from the bottom layer, kind flips across layers included — and
+// writes into none of its inputs.
+func TestMergeLayersSharedMatchesMergeFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 300; i++ {
+		layers := []Doc{randomDoc(rng, 0), nil, randomDoc(rng, 0), randomDoc(rng, 0)}
+		rng.Shuffle(len(layers), func(a, b int) { layers[a], layers[b] = layers[b], layers[a] })
+		before := make([]Doc, len(layers))
+		want := Doc{}
+		for l, d := range layers {
+			before[l] = d.Clone()
+			if d != nil {
+				want = Merge(want, d)
+			}
+		}
+		if got := MergeLayersShared(layers...); !Equal(got, want) {
+			t.Fatalf("layers %v:\n shared fold %v\n Merge fold  %v", layers, got, want)
+		}
+		for l, d := range layers {
+			if d != nil && !Equal(d, before[l]) {
+				t.Fatalf("layer %d modified by the merge: %v, was %v", l, d, before[l])
+			}
+		}
 	}
 }
 
@@ -392,7 +422,7 @@ func TestScalerLayerOverridesTaskCountOnly(t *testing.T) {
 	}
 	scaler := Doc{}.SetPath("taskCount", 15)
 	oncall := Doc{}.SetPath("taskCount", 30)
-	merged := MergeLayers(base, nil, scaler, oncall)
+	merged := MergeLayersShared(base, nil, scaler, oncall)
 	cfg, err := JobConfigFromDoc(merged)
 	if err != nil {
 		t.Fatal(err)
@@ -415,5 +445,68 @@ func TestOperatorStateful(t *testing.T) {
 		if !o.Stateful() {
 			t.Errorf("%s should be stateful", o)
 		}
+	}
+}
+
+// jsonFieldNames lists the JSON names of v's struct fields, in order.
+func jsonFieldNames(v any) []string {
+	typ := reflect.TypeOf(v)
+	names := make([]string, typ.NumField())
+	for i := range names {
+		names[i], _, _ = strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+	}
+	return names
+}
+
+func fieldNames[T any](fields []field[T]) []string {
+	names := make([]string, len(fields))
+	for i, f := range fields {
+		names[i] = f.name
+	}
+	return names
+}
+
+// TestFieldTablesMatchStructTags pins JobConfigFromDoc's field tables to
+// the structs' json tags: a field added to a struct but not to its table
+// would silently stop decoding.
+func TestFieldTablesMatchStructTags(t *testing.T) {
+	check := func(name string, got, want []string) {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s field table = %v, struct tags = %v", name, got, want)
+		}
+	}
+	check("JobConfig", fieldNames(jobConfigFields), jsonFieldNames(JobConfig{}))
+	check("Package", fieldNames(packageFields), jsonFieldNames(Package{}))
+	check("Resources", fieldNames(resourcesFields), jsonFieldNames(Resources{}))
+	check("Input", fieldNames(inputFields), jsonFieldNames(Input{}))
+	check("Output", fieldNames(outputFields), jsonFieldNames(Output{}))
+}
+
+// TestJobConfigFromDocGoValues covers what the fuzz target cannot build
+// from JSON text: Go-typed integers, Doc-typed nesting and strings that
+// are not valid UTF-8, all still held to the encoding/json round trip.
+func TestJobConfigFromDocGoValues(t *testing.T) {
+	docs := []Doc{
+		nil,
+		{},
+		{"name": "j", "taskCount": 4, "priority": int64(-3), "sloSeconds": 90, "stopped": true},
+		{"package": Doc{"name": "p", "version": "v\xff\xfe1"}, "checkpointDir": "/ckpt/\xed\xa0\x80/$JOB"},
+		{"input": map[string]any{"category": "c", "partitions": int64(1) << 40}, "output": Doc{"category": nil}},
+		{"taskResources": Doc{"cpuCores": 2, "memoryBytes": float64(1 << 30), "diskBytes": int64(math.MaxInt64), "networkBps": math.MinInt64}},
+		{"taskResources": Doc{"memoryBytes": 9223372036854774784.0}},
+		{"taskResources": Doc{"memoryBytes": 9223372036854775808.0}},
+		{"taskCount": true},
+		{"stopped": 1},
+		{"operator": 3.0},
+		{"input": "scalar"},
+		{"input": []any{Doc{"partitions": 1}}},
+		{"name\xff": 1, "unknown": []any{1, "x", nil}},
+	}
+	for _, d := range docs {
+		checkAgainstJSON(t, d)
+	}
+	cfg, err := JobConfigFromDoc(docs[3])
+	if err != nil || cfg.Package.Version != "v\ufffd\ufffd1" {
+		t.Fatalf("invalid UTF-8 not replaced byte for byte: %+v, %v", cfg, err)
 	}
 }

@@ -4,6 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
+	"unicode/utf8"
 )
 
 // Operator names the transformation a job's binary performs. Stateless
@@ -183,15 +187,226 @@ func (c *JobConfig) ToDoc() (Doc, error) {
 	return d, nil
 }
 
-// JobConfigFromDoc decodes a merged Doc into the typed JobConfig.
+// JobConfigFromDoc decodes a merged Doc into the typed JobConfig. It reads
+// the document directly and is defined as what the encoding/json round
+// trip — Marshal the doc, Unmarshal the bytes into a JobConfig — returns,
+// in value and in whether it fails, for every document built from nil,
+// bool, string, int, int64, finite float64, arrays and nested objects
+// (everything the wire codec delivers, plus Go int):
+//
+//   - a key names a field if it equals the field's JSON name, or else
+//     matches it under Unicode case folding; other keys are ignored;
+//   - null leaves the field as it is; a number decodes into an integer
+//     field only if it is integral and in range; any other mismatch of
+//     JSON kind (a string in a number field, an array or scalar where an
+//     object is expected) is an error;
+//   - when several keys of one object name the same field they apply in
+//     sorted key order, scalars overwriting and objects merging field by
+//     field.
+//
+// FuzzJobConfigFromDoc holds it to that round trip.
 func JobConfigFromDoc(d Doc) (*JobConfig, error) {
-	raw, err := json.Marshal(d)
-	if err != nil {
-		return nil, fmt.Errorf("marshal doc: %w", err)
-	}
-	var c JobConfig
-	if err := json.Unmarshal(raw, &c); err != nil {
+	c := new(JobConfig)
+	if err := decodeFields(c, d, jobConfigFields); err != nil {
 		return nil, fmt.Errorf("decode job config: %w", err)
 	}
-	return &c, nil
+	return c, nil
+}
+
+// field is one JSON-named struct field of T and the store that decodes a
+// document value into it.
+type field[T any] struct {
+	name string
+	set  func(*T, any) error
+}
+
+// The field tables mirror the json tags of the structs above;
+// TestFieldTablesMatchStructTags keeps them in step.
+var (
+	jobConfigFields = []field[JobConfig]{
+		{"name", func(c *JobConfig, v any) error { return setString(&c.Name, v) }},
+		{"package", func(c *JobConfig, v any) error { return setObject(&c.Package, v, packageFields) }},
+		{"taskCount", func(c *JobConfig, v any) error { return setInt(&c.TaskCount, v) }},
+		{"threadsPerTask", func(c *JobConfig, v any) error { return setInt(&c.ThreadsPerTask, v) }},
+		{"taskResources", func(c *JobConfig, v any) error { return setObject(&c.TaskResources, v, resourcesFields) }},
+		{"operator", func(c *JobConfig, v any) error { return setString(&c.Operator, v) }},
+		{"input", func(c *JobConfig, v any) error { return setObject(&c.Input, v, inputFields) }},
+		{"output", func(c *JobConfig, v any) error { return setObject(&c.Output, v, outputFields) }},
+		{"checkpointDir", func(c *JobConfig, v any) error { return setString(&c.CheckpointDir, v) }},
+		{"enforcement", func(c *JobConfig, v any) error { return setString(&c.Enforcement, v) }},
+		{"priority", func(c *JobConfig, v any) error { return setInt(&c.Priority, v) }},
+		{"maxTaskCount", func(c *JobConfig, v any) error { return setInt(&c.MaxTaskCount, v) }},
+		{"sloSeconds", func(c *JobConfig, v any) error { return setFloat(&c.SLOSeconds, v) }},
+		{"stopped", func(c *JobConfig, v any) error { return setBool(&c.Stopped, v) }},
+	}
+	packageFields = []field[Package]{
+		{"name", func(p *Package, v any) error { return setString(&p.Name, v) }},
+		{"version", func(p *Package, v any) error { return setString(&p.Version, v) }},
+	}
+	resourcesFields = []field[Resources]{
+		{"cpuCores", func(r *Resources, v any) error { return setFloat(&r.CPUCores, v) }},
+		{"memoryBytes", func(r *Resources, v any) error { return setInt(&r.MemoryBytes, v) }},
+		{"diskBytes", func(r *Resources, v any) error { return setInt(&r.DiskBytes, v) }},
+		{"networkBps", func(r *Resources, v any) error { return setInt(&r.NetworkBps, v) }},
+	}
+	inputFields = []field[Input]{
+		{"category", func(in *Input, v any) error { return setString(&in.Category, v) }},
+		{"partitions", func(in *Input, v any) error { return setInt(&in.Partitions, v) }},
+	}
+	outputFields = []field[Output]{
+		{"category", func(o *Output, v any) error { return setString(&o.Category, v) }},
+	}
+)
+
+// fieldIndex resolves a document key to its field the way encoding/json
+// does: the exact name first, then the first field equal under Unicode
+// case folding; -1 for a key that names no field.
+func fieldIndex[T any](fields []field[T], key string) int {
+	for i := range fields {
+		if fields[i].name == key {
+			return i
+		}
+	}
+	for i := range fields {
+		if strings.EqualFold(fields[i].name, key) {
+			return i
+		}
+	}
+	return -1
+}
+
+// decodeFields stores every entry of d that names a field into dst. Stores
+// into distinct fields commute, so the map's own iteration order serves —
+// until two keys turn out to name one field; then the decode starts over
+// from dst's original value in sorted key order, the order in which
+// encoding/json would have met them.
+func decodeFields[T any](dst *T, d map[string]any, fields []field[T]) error {
+	orig := *dst
+	var seen uint32
+	for k, v := range d {
+		i := fieldIndex(fields, k)
+		if i < 0 {
+			continue
+		}
+		if seen&(1<<i) != 0 {
+			*dst = orig
+			for _, k := range sortedKeysOf(d) {
+				if i := fieldIndex(fields, k); i >= 0 {
+					if err := fields[i].set(dst, d[k]); err != nil {
+						return fmt.Errorf("%s: %w", k, err)
+					}
+				}
+			}
+			return nil
+		}
+		seen |= 1 << i
+		if err := fields[i].set(dst, v); err != nil {
+			return fmt.Errorf("%s: %w", k, err)
+		}
+	}
+	return nil
+}
+
+// setObject merges a nested object into the struct *dst already holds.
+func setObject[T any](dst *T, v any, fields []field[T]) error {
+	if v == nil {
+		return nil
+	}
+	m, ok := asDoc(v)
+	if !ok {
+		return kindError(v, "object")
+	}
+	return decodeFields(dst, m, fields)
+}
+
+func setString[S ~string](dst *S, v any) error {
+	switch x := v.(type) {
+	case nil:
+	case string:
+		if !utf8.ValidString(x) {
+			// encoding/json writes each invalid byte as U+FFFD, which is
+			// what the conversion through runes produces.
+			x = string([]rune(x))
+		}
+		*dst = S(x)
+	default:
+		return kindError(v, "string")
+	}
+	return nil
+}
+
+func setBool(dst *bool, v any) error {
+	switch x := v.(type) {
+	case nil:
+	case bool:
+		*dst = x
+	default:
+		return kindError(v, "bool")
+	}
+	return nil
+}
+
+func setFloat(dst *float64, v any) error {
+	switch x := v.(type) {
+	case nil:
+	case float64:
+		*dst = x
+	case int:
+		*dst = float64(x)
+	case int64:
+		*dst = float64(x)
+	default:
+		return kindError(v, "number")
+	}
+	return nil
+}
+
+func setInt[I int | int64](dst *I, v any) error {
+	var n int64
+	switch x := v.(type) {
+	case nil:
+		return nil
+	case int:
+		n = int64(x)
+	case int64:
+		n = x
+	case float64:
+		var ok bool
+		if n, ok = integerOf(x); !ok {
+			return fmt.Errorf("number %v is not an integer in range", x)
+		}
+	default:
+		return kindError(v, "number")
+	}
+	if int64(I(n)) != n {
+		return fmt.Errorf("number %d overflows %T", n, *dst)
+	}
+	*dst = I(n)
+	return nil
+}
+
+// integerOf converts a float64 document number to the integer
+// encoding/json would read from its text form. A fractional value has
+// none. Below 2^53 the shortest decimal form of an integral float is the
+// integer itself; above it the text can be a different integer than the
+// float's exact value (the digits stop where they identify the float),
+// so the conversion goes through that text — which is in exponent form,
+// and no integer literal, from 1e21.
+func integerOf(f float64) (int64, bool) {
+	if f != math.Trunc(f) {
+		return 0, false
+	}
+	if math.Abs(f) < 1<<53 {
+		return int64(f), true
+	}
+	if math.Abs(f) >= 1e21 {
+		return 0, false
+	}
+	n, err := strconv.ParseInt(strconv.FormatFloat(f, 'f', -1, 64), 10, 64)
+	return n, err == nil
+}
+
+// kindError reports a document value of the wrong JSON kind for its field.
+func kindError(v any, want string) error {
+	return fmt.Errorf("cannot decode %T into %s", v, want)
 }

@@ -14,7 +14,7 @@ import (
 // The store also tracks partition ownership leases. Turbine's task
 // management must never run two active instances of the same task (§IV);
 // with disjoint partition ownership that reduces to "no partition has two
-// live owners". Acquire enforces it and records violations, so tests and
+// live owners". Start enforces it and records violations, so tests and
 // experiments can assert the invariant end to end.
 type CheckpointStore struct {
 	mu         sync.Mutex
@@ -33,35 +33,54 @@ func NewCheckpointStore() *CheckpointStore {
 	}
 }
 
-// Acquire takes the ownership lease for (job, partition) on behalf of
-// taskID. Re-acquiring a lease already held by the same task is a no-op.
-// Acquiring a lease held by a different task fails and is recorded as a
-// duplication violation.
-func (s *CheckpointStore) Acquire(job string, partition int, taskID string) error {
+// Start begins one task instance under a single lock: it takes the
+// ownership lease of every listed partition of job for instance and
+// returns the partitions' checkpointed offsets, in the order given. It is
+// all or nothing — if any partition is leased to a different instance,
+// Start takes none, records one duplication violation and fails. Leases
+// instance already holds are kept.
+func (s *CheckpointStore) Start(job string, partitions []int, instance string) ([]int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	owners := s.owners[job]
+	for _, p := range partitions {
+		if cur, ok := owners[p]; ok && cur != instance {
+			s.violations++
+			return nil, fmt.Errorf("engine: partition %d of job %s already owned by %s (requested by %s)", p, job, cur, instance)
+		}
+	}
 	if owners == nil {
-		owners = make(map[int]string)
+		owners = make(map[int]string, len(partitions))
 		s.owners[job] = owners
 	}
-	if cur, ok := owners[partition]; ok && cur != taskID {
-		s.violations++
-		return fmt.Errorf("engine: partition %d of job %s already owned by %s (requested by %s)", partition, job, cur, taskID)
+	checkpointed := s.offsets[job]
+	offsets := make([]int64, len(partitions))
+	for i, p := range partitions {
+		owners[p] = instance
+		offsets[i] = checkpointed[p]
 	}
-	owners[partition] = taskID
-	return nil
+	return offsets, nil
 }
 
-// Release gives up the lease if held by taskID. Releasing a lease owned by
-// someone else (or not held) is a no-op: releases are idempotent because a
-// container can be forcefully killed after a DROP_SHARD timed out (§IV-A2)
-// and the kill path re-releases.
-func (s *CheckpointStore) Release(job string, partition int, taskID string) {
+// Stop ends one task instance under a single lock: it persists offsets
+// (parallel to partitions) and gives up every lease instance holds on
+// them. A lease owned by someone else (or not held) is left alone:
+// stopping is idempotent because a container can be forcefully killed
+// after a DROP_SHARD timed out (§IV-A2) and the kill path re-releases.
+func (s *CheckpointStore) Stop(job string, partitions []int, instance string, offsets []int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if owners := s.owners[job]; owners != nil && owners[partition] == taskID {
-		delete(owners, partition)
+	checkpointed := s.offsets[job]
+	if checkpointed == nil {
+		checkpointed = make(map[int]int64, len(partitions))
+		s.offsets[job] = checkpointed
+	}
+	owners := s.owners[job]
+	for i, p := range partitions {
+		checkpointed[p] = offsets[i]
+		if owners[p] == instance {
+			delete(owners, p)
+		}
 	}
 }
 

@@ -1,6 +1,12 @@
 package engine
 
 import (
+	"bytes"
+	"crypto/md5"
+	"encoding/hex"
+	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -53,6 +59,60 @@ func TestTaskIDAndHash(t *testing.T) {
 	if h1 != s3.Hash() {
 		t.Fatal("hash differs for identical specs")
 	}
+	// Hashes travel: mirrors compare them across processes and releases.
+	// These literals are what every earlier version computed for the specs.
+	if want := "30c5257bc87ccb70c4a40334a22af8d1"; h1 != want {
+		t.Fatalf("hash of the reference spec = %s, want %s: the pre-image moved", h1, want)
+	}
+	s4 := testSpec("j1", 1, 2, 8)
+	s4.OutputCategory = "out<&>"
+	s4.CheckpointDir = "/ckpt/j1/1"
+	s4.Priority = 7
+	s4.Resources.CPUCores = 1e-7
+	if got, want := s4.Hash(), "f4ff95b818fe2ae24a06cdaee4332af9"; got != want {
+		t.Fatalf("hash of the escaped spec = %s, want %s: the pre-image moved", got, want)
+	}
+}
+
+// FuzzSpecHashPreimage holds the hand-appended hash pre-image to its
+// definition: byte for byte what json.Marshal produces for the spec.
+func FuzzSpecHashPreimage(f *testing.F) {
+	f.Add("j1", "tailer", "v1", "out", "/ckpt/$JOB", 0, 2, 7, 2.0, int64(2<<30), 4)
+	f.Add("", "", "", "", "", 0, 0, 0, 0.0, int64(0), -1)
+	f.Add("a\"b\\c<d>&e", "\x00\x1f\b\f\n\r\t\x7f", "\u2028\u2029", "\xff\xfe", "caf\u00e9", -1, 1, -7, -0.0, int64(-1), 0)
+	f.Add("j", "p", "v", "", "", 3, 8, 0, 1e-7, int64(1), 1)
+	f.Add("j", "p", "v", "", "", 3, 8, 0, 1e21, int64(1), 2)
+	f.Add("j", "p", "v", "", "", 3, 8, 0, 123456.789e-12, int64(1), 3)
+	f.Fuzz(func(t *testing.T, job, pkg, version, out, dir string, index, threads, priority int, cpu float64, mem int64, partitions int) {
+		if math.IsNaN(cpu) || math.IsInf(cpu, 0) {
+			t.Skip() // no JSON form; Hash panics, as json.Marshal's error did
+		}
+		spec := TaskSpec{
+			Job: job, Index: index, TaskCount: threads, PackageName: pkg, PackageVersion: version,
+			Threads: threads, Operator: config.Operator(pkg), InputCategory: job + "_in",
+			OutputCategory: out, CheckpointDir: dir, Priority: priority,
+			Resources:   config.Resources{CPUCores: cpu, MemoryBytes: mem, DiskBytes: int64(priority), NetworkBps: mem >> 3},
+			Enforcement: config.MemoryEnforcement(version),
+		}
+		// partitions < 0: nil slice ("null"); 0: empty ("[]"); else a range.
+		if partitions >= 0 {
+			spec.Partitions = make([]int, partitions%64)
+			for i := range spec.Partitions {
+				spec.Partitions[i] = index + i*threads
+			}
+		}
+		want, err := json.Marshal(&spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := spec.appendJSON(nil); !bytes.Equal(got, want) {
+			t.Fatalf("pre-image diverges from json.Marshal:\n got  %s\n want %s", got, want)
+		}
+		sum := md5.Sum(want)
+		if got := spec.Hash(); got != hex.EncodeToString(sum[:]) {
+			t.Fatalf("Hash = %s, want md5 of the JSON form %x", got, sum)
+		}
+	})
 }
 
 func TestHashMemoized(t *testing.T) {
@@ -154,28 +214,41 @@ func TestValidatePartitionAssignmentErrors(t *testing.T) {
 
 func TestCheckpointLeasePreventsDuplicates(t *testing.T) {
 	ckpt := NewCheckpointStore()
-	if err := ckpt.Acquire("j", 0, "j#0"); err != nil {
+	if _, err := ckpt.Start("j", []int{0, 1}, "j#0"); err != nil {
 		t.Fatal(err)
 	}
 	// Same owner re-acquires fine.
-	if err := ckpt.Acquire("j", 0, "j#0"); err != nil {
+	if _, err := ckpt.Start("j", []int{0, 1}, "j#0"); err != nil {
 		t.Fatal(err)
 	}
-	// Different owner fails and is recorded.
-	if err := ckpt.Acquire("j", 0, "j#0-dup"); err == nil {
+	// Different owner fails and is recorded — once, however many of its
+	// partitions conflict — and takes nothing, not even the free partition
+	// listed ahead of the conflict.
+	if _, err := ckpt.Start("j", []int{2, 0, 1}, "j#0-dup"); err == nil {
 		t.Fatal("duplicate acquisition allowed")
 	}
 	if ckpt.Violations() != 1 {
 		t.Fatalf("Violations = %d, want 1", ckpt.Violations())
 	}
-	// Release by non-owner is a no-op.
-	ckpt.Release("j", 0, "j#0-dup")
+	if owner, ok := ckpt.Owner("j", 2); ok {
+		t.Fatalf("refused start kept partition 2 for %q", owner)
+	}
+	// Stop by non-owner releases nothing (its offsets still persist).
+	ckpt.Stop("j", []int{0}, "j#0-dup", []int64{7})
 	if owner, ok := ckpt.Owner("j", 0); !ok || owner != "j#0" {
 		t.Fatalf("owner = %q,%v", owner, ok)
 	}
-	ckpt.Release("j", 0, "j#0")
+	ckpt.Stop("j", []int{0, 1}, "j#0", []int64{500, 300})
 	if _, ok := ckpt.Owner("j", 0); ok {
-		t.Fatal("lease survived release")
+		t.Fatal("lease survived stop")
+	}
+	if ckpt.LiveOwners("j") != 0 {
+		t.Fatalf("LiveOwners = %d after stop", ckpt.LiveOwners("j"))
+	}
+	// The next start resumes from what Stop persisted, in the order asked.
+	offsets, err := ckpt.Start("j", []int{1, 0, 5}, "j#0@2")
+	if err != nil || !reflect.DeepEqual(offsets, []int64{300, 500, 0}) {
+		t.Fatalf("restored offsets = %v, %v; want [300 500 0]", offsets, err)
 	}
 }
 
@@ -205,9 +278,12 @@ func TestCheckpointOffsetsAndState(t *testing.T) {
 
 func TestForceReleaseTask(t *testing.T) {
 	ckpt := NewCheckpointStore()
-	ckpt.Acquire("j", 0, "j#0")
-	ckpt.Acquire("j", 1, "j#0")
-	ckpt.Acquire("j", 2, "j#1")
+	if _, err := ckpt.Start("j", []int{0, 1}, "j#0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ckpt.Start("j", []int{2}, "j#1"); err != nil {
+		t.Fatal(err)
+	}
 	ckpt.ForceReleaseTask("j", "j#0")
 	if ckpt.LiveOwners("j") != 1 {
 		t.Fatalf("LiveOwners = %d, want 1", ckpt.LiveOwners("j"))
@@ -245,28 +321,52 @@ func TestTaskStartStopLifecycle(t *testing.T) {
 func TestSecondInstanceCannotStart(t *testing.T) {
 	bus, ckpt := newWorld(t, "j_in", 4)
 	prof := DefaultProfile(config.OpTailer)
-	t1 := NewTask(testSpec("j", 0, 1, 4), prof, bus, ckpt)
+	// t1 is task 1 of 2: it owns partitions 2 and 3, and has made progress.
+	t1 := NewTask(testSpec("j", 1, 2, 4), prof, bus, ckpt)
 	if err := t1.Start(); err != nil {
 		t.Fatal(err)
 	}
-	// A second instance with the same identity (e.g., after a botched
-	// shard move) must not start.
-	spec2 := testSpec("j", 0, 1, 4)
-	spec2.Job = "j"
+	bus.AppendEven("j_in", 100<<20, 1000)
+	t1.Advance(time.Second)
+	rival := [...]int64{ckpt.Offset("j", 2), ckpt.Offset("j", 3)}
+	if rival[0] == 0 || rival[1] == 0 {
+		t.Fatalf("t1 made no progress: offsets %v", rival)
+	}
+	// A second instance whose partitions overlap t1's (e.g., after a
+	// botched shard move) must not start — and must take nothing: not the
+	// free partitions 0 and 1 it lists ahead of the conflict either.
 	t2dup := NewTask(TaskSpec{
 		Job: "j", Index: 99, TaskCount: 1, Threads: 1,
 		Operator: config.OpTailer, InputCategory: "j_in",
-		Partitions: []int{0}, // overlaps t1's ownership
+		Partitions: []int{0, 1, 2, 3},
 	}, prof, bus, ckpt)
 	if err := t2dup.Start(); err == nil {
 		t.Fatal("overlapping task started")
 	}
-	if ckpt.Violations() == 0 {
-		t.Fatal("violation not recorded")
+	if t2dup.Running() {
+		t.Fatal("refused task reports running")
 	}
-	// And the failed starter must not have leaked partial leases.
-	if got := ckpt.LiveOwners("j"); got != 4 {
-		t.Fatalf("LiveOwners = %d, want 4 (only t1's)", got)
+	// One refused start is one violation, however many partitions conflict.
+	if got := ckpt.Violations(); got != 1 {
+		t.Fatalf("Violations = %d, want 1", got)
+	}
+	if got := ckpt.LiveOwners("j"); got != 2 {
+		t.Fatalf("LiveOwners = %d, want 2 (only t1's)", got)
+	}
+	for p := 0; p < 4; p++ {
+		owner, ok := ckpt.Owner("j", p)
+		if want := p >= 2; ok != want || (ok && owner != t1.Instance()) {
+			t.Fatalf("partition %d owned by %q (%v) after the refused start", p, owner, ok)
+		}
+	}
+	// The refused starter, stopped anyway, must not touch the rival's
+	// checkpoint, and t1 carries on from where it was.
+	t2dup.Stop()
+	if got := [...]int64{ckpt.Offset("j", 2), ckpt.Offset("j", 3)}; got != rival {
+		t.Fatalf("rival offsets moved: %v, were %v", got, rival)
+	}
+	if st := t1.Advance(time.Second); st.ProcessedBytes == 0 {
+		t.Fatal("t1 stopped processing after the refused start")
 	}
 }
 

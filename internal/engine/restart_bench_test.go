@@ -1,0 +1,61 @@
+package engine
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/config"
+	"repro/internal/scribe"
+)
+
+// restartAllocCeiling bounds one task restart — the old instance's Stop,
+// then NewTask and Start of its successor — for a 2-partition task of a
+// job the checkpoint store has seen before. The restart takes the store's
+// lock twice and allocates the Task, its instance name and its offsets:
+// 3 objects measured. One lock round trip per partition and call, an
+// offsets map and a formatted name cost 10; the ceiling is half of that.
+const restartAllocCeiling = 5
+
+// BenchmarkTaskRestart measures what a Task Manager pays per task when a
+// spec changes under it (a package release restarts every task of the
+// fleet), held to restartAllocCeiling by an in-bench MemStats delta over
+// a fixed batch, so that one iteration (-benchtime=1x) arms it too.
+func BenchmarkTaskRestart(b *testing.B) {
+	bus := scribe.NewBus()
+	if err := bus.CreateCategory("j_in", 4); err != nil {
+		b.Fatal(err)
+	}
+	ckpt := NewCheckpointStore()
+	prof := DefaultProfile(config.OpTailer)
+	spec := testSpec("j", 1, 2, 4)
+	task := NewTask(spec, prof, bus, ckpt)
+	if err := task.Start(); err != nil {
+		b.Fatal(err)
+	}
+	restart := func() {
+		task.Stop()
+		task = NewTask(spec, prof, bus, ckpt)
+		if err := task.Start(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		restart()
+	}
+	b.StopTimer()
+	const batch = 100
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < batch; i++ {
+		restart()
+	}
+	runtime.ReadMemStats(&m1)
+	if per := float64(m1.Mallocs-m0.Mallocs) / batch; per > restartAllocCeiling {
+		b.Fatalf("task restart allocates %.1f objects/op, ceiling %d", per, restartAllocCeiling)
+	}
+	if ckpt.LiveOwners("j") != 2 || ckpt.Violations() != 0 {
+		b.Fatalf("leases after the restarts: %d live, %d violations", ckpt.LiveOwners("j"), ckpt.Violations())
+	}
+}

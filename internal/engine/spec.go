@@ -29,9 +29,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/config"
@@ -95,27 +97,131 @@ var hashComputations atomic.Int64
 func HashComputations() int64 { return hashComputations.Load() }
 
 // Hash returns a content hash of the full spec; Task Managers use it to
-// detect that a task's configuration changed and it must be restarted.
+// detect that a task's configuration changed and it must be restarted. It
+// is the hex MD5 of the spec's encoding/json form (see appendJSON).
 //
-// The result is memoized on the spec: the JSON marshal + MD5 runs once,
-// on the first call, and every later call (including on copies of the
-// spec) returns the stored digest. The Task Service hashes every spec at
+// The result is memoized on the spec: the encode + MD5 runs once, on the
+// first call, and every later call (including on copies of the spec)
+// returns the stored digest. The Task Service hashes every spec at
 // snapshot-generation time, so published snapshots are read-only with
 // respect to this memo and concurrent readers never write it.
 func (s *TaskSpec) Hash() string {
 	if s.memoHash != "" {
 		return s.memoHash
 	}
-	raw, err := json.Marshal(s)
-	if err != nil {
-		// A TaskSpec is plain data; Marshal cannot fail. Keep the
-		// signature clean and make the impossible loud.
-		panic(fmt.Sprintf("engine: marshal task spec: %v", err))
-	}
-	sum := md5.Sum(raw)
+	bp := preimagePool.Get().(*[]byte)
+	*bp = s.appendJSON((*bp)[:0])
+	sum := md5.Sum(*bp)
+	preimagePool.Put(bp)
 	hashComputations.Add(1)
-	s.memoHash = hex.EncodeToString(sum[:])
+	var digest [2 * md5.Size]byte
+	hex.Encode(digest[:], sum[:])
+	s.memoHash = string(digest[:])
 	return s.memoHash
+}
+
+// preimagePool recycles the buffers Hash encodes into.
+var preimagePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendJSON appends exactly the bytes json.Marshal(s) produces — field
+// order, omitempty and number formats as the struct tags and
+// encoding/json define them — without reflection. The bytes are the hash
+// pre-image, so they may never change: FuzzSpecHashPreimage compares them
+// with json.Marshal and TestTaskIDAndHash pins one digest.
+func (s *TaskSpec) appendJSON(b []byte) []byte {
+	b = appendJSONString(append(b, `{"job":`...), s.Job)
+	b = strconv.AppendInt(append(b, `,"index":`...), int64(s.Index), 10)
+	b = strconv.AppendInt(append(b, `,"taskCount":`...), int64(s.TaskCount), 10)
+	b = appendJSONString(append(b, `,"packageName":`...), s.PackageName)
+	b = appendJSONString(append(b, `,"packageVersion":`...), s.PackageVersion)
+	b = strconv.AppendInt(append(b, `,"threads":`...), int64(s.Threads), 10)
+	b = appendJSONString(append(b, `,"operator":`...), string(s.Operator))
+	b = appendJSONString(append(b, `,"inputCategory":`...), s.InputCategory)
+	b = append(b, `,"partitions":`...)
+	if s.Partitions == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, p := range s.Partitions {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(p), 10)
+		}
+		b = append(b, ']')
+	}
+	if s.OutputCategory != "" {
+		b = appendJSONString(append(b, `,"outputCategory":`...), s.OutputCategory)
+	}
+	// Each present resource is written with a trailing comma; the last one
+	// is taken back before the brace.
+	b = append(b, `,"resources":{`...)
+	open := len(b)
+	if r := s.Resources.CPUCores; r != 0 {
+		b = append(appendJSONFloat(append(b, `"cpuCores":`...), r), ',')
+	}
+	if n := s.Resources.MemoryBytes; n != 0 {
+		b = append(strconv.AppendInt(append(b, `"memoryBytes":`...), n, 10), ',')
+	}
+	if n := s.Resources.DiskBytes; n != 0 {
+		b = append(strconv.AppendInt(append(b, `"diskBytes":`...), n, 10), ',')
+	}
+	if n := s.Resources.NetworkBps; n != 0 {
+		b = append(strconv.AppendInt(append(b, `"networkBps":`...), n, 10), ',')
+	}
+	if len(b) > open {
+		b = b[:len(b)-1]
+	}
+	b = append(b, '}')
+	if s.Enforcement != "" {
+		b = appendJSONString(append(b, `,"enforcement":`...), string(s.Enforcement))
+	}
+	if s.CheckpointDir != "" {
+		b = appendJSONString(append(b, `,"checkpointDir":`...), s.CheckpointDir)
+	}
+	if s.Priority != 0 {
+		b = strconv.AppendInt(append(b, `,"priority":`...), int64(s.Priority), 10)
+	}
+	return append(b, '}')
+}
+
+// appendJSONString appends s as encoding/json quotes it. Printable ASCII
+// apart from the characters json.Marshal escapes (quote, backslash and
+// the HTML-sensitive < > &) is copied as it stands; a string holding
+// anything else — control bytes, non-ASCII, invalid UTF-8 — is rare in a
+// spec and goes through json.Marshal itself, so its escaping rules are
+// not restated here.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(b, quoted...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendJSONFloat appends f in encoding/json's float64 format: shortest
+// round-trip digits, exponent form below 1e-6 and from 1e21 with a
+// one-digit exponent written as e-9, not e-09. JSON has no NaN or
+// infinity; a spec carrying one cannot be hashed and panics, as
+// json.Marshal's error did.
+func appendJSONFloat(b []byte, f float64) []byte {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		panic(fmt.Sprintf("engine: marshal task spec: unsupported float value %v", f))
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // AssignPartitions splits partition indices [0,total) into taskCount

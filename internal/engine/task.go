@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,7 +50,7 @@ type Task struct {
 
 	mu       sync.Mutex
 	running  bool
-	offsets  map[int]int64
+	offsets  []int64 // parallel to spec.Partitions; nil before the first Start
 	last     Stats
 	oomCount int
 	restarts int
@@ -62,9 +63,13 @@ type Task struct {
 // of the binary (shared by all tasks of a job); bus and ckpt are the
 // Scribe bus and checkpoint store it reads, writes, and recovers through.
 func NewTask(spec TaskSpec, profile *Profile, bus *scribe.Bus, ckpt *CheckpointStore) *Task {
+	var name [64]byte // most instance names fit and cost the one string
+	b := append(name[:0], spec.Job...)
+	b = strconv.AppendInt(append(b, '#'), int64(spec.Index), 10)
+	b = strconv.AppendUint(append(b, '@'), instanceSeq.Add(1), 10)
 	return &Task{
 		spec:     spec,
-		instance: fmt.Sprintf("%s@%d", spec.ID(), instanceSeq.Add(1)),
+		instance: string(b),
 		profile:  profile,
 		bus:      bus,
 		ckpt:     ckpt,
@@ -79,28 +84,19 @@ func (t *Task) Spec() TaskSpec { return t.spec }
 
 // Start acquires the ownership lease for every owned partition, restores
 // checkpointed offsets, and begins processing. If any lease is held by
-// another live task, Start releases what it took and fails — this is the
-// mechanism that prevents two active instances of the same task (§IV).
+// another live task, Start takes none and fails — this is the mechanism
+// that prevents two active instances of the same task (§IV).
 func (t *Task) Start() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.running {
 		return nil
 	}
-	acquired := make([]int, 0, len(t.spec.Partitions))
-	for _, p := range t.spec.Partitions {
-		if err := t.ckpt.Acquire(t.spec.Job, p, t.instance); err != nil {
-			for _, q := range acquired {
-				t.ckpt.Release(t.spec.Job, q, t.instance)
-			}
-			return fmt.Errorf("start %s: %w", t.spec.ID(), err)
-		}
-		acquired = append(acquired, p)
+	offsets, err := t.ckpt.Start(t.spec.Job, t.spec.Partitions, t.instance)
+	if err != nil {
+		return fmt.Errorf("start %s: %w", t.spec.ID(), err)
 	}
-	t.offsets = make(map[int]int64, len(t.spec.Partitions))
-	for _, p := range t.spec.Partitions {
-		t.offsets[p] = t.ckpt.Offset(t.spec.Job, p)
-	}
+	t.offsets = offsets
 	t.running = true
 	return nil
 }
@@ -113,10 +109,7 @@ func (t *Task) Stop() {
 	if !t.running {
 		return
 	}
-	for p, off := range t.offsets {
-		t.ckpt.SetOffset(t.spec.Job, p, off)
-		t.ckpt.Release(t.spec.Job, p, t.instance)
-	}
+	t.ckpt.Stop(t.spec.Job, t.spec.Partitions, t.instance, t.offsets)
 	t.running = false
 }
 
@@ -172,9 +165,11 @@ func (t *Task) Backlog() int64 {
 
 func (t *Task) backlogLocked() int64 {
 	var total int64
-	for _, p := range t.spec.Partitions {
-		off, ok := t.offsets[p]
-		if !ok {
+	for i, p := range t.spec.Partitions {
+		var off int64
+		if t.offsets != nil {
+			off = t.offsets[i]
+		} else {
 			off = t.ckpt.Offset(t.spec.Job, p)
 		}
 		total += t.bus.Backlog(t.spec.InputCategory, p, off)
@@ -216,11 +211,12 @@ func (t *Task) Advance(dt time.Duration) Stats {
 	capacity := int64(t.MaxRate() * secs)
 	// Proportional drain: budget each partition by its share of backlog so
 	// a hot partition doesn't starve the others.
-	backlogs := make(map[int]int64, len(t.spec.Partitions))
+	var few [8]int64 // a task rarely owns more partitions; then no allocation
+	backlogs := few[:0]
 	var totalBacklog int64
-	for _, p := range t.spec.Partitions {
-		b := t.bus.Backlog(t.spec.InputCategory, p, t.offsets[p])
-		backlogs[p] = b
+	for i, p := range t.spec.Partitions {
+		b := t.bus.Backlog(t.spec.InputCategory, p, t.offsets[i])
+		backlogs = append(backlogs, b)
 		totalBacklog += b
 	}
 	var consumed int64
@@ -232,13 +228,13 @@ func (t *Task) Advance(dt time.Duration) Stats {
 			if i == len(t.spec.Partitions)-1 {
 				quota = remaining // last partition absorbs rounding
 			} else {
-				quota = int64(float64(toConsume) * float64(backlogs[p]) / float64(totalBacklog))
+				quota = int64(float64(toConsume) * float64(backlogs[i]) / float64(totalBacklog))
 			}
 			if quota > remaining {
 				quota = remaining
 			}
-			newOff, n := t.bus.Read(t.spec.InputCategory, p, t.offsets[p], quota)
-			t.offsets[p] = newOff
+			newOff, n := t.bus.Read(t.spec.InputCategory, p, t.offsets[i], quota)
+			t.offsets[i] = newOff
 			consumed += n
 			remaining -= n
 			t.ckpt.SetOffset(t.spec.Job, p, newOff)

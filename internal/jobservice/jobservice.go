@@ -63,26 +63,29 @@ func (s *Service) Delete(name string) error {
 // writes it back under CAS, retrying on version conflicts. The merged
 // expected configuration that would result is validated first; an update
 // that would break the job is rejected with no write.
+//
+// The read is shared (jobstore.GetExpectedShared): only the layer handed
+// to mutate is copied, and the trial merge aliases the other layers
+// instead of copying them — it is decoded and dropped, never written.
 func (s *Service) UpdateLayer(name string, layer config.Layer, mutate func(config.Doc) config.Doc) error {
 	var lastErr error
 	for attempt := 0; attempt < maxCASRetries; attempt++ {
-		e, err := s.store.GetExpected(name)
+		e, err := s.store.GetExpectedShared(name)
 		if err != nil {
 			return err
 		}
-		cur := e.Layers[layer]
+		cur := e.Layers[layer].Clone()
 		if cur == nil {
 			cur = config.Doc{}
 		}
-		next := mutate(cur.Clone())
+		next := mutate(cur)
 		if next == nil {
 			next = config.Doc{}
 		}
 
 		// Validate the merged view with the candidate layer in place.
-		trial := e
-		trial.Layers[layer] = next
-		merged := trial.Merged()
+		e.Layers[layer] = next
+		merged := config.MergeLayersShared(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3])
 		cfg, err := config.JobConfigFromDoc(merged)
 		if err != nil {
 			return fmt.Errorf("jobservice: update %s/%s produces undecodable config: %w", name, layer, err)

@@ -75,11 +75,6 @@ type Expected struct {
 	mergedVersion int64
 }
 
-// Merged returns the precedence-ordered merge of all layers (Algorithm 1).
-func (e *Expected) Merged() config.Doc {
-	return config.MergeLayers(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3])
-}
-
 // Running is a read snapshot of a job's running configuration.
 type Running struct {
 	Config  config.Doc
@@ -314,8 +309,27 @@ func (s *Store) Delete(name string) error {
 	return nil
 }
 
-// GetExpected returns a snapshot of the job's expected stack.
+// GetExpected returns a snapshot of the job's expected stack. The layer
+// docs are the caller's to mutate.
 func (s *Store) GetExpected(name string) (Expected, error) {
+	e, err := s.GetExpectedShared(name)
+	if err != nil {
+		return Expected{}, err
+	}
+	for i, l := range e.Layers {
+		e.Layers[i] = l.Clone() // outside the stripe lock: layers are immutable
+	}
+	return e, nil
+}
+
+// GetExpectedShared returns the job's expected stack without cloning it:
+// the layer docs are the store's own. They are IMMUTABLE and shared —
+// callers must not modify them (or anything reachable from them) — and
+// they stay intact for as long as the caller holds them, because SetLayer
+// replaces a layer wholesale and never writes into the old doc. This is
+// the Job Service's read-modify-write read: it clones the one layer it
+// edits and only reads the rest.
+func (s *Store) GetExpectedShared(name string) (Expected, error) {
 	st := s.stripeFor(name)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -323,15 +337,7 @@ func (s *Store) GetExpected(name string) (Expected, error) {
 	if !ok {
 		return Expected{}, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	return snapshotExpected(e), nil
-}
-
-func snapshotExpected(e *Expected) Expected {
-	out := Expected{Version: e.Version}
-	for i, l := range e.Layers {
-		out.Layers[i] = l.Clone()
-	}
-	return out
+	return Expected{Layers: e.Layers, Version: e.Version}, nil
 }
 
 // SetLayer replaces one expected layer under CAS: the write succeeds only

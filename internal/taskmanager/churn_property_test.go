@@ -521,13 +521,13 @@ func (h *churnHarness) run() []string {
 			// A foreign instance holds partition 0 of a job about to be
 			// created: task #0's Start must fail, on every Refresh of its
 			// manager, until the lease goes — and nothing else may try.
-			if err := w.ckpt.Acquire(conflictJob, 0, "intruder"); err != nil {
+			if _, err := w.ckpt.Start(conflictJob, []int{0}, "intruder"); err != nil {
 				t.Fatal(err)
 			}
 			h.blocked[engine.TaskID(conflictJob, 0)] = true
 			h.commit(conflictJob, conflict)
 		case round == 18:
-			w.ckpt.Release(conflictJob, 0, "intruder")
+			w.ckpt.ForceReleaseTask(conflictJob, "intruder")
 			delete(h.blocked, engine.TaskID(conflictJob, 0))
 		case round == 30:
 			// More journal entries than the ring holds between two

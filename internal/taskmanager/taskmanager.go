@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -630,21 +629,18 @@ func (m *Manager) reboot() {
 // The State Syncer's actuator calls it across the fleet as the first phase
 // of a complex synchronization (§III-B). It returns how many tasks it
 // stopped. A bucket keeps each job's entries in one run, in job-name
-// order, so each owned shard costs a binary search, and only shards where
-// something stopped become pending: if the job is still in the snapshot
-// at the next Refresh (the caller did not quiesce it), those tasks start
-// again.
+// order, so each owned shard costs a binary search (taskservice.JobRun;
+// the fleet-wide fan-out makes managers × shards of them per job), and
+// only shards where something stopped become pending: if the job is
+// still in the snapshot at the next Refresh (the caller did not quiesce
+// it), those tasks start again.
 func (m *Manager) StopJob(job string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
 	for _, sh := range m.shards {
-		// The job name is read off the entry's own ID ("job#index") rather
-		// than through its Spec pointer: one cache miss less per probe, and
-		// the fleet-wide fan-out makes managers × shards of these searches
-		// per job.
-		i := sort.Search(len(sh.bucket), func(i int) bool { return engine.JobOfTaskID(sh.bucket[i].ID) >= job })
-		for ; i < len(sh.bucket) && engine.JobOfTaskID(sh.bucket[i].ID) == job; i++ {
+		i, end := taskservice.JobRun(sh.bucket, job)
+		for ; i < end; i++ {
 			if t := sh.tasks[i]; t != nil {
 				t.Stop()
 				sh.tasks[i] = nil

@@ -14,17 +14,23 @@
 // Published indexes are immutable, and regeneration is O(changed jobs):
 // each job's group precomputes its own shard sub-buckets at build time,
 // and the published shard index is a stripe-wise copy-on-write structure
-// over a power-of-two-chunked shard space. Publishing a one-job change
-// clones only the chunks whose shards the job touches and splices the
-// job's contribution in and out of their buckets; every untouched chunk
-// is shared with the previous index by pointer. Versions are monotonic
-// and move only when snapshot content changes.
+// over a power-of-two-chunked shard space. A regeneration records, per
+// changed job and shard it touches, what the job's entries in that
+// shard's bucket become; publishing clones only the chunks holding such a
+// shard and rebuilds each touched bucket once, in one new array, however
+// many jobs changed in it. Every untouched chunk is shared with the
+// previous index by pointer, every untouched bucket of a cloned chunk by
+// slice. Versions are monotonic and move only when snapshot content
+// changes.
 package taskservice
 
 import (
+	"cmp"
 	"crypto/md5"
 	"io"
 	"slices"
+	"sort"
+	"strings"
 
 	"repro/internal/engine"
 	"repro/internal/shardmanager"
@@ -46,7 +52,7 @@ type IndexedSpec struct {
 
 // SameBucket reports whether a and b are one and the same published
 // bucket: equal length and the same backing array. It rests on the
-// immutability contract of this file — newIndex and spliceBucket build
+// immutability contract of this file — newIndex and rebuildBucket build
 // every bucket in a fresh array and nothing writes an array once an index
 // holding it is published — plus the caller's own reference, which keeps
 // a retained bucket's address from being recycled. So same array ⇒ same
@@ -55,6 +61,20 @@ type IndexedSpec struct {
 // content in new arrays, and those buckets compare different.
 func SameBucket(a, b []IndexedSpec) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// JobRun returns the bounds [lo, hi) of job's entries in a bucket. A
+// bucket keeps each job's entries in one run, runs in ascending job-name
+// order, so the run starts where a binary search puts the name. The name
+// is read off each entry's own ID ("job#index") rather than through its
+// Spec pointer: one cache miss less per probe.
+func JobRun(bucket []IndexedSpec, job string) (lo, hi int) {
+	lo = sort.Search(len(bucket), func(i int) bool { return engine.JobOfTaskID(bucket[i].ID) >= job })
+	hi = lo
+	for hi < len(bucket) && engine.JobOfTaskID(bucket[hi].ID) == job {
+		hi++
+	}
+	return lo, hi
 }
 
 // groupShard is one job's contribution to one shard's bucket: the
@@ -99,26 +119,32 @@ func buildSig(specs []engine.TaskSpec) [md5.Size]byte {
 }
 
 // buildGroupShards buckets a group's indexed specs by shard, each bucket
-// in task-index order, buckets sorted by shard. Group task counts are
-// small (parallelism per job), so the quadratic duplicate scan is cheaper
-// than a map.
+// in task-index order, buckets sorted by shard: one copy of indexed,
+// sorted by (shard, task index), with every bucket a capped window of
+// that one array.
 func buildGroupShards(indexed []IndexedSpec) []groupShard {
 	if len(indexed) == 0 {
 		return nil
 	}
-	shards := make([]groupShard, 0, len(indexed))
-	for _, is := range indexed {
-		if !slices.ContainsFunc(shards, func(gs groupShard) bool { return gs.shard == is.Shard }) {
-			shards = append(shards, groupShard{shard: is.Shard})
+	byShard := slices.Clone(indexed)
+	slices.SortFunc(byShard, func(a, b IndexedSpec) int {
+		if c := cmp.Compare(a.Shard, b.Shard); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Spec.Index, b.Spec.Index)
+	})
+	n := 1
+	for i := 1; i < len(byShard); i++ {
+		if byShard[i].Shard != byShard[i-1].Shard {
+			n++
 		}
 	}
-	slices.SortFunc(shards, func(a, b groupShard) int { return int(a.shard) - int(b.shard) })
-	for _, is := range indexed {
-		for i := range shards {
-			if shards[i].shard == is.Shard {
-				shards[i].specs = append(shards[i].specs, is)
-				break
-			}
+	shards := make([]groupShard, 0, n)
+	lo := 0
+	for hi := 1; hi <= len(byShard); hi++ {
+		if hi == len(byShard) || byShard[hi].Shard != byShard[lo].Shard {
+			shards = append(shards, groupShard{shard: byShard[lo].Shard, specs: byShard[lo:hi:hi]})
+			lo = hi
 		}
 	}
 	return shards
@@ -258,27 +284,35 @@ func (idx *SnapshotIndex) Specs() []engine.TaskSpec {
 	return out
 }
 
-// indexDraft is the mutable working state of one incremental publish:
-// the chunk-pointer slice is cloned from the base index up front, and
-// each chunk is privatized (cloned) at most once, the first time one of
-// its buckets is spliced. Chunks never touched stay shared with the base
-// index by pointer. A draft is created lazily, on the first
-// content-changing group update of a regeneration; if nothing changes,
-// no draft exists and the previous index stays published.
+// indexDraft is the working state of one incremental publish: the
+// chunk-pointer slice cloned from the base index, and the bucket edits
+// the regeneration has recorded so far. Nothing is rebuilt until publish,
+// so a bucket that several changed jobs share is rebuilt once, not once
+// per job. A draft is created lazily, on the first content-changing group
+// update of a regeneration; if nothing changes, no draft exists and the
+// previous index stays published.
 type indexDraft struct {
 	chunks []*shardChunk
-	owned  []bool // chunks[i] privatized by this draft
 	total  int
+	edits  []bucketEdit
+}
+
+// bucketEdit says that from this regeneration on, job's entries in
+// shard's bucket are exactly repl (nil: none). Of several edits of one
+// (shard, job) the last recorded holds. lo and hi are publish's scratch:
+// where job's old run sits in the bucket being rebuilt.
+type bucketEdit struct {
+	shard  shardmanager.ShardID
+	job    string
+	seq    int // arrival order
+	repl   []IndexedSpec
+	lo, hi int
 }
 
 // newDraft starts a draft over base (nil base = empty index, e.g. the
 // very first publish).
 func newDraft(base *SnapshotIndex, numShards int) *indexDraft {
-	n := numChunks(numShards)
-	d := &indexDraft{
-		chunks: make([]*shardChunk, n),
-		owned:  make([]bool, n),
-	}
+	d := &indexDraft{chunks: make([]*shardChunk, numChunks(numShards))}
 	if base != nil {
 		copy(d.chunks, base.chunks)
 		d.total = base.total
@@ -302,68 +336,64 @@ func (d *indexDraft) applyGroup(job string, oldG, newG *jobGroup) {
 	}
 	i, j := 0, 0
 	for i < len(os) || j < len(ns) {
+		e := bucketEdit{job: job, seq: len(d.edits)}
 		switch {
 		case j >= len(ns) || (i < len(os) && os[i].shard < ns[j].shard):
-			d.splice(os[i].shard, job, nil)
+			e.shard = os[i].shard
 			i++
 		case i >= len(os) || ns[j].shard < os[i].shard:
-			d.splice(ns[j].shard, job, ns[j].specs)
+			e.shard, e.repl = ns[j].shard, ns[j].specs
 			j++
 		default:
-			d.splice(os[i].shard, job, ns[j].specs)
+			e.shard, e.repl = ns[j].shard, ns[j].specs
 			i++
 			j++
 		}
+		d.edits = append(d.edits, e)
 	}
 }
 
-// splice rewrites one shard's bucket so that job's entries are exactly
-// repl, privatizing the shard's chunk first if this draft does not own
-// it yet.
-func (d *indexDraft) splice(shard shardmanager.ShardID, job string, repl []IndexedSpec) {
-	ci := int(shard) >> chunkShift
-	if !d.owned[ci] {
-		nc := &shardChunk{}
-		if old := d.chunks[ci]; old != nil {
-			*nc = *old
-		}
-		d.chunks[ci] = nc
-		d.owned[ci] = true
-	}
-	li := int(shard) & (chunkWidth - 1)
-	d.chunks[ci].buckets[li] = spliceBucket(d.chunks[ci].buckets[li], job, repl)
-}
-
-// spliceBucket returns bucket b with job's entries replaced by repl
-// (repl nil removes them), preserving the bucket's job-order invariant:
-// entries are grouped by job in ascending job-name order, matching what
-// a from-scratch rebuild produces. The input bucket is never modified —
-// it may be shared with a published index.
-func spliceBucket(b []IndexedSpec, job string, repl []IndexedSpec) []IndexedSpec {
-	out := make([]IndexedSpec, 0, len(b)+len(repl))
-	inserted := false
-	for _, is := range b {
-		j := is.Spec.Job
-		if j == job {
-			continue // old contribution dropped
-		}
-		if !inserted && j > job {
-			out = append(out, repl...)
-			inserted = true
-		}
-		out = append(out, is)
-	}
-	if !inserted {
-		out = append(out, repl...)
-	}
-	if len(out) == 0 {
-		return nil // match the from-scratch representation of an empty bucket
-	}
-	return out
-}
-
-// publish freezes the draft into an immutable index.
+// publish applies the recorded edits and freezes the draft into an
+// immutable index. Ordered by (shard, job, arrival), the edits of one
+// bucket are adjacent and those of one chunk consecutive: each touched
+// chunk is privatized (cloned) exactly once and each touched bucket
+// rebuilt exactly once. Chunks never touched stay shared with the base
+// index by pointer, untouched buckets of a cloned chunk by slice.
 func (d *indexDraft) publish(version, numShards int, groups []*jobGroup) *SnapshotIndex {
+	edits := d.edits
+	slices.SortFunc(edits, func(a, b bucketEdit) int {
+		if c := cmp.Compare(a.shard, b.shard); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.job, b.job); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	owned := -1 // the chunk this walk privatized last
+	for lo := 0; lo < len(edits); {
+		shard := edits[lo].shard
+		hi, n := lo, lo
+		for ; hi < len(edits) && edits[hi].shard == shard; hi++ {
+			// Keep the last edit of each job, compacted to edits[lo:n].
+			if n > lo && edits[n-1].job == edits[hi].job {
+				n--
+			}
+			edits[n] = edits[hi]
+			n++
+		}
+		ci, li := int(shard)>>chunkShift, int(shard)&(chunkWidth-1)
+		if ci != owned {
+			nc := &shardChunk{}
+			if old := d.chunks[ci]; old != nil {
+				*nc = *old
+			}
+			d.chunks[ci] = nc
+			owned = ci
+		}
+		d.chunks[ci].buckets[li] = rebuildBucket(d.chunks[ci].buckets[li], edits[lo:n])
+		lo = hi
+	}
 	return &SnapshotIndex{
 		version:   version,
 		numShards: numShards,
@@ -371,4 +401,38 @@ func (d *indexDraft) publish(version, numShards int, groups []*jobGroup) *Snapsh
 		total:     d.total,
 		chunks:    d.chunks,
 	}
+}
+
+// rebuildBucket returns bucket b with the entries of every edited job
+// replaced by that edit's repl, in one new array — always a new one, so
+// that SameBucket tells the old bucket from the result; nil if nothing is
+// left, the from-scratch representation of an empty bucket. edits are in
+// ascending job order, one per job. The result keeps the bucket's
+// invariant: entries grouped by job in ascending job-name order, matching
+// what a from-scratch rebuild produces. b is never modified — it may be
+// shared with a published index.
+//
+// The first pass locates each edited job's run in b (JobRun, searching
+// on from the previous one) and sizes the result exactly; the second
+// copies the stretches between the runs and the replacements.
+func rebuildBucket(b []IndexedSpec, edits []bucketEdit) []IndexedSpec {
+	size, from := len(b), 0
+	for i := range edits {
+		e := &edits[i]
+		lo, hi := JobRun(b[from:], e.job)
+		e.lo, e.hi = from+lo, from+hi
+		size += len(e.repl) - (hi - lo)
+		from = e.hi
+	}
+	if size == 0 {
+		return nil
+	}
+	out := make([]IndexedSpec, 0, size)
+	from = 0
+	for i := range edits {
+		e := &edits[i]
+		out = append(append(out, b[from:e.lo]...), e.repl...)
+		from = e.hi
+	}
+	return append(out, b[from:]...)
 }

@@ -38,12 +38,6 @@ const (
 	// refreshQuiesceAllocCeiling bounds a quiesce+unquiesce toggle pair
 	// (two splice-only regenerations, no group rebuilt).
 	refreshQuiesceAllocCeiling = 2_000
-
-	// refreshChurnAllocCeiling bounds a 1%-churn refresh (1,250 groups
-	// rebuilt + spliced); ~200 objects per changed job plus the shared
-	// clones, with the same order-of-magnitude gap to an O(fleet)
-	// regression (which would pay ~125K groups × the same constant).
-	refreshChurnAllocCeiling = 600_000
 )
 
 // refreshFleet builds the 1M-task store and a warmed service (first
@@ -109,8 +103,8 @@ func BenchmarkScaleRefresh1MChurn1pct(b *testing.B) {
 	}
 	const churn = refreshJobs / 100 // 1,250 jobs rewritten per refresh
 	svc, commit := refreshFleet(b)
+	prev := svc.Index()
 	var m0, m1 runtime.MemStats
-	var spent uint64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -126,15 +120,17 @@ func BenchmarkScaleRefresh1MChurn1pct(b *testing.B) {
 		idx := svc.Index()
 		b.StopTimer()
 		runtime.ReadMemStats(&m1)
-		spent += m1.Mallocs - m0.Mallocs
 		if idx.Len() != refreshJobs*refreshTasks {
 			b.Fatalf("specs = %d", idx.Len())
 		}
+		// 1,250 groups rebuilt: the changed buckets and chunks plus the
+		// per-job constant (see regenAllocCeiling) — some 65K objects,
+		// where an O(fleet) regression would pay for 125K groups.
+		if spent, ceiling := m1.Mallocs-m0.Mallocs, regenAllocCeiling(prev, idx, churn); spent > ceiling {
+			b.Fatalf("1%%-churn 1M refresh allocates %d objects, ceiling %d", spent, ceiling)
+		}
+		prev = idx
 		b.StartTimer()
-	}
-	b.StopTimer()
-	if per := float64(spent) / float64(b.N); per > refreshChurnAllocCeiling {
-		b.Fatalf("1%%-churn 1M refresh allocates %.0f objects/op, ceiling %d", per, refreshChurnAllocCeiling)
 	}
 }
 

@@ -104,9 +104,63 @@ func TestChurnMatrixEquivalence(t *testing.T) {
 		}
 	}
 
+	// composed lists, per round, the multi-step histories of one job that a
+	// single regeneration's batched publish has to compose into one bucket
+	// rebuild per shard — with the random churn of the round landing in
+	// the same buckets. The jobs sit outside the random pool, so their
+	// state at each step is known. set commits name at the given
+	// parallelism (its tasks, and so its shards, move) under a new package
+	// version.
+	set := func(name string, tasks int) {
+		cfg := jobCfg(name, tasks)
+		pkg[name]++
+		cfg.Package.Version = fmt.Sprintf("v%d", pkg[name])
+		cfgs[name] = cfg
+		commit(name, false)
+	}
+	quiesce := func(name string, on bool) {
+		if on {
+			svc.Quiesce(name)
+			quiesced[name] = true
+		} else {
+			svc.Unquiesce(name)
+			delete(quiesced, name)
+		}
+	}
+	drop := func(name string) {
+		store.DropRunning(name)
+		delete(cfgs, name)
+	}
+	composed := map[int]func(){
+		2: func() { set("twice", 3); set("again", 4); set("hushed", 2) },
+		// Same job committed twice: the last commit's shards hold.
+		5: func() { set("twice", 5); set("twice", 2) },
+		// Dropped, then recreated at another parallelism.
+		8: func() { drop("again"); set("again", 2) },
+		// Quiesce toggled and committed, both ways round.
+		11: func() { quiesce("hushed", true); set("hushed", 4) },
+		14: func() { set("hushed", 3); quiesce("hushed", false) },
+		// The same three on top of the resync round's from-scratch arrays,
+		// and all in one regeneration.
+		23: func() {
+			set("twice", 1)
+			set("twice", 4)
+			drop("again")
+			set("again", 5)
+			quiesce("hushed", true)
+			set("hushed", 1)
+			quiesce("hushed", false)
+		},
+		// Recreated then dropped, committed then quiesced: nothing may stay.
+		26: func() { drop("again"); set("again", 3); drop("again"); set("hushed", 5); quiesce("hushed", true) },
+	}
+
 	prevJSON := ""
 	prevVersion := -1
 	for round := 0; round < 40; round++ {
+		if steps := composed[round]; steps != nil {
+			steps()
+		}
 		if round == 20 {
 			// Overflow burst: more journal entries than the ring holds
 			// land between refreshes, so this round's regeneration must
@@ -212,6 +266,51 @@ func TestPublishedIndexImmutableUnderSplices(t *testing.T) {
 			}
 		}
 	}
+
+	// The SameBucket contract consumers reconcile by, inside one chunk
+	// (64 shards are a single chunk, and the publish below clones it): a
+	// bucket the publish changed is a new array, every other bucket of the
+	// cloned chunk is the predecessor's own slice, an emptied one is nil.
+	// job10 moves from 3 tasks to 1, job11 changes in place, job12 goes.
+	commitJob(t, store, "job10", 1, 3)
+	commitJob(t, store, "job11", 4, 3)
+	store.DropRunning("job12")
+	svc.Invalidate()
+	idx3 := svc.Index()
+	touched := make(map[shardmanager.ShardID]bool)
+	for _, idx := range []*SnapshotIndex{idx2, idx3} {
+		idx.Each(func(is IndexedSpec) {
+			if j := is.Spec.Job; j == "job10" || j == "job11" || j == "job12" {
+				touched[is.Shard] = true
+			}
+		})
+	}
+	same, changed := 0, 0
+	for s := shardmanager.ShardID(0); s < numShards; s++ {
+		before, after := idx2.ShardSpecs(s), idx3.ShardSpecs(s)
+		switch {
+		case len(after) == 0:
+			if after != nil {
+				t.Fatalf("shard %d: emptied bucket is not nil", s)
+			}
+		case !touched[s]:
+			if !SameBucket(before, after) {
+				t.Fatalf("shard %d: no job of it changed, yet the publish replaced its bucket", s)
+			}
+			same++
+		default:
+			if SameBucket(before, after) {
+				t.Fatalf("shard %d: bucket changed in place (same array as the published predecessor)", s)
+			}
+			changed++
+		}
+	}
+	if same == 0 || changed == 0 {
+		t.Fatalf("contract not exercised: %d buckets kept, %d replaced", same, changed)
+	}
+	fresh := New(store, clk, 90*time.Second, numShards)
+	fresh.Quiesce("job04")
+	assertIndexEquivalent(t, idx3, fresh.Index(), numShards)
 }
 
 // TestQuiesceSplicesWithoutRebuild: quiescing and unquiescing splice the

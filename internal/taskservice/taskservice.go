@@ -24,9 +24,10 @@
 //
 // Regeneration itself is O(changed jobs), not O(fleet): the service
 // holds a cursor into the Job Store's running-entry change journal and
-// rebuilds only the jobs the journal names, splicing each change into
-// the previous index's copy-on-write shard chunks (see index.go).
-// Deletes, quiesces, and unquiesces are single-group splices too. If the
+// rebuilds only the jobs the journal names, recording each change as
+// edits of the previous index's copy-on-write shard chunks that the
+// publish applies bucket by bucket (see index.go). Deletes, quiesces,
+// and unquiesces are single-group edits too. If the
 // cursor falls off the journal's bounded ring (or the store was
 // Restored), the service falls back to a full fleet walk that still
 // reuses every cached per-job group whose running-entry revision is
@@ -225,7 +226,7 @@ func (s *Service) invalidatePub() {
 
 // regenerateLocked rebuilds the snapshot from the change journal: only
 // jobs named by journal entries (plus quiesce toggles) are rebuilt and
-// spliced into a copy-on-write draft of the previous index. If nothing
+// recorded in a copy-on-write draft of the previous index. If nothing
 // content-changing happened, no draft is created and the previously
 // published index (and version) is returned unchanged. Caller holds
 // regenMu.
@@ -244,7 +245,7 @@ func (s *Service) regenerateLocked() *SnapshotIndex {
 
 	// Rebuild every changed group up front, in parallel: group
 	// generation (decode, spec expansion, hashing) is pure per-job work,
-	// so it fans out across the pool while the order-sensitive splice
+	// so it fans out across the pool while the order-sensitive inclusion
 	// pass below stays sequential — and finds a warm cache.
 	s.rebuildNames = s.rebuildNames[:0]
 	s.rebuildRevs = s.rebuildRevs[:0]
@@ -495,6 +496,13 @@ func (s *Service) resyncLocked() *SnapshotIndex {
 // into specs, hash each spec once, and precompute each task's identity,
 // shard, and per-shard sub-buckets. Jobs whose running config is
 // undecodable or administratively stopped produce an empty group.
+//
+// A task's identity and shard depend only on the job's name and the task
+// index, so a rebuild that keeps the task count (a package release, a
+// resource change) takes both from the cached group it replaces rather
+// than formatting and MD5-ing them again. Pool workers call buildGroup
+// concurrently; they only read s.groups, which rebuildGroups writes after
+// the pool has drained.
 func (s *Service) buildGroup(job string, rev int64) *jobGroup {
 	g := &jobGroup{job: job, rev: rev}
 	// Shared read: JobConfigFromDoc only decodes, so the running doc
@@ -509,15 +517,20 @@ func (s *Service) buildGroup(job string, rev int64) *jobGroup {
 	}
 	g.specs = SpecsForJob(cfg)
 	g.indexed = make([]IndexedSpec, len(g.specs))
+	var prev []IndexedSpec
+	if old := s.groups[job]; old != nil && len(old.indexed) == len(g.specs) {
+		prev = old.indexed
+	}
 	for i := range g.specs {
 		spec := &g.specs[i]
-		id := spec.ID()
-		g.indexed[i] = IndexedSpec{
-			ID:    id,
-			Hash:  spec.Hash(), // memoizes on the stored spec
-			Shard: shardmanager.ShardOf(id, s.numShards),
-			Spec:  spec,
+		is := IndexedSpec{Hash: spec.Hash(), Spec: spec} // memoizes on the stored spec
+		if prev != nil {
+			is.ID, is.Shard = prev[i].ID, prev[i].Shard
+		} else {
+			is.ID = spec.ID()
+			is.Shard = shardmanager.ShardOf(is.ID, s.numShards)
 		}
+		g.indexed[i] = is
 	}
 	g.shards = buildGroupShards(g.indexed)
 	g.sig = buildSig(g.specs)
@@ -567,6 +580,7 @@ func SpecsForJob(cfg *config.JobConfig) []engine.TaskSpec {
 			arena[p] = p
 		}
 	}
+	dir := parseTemplate(cfg.CheckpointDir, cfg.Name)
 	for i := 0; i < cfg.TaskCount; i++ {
 		specs = append(specs, engine.TaskSpec{
 			Job:            cfg.Name,
@@ -581,7 +595,7 @@ func SpecsForJob(cfg *config.JobConfig) []engine.TaskSpec {
 			OutputCategory: cfg.Output.Category,
 			Resources:      cfg.TaskResources,
 			Enforcement:    cfg.Enforcement,
-			CheckpointDir:  substitute(cfg.CheckpointDir, cfg.Name, i),
+			CheckpointDir:  dir.expand(i),
 			Priority:       cfg.Priority,
 		})
 	}
@@ -608,13 +622,31 @@ func partitionWindow(arena []int, total, taskCount, index int) []int {
 	return arena[start : start+size : start+size]
 }
 
-// substitute applies the task-spec template substitutions: $JOB expands to
-// the job name and $TASK to the task index.
-func substitute(template, job string, index int) string {
+// specTemplate is a task-spec template parsed once per job: the text
+// between its $TASK references, with $JOB already expanded to the job
+// name. Substitution is one pass over the template — a job name that
+// itself contains "$TASK" is text, not a reference.
+type specTemplate []string
+
+func parseTemplate(template, job string) specTemplate {
 	if template == "" {
-		return ""
+		return nil
 	}
-	out := strings.ReplaceAll(template, "$JOB", job)
-	out = strings.ReplaceAll(out, "$TASK", strconv.Itoa(index))
-	return out
+	parts := strings.Split(template, "$TASK")
+	for i, p := range parts {
+		parts[i] = strings.ReplaceAll(p, "$JOB", job)
+	}
+	return parts
+}
+
+// expand applies the template to one task: $TASK becomes the task index.
+// A template without $TASK expands to one string all tasks share.
+func (t specTemplate) expand(index int) string {
+	switch len(t) {
+	case 0:
+		return ""
+	case 1:
+		return t[0]
+	}
+	return strings.Join(t, strconv.Itoa(index))
 }

@@ -1,6 +1,7 @@
 package taskservice
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -67,6 +68,25 @@ func TestTemplateSubstitution(t *testing.T) {
 		want := "/ckpt/j1/" + map[int]string{0: "0", 1: "1"}[s.Index]
 		if s.CheckpointDir != want {
 			t.Fatalf("CheckpointDir = %q, want %q", s.CheckpointDir, want)
+		}
+	}
+
+	// Substitution is one pass over the template: what $JOB expands to is
+	// text. A job named "a$TASK" checkpoints under its own name — not under
+	// "a0", "a1", which are other jobs' directories.
+	for i, s := range SpecsForJob(jobCfg("a$TASK", 2)) {
+		if want := "/ckpt/a$TASK/" + strconv.Itoa(i); s.CheckpointDir != want {
+			t.Fatalf("CheckpointDir = %q, want %q", s.CheckpointDir, want)
+		}
+	}
+	for _, tc := range []struct{ template, want string }{
+		{"", ""},
+		{"/fixed", "/fixed"},
+		{"$TASK$JOB$TASK", "7j7"},
+		{"$JO$TASKB/$$JOB", "$JO7B/$j"},
+	} {
+		if got := parseTemplate(tc.template, "j").expand(7); got != tc.want {
+			t.Fatalf("template %q expands to %q, want %q", tc.template, got, tc.want)
 		}
 	}
 }

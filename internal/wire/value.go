@@ -7,10 +7,12 @@
 //
 // Numbers keep their JSON semantics, not their Go type: int and int64
 // both travel as vInt and decode as int64, float64 travels as vFloat.
-// That matches config.JobConfigFromDoc, which round-trips documents
-// through encoding/json and therefore cannot distinguish integer widths;
-// config.Equal (canonical-JSON comparison) holds across a wire round
-// trip.
+// That matches config.JobConfigFromDoc, which is defined as the
+// encoding/json round trip of the document and so decodes a number by
+// its value, whatever Go type carries it — a mirror that holds int64
+// where the primary holds int or an integral float64 decodes the same
+// JobConfig; config.Equal (canonical-JSON comparison) holds across a
+// wire round trip.
 
 package wire
 

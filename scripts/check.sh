@@ -2,7 +2,8 @@
 # Tier-1 verification: vet, build, race-enabled tests, a one-shot
 # benchmark smoke pass (compiles and exercises every benchmark body once;
 # perf numbers come from `go test -bench . -benchtime 2s`, see
-# EXPERIMENTS.md), and the end-to-end harness's own vet + tests.
+# EXPERIMENTS.md), the end-to-end harness's own vet + tests, and a fuzz
+# smoke pass.
 set -eux
 cd "$(dirname "$0")/.."
 
@@ -18,10 +19,14 @@ go test -short ./... -run 'XXXNONE' -bench . -benchtime 1x
 # breaks the harness fails here, not in the benchmark run after merge.
 go -C bench vet .
 go -C bench test .
-# Wire-codec fuzz smoke: a few seconds per target over the committed
-# corpus plus fresh mutations. Long fuzzing sessions grow the corpus
-# offline; this catches frame-decoder and round-trip regressions fast.
+# Fuzz smoke: a few seconds per target over the committed corpus plus
+# fresh mutations. Long fuzzing sessions grow the corpus offline; this
+# catches frame-decoder and round-trip regressions fast — and any drift
+# of the two hand-written encoding/json equivalents from the real thing:
+# the typed config decoder and the task-spec hash pre-image.
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzFrameDecode' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzDocRoundTrip' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzSpecRoundTrip' -fuzztime 5s
 go test ./internal/wire/stream -run 'XXXNONE' -fuzz 'FuzzStreamDecode' -fuzztime 5s
+go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzJobConfigFromDoc' -fuzztime 5s
+go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzSpecHashPreimage' -fuzztime 5s
