@@ -13,7 +13,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -203,11 +205,12 @@ type Cluster struct {
 	mu          sync.Mutex
 	profiles    map[string]*engine.Profile
 	generators  map[string]*workload.Generator // by job name
-	signals     map[string]autoscaler.Signals
-	lastWritten map[string]int64 // input category -> bytes at last monitor
-	lastOOMs    map[string]int   // job -> cumulative OOMs at last monitor
+	signals     map[string]*autoscaler.Signals // replaced whole every monitor tick; entries never written
+	lastWritten map[string]int64               // input category -> bytes at last monitor
+	lastOOMs    map[string]int                 // job -> cumulative OOMs at last monitor
 	decoded     map[string]decodedCfg
 	jobSeries   map[string]jobSeries // cached metric-store handles per job
+	allocated   allocatedMemo
 	started     bool
 	alerts      []string
 
@@ -241,41 +244,59 @@ type jobSeries struct {
 }
 
 // decodedCfg caches the typed decode of a running configuration, keyed by
-// the version it was decoded from; the monitor reads every job every
-// minute and configs change rarely.
+// the store-wide commit revision it was decoded from; the monitor reads
+// every job every minute and configs change rarely. The revision, unlike
+// the per-job version, never repeats: a job deleted and re-created under
+// the same name starts again at version 1 but commits at a new revision.
 type decodedCfg struct {
-	version   int64
+	revision  int64
 	cfg       *config.JobConfig
-	changedAt time.Time // when this running version was first observed
+	changedAt time.Time // when this running commit was first observed
+}
+
+// allocatedMemo caches Allocated's sum, keyed by the journal head it was
+// computed at.
+type allocatedMemo struct {
+	valid bool
+	head  uint64
+	sum   config.Resources
 }
 
 // runningConfig returns the decoded running configuration of a job,
-// served from cache while the running version is unchanged. The returned
-// value is shared: callers must not mutate it.
+// served from cache while the running entry has not been re-committed.
+// The returned value is shared: callers must not mutate it.
 func (c *Cluster) runningConfig(job string) (*config.JobConfig, bool) {
-	version, ok := c.Store.RunningVersion(job)
+	// Shared read: on a miss the doc goes straight into the read-only
+	// decoder.
+	doc, _, revision, ok := c.Store.RunningEntry(job)
 	if !ok {
 		return nil, false
 	}
 	c.mu.Lock()
-	if d, hit := c.decoded[job]; hit && d.version == version {
+	if d, hit := c.decoded[job]; hit && d.revision == revision {
 		c.mu.Unlock()
 		return d.cfg, true
 	}
 	c.mu.Unlock()
-	// Shared read: the doc goes straight into the read-only decoder.
-	r, ok := c.Store.GetRunningShared(job)
-	if !ok {
-		return nil, false
-	}
-	cfg, err := config.JobConfigFromDoc(r.Config)
+	cfg, err := config.JobConfigFromDoc(doc)
 	if err != nil {
 		return nil, false
 	}
 	c.mu.Lock()
-	c.decoded[job] = decodedCfg{version: version, cfg: cfg, changedAt: c.Clk.Now()}
+	c.decoded[job] = decodedCfg{revision: revision, cfg: cfg, changedAt: c.Clk.Now()}
 	c.mu.Unlock()
 	return cfg, true
+}
+
+// forgetJobLocked drops what the monitor remembers about a job between
+// ticks: its decoded configuration, its OOM baseline and its input
+// category's byte baseline.
+func (c *Cluster) forgetJobLocked(job string) {
+	if d, ok := c.decoded[job]; ok {
+		delete(c.lastWritten, d.cfg.Input.Category)
+		delete(c.decoded, job)
+	}
+	delete(c.lastOOMs, job)
 }
 
 // SecondsSinceConfigChange reports how long ago the job's running
@@ -307,7 +328,7 @@ func New(cfg Config) (*Cluster, error) {
 		TW:          tupperware.NewCluster(),
 		profiles:    make(map[string]*engine.Profile),
 		generators:  make(map[string]*workload.Generator),
-		signals:     make(map[string]autoscaler.Signals),
+		signals:     make(map[string]*autoscaler.Signals),
 		lastWritten: make(map[string]int64),
 		lastOOMs:    make(map[string]int),
 		decoded:     make(map[string]decodedCfg),
@@ -435,14 +456,16 @@ func (c *Cluster) Start() {
 		c.CapMgr.Start()
 	}
 	c.Health.Start()
-	// Task processing tick.
-	c.Clk.TickEvery(c.Cfg.TickInterval, func() {
-		for _, e := range c.tms {
-			e.tm.Advance(c.Cfg.TickInterval)
-		}
-	})
-	// Job monitor tick.
-	c.Clk.TickEvery(c.Cfg.MonitorInterval, func() { c.monitorTick() })
+	c.Clk.TickEvery(c.Cfg.TickInterval, c.advanceTick)
+	c.Clk.TickEvery(c.Cfg.MonitorInterval, c.monitorTick)
+}
+
+// advanceTick is the task processing tick: every Task Manager drives its
+// tasks through one TickInterval of simulated work.
+func (c *Cluster) advanceTick() {
+	for _, e := range c.tms {
+		e.tm.Advance(c.Cfg.TickInterval)
+	}
 }
 
 // Run advances the simulation by d.
@@ -501,6 +524,7 @@ func (c *Cluster) RemoveJob(name string) error {
 	}
 	delete(c.profiles, name)
 	delete(c.jobSeries, name)
+	c.forgetJobLocked(name)
 	c.mu.Unlock()
 	return c.Jobs.Delete(name)
 }
@@ -638,36 +662,44 @@ func (a *actuator) RedistributeCheckpoints(job string, partitions, oldCount, new
 	return nil
 }
 
-// monitorTick assembles per-job signals from task-level stats, records
-// per-minute metrics, and refreshes the scaler's view.
+// taskObs is one running task as the monitor saw it: which task of its
+// job, and how fast it processed.
+type taskObs struct {
+	index int
+	rate  float64
+}
+
+// jobObs gathers a job's running tasks for one monitor tick. Jobs of a few
+// tasks — the long tail — fit the inline array.
+type jobObs struct {
+	few      [4]taskObs
+	tasks    []taskObs
+	memPeak  int64
+	diskPeak int64
+}
+
+// monitorTick is the job monitor tick: it assembles per-job signals from
+// task-level stats, records per-minute metrics, and refreshes the scaler's
+// view.
 func (c *Cluster) monitorTick() {
-	type agg struct {
-		processing float64
-		taskRates  []float64
-		memPeak    int64
-		diskPeak   int64
-		running    int
+	names := c.Store.RunningNames()
+	observed := make(map[string]*jobObs, len(names))
+	running := 0
+	observe := func(spec *engine.TaskSpec, st engine.Stats) {
+		running++
+		o := observed[spec.Job]
+		if o == nil {
+			o = &jobObs{}
+			o.tasks = o.few[:0]
+			observed[spec.Job] = o
+		}
+		o.tasks = append(o.tasks, taskObs{index: spec.Index, rate: st.Rate})
+		o.memPeak = max(o.memPeak, st.MemoryBytes)
+		o.diskPeak = max(o.diskPeak, st.DiskBytes)
 	}
-	aggs := make(map[string]*agg)
 	oomTotals := make(map[string]int)
 	for _, e := range c.tms {
-		for id, st := range e.tm.TaskStats() {
-			job := engine.JobOfTaskID(id)
-			a := aggs[job]
-			if a == nil {
-				a = &agg{}
-				aggs[job] = a
-			}
-			a.processing += st.Rate
-			a.taskRates = append(a.taskRates, st.Rate)
-			if st.MemoryBytes > a.memPeak {
-				a.memPeak = st.MemoryBytes
-			}
-			if st.DiskBytes > a.diskPeak {
-				a.diskPeak = st.DiskBytes
-			}
-			a.running++
-		}
+		e.tm.EachTaskStats(observe)
 		for job, n := range e.tm.OOMsByJob() {
 			oomTotals[job] += n
 		}
@@ -677,8 +709,13 @@ func (c *Cluster) monitorTick() {
 	totalTasks := 0
 	var totalInput float64
 
-	newSignals := make(map[string]autoscaler.Signals)
-	for _, job := range c.Store.RunningNames() {
+	// The tick's signals and task rates are each cut from one allocation;
+	// neither is appended to beyond the capacity reserved here.
+	sigs := make([]autoscaler.Signals, 0, len(names))
+	rates := make([]float64, 0, running)
+	newSignals := make(map[string]*autoscaler.Signals, len(names))
+	var idle jobObs
+	for _, job := range names {
 		cfg, ok := c.runningConfig(job)
 		if !ok {
 			continue
@@ -701,27 +738,36 @@ func (c *Cluster) monitorTick() {
 			}
 		}
 
-		var consumed int64
-		for p := 0; p < cfg.Input.Partitions; p++ {
-			consumed += c.Ckpt.Offset(job, p)
-		}
-		backlog := written - consumed
-		if backlog < 0 {
-			backlog = 0
-		}
+		backlog := max(written-c.Ckpt.Consumed(job, cfg.Input.Partitions), 0)
 
-		a := aggs[job]
-		if a == nil {
-			a = &agg{}
+		// Managers hand their tasks over in map order, and float addition
+		// does not commute to the last bit: fold in task-index order, so a
+		// seed replays to identical signals. The sort is stable and the
+		// managers are visited in a fixed order, so even two instances of
+		// one index (a lease violation in progress) fold the same way.
+		o := observed[job]
+		if o == nil {
+			o = &idle
 		}
-		sig := autoscaler.Signals{
+		slices.SortStableFunc(o.tasks, func(a, b taskObs) int { return cmp.Compare(a.index, b.index) })
+		var processing float64
+		from := len(rates)
+		for _, t := range o.tasks {
+			processing += t.rate
+			rates = append(rates, t.rate)
+		}
+		var taskRates []float64
+		if len(rates) > from {
+			taskRates = rates[from:len(rates):len(rates)] // capped: an append by a reader copies
+		}
+		sigs = append(sigs, autoscaler.Signals{
 			InputRate:      inputRate,
-			ProcessingRate: a.processing,
+			ProcessingRate: processing,
 			BacklogBytes:   backlog,
-			TaskRates:      a.taskRates,
+			TaskRates:      taskRates,
 			OOMs:           oomTotals[job] - lastOOM,
-			MemPeakBytes:   a.memPeak,
-			DiskPeakBytes:  a.diskPeak,
+			MemPeakBytes:   o.memPeak,
+			DiskPeakBytes:  o.diskPeak,
 			TaskCount:      cfg.TaskCount,
 			Threads:        cfg.ThreadsPerTask,
 			TaskResources:  cfg.TaskResources,
@@ -731,20 +777,30 @@ func (c *Cluster) monitorTick() {
 			MaxTaskCount:   cfg.MaxTaskCount,
 			Partitions:     cfg.Input.Partitions,
 			SLOSeconds:     cfg.SLOSeconds,
-		}
-		newSignals[job] = sig
-		totalTasks += a.running
+		})
+		newSignals[job] = &sigs[len(sigs)-1]
+		totalTasks += len(o.tasks)
 		totalInput += inputRate
 
 		js := c.seriesFor(job)
 		js.input.Record(inputRate)
 		js.backlog.Record(float64(backlog))
-		js.taskCount.Record(float64(a.running))
+		js.taskCount.Record(float64(len(o.tasks)))
 		js.configuredTasks.Record(float64(cfg.TaskCount))
 	}
 
 	c.mu.Lock()
 	c.signals = newSignals
+	if len(c.decoded) > len(newSignals) {
+		// A job left the running table since it was last read (RemoveJob
+		// forgets it at once, but any read before the syncer's teardown
+		// remembers it again): forget it for good.
+		for job := range c.decoded {
+			if _, running := newSignals[job]; !running {
+				c.forgetJobLocked(job)
+			}
+		}
+	}
 	c.mu.Unlock()
 
 	c.seriesTaskCount.Record(float64(totalTasks))
@@ -850,8 +906,10 @@ func (c *Cluster) JobNames() []string {
 func (c *Cluster) JobSignals(job string) (autoscaler.Signals, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.signals[job]
-	return s, ok
+	if s, ok := c.signals[job]; ok {
+		return *s, true
+	}
+	return autoscaler.Signals{}, false
 }
 
 // RebalanceInput implements autoscaler.InputRebalancer: even out the
@@ -882,14 +940,29 @@ func (c *Cluster) TotalCapacity() config.Resources {
 }
 
 // Allocated implements capacity.UsageSource: the sum of running jobs'
-// reservations.
+// reservations. The Capacity Manager asks on every scale-up it
+// authorises, and the sum is a function of the running table alone, so it
+// is memoised on the Job Store's journal head, which every commit, drop
+// and Restore moves. The head is read before the table: a write landing
+// in between is summed under the old head, and its journal entry then
+// moves the head and retires the memo.
 func (c *Cluster) Allocated() config.Resources {
+	head := c.Store.JournalHead()
+	c.mu.Lock()
+	if m := c.allocated; m.valid && m.head == head {
+		c.mu.Unlock()
+		return m.sum
+	}
+	c.mu.Unlock()
 	var total config.Resources
 	for _, info := range c.ListJobs() {
 		if !info.Stopped {
 			total = total.Add(info.Footprint)
 		}
 	}
+	c.mu.Lock()
+	c.allocated = allocatedMemo{valid: true, head: head, sum: total}
+	c.mu.Unlock()
 	return total
 }
 
@@ -979,14 +1052,7 @@ func (c *Cluster) JobBacklog(job string) int64 {
 		return 0
 	}
 	written := c.Bus.TotalWritten(cfg.Input.Category)
-	var consumed int64
-	for p := 0; p < cfg.Input.Partitions; p++ {
-		consumed += c.Ckpt.Offset(job, p)
-	}
-	if lag := written - consumed; lag > 0 {
-		return lag
-	}
-	return 0
+	return max(written-c.Ckpt.Consumed(job, cfg.Input.Partitions), 0)
 }
 
 // TaskFootprints returns the last-observed stats of every running task,
@@ -994,9 +1060,7 @@ func (c *Cluster) JobBacklog(job string) int64 {
 func (c *Cluster) TaskFootprints() []engine.Stats {
 	var out []engine.Stats
 	for _, e := range c.tms {
-		for _, st := range e.tm.TaskStats() {
-			out = append(out, st)
-		}
+		e.tm.EachTaskStats(func(_ *engine.TaskSpec, st engine.Stats) { out = append(out, st) })
 	}
 	return out
 }

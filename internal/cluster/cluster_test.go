@@ -99,9 +99,11 @@ func TestPackagePushPropagatesClusterWide(t *testing.T) {
 	c.Run(5 * time.Minute)
 	// All running tasks must now carry v2 specs.
 	for _, tm := range c.TaskManagers() {
-		for id, _ := range tm.TaskStats() {
-			_ = id
-		}
+		tm.EachTaskStats(func(spec *engine.TaskSpec, _ engine.Stats) {
+			if spec.PackageVersion != "v2" {
+				t.Errorf("%s still runs package %s", spec.ID(), spec.PackageVersion)
+			}
+		})
 	}
 	restarts := 0
 	for _, tm := range c.TaskManagers() {
@@ -363,8 +365,8 @@ func TestRebalanceInputEvensWeights(t *testing.T) {
 		InputWeights: []float64{10, 1, 1, 1, 1, 1, 1, 1},
 	})
 	c.Run(5 * time.Minute)
-	b0 := c.Bus.End("skewed_in", 0)
-	b1 := c.Bus.End("skewed_in", 1)
+	b0, _, _ := c.Bus.Written("skewed_in", 0)
+	b1, _, _ := c.Bus.Written("skewed_in", 1)
 	if b0 < 5*b1 {
 		t.Fatalf("setup: weights not applied (%d vs %d)", b0, b1)
 	}
@@ -372,9 +374,9 @@ func TestRebalanceInputEvensWeights(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(5 * time.Minute)
-	d0 := c.Bus.End("skewed_in", 0) - b0
-	d1 := c.Bus.End("skewed_in", 1) - b1
-	if d0 != d1 {
+	e0, _, _ := c.Bus.Written("skewed_in", 0)
+	e1, _, _ := c.Bus.Written("skewed_in", 1)
+	if d0, d1 := e0-b0, e1-b1; d0 != d1 {
 		t.Fatalf("post-rebalance deltas uneven: %d vs %d", d0, d1)
 	}
 	if err := c.RebalanceInput("no-such-job"); err == nil {

@@ -103,7 +103,7 @@ func TestQuarantinedJobLeftAlone(t *testing.T) {
 	// Sabotage: plant a foreign lease under the job so StopJobTasks keeps
 	// finding a live owner and the plan keeps failing (modelling a wedged
 	// external process holding the checkpoint directory).
-	if _, err := c.Ckpt.Start("j1", []int{99}, "saboteur@1"); err != nil {
+	if err := c.Ckpt.Start("j1", []int{99}, "saboteur@1", make([]int64, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Jobs.SetTaskCount("j1", config.LayerOncall, 4); err != nil {

@@ -1,0 +1,210 @@
+package cluster
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"testing"
+	"time"
+
+	"repro/internal/autoscaler"
+	"repro/internal/config"
+	"repro/internal/workload"
+)
+
+// TestRecreatedJobServesFreshConfig: a job deleted and re-created under
+// the same name starts again at running version 1, so a decode cached by
+// version would serve the previous incarnation's configuration to the
+// monitor, the scaler, the Capacity Manager and the health reporter. The
+// cache is keyed on the store-wide commit revision, which never repeats.
+func TestRecreatedJobServesFreshConfig(t *testing.T) {
+	c := newCluster(t, Config{Hosts: 2})
+	if err := c.AddJob(JobSpec{Config: tailerJob("j", 2, 8), Pattern: workload.Constant(mb)}); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(5 * time.Minute)
+	if sig, ok := c.JobSignals("j"); !ok || sig.TaskCount != 2 {
+		t.Fatalf("first incarnation: signals %+v (%v), want TaskCount 2", sig, ok)
+	}
+	if err := c.RemoveJob("j"); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(5 * time.Minute)
+	if got := c.TotalRunningTasks(); got != 0 {
+		t.Fatalf("%d tasks still run after the removal", got)
+	}
+	// Nothing of the removed job is left behind between monitor ticks.
+	c.mu.Lock()
+	left := fmt.Sprint(len(c.decoded), len(c.lastOOMs), len(c.lastWritten), len(c.signals))
+	c.mu.Unlock()
+	if left != "0 0 0 0" {
+		t.Fatalf("monitor state after the removal (decoded, lastOOMs, lastWritten, signals) = %s, want all empty", left)
+	}
+
+	if err := c.AddJob(JobSpec{Config: tailerJob("j", 4, 8), Pattern: workload.Constant(mb)}); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(5 * time.Minute)
+	if got := c.JobRunningTasks("j"); got != 4 {
+		t.Fatalf("second incarnation runs %d tasks, want 4", got)
+	}
+	if v, _ := c.Store.RunningVersion("j"); v != 1 {
+		t.Fatalf("running version of the re-created job = %d; the scenario needs the version to repeat", v)
+	}
+	sig, ok := c.JobSignals("j")
+	if !ok || sig.TaskCount != 4 {
+		t.Fatalf("second incarnation: signals report TaskCount %d (%v), want 4", sig.TaskCount, ok)
+	}
+	want := config.Resources{CPUCores: 8, MemoryBytes: 8 << 30}
+	jobs := c.ListJobs()
+	if len(jobs) != 1 || jobs[0].Footprint != want {
+		t.Fatalf("ListJobs = %+v, want one job with footprint %+v", jobs, want)
+	}
+	if got := c.Allocated(); got != want {
+		t.Fatalf("Allocated = %+v, want %+v", got, want)
+	}
+	if h := c.JobHealth(); len(h) != 1 || h[0].DesiredTasks != 4 {
+		t.Fatalf("JobHealth = %+v, want DesiredTasks 4", h)
+	}
+}
+
+// TestAllocatedFollowsTheRunningTable: Allocated is memoised on the
+// journal head, so it must move with every kind of running-table change —
+// commit, re-commit at a new size, park, drop and a Restore — and agree
+// with the fold over ListJobs it replaces after each.
+func TestAllocatedFollowsTheRunningTable(t *testing.T) {
+	c := newCluster(t, Config{Hosts: 2})
+	check := func(when string) config.Resources {
+		t.Helper()
+		var want config.Resources
+		for _, info := range c.ListJobs() {
+			if !info.Stopped {
+				want = want.Add(info.Footprint)
+			}
+		}
+		for i := 0; i < 2; i++ { // the second read is served from the memo
+			if got := c.Allocated(); got != want {
+				t.Fatalf("%s: Allocated (read %d) = %+v, ListJobs adds up to %+v", when, i, got, want)
+			}
+		}
+		return want
+	}
+	if got := check("empty cluster"); !got.IsZero() {
+		t.Fatalf("empty cluster allocates %+v", got)
+	}
+	for _, name := range []string{"a", "b"} {
+		if err := c.AddJob(JobSpec{Config: tailerJob(name, 2, 8), Pattern: workload.Constant(mb)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Run(2 * time.Minute)
+	if got := check("two jobs"); got.CPUCores != 8 {
+		t.Fatalf("two 2-task jobs allocate %+v, want 8 cores", got)
+	}
+	if err := c.Jobs.SetTaskCount("a", config.LayerOncall, 4); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(2 * time.Minute)
+	if got := check("after scaling a"); got.CPUCores != 12 {
+		t.Fatalf("after scaling a to 4 tasks: %+v, want 12 cores", got)
+	}
+	if err := c.Jobs.SetStopped("b", true); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(2 * time.Minute)
+	if got := check("after parking b"); got.CPUCores != 8 {
+		t.Fatalf("after parking b: %+v, want 8 cores", got)
+	}
+	data, err := c.Store.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RemoveJob("a"); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(2 * time.Minute)
+	if got := check("after removing a"); !got.IsZero() {
+		t.Fatalf("after removing a (b parked): %+v, want nothing", got)
+	}
+	if err := c.Store.Restore(data); err != nil {
+		t.Fatal(err)
+	}
+	if got := check("after Restore"); got.CPUCores != 8 {
+		t.Fatalf("after restoring the snapshot that still has a: %+v, want 8 cores", got)
+	}
+}
+
+// signalHistory runs a small seeded cluster — jobs whose tasks share
+// containers and, thanks to skewed input, process at different rates — and
+// returns every job's signals at every monitor tick.
+func signalHistory(t *testing.T) []map[string]autoscaler.Signals {
+	t.Helper()
+	c := newCluster(t, Config{Hosts: 2, EnableScaler: true})
+	rates := workload.LongTailRates(3, 6*mb, 7)
+	for i, rate := range rates {
+		weights := make([]float64, 16)
+		for p := range weights {
+			weights[p] = 1 + float64((p*7+i)%5)
+		}
+		err := c.AddJob(JobSpec{
+			Config:       tailerJob(fmt.Sprintf("j%d", i), 8, 16),
+			Pattern:      workload.Diurnal(rate, rate*0.3, 14, 0.01),
+			InputWeights: weights,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var history []map[string]autoscaler.Signals
+	for tick := 0; tick < 30; tick++ {
+		c.Run(time.Minute)
+		now := make(map[string]autoscaler.Signals)
+		for _, job := range c.JobNames() {
+			if sig, ok := c.JobSignals(job); ok {
+				now[job] = sig
+			}
+		}
+		history = append(history, now)
+	}
+	if c.TotalRunningTasks() == 0 || c.Violations() != 0 {
+		t.Fatalf("%d tasks running, %d violations", c.TotalRunningTasks(), c.Violations())
+	}
+	return history
+}
+
+// TestSignalsReplayBitIdentical: the monitor receives task stats in Go map
+// order, and a float sum's last bit depends on the order of its terms. Two
+// runs of the same cluster must still produce bit-identical signals, or a
+// seed does not replay: ProcessingRate and TaskRates are folded in task
+// order, whatever order the tasks arrive in.
+func TestSignalsReplayBitIdentical(t *testing.T) {
+	first, second := signalHistory(t), signalHistory(t)
+	multi := false
+	for tick := range first {
+		if len(first[tick]) != len(second[tick]) {
+			t.Fatalf("tick %d: %d jobs with signals, then %d", tick, len(first[tick]), len(second[tick]))
+		}
+		for job, a := range first[tick] {
+			b := second[tick][job]
+			if math.Float64bits(a.ProcessingRate) != math.Float64bits(b.ProcessingRate) {
+				t.Fatalf("tick %d, %s: ProcessingRate %x vs %x", tick, job, math.Float64bits(a.ProcessingRate), math.Float64bits(b.ProcessingRate))
+			}
+			if len(a.TaskRates) != len(b.TaskRates) {
+				t.Fatalf("tick %d, %s: %d task rates vs %d", tick, job, len(a.TaskRates), len(b.TaskRates))
+			}
+			for i := range a.TaskRates {
+				if math.Float64bits(a.TaskRates[i]) != math.Float64bits(b.TaskRates[i]) {
+					t.Fatalf("tick %d, %s: TaskRates %v vs %v", tick, job, a.TaskRates, b.TaskRates)
+				}
+			}
+			a.TaskRates, b.TaskRates = nil, nil
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("tick %d, %s: signals\n %+v\n %+v", tick, job, a, b)
+			}
+			multi = multi || len(first[tick][job].TaskRates) > 2
+		}
+	}
+	if !multi {
+		t.Fatal("no job ever ran more than two tasks: the fold order was never exercised")
+	}
+}

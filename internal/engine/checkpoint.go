@@ -16,50 +16,124 @@ import (
 // with disjoint partition ownership that reduces to "no partition has two
 // live owners". Start enforces it and records violations, so tests and
 // experiments can assert the invariant end to end.
+//
+// Layout: one record per job, holding dense slices indexed by partition
+// number — offset, state size, lease owner — and the count of live
+// leases. Partitions are small consecutive integers (AssignPartitions
+// deals out 0..n-1), so a record is a few cache lines and every call is
+// one lock and one map lookup however many partitions it names: a task
+// pays one call to start, one per interval to persist its progress
+// (Checkpoint) and one to stop; the job monitor pays one per job
+// (Consumed). A record grows to the largest partition number it has been
+// asked to hold and reads beyond it see the zero value, so a partition
+// nobody wrote is indistinguishable from one that was never mentioned.
+// Partition numbers are non-negative and instance names non-empty: Start
+// refuses anything else, so nothing a started task later passes can be.
 type CheckpointStore struct {
 	mu         sync.Mutex
-	offsets    map[string]map[int]int64  // job -> partition -> offset
-	stateBytes map[string]map[int]int64  // job -> partition -> state size (stateful ops)
-	owners     map[string]map[int]string // job -> partition -> live owner task ID
+	jobs       map[string]*jobCheckpoint
 	violations int
+}
+
+// jobCheckpoint is one job's record. The three slices always have the same
+// length; owners[p] == "" means partition p has no live lease, and live
+// counts the entries that do.
+type jobCheckpoint struct {
+	offsets []int64
+	state   []int64 // state size, stateful operators only
+	owners  []string
+	live    int
 }
 
 // NewCheckpointStore returns an empty store.
 func NewCheckpointStore() *CheckpointStore {
-	return &CheckpointStore{
-		offsets:    make(map[string]map[int]int64),
-		stateBytes: make(map[string]map[int]int64),
-		owners:     make(map[string]map[int]string),
+	return &CheckpointStore{jobs: make(map[string]*jobCheckpoint)}
+}
+
+// release drops partition p's lease if instance holds it.
+func (r *jobCheckpoint) release(p int, instance string) {
+	if instance != "" && r.owners[p] == instance {
+		r.owners[p] = ""
+		r.live--
 	}
+}
+
+// recordLocked returns job's record, created and grown as needed to hold
+// every listed partition.
+func (s *CheckpointStore) recordLocked(job string, partitions []int) *jobCheckpoint {
+	need := 0
+	for _, p := range partitions {
+		need = max(need, p+1)
+	}
+	r := s.jobs[job]
+	if r == nil {
+		r = &jobCheckpoint{}
+		s.jobs[job] = r
+	}
+	if n := len(r.offsets); need > n {
+		r.offsets = append(r.offsets, make([]int64, need-n)...)
+		r.state = append(r.state, make([]int64, need-n)...)
+		r.owners = append(r.owners, make([]string, need-n)...)
+	}
+	return r
 }
 
 // Start begins one task instance under a single lock: it takes the
 // ownership lease of every listed partition of job for instance and
-// returns the partitions' checkpointed offsets, in the order given. It is
-// all or nothing — if any partition is leased to a different instance,
-// Start takes none, records one duplication violation and fails. Leases
-// instance already holds are kept.
-func (s *CheckpointStore) Start(job string, partitions []int, instance string) ([]int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	owners := s.owners[job]
+// writes the partitions' checkpointed offsets into into, in the order
+// given (into must be at least as long as partitions). It is all or
+// nothing — if any partition is leased to a different instance, Start
+// takes none, leaves into alone, records one duplication violation and
+// fails. Leases instance already holds are kept.
+func (s *CheckpointStore) Start(job string, partitions []int, instance string, into []int64) error {
+	into = into[:len(partitions)]
+	if instance == "" {
+		return fmt.Errorf("engine: job %s: a lease needs an instance name", job)
+	}
 	for _, p := range partitions {
-		if cur, ok := owners[p]; ok && cur != instance {
-			s.violations++
-			return nil, fmt.Errorf("engine: partition %d of job %s already owned by %s (requested by %s)", p, job, cur, instance)
+		if p < 0 {
+			return fmt.Errorf("engine: job %s has no partition %d (requested by %s)", job, p, instance)
 		}
 	}
-	if owners == nil {
-		owners = make(map[int]string, len(partitions))
-		s.owners[job] = owners
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.recordLocked(job, partitions)
+	for _, p := range partitions {
+		if cur := r.owners[p]; cur != "" && cur != instance {
+			s.violations++
+			return fmt.Errorf("engine: partition %d of job %s already owned by %s (requested by %s)", p, job, cur, instance)
+		}
 	}
-	checkpointed := s.offsets[job]
-	offsets := make([]int64, len(partitions))
 	for i, p := range partitions {
-		owners[p] = instance
-		offsets[i] = checkpointed[p]
+		if r.owners[p] == "" {
+			r.live++
+		}
+		r.owners[p] = instance
+		into[i] = r.offsets[p]
 	}
-	return offsets, nil
+	return nil
+}
+
+// Checkpoint persists one task's progress under a single lock — its one
+// write per processing interval. offsets, parallel to partitions, become
+// the partitions' checkpointed offsets unless nil (an interval that
+// consumed nothing has nothing new to persist). stateBytes, unless
+// negative, is recorded as the state size of every listed partition:
+// stateful operators write it alongside offsets, and parallelism changes
+// move this state between tasks, which is why they are "complex"
+// synchronizations. Leases are neither required nor changed.
+func (s *CheckpointStore) Checkpoint(job string, partitions []int, offsets []int64, stateBytes int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.recordLocked(job, partitions)
+	for i, p := range partitions {
+		if offsets != nil {
+			r.offsets[p] = offsets[i]
+		}
+		if stateBytes >= 0 {
+			r.state[p] = stateBytes
+		}
+	}
 }
 
 // Stop ends one task instance under a single lock: it persists offsets
@@ -70,17 +144,10 @@ func (s *CheckpointStore) Start(job string, partitions []int, instance string) (
 func (s *CheckpointStore) Stop(job string, partitions []int, instance string, offsets []int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	checkpointed := s.offsets[job]
-	if checkpointed == nil {
-		checkpointed = make(map[int]int64, len(partitions))
-		s.offsets[job] = checkpointed
-	}
-	owners := s.owners[job]
+	r := s.recordLocked(job, partitions)
 	for i, p := range partitions {
-		checkpointed[p] = offsets[i]
-		if owners[p] == instance {
-			delete(owners, p)
-		}
+		r.offsets[p] = offsets[i]
+		r.release(p, instance)
 	}
 }
 
@@ -91,11 +158,9 @@ func (s *CheckpointStore) Stop(job string, partitions []int, instance string, of
 func (s *CheckpointStore) ForceReleaseTask(job, taskID string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if owners := s.owners[job]; owners != nil {
-		for p, owner := range owners {
-			if owner == taskID {
-				delete(owners, p)
-			}
+	if r := s.jobs[job]; r != nil {
+		for p := range r.owners {
+			r.release(p, taskID)
 		}
 	}
 }
@@ -104,12 +169,12 @@ func (s *CheckpointStore) ForceReleaseTask(job, taskID string) {
 func (s *CheckpointStore) Owner(job string, partition int) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	owners := s.owners[job]
-	if owners == nil {
+	r := s.jobs[job]
+	if r == nil || partition < 0 || partition >= len(r.owners) {
 		return "", false
 	}
-	id, ok := owners[partition]
-	return id, ok
+	id := r.owners[partition]
+	return id, id != ""
 }
 
 // Violations returns how many duplicate-ownership attempts were recorded.
@@ -124,40 +189,41 @@ func (s *CheckpointStore) Violations() int {
 func (s *CheckpointStore) Offset(job string, partition int) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.offsets[job][partition]
+	r := s.jobs[job]
+	if r == nil || partition < 0 || partition >= len(r.offsets) {
+		return 0
+	}
+	return r.offsets[partition]
 }
 
-// SetOffset persists the offset for (job, partition).
-func (s *CheckpointStore) SetOffset(job string, partition int, offset int64) {
+// Consumed returns the sum of the checkpointed offsets of partitions
+// 0..partitions-1 of job: the bytes the job has read from an input
+// category of that many partitions. Written minus Consumed is the
+// total_bytes_lagged of the lag equation (1); the job monitor reads it
+// once per job per interval.
+func (s *CheckpointStore) Consumed(job string, partitions int) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.offsets[job]
-	if m == nil {
-		m = make(map[int]int64)
-		s.offsets[job] = m
+	r := s.jobs[job]
+	if r == nil {
+		return 0
 	}
-	m[partition] = offset
+	var total int64
+	for _, off := range r.offsets[:max(0, min(partitions, len(r.offsets)))] {
+		total += off
+	}
+	return total
 }
 
 // StateSize returns the persisted state size for (job, partition).
 func (s *CheckpointStore) StateSize(job string, partition int) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stateBytes[job][partition]
-}
-
-// SetStateSize persists the state size for (job, partition). Stateful
-// operators write it alongside offsets; parallelism changes move this
-// state between tasks, which is why they are "complex" synchronizations.
-func (s *CheckpointStore) SetStateSize(job string, partition int, bytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.stateBytes[job]
-	if m == nil {
-		m = make(map[int]int64)
-		s.stateBytes[job] = m
+	r := s.jobs[job]
+	if r == nil || partition < 0 || partition >= len(r.state) {
+		return 0
 	}
-	m[partition] = bytes
+	return r.state[partition]
 }
 
 // JobState returns the total persisted state size across a job's
@@ -165,8 +231,12 @@ func (s *CheckpointStore) SetStateSize(job string, partition int, bytes int64) {
 func (s *CheckpointStore) JobState(job string) int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	r := s.jobs[job]
+	if r == nil {
+		return 0
+	}
 	var total int64
-	for _, b := range s.stateBytes[job] {
+	for _, b := range r.state {
 		total += b
 	}
 	return total
@@ -176,14 +246,15 @@ func (s *CheckpointStore) JobState(job string) int64 {
 func (s *CheckpointStore) LiveOwners(job string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.owners[job])
+	if r := s.jobs[job]; r != nil {
+		return r.live
+	}
+	return 0
 }
 
 // DeleteJob removes all checkpoints, state, and leases for job.
 func (s *CheckpointStore) DeleteJob(job string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.offsets, job)
-	delete(s.stateBytes, job)
-	delete(s.owners, job)
+	delete(s.jobs, job)
 }

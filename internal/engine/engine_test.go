@@ -16,8 +16,8 @@ import (
 	"repro/internal/scribe"
 )
 
-func testSpec(job string, index, of, partitions int) TaskSpec {
-	return TaskSpec{
+func testSpec(job string, index, of, partitions int) *TaskSpec {
+	return &TaskSpec{
 		Job:            job,
 		Index:          index,
 		TaskCount:      of,
@@ -127,7 +127,7 @@ func TestHashMemoized(t *testing.T) {
 		t.Fatalf("hash computed %d times for two calls, want 1", got)
 	}
 	// Copies carry the memo: hashing a copy computes nothing.
-	cp := s
+	cp := *s
 	if cp.Hash() != h1 {
 		t.Fatal("copy hash differs")
 	}
@@ -214,17 +214,18 @@ func TestValidatePartitionAssignmentErrors(t *testing.T) {
 
 func TestCheckpointLeasePreventsDuplicates(t *testing.T) {
 	ckpt := NewCheckpointStore()
-	if _, err := ckpt.Start("j", []int{0, 1}, "j#0"); err != nil {
+	offsets := make([]int64, 3)
+	if err := ckpt.Start("j", []int{0, 1}, "j#0", offsets); err != nil {
 		t.Fatal(err)
 	}
 	// Same owner re-acquires fine.
-	if _, err := ckpt.Start("j", []int{0, 1}, "j#0"); err != nil {
+	if err := ckpt.Start("j", []int{0, 1}, "j#0", offsets); err != nil {
 		t.Fatal(err)
 	}
 	// Different owner fails and is recorded — once, however many of its
 	// partitions conflict — and takes nothing, not even the free partition
 	// listed ahead of the conflict.
-	if _, err := ckpt.Start("j", []int{2, 0, 1}, "j#0-dup"); err == nil {
+	if err := ckpt.Start("j", []int{2, 0, 1}, "j#0-dup", offsets); err == nil {
 		t.Fatal("duplicate acquisition allowed")
 	}
 	if ckpt.Violations() != 1 {
@@ -246,9 +247,20 @@ func TestCheckpointLeasePreventsDuplicates(t *testing.T) {
 		t.Fatalf("LiveOwners = %d after stop", ckpt.LiveOwners("j"))
 	}
 	// The next start resumes from what Stop persisted, in the order asked.
-	offsets, err := ckpt.Start("j", []int{1, 0, 5}, "j#0@2")
+	err := ckpt.Start("j", []int{1, 0, 5}, "j#0@2", offsets)
 	if err != nil || !reflect.DeepEqual(offsets, []int64{300, 500, 0}) {
 		t.Fatalf("restored offsets = %v, %v; want [300 500 0]", offsets, err)
+	}
+	// Names the dense record cannot hold are refused before anything is
+	// taken, and are no duplication.
+	if err := ckpt.Start("j", []int{3, -1}, "j#1", offsets); err == nil {
+		t.Fatal("negative partition accepted")
+	}
+	if err := ckpt.Start("j", []int{3}, "", offsets); err == nil {
+		t.Fatal("empty instance name accepted")
+	}
+	if _, ok := ckpt.Owner("j", 3); ok || ckpt.LiveOwners("j") != 3 || ckpt.Violations() != 1 {
+		t.Fatalf("refused starts left a trace: %d live, %d violations", ckpt.LiveOwners("j"), ckpt.Violations())
 	}
 }
 
@@ -257,31 +269,50 @@ func TestCheckpointOffsetsAndState(t *testing.T) {
 	if ckpt.Offset("j", 0) != 0 {
 		t.Fatal("fresh offset not zero")
 	}
-	ckpt.SetOffset("j", 0, 500)
-	ckpt.SetOffset("j", 1, 300)
-	if ckpt.Offset("j", 0) != 500 {
+	// Offsets only: state sizes stay as they were.
+	ckpt.Checkpoint("j", []int{0, 1}, []int64{500, 300}, -1)
+	if ckpt.Offset("j", 0) != 500 || ckpt.Offset("j", 1) != 300 {
 		t.Fatal("offset not persisted")
 	}
-	ckpt.SetStateSize("j", 0, 1000)
-	ckpt.SetStateSize("j", 1, 2000)
-	if ckpt.JobState("j") != 3000 {
+	if got := ckpt.Consumed("j", 2); got != 800 {
+		t.Fatalf("Consumed = %d, want 800", got)
+	}
+	if got := ckpt.Consumed("j", 1); got != 500 {
+		t.Fatalf("Consumed over the first partition = %d, want 500", got)
+	}
+	if got := ckpt.Consumed("j", 64); got != 800 {
+		t.Fatalf("Consumed beyond the record = %d, want 800", got)
+	}
+	if ckpt.JobState("j") != 0 {
+		t.Fatalf("an offsets-only checkpoint wrote state: %d", ckpt.JobState("j"))
+	}
+	// State only: one size for every listed partition, offsets untouched.
+	ckpt.Checkpoint("j", []int{0}, nil, 1000)
+	ckpt.Checkpoint("j", []int{1, 2}, nil, 2000)
+	if ckpt.JobState("j") != 5000 {
 		t.Fatalf("JobState = %d", ckpt.JobState("j"))
 	}
 	if ckpt.StateSize("j", 1) != 2000 {
 		t.Fatal("StateSize wrong")
 	}
+	// Both at once, and a state size of zero is a size.
+	ckpt.Checkpoint("j", []int{1}, []int64{350}, 0)
+	if ckpt.Offset("j", 0) != 500 || ckpt.Offset("j", 1) != 350 || ckpt.StateSize("j", 1) != 0 {
+		t.Fatal("combined checkpoint wrong")
+	}
 	ckpt.DeleteJob("j")
-	if ckpt.Offset("j", 0) != 0 || ckpt.JobState("j") != 0 {
+	if ckpt.Offset("j", 0) != 0 || ckpt.JobState("j") != 0 || ckpt.Consumed("j", 2) != 0 {
 		t.Fatal("DeleteJob incomplete")
 	}
 }
 
 func TestForceReleaseTask(t *testing.T) {
 	ckpt := NewCheckpointStore()
-	if _, err := ckpt.Start("j", []int{0, 1}, "j#0"); err != nil {
+	offsets := make([]int64, 2)
+	if err := ckpt.Start("j", []int{0, 1}, "j#0", offsets); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ckpt.Start("j", []int{2}, "j#1"); err != nil {
+	if err := ckpt.Start("j", []int{2}, "j#1", offsets); err != nil {
 		t.Fatal(err)
 	}
 	ckpt.ForceReleaseTask("j", "j#0")
@@ -335,7 +366,7 @@ func TestSecondInstanceCannotStart(t *testing.T) {
 	// A second instance whose partitions overlap t1's (e.g., after a
 	// botched shard move) must not start — and must take nothing: not the
 	// free partitions 0 and 1 it lists ahead of the conflict either.
-	t2dup := NewTask(TaskSpec{
+	t2dup := NewTask(&TaskSpec{
 		Job: "j", Index: 99, TaskCount: 1, Threads: 1,
 		Operator: config.OpTailer, InputCategory: "j_in",
 		Partitions: []int{0, 1, 2, 3},
@@ -570,7 +601,7 @@ func TestDrainConservationProperty(t *testing.T) {
 		prof := DefaultProfile(config.OpTailer)
 		var consumed int64
 		for i := 0; i < tasks; i++ {
-			spec := TaskSpec{
+			spec := &TaskSpec{
 				Job: "j", Index: i, TaskCount: tasks, Threads: 8,
 				Operator: config.OpTailer, InputCategory: "c",
 				Partitions: AssignPartitions(parts, tasks, i),

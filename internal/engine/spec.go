@@ -10,11 +10,14 @@
 //     generates these from job configurations, §IV);
 //   - Task: a simulated task runtime driven by Advance(dt), with a
 //     calibrated processing-rate and memory model, OOM behaviour, and
-//     checkpoint persistence;
+//     checkpoint persistence — per interval one snapshot of its
+//     partitions' end offsets from the bus and one write to the
+//     checkpoint store, whatever the partition count;
 //   - CheckpointStore: durable per-(job,partition) offsets plus ownership
-//     leases, which make the paper's "no two active instances of the same
-//     task" invariant (§IV) directly testable — a second acquisition of a
-//     live lease is a recorded violation.
+//     leases, one dense record per job, which make the paper's "no two
+//     active instances of the same task" invariant (§IV) directly
+//     testable — a second acquisition of a live lease is a recorded
+//     violation.
 //
 // The rate model is intentionally simple and matches the paper's estimator
 // assumptions (§V-B): a task with k threads and a per-thread maximum

@@ -42,27 +42,36 @@ var instanceSeq atomic.Uint64
 // Task is one simulated stream processing task: the unit Turbine
 // schedules, moves, restarts, and scales. Drive it with Advance.
 type Task struct {
-	spec     TaskSpec
-	instance string // unique per Task object: "<job>#<index>@<seq>"
+	spec     *TaskSpec // shared with whoever published it; never written
+	instance string    // unique per Task object: "<job>#<index>@<seq>"
 	profile  *Profile
 	bus      *scribe.Bus
 	ckpt     *CheckpointStore
 
-	mu       sync.Mutex
-	running  bool
-	offsets  []int64 // parallel to spec.Partitions; nil before the first Start
-	last     Stats
-	oomCount int
-	restarts int
+	mu      sync.Mutex
+	running bool
 	// oomBackoff skips processing for one interval after an OOM kill,
 	// modelling the restart cost.
 	oomBackoff bool
+	// offsets and ends run parallel to spec.Partitions and share one
+	// allocation, made by the first Start (both nil before it). offsets
+	// is the task's read position; ends is Advance's scratch for the
+	// bus snapshot, kept here so a steady-state Advance allocates
+	// nothing at any partition count.
+	offsets  []int64
+	ends     []int64
+	last     Stats
+	oomCount int
+	restarts int
 }
 
-// NewTask builds a task from its spec. The profile is the true behaviour
-// of the binary (shared by all tasks of a job); bus and ckpt are the
-// Scribe bus and checkpoint store it reads, writes, and recovers through.
-func NewTask(spec TaskSpec, profile *Profile, bus *scribe.Bus, ckpt *CheckpointStore) *Task {
+// NewTask builds a task from its spec, which it keeps by reference: the
+// spec must not change afterwards (the Task Service's index publishes
+// immutable specs, and a fleet of tasks holding copies was the largest
+// per-task heap term). The profile is the true behaviour of the binary
+// (shared by all tasks of a job); bus and ckpt are the Scribe bus and
+// checkpoint store it reads, writes, and recovers through.
+func NewTask(spec *TaskSpec, profile *Profile, bus *scribe.Bus, ckpt *CheckpointStore) *Task {
 	var name [64]byte // most instance names fit and cost the one string
 	b := append(name[:0], spec.Job...)
 	b = strconv.AppendInt(append(b, '#'), int64(spec.Index), 10)
@@ -80,7 +89,7 @@ func NewTask(spec TaskSpec, profile *Profile, bus *scribe.Bus, ckpt *CheckpointS
 func (t *Task) Instance() string { return t.instance }
 
 // Spec returns the spec the task was started from.
-func (t *Task) Spec() TaskSpec { return t.spec }
+func (t *Task) Spec() TaskSpec { return *t.spec }
 
 // Start acquires the ownership lease for every owned partition, restores
 // checkpointed offsets, and begins processing. If any lease is held by
@@ -92,13 +101,24 @@ func (t *Task) Start() error {
 	if t.running {
 		return nil
 	}
-	offsets, err := t.ckpt.Start(t.spec.Job, t.spec.Partitions, t.instance)
-	if err != nil {
+	offsets, ends := t.offsets, t.ends
+	if offsets == nil {
+		offsets, ends = newOffsetsAndEnds(len(t.spec.Partitions))
+	}
+	if err := t.ckpt.Start(t.spec.Job, t.spec.Partitions, t.instance, offsets); err != nil {
 		return fmt.Errorf("start %s: %w", t.spec.ID(), err)
 	}
-	t.offsets = offsets
+	// Kept only now: until a Start succeeds, Backlog reads the checkpoint.
+	t.offsets, t.ends = offsets, ends
 	t.running = true
 	return nil
+}
+
+// newOffsetsAndEnds cuts a task's two per-partition arrays out of one
+// allocation.
+func newOffsetsAndEnds(n int) (offsets, ends []int64) {
+	buf := make([]int64, 2*n)
+	return buf[:n:n], buf[n:]
 }
 
 // Stop checkpoints final offsets, releases all leases, and halts
@@ -163,16 +183,29 @@ func (t *Task) Backlog() int64 {
 	return t.backlogLocked()
 }
 
+// backlogLocked takes a fresh bus snapshot and sums the lag behind it.
 func (t *Task) backlogLocked() int64 {
-	var total int64
-	for i, p := range t.spec.Partitions {
-		var off int64
-		if t.offsets != nil {
-			off = t.offsets[i]
-		} else {
-			off = t.ckpt.Offset(t.spec.Job, p)
+	offsets, ends := t.offsets, t.ends
+	if offsets == nil {
+		// Never started: what a first Start would resume from.
+		offsets, ends = newOffsetsAndEnds(len(t.spec.Partitions))
+		for i, p := range t.spec.Partitions {
+			offsets[i] = t.ckpt.Offset(t.spec.Job, p)
 		}
-		total += t.bus.Backlog(t.spec.InputCategory, p, off)
+	}
+	t.bus.Ends(t.spec.InputCategory, t.spec.Partitions, ends)
+	return lag(ends, offsets)
+}
+
+// lag sums the unread bytes of readers at offsets behind the end offsets
+// ends: end − offset per partition, floored at zero (a reader ahead of
+// the log has no backlog).
+func lag(ends, offsets []int64) int64 {
+	var total int64
+	for i, end := range ends {
+		if b := end - offsets[i]; b > 0 {
+			total += b
+		}
 	}
 	return total
 }
@@ -208,36 +241,32 @@ func (t *Task) Advance(dt time.Duration) Stats {
 		return t.last
 	}
 
+	// One bus read for the whole interval: everything below — backlogs,
+	// quotas, new offsets, the backlog left over — is arithmetic on this
+	// snapshot of the partitions' end offsets.
+	parts, offsets, ends := t.spec.Partitions, t.offsets, t.ends
+	t.bus.Ends(t.spec.InputCategory, parts, ends)
 	capacity := int64(t.MaxRate() * secs)
-	// Proportional drain: budget each partition by its share of backlog so
-	// a hot partition doesn't starve the others.
-	var few [8]int64 // a task rarely owns more partitions; then no allocation
-	backlogs := few[:0]
-	var totalBacklog int64
-	for i, p := range t.spec.Partitions {
-		b := t.bus.Backlog(t.spec.InputCategory, p, t.offsets[i])
-		backlogs = append(backlogs, b)
-		totalBacklog += b
-	}
+	totalBacklog := lag(ends, offsets)
 	var consumed int64
-	if totalBacklog > 0 && capacity > 0 {
+	drained := totalBacklog > 0 && capacity > 0
+	if drained {
+		// Proportional drain: budget each partition by its share of backlog
+		// so a hot partition doesn't starve the others.
 		toConsume := min(capacity, totalBacklog)
 		remaining := toConsume
-		for i, p := range t.spec.Partitions {
+		for i := range parts {
+			backlog := max(ends[i]-offsets[i], 0)
 			var quota int64
-			if i == len(t.spec.Partitions)-1 {
+			if i == len(parts)-1 {
 				quota = remaining // last partition absorbs rounding
 			} else {
-				quota = int64(float64(toConsume) * float64(backlogs[i]) / float64(totalBacklog))
+				quota = int64(float64(toConsume) * float64(backlog) / float64(totalBacklog))
 			}
-			if quota > remaining {
-				quota = remaining
-			}
-			newOff, n := t.bus.Read(t.spec.InputCategory, p, t.offsets[i], quota)
-			t.offsets[i] = newOff
+			n := min(quota, remaining, backlog)
+			offsets[i] += n
 			consumed += n
 			remaining -= n
-			t.ckpt.SetOffset(t.spec.Job, p, newOff)
 		}
 	}
 
@@ -257,17 +286,22 @@ func (t *Task) Advance(dt time.Duration) Stats {
 		}
 	}
 
-	if t.spec.Operator.Stateful() && len(t.spec.Partitions) > 0 {
-		// Stateful tasks persist their working set (key tables, join
-		// windows) alongside checkpoints, split across owned partitions;
-		// the State Syncer costs redistribution from these sizes.
-		working := mem - t.profile.BaseMemoryBytes
-		if working > 0 {
-			perPart := working / int64(len(t.spec.Partitions))
-			for _, p := range t.spec.Partitions {
-				t.ckpt.SetStateSize(t.spec.Job, p, perPart)
-			}
+	// One checkpoint write for the whole interval: the offsets if anything
+	// was drained and, for stateful tasks, their working set (key tables,
+	// join windows) split across owned partitions — the State Syncer costs
+	// redistribution from these sizes.
+	statePerPart := int64(-1)
+	if t.spec.Operator.Stateful() && len(parts) > 0 {
+		if working := mem - t.profile.BaseMemoryBytes; working > 0 {
+			statePerPart = working / int64(len(parts))
 		}
+	}
+	var persist []int64 // nil: nothing drained, the checkpointed offsets stand
+	if drained {
+		persist = offsets
+	}
+	if drained || statePerPart >= 0 {
+		t.ckpt.Checkpoint(t.spec.Job, parts, persist, statePerPart)
 	}
 
 	st := Stats{
@@ -277,7 +311,7 @@ func (t *Task) Advance(dt time.Duration) Stats {
 		MemoryBytes:    mem,
 		DiskBytes:      disk,
 		NetworkBps:     network,
-		BacklogBytes:   t.backlogLocked(),
+		BacklogBytes:   lag(ends, offsets),
 	}
 
 	limit := t.spec.Resources.MemoryBytes

@@ -16,6 +16,14 @@
 // partition tracks cumulative appended bytes and message counts, and
 // readers hold byte offsets. That is exactly the information Turbine's
 // control plane observes — it never looks at message contents.
+//
+// The bus therefore has no per-partition read call. A consumer takes one
+// snapshot of its partitions' end offsets per interval (Ends: one lock,
+// one category lookup, however many partitions) and does the rest —
+// backlog, how much to drain, its new offsets — with arithmetic on its
+// own offsets; a job-level observer reads TotalWritten. The simulated
+// minute costs the bus one read per task and one per job, not a lock
+// round trip per partition.
 package scribe
 
 import (
@@ -196,52 +204,32 @@ func (b *Bus) TotalWritten(name string) int64 {
 	return total
 }
 
-// Backlog returns the unread bytes in a partition for a reader at offset:
-// written - offset, floored at zero (a reader ahead of the log — e.g. after
-// a checkpoint from a deleted-and-recreated category — has no backlog).
-func (b *Bus) Backlog(name string, part int, offset int64) int64 {
+// Ends snapshots the end offsets (cumulative bytes appended) of the listed
+// partitions of one category under a single lock: into[i] receives the end
+// of parts[i], so into must be at least as long as parts. An unknown
+// category or an out-of-range partition reads as end 0 — nothing was ever
+// written there, so a reader has no backlog and nothing to consume.
+//
+// This is a consumer's one bus read per interval: from the snapshot and
+// its own offsets it derives backlog (end − offset, floored at zero: a
+// reader ahead of the log, e.g. after a checkpoint from a deleted-and-
+// recreated category, has none) and how far it may advance (never past
+// the end), with every partition seen at the same instant.
+func (b *Bus) Ends(name string, parts []int, into []int64) {
+	into = into[:len(parts)]
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	c := b.categories[name]
-	if c == nil || part < 0 || part >= len(c.partitions) {
-		return 0
+	var partitions []partition // none, if there is no such category
+	if c := b.categories[name]; c != nil {
+		partitions = c.partitions
 	}
-	lag := c.partitions[part].bytes - offset
-	if lag < 0 {
-		return 0
+	for i, p := range parts {
+		var end int64
+		if p >= 0 && p < len(partitions) {
+			end = partitions[p].bytes
+		}
+		into[i] = end
 	}
-	return lag
-}
-
-// Read consumes up to maxBytes from a partition starting at offset and
-// returns the new offset and the bytes actually consumed (bounded by what
-// has been written).
-func (b *Bus) Read(name string, part int, offset, maxBytes int64) (newOffset, consumed int64) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	c := b.categories[name]
-	if c == nil || part < 0 || part >= len(c.partitions) || maxBytes <= 0 {
-		return offset, 0
-	}
-	avail := c.partitions[part].bytes - offset
-	if avail <= 0 {
-		return offset, 0
-	}
-	if avail > maxBytes {
-		avail = maxBytes
-	}
-	return offset + avail, avail
-}
-
-// End returns the current end offset (cumulative bytes) of a partition.
-func (b *Bus) End(name string, part int) int64 {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	c := b.categories[name]
-	if c == nil || part < 0 || part >= len(c.partitions) {
-		return 0
-	}
-	return c.partitions[part].bytes
 }
 
 // AvgMessageSize returns the average message size in one partition, or 0 if

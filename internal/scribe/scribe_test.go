@@ -1,6 +1,7 @@
 package scribe
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -113,62 +114,83 @@ func TestAppendWeightedErrors(t *testing.T) {
 	}
 }
 
+// ends reads the listed partitions' end offsets through the batched call.
+func ends(b *Bus, name string, parts ...int) []int64 {
+	out := make([]int64, len(parts))
+	b.Ends(name, parts, out)
+	return out
+}
+
 func TestBacklogAndRead(t *testing.T) {
 	b := NewBus()
-	b.CreateCategory("cat", 1)
+	b.CreateCategory("cat", 3)
 	b.Append("cat", 0, 1000, 0)
+	b.Append("cat", 2, 70, 0)
 
-	if lag := b.Backlog("cat", 0, 0); lag != 1000 {
-		t.Fatalf("Backlog = %d, want 1000", lag)
+	// One snapshot, in the order asked, of exactly the partitions asked.
+	if got := ends(b, "cat", 2, 0); got[0] != 70 || got[1] != 1000 {
+		t.Fatalf("Ends(2, 0) = %v, want [70 1000]", got)
 	}
-	off, consumed := b.Read("cat", 0, 0, 400)
-	if off != 400 || consumed != 400 {
-		t.Fatalf("Read = %d,%d want 400,400", off, consumed)
+	// A reader's backlog is end minus its own offset: at 400 of partition 0
+	// it has 600 left, and reading "more than available" stops at the end.
+	offset := int64(400)
+	end := ends(b, "cat", 0)[0]
+	if lag := end - offset; lag != 600 {
+		t.Fatalf("backlog after reading 400 = %d, want 600", lag)
 	}
-	if lag := b.Backlog("cat", 0, off); lag != 600 {
-		t.Fatalf("Backlog after read = %d, want 600", lag)
+	offset = min(offset+10000, end)
+	if offset != 1000 {
+		t.Fatalf("offset after draining = %d, want 1000", offset)
 	}
-	// Reading more than available consumes only what's there.
-	off, consumed = b.Read("cat", 0, off, 10000)
-	if off != 1000 || consumed != 600 {
-		t.Fatalf("Read = %d,%d want 1000,600", off, consumed)
+	// The snapshot is a copy: later appends move the bus, not the slice.
+	snap := ends(b, "cat", 0, 1, 2)
+	b.Append("cat", 1, 5, 0)
+	if snap[1] != 0 {
+		t.Fatalf("snapshot moved with a later append: %v", snap)
 	}
-	// At the end: nothing to read.
-	off, consumed = b.Read("cat", 0, off, 100)
-	if off != 1000 || consumed != 0 {
-		t.Fatalf("Read at end = %d,%d want 1000,0", off, consumed)
+	if got := ends(b, "cat", 0, 1, 2); got[0] != 1000 || got[1] != 5 || got[2] != 70 {
+		t.Fatalf("Ends after append = %v, want [1000 5 70]", got)
 	}
 }
 
 func TestBacklogFloorsAtZero(t *testing.T) {
+	// A reader ahead of the log (a checkpoint from a deleted-and-recreated
+	// category) is handed the true end, below its offset: the floor at zero
+	// is the reader's, and it can only apply it if the end is not clamped
+	// to anything on its behalf.
 	b := NewBus()
 	b.CreateCategory("cat", 1)
 	b.Append("cat", 0, 10, 0)
-	if lag := b.Backlog("cat", 0, 50); lag != 0 {
-		t.Fatalf("Backlog with ahead offset = %d, want 0", lag)
+	if end := ends(b, "cat", 0)[0]; end != 10 || max(end-50, 0) != 0 {
+		t.Fatalf("end = %d for a reader at 50, want 10 (backlog floors at 0)", end)
 	}
 }
 
 func TestBacklogUnknownCategoryIsZero(t *testing.T) {
 	b := NewBus()
-	if lag := b.Backlog("nope", 0, 0); lag != 0 {
-		t.Fatalf("Backlog = %d, want 0", lag)
+	into := []int64{7, 8, 9}
+	b.Ends("nope", []int{0, 1}, into)
+	if into[0] != 0 || into[1] != 0 {
+		t.Fatalf("Ends of an unknown category = %v, want zeros", into[:2])
+	}
+	if into[2] != 9 {
+		t.Fatalf("Ends wrote past the partitions asked: %v", into)
 	}
 }
 
 func TestReadInvalidArgs(t *testing.T) {
 	b := NewBus()
-	b.CreateCategory("cat", 1)
+	b.CreateCategory("cat", 2)
 	b.Append("cat", 0, 10, 0)
-	if off, n := b.Read("cat", 0, 0, 0); off != 0 || n != 0 {
-		t.Fatal("Read with maxBytes=0 consumed data")
+	b.Append("cat", 1, 20, 0)
+	// Out-of-range and negative partitions read as never written, without
+	// disturbing their neighbours.
+	into := []int64{-1, -1, -1, -1, -1}
+	b.Ends("cat", []int{9, 1, -3, 0}, into)
+	if want := []int64{0, 20, 0, 10, -1}; !slices.Equal(into, want) {
+		t.Fatalf("Ends = %v, want %v", into, want)
 	}
-	if off, n := b.Read("cat", 9, 0, 10); off != 0 || n != 0 {
-		t.Fatal("Read from bad partition consumed data")
-	}
-	if off, n := b.Read("nope", 0, 0, 10); off != 0 || n != 0 {
-		t.Fatal("Read from unknown category consumed data")
-	}
+	b.Ends("cat", nil, nil) // nothing asked, nothing written
 }
 
 func TestTotalWrittenAndEnd(t *testing.T) {
@@ -179,8 +201,8 @@ func TestTotalWrittenAndEnd(t *testing.T) {
 	if got := b.TotalWritten("cat"); got != 12 {
 		t.Fatalf("TotalWritten = %d, want 12", got)
 	}
-	if got := b.End("cat", 2); got != 7 {
-		t.Fatalf("End = %d, want 7", got)
+	if got := ends(b, "cat", 2)[0]; got != 7 {
+		t.Fatalf("end of partition 2 = %d, want 7", got)
 	}
 	if got := b.TotalWritten("nope"); got != 0 {
 		t.Fatalf("TotalWritten(unknown) = %d", got)
@@ -216,8 +238,9 @@ func TestCategoriesSortedAndDelete(t *testing.T) {
 	}
 }
 
-// Property: conservation — reading in arbitrary chunk sizes eventually
-// consumes exactly what was written, never more.
+// Property: conservation — a reader that advances in arbitrary chunk
+// sizes, never past the end a snapshot shows it, eventually consumes
+// exactly what was written, never more.
 func TestReadConservationProperty(t *testing.T) {
 	f := func(appends []uint16, chunks []uint16) bool {
 		b := NewBus()
@@ -228,21 +251,18 @@ func TestReadConservationProperty(t *testing.T) {
 			written += int64(a)
 		}
 		var offset, consumed int64
+		read := func(maxBytes int64) int64 {
+			n := min(max(ends(b, "c", 0)[0]-offset, 0), maxBytes)
+			offset += n
+			consumed += n
+			return n
+		}
 		for _, ch := range chunks {
-			var n int64
-			offset, n = b.Read("c", 0, offset, int64(ch)+1)
-			consumed += n
+			read(int64(ch) + 1)
 		}
-		// Drain the rest.
-		for {
-			var n int64
-			offset, n = b.Read("c", 0, offset, 1<<30)
-			consumed += n
-			if n == 0 {
-				break
-			}
+		for read(1<<30) > 0 { // drain the rest
 		}
-		return consumed == written && offset == written && b.Backlog("c", 0, offset) == 0
+		return consumed == written && offset == written && ends(b, "c", 0)[0] == offset
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -274,7 +294,7 @@ func TestConcurrentAppendRead(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				b.Append("c", g%4, 10, 1)
-				b.Backlog("c", g%4, 0)
+				ends(b, "c", g%4, (g+1)%4)
 				b.TotalWritten("c")
 			}
 		}()

@@ -521,7 +521,7 @@ func (h *churnHarness) run() []string {
 			// A foreign instance holds partition 0 of a job about to be
 			// created: task #0's Start must fail, on every Refresh of its
 			// manager, until the lease goes — and nothing else may try.
-			if _, err := w.ckpt.Start(conflictJob, []int{0}, "intruder"); err != nil {
+			if err := w.ckpt.Start(conflictJob, []int{0}, "intruder", make([]int64, 1)); err != nil {
 				t.Fatal(err)
 			}
 			h.blocked[engine.TaskID(conflictJob, 0)] = true

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/engine"
@@ -23,6 +24,19 @@ import (
 // by this same measure, which BENCHMARK.json saw as 10 MB of heap_mb on
 // the 80 K-task fleet.
 const managerBytesPerTaskCeiling = 32
+
+// taskStructCeiling bounds the engine.Task object itself — the other term
+// of the fleet's per-task heap. 192 B is an allocator size class, and what
+// the struct measures while it refers to the index's spec; holding its own
+// copy of the spec made it 400 B (a 416 B allocation), which BENCHMARK.json
+// saw as 18 MB of heap_mb on the 80 K-task fleet.
+const taskStructCeiling = 192
+
+func TestTaskStructSize(t *testing.T) {
+	if got := unsafe.Sizeof(engine.Task{}); got > taskStructCeiling {
+		t.Fatalf("engine.Task is %d B, ceiling %d: every running task of the fleet pays the difference", got, taskStructCeiling)
+	}
+}
 
 // TestManagerBytesPerTask starts the same 10 000 tasks twice — directly
 // through engine.NewTask into a plain slice, then through one Task Manager
@@ -78,8 +92,7 @@ func TestManagerBytesPerTask(t *testing.T) {
 	direct := make([]*engine.Task, 0, tasks)
 	for s := shardmanager.ShardID(0); s < numShards; s++ {
 		for _, is := range idx.ShardSpecs(s) {
-			spec := *is.Spec
-			task := engine.NewTask(spec, profile(spec), bus, directCkpt)
+			task := engine.NewTask(is.Spec, profile(*is.Spec), bus, directCkpt)
 			if err := task.Start(); err != nil {
 				t.Fatal(err)
 			}

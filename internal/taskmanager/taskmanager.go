@@ -518,8 +518,8 @@ func (m *Manager) startMissingLocked(sh *ownedShard) {
 		if t != nil {
 			continue
 		}
-		spec := *sh.bucket[i].Spec // copy out of the immutable index
-		task := engine.NewTask(spec, m.profile(spec), m.bus, m.ckpt)
+		spec := sh.bucket[i].Spec // the index's own immutable spec, shared
+		task := engine.NewTask(spec, m.profile(*spec), m.bus, m.ckpt)
 		if err := task.Start(); err != nil {
 			m.stats.StartErrors++
 			sh.pending = true
@@ -750,19 +750,21 @@ func (m *Manager) shardSeriesLocked(s shardmanager.ShardID) *shardLoadSeries {
 	return ls
 }
 
-// TaskStats returns the last-observed stats of every running task.
-func (m *Manager) TaskStats() map[string]engine.Stats {
+// EachTaskStats calls fn with the spec and last-observed stats of every
+// running task, straight off the per-shard table: nothing is allocated.
+// The order is unspecified (shards are visited in map order), so a fold
+// over it must not depend on it. fn runs under the manager's lock: it must
+// not call back into the manager, and spec is the index's immutable copy.
+func (m *Manager) EachTaskStats(fn func(spec *engine.TaskSpec, st engine.Stats)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]engine.Stats, m.running)
 	for _, sh := range m.shards {
 		for i, t := range sh.tasks {
 			if t != nil {
-				out[sh.bucket[i].ID] = t.LastStats()
+				fn(sh.bucket[i].Spec, t.LastStats())
 			}
 		}
 	}
-	return out
 }
 
 // RunningTaskIDs returns the IDs of tasks currently running, sorted.

@@ -219,9 +219,7 @@ func TestProcessingAndLoadReporting(t *testing.T) {
 	}
 	var processed int64
 	for _, tm := range w.tms {
-		for _, st := range tm.TaskStats() {
-			processed += st.ProcessedBytes
-		}
+		tm.EachTaskStats(func(_ *engine.TaskSpec, st engine.Stats) { processed += st.ProcessedBytes })
 		if u := tm.Usage(); tm.TaskCount() > 0 && u.MemoryBytes == 0 {
 			t.Fatal("usage not tracked")
 		}
