@@ -220,6 +220,18 @@ func (s *Scaler) PEstimate(job string) (float64, bool) {
 	return st.p, true
 }
 
+// Forget drops everything learned about a job — its rate estimate, its
+// symptom, action and pending-downscale memory, and the Pattern Analyzer's
+// cached history aggregates. The owner of the job table calls it once a
+// job is gone, so a job later created under the same name starts from
+// DefaultP like any new job.
+func (s *Scaler) Forget(job string) {
+	s.mu.Lock()
+	delete(s.state, job)
+	s.mu.Unlock()
+	s.pattern.Forget(job)
+}
+
 // Scan runs one decision pass over every job and returns the actions
 // taken. This is Algorithm 2 extended with the proactive estimators and
 // the preactive pattern analyzer.

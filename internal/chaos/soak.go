@@ -564,8 +564,8 @@ func runSchedule(c *cluster.Cluster, inj *faultinject.Injector, opts Options, re
 	// Remote-vs-local index identity across the spec-feed seam: after the
 	// fault-free tail the remote subscriber — dropped polls, clamped
 	// batches, forced resyncs and all — drains its feed and must serve a
-	// task-spec index byte-identical (per-spec content hashes) to the
-	// in-process Task Service's.
+	// task-spec index identical, spec for spec and field for field
+	// (IndexEqual), to the in-process Task Service's.
 	if remote != nil {
 		if staleErr != nil {
 			return staleErr

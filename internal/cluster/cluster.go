@@ -70,9 +70,6 @@ type Config struct {
 	// is a size, not a mode: 0 and 1 both mean one Node whose slice is
 	// the whole fleet.
 	SyncerShards int
-	// SyncerLeaseTTL tunes the slice-lease TTL; zero defaults to 3× the
-	// round interval.
-	SyncerLeaseTTL time.Duration
 
 	Syncer   statesyncer.Options
 	Scaler   autoscaler.Options
@@ -243,6 +240,17 @@ type jobSeries struct {
 	configuredTasks *metrics.Series
 }
 
+// jobSeriesNames names a job's series in the store, in jobSeries field
+// order.
+func jobSeriesNames(job string) [4]string {
+	return [4]string{
+		autoscaler.InputRateSeries(job),
+		"job/" + job + "/backlog",
+		"job/" + job + "/taskCount",
+		"job/" + job + "/configuredTasks",
+	}
+}
+
 // decodedCfg caches the typed decode of a running configuration, keyed by
 // the store-wide commit revision it was decoded from; the monitor reads
 // every job every minute and configs change rarely. The revision, unlike
@@ -288,15 +296,24 @@ func (c *Cluster) runningConfig(job string) (*config.JobConfig, bool) {
 	return cfg, true
 }
 
-// forgetJobLocked drops what the monitor remembers about a job between
-// ticks: its decoded configuration, its OOM baseline and its input
-// category's byte baseline.
+// forgetJobLocked drops everything learned about a job while it ran, so
+// that a job later created under the same name starts as a new one: the
+// monitor's decoded configuration, OOM baseline and input-category byte
+// baseline, the job's metric series (handles and stored points) and the
+// Auto Scaler's per-job state.
 func (c *Cluster) forgetJobLocked(job string) {
 	if d, ok := c.decoded[job]; ok {
 		delete(c.lastWritten, d.cfg.Input.Category)
 		delete(c.decoded, job)
 	}
 	delete(c.lastOOMs, job)
+	delete(c.jobSeries, job)
+	for _, name := range jobSeriesNames(job) {
+		c.Metrics.Delete(name)
+	}
+	if c.Scaler != nil {
+		c.Scaler.Forget(job)
+	}
 }
 
 // SecondsSinceConfigChange reports how long ago the job's running
@@ -523,7 +540,6 @@ func (c *Cluster) RemoveJob(name string) error {
 		delete(c.generators, name)
 	}
 	delete(c.profiles, name)
-	delete(c.jobSeries, name)
 	c.forgetJobLocked(name)
 	c.mu.Unlock()
 	return c.Jobs.Delete(name)
@@ -565,7 +581,6 @@ func (c *Cluster) newSyncerNode(k int) *statesyncer.Node {
 		Shards:     c.Cfg.SyncerShards,
 		Index:      k,
 		ID:         fmt.Sprintf("%s-syncer-%d", c.Cfg.Name, k),
-		LeaseTTL:   c.Cfg.SyncerLeaseTTL,
 		Syncer:     c.Cfg.Syncer,
 		WrapDriver: c.Cfg.WrapShardDriver,
 	})
@@ -790,17 +805,23 @@ func (c *Cluster) monitorTick() {
 	}
 
 	c.mu.Lock()
-	c.signals = newSignals
+	// A job left the running table since the last tick, or since its
+	// config was last read. RemoveJob forgets it at once, but until the
+	// syncer's teardown every monitor tick, config read and scaler scan
+	// remembers it again: forget it for good.
+	for job := range c.signals {
+		if _, running := newSignals[job]; !running {
+			c.forgetJobLocked(job)
+		}
+	}
 	if len(c.decoded) > len(newSignals) {
-		// A job left the running table since it was last read (RemoveJob
-		// forgets it at once, but any read before the syncer's teardown
-		// remembers it again): forget it for good.
 		for job := range c.decoded {
 			if _, running := newSignals[job]; !running {
 				c.forgetJobLocked(job)
 			}
 		}
 	}
+	c.signals = newSignals
 	c.mu.Unlock()
 
 	c.seriesTaskCount.Record(float64(totalTasks))
@@ -820,11 +841,12 @@ func (c *Cluster) seriesFor(job string) jobSeries {
 	if ok {
 		return js
 	}
+	names := jobSeriesNames(job)
 	js = jobSeries{
-		input:           c.Metrics.Handle(autoscaler.InputRateSeries(job)),
-		backlog:         c.Metrics.Handle("job/" + job + "/backlog"),
-		taskCount:       c.Metrics.Handle("job/" + job + "/taskCount"),
-		configuredTasks: c.Metrics.Handle("job/" + job + "/configuredTasks"),
+		input:           c.Metrics.Handle(names[0]),
+		backlog:         c.Metrics.Handle(names[1]),
+		taskCount:       c.Metrics.Handle(names[2]),
+		configuredTasks: c.Metrics.Handle(names[3]),
 	}
 	c.mu.Lock()
 	c.jobSeries[job] = js

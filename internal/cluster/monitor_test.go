@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,5 +207,53 @@ func TestSignalsReplayBitIdentical(t *testing.T) {
 	}
 	if !multi {
 		t.Fatal("no job ever ran more than two tasks: the fold order was never exercised")
+	}
+}
+
+// TestRemovedJobIsForgotten: once a removed job has been torn down,
+// nothing learned about it is left — no scaler state, no metric series —
+// so a job created under its name later starts as any new job does, not
+// with its predecessor's rate estimate, symptom memory and input history.
+// RemoveJob alone cannot see to that: until the syncer's teardown every
+// monitor tick and scaler scan re-creates what it dropped.
+func TestRemovedJobIsForgotten(t *testing.T) {
+	c := newCluster(t, Config{Hosts: 2, EnableScaler: true})
+	add := func() {
+		t.Helper()
+		if err := c.AddJob(JobSpec{Config: tailerJob("j", 2, 8), Pattern: workload.Constant(mb)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	input := autoscaler.InputRateSeries("j")
+	add()
+	c.Run(30 * time.Minute)
+	if _, ok := c.Scaler.PEstimate("j"); !ok || c.Metrics.Len(input) < 25 {
+		t.Fatalf("first incarnation: scaler state %v, %d input points; the scenario needs both", ok, c.Metrics.Len(input))
+	}
+	if err := c.RemoveJob("j"); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(10 * time.Minute)
+	if p, ok := c.Scaler.PEstimate("j"); ok {
+		t.Fatalf("scaler still holds P = %v for the removed job", p)
+	}
+	if n := c.Metrics.Len(input); n != 0 {
+		t.Fatalf("%d input-rate points of the removed job still stored", n)
+	}
+	// Per-job series only: a shard rebalanced meanwhile adds load series
+	// of its own, which belong to no job.
+	for _, name := range c.Metrics.Names() {
+		if strings.HasPrefix(name, "job/") {
+			t.Fatalf("series %s outlives the removed job", name)
+		}
+	}
+
+	add()
+	c.Run(3 * time.Minute)
+	if c.JobRunningTasks("j") != 2 {
+		t.Fatalf("second incarnation runs %d tasks, want 2", c.JobRunningTasks("j"))
+	}
+	if n := c.Metrics.Len(input); n == 0 || n > 3 {
+		t.Fatalf("second incarnation has %d input-rate points after 3 minutes", n)
 	}
 }

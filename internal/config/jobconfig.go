@@ -171,6 +171,12 @@ func (c *JobConfig) Validate() error {
 	if c.TaskResources.AnyNegative() {
 		errs = append(errs, errors.New("task resources must be non-negative"))
 	}
+	// NaN and +Inf pass every ordered comparison above. Neither is a
+	// reservation anything can place, and a NaN is unequal to itself, so a
+	// spec carrying one would look changed at every snapshot refresh.
+	if cpu := c.TaskResources.CPUCores; math.IsNaN(cpu) || math.IsInf(cpu, 0) {
+		errs = append(errs, fmt.Errorf("task cpuCores must be finite, got %v", cpu))
+	}
 	return errors.Join(errs...)
 }
 

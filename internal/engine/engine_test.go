@@ -2,15 +2,15 @@ package engine
 
 import (
 	"bytes"
-	"crypto/md5"
-	"encoding/hex"
 	"encoding/json"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/config"
 	"repro/internal/scribe"
@@ -41,7 +41,7 @@ func newWorld(t *testing.T, category string, parts int) (*scribe.Bus, *Checkpoin
 	return bus, NewCheckpointStore()
 }
 
-func TestTaskIDAndHash(t *testing.T) {
+func TestTaskID(t *testing.T) {
 	s := testSpec("j1", 0, 2, 8)
 	if s.ID() != "j1#0" {
 		t.Fatalf("ID = %q", s.ID())
@@ -49,91 +49,171 @@ func TestTaskIDAndHash(t *testing.T) {
 	if TaskID("j1", 3) != "j1#3" {
 		t.Fatal("TaskID format changed")
 	}
-	h1 := s.Hash()
-	s2 := testSpec("j1", 0, 2, 8)
-	s2.PackageVersion = "v2" // mutate BEFORE the first Hash(): memo not yet set
-	if h1 == s2.Hash() {
-		t.Fatal("hash identical across different specs")
+}
+
+// TestEqualCoversEveryField flips each field of a TaskSpec in turn, by
+// reflection and down through nested structs, and requires Equal to
+// notice: a field added to the spec (or to config.Resources) without
+// extending Equal fails here.
+func TestEqualCoversEveryField(t *testing.T) {
+	base := testSpec("j1", 1, 2, 8)
+	base.OutputCategory, base.CheckpointDir, base.Priority = "out", "/ckpt/j1/1", 3
+	clone := func() *TaskSpec {
+		c := *base
+		c.Partitions = slices.Clone(base.Partitions)
+		return &c
 	}
-	s3 := testSpec("j1", 0, 2, 8)
-	if h1 != s3.Hash() {
-		t.Fatal("hash differs for identical specs")
+	if same := clone(); !base.Equal(same) || !same.Equal(base) || !base.Equal(base) {
+		t.Fatal("a field-for-field copy is not Equal")
 	}
-	// Hashes travel: mirrors compare them across processes and releases.
-	// These literals are what every earlier version computed for the specs.
-	if want := "30c5257bc87ccb70c4a40334a22af8d1"; h1 != want {
-		t.Fatalf("hash of the reference spec = %s, want %s: the pre-image moved", h1, want)
+	typ := reflect.TypeOf(*base)
+	for _, path := range leafFields(typ, nil) {
+		name := typ.FieldByIndex(path).Name
+		flipped := clone()
+		v := reflect.ValueOf(flipped).Elem().FieldByIndex(path)
+		switch {
+		case !v.CanSet():
+			t.Fatalf("field %s is unexported: Equal and this test compare exported state only", name)
+		case v.Kind() == reflect.String:
+			v.SetString(v.String() + "'")
+		case v.CanInt():
+			v.SetInt(v.Int() + 1)
+		case v.CanFloat():
+			v.SetFloat(v.Float() + 0.5)
+		case v.Kind() == reflect.Slice && v.Type().Elem().Kind() == reflect.Int:
+			v.Index(v.Len() - 1).SetInt(-1)
+		default:
+			t.Fatalf("field %s: no flip for a %s; teach this test the new type", name, v.Type())
+		}
+		if base.Equal(flipped) || flipped.Equal(base) {
+			t.Errorf("Equal ignores field %s", name)
+		}
 	}
-	s4 := testSpec("j1", 1, 2, 8)
-	s4.OutputCategory = "out<&>"
-	s4.CheckpointDir = "/ckpt/j1/1"
-	s4.Priority = 7
-	s4.Resources.CPUCores = 1e-7
-	if got, want := s4.Hash(), "f4ff95b818fe2ae24a06cdaee4332af9"; got != want {
-		t.Fatalf("hash of the escaped spec = %s, want %s: the pre-image moved", got, want)
+	// Nil and empty partition sets are the same assignment.
+	none, empty := clone(), clone()
+	none.Partitions, empty.Partitions = nil, []int{}
+	if !none.Equal(empty) {
+		t.Error("nil and empty Partitions differ")
 	}
 }
 
-// FuzzSpecHashPreimage holds the hand-appended hash pre-image to its
-// definition: byte for byte what json.Marshal produces for the spec.
-func FuzzSpecHashPreimage(f *testing.F) {
-	f.Add("j1", "tailer", "v1", "out", "/ckpt/$JOB", 0, 2, 7, 2.0, int64(2<<30), 4)
-	f.Add("", "", "", "", "", 0, 0, 0, 0.0, int64(0), -1)
-	f.Add("a\"b\\c<d>&e", "\x00\x1f\b\f\n\r\t\x7f", "\u2028\u2029", "\xff\xfe", "caf\u00e9", -1, 1, -7, -0.0, int64(-1), 0)
-	f.Add("j", "p", "v", "", "", 3, 8, 0, 1e-7, int64(1), 1)
-	f.Add("j", "p", "v", "", "", 3, 8, 0, 1e21, int64(1), 2)
-	f.Add("j", "p", "v", "", "", 3, 8, 0, 123456.789e-12, int64(1), 3)
-	f.Fuzz(func(t *testing.T, job, pkg, version, out, dir string, index, threads, priority int, cpu float64, mem int64, partitions int) {
-		if math.IsNaN(cpu) || math.IsInf(cpu, 0) {
-			t.Skip() // no JSON form; Hash panics, as json.Marshal's error did
+// leafFields lists the index paths of every non-struct field of t,
+// descending into struct-typed fields.
+func leafFields(t reflect.Type, prefix []int) [][]int {
+	var out [][]int
+	for i := 0; i < t.NumField(); i++ {
+		path := append(slices.Clone(prefix), i)
+		if ft := t.Field(i).Type; ft.Kind() == reflect.Struct {
+			out = append(out, leafFields(ft, path)...)
+		} else {
+			out = append(out, path)
 		}
-		spec := TaskSpec{
-			Job: job, Index: index, TaskCount: threads, PackageName: pkg, PackageVersion: version,
-			Threads: threads, Operator: config.Operator(pkg), InputCategory: job + "_in",
-			OutputCategory: out, CheckpointDir: dir, Priority: priority,
-			Resources:   config.Resources{CPUCores: cpu, MemoryBytes: mem, DiskBytes: int64(priority), NetworkBps: mem >> 3},
-			Enforcement: config.MemoryEnforcement(version),
-		}
-		// partitions < 0: nil slice ("null"); 0: empty ("[]"); else a range.
-		if partitions >= 0 {
-			spec.Partitions = make([]int, partitions%64)
-			for i := range spec.Partitions {
-				spec.Partitions[i] = index + i*threads
+	}
+	return out
+}
+
+// FuzzSpecEqualMatchesJSON pins value identity to the content hash it
+// replaced. The parent commit restarted a task when the MD5 of its spec's
+// json.Marshal form changed; Equal must decide the same for every pair of
+// specs, so a.Equal(&b) ⇔ the two JSON forms are byte-equal — up to two
+// stated differences, both normalised away here before marshalling:
+//
+//   - nil and empty Partitions marshal as null and [] but are Equal (the
+//     Task Service emits neither for a valid job: every task owns at
+//     least one partition);
+//   - json.Marshal coerces every invalid UTF-8 byte to U+FFFD, so it could
+//     not tell "\xff" from "\xfe"; Equal compares bytes. Such pairs are
+//     skipped.
+//
+// ±0 is no difference: cpuCores is omitempty, both zeros are omitted, and
+// -0 == 0. Non-finite resources have no JSON form and never pass
+// config.JobConfig.Validate; they are skipped.
+func FuzzSpecEqualMatchesJSON(f *testing.F) {
+	// flip selects which single field of b differs from a (0: none).
+	f.Add("j1", "tailer", "v1", "out", "/ckpt/$JOB", 0, 2, 7, 2.0, int64(2<<30), 4, "v1", 2.0, 4, uint8(0))
+	f.Add("j1", "tailer", "v1", "out", "/ckpt/$JOB", 0, 2, 7, 2.0, int64(2<<30), 4, "v2", 2.0, 4, uint8(1))
+	f.Add("", "", "", "", "", 0, 0, 0, 0.0, int64(0), -1, "", 0.0, 0, uint8(2))
+	f.Add("a\"b\\c<d>&e", "\x00\x1f\b\f\n\r\t\x7f", "\u2028\u2029", "x", "caf\u00e9", -1, 1, -7, -0.0, int64(-1), 0, "\u2028\u2029", 0.0, 0, uint8(3))
+	f.Add("j", "p", "v", "", "", 3, 8, 0, 1e-7, int64(1), 1, "v", 1e-7+1e-23, 1, uint8(4))
+	f.Add("j", "p", "v", "", "", 3, 8, 0, 1e21, int64(1), 2, "v", 1e21, 3, uint8(5))
+	f.Add("j", "p", "v", "", "", 3, 8, 0, 123456.789e-12, int64(1), 3, "V", 0.1+0.2, 3, uint8(6))
+	f.Add("j", "p", "\xff", "", "", 3, 8, 0, 1.0, int64(1), 3, "\xfe", 1.0, 3, uint8(0))
+	f.Fuzz(func(t *testing.T, job, pkg, version, out, dir string, index, threads, priority int, cpu float64, mem int64, partitions int,
+		version2 string, cpu2 float64, partitions2 int, flip uint8) {
+		for _, s := range []string{job, pkg, version, out, dir, version2} {
+			if !utf8.ValidString(s) {
+				t.Skip()
 			}
 		}
-		want, err := json.Marshal(&spec)
-		if err != nil {
-			t.Fatal(err)
+		for _, c := range []float64{cpu, cpu2} {
+			if math.IsNaN(c) || math.IsInf(c, 0) {
+				t.Skip()
+			}
 		}
-		if got := spec.appendJSON(nil); !bytes.Equal(got, want) {
-			t.Fatalf("pre-image diverges from json.Marshal:\n got  %s\n want %s", got, want)
+		build := func(version string, cpu float64, partitions int) TaskSpec {
+			spec := TaskSpec{
+				Job: job, Index: index, TaskCount: threads, PackageName: pkg, PackageVersion: version,
+				Threads: threads, Operator: config.Operator(pkg), InputCategory: job + "_in",
+				OutputCategory: out, CheckpointDir: dir, Priority: priority,
+				Resources:   config.Resources{CPUCores: cpu, MemoryBytes: mem, DiskBytes: int64(priority), NetworkBps: mem >> 3},
+				Enforcement: config.MemoryEnforcement(version),
+			}
+			// partitions < 0: nil slice; 0: empty; else a range.
+			if partitions >= 0 {
+				spec.Partitions = make([]int, partitions%64)
+				for i := range spec.Partitions {
+					spec.Partitions[i] = index + i*threads
+				}
+			}
+			return spec
 		}
-		sum := md5.Sum(want)
-		if got := spec.Hash(); got != hex.EncodeToString(sum[:]) {
-			t.Fatalf("Hash = %s, want md5 of the JSON form %x", got, sum)
+		a := build(version, cpu, partitions)
+		b := build(version2, cpu2, partitions2)
+		// One more single-field difference, so every field gets to be the
+		// only one that differs, not just the three drawn twice.
+		switch flip % 12 {
+		case 1:
+			b.Job += "x"
+		case 2:
+			b.Index++
+		case 3:
+			b.TaskCount++
+		case 4:
+			b.PackageName += "x"
+		case 5:
+			b.Threads++
+		case 6:
+			b.Operator += "x"
+		case 7:
+			b.InputCategory += "x"
+		case 8:
+			b.OutputCategory += "x"
+		case 9:
+			b.Resources.MemoryBytes++
+		case 10:
+			b.CheckpointDir += "x"
+		case 11:
+			b.Priority++
+		}
+		got := a.Equal(&b)
+		if got != b.Equal(&a) {
+			t.Fatalf("Equal is not symmetric:\n a %+v\n b %+v", a, b)
+		}
+		marshal := func(s TaskSpec) []byte {
+			if s.Partitions == nil {
+				s.Partitions = []int{}
+			}
+			raw, err := json.Marshal(&s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw
+		}
+		ja, jb := marshal(a), marshal(b)
+		if want := bytes.Equal(ja, jb); got != want {
+			t.Fatalf("Equal = %v, JSON forms equal = %v:\n a %s\n b %s", got, want, ja, jb)
 		}
 	})
-}
-
-func TestHashMemoized(t *testing.T) {
-	s := testSpec("memo", 0, 2, 8)
-	before := HashComputations()
-	h1 := s.Hash()
-	h2 := s.Hash()
-	if h1 != h2 {
-		t.Fatal("hash unstable")
-	}
-	if got := HashComputations() - before; got != 1 {
-		t.Fatalf("hash computed %d times for two calls, want 1", got)
-	}
-	// Copies carry the memo: hashing a copy computes nothing.
-	cp := *s
-	if cp.Hash() != h1 {
-		t.Fatal("copy hash differs")
-	}
-	if got := HashComputations() - before; got != 1 {
-		t.Fatalf("hash computed %d times after copy, want 1", got)
-	}
 }
 
 func TestAssignPartitionsEvenSplit(t *testing.T) {

@@ -7,7 +7,8 @@
 // provides:
 //
 //   - TaskSpec: everything needed to run one task (the Task Service
-//     generates these from job configurations, §IV);
+//     generates these from job configurations, §IV), compared by value
+//     (Equal) to decide whether a running task must restart;
 //   - Task: a simulated task runtime driven by Advance(dt), with a
 //     calibrated processing-rate and memory model, OOM behaviour, and
 //     checkpoint persistence — per interval one snapshot of its
@@ -28,27 +29,20 @@
 package engine
 
 import (
-	"crypto/md5"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/config"
 )
 
 // TaskSpec includes all configuration necessary to run a task, such as
 // package version, arguments, and number of threads (paper §IV). Specs are
-// value objects: two specs are the same iff their hashes are equal. Specs
-// must not be mutated after their first Hash() call — the hash is memoized
-// on the spec (and travels with copies), which is what keeps the Task
-// Service's snapshot read path from re-marshaling every spec on every
-// touch.
+// value objects, compared with Equal. A spec published in a Task Service
+// snapshot is immutable and shared by pointer — between index versions and
+// with every task started from it — so consumers copy before changing one.
 type TaskSpec struct {
 	Job            string                   `json:"job"`
 	Index          int                      `json:"index"` // 0-based within job
@@ -64,11 +58,6 @@ type TaskSpec struct {
 	Enforcement    config.MemoryEnforcement `json:"enforcement,omitempty"`
 	CheckpointDir  string                   `json:"checkpointDir,omitempty"`
 	Priority       int                      `json:"priority,omitempty"`
-
-	// memoHash caches the content hash after the first Hash() call.
-	// Unexported, so it is invisible to json.Marshal and cannot perturb
-	// the hash itself.
-	memoHash string
 }
 
 // ID returns the stable task identity "job#index". Identity survives spec
@@ -90,141 +79,31 @@ func JobOfTaskID(id string) string {
 	return id
 }
 
-// hashComputations counts actual (non-memoized) hash computations; tests
-// and benchmarks use it to verify the at-most-once-per-spec guarantee.
-var hashComputations atomic.Int64
-
-// HashComputations returns the process-wide count of TaskSpec hash
-// computations that actually marshaled and digested a spec (memoized reads
-// excluded). Intended for tests and benchmarks.
-func HashComputations() int64 { return hashComputations.Load() }
-
-// Hash returns a content hash of the full spec; Task Managers use it to
-// detect that a task's configuration changed and it must be restarted. It
-// is the hex MD5 of the spec's encoding/json form (see appendJSON).
-//
-// The result is memoized on the spec: the encode + MD5 runs once, on the
-// first call, and every later call (including on copies of the spec)
-// returns the stored digest. The Task Service hashes every spec at
-// snapshot-generation time, so published snapshots are read-only with
-// respect to this memo and concurrent readers never write it.
-func (s *TaskSpec) Hash() string {
-	if s.memoHash != "" {
-		return s.memoHash
+// Equal reports whether s and o describe the same task, field for field;
+// it is what decides that a running task keeps going across a snapshot
+// refresh rather than restarting. Specs the index carried over from its
+// previous version are the same object, so most calls return on the
+// pointer. Nil and empty Partitions are equal, strings compare as bytes,
+// and a NaN resource would equal nothing, itself included —
+// config.JobConfig.Validate keeps non-finite resources out of the system.
+func (s *TaskSpec) Equal(o *TaskSpec) bool {
+	if s == o {
+		return true
 	}
-	bp := preimagePool.Get().(*[]byte)
-	*bp = s.appendJSON((*bp)[:0])
-	sum := md5.Sum(*bp)
-	preimagePool.Put(bp)
-	hashComputations.Add(1)
-	var digest [2 * md5.Size]byte
-	hex.Encode(digest[:], sum[:])
-	s.memoHash = string(digest[:])
-	return s.memoHash
-}
-
-// preimagePool recycles the buffers Hash encodes into.
-var preimagePool = sync.Pool{New: func() any { return new([]byte) }}
-
-// appendJSON appends exactly the bytes json.Marshal(s) produces — field
-// order, omitempty and number formats as the struct tags and
-// encoding/json define them — without reflection. The bytes are the hash
-// pre-image, so they may never change: FuzzSpecHashPreimage compares them
-// with json.Marshal and TestTaskIDAndHash pins one digest.
-func (s *TaskSpec) appendJSON(b []byte) []byte {
-	b = appendJSONString(append(b, `{"job":`...), s.Job)
-	b = strconv.AppendInt(append(b, `,"index":`...), int64(s.Index), 10)
-	b = strconv.AppendInt(append(b, `,"taskCount":`...), int64(s.TaskCount), 10)
-	b = appendJSONString(append(b, `,"packageName":`...), s.PackageName)
-	b = appendJSONString(append(b, `,"packageVersion":`...), s.PackageVersion)
-	b = strconv.AppendInt(append(b, `,"threads":`...), int64(s.Threads), 10)
-	b = appendJSONString(append(b, `,"operator":`...), string(s.Operator))
-	b = appendJSONString(append(b, `,"inputCategory":`...), s.InputCategory)
-	b = append(b, `,"partitions":`...)
-	if s.Partitions == nil {
-		b = append(b, "null"...)
-	} else {
-		b = append(b, '[')
-		for i, p := range s.Partitions {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(p), 10)
-		}
-		b = append(b, ']')
-	}
-	if s.OutputCategory != "" {
-		b = appendJSONString(append(b, `,"outputCategory":`...), s.OutputCategory)
-	}
-	// Each present resource is written with a trailing comma; the last one
-	// is taken back before the brace.
-	b = append(b, `,"resources":{`...)
-	open := len(b)
-	if r := s.Resources.CPUCores; r != 0 {
-		b = append(appendJSONFloat(append(b, `"cpuCores":`...), r), ',')
-	}
-	if n := s.Resources.MemoryBytes; n != 0 {
-		b = append(strconv.AppendInt(append(b, `"memoryBytes":`...), n, 10), ',')
-	}
-	if n := s.Resources.DiskBytes; n != 0 {
-		b = append(strconv.AppendInt(append(b, `"diskBytes":`...), n, 10), ',')
-	}
-	if n := s.Resources.NetworkBps; n != 0 {
-		b = append(strconv.AppendInt(append(b, `"networkBps":`...), n, 10), ',')
-	}
-	if len(b) > open {
-		b = b[:len(b)-1]
-	}
-	b = append(b, '}')
-	if s.Enforcement != "" {
-		b = appendJSONString(append(b, `,"enforcement":`...), string(s.Enforcement))
-	}
-	if s.CheckpointDir != "" {
-		b = appendJSONString(append(b, `,"checkpointDir":`...), s.CheckpointDir)
-	}
-	if s.Priority != 0 {
-		b = strconv.AppendInt(append(b, `,"priority":`...), int64(s.Priority), 10)
-	}
-	return append(b, '}')
-}
-
-// appendJSONString appends s as encoding/json quotes it. Printable ASCII
-// apart from the characters json.Marshal escapes (quote, backslash and
-// the HTML-sensitive < > &) is copied as it stands; a string holding
-// anything else — control bytes, non-ASCII, invalid UTF-8 — is rare in a
-// spec and goes through json.Marshal itself, so its escaping rules are
-// not restated here.
-func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			quoted, _ := json.Marshal(s) // a string always marshals
-			return append(b, quoted...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// appendJSONFloat appends f in encoding/json's float64 format: shortest
-// round-trip digits, exponent form below 1e-6 and from 1e21 with a
-// one-digit exponent written as e-9, not e-09. JSON has no NaN or
-// infinity; a spec carrying one cannot be hashed and panics, as
-// json.Marshal's error did.
-func appendJSONFloat(b []byte, f float64) []byte {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		panic(fmt.Sprintf("engine: marshal task spec: unsupported float value %v", f))
-	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && (b[n-3] == '-' || b[n-3] == '+') && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
+	return s.Job == o.Job &&
+		s.Index == o.Index &&
+		s.TaskCount == o.TaskCount &&
+		s.PackageName == o.PackageName &&
+		s.PackageVersion == o.PackageVersion &&
+		s.Threads == o.Threads &&
+		s.Operator == o.Operator &&
+		s.InputCategory == o.InputCategory &&
+		slices.Equal(s.Partitions, o.Partitions) &&
+		s.OutputCategory == o.OutputCategory &&
+		s.Resources == o.Resources &&
+		s.Enforcement == o.Enforcement &&
+		s.CheckpointDir == o.CheckpointDir &&
+		s.Priority == o.Priority
 }
 
 // AssignPartitions splits partition indices [0,total) into taskCount

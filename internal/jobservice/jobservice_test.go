@@ -1,6 +1,7 @@
 package jobservice
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -267,5 +268,35 @@ func TestUpdateLayerUndecodableRejected(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("undecodable layer accepted")
+	}
+}
+
+// TestNonFiniteResourcesRejected: NaN and ±Inf pass every ordered
+// comparison, so Validate names them. An accepted +Inf used to reach the
+// Task Service and panic spec generation; a NaN is unequal to itself and
+// would restart its task on every snapshot refresh.
+func TestNonFiniteResourcesRejected(t *testing.T) {
+	s := newService(t)
+	_, before, _ := s.Desired("j1")
+	for _, cpu := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		err := s.UpdateLayer("j1", config.LayerScaler, func(d config.Doc) config.Doc {
+			return d.SetPath("taskResources.cpuCores", cpu)
+		})
+		if err == nil || !strings.Contains(err.Error(), "rejected") {
+			t.Fatalf("cpuCores %v: err = %v, want a rejection", cpu, err)
+		}
+		cfg, version, err := s.Desired("j1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cfg.TaskResources.CPUCores != 1 || version != before {
+			t.Fatalf("cpuCores %v: rejected update wrote: cpuCores %v, version %d → %d",
+				cpu, cfg.TaskResources.CPUCores, before, version)
+		}
+		bad := validConfig("j2")
+		bad.TaskResources.CPUCores = cpu
+		if err := s.Provision(bad); err == nil {
+			t.Fatalf("cpuCores %v provisioned", cpu)
+		}
 	}
 }

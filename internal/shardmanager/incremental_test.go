@@ -93,35 +93,6 @@ func TestHeadroomDefaults(t *testing.T) {
 	if got := New(clk, Options{Headroom: 0.25}).opts.Headroom; got != 0.25 {
 		t.Fatalf("explicit Headroom = %v, want 0.25", got)
 	}
-	if got := New(clk, Options{Headroom: HeadroomNone}).opts.Headroom; got != 0 {
-		t.Fatalf("HeadroomNone Headroom = %v, want 0", got)
-	}
-}
-
-// TestHeadroomNoneAllowsFullCapacity shows the sentinel is honored by the
-// balancer: a receiver sized exactly for the donated load takes it with
-// HeadroomNone but refuses it with the default 10% reserve.
-func TestHeadroomNoneAllowsFullCapacity(t *testing.T) {
-	run := func(headroom float64) int {
-		clk := simclock.NewSim(epoch)
-		m := New(clk, Options{NumShards: 2, Headroom: headroom})
-		m.Register("big", config.Resources{CPUCores: 40}, &fakeHandler{})
-		m.Register("snug", config.Resources{CPUCores: 4}, &fakeHandler{})
-		m.AssignUnassigned()
-		// Fail snug over and bring it back empty: both shards sit on big.
-		m.FailoverContainer("snug")
-		m.Register("snug", config.Resources{CPUCores: 4}, &fakeHandler{})
-		m.ReportShardLoad(0, config.Resources{CPUCores: 4})
-		m.ReportShardLoad(1, config.Resources{CPUCores: 4})
-		res := m.Rebalance()
-		return res.Moves
-	}
-	if moves := run(HeadroomNone); moves != 1 {
-		t.Fatalf("HeadroomNone: %d moves, want 1 (snug takes a full-capacity shard)", moves)
-	}
-	if moves := run(0); moves != 0 {
-		t.Fatalf("default headroom: %d moves, want 0 (10%% reserve refuses the shard)", moves)
-	}
 }
 
 func TestBatchReportMatchesSingles(t *testing.T) {

@@ -92,10 +92,6 @@ type Handler interface {
 	DropShard(ShardID) error
 }
 
-// HeadroomNone is the Options.Headroom sentinel for an explicit zero
-// headroom (any negative value works): "0" means "default 10%".
-const HeadroomNone = -1
-
 // Options tune the manager. Zero values take the paper's defaults.
 type Options struct {
 	// NumShards is the size of the shard space (default 1024).
@@ -104,9 +100,7 @@ type Options struct {
 	// load from the mean (default 0.10 = ±10%, §IV-B).
 	UtilizationBand float64
 	// Headroom is the fraction of each container's capacity kept free to
-	// absorb workload spikes (default 0.10, §VI-A). Because the zero
-	// value takes the default, pass HeadroomNone (or any negative value)
-	// to request an explicit zero headroom.
+	// absorb workload spikes (default 0.10, §VI-A).
 	Headroom float64
 	// FailoverInterval is how long a container may miss heartbeats before
 	// its shards are failed over (default 60 s, §IV-C).
@@ -129,10 +123,8 @@ func (o *Options) fillDefaults() {
 	if o.UtilizationBand <= 0 {
 		o.UtilizationBand = 0.10
 	}
-	if o.Headroom == 0 {
+	if o.Headroom <= 0 {
 		o.Headroom = 0.10
-	} else if o.Headroom < 0 {
-		o.Headroom = 0
 	}
 	if o.FailoverInterval <= 0 {
 		o.FailoverInterval = DefaultFailoverInterval

@@ -130,10 +130,6 @@ type NodeOptions struct {
 	// ID is the lease-holder identity committed to the Job Store;
 	// defaults to "syncer-<Index>".
 	ID string
-	// LeaseTTL is how long a slice lease lasts without renewal; defaults
-	// to 3× the round interval, so a Node must miss two consecutive
-	// renewals before its slice is stealable.
-	LeaseTTL time.Duration
 	// Syncer configures each slice's round engine.
 	Syncer Options
 	// WrapDriver, if set, interposes on every slice's ShardDriver — the
@@ -191,6 +187,10 @@ type Node struct {
 	act   Actuator
 	clock simclock.Clock
 	opts  NodeOptions
+	// leaseTTL is how long a slice lease lasts without renewal: 3× the
+	// round interval, so a Node must miss two consecutive renewals before
+	// its slice is stealable.
+	leaseTTL time.Duration
 
 	// killed simulates a process crash. Like Syncer.killed it is an
 	// atomic outside the mutexes: Kill may be invoked re-entrantly from
@@ -218,10 +218,7 @@ func NewNode(store *jobstore.Store, act Actuator, clock simclock.Clock, opts Nod
 	if opts.Syncer.Interval <= 0 {
 		opts.Syncer.Interval = 30 * time.Second
 	}
-	if opts.LeaseTTL <= 0 {
-		opts.LeaseTTL = 3 * opts.Syncer.Interval
-	}
-	n := &Node{store: store, act: act, clock: clock, opts: opts}
+	n := &Node{store: store, act: act, clock: clock, opts: opts, leaseTTL: 3 * opts.Syncer.Interval}
 	n.slices = make([]*sliceState, opts.Shards)
 	for k := 0; k < opts.Shards; k++ {
 		lo, hi := ShardStripeRange(k, opts.Shards)
@@ -316,7 +313,7 @@ func (n *Node) tickSlice(st *sliceState, home bool) {
 				return
 			}
 		}
-		lease, ok := n.store.AcquireShardLease(st.slice, n.opts.ID, now, n.opts.LeaseTTL)
+		lease, ok := n.store.AcquireShardLease(st.slice, n.opts.ID, now, n.leaseTTL)
 		if !ok {
 			return
 		}
@@ -347,7 +344,7 @@ func (n *Node) tickSlice(st *sliceState, home bool) {
 		// happen. No renewal — the lease keeps running down.
 		return
 	}
-	if !n.store.RenewShardLease(st.slice, n.opts.ID, st.epoch, n.clock.Now(), n.opts.LeaseTTL) {
+	if !n.store.RenewShardLease(st.slice, n.opts.ID, st.epoch, n.clock.Now(), n.leaseTTL) {
 		// Stolen mid-round. If that round committed anything, the commits
 		// raced the thief's: a lease violation.
 		st.held = false

@@ -18,8 +18,6 @@ package taskmanager
 // loop, old or new.
 
 import (
-	"crypto/md5"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -49,7 +47,7 @@ const (
 )
 
 // taskView is what the oracle reads off one running task.
-type taskView struct{ instance, hash string }
+type taskView struct{ instance, content string }
 
 // reconcileStart is what the task-source probe records when a Refresh has
 // passed its gates and fetched the index: the inputs the oracle needs to
@@ -220,10 +218,11 @@ func (h *churnHarness) view(tm *Manager) map[string]taskView {
 				h.t.Fatalf("%s shard %d slot %d: task %s (running=%v) under entry %s of shard %d",
 					tm.id, s, i, spec.ID(), task.Running(), is.ID, is.Shard)
 			}
-			if got := contentHash(h.t, spec); got != is.Hash {
-				h.t.Fatalf("%s: %s runs a spec hashing to %s, its bucket entry says %s", tm.id, is.ID, got, is.Hash)
+			content := fingerprint(h.t, &spec)
+			if want := fingerprint(h.t, is.Spec); content != want {
+				h.t.Fatalf("%s: %s runs spec %s, its bucket entry says %s", tm.id, is.ID, content, want)
 			}
-			out[is.ID] = taskView{instance: task.Instance(), hash: is.Hash}
+			out[is.ID] = taskView{instance: task.Instance(), content: content}
 		}
 	}
 	if tm.running != len(out) {
@@ -232,16 +231,16 @@ func (h *churnHarness) view(tm *Manager) map[string]taskView {
 	return out
 }
 
-// contentHash recomputes a spec's content hash from its fields, ignoring
-// the memo that travels with copies.
-func contentHash(t *testing.T, spec engine.TaskSpec) string {
+// fingerprint is the oracle's own notion of a spec's content — its
+// encoding/json form, which names every field — so that what the manager
+// keeps and restarts is judged independently of engine.TaskSpec.Equal.
+func fingerprint(t *testing.T, spec *engine.TaskSpec) string {
 	t.Helper()
-	raw, err := json.Marshal(&spec)
+	raw, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := md5.Sum(raw)
-	return hex.EncodeToString(sum[:])
+	return string(raw)
 }
 
 // --- the oracle -------------------------------------------------------
@@ -250,7 +249,7 @@ func contentHash(t *testing.T, spec engine.TaskSpec) string {
 // manager does at most: stop (or have killed) some tasks, then reconcile
 // once. Nothing may start outside a reconcile; a reconcile must leave
 // exactly index ∩ owned shards running, keep the instance of every task
-// whose hash did not change, and move the counters by the set differences.
+// whose spec did not change, and move the counters by the set differences.
 func (h *churnHarness) check(k int) {
 	h.t.Helper()
 	tm := h.w.tms[k]
@@ -276,26 +275,26 @@ func (h *churnHarness) check(k int) {
 	}
 	if rc != nil {
 		h.reconciles++
-		desired := make(map[string]string) // ID → hash: the index's specs on owned shards
+		desired := make(map[string]string) // ID → content: the index's specs on owned shards
 		for _, s := range rc.owned {
 			for _, is := range rc.idx.ShardSpecs(s) {
-				desired[is.ID] = is.Hash
+				desired[is.ID] = fingerprint(h.t, is.Spec)
 			}
 		}
 		for id, v := range rc.pre {
-			if hash, ok := desired[id]; !ok {
+			if content, ok := desired[id]; !ok {
 				want.Stopped++
-			} else if hash != v.hash {
+			} else if content != v.content {
 				want.Restarted++
 			}
 		}
-		for id, hash := range desired {
+		for id, content := range desired {
 			pre, ran := rc.pre[id]
 			got, runs := now[id]
 			switch {
-			case ran && pre.hash == hash:
+			case ran && pre.content == content:
 				if got != pre {
-					h.t.Fatalf("%s: %s kept its hash but went from instance %q to %q", tm.id, id, pre.instance, got.instance)
+					h.t.Fatalf("%s: %s kept its spec but went from instance %q to %q", tm.id, id, pre.instance, got.instance)
 				}
 			case h.blocked[id]:
 				if runs {
@@ -304,11 +303,11 @@ func (h *churnHarness) check(k int) {
 				want.StartErrors++
 				h.wantViolations++
 			default:
-				if !runs || got.hash != hash {
-					h.t.Fatalf("%s: %s should run with hash %s after the refresh, got %+v (running=%v)", tm.id, id, hash, got, runs)
+				if !runs || got.content != content {
+					h.t.Fatalf("%s: %s should run spec %s after the refresh, got %+v (running=%v)", tm.id, id, content, got, runs)
 				}
 				if _, old := h.seen[got.instance]; old {
-					h.t.Fatalf("%s: %s changed hash but kept instance %s", tm.id, id, got.instance)
+					h.t.Fatalf("%s: %s changed spec but kept instance %s", tm.id, id, got.instance)
 				}
 				want.Started++
 			}
@@ -578,7 +577,7 @@ func (h *churnHarness) run() []string {
 					j := job(n)
 					j.version++
 					h.commit(n, j)
-				case 1: // byte-identical recommit: revision moves, hashes do not
+				case 1: // byte-identical recommit: revision moves, specs do not
 					if j := jobs[n]; j != nil && j.live {
 						h.commit(n, j)
 					}

@@ -16,7 +16,11 @@
 // one between versions, so a shard whose record still holds the very
 // slice the current index publishes (taskservice.SameBucket), with every
 // position running, is clean and costs one comparison; Refresh, AddShard
-// and StopJob touch only the other shards.
+// and StopJob touch only the other shards. Within one of those, a task
+// keeps running while the spec published for it is Equal to the one it
+// was started from (specs are compared, never hashed; the index shares
+// the specs of unchanged jobs, so that is mostly a pointer comparison)
+// and is restarted when it is not.
 //
 // Fail-over safety (§IV-C): the Task Manager heartbeats the Shard Manager;
 // if it cannot reach it, it proactively times out (40 seconds) BEFORE the
@@ -162,7 +166,7 @@ func ValidateFailoverTiming(connectionTimeout, failoverInterval time.Duration) e
 // bucket is the index's own published slice the shard was last reconciled
 // against — retained, never written — and tasks runs parallel to it:
 // tasks[i] is the live task started from bucket[i].Spec, nil where none
-// runs. ID, hash and job are read from the bucket, stats from the task.
+// runs. ID and job are read from the bucket, stats from the task.
 //
 // Invariant: while pending is false every entry of tasks is non-nil.
 // Whatever empties a slot (StopJob, reboot, container death, a failed
@@ -179,7 +183,7 @@ type ownedShard struct {
 type Stats struct {
 	Started     int
 	Stopped     int
-	Restarted   int // spec-hash changes
+	Restarted   int // spec changes
 	StartErrors int // lease conflicts etc.
 	Reboots     int // proactive self-reboots
 	OOMKills    int
@@ -373,13 +377,14 @@ func (m *Manager) Shards() []shardmanager.ShardID {
 // Refresh fetches the full task-spec snapshot index and reconciles the
 // running task set with it: start tasks newly mapped to owned shards,
 // stop tasks no longer in the snapshot, and restart tasks whose spec
-// changed (detected by spec hash). The work is proportional to what
-// changed, not to what runs: each owned shard costs one bucket-identity
-// comparison, and only shards that are not clean (see ownedShard) are
-// reconciled — in ascending shard order, each bucket in its fixed (job,
-// task index) order, so the same history starts the same tasks in the
-// same sequence. A refresh does no MD5 or JSON work of its own; identity,
-// hash and shard all come precomputed from the index.
+// changed (engine.TaskSpec.Equal against the spec it runs). The work is
+// proportional to what changed, not to what runs: each owned shard costs
+// one bucket-identity comparison, and only shards that are not clean (see
+// ownedShard) are reconciled — in ascending shard order, each bucket in
+// its fixed (job, task index) order, so the same history starts the same
+// tasks in the same sequence. A refresh does no MD5 work of its own;
+// identity and shard come precomputed from the index, and a task of a job
+// that did not change is recognised by its spec pointer.
 //
 // Reconciliation is two-phase over all visited shards: every task whose
 // spec vanished or changed is stopped before any task is started. A
@@ -448,8 +453,8 @@ func (m *Manager) Refresh() {
 
 // rebaseLocked is reconcile phase 1 for one shard: move the record onto
 // the bucket the current index publishes, carrying over every task whose
-// spec is still there with the same hash and stopping the rest. Both
-// buckets are in (job, task index) order, so one merge walk pairs them.
+// spec is still there, equal, and stopping the rest. Both buckets are in
+// (job, task index) order, so one merge walk pairs them.
 func (m *Manager) rebaseLocked(sh *ownedShard, next []taskservice.IndexedSpec) {
 	if taskservice.SameBucket(sh.bucket, next) {
 		return // pending only: the slots already line up with next
@@ -466,7 +471,7 @@ func (m *Manager) rebaseLocked(sh *ownedShard, next []taskservice.IndexedSpec) {
 			continue // new to the shard: phase 2 starts it
 		}
 		if t := oldTasks[i]; t != nil {
-			if old[i].Hash == next[j].Hash {
+			if old[i].Spec.Equal(next[j].Spec) {
 				tasks[j] = t
 			} else {
 				// Spec changed (package bump, resource change,

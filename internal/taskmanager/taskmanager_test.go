@@ -168,7 +168,7 @@ func TestSpecChangeRestartsTask(t *testing.T) {
 	if before != 0 {
 		t.Fatalf("restarts before change = %d", before)
 	}
-	// Package bump: same task identity, new spec hash.
+	// Package bump: same task identity, different spec.
 	r, _ := w.store.GetRunning("j1")
 	cfg, _ := config.JobConfigFromDoc(r.Config)
 	cfg.Package.Version = "v2"

@@ -377,10 +377,9 @@ func viewString(b []byte) string {
 
 // IndexEqual reports whether two snapshot indexes describe the same
 // fleet: same shard-space size and, per shard, the same spec sequence by
-// identity, shard assignment, and content hash. Hashes are memoized MD5s
-// of the full spec JSON, so hash equality is spec byte-equality. This is
-// the remote-vs-local invariant the chaos soak asserts across the feed
-// seam.
+// identity, shard assignment, and content (engine.TaskSpec.Equal, every
+// field). This is the remote-vs-local invariant the chaos soak asserts
+// across the feed seam.
 func IndexEqual(a, b *SnapshotIndex) bool {
 	if a == nil || b == nil {
 		return a == b
@@ -396,7 +395,7 @@ func IndexEqual(a, b *SnapshotIndex) bool {
 		}
 		for i := range as {
 			if as[i].ID != bs[i].ID || as[i].Shard != bs[i].Shard ||
-				as[i].Spec.Hash() != bs[i].Spec.Hash() {
+				!as[i].Spec.Equal(bs[i].Spec) {
 				return false
 			}
 		}

@@ -180,8 +180,9 @@ func TestFeedOverflowMidPaginationNoTornDelta(t *testing.T) {
 // TestFeedChurnMatrixByteIdentity drives a seeded churn matrix —
 // commits, version bumps, task-count changes, drops, re-adds, and a
 // forced journal overflow — pumping the remote after every step and
-// checking the remote index is byte-identical (per-spec content hashes)
-// to the local one. Run with -race to exercise the reader seams.
+// checking the remote index is identical, spec for spec and field for
+// field (IndexEqual), to the local one. Run with -race to exercise the
+// reader seams.
 func TestFeedChurnMatrixByteIdentity(t *testing.T) {
 	for _, shards := range []int{1, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

@@ -5,7 +5,6 @@
 // re-hashing every task ID each fetch cycle. The index moves all of that
 // work to snapshot-generation time, once per regeneration:
 //
-//   - spec content hashes are computed once (and memoized on the spec);
 //   - every task's identity and shard (MD5 of the task ID) are computed
 //     once and stored alongside the spec;
 //   - specs are bucketed by shard, so a Task Manager's Refresh iterates
@@ -20,14 +19,14 @@
 // shard and rebuilds each touched bucket once, in one new array, however
 // many jobs changed in it. Every untouched chunk is shared with the
 // previous index by pointer, every untouched bucket of a cloned chunk by
-// slice. Versions are monotonic and move only when snapshot content
-// changes.
+// slice, every untouched job's specs by pointer — which is what lets
+// consumers tell "unchanged" by identity (SameBucket, the pointer fast
+// path of engine.TaskSpec.Equal) before they compare a single field.
+// Versions are monotonic and move only when snapshot content changes.
 package taskservice
 
 import (
 	"cmp"
-	"crypto/md5"
-	"io"
 	"slices"
 	"sort"
 	"strings"
@@ -37,15 +36,14 @@ import (
 )
 
 // IndexedSpec is one task spec with its derived scheduling state
-// precomputed: stable identity, content hash, and shard. The Spec pointer
-// targets the index's internal storage — callers must treat it as
-// read-only and copy the value (`spec := *is.Spec`) before any mutation.
+// precomputed: stable identity and shard. The Spec pointer targets the
+// index's internal storage — callers must treat it as read-only and copy
+// the value (`spec := *is.Spec`) before any mutation.
 // The same holds for a bucket of them (ShardSpecs): a consumer may retain
 // the slice across index versions and compare it with SameBucket, and may
 // never write through it.
 type IndexedSpec struct {
 	ID    string
-	Hash  string
 	Shard shardmanager.ShardID
 	Spec  *engine.TaskSpec
 }
@@ -86,36 +84,23 @@ type groupShard struct {
 
 // jobGroup is the generated spec set of one job, cached between snapshot
 // regenerations. A group is immutable once built; rev records the Job
-// Store running-entry revision it was built from, sig is a fixed-width
-// digest of its spec hashes (the group's content signature), and shards
-// holds the group's per-shard sub-buckets (sorted by shard) ready to be
-// spliced into the published index.
+// Store running-entry revision it was built from, and shards holds the
+// group's per-shard sub-buckets (sorted by shard) ready to be spliced into
+// the published index.
 type jobGroup struct {
 	job     string
 	rev     int64
-	specs   []engine.TaskSpec // hashes pre-memoized
-	indexed []IndexedSpec     // Spec pointers target specs above
-	shards  []groupShard      // sorted by shard
-	sig     [md5.Size]byte
+	specs   []engine.TaskSpec
+	indexed []IndexedSpec // Spec pointers target specs above
+	shards  []groupShard  // sorted by shard
 }
 
-// buildSig digests the group's spec hashes into its fixed-width content
-// signature. Each input is the 32-hex-character MD5 of one spec, so the
-// digested stream is a fixed-width encoding of the hash sequence —
-// boundaries are unambiguous and the stream uniquely determines the
-// sequence. Two groups therefore share a sig only if the outer MD5
-// collides on distinct hash streams, the same collision-resistance
-// assumption the per-spec Hash already rests on. (The previous
-// representation concatenated the hex hashes verbatim: injective, but 32
-// bytes × specs — a 1M-task group carried a ~32 MB signature.)
-func buildSig(specs []engine.TaskSpec) [md5.Size]byte {
-	h := md5.New()
-	for i := range specs {
-		io.WriteString(h, specs[i].Hash())
-	}
-	var out [md5.Size]byte
-	h.Sum(out[:0])
-	return out
+// sameSpecs reports whether g and o hold equal specs in the same order —
+// a group rebuilt to what it already was (a commit that rewrote the same
+// config under a new revision). Only rebuilt groups ever get here: a
+// reused one is the same pointer.
+func (g *jobGroup) sameSpecs(o *jobGroup) bool {
+	return slices.EqualFunc(g.indexed, o.indexed, func(a, b IndexedSpec) bool { return a.Spec.Equal(b.Spec) })
 }
 
 // buildGroupShards buckets a group's indexed specs by shard, each bucket
@@ -150,22 +135,11 @@ func buildGroupShards(indexed []IndexedSpec) []groupShard {
 	return shards
 }
 
-// sameContent reports whether two included-group sequences describe
-// byte-identical snapshots. Reused groups compare by pointer; rebuilt
-// groups by job name and content signature.
+// sameContent reports whether two included-group sequences describe the
+// same snapshot. Reused groups compare by pointer; rebuilt groups spec by
+// spec (a spec names its job).
 func sameContent(a, b []*jobGroup) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] == b[i] {
-			continue
-		}
-		if a[i].job != b[i].job || a[i].sig != b[i].sig {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(g, o *jobGroup) bool { return g == o || g.sameSpecs(o) })
 }
 
 // The shard space is divided into fixed-width chunks of 2^chunkShift

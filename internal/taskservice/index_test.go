@@ -3,10 +3,12 @@ package taskservice
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/engine"
@@ -76,22 +78,48 @@ func TestIncrementalRegenerationMatchesFromScratch(t *testing.T) {
 	}
 }
 
+// specPointers maps every task ID in idx's buckets to the spec object the
+// bucket entry points at. The index shares the specs of a job it did not
+// regenerate between versions, so pointer identity across two versions is
+// "not regenerated" — what Task Managers take the Equal fast path on.
+func specPointers(idx *SnapshotIndex) map[string]*engine.TaskSpec {
+	out := make(map[string]*engine.TaskSpec, idx.Len())
+	for s := 0; s < idx.NumShards(); s++ {
+		for _, is := range idx.ShardSpecs(shardmanager.ShardID(s)) {
+			out[is.ID] = is.Spec
+		}
+	}
+	return out
+}
+
+// regeneratedJobs lists, sorted, the jobs with a task whose spec object in
+// next is not the one prev holds (new tasks included).
+func regeneratedJobs(prev, next *SnapshotIndex) []string {
+	old := specPointers(prev)
+	var jobs []string
+	for id, spec := range specPointers(next) {
+		if old[id] != spec {
+			jobs = append(jobs, spec.Job)
+		}
+	}
+	slices.Sort(jobs)
+	return slices.Compact(jobs)
+}
+
 func TestIncrementalRegenerationRebuildsOnlyChangedJobs(t *testing.T) {
-	const jobs, tasks = 40, 4
+	const jobs, tasks, numShards = 40, 4, 64
 	store := jobstore.New()
 	clk := simclock.NewSim(epoch)
 	for i := 0; i < jobs; i++ {
 		commitJob(t, store, fmt.Sprintf("job%02d", i), tasks, 1)
 	}
-	svc := New(store, clk, 90*time.Second, 64)
+	svc := New(store, clk, 90*time.Second, numShards)
+	idx0 := svc.Index()
 
-	before := engine.HashComputations()
-	svc.Snapshot()
-	if got := engine.HashComputations() - before; got != jobs*tasks {
-		t.Fatalf("initial generation computed %d hashes, want %d (once per spec)", got, jobs*tasks)
-	}
-
-	// One job changes: only its specs are rebuilt and re-hashed.
+	// One job changes: only its specs are regenerated. Every other job's
+	// entries point at the very specs the previous version held, and every
+	// bucket without a task of the changed job is the previous version's
+	// bucket.
 	cfg := jobCfg("job20", tasks)
 	cfg.Package.Version = "v9"
 	doc, err := cfg.ToDoc()
@@ -100,22 +128,55 @@ func TestIncrementalRegenerationRebuildsOnlyChangedJobs(t *testing.T) {
 	}
 	store.CommitRunning("job20", doc, 2)
 	svc.Invalidate()
-	before = engine.HashComputations()
-	_, v1 := svc.Snapshot()
-	if got := engine.HashComputations() - before; got != tasks {
-		t.Fatalf("incremental regeneration computed %d hashes, want %d (only the changed job)", got, tasks)
+	idx1 := svc.Index()
+	if idx1.Version() == idx0.Version() {
+		t.Fatal("a content change did not move the version")
+	}
+	if got := regeneratedJobs(idx0, idx1); !slices.Equal(got, []string{"job20"}) {
+		t.Fatalf("one-job bump regenerated jobs %v, want only job20", got)
+	}
+	kept := 0
+	for s := shardmanager.ShardID(0); s < numShards; s++ {
+		bucket := idx1.ShardSpecs(s)
+		lo, hi := JobRun(bucket, "job20")
+		if touched := hi > lo; SameBucket(idx0.ShardSpecs(s), bucket) == touched {
+			t.Fatalf("shard %d: holds job20 = %v, yet same bucket as before = %v", s, touched, !touched)
+		} else if !touched {
+			kept++
+		}
+	}
+	if kept < numShards-tasks {
+		t.Fatalf("%d of %d buckets kept; a %d-task job touches at most %d", kept, numShards, tasks, tasks)
 	}
 
-	// Nothing changed: regeneration computes zero hashes and keeps the
-	// version.
+	// The same config committed again under a new version: neither the
+	// index version nor any spec a Task Manager can reach moves.
+	store.CommitRunning("job20", doc, 3)
 	svc.Invalidate()
-	before = engine.HashComputations()
-	_, v2 := svc.Snapshot()
-	if got := engine.HashComputations() - before; got != 0 {
-		t.Fatalf("no-change regeneration computed %d hashes, want 0", got)
+	idx2 := svc.Index()
+	if idx2.Version() != idx1.Version() {
+		t.Fatalf("version moved without content change: %d -> %d", idx1.Version(), idx2.Version())
 	}
-	if v1 != v2 {
-		t.Fatalf("version moved without content change: %d -> %d", v1, v2)
+	if got := regeneratedJobs(idx1, idx2); len(got) != 0 {
+		t.Fatalf("content-identical re-commit replaced the specs of %v", got)
+	}
+
+	// Nothing changed at all: same again.
+	svc.Invalidate()
+	if idx3 := svc.Index(); idx3.Version() != idx1.Version() || len(regeneratedJobs(idx1, idx3)) != 0 {
+		t.Fatalf("no-change regeneration moved the index: version %d -> %d", idx1.Version(), idx3.Version())
+	}
+}
+
+// TestSpecStructSizes pins the two per-task objects of an index: every
+// published spec and every bucket entry of every version pays for a field
+// added to them (a memoised hash string was 16 B on each).
+func TestSpecStructSizes(t *testing.T) {
+	if got := unsafe.Sizeof(engine.TaskSpec{}); got > 216 {
+		t.Errorf("engine.TaskSpec is %d B, ceiling 216", got)
+	}
+	if got := unsafe.Sizeof(IndexedSpec{}); got > 32 {
+		t.Errorf("IndexedSpec is %d B, ceiling 32", got)
 	}
 }
 
@@ -172,8 +233,8 @@ func TestShardIndexPartitionsAllSpecs(t *testing.T) {
 			if want := shardmanager.ShardOf(is.ID, numShards); want != s {
 				t.Fatalf("spec %s filed under shard %d, want %d", is.ID, s, want)
 			}
-			if is.Hash != is.Spec.Hash() {
-				t.Fatalf("indexed hash mismatch for %s", is.ID)
+			if is.ID != is.Spec.ID() || is.Shard != s {
+				t.Fatalf("entry {%s %d} of shard %d does not describe its spec %s", is.ID, is.Shard, s, is.Spec.ID())
 			}
 		}
 	}

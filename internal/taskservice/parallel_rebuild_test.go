@@ -18,8 +18,8 @@ import (
 
 // TestPartitionWindowMatchesAssignPartitions cross-checks the arena
 // window against engine.AssignPartitions over an exhaustive grid,
-// including the nil-vs-non-nil-empty distinction that json.Marshal (and
-// therefore the spec hash) observes.
+// including the nil-vs-non-nil-empty distinction that json.Marshal
+// observes.
 func TestPartitionWindowMatchesAssignPartitions(t *testing.T) {
 	for total := -1; total <= 33; total++ {
 		var arena []int

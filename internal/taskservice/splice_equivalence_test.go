@@ -7,8 +7,11 @@ package taskservice
 // indexes must stay immutable while later publishes splice around them.
 
 import (
+	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,8 +23,9 @@ import (
 )
 
 // assertIndexEquivalent pins idx against want: same totals, byte-identical
-// specs in the same order, and identical per-shard buckets (IDs, hashes,
-// order) across the whole shard space.
+// specs in the same order, and identical per-shard buckets (IDs, spec
+// content by this suite's own JSON fingerprint, order) across the whole
+// shard space.
 func assertIndexEquivalent(t *testing.T, idx, want *SnapshotIndex, numShards int) {
 	t.Helper()
 	if idx.Len() != want.Len() {
@@ -36,8 +40,8 @@ func assertIndexEquivalent(t *testing.T, idx, want *SnapshotIndex, numShards int
 			t.Fatalf("shard %d: %d specs, want %d", s, len(a), len(b))
 		}
 		for i := range a {
-			if a[i].ID != b[i].ID || a[i].Hash != b[i].Hash || a[i].Shard != b[i].Shard {
-				t.Fatalf("shard %d entry %d: %+v, want %+v", s, i, a[i], b[i])
+			if a[i].ID != b[i].ID || a[i].Shard != b[i].Shard || specJSON(t, a[i].Spec) != specJSON(t, b[i].Spec) {
+				t.Fatalf("shard %d entry %d: %+v %+v, want %+v %+v", s, i, a[i], *a[i].Spec, b[i], *b[i].Spec)
 			}
 		}
 	}
@@ -48,13 +52,24 @@ func specsJSON2(t *testing.T, idx *SnapshotIndex) string {
 	return specsJSON(t, idx.Specs())
 }
 
-// shardFingerprint captures a deep copy of every bucket's (ID, Hash)
+// specJSON is the suite's content fingerprint of one spec: its
+// encoding/json form, which names every field.
+func specJSON(t *testing.T, spec *engine.TaskSpec) string {
+	t.Helper()
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
+}
+
+// shardFingerprint captures a deep copy of every bucket's (ID, content)
 // pairs, for immutability checks on published indexes.
-func shardFingerprint(idx *SnapshotIndex, numShards int) [][]string {
+func shardFingerprint(t *testing.T, idx *SnapshotIndex, numShards int) [][]string {
 	fp := make([][]string, numShards)
 	for s := 0; s < numShards; s++ {
 		for _, is := range idx.ShardSpecs(shardmanager.ShardID(s)) {
-			fp[s] = append(fp[s], is.ID+"|"+is.Hash)
+			fp[s] = append(fp[s], is.ID+"|"+specJSON(t, is.Spec))
 		}
 	}
 	return fp
@@ -229,7 +244,7 @@ func TestPublishedIndexImmutableUnderSplices(t *testing.T) {
 	}
 	svc := New(store, clk, 90*time.Second, numShards)
 	idx1 := svc.Index()
-	fp := shardFingerprint(idx1, numShards)
+	fp := shardFingerprint(t, idx1, numShards)
 	json1 := specsJSON2(t, idx1)
 
 	// Churn every job, delete a few, quiesce a few.
@@ -255,7 +270,7 @@ func TestPublishedIndexImmutableUnderSplices(t *testing.T) {
 	if got := specsJSON2(t, idx1); got != json1 {
 		t.Fatal("published index specs mutated by later splices")
 	}
-	fp2 := shardFingerprint(idx1, numShards)
+	fp2 := shardFingerprint(t, idx1, numShards)
 	for s := range fp {
 		if len(fp[s]) != len(fp2[s]) {
 			t.Fatalf("shard %d of the old index changed size: %d -> %d", s, len(fp[s]), len(fp2[s]))
@@ -314,8 +329,9 @@ func TestPublishedIndexImmutableUnderSplices(t *testing.T) {
 }
 
 // TestQuiesceSplicesWithoutRebuild: quiescing and unquiescing splice the
-// cached group out of and back into the index without regenerating or
-// re-hashing a single spec, and each toggle moves the version.
+// cached group out of and back into the index without regenerating a
+// single spec — every spec the index holds afterwards is the object it
+// held before — and each toggle moves the version.
 func TestQuiesceSplicesWithoutRebuild(t *testing.T) {
 	const numShards = 64
 	store := jobstore.New()
@@ -326,12 +342,14 @@ func TestQuiesceSplicesWithoutRebuild(t *testing.T) {
 	svc := New(store, clk, 90*time.Second, numShards)
 	idx1 := svc.Index()
 	json1 := specsJSON2(t, idx1)
+	specs1 := specPointers(idx1)
 
-	before := engine.HashComputations()
 	svc.Quiesce("job05")
 	idx2 := svc.Index()
-	if got := engine.HashComputations() - before; got != 0 {
-		t.Fatalf("quiesce splice computed %d hashes, want 0", got)
+	for id, spec := range specPointers(idx2) {
+		if specs1[id] != spec {
+			t.Fatalf("quiesce splice regenerated %s", id)
+		}
 	}
 	if idx2.Version() == idx1.Version() {
 		t.Fatal("quiesce did not move the version")
@@ -347,11 +365,10 @@ func TestQuiesceSplicesWithoutRebuild(t *testing.T) {
 		}
 	}
 
-	before = engine.HashComputations()
 	svc.Unquiesce("job05")
 	idx3 := svc.Index()
-	if got := engine.HashComputations() - before; got != 0 {
-		t.Fatalf("unquiesce splice computed %d hashes, want 0", got)
+	if got := specPointers(idx3); !maps.Equal(got, specs1) {
+		t.Fatal("unquiesce splice regenerated specs: the index no longer holds the objects it held before the quiesce")
 	}
 	if idx3.Version() == idx2.Version() {
 		t.Fatal("unquiesce did not move the version")
@@ -425,7 +442,7 @@ func TestJournalOverflowResyncThenIncremental(t *testing.T) {
 	idx := svc.Index()
 	assertIndexEquivalent(t, idx, New(store, clk, 90*time.Second, numShards).Index(), numShards)
 
-	// Post-resync: incremental again. One changed job re-hashes exactly
+	// Post-resync: incremental again. One changed job regenerates exactly
 	// its own specs.
 	cfg := jobCfg("job07", tasks)
 	cfg.Package.Version = "v999"
@@ -435,10 +452,9 @@ func TestJournalOverflowResyncThenIncremental(t *testing.T) {
 	}
 	store.CommitRunning("job07", doc, 999)
 	svc.Invalidate()
-	before := engine.HashComputations()
 	idx2 := svc.Index()
-	if got := engine.HashComputations() - before; got != tasks {
-		t.Fatalf("post-resync incremental computed %d hashes, want %d", got, tasks)
+	if got := regeneratedJobs(idx, idx2); !slices.Equal(got, []string{"job07"}) {
+		t.Fatalf("post-resync incremental regenerated jobs %v, want only job07", got)
 	}
 	assertIndexEquivalent(t, idx2, New(store, clk, 90*time.Second, numShards).Index(), numShards)
 }

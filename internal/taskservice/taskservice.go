@@ -244,7 +244,7 @@ func (s *Service) regenerateLocked() *SnapshotIndex {
 	}
 
 	// Rebuild every changed group up front, in parallel: group
-	// generation (decode, spec expansion, hashing) is pure per-job work,
+	// generation (decode, spec expansion, bucketing) is pure per-job work,
 	// so it fans out across the pool while the order-sensitive inclusion
 	// pass below stays sequential — and finds a warm cache.
 	s.rebuildNames = s.rebuildNames[:0]
@@ -325,9 +325,9 @@ func (s *Service) regenerateLocked() *SnapshotIndex {
 
 // updateInclusion reconciles one job's membership in the included-group
 // list (and the index draft) with its current group and quiesce state.
-// Only content-changing transitions create or touch the draft; a rebuilt
-// group with an identical signature swaps the cached pointer without
-// publishing anything.
+// Only content-changing transitions create or touch the draft; a group
+// rebuilt to equal specs swaps the cached pointer without publishing
+// anything.
 func (s *Service) updateInclusion(name string, draft func() *indexDraft) {
 	g := s.groups[name]
 	include := g != nil && len(g.indexed) > 0
@@ -347,10 +347,10 @@ func (s *Service) updateInclusion(name string, draft func() *indexDraft) {
 		old := s.included[pos]
 		s.ensureIncludedOwned(0)
 		s.included[pos] = g
-		if old.sig == g.sig {
-			// Rebuilt to byte-identical content (e.g. a commit that
-			// rewrote the same config under a new revision): no splice,
-			// no version movement.
+		if old.sameSpecs(g) {
+			// Rebuilt to identical content (e.g. a commit that rewrote
+			// the same config under a new revision): no splice, no
+			// version movement.
 			return
 		}
 		draft().applyGroup(name, old, g)
@@ -493,9 +493,9 @@ func (s *Service) resyncLocked() *SnapshotIndex {
 }
 
 // buildGroup generates one job's spec group: expand the running config
-// into specs, hash each spec once, and precompute each task's identity,
-// shard, and per-shard sub-buckets. Jobs whose running config is
-// undecodable or administratively stopped produce an empty group.
+// into specs and precompute each task's identity, shard, and per-shard
+// sub-buckets. Jobs whose running config is undecodable or
+// administratively stopped produce an empty group.
 //
 // A task's identity and shard depend only on the job's name and the task
 // index, so a rebuild that keeps the task count (a package release, a
@@ -523,7 +523,7 @@ func (s *Service) buildGroup(job string, rev int64) *jobGroup {
 	}
 	for i := range g.specs {
 		spec := &g.specs[i]
-		is := IndexedSpec{Hash: spec.Hash(), Spec: spec} // memoizes on the stored spec
+		is := IndexedSpec{Spec: spec}
 		if prev != nil {
 			is.ID, is.Shard = prev[i].ID, prev[i].Shard
 		} else {
@@ -533,7 +533,6 @@ func (s *Service) buildGroup(job string, rev int64) *jobGroup {
 		g.indexed[i] = is
 	}
 	g.shards = buildGroupShards(g.indexed)
-	g.sig = buildSig(g.specs)
 	return g
 }
 
@@ -606,8 +605,7 @@ func SpecsForJob(cfg *config.JobConfig) []engine.TaskSpec {
 // capped window into the shared arena. The start/size math — and the
 // nil-vs-empty behaviour — must match engine.AssignPartitions exactly:
 // nil for an invalid assignment but a non-nil empty slice for a valid
-// zero-size one, because the two marshal (and therefore hash)
-// differently. TestPartitionWindowMatchesAssignPartitions cross-checks.
+// zero-size one. TestPartitionWindowMatchesAssignPartitions cross-checks.
 func partitionWindow(arena []int, total, taskCount, index int) []int {
 	if total <= 0 || taskCount <= 0 || index < 0 || index >= taskCount {
 		return nil

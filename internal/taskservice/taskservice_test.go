@@ -179,7 +179,7 @@ func TestSpecsForJobResourcePropagation(t *testing.T) {
 	}
 }
 
-func TestSpecHashChangesOnPackageBump(t *testing.T) {
+func TestSpecChangesOnPackageBump(t *testing.T) {
 	a := SpecsForJob(jobCfg("j1", 1))[0]
 	cfg := jobCfg("j1", 1)
 	cfg.Package.Version = "v4"
@@ -187,7 +187,7 @@ func TestSpecHashChangesOnPackageBump(t *testing.T) {
 	if a.ID() != b.ID() {
 		t.Fatal("task identity changed on package bump")
 	}
-	if a.Hash() == b.Hash() {
-		t.Fatal("spec hash did not change on package bump")
+	if a.Equal(&b) {
+		t.Fatal("spec still Equal after a package bump")
 	}
 }

@@ -1,42 +1,6 @@
 package wire
 
-import (
-	"testing"
-
-	"repro/internal/engine"
-)
-
-func BenchmarkEncodeSpec(b *testing.B) {
-	spec := sampleSpec()
-	var e Encoder
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Reset()
-		e.AppendSpec(spec)
-	}
-	b.SetBytes(int64(len(e.Buf)))
-}
-
-func BenchmarkDecodeSpec(b *testing.B) {
-	var e Encoder
-	e.AppendSpec(sampleSpec())
-	_, body, _, err := DecodeFrame(e.Buf)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var spec engine.TaskSpec
-	var parts []int
-	b.SetBytes(int64(len(e.Buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parts, err = DecodeSpec(body, &spec, parts[:0])
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+import "testing"
 
 func BenchmarkEncodeDoc(b *testing.B) {
 	doc := sampleDoc()

@@ -1,6 +1,7 @@
 // Package wire is the binary codec for the control plane's RPC-shaped
-// seams: task specs, running-configuration documents, and Job Store
-// journal deltas, packed into length-prefixed frames.
+// seams: running-configuration documents and Job Store journal deltas,
+// packed into length-prefixed frames. (Task specs never travel: the feed
+// ships running configs and each mirror derives its specs.)
 //
 // The codec exists so that a multi-process deployment is a wiring
 // change, not a refactor (ROADMAP): every value that would cross a
@@ -54,8 +55,6 @@ const (
 	FrameResyncChunk byte = 0x03
 	// FrameFeedRequest is a subscriber's poll request.
 	FrameFeedRequest byte = 0x04
-	// FrameSpec carries one encoded task spec.
-	FrameSpec byte = 0x05
 )
 
 // ErrMalformed is wrapped by every decode error.

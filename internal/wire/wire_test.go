@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/config"
-	"repro/internal/engine"
 )
 
 func sampleDoc() config.Doc {
@@ -27,30 +26,6 @@ func sampleDoc() config.Doc {
 		"flags":   []any{true, false, nil, "x", int64(-3), 1.25},
 		"paused":  false,
 		"comment": nil,
-	}
-}
-
-func sampleSpec() *engine.TaskSpec {
-	return &engine.TaskSpec{
-		Job:            "ads/metrics",
-		Index:          3,
-		TaskCount:      8,
-		PackageName:    "scuba_tailer",
-		PackageVersion: "v7",
-		Threads:        2,
-		Operator:       config.OpTailer,
-		InputCategory:  "ads_metrics_in",
-		Partitions:     []int{3, 11, 19, 27},
-		OutputCategory: "ads_metrics_out",
-		Resources: config.Resources{
-			CPUCores:    2.5,
-			MemoryBytes: 2 << 30,
-			DiskBytes:   10 << 30,
-			NetworkBps:  50 << 20,
-		},
-		Enforcement:   config.EnforceCgroup,
-		CheckpointDir: "/checkpoints/ads/metrics",
-		Priority:      2,
 	}
 }
 
@@ -151,77 +126,6 @@ func TestDocUnsupportedValue(t *testing.T) {
 	var e Encoder
 	err := e.AppendDoc(config.Doc{"ch": make(chan int)})
 	if err == nil || !errors.Is(err, ErrMalformed) {
-		t.Fatalf("err = %v, want ErrMalformed", err)
-	}
-}
-
-func TestSpecRoundTrip(t *testing.T) {
-	spec := sampleSpec()
-	var e Encoder
-	e.AppendSpec(spec)
-	kind, body, rest, err := DecodeFrame(e.Buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != FrameSpec || len(rest) != 0 {
-		t.Fatalf("kind=0x%02x rest=%d", kind, len(rest))
-	}
-	var got engine.TaskSpec
-	if _, err := DecodeSpec(body, &got, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(*spec, got) {
-		t.Fatalf("spec round trip mismatch:\n in: %+v\nout: %+v", *spec, got)
-	}
-	if spec.Hash() != got.Hash() {
-		t.Fatal("spec hash changed across round trip")
-	}
-}
-
-// TestSpecRoundTripPartitionNilness: nil and empty partition sets are
-// different specs — the JSON hash renders them null vs [] — and both
-// shapes occur in practice (AssignPartitions returns nil for a
-// partition-less job but an empty non-nil slice for a task whose share
-// of a small partition space is zero). The codec must preserve the
-// distinction exactly.
-func TestSpecRoundTripPartitionNilness(t *testing.T) {
-	for _, parts := range [][]int{nil, {}} {
-		spec := sampleSpec()
-		spec.Partitions = parts
-		var e Encoder
-		e.AppendSpec(spec)
-		_, body, _, err := DecodeFrame(e.Buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := engine.TaskSpec{Partitions: []int{99}} // must be overwritten
-		if _, err := DecodeSpec(body, &got, nil); err != nil {
-			t.Fatal(err)
-		}
-		if (got.Partitions == nil) != (parts == nil) || len(got.Partitions) != len(parts) {
-			t.Fatalf("Partitions = %#v, want %#v", got.Partitions, parts)
-		}
-		if !reflect.DeepEqual(*spec, got) {
-			t.Fatalf("spec round trip mismatch")
-		}
-		if spec.Hash() != got.Hash() {
-			t.Fatal("hash changed across round trip")
-		}
-	}
-}
-
-func TestSpecUnknownSchema(t *testing.T) {
-	spec := sampleSpec()
-	var e Encoder
-	e.AppendSpec(spec)
-	_, body, _, err := DecodeFrame(e.Buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), body...)
-	bad[0] = 0xEE
-	var got engine.TaskSpec
-	if _, err := DecodeSpec(bad, &got, nil); err == nil || !errors.Is(err, ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
 	}
 }
@@ -381,7 +285,7 @@ func TestDecodeFrameMalformed(t *testing.T) {
 		nil,                           // shorter than prefix
 		{1, 2, 3},                     // shorter than prefix
 		{0, 0, 0, 0},                  // empty body
-		{9, 0, 0, 0, FrameSpec},       // length exceeds available
+		{9, 0, 0, 0, 0x05},            // length exceeds available
 		{255, 255, 255, 255, 1, 2, 3}, // huge length
 	}
 	for i, b := range cases {
@@ -439,16 +343,20 @@ func TestReaderViewsAlias(t *testing.T) {
 }
 
 func TestEncoderReuseNoGrowth(t *testing.T) {
-	spec := sampleSpec()
+	doc := sampleDoc()
 	var e Encoder
-	e.AppendSpec(spec)
-	warmCap := cap(e.Buf)
-	allocs := testing.AllocsPerRun(100, func() {
+	encode := func() {
 		e.Reset()
-		e.AppendSpec(spec)
-	})
-	if allocs != 0 {
-		t.Fatalf("warm spec encode allocates %.1f/op, want 0", allocs)
+		mark := e.AppendDeltaHeader(9, 1)
+		if err := e.AppendDeltaCommit("ads/metrics", 7, 3, doc); err != nil {
+			t.Fatal(err)
+		}
+		e.EndFrame(mark)
+	}
+	encode()
+	warmCap := cap(e.Buf)
+	if allocs := testing.AllocsPerRun(100, encode); allocs != 0 {
+		t.Fatalf("warm delta encode allocates %.1f/op, want 0", allocs)
 	}
 	if cap(e.Buf) != warmCap {
 		t.Fatalf("buffer regrew: %d -> %d", warmCap, cap(e.Buf))

@@ -22,13 +22,13 @@ go -C bench test .
 # Fuzz smoke: a few seconds per target over the committed corpus plus
 # fresh mutations. Long fuzzing sessions grow the corpus offline; this
 # catches frame-decoder and round-trip regressions fast — and any drift
-# of the two hand-written encoding/json equivalents from the real thing
-# (the typed config decoder and the task-spec hash pre-image), or of the
+# of the typed config decoder from the encoding/json round trip it
+# stands for, of TaskSpec.Equal from byte-equality of the specs' JSON
+# forms (what decided a restart before specs were compared), or of the
 # batched Task.Advance from the per-partition drain it replaced.
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzFrameDecode' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzDocRoundTrip' -fuzztime 5s
-go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzSpecRoundTrip' -fuzztime 5s
 go test ./internal/wire/stream -run 'XXXNONE' -fuzz 'FuzzStreamDecode' -fuzztime 5s
 go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzJobConfigFromDoc' -fuzztime 5s
-go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzSpecHashPreimage' -fuzztime 5s
+go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzSpecEqualMatchesJSON' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzAdvanceMatchesPerPartitionDrain' -fuzztime 5s
