@@ -204,7 +204,6 @@ type Cluster struct {
 	generators  map[string]*workload.Generator // by job name
 	signals     map[string]*autoscaler.Signals // replaced whole every monitor tick; entries never written
 	lastWritten map[string]int64               // input category -> bytes at last monitor
-	lastOOMs    map[string]int                 // job -> cumulative OOMs at last monitor
 	decoded     map[string]decodedCfg
 	jobSeries   map[string]jobSeries // cached metric-store handles per job
 	allocated   allocatedMemo
@@ -298,15 +297,15 @@ func (c *Cluster) runningConfig(job string) (*config.JobConfig, bool) {
 
 // forgetJobLocked drops everything learned about a job while it ran, so
 // that a job later created under the same name starts as a new one: the
-// monitor's decoded configuration, OOM baseline and input-category byte
-// baseline, the job's metric series (handles and stored points) and the
-// Auto Scaler's per-job state.
+// monitor's decoded configuration and input-category byte baseline, the
+// job's metric series (handles and stored points) and the Auto Scaler's
+// per-job state. (OOM kills need no forgetting: the Task Managers hand
+// them over tick by tick, nothing accumulates under the job's name.)
 func (c *Cluster) forgetJobLocked(job string) {
 	if d, ok := c.decoded[job]; ok {
 		delete(c.lastWritten, d.cfg.Input.Category)
 		delete(c.decoded, job)
 	}
-	delete(c.lastOOMs, job)
 	delete(c.jobSeries, job)
 	for _, name := range jobSeriesNames(job) {
 		c.Metrics.Delete(name)
@@ -347,7 +346,6 @@ func New(cfg Config) (*Cluster, error) {
 		generators:  make(map[string]*workload.Generator),
 		signals:     make(map[string]*autoscaler.Signals),
 		lastWritten: make(map[string]int64),
-		lastOOMs:    make(map[string]int),
 		decoded:     make(map[string]decodedCfg),
 		jobSeries:   make(map[string]jobSeries),
 	}
@@ -712,12 +710,10 @@ func (c *Cluster) monitorTick() {
 		o.memPeak = max(o.memPeak, st.MemoryBytes)
 		o.diskPeak = max(o.diskPeak, st.DiskBytes)
 	}
-	oomTotals := make(map[string]int)
+	ooms := make(map[string]int) // job -> OOM kills since the last tick
 	for _, e := range c.tms {
 		e.tm.EachTaskStats(observe)
-		for job, n := range e.tm.OOMsByJob() {
-			oomTotals[job] += n
-		}
+		e.tm.DrainOOMs(ooms)
 	}
 
 	dt := c.Cfg.MonitorInterval.Seconds()
@@ -740,8 +736,6 @@ func (c *Cluster) monitorTick() {
 		c.mu.Lock()
 		last := c.lastWritten[cat]
 		c.lastWritten[cat] = written
-		lastOOM := c.lastOOMs[job]
-		c.lastOOMs[job] = oomTotals[job]
 		c.mu.Unlock()
 		inputRate := float64(written-last) / dt
 		if last == 0 && written > 0 {
@@ -780,7 +774,7 @@ func (c *Cluster) monitorTick() {
 			ProcessingRate: processing,
 			BacklogBytes:   backlog,
 			TaskRates:      taskRates,
-			OOMs:           oomTotals[job] - lastOOM,
+			OOMs:           ooms[job],
 			MemPeakBytes:   o.memPeak,
 			DiskPeakBytes:  o.diskPeak,
 			TaskCount:      cfg.TaskCount,
@@ -1056,13 +1050,8 @@ func (c *Cluster) TotalRunningTasks() int {
 // JobRunningTasks counts live tasks of one job.
 func (c *Cluster) JobRunningTasks(job string) int {
 	n := 0
-	prefix := job + "#"
 	for _, e := range c.tms {
-		for _, id := range e.tm.RunningTaskIDs() {
-			if strings.HasPrefix(id, prefix) {
-				n++
-			}
-		}
+		n += e.tm.JobTaskCount(job)
 	}
 	return n
 }

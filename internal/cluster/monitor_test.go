@@ -36,10 +36,10 @@ func TestRecreatedJobServesFreshConfig(t *testing.T) {
 	}
 	// Nothing of the removed job is left behind between monitor ticks.
 	c.mu.Lock()
-	left := fmt.Sprint(len(c.decoded), len(c.lastOOMs), len(c.lastWritten), len(c.signals))
+	left := fmt.Sprint(len(c.decoded), len(c.lastWritten), len(c.signals))
 	c.mu.Unlock()
-	if left != "0 0 0 0" {
-		t.Fatalf("monitor state after the removal (decoded, lastOOMs, lastWritten, signals) = %s, want all empty", left)
+	if left != "0 0 0" {
+		t.Fatalf("monitor state after the removal (decoded, lastWritten, signals) = %s, want all empty", left)
 	}
 
 	if err := c.AddJob(JobSpec{Config: tailerJob("j", 4, 8), Pattern: workload.Constant(mb)}); err != nil {
@@ -207,6 +207,55 @@ func TestSignalsReplayBitIdentical(t *testing.T) {
 	}
 	if !multi {
 		t.Fatal("no job ever ran more than two tasks: the fold order was never exercised")
+	}
+}
+
+// TestRecreatedJobInheritsNoOOMs: OOM kills are counted under the job's
+// name, and a job that never had one must not be handed its predecessor's
+// the first time the monitor looks at it — the scaler would see an OOM
+// burst and raise the memory of a job that is nowhere near its limit.
+func TestRecreatedJobInheritsNoOOMs(t *testing.T) {
+	c := newCluster(t, Config{Hosts: 2})
+	tight := tailerJob("j", 1, 2)
+	tight.TaskResources.MemoryBytes = 64 * mb
+	if err := c.AddJob(JobSpec{Config: tight, Pattern: workload.Constant(8 * mb)}); err != nil {
+		t.Fatal(err)
+	}
+	ooms := 0
+	for i := 0; i < 12; i++ {
+		c.Run(time.Minute)
+		if sig, ok := c.JobSignals("j"); ok {
+			ooms += sig.OOMs
+		}
+	}
+	if ooms < 3 {
+		t.Fatalf("first incarnation: %d OOM kills signalled in 12 minutes; the scenario needs a history of them", ooms)
+	}
+	if err := c.RemoveJob("j"); err != nil {
+		t.Fatal(err)
+	}
+	c.Run(5 * time.Minute)
+	if got := c.TotalRunningTasks(); got != 0 {
+		t.Fatalf("%d tasks still run after the removal", got)
+	}
+
+	if err := c.AddJob(JobSpec{Config: tailerJob("j", 1, 2), Pattern: workload.Constant(mb)}); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for i := 0; i < 10; i++ {
+		c.Run(time.Minute)
+		sig, ok := c.JobSignals("j")
+		if !ok {
+			continue
+		}
+		seen++
+		if sig.OOMs != 0 {
+			t.Fatalf("minute %d of the second incarnation (2 GB limit, 1 MB/s): %d OOM kills signalled, want 0", i+1, sig.OOMs)
+		}
+	}
+	if seen < 5 || c.JobRunningTasks("j") != 1 {
+		t.Fatalf("second incarnation: %d ticks with signals, %d tasks running", seen, c.JobRunningTasks("j"))
 	}
 }
 

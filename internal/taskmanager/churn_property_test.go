@@ -6,7 +6,10 @@ package taskmanager
 // resync) extended with everything that moves a Task Manager (task-count
 // change through the actuator protocol, shard moves, StopJob, proactive
 // reboot, container death and revival at seconds 1/31/58 of the fetch
-// period, a foreign lease that makes a Start fail) — runs on a real Shard
+// period, a foreign lease that makes a Start fail, a Refresh held back by
+// each of its gates while the source publishes on, a shard handed to a
+// manager that cannot reconcile it, a Task Service restart that
+// republishes every bucket in a new array) — runs on a real Shard
 // Manager and a running clock, so most Refresh calls are the system's own
 // (fetch ticks, AddShard, stored-mapping adoption), not the test's.
 //
@@ -15,7 +18,9 @@ package taskmanager
 // task source notes the index and the running set at the instant a
 // Refresh passes its gates. After every entry the oracle compares what
 // runs with what ran, from the index alone — no port of any reconcile
-// loop, old or new.
+// loop, old or new — and checks the invariant the per-job lookups rest
+// on: every owned shard holds no bucket yet or the one the retained index
+// publishes, and the index is retained exactly while something runs.
 
 import (
 	"encoding/json"
@@ -76,6 +81,8 @@ type churnHarness struct {
 	lastStats []Stats
 	recon     []*reconcileStart // per manager: set iff a Refresh reconciled since the last check
 	killed    []bool            // per manager: the tasks that went since the last check were killed, not stopped
+	stale     []time.Duration   // per manager: the staleness its task source reports
+	mismatch  []bool            // per manager: its Shard Manager link reports another shard-space size
 
 	blocked        map[string]bool // task IDs whose Start must fail: a foreign lease holds a partition
 	quiesced       map[string]bool // jobs the matrix left quiesced
@@ -86,6 +93,9 @@ type churnHarness struct {
 	published      map[*taskservice.IndexedSpec]*publishedBucket
 
 	reconciles, keptAcrossResync int
+	gated                        [3]int // refreshes each gate held back while the source had moved on
+	stopsBehindSource            int    // tasks StopJob found in buckets the source no longer publishes
+	adoptedGated                 int    // shards handed to a manager whose Refresh a gate held back
 }
 
 // --- probes -----------------------------------------------------------
@@ -95,8 +105,14 @@ type probeSource struct {
 	k int
 }
 
+// StaleFor makes the probe a StalenessSource: the second gate.
+func (p *probeSource) StaleFor() time.Duration { return p.h.stale[p.k] }
+
 func (p *probeSource) Index() *taskservice.SnapshotIndex {
 	idx := p.h.w.ts.Index()
+	if p.h.mismatch[p.k] {
+		return idx // the shard-space gate is about to turn this Refresh away
+	}
 	tm := p.h.w.tms[p.k]
 	owned := tm.Shards()
 	for _, s := range owned {
@@ -121,7 +137,15 @@ func (c probeClock) TickEvery(d time.Duration, f func()) simclock.Ticker {
 // AddShard / DropShard has returned.
 type probeSM struct {
 	ShardManagerClient
-	after func()
+	after    func()
+	mismatch *bool // report a shard space twice the real one: the third gate
+}
+
+func (p probeSM) NumShards() int {
+	if *p.mismatch {
+		return 2 * churnShards
+	}
+	return p.ShardManagerClient.NumShards()
 }
 
 func (p probeSM) RegisterInRegion(id, region string, capacity config.Resources, h shardmanager.Handler) {
@@ -164,6 +188,8 @@ func newChurnHarness(t *testing.T, seed int64) *churnHarness {
 		lastStats: make([]Stats, churnContainers),
 		recon:     make([]*reconcileStart, churnContainers),
 		killed:    make([]bool, churnContainers),
+		stale:     make([]time.Duration, churnContainers),
+		mismatch:  make([]bool, churnContainers),
 		blocked:   make(map[string]bool),
 		quiesced:  make(map[string]bool),
 		seen:      make(map[string]struct{}),
@@ -181,7 +207,7 @@ func newChurnHarness(t *testing.T, seed int64) *churnHarness {
 		}
 		k := k
 		after := func() { h.check(k) }
-		w.tms = append(w.tms, New(ct, probeClock{w.clk, after}, &probeSource{h, k}, probeSM{w.sm, after}, w.bus, w.ckpt, profile, Options{}))
+		w.tms = append(w.tms, New(ct, probeClock{w.clk, after}, &probeSource{h, k}, probeSM{w.sm, after, &h.mismatch[k]}, w.bus, w.ckpt, profile, Options{}))
 	}
 	for _, tm := range w.tms {
 		tm.Start()
@@ -201,9 +227,16 @@ func (h *churnHarness) view(tm *Manager) map[string]taskView {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
 	out := make(map[string]taskView)
+	if (tm.retained == nil) != (tm.running == 0) {
+		h.t.Fatalf("%s: %d tasks run, index retained = %v; it is held exactly while something runs", tm.id, tm.running, tm.retained != nil)
+	}
 	for s, sh := range tm.shards {
 		if len(sh.tasks) != len(sh.bucket) {
 			h.t.Fatalf("%s shard %d: %d task slots for a bucket of %d", tm.id, s, len(sh.tasks), len(sh.bucket))
+		}
+		if tm.retained != nil && sh.bucket != nil && !taskservice.SameBucket(sh.bucket, tm.retained.ShardSpecs(s)) {
+			h.t.Fatalf("%s shard %d: holds a bucket of %d entries that is not the one the retained index (version %d) publishes",
+				tm.id, s, len(sh.bucket), tm.retained.Version())
 		}
 		for i, task := range sh.tasks {
 			is := sh.bucket[i]
@@ -442,20 +475,100 @@ func (h *churnHarness) commit(name string, j *churnJob) {
 	j.live = true
 }
 
-// stopJobEverywhere is the actuator's fan-out, each call checked.
+// stopJobEverywhere is the actuator's fan-out. The oracle walks every task
+// slot of every owned shard (jobSlots): StopJob returns the number of the
+// job's tasks that ran on the manager, none of them runs afterwards, and
+// once every manager has answered no partition of the job has an owner.
 func (h *churnHarness) stopJobEverywhere(name string) {
+	h.t.Helper()
+	source := h.w.ts.Index()
 	for k, tm := range h.w.tms {
-		ran := 0
-		for id := range h.last[k] {
-			if strings.HasPrefix(id, name+"#") {
-				ran++
+		ran := jobSlots(tm, name)
+		if got := tm.JobTaskCount(name); got != ran {
+			h.t.Fatalf("%s: JobTaskCount(%s) = %d, %d run", tm.id, name, got, ran)
+		}
+		behind := 0
+		tm.mu.Lock()
+		for s, sh := range tm.shards {
+			if lo, hi := taskservice.JobRun(sh.bucket, name); hi > lo && !taskservice.SameBucket(sh.bucket, source.ShardSpecs(s)) {
+				behind += hi - lo
 			}
 		}
+		tm.mu.Unlock()
 		if got := tm.StopJob(name); got != ran {
 			h.t.Fatalf("%s: StopJob(%s) stopped %d tasks, %d were running", tm.id, name, got, ran)
 		}
+		if left := jobSlots(tm, name); left != 0 || tm.JobTaskCount(name) != 0 {
+			h.t.Fatalf("%s: %d tasks of %s still run after StopJob (JobTaskCount %d)", tm.id, left, name, tm.JobTaskCount(name))
+		}
+		h.stopsBehindSource += min(behind, ran)
 		h.check(k)
 	}
+	if left := h.w.ckpt.LiveOwners(name); left != 0 {
+		h.t.Fatalf("%s: %d partitions still owned after StopJob everywhere", name, left)
+	}
+}
+
+// gatedRefresh holds manager k's Refresh back by one of its three gates —
+// Shard Manager unreachable, task source stale, shard space mismatched —
+// while the source publishes a change to every bucket the manager holds,
+// hands the manager a shard it cannot reconcile, and then runs the
+// fan-out for a job: the manager must find its tasks in buckets the source
+// has long replaced, and must start nothing until the gate lifts.
+func (h *churnHarness) gatedRefresh(k, gate int, bump func(), stop string) {
+	h.t.Helper()
+	w, tm := h.w, h.w.tms[k]
+	switch gate {
+	case 0:
+		tm.SetConnected(false)
+	case 1:
+		h.stale[k] = DefaultConnectionTimeout
+	case 2:
+		h.mismatch[k] = true
+	}
+	bump()
+	w.ts.Invalidate()
+	w.ts.Index()
+	before := tm.Stats()
+	tm.Refresh()
+	h.check(k)
+	if st := tm.Stats(); st.Started != before.Started || st.Restarted != before.Restarted {
+		h.t.Fatalf("%s: gate %d held, yet Refresh started %d and restarted %d tasks", tm.id, gate, st.Started-before.Started, st.Restarted-before.Restarted)
+	}
+	h.gated[gate]++
+	// AddShard while degraded: load the others, so the rebalance moves
+	// shards onto this manager, whose Refresh is still held back.
+	for j, other := range w.tms {
+		if j == k {
+			continue
+		}
+		for _, s := range w.sm.ShardsOf(other.ID()) {
+			w.sm.ReportShardLoad(s, config.Resources{CPUCores: 4, MemoryBytes: 4 << 30})
+		}
+	}
+	owned := len(tm.Shards())
+	w.sm.Rebalance()
+	h.adoptedGated += max(len(tm.Shards())-owned, 0)
+	h.stopJobEverywhere(stop)
+	switch gate {
+	case 0:
+		tm.SetConnected(true)
+	case 1:
+		h.stale[k] = 0
+	case 2:
+		h.mismatch[k] = false
+	}
+}
+
+// restartTaskService replaces the Task Service with a new one over the same
+// store and quiesce set: equal content, every bucket and every spec in a
+// new array — what a from-scratch resync publishes, forced.
+func (h *churnHarness) restartTaskService() {
+	fresh := taskservice.New(h.w.store, h.w.clk, 90*time.Second, churnShards)
+	for n := range h.quiesced {
+		fresh.Quiesce(n)
+	}
+	h.w.ts = fresh
 }
 
 func (h *churnHarness) refreshAll() {
@@ -525,7 +638,7 @@ func (h *churnHarness) run() []string {
 			}
 			h.blocked[engine.TaskID(conflictJob, 0)] = true
 			h.commit(conflictJob, conflict)
-		case round == 18:
+		case round == 22:
 			w.ckpt.ForceReleaseTask(conflictJob, "intruder")
 			delete(h.blocked, engine.TaskID(conflictJob, 0))
 		case round == 30:
@@ -572,7 +685,7 @@ func (h *churnHarness) run() []string {
 		default:
 			for e, events := 0, 1+rng.Intn(3); e < events; e++ {
 				n := name()
-				switch rng.Intn(9) {
+				switch rng.Intn(12) {
 				case 0: // content change
 					j := job(n)
 					j.version++
@@ -585,9 +698,6 @@ func (h *churnHarness) run() []string {
 					if j := jobs[n]; j != nil && j.live {
 						w.ts.Quiesce(n)
 						h.stopJobEverywhere(n)
-						if left := w.ckpt.LiveOwners(n); left != 0 {
-							t.Fatalf("%s: %d partitions still owned after StopJob everywhere", n, left)
-						}
 						j.tasks = 1 + (j.tasks+rng.Intn(5))%6
 						h.commit(n, j)
 						w.ts.Unquiesce(n)
@@ -617,6 +727,18 @@ func (h *churnHarness) run() []string {
 					tm.SetConnected(false)
 					w.clk.RunFor(45 * time.Second)
 					tm.SetConnected(true)
+				case 9, 10: // a Refresh held back by a gate while the source moves on, then the fan-out
+					h.gatedRefresh(rng.Intn(churnContainers), rng.Intn(3), func() {
+						for i := 0; i < churnJobPool; i++ {
+							if j := jobs[fmt.Sprintf("job%02d", i)]; j != nil && j.live {
+								j.version++
+								h.commit(fmt.Sprintf("job%02d", i), j)
+							}
+						}
+					}, n)
+				case 11: // Task Service restart, then the fan-out against managers still on the old arrays
+					h.restartTaskService()
+					h.stopJobEverywhere(n)
 				}
 			}
 		}
@@ -685,11 +807,13 @@ func TestReconcileMatchesIndexUnderChurn(t *testing.T) {
 		reboots += tm.Stats().Reboots
 		errs += tm.Stats().StartErrors
 	}
-	t.Logf("%d reconciles, %d reboots, %d failed starts, %d tasks kept across the resync, %d starts", h.reconciles, reboots, errs, h.keptAcrossResync, len(first))
+	summary := fmt.Sprintf("%d reconciles, %d reboots, %d failed starts, %d tasks kept across the resync, %d starts, %v refreshes held back per gate, %d shards adopted behind a gate, %d tasks stopped in buckets the source had replaced",
+		h.reconciles, reboots, errs, h.keptAcrossResync, len(first), h.gated, h.adoptedGated, h.stopsBehindSource)
+	t.Log(summary)
 	// The matrix must have reached what it exists to reach.
-	if h.reconciles < 200 || reboots == 0 || errs < 2 || h.keptAcrossResync == 0 || len(first) < 300 {
-		t.Fatalf("matrix too tame: %d reconciles, %d reboots, %d failed starts, %d tasks kept across the resync, %d starts",
-			h.reconciles, reboots, errs, h.keptAcrossResync, len(first))
+	if h.reconciles < 200 || reboots == 0 || errs < 2 || h.keptAcrossResync == 0 || len(first) < 300 ||
+		min(h.gated[0], h.gated[1], h.gated[2]) == 0 || h.adoptedGated == 0 || h.stopsBehindSource < 10 {
+		t.Fatalf("matrix too tame: %s", summary)
 	}
 	second := newChurnHarness(t, 7).run()
 	if !slices.Equal(first, second) {

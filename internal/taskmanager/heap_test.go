@@ -130,3 +130,110 @@ func TestManagerBytesPerTask(t *testing.T) {
 	runtime.KeepAlive(direct)
 	runtime.KeepAlive(tm)
 }
+
+// TestRetainedIndexPinsNoFleetGeneration: a published index references
+// every job's specs, so the one index a manager retains is a whole fleet
+// generation of live heap while it is held. A manager that runs nothing
+// must hold none — its container died, or it rebooted into a partition —
+// and one that is cut off but still serving holds the generation it last
+// reconciled, however many releases the fleet has been through since,
+// until the proactive reboot lets it go. Measured against the size of one
+// generation, after several fleet-wide package releases each.
+func TestRetainedIndexPinsNoFleetGeneration(t *testing.T) {
+	const (
+		jobs, tasksPer = 2000, 2 // two tasks: a manager's own buckets pin the spec arrays of a quarter of the jobs only
+		containers     = 8
+		releases       = 4
+	)
+	w := newWorld(t, containers)
+	version := int64(0)
+	release := func() {
+		t.Helper()
+		version++
+		for i := 0; i < jobs; i++ {
+			name := fmt.Sprintf("job%04d", i)
+			cfg := &config.JobConfig{
+				Name:           name,
+				Package:        config.Package{Name: "tailer", Version: fmt.Sprintf("v%d", version)},
+				TaskCount:      tasksPer,
+				ThreadsPerTask: 1,
+				TaskResources:  config.Resources{CPUCores: 0.1, MemoryBytes: 1 << 28},
+				Operator:       config.OpTailer,
+				Input:          config.Input{Category: name + "_in", Partitions: tasksPer},
+			}
+			doc, err := cfg.ToDoc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.store.CommitRunning(name, doc, version); err != nil {
+				t.Fatal(err)
+			}
+		}
+		w.ts.Invalidate()
+		w.refreshAll() // gated or dead managers skip it
+	}
+	liveHeap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	release()
+	release() // the second one warms what a release itself leaves behind (journal ring, scratch)
+	if got := w.totalRunning(); got != jobs*tasksPer {
+		t.Fatalf("%d tasks run, want %d", got, jobs*tasksPer)
+	}
+
+	// One generation: what a second Task Service over the same store holds.
+	before := liveHeap()
+	extra := taskservice.New(w.store, w.clk, 90*time.Second, 64).Index()
+	generation := liveHeap() - before
+	runtime.KeepAlive(extra)
+	extra = nil
+	if generation < 1<<19 {
+		t.Fatalf("one generation measured as %d B; the fleet is too small to tell anything", generation)
+	}
+	base := liveHeap()
+	grown := func() float64 { return float64(liveHeap()-base) / float64(generation) }
+
+	// Dead container: releases go by, it holds its own buckets and no index.
+	dead := w.tms[0]
+	if err := w.tw.SetHostHealthy("h0", false); err != nil {
+		t.Fatal(err)
+	}
+	dead.OnContainerDead()
+	for i := 0; i < releases; i++ {
+		release()
+	}
+	afterDeath := grown()
+	t.Logf("generation %d B; %d releases after a container died: live heap %+.2f generations", generation, releases, afterDeath)
+	if afterDeath > 0.5 {
+		t.Fatalf("live heap grew by %.2f generations over %d releases with one dead container: it pins an index", afterDeath, releases)
+	}
+
+	// Cut off but serving: exactly the generation it last reconciled stays,
+	// not one per release.
+	cutOff := w.tms[1]
+	cutOff.SetConnected(false)
+	for i := 0; i < releases; i++ {
+		release()
+	}
+	serving := grown()
+	t.Logf("%d more releases with a manager cut off and serving: %+.2f generations", releases, serving)
+	if cutOff.TaskCount() == 0 || serving < afterDeath+0.5 || serving > afterDeath+1.5 {
+		t.Fatalf("a cut-off manager running %d tasks holds %.2f generations over the dead one's %.2f; want about one",
+			cutOff.TaskCount(), serving-afterDeath, afterDeath)
+	}
+	// The proactive reboot stops its tasks, and with them goes the index.
+	w.clk.RunFor(DefaultConnectionTimeout + 15*time.Second)
+	if cutOff.TaskCount() != 0 || cutOff.Stats().Reboots != 1 {
+		t.Fatalf("cut-off manager: %d tasks, %d reboots after the proactive timeout", cutOff.TaskCount(), cutOff.Stats().Reboots)
+	}
+	rebooted := grown()
+	t.Logf("after its proactive reboot: %+.2f generations", rebooted)
+	if rebooted > afterDeath+0.5 {
+		t.Fatalf("live heap still %.2f generations up after the cut-off manager rebooted (%.2f with the dead one alone)", rebooted, afterDeath)
+	}
+	runtime.KeepAlive(w)
+}

@@ -3,6 +3,7 @@ package taskmanager
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -41,25 +42,128 @@ func BenchmarkScaleManagerRefresh(b *testing.B) {
 	benchRefreshCycle(b, 10_000, 8, 64, 4096)
 }
 
-// benchRefreshCycle runs the refresh cycle and enforces, per iteration and
-// via runtime.MemStats deltas bracketed around each Refresh, the two
-// allocation ceilings that make the Task Manager O(changed): a manager
-// none of whose buckets the version bump touched allocates nothing, and
-// one with k touched buckets allocates one task slice per bucket plus a
-// bounded amount per restarted task.
-func benchRefreshCycle(b *testing.B, jobs, tasksPer, containers, numShards int) {
+// BenchmarkScaleStopJobFanout is the first phase of a complex
+// synchronization at fleet scale: StopJob(job) on every one of 64 managers
+// — the actuators broadcast, see Manager.StopJob — then the Refresh that
+// restarts the job (it was not quiesced). Two shapes: BENCHMARK.json's
+// (10 000 jobs x 8 tasks, 4 096 shards: 64 owned shards per manager) and
+// the 1M-task tier's (125 000 jobs, 100 000 shards: 1 563 per manager).
+// Each enforces in-bench that a fan-out stops exactly the job's tasks and
+// allocates nothing, and the larger fleet's fan-out must stay within 4x of
+// the smaller one's: each manager looks the job up in the index it retains
+// and searches only the job's own buckets, so the cost follows the job,
+// not the shards a manager owns (a search of every owned bucket grows 24x
+// between the two).
+func BenchmarkScaleStopJobFanout(b *testing.B) {
+	if testing.Short() {
+		b.Skip("scale tier: run via make bench-scale")
+	}
+	var fanout [2]time.Duration
+	b.Run("F80K", func(b *testing.B) { fanout[0] = benchStopJobFanout(b, 10_000, 8, 64, 4096) })
+	b.Run("F1M", func(b *testing.B) { fanout[1] = benchStopJobFanout(b, 125_000, 8, 64, 100_000) })
+	if fanout[0] > 0 && fanout[1] > 4*fanout[0] {
+		b.Fatalf("StopJob fan-out: %v over 1 563 owned shards per manager, %v over 64; want within 4x", fanout[1], fanout[0])
+	}
+}
+
+// stopFanoutSamples is how many fan-outs the median handed to the 4x
+// comparison is taken over, however few iterations the run asks for.
+const stopFanoutSamples = 64
+
+// benchStopJobFanout times b.N stop-and-restart cycles of one job each and
+// returns the median duration of the StopJob fan-out alone.
+func benchStopJobFanout(b *testing.B, jobs, tasksPer, containers, numShards int) time.Duration {
+	f := newBenchFleet(b, jobs, tasksPer, containers, numShards)
+	var m0, m1 runtime.MemStats
+	// cycle stops job on every manager and refreshes them all, which
+	// restarts it; only the two loops over the managers are timed. It
+	// returns how long the fan-out took and what it allocated.
+	cycle := func(job string, timed bool) (took time.Duration, spent uint64) {
+		stopped, started := 0, 0
+		runtime.ReadMemStats(&m0)
+		if timed {
+			b.StartTimer()
+		}
+		start := time.Now()
+		for _, tm := range f.tms {
+			stopped += tm.StopJob(job)
+		}
+		took = time.Since(start)
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		if stopped != tasksPer {
+			b.Fatalf("StopJob(%s) on every manager stopped %d tasks, the job has %d", job, stopped, tasksPer)
+		}
+		for _, tm := range f.tms {
+			started -= tm.Stats().Started
+		}
+		if timed {
+			b.StartTimer()
+		}
+		for _, tm := range f.tms {
+			tm.Refresh()
+		}
+		b.StopTimer()
+		for _, tm := range f.tms {
+			started += tm.Stats().Started
+		}
+		if started != tasksPer {
+			b.Fatalf("the refresh after StopJob(%s) started %d tasks, want %d", job, started, tasksPer)
+		}
+		return took, m1.Mallocs - m0.Mallocs
+	}
+	n := max(b.N, stopFanoutSamples) // iterations past b.N are untimed: they only feed the median
+	samples := make([]time.Duration, 0, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < n; i++ {
+		job := jobName((i * 7919) % jobs)
+		took, spent := cycle(job, i < b.N)
+		// MemStats counts the whole process, so a runtime goroutine can leak
+		// an object into the bracket; a real allocation repeats.
+		for try := 0; spent != 0 && try < 3; try++ {
+			_, spent = cycle(job, false)
+		}
+		if spent != 0 {
+			b.Fatalf("StopJob(%s) on %d managers allocated %d objects, want 0", job, containers, spent)
+		}
+		samples = append(samples, took)
+	}
+	slices.Sort(samples)
+	median := samples[len(samples)/2]
+	b.ReportMetric(float64(median.Nanoseconds()), "fanout-ns")
+	return median
+}
+
+// benchFleet is the fixture of the scale benchmarks: a Task Service over
+// jobs x tasksPer one-partition tailer tasks, and containers registered
+// Task Managers that between them own numShards shards and run every task.
+type benchFleet struct {
+	ts   *taskservice.Service
+	sm   *shardmanager.Manager
+	tms  []*Manager
+	byID map[string]int // manager ID -> position in tms
+	// commit (re)commits job number job at the given package version.
+	commit func(job int, pkgVersion string, version int64)
+}
+
+func jobName(job int) string { return fmt.Sprintf("job%05d", job) }
+
+func newBenchFleet(b *testing.B, jobs, tasksPer, containers, numShards int) *benchFleet {
 	clk := simclock.NewSim(epoch)
 	store := jobstore.New()
 	bus := scribe.NewBus()
 	ckpt := engine.NewCheckpointStore()
 	tw := tupperware.NewCluster()
-	ts := taskservice.New(store, clk, 90*time.Second, numShards)
-	sm := shardmanager.New(clk, shardmanager.Options{NumShards: numShards})
+	f := &benchFleet{
+		ts:   taskservice.New(store, clk, 90*time.Second, numShards),
+		sm:   shardmanager.New(clk, shardmanager.Options{NumShards: numShards}),
+		byID: make(map[string]int, containers),
+	}
 	profile := func(spec engine.TaskSpec) *engine.Profile {
 		return engine.DefaultProfile(spec.Operator)
 	}
-	byID := make(map[string]int, containers)
-	var tms []*Manager
 	for i := 0; i < containers; i++ {
 		host := fmt.Sprintf("h%d", i)
 		if err := tw.AddHost(host, config.Resources{CPUCores: 480, MemoryBytes: 4 << 40}); err != nil {
@@ -69,13 +173,13 @@ func benchRefreshCycle(b *testing.B, jobs, tasksPer, containers, numShards int) 
 		if err != nil {
 			b.Fatal(err)
 		}
-		tm := New(ct, clk, ts, sm, bus, ckpt, profile, Options{})
+		tm := New(ct, clk, f.ts, f.sm, bus, ckpt, profile, Options{})
 		tm.sm.RegisterInRegion(tm.id, "", ct.Capacity(), tm)
-		byID[tm.id] = i
-		tms = append(tms, tm)
+		f.byID[tm.id] = i
+		f.tms = append(f.tms, tm)
 	}
-	commit := func(job int, pkgVersion string, version int64) {
-		name := fmt.Sprintf("job%05d", job)
+	f.commit = func(job int, pkgVersion string, version int64) {
+		name := jobName(job)
 		cfg := &config.JobConfig{
 			Name:           name,
 			Package:        config.Package{Name: "tailer", Version: pkgVersion},
@@ -94,11 +198,11 @@ func benchRefreshCycle(b *testing.B, jobs, tasksPer, containers, numShards int) 
 		}
 	}
 	for i := 0; i < jobs; i++ {
-		commit(i, "v1", 1)
+		f.commit(i, "v1", 1)
 	}
-	sm.AssignUnassigned()
+	f.sm.AssignUnassigned()
 	total := 0
-	for _, tm := range tms {
+	for _, tm := range f.tms {
 		tm.Refresh()
 		total += tm.TaskCount()
 	}
@@ -106,6 +210,18 @@ func benchRefreshCycle(b *testing.B, jobs, tasksPer, containers, numShards int) 
 		b.Fatalf("setup: %d running tasks, want %d", total, jobs*tasksPer)
 	}
 	runtime.GC()
+	return f
+}
+
+// benchRefreshCycle runs the refresh cycle and enforces, per iteration and
+// via runtime.MemStats deltas bracketed around each Refresh, the two
+// allocation ceilings that make the Task Manager O(changed): a manager
+// none of whose buckets the version bump touched allocates nothing, and
+// one with k touched buckets allocates one task slice per bucket plus a
+// bounded amount per restarted task.
+func benchRefreshCycle(b *testing.B, jobs, tasksPer, containers, numShards int) {
+	f := newBenchFleet(b, jobs, tasksPer, containers, numShards)
+	ts, sm, tms, byID, commit := f.ts, f.sm, f.tms, f.byID, f.commit
 
 	touched := make([]int, containers) // buckets of manager i the bump touched
 	restarts := make([]int, containers)
@@ -122,7 +238,7 @@ func benchRefreshCycle(b *testing.B, jobs, tasksPer, containers, numShards int) 
 		clear(restarts)
 		seen := make(map[shardmanager.ShardID]struct{}, tasksPer)
 		for k := 0; k < tasksPer; k++ {
-			s := shardmanager.ShardOf(engine.TaskID(fmt.Sprintf("job%05d", job), k), numShards)
+			s := shardmanager.ShardOf(engine.TaskID(jobName(job), k), numShards)
 			owner, _ := sm.Owner(s)
 			restarts[byID[owner]]++
 			if _, dup := seen[s]; !dup {

@@ -1,12 +1,15 @@
 package taskmanager
 
 import (
+	"fmt"
 	"maps"
+	"net"
 	"testing"
 	"time"
 
 	"repro/internal/config"
 	"repro/internal/engine"
+	"repro/internal/jobservice"
 	"repro/internal/shardmanager"
 	"repro/internal/taskservice"
 )
@@ -272,5 +275,242 @@ func TestRefreshStopsBeforeItStarts(t *testing.T) {
 	}
 	if st := tm.Stats(); st.StartErrors != 0 || w.ckpt.Violations() != 0 {
 		t.Fatalf("%d start errors, %d lease violations: a start ran ahead of a stop", st.StartErrors, w.ckpt.Violations())
+	}
+}
+
+// jobSlots counts job's running tasks on tm by walking every task slot of
+// every owned shard — the oracle StopJob and JobTaskCount are held to. It
+// shares nothing with their lookup.
+func jobSlots(tm *Manager, job string) (n int) {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	for _, sh := range tm.shards {
+		for i, task := range sh.tasks {
+			if task != nil && sh.bucket[i].Spec.Job == job {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// stopJobEverywhere is the actuator's broadcast with every answer checked
+// against the walk: each manager stops, counts and reports exactly the
+// tasks of the job it ran, and afterwards no partition of the job is owned.
+// It returns how many tasks stopped fleet-wide.
+func (w *world) stopJobEverywhere(t *testing.T, job string) (stopped int) {
+	t.Helper()
+	for _, tm := range w.tms {
+		ran := jobSlots(tm, job)
+		if got := tm.JobTaskCount(job); got != ran {
+			t.Fatalf("%s: JobTaskCount(%s) = %d, %d run", tm.ID(), job, got, ran)
+		}
+		if got := tm.StopJob(job); got != ran {
+			t.Fatalf("%s: StopJob(%s) stopped %d tasks, %d ran", tm.ID(), job, got, ran)
+		}
+		if left := jobSlots(tm, job); left != 0 || tm.JobTaskCount(job) != 0 {
+			t.Fatalf("%s: %d tasks of %s still run after StopJob (JobTaskCount %d)", tm.ID(), left, job, tm.JobTaskCount(job))
+		}
+		stopped += ran
+	}
+	if left := w.ckpt.LiveOwners(job); left != 0 {
+		t.Fatalf("%d partitions of %s still owned after StopJob on every manager", left, job)
+	}
+	return stopped
+}
+
+// TestStopJobFindsTasksTheSourceMovedPast: StopJob looks the job up in the
+// index the manager last reconciled against, not in what the source serves
+// now. Whatever the source did between that reconcile and the stop — scaled
+// the job down or up (its tasks, and so its shards, move), quiesced it out
+// of the snapshot (the cluster actuator's order: quiesce, then stop),
+// dropped it, or republished everything in new arrays — every task that
+// runs is found and stopped, and no task of another job is touched.
+func TestStopJobFindsTasksTheSourceMovedPast(t *testing.T) {
+	cases := []struct {
+		name   string
+		tasks  int
+		moveOn func(t *testing.T, w *world)
+		after  int // tasks of the job once the managers have refreshed again
+	}{
+		{"scaled 9 to 8", 9, func(t *testing.T, w *world) {
+			w.recommit(t, "j", 2, func(c *config.JobConfig) { c.TaskCount = 8 })
+		}, 8},
+		{"scaled 8 to 9", 8, func(t *testing.T, w *world) {
+			w.recommit(t, "j", 2, func(c *config.JobConfig) { c.TaskCount = 9 })
+		}, 9},
+		{"quiesced", 8, func(t *testing.T, w *world) { w.ts.Quiesce("j") }, 0},
+		{"dropped", 8, func(t *testing.T, w *world) { w.store.DropRunning("j"); w.ts.Invalidate() }, 0},
+		{"republished in new arrays", 8, func(t *testing.T, w *world) {
+			restarted := taskservice.New(w.store, w.clk, 90*time.Second, 64)
+			w.ts = restarted
+			for _, tm := range w.tms {
+				tm.mu.Lock()
+				tm.source = restarted
+				tm.mu.Unlock()
+			}
+		}, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := newWorld(t, 3)
+			w.addJob(t, "i", 6, 12)
+			w.addJob(t, "j", tc.tasks, 18)
+			w.addJob(t, "k", 6, 12)
+			w.refreshAll()
+			before, base := w.instances(), w.moves()
+
+			tc.moveOn(t, w)
+			moved := w.ts.Index() // the source has published past the managers
+			if got := len(moved.JobShards(nil, "j")); tc.after == 0 && got != 0 {
+				t.Fatalf("the source still lists j on %d shards; the scenario needs it gone", got)
+			}
+			if got := w.stopJobEverywhere(t, "j"); got != tc.tasks {
+				t.Fatalf("%d tasks stopped fleet-wide, %d ran", got, tc.tasks)
+			}
+			if got := w.moves() - base; got != tc.tasks {
+				t.Fatalf("%d start/stop moves for a stop of %d tasks", got, tc.tasks)
+			}
+			for id, inst := range w.instances() {
+				if before[id] != inst {
+					t.Fatalf("%s was restarted by a StopJob of j", id)
+				}
+			}
+			if got := w.totalRunning(); got != 12 {
+				t.Fatalf("%d tasks run after the stop, want the 12 of i and k", got)
+			}
+			// A second broadcast finds nothing; the next Refresh starts
+			// whatever the source now publishes for the job.
+			if got := w.stopJobEverywhere(t, "j"); got != 0 {
+				t.Fatalf("a repeated StopJob stopped %d more tasks", got)
+			}
+			w.refreshAll()
+			n := 0
+			for _, tm := range w.tms {
+				n += tm.JobTaskCount("j")
+			}
+			if n != tc.after || w.totalRunning() != 12+tc.after {
+				t.Fatalf("after the next refresh %d tasks of j run (%d in all), want %d (%d)", n, w.totalRunning(), tc.after, 12+tc.after)
+			}
+			if w.ckpt.Violations() != 0 {
+				t.Fatalf("violations: %d", w.ckpt.Violations())
+			}
+		})
+	}
+}
+
+// TestStopJobOfAJobTheRetainedIndexLacks: a job the manager's last
+// reconcile never saw cannot run there, so StopJob answers 0 after the
+// lookup and disturbs nothing — whether the job is new to the source,
+// unknown everywhere, was stopped by an earlier Refresh, or the manager
+// runs nothing at all and retains no index to look in.
+func TestStopJobOfAJobTheRetainedIndexLacks(t *testing.T) {
+	w := newWorld(t, 2)
+	if got := w.stopJobEverywhere(t, "anything"); got != 0 {
+		t.Fatalf("idle managers stopped %d tasks", got)
+	}
+	w.addJob(t, "gone", 4, 8)
+	w.addJob(t, "stays", 4, 8)
+	w.refreshAll()
+	w.store.DropRunning("gone")
+	w.ts.Invalidate()
+	w.refreshAll()
+	w.addJob(t, "late", 4, 8) // published, not yet reconciled anywhere
+	w.ts.Index()
+	before, base := w.instances(), w.moves()
+	for _, job := range []string{"late", "gone", "never", "stay", "stays#0", ""} {
+		if got := w.stopJobEverywhere(t, job); got != 0 {
+			t.Fatalf("StopJob(%q) stopped %d tasks", job, got)
+		}
+	}
+	if got := w.moves(); got != base || !maps.Equal(w.instances(), before) {
+		t.Fatalf("StopJob of jobs that do not run here moved %d counters or an instance", got-base)
+	}
+	for _, tm := range w.tms {
+		tm.mu.Lock()
+		for s, sh := range tm.shards {
+			if sh.pending {
+				t.Fatalf("%s shard %d left pending by a StopJob that stopped nothing", tm.ID(), s)
+			}
+		}
+		tm.mu.Unlock()
+	}
+	// Stopping the last job idles the managers: the index goes with it.
+	if got := w.stopJobEverywhere(t, "stays"); got != 4 {
+		t.Fatalf("%d tasks of the last job stopped, want 4", got)
+	}
+	for _, tm := range w.tms {
+		tm.mu.Lock()
+		retained := tm.retained
+		tm.mu.Unlock()
+		if retained != nil {
+			t.Fatalf("%s runs nothing and still retains index version %d", tm.ID(), retained.Version())
+		}
+	}
+}
+
+// TestStopJobOverSocketFeedMirror: the same contract when the source is a
+// FeedClient mirroring the Task Service over a real localhost socket. The
+// mirror applies a rescale of the job and then a quiesce on its own side;
+// the manager, not refreshed since, still stops all it runs.
+func TestStopJobOverSocketFeedMirror(t *testing.T) {
+	w := newWorld(t, 0)
+	feed := jobservice.NewSpecFeed(w.store)
+	nl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis := jobservice.ServeFeed(feed, nl, jobservice.ListenerOptions{})
+	t.Cleanup(func() { lis.Close() })
+	tr := taskservice.DialFeed(nl.Addr().String(), taskservice.DialOptions{Clock: w.clk})
+	t.Cleanup(tr.Close)
+	remote := taskservice.NewFeedClient(tr, "tm-mirror", w.clk, 90*time.Second, 64)
+	profile := func(spec engine.TaskSpec) *engine.Profile { return engine.DefaultProfile(spec.Operator) }
+	for i := 0; i < 2; i++ {
+		host := fmt.Sprintf("h-mirror%d", i)
+		if err := w.tw.AddHost(host, config.Resources{CPUCores: 48, MemoryBytes: 256 << 30}); err != nil {
+			t.Fatal(err)
+		}
+		ct, err := w.tw.AllocateOn(host, fmt.Sprintf("tc-mirror%d", i), config.Resources{CPUCores: 40, MemoryBytes: 200 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := New(ct, w.clk, remote, w.sm, w.bus, w.ckpt, profile, Options{})
+		tm.Start()
+		w.tms = append(w.tms, tm)
+	}
+	w.sm.AssignUnassigned()
+	sync := func() *taskservice.SnapshotIndex {
+		t.Helper()
+		if err := remote.Sync(0); err != nil {
+			t.Fatal(err)
+		}
+		remote.Service().Invalidate()
+		return remote.Index()
+	}
+
+	w.addJob(t, "jobs/mirrored", 9, 18)
+	w.addJob(t, "jobs/bystander", 4, 8)
+	sync()
+	w.refreshAll()
+	if got := w.totalRunning(); got != 13 {
+		t.Fatalf("%d tasks running off the mirror, want 13", got)
+	}
+	reconciled := remote.Index()
+	w.recommit(t, "jobs/mirrored", 2, func(c *config.JobConfig) { c.TaskCount = 8 })
+	if moved := sync(); moved == reconciled || moved.Len() != 12 {
+		t.Fatalf("the mirror did not apply the rescale: %d specs, same index = %v", moved.Len(), moved == reconciled)
+	}
+	remote.Service().Quiesce("jobs/mirrored")
+	if got := remote.Index().JobShards(nil, "jobs/mirrored"); len(got) != 0 {
+		t.Fatalf("the mirror still lists the quiesced job on shards %v", got)
+	}
+	if got := w.stopJobEverywhere(t, "jobs/mirrored"); got != 9 {
+		t.Fatalf("%d tasks stopped, 9 ran", got)
+	}
+	remote.Service().Unquiesce("jobs/mirrored")
+	w.refreshAll()
+	if got := w.totalRunning(); got != 12 || w.ckpt.Violations() != 0 {
+		t.Fatalf("%d tasks run after the resume (want 12), %d violations", got, w.ckpt.Violations())
 	}
 }

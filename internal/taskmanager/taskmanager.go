@@ -15,12 +15,28 @@
 // it. The index publishes immutable buckets and shares every untouched
 // one between versions, so a shard whose record still holds the very
 // slice the current index publishes (taskservice.SameBucket), with every
-// position running, is clean and costs one comparison; Refresh, AddShard
-// and StopJob touch only the other shards. Within one of those, a task
+// position running, is clean and costs one comparison; Refresh and
+// AddShard touch only the other shards. Within one of those, a task
 // keeps running while the spec published for it is Equal to the one it
 // was started from (specs are compared, never hashed; the index shares
 // the specs of unchanged jobs, so that is mostly a pointer comparison)
 // and is restarted when it is not.
+//
+// Beside the table the manager retains one pointer: the index of its last
+// Refresh that passed the gates. That Refresh moved every owned shard
+// onto the bucket that index publishes, and nothing but a Refresh starts
+// a task, so every shard with a running task holds the retained index's
+// bucket — whatever the source has published or quiesced since. A task of
+// job J can therefore only run here on owned ∩ retained.JobShards(J), and
+// the per-job questions (StopJob, JobTaskCount) are one lookup in the
+// retained index plus a search in each of the job's few buckets this
+// container owns, not a search of every owned bucket. A published index
+// references every job's specs, so the pointer is dropped whenever the
+// manager runs nothing (reboot, container death, re-registration, the
+// last task stopped): a manager that is stale but serving holds at most
+// one old generation of the fleet's specs — for as long as it serves, which
+// an unreachable Shard Manager bounds by the 40 s proactive reboot below —
+// and an idle one holds none.
 //
 // Fail-over safety (§IV-C): the Task Manager heartbeats the Shard Manager;
 // if it cannot reach it, it proactively times out (40 seconds) BEFORE the
@@ -172,7 +188,9 @@ func ValidateFailoverTiming(connectionTimeout, failoverInterval time.Duration) e
 // Whatever empties a slot (StopJob, reboot, container death, a failed
 // start) sets pending, so a shard is clean — Refresh has nothing to do
 // for it — iff !pending and bucket is still the slice the current index
-// publishes for it (taskservice.SameBucket).
+// publishes for it (taskservice.SameBucket). And while any entry of tasks
+// is non-nil, bucket is the slice Manager.retained publishes for the
+// shard.
 type ownedShard struct {
 	bucket  []taskservice.IndexedSpec
 	tasks   []*engine.Task
@@ -207,16 +225,20 @@ type Manager struct {
 	profile   ProfileFunc
 	opts      Options
 
-	mu          sync.Mutex
-	shards      map[shardmanager.ShardID]*ownedShard
-	running     int                    // non-nil entries across every shard's tasks
-	visit       []shardmanager.ShardID // Refresh's scratch: the shards that are not clean
+	mu      sync.Mutex
+	shards  map[shardmanager.ShardID]*ownedShard
+	running int // non-nil entries across every shard's tasks
+	// retained is the index of the last Refresh that passed the gates, nil
+	// while running is 0: every shard with a running task holds the bucket
+	// it publishes.
+	retained    *taskservice.SnapshotIndex
+	scratch     []shardmanager.ShardID // reused shard list: Refresh's unclean shards, a job's shards
 	connected   bool
 	unreachable bool // last heartbeat timed out (partition-shaped), or the container died and has not heartbeat since
 	lastContact time.Time
 	rebootedEp  bool // already rebooted in this disconnection episode
 	stats       Stats
-	oomsByJob   map[string]int
+	ooms        map[string]int // job -> OOM kills since the last DrainOOMs
 	tickers     []simclock.Ticker
 
 	// loadSeries caches per-shard metric series handles (and their names
@@ -349,8 +371,19 @@ func (m *Manager) endShardLocked(sh *ownedShard, end func(*engine.Task)) int {
 	if n > 0 {
 		sh.pending = true
 		m.running -= n
+		m.releaseIdleLocked()
 	}
 	return n
+}
+
+// releaseIdleLocked lets go of the retained index once nothing runs: no
+// task is left for it to locate, and a manager that is idle for long — a
+// dead container, one rebooted into a partition — must not keep a whole
+// generation of the fleet's specs alive.
+func (m *Manager) releaseIdleLocked() {
+	if m.running == 0 {
+		m.retained = nil
+	}
 }
 
 // stopAllLocked cleanly stops every running task; the shard records stay,
@@ -432,13 +465,17 @@ func (m *Manager) Refresh() {
 		m.stats.DegradedSkips++
 		return
 	}
-	visit := m.visit[:0]
+	// From here on every owned shard ends up on idx's bucket, rebased below
+	// unless it already holds it.
+	m.retained = idx
+	defer m.releaseIdleLocked()
+	visit := m.scratch[:0]
 	for s, sh := range m.shards {
 		if sh.pending || !taskservice.SameBucket(sh.bucket, idx.ShardSpecs(s)) {
 			visit = append(visit, s)
 		}
 	}
-	m.visit = visit
+	m.scratch = visit
 	if len(visit) == 0 {
 		return
 	}
@@ -631,43 +668,81 @@ func (m *Manager) reboot() {
 }
 
 // StopJob cleanly stops every running task of one job on this container.
-// The State Syncer's actuator calls it across the fleet as the first phase
-// of a complex synchronization (§III-B). It returns how many tasks it
-// stopped. A bucket keeps each job's entries in one run, in job-name
-// order, so each owned shard costs a binary search (taskservice.JobRun;
-// the fleet-wide fan-out makes managers × shards of them per job), and
-// only shards where something stopped become pending: if the job is
-// still in the snapshot at the next Refresh (the caller did not quiesce
-// it), those tasks start again.
+// The State Syncer's actuator calls it on every manager of the fleet as
+// the first phase of a complex synchronization (§III-B) — a broadcast, so
+// that "stop it wherever it runs" does not rest on a shard → container
+// mapping that may be mid-failover — and it returns how many tasks it
+// stopped. The job's tasks can only run on the shards the retained index
+// lists for it (see the package comment), whatever the source has
+// published or quiesced since: one lookup there, then a binary search
+// (taskservice.JobRun) in each of those few buckets this container owns.
+// A manager with nothing of the job answers after the lookup. Only shards
+// where something stopped become pending: if the job is still in the
+// snapshot at the next Refresh (the caller did not quiesce it), those
+// tasks start again.
 func (m *Manager) StopJob(job string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	n := 0
-	for _, sh := range m.shards {
-		i, end := taskservice.JobRun(sh.bucket, job)
-		for ; i < end; i++ {
-			if t := sh.tasks[i]; t != nil {
-				t.Stop()
-				sh.tasks[i] = nil
-				sh.pending = true
-				n++
-			}
+	m.eachJobSlotLocked(job, func(sh *ownedShard, i int) {
+		if t := sh.tasks[i]; t != nil {
+			t.Stop()
+			sh.tasks[i] = nil
+			sh.pending = true
+			n++
 		}
-	}
+	})
 	m.running -= n
 	m.stats.Stopped += n
+	m.releaseIdleLocked()
 	return n
 }
 
-// OOMsByJob returns cumulative OOM-kill counts per job on this container.
-func (m *Manager) OOMsByJob() map[string]int {
+// eachJobSlotLocked calls fn for every task slot of job on this container,
+// running or empty: the job's run (taskservice.JobRun) in the bucket of
+// each shard the retained index lists for the job, where this container
+// owns it.
+func (m *Manager) eachJobSlotLocked(job string, fn func(sh *ownedShard, i int)) {
+	if m.running == 0 {
+		return // and no index is retained to look in
+	}
+	m.scratch = m.retained.JobShards(m.scratch[:0], job)
+	for _, s := range m.scratch {
+		sh, owned := m.shards[s]
+		if !owned {
+			continue
+		}
+		for i, end := taskservice.JobRun(sh.bucket, job); i < end; i++ {
+			fn(sh, i)
+		}
+	}
+}
+
+// JobTaskCount returns how many tasks of one job run on this container,
+// found the way StopJob finds them; nothing is allocated.
+func (m *Manager) JobTaskCount(job string) int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string]int, len(m.oomsByJob))
-	for j, n := range m.oomsByJob {
-		out[j] = n
+	n := 0
+	m.eachJobSlotLocked(job, func(sh *ownedShard, i int) {
+		if sh.tasks[i] != nil {
+			n++
+		}
+	})
+	return n
+}
+
+// DrainOOMs adds the OOM kills counted on this container since the last
+// call to into, by job, and forgets them. Kills are handed over, not
+// accumulated: the monitor — the one reader — gets each exactly once, and
+// a job's count cannot outlive the job into a namesake created later.
+func (m *Manager) DrainOOMs(into map[string]int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for job, n := range m.ooms {
+		into[job] += n
 	}
-	return out
+	clear(m.ooms)
 }
 
 // OnContainerDead force-releases everything after the container's host
@@ -709,10 +784,10 @@ func (m *Manager) Advance(dt time.Duration) {
 			addUsage(&u, st)
 			if st.OOMKilled {
 				m.stats.OOMKills++
-				if m.oomsByJob == nil {
-					m.oomsByJob = make(map[string]int)
+				if m.ooms == nil {
+					m.ooms = make(map[string]int)
 				}
-				m.oomsByJob[sh.bucket[i].Spec.Job]++
+				m.ooms[sh.bucket[i].Spec.Job]++
 			}
 		}
 		if m.opts.Metrics != nil {

@@ -231,6 +231,26 @@ func (idx *SnapshotIndex) ShardSpecs(s shardmanager.ShardID) []IndexedSpec {
 	return c.buckets[int(s)&(chunkWidth-1)]
 }
 
+// JobShards appends to dst the shards whose buckets hold an entry of job,
+// ascending, and returns the extended slice: nothing for a job the
+// snapshot does not include (unknown, stopped, quiesced). It is the
+// inverse of ShardSpecs for one job — a binary search over the sorted
+// groups, then that group's own shard list — so a consumer holding this
+// index finds a job's tasks in O(log jobs + shards of the job) instead of
+// searching every bucket it holds.
+func (idx *SnapshotIndex) JobShards(dst []shardmanager.ShardID, job string) []shardmanager.ShardID {
+	i, found := slices.BinarySearchFunc(idx.groups, job, func(g *jobGroup, job string) int {
+		return strings.Compare(g.job, job)
+	})
+	if !found {
+		return dst
+	}
+	for _, gs := range idx.groups[i].shards {
+		dst = append(dst, gs.shard)
+	}
+	return dst
+}
+
 // Each calls fn for every spec in the snapshot, in job order, without
 // copying anything. The Task Manager reads buckets, never the whole
 // snapshot; this is for audits that need every spec once (the frozen

@@ -248,6 +248,99 @@ func TestShardIndexPartitionsAllSpecs(t *testing.T) {
 	}
 }
 
+// assertJobShardsInvertBuckets holds JobShards to the buckets themselves:
+// for every job with an entry anywhere in idx, and for every name in
+// absent besides, JobShards is exactly the ascending list of shards whose
+// bucket holds an entry of that job — nothing for a job with none.
+func assertJobShardsInvertBuckets(t *testing.T, idx *SnapshotIndex, absent ...string) {
+	t.Helper()
+	want := make(map[string][]shardmanager.ShardID)
+	for _, name := range absent {
+		want[name] = nil
+	}
+	for s := shardmanager.ShardID(0); int(s) < idx.NumShards(); s++ {
+		for _, is := range idx.ShardSpecs(s) {
+			if at := want[is.Spec.Job]; len(at) == 0 || at[len(at)-1] != s {
+				want[is.Spec.Job] = append(at, s)
+			}
+		}
+	}
+	scratch := make([]shardmanager.ShardID, 0, 8)
+	for job, shards := range want {
+		scratch = idx.JobShards(scratch[:0], job)
+		if !slices.Equal(scratch, shards) {
+			t.Fatalf("JobShards(%s) = %v, its entries sit in the buckets of %v", job, scratch, shards)
+		}
+	}
+	// It appends: what dst already holds stays.
+	if got := idx.JobShards([]shardmanager.ShardID{77}, "no such job"); !slices.Equal(got, []shardmanager.ShardID{77}) {
+		t.Fatalf("JobShards of an unknown job turned dst [77] into %v", got)
+	}
+}
+
+// TestJobShardsInvertsShardSpecs walks one service through every way a
+// job's shard list comes about — first publish, splice at another
+// parallelism, a group rebuilt to identical specs (the included list gets
+// the new group while the buckets keep the old one's entries), quiesce,
+// stop, drop — and a from-scratch build over the same store, checking the
+// inverse on each index. Superseded indexes are immutable: theirs must
+// still hold after every later publish.
+func TestJobShardsInvertsShardSpecs(t *testing.T) {
+	const numShards = 64
+	store := jobstore.New()
+	clk := simclock.NewSim(epoch)
+	names := []string{"a", "job0", "job00", "job01", "job1", "zz"} // prefixes of each other: the search compares whole names
+	for i, name := range names {
+		commitJob(t, store, name, 1+2*i, 1)
+	}
+	svc := New(store, clk, 90*time.Second, numShards)
+	var published []*SnapshotIndex
+	step := func(what string, mutate func()) *SnapshotIndex {
+		t.Helper()
+		mutate()
+		svc.Invalidate()
+		idx := svc.Index()
+		published = append(published, idx)
+		for i, old := range published {
+			t.Logf("after %q: index %d of %d", what, i, len(published)) // shown if the check fails
+			assertJobShardsInvertBuckets(t, old, append([]string{"", "job", "job000", "zzz"}, names...)...)
+		}
+		return idx
+	}
+	step("first publish", func() {})
+	step("rescaled", func() { commitJob(t, store, "job00", 9, 2); commitJob(t, store, "job1", 1, 2) })
+	before := step("settled", func() {})
+	after := step("identical rebuild", func() { commitJob(t, store, "job00", 9, 3) })
+	if before != after {
+		t.Fatal("a commit of identical specs published a new index; the scenario needs the group swapped under the published one")
+	}
+	step("quiesced", func() { svc.Quiesce("job0") })
+	step("stopped", func() {
+		cfg := jobCfg("a", 1)
+		cfg.Stopped = true
+		doc, err := cfg.ToDoc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.CommitRunning("a", doc, 2)
+	})
+	step("dropped and resumed", func() { store.DropRunning("zz"); svc.Unquiesce("job0") })
+	spliced := published[len(published)-1]
+
+	fresh := New(store, clk, 90*time.Second, numShards).Index()
+	assertJobShardsInvertBuckets(t, fresh, names...)
+	if !IndexEqual(spliced, fresh) {
+		t.Fatal("spliced index differs from a from-scratch build")
+	}
+	if len(spliced.JobShards(nil, "job00")) < 5 || len(spliced.JobShards(nil, "a")) != 0 {
+		t.Fatalf("job00 (9 tasks) on shards %v, stopped job a on %v", spliced.JobShards(nil, "job00"), spliced.JobShards(nil, "a"))
+	}
+	scratch := make([]shardmanager.ShardID, 0, 16)
+	if n := testing.AllocsPerRun(100, func() { scratch = published[0].JobShards(scratch[:0], "job00") }); n != 0 {
+		t.Fatalf("JobShards into a scratch with room allocated %v objects, want 0", n)
+	}
+}
+
 // TestConcurrentSnapshotAndStoreWrites exercises Snapshot/Index readers
 // racing layer writes, running commits, and quiesce toggles. Run under
 // -race (the tier-1 check does).

@@ -220,6 +220,14 @@ func TestChurnMatrixEquivalence(t *testing.T) {
 			fresh.Quiesce(name)
 		}
 		assertIndexEquivalent(t, idx, fresh.Index(), numShards)
+		// The per-job lookup is the inverse of the buckets on both, for
+		// the jobs the matrix left out of the snapshot too.
+		pool := []string{"twice", "again", "hushed"}
+		for i := 0; i < jobPool; i++ {
+			pool = append(pool, fmt.Sprintf("job%03d", i))
+		}
+		assertJobShardsInvertBuckets(t, idx, pool...)
+		assertJobShardsInvertBuckets(t, fresh.Index(), pool...)
 
 		j := specsJSON2(t, idx)
 		if prevVersion >= 0 {
