@@ -1,4 +1,4 @@
-.PHONY: check test bench bench-scale bench-e2e bench-pair build
+.PHONY: check test bench-scale bench-e2e bench-pair build
 
 check: ## tier-1 verify: vet + build + race tests + bench smoke + bench/ harness tests
 	./scripts/check.sh
@@ -9,12 +9,8 @@ build:
 test:
 	go test ./...
 
-bench: ## regular micro-benchmark pass (scale tier skipped): make bench OUT=file.json
-	@test -n "$(OUT)" || { echo "usage: make bench OUT=file.json" >&2; exit 2; }
-	BENCH_SHORT=1 ./scripts/bench.sh $(OUT)
-
-bench-scale: ## 1M-fleet scale tier only; writes BENCH_SCALE.json
-	BENCHTIME=$${BENCHTIME:-20x} ./scripts/bench.sh BENCH_SCALE.json Scale
+bench-scale: ## 1M-fleet scale tier, each body once: arms the in-bench allocation ceilings (CI's scale-smoke)
+	go test ./... -run XXXNONE -bench Scale -benchmem -benchtime 1x
 
 bench-e2e: ## the four BENCHMARK.json workloads end to end, dev seed, untraced
 	for w in steady_churn release_push failover_storm sim_day; do \

@@ -1,16 +1,9 @@
 package repro_test
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
-	"repro/internal/config"
 	"repro/internal/experiments"
-	"repro/internal/jobstore"
-	"repro/internal/shardmanager"
-	"repro/internal/simclock"
-	"repro/internal/statesyncer"
 )
 
 // Each paper table/figure has a benchmark that regenerates it (at reduced
@@ -180,53 +173,6 @@ func BenchmarkClaim33pct(b *testing.B) {
 			b.Fatalf("packing saving %.1f%%, paper ~33%%", s["mean_saving_pct"])
 		}
 	})
-}
-
-// --- Micro-benchmarks on the hot control-plane paths -------------------
-
-func BenchmarkConfigMerge(b *testing.B) {
-	base := config.Doc{
-		"name": "j", "taskCount": 10,
-		"package":       config.Doc{"name": "tailer", "version": "v1"},
-		"taskResources": config.Doc{"cpuCores": 2.0, "memoryBytes": 1 << 30},
-		"input":         config.Doc{"category": "c", "partitions": 64},
-	}
-	top := config.Doc{"taskCount": 20, "package": config.Doc{"version": "v2"}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		config.Merge(base, top)
-	}
-}
-
-func BenchmarkSyncerConvergedRound(b *testing.B) {
-	// Cost of one round over 10K already-converged jobs: the fast path
-	// that makes 30-second rounds affordable at fleet scale. Each round
-	// sweeps a rotating 1/FullSweepEvery slice of the fleet off the
-	// shared name snapshots, so there is no periodic full-fleet spike;
-	// the 1M-fleet version with an allocs/op ceiling lives in
-	// internal/statesyncer (BenchmarkScaleSyncerRound1MConverged).
-	store := jobstore.New()
-	clk := simclock.NewSim(time.Unix(0, 0))
-	syncer := statesyncer.New(store, statesyncer.NopActuator{}, clk, statesyncer.Options{})
-	for i := 0; i < 10_000; i++ {
-		store.Create(fmt.Sprintf("j%05d", i), config.Doc{
-			"name": fmt.Sprintf("j%05d", i), "taskCount": 4,
-		})
-	}
-	syncer.RunRound()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		syncer.RunRound()
-	}
-}
-
-func BenchmarkShardOf(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		shardmanager.ShardOf("scuba/table0042#7", 100_000)
-	}
 }
 
 func BenchmarkAblationHistory(b *testing.B) {

@@ -14,6 +14,24 @@ import (
 // last 14 days, such as input rate").
 func InputRateSeries(job string) string { return "job/" + job + "/inputRate" }
 
+// The Pattern Analyzer's control constants (§V-C).
+const (
+	// historyDays of per-minute workload metrics are consulted: the
+	// paper's 14-day history.
+	historyDays = 14
+	// outlierFactor: when the last-30-minutes average differs from the
+	// same-time-of-day historical average by more than this factor,
+	// history-based decisions are disabled for the round.
+	outlierFactor = 1.5
+	// historySafety multiplies historical peaks before they are compared
+	// with a downscale's capacity.
+	historySafety = 1.1
+	// historyBucket is the width of the time-of-day bucket cached history
+	// aggregates are keyed by: within one bucket the historical peak and
+	// average are computed once per job.
+	historyBucket = 10 * time.Minute
+)
+
 // PatternAnalyzer consults historical workload patterns before the scaler
 // commits to a plan (§V-C). Facebook's streaming workloads are strongly
 // diurnal — within 1% day-over-day on aggregate — so history is a reliable
@@ -29,21 +47,10 @@ type PatternAnalyzer struct {
 	store *metrics.Store
 	clock simclock.Clock
 
-	// HistoryDays of lookback (default 14).
-	HistoryDays int
 	// HorizonHours is x: a downscale must have sustained traffic for the
-	// next x hours on each past day (default 2).
+	// next x hours on each past day (default 2). Set it before the first
+	// consultation: cached peaks are not keyed by it.
 	HorizonHours float64
-	// OutlierFactor: if the last-30-minutes average differs from the
-	// same-time-of-day historical average by more than this factor,
-	// history-based decisions are disabled for this round (default 1.5).
-	OutlierFactor float64
-	// Safety multiplier applied to historical peaks (default 1.1).
-	Safety float64
-	// BucketMinutes is the width of the time-of-day bucket cached history
-	// aggregates are keyed by (default 10). Within one bucket the
-	// historical peak and average are computed once per job.
-	BucketMinutes int
 
 	mu    sync.Mutex
 	peaks map[string]peakEntry
@@ -56,8 +63,6 @@ type PatternAnalyzer struct {
 // hasData is false when no past day had points in the horizon.
 type peakEntry struct {
 	bucket  int64 // unix nanos of the bucket start the entry was computed in
-	days    int
-	horizon float64
 	peak    float64
 	hasData bool
 }
@@ -66,7 +71,6 @@ type peakEntry struct {
 // aggregate the outlier check compares current traffic against.
 type histEntry struct {
 	bucket int64
-	days   int
 	sum    float64
 	count  int
 }
@@ -74,25 +78,17 @@ type histEntry struct {
 // NewPatternAnalyzer returns an analyzer over the given metric store.
 func NewPatternAnalyzer(store *metrics.Store, clock simclock.Clock) *PatternAnalyzer {
 	return &PatternAnalyzer{
-		store:         store,
-		clock:         clock,
-		HistoryDays:   14,
-		HorizonHours:  2,
-		OutlierFactor: 1.5,
-		Safety:        1.1,
-		BucketMinutes: 10,
-		peaks:         make(map[string]peakEntry),
-		hists:         make(map[string]histEntry),
+		store:        store,
+		clock:        clock,
+		HorizonHours: 2,
+		peaks:        make(map[string]peakEntry),
+		hists:        make(map[string]histEntry),
 	}
 }
 
 // bucketStart truncates now to the containing time-of-day bucket.
-func (pa *PatternAnalyzer) bucketStart(now time.Time) int64 {
-	w := time.Duration(pa.BucketMinutes) * time.Minute
-	if w <= 0 {
-		w = 10 * time.Minute
-	}
-	return now.Truncate(w).UnixNano()
+func bucketStart(now time.Time) int64 {
+	return now.Truncate(historyBucket).UnixNano()
 }
 
 // CacheHits reports how many history consultations were answered from the
@@ -116,13 +112,13 @@ func (pa *PatternAnalyzer) CacheHits() uint64 {
 // in one scan round (or across scans within the bucket) are O(1).
 func (pa *PatternAnalyzer) DownscaleSafe(job string, capacity float64) bool {
 	now := pa.clock.Now()
-	bucket := pa.bucketStart(now)
+	bucket := bucketStart(now)
 
 	pa.mu.Lock()
-	if e, ok := pa.peaks[job]; ok && e.bucket == bucket && e.days == pa.HistoryDays && e.horizon == pa.HorizonHours {
+	if e, ok := pa.peaks[job]; ok && e.bucket == bucket {
 		pa.hits++
 		pa.mu.Unlock()
-		return !e.hasData || e.peak*pa.Safety <= capacity
+		return !e.hasData || e.peak*historySafety <= capacity
 	}
 	pa.mu.Unlock()
 
@@ -130,13 +126,13 @@ func (pa *PatternAnalyzer) DownscaleSafe(job string, capacity float64) bool {
 	series := InputRateSeries(job)
 	peak := 0.0
 	hasData := false
-	for d := 1; d <= pa.HistoryDays; d++ {
+	for d := 1; d <= historyDays; d++ {
 		from := now.Add(-time.Duration(d) * 24 * time.Hour)
 		a := pa.store.RangeAgg(series, from, from.Add(horizon))
 		if a.Count == 0 {
 			continue
 		}
-		if a.Max*pa.Safety > capacity {
+		if a.Max*historySafety > capacity {
 			// Day-level short-circuit: this day alone vetoes the
 			// downscale. The scan is partial, so nothing is cached.
 			return false
@@ -148,7 +144,7 @@ func (pa *PatternAnalyzer) DownscaleSafe(job string, capacity float64) bool {
 	}
 
 	pa.mu.Lock()
-	pa.peaks[job] = peakEntry{bucket: bucket, days: pa.HistoryDays, horizon: pa.HorizonHours, peak: peak, hasData: hasData}
+	pa.peaks[job] = peakEntry{bucket: bucket, peak: peak, hasData: hasData}
 	pa.mu.Unlock()
 	return true
 }
@@ -156,7 +152,7 @@ func (pa *PatternAnalyzer) DownscaleSafe(job string, capacity float64) bool {
 // Outlier reports whether current traffic deviates from the diurnal
 // pattern: the average input rate over the last 30 minutes differs from
 // the average over the same window on past days by more than
-// OutlierFactor. During an outlier (e.g. a disaster-recovery storm),
+// outlierFactor. During an outlier (e.g. a disaster-recovery storm),
 // history-based decision making is disabled (§V-C) and the scaler acts on
 // live signals only.
 //
@@ -173,16 +169,16 @@ func (pa *PatternAnalyzer) Outlier(job string) bool {
 	}
 	curAvg := cur.Mean()
 
-	bucket := pa.bucketStart(now)
+	bucket := bucketStart(now)
 	pa.mu.Lock()
 	e, ok := pa.hists[job]
-	if ok && e.bucket == bucket && e.days == pa.HistoryDays {
+	if ok && e.bucket == bucket {
 		pa.hits++
 		pa.mu.Unlock()
 	} else {
 		pa.mu.Unlock()
-		e = histEntry{bucket: bucket, days: pa.HistoryDays}
-		for d := 1; d <= pa.HistoryDays; d++ {
+		e = histEntry{bucket: bucket}
+		for d := 1; d <= historyDays; d++ {
 			to := now.Add(-time.Duration(d) * 24 * time.Hour)
 			a := pa.store.RangeAgg(series, to.Add(-window), to)
 			e.sum += a.Sum
@@ -200,7 +196,7 @@ func (pa *PatternAnalyzer) Outlier(job string) bool {
 		return curAvg > 0
 	}
 	ratio := curAvg / histAvg
-	return ratio > pa.OutlierFactor || ratio < 1/pa.OutlierFactor
+	return ratio > outlierFactor || ratio < 1/outlierFactor
 }
 
 // RecentPeak returns the maximum input rate over the trailing window, used

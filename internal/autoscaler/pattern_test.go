@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -11,15 +12,26 @@ import (
 	"repro/internal/simclock"
 )
 
+// rangePoints copies the points with from <= At <= to out of the store,
+// the snapshot read the legacy references were written against.
+func rangePoints(store *metrics.Store, series string, from, to time.Time) []metrics.Point {
+	var pts []metrics.Point
+	store.RangeFold(series, from, to, func(p metrics.Point) bool {
+		pts = append(pts, p)
+		return true
+	})
+	return pts
+}
+
 // legacyDownscaleSafe is the pre-fold reference implementation: copy each
-// day's horizon out of the store with Range and compare its peak. The
-// fold-based DownscaleSafe must reach the same decision on every input.
+// day's horizon out of the store and compare its peak. The fold-based
+// DownscaleSafe must reach the same decision on every input.
 func legacyDownscaleSafe(pa *PatternAnalyzer, store *metrics.Store, now time.Time, job string, capacity float64) bool {
 	horizon := time.Duration(pa.HorizonHours * float64(time.Hour))
 	series := InputRateSeries(job)
-	for d := 1; d <= pa.HistoryDays; d++ {
+	for d := 1; d <= historyDays; d++ {
 		from := now.Add(-time.Duration(d) * 24 * time.Hour)
-		pts := store.Range(series, from, from.Add(horizon))
+		pts := rangePoints(store, series, from, from.Add(horizon))
 		if len(pts) == 0 {
 			continue
 		}
@@ -29,7 +41,7 @@ func legacyDownscaleSafe(pa *PatternAnalyzer, store *metrics.Store, now time.Tim
 				peak = p.Value
 			}
 		}
-		if peak*pa.Safety > capacity {
+		if peak*historySafety > capacity {
 			return false
 		}
 	}
@@ -38,10 +50,10 @@ func legacyDownscaleSafe(pa *PatternAnalyzer, store *metrics.Store, now time.Tim
 
 // legacyOutlier is the pre-fold reference: collect the current and the
 // historical same-time-of-day windows as copies and compare averages.
-func legacyOutlier(pa *PatternAnalyzer, store *metrics.Store, now time.Time, job string) bool {
+func legacyOutlier(store *metrics.Store, now time.Time, job string) bool {
 	const window = 30 * time.Minute
 	series := InputRateSeries(job)
-	cur := store.Range(series, now.Add(-window), now)
+	cur := rangePoints(store, series, now.Add(-window), now)
 	if len(cur) == 0 {
 		return false
 	}
@@ -52,11 +64,11 @@ func legacyOutlier(pa *PatternAnalyzer, store *metrics.Store, now time.Time, job
 	curAvg := curSum / float64(len(cur))
 
 	histSum, histN := 0.0, 0
-	for d := 1; d <= pa.HistoryDays; d++ {
+	for d := 1; d <= historyDays; d++ {
 		to := now.Add(-time.Duration(d) * 24 * time.Hour)
 		// Per-day partial sums, matching the fold's association order.
 		daySum := 0.0
-		pts := store.Range(series, to.Add(-window), to)
+		pts := rangePoints(store, series, to.Add(-window), to)
 		for _, p := range pts {
 			daySum += p.Value
 		}
@@ -71,7 +83,7 @@ func legacyOutlier(pa *PatternAnalyzer, store *metrics.Store, now time.Time, job
 		return curAvg > 0
 	}
 	ratio := curAvg / histAvg
-	return ratio > pa.OutlierFactor || ratio < 1/pa.OutlierFactor
+	return ratio > outlierFactor || ratio < 1/outlierFactor
 }
 
 // randomHistory writes days of per-minute input-rate history for a job,
@@ -94,10 +106,9 @@ func TestDownscaleSafeMatchesLegacy(t *testing.T) {
 	clk := simclock.NewSim(epoch)
 	store := metrics.NewStore(clk, 15*24*time.Hour)
 	pa := NewPatternAnalyzer(store, clk)
-	pa.HistoryDays = 3
 
 	rng := rand.New(rand.NewSource(7))
-	randomHistory(store, clk, "j1", 4, rng, 2) // one whole day missing
+	randomHistory(store, clk, "j1", historyDays+1, rng, 2) // one whole day missing
 	// j2 has no history at all: both implementations must answer true.
 
 	for step := 0; step < 30; step++ {
@@ -126,15 +137,14 @@ func TestOutlierMatchesLegacy(t *testing.T) {
 	clk := simclock.NewSim(epoch)
 	store := metrics.NewStore(clk, 15*24*time.Hour)
 	pa := NewPatternAnalyzer(store, clk)
-	pa.HistoryDays = 3
 
 	rng := rand.New(rand.NewSource(11))
-	randomHistory(store, clk, "j1", 4, rng, -1)
+	randomHistory(store, clk, "j1", historyDays+1, rng, -1)
 
 	for step := 0; step < 30; step++ {
 		now := clk.Now()
 		got := pa.Outlier("j1")
-		want := legacyOutlier(pa, store, now, "j1")
+		want := legacyOutlier(store, now, "j1")
 		if got != want {
 			t.Fatalf("step %d: Outlier = %v, legacy = %v", step, got, want)
 		}
@@ -154,8 +164,6 @@ func TestPatternCacheBucketBehavior(t *testing.T) {
 	clk := simclock.NewSim(epoch)
 	store := metrics.NewStore(clk, 15*24*time.Hour)
 	pa := NewPatternAnalyzer(store, clk)
-	pa.HistoryDays = 2
-	pa.BucketMinutes = 10
 
 	// Two days of flat 5 MB/s history.
 	start := clk.Now()
@@ -164,7 +172,7 @@ func TestPatternCacheBucketBehavior(t *testing.T) {
 	}
 	clk.RunFor(2 * 24 * time.Hour)
 
-	// First consultation computes and caches (capacity above peak*Safety).
+	// First consultation computes and caches (capacity above peak × safety).
 	if !pa.DownscaleSafe("j1", 10*mb) {
 		t.Fatal("capacity above historical peak reported unsafe")
 	}
@@ -184,7 +192,7 @@ func TestPatternCacheBucketBehavior(t *testing.T) {
 	}
 
 	// Crossing the bucket boundary forces a recompute.
-	clk.RunFor(time.Duration(pa.BucketMinutes) * time.Minute)
+	clk.RunFor(historyBucket)
 	if !pa.DownscaleSafe("j1", 10*mb) {
 		t.Fatal("recompute after bucket boundary reported unsafe")
 	}
@@ -241,9 +249,21 @@ func mixedFleet(t *testing.T, h *harness, n int) {
 	}
 }
 
+// harnessOnProcs builds a harness whose scaler sizes its scan pool for
+// procs processors.
+func harnessOnProcs(t *testing.T, procs int) *harness {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	h := newHarness(t, Options{DefaultP: 2 * mb}, nil)
+	if h.scaler.workers != procs {
+		t.Fatalf("scan pool is %d wide on %d processors", h.scaler.workers, procs)
+	}
+	return h
+}
+
 func TestParallelScanMatchesSequential(t *testing.T) {
-	seqH := newHarness(t, Options{DefaultP: 2 * mb, ScanParallelism: 1}, nil)
-	parH := newHarness(t, Options{DefaultP: 2 * mb, ScanParallelism: 8}, nil)
+	seqH := harnessOnProcs(t, 1)
+	parH := harnessOnProcs(t, 8)
 	mixedFleet(t, seqH, 16)
 	mixedFleet(t, parH, 16)
 
@@ -281,7 +301,7 @@ func TestParallelScanMatchesSequential(t *testing.T) {
 // Stress the parallel path under the race detector: repeated scans over a
 // fleet that keeps producing rebalances and alerts from many workers.
 func TestParallelScanRace(t *testing.T) {
-	h := newHarness(t, Options{DefaultP: 2 * mb, ScanParallelism: 8}, nil)
+	h := harnessOnProcs(t, 8)
 	mixedFleet(t, h, 24)
 	for i := 0; i < 5; i++ {
 		h.scaler.Scan()

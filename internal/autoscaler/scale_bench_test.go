@@ -12,20 +12,20 @@ import (
 	"repro/internal/simclock"
 )
 
-// benchFleet builds a scaler over `jobs` healthy jobs, each with
-// historyDays of per-minute input-rate history in the metric store — the
+// benchFleet builds a scaler over `jobs` healthy jobs, each with `days`
+// of per-minute input-rate history in the metric store — the
 // §V-C shape the Pattern Analyzer consults on every downscale decision.
 // With provision=false actuation fails (job unknown to the Job Service),
 // which pins benchmarks to the decision path: state never records an
 // action, so every scan repeats the full consultation.
-func benchFleet(b *testing.B, jobs, historyDays int, provision bool, opts Options) (*Scaler, *fakeSource, *simclock.Sim) {
+func benchFleet(b *testing.B, jobs, days int, provision bool, opts Options) (*Scaler, *fakeSource, *simclock.Sim) {
 	b.Helper()
 	clk := simclock.NewSim(epoch)
 	store := metrics.NewStore(clk, 15*24*time.Hour)
 	js := jobservice.New(jobstore.New())
 	source := &fakeSource{signals: map[string]Signals{}}
 
-	minutes := historyDays * 24 * 60
+	minutes := days * 24 * 60
 	for j := 0; j < jobs; j++ {
 		name := fmt.Sprintf("job%04d", j)
 		if provision {
@@ -50,18 +50,14 @@ func benchFleet(b *testing.B, jobs, historyDays int, provision bool, opts Option
 		}
 	}
 	clk.RunFor(time.Duration(minutes) * time.Minute)
-	sc := New(js, source, store, clk, nil, nil, opts)
-	if historyDays > 0 {
-		sc.Pattern().HistoryDays = historyDays
-	}
-	return sc, source, clk
+	return New(js, source, store, clk, nil, nil, opts), source, clk
 }
 
 // BenchmarkDownscaleSafe measures one history consultation: 14 days x a
 // 2-hour horizon of per-minute points.
 func BenchmarkDownscaleSafe(b *testing.B) {
-	sc, _, _ := benchFleet(b, 1, 14, false, Options{})
-	pa := sc.Pattern()
+	sc, _, _ := benchFleet(b, 1, historyDays, false, Options{})
+	pa := sc.pattern
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -73,8 +69,8 @@ func BenchmarkDownscaleSafe(b *testing.B) {
 
 // BenchmarkOutlier measures the 30-minute current-vs-history comparison.
 func BenchmarkOutlier(b *testing.B) {
-	sc, _, _ := benchFleet(b, 1, 14, false, Options{})
-	pa := sc.Pattern()
+	sc, _, _ := benchFleet(b, 1, historyDays, false, Options{})
+	pa := sc.pattern
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -23,6 +23,27 @@ type Alert struct {
 	At     time.Time
 }
 
+// The scaler's control constants: one value each in every deployment,
+// experiment and benchmark, so none is an option.
+const (
+	// imbalanceThreshold on stddev/mean of per-task rates: above it a
+	// lagging job's input is rebalanced rather than scaled (Algorithm 2,
+	// line 4).
+	imbalanceThreshold = 0.5
+	// memMargin multiplies observed memory (and disk) peaks into
+	// reservations (§V-B).
+	memMargin = 1.3
+	// memDownFraction: memory is reclaimed when the observed peak falls
+	// below this fraction of the reservation (§V-B).
+	memDownFraction = 0.5
+	// verticalCapFraction of a container a single task may grow to before
+	// the scaler goes horizontal: the paper's 1/5 (§V-E).
+	verticalCapFraction = 0.2
+	// maxScanWorkers caps the pool a Scan spreads per-job decisions over;
+	// the pool is GOMAXPROCS wide below the cap.
+	maxScanWorkers = 16
+)
+
 // Options tune the scaler. Zero values take defaults chosen to match the
 // paper's described behaviour.
 type Options struct {
@@ -31,8 +52,6 @@ type Options struct {
 	// RecoverySeconds is t in equation (3): the budget for draining a
 	// backlog once resources are added (default 600).
 	RecoverySeconds float64
-	// ImbalanceThreshold on stddev/mean of per-task rates (default 0.5).
-	ImbalanceThreshold float64
 	// DownscaleAfter is how long a job must be symptom-free before the
 	// scaler tries to reclaim resources (paper: "no OOM, no lag ... in a
 	// day"; default 24 h — experiments shorten it).
@@ -44,28 +63,13 @@ type Options struct {
 	// any runtime observation, standing in for the staging-period
 	// profiling (§V-B; default 2 MB/s).
 	DefaultP float64
-	// MemMargin multiplies observed memory peaks into reservations
-	// (default 1.3).
-	MemMargin float64
-	// MemDownFraction: reclaim memory when the observed peak falls below
-	// this fraction of the reservation (default 0.5).
-	MemDownFraction float64
 	// MemFloorBytes is the minimum per-task reservation (default 256 MB).
 	MemFloorBytes int64
-	// VerticalCapFraction of a container a single task may grow to before
-	// the scaler goes horizontal (default 0.2 = 1/5, §V-E).
-	VerticalCapFraction float64
 	// ContainerCapacity is the Turbine container size the vertical cap is
 	// computed against.
 	ContainerCapacity config.Resources
-	// ScanParallelism bounds the worker pool a Scan spreads per-job
-	// decisions over (default: GOMAXPROCS, capped at 16). Signal
-	// gathering and deciding are independent per job; shared scaler state
-	// stays behind the scaler's lock. 1 scans sequentially.
-	ScanParallelism int
-	// OnAlert receives operator alerts. With ScanParallelism > 1 it may
-	// be called from multiple scan workers concurrently; handlers must be
-	// safe for concurrent use.
+	// OnAlert receives operator alerts. It may be called from multiple
+	// scan workers concurrently; handlers must be safe for concurrent use.
 	OnAlert func(Alert)
 	// HistoryHorizonHours is the Pattern Analyzer's x: a downscale must
 	// have sustained traffic for the next x hours on each recorded past
@@ -90,9 +94,6 @@ func (o *Options) fillDefaults() {
 	if o.RecoverySeconds <= 0 {
 		o.RecoverySeconds = 600
 	}
-	if o.ImbalanceThreshold <= 0 {
-		o.ImbalanceThreshold = 0.5
-	}
 	if o.DownscaleAfter <= 0 {
 		o.DownscaleAfter = 24 * time.Hour
 	}
@@ -102,26 +103,11 @@ func (o *Options) fillDefaults() {
 	if o.DefaultP <= 0 {
 		o.DefaultP = 2 << 20
 	}
-	if o.MemMargin <= 0 {
-		o.MemMargin = 1.3
-	}
-	if o.MemDownFraction <= 0 {
-		o.MemDownFraction = 0.5
-	}
 	if o.MemFloorBytes <= 0 {
 		o.MemFloorBytes = 256 << 20
 	}
-	if o.VerticalCapFraction <= 0 {
-		o.VerticalCapFraction = 0.2
-	}
 	if o.ContainerCapacity.IsZero() {
 		o.ContainerCapacity = config.Resources{CPUCores: 40, MemoryBytes: 200 << 30}
-	}
-	if o.ScanParallelism <= 0 {
-		o.ScanParallelism = runtime.GOMAXPROCS(0)
-		if o.ScanParallelism > 16 {
-			o.ScanParallelism = 16
-		}
 	}
 }
 
@@ -144,6 +130,7 @@ type Scaler struct {
 	pattern *PatternAnalyzer
 	clock   simclock.Clock
 	opts    Options
+	workers int // scan pool width: min(GOMAXPROCS, maxScanWorkers)
 
 	rebalancer InputRebalancer
 	authorizer Authorizer
@@ -173,14 +160,12 @@ func New(jobs *jobservice.Service, source SignalSource, store *metrics.Store,
 		pattern:    pattern,
 		clock:      clock,
 		opts:       opts,
+		workers:    min(runtime.GOMAXPROCS(0), maxScanWorkers),
 		rebalancer: rebalancer,
 		authorizer: authorizer,
 		state:      make(map[string]*jobState),
 	}
 }
-
-// Pattern exposes the analyzer for tuning (experiments adjust horizons).
-func (s *Scaler) Pattern() *PatternAnalyzer { return s.pattern }
 
 // Start schedules periodic scans.
 func (s *Scaler) Start() {
@@ -236,18 +221,16 @@ func (s *Scaler) Forget(job string) {
 // taken. This is Algorithm 2 extended with the proactive estimators and
 // the preactive pattern analyzer.
 //
-// Jobs are decided by a bounded worker pool (Options.ScanParallelism):
-// signal gathering and the decision are per-job, mirroring how the State
+// Jobs are decided by a bounded worker pool (GOMAXPROCS wide, at most
+// maxScanWorkers; one processor scans sequentially): signal gathering
+// and the decision are per-job, mirroring how the State
 // Syncer parallelizes complex plans, while the per-job state map and the
 // cumulative stats stay behind the scaler's lock. The returned actions
 // are in JobNames order regardless of worker interleaving, so scans stay
 // deterministic for a given fleet state.
 func (s *Scaler) Scan() []Action {
 	jobs := s.source.JobNames()
-	workers := s.opts.ScanParallelism
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	workers := min(s.workers, len(jobs))
 	var actions []Action
 	if workers <= 1 {
 		for _, job := range jobs {
@@ -374,7 +357,7 @@ func diskOverReservation(sig Signals) bool {
 
 // handleDisk grows the per-task disk reservation from the observed peak.
 func (s *Scaler) handleDisk(job string, sig Signals, st *jobState, n int, now time.Time) Action {
-	newDisk := MemoryEstimate(sig.DiskPeakBytes, s.opts.MemMargin)
+	newDisk := MemoryEstimate(sig.DiskPeakBytes, memMargin)
 	if newDisk <= sig.TaskResources.DiskBytes {
 		return Action{Job: job, Type: ActionNone}
 	}
@@ -420,7 +403,7 @@ func (s *Scaler) handleLag(job string, sig Signals, st *jobState, timeLag float6
 		// was too high: adjust to a value between X/(n·k) and P (§V-C).
 		if st.downscalePending {
 			st.downscalePending = false
-			floor := sig.InputRate / (float64(maxInt(n, 1)) * kEff)
+			floor := sig.InputRate / (float64(max(n, 1)) * kEff)
 			if floor < st.p {
 				st.p = (floor + st.p) / 2
 				s.stats.PAdjustments++
@@ -429,7 +412,7 @@ func (s *Scaler) handleLag(job string, sig Signals, st *jobState, timeLag float6
 	})
 
 	// Imbalanced input: rebalance rather than scale (Algorithm 2 line 4).
-	if n > 1 && sig.ImbalanceRatio() > s.opts.ImbalanceThreshold {
+	if n > 1 && sig.ImbalanceRatio() > imbalanceThreshold {
 		if s.rebalancer != nil {
 			if err := s.rebalancer.RebalanceInput(job); err == nil {
 				s.withLock(func() { s.stats.Rebalances++ })
@@ -441,7 +424,7 @@ func (s *Scaler) handleLag(job string, sig Signals, st *jobState, timeLag float6
 	// Resource estimate (equation 3): what does recovery need?
 	perTaskNeeded := (sig.InputRate + float64(sig.BacklogBytes)/s.opts.RecoverySeconds) / float64(n)
 	coresNeeded := CoresForPerTaskRate(perTaskNeeded, st.p)
-	vCapCores := s.opts.VerticalCapFraction * s.opts.ContainerCapacity.CPUCores
+	vCapCores := verticalCapFraction * s.opts.ContainerCapacity.CPUCores
 	curCores := sig.TaskResources.CPUCores
 
 	// Vertical first (§V-E): grow the per-task CPU allocation while it
@@ -510,8 +493,8 @@ func (s *Scaler) handleOOM(job string, sig Signals, st *jobState, n int, now tim
 	if peak < sig.TaskResources.MemoryBytes {
 		peak = sig.TaskResources.MemoryBytes
 	}
-	newMem := MemoryEstimate(peak, s.opts.MemMargin)
-	vCapMem := int64(s.opts.VerticalCapFraction * float64(s.opts.ContainerCapacity.MemoryBytes))
+	newMem := MemoryEstimate(peak, memMargin)
+	vCapMem := int64(verticalCapFraction * float64(s.opts.ContainerCapacity.MemoryBytes))
 
 	if newMem <= vCapMem {
 		to := sig.TaskResources
@@ -530,7 +513,7 @@ func (s *Scaler) handleOOM(job string, sig Signals, st *jobState, n int, now tim
 
 	// Memory is at the vertical cap: split the input across more tasks so
 	// per-task memory (∝ per-task rate) drops.
-	grow := float64(newMem) / float64(maxInt64(sig.TaskResources.MemoryBytes, 1))
+	grow := float64(newMem) / float64(max(sig.TaskResources.MemoryBytes, 1))
 	nReq := clampTasks(int(math.Ceil(float64(n)*grow)), sig)
 	if nReq <= n {
 		s.alert(job, "OOM at vertical memory cap and horizontal cap", now)
@@ -622,8 +605,8 @@ func (s *Scaler) handleHealthy(job string, sig Signals, st *jobState, n int, kEf
 	// Memory reclaim: reservation far above the observed peak.
 	reserved := sig.TaskResources.MemoryBytes
 	if reserved > s.opts.MemFloorBytes && sig.MemPeakBytes > 0 &&
-		float64(sig.MemPeakBytes) < s.opts.MemDownFraction*float64(reserved) {
-		newMem := MemoryEstimate(sig.MemPeakBytes, s.opts.MemMargin)
+		float64(sig.MemPeakBytes) < memDownFraction*float64(reserved) {
+		newMem := MemoryEstimate(sig.MemPeakBytes, memMargin)
 		if newMem < s.opts.MemFloorBytes {
 			newMem = s.opts.MemFloorBytes
 		}
@@ -647,7 +630,7 @@ func (s *Scaler) correlatedMemoryAdjust(job string, sig Signals, oldN, newN int)
 	if !sig.Stateful || newN <= oldN || sig.TaskResources.MemoryBytes <= 0 {
 		return
 	}
-	shrunk := int64(float64(sig.TaskResources.MemoryBytes) * float64(oldN) / float64(newN) * s.opts.MemMargin)
+	shrunk := int64(float64(sig.TaskResources.MemoryBytes) * float64(oldN) / float64(newN) * memMargin)
 	if shrunk < s.opts.MemFloorBytes {
 		shrunk = s.opts.MemFloorBytes
 	}
@@ -689,18 +672,4 @@ func clampTasks(n int, sig Signals) int {
 // core, the allocation granularity.
 func roundCores(c float64) float64 {
 	return math.Ceil(c*2) / 2
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

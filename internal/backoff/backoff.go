@@ -23,7 +23,9 @@ func Delay(base, max time.Duration, doublings int, key string, salt uint64) time
 	return d - time.Duration(fnv64(key, salt)%uint64(d/4+1))
 }
 
-// fnv64 hashes a string plus a salt (FNV-1a), the jitter source.
+// fnv64 hashes a string plus a salt (FNV-1a), the jitter source. It is
+// not stripe.Hash: the salt is folded into the hash, and pinned delays
+// (and with them seeded replays) ride on these exact 64 bits.
 func fnv64(s string, salt uint64) uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -15,7 +15,6 @@
 package capacity
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -48,45 +47,20 @@ type JobLister interface {
 	ListJobs() []JobInfo
 }
 
-// Options tune the manager.
-type Options struct {
-	// PressureThreshold: above this utilization fraction the cluster is
-	// under pressure and unprivileged scale-ups are denied (default 0.85).
-	PressureThreshold float64
-	// CriticalThreshold: above this, low-priority jobs are stopped until
-	// projected utilization returns below it (default 0.95).
-	CriticalThreshold float64
-	// PriorityFloor: jobs at or above this priority are privileged — they
-	// scale even under pressure and are never stopped (default 5).
-	PriorityFloor int
-	// CheckInterval between utilization checks (default 60 s).
-	CheckInterval time.Duration
-	// OnEvent, if set, receives capacity events for observability.
-	OnEvent func(Event)
-}
-
-func (o *Options) fillDefaults() {
-	if o.PressureThreshold <= 0 {
-		o.PressureThreshold = 0.85
-	}
-	if o.CriticalThreshold <= 0 {
-		o.CriticalThreshold = 0.95
-	}
-	if o.PriorityFloor == 0 {
-		o.PriorityFloor = 5
-	}
-	if o.CheckInterval <= 0 {
-		o.CheckInterval = time.Minute
-	}
-}
-
-// Event records a capacity action.
-type Event struct {
-	At     time.Time
-	Kind   string // "pressure-on", "pressure-off", "stop-job", "restart-job"
-	Job    string
-	Reason string
-}
+// The manager's control constants (§V-F).
+const (
+	// pressureThreshold: above this utilization fraction the cluster is
+	// under pressure and unprivileged scale-ups are denied.
+	pressureThreshold = 0.85
+	// criticalThreshold: above this, low-priority jobs are stopped until
+	// projected utilization returns below it.
+	criticalThreshold = 0.95
+	// priorityFloor: jobs at or above this priority are privileged — they
+	// scale even under pressure and are never stopped.
+	priorityFloor = 5
+	// checkInterval between utilization checks.
+	checkInterval = time.Minute
+)
 
 // Stats are cumulative counters.
 type Stats struct {
@@ -103,7 +77,6 @@ type Manager struct {
 	jobs  *jobservice.Service
 	usage UsageSource
 	list  JobLister
-	opts  Options
 
 	mu        sync.Mutex
 	pressured bool
@@ -114,14 +87,12 @@ type Manager struct {
 
 // New builds a Manager. list may be nil, disabling the stop-low-priority
 // escalation.
-func New(clock simclock.Clock, jobs *jobservice.Service, usage UsageSource, list JobLister, opts Options) *Manager {
-	opts.fillDefaults()
+func New(clock simclock.Clock, jobs *jobservice.Service, usage UsageSource, list JobLister) *Manager {
 	return &Manager{
 		clock:   clock,
 		jobs:    jobs,
 		usage:   usage,
 		list:    list,
-		opts:    opts,
 		stopped: make(map[string]struct{}),
 	}
 }
@@ -131,7 +102,7 @@ func (m *Manager) Start() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.ticker == nil {
-		m.ticker = m.clock.TickEvery(m.opts.CheckInterval, func() { m.Check() })
+		m.ticker = m.clock.TickEvery(checkInterval, func() { m.Check() })
 	}
 }
 
@@ -167,37 +138,30 @@ func (m *Manager) Utilization() float64 {
 func dominantUtilization(alloc, total config.Resources) float64 {
 	u := 0.0
 	if total.CPUCores > 0 {
-		u = maxF(u, alloc.CPUCores/total.CPUCores)
+		u = max(u, alloc.CPUCores/total.CPUCores)
 	}
 	if total.MemoryBytes > 0 {
-		u = maxF(u, float64(alloc.MemoryBytes)/float64(total.MemoryBytes))
+		u = max(u, float64(alloc.MemoryBytes)/float64(total.MemoryBytes))
 	}
 	if total.DiskBytes > 0 {
-		u = maxF(u, float64(alloc.DiskBytes)/float64(total.DiskBytes))
+		u = max(u, float64(alloc.DiskBytes)/float64(total.DiskBytes))
 	}
 	if total.NetworkBps > 0 {
-		u = maxF(u, float64(alloc.NetworkBps)/float64(total.NetworkBps))
+		u = max(u, float64(alloc.NetworkBps)/float64(total.NetworkBps))
 	}
 	return u
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // AuthorizeScaleUp implements the Auto Scaler's capacity gate: privileged
 // jobs always scale; others scale while the projected utilization stays
 // under the pressure threshold.
 func (m *Manager) AuthorizeScaleUp(job string, priority int, delta config.Resources) bool {
-	if priority >= m.opts.PriorityFloor {
+	if priority >= priorityFloor {
 		return true
 	}
 	total := m.usage.TotalCapacity()
 	projected := m.usage.Allocated().Add(delta)
-	if dominantUtilization(projected, total) <= m.opts.PressureThreshold {
+	if dominantUtilization(projected, total) <= pressureThreshold {
 		return true
 	}
 	m.mu.Lock()
@@ -211,37 +175,26 @@ func (m *Manager) AuthorizeScaleUp(job string, priority int, delta config.Resour
 // once utilization recovers.
 func (m *Manager) Check() {
 	util := m.Utilization()
-	now := m.clock.Now()
 
 	m.mu.Lock()
 	m.stats.Checks++
-	wasPressured := m.pressured
-	m.pressured = util > m.opts.PressureThreshold
+	m.pressured = util > pressureThreshold
 	if m.pressured {
 		m.stats.PressureRounds++
 	}
-	onEvent := m.opts.OnEvent
 	m.mu.Unlock()
 
-	if m.pressured != wasPressured && onEvent != nil {
-		kind := "pressure-off"
-		if m.pressured {
-			kind = "pressure-on"
-		}
-		onEvent(Event{At: now, Kind: kind, Reason: fmt.Sprintf("utilization %.2f", util)})
-	}
-
 	switch {
-	case util > m.opts.CriticalThreshold && m.list != nil:
-		m.stopLowPriority(util, now)
-	case util <= m.opts.PressureThreshold:
-		m.restartParked(now)
+	case util > criticalThreshold && m.list != nil:
+		m.stopLowPriority()
+	case util <= pressureThreshold:
+		m.restartParked()
 	}
 }
 
 // stopLowPriority parks the lowest-priority running jobs until the
 // projected utilization returns below the critical threshold.
-func (m *Manager) stopLowPriority(util float64, now time.Time) {
+func (m *Manager) stopLowPriority() {
 	total := m.usage.TotalCapacity()
 	alloc := m.usage.Allocated()
 	jobs := m.list.ListJobs()
@@ -253,10 +206,10 @@ func (m *Manager) stopLowPriority(util float64, now time.Time) {
 		return jobs[i].Name < jobs[j].Name
 	})
 	for _, j := range jobs {
-		if dominantUtilization(alloc, total) <= m.opts.CriticalThreshold {
+		if dominantUtilization(alloc, total) <= criticalThreshold {
 			break
 		}
-		if j.Stopped || j.Priority >= m.opts.PriorityFloor {
+		if j.Stopped || j.Priority >= priorityFloor {
 			continue
 		}
 		if err := m.jobs.SetStopped(j.Name, true); err != nil {
@@ -266,25 +219,20 @@ func (m *Manager) stopLowPriority(util float64, now time.Time) {
 		m.mu.Lock()
 		m.stopped[j.Name] = struct{}{}
 		m.stats.JobsStopped++
-		onEvent := m.opts.OnEvent
 		m.mu.Unlock()
-		if onEvent != nil {
-			onEvent(Event{At: now, Kind: "stop-job", Job: j.Name, Reason: fmt.Sprintf("critical utilization %.2f", util)})
-		}
 	}
 }
 
 // restartParked un-stops jobs this manager stopped, but only while the
 // projected utilization (with the job's footprint back) stays under the
 // pressure threshold — otherwise stop/restart would oscillate.
-func (m *Manager) restartParked(now time.Time) {
+func (m *Manager) restartParked() {
 	m.mu.Lock()
 	names := make([]string, 0, len(m.stopped))
 	for j := range m.stopped {
 		names = append(names, j)
 	}
 	sort.Strings(names)
-	onEvent := m.opts.OnEvent
 	m.mu.Unlock()
 	if len(names) == 0 {
 		return
@@ -300,7 +248,7 @@ func (m *Manager) restartParked(now time.Time) {
 	alloc := m.usage.Allocated()
 	for _, j := range names {
 		projected := alloc.Add(footprints[j])
-		if dominantUtilization(projected, total) > m.opts.PressureThreshold {
+		if dominantUtilization(projected, total) > pressureThreshold {
 			continue
 		}
 		if err := m.jobs.SetStopped(j, false); err != nil {
@@ -311,9 +259,6 @@ func (m *Manager) restartParked(now time.Time) {
 		delete(m.stopped, j)
 		m.stats.JobsRestarted++
 		m.mu.Unlock()
-		if onEvent != nil {
-			onEvent(Event{At: now, Kind: "restart-job", Job: j})
-		}
 	}
 }
 

@@ -45,7 +45,7 @@ func TestAuthorizeUnderNormalLoad(t *testing.T) {
 		total: config.Resources{CPUCores: 100, MemoryBytes: 100 << 30},
 		alloc: config.Resources{CPUCores: 50, MemoryBytes: 50 << 30},
 	}
-	m := New(simclock.NewSim(epoch), jobservice.New(jobstore.New()), usage, nil, Options{})
+	m := New(simclock.NewSim(epoch), jobservice.New(jobstore.New()), usage, nil)
 	if !m.AuthorizeScaleUp("j", 0, config.Resources{CPUCores: 10}) {
 		t.Fatal("scale-up denied with ample headroom")
 	}
@@ -56,7 +56,7 @@ func TestAuthorizeDeniedUnderPressure(t *testing.T) {
 		total: config.Resources{CPUCores: 100, MemoryBytes: 100 << 30},
 		alloc: config.Resources{CPUCores: 84, MemoryBytes: 10 << 30},
 	}
-	m := New(simclock.NewSim(epoch), jobservice.New(jobstore.New()), usage, nil, Options{})
+	m := New(simclock.NewSim(epoch), jobservice.New(jobstore.New()), usage, nil)
 	// Projected 94% > 85% threshold: denied for unprivileged.
 	if m.AuthorizeScaleUp("j", 0, config.Resources{CPUCores: 10}) {
 		t.Fatal("unprivileged scale-up allowed past pressure threshold")
@@ -85,13 +85,10 @@ func TestDominantUtilizationPicksWorstDimension(t *testing.T) {
 	}
 }
 
-func TestPressureStateFlipsWithEvents(t *testing.T) {
-	var events []Event
+func TestPressureStateFlips(t *testing.T) {
 	usage := &fakeUsage{total: config.Resources{CPUCores: 100}}
 	clk := simclock.NewSim(epoch)
-	m := New(clk, jobservice.New(jobstore.New()), usage, nil, Options{
-		OnEvent: func(e Event) { events = append(events, e) },
-	})
+	m := New(clk, jobservice.New(jobstore.New()), usage, nil)
 	usage.alloc = config.Resources{CPUCores: 90}
 	m.Check()
 	if !m.Pressured() {
@@ -102,8 +99,8 @@ func TestPressureStateFlipsWithEvents(t *testing.T) {
 	if m.Pressured() {
 		t.Fatal("still pressured at 40%")
 	}
-	if len(events) != 2 || events[0].Kind != "pressure-on" || events[1].Kind != "pressure-off" {
-		t.Fatalf("events = %+v", events)
+	if st := m.Stats(); st.Checks != 2 || st.PressureRounds != 1 {
+		t.Fatalf("stats = %+v, want 2 checks, 1 of them under pressure", st)
 	}
 }
 
@@ -123,7 +120,7 @@ func TestCriticalStopsLowestPriorityFirst(t *testing.T) {
 		{Name: "mid", Priority: 3, Footprint: config.Resources{CPUCores: 30}},
 		{Name: "low", Priority: 1, Footprint: config.Resources{CPUCores: 30}},
 	}}
-	m := New(simclock.NewSim(epoch), svc, usage, lister, Options{})
+	m := New(simclock.NewSim(epoch), svc, usage, lister)
 	m.Check()
 
 	cfgLow, _, _ := svc.Desired("low")
@@ -155,7 +152,7 @@ func TestParkedJobsRestartWhenPressureClears(t *testing.T) {
 	lister := &fakeLister{jobs: []JobInfo{
 		{Name: "low", Priority: 1, Footprint: config.Resources{CPUCores: 50}},
 	}}
-	m := New(simclock.NewSim(epoch), svc, usage, lister, Options{})
+	m := New(simclock.NewSim(epoch), svc, usage, lister)
 	m.Check()
 	if cfg, _, _ := svc.Desired("low"); !cfg.Stopped {
 		t.Fatal("job not parked")
@@ -174,7 +171,7 @@ func TestParkedJobsRestartWhenPressureClears(t *testing.T) {
 func TestPeriodicChecksOnClock(t *testing.T) {
 	usage := &fakeUsage{total: config.Resources{CPUCores: 100}}
 	clk := simclock.NewSim(epoch)
-	m := New(clk, jobservice.New(jobstore.New()), usage, nil, Options{CheckInterval: time.Minute})
+	m := New(clk, jobservice.New(jobstore.New()), usage, nil)
 	m.Start()
 	defer m.Stop()
 	clk.RunFor(5 * time.Minute)
@@ -213,7 +210,7 @@ func TestUtilizationAccessor(t *testing.T) {
 		total: config.Resources{CPUCores: 10},
 		alloc: config.Resources{CPUCores: 7},
 	}
-	m := New(simclock.NewSim(epoch), jobservice.New(jobstore.New()), usage, nil, Options{})
+	m := New(simclock.NewSim(epoch), jobservice.New(jobstore.New()), usage, nil)
 	if got := m.Utilization(); got != 0.7 {
 		t.Fatalf("Utilization = %v", got)
 	}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,14 +15,21 @@ import (
 )
 
 // countingActuator counts every probe the syncer makes, including ones
-// the injector fails.
+// the injector fails, and keeps the time of each stop probe per job.
 type countingActuator struct {
 	inner  statesyncer.Actuator
+	clock  simclock.Clock
 	probes atomic.Int64
+
+	mu      sync.Mutex // complex plans run in parallel
+	stopsAt map[string][]time.Time
 }
 
 func (c *countingActuator) StopJobTasks(job string) error {
 	c.probes.Add(1)
+	c.mu.Lock()
+	c.stopsAt[job] = append(c.stopsAt[job], c.clock.Now())
+	c.mu.Unlock()
 	return c.inner.StopJobTasks(job)
 }
 
@@ -42,24 +50,29 @@ type convergenceResult struct {
 	faults  int
 }
 
-// runConvergence provisions jobs jobs, makes every one of them need a
-// complex plan (task-count change), and drives 30s syncer rounds under
-// the given actuator fault rules until the store is fully converged.
-func runConvergence(t *testing.T, seed uint64, jobs int, backoff time.Duration, rules []faultinject.Rule) convergenceResult {
+// convergenceWorld is a Job Store with jobs provisioned jobs that all
+// need a complex plan (task-count change), a syncer engine the test
+// drives round by round, and an actuator that fails by the given rules.
+type convergenceWorld struct {
+	clk    *simclock.Sim
+	store  *jobstore.Store
+	syncer *statesyncer.Syncer
+	act    *countingActuator
+	inj    *faultinject.Injector
+	jobs   int
+}
+
+const syncInterval = 30 * time.Second
+
+func newConvergenceWorld(t *testing.T, seed uint64, jobs int, rules []faultinject.Rule) *convergenceWorld {
 	t.Helper()
 	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	clk := simclock.NewSim(start)
 	store := jobstore.New()
 	svc := jobservice.New(store)
 	inj := faultinject.New(seed, clk, rules)
-	act := &countingActuator{inner: inj.Actuator(statesyncer.NopActuator{})}
-	// QuarantineAfter is raised so long failure streaks stay in the
-	// retry loop — this experiment measures retry traffic, not the
-	// quarantine escape hatch.
-	syncer := statesyncer.New(store, act, clk, statesyncer.Options{
-		RetryBackoffBase: backoff,
-		QuarantineAfter:  1000,
-	})
+	act := &countingActuator{inner: inj.Actuator(statesyncer.NopActuator{}), clock: clk, stopsAt: make(map[string][]time.Time)}
+	syncer := statesyncer.New(store, act, clk, statesyncer.Options{})
 
 	for i := 0; i < jobs; i++ {
 		if err := svc.Provision(jobConfig(jobName(i), 4, 16)); err != nil {
@@ -73,25 +86,18 @@ func runConvergence(t *testing.T, seed uint64, jobs int, backoff time.Duration, 
 		}
 	}
 	act.probes.Store(0)
+	return &convergenceWorld{clk: clk, store: store, syncer: syncer, act: act, inj: inj, jobs: jobs}
+}
 
-	res := convergenceResult{}
-	const maxRounds = 400
-	for ; res.rounds < maxRounds; res.rounds++ {
-		if store.DirtyCount() == 0 && len(store.SyncStateNames()) == 0 {
-			break
-		}
-		clk.RunFor(30 * time.Second)
-		syncer.RunRound()
-	}
-	if res.rounds == maxRounds {
-		t.Fatalf("no convergence after %d rounds (dirty=%d, syncstates=%v)",
-			maxRounds, store.DirtyCount(), store.SyncStateNames())
-	}
-	if q := store.QuarantinedNames(); len(q) != 0 {
-		t.Fatalf("unexpected quarantines: %v", q)
-	}
-	for i := 0; i < jobs; i++ {
-		r, ok := store.GetRunning(jobName(i))
+func (w *convergenceWorld) converged() bool {
+	return w.store.DirtyCount() == 0 && len(w.store.SyncStateNames()) == 0
+}
+
+// requireTaskCount6 fails unless every job runs the changed task count.
+func (w *convergenceWorld) requireTaskCount6(t *testing.T) {
+	t.Helper()
+	for i := 0; i < w.jobs; i++ {
+		r, ok := w.store.GetRunning(jobName(i))
 		if !ok {
 			t.Fatalf("%s missing after convergence", jobName(i))
 		}
@@ -103,16 +109,39 @@ func runConvergence(t *testing.T, seed uint64, jobs int, backoff time.Duration, 
 			t.Fatalf("%s converged to task count %d, want 6", jobName(i), jc.TaskCount)
 		}
 	}
-	res.simTime = time.Duration(res.rounds) * 30 * time.Second
-	res.probes = act.probes.Load()
-	res.faults = len(inj.Trace())
+}
+
+// runConvergence drives 30s syncer rounds under the given actuator fault
+// rules until the store is fully converged.
+func runConvergence(t *testing.T, seed uint64, jobs int, rules []faultinject.Rule) convergenceResult {
+	t.Helper()
+	w := newConvergenceWorld(t, seed, jobs, rules)
+	res := convergenceResult{}
+	const maxRounds = 400
+	for ; res.rounds < maxRounds; res.rounds++ {
+		if w.converged() {
+			break
+		}
+		w.clk.RunFor(syncInterval)
+		w.syncer.RunRound()
+	}
+	if res.rounds == maxRounds {
+		t.Fatalf("no convergence after %d rounds (dirty=%d, syncstates=%v)",
+			maxRounds, w.store.DirtyCount(), w.store.SyncStateNames())
+	}
+	if q := w.store.QuarantinedNames(); len(q) != 0 {
+		t.Fatalf("unexpected quarantines: %v", q)
+	}
+	w.requireTaskCount6(t)
+	res.simTime = time.Duration(res.rounds) * syncInterval
+	res.probes = w.act.probes.Load()
+	res.faults = len(w.inj.Trace())
 	return res
 }
 
 // TestConvergenceUnderActuatorFaults measures rounds-to-convergence and
 // actuator probe traffic for 50 complex-plan jobs under transient
-// actuator fault rates, with and without retry backoff. The logged table
-// is the source for the EXPERIMENTS.md PR 5 entry.
+// actuator fault rates: every job converges, none through a quarantine.
 func TestConvergenceUnderActuatorFaults(t *testing.T) {
 	transient := func(rate float64) []faultinject.Rule {
 		return []faultinject.Rule{
@@ -120,42 +149,70 @@ func TestConvergenceUnderActuatorFaults(t *testing.T) {
 			{Op: faultinject.OpActuatorResume, Rate: rate, Kind: faultinject.KindError},
 		}
 	}
-	scenarios := []struct {
-		name    string
-		rules   []faultinject.Rule
-		backoff time.Duration
+	for _, sc := range []struct {
+		name  string
+		rules []faultinject.Rule
 	}{
-		{"1% faults, no backoff", transient(0.01), statesyncer.NoBackoff},
-		{"1% faults, backoff", transient(0.01), 0}, // 0 = default (Interval)
-		{"10% faults, no backoff", transient(0.10), statesyncer.NoBackoff},
-		{"10% faults, backoff", transient(0.10), 0},
-	}
-	for _, sc := range scenarios {
-		r := runConvergence(t, 7, 50, sc.backoff, sc.rules)
-		t.Logf("%-24s rounds=%-3d sim-time=%-6v probes=%-4d faults=%d",
+		{"1% faults", transient(0.01)},
+		{"10% faults", transient(0.10)},
+	} {
+		r := runConvergence(t, 7, 50, sc.rules)
+		t.Logf("%-12s rounds=%-3d sim-time=%-6v probes=%-4d faults=%d",
 			sc.name, r.rounds, r.simTime, r.probes, r.faults)
 	}
 }
 
 // TestBackoffCutsProbesDuringOutage holds the actuator's stop path at a
-// 100% failure rate for 10 minutes and compares retry traffic: without
-// backoff the syncer re-probes every failing job every round for the
-// whole outage; with exponential backoff the probe count collapses while
-// convergence after recovery stays within a couple of rounds.
+// 100% failure rate for 10 minutes. Each failing job is probed exactly
+// five times — the second probe one round after the first, then after
+// Interval, 2 × Interval and 4 × Interval less at most a quarter of
+// jitter — and is then quarantined: 5 probes per job for the outage,
+// where a retry every round would make 20. Once the outage is over and
+// the oncall clears the quarantines, everything converges within two
+// rounds.
 func TestBackoffCutsProbesDuringOutage(t *testing.T) {
-	outage := []faultinject.Rule{
-		{Op: faultinject.OpActuatorStop, Rate: 1.0, Kind: faultinject.KindError, Until: 10 * time.Minute},
+	const jobs, outageLen = 10, 10 * time.Minute
+	w := newConvergenceWorld(t, 7, jobs, []faultinject.Rule{
+		{Op: faultinject.OpActuatorStop, Rate: 1.0, Kind: faultinject.KindError, Until: outageLen},
+	})
+	for elapsed := time.Duration(0); elapsed < outageLen-syncInterval; elapsed += syncInterval {
+		w.clk.RunFor(syncInterval)
+		w.syncer.RunRound()
 	}
-	noBackoff := runConvergence(t, 7, 10, statesyncer.NoBackoff, outage)
-	backoff := runConvergence(t, 7, 10, 0, outage)
-	t.Logf("10min outage, no backoff: rounds=%d sim-time=%v probes=%d faults=%d",
-		noBackoff.rounds, noBackoff.simTime, noBackoff.probes, noBackoff.faults)
-	t.Logf("10min outage, backoff:    rounds=%d sim-time=%v probes=%d faults=%d",
-		backoff.rounds, backoff.simTime, backoff.probes, backoff.faults)
-	if backoff.probes >= noBackoff.probes {
-		t.Fatalf("backoff did not reduce probe traffic: %d >= %d", backoff.probes, noBackoff.probes)
+	// Every failed stop is followed by its rollback's resume: two actuator
+	// calls per probe.
+	if got := w.act.probes.Load(); got != 2*5*jobs {
+		t.Fatalf("%d actuator calls during the outage, want 5 stops and 5 rollbacks per job = %d", got, 2*5*jobs)
 	}
-	if backoff.simTime > noBackoff.simTime+5*time.Minute {
-		t.Fatalf("backoff delayed convergence too far: %v vs %v", backoff.simTime, noBackoff.simTime)
+	if q := w.store.QuarantinedNames(); len(q) != jobs {
+		t.Fatalf("quarantined after the outage: %v, want all %d jobs", q, jobs)
 	}
+	nominal := []time.Duration{syncInterval, syncInterval, 2 * syncInterval, 4 * syncInterval}
+	for i := 0; i < jobs; i++ {
+		at := w.act.stopsAt[jobName(i)]
+		if len(at) != 5 {
+			t.Fatalf("%s probed %d times, want 5", jobName(i), len(at))
+		}
+		for k, want := range nominal {
+			// Rounds run on the Interval grid, so a wait shortened by
+			// jitter lands on the first round at or after its deadline.
+			if gap := at[k+1].Sub(at[k]); gap > want || gap < want-want/4 {
+				t.Fatalf("%s: %v between probes %d and %d, want %v less at most a quarter", jobName(i), gap, k+1, k+2, want)
+			}
+		}
+	}
+
+	w.clk.RunFor(syncInterval) // the outage is over
+	for _, q := range w.store.QuarantinedNames() {
+		w.store.ClearQuarantine(q)
+	}
+	for r := 0; r < 2 && !w.converged(); r++ {
+		w.syncer.RunRound()
+		w.clk.RunFor(syncInterval)
+	}
+	if !w.converged() {
+		t.Fatalf("not converged two rounds after the quarantines were cleared (dirty=%d, syncstates=%v)",
+			w.store.DirtyCount(), w.store.SyncStateNames())
+	}
+	w.requireTaskCount6(t)
 }

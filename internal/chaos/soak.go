@@ -290,12 +290,9 @@ func Run(opts Options) (*Result, error) {
 func newCluster(opts Options, name string, faults bool) (*cluster.Cluster, *faultinject.Injector, error) {
 	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	cfg := cluster.Config{
-		Name:      name,
-		Hosts:     opts.Hosts,
-		StartTime: start,
-		// Change-driven 30 s rounds with a periodic full sweep — the
-		// production shape the durable sync state is designed for.
-		Syncer:       statesyncer.Options{FullSweepEvery: 10},
+		Name:         name,
+		Hosts:        opts.Hosts,
+		StartTime:    start,
 		SyncerShards: opts.SyncerShards,
 	}
 	var inj *faultinject.Injector

@@ -75,7 +75,6 @@ type Config struct {
 	Scaler   autoscaler.Options
 	ShardMgr shardmanager.Options
 	TaskMgr  taskmanager.Options
-	Capacity capacity.Options
 
 	// Regions, when set, tags hosts round-robin with these region names;
 	// each host's containers register in its region, enabling §IV-B
@@ -199,16 +198,13 @@ type Cluster struct {
 	tms []tmEntry
 	act statesyncer.Actuator // possibly wrapped; reused by RestartSyncerNode
 
-	mu          sync.Mutex
-	profiles    map[string]*engine.Profile
-	generators  map[string]*workload.Generator // by job name
-	signals     map[string]*autoscaler.Signals // replaced whole every monitor tick; entries never written
-	lastWritten map[string]int64               // input category -> bytes at last monitor
-	decoded     map[string]decodedCfg
-	jobSeries   map[string]jobSeries // cached metric-store handles per job
-	allocated   allocatedMemo
-	started     bool
-	alerts      []string
+	mu        sync.Mutex
+	records   map[string]*jobRecord // everything kept under a job's name
+	allocated allocatedMemo
+	started   bool
+	alerts    []string
+
+	monitorTicks uint64 // monitor ticks so far; touched only by monitorTick
 
 	// Cluster-level series handles, resolved once: the monitor appends to
 	// them every interval, so it skips the store's name lookup.
@@ -227,6 +223,36 @@ func (ns Syncers) Stats() statesyncer.Stats {
 		sum = sum.Add(n.Stats())
 	}
 	return sum
+}
+
+// jobRecord is everything the cluster keeps under a job's name, in one
+// map entry, so that forgetting a job is one delete and a job later
+// created under the same name starts as a new one. (OOM kills are not
+// here: the Task Managers hand them over tick by tick.)
+type jobRecord struct {
+	// Registered by AddJob; nil means the default profile, no generated
+	// traffic. These and the next two groups are guarded by Cluster.mu.
+	profile   *engine.Profile
+	generator *workload.Generator
+
+	// The typed decode of the running configuration, cached on the
+	// store-wide commit revision it was decoded from. The revision, unlike
+	// the per-job version, never repeats: a job deleted and re-created
+	// under the same name starts again at version 1 but commits at a new
+	// revision.
+	cfg          *config.JobConfig
+	cfgRevision  int64
+	cfgChangedAt time.Time // when this running commit was first observed
+
+	// The last monitor tick's signals: replaced whole every tick, the
+	// pointee never written.
+	signals *autoscaler.Signals
+
+	// The rest is touched only by monitorTick.
+	monitoredTick uint64    // the monitor tick that last saw the job running
+	inputCategory string    // category inputWritten counts
+	inputWritten  int64     // its bytes written, as of that tick
+	series        jobSeries // metric-store handles, resolved on first use
 }
 
 // jobSeries caches the metric-store handles for one job's per-minute
@@ -250,17 +276,6 @@ func jobSeriesNames(job string) [4]string {
 	}
 }
 
-// decodedCfg caches the typed decode of a running configuration, keyed by
-// the store-wide commit revision it was decoded from; the monitor reads
-// every job every minute and configs change rarely. The revision, unlike
-// the per-job version, never repeats: a job deleted and re-created under
-// the same name starts again at version 1 but commits at a new revision.
-type decodedCfg struct {
-	revision  int64
-	cfg       *config.JobConfig
-	changedAt time.Time // when this running commit was first observed
-}
-
 // allocatedMemo caches Allocated's sum, keyed by the journal head it was
 // computed at.
 type allocatedMemo struct {
@@ -269,44 +284,47 @@ type allocatedMemo struct {
 	sum   config.Resources
 }
 
-// runningConfig returns the decoded running configuration of a job,
-// served from cache while the running entry has not been re-committed.
-// The returned value is shared: callers must not mutate it.
-func (c *Cluster) runningConfig(job string) (*config.JobConfig, bool) {
+// recordLocked returns the job's record, creating it if there is none.
+func (c *Cluster) recordLocked(job string) *jobRecord {
+	rec := c.records[job]
+	if rec == nil {
+		rec = &jobRecord{}
+		c.records[job] = rec
+	}
+	return rec
+}
+
+// runningRecord returns a running job's record and its decoded running
+// configuration, re-decoded only after the running entry was re-committed.
+// The configuration is shared: callers must not mutate it.
+func (c *Cluster) runningRecord(job string) (*jobRecord, *config.JobConfig, bool) {
 	// Shared read: on a miss the doc goes straight into the read-only
 	// decoder.
 	doc, _, revision, ok := c.Store.RunningEntry(job)
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	c.mu.Lock()
-	if d, hit := c.decoded[job]; hit && d.revision == revision {
-		c.mu.Unlock()
-		return d.cfg, true
+	defer c.mu.Unlock()
+	rec := c.records[job]
+	if rec == nil || rec.cfg == nil || rec.cfgRevision != revision {
+		cfg, err := config.JobConfigFromDoc(doc)
+		if err != nil {
+			return nil, nil, false
+		}
+		rec = c.recordLocked(job)
+		rec.cfg, rec.cfgRevision, rec.cfgChangedAt = cfg, revision, c.Clk.Now()
 	}
-	c.mu.Unlock()
-	cfg, err := config.JobConfigFromDoc(doc)
-	if err != nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	c.decoded[job] = decodedCfg{revision: revision, cfg: cfg, changedAt: c.Clk.Now()}
-	c.mu.Unlock()
-	return cfg, true
+	return rec, rec.cfg, true
 }
 
-// forgetJobLocked drops everything learned about a job while it ran, so
-// that a job later created under the same name starts as a new one: the
-// monitor's decoded configuration and input-category byte baseline, the
-// job's metric series (handles and stored points) and the Auto Scaler's
-// per-job state. (OOM kills need no forgetting: the Task Managers hand
-// them over tick by tick, nothing accumulates under the job's name.)
-func (c *Cluster) forgetJobLocked(job string) {
-	if d, ok := c.decoded[job]; ok {
-		delete(c.lastWritten, d.cfg.Input.Category)
-		delete(c.decoded, job)
+// dropJobLocked forgets a job: its record, its metric series (handles
+// and stored points) and the Auto Scaler's per-job state.
+func (c *Cluster) dropJobLocked(job string) {
+	if rec := c.records[job]; rec != nil && rec.generator != nil {
+		rec.generator.Stop()
 	}
-	delete(c.jobSeries, job)
+	delete(c.records, job)
 	for _, name := range jobSeriesNames(job) {
 		c.Metrics.Delete(name)
 	}
@@ -321,11 +339,11 @@ func (c *Cluster) forgetJobLocked(job string) {
 func (c *Cluster) SecondsSinceConfigChange(job string) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	d, ok := c.decoded[job]
-	if !ok {
+	rec := c.records[job]
+	if rec == nil || rec.cfg == nil {
 		return -1
 	}
-	return c.Clk.Now().Sub(d.changedAt).Seconds()
+	return c.Clk.Now().Sub(rec.cfgChangedAt).Seconds()
 }
 
 // New builds (but does not start) a cluster.
@@ -336,18 +354,13 @@ func New(cfg Config) (*Cluster, error) {
 		clk = simclock.NewSim(cfg.StartTime)
 	}
 	c := &Cluster{
-		Cfg:         cfg,
-		Clk:         clk,
-		Bus:         scribe.NewBus(),
-		Ckpt:        engine.NewCheckpointStore(),
-		Store:       jobstore.New(),
-		TW:          tupperware.NewCluster(),
-		profiles:    make(map[string]*engine.Profile),
-		generators:  make(map[string]*workload.Generator),
-		signals:     make(map[string]*autoscaler.Signals),
-		lastWritten: make(map[string]int64),
-		decoded:     make(map[string]decodedCfg),
-		jobSeries:   make(map[string]jobSeries),
+		Cfg:     cfg,
+		Clk:     clk,
+		Bus:     scribe.NewBus(),
+		Ckpt:    engine.NewCheckpointStore(),
+		Store:   jobstore.New(),
+		TW:      tupperware.NewCluster(),
+		records: make(map[string]*jobRecord),
 	}
 	c.Jobs = jobservice.New(c.Store)
 	c.Feed = jobservice.NewSpecFeed(c.Store)
@@ -382,8 +395,8 @@ func New(cfg Config) (*Cluster, error) {
 	profileFn := func(spec engine.TaskSpec) *engine.Profile {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		if p, ok := c.profiles[spec.Job]; ok {
-			return p
+		if rec := c.records[spec.Job]; rec != nil && rec.profile != nil {
+			return rec.profile
 		}
 		return engine.DefaultProfile(spec.Operator)
 	}
@@ -425,7 +438,7 @@ func New(cfg Config) (*Cluster, error) {
 	// computes, and coarse long-horizon simulations stretch both.
 	c.Health = health.New(c, c.Metrics, c.Clk, health.Options{Interval: cfg.MonitorInterval})
 	if cfg.EnableCapacity {
-		c.CapMgr = capacity.New(c.Clk, c.Jobs, c, c, cfg.Capacity)
+		c.CapMgr = capacity.New(c.Clk, c.Jobs, c, c)
 	}
 	var auth autoscaler.Authorizer
 	if c.CapMgr != nil {
@@ -513,32 +526,25 @@ func (c *Cluster) AddJob(spec JobSpec) error {
 	if profile == nil {
 		profile = engine.DefaultProfile(cfg.Operator)
 	}
-	c.mu.Lock()
-	c.profiles[cfg.Name] = profile
-	c.mu.Unlock()
-
+	var g *workload.Generator
 	if spec.Pattern != nil {
-		g := workload.NewGenerator(c.Bus, c.Clk, cfg.Input.Category, spec.Pattern, spec.AvgMsgSize)
+		g = workload.NewGenerator(c.Bus, c.Clk, cfg.Input.Category, spec.Pattern, spec.AvgMsgSize)
 		if len(spec.InputWeights) > 0 {
 			g.SetWeights(spec.InputWeights)
 		}
 		g.Start(c.Cfg.TickInterval)
-		c.mu.Lock()
-		c.generators[cfg.Name] = g
-		c.mu.Unlock()
 	}
+	c.mu.Lock()
+	rec := c.recordLocked(cfg.Name)
+	rec.profile, rec.generator = profile, g
+	c.mu.Unlock()
 	return nil
 }
 
 // RemoveJob deletes a job; the syncer tears it down on its next round.
 func (c *Cluster) RemoveJob(name string) error {
 	c.mu.Lock()
-	if g, ok := c.generators[name]; ok {
-		g.Stop()
-		delete(c.generators, name)
-	}
-	delete(c.profiles, name)
-	c.forgetJobLocked(name)
+	c.dropJobLocked(name)
 	c.mu.Unlock()
 	return c.Jobs.Delete(name)
 }
@@ -548,8 +554,10 @@ func (c *Cluster) RemoveJob(name string) error {
 func (c *Cluster) Generator(job string) (*workload.Generator, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	g, ok := c.generators[job]
-	return g, ok
+	if rec := c.records[job]; rec != nil && rec.generator != nil {
+		return rec.generator, true
+	}
+	return nil, false
 }
 
 // KillHost marks a host dead: its containers stop heartbeating and their
@@ -719,24 +727,28 @@ func (c *Cluster) monitorTick() {
 	dt := c.Cfg.MonitorInterval.Seconds()
 	totalTasks := 0
 	var totalInput float64
+	c.monitorTicks++
 
-	// The tick's signals and task rates are each cut from one allocation;
-	// neither is appended to beyond the capacity reserved here.
+	// The tick's signals, their records and the task rates are each cut
+	// from one allocation; none is appended to beyond the capacity
+	// reserved here.
 	sigs := make([]autoscaler.Signals, 0, len(names))
+	recs := make([]*jobRecord, 0, len(names))
 	rates := make([]float64, 0, running)
-	newSignals := make(map[string]*autoscaler.Signals, len(names))
 	var idle jobObs
 	for _, job := range names {
-		cfg, ok := c.runningConfig(job)
+		rec, cfg, ok := c.runningRecord(job)
 		if !ok {
 			continue
 		}
+		rec.monitoredTick = c.monitorTicks
 		cat := cfg.Input.Category
 		written := c.Bus.TotalWritten(cat)
-		c.mu.Lock()
-		last := c.lastWritten[cat]
-		c.lastWritten[cat] = written
-		c.mu.Unlock()
+		if rec.inputCategory != cat {
+			rec.inputCategory, rec.inputWritten = cat, 0
+		}
+		last := rec.inputWritten
+		rec.inputWritten = written
 		inputRate := float64(written-last) / dt
 		if last == 0 && written > 0 {
 			// First observation: avoid counting the entire history as one
@@ -787,11 +799,14 @@ func (c *Cluster) monitorTick() {
 			Partitions:     cfg.Input.Partitions,
 			SLOSeconds:     cfg.SLOSeconds,
 		})
-		newSignals[job] = &sigs[len(sigs)-1]
+		recs = append(recs, rec)
 		totalTasks += len(o.tasks)
 		totalInput += inputRate
 
-		js := c.seriesFor(job)
+		if rec.series.input == nil {
+			rec.series = c.resolveSeries(job)
+		}
+		js := rec.series
 		js.input.Record(inputRate)
 		js.backlog.Record(float64(backlog))
 		js.taskCount.Record(float64(len(o.tasks)))
@@ -799,23 +814,22 @@ func (c *Cluster) monitorTick() {
 	}
 
 	c.mu.Lock()
-	// A job left the running table since the last tick, or since its
-	// config was last read. RemoveJob forgets it at once, but until the
-	// syncer's teardown every monitor tick, config read and scaler scan
-	// remembers it again: forget it for good.
-	for job := range c.signals {
-		if _, running := newSignals[job]; !running {
-			c.forgetJobLocked(job)
-		}
+	for i, rec := range recs {
+		rec.signals = &sigs[i]
 	}
-	if len(c.decoded) > len(newSignals) {
-		for job := range c.decoded {
-			if _, running := newSignals[job]; !running {
-				c.forgetJobLocked(job)
+	if len(c.records) > len(recs) {
+		// Some record is not of a job monitored this tick: a job added but
+		// not yet running (keep it), or one that left the running table
+		// since the last tick or since its config was last read. RemoveJob
+		// forgets a job at once, but until the syncer's teardown every
+		// monitor tick, config read and scaler scan remembers it again:
+		// forget it for good.
+		for job, rec := range c.records {
+			if rec.cfg != nil && rec.monitoredTick != c.monitorTicks {
+				c.dropJobLocked(job)
 			}
 		}
 	}
-	c.signals = newSignals
 	c.mu.Unlock()
 
 	c.seriesTaskCount.Record(float64(totalTasks))
@@ -826,26 +840,15 @@ func (c *Cluster) monitorTick() {
 	c.seriesDropped.Record(float64(c.Metrics.Dropped()))
 }
 
-// seriesFor returns the cached metric-series handles of a job, resolving
-// them on first use.
-func (c *Cluster) seriesFor(job string) jobSeries {
-	c.mu.Lock()
-	js, ok := c.jobSeries[job]
-	c.mu.Unlock()
-	if ok {
-		return js
-	}
+// resolveSeries resolves the metric-series handles of a job.
+func (c *Cluster) resolveSeries(job string) jobSeries {
 	names := jobSeriesNames(job)
-	js = jobSeries{
+	return jobSeries{
 		input:           c.Metrics.Handle(names[0]),
 		backlog:         c.Metrics.Handle(names[1]),
 		taskCount:       c.Metrics.Handle(names[2]),
 		configuredTasks: c.Metrics.Handle(names[3]),
 	}
-	c.mu.Lock()
-	c.jobSeries[job] = js
-	c.mu.Unlock()
-	return js
 }
 
 // JobHealth implements health.Source: assemble the §VII health inputs for
@@ -853,7 +856,7 @@ func (c *Cluster) seriesFor(job string) jobSeries {
 func (c *Cluster) JobHealth() []health.JobHealth {
 	var out []health.JobHealth
 	for _, job := range c.Store.RunningNames() {
-		cfg, ok := c.runningConfig(job)
+		_, cfg, ok := c.runningRecord(job)
 		if !ok {
 			continue
 		}
@@ -922,8 +925,8 @@ func (c *Cluster) JobNames() []string {
 func (c *Cluster) JobSignals(job string) (autoscaler.Signals, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s, ok := c.signals[job]; ok {
-		return *s, true
+	if rec := c.records[job]; rec != nil && rec.signals != nil {
+		return *rec.signals, true
 	}
 	return autoscaler.Signals{}, false
 }
@@ -986,7 +989,7 @@ func (c *Cluster) Allocated() config.Resources {
 func (c *Cluster) ListJobs() []capacity.JobInfo {
 	var out []capacity.JobInfo
 	for _, job := range c.Store.RunningNames() {
-		cfg, ok := c.runningConfig(job)
+		_, cfg, ok := c.runningRecord(job)
 		if !ok {
 			continue
 		}
@@ -1058,7 +1061,7 @@ func (c *Cluster) JobRunningTasks(job string) int {
 
 // JobBacklog returns the job's unread input bytes.
 func (c *Cluster) JobBacklog(job string) int64 {
-	cfg, ok := c.runningConfig(job)
+	_, cfg, ok := c.runningRecord(job)
 	if !ok {
 		return 0
 	}

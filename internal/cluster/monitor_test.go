@@ -36,10 +36,10 @@ func TestRecreatedJobServesFreshConfig(t *testing.T) {
 	}
 	// Nothing of the removed job is left behind between monitor ticks.
 	c.mu.Lock()
-	left := fmt.Sprint(len(c.decoded), len(c.lastWritten), len(c.signals))
+	left := len(c.records)
 	c.mu.Unlock()
-	if left != "0 0 0" {
-		t.Fatalf("monitor state after the removal (decoded, lastWritten, signals) = %s, want all empty", left)
+	if left != 0 {
+		t.Fatalf("%d job records left after the removal, want none", left)
 	}
 
 	if err := c.AddJob(JobSpec{Config: tailerJob("j", 4, 8), Pattern: workload.Constant(mb)}); err != nil {

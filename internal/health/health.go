@@ -72,36 +72,22 @@ type Alert struct {
 	At      time.Time
 }
 
+// Alert thresholds on the §VII top-line percentages.
+const (
+	// warnNotRunningPct of desired tasks not running raises the
+	// tasks-not-running alert; critNotRunningPct escalates it.
+	warnNotRunningPct = 5
+	critNotRunningPct = 20
+	// warnLaggingPct of jobs out of SLO raises the jobs-lagging alert.
+	warnLaggingPct = 1
+)
+
 // Options tune the reporter.
 type Options struct {
 	// Interval between evaluations (default 60 s).
 	Interval time.Duration
-	// WarnNotRunningPct fires when this % of desired tasks is not
-	// running (default 5).
-	WarnNotRunningPct float64
-	// CritNotRunningPct escalates (default 20).
-	CritNotRunningPct float64
-	// WarnLaggingPct fires when this % of jobs is out of SLO (default 1).
-	WarnLaggingPct float64
-	// OnAlert receives newly raised (or resolved) alerts.
+	// OnAlert receives newly raised (or escalated) alerts.
 	OnAlert func(Alert)
-	// OnResolve receives keys of alerts that cleared.
-	OnResolve func(key string, at time.Time)
-}
-
-func (o *Options) fillDefaults() {
-	if o.Interval <= 0 {
-		o.Interval = time.Minute
-	}
-	if o.WarnNotRunningPct <= 0 {
-		o.WarnNotRunningPct = 5
-	}
-	if o.CritNotRunningPct <= 0 {
-		o.CritNotRunningPct = 20
-	}
-	if o.WarnLaggingPct <= 0 {
-		o.WarnLaggingPct = 1
-	}
 }
 
 // Reporter periodically evaluates fleet health, records the top-line
@@ -121,7 +107,9 @@ type Reporter struct {
 
 // New builds a Reporter. store may be nil (no series recorded).
 func New(source Source, store *metrics.Store, clock simclock.Clock, opts Options) *Reporter {
-	opts.fillDefaults()
+	if opts.Interval <= 0 {
+		opts.Interval = time.Minute
+	}
 	return &Reporter{
 		source: source,
 		store:  store,
@@ -229,23 +217,19 @@ func (r *Reporter) Evaluate() Snapshot {
 	r.history++
 	r.mu.Unlock()
 
-	r.updateAlert("tasks-not-running", now, snap.PctNotRunning >= r.opts.WarnNotRunningPct,
-		levelFor(snap.PctNotRunning, r.opts.CritNotRunningPct),
+	notRunning := LevelWarn
+	if snap.PctNotRunning >= critNotRunningPct {
+		notRunning = LevelCritical
+	}
+	r.updateAlert("tasks-not-running", now, snap.PctNotRunning >= warnNotRunningPct, notRunning,
 		fmt.Sprintf("%.1f%% of desired tasks not running", snap.PctNotRunning))
-	r.updateAlert("jobs-lagging", now, snap.PctLagging >= r.opts.WarnLaggingPct,
+	r.updateAlert("jobs-lagging", now, snap.PctLagging >= warnLaggingPct,
 		LevelWarn,
 		fmt.Sprintf("%.1f%% of jobs out of SLO (%d jobs)", snap.PctLagging, len(snap.LaggingJobs)))
 	r.updateAlert("jobs-quarantined", now, len(snap.QuarantinedJobs) > 0,
 		LevelCritical,
 		fmt.Sprintf("%d jobs quarantined awaiting oncall", len(snap.QuarantinedJobs)))
 	return snap
-}
-
-func levelFor(v, critThreshold float64) Level {
-	if v >= critThreshold {
-		return LevelCritical
-	}
-	return LevelWarn
 }
 
 // updateAlert raises the keyed alert on a false→true edge, re-raises on a
@@ -255,7 +239,6 @@ func (r *Reporter) updateAlert(key string, at time.Time, firing bool, level Leve
 	r.mu.Lock()
 	cur, active := r.active[key]
 	var raise *Alert
-	resolved := false
 	switch {
 	case firing && (!active || level > cur.Level):
 		a := Alert{Key: key, Level: level, Message: msg, At: at}
@@ -267,15 +250,10 @@ func (r *Reporter) updateAlert(key string, at time.Time, firing bool, level Leve
 		r.active[key] = cur
 	case active:
 		delete(r.active, key)
-		resolved = true
 	}
-	onAlert, onResolve := r.opts.OnAlert, r.opts.OnResolve
 	r.mu.Unlock()
 
-	if raise != nil && onAlert != nil {
-		onAlert(*raise)
-	}
-	if resolved && onResolve != nil {
-		onResolve(key, at)
+	if raise != nil && r.opts.OnAlert != nil {
+		r.opts.OnAlert(*raise)
 	}
 }

@@ -82,13 +82,11 @@ func TestStoppedJobsExcluded(t *testing.T) {
 
 func TestAlertDeduplication(t *testing.T) {
 	var raised []Alert
-	var resolved []string
 	src := &fakeSource{jobs: []JobHealth{
 		{Name: "a", DesiredTasks: 10, RunningTasks: 9, SLOSeconds: 90}, // 10% not running
 	}}
 	r, _, _ := newReporter(src, Options{
-		OnAlert:   func(a Alert) { raised = append(raised, a) },
-		OnResolve: func(k string, _ time.Time) { resolved = append(resolved, k) },
+		OnAlert: func(a Alert) { raised = append(raised, a) },
 	})
 
 	r.Evaluate()
@@ -108,12 +106,15 @@ func TestAlertDeduplication(t *testing.T) {
 		t.Fatalf("escalation not raised: %+v", raised)
 	}
 
-	// Recovery resolves exactly once.
+	// Recovery resolves the alert without notifying.
+	if active := r.ActiveAlerts(); len(active) != 1 || active[0].Key != "tasks-not-running" {
+		t.Fatalf("active before recovery = %+v", active)
+	}
 	src.jobs = []JobHealth{healthyJob("a", 10)}
 	r.Evaluate()
 	r.Evaluate()
-	if len(resolved) != 1 || resolved[0] != "tasks-not-running" {
-		t.Fatalf("resolved = %v", resolved)
+	if len(raised) != 2 {
+		t.Fatalf("recovery raised an alert: %+v", raised)
 	}
 	if len(r.ActiveAlerts()) != 0 {
 		t.Fatalf("active = %+v", r.ActiveAlerts())

@@ -1,6 +1,6 @@
 package jobservice
 
-// Million-task scale tier for the spec feed (BENCH_SCALE.json): the
+// Million-task scale tier for the spec feed: the
 // Job Store's 125K-job fleet (× 8 tasks = 1M task tier) fanned out to 8
 // remote subscribers over the loopback wire transport.
 //

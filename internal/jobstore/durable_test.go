@@ -48,8 +48,8 @@ func TestDirtyMarksAndConditionalClear(t *testing.T) {
 	if !s.ClearDirtyIf("b", marks[1].Seq) {
 		t.Fatal("ClearDirtyIf on an unmarked job should report cleared")
 	}
-	if got := s.DrainDirty(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("DrainDirty = %v, want [a]", got)
+	if got := takeDirty(s); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Fatalf("dirty set = %v, want [a]", got)
 	}
 }
 
@@ -132,7 +132,7 @@ func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 	// Schema-2 restore revives exactly the serialized change set: quiet
 	// must NOT come back dirty, so a restarted syncer's first round is an
 	// ordinary change-driven round, not an effective full sweep.
-	if got := s2.DrainDirty(); !reflect.DeepEqual(got, []string{"pending", "streaky"}) {
+	if got := takeDirty(s2); !reflect.DeepEqual(got, []string{"pending", "streaky"}) {
 		t.Fatalf("dirty after restore = %v, want [pending streaky]", got)
 	}
 	ss, ok := s2.SyncStateOf("pending")
@@ -156,7 +156,7 @@ func TestRestoreLegacySnapshotMarksEverythingDirty(t *testing.T) {
 	if err := s.CommitRunning("keep", config.Doc{"taskCount": 1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	s.DrainDirty() // converged: nothing dirty at snapshot time
+	takeDirty(s) // converged: nothing dirty at snapshot time
 	data, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +180,7 @@ func TestRestoreLegacySnapshotMarksEverythingDirty(t *testing.T) {
 	if err := s2.Restore(legacy); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.DrainDirty(); !reflect.DeepEqual(got, []string{"keep"}) {
+	if got := takeDirty(s2); !reflect.DeepEqual(got, []string{"keep"}) {
 		t.Fatalf("legacy restore dirty = %v, want [keep]", got)
 	}
 }

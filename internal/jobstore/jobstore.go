@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/stripe"
 )
 
 // ErrVersionMismatch is returned by compare-and-set writes whose base
@@ -147,7 +148,7 @@ type CommitHooks struct {
 
 // stripe holds the entries of the jobs hashing onto it. Each stripe has
 // its own mutex; cross-job operations never serialize on a global lock.
-type stripe struct {
+type jobStripe struct {
 	mu          sync.RWMutex
 	expected    map[string]*Expected
 	running     map[string]*Running
@@ -204,7 +205,7 @@ func (ni *nameIndex) names(collect func() []string) []string {
 
 // Store is the in-memory Job Store. Safe for concurrent use.
 type Store struct {
-	stripes  [numStripes]stripe
+	stripes  [numStripes]jobStripe
 	revSeq   atomic.Int64  // source of Running.revision values
 	dirtySeq atomic.Uint64 // source of DirtyMark.Seq values
 	expNames nameIndex
@@ -252,26 +253,17 @@ const NumStripes = numStripes
 // in [0, NumStripes). State Syncer Nodes use it to route jobs to the
 // shard slice owning their stripe.
 func StripeOf(name string) int {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(name); i++ {
-		h ^= uint32(name[i])
-		h *= prime32
-	}
-	return int(h & (numStripes - 1))
+	return int(stripe.Hash(name) & (numStripes - 1))
 }
 
 // stripeFor hashes a job name onto its stripe (FNV-1a).
-func (s *Store) stripeFor(name string) *stripe {
+func (s *Store) stripeFor(name string) *jobStripe {
 	return &s.stripes[StripeOf(name)]
 }
 
 // markLocked stamps a fresh change-sequence mark for name. The caller
 // holds st's write lock.
-func (s *Store) markLocked(st *stripe, name string) {
+func (s *Store) markLocked(st *jobStripe, name string) {
 	st.dirty[name] = s.dirtySeq.Add(1)
 }
 
@@ -471,19 +463,6 @@ func (s *Store) RunningEntry(name string) (cfg config.Doc, version, revision int
 	return r.Config, r.Version, r.revision, true
 }
 
-// ExpectedVersion returns just the version of a job's expected entry,
-// without snapshotting its layers.
-func (s *Store) ExpectedVersion(name string) (int64, bool) {
-	st := s.stripeFor(name)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	e, ok := st.expected[name]
-	if !ok {
-		return 0, false
-	}
-	return e.Version, true
-}
-
 // RunningVersion returns just the version of a job's running entry,
 // without cloning its configuration — the State Syncer's fast path.
 func (s *Store) RunningVersion(name string) (int64, bool) {
@@ -625,7 +604,7 @@ func (s *Store) DropRunning(name string) {
 // modify it. Steady-state calls are a single atomic load.
 func (s *Store) ExpectedNames() []string {
 	return s.expNames.names(func() []string {
-		return s.collectNames(func(st *stripe) int { return len(st.expected) }, func(st *stripe, out []string) []string {
+		return s.collectNames(func(st *jobStripe) int { return len(st.expected) }, func(st *jobStripe, out []string) []string {
 			for k := range st.expected {
 				out = append(out, k)
 			}
@@ -639,7 +618,7 @@ func (s *Store) ExpectedNames() []string {
 // modify it.
 func (s *Store) RunningNames() []string {
 	return s.runNames.names(func() []string {
-		return s.collectNames(func(st *stripe) int { return len(st.running) }, func(st *stripe, out []string) []string {
+		return s.collectNames(func(st *jobStripe) int { return len(st.running) }, func(st *jobStripe, out []string) []string {
 			for k := range st.running {
 				out = append(out, k)
 			}
@@ -650,7 +629,7 @@ func (s *Store) RunningNames() []string {
 
 // collectNames gathers names across stripes, taking each stripe's read
 // lock only while copying its keys.
-func (s *Store) collectNames(size func(*stripe) int, appendKeys func(*stripe, []string) []string) []string {
+func (s *Store) collectNames(size func(*jobStripe) int, appendKeys func(*jobStripe, []string) []string) []string {
 	n := 0
 	for i := range s.stripes {
 		st := &s.stripes[i]
@@ -668,30 +647,9 @@ func (s *Store) collectNames(size func(*stripe) int, appendKeys func(*stripe, []
 	return out
 }
 
-// DrainDirty atomically takes the set of jobs marked changed since the
-// last drain and returns it sorted. Jobs are marked by Create, SetLayer,
-// Delete, ClearQuarantine, and Restore — every write that can
-// make a job need synchronization. A write landing concurrently with the
-// drain is either included now or left marked for the next drain, never
-// lost.
-func (s *Store) DrainDirty() []string {
-	var out []string
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.Lock()
-		if len(st.dirty) > 0 {
-			for name := range st.dirty {
-				out = append(out, name)
-			}
-			st.dirty = make(map[string]uint64)
-		}
-		st.mu.Unlock()
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DirtyMarksRangeInto appends the change set of stripes [lo, hi) to buf
+// DirtyMarksRangeInto appends the change set of stripes [lo, hi) — the
+// jobs marked by Create, SetLayer, Delete, ClearQuarantine and Restore,
+// every write that can make a job need synchronization — to buf
 // (typically the [:0] reslice of a caller-owned scratch buffer) without
 // clearing it, sorted by name, and returns the extended slice. A State
 // Syncer engine reads only its own slice of the change set at the start
@@ -777,7 +735,7 @@ func (s *Store) Quarantined(name string) (Quarantine, bool) {
 // QuarantinedNames returns all quarantined job names, sorted. Quarantine
 // is rare, so this collects per call rather than maintaining a snapshot.
 func (s *Store) QuarantinedNames() []string {
-	out := s.collectNames(func(st *stripe) int { return len(st.quarantined) }, func(st *stripe, out []string) []string {
+	out := s.collectNames(func(st *jobStripe) int { return len(st.quarantined) }, func(st *jobStripe, out []string) []string {
 		for k := range st.quarantined {
 			out = append(out, k)
 		}
@@ -852,7 +810,7 @@ func (s *Store) ClearSyncState(name string) {
 // sorted. These are the State Syncer's standing retry candidates: jobs
 // mid-failure-streak or with pending post-commit follow-ups.
 func (s *Store) SyncStateNames() []string {
-	out := s.collectNames(func(st *stripe) int { return len(st.sync) }, func(st *stripe, out []string) []string {
+	out := s.collectNames(func(st *jobStripe) int { return len(st.sync) }, func(st *jobStripe, out []string) []string {
 		for k := range st.sync {
 			out = append(out, k)
 		}

@@ -9,6 +9,18 @@ import (
 	"repro/internal/config"
 )
 
+// takeDirty reads the whole change set and clears exactly the marks it
+// read, as a syncer round that converged every marked job does; it
+// returns the marked names, sorted.
+func takeDirty(s *Store) []string {
+	var names []string
+	for _, m := range s.DirtyMarksRangeInto(0, NumStripes, nil) {
+		s.ClearDirtyIf(m.Name, m.Seq)
+		names = append(names, m.Name)
+	}
+	return names
+}
+
 func TestDirtySetSemantics(t *testing.T) {
 	s := New()
 	if err := s.Create("b", config.Doc{"taskCount": 1}); err != nil {
@@ -17,11 +29,11 @@ func TestDirtySetSemantics(t *testing.T) {
 	if err := s.Create("a", config.Doc{"taskCount": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.DrainDirty(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Fatalf("DrainDirty after Create = %v, want [a b]", got)
+	if got := takeDirty(s); !reflect.DeepEqual(got, []string{"a", "b"}) {
+		t.Fatalf("dirty set after Create = %v, want [a b]", got)
 	}
-	if got := s.DrainDirty(); len(got) != 0 {
-		t.Fatalf("second DrainDirty = %v, want empty", got)
+	if got := takeDirty(s); len(got) != 0 {
+		t.Fatalf("second read of the dirty set = %v, want empty", got)
 	}
 
 	// SetLayer marks dirty; CommitRunning does not.
@@ -29,16 +41,16 @@ func TestDirtySetSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.CommitRunning("b", config.Doc{"taskCount": 1}, 1)
-	if got := s.DrainDirty(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("DrainDirty after SetLayer+CommitRunning = %v, want [a]", got)
+	if got := takeDirty(s); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Fatalf("dirty set after SetLayer+CommitRunning = %v, want [a]", got)
 	}
 
 	// Delete marks dirty so teardown happens without a sweep.
 	if err := s.Delete("b"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.DrainDirty(); !reflect.DeepEqual(got, []string{"b"}) {
-		t.Fatalf("DrainDirty after Delete = %v, want [b]", got)
+	if got := takeDirty(s); !reflect.DeepEqual(got, []string{"b"}) {
+		t.Fatalf("dirty set after Delete = %v, want [b]", got)
 	}
 
 	// ClearQuarantine marks dirty only when a quarantine was lifted.
@@ -51,8 +63,8 @@ func TestDirtySetSemantics(t *testing.T) {
 		t.Fatalf("SetQuarantine must not mark dirty, DirtyCount = %d", got)
 	}
 	s.ClearQuarantine("a")
-	if got := s.DrainDirty(); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("DrainDirty after ClearQuarantine = %v, want [a]", got)
+	if got := takeDirty(s); !reflect.DeepEqual(got, []string{"a"}) {
+		t.Fatalf("dirty set after ClearQuarantine = %v, want [a]", got)
 	}
 }
 
@@ -163,12 +175,12 @@ func TestRestoreMarksEverythingDirtyAndRestampsRevisions(t *testing.T) {
 	}
 
 	s2 := New()
-	s2.DrainDirty()
+	takeDirty(s2)
 	if err := s2.Restore(data); err != nil {
 		t.Fatal(err)
 	}
-	if got := s2.DrainDirty(); !reflect.DeepEqual(got, []string{"keep", "orphan"}) {
-		t.Fatalf("DrainDirty after Restore = %v, want [keep orphan]", got)
+	if got := takeDirty(s2); !reflect.DeepEqual(got, []string{"keep", "orphan"}) {
+		t.Fatalf("dirty set after Restore = %v, want [keep orphan]", got)
 	}
 	rev1, ok1 := s2.RunningRevision("keep")
 	rev2, ok2 := s2.RunningRevision("orphan")
@@ -179,7 +191,7 @@ func TestRestoreMarksEverythingDirtyAndRestampsRevisions(t *testing.T) {
 
 func TestStripeDistribution(t *testing.T) {
 	s := New()
-	hit := make(map[*stripe]int)
+	hit := make(map[*jobStripe]int)
 	for i := 0; i < 50_000; i++ {
 		hit[s.stripeFor(fmt.Sprintf("j%05d", i))]++
 	}
@@ -225,7 +237,7 @@ func TestConcurrentFanIn(t *testing.T) {
 					s.GetRunningShared(name)
 					s.RunningRevision(name)
 				case 4:
-					s.DrainDirty()
+					takeDirty(s)
 				}
 			}
 		}(w)

@@ -20,10 +20,8 @@
 //     is reused in place by the advancing ring, so there is no compaction
 //     pass, ever: once the ring has grown to cover the retention window,
 //     appends never copy and never allocate.
-//   - Reads come in two flavors: the legacy copying Range, and the
-//     allocation-free folds (RangeFold, RangeAgg, WindowAgg) that visit
-//     points in place under the series lock. The folds are what the
-//     control loops use; Range remains for callers that need a snapshot.
+//   - Reads are allocation-free folds (RangeFold, RangeAgg, WindowAgg)
+//     that visit points in place under the series lock.
 //
 // Hot writers (the Task Manager fleet, the cluster job monitor) can
 // resolve a series once with Handle and append through it, skipping the
@@ -38,6 +36,7 @@ import (
 	"time"
 
 	"repro/internal/simclock"
+	"repro/internal/stripe"
 )
 
 // Point is a single observation in a series.
@@ -69,10 +68,10 @@ type Store struct {
 	retNanos  int64
 	dropped   atomic.Uint64
 
-	stripes [numStripes]stripe
+	stripes [numStripes]seriesStripe
 }
 
-type stripe struct {
+type seriesStripe struct {
 	mu     sync.RWMutex
 	series map[string]*Series
 }
@@ -106,18 +105,9 @@ func NewStore(clock simclock.Clock, retention time.Duration) *Store {
 	return s
 }
 
-// stripeFor hashes a series name (FNV-1a) onto its stripe.
-func (s *Store) stripeFor(name string) *stripe {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime64
-	}
-	return &s.stripes[h&(numStripes-1)]
+// stripeFor hashes a series name onto its stripe.
+func (s *Store) stripeFor(name string) *seriesStripe {
+	return &s.stripes[stripe.Hash(name)&(numStripes-1)]
 }
 
 // lookup returns the named series or nil, touching only the stripe's
@@ -241,20 +231,6 @@ func (s *Store) Latest(name string) (float64, bool) {
 	return sr.pt(sr.n - 1).v, true
 }
 
-// LatestPoint returns the most recent point of the named series.
-func (s *Store) LatestPoint(name string) (Point, bool) {
-	sr := s.lookup(name)
-	if sr == nil {
-		return Point{}, false
-	}
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	if sr.n == 0 {
-		return Point{}, false
-	}
-	return sr.pt(sr.n - 1).toPoint(), true
-}
-
 // bounds returns the half-open logical index range [lo, hi), in [0, n),
 // of live points with fromN <= at <= toN. Caller holds sr.mu.
 func (sr *Series) bounds(fromN, toN int64) (int, int) {
@@ -280,27 +256,6 @@ func (sr *Series) bounds(fromN, toN int64) (int, int) {
 		}
 	}
 	return first, lo
-}
-
-// Range returns a copy of all points with from <= At <= to. This is the
-// legacy snapshot read: it allocates a fresh slice per call. Control
-// loops on the hot path should use RangeFold / RangeAgg instead.
-func (s *Store) Range(name string, from, to time.Time) []Point {
-	sr := s.lookup(name)
-	if sr == nil {
-		return nil
-	}
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	lo, hi := sr.bounds(from.UnixNano(), to.UnixNano())
-	if lo >= hi {
-		return nil
-	}
-	out := make([]Point, hi-lo)
-	for i := lo; i < hi; i++ {
-		out[i-lo] = sr.pt(i).toPoint()
-	}
-	return out
 }
 
 // RangeFold calls fn for every point with from <= At <= to, in ascending
@@ -342,8 +297,7 @@ func (a Agg) Mean() float64 {
 
 // RangeAgg folds all points with from <= At <= to into streaming
 // aggregates in one pass under the series lock, allocating nothing. The
-// accumulation order is ascending time, identical to aggregating the
-// slice Range returns.
+// accumulation order is ascending time.
 func (s *Store) RangeAgg(name string, from, to time.Time) Agg {
 	sr := s.lookup(name)
 	if sr == nil {
@@ -395,24 +349,6 @@ func (s *Store) WindowMax(name string, window time.Duration) (float64, bool) {
 		return 0, false
 	}
 	return a.Max, true
-}
-
-// WindowMin returns the minimum over the trailing window.
-func (s *Store) WindowMin(name string, window time.Duration) (float64, bool) {
-	a := s.WindowAgg(name, window)
-	if a.Count == 0 {
-		return 0, false
-	}
-	return a.Min, true
-}
-
-// WindowSum returns the sum over the trailing window.
-func (s *Store) WindowSum(name string, window time.Duration) (float64, bool) {
-	a := s.WindowAgg(name, window)
-	if a.Count == 0 {
-		return 0, false
-	}
-	return a.Sum, true
 }
 
 // Names returns all series names, sorted.

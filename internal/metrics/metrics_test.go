@@ -17,6 +17,16 @@ func newTestStore(retention time.Duration) (*Store, *simclock.Sim) {
 	return NewStore(clk, retention), clk
 }
 
+// pointsIn copies the points with from <= At <= to out of the store.
+func pointsIn(s *Store, name string, from, to time.Time) []Point {
+	var pts []Point
+	s.RangeFold(name, from, to, func(p Point) bool {
+		pts = append(pts, p)
+		return true
+	})
+	return pts
+}
+
 func TestLatestOnEmptySeries(t *testing.T) {
 	s, _ := newTestStore(0)
 	if _, ok := s.Latest("missing"); ok {
@@ -33,9 +43,9 @@ func TestRecordAndLatest(t *testing.T) {
 	if !ok || v != 2.5 {
 		t.Fatalf("Latest = %v,%v, want 2.5,true", v, ok)
 	}
-	p, _ := s.LatestPoint("cpu")
-	if !p.At.Equal(epoch.Add(time.Minute)) {
-		t.Fatalf("LatestPoint.At = %v, want %v", p.At, epoch.Add(time.Minute))
+	pts := pointsIn(s, "cpu", epoch, clk.Now())
+	if len(pts) != 2 || !pts[1].At.Equal(epoch.Add(time.Minute)) || pts[1].Value != 2.5 {
+		t.Fatalf("points = %v, want the latest at %v", pts, epoch.Add(time.Minute))
 	}
 }
 
@@ -66,7 +76,7 @@ func TestRangeQuery(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.RecordAt("x", epoch.Add(time.Duration(i)*time.Minute), float64(i))
 	}
-	pts := s.Range("x", epoch.Add(2*time.Minute), epoch.Add(5*time.Minute))
+	pts := pointsIn(s, "x", epoch.Add(2*time.Minute), epoch.Add(5*time.Minute))
 	if len(pts) != 4 {
 		t.Fatalf("Range returned %d points, want 4", len(pts))
 	}
@@ -77,7 +87,7 @@ func TestRangeQuery(t *testing.T) {
 
 func TestRangeOnMissingSeries(t *testing.T) {
 	s, _ := newTestStore(0)
-	if pts := s.Range("nope", epoch, epoch.Add(time.Hour)); pts != nil {
+	if pts := pointsIn(s, "nope", epoch, epoch.Add(time.Hour)); pts != nil {
 		t.Fatalf("Range on missing series = %v, want nil", pts)
 	}
 }
@@ -100,11 +110,8 @@ func TestWindowAggregates(t *testing.T) {
 	if max, _ := s.WindowMax("x", 5*time.Minute); max != 9 {
 		t.Fatalf("WindowMax = %v, want 9", max)
 	}
-	if min, _ := s.WindowMin("x", 5*time.Minute); min != 5 {
-		t.Fatalf("WindowMin = %v, want 5", min)
-	}
-	if sum, _ := s.WindowSum("x", 5*time.Minute); sum != 35 {
-		t.Fatalf("WindowSum = %v, want 35", sum)
+	if a := s.WindowAgg("x", 5*time.Minute); a.Count != 5 || a.Min != 5 || a.Sum != 35 {
+		t.Fatalf("WindowAgg = %+v, want 5 points, min 5, sum 35", a)
 	}
 }
 
@@ -126,7 +133,7 @@ func TestRetentionTrims(t *testing.T) {
 		t.Fatalf("retained %d points, want <= ~130 after trimming", n)
 	}
 	// The most recent hour must be fully intact.
-	pts := s.Range("x", clk.Now().Add(-time.Hour), clk.Now())
+	pts := pointsIn(s, "x", clk.Now().Add(-time.Hour), clk.Now())
 	if len(pts) < 60 {
 		t.Fatalf("live window has %d points, want >= 60", len(pts))
 	}
@@ -244,7 +251,7 @@ func TestRangeInvariantProperty(t *testing.T) {
 		}
 		from := epoch.Add(time.Duration(fromMin) * time.Second)
 		to := epoch.Add(time.Duration(toMin) * time.Second)
-		pts := s.Range("x", from, to)
+		pts := pointsIn(s, "x", from, to)
 		prev := time.Time{}
 		for _, p := range pts {
 			if p.At.Before(from) || p.At.After(to) {
@@ -272,7 +279,7 @@ func TestConcurrentRecordAndRead(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				s.RecordAt(name, epoch.Add(time.Duration(i)*time.Second), float64(i))
 				s.Latest(name)
-				s.Range(name, epoch, epoch.Add(time.Hour))
+				pointsIn(s, name, epoch, epoch.Add(time.Hour))
 			}
 			done <- struct{}{}
 		}()

@@ -47,7 +47,7 @@ func TestRingWraparoundEquivalence(t *testing.T) {
 		// A window straddling the middle of the live range.
 		from := ref[len(ref)/4].at
 		to := ref[3*len(ref)/4].at
-		got := s.Range("x", from, to)
+		got := pointsIn(s, "x", from, to)
 		var want []refPoint
 		for _, p := range ref {
 			if !p.at.Before(from) && !p.at.After(to) {
@@ -55,11 +55,11 @@ func TestRingWraparoundEquivalence(t *testing.T) {
 			}
 		}
 		if len(got) != len(want) {
-			t.Fatalf("append %d: Range returned %d points, want %d", i, len(got), len(want))
+			t.Fatalf("append %d: fold saw %d points, want %d", i, len(got), len(want))
 		}
 		for j := range got {
 			if !got[j].At.Equal(want[j].at) || got[j].Value != want[j].v {
-				t.Fatalf("append %d: Range[%d] = %+v, want %+v", i, j, got[j], want[j])
+				t.Fatalf("append %d: point %d = %+v, want %+v", i, j, got[j], want[j])
 			}
 		}
 		agg := s.RangeAgg("x", from, to)

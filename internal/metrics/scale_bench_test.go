@@ -1,6 +1,6 @@
 package metrics
 
-// Million-task scale tier (BENCH_SCALE.json): metric fan-in at 1M-series
+// Million-task scale tier: metric fan-in at 1M-series
 // cardinality — the tier's per-task CPU/memory reporters all appending
 // through pre-resolved handles with 14-day retention active, values
 // drawn from the workload package's Millions diurnal generator so the

@@ -115,11 +115,7 @@ func BenchmarkRangeRead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sum := 0.0
-		for _, p := range s.Range(name, from, to) {
-			sum += p.Value
-		}
-		if sum == 0 {
+		if s.RangeAgg(name, from, to).Sum == 0 {
 			b.Fatal("empty range")
 		}
 	}

@@ -30,7 +30,7 @@ func TestConcurrentOverlappingSeries(t *testing.T) {
 				s.RecordAt(name, at, float64(i))
 				h.RecordAt(at, float64(i))
 				s.Latest(name)
-				s.Range(name, epoch, epoch.Add(time.Hour))
+				pointsIn(s, name, epoch, epoch.Add(time.Hour))
 				s.WindowAvg(name, time.Minute)
 				s.RangeFold(name, epoch, epoch.Add(time.Hour), func(Point) bool { return true })
 				s.RangeAgg(own, epoch, epoch.Add(time.Hour))
@@ -61,9 +61,9 @@ func TestDroppedCounter(t *testing.T) {
 		t.Fatalf("fresh store Dropped = %d, want 0", s.Dropped())
 	}
 	s.RecordAt("x", epoch.Add(time.Hour), 1)
-	s.RecordAt("x", epoch, 2)                   // out of order: dropped
+	s.RecordAt("x", epoch, 2)                     // out of order: dropped
 	s.RecordAt("x", epoch.Add(30*time.Minute), 3) // still older than tail: dropped
-	s.RecordAt("x", epoch.Add(time.Hour), 4)    // equal timestamp: kept
+	s.RecordAt("x", epoch.Add(time.Hour), 4)      // equal timestamp: kept
 	if got := s.Dropped(); got != 2 {
 		t.Fatalf("Dropped = %d, want 2", got)
 	}
@@ -88,7 +88,7 @@ func TestRetentionAllExpired(t *testing.T) {
 	if v, ok := s.Latest("x"); !ok || v != 999 {
 		t.Fatalf("Latest = %v,%v, want 999,true", v, ok)
 	}
-	pts := s.Range("x", epoch, epoch.Add(8*24*time.Hour))
+	pts := pointsIn(s, "x", epoch, epoch.Add(8*24*time.Hour))
 	if len(pts) != 1 || pts[0].Value != 999 {
 		t.Fatalf("Range = %v, want the single surviving point", pts)
 	}
@@ -125,7 +125,7 @@ func TestRetentionTrimAtHalfBoundary(t *testing.T) {
 	if n := s.Len("x"); n != 3 {
 		t.Fatalf("after trim Len = %d, want 3", n)
 	}
-	pts := s.Range("x", epoch, epoch.Add(time.Minute))
+	pts := pointsIn(s, "x", epoch, epoch.Add(time.Minute))
 	want := []float64{3, 12, 13}
 	if len(pts) != len(want) {
 		t.Fatalf("Range = %v, want values %v", pts, want)
@@ -137,33 +137,42 @@ func TestRetentionTrimAtHalfBoundary(t *testing.T) {
 	}
 }
 
-// Equivalence: folding over a range must observe exactly the points the
-// copying Range returns — same count, same order, bit-identical timestamps
-// and values — and the window aggregates must equal the same accumulations
-// over the Range copy, byte for byte.
+// Equivalence: folding over a range must observe exactly the points
+// recorded in it — same count, same order, bit-identical timestamps and
+// values — and the window aggregates must equal the same accumulations
+// over those points, byte for byte.
 func TestFoldMatchesRangeByteForByte(t *testing.T) {
 	s, clk := newTestStore(0)
-	// Irregular values so float identity is meaningful.
-	for i := 0; i < 500; i++ {
-		s.Record("x", math.Sin(float64(i))*1e6/3)
-		clk.RunFor(13 * time.Second)
-	}
 	from := epoch.Add(7 * time.Minute)
 	to := epoch.Add(83 * time.Minute)
+	wfrom := epoch.Add(500*13*time.Second - 30*time.Minute)
+	// Irregular values so float identity is meaningful. legacy and wlegacy
+	// are what was recorded inside [from, to] and the last 30 minutes.
+	var legacy, wlegacy []Point
+	for i := 0; i < 500; i++ {
+		p := Point{At: clk.Now(), Value: math.Sin(float64(i)) * 1e6 / 3}
+		s.Record("x", p.Value)
+		if !p.At.Before(from) && !p.At.After(to) {
+			legacy = append(legacy, p)
+		}
+		if !p.At.Before(wfrom) {
+			wlegacy = append(wlegacy, p)
+		}
+		clk.RunFor(13 * time.Second)
+	}
 
-	legacy := s.Range("x", from, to)
 	var folded []Point
 	s.RangeFold("x", from, to, func(p Point) bool {
 		folded = append(folded, p)
 		return true
 	})
 	if len(folded) != len(legacy) {
-		t.Fatalf("fold saw %d points, Range returned %d", len(folded), len(legacy))
+		t.Fatalf("fold saw %d points, %d were recorded", len(folded), len(legacy))
 	}
 	for i := range legacy {
 		if !legacy[i].At.Equal(folded[i].At) ||
 			math.Float64bits(legacy[i].Value) != math.Float64bits(folded[i].Value) {
-			t.Fatalf("point %d differs: fold %v@%v vs range %v@%v",
+			t.Fatalf("point %d differs: fold %v@%v vs recorded %v@%v",
 				i, folded[i].Value, folded[i].At, legacy[i].Value, legacy[i].At)
 		}
 	}
@@ -191,8 +200,9 @@ func TestFoldMatchesRangeByteForByte(t *testing.T) {
 	}
 
 	// Window aggregates route through the same fold.
-	wfrom := clk.Now().Add(-30 * time.Minute)
-	wlegacy := s.Range("x", wfrom, clk.Now())
+	if want := clk.Now().Add(-30 * time.Minute); !wfrom.Equal(want) {
+		t.Fatalf("window starts at %v, the test recorded from %v", want, wfrom)
+	}
 	wsum := 0.0
 	for _, p := range wlegacy {
 		wsum += p.Value

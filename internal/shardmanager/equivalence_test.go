@@ -175,17 +175,3 @@ func TestRebalanceMatchesLegacyMixedRegions(t *testing.T) {
 		})
 	}
 }
-
-// TestRebalanceMatchesLegacyMaxMoves pins the churn-bounded variant.
-func TestRebalanceMatchesLegacyMaxMoves(t *testing.T) {
-	for seed := int64(100); seed < 115; seed++ {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			f := newEquivFleet(t, rng, Options{MaxMovesPerRebalance: 3}, nil)
-			for round := 0; round < 3; round++ {
-				f.checkRound(t, round)
-				f.skewRound(rng)
-			}
-		})
-	}
-}

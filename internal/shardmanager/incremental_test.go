@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/config"
-	"repro/internal/simclock"
 )
 
 // checkStateInvariants verifies the incrementally-maintained structures
@@ -85,16 +84,6 @@ func TestConstrainedPlacementUpdatesSpreadCounts(t *testing.T) {
 	checkStateInvariants(t, m)
 }
 
-func TestHeadroomDefaults(t *testing.T) {
-	clk := simclock.NewSim(epoch)
-	if got := New(clk, Options{}).opts.Headroom; got != 0.10 {
-		t.Fatalf("zero-value Headroom = %v, want paper default 0.10", got)
-	}
-	if got := New(clk, Options{Headroom: 0.25}).opts.Headroom; got != 0.25 {
-		t.Fatalf("explicit Headroom = %v, want 0.25", got)
-	}
-}
-
 func TestBatchReportMatchesSingles(t *testing.T) {
 	single, _ := newManager(64)
 	batched, _ := newManager(64)
@@ -171,7 +160,7 @@ func TestIncrementalStateAcrossFailoversAndReregisters(t *testing.T) {
 	m.FailoverContainer("c3")
 	checkStateInvariants(t, m)
 	m.Unregister("c4")
-	checkStateInvariants(t, m) // c4's shards stay mapped and indexed
+	checkStateInvariants(t, m)                                // c4's shards stay mapped and indexed
 	m.RegisterInRegion("c4", "east", cap26(), &fakeHandler{}) // region flip on re-register
 	for s := ShardID(0); s < 8; s++ {
 		m.SetShardRegion(s, "west")

@@ -129,7 +129,7 @@ func legacyRebalance(st *refState) []Move {
 
 	capScore := make(map[string]float64, len(alive))
 	for _, c := range alive {
-		capScore[c.id] = score(c.capacity, ref) * (1 - st.opts.Headroom)
+		capScore[c.id] = score(c.capacity, ref) * (1 - headroom)
 	}
 
 	for _, donor := range donors {
@@ -142,9 +142,6 @@ func legacyRebalance(st *refState) []Move {
 		})
 		for _, sh := range shards {
 			if scores[donor] <= high {
-				break
-			}
-			if st.opts.MaxMovesPerRebalance > 0 && len(moved) >= st.opts.MaxMovesPerRebalance {
 				break
 			}
 			if sh.score == 0 {

@@ -8,7 +8,7 @@ import (
 
 // loadStripeCount is the shard-load table stripe fan-out (power of two so
 // the stripe index is a mask). Shard IDs are dense integers, so a simple
-// mask spreads them uniformly.
+// mask spreads them uniformly: no stripe.Hash here.
 const loadStripeCount = 64
 
 // loadStripe holds the latest reported load for the shards that hash to

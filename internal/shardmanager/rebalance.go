@@ -307,7 +307,7 @@ func (m *Manager) Rebalance() RebalanceResult {
 
 	capScore := make(map[string]float64, len(alive))
 	for _, c := range alive {
-		capScore[c.id] = score(c.capacity, ref) * (1 - m.opts.Headroom)
+		capScore[c.id] = score(c.capacity, ref) * (1 - headroom)
 	}
 
 	if len(donors) > 0 {
@@ -411,9 +411,6 @@ func (m *Manager) drainDonorsLocked(res *RebalanceResult, alive, donors []*conta
 
 		for _, sh := range shards {
 			if scores[donor.id] <= high {
-				break
-			}
-			if m.opts.MaxMovesPerRebalance > 0 && res.Moves >= m.opts.MaxMovesPerRebalance {
 				break
 			}
 			if sh.score == 0 {

@@ -1,6 +1,6 @@
 package shardmanager
 
-// Million-task scale tier (BENCH_SCALE.json): the paper-scale shard fan
+// Million-task scale tier: the paper-scale shard fan
 // of 100K shards spread over a 10K-container fleet — ten times the
 // container count of BenchmarkRebalance, so the receiver heap and the
 // per-container reverse index are exercised at the tier's fleet shape.

@@ -45,6 +45,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/simclock"
+	"repro/internal/stripe"
 )
 
 // ErrUnavailable is returned by Heartbeat while the Shard Manager service
@@ -92,6 +93,10 @@ type Handler interface {
 	DropShard(ShardID) error
 }
 
+// headroom is the fraction of each container's capacity balancing keeps
+// free to absorb workload spikes (§VI-A).
+const headroom = 0.10
+
 // Options tune the manager. Zero values take the paper's defaults.
 type Options struct {
 	// NumShards is the size of the shard space (default 1024).
@@ -99,9 +104,6 @@ type Options struct {
 	// UtilizationBand is the allowed relative deviation of a container's
 	// load from the mean (default 0.10 = ±10%, §IV-B).
 	UtilizationBand float64
-	// Headroom is the fraction of each container's capacity kept free to
-	// absorb workload spikes (default 0.10, §VI-A).
-	Headroom float64
 	// FailoverInterval is how long a container may miss heartbeats before
 	// its shards are failed over (default 60 s, §IV-C).
 	FailoverInterval time.Duration
@@ -111,9 +113,6 @@ type Options struct {
 	// RebalanceInterval is how often the shard→container mapping is
 	// re-generated from fresh loads (default 30 min, §IV-B).
 	RebalanceInterval time.Duration
-	// MaxMovesPerRebalance bounds churn in one balancing pass
-	// (default 0 = unbounded).
-	MaxMovesPerRebalance int
 }
 
 func (o *Options) fillDefaults() {
@@ -122,9 +121,6 @@ func (o *Options) fillDefaults() {
 	}
 	if o.UtilizationBand <= 0 {
 		o.UtilizationBand = 0.10
-	}
-	if o.Headroom <= 0 {
-		o.Headroom = 0.10
 	}
 	if o.FailoverInterval <= 0 {
 		o.FailoverInterval = DefaultFailoverInterval
@@ -369,18 +365,9 @@ func (m *Manager) Heartbeat(id string) error {
 	return nil
 }
 
-// hbStripeFor hashes a container ID (FNV-1a) onto its liveness stripe.
+// hbStripeFor hashes a container ID onto its liveness stripe.
 func (m *Manager) hbStripeFor(id string) *hbStripe {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= prime32
-	}
-	return &m.hb[h&(hbStripeCount-1)]
+	return &m.hb[stripe.Hash(id)&(hbStripeCount-1)]
 }
 
 // hbDeleteLocked drops a container from the liveness table (m.mu held).

@@ -17,9 +17,7 @@ import (
 // absorb — the balancing worst case.
 func benchFleet(shards, containers int, saturated bool) *Manager {
 	clk := simclock.NewSim(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
-	// Headroom pinned explicitly so the numbers compare across the
-	// headroom-default change.
-	m := New(clk, Options{NumShards: shards, Headroom: 0.10})
+	m := New(clk, Options{NumShards: shards})
 	capacity := config.Resources{CPUCores: 64, MemoryBytes: 1 << 38}
 	for i := 0; i < containers; i++ {
 		m.Register(fmt.Sprintf("c%05d", i), capacity, nil)

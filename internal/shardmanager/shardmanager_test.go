@@ -290,20 +290,6 @@ func TestRebalanceRespectsCapacityHeadroom(t *testing.T) {
 	}
 }
 
-func TestRebalanceMaxMovesBound(t *testing.T) {
-	clk := simclock.NewSim(epoch)
-	m := New(clk, Options{NumShards: 32, MaxMovesPerRebalance: 2})
-	m.Register("c0", cap26(), &fakeHandler{})
-	m.Register("c1", cap26(), &fakeHandler{})
-	m.AssignUnassigned()
-	for _, s := range m.ShardsOf("c0") {
-		m.ReportShardLoad(s, config.Resources{CPUCores: 1})
-	}
-	if res := m.Rebalance(); res.Moves > 2 {
-		t.Fatalf("Moves = %d, bound 2", res.Moves)
-	}
-}
-
 func TestDropErrorCountedAndMoveProceeds(t *testing.T) {
 	m, _ := newManager(8)
 	bad := &fakeHandler{failDrop: true}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -26,36 +27,32 @@ import (
 // The comparison strips the snapshot sections the legacy design never
 // had (schema, dirty set, sync states): the legacy port keeps its
 // failure/retry bookkeeping in memory, so only the job-facing sections
-// (expected, running, quarantined) are byte-compared. The new syncer
-// runs with NoBackoff because these scripts never advance the clock.
+// (expected, running, quarantined) are byte-compared. The legacy round
+// retries every failed job every round; the scripts advance the clock
+// past the longest backoff between rounds, so the production syncer's
+// deadlines have always passed and it does too.
 
 // legacySyncer is the full-scan RunRound as it was before dirty-set
 // rounds, ported verbatim (clone-based store reads, per-round full
 // enumeration, sequential simple batch).
 type legacySyncer struct {
-	store        *jobstore.Store
-	act          Actuator
-	clock        simclock.Clock
-	opts         Options
-	failures     map[string]int
-	stats        Stats
-	pendingAfter map[string][]Action
+	store           *jobstore.Store
+	act             Actuator
+	clock           simclock.Clock
+	quarantineAfter int
+	failures        map[string]int
+	stats           Stats
+	pendingAfter    map[string][]Action
 }
 
-func newLegacy(store *jobstore.Store, act Actuator, clock simclock.Clock, opts Options) *legacySyncer {
-	if opts.QuarantineAfter <= 0 {
-		opts.QuarantineAfter = 5
-	}
-	if opts.MaxParallelComplex <= 0 {
-		opts.MaxParallelComplex = 16
-	}
+func newLegacy(store *jobstore.Store, act Actuator, clock simclock.Clock) *legacySyncer {
 	return &legacySyncer{
-		store:        store,
-		act:          act,
-		clock:        clock,
-		opts:         opts,
-		failures:     make(map[string]int),
-		pendingAfter: make(map[string][]Action),
+		store:           store,
+		act:             act,
+		clock:           clock,
+		quarantineAfter: 5,
+		failures:        make(map[string]int),
+		pendingAfter:    make(map[string][]Action),
 	}
 }
 
@@ -140,10 +137,8 @@ func (s *legacySyncer) runRound() RoundResult {
 		if _, quarantined := s.store.Quarantined(job); quarantined {
 			continue
 		}
-		if ev, ok := s.store.ExpectedVersion(job); ok {
-			if rv, ok := s.store.RunningVersion(job); ok && rv == ev {
-				continue
-			}
+		if v := s.store.PlanViewOf(job); v.HasExpected && v.HasRunning && v.RunningVersion == v.ExpectedVersion {
+			continue
 		}
 		merged, version, err := s.store.MergedExpected(job)
 		if err != nil {
@@ -243,7 +238,7 @@ func (s *legacySyncer) recordFailure(job string, err error, res *RoundResult) {
 	s.stats.Failures++
 	n := s.failures[job]
 	res.Failed = append(res.Failed, job)
-	if n >= s.opts.QuarantineAfter {
+	if n >= s.quarantineAfter {
 		s.stats.Quarantines++
 		delete(s.failures, job)
 		s.store.SetQuarantine(job, fmt.Sprintf("quarantined after %d consecutive sync failures; last: %v", n, err))
@@ -430,9 +425,7 @@ func snapshotOf(t *testing.T, store *jobstore.Store) []byte {
 func liveFailureCounts(store *jobstore.Store, counts map[string]int) map[string]int {
 	out := make(map[string]int)
 	for job, n := range counts {
-		_, hasExp := store.ExpectedVersion(job)
-		_, hasRun := store.RunningVersion(job)
-		if hasExp || hasRun {
+		if v := store.PlanViewOf(job); v.HasExpected || v.HasRunning {
 			out[job] = n
 		}
 	}
@@ -464,12 +457,11 @@ func runEquivalence(t *testing.T, seed int64, newOpts Options) {
 
 	legacyStore := jobstore.New()
 	newStore := jobstore.New()
-	legacy := newLegacy(legacyStore, newFlaky(), clk, Options{QuarantineAfter: 3})
-	newOpts.QuarantineAfter = 3
-	newOpts.RetryBackoffBase = NoBackoff // scripts never advance the clock
+	legacy := newLegacy(legacyStore, newFlaky(), clk)
 	syncer := New(newStore, newFlaky(), clk, newOpts)
 
 	for r := 0; r < rounds; r++ {
+		clk.RunFor(pastLongestBackoff)
 		for _, o := range script[r] {
 			applyOp(t, legacyStore, o)
 			applyOp(t, newStore, o)
@@ -493,8 +485,9 @@ func runEquivalence(t *testing.T, seed int64, newOpts Options) {
 
 		lstats, nstats := legacy.stats, syncer.Stats()
 		// Sweep accounting is structural, not behavioral: the legacy
-		// implementation swept the whole fleet every round by definition,
-		// the new one rotates slices. Everything else must agree exactly.
+		// implementation scans the whole fleet every round by definition,
+		// the production one rotates slices. Everything else must agree
+		// exactly.
 		lstats.Sweeps, nstats.Sweeps = 0, 0
 		lstats.SweepSlices, nstats.SweepSlices = 0, 0
 		lstats.SweepJobs, nstats.SweepJobs = 0, 0
@@ -532,31 +525,51 @@ func runEquivalence(t *testing.T, seed int64, newOpts Options) {
 	}
 }
 
+// pastLongestBackoff is the longest retry wait the syncer ever stamps
+// (Interval << maxRetryDoublings at the default 30 s Interval): advancing
+// the clock by it between rounds makes every failed job due again.
+const pastLongestBackoff = 30 * time.Second << maxRetryDoublings
+
 func TestRoundEquivalenceRandomized(t *testing.T) {
-	for _, sweepEvery := range []int{1, 3, 1000} {
-		sweepEvery := sweepEvery
-		t.Run(fmt.Sprintf("sweepEvery=%d", sweepEvery), func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"sweep=rotating", Options{}},
+		// Marks alone converge: with every sweep slice declined, only
+		// dirty marks, journal entries and durable sync state feed rounds.
+		{"sweep=declined", Options{SweepGate: func(pos, of int) bool { return false }}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
-				runEquivalence(t, seed, Options{FullSweepEvery: sweepEvery})
+				runEquivalence(t, seed, tc.opts)
 			}
 		})
 	}
 }
 
-// TestRoundEquivalenceParallelDeterminism runs the same script twice
-// through the change-driven implementation with a wide worker pool and a
-// serial one: parallel plan build and commit batching must not change any
-// observable outcome.
+// TestRoundEquivalenceParallelDeterminism runs the same script through a
+// syncer built on one processor (every batch inline) and one built on
+// sixteen (plan build and simple commits fanned out over the pool):
+// parallel plan build and commit batching must not change any observable
+// outcome.
 func TestRoundEquivalenceParallelDeterminism(t *testing.T) {
 	const rounds = 40
 	script := genScript(7, rounds)
 	clk := simclock.NewSim(time.Unix(0, 0))
 
 	storeA, storeB := jobstore.New(), jobstore.New()
-	serial := New(storeA, newFlaky(), clk, Options{QuarantineAfter: 3, FullSweepEvery: 5, SyncParallelism: 1, RetryBackoffBase: NoBackoff})
-	wide := New(storeB, newFlaky(), clk, Options{QuarantineAfter: 3, FullSweepEvery: 5, SyncParallelism: 16, RetryBackoffBase: NoBackoff})
-	// Force the parallel path even on small fleets.
+	procs := runtime.GOMAXPROCS(1)
+	serial := New(storeA, newFlaky(), clk, Options{})
+	runtime.GOMAXPROCS(16)
+	wide := New(storeB, newFlaky(), clk, Options{})
+	runtime.GOMAXPROCS(procs)
+	if serial.par != 1 || wide.par != 16 {
+		t.Fatalf("pool widths = %d and %d, want 1 and 16", serial.par, wide.par)
+	}
 	for r := 0; r < rounds; r++ {
+		clk.RunFor(pastLongestBackoff)
 		for _, o := range script[r] {
 			applyOp(t, storeA, o)
 			applyOp(t, storeB, o)

@@ -11,7 +11,7 @@ import (
 // Algorithm 1 layer merge: the Job Store serves the per-version cached
 // document.
 func TestRoundsReuseCachedMerges(t *testing.T) {
-	svc, syncer, act, _ := newWorld(t, Options{QuarantineAfter: 100})
+	svc, syncer, act, clk := newWorld(t, Options{})
 	for _, name := range []string{"a", "b", "c"} {
 		svc.Provision(validConfig(name))
 	}
@@ -28,8 +28,11 @@ func TestRoundsReuseCachedMerges(t *testing.T) {
 	syncer.RunRound() // plans a's complex sync; the stop action fails
 	_, missesAfterFirst := svc.Store().MergedCacheStats()
 
-	for i := 0; i < 5; i++ {
-		syncer.RunRound() // "a" re-examined every round
+	// "a" is re-examined every round: each starts past its retry deadline,
+	// and four failures in all stay short of the quarantine.
+	for i := 0; i < quarantineAfter-2; i++ {
+		clk.RunFor(pastLongestBackoff)
+		syncer.RunRound()
 	}
 	_, missesAfterMany := svc.Store().MergedCacheStats()
 	if missesAfterMany != missesAfterFirst {

@@ -43,7 +43,7 @@ func restoreInto(t *testing.T, src *jobstore.Store) *jobstore.Store {
 // snapshot must finish the job within ONE ordinary change-driven round,
 // without a full sweep.
 func TestCrashAfterCommitRestoreConvergesInOneRound(t *testing.T) {
-	svc, syncer, act, clk := newWorld(t, Options{FullSweepEvery: 10})
+	svc, syncer, act, clk := newWorld(t, Options{})
 	store := svc.Store()
 	svc.Provision(validConfig("j1"))
 	syncer.RunRound()
@@ -69,7 +69,7 @@ func TestCrashAfterCommitRestoreConvergesInOneRound(t *testing.T) {
 
 	// Boot a replacement syncer from a snapshot of the durable store.
 	restored := restoreInto(t, store)
-	successor := New(restored, act, clk, Options{FullSweepEvery: 10})
+	successor := New(restored, act, clk, Options{})
 
 	res := successor.RunRound()
 	if res.Swept {
@@ -96,7 +96,7 @@ func TestCrashAfterCommitRestoreConvergesInOneRound(t *testing.T) {
 // its previous configuration, i.e. the rollback — and the still-standing
 // dirty mark re-plans and completes the update in the same round.
 func TestCrashBeforeCommitRestoreReplansInOneRound(t *testing.T) {
-	svc, syncer, act, clk := newWorld(t, Options{FullSweepEvery: 10})
+	svc, syncer, act, clk := newWorld(t, Options{})
 	store := svc.Store()
 	svc.Provision(validConfig("j1"))
 	syncer.RunRound()
@@ -119,7 +119,7 @@ func TestCrashBeforeCommitRestoreReplansInOneRound(t *testing.T) {
 	}
 
 	restored := restoreInto(t, store)
-	successor := New(restored, act, clk, Options{FullSweepEvery: 10})
+	successor := New(restored, act, clk, Options{})
 	res := successor.RunRound()
 	if res.Swept {
 		t.Fatal("restored syncer's first round was a full sweep")
@@ -140,7 +140,7 @@ func TestCrashBeforeCommitRestoreReplansInOneRound(t *testing.T) {
 // retried every round: after the second consecutive failure the job
 // waits out its backoff before the actuator is probed again.
 func TestBackoffSkipsRetriesUntilDeadline(t *testing.T) {
-	svc, syncer, act, clk := newWorld(t, Options{QuarantineAfter: 10})
+	svc, syncer, act, clk := newWorld(t, Options{})
 	svc.Provision(validConfig("j1"))
 	syncer.RunRound()
 	svc.SetTaskCount("j1", config.LayerScaler, 20)
@@ -176,7 +176,7 @@ func TestBackoffSkipsRetriesUntilDeadline(t *testing.T) {
 // deleted mid-failure-streak must not leak its streak or trip a bogus
 // quarantine once the teardown completes.
 func TestDeleteMidStreakClearsAccounting(t *testing.T) {
-	svc, syncer, act, clk := newWorld(t, Options{QuarantineAfter: 3})
+	svc, syncer, act, clk := newWorld(t, Options{})
 	svc.Provision(validConfig("j1"))
 	syncer.RunRound()
 	svc.SetTaskCount("j1", config.LayerScaler, 20)
@@ -211,16 +211,20 @@ func TestDeleteMidStreakClearsAccounting(t *testing.T) {
 // retried (failure-storm) nor dropped (job quiesced forever) — and run
 // to completion once the quarantine is cleared.
 func TestQuarantineParksFollowUpsUntilCleared(t *testing.T) {
-	svc, syncer, act, _ := newWorld(t, Options{QuarantineAfter: 1})
+	svc, syncer, act, clk := newWorld(t, Options{})
 	store := svc.Store()
 	svc.Provision(validConfig("j1"))
 	syncer.RunRound()
 	svc.SetTaskCount("j1", config.LayerScaler, 20)
-	act.failResumes["j1"] = 1
+	act.failResumes["j1"] = quarantineAfter
 
-	res := syncer.RunRound() // commit lands; resume fails; quarantined
-	if len(res.Failed) != 1 {
-		t.Fatalf("round = %+v", res)
+	// The commit lands in the first round; its resume fails, and so does
+	// every retry of it, until the streak quarantines the job.
+	for i := 0; i < quarantineAfter; i++ {
+		if res := syncer.RunRound(); len(res.Failed) != 1 {
+			t.Fatalf("round %d = %+v", i, res)
+		}
+		clk.RunFor(pastLongestBackoff)
 	}
 	if _, ok := store.Quarantined("j1"); !ok {
 		t.Fatal("job not quarantined")
@@ -251,5 +255,60 @@ func TestQuarantineParksFollowUpsUntilCleared(t *testing.T) {
 	}
 	if n := store.DirtyCount(); n != 0 {
 		t.Fatalf("%d dirty marks left", n)
+	}
+}
+
+// TestRetryDeadlineNeverBeyondFourIntervals pins the bound that stands
+// where a configurable backoff cap used to: across whole failure streaks,
+// quarantines included, no NextRetryAt is ever stamped further than
+// 4 × Interval past the failure that set it, and the Nth consecutive
+// failure waits Interval·2^(N-2) less at most a quarter of jitter.
+func TestRetryDeadlineNeverBeyondFourIntervals(t *testing.T) {
+	for _, interval := range []time.Duration{30 * time.Second, 7 * time.Second} {
+		svc, syncer, act, clk := newWorld(t, Options{Interval: interval})
+		store := svc.Store()
+		jobs := []string{"a", "b", "c", "d"}
+		for _, j := range jobs {
+			svc.Provision(validConfig(j))
+		}
+		syncer.RunRound()
+		for _, j := range jobs {
+			svc.SetTaskCount(j, config.LayerScaler, 20)
+			act.failStops[j] = 1 << 30
+		}
+		streak := make(map[string]int)
+		for round := 0; round < 60; round++ {
+			res := syncer.RunRound()
+			failedAt := clk.Now()
+			for _, j := range res.Failed {
+				streak[j]++
+				ss, _ := store.SyncStateOf(j)
+				wait := ss.NextRetryAt.Sub(failedAt)
+				if ss.NextRetryAt.IsZero() {
+					wait = 0
+				}
+				if wait > 4*interval {
+					t.Fatalf("interval %v: %s waits %v after failure %d, beyond 4 × Interval", interval, j, wait, streak[j])
+				}
+				var nominal time.Duration
+				switch n := streak[j]; {
+				case n == quarantineAfter:
+					if _, ok := store.Quarantined(j); !ok {
+						t.Fatalf("interval %v: %s not quarantined after %d failures", interval, j, n)
+					}
+					streak[j] = 0
+					store.ClearQuarantine(j)
+				case n >= 2:
+					nominal = interval << (n - 2)
+				}
+				if wait > nominal || wait < nominal-nominal/4 {
+					t.Fatalf("interval %v: %s waits %v after failure %d, want %v less at most a quarter", interval, j, wait, streak[j], nominal)
+				}
+			}
+			clk.RunFor(interval)
+		}
+		if st := syncer.Stats(); st.Quarantines < 2*len(jobs) {
+			t.Fatalf("interval %v: %d quarantines in 60 rounds, want every job through two streaks", interval, st.Quarantines)
+		}
 	}
 }

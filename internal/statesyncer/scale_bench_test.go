@@ -2,9 +2,8 @@ package statesyncer
 
 // The million-task scale tier (ROADMAP: "Million-task scale tier with an
 // allocation-free steady state"): 250K jobs × 4 tasks = 1M tasks, the
-// order of Facebook's full streaming fleet. These benchmarks are the
-// BENCH_SCALE.json trajectory — run via `make bench-scale`; they skip
-// under -short so the tier-1 bench smoke stays fast.
+// order of Facebook's full streaming fleet. Run via `make bench-scale`;
+// they skip under -short so the tier-1 bench smoke stays fast.
 //
 // BenchmarkScaleSyncerRound1MConverged additionally enforces the
 // steady-state allocation ceiling: a converged round over the full tier

@@ -20,15 +20,13 @@
 // a round examines only the marked jobs plus jobs with outstanding
 // failures or post-commit retries, so a converged fleet costs almost
 // nothing per round. Each round additionally sweeps a rotating
-// 1/FullSweepEvery slice of the fleet's sorted name snapshots — the
-// safety net that preserves the stateless-round durability argument:
-// even if a dirty mark were ever lost, a slice within the next
-// FullSweepEvery rounds rediscovers the divergence from the
-// expected/running difference alone, exactly as the original full-scan
-// design did every round, but amortized so that no single round pays an
-// O(fleet) spike. Steady-state rounds reuse per-syncer scratch buffers
-// and a persistent worker pool: a converged fleet — at a million tasks —
-// synchronizes without allocating at all.
+// 1/sweepRounds slice of the fleet's sorted name snapshots — the safety
+// net that preserves the stateless-round durability argument: even if a
+// dirty mark were ever lost, a slice within the next sweepRounds rounds
+// rediscovers the divergence from the expected/running difference alone,
+// amortized so that no single round pays an O(fleet) spike. Steady-state
+// rounds reuse per-syncer scratch buffers and a persistent worker pool: a
+// converged fleet — at a million tasks — synchronizes without allocating.
 //
 // The syncer's crash-critical bookkeeping is durable: dirty marks are
 // cleared only after a job's synchronization succeeded (never drained up
@@ -37,9 +35,10 @@
 // by Snapshot and revived by Restore. A syncer that dies mid-round
 // therefore leaves behind exactly the state its successor needs to
 // converge within one ordinary change-driven round — no full sweep
-// required. Failed jobs retry under bounded exponential backoff with
-// deterministic per-job jitter, so a dark downstream dependency produces
-// a trickle of probes instead of a retry storm every round.
+// required. Failed jobs retry under exponential backoff with
+// deterministic per-job jitter until the streak quarantines them, so a
+// dark downstream dependency produces a trickle of probes instead of a
+// retry storm every round.
 //
 // Synchronizations come in two classes (§III-B): simple ones are a direct
 // copy of the merged expected configuration into the running table (e.g. a
@@ -237,9 +236,9 @@ type Stats struct {
 	Quarantines   int
 	JobsExamined  int
 	JobsConverged int // syncs successfully applied
-	Sweeps        int // rounds that swept the entire fleet (FullSweepEvery <= 1)
-	SweepSlices   int // rotating sweep slices visited (FullSweepEvery > 1)
-	SweepJobs     int // jobs visited via sweeps, full or sliced
+	Sweeps        int // resync rounds: the engine swept its whole stripe slice
+	SweepSlices   int // rotating sweep slices visited
+	SweepJobs     int // jobs visited via sweeps, resync or sliced
 }
 
 // Add returns the field-wise sum of two counter sets: a Node sums its
@@ -259,50 +258,44 @@ func (a Stats) Add(b Stats) Stats {
 	return a
 }
 
+// The round engine's control constants: one value each in every
+// deployment, harness and benchmark, so none is an option.
+const (
+	// quarantineAfter consecutive failed plans quarantine a job and alert
+	// the oncall (§III-B).
+	quarantineAfter = 5
+	// maxRetryDoublings bounds the retry backoff by construction: the Nth
+	// consecutive failure (N >= 2) waits Interval·2^(N-2) less jitter and
+	// the streak quarantines at quarantineAfter, so the longest wait ever
+	// stamped is Interval << maxRetryDoublings (4×).
+	maxRetryDoublings = quarantineAfter - 3
+	// maxParallelComplex complex plans are in flight at once in a round
+	// ("parallelize the complex ones", §III-B).
+	maxParallelComplex = 16
+	// sweepRounds is the rotation of the safety-net sweep: every round
+	// re-examines 1/sweepRounds of the fleet, so a lost dirty mark is
+	// rediscovered within sweepRounds rounds and no round pays an
+	// O(fleet) spike.
+	sweepRounds = 10
+	// maxSyncWorkers caps the GOMAXPROCS-wide pool that builds plans and
+	// applies the simple commits — the Auto Scaler's scan pool rule.
+	maxSyncWorkers = 16
+)
+
 // Options tune the syncer.
 type Options struct {
-	// Interval between rounds; defaults to the paper's 30 seconds.
+	// Interval between rounds; defaults to the paper's 30 seconds. It is
+	// also the unit of the retry backoff (see maxRetryDoublings).
 	Interval time.Duration
-	// QuarantineAfter is the number of consecutive failures before a job
-	// is quarantined; defaults to 5.
-	QuarantineAfter int
 	// OnAlert, if set, receives quarantine alerts.
 	OnAlert func(Alert)
-	// MaxParallelComplex bounds concurrently executed complex plans per
-	// round ("parallelize the complex ones", §III-B); defaults to 16.
-	MaxParallelComplex int
-	// FullSweepEvery controls the rotating sweep: every round visits one
-	// 1/FullSweepEvery slice of the fleet's sorted name snapshots in
-	// addition to the changed jobs, so the entire fleet is re-examined
-	// within FullSweepEvery rounds without any single round paying an
-	// O(fleet) spike; defaults to 10. Set to 1 to sweep the whole fleet
-	// every round (the pre-change-tracking behavior).
-	FullSweepEvery int
 	// SweepGate, if set, is consulted before each round's sweep slice
 	// (pos in [0, of)); returning false skips the slice this round,
 	// leaving rediscovery to the next rotation. It is a fault-injection
 	// seam: the chaos harness drops slices to prove convergence does not
 	// depend on any particular sweep landing.
 	SweepGate func(pos, of int) bool
-	// SyncParallelism bounds the worker pool that builds plans and applies
-	// the batched simple commits; defaults to GOMAXPROCS capped at 16
-	// (mirroring the Auto Scaler's scan pool).
-	SyncParallelism int
-	// RetryBackoffBase is the backoff unit for repeatedly failing jobs: a
-	// job on its Nth consecutive failure (N >= 2) is not retried until
-	// roughly base·2^(N-2) after the failure, capped at RetryBackoffMax,
-	// with a deterministic per-job jitter subtracted so streaks across
-	// jobs do not retry in lockstep. The first failure always retries on
-	// the next round. Defaults to Interval; NoBackoff disables backoff
-	// (the pre-PR-5 retry-every-round behavior).
-	RetryBackoffBase time.Duration
-	// RetryBackoffMax caps the exponential backoff; defaults to 10×base.
-	RetryBackoffMax time.Duration
 }
-
-// NoBackoff disables failure-retry backoff when assigned to
-// Options.RetryBackoffBase.
-const NoBackoff time.Duration = -1
 
 // Syncer is the round engine that drives expected→running convergence
 // over one stripe range. All crash-critical
@@ -314,6 +307,7 @@ type Syncer struct {
 	act   Actuator
 	clock simclock.Clock
 	opts  Options
+	par   int // plan/commit pool width: min(GOMAXPROCS, maxSyncWorkers)
 
 	// killed simulates a crash: once set, the syncer stops touching the
 	// store and the actuator mid-flight, exactly as a dead process would.
@@ -341,7 +335,7 @@ type Syncer struct {
 	// worker pool are reused round over round so the converged steady
 	// state allocates nothing.
 	roundMu   sync.Mutex
-	sweepPos  int // next rotating sweep slice, in [0, FullSweepEvery)
+	sweepPos  int // next rotating sweep slice, in [0, sweepRounds)
 	scratch   roundScratch
 	expView   stripeView
 	runView   stripeView
@@ -417,30 +411,6 @@ func NewStriped(store *jobstore.Store, act Actuator, clock simclock.Clock, opts 
 	if opts.Interval <= 0 {
 		opts.Interval = 30 * time.Second
 	}
-	if opts.QuarantineAfter <= 0 {
-		opts.QuarantineAfter = 5
-	}
-	if opts.MaxParallelComplex <= 0 {
-		opts.MaxParallelComplex = 16
-	}
-	if opts.FullSweepEvery <= 0 {
-		opts.FullSweepEvery = 10
-	}
-	if opts.SyncParallelism <= 0 {
-		opts.SyncParallelism = runtime.GOMAXPROCS(0)
-		if opts.SyncParallelism > 16 {
-			opts.SyncParallelism = 16
-		}
-	}
-	if opts.RetryBackoffBase == 0 {
-		opts.RetryBackoffBase = opts.Interval
-	}
-	if opts.RetryBackoffBase < 0 {
-		opts.RetryBackoffBase = NoBackoff
-	}
-	if opts.RetryBackoffMax <= 0 {
-		opts.RetryBackoffMax = 10 * opts.RetryBackoffBase
-	}
 	if act == nil {
 		act = NopActuator{}
 	}
@@ -455,6 +425,7 @@ func NewStriped(store *jobstore.Store, act Actuator, clock simclock.Clock, opts 
 		act:      act,
 		clock:    clock,
 		opts:     opts,
+		par:      min(runtime.GOMAXPROCS(0), maxSyncWorkers),
 		stripeLo: lo,
 		stripeHi: hi,
 	}
@@ -495,9 +466,6 @@ func (s *Syncer) dead() bool { return s.killed.Load() }
 func (s *Syncer) sharded() bool {
 	return s.stripeLo != 0 || s.stripeHi != jobstore.NumStripes
 }
-
-// Stripes returns the syncer's stripe range [lo, hi).
-func (s *Syncer) Stripes() (lo, hi int) { return s.stripeLo, s.stripeHi }
 
 // errKilled aborts plan execution after a simulated crash. It is never
 // recorded as a job failure: a dead syncer does no accounting.
@@ -706,11 +674,12 @@ type RoundResult struct {
 	Deleted  int
 	Failed   []string
 	Duration time.Duration
-	// Swept reports whether this round swept the entire fleet rather than
-	// a rotating slice (FullSweepEvery <= 1).
+	// Swept reports a resync round: the engine could not catch its journal
+	// cursor up (new to the slice, fell behind, or the store was Restored)
+	// and swept its entire stripe slice instead of the rotating one.
 	Swept bool
 	// SweepJobs is the number of jobs this round visited via its sweep —
-	// the rotating slice, or the whole fleet when Swept.
+	// the rotating slice, or the whole stripe slice when Swept.
 	SweepJobs int
 }
 
@@ -788,7 +757,7 @@ func (s *Syncer) RunRound() RoundResult {
 	// Candidate assembly. Every round visits the marked jobs (drained
 	// from this syncer's stripes only), every job with durable sync state
 	// in range, any job whose running entry moved in the change journal
-	// (sharded syncers), and one rotating 1/FullSweepEvery slice of the
+	// (sharded syncers), and one rotating 1/sweepRounds slice of the
 	// (stripe-filtered) sorted name snapshots — the durability safety
 	// net, amortized so no round pays an O(fleet) spike. Marks are only
 	// peeked here — each one is cleared individually once its job's
@@ -825,16 +794,9 @@ func (s *Syncer) RunRound() RoundResult {
 		}
 	}
 
-	n := s.opts.FullSweepEvery
-	full := n <= 1
-	pos := 0
-	if !full {
-		pos = s.sweepPos
-		s.sweepPos = (pos + 1) % n
-	} else {
-		n = 1
-	}
-	gated := s.opts.SweepGate != nil && !s.opts.SweepGate(pos, n)
+	pos := s.sweepPos
+	s.sweepPos = (pos + 1) % sweepRounds
+	gated := s.opts.SweepGate != nil && !s.opts.SweepGate(pos, sweepRounds)
 	var sweepExp, sweepRun []string
 	if !gated || resync {
 		// Expected and running are sliced independently over their own
@@ -853,8 +815,8 @@ func (s *Syncer) RunRound() RoundResult {
 		if resync {
 			sweepExp, sweepRun = expAll, runAll
 		} else {
-			sweepExp = sweepSlice(expAll, pos, n)
-			sweepRun = sweepSlice(runAll, pos, n)
+			sweepExp = sweepSlice(expAll, pos, sweepRounds)
+			sweepRun = sweepSlice(runAll, pos, sweepRounds)
 		}
 	}
 	swept := unionSortedInto(&sc.u1, sweepExp, sweepRun)
@@ -863,7 +825,7 @@ func (s *Syncer) RunRound() RoundResult {
 	sc.syncNames = s.store.SyncStateNamesRangeInto(s.stripeLo, s.stripeHi, sc.syncNames[:0])
 	candidates = unionSortedInto(&sc.u4, candidates, sc.syncNames)
 	sc.candidates = candidates
-	res.Swept = (full && !gated) || resync
+	res.Swept = resync
 	res.SweepJobs = len(swept)
 
 	// Build plans in parallel. Workers write disjoint slots, and the
@@ -880,7 +842,7 @@ func (s *Syncer) RunRound() RoundResult {
 			make([]config.Differ, len(candidates)-cap(sc.differs))...)
 	}
 	sc.differs = sc.differs[:len(candidates)]
-	s.forEach(len(candidates), s.opts.SyncParallelism, 32, s.planFn)
+	s.forEach(len(candidates), s.par, 32, s.planFn)
 	if s.dead() {
 		return res
 	}
@@ -938,7 +900,7 @@ func (s *Syncer) RunRound() RoundResult {
 		} else {
 			sc.simpleErrs = sc.simpleErrs[:len(sc.simple)]
 		}
-		s.forEach(len(sc.simple), s.opts.SyncParallelism, 256, s.simpleFn)
+		s.forEach(len(sc.simple), s.par, 256, s.simpleFn)
 		for i := range sc.simple {
 			if sc.simpleErrs[i] != nil {
 				s.handlePlanError(sc.simple[i].Job, sc.simpleErrs[i], &res)
@@ -950,14 +912,14 @@ func (s *Syncer) RunRound() RoundResult {
 	}
 
 	// Parallelize the complex synchronizations, bounded: each worker runs
-	// one plan at a time, so at most MaxParallelComplex are in flight.
+	// one plan at a time, so at most maxParallelComplex are in flight.
 	if len(sc.complexPlans) > 0 {
 		if cap(sc.complexErrs) < len(sc.complexPlans) {
 			sc.complexErrs = make([]error, len(sc.complexPlans))
 		} else {
 			sc.complexErrs = sc.complexErrs[:len(sc.complexPlans)]
 		}
-		s.forEach(len(sc.complexPlans), s.opts.MaxParallelComplex, 2, s.complexFn)
+		s.forEach(len(sc.complexPlans), maxParallelComplex, 2, s.complexFn)
 		for i := range sc.complexPlans {
 			if sc.complexErrs[i] != nil {
 				s.handlePlanError(sc.complexPlans[i].Job, sc.complexErrs[i], &res)
@@ -1001,7 +963,7 @@ func (s *Syncer) RunRound() RoundResult {
 	s.stats.Rounds++
 	if res.Swept {
 		s.stats.Sweeps++
-	} else if !full && !gated {
+	} else if !gated {
 		s.stats.SweepSlices++
 	}
 	s.stats.SweepJobs += len(swept)
@@ -1131,11 +1093,7 @@ func (s *Syncer) forEach(n, par, minParallel int, fn func(int)) {
 		return
 	}
 	if s.wp == nil {
-		helpers := s.opts.SyncParallelism
-		if s.opts.MaxParallelComplex > helpers {
-			helpers = s.opts.MaxParallelComplex
-		}
-		s.wp = workpool.New(helpers - 1)
+		s.wp = workpool.New(max(s.par, maxParallelComplex) - 1)
 	}
 	s.wp.Run(n, par, fn)
 }
@@ -1178,13 +1136,13 @@ func (s *Syncer) recordFailure(job string, err error, res *RoundResult) {
 		ss.FailureStreak++
 		n = ss.FailureStreak
 		// The first failure retries next round; the Nth (N >= 2) waits
-		// base·2^(N-2) capped at RetryBackoffMax, less per-job jitter.
+		// Interval·2^(N-2), less per-job jitter.
 		ss.NextRetryAt = time.Time{}
-		if n > 1 && s.opts.RetryBackoffBase != NoBackoff {
-			ss.NextRetryAt = now.Add(backoff.Delay(s.opts.RetryBackoffBase, s.opts.RetryBackoffMax, n-2, job, uint64(n)))
+		if n > 1 {
+			ss.NextRetryAt = now.Add(backoff.Delay(s.opts.Interval, s.opts.Interval<<maxRetryDoublings, n-2, job, uint64(n)))
 		}
 	})
-	quarantine := n >= s.opts.QuarantineAfter
+	quarantine := n >= quarantineAfter
 	s.mu.Lock()
 	s.stats.Failures++
 	if quarantine {

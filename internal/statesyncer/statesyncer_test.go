@@ -189,7 +189,7 @@ func TestParallelismChangeIsComplexSync(t *testing.T) {
 }
 
 func TestFailedComplexSyncAbortsAndRetries(t *testing.T) {
-	svc, syncer, act, _ := newWorld(t, Options{QuarantineAfter: 5})
+	svc, syncer, act, _ := newWorld(t, Options{})
 	svc.Provision(validConfig("j1"))
 	syncer.RunRound()
 	svc.SetTaskCount("j1", config.LayerScaler, 20)
@@ -223,8 +223,7 @@ func TestFailedComplexSyncAbortsAndRetries(t *testing.T) {
 func TestRepeatedFailureQuarantinesAndAlerts(t *testing.T) {
 	var alerts []Alert
 	svc, syncer, act, clk := newWorld(t, Options{
-		QuarantineAfter: 3,
-		OnAlert:         func(a Alert) { alerts = append(alerts, a) },
+		OnAlert: func(a Alert) { alerts = append(alerts, a) },
 	})
 	svc.Provision(validConfig("j1"))
 	syncer.RunRound()
@@ -233,12 +232,15 @@ func TestRepeatedFailureQuarantinesAndAlerts(t *testing.T) {
 
 	// Repeated failures back off exponentially (base = the 30s default
 	// interval), so advance the clock past each deadline between rounds.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < quarantineAfter; i++ {
+		if _, ok := svc.Store().Quarantined("j1"); ok {
+			t.Fatalf("job quarantined after only %d failures", i)
+		}
 		syncer.RunRound()
-		clk.RunFor(time.Minute)
+		clk.RunFor(pastLongestBackoff)
 	}
 	if _, ok := svc.Store().Quarantined("j1"); !ok {
-		t.Fatal("job not quarantined after 3 failures")
+		t.Fatalf("job not quarantined after %d failures", quarantineAfter)
 	}
 	if len(alerts) != 1 || alerts[0].Job != "j1" {
 		t.Fatalf("alerts = %+v", alerts)
@@ -412,9 +414,9 @@ func TestStatsAccumulate(t *testing.T) {
 func TestManyComplexPlansExecuteInParallelBounded(t *testing.T) {
 	// "Parallelize the complex ones" (§III-B): a round with many
 	// parallelism changes executes them concurrently, bounded by
-	// MaxParallelComplex, and every one commits.
-	svc, syncer, act, _ := newWorld(t, Options{MaxParallelComplex: 4})
-	const n = 24
+	// maxParallelComplex, and every one commits.
+	svc, syncer, act, _ := newWorld(t, Options{})
+	const n = 3 * maxParallelComplex / 2
 	for i := 0; i < n; i++ {
 		svc.Provision(validConfig(fmt.Sprintf("j%02d", i)))
 	}

@@ -3,13 +3,14 @@ package statesyncer
 // The rotating sweep's durability contract: a dirty mark that is lost —
 // the one failure mode change-driven rounds cannot recover from on their
 // own — is rediscovered from the expected/running difference alone
-// within FullSweepEvery rounds, because the rotation's slices partition
+// within sweepRounds rounds, because the rotation's slices partition
 // the fleet's sorted name snapshots. These tests drop a mark on purpose
 // (the store API makes that expressible: ClearDirtyIf with the current
 // seq) and measure how long the divergence survives.
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -57,46 +58,70 @@ func divergeAndDropMark(t *testing.T, store *jobstore.Store, job string) {
 	}
 }
 
+// TestSweepRediscoversDroppedDirtyMark is the coverage property: a
+// divergence with no mark is synced within one rotation — and, when the
+// gate drops the very slice that carries it, within the next.
 func TestSweepRediscoversDroppedDirtyMark(t *testing.T) {
-	const fleet = 40
-	for _, sweepEvery := range []int{1, 4, 10} {
-		t.Run(fmt.Sprintf("fullSweepEvery=%d", sweepEvery), func(t *testing.T) {
-			store, syncer := sweepFleet(t, fleet, Options{FullSweepEvery: sweepEvery})
-			const victim = "job017"
+	const fleet, victim = 40, "job017"
+	for _, tc := range []struct {
+		name      string
+		dropSlice bool
+		within    int
+	}{
+		{"gate=open", false, sweepRounds},
+		{"gate=drops-a-slice", true, 2 * sweepRounds},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var store *jobstore.Store
+			armed, dropped := false, 0
+			var opts Options
+			if tc.dropSlice {
+				// Declines the victim's slice the first time it comes up.
+				opts.SweepGate = func(pos, of int) bool {
+					if armed && dropped == 0 && slices.Contains(sweepSlice(store.ExpectedNames(), pos, of), victim) {
+						dropped++
+						return false
+					}
+					return true
+				}
+			}
+			store, syncer := sweepFleet(t, fleet, opts)
 			divergeAndDropMark(t, store, victim)
+			armed = true
 
 			rounds, synced := 0, 0
-			for rounds < sweepEvery && synced == 0 {
+			for rounds < tc.within && synced == 0 {
 				res := syncer.RunRound()
 				rounds++
 				synced += res.Simple
 			}
 			if synced != 1 {
-				t.Fatalf("dropped mark not rediscovered within %d rounds (synced %d)", sweepEvery, synced)
+				t.Fatalf("dropped mark not rediscovered within %d rounds (synced %d)", tc.within, synced)
 			}
-			ev, _ := store.ExpectedVersion(victim)
-			rv, ok := store.RunningVersion(victim)
-			if !ok || rv != ev {
-				t.Fatalf("%s not converged: running v%d, expected v%d", victim, rv, ev)
+			if tc.dropSlice && (dropped != 1 || rounds <= sweepRounds) {
+				t.Fatalf("gate dropped %d slices and the mark was found after %d rounds; want 1 and a second rotation", dropped, rounds)
+			}
+			if v := store.PlanViewOf(victim); !v.HasRunning || v.RunningVersion != v.ExpectedVersion {
+				t.Fatalf("%s not converged: running v%d, expected v%d", victim, v.RunningVersion, v.ExpectedVersion)
 			}
 		})
 	}
 }
 
 // TestRotatingSweepCoversFleet pins the partition property the
-// durability argument rests on: FullSweepEvery consecutive rounds
-// together sweep every job exactly once, and no single round sweeps more
-// than ~1/FullSweepEvery of the fleet.
+// durability argument rests on: sweepRounds consecutive rounds together
+// sweep every job exactly once, and no single round sweeps more than
+// ~1/sweepRounds of the fleet.
 func TestRotatingSweepCoversFleet(t *testing.T) {
-	const fleet, every = 37, 5 // indivisible on purpose
-	_, syncer := sweepFleet(t, fleet, Options{FullSweepEvery: every})
+	const fleet = 37 // indivisible on purpose
+	_, syncer := sweepFleet(t, fleet, Options{})
 	total := 0
-	for r := 0; r < every; r++ {
+	for r := 0; r < sweepRounds; r++ {
 		res := syncer.RunRound()
 		if res.Swept {
-			t.Fatalf("round %d reported a full-fleet sweep", r)
+			t.Fatalf("round %d reported a whole-slice resync", r)
 		}
-		if res.SweepJobs > fleet/every+1 {
+		if res.SweepJobs > fleet/sweepRounds+1 {
 			t.Fatalf("round %d swept %d jobs — an O(fleet) spike", r, res.SweepJobs)
 		}
 		total += res.SweepJobs
@@ -105,23 +130,8 @@ func TestRotatingSweepCoversFleet(t *testing.T) {
 		t.Fatalf("one full rotation swept %d jobs, want %d", total, fleet)
 	}
 	st := syncer.Stats()
-	if st.Sweeps != 0 || st.SweepSlices != every+1 { // +1: the setup round
-		t.Fatalf("stats = %+v, want 0 full sweeps and %d slices", st, every+1)
-	}
-}
-
-// TestFullSweepEveryOneSweepsWholeFleet keeps the pre-change-tracking
-// escape hatch intact: FullSweepEvery=1 sweeps everything every round.
-func TestFullSweepEveryOneSweepsWholeFleet(t *testing.T) {
-	const fleet = 12
-	store, syncer := sweepFleet(t, fleet, Options{FullSweepEvery: 1})
-	res := syncer.RunRound()
-	if !res.Swept || res.SweepJobs != fleet {
-		t.Fatalf("res = %+v, want a full sweep of %d jobs", res, fleet)
-	}
-	divergeAndDropMark(t, store, "job005")
-	if res := syncer.RunRound(); res.Simple != 1 {
-		t.Fatalf("full sweep missed the dropped mark: %+v", res)
+	if st.Sweeps != 0 || st.SweepSlices != sweepRounds+1 { // +1: the setup round
+		t.Fatalf("stats = %+v, want 0 resyncs and %d slices", st, sweepRounds+1)
 	}
 }
 
@@ -129,26 +139,26 @@ func TestFullSweepEveryOneSweepsWholeFleet(t *testing.T) {
 // gate refuses every slice, a dropped mark stays invisible no matter how
 // many rounds pass; once the gate opens, one rotation finds it.
 func TestSweepGateSkipsSlices(t *testing.T) {
-	const fleet, every = 20, 4
+	const fleet = 20
 	open := false
 	var positions []int
-	opts := Options{FullSweepEvery: every, SweepGate: func(pos, of int) bool {
-		if of != every {
-			t.Fatalf("gate saw of=%d, want %d", of, every)
+	opts := Options{SweepGate: func(pos, of int) bool {
+		if of != sweepRounds {
+			t.Fatalf("gate saw of=%d, want %d", of, sweepRounds)
 		}
 		positions = append(positions, pos)
 		return open
 	}}
 	store, syncer := sweepFleet(t, fleet, opts)
 	divergeAndDropMark(t, store, "job013")
-	for r := 0; r < 3*every; r++ {
+	for r := 0; r < 3*sweepRounds; r++ {
 		if res := syncer.RunRound(); res.Simple != 0 {
 			t.Fatalf("gated round %d still synced %d jobs", r, res.Simple)
 		}
 	}
 	open = true
 	synced := 0
-	for r := 0; r < every && synced == 0; r++ {
+	for r := 0; r < sweepRounds && synced == 0; r++ {
 		synced += syncer.RunRound().Simple
 	}
 	if synced != 1 {

@@ -127,9 +127,6 @@ func (c *FeedClient) Mirror() *jobstore.Store { return c.mirror }
 // Cursor returns the client's journal position.
 func (c *FeedClient) Cursor() uint64 { return c.cursor }
 
-// Resyncing reports whether the client is mid chunk-walk.
-func (c *FeedClient) Resyncing() bool { return c.resync }
-
 // Stats returns the cumulative client counters.
 func (c *FeedClient) Stats() FeedClientStats { return c.stats }
 

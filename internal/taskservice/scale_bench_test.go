@@ -1,6 +1,6 @@
 package taskservice
 
-// Million-task scale tier (BENCH_SCALE.json): the spec-snapshot refresh
+// Million-task scale tier: the spec-snapshot refresh
 // at 1M tasks (125K jobs × 8 tasks over the tier's 100K shard space).
 // The measured op is the steady-state production shape: a bounded set of
 // running entries rewritten between rounds, then an incremental snapshot

@@ -1,17 +1,21 @@
 #!/bin/sh
-# Tier-1 verification: vet, build, race-enabled tests, a one-shot
-# benchmark smoke pass (compiles and exercises every benchmark body once;
-# perf numbers come from `go test -bench . -benchtime 2s`, see
-# EXPERIMENTS.md), the end-to-end harness's own vet + tests, and a fuzz
-# smoke pass.
+# Tier-1 verification: vet, build, the API-surface audit, race-enabled
+# tests, a one-shot benchmark smoke pass (compiles and exercises every
+# benchmark body once; perf numbers come from `make bench-e2e` and
+# `make bench-pair`, see EXPERIMENTS.md), the end-to-end harness's own vet
+# + tests, and a fuzz smoke pass.
 set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
 go build ./...
+# No option that nothing outside its package sets, no exported internal/**
+# identifier that only tests reference — beyond scripts/surface/allow.txt,
+# which gives a reason per entry.
+go run ./scripts/surface
 go test -race ./...
 # -short keeps the Scale* 1M-fleet benchmarks out of tier-1; CI's
-# scale-smoke job runs them once, and `make bench-scale` measures them.
+# scale-smoke job (`make bench-scale`) runs each of them once.
 go test -short ./... -run 'XXXNONE' -bench . -benchtime 1x
 # bench/ is a module of its own (BENCHMARK.json's frozen harness), so
 # `./...` above never compiles it: vet it and run its smoke tests — the
