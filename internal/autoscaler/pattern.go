@@ -38,10 +38,11 @@ const (
 // veto for downscales that today's quiet moment would otherwise suggest.
 //
 // History reads fold over the metric store in place (no per-decision
-// copies), and the expensive aggregates — the historical peak ahead of
-// this time of day, and the same-window historical average — are cached
-// per (job, time-of-day bucket): past days are immutable, so within one
-// bucket repeated decisions reuse the first consultation. The analyzer is
+// copies) through each job's input-rate series handle, resolved once, and
+// the expensive aggregates — the historical peak ahead of this time of day,
+// and the same-window historical average — are cached per (job,
+// time-of-day bucket): past days are immutable, so within one bucket
+// repeated decisions reuse the first consultation. The analyzer is
 // safe for concurrent use by parallel scan workers.
 type PatternAnalyzer struct {
 	store *metrics.Store
@@ -52,10 +53,11 @@ type PatternAnalyzer struct {
 	// consultation: cached peaks are not keyed by it.
 	HorizonHours float64
 
-	mu    sync.Mutex
-	peaks map[string]peakEntry
-	hists map[string]histEntry
-	hits  uint64
+	mu     sync.Mutex
+	inputs map[string]*metrics.Series // job -> its input-rate series
+	peaks  map[string]peakEntry
+	hists  map[string]histEntry
+	hits   uint64
 }
 
 // peakEntry caches the historical peak input rate over the next
@@ -81,9 +83,26 @@ func NewPatternAnalyzer(store *metrics.Store, clock simclock.Clock) *PatternAnal
 		store:        store,
 		clock:        clock,
 		HorizonHours: 2,
+		inputs:       make(map[string]*metrics.Series),
 		peaks:        make(map[string]peakEntry),
 		hists:        make(map[string]histEntry),
 	}
+}
+
+// input returns the handle of the job's input-rate series, or nil while
+// nothing has been recorded under that name (reads through nil are empty).
+// The handle is safe to keep without ever hearing of the job's removal:
+// once the series is deleted, reads through it resolve the name again.
+func (pa *PatternAnalyzer) input(job string) *metrics.Series {
+	pa.mu.Lock()
+	defer pa.mu.Unlock()
+	h := pa.inputs[job]
+	if h == nil {
+		if h = pa.store.Lookup(InputRateSeries(job)); h != nil {
+			pa.inputs[job] = h
+		}
+	}
+	return h
 }
 
 // bucketStart truncates now to the containing time-of-day bucket.
@@ -123,12 +142,12 @@ func (pa *PatternAnalyzer) DownscaleSafe(job string, capacity float64) bool {
 	pa.mu.Unlock()
 
 	horizon := time.Duration(pa.HorizonHours * float64(time.Hour))
-	series := InputRateSeries(job)
+	series := pa.input(job)
 	peak := 0.0
 	hasData := false
 	for d := 1; d <= historyDays; d++ {
 		from := now.Add(-time.Duration(d) * 24 * time.Hour)
-		a := pa.store.RangeAgg(series, from, from.Add(horizon))
+		a := series.RangeAgg(from, from.Add(horizon))
 		if a.Count == 0 {
 			continue
 		}
@@ -161,9 +180,9 @@ func (pa *PatternAnalyzer) DownscaleSafe(job string, capacity float64) bool {
 func (pa *PatternAnalyzer) Outlier(job string) bool {
 	now := pa.clock.Now()
 	const window = 30 * time.Minute
-	series := InputRateSeries(job)
+	series := pa.input(job)
 
-	cur := pa.store.RangeAgg(series, now.Add(-window), now)
+	cur := series.RangeAgg(now.Add(-window), now)
 	if cur.Count == 0 {
 		return false
 	}
@@ -180,7 +199,7 @@ func (pa *PatternAnalyzer) Outlier(job string) bool {
 		e = histEntry{bucket: bucket}
 		for d := 1; d <= historyDays; d++ {
 			to := now.Add(-time.Duration(d) * 24 * time.Hour)
-			a := pa.store.RangeAgg(series, to.Add(-window), to)
+			a := series.RangeAgg(to.Add(-window), to)
 			e.sum += a.Sum
 			e.count += a.Count
 		}
@@ -202,13 +221,15 @@ func (pa *PatternAnalyzer) Outlier(job string) bool {
 // RecentPeak returns the maximum input rate over the trailing window, used
 // as the sizing basis for downscales (never the instantaneous rate).
 func (pa *PatternAnalyzer) RecentPeak(job string, window time.Duration) (float64, bool) {
-	return pa.store.WindowMax(InputRateSeries(job), window)
+	a := pa.input(job).WindowAgg(window)
+	return a.Max, a.Count > 0
 }
 
-// Forget drops cached history aggregates for a job (e.g. after its series
-// was deleted). Safe to call for unknown jobs.
+// Forget drops the series handle and the cached history aggregates of a
+// job (e.g. after its series was deleted). Safe to call for unknown jobs.
 func (pa *PatternAnalyzer) Forget(job string) {
 	pa.mu.Lock()
+	delete(pa.inputs, job)
 	delete(pa.peaks, job)
 	delete(pa.hists, job)
 	pa.mu.Unlock()

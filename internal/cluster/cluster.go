@@ -244,29 +244,20 @@ type jobRecord struct {
 	cfgRevision  int64
 	cfgChangedAt time.Time // when this running commit was first observed
 
-	// The last monitor tick's signals: replaced whole every tick, the
-	// pointee never written.
-	signals *autoscaler.Signals
+	// The last monitor tick's signals — replaced whole every tick, the
+	// pointee never written — and the running tasks it counted.
+	signals       *autoscaler.Signals
+	observedTasks int
 
 	// The rest is touched only by monitorTick.
-	monitoredTick uint64    // the monitor tick that last saw the job running
-	inputCategory string    // category inputWritten counts
-	inputWritten  int64     // its bytes written, as of that tick
-	series        jobSeries // metric-store handles, resolved on first use
+	monitoredTick uint64       // the monitor tick that last saw the job running
+	inputCategory string       // category inputWritten counts
+	inputWritten  int64        // its bytes written, as of that tick
+	row           *metrics.Row // the job's per-minute series, resolved on first use
 }
 
-// jobSeries caches the metric-store handles for one job's per-minute
-// series, so the monitor's hot write path appends through the striped
-// store without re-resolving four names per job per tick.
-type jobSeries struct {
-	input           *metrics.Series
-	backlog         *metrics.Series
-	taskCount       *metrics.Series
-	configuredTasks *metrics.Series
-}
-
-// jobSeriesNames names a job's series in the store, in jobSeries field
-// order.
+// jobSeriesNames names a job's per-minute series in the store: the columns
+// of its row, inputRate | backlog | taskCount | configuredTasks.
 func jobSeriesNames(job string) [4]string {
 	return [4]string{
 		autoscaler.InputRateSeries(job),
@@ -318,8 +309,8 @@ func (c *Cluster) runningRecord(job string) (*jobRecord, *config.JobConfig, bool
 	return rec, rec.cfg, true
 }
 
-// dropJobLocked forgets a job: its record, its metric series (handles
-// and stored points) and the Auto Scaler's per-job state.
+// dropJobLocked forgets a job: its record, its metric series (row and
+// stored points) and the Auto Scaler's per-job state.
 func (c *Cluster) dropJobLocked(job string) {
 	if rec := c.records[job]; rec != nil && rec.generator != nil {
 		rec.generator.Stop()
@@ -691,7 +682,8 @@ type taskObs struct {
 }
 
 // jobObs gathers a job's running tasks for one monitor tick. Jobs of a few
-// tasks — the long tail — fit the inline array.
+// tasks — the long tail — fit the inline array, which tasks points into: a
+// jobObs is used where it was made, never copied.
 type jobObs struct {
 	few      [4]taskObs
 	tasks    []taskObs
@@ -704,13 +696,24 @@ type jobObs struct {
 // view.
 func (c *Cluster) monitorTick() {
 	names := c.Store.RunningNames()
+	now := c.Clk.Now() // one reading stamps everything the tick records
 	observed := make(map[string]*jobObs, len(names))
+	// The tick's observations are cut from one slab sized by the running
+	// table. It is never appended to beyond that: the map points into it.
+	// Tasks of a job that has left the table (a teardown in progress) are
+	// the overflow.
+	slab := make([]jobObs, 0, len(names))
 	running := 0
 	observe := func(spec *engine.TaskSpec, st engine.Stats) {
 		running++
 		o := observed[spec.Job]
 		if o == nil {
-			o = &jobObs{}
+			if len(slab) < cap(slab) {
+				slab = slab[:len(slab)+1]
+				o = &slab[len(slab)-1]
+			} else {
+				o = &jobObs{}
+			}
 			o.tasks = o.few[:0]
 			observed[spec.Job] = o
 		}
@@ -731,7 +734,8 @@ func (c *Cluster) monitorTick() {
 
 	// The tick's signals, their records and the task rates are each cut
 	// from one allocation; none is appended to beyond the capacity
-	// reserved here.
+	// reserved here, and none is reused by a later tick: scan workers hold
+	// TaskRates while the next tick runs.
 	sigs := make([]autoscaler.Signals, 0, len(names))
 	recs := make([]*jobRecord, 0, len(names))
 	rates := make([]float64, 0, running)
@@ -803,19 +807,20 @@ func (c *Cluster) monitorTick() {
 		totalTasks += len(o.tasks)
 		totalInput += inputRate
 
-		if rec.series.input == nil {
-			rec.series = c.resolveSeries(job)
+		if rec.row == nil {
+			// Under the lock dropJobLocked deletes the four names under, so
+			// the row is registered against all of them or none.
+			cols := jobSeriesNames(job)
+			c.mu.Lock()
+			rec.row = c.Metrics.Row(cols[:]...)
+			c.mu.Unlock()
 		}
-		js := rec.series
-		js.input.Record(inputRate)
-		js.backlog.Record(float64(backlog))
-		js.taskCount.Record(float64(len(o.tasks)))
-		js.configuredTasks.Record(float64(cfg.TaskCount))
+		rec.row.RecordAt(now, inputRate, float64(backlog), float64(len(o.tasks)), float64(cfg.TaskCount))
 	}
 
 	c.mu.Lock()
 	for i, rec := range recs {
-		rec.signals = &sigs[i]
+		rec.signals, rec.observedTasks = &sigs[i], len(sigs[i].TaskRates) // a rate per running task
 	}
 	if len(c.records) > len(recs) {
 		// Some record is not of a job monitored this tick: a job added but
@@ -832,31 +837,21 @@ func (c *Cluster) monitorTick() {
 	}
 	c.mu.Unlock()
 
-	c.seriesTaskCount.Record(float64(totalTasks))
-	c.seriesInputRate.Record(totalInput)
+	c.seriesTaskCount.RecordAt(now, float64(totalTasks))
+	c.seriesInputRate.RecordAt(now, totalInput)
 	// Points silently discarded by the store's out-of-order guard signal a
 	// buggy reporter; surface the counter as a series so experiments and
 	// operators see it move.
-	c.seriesDropped.Record(float64(c.Metrics.Dropped()))
-}
-
-// resolveSeries resolves the metric-series handles of a job.
-func (c *Cluster) resolveSeries(job string) jobSeries {
-	names := jobSeriesNames(job)
-	return jobSeries{
-		input:           c.Metrics.Handle(names[0]),
-		backlog:         c.Metrics.Handle(names[1]),
-		taskCount:       c.Metrics.Handle(names[2]),
-		configuredTasks: c.Metrics.Handle(names[3]),
-	}
+	c.seriesDropped.RecordAt(now, float64(c.Metrics.Dropped()))
 }
 
 // JobHealth implements health.Source: assemble the §VII health inputs for
 // every running job.
 func (c *Cluster) JobHealth() []health.JobHealth {
-	var out []health.JobHealth
-	for _, job := range c.Store.RunningNames() {
-		_, cfg, ok := c.runningRecord(job)
+	names := c.Store.RunningNames()
+	out := make([]health.JobHealth, 0, len(names))
+	for _, job := range names {
+		rec, cfg, ok := c.runningRecord(job)
 		if !ok {
 			continue
 		}
@@ -866,16 +861,17 @@ func (c *Cluster) JobHealth() []health.JobHealth {
 			SLOSeconds:   cfg.SLOSeconds,
 			Stopped:      cfg.Stopped,
 		}
-		// Running count from the monitor's last observation — O(1) per
-		// job instead of scanning the Task Manager fleet.
-		if v, ok := c.Metrics.Latest("job/" + job + "/taskCount"); ok {
-			h.RunningTasks = int(v)
-		} else {
-			h.RunningTasks = c.JobRunningTasks(job)
-		}
-		if sig, ok := c.JobSignals(job); ok {
+		c.mu.Lock()
+		sig, tasks := rec.signals, rec.observedTasks
+		c.mu.Unlock()
+		if sig != nil {
+			// Running count from the monitor's last observation — O(1) per
+			// job instead of scanning the Task Manager fleet.
+			h.RunningTasks = tasks
 			h.TimeLagged = sig.TimeLagged(0)
 			h.OOMs = sig.OOMs
+		} else {
+			h.RunningTasks = c.JobRunningTasks(job)
 		}
 		_, h.Quarantined = c.Store.Quarantined(job)
 		out = append(out, h)

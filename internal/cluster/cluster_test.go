@@ -262,10 +262,10 @@ func TestMetricsRecorded(t *testing.T) {
 	c := newCluster(t, Config{Hosts: 2})
 	c.AddJob(JobSpec{Config: tailerJob("j1", 2, 8), Pattern: workload.Constant(2 * mb)})
 	c.Run(10 * time.Minute)
-	if _, ok := c.Metrics.Latest("cluster/taskCount"); !ok {
+	if c.Metrics.WindowAgg("cluster/taskCount", 10*time.Minute).Count == 0 {
 		t.Fatal("cluster/taskCount not recorded")
 	}
-	if _, ok := c.Metrics.Latest("job/j1/backlog"); !ok {
+	if c.Metrics.WindowAgg("job/j1/backlog", 10*time.Minute).Count == 0 {
 		t.Fatal("job backlog not recorded")
 	}
 	if n := c.Metrics.Len("job/j1/taskCount"); n < 8 {

@@ -306,3 +306,64 @@ func TestRemovedJobIsForgotten(t *testing.T) {
 		t.Fatalf("second incarnation has %d input-rate points after 3 minutes", n)
 	}
 }
+
+// TestRecreatedJobReadsNoStaleHandle: the Pattern Analyzer keeps a handle
+// to each job's input-rate series, and a job removed and created again
+// under its name gets a new series. Whoever holds the old handle — the
+// cluster's scaler, which is told to Forget, or a scaler or analyzer built
+// beside the cluster, which is told nothing — must size the second
+// incarnation from its own points: a recent peak that still saw the
+// first's 12 MB/s would keep a 1 MB/s job at four tasks.
+func TestRecreatedJobReadsNoStaleHandle(t *testing.T) {
+	opts := autoscaler.Options{DownscaleAfter: 20 * time.Minute, DownscalePeakWindow: 3 * time.Hour}
+	for _, external := range []bool{false, true} {
+		c := newCluster(t, Config{Hosts: 2, EnableScaler: !external, Scaler: opts})
+		if external {
+			sc := autoscaler.New(c.Jobs, c, c.Metrics, c.Clk, c, nil, opts)
+			c.Clk.TickEvery(time.Minute, func() { sc.Scan() })
+		}
+		probe := autoscaler.NewPatternAnalyzer(c.Metrics, c.Clk)
+		add := func(rate float64) {
+			t.Helper()
+			if err := c.AddJob(JobSpec{Config: tailerJob("j", 8, 16), Pattern: workload.Constant(rate)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		taskCount := func() int {
+			t.Helper()
+			_, cfg, ok := c.runningRecord("j")
+			if !ok {
+				t.Fatal("j has no running configuration")
+			}
+			return cfg.TaskCount
+		}
+
+		add(12 * mb)
+		c.Run(40 * time.Minute)
+		if peak, ok := probe.RecentPeak("j", opts.DownscalePeakWindow); !ok || peak < 10*mb {
+			t.Fatalf("external %v, first incarnation: recent peak %v, %v; the scenario needs its 12 MB/s on record", external, peak, ok)
+		}
+		if n := taskCount(); n != 4 {
+			t.Fatalf("external %v, first incarnation: %d tasks configured after 40 minutes at 12 MB/s, want the downscale to 4", external, n)
+		}
+		if err := c.RemoveJob("j"); err != nil {
+			t.Fatal(err)
+		}
+		c.Run(5 * time.Minute)
+		if got := c.TotalRunningTasks(); got != 0 {
+			t.Fatalf("external %v: %d tasks still run after the removal", external, got)
+		}
+
+		add(mb)
+		c.Run(40 * time.Minute)
+		if peak, ok := probe.RecentPeak("j", opts.DownscalePeakWindow); !ok || peak > 1.5*mb {
+			t.Fatalf("external %v, second incarnation at 1 MB/s: recent peak %v, %v through the handle the first one left", external, peak, ok)
+		}
+		if n := taskCount(); n != 1 {
+			t.Fatalf("external %v, second incarnation: %d tasks configured after 40 minutes at 1 MB/s, want the downscale to 1", external, n)
+		}
+		if c.Violations() != 0 {
+			t.Fatalf("external %v: %d lease violations", external, c.Violations())
+		}
+	}
+}

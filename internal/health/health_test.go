@@ -40,7 +40,7 @@ func TestHealthyFleetSnapshot(t *testing.T) {
 	if len(r.ActiveAlerts()) != 0 {
 		t.Fatalf("alerts on a healthy fleet: %+v", r.ActiveAlerts())
 	}
-	if _, ok := store.Latest("health/pctNotRunning"); !ok {
+	if store.WindowAgg("health/pctNotRunning", time.Hour).Count == 0 {
 		t.Fatal("series not recorded")
 	}
 }

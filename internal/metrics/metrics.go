@@ -1,35 +1,43 @@
 // Package metrics is a small in-process time-series store standing in for
 // Facebook's metric collection system (ODS) in the Turbine reproduction.
 //
-// Turbine's control loops are metric-driven: Task Managers report per-task
+// Turbine's control loops are metric-driven: Task Managers report per-shard
 // resource usage, the load aggregator turns those into shard loads, and the
 // Auto Scaler's Pattern Analyzer consults 14 days of per-minute workload
 // history before approving a scaling plan. At fleet scale that is tens of
 // thousands of writers appending every minute while the scaler reads, so
 // the store is built for that shape:
 //
-//   - Series are spread over lock-striped buckets keyed by a hash of the
-//     series name, so concurrent Record calls on different series never
-//     contend on one global mutex. Each stripe's RWMutex guards only the
-//     name→series map; the points themselves sit behind a per-series
-//     mutex, making the write path a single uncontended lock in the
-//     common case.
-//   - Each series is a power-of-two ring of (unix-nanos, value) pairs.
-//     Retention trims by advancing the head index — an integer compare
-//     per append, amortized O(1) — and the slot an expired point vacates
-//     is reused in place by the advancing ring, so there is no compaction
-//     pass, ever: once the ring has grown to cover the retention window,
-//     appends never copy and never allocate.
+//   - There is one storage shape, the Row: a power-of-two ring of
+//     [at, v0 … vk-1] rows behind one mutex. A writer that reports several
+//     values at once — a job's input rate, backlog and task counts; a
+//     shard's cpu, mem, disk and net — registers them as the columns of
+//     one Row and appends them together: one lock, one timestamp, one
+//     stretch of memory written. A plain Series is a one-column Row.
+//   - Every column has a name of its own. Names are spread over
+//     lock-striped maps keyed by a hash of the name, so lookups and
+//     creations of different names do not contend on one global mutex.
+//   - Retention trims by advancing the ring's head index — an integer
+//     compare per append, amortized O(1) — and the slot an expired row
+//     vacates is reused in place by the advancing ring, so there is no
+//     compaction pass, ever: once the ring has grown to cover the
+//     retention window, appends never copy and never allocate.
 //   - Reads are allocation-free folds (RangeFold, RangeAgg, WindowAgg)
-//     that visit points in place under the series lock.
+//     that visit one column in place under the row's lock. The bounds of
+//     a time range are searched from the newest row back, so the trailing
+//     windows the control loops mostly read touch only the rows just
+//     written.
 //
-// Hot writers (the Task Manager fleet, the cluster job monitor) can
-// resolve a series once with Handle and append through it, skipping the
-// per-call name lookup entirely.
+// Hot writers and readers resolve a Row or Series once and go through the
+// handle, skipping the per-call name lookup. A handle cannot serve stale
+// data: Delete detaches the series, and a read through a detached handle
+// resolves its name again.
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -45,16 +53,6 @@ type Point struct {
 	Value float64
 }
 
-// point is the internal representation: timestamps are canonical UTC
-// unix-nanoseconds, so ordering and retention checks are integer
-// compares and a point is 16 bytes instead of 32.
-type point struct {
-	at int64
-	v  float64
-}
-
-func (p point) toPoint() Point { return Point{At: time.Unix(0, p.at).UTC(), Value: p.v} }
-
 // numStripes is the lock-stripe fan-out. Power of two so the stripe index
 // is a mask. 64 stripes keep the collision probability negligible for the
 // few hundred goroutines a simulated fleet runs.
@@ -63,12 +61,15 @@ const numStripes = 64
 // Store holds named time series with a shared retention horizon.
 // It is safe for concurrent use.
 type Store struct {
-	clock     simclock.Clock
-	retention time.Duration
-	retNanos  int64
-	dropped   atomic.Uint64
+	clock    simclock.Clock
+	retNanos int64 // 0 keeps everything
+	dropped  atomic.Uint64
 
-	stripes [numStripes]seriesStripe
+	// createMu serialises registrations, so that a Row's names are
+	// checked and inserted as one step; lookups take only a stripe's read
+	// lock.
+	createMu sync.Mutex
+	stripes  [numStripes]seriesStripe
 }
 
 type seriesStripe struct {
@@ -76,26 +77,39 @@ type seriesStripe struct {
 	series map[string]*Series
 }
 
-// Series is a handle to one named series. Hot writers obtain it once via
-// Store.Handle and append through it, skipping the name lookup that
-// Record pays on every call. A handle stays valid forever; if the series
-// is Deleted from the store, writes through an old handle land in the
-// detached series and are no longer visible to name-based reads.
-type Series struct {
-	store    *Store
-	retNanos int64
+// Row is a handle to several series recorded together: the columns of one
+// ring of [at, v0 … vk-1] rows. Writers that report k values per interval
+// obtain it once via Store.Row and append all k with one RecordAt.
+type Row struct {
+	store *Store
+	cols  []Series // fixed at registration; a row is len(cols)+1 words
 
 	mu   sync.Mutex
-	buf  []point // power-of-two ring; live point i is buf[(head+i)&(len(buf)-1)]
-	head int     // ring index of the oldest live point
-	n    int     // live point count, ascending by at
+	buf  []uint64 // (mask+1) rows of [at, values...]; values as IEEE 754 bits
+	mask int      // ring capacity in rows, minus one; -1 before the first append
+	head int      // ring index of the oldest live row
+	n    int      // live row count, ascending by at
+}
+
+// Series is a handle to one named series: one column of a Row (its only
+// column, unless it was registered through Store.Row). A handle stays
+// usable forever. Once the series is Deleted from the store, writes
+// through an old handle land in the detached ring, invisible to every
+// reader, and reads through it resolve the name again — they see whatever
+// series holds the name now, never the deleted one's points. A nil *Series
+// reads as a series without points.
+type Series struct {
+	row      *Row
+	col      int
+	name     string
+	detached atomic.Bool
 }
 
 // NewStore returns a Store that timestamps observations with clock and
 // retains at least retention of history per series. A non-positive
 // retention keeps everything.
 func NewStore(clock simclock.Clock, retention time.Duration) *Store {
-	s := &Store{clock: clock, retention: retention}
+	s := &Store{clock: clock}
 	if retention > 0 {
 		s.retNanos = retention.Nanoseconds()
 	}
@@ -110,9 +124,9 @@ func (s *Store) stripeFor(name string) *seriesStripe {
 	return &s.stripes[stripe.Hash(name)&(numStripes-1)]
 }
 
-// lookup returns the named series or nil, touching only the stripe's
-// read lock.
-func (s *Store) lookup(name string) *Series {
+// Lookup returns the named series, or nil if there is none: the handle a
+// reader holds to skip the name lookup on later reads.
+func (s *Store) Lookup(name string) *Series {
 	st := s.stripeFor(name)
 	st.mu.RLock()
 	sr := st.series[name]
@@ -122,25 +136,76 @@ func (s *Store) lookup(name string) *Series {
 
 // Handle returns the named series, creating it if needed.
 func (s *Store) Handle(name string) *Series {
-	st := s.stripeFor(name)
-	st.mu.RLock()
-	sr := st.series[name]
-	st.mu.RUnlock()
-	if sr != nil {
+	if sr := s.Lookup(name); sr != nil {
 		return sr
 	}
-	st.mu.Lock()
-	if sr = st.series[name]; sr == nil {
-		sr = &Series{store: s, retNanos: s.retNanos}
-		st.series[name] = sr
+	s.createMu.Lock()
+	defer s.createMu.Unlock()
+	if sr := s.Lookup(name); sr != nil {
+		return sr
 	}
-	st.mu.Unlock()
-	return sr
+	return &s.register([]string{name}).cols[0]
+}
+
+// Row returns the row whose columns are the named series, in order,
+// creating it if none of the names is registered. Names that are already
+// registered any other way — as plain series, or as columns of another row
+// — are a programming error: a writer's shape does not change.
+func (s *Store) Row(names ...string) *Row {
+	if len(names) == 0 {
+		panic("metrics: Row needs at least one name")
+	}
+	if r := s.rowOf(names); r != nil {
+		return r
+	}
+	s.createMu.Lock()
+	defer s.createMu.Unlock()
+	if r := s.rowOf(names); r != nil {
+		return r
+	}
+	for i, name := range names {
+		if s.Lookup(name) != nil || slices.Contains(names[:i], name) {
+			panic(fmt.Sprintf("metrics: Row%q: %q is already registered", names, name))
+		}
+	}
+	return s.register(names)
+}
+
+// rowOf returns the registered row whose columns are exactly names, or nil.
+func (s *Store) rowOf(names []string) *Row {
+	first := s.Lookup(names[0])
+	if first == nil || first.col != 0 || len(first.row.cols) != len(names) {
+		return nil
+	}
+	for i := range names {
+		// A deleted column keeps its place in the row but not its name.
+		if c := &first.row.cols[i]; c.name != names[i] || c.detached.Load() {
+			return nil
+		}
+	}
+	return first.row
+}
+
+// register creates the row of the given unregistered names. Caller holds
+// createMu.
+func (s *Store) register(names []string) *Row {
+	r := &Row{store: s, cols: make([]Series, len(names)), mask: -1}
+	for i, name := range names {
+		r.cols[i].row, r.cols[i].col, r.cols[i].name = r, i, name
+	}
+	// Published only once whole: whoever finds one column may read them all.
+	for i, name := range names {
+		st := s.stripeFor(name)
+		st.mu.Lock()
+		st.series[name] = &r.cols[i]
+		st.mu.Unlock()
+	}
+	return r
 }
 
 // Record appends value to the named series at the current clock time.
 func (s *Store) Record(name string, value float64) {
-	s.Handle(name).append(s.clock.Now().UnixNano(), value)
+	s.RecordAt(name, s.clock.Now(), value)
 }
 
 // RecordAt appends value at an explicit timestamp. Out-of-order points
@@ -148,67 +213,81 @@ func (s *Store) Record(name string, value float64) {
 // Turbine's reporters are monotonic, and a deterministic store is worth
 // more than a sorted insert.
 func (s *Store) RecordAt(name string, at time.Time, value float64) {
-	s.Handle(name).append(at.UnixNano(), value)
-}
-
-// Record appends value at the store clock's current time.
-func (sr *Series) Record(value float64) {
-	sr.append(sr.store.clock.Now().UnixNano(), value)
+	s.Handle(name).RecordAt(at, value)
 }
 
 // RecordAt appends value at an explicit timestamp, with the same
-// out-of-order drop rule as Store.RecordAt.
+// out-of-order drop rule as Store.RecordAt. The series must be a row of
+// its own: the columns of a wider Row are appended together, through it.
 func (sr *Series) RecordAt(at time.Time, value float64) {
-	sr.append(at.UnixNano(), value)
+	sr.row.RecordAt(at, value)
 }
 
-func (sr *Series) append(at int64, value float64) {
-	sr.mu.Lock()
-	if sr.n > 0 && at < sr.buf[(sr.head+sr.n-1)&(len(sr.buf)-1)].at {
-		sr.mu.Unlock()
-		sr.store.dropped.Add(1)
+// RecordAt appends one row: a value per column, in the order the names
+// were given to Store.Row, all at one timestamp. A row older than the tail
+// is dropped whole and counted once per value.
+func (r *Row) RecordAt(at time.Time, values ...float64) {
+	if len(values) != len(r.cols) {
+		panic(fmt.Sprintf("metrics: %d values appended to the %d-column row of %q", len(values), len(r.cols), r.cols[0].name))
+	}
+	atN := at.UnixNano()
+	r.mu.Lock()
+	if r.n > 0 && atN < r.at(r.n-1) {
+		r.mu.Unlock()
+		r.store.dropped.Add(uint64(len(values)))
 		return
 	}
-	if sr.retNanos > 0 {
-		// Expire from the head — usually one integer compare. Each point
-		// is examined once on its way out, so trimming stays amortized
-		// O(1) per append, and the vacated slots are reused in place by
-		// the advancing ring: there is no compaction pass to pay, ever.
-		cutoff := at - sr.retNanos
-		for sr.n > 0 && sr.buf[sr.head].at < cutoff {
-			sr.head = (sr.head + 1) & (len(sr.buf) - 1)
-			sr.n--
+	if ret := r.store.retNanos; ret > 0 {
+		// Expire from the head — usually one integer compare. Each row is
+		// examined once on its way out, so trimming stays amortized O(1)
+		// per append, and the vacated slots are reused in place by the
+		// advancing ring: there is no compaction pass to pay, ever.
+		cutoff := atN - ret
+		for r.n > 0 && r.at(0) < cutoff {
+			r.head = (r.head + 1) & r.mask
+			r.n--
 		}
 	}
-	if sr.n == len(sr.buf) {
-		sr.grow()
+	if r.n == r.mask+1 {
+		r.grow()
 	}
-	sr.buf[(sr.head+sr.n)&(len(sr.buf)-1)] = point{at: at, v: value}
-	sr.n++
-	sr.mu.Unlock()
+	slot := r.buf[r.word(r.n):][:len(values)+1]
+	slot[0] = uint64(atN)
+	for i, v := range values {
+		slot[i+1] = math.Float64bits(v)
+	}
+	r.n++
+	r.mu.Unlock()
 }
 
-// grow doubles the ring (8 slots minimum), unwrapping the live points to
-// the front of the new buffer. This is the only copy a series ever
-// performs, and only while its live count is still climbing toward the
-// retention window; at steady state expiry frees a slot for every append
-// and the ring never reallocates.
-func (sr *Series) grow() {
-	newCap := len(sr.buf) * 2
-	if newCap < 8 {
-		newCap = 8
-	}
-	nb := make([]point, newCap)
-	m := copy(nb, sr.buf[sr.head:])
-	copy(nb[m:], sr.buf[:sr.head])
-	sr.buf = nb
-	sr.head = 0
+// grow doubles the ring (8 rows minimum), unwrapping the live rows to the
+// front of the new buffer. This is the only copy a row ever performs, and
+// only while its live count is still climbing toward the retention
+// window; at steady state expiry frees a slot for every append and the
+// ring never reallocates.
+func (r *Row) grow() {
+	stride := len(r.cols) + 1
+	rows := max(2*(r.mask+1), 8)
+	nb := make([]uint64, rows*stride)
+	m := copy(nb, r.buf[r.head*stride:])
+	copy(nb[m:], r.buf[:r.head*stride])
+	r.buf, r.mask, r.head = nb, rows-1, 0
 }
 
-// pt returns the i-th live point, 0 being the oldest. Caller holds sr.mu
-// and guarantees 0 <= i < sr.n.
-func (sr *Series) pt(i int) point {
-	return sr.buf[(sr.head+i)&(len(sr.buf)-1)]
+// word returns the index in buf of the first word — the timestamp — of the
+// i-th row from the head, 0 being the oldest live row and n the slot the
+// next append fills. Caller holds r.mu.
+func (r *Row) word(i int) int {
+	return ((r.head + i) & r.mask) * (len(r.cols) + 1)
+}
+
+// at returns the timestamp of the i-th live row. Caller holds r.mu and
+// guarantees 0 <= i < r.n, as for value.
+func (r *Row) at(i int) int64 { return int64(r.buf[r.word(i)]) }
+
+// value returns column col of the i-th live row.
+func (r *Row) value(i, col int) float64 {
+	return math.Float64frombits(r.buf[r.word(i)+1+col])
 }
 
 // Dropped reports how many points have been silently discarded by the
@@ -217,62 +296,67 @@ func (sr *Series) pt(i int) point {
 // otherwise be invisible.
 func (s *Store) Dropped() uint64 { return s.dropped.Load() }
 
-// Latest returns the most recent value of the named series.
-func (s *Store) Latest(name string) (float64, bool) {
-	sr := s.lookup(name)
-	if sr == nil {
-		return 0, false
+// firstAtOrAfter returns the smallest index i <= limit such that the live
+// rows in [i, limit) all have at >= key. It gallops back from limit before
+// it bisects, so a key near the tail — the start of a trailing window —
+// costs a few probes in the rows just written, and any key O(log n).
+// Caller holds r.mu and guarantees limit <= r.n.
+func (r *Row) firstAtOrAfter(limit int, key int64) int {
+	lo, hi := 0, limit
+	for step := 1; hi > 0; step <<= 1 {
+		probe := max(limit-step, 0)
+		if r.at(probe) < key {
+			lo = probe + 1
+			break
+		}
+		hi = probe
 	}
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	if sr.n == 0 {
-		return 0, false
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.at(mid) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return sr.pt(sr.n - 1).v, true
+	return lo
 }
 
 // bounds returns the half-open logical index range [lo, hi), in [0, n),
-// of live points with fromN <= at <= toN. Caller holds sr.mu.
-func (sr *Series) bounds(fromN, toN int64) (int, int) {
-	// Manual binary searches over logical ring indices: no closure, no
-	// allocation, int compares plus a mask per probe.
-	lo, hi := 0, sr.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sr.pt(mid).at < fromN {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// of live rows with fromN <= at <= toN. Caller holds r.mu.
+func (r *Row) bounds(fromN, toN int64) (int, int) {
+	hi := r.n
+	if toN < math.MaxInt64 {
+		hi = r.firstAtOrAfter(r.n, toN+1)
 	}
-	first := lo
-	lo, hi = first, sr.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sr.pt(mid).at <= toN {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	return r.firstAtOrAfter(hi, fromN), hi
+}
+
+// live returns the series a read through sr must see: sr itself, or, once
+// sr has been Deleted, whatever series holds its name now (nil if none).
+func (sr *Series) live() *Series {
+	for sr != nil && sr.detached.Load() {
+		sr = sr.row.store.Lookup(sr.name)
 	}
-	return first, lo
+	return sr
 }
 
 // RangeFold calls fn for every point with from <= At <= to, in ascending
 // time order, without copying. fn returning false stops the fold early.
 // It returns false if the fold was stopped, true otherwise (including an
-// empty range). fn runs under the series lock: it must be fast and must
+// empty range). fn runs under the row's lock: it must be fast and must
 // not call back into the store.
 func (s *Store) RangeFold(name string, from, to time.Time, fn func(Point) bool) bool {
-	sr := s.lookup(name)
+	sr := s.Lookup(name)
 	if sr == nil {
 		return true
 	}
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	lo, hi := sr.bounds(from.UnixNano(), to.UnixNano())
+	r := sr.row
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	lo, hi := r.bounds(from.UnixNano(), to.UnixNano())
 	for i := lo; i < hi; i++ {
-		if !fn(sr.pt(i).toPoint()) {
+		if !fn(Point{At: time.Unix(0, r.at(i)).UTC(), Value: r.value(i, sr.col)}) {
 			return false
 		}
 	}
@@ -296,19 +380,19 @@ func (a Agg) Mean() float64 {
 }
 
 // RangeAgg folds all points with from <= At <= to into streaming
-// aggregates in one pass under the series lock, allocating nothing. The
+// aggregates in one pass under the row's lock, allocating nothing. The
 // accumulation order is ascending time.
-func (s *Store) RangeAgg(name string, from, to time.Time) Agg {
-	sr := s.lookup(name)
-	if sr == nil {
-		return Agg{}
-	}
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	lo, hi := sr.bounds(from.UnixNano(), to.UnixNano())
+func (sr *Series) RangeAgg(from, to time.Time) Agg {
 	var a Agg
+	if sr = sr.live(); sr == nil {
+		return a
+	}
+	r := sr.row
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	lo, hi := r.bounds(from.UnixNano(), to.UnixNano())
 	for i := lo; i < hi; i++ {
-		v := sr.pt(i).v
+		v := r.value(i, sr.col)
 		if a.Count == 0 {
 			a.Min, a.Max = v, v
 		} else {
@@ -327,6 +411,21 @@ func (s *Store) RangeAgg(name string, from, to time.Time) Agg {
 
 // WindowAgg folds the trailing window (measured back from the current
 // clock time) into streaming aggregates, allocation-free.
+func (sr *Series) WindowAgg(window time.Duration) Agg {
+	if sr == nil {
+		return Agg{}
+	}
+	now := sr.row.store.clock.Now()
+	return sr.RangeAgg(now.Add(-window), now)
+}
+
+// RangeAgg is Series.RangeAgg by name; a missing series folds to the zero
+// Agg.
+func (s *Store) RangeAgg(name string, from, to time.Time) Agg {
+	return s.Lookup(name).RangeAgg(from, to)
+}
+
+// WindowAgg is Series.WindowAgg by name.
 func (s *Store) WindowAgg(name string, window time.Duration) Agg {
 	now := s.clock.Now()
 	return s.RangeAgg(name, now.Add(-window), now)
@@ -340,15 +439,6 @@ func (s *Store) WindowAvg(name string, window time.Duration) (float64, bool) {
 		return 0, false
 	}
 	return a.Mean(), true
-}
-
-// WindowMax returns the maximum over the trailing window.
-func (s *Store) WindowMax(name string, window time.Duration) (float64, bool) {
-	a := s.WindowAgg(name, window)
-	if a.Count == 0 {
-		return 0, false
-	}
-	return a.Max, true
 }
 
 // Names returns all series names, sorted.
@@ -366,25 +456,30 @@ func (s *Store) Names() []string {
 	return out
 }
 
-// Delete removes the named series. Handles obtained before the delete
-// keep writing into the detached series; name-based reads miss.
+// Delete removes the named series and detaches its handles: writes through
+// them are no longer visible to anyone, and reads through them see the
+// name's next holder. Deleting one column of a wider Row leaves the others
+// as they are.
 func (s *Store) Delete(name string) {
 	st := s.stripeFor(name)
 	st.mu.Lock()
-	delete(st.series, name)
+	if sr := st.series[name]; sr != nil {
+		sr.detached.Store(true)
+		delete(st.series, name)
+	}
 	st.mu.Unlock()
 }
 
 // Len reports the number of live (unexpired) points retained in the
 // named series.
 func (s *Store) Len(name string) int {
-	sr := s.lookup(name)
+	sr := s.Lookup(name)
 	if sr == nil {
 		return 0
 	}
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	return sr.n
+	sr.row.mu.Lock()
+	defer sr.row.mu.Unlock()
+	return sr.row.n
 }
 
 // Mean returns the arithmetic mean of vs, or 0 for an empty slice.

@@ -27,9 +27,18 @@ func pointsIn(s *Store, name string, from, to time.Time) []Point {
 	return pts
 }
 
+// latest reads the newest value of the named series.
+func latest(s *Store, name string) (v float64, ok bool) {
+	s.RangeFold(name, time.Unix(0, math.MinInt64), time.Unix(0, math.MaxInt64), func(p Point) bool {
+		v, ok = p.Value, true
+		return true
+	})
+	return v, ok
+}
+
 func TestLatestOnEmptySeries(t *testing.T) {
 	s, _ := newTestStore(0)
-	if _, ok := s.Latest("missing"); ok {
+	if _, ok := latest(s, "missing"); ok {
 		t.Fatal("Latest on missing series reported ok")
 	}
 }
@@ -39,7 +48,7 @@ func TestRecordAndLatest(t *testing.T) {
 	s.Record("cpu", 1.5)
 	clk.RunFor(time.Minute)
 	s.Record("cpu", 2.5)
-	v, ok := s.Latest("cpu")
+	v, ok := latest(s, "cpu")
 	if !ok || v != 2.5 {
 		t.Fatalf("Latest = %v,%v, want 2.5,true", v, ok)
 	}
@@ -56,7 +65,7 @@ func TestOutOfOrderPointsDropped(t *testing.T) {
 	if s.Len("x") != 1 {
 		t.Fatalf("Len = %d, want 1", s.Len("x"))
 	}
-	v, _ := s.Latest("x")
+	v, _ := latest(s, "x")
 	if v != 1 {
 		t.Fatalf("Latest = %v, want 1", v)
 	}
@@ -107,11 +116,8 @@ func TestWindowAggregates(t *testing.T) {
 	if avg != 7 {
 		t.Fatalf("WindowAvg = %v, want 7", avg)
 	}
-	if max, _ := s.WindowMax("x", 5*time.Minute); max != 9 {
-		t.Fatalf("WindowMax = %v, want 9", max)
-	}
-	if a := s.WindowAgg("x", 5*time.Minute); a.Count != 5 || a.Min != 5 || a.Sum != 35 {
-		t.Fatalf("WindowAgg = %+v, want 5 points, min 5, sum 35", a)
+	if a := s.WindowAgg("x", 5*time.Minute); a.Count != 5 || a.Min != 5 || a.Max != 9 || a.Sum != 35 {
+		t.Fatalf("WindowAgg = %+v, want 5 points, min 5, max 9, sum 35", a)
 	}
 }
 
@@ -278,7 +284,7 @@ func TestConcurrentRecordAndRead(t *testing.T) {
 			name := fmt.Sprintf("s%d", g)
 			for i := 0; i < 1000; i++ {
 				s.RecordAt(name, epoch.Add(time.Duration(i)*time.Second), float64(i))
-				s.Latest(name)
+				latest(s, name)
 				pointsIn(s, name, epoch, epoch.Add(time.Hour))
 			}
 			done <- struct{}{}

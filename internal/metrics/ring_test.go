@@ -41,7 +41,7 @@ func TestRingWraparoundEquivalence(t *testing.T) {
 		if n := s.Len("x"); n != len(ref) {
 			t.Fatalf("append %d: Len = %d, want %d", i, n, len(ref))
 		}
-		if v, ok := s.Latest("x"); !ok || v != ref[len(ref)-1].v {
+		if v, ok := latest(s, "x"); !ok || v != ref[len(ref)-1].v {
 			t.Fatalf("append %d: Latest = %v,%v, want %v", i, v, ok, ref[len(ref)-1].v)
 		}
 		// A window straddling the middle of the live range.

@@ -1,0 +1,360 @@
+package metrics
+
+// Row tests: a Row is the store's one storage shape, so what is pinned here
+// is that recording k values together is indistinguishable, to every
+// reader, from recording them into k series of their own; that the
+// tail-first bounds search finds what two plain binary searches find; and
+// that a row is appended whole or not at all under concurrent reads.
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+)
+
+// TestRowMatchesIndependentSeries feeds one store a k-column row and
+// another k one-column series the same values, through random appends
+// (in order, out of order, and far enough ahead to expire everything),
+// per-name deletes, by-name re-creations of a deleted column, and
+// whole-row re-registrations, and demands that every read agrees to the
+// bit after every step.
+func TestRowMatchesIndependentSeries(t *testing.T) {
+	const retention = 40 * time.Minute
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := 1 + rng.Intn(5)
+		names := make([]string, k)
+		for i := range names {
+			names[i] = fmt.Sprintf("job/j/c%d", i)
+		}
+		rows, clkR := newTestStore(retention)
+		cols, clkC := newTestStore(retention)
+		row := rows.Row(names...)
+		handles := make([]*Series, k)
+		for i, name := range names {
+			handles[i] = cols.Handle(name)
+		}
+		// deleted[i]: the name no longer belongs to the row (or to the
+		// handle): by-name appends are legal, and create a series of its own.
+		deleted := make([]bool, k)
+
+		at := epoch
+		values := make([]float64, k)
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(20); {
+			case op < 12: // the next minute's row
+				at = at.Add(time.Duration(1+rng.Intn(90)) * time.Second)
+			case op < 14: // out of order: dropped, k values at a time
+				at = at.Add(-time.Duration(1+rng.Intn(300)) * time.Second)
+			case op == 14: // a gap longer than the retention: everything expires
+				at = at.Add(retention + time.Duration(rng.Intn(600))*time.Second)
+			case op == 15:
+				i := rng.Intn(k)
+				rows.Delete(names[i])
+				cols.Delete(names[i])
+				deleted[i] = true
+				continue
+			case op < 18: // a deleted name re-created by a by-name append
+				i := rng.Intn(k)
+				if !deleted[i] {
+					continue
+				}
+				v := rng.NormFloat64() * 1e6
+				rows.RecordAt(names[i], at, v)
+				cols.RecordAt(names[i], at, v)
+				continue
+			default: // the job is removed and comes back under its name
+				if rng.Intn(3) > 0 {
+					continue
+				}
+				for i, name := range names {
+					rows.Delete(name)
+					cols.Delete(name)
+					deleted[i] = false
+				}
+				row = rows.Row(names...)
+				for i, name := range names {
+					handles[i] = cols.Handle(name)
+				}
+				continue
+			}
+			for i := range values {
+				values[i] = rng.NormFloat64() * 1e6
+			}
+			row.RecordAt(at, values...)
+			for i, h := range handles {
+				h.RecordAt(at, values[i])
+			}
+			if now := clkR.Now(); at.After(now) {
+				clkR.RunFor(at.Sub(now))
+				clkC.RunFor(at.Sub(now))
+			}
+
+			if got, want := rows.Dropped(), cols.Dropped(); got != want {
+				t.Fatalf("seed %d step %d: Dropped %d, independent series %d", seed, step, got, want)
+			}
+			if got, want := rows.Names(), cols.Names(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: Names %v, independent series %v", seed, step, got, want)
+			}
+			from := at.Add(-time.Duration(rng.Intn(3600)) * time.Second)
+			to := from.Add(time.Duration(rng.Intn(3600)) * time.Second)
+			window := time.Duration(rng.Intn(3600)) * time.Second
+			for _, name := range names {
+				if got, want := rows.Len(name), cols.Len(name); got != want {
+					t.Fatalf("seed %d step %d: Len(%s) %d, independent series %d", seed, step, name, got, want)
+				}
+				if got, want := rows.RangeAgg(name, from, to), cols.RangeAgg(name, from, to); !sameAgg(got, want) {
+					t.Fatalf("seed %d step %d: RangeAgg(%s) %+v, independent series %+v", seed, step, name, got, want)
+				}
+				if got, want := rows.WindowAgg(name, window), cols.WindowAgg(name, window); !sameAgg(got, want) {
+					t.Fatalf("seed %d step %d: WindowAgg(%s) %+v, independent series %+v", seed, step, name, got, want)
+				}
+				got, want := pointsIn(rows, name, from, to), pointsIn(cols, name, from, to)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d step %d: RangeFold(%s) saw %d points, independent series %d", seed, step, name, len(got), len(want))
+				}
+				for j := range got {
+					if !got[j].At.Equal(want[j].At) || math.Float64bits(got[j].Value) != math.Float64bits(want[j].Value) {
+						t.Fatalf("seed %d step %d: RangeFold(%s) point %d = %+v, independent series %+v", seed, step, name, j, got[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+func sameAgg(a, b Agg) bool {
+	return a.Count == b.Count &&
+		math.Float64bits(a.Sum) == math.Float64bits(b.Sum) &&
+		math.Float64bits(a.Min) == math.Float64bits(b.Min) &&
+		math.Float64bits(a.Max) == math.Float64bits(b.Max)
+}
+
+// plainBounds is the pair of whole-ring binary searches that Row.bounds
+// replaced, kept as its reference.
+func plainBounds(r *Row, fromN, toN int64) (int, int) {
+	lo, hi := 0, r.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.at(mid) < fromN {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	first := lo
+	lo, hi = first, r.n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.at(mid) <= toN {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return first, lo
+}
+
+// TestGallopingBoundsMatchPlainBinarySearch: over random rings — empty,
+// unwrapped, wrapped by retention, with runs of equal timestamps — and
+// random ranges, including empty and inverted ones and ranges wholly
+// before or after the data, the tail-first search selects exactly the rows
+// the two plain binary searches select.
+func TestGallopingBoundsMatchPlainBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	wrapped := 0
+	for ring := 0; ring < 300; ring++ {
+		retention := time.Duration(0)
+		if ring%2 == 1 {
+			retention = time.Duration(1+rng.Intn(200)) * time.Second
+		}
+		s, _ := newTestStore(retention)
+		r := s.Row("a", "b")
+		at := epoch
+		for i, n := 0, rng.Intn(400); i < n; i++ {
+			at = at.Add(time.Duration(rng.Intn(4)) * time.Second) // 0: an equal timestamp
+			r.RecordAt(at, float64(i), -float64(i))
+		}
+		if r.head != 0 {
+			wrapped++
+		}
+		// Whole seconds, like the rows: a bound often is a row's timestamp.
+		span := int64(at.Sub(epoch)/time.Second) + 20
+		for q := 0; q < 200; q++ {
+			from := epoch.Add(time.Duration(rng.Int63n(span)-10) * time.Second).UnixNano()
+			to := epoch.Add(time.Duration(rng.Int63n(span)-10) * time.Second).UnixNano()
+			switch q % 10 {
+			case 0:
+				to = from // a single instant
+			case 1:
+				from, to = math.MinInt64, math.MaxInt64
+			case 2:
+				to = math.MaxInt64
+			case 3:
+				from, to = at.UnixNano()+1, at.UnixNano()+int64(time.Hour) // wholly after
+			case 4:
+				from, to = epoch.UnixNano()-int64(time.Hour), epoch.UnixNano()-1 // wholly before
+			}
+			r.mu.Lock()
+			lo, hi := r.bounds(from, to)
+			wantLo, wantHi := plainBounds(r, from, to)
+			r.mu.Unlock()
+			if lo > hi || hi > r.n {
+				t.Fatalf("ring %d (n %d, head %d): bounds(%d, %d) = [%d, %d)", ring, r.n, r.head, from, to, lo, hi)
+			}
+			// An empty selection has no one spelling: an inverted range is
+			// empty at its start for one search and at its end for the other.
+			if empty, wantEmpty := lo == hi, wantLo == wantHi; empty != wantEmpty || !empty && (lo != wantLo || hi != wantHi) {
+				t.Fatalf("ring %d (n %d, head %d): bounds(%d, %d) = [%d, %d), plain binary searches [%d, %d)",
+					ring, r.n, r.head, from, to, lo, hi, wantLo, wantHi)
+			}
+		}
+	}
+	if wrapped < 50 {
+		t.Fatalf("only %d of 300 rings wrapped: the masked index was hardly exercised", wrapped)
+	}
+}
+
+// TestRowAppendsWholeUnderConcurrentReads: readers folding the columns of
+// a row, by name and through handles, while it is appended to must see
+// every row whole — a column's aggregate over all time is that of the
+// first Count rows, never a row's timestamp without its value. Run under
+// -race this also covers the row lock against the stripe locks.
+func TestRowAppendsWholeUnderConcurrentReads(t *testing.T) {
+	s, _ := newTestStore(0)
+	names := []string{"shard/cpu", "shard/mem", "shard/disk", "shard/net"}
+	row := s.Row(names...)
+	const rows = 4000
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rows; i++ {
+			v := float64(i)
+			row.RecordAt(epoch.Add(time.Duration(i)*time.Second), v, 2*v, 3*v, 4*v)
+		}
+	}()
+	from, to := epoch, epoch.Add(rows*time.Second)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(col int) {
+			defer wg.Done()
+			h := s.Handle(names[col]) // a column's handle, for reading
+			for done := false; !done; {
+				a := h.RangeAgg(from, to)
+				if col%2 == 1 {
+					a = s.RangeAgg(names[col], from, to)
+				}
+				m := float64(a.Count)
+				if want := float64(col+1) * m * (m - 1) / 2; a.Sum != want {
+					t.Errorf("column %d: %d rows sum to %v, want %v", col, a.Count, a.Sum, want)
+					return
+				}
+				done = a.Count == rows
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestRowRegistration: Row is idempotent for the same names in the same
+// order, and a name registered any other way is refused loudly — a second
+// writer silently sharing, or replacing, a series is how points end up
+// under the wrong name.
+func TestRowRegistration(t *testing.T) {
+	s, _ := newTestStore(0)
+	r := s.Row("a", "b", "c")
+	if s.Row("a", "b", "c") != r {
+		t.Fatal("Row returned a different row for the same names")
+	}
+	if got := s.Names(); !slices.Equal(got, []string{"a", "b", "c"}) {
+		t.Fatalf("Names = %v", got)
+	}
+	r.RecordAt(epoch, 1, 2, 3)
+	if a := s.Handle("b").RangeAgg(epoch, epoch); a.Count != 1 || a.Sum != 2 {
+		t.Fatalf("column b through its handle: %+v", a)
+	}
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	mustPanic("a row over another row's column", func() { s.Row("c", "d") })
+	mustPanic("the same names in another order", func() { s.Row("b", "a", "c") })
+	mustPanic("a row naming a column twice", func() { s.Row("x", "x") })
+	mustPanic("two values for three columns", func() { r.RecordAt(epoch, 1, 2) })
+	mustPanic("one column of a row appended alone", func() { s.RecordAt("a", epoch, 1) })
+	s.Handle("plain")
+	mustPanic("a row over a plain series", func() { s.Row("plain", "other") })
+	if got := s.Names(); !slices.Equal(got, []string{"a", "b", "c", "plain"}) {
+		t.Fatalf("a refused registration left names behind: %v", got)
+	}
+}
+
+// TestDetachedHandleReadsResolveByName: a reader that keeps a handle across
+// the series' deletion is served the name's next holder, or nothing, but
+// never the deleted series' points.
+func TestDetachedHandleReadsResolveByName(t *testing.T) {
+	s, clk := newTestStore(0)
+	old := s.Row("in", "out")
+	old.RecordAt(epoch, 100, 200)
+	h := s.Lookup("in")
+	if a := h.RangeAgg(epoch, epoch); a.Count != 1 || a.Max != 100 {
+		t.Fatalf("before the delete: %+v", a)
+	}
+	s.Delete("in")
+	s.Delete("out")
+	old.RecordAt(epoch.Add(time.Second), 101, 201) // the writer has not heard yet
+	if a := h.RangeAgg(epoch, epoch.Add(time.Hour)); a.Count != 0 {
+		t.Fatalf("a deleted series still reads %+v through its handle", a)
+	}
+	if s.Lookup("in") != nil {
+		t.Fatal("Lookup finds a deleted name")
+	}
+	clk.RunFor(time.Minute)
+	s.Row("in", "out").RecordAt(clk.Now(), 7, 8)
+	if a := h.RangeAgg(epoch, clk.Now()); a.Count != 1 || a.Max != 7 {
+		t.Fatalf("the stale handle reads %+v, want the new series' single point 7", a)
+	}
+	if a := h.WindowAgg(time.Hour); a.Count != 1 || a.Max != 7 {
+		t.Fatalf("the stale handle's window reads %+v, want the new series' single point 7", a)
+	}
+	var none *Series
+	if a := none.WindowAgg(time.Hour); a.Count != 0 {
+		t.Fatalf("a nil handle reads %+v", a)
+	}
+}
+
+// TestRowConcurrentRegistration: writers racing to register the same names
+// all get the one row, whole.
+func TestRowConcurrentRegistration(t *testing.T) {
+	s, _ := newTestStore(0)
+	names := []string{"a", "b", "c", "d"}
+	got := make([]*Row, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = s.Row(names...)
+			got[g].RecordAt(epoch, 1, 2, 3, 4)
+		}(g)
+	}
+	wg.Wait()
+	for g, r := range got {
+		if r != got[0] {
+			t.Fatalf("goroutine %d registered a row of its own", g)
+		}
+	}
+	if n := s.Len("d"); n != len(got) {
+		t.Fatalf("%d rows recorded, want %d", n, len(got))
+	}
+}

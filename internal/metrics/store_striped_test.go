@@ -29,7 +29,7 @@ func TestConcurrentOverlappingSeries(t *testing.T) {
 				at := epoch.Add(time.Duration(i) * time.Second)
 				s.RecordAt(name, at, float64(i))
 				h.RecordAt(at, float64(i))
-				s.Latest(name)
+				latest(s, name)
 				pointsIn(s, name, epoch, epoch.Add(time.Hour))
 				s.WindowAvg(name, time.Minute)
 				s.RangeFold(name, epoch, epoch.Add(time.Hour), func(Point) bool { return true })
@@ -85,7 +85,7 @@ func TestRetentionAllExpired(t *testing.T) {
 	if n := s.Len("x"); n != 1 {
 		t.Fatalf("Len = %d, want 1 after full expiry", n)
 	}
-	if v, ok := s.Latest("x"); !ok || v != 999 {
+	if v, ok := latest(s, "x"); !ok || v != 999 {
 		t.Fatalf("Latest = %v,%v, want 999,true", v, ok)
 	}
 	pts := pointsIn(s, "x", epoch, epoch.Add(8*24*time.Hour))
@@ -101,7 +101,7 @@ func TestRetentionSinglePoint(t *testing.T) {
 	if n := s.Len("x"); n != 1 {
 		t.Fatalf("Len = %d, want 1", n)
 	}
-	if v, ok := s.Latest("x"); !ok || v != 42 {
+	if v, ok := latest(s, "x"); !ok || v != 42 {
 		t.Fatalf("Latest = %v,%v, want 42,true", v, ok)
 	}
 }
@@ -237,14 +237,14 @@ func TestRangeFoldEarlyExit(t *testing.T) {
 func TestHandleSurvivesAndDelete(t *testing.T) {
 	s, _ := newTestStore(0)
 	h := s.Handle("x")
-	h.Record(1)
+	h.RecordAt(epoch, 1)
 	if h2 := s.Handle("x"); h2 != h {
 		t.Fatal("Handle returned a different series for the same name")
 	}
 	s.Delete("x")
 	// An orphaned handle keeps working but its writes are invisible to the
 	// store (a fresh series owns the name now).
-	h.Record(2)
+	h.RecordAt(epoch, 2)
 	if n := s.Len("x"); n != 0 {
 		t.Fatalf("store sees %d points after Delete, want 0", n)
 	}

@@ -125,16 +125,18 @@ func (b *Bus) AppendEven(name string, totalBytes, totalMessages int64) error {
 		return fmt.Errorf("scribe: unknown category %q", name)
 	}
 	n := int64(len(c.partitions))
+	bytes, extraB := totalBytes/n, totalBytes%n
+	messages, extraM := totalMessages/n, totalMessages%n
 	for i := range c.partitions {
-		extraB, extraM := int64(0), int64(0)
-		if int64(i) < totalBytes%n {
-			extraB = 1
+		p := &c.partitions[i]
+		p.bytes += bytes
+		p.messages += messages
+		if int64(i) < extraB {
+			p.bytes++
 		}
-		if int64(i) < totalMessages%n {
-			extraM = 1
+		if int64(i) < extraM {
+			p.messages++
 		}
-		c.partitions[i].bytes += totalBytes/n + extraB
-		c.partitions[i].messages += totalMessages/n + extraM
 	}
 	return nil
 }

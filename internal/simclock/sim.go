@@ -13,20 +13,22 @@ import (
 // registration, but Run/RunFor/Step must not be called concurrently with
 // each other.
 type Sim struct {
-	mu   sync.Mutex
-	now  time.Time
-	seq  uint64
-	pq   eventQueue
-	runs bool
+	mu    sync.Mutex
+	start time.Time // what event keys count from
+	now   time.Time
+	seq   uint64
+	pq    eventQueue
+	runs  bool
 }
 
 // NewSim returns a Sim whose current time is start.
 func NewSim(start time.Time) *Sim {
-	return &Sim{now: start}
+	return &Sim{start: start, now: start}
 }
 
 type event struct {
 	at     time.Time
+	key    int64  // at as nanoseconds since the Sim's start: what the queue orders by
 	seq    uint64 // FIFO tie-break for equal timestamps
 	fn     func()
 	period time.Duration // > 0 for tickers
@@ -38,8 +40,8 @@ type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
 func (q eventQueue) Less(i, j int) bool {
-	if !q[i].at.Equal(q[j].at) {
-		return q[i].at.Before(q[j].at)
+	if q[i].key != q[j].key {
+		return q[i].key < q[j].key
 	}
 	return q[i].seq < q[j].seq
 }
@@ -93,7 +95,7 @@ func (s *Sim) TickEvery(d time.Duration, f func()) Ticker {
 }
 
 func (s *Sim) scheduleLocked(at time.Time, f func(), period time.Duration) *event {
-	ev := &event{at: at, seq: s.seq, fn: f, period: period}
+	ev := &event{at: at, key: int64(at.Sub(s.start)), seq: s.seq, fn: f, period: period}
 	s.seq++
 	heap.Push(&s.pq, ev)
 	return ev
@@ -145,8 +147,10 @@ func (s *Sim) Step() bool {
 	return true
 }
 
-// popRunnableLocked removes and returns the earliest non-halted event. If
-// bounded, events after limit are left in place and nil is returned.
+// popRunnableLocked returns the earliest non-halted event. A one-shot
+// event is removed from the queue; a periodic one stays at the root, for
+// rescheduleLocked to move. If bounded, events after limit are left in
+// place and nil is returned.
 func (s *Sim) popRunnableLocked(limit time.Time, bounded bool) *event {
 	for s.pq.Len() > 0 {
 		ev := s.pq[0]
@@ -157,20 +161,26 @@ func (s *Sim) popRunnableLocked(limit time.Time, bounded bool) *event {
 		if bounded && ev.at.After(limit) {
 			return nil
 		}
-		heap.Pop(&s.pq)
+		if ev.period == 0 {
+			heap.Pop(&s.pq)
+		}
 		return ev
 	}
 	return nil
 }
 
-// rescheduleLocked re-enqueues a just-popped periodic event. The same
-// *event is reused so ticker handles can still cancel it.
+// rescheduleLocked gives the periodic event popRunnableLocked just
+// returned its next time and a fresh seq — where a new registration made
+// now would stand among equal timestamps — and sifts it down from the
+// root in place. The same *event is reused so ticker handles can still
+// cancel it.
 func (s *Sim) rescheduleLocked(ev *event) {
-	if ev.period > 0 && !ev.halted {
+	if ev.period > 0 {
 		ev.at = ev.at.Add(ev.period)
+		ev.key += int64(ev.period)
 		ev.seq = s.seq
 		s.seq++
-		heap.Push(&s.pq, ev)
+		heap.Fix(&s.pq, ev.index)
 	}
 }
 

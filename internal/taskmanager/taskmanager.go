@@ -241,16 +241,17 @@ type Manager struct {
 	ooms        map[string]int // job -> OOM kills since the last DrainOOMs
 	tickers     []simclock.Ticker
 
-	// loadSeries caches per-shard metric series handles (and their names
-	// for window reads) so the per-tick load sampling allocates nothing
-	// after the first sample of a shard.
+	// loadSeries caches per-shard metric rows (and their column names for
+	// window reads) so the per-tick load sampling allocates nothing after
+	// the first sample of a shard.
 	loadSeries map[shardmanager.ShardID]*shardLoadSeries
 }
 
-// shardLoadSeries holds one owned shard's load series: handles for the
-// per-tick appends and names for the windowed reads.
+// shardLoadSeries holds one owned shard's load series: the row of
+// cpu | mem | disk | net the per-tick sample is appended to, and the
+// columns' names for the windowed reads.
 type shardLoadSeries struct {
-	cpu, mem, disk, net     *metrics.Series
+	row                     *metrics.Row
 	cpuN, memN, diskN, netN string
 }
 
@@ -774,6 +775,7 @@ func (m *Manager) Advance(dt time.Duration) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	now := m.clock.Now() // one reading stamps every shard's sample
 	for s, sh := range m.shards {
 		var u config.Resources
 		for i, t := range sh.tasks {
@@ -791,11 +793,8 @@ func (m *Manager) Advance(dt time.Duration) {
 			}
 		}
 		if m.opts.Metrics != nil {
-			ls := m.shardSeriesLocked(s)
-			ls.cpu.Record(u.CPUCores)
-			ls.mem.Record(float64(u.MemoryBytes))
-			ls.disk.Record(float64(u.DiskBytes))
-			ls.net.Record(float64(u.NetworkBps))
+			m.shardSeriesLocked(s).row.RecordAt(now,
+				u.CPUCores, float64(u.MemoryBytes), float64(u.DiskBytes), float64(u.NetworkBps))
 		}
 	}
 }
@@ -822,10 +821,7 @@ func (m *Manager) shardSeriesLocked(s shardmanager.ShardID) *shardLoadSeries {
 		diskN: prefix + "disk",
 		netN:  prefix + "net",
 	}
-	ls.cpu = m.opts.Metrics.Handle(ls.cpuN)
-	ls.mem = m.opts.Metrics.Handle(ls.memN)
-	ls.disk = m.opts.Metrics.Handle(ls.diskN)
-	ls.net = m.opts.Metrics.Handle(ls.netN)
+	ls.row = m.opts.Metrics.Row(ls.cpuN, ls.memN, ls.diskN, ls.netN)
 	m.loadSeries[s] = ls
 	return ls
 }
