@@ -1,6 +1,7 @@
 package autoscaler
 
 import (
+	"math"
 	"sync"
 	"time"
 
@@ -42,8 +43,10 @@ const (
 // the expensive aggregates — the historical peak ahead of this time of day,
 // and the same-window historical average — are cached per (job,
 // time-of-day bucket): past days are immutable, so within one bucket
-// repeated decisions reuse the first consultation. The analyzer is
-// safe for concurrent use by parallel scan workers.
+// repeated decisions reuse the first consultation. The recent peak every
+// downscale is sized from is kept incrementally (see RecentPeak). The
+// analyzer is safe for concurrent use: a scan consults it while the job
+// table's owner may Forget a job.
 type PatternAnalyzer struct {
 	store *metrics.Store
 	clock simclock.Clock
@@ -53,17 +56,25 @@ type PatternAnalyzer struct {
 	// consultation: cached peaks are not keyed by it.
 	HorizonHours float64
 
-	mu     sync.Mutex
-	inputs map[string]*metrics.Series // job -> its input-rate series
-	peaks  map[string]peakEntry
-	hists  map[string]histEntry
-	hits   uint64
+	mu   sync.Mutex
+	jobs map[string]*jobPattern
+	hits uint64
+}
+
+// jobPattern is what the analyzer keeps per job, all of it forgotten
+// together.
+type jobPattern struct {
+	input  *metrics.Series // the input-rate series; nil until it exists
+	peak   peakEntry
+	hist   histEntry
+	recent recentPeak
 }
 
 // peakEntry caches the historical peak input rate over the next
 // HorizonHours at this time-of-day bucket, across all recorded past days.
 // hasData is false when no past day had points in the horizon.
 type peakEntry struct {
+	cached  bool
 	bucket  int64 // unix nanos of the bucket start the entry was computed in
 	peak    float64
 	hasData bool
@@ -72,6 +83,7 @@ type peakEntry struct {
 // histEntry caches the historical same-time-of-day 30-minute window
 // aggregate the outlier check compares current traffic against.
 type histEntry struct {
+	cached bool
 	bucket int64
 	sum    float64
 	count  int
@@ -83,26 +95,25 @@ func NewPatternAnalyzer(store *metrics.Store, clock simclock.Clock) *PatternAnal
 		store:        store,
 		clock:        clock,
 		HorizonHours: 2,
-		inputs:       make(map[string]*metrics.Series),
-		peaks:        make(map[string]peakEntry),
-		hists:        make(map[string]histEntry),
+		jobs:         make(map[string]*jobPattern),
 	}
 }
 
-// input returns the handle of the job's input-rate series, or nil while
-// nothing has been recorded under that name (reads through nil are empty).
-// The handle is safe to keep without ever hearing of the job's removal:
-// once the series is deleted, reads through it resolve the name again.
-func (pa *PatternAnalyzer) input(job string) *metrics.Series {
-	pa.mu.Lock()
-	defer pa.mu.Unlock()
-	h := pa.inputs[job]
-	if h == nil {
-		if h = pa.store.Lookup(InputRateSeries(job)); h != nil {
-			pa.inputs[job] = h
-		}
+// jobLocked returns the job's entry, creating it, with the handle of its
+// input-rate series resolved once that series exists (reads through a nil
+// handle are empty). The handle is safe to keep without ever hearing of the
+// job's removal: once the series is deleted, reads through it resolve the
+// name again. Caller holds pa.mu.
+func (pa *PatternAnalyzer) jobLocked(job string) *jobPattern {
+	j := pa.jobs[job]
+	if j == nil {
+		j = &jobPattern{}
+		pa.jobs[job] = j
 	}
-	return h
+	if j.input == nil {
+		j.input = pa.store.Lookup(InputRateSeries(job))
+	}
+	return j
 }
 
 // bucketStart truncates now to the containing time-of-day bucket.
@@ -134,15 +145,16 @@ func (pa *PatternAnalyzer) DownscaleSafe(job string, capacity float64) bool {
 	bucket := bucketStart(now)
 
 	pa.mu.Lock()
-	if e, ok := pa.peaks[job]; ok && e.bucket == bucket {
+	j := pa.jobLocked(job)
+	if e := j.peak; e.cached && e.bucket == bucket {
 		pa.hits++
 		pa.mu.Unlock()
 		return !e.hasData || e.peak*historySafety <= capacity
 	}
+	series := j.input
 	pa.mu.Unlock()
 
 	horizon := time.Duration(pa.HorizonHours * float64(time.Hour))
-	series := pa.input(job)
 	peak := 0.0
 	hasData := false
 	for d := 1; d <= historyDays; d++ {
@@ -163,7 +175,7 @@ func (pa *PatternAnalyzer) DownscaleSafe(job string, capacity float64) bool {
 	}
 
 	pa.mu.Lock()
-	pa.peaks[job] = peakEntry{bucket: bucket, peak: peak, hasData: hasData}
+	j.peak = peakEntry{cached: true, bucket: bucket, peak: peak, hasData: hasData}
 	pa.mu.Unlock()
 	return true
 }
@@ -180,7 +192,10 @@ func (pa *PatternAnalyzer) DownscaleSafe(job string, capacity float64) bool {
 func (pa *PatternAnalyzer) Outlier(job string) bool {
 	now := pa.clock.Now()
 	const window = 30 * time.Minute
-	series := pa.input(job)
+	pa.mu.Lock()
+	j := pa.jobLocked(job)
+	series := j.input
+	pa.mu.Unlock()
 
 	cur := series.RangeAgg(now.Add(-window), now)
 	if cur.Count == 0 {
@@ -190,13 +205,13 @@ func (pa *PatternAnalyzer) Outlier(job string) bool {
 
 	bucket := bucketStart(now)
 	pa.mu.Lock()
-	e, ok := pa.hists[job]
-	if ok && e.bucket == bucket {
+	e := j.hist
+	if e.cached && e.bucket == bucket {
 		pa.hits++
 		pa.mu.Unlock()
 	} else {
 		pa.mu.Unlock()
-		e = histEntry{bucket: bucket}
+		e = histEntry{cached: true, bucket: bucket}
 		for d := 1; d <= historyDays; d++ {
 			to := now.Add(-time.Duration(d) * 24 * time.Hour)
 			a := series.RangeAgg(to.Add(-window), to)
@@ -204,7 +219,7 @@ func (pa *PatternAnalyzer) Outlier(job string) bool {
 			e.count += a.Count
 		}
 		pa.mu.Lock()
-		pa.hists[job] = e
+		j.hist = e
 		pa.mu.Unlock()
 	}
 	if e.count == 0 {
@@ -218,19 +233,98 @@ func (pa *PatternAnalyzer) Outlier(job string) bool {
 	return ratio > outlierFactor || ratio < 1/outlierFactor
 }
 
-// RecentPeak returns the maximum input rate over the trailing window, used
-// as the sizing basis for downscales (never the instantaneous rate).
-func (pa *PatternAnalyzer) RecentPeak(job string, window time.Duration) (float64, bool) {
-	a := pa.input(job).WindowAgg(window)
-	return a.Max, a.Count > 0
+// RecentPeak returns the maximum input rate over the window trailing now —
+// exactly the Max and Count > 0 of the series' RangeAgg over [now −
+// window, now] — used as
+// the sizing basis for downscales (never the instantaneous rate).
+//
+// It is kept incrementally, because nearly every job asks on every scan: a
+// monotonic deque of the window's points, fed through a cursor with only
+// the points recorded since the last call. See recentPeak for when it
+// starts over.
+func (pa *PatternAnalyzer) RecentPeak(job string, window time.Duration, now time.Time) (float64, bool) {
+	pa.mu.Lock()
+	defer pa.mu.Unlock()
+	j := pa.jobLocked(job)
+	return j.recent.read(j.input.Live(), window, now)
 }
 
-// Forget drops the series handle and the cached history aggregates of a
-// job (e.g. after its series was deleted). Safe to call for unknown jobs.
+// Forget drops the series handle, the cached history aggregates and the
+// recent-peak deque of a job (e.g. after its series was deleted). Safe to
+// call for unknown jobs.
 func (pa *PatternAnalyzer) Forget(job string) {
 	pa.mu.Lock()
-	delete(pa.inputs, job)
-	delete(pa.peaks, job)
-	delete(pa.hists, job)
+	delete(pa.jobs, job)
 	pa.mu.Unlock()
+}
+
+// recentPeak is RecentPeak's state for one job: the window's points, oldest
+// first, with every point that a later, strictly greater one outranks
+// dropped, so the front is the window's maximum — the earliest point of
+// that value, as a fold's Max is. It starts over from one fold of the whole
+// window whenever the series behind the handle is a different one (deleted,
+// then re-created under the name), the window differs from the last call's,
+// or the clock went backwards.
+//
+// NaN compares false both ways, so a fold's Max depends on where in the
+// window a NaN stands. NaNs are therefore kept out of the deque, and while
+// one is in the window the answer comes from an ordinary fold.
+type recentPeak struct {
+	src    *metrics.Series // the live series the deque was fed from
+	window time.Duration
+	now    int64 // the last call's clock, unix nanos
+	cur    metrics.Cursor
+	nanAt  int64 // timestamp of the newest NaN fed
+	q      []peakPoint
+	head   int // q[head:] is the deque
+}
+
+type peakPoint struct {
+	at int64
+	v  float64
+}
+
+func (p *recentPeak) read(src *metrics.Series, window time.Duration, now time.Time) (float64, bool) {
+	if src == nil {
+		p.src = nil
+		return 0, false
+	}
+	from := now.Add(-window)
+	fromN, nowN := from.UnixNano(), now.UnixNano()
+	if src != p.src || window != p.window || nowN < p.now {
+		*p = recentPeak{src: src, window: window, cur: metrics.Cursor{At: fromN}, nanAt: math.MinInt64, q: p.q[:0]}
+	}
+	p.now = nowN
+	var oldest int64
+	p.cur, oldest = src.FoldSince(p.cur, now, p.push)
+	// Drop what left the window, or the store.
+	lo := max(fromN, oldest)
+	for p.head < len(p.q) && p.q[p.head].at < lo {
+		p.head++
+	}
+	if p.nanAt >= lo {
+		a := src.RangeAgg(from, now)
+		return a.Max, a.Count > 0
+	}
+	if p.head == len(p.q) {
+		return 0, false
+	}
+	return p.q[p.head].v, true
+}
+
+// push feeds the next point, in time order.
+func (p *recentPeak) push(at int64, v float64) {
+	if v != v {
+		p.nanAt = at
+		return
+	}
+	for len(p.q) > p.head && p.q[len(p.q)-1].v < v {
+		p.q = p.q[:len(p.q)-1]
+	}
+	if p.head == len(p.q) {
+		p.q, p.head = p.q[:0], 0
+	} else if p.head > 0 && len(p.q) == cap(p.q) {
+		p.q, p.head = p.q[:copy(p.q, p.q[p.head:])], 0
+	}
+	p.q = append(p.q, peakPoint{at: at, v: v})
 }

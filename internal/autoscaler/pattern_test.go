@@ -2,9 +2,9 @@ package autoscaler
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
-	"reflect"
-	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -245,81 +245,128 @@ func mixedFleet(t *testing.T, h *harness, n int) {
 			sig.BacklogBytes = 1024 * mb
 			sig.TaskRates = []float64{0.025 * mb, 0.025 * mb, 0.025 * mb, 0.025 * mb}
 		}
-		h.source.signals[job] = sig
+		h.source.set(job, sig)
 	}
 }
 
-// harnessOnProcs builds a harness whose scaler sizes its scan pool for
-// procs processors.
-func harnessOnProcs(t *testing.T, procs int) *harness {
-	t.Helper()
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-	h := newHarness(t, Options{DefaultP: 2 * mb}, nil)
-	if h.scaler.workers != procs {
-		t.Fatalf("scan pool is %d wide on %d processors", h.scaler.workers, procs)
-	}
-	return h
-}
-
-func TestParallelScanMatchesSequential(t *testing.T) {
-	seqH := harnessOnProcs(t, 1)
-	parH := harnessOnProcs(t, 8)
-	mixedFleet(t, seqH, 16)
-	mixedFleet(t, parH, 16)
-
-	seq := seqH.scaler.Scan()
-	par := parH.scaler.Scan()
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("parallel scan diverged from sequential:\nseq: %+v\npar: %+v", seq, par)
-	}
-	if len(par) == 0 {
-		t.Fatal("mixed fleet produced no actions")
-	}
-	// Determinism: actions come back in JobNames (sorted) order regardless
-	// of which worker decided them.
-	names := parH.source.JobNames()
-	pos := map[string]int{}
-	for i, n := range names {
-		pos[n] = i
-	}
-	for i := 1; i < len(par); i++ {
-		if pos[par[i-1].Job] > pos[par[i].Job] {
-			t.Fatalf("actions out of job order: %s after %s", par[i].Job, par[i-1].Job)
+// TestScanConcurrentWithQueries runs scans, with history recorded between
+// them, while another goroutine asks for rate estimates, forgets jobs and
+// reads the stats: the concurrency a scaler has, for the race detector.
+// The scan itself is one sequential pass, so its actions come back in job
+// order.
+func TestScanConcurrentWithQueries(t *testing.T) {
+	h := newHarness(t, Options{DefaultP: 2 * mb, DownscaleAfter: time.Minute}, nil)
+	const jobs = 24
+	mixedFleet(t, h, jobs)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			job := fmt.Sprintf("job%02d", i%jobs)
+			h.scaler.PEstimate(job)
+			if i%5 == 0 {
+				h.scaler.Forget(job)
+			}
+			h.scaler.Stats()
 		}
-	}
-	// Same downstream effects: desired task counts agree job by job.
-	for _, job := range names {
-		if s, p := seqH.desiredTasks(t, job), parH.desiredTasks(t, job); s != p {
-			t.Fatalf("%s desired tasks: sequential %d vs parallel %d", job, s, p)
+	}()
+	acted := 0
+	for scan := 0; scan < 20; scan++ {
+		for j := 0; j < jobs; j++ {
+			h.store.Record(InputRateSeries(fmt.Sprintf("job%02d", j)), float64(1+j%3)*mb)
 		}
-	}
-	if seqStats, parStats := seqH.scaler.Stats(), parH.scaler.Stats(); seqStats != parStats {
-		t.Fatalf("stats diverged:\nseq: %+v\npar: %+v", seqStats, parStats)
-	}
-}
-
-// Stress the parallel path under the race detector: repeated scans over a
-// fleet that keeps producing rebalances and alerts from many workers.
-func TestParallelScanRace(t *testing.T) {
-	h := harnessOnProcs(t, 8)
-	mixedFleet(t, h, 24)
-	for i := 0; i < 5; i++ {
-		h.scaler.Scan()
+		acts := h.scaler.Scan()
+		for i := 1; i < len(acts); i++ {
+			if acts[i-1].Job >= acts[i].Job {
+				t.Fatalf("scan %d: actions out of job order: %s after %s", scan, acts[i].Job, acts[i-1].Job)
+			}
+		}
+		acted += len(acts)
 		h.clk.RunFor(time.Minute)
 	}
-	if h.scaler.Stats().Scans != 5 {
-		t.Fatalf("stats = %+v", h.scaler.Stats())
+	close(done)
+	wg.Wait()
+	if st := h.scaler.Stats(); st.Scans != 20 || acted == 0 || len(h.alerts) == 0 || len(h.reb.calls) == 0 {
+		t.Fatalf("stats %+v, %d actions, %d alerts, %d rebalances: the mixed fleet should produce all three", st, acted, len(h.alerts), len(h.reb.calls))
 	}
-	h.alertMu.Lock()
-	alerts := len(h.alerts)
-	h.alertMu.Unlock()
-	if alerts == 0 {
-		t.Fatal("no untriaged alerts from the mixed fleet")
-	}
-	h.reb.mu.Lock()
-	rebs := len(h.reb.calls)
-	h.reb.mu.Unlock()
-	if rebs == 0 {
-		t.Fatal("no rebalances from the mixed fleet")
+}
+
+// TestRecentPeakMatchesWindowFold holds the incremental recent peak to a
+// fold of the window, bit for bit, over random programs: appends at the
+// clock (many sharing a timestamp), before the tail (dropped), between the
+// tail and the clock, and ahead of the clock; clock jumps longer than the
+// window; reads at an earlier time than the last one; the series deleted
+// and created again under its name; a window that changes between reads;
+// and NaN, ±Inf and ±0 among the values. Retention is shorter than the
+// longest window, so expiry trims windows too.
+func TestRecentPeakMatchesWindowFold(t *testing.T) {
+	windows := []time.Duration{0, time.Minute, 10 * time.Minute, 30 * time.Minute, 3 * time.Hour}
+	specials := []float64{math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		clk := simclock.NewSim(epoch)
+		store := metrics.NewStore(clk, 40*time.Minute)
+		pa := NewPatternAnalyzer(store, clk)
+		name := InputRateSeries("j")
+		window := windows[rng.Intn(len(windows))]
+		// Mostly at or below zero, so that windows whose maximum is a tie
+		// between +0 and −0 — the first one is the fold's Max — are common.
+		value := func() float64 {
+			switch r := rng.Intn(60); {
+			case r == 0:
+				return math.NaN()
+			case r < 10:
+				return specials[rng.Intn(len(specials))]
+			}
+			return float64(rng.Intn(9)-6) * mb / 4
+		}
+		fromDeque := 0
+		for step := 0; step < 400; step++ {
+			switch r := rng.Intn(100); {
+			case r < 3:
+				clk.RunFor(window + time.Duration(1+rng.Intn(120))*time.Minute)
+			case r < 40:
+				clk.RunFor(time.Duration(rng.Intn(3)) * time.Minute)
+			}
+			now := clk.Now()
+			for k := rng.Intn(4); k > 0; k-- {
+				at := now
+				switch r := rng.Intn(20); {
+				case r == 0:
+					at = now.Add(-time.Duration(rng.Intn(40)) * time.Minute) // usually before the tail: dropped
+				case r == 1:
+					at = now.Add(time.Duration(1+rng.Intn(3)) * time.Minute) // ahead of the clock
+				}
+				store.RecordAt(name, at, value())
+			}
+			switch r := rng.Intn(100); {
+			case r < 2:
+				store.Delete(name)
+			case r < 6:
+				window = windows[rng.Intn(len(windows))]
+			}
+			if rng.Intn(15) == 0 {
+				now = now.Add(-time.Duration(rng.Intn(20)) * time.Minute)
+			}
+			got, ok := pa.RecentPeak("j", window, now)
+			want := store.Lookup(name).RangeAgg(now.Add(-window), now)
+			if ok != (want.Count > 0) || math.Float64bits(got) != math.Float64bits(want.Max) {
+				t.Fatalf("seed %d step %d, window %v: RecentPeak = %v, %v; the window folds to Max %v over %d points",
+					seed, step, window, got, ok, want.Max, want.Count)
+			}
+			if j := pa.jobs["j"]; ok && j.recent.nanAt < now.Add(-window).UnixNano() {
+				fromDeque++
+			}
+		}
+		if fromDeque < 100 {
+			t.Fatalf("seed %d: only %d of 400 reads answered from the deque", seed, fromDeque)
+		}
 	}
 }

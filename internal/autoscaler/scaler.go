@@ -3,10 +3,7 @@ package autoscaler
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/config"
@@ -39,9 +36,6 @@ const (
 	// verticalCapFraction of a container a single task may grow to before
 	// the scaler goes horizontal: the paper's 1/5 (§V-E).
 	verticalCapFraction = 0.2
-	// maxScanWorkers caps the pool a Scan spreads per-job decisions over;
-	// the pool is GOMAXPROCS wide below the cap.
-	maxScanWorkers = 16
 )
 
 // Options tune the scaler. Zero values take defaults chosen to match the
@@ -68,8 +62,8 @@ type Options struct {
 	// ContainerCapacity is the Turbine container size the vertical cap is
 	// computed against.
 	ContainerCapacity config.Resources
-	// OnAlert receives operator alerts. It may be called from multiple
-	// scan workers concurrently; handlers must be safe for concurrent use.
+	// OnAlert receives operator alerts. It is called from Scan, on the
+	// goroutine running the scan, one alert at a time.
 	OnAlert func(Alert)
 	// HistoryHorizonHours is the Pattern Analyzer's x: a downscale must
 	// have sustained traffic for the next x hours on each recorded past
@@ -130,7 +124,6 @@ type Scaler struct {
 	pattern *PatternAnalyzer
 	clock   simclock.Clock
 	opts    Options
-	workers int // scan pool width: min(GOMAXPROCS, maxScanWorkers)
 
 	rebalancer InputRebalancer
 	authorizer Authorizer
@@ -160,7 +153,6 @@ func New(jobs *jobservice.Service, source SignalSource, store *metrics.Store,
 		pattern:    pattern,
 		clock:      clock,
 		opts:       opts,
-		workers:    min(runtime.GOMAXPROCS(0), maxScanWorkers),
 		rebalancer: rebalancer,
 		authorizer: authorizer,
 		state:      make(map[string]*jobState),
@@ -221,60 +213,21 @@ func (s *Scaler) Forget(job string) {
 // taken. This is Algorithm 2 extended with the proactive estimators and
 // the preactive pattern analyzer.
 //
-// Jobs are decided by a bounded worker pool (GOMAXPROCS wide, at most
-// maxScanWorkers; one processor scans sequentially): signal gathering
-// and the decision are per-job, mirroring how the State
-// Syncer parallelizes complex plans, while the per-job state map and the
-// cumulative stats stay behind the scaler's lock. The returned actions
-// are in JobNames order regardless of worker interleaving, so scans stay
-// deterministic for a given fleet state.
+// The pass is sequential: the source hands every job's signals over in one
+// batch, the clock is read once, and the jobs are decided in name order,
+// so the returned actions are in that order too. Per decision the scan
+// takes only uncontended locks — the state map's, for PEstimate, Forget
+// and Stats callers, and the Pattern Analyzer's.
 func (s *Scaler) Scan() []Action {
-	jobs := s.source.JobNames()
-	workers := min(s.workers, len(jobs))
+	jobs, sigs := s.source.Signals()
+	now := s.clock.Now()
 	var actions []Action
-	if workers <= 1 {
-		for _, job := range jobs {
-			if a := s.scanJob(job); a.Type != ActionNone {
-				actions = append(actions, a)
-			}
+	for i, job := range jobs {
+		if sigs[i] == nil {
+			continue
 		}
-	} else {
-		// Workers keep sparse (index, action) results so a mostly-healthy
-		// fleet allocates nothing per job; the merge re-establishes
-		// JobNames order. That is why this fan-out is its own and not
-		// workpool.Run: the per-worker result slices need the worker
-		// index, and the pool hands fn only the item index.
-		type indexed struct {
-			i int
-			a Action
-		}
-		perWorker := make([][]indexed, workers)
-		var next int64 = -1 // work-stealing index: decisions vary in cost
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			w := w
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1))
-					if i >= len(jobs) {
-						return
-					}
-					if a := s.scanJob(jobs[i]); a.Type != ActionNone {
-						perWorker[w] = append(perWorker[w], indexed{i: i, a: a})
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		var all []indexed
-		for _, rs := range perWorker {
-			all = append(all, rs...)
-		}
-		sort.Slice(all, func(x, y int) bool { return all[x].i < all[y].i })
-		for _, r := range all {
-			actions = append(actions, r.a)
+		if a := s.decide(job, sigs[i], now); a.Type != ActionNone {
+			actions = append(actions, a)
 		}
 	}
 	s.mu.Lock()
@@ -283,17 +236,7 @@ func (s *Scaler) Scan() []Action {
 	return actions
 }
 
-// scanJob gathers one job's signals and decides on them.
-func (s *Scaler) scanJob(job string) Action {
-	sig, ok := s.source.JobSignals(job)
-	if !ok {
-		return Action{Job: job, Type: ActionNone}
-	}
-	return s.decide(job, sig)
-}
-
-func (s *Scaler) decide(job string, sig Signals) Action {
-	now := s.clock.Now()
+func (s *Scaler) decide(job string, sig *Signals, now time.Time) Action {
 	s.mu.Lock()
 	st, ok := s.state[job]
 	if !ok {
@@ -350,13 +293,13 @@ func (s *Scaler) decide(job string, sig Signals) Action {
 
 // diskOverReservation reports whether a job's observed disk spill is
 // within 20% of (or beyond) its per-task reservation.
-func diskOverReservation(sig Signals) bool {
+func diskOverReservation(sig *Signals) bool {
 	return sig.TaskResources.DiskBytes > 0 &&
 		float64(sig.DiskPeakBytes) > 0.8*float64(sig.TaskResources.DiskBytes)
 }
 
 // handleDisk grows the per-task disk reservation from the observed peak.
-func (s *Scaler) handleDisk(job string, sig Signals, st *jobState, n int, now time.Time) Action {
+func (s *Scaler) handleDisk(job string, sig *Signals, st *jobState, n int, now time.Time) Action {
 	newDisk := MemoryEstimate(sig.DiskPeakBytes, memMargin)
 	if newDisk <= sig.TaskResources.DiskBytes {
 		return Action{Job: job, Type: ActionNone}
@@ -377,13 +320,13 @@ func (s *Scaler) handleDisk(job string, sig Signals, st *jobState, n int, now ti
 
 // softLimitExceeded reports whether an unenforced job's observed memory
 // peak has crossed its soft limit.
-func softLimitExceeded(sig Signals) bool {
+func softLimitExceeded(sig *Signals) bool {
 	return sig.Enforcement == config.EnforceNone &&
 		sig.TaskResources.MemoryBytes > 0 &&
 		sig.MemPeakBytes > sig.TaskResources.MemoryBytes
 }
 
-func effectiveThreads(sig Signals) float64 {
+func effectiveThreads(sig *Signals) float64 {
 	k := float64(sig.Threads)
 	if k <= 0 {
 		k = 1
@@ -396,7 +339,7 @@ func effectiveThreads(sig Signals) float64 {
 
 // handleLag is the lag branch of Algorithm 2 plus the proactive and
 // preactive extensions.
-func (s *Scaler) handleLag(job string, sig Signals, st *jobState, timeLag float64, n int, kEff float64, now time.Time) Action {
+func (s *Scaler) handleLag(job string, sig *Signals, st *jobState, timeLag float64, n int, kEff float64, now time.Time) Action {
 	s.withLock(func() {
 		st.lastSymptomAt = now
 		// A downscale immediately followed by lag means the P estimate
@@ -488,7 +431,7 @@ func (s *Scaler) handleLag(job string, sig Signals, st *jobState, timeLag float6
 }
 
 // handleOOM grows memory vertically until the cap, then goes horizontal.
-func (s *Scaler) handleOOM(job string, sig Signals, st *jobState, n int, now time.Time) Action {
+func (s *Scaler) handleOOM(job string, sig *Signals, st *jobState, n int, now time.Time) Action {
 	peak := sig.MemPeakBytes
 	if peak < sig.TaskResources.MemoryBytes {
 		peak = sig.TaskResources.MemoryBytes
@@ -534,16 +477,11 @@ func (s *Scaler) handleOOM(job string, sig Signals, st *jobState, n int, now tim
 // handleHealthy validates pending downscales and reclaims resources after
 // a long symptom-free period, subject to the plan generator's veto and the
 // pattern analyzer's history checks.
-func (s *Scaler) handleHealthy(job string, sig Signals, st *jobState, n int, kEff float64, now time.Time) Action {
-	s.withLock(func() {
-		if st.downscalePending {
-			// The downscale survived a scan without SLO violation: the P
-			// estimate is validated.
-			st.downscalePending = false
-		}
-	})
-
+func (s *Scaler) handleHealthy(job string, sig *Signals, st *jobState, n int, kEff float64, now time.Time) Action {
 	s.mu.Lock()
+	// A pending downscale survived a scan without SLO violation: the P
+	// estimate is validated.
+	st.downscalePending = false
 	quietFor := now.Sub(st.lastSymptomAt)
 	sinceAction := now.Sub(st.lastActionAt)
 	s.mu.Unlock()
@@ -552,7 +490,7 @@ func (s *Scaler) handleHealthy(job string, sig Signals, st *jobState, n int, kEf
 	}
 
 	// Size from the recent traffic peak, never the instantaneous rate.
-	peakX, ok := s.pattern.RecentPeak(job, s.opts.DownscalePeakWindow)
+	peakX, ok := s.pattern.RecentPeak(job, s.opts.DownscalePeakWindow, now)
 	if !ok {
 		peakX = sig.InputRate
 	}
@@ -626,7 +564,7 @@ func (s *Scaler) handleHealthy(job string, sig Signals, st *jobState, n int, kEf
 // correlatedMemoryAdjust implements the plan generator's correlated
 // adjustment (§V-B item 3): when a stateful job gains tasks, the state —
 // and hence memory — per task shrinks, so the reservation can shrink too.
-func (s *Scaler) correlatedMemoryAdjust(job string, sig Signals, oldN, newN int) {
+func (s *Scaler) correlatedMemoryAdjust(job string, sig *Signals, oldN, newN int) {
 	if !sig.Stateful || newN <= oldN || sig.TaskResources.MemoryBytes <= 0 {
 		return
 	}
@@ -655,7 +593,7 @@ func (s *Scaler) withLock(f func()) {
 
 // clampTasks bounds a horizontal target by the job's cap and its input
 // partition count (a task must own at least one partition).
-func clampTasks(n int, sig Signals) int {
+func clampTasks(n int, sig *Signals) int {
 	if sig.MaxTaskCount > 0 && n > sig.MaxTaskCount {
 		n = sig.MaxTaskCount
 	}

@@ -1,9 +1,8 @@
 package autoscaler
 
 import (
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,34 +17,36 @@ var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 const mb = 1 << 20
 
-// fakeSource serves canned signals.
+// fakeSource serves canned signals, kept sorted by job the way the
+// cluster's running table hands them over.
 type fakeSource struct {
-	signals map[string]Signals
+	jobs []string
+	sigs []*Signals
 }
 
-func (f *fakeSource) JobNames() []string {
-	out := make([]string, 0, len(f.signals))
-	for j := range f.signals {
-		out = append(out, j)
+// set gives job the signals sig from the next scan on. The signals of an
+// earlier set are replaced, never written: a scan may still hold them.
+func (f *fakeSource) set(job string, sig Signals) {
+	i, found := slices.BinarySearch(f.jobs, job)
+	if !found {
+		f.jobs = slices.Insert(f.jobs, i, job)
+		f.sigs = slices.Insert(f.sigs, i, nil)
 	}
-	sort.Strings(out)
-	return out
+	f.sigs[i] = &sig
 }
 
-func (f *fakeSource) JobSignals(job string) (Signals, bool) {
-	s, ok := f.signals[job]
-	return s, ok
+// Signals hands the fleet over as the cluster does: the one allocation is
+// the copy of the signals slice.
+func (f *fakeSource) Signals() ([]string, []*Signals) {
+	return f.jobs, slices.Clone(f.sigs)
 }
 
 type fakeRebalancer struct {
-	mu    sync.Mutex // RebalanceInput may fire from parallel scan workers
 	calls []string
 }
 
 func (f *fakeRebalancer) RebalanceInput(job string) error {
-	f.mu.Lock()
 	f.calls = append(f.calls, job)
-	f.mu.Unlock()
 	return nil
 }
 
@@ -61,9 +62,7 @@ type harness struct {
 	source *fakeSource
 	scaler *Scaler
 	reb    *fakeRebalancer
-
-	alertMu sync.Mutex // OnAlert may fire from parallel scan workers
-	alerts  []Alert
+	alerts []Alert
 }
 
 func newHarness(t *testing.T, opts Options, auth Authorizer) *harness {
@@ -71,15 +70,11 @@ func newHarness(t *testing.T, opts Options, auth Authorizer) *harness {
 	h := &harness{
 		clk:    simclock.NewSim(epoch),
 		jobs:   jobservice.New(jobstore.New()),
-		source: &fakeSource{signals: map[string]Signals{}},
+		source: &fakeSource{},
 		reb:    &fakeRebalancer{},
 	}
 	h.store = metrics.NewStore(h.clk, 15*24*time.Hour)
-	opts.OnAlert = func(a Alert) {
-		h.alertMu.Lock()
-		h.alerts = append(h.alerts, a)
-		h.alertMu.Unlock()
-	}
+	opts.OnAlert = func(a Alert) { h.alerts = append(h.alerts, a) }
 	h.scaler = New(h.jobs, h.source, h.store, h.clk, h.reb, auth, opts)
 	return h
 }
@@ -182,7 +177,7 @@ func TestLaggedJobScalesHorizontally(t *testing.T) {
 	sig.ProcessingRate = 16 * mb
 	sig.BacklogBytes = 100 * 1024 * mb // 100 GB backlog
 	sig.TaskRates = []float64{4 * mb, 4 * mb, 4 * mb, 4 * mb}
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 
 	actions := h.scaler.Scan()
 	if len(actions) != 1 || actions[0].Type != ActionHorizontalUp {
@@ -210,7 +205,7 @@ func TestLaggedJobPrefersVerticalWithinCap(t *testing.T) {
 	sig.ProcessingRate = 8 * mb
 	sig.BacklogBytes = 1200 * mb // lag = 150s > 90s SLO
 	sig.TaskRates = []float64{2 * mb, 2 * mb, 2 * mb, 2 * mb}
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 
 	actions := h.scaler.Scan()
 	if len(actions) != 1 || actions[0].Type != ActionVerticalCPU {
@@ -233,7 +228,7 @@ func TestImbalancedInputRebalancesInsteadOfScaling(t *testing.T) {
 	sig.ProcessingRate = 10 * mb
 	// One hot task, three idle: heavy imbalance.
 	sig.TaskRates = []float64{9 * mb, 0.3 * mb, 0.3 * mb, 0.3 * mb}
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 
 	actions := h.scaler.Scan()
 	if len(actions) != 1 || actions[0].Type != ActionRebalance {
@@ -253,7 +248,7 @@ func TestOOMGrowsMemoryVertically(t *testing.T) {
 	sig := baseSignals()
 	sig.OOMs = 2
 	sig.MemPeakBytes = 1200 * mb
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 
 	actions := h.scaler.Scan()
 	if len(actions) != 1 || actions[0].Type != ActionVerticalMemory {
@@ -275,7 +270,7 @@ func TestOOMAtVerticalCapGoesHorizontal(t *testing.T) {
 	sig.OOMs = 1
 	sig.TaskResources.MemoryBytes = 1900 * mb
 	sig.MemPeakBytes = 3000 * mb // estimate exceeds the 2 GB cap
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 
 	actions := h.scaler.Scan()
 	if len(actions) != 1 || actions[0].Type != ActionHorizontalUp {
@@ -296,7 +291,7 @@ func TestUntriagedProblemAlertsInsteadOfScaling(t *testing.T) {
 	sig.ProcessingRate = 0.1 * mb
 	sig.BacklogBytes = 1024 * mb
 	sig.TaskRates = []float64{0.025 * mb, 0.025 * mb, 0.025 * mb, 0.025 * mb}
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 
 	actions := h.scaler.Scan()
 	if len(actions) != 1 || actions[0].Type != ActionUntriagedAlert {
@@ -319,7 +314,7 @@ func TestHorizontalCapClampsAndAlerts(t *testing.T) {
 	sig.ProcessingRate = 16 * mb
 	sig.BacklogBytes = 1024 * 1024 * mb
 	sig.TaskRates = []float64{4 * mb, 4 * mb, 4 * mb, 4 * mb}
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 
 	actions := h.scaler.Scan()
 	if len(actions) != 1 || actions[0].Type != ActionHorizontalUp || actions[0].ToTasks != 32 {
@@ -340,7 +335,7 @@ func TestHorizontalCapClampsAndAlerts(t *testing.T) {
 	}
 	sig.TaskCount = 32
 	sig.MaxTaskCount = 256
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 	actions = h.scaler.Scan()
 	if len(actions) != 1 || actions[0].ToTasks <= 32 {
 		t.Fatalf("post-cap actions = %+v", actions)
@@ -354,7 +349,7 @@ func TestDownscaleAfterQuietPeriod(t *testing.T) {
 	sig.InputRate = 2 * mb // one task would do
 	sig.ProcessingRate = 2 * mb
 	sig.TaskRates = []float64{0.5 * mb, 0.5 * mb, 0.5 * mb, 0.5 * mb}
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 	// Record history so RecentPeak works.
 	for i := 0; i < 120; i++ {
 		h.store.Record(InputRateSeries("j1"), 2*mb)
@@ -383,7 +378,7 @@ func TestDownscaleVetoWhenItWouldBreakJob(t *testing.T) {
 	// so nPrime would be small — the veto must catch it.
 	sig.InputRate = 15 * mb
 	sig.ProcessingRate = 15 * mb
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 	h.scaler.Scan() // first sighting starts the quiet period
 	h.clk.RunFor(2 * time.Hour)
 	h.store.Record(InputRateSeries("j1"), 1*mb) // misleadingly low recent peak
@@ -408,7 +403,7 @@ func TestDownscaleSkippedWhenHistoryShowsPeaks(t *testing.T) {
 	sig := baseSignals()
 	sig.InputRate = 2 * mb
 	sig.ProcessingRate = 2 * mb
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 	h.scaler.Scan() // first sighting starts the quiet period
 	start := h.clk.Now()
 	for m := 0; m < 3*24*60; m++ {
@@ -442,7 +437,7 @@ func TestOutlierDisablesHistoryBasedDownscale(t *testing.T) {
 	sig := baseSignals()
 	sig.InputRate = 4 * mb
 	sig.ProcessingRate = 4 * mb
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 	h.scaler.Scan() // first sighting starts the quiet period
 	start := h.clk.Now()
 	total := 3 * 24 * 60
@@ -457,7 +452,7 @@ func TestOutlierDisablesHistoryBasedDownscale(t *testing.T) {
 
 	sig.InputRate = 0.2 * mb
 	sig.ProcessingRate = 0.2 * mb
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 
 	if actions := h.scaler.Scan(); len(actions) != 0 {
 		t.Fatalf("outlier downscale acted: %+v", actions)
@@ -475,7 +470,7 @@ func TestPAdjustedUpwardWhenSaturated(t *testing.T) {
 	sig.InputRate = 40 * mb
 	sig.ProcessingRate = 16 * mb
 	sig.BacklogBytes = 100 * 1024 * mb
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 	h.scaler.Scan()
 	p, ok := h.scaler.PEstimate("j1")
 	if !ok || p < 1.9*mb {
@@ -487,7 +482,7 @@ func TestPAdjustedDownAfterFailedDownscale(t *testing.T) {
 	h := newHarness(t, Options{DefaultP: 8 * mb, DownscaleAfter: time.Minute}, nil)
 	h.provision(t, "j1", 4, 256, 0)
 	sig := baseSignals() // 8 MB/s input, healthy
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 	h.scaler.Scan() // first sighting starts the quiet period
 	for i := 0; i < 40; i++ {
 		h.store.Record(InputRateSeries("j1"), 8*mb)
@@ -505,7 +500,7 @@ func TestPAdjustedDownAfterFailedDownscale(t *testing.T) {
 	sig.BacklogBytes = 10 * 1024 * mb
 	sig.ProcessingRate = float64(newN) * 2 * mb
 	sig.TaskRates = nil
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 	h.scaler.Scan()
 
 	pAfter, _ := h.scaler.PEstimate("j1")
@@ -524,7 +519,7 @@ func TestCapacityDenialBlocksScaleUp(t *testing.T) {
 	sig.InputRate = 100 * mb
 	sig.ProcessingRate = 16 * mb
 	sig.BacklogBytes = 100 * 1024 * mb
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 
 	h.scaler.Scan()
 	if got := h.desiredTasks(t, "j1"); got != 4 {
@@ -556,7 +551,7 @@ func TestCorrelatedMemoryAdjustOnStatefulHorizontalUp(t *testing.T) {
 	sig.InputRate = 100 * mb
 	sig.ProcessingRate = 16 * mb
 	sig.BacklogBytes = 100 * 1024 * mb
-	h.source.signals["agg"] = sig
+	h.source.set("agg", sig)
 
 	h.scaler.Scan()
 	cfg, _, _ := h.jobs.Desired("agg")
@@ -575,7 +570,7 @@ func TestPeriodicScanOnClock(t *testing.T) {
 	sig.InputRate = 100 * mb
 	sig.ProcessingRate = 16 * mb
 	sig.BacklogBytes = 100 * 1024 * mb
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 	h.scaler.Start()
 	defer h.scaler.Stop()
 	h.clk.RunFor(61 * time.Second)
@@ -600,7 +595,7 @@ func TestMemoryReclaimWhenPeakFarBelowReservation(t *testing.T) {
 	sig.ProcessingRate = 13 * mb
 	sig.TaskRates = []float64{3.25 * mb, 3.25 * mb, 3.25 * mb, 3.25 * mb}
 	sig.MemPeakBytes = 300 * mb // reservation 1 GB
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 	h.scaler.Scan() // first sighting starts the quiet period
 	for i := 0; i < 130; i++ {
 		h.store.Record(InputRateSeries("j1"), 13*mb)
@@ -642,7 +637,7 @@ func TestSoftLimitMemoryAdjustmentWithoutOOM(t *testing.T) {
 	sig.Enforcement = config.EnforceNone
 	sig.OOMs = 0
 	sig.MemPeakBytes = 1500 * mb // soft limit is 1 GB
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 
 	actions := h.scaler.Scan()
 	if len(actions) != 1 || actions[0].Type != ActionVerticalMemory {
@@ -662,7 +657,7 @@ func TestEnforcedJobIgnoresSoftLimitPath(t *testing.T) {
 	sig := baseSignals()
 	sig.Enforcement = config.EnforceCgroup
 	sig.MemPeakBytes = 1500 * mb
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 	if actions := h.scaler.Scan(); len(actions) != 0 {
 		t.Fatalf("actions = %+v", actions)
 	}
@@ -689,7 +684,7 @@ func TestDiskEstimatorGrowsReservation(t *testing.T) {
 	sig.Stateful = true
 	sig.TaskResources.DiskBytes = 1 << 30
 	sig.DiskPeakBytes = 900 * mb // within 20% of the 1 GB reservation
-	h.source.signals["join1"] = sig
+	h.source.set("join1", sig)
 
 	actions := h.scaler.Scan()
 	if len(actions) != 1 || actions[0].Type != ActionVerticalDisk {
@@ -710,7 +705,7 @@ func TestDiskWellUnderReservationNoAction(t *testing.T) {
 	sig := baseSignals()
 	sig.TaskResources.DiskBytes = 10 << 30
 	sig.DiskPeakBytes = 1 << 30 // 10% used
-	h.source.signals["j1"] = sig
+	h.source.set("j1", sig)
 	if actions := h.scaler.Scan(); len(actions) != 0 {
 		t.Fatalf("actions = %+v", actions)
 	}

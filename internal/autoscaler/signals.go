@@ -110,10 +110,11 @@ func (s Signals) ImbalanceRatio() float64 {
 
 // SignalSource provides job observations to the scaler.
 type SignalSource interface {
-	// JobNames lists the jobs to consider, sorted.
-	JobNames() []string
-	// JobSignals returns the latest observations for one job.
-	JobSignals(job string) (Signals, bool)
+	// Signals lists the jobs to consider, sorted, and the latest
+	// observations of each: sigs[i] belongs to jobs[i], nil while the job
+	// has none. The scaler only reads the pointees; the source never writes
+	// one it has handed out.
+	Signals() (jobs []string, sigs []*Signals)
 }
 
 // InputRebalancer is the hook through which the scaler's "rebalance input

@@ -734,8 +734,8 @@ func (c *Cluster) monitorTick() {
 
 	// The tick's signals, their records and the task rates are each cut
 	// from one allocation; none is appended to beyond the capacity
-	// reserved here, and none is reused by a later tick: scan workers hold
-	// TaskRates while the next tick runs.
+	// reserved here, and none is reused by a later tick: a scan, or a
+	// JobSignals caller, may still hold them while the next tick runs.
 	sigs := make([]autoscaler.Signals, 0, len(names))
 	recs := make([]*jobRecord, 0, len(names))
 	rates := make([]float64, 0, running)
@@ -912,12 +912,29 @@ func (c *Cluster) DiagnoseJob(job string) (rootcause.Diagnosis, error) {
 	return rootcause.Diagnose(job, obs), nil
 }
 
-// JobNames implements autoscaler.SignalSource.
+// JobNames lists the running jobs, sorted.
 func (c *Cluster) JobNames() []string {
 	return c.Store.RunningNames()
 }
 
-// JobSignals implements autoscaler.SignalSource.
+// Signals implements autoscaler.SignalSource: the running jobs, sorted, and
+// the monitor's last signals of each, gathered under one lock. The monitor
+// replaces a job's signals whole every tick and never writes one it has
+// published, so the scaler reads them without a copy.
+func (c *Cluster) Signals() ([]string, []*autoscaler.Signals) {
+	jobs := c.Store.RunningNames()
+	sigs := make([]*autoscaler.Signals, len(jobs))
+	c.mu.Lock()
+	for i, job := range jobs {
+		if rec := c.records[job]; rec != nil {
+			sigs[i] = rec.signals
+		}
+	}
+	c.mu.Unlock()
+	return jobs, sigs
+}
+
+// JobSignals returns a copy of the monitor's last signals for one job.
 func (c *Cluster) JobSignals(job string) (autoscaler.Signals, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -313,7 +313,10 @@ func TestRemovedJobIsForgotten(t *testing.T) {
 // cluster's scaler, which is told to Forget, or a scaler or analyzer built
 // beside the cluster, which is told nothing — must size the second
 // incarnation from its own points: a recent peak that still saw the
-// first's 12 MB/s would keep a 1 MB/s job at four tasks.
+// first's 12 MB/s would keep a 1 MB/s job at four tasks. The recent peak is
+// a deque fed incrementally, so the probe also reads it every simulated
+// minute — through the removal, while the name has no series, and into the
+// second incarnation — and holds every answer to a fold of the window.
 func TestRecreatedJobReadsNoStaleHandle(t *testing.T) {
 	opts := autoscaler.Options{DownscaleAfter: 20 * time.Minute, DownscalePeakWindow: 3 * time.Hour}
 	for _, external := range []bool{false, true} {
@@ -323,6 +326,18 @@ func TestRecreatedJobReadsNoStaleHandle(t *testing.T) {
 			c.Clk.TickEvery(time.Minute, func() { sc.Scan() })
 		}
 		probe := autoscaler.NewPatternAnalyzer(c.Metrics, c.Clk)
+		recentPeak := func() (float64, bool) {
+			t.Helper()
+			now := c.Clk.Now()
+			peak, ok := probe.RecentPeak("j", opts.DownscalePeakWindow, now)
+			a := c.Metrics.RangeAgg(autoscaler.InputRateSeries("j"), now.Add(-opts.DownscalePeakWindow), now)
+			if ok != (a.Count > 0) || math.Float64bits(peak) != math.Float64bits(a.Max) {
+				t.Fatalf("external %v at %v: recent peak %v, %v; the window folds to %v over %d points",
+					external, now, peak, ok, a.Max, a.Count)
+			}
+			return peak, ok
+		}
+		reads := c.Clk.TickEvery(time.Minute, func() { recentPeak() })
 		add := func(rate float64) {
 			t.Helper()
 			if err := c.AddJob(JobSpec{Config: tailerJob("j", 8, 16), Pattern: workload.Constant(rate)}); err != nil {
@@ -340,7 +355,7 @@ func TestRecreatedJobReadsNoStaleHandle(t *testing.T) {
 
 		add(12 * mb)
 		c.Run(40 * time.Minute)
-		if peak, ok := probe.RecentPeak("j", opts.DownscalePeakWindow); !ok || peak < 10*mb {
+		if peak, ok := recentPeak(); !ok || peak < 10*mb {
 			t.Fatalf("external %v, first incarnation: recent peak %v, %v; the scenario needs its 12 MB/s on record", external, peak, ok)
 		}
 		if n := taskCount(); n != 4 {
@@ -356,12 +371,13 @@ func TestRecreatedJobReadsNoStaleHandle(t *testing.T) {
 
 		add(mb)
 		c.Run(40 * time.Minute)
-		if peak, ok := probe.RecentPeak("j", opts.DownscalePeakWindow); !ok || peak > 1.5*mb {
+		if peak, ok := recentPeak(); !ok || peak > 1.5*mb {
 			t.Fatalf("external %v, second incarnation at 1 MB/s: recent peak %v, %v through the handle the first one left", external, peak, ok)
 		}
 		if n := taskCount(); n != 1 {
 			t.Fatalf("external %v, second incarnation: %d tasks configured after 40 minutes at 1 MB/s, want the downscale to 1", external, n)
 		}
+		reads.Stop()
 		if c.Violations() != 0 {
 			t.Fatalf("external %v: %d lease violations", external, c.Violations())
 		}

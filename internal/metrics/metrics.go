@@ -22,11 +22,12 @@
 //     vacates is reused in place by the advancing ring, so there is no
 //     compaction pass, ever: once the ring has grown to cover the
 //     retention window, appends never copy and never allocate.
-//   - Reads are allocation-free folds (RangeFold, RangeAgg, WindowAgg)
-//     that visit one column in place under the row's lock. The bounds of
-//     a time range are searched from the newest row back, so the trailing
-//     windows the control loops mostly read touch only the rows just
-//     written.
+//   - Reads are allocation-free folds (RangeFold, RangeAgg, WindowAgg;
+//     Row.WindowAggs for every column at once; FoldSince for only the
+//     points after a reader's cursor) that visit the rows in place under
+//     the row's lock. The bounds of a time range are searched from the
+//     newest row back, so the trailing windows the control loops mostly
+//     read touch only the rows just written.
 //
 // Hot writers and readers resolve a Row or Series once and go through the
 // handle, skipping the per-call name lookup. A handle cannot serve stale
@@ -332,9 +333,11 @@ func (r *Row) bounds(fromN, toN int64) (int, int) {
 	return r.firstAtOrAfter(hi, fromN), hi
 }
 
-// live returns the series a read through sr must see: sr itself, or, once
-// sr has been Deleted, whatever series holds its name now (nil if none).
-func (sr *Series) live() *Series {
+// Live returns the series a read through sr sees: sr itself, or, once sr
+// has been Deleted, whatever series holds its name now (nil if none). A
+// reader that keeps state derived from a series' points compares Live
+// results between reads to notice that the name changed hands.
+func (sr *Series) Live() *Series {
 	for sr != nil && sr.detached.Load() {
 		sr = sr.row.store.Lookup(sr.name)
 	}
@@ -363,6 +366,52 @@ func (s *Store) RangeFold(name string, from, to time.Time, fn func(Point) bool) 
 	return true
 }
 
+// A Cursor is a read position in a series: just past the first Seen points
+// stamped At (unix nanoseconds). Points arrive in time order and may share
+// a timestamp, so the count is what makes the position exact;
+// Cursor{At: t} stands before every point stamped t or later.
+type Cursor struct {
+	At   int64
+	Seen int
+}
+
+// FoldSince calls fn, in ascending time order, for every point of sr after
+// cur that is stamped no later than to, and returns the cursor past the
+// last point visited (cur itself if none was) and the timestamp of the
+// oldest point the series still retains (math.MaxInt64 if none): a reader
+// fed incrementally drops what it kept from before that. It reads sr
+// itself, detached or not — see Live. fn runs under the row's lock: it must
+// be fast and must not call back into the store.
+func (sr *Series) FoldSince(cur Cursor, to time.Time, fn func(at int64, v float64)) (Cursor, int64) {
+	r := sr.row
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	oldest := int64(math.MaxInt64)
+	if r.n > 0 {
+		oldest = r.at(0)
+	}
+	hi := r.n
+	if toN := to.UnixNano(); toN < math.MaxInt64 {
+		hi = r.firstAtOrAfter(r.n, toN+1)
+	}
+	i := r.firstAtOrAfter(hi, cur.At)
+	// Retention expires every point of one timestamp together, so the
+	// points at cur.At still retained are exactly the ones seen, or none.
+	for seen := cur.Seen; seen > 0 && i < hi && r.at(i) == cur.At; seen-- {
+		i++
+	}
+	for ; i < hi; i++ {
+		at := r.at(i)
+		if at == cur.At {
+			cur.Seen++
+		} else {
+			cur = Cursor{At: at, Seen: 1}
+		}
+		fn(at, r.value(i, sr.col))
+	}
+	return cur, oldest
+}
+
 // Agg is the set of streaming aggregates a single in-place pass produces.
 // Min and Max are only meaningful when Count > 0.
 type Agg struct {
@@ -384,7 +433,7 @@ func (a Agg) Mean() float64 {
 // accumulation order is ascending time.
 func (sr *Series) RangeAgg(from, to time.Time) Agg {
 	var a Agg
-	if sr = sr.live(); sr == nil {
+	if sr = sr.Live(); sr == nil {
 		return a
 	}
 	r := sr.row
@@ -392,31 +441,52 @@ func (sr *Series) RangeAgg(from, to time.Time) Agg {
 	defer r.mu.Unlock()
 	lo, hi := r.bounds(from.UnixNano(), to.UnixNano())
 	for i := lo; i < hi; i++ {
-		v := r.value(i, sr.col)
-		if a.Count == 0 {
-			a.Min, a.Max = v, v
-		} else {
-			if v > a.Max {
-				a.Max = v
-			}
-			if v < a.Min {
-				a.Min = v
-			}
-		}
-		a.Sum += v
-		a.Count++
+		a.add(r.value(i, sr.col))
 	}
 	return a
 }
 
-// WindowAgg folds the trailing window (measured back from the current
-// clock time) into streaming aggregates, allocation-free.
-func (sr *Series) WindowAgg(window time.Duration) Agg {
-	if sr == nil {
-		return Agg{}
+// add folds the next point, in ascending time order, into a.
+func (a *Agg) add(v float64) {
+	if a.Count == 0 {
+		a.Min, a.Max = v, v
+	} else {
+		if v > a.Max {
+			a.Max = v
+		}
+		if v < a.Min {
+			a.Min = v
+		}
 	}
-	now := sr.row.store.clock.Now()
-	return sr.RangeAgg(now.Add(-window), now)
+	a.Sum += v
+	a.Count++
+}
+
+// WindowAggs folds the trailing window (measured back from the current
+// clock time) of every column into aggs, one Agg per column in the order
+// the names were given to Store.Row, in one pass under the row's lock. Each
+// column accumulates in ascending time order, so aggs[i] is bit-identical
+// to Store.WindowAgg of column i. A column deleted from the store folds
+// to the zero Agg.
+func (r *Row) WindowAggs(window time.Duration, aggs []Agg) {
+	if len(aggs) != len(r.cols) {
+		panic(fmt.Sprintf("metrics: %d aggregates for the %d-column row of %q", len(aggs), len(r.cols), r.cols[0].name))
+	}
+	clear(aggs)
+	now := r.store.clock.Now()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	lo, hi := r.bounds(now.Add(-window).UnixNano(), now.UnixNano())
+	for i := lo; i < hi; i++ {
+		for c := range aggs {
+			aggs[c].add(r.value(i, c))
+		}
+	}
+	for c := range aggs {
+		if r.cols[c].detached.Load() {
+			aggs[c] = Agg{}
+		}
+	}
 }
 
 // RangeAgg is Series.RangeAgg by name; a missing series folds to the zero
@@ -425,7 +495,8 @@ func (s *Store) RangeAgg(name string, from, to time.Time) Agg {
 	return s.Lookup(name).RangeAgg(from, to)
 }
 
-// WindowAgg is Series.WindowAgg by name.
+// WindowAgg folds the named series' trailing window, measured back from
+// the current clock time, into streaming aggregates, allocation-free.
 func (s *Store) WindowAgg(name string, window time.Duration) Agg {
 	now := s.clock.Now()
 	return s.RangeAgg(name, now.Add(-window), now)

@@ -324,11 +324,11 @@ func TestDetachedHandleReadsResolveByName(t *testing.T) {
 	if a := h.RangeAgg(epoch, clk.Now()); a.Count != 1 || a.Max != 7 {
 		t.Fatalf("the stale handle reads %+v, want the new series' single point 7", a)
 	}
-	if a := h.WindowAgg(time.Hour); a.Count != 1 || a.Max != 7 {
-		t.Fatalf("the stale handle's window reads %+v, want the new series' single point 7", a)
+	if h.Live() != s.Lookup("in") {
+		t.Fatal("the stale handle's Live is not the name's new holder")
 	}
 	var none *Series
-	if a := none.WindowAgg(time.Hour); a.Count != 0 {
+	if a := none.RangeAgg(epoch, clk.Now()); a.Count != 0 || none.Live() != nil {
 		t.Fatalf("a nil handle reads %+v", a)
 	}
 }
@@ -356,5 +356,122 @@ func TestRowConcurrentRegistration(t *testing.T) {
 	}
 	if n := s.Len("d"); n != len(got) {
 		t.Fatalf("%d rows recorded, want %d", n, len(got))
+	}
+}
+
+// TestWindowAggsMatchPerNameWindowAgg: folding every column of a row's
+// trailing window in one pass gives each column exactly what a by-name
+// WindowAgg gives it, to the bit — over random rows, windows that hold
+// nothing (a gap longer than the window, a zero window between rows),
+// dropped out-of-order rows, and deleted columns, which fold to nothing
+// either way.
+func TestWindowAggsMatchPerNameWindowAgg(t *testing.T) {
+	windows := []time.Duration{0, time.Second, time.Minute, 10 * time.Minute, time.Hour}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		k := 1 + rng.Intn(5)
+		names := make([]string, k)
+		for i := range names {
+			names[i] = fmt.Sprintf("tm.t.shard.%d.c%d", seed, i)
+		}
+		s, clk := newTestStore(30 * time.Minute)
+		row := s.Row(names...)
+		values := make([]float64, k)
+		aggs := make([]Agg, k)
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(20); {
+			case op < 10:
+				clk.RunFor(time.Duration(rng.Intn(90)) * time.Second)
+			case op == 10:
+				clk.RunFor(time.Duration(1+rng.Intn(3)) * time.Hour)
+			case op == 11:
+				s.Delete(names[rng.Intn(k)])
+			}
+			at := clk.Now()
+			if rng.Intn(8) == 0 {
+				at = at.Add(-time.Duration(rng.Intn(300)) * time.Second) // dropped unless still at or past the tail
+			}
+			for c := range values {
+				values[c] = rng.NormFloat64() * 100
+			}
+			row.RecordAt(at, values...)
+
+			w := windows[rng.Intn(len(windows))]
+			row.WindowAggs(w, aggs)
+			for c, name := range names {
+				if want := s.WindowAgg(name, w); !sameAgg(aggs[c], want) {
+					t.Fatalf("seed %d step %d, column %d, window %v: WindowAggs %+v, WindowAgg %+v", seed, step, c, w, aggs[c], want)
+				}
+			}
+		}
+	}
+}
+
+// TestFoldSinceVisitsEachPointOnce: a reader that folds from its cursor
+// again and again, up to a bound that moves forward but may stop short of
+// the tail, sees every point it can — each once, in order — even when
+// more points arrive later under the timestamp its cursor stands on; and
+// it skips exactly the points that expired before it got to them. Each
+// point's value is its arrival number, so the model is a list of numbers.
+func TestFoldSinceVisitsEachPointOnce(t *testing.T) {
+	const retention = 20 * time.Minute
+	type point struct {
+		at int64
+		id float64
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s, clk := newTestStore(retention)
+		sr := s.Handle("j")
+		var model []point // the points the store retains
+		next := 0.0
+		var cur Cursor
+		last := -1.0 // the last id visited
+		to := epoch
+		for step := 0; step < 500; step++ {
+			switch op := rng.Intn(10); {
+			case op < 4:
+				clk.RunFor(time.Duration(rng.Intn(3)) * time.Minute)
+			case op == 4:
+				clk.RunFor(retention + time.Duration(rng.Intn(10))*time.Minute)
+			}
+			for n := rng.Intn(3); n > 0; n-- {
+				at := clk.Now().Add(-time.Duration(rng.Intn(2)) * time.Minute)
+				sr.RecordAt(at, next)
+				atN := at.UnixNano()
+				if len(model) == 0 || atN >= model[len(model)-1].at {
+					model = append(model, point{atN, next})
+					for len(model) > 0 && model[0].at < atN-retention.Nanoseconds() {
+						model = model[1:]
+					}
+				}
+				next++
+			}
+			if rng.Intn(3) == 0 {
+				to = clk.Now().Add(-time.Duration(rng.Intn(2)) * time.Minute)
+			}
+			var want []float64
+			for _, p := range model {
+				if p.id > last && p.at <= to.UnixNano() {
+					want = append(want, p.id)
+				}
+			}
+			var got []float64
+			var oldest int64
+			cur, oldest = sr.FoldSince(cur, to, func(at int64, v float64) { got = append(got, v) })
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: folded %v since the cursor, want %v", seed, step, got, want)
+			}
+			if len(got) > 0 {
+				last = got[len(got)-1]
+			}
+			wantOldest := int64(math.MaxInt64)
+			if len(model) > 0 {
+				wantOldest = model[0].at
+			}
+			if oldest != wantOldest {
+				t.Fatalf("seed %d step %d: oldest retained %d, want %d", seed, step, oldest, wantOldest)
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 	"time"
@@ -28,40 +27,77 @@ func NewSim(start time.Time) *Sim {
 
 type event struct {
 	at     time.Time
-	key    int64  // at as nanoseconds since the Sim's start: what the queue orders by
-	seq    uint64 // FIFO tie-break for equal timestamps
 	fn     func()
 	period time.Duration // > 0 for tickers
 	halted bool
-	index  int
 }
 
-type eventQueue []*event
+// slot is one entry of the event queue. It holds the event's ordering key
+// by value, so sifting compares slots without dereferencing an event.
+type slot struct {
+	key int64  // the event's time as nanoseconds since the Sim's start
+	seq uint64 // FIFO tie-break for equal timestamps
+	ev  *event
+}
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].key != q[j].key {
-		return q[i].key < q[j].key
+func (a slot) less(b slot) bool {
+	return a.key < b.key || a.key == b.key && a.seq < b.seq
+}
+
+// eventQueue is a 4-ary min-heap of slots ordered by (key, seq). Every
+// (key, seq) is distinct, so the firing order is the sort order, whatever
+// the heap's shape.
+type eventQueue []slot
+
+func (q *eventQueue) push(x slot) {
+	*q = append(*q, x)
+	q.up(len(*q) - 1)
+}
+
+// pop removes the root.
+func (q *eventQueue) pop() {
+	n := len(*q) - 1
+	(*q)[0] = (*q)[n]
+	(*q)[n] = slot{}
+	*q = (*q)[:n]
+	if n > 0 {
+		q.down(0)
 	}
-	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+
+func (q eventQueue) up(i int) {
+	x := q[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.less(q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
 }
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+
+func (q eventQueue) down(i int) {
+	x := q[i]
+	for {
+		c := 4*i + 1
+		if c >= len(q) {
+			break
+		}
+		best := c
+		for k := c + 1; k < min(c+4, len(q)); k++ {
+			if q[k].less(q[best]) {
+				best = k
+			}
+		}
+		if !q[best].less(x) {
+			break
+		}
+		q[i] = q[best]
+		i = best
+	}
+	q[i] = x
 }
 
 // Now returns the simulated current time.
@@ -95,9 +131,9 @@ func (s *Sim) TickEvery(d time.Duration, f func()) Ticker {
 }
 
 func (s *Sim) scheduleLocked(at time.Time, f func(), period time.Duration) *event {
-	ev := &event{at: at, key: int64(at.Sub(s.start)), seq: s.seq, fn: f, period: period}
+	ev := &event{at: at, fn: f, period: period}
+	s.pq.push(slot{key: int64(at.Sub(s.start)), seq: s.seq, ev: ev})
 	s.seq++
-	heap.Push(&s.pq, ev)
 	return ev
 }
 
@@ -152,35 +188,36 @@ func (s *Sim) Step() bool {
 // rescheduleLocked to move. If bounded, events after limit are left in
 // place and nil is returned.
 func (s *Sim) popRunnableLocked(limit time.Time, bounded bool) *event {
-	for s.pq.Len() > 0 {
-		ev := s.pq[0]
+	for len(s.pq) > 0 {
+		ev := s.pq[0].ev
 		if ev.halted {
-			heap.Pop(&s.pq)
+			s.pq.pop()
 			continue
 		}
 		if bounded && ev.at.After(limit) {
 			return nil
 		}
 		if ev.period == 0 {
-			heap.Pop(&s.pq)
+			s.pq.pop()
 		}
 		return ev
 	}
 	return nil
 }
 
-// rescheduleLocked gives the periodic event popRunnableLocked just
-// returned its next time and a fresh seq — where a new registration made
-// now would stand among equal timestamps — and sifts it down from the
-// root in place. The same *event is reused so ticker handles can still
-// cancel it.
+// rescheduleLocked gives the periodic event popRunnableLocked just left at
+// the root its next time and a fresh seq — where a new registration made
+// now would stand among equal timestamps — and sifts it down from the root
+// in place. The same *event is reused so ticker handles can still cancel
+// it.
 func (s *Sim) rescheduleLocked(ev *event) {
 	if ev.period > 0 {
 		ev.at = ev.at.Add(ev.period)
-		ev.key += int64(ev.period)
-		ev.seq = s.seq
+		root := &s.pq[0]
+		root.key += int64(ev.period)
+		root.seq = s.seq
 		s.seq++
-		heap.Fix(&s.pq, ev.index)
+		s.pq.down(0)
 	}
 }
 
@@ -218,8 +255,8 @@ func (s *Sim) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, ev := range s.pq {
-		if !ev.halted {
+	for _, sl := range s.pq {
+		if !sl.ev.halted {
 			n++
 		}
 	}

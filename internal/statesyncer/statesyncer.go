@@ -278,7 +278,7 @@ const (
 	// O(fleet) spike.
 	sweepRounds = 10
 	// maxSyncWorkers caps the GOMAXPROCS-wide pool that builds plans and
-	// applies the simple commits — the Auto Scaler's scan pool rule.
+	// applies the simple commits.
 	maxSyncWorkers = 16
 )
 

@@ -241,18 +241,10 @@ type Manager struct {
 	ooms        map[string]int // job -> OOM kills since the last DrainOOMs
 	tickers     []simclock.Ticker
 
-	// loadSeries caches per-shard metric rows (and their column names for
-	// window reads) so the per-tick load sampling allocates nothing after
-	// the first sample of a shard.
-	loadSeries map[shardmanager.ShardID]*shardLoadSeries
-}
-
-// shardLoadSeries holds one owned shard's load series: the row of
-// cpu | mem | disk | net the per-tick sample is appended to, and the
-// columns' names for the windowed reads.
-type shardLoadSeries struct {
-	row                     *metrics.Row
-	cpuN, memN, diskN, netN string
+	// loadSeries caches each owned shard's metric row, cpu | mem | disk |
+	// net, so the per-tick load sampling allocates nothing after the first
+	// sample of a shard and the load report folds a shard in one read.
+	loadSeries map[shardmanager.ShardID]*metrics.Row
 }
 
 // New builds a Task Manager for a container. Call Start to register with
@@ -793,7 +785,7 @@ func (m *Manager) Advance(dt time.Duration) {
 			}
 		}
 		if m.opts.Metrics != nil {
-			m.shardSeriesLocked(s).row.RecordAt(now,
+			m.shardSeriesLocked(s).RecordAt(now,
 				u.CPUCores, float64(u.MemoryBytes), float64(u.DiskBytes), float64(u.NetworkBps))
 		}
 	}
@@ -807,23 +799,17 @@ func addUsage(u *config.Resources, st engine.Stats) {
 	u.NetworkBps += st.NetworkBps
 }
 
-func (m *Manager) shardSeriesLocked(s shardmanager.ShardID) *shardLoadSeries {
-	if ls, ok := m.loadSeries[s]; ok {
-		return ls
+func (m *Manager) shardSeriesLocked(s shardmanager.ShardID) *metrics.Row {
+	if row, ok := m.loadSeries[s]; ok {
+		return row
 	}
 	if m.loadSeries == nil {
-		m.loadSeries = make(map[shardmanager.ShardID]*shardLoadSeries)
+		m.loadSeries = make(map[shardmanager.ShardID]*metrics.Row)
 	}
 	prefix := fmt.Sprintf("tm.%s.shard.%d.", m.id, s)
-	ls := &shardLoadSeries{
-		cpuN:  prefix + "cpu",
-		memN:  prefix + "mem",
-		diskN: prefix + "disk",
-		netN:  prefix + "net",
-	}
-	ls.row = m.opts.Metrics.Row(ls.cpuN, ls.memN, ls.diskN, ls.netN)
-	m.loadSeries[s] = ls
-	return ls
+	row := m.opts.Metrics.Row(prefix+"cpu", prefix+"mem", prefix+"disk", prefix+"net")
+	m.loadSeries[s] = row
+	return row
 }
 
 // EachTaskStats calls fn with the spec and last-observed stats of every
@@ -904,25 +890,23 @@ func (m *Manager) ReportLoads() {
 	for s, sh := range m.shards {
 		loads[s] = shardUsage(sh)
 	}
-	var windows map[shardmanager.ShardID]*shardLoadSeries
+	var windows map[shardmanager.ShardID]*metrics.Row
 	if m.opts.Metrics != nil {
-		windows = make(map[shardmanager.ShardID]*shardLoadSeries, len(m.shards))
+		windows = make(map[shardmanager.ShardID]*metrics.Row, len(m.shards))
 		for s := range m.shards {
 			windows[s] = m.shardSeriesLocked(s)
 		}
 	}
 	m.mu.Unlock()
 
-	if windows != nil {
-		mst, win := m.opts.Metrics, m.opts.LoadReportInterval
-		for s, ls := range windows {
-			if agg := mst.WindowAgg(ls.cpuN, win); agg.Count > 0 {
-				loads[s] = config.Resources{
-					CPUCores:    agg.Mean(),
-					MemoryBytes: int64(mst.WindowAgg(ls.memN, win).Mean()),
-					DiskBytes:   int64(mst.WindowAgg(ls.diskN, win).Mean()),
-					NetworkBps:  int64(mst.WindowAgg(ls.netN, win).Mean()),
-				}
+	var aggs [4]metrics.Agg // cpu | mem | disk | net
+	for s, row := range windows {
+		if row.WindowAggs(m.opts.LoadReportInterval, aggs[:]); aggs[0].Count > 0 {
+			loads[s] = config.Resources{
+				CPUCores:    aggs[0].Mean(),
+				MemoryBytes: int64(aggs[1].Mean()),
+				DiskBytes:   int64(aggs[2].Mean()),
+				NetworkBps:  int64(aggs[3].Mean()),
 			}
 		}
 	}
