@@ -276,11 +276,6 @@ func Claim33PctFootprint(p Params) *Result {
 	var dedicatedCPU, turbineCPU float64
 	var dedicatedMem, turbineMem int64
 	nTasks := 0
-	for _, info := range c.ListJobs() {
-		// info.Footprint is taskCount x per-task reservation; recover the
-		// per-task value from the running config via ListJobs' shape.
-		_ = info
-	}
 	for _, job := range c.Store.RunningNames() {
 		r, ok := c.Store.GetRunningShared(job)
 		if !ok {

@@ -148,7 +148,10 @@ func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 	}
 }
 
-func TestRestoreLegacySnapshotMarksEverythingDirty(t *testing.T) {
+// TestRestoreRejectsLegacySnapshot: a snapshot from before schema 2 (the
+// field absent, or 1) carries no dirty set or sync states, so Restore
+// refuses it and leaves the store's contents and journal as they were.
+func TestRestoreRejectsLegacySnapshot(t *testing.T) {
 	s := New()
 	if err := s.Create("keep", config.Doc{"taskCount": 1}); err != nil {
 		t.Fatal(err)
@@ -156,32 +159,41 @@ func TestRestoreLegacySnapshotMarksEverythingDirty(t *testing.T) {
 	if err := s.CommitRunning("keep", config.Doc{"taskCount": 1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	takeDirty(s) // converged: nothing dirty at snapshot time
 	data, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Strip the schema-2 fields, simulating a snapshot from before they
-	// existed: the restore must fall back to marking every job dirty.
 	var m map[string]json.RawMessage
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
 	}
-	delete(m, "schema")
 	delete(m, "dirty")
 	delete(m, "sync")
-	legacy, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	s2 := New()
-	if err := s2.Restore(legacy); err != nil {
+	target := New()
+	if err := target.CommitRunning("resident", config.Doc{"taskCount": 2}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := takeDirty(s2); !reflect.DeepEqual(got, []string{"keep"}) {
-		t.Fatalf("legacy restore dirty = %v, want [keep]", got)
+	head := target.JournalHead()
+	for _, schema := range []json.RawMessage{nil, json.RawMessage("1")} {
+		if schema == nil {
+			delete(m, "schema")
+		} else {
+			m["schema"] = schema
+		}
+		legacy, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := target.Restore(legacy); err == nil {
+			t.Fatalf("schema %s: legacy snapshot restored", schema)
+		}
+		if got := target.RunningNames(); !reflect.DeepEqual(got, []string{"resident"}) {
+			t.Fatalf("schema %s: running jobs after a rejected restore = %v, want [resident]", schema, got)
+		}
+		if _, next, ok := target.ChangesSince(head, nil); !ok || next != head {
+			t.Fatalf("schema %s: rejected restore moved the journal (next=%d ok=%v, head %d)", schema, next, ok, head)
+		}
 	}
 }
 

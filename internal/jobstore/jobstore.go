@@ -841,8 +841,8 @@ func (s *Store) SyncStateNamesRangeInto(lo, hi int, buf []string) []string {
 // snapshotSchema identifies the current serialized layout. Schema 3
 // added the shard-lease table; schema 2 added the dirty set and the
 // per-job sync states; schema 1 (implicit, field absent) predates all
-// three. Only schemas below 2 lack the crash-critical syncer state and
-// need the conservative mark-everything-dirty restore.
+// three. Restore rejects schemas below 2: they lack the crash-critical
+// syncer state.
 const snapshotSchema = 3
 
 // snapshot is the serialized form of the whole store.
@@ -906,16 +906,20 @@ func (s *Store) Snapshot() ([]byte, error) {
 
 // Restore replaces the store's contents from a Snapshot. Every running
 // entry is restamped with a fresh revision so spec caches rebuild rather
-// than trust pre-restore state. Schema-2 snapshots carry the dirty set
-// and the per-job sync states, so the restored change set is exactly the
+// than trust pre-restore state. A snapshot carries the dirty set and the
+// per-job sync states, so the restored change set is exactly the
 // serialized one (plus any running-without-expected orphans, which must
-// tear down) — a syncer restarted from such a snapshot converges in one
-// ordinary change-driven round. Legacy snapshots carry neither, so every
-// job is conservatively marked dirty.
+// tear down) — a syncer restarted from it converges in one ordinary
+// change-driven round. A snapshot whose schema is below 2 (or absent)
+// carries neither and is rejected with an error, leaving the store as it
+// was.
 func (s *Store) Restore(data []byte) error {
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
 		return fmt.Errorf("jobstore: restore: %w", err)
+	}
+	if snap.Schema < 2 {
+		return fmt.Errorf("jobstore: restore: snapshot schema %d predates the syncer state (schema 2)", snap.Schema)
 	}
 	for i := range s.stripes {
 		s.stripes[i].mu.Lock()
@@ -928,13 +932,8 @@ func (s *Store) Restore(data []byte) error {
 		st.dirty = make(map[string]uint64)
 		st.sync = make(map[string]*SyncState)
 	}
-	legacy := snap.Schema < 2
 	for k, v := range snap.Expected {
-		st := s.stripeFor(k)
-		st.expected[k] = v
-		if legacy {
-			s.markLocked(st, k)
-		}
+		s.stripeFor(k).expected[k] = v
 	}
 	for k, v := range snap.Running {
 		// Serialized snapshots carry neither revisions nor merge caches
@@ -944,7 +943,7 @@ func (s *Store) Restore(data []byte) error {
 		v.revision = s.revSeq.Add(1)
 		st := s.stripeFor(k)
 		st.running[k] = v
-		if _, ok := st.expected[k]; !ok || legacy {
+		if _, ok := st.expected[k]; !ok {
 			// Deleted-while-down jobs must tear down even if the snapshot
 			// predates their deletion's dirty mark.
 			s.markLocked(st, k)

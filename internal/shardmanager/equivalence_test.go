@@ -64,7 +64,7 @@ func newEquivFleet(t *testing.T, rng *rand.Rand, opts Options, regionNames []str
 	m.AssignUnassigned()
 	for s := ShardID(0); s < ShardID(shards); s++ {
 		f.loads[s] = dyadicLoad(rng)
-		m.ReportShardLoad(s, f.loads[s])
+		m.ReportShardLoads(map[ShardID]config.Resources{s: f.loads[s]})
 	}
 	return f
 }

@@ -96,7 +96,7 @@ func TestBatchReportMatchesSingles(t *testing.T) {
 	batch := make(map[ShardID]config.Resources, 64)
 	for s := ShardID(0); s < 64; s++ {
 		l := config.Resources{CPUCores: float64(s%8) / 4, MemoryBytes: int64(s%5) << 30}
-		single.ReportShardLoad(s, l)
+		single.ReportShardLoads(map[ShardID]config.Resources{s: l})
 		batch[s] = l
 	}
 	batched.ReportShardLoads(batch)
@@ -129,7 +129,7 @@ func TestMappingEpochAdvancesPerPass(t *testing.T) {
 	m.Rebalance()
 	epochAfterNoop := m.MappingEpoch()
 	for _, s := range m.ShardsOf("c0") {
-		m.ReportShardLoad(s, config.Resources{CPUCores: 4})
+		m.ReportShardLoads(map[ShardID]config.Resources{s: {CPUCores: 4}})
 	}
 	res := m.Rebalance()
 	if res.Moves == 0 {
@@ -152,7 +152,7 @@ func TestIncrementalStateAcrossFailoversAndReregisters(t *testing.T) {
 	m.AssignUnassigned()
 	checkStateInvariants(t, m)
 	for s := ShardID(0); s < 96; s++ {
-		m.ReportShardLoad(s, config.Resources{CPUCores: float64(s%16) / 8})
+		m.ReportShardLoads(map[ShardID]config.Resources{s: {CPUCores: float64(s%16) / 8}})
 	}
 	m.Rebalance()
 	checkStateInvariants(t, m)

@@ -21,24 +21,10 @@ type loadStripe struct {
 	dirty map[ShardID]struct{}
 }
 
-func (m *Manager) loadStripeFor(s ShardID) *loadStripe {
-	return &m.ld[uint64(s)&(loadStripeCount-1)]
-}
-
-// ReportShardLoad records the latest aggregated load of a shard, as
-// computed by the load-aggregator thread in a Task Manager (§IV-B). It
-// touches only the shard's load stripe and never blocks on balancing.
-func (m *Manager) ReportShardLoad(shard ShardID, load config.Resources) {
-	st := m.loadStripeFor(shard)
-	st.mu.Lock()
-	st.loads[shard] = load
-	st.dirty[shard] = struct{}{}
-	st.mu.Unlock()
-}
-
-// ReportShardLoads records a batch of shard loads in one pass — one lock
-// round-trip per touched stripe instead of one per shard. Task Managers
-// use it to publish a whole load-aggregation cycle at once (§IV-B).
+// ReportShardLoads records the latest aggregated loads of a batch of
+// shards, as computed by the load-aggregator thread in a Task Manager
+// (§IV-B), which publishes a whole aggregation cycle at once. It takes one
+// lock round-trip per touched load stripe and never blocks on balancing.
 func (m *Manager) ReportShardLoads(loads map[ShardID]config.Resources) {
 	if len(loads) == 0 {
 		return

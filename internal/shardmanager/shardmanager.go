@@ -166,7 +166,7 @@ type hbStripe struct {
 // Manager is the Shard Manager. Safe for concurrent use.
 //
 // Lock order (for paths that take more than one): mu, then a heartbeat or
-// load stripe. Heartbeat and ReportShardLoad(s) take only their stripe;
+// load stripe. Heartbeat and ReportShardLoads take only their stripes;
 // Owner and Mapping take no lock at all (atomic snapshot).
 type Manager struct {
 	clock simclock.Clock

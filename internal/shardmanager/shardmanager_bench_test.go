@@ -35,7 +35,7 @@ func benchFleet(shards, containers int, saturated bool) *Manager {
 		if saturated {
 			l.CPUCores *= 2
 		}
-		m.ReportShardLoad(ShardID(s), l)
+		m.ReportShardLoads(map[ShardID]config.Resources{ShardID(s): l})
 	}
 	m.Rebalance() // settle into a balanced fixpoint
 	return m
@@ -50,7 +50,7 @@ func skewLoads(m *Manager, hot int) {
 	}
 	for i := 0; i < hot; i++ {
 		for _, s := range m.ShardsOf(ids[i]) {
-			m.ReportShardLoad(s, config.Resources{CPUCores: 8, MemoryBytes: 16 << 30})
+			m.ReportShardLoads(map[ShardID]config.Resources{s: {CPUCores: 8, MemoryBytes: 16 << 30}})
 		}
 	}
 }
@@ -123,7 +123,7 @@ func BenchmarkHeartbeatFanIn(b *testing.B) {
 	})
 }
 
-// BenchmarkLoadReportFanIn measures concurrent per-shard load reports —
+// BenchmarkLoadReportFanIn measures concurrent one-shard load reports —
 // the load-aggregator fan-in from every Task Manager (§IV-B).
 func BenchmarkLoadReportFanIn(b *testing.B) {
 	const shards = 100_000
@@ -134,7 +134,7 @@ func BenchmarkLoadReportFanIn(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			m.ReportShardLoad(ShardID(i%shards), load)
+			m.ReportShardLoads(map[ShardID]config.Resources{ShardID(i % shards): load})
 			i++
 		}
 	})

@@ -216,10 +216,10 @@ func TestRebalanceMovesLoadWithinBand(t *testing.T) {
 
 	// All load concentrated on c0's shards.
 	for _, s := range m.ShardsOf("c0") {
-		m.ReportShardLoad(s, config.Resources{CPUCores: 2, MemoryBytes: 4 << 30})
+		m.ReportShardLoads(map[ShardID]config.Resources{s: {CPUCores: 2, MemoryBytes: 4 << 30}})
 	}
 	for _, s := range m.ShardsOf("c1") {
-		m.ReportShardLoad(s, config.Resources{CPUCores: 0.01, MemoryBytes: 1 << 20})
+		m.ReportShardLoads(map[ShardID]config.Resources{s: {CPUCores: 0.01, MemoryBytes: 1 << 20}})
 	}
 
 	res := m.Rebalance()
@@ -242,7 +242,7 @@ func TestRebalanceDisabledMakesNoMoves(t *testing.T) {
 	m.Register("c1", cap26(), &fakeHandler{})
 	m.AssignUnassigned()
 	for _, s := range m.ShardsOf("c0") {
-		m.ReportShardLoad(s, config.Resources{CPUCores: 5})
+		m.ReportShardLoads(map[ShardID]config.Resources{s: {CPUCores: 5}})
 	}
 	m.SetBalancingEnabled(false)
 	if res := m.Rebalance(); res.Moves != 0 {
@@ -274,7 +274,7 @@ func TestRebalanceRespectsCapacityHeadroom(t *testing.T) {
 	m.AssignUnassigned()
 	// Move everything to big first (simulate), then load heavily.
 	for s := ShardID(0); s < 4; s++ {
-		m.ReportShardLoad(s, config.Resources{CPUCores: 10, MemoryBytes: 10 << 30})
+		m.ReportShardLoads(map[ShardID]config.Resources{s: {CPUCores: 10, MemoryBytes: 10 << 30}})
 	}
 	m.Rebalance()
 	// tiny must not have received heavy shards beyond capacity.
@@ -298,7 +298,7 @@ func TestDropErrorCountedAndMoveProceeds(t *testing.T) {
 	m.Register("good", cap26(), good)
 	m.AssignUnassigned()
 	for _, s := range m.ShardsOf("bad") {
-		m.ReportShardLoad(s, config.Resources{CPUCores: 5})
+		m.ReportShardLoads(map[ShardID]config.Resources{s: {CPUCores: 5}})
 	}
 	res := m.Rebalance()
 	if res.Moves == 0 {
@@ -358,7 +358,7 @@ func TestStatsAccumulate(t *testing.T) {
 	m.Register("c1", cap26(), &fakeHandler{})
 	m.AssignUnassigned()
 	for _, s := range m.ShardsOf("c0") {
-		m.ReportShardLoad(s, config.Resources{CPUCores: 3})
+		m.ReportShardLoads(map[ShardID]config.Resources{s: {CPUCores: 3}})
 	}
 	m.Rebalance()
 	st := m.Stats()
@@ -429,7 +429,7 @@ func TestRebalanceScalesTo100KShards(t *testing.T) {
 	}
 	m.AssignUnassigned()
 	for s := ShardID(0); s < 100_000; s++ {
-		m.ReportShardLoad(s, config.Resources{CPUCores: float64(s%7) * 0.1, MemoryBytes: int64(s%11) << 26})
+		m.ReportShardLoads(map[ShardID]config.Resources{s: {CPUCores: float64(s%7) * 0.1, MemoryBytes: int64(s%11) << 26}})
 	}
 	start := time.Now()
 	m.Rebalance()
@@ -463,7 +463,7 @@ func TestRebalanceLocalOptimalityProperty(t *testing.T) {
 				MemoryBytes: int64(rng.Float64() * float64(2<<30)),
 			}
 			loads[s] = load
-			m.ReportShardLoad(s, load)
+			m.ReportShardLoads(map[ShardID]config.Resources{s: load})
 		}
 		res := m.Rebalance()
 		high := res.MeanScore * 1.10
@@ -514,7 +514,7 @@ func TestRebalanceFixpointProperty(t *testing.T) {
 		}
 		m.AssignUnassigned()
 		for s := ShardID(0); s < 48; s++ {
-			m.ReportShardLoad(s, config.Resources{CPUCores: rng.Float64()})
+			m.ReportShardLoads(map[ShardID]config.Resources{s: {CPUCores: rng.Float64()}})
 		}
 		m.Rebalance()
 		second := m.Rebalance()
@@ -589,7 +589,7 @@ func TestRebalanceRepatriatesRegionViolations(t *testing.T) {
 	}
 	// Balancer never moves it back west.
 	for _, s := range m.ShardsOf("east-0") {
-		m.ReportShardLoad(s, config.Resources{CPUCores: 5})
+		m.ReportShardLoads(map[ShardID]config.Resources{s: {CPUCores: 5}})
 	}
 	m.Rebalance()
 	if owner, _ := m.Owner(westShard); owner != "east-0" {

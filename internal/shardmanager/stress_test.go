@@ -122,7 +122,7 @@ func TestHeartbeatIndependentOfBalancing(t *testing.T) {
 	m.Register("peer", cap26(), &fakeHandler{})
 	m.AssignUnassigned()
 	for _, s := range m.ShardsOf("slow") {
-		m.ReportShardLoad(s, config.Resources{CPUCores: 4})
+		m.ReportShardLoads(map[ShardID]config.Resources{s: {CPUCores: 4}})
 	}
 
 	done := make(chan RebalanceResult, 1)
@@ -131,8 +131,7 @@ func TestHeartbeatIndependentOfBalancing(t *testing.T) {
 
 	hb := make(chan error, 1)
 	go func() {
-		m.ReportShardLoad(0, config.Resources{CPUCores: 1})
-		m.ReportShardLoads(map[ShardID]config.Resources{1: {CPUCores: 1}})
+		m.ReportShardLoads(map[ShardID]config.Resources{0: {CPUCores: 1}, 1: {CPUCores: 1}})
 		hb <- m.Heartbeat("peer")
 	}()
 	select {

@@ -3,7 +3,7 @@ package taskmanager
 // Property test of the bucket-identity reconcile against a spec-level
 // oracle. A seeded churn matrix — the Task Service's PR 7 matrix (commit,
 // byte-identical recommit, drop, quiesce/unquiesce, journal-overflow
-// resync) extended with everything that moves a Task Manager (task-count
+// burst) extended with everything that moves a Task Manager (task-count
 // change through the actuator protocol, shard moves, StopJob, proactive
 // reboot, container death and revival at seconds 1/31/58 of the fetch
 // period, a foreign lease that makes a Start fail, a Refresh held back by
@@ -92,10 +92,10 @@ type churnHarness struct {
 	trace          []string            // "manager task@relative-instance-number", in start order
 	published      map[*taskservice.IndexedSpec]*publishedBucket
 
-	reconciles, keptAcrossResync int
-	gated                        [3]int // refreshes each gate held back while the source had moved on
-	stopsBehindSource            int    // tasks StopJob found in buckets the source no longer publishes
-	adoptedGated                 int    // shards handed to a manager whose Refresh a gate held back
+	reconciles, keptAcrossOverflow int
+	gated                          [3]int // refreshes each gate held back while the source had moved on
+	stopsBehindSource              int    // tasks StopJob found in buckets the source no longer publishes
+	adoptedGated                   int    // shards handed to a manager whose Refresh a gate held back
 }
 
 // --- probes -----------------------------------------------------------
@@ -543,7 +543,7 @@ func (h *churnHarness) gatedRefresh(k, gate int, bump func(), stop string) {
 			continue
 		}
 		for _, s := range w.sm.ShardsOf(other.ID()) {
-			w.sm.ReportShardLoad(s, config.Resources{CPUCores: 4, MemoryBytes: 4 << 30})
+			w.sm.ReportShardLoads(map[shardmanager.ShardID]config.Resources{s: {CPUCores: 4, MemoryBytes: 4 << 30}})
 		}
 	}
 	owned := len(tm.Shards())
@@ -562,7 +562,7 @@ func (h *churnHarness) gatedRefresh(k, gate int, bump func(), stop string) {
 
 // restartTaskService replaces the Task Service with a new one over the same
 // store and quiesce set: equal content, every bucket and every spec in a
-// new array — what a from-scratch resync publishes, forced.
+// new array — a new Service shares no array with the old one.
 func (h *churnHarness) restartTaskService() {
 	fresh := taskservice.New(h.w.store, h.w.clk, 90*time.Second, churnShards)
 	for n := range h.quiesced {
@@ -643,9 +643,10 @@ func (h *churnHarness) run() []string {
 			delete(h.blocked, engine.TaskID(conflictJob, 0))
 		case round == 30:
 			// More journal entries than the ring holds between two
-			// regenerations: the next index is rebuilt from scratch, every
-			// bucket in a new array. check's minimality rule then demands
-			// that only the one job whose content moved restarts.
+			// regenerations: the next change set is the whole fleet, and a
+			// bucket gets a new array exactly when its content moved.
+			// check's minimality rule then demands that only the jobs whose
+			// content moved restart.
 			h.refreshAll()
 			before := w.ts.Index()
 			ran := make(map[string]taskView)
@@ -670,15 +671,19 @@ func (h *churnHarness) run() []string {
 			w.ts.Invalidate()
 			after := w.ts.Index()
 			for s := shardmanager.ShardID(0); s < churnShards; s++ {
-				if b := after.ShardSpecs(s); len(b) > 0 && taskservice.SameBucket(before.ShardSpecs(s), b) {
-					t.Fatalf("round %d: shard %d kept its array across a from-scratch resync", round, s)
+				was, is := before.ShardSpecs(s), after.ShardSpecs(s)
+				equal := slices.EqualFunc(was, is, func(a, b taskservice.IndexedSpec) bool {
+					return a.ID == b.ID && a.Spec.Equal(b.Spec)
+				})
+				if same := taskservice.SameBucket(was, is); same != equal {
+					t.Fatalf("round %d: shard %d across a journal overflow: content equal = %v, same array = %v", round, s, equal, same)
 				}
 			}
 			h.refreshAll()
 			for _, v := range h.last {
 				for id, tv := range v {
 					if ran[id] == tv {
-						h.keptAcrossResync++
+						h.keptAcrossOverflow++
 					}
 				}
 			}
@@ -717,7 +722,7 @@ func (h *churnHarness) run() []string {
 				case 6: // shard moves: skew one container's load, rebalance
 					heavy := w.tms[rng.Intn(churnContainers)]
 					for _, s := range w.sm.ShardsOf(heavy.ID()) {
-						w.sm.ReportShardLoad(s, config.Resources{CPUCores: 4, MemoryBytes: 4 << 30})
+						w.sm.ReportShardLoads(map[shardmanager.ShardID]config.Resources{s: {CPUCores: 4, MemoryBytes: 4 << 30}})
 					}
 					w.sm.Rebalance()
 				case 7: // StopJob without a quiesce: the next Refresh restarts the tasks
@@ -807,11 +812,11 @@ func TestReconcileMatchesIndexUnderChurn(t *testing.T) {
 		reboots += tm.Stats().Reboots
 		errs += tm.Stats().StartErrors
 	}
-	summary := fmt.Sprintf("%d reconciles, %d reboots, %d failed starts, %d tasks kept across the resync, %d starts, %v refreshes held back per gate, %d shards adopted behind a gate, %d tasks stopped in buckets the source had replaced",
-		h.reconciles, reboots, errs, h.keptAcrossResync, len(first), h.gated, h.adoptedGated, h.stopsBehindSource)
+	summary := fmt.Sprintf("%d reconciles, %d reboots, %d failed starts, %d tasks kept across the overflow, %d starts, %v refreshes held back per gate, %d shards adopted behind a gate, %d tasks stopped in buckets the source had replaced",
+		h.reconciles, reboots, errs, h.keptAcrossOverflow, len(first), h.gated, h.adoptedGated, h.stopsBehindSource)
 	t.Log(summary)
 	// The matrix must have reached what it exists to reach.
-	if h.reconciles < 200 || reboots == 0 || errs < 2 || h.keptAcrossResync == 0 || len(first) < 300 ||
+	if h.reconciles < 200 || reboots == 0 || errs < 2 || h.keptAcrossOverflow == 0 || len(first) < 300 ||
 		min(h.gated[0], h.gated[1], h.gated[2]) == 0 || h.adoptedGated == 0 || h.stopsBehindSource < 10 {
 		t.Fatalf("matrix too tame: %s", summary)
 	}

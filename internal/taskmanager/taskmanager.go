@@ -93,7 +93,6 @@ type ShardManagerClient interface {
 	Register(id string, capacity config.Resources, h shardmanager.Handler)
 	RegisterInRegion(id, region string, capacity config.Resources, h shardmanager.Handler)
 	Heartbeat(id string) error
-	ReportShardLoad(s shardmanager.ShardID, load config.Resources)
 	// ReportShardLoads publishes a whole load-aggregation cycle in one
 	// call — one Shard Manager round-trip instead of one per shard.
 	ReportShardLoads(loads map[shardmanager.ShardID]config.Resources)

@@ -196,7 +196,7 @@ func TestShardMoveProtocolKeepsSingleInstance(t *testing.T) {
 		tm.ReportLoads()
 	}
 	for _, s := range w.sm.ShardsOf(w.tms[0].ID()) {
-		w.sm.ReportShardLoad(s, config.Resources{CPUCores: 8, MemoryBytes: 8 << 30})
+		w.sm.ReportShardLoads(map[shardmanager.ShardID]config.Resources{s: {CPUCores: 8, MemoryBytes: 8 << 30}})
 	}
 	w.sm.Rebalance()
 	w.refreshAll()

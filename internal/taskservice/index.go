@@ -50,13 +50,15 @@ type IndexedSpec struct {
 
 // SameBucket reports whether a and b are one and the same published
 // bucket: equal length and the same backing array. It rests on the
-// immutability contract of this file — newIndex and rebuildBucket build
-// every bucket in a fresh array and nothing writes an array once an index
-// holding it is published — plus the caller's own reference, which keeps
-// a retained bucket's address from being recycled. So same array ⇒ same
-// content, and a consumer that reconciled against a can skip b. The
-// converse does not hold: a from-scratch resync republishes unchanged
-// content in new arrays, and those buckets compare different.
+// immutability contract of this file — rebuildBucket builds every bucket
+// in a fresh array and nothing writes an array once an index holding it
+// is published — plus the caller's own reference, which keeps a retained
+// bucket's address from being recycled. So same array ⇒ same content,
+// and a consumer that reconciled against a can skip b. Conversely, one
+// Service's successive indexes rebuild only the buckets that hold a job
+// whose specs changed — across journal overflows and Restores too — so a
+// bucket no changed job touches keeps its array. A new Service shares no
+// array with an old one.
 func SameBucket(a, b []IndexedSpec) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
@@ -135,13 +137,6 @@ func buildGroupShards(indexed []IndexedSpec) []groupShard {
 	return shards
 }
 
-// sameContent reports whether two included-group sequences describe the
-// same snapshot. Reused groups compare by pointer; rebuilt groups spec by
-// spec (a spec names its job).
-func sameContent(a, b []*jobGroup) bool {
-	return slices.EqualFunc(a, b, func(g, o *jobGroup) bool { return g == o || g.sameSpecs(o) })
-}
-
 // The shard space is divided into fixed-width chunks of 2^chunkShift
 // shards; the index holds one pointer per chunk. Copy-on-write works at
 // chunk granularity: splicing a job whose tasks touch k shards clones at
@@ -174,32 +169,6 @@ type SnapshotIndex struct {
 	groups    []*jobGroup // included groups, sorted by job name
 	total     int
 	chunks    []*shardChunk // chunked shard space; nil chunk = all buckets empty
-}
-
-// newIndex assembles an index from scratch from the included groups
-// (already sorted by job name). Incremental publishes go through
-// indexDraft instead and never call this.
-func newIndex(version, numShards int, groups []*jobGroup) *SnapshotIndex {
-	idx := &SnapshotIndex{
-		version:   version,
-		numShards: numShards,
-		groups:    groups,
-		chunks:    make([]*shardChunk, numChunks(numShards)),
-	}
-	for _, g := range groups {
-		idx.total += len(g.indexed)
-		for _, gs := range g.shards {
-			ci := int(gs.shard) >> chunkShift
-			c := idx.chunks[ci]
-			if c == nil {
-				c = &shardChunk{}
-				idx.chunks[ci] = c
-			}
-			li := int(gs.shard) & (chunkWidth - 1)
-			c.buckets[li] = append(c.buckets[li], gs.specs...)
-		}
-	}
-	return idx
 }
 
 // Version returns the snapshot version: monotonic, and moved only when
@@ -278,11 +247,11 @@ func (idx *SnapshotIndex) Specs() []engine.TaskSpec {
 	return out
 }
 
-// indexDraft is the working state of one incremental publish: the
-// chunk-pointer slice cloned from the base index, and the bucket edits
-// the regeneration has recorded so far. Nothing is rebuilt until publish,
-// so a bucket that several changed jobs share is rebuilt once, not once
-// per job. A draft is created lazily, on the first content-changing group
+// indexDraft is the working state of one publish: the chunk-pointer
+// slice cloned from the base index, and the bucket edits the
+// regeneration has recorded so far. Nothing is rebuilt until publish, so
+// a bucket that several changed jobs share is rebuilt once, not once per
+// job. A draft is created lazily, on the first content-changing group
 // update of a regeneration; if nothing changes, no draft exists and the
 // previous index stays published.
 type indexDraft struct {
@@ -292,13 +261,13 @@ type indexDraft struct {
 }
 
 // bucketEdit says that from this regeneration on, job's entries in
-// shard's bucket are exactly repl (nil: none). Of several edits of one
-// (shard, job) the last recorded holds. lo and hi are publish's scratch:
-// where job's old run sits in the bucket being rebuilt.
+// shard's bucket are exactly repl (nil: none). A regeneration visits each
+// job once, so a (shard, job) pair has at most one edit. lo and hi are
+// publish's scratch: where job's old run sits in the bucket being
+// rebuilt.
 type bucketEdit struct {
 	shard  shardmanager.ShardID
 	job    string
-	seq    int // arrival order
 	repl   []IndexedSpec
 	lo, hi int
 }
@@ -330,7 +299,7 @@ func (d *indexDraft) applyGroup(job string, oldG, newG *jobGroup) {
 	}
 	i, j := 0, 0
 	for i < len(os) || j < len(ns) {
-		e := bucketEdit{job: job, seq: len(d.edits)}
+		e := bucketEdit{job: job}
 		switch {
 		case j >= len(ns) || (i < len(os) && os[i].shard < ns[j].shard):
 			e.shard = os[i].shard
@@ -348,33 +317,25 @@ func (d *indexDraft) applyGroup(job string, oldG, newG *jobGroup) {
 }
 
 // publish applies the recorded edits and freezes the draft into an
-// immutable index. Ordered by (shard, job, arrival), the edits of one
-// bucket are adjacent and those of one chunk consecutive: each touched
-// chunk is privatized (cloned) exactly once and each touched bucket
-// rebuilt exactly once. Chunks never touched stay shared with the base
-// index by pointer, untouched buckets of a cloned chunk by slice.
+// immutable index. Ordered by (shard, job), the edits of one bucket are
+// adjacent and those of one chunk consecutive: each touched chunk is
+// privatized (cloned) exactly once and each touched bucket rebuilt
+// exactly once. Chunks never touched stay shared with the base index by
+// pointer, untouched buckets of a cloned chunk by slice.
 func (d *indexDraft) publish(version, numShards int, groups []*jobGroup) *SnapshotIndex {
 	edits := d.edits
 	slices.SortFunc(edits, func(a, b bucketEdit) int {
 		if c := cmp.Compare(a.shard, b.shard); c != 0 {
 			return c
 		}
-		if c := strings.Compare(a.job, b.job); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.seq, b.seq)
+		return strings.Compare(a.job, b.job)
 	})
 	owned := -1 // the chunk this walk privatized last
 	for lo := 0; lo < len(edits); {
 		shard := edits[lo].shard
-		hi, n := lo, lo
-		for ; hi < len(edits) && edits[hi].shard == shard; hi++ {
-			// Keep the last edit of each job, compacted to edits[lo:n].
-			if n > lo && edits[n-1].job == edits[hi].job {
-				n--
-			}
-			edits[n] = edits[hi]
-			n++
+		hi := lo + 1
+		for hi < len(edits) && edits[hi].shard == shard {
+			hi++
 		}
 		ci, li := int(shard)>>chunkShift, int(shard)&(chunkWidth-1)
 		if ci != owned {
@@ -385,7 +346,7 @@ func (d *indexDraft) publish(version, numShards int, groups []*jobGroup) *Snapsh
 			d.chunks[ci] = nc
 			owned = ci
 		}
-		d.chunks[ci].buckets[li] = rebuildBucket(d.chunks[ci].buckets[li], edits[lo:n])
+		d.chunks[ci].buckets[li] = rebuildBucket(d.chunks[ci].buckets[li], edits[lo:hi])
 		lo = hi
 	}
 	return &SnapshotIndex{
@@ -400,11 +361,10 @@ func (d *indexDraft) publish(version, numShards int, groups []*jobGroup) *Snapsh
 // rebuildBucket returns bucket b with the entries of every edited job
 // replaced by that edit's repl, in one new array — always a new one, so
 // that SameBucket tells the old bucket from the result; nil if nothing is
-// left, the from-scratch representation of an empty bucket. edits are in
+// left, the one representation of an empty bucket. edits are in
 // ascending job order, one per job. The result keeps the bucket's
-// invariant: entries grouped by job in ascending job-name order, matching
-// what a from-scratch rebuild produces. b is never modified — it may be
-// shared with a published index.
+// invariant: entries grouped by job in ascending job-name order. b is
+// never modified — it may be shared with a published index.
 //
 // The first pass locates each edited job's run in b (JobRun, searching
 // on from the previous one) and sizes the result exactly; the second

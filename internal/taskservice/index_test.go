@@ -70,8 +70,7 @@ func TestIncrementalRegenerationMatchesFromScratch(t *testing.T) {
 	svc.Invalidate()
 	incremental, _ := svc.Snapshot()
 
-	// A brand-new service over the same store generates from scratch.
-	fresh, _ := New(store, clk, 90*time.Second, 64).Snapshot()
+	fresh := scratchIndex(store, 64, nil).Specs()
 
 	if got, want := specsJSON(t, incremental), specsJSON(t, fresh); got != want {
 		t.Fatalf("incremental snapshot differs from from-scratch generation:\nincremental: %s\nfresh: %s", got, want)
@@ -327,7 +326,7 @@ func TestJobShardsInvertsShardSpecs(t *testing.T) {
 	step("dropped and resumed", func() { store.DropRunning("zz"); svc.Unquiesce("job0") })
 	spliced := published[len(published)-1]
 
-	fresh := New(store, clk, 90*time.Second, numShards).Index()
+	fresh := scratchIndex(store, numShards, nil)
 	assertJobShardsInvertBuckets(t, fresh, names...)
 	if !IndexEqual(spliced, fresh) {
 		t.Fatal("spliced index differs from a from-scratch build")

@@ -63,7 +63,7 @@ func TestPartitionWindowsAreWriteIsolated(t *testing.T) {
 // TestParallelRebuildEquivalence forces the worker-pool rebuild path
 // (which single-CPU hosts never take organically) through churn batches
 // past the fan-out threshold, and pins every published snapshot
-// byte-identical to a from-scratch sequential rebuild.
+// byte-identical to a from-scratch sequential build.
 func TestParallelRebuildEquivalence(t *testing.T) {
 	const numShards = 96
 	const jobPool = 60 // every round rebuilds > the fan-out threshold
@@ -91,22 +91,19 @@ func TestParallelRebuildEquivalence(t *testing.T) {
 			commit(fmt.Sprintf("job%03d", i), 1+(i+round)%5, fmt.Sprintf("v%d", round))
 		}
 		if round == 3 {
-			// Overflow the journal so the resync path's prebuild (and its
-			// pool dispatch) is exercised too.
+			// Overflow the journal so the prebuild of a whole-fleet change
+			// set (and its pool dispatch) is exercised too.
 			for i := 0; i < jobstore.JournalCap+10; i++ {
 				commit(fmt.Sprintf("job%03d", i%jobPool), 1+i%5, fmt.Sprintf("v%d-%d", round, i/jobPool))
 			}
 		}
 		svc.Invalidate()
-		idx := svc.Index()
-
-		fresh := New(store, clk, 90*time.Second, numShards)
-		assertIndexEquivalent(t, idx, fresh.Index(), numShards)
+		assertIndexEquivalent(t, svc.Index(), scratchIndex(store, numShards, nil), numShards)
 	}
 }
 
-// TestParallelRebuildSkipsDropsAndDuplicates feeds the prebuild
-// collector the cases it must not hand to the pool: dropped jobs,
+// TestParallelRebuildSkipsDropsAndDuplicates feeds the change-set
+// collector the cases it must fold or keep from the pool: dropped jobs,
 // duplicate journal entries, and jobs whose cached group is already at
 // the current revision.
 func TestParallelRebuildSkipsDropsAndDuplicates(t *testing.T) {
@@ -137,6 +134,5 @@ func TestParallelRebuildSkipsDropsAndDuplicates(t *testing.T) {
 		t.Fatalf("after churn snapshot has %d specs, want 2 (a only)", got)
 	}
 
-	fresh := New(store, clk, 90*time.Second, 16)
-	assertIndexEquivalent(t, svc.Index(), fresh.Index(), 16)
+	assertIndexEquivalent(t, svc.Index(), scratchIndex(store, 16, nil), 16)
 }

@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jobstore"
 	"repro/internal/simclock"
 )
 
@@ -128,6 +129,48 @@ func BenchmarkScaleRefresh1MChurn1pct(b *testing.B) {
 		// where an O(fleet) regression would pay for 125K groups.
 		if spent, ceiling := m1.Mallocs-m0.Mallocs, regenAllocCeiling(prev, idx, churn); spent > ceiling {
 			b.Fatalf("1%%-churn 1M refresh allocates %d objects, ceiling %d", spent, ceiling)
+		}
+		prev = idx
+		b.StartTimer()
+	}
+}
+
+// BenchmarkScaleRefresh1MOverflow is the 1 %-churn refresh with the
+// journal overflowed in between: the same 1,250 jobs are recommitted
+// until more than JournalCap entries pile up, so the service's cursor
+// falls off the ring and its change set is the whole fleet. The ceiling
+// is the 1 %-churn one: an overflow costs what its changes cost, not a
+// fresh index.
+func BenchmarkScaleRefresh1MOverflow(b *testing.B) {
+	if testing.Short() {
+		b.Skip("scale tier: run via make bench-scale")
+	}
+	const churn = refreshJobs / 100
+	svc, commit := refreshFleet(b)
+	prev := svc.Index()
+	var m0, m1 runtime.MemStats
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		base := (i * churn) % refreshJobs
+		for lap := 0; lap*churn <= jobstore.JournalCap; lap++ {
+			for j := 0; j < churn; j++ {
+				name := fmt.Sprintf("job%04d", (base+j)%refreshJobs)
+				commit(name, fmt.Sprintf("v%d.%d.%d", i+2, lap, j), int64(i+2))
+			}
+		}
+		svc.Invalidate()
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		idx := svc.Index()
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		if idx.Len() != refreshJobs*refreshTasks {
+			b.Fatalf("specs = %d", idx.Len())
+		}
+		if spent, ceiling := m1.Mallocs-m0.Mallocs, regenAllocCeiling(prev, idx, churn); spent > ceiling {
+			b.Fatalf("overflowed 1%%-churn 1M refresh allocates %d objects, ceiling %d", spent, ceiling)
 		}
 		prev = idx
 		b.StartTimer()

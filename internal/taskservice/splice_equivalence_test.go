@@ -1,7 +1,8 @@
 package taskservice
 
-// The PR 7 equivalence suite: the journal-driven incremental index must
-// be byte-identical to a from-scratch rebuild under arbitrary churn —
+// The equivalence suite: the journal-driven spliced index must be
+// byte-identical to a from-scratch build (scratchIndex, which shares no
+// journal, cache or splice with the service) under arbitrary churn —
 // commits (content-changing and byte-identical), deletes, stops,
 // quiesce/unquiesce toggles, and journal overflow — and published
 // indexes must stay immutable while later publishes splice around them.
@@ -21,6 +22,37 @@ import (
 	"repro/internal/shardmanager"
 	"repro/internal/simclock"
 )
+
+// scratchIndex is the suite's oracle: the index of store's running jobs
+// minus quiesced, built with no journal, no group cache and no splice —
+// every group generated afresh and every bucket assembled by appending
+// the groups' sub-buckets in job-name order. A fresh Service is no
+// oracle: its first publish runs the very splice under test.
+func scratchIndex(store *jobstore.Store, numShards int, quiesced map[string]bool) *SnapshotIndex {
+	gen := &Service{store: store, numShards: numShards, groups: make(map[string]*jobGroup)}
+	idx := &SnapshotIndex{numShards: numShards, chunks: make([]*shardChunk, numChunks(numShards))}
+	for _, job := range store.RunningNames() {
+		rev, ok := store.RunningRevision(job)
+		if !ok || quiesced[job] {
+			continue
+		}
+		g := gen.buildGroup(job, rev)
+		if len(g.indexed) == 0 {
+			continue
+		}
+		idx.groups = append(idx.groups, g)
+		idx.total += len(g.indexed)
+		for _, gs := range g.shards {
+			ci := int(gs.shard) >> chunkShift
+			if idx.chunks[ci] == nil {
+				idx.chunks[ci] = &shardChunk{}
+			}
+			b := &idx.chunks[ci].buckets[int(gs.shard)&(chunkWidth-1)]
+			*b = append(*b, gs.specs...)
+		}
+	}
+	return idx
+}
 
 // assertIndexEquivalent pins idx against want: same totals, byte-identical
 // specs in the same order, and identical per-shard buckets (IDs, spec
@@ -76,11 +108,12 @@ func shardFingerprint(t *testing.T, idx *SnapshotIndex, numShards int) [][]strin
 }
 
 // TestChurnMatrixEquivalence drives randomized rounds of mixed churn
-// through one long-lived incremental service and checks every published
-// snapshot byte-identical to a from-scratch rebuild over the same store
-// and quiesce set — including a mid-matrix burst larger than the change
-// journal's ring, which forces the overflow → full-resync path. It also
-// pins version stability: the version moves iff the content moved.
+// through one long-lived service and checks every published snapshot
+// byte-identical to a from-scratch build over the same store and quiesce
+// set — including a mid-matrix burst larger than the change journal's
+// ring, after which the change set is the whole fleet and a bucket keeps
+// its array iff its content is unchanged. It also pins version
+// stability: the version moves iff the content moved.
 func TestChurnMatrixEquivalence(t *testing.T) {
 	const numShards = 96
 	const jobPool = 50
@@ -155,8 +188,11 @@ func TestChurnMatrixEquivalence(t *testing.T) {
 		// Quiesce toggled and committed, both ways round.
 		11: func() { quiesce("hushed", true); set("hushed", 4) },
 		14: func() { set("hushed", 3); quiesce("hushed", false) },
-		// The same three on top of the resync round's from-scratch arrays,
-		// and all in one regeneration.
+		// Journal entries the overflow burst below pushes off the ring: the
+		// drop must still be seen, through the cached group it leaves.
+		20: func() { drop("again"); set("twice", 3); quiesce("hushed", true) },
+		// The same three on top of the overflow round's publish, and all
+		// in one regeneration.
 		23: func() {
 			set("twice", 1)
 			set("twice", 4)
@@ -170,18 +206,22 @@ func TestChurnMatrixEquivalence(t *testing.T) {
 		26: func() { drop("again"); set("again", 3); drop("again"); set("hushed", 5); quiesce("hushed", true) },
 	}
 
+	var prev *SnapshotIndex
 	prevJSON := ""
-	prevVersion := -1
 	for round := 0; round < 40; round++ {
 		if steps := composed[round]; steps != nil {
 			steps()
 		}
 		if round == 20 {
 			// Overflow burst: more journal entries than the ring holds
-			// land between refreshes, so this round's regeneration must
-			// take the resync path and still match.
-			for i := 0; i < jobstore.JournalCap+20; i++ {
-				commit(fmt.Sprintf("job%03d", i%jobPool), i%7 == 0)
+			// land between refreshes, so this round's change set is the
+			// whole fleet, and it must still match. Three of the commits
+			// change content; the rest rewrite live jobs byte-identically.
+			for i, n := 0, 0; n < jobstore.JournalCap+20; i++ {
+				if name := fmt.Sprintf("job%03d", i%jobPool); cfgs[name] != nil {
+					commit(name, n < 3)
+					n++
+				}
 			}
 		}
 		for o, ops := 0, 1+rng.Intn(8); o < ops; o++ {
@@ -215,11 +255,8 @@ func TestChurnMatrixEquivalence(t *testing.T) {
 		svc.Invalidate()
 		idx := svc.Index()
 
-		fresh := New(store, clk, 90*time.Second, numShards)
-		for name := range quiesced {
-			fresh.Quiesce(name)
-		}
-		assertIndexEquivalent(t, idx, fresh.Index(), numShards)
+		want := scratchIndex(store, numShards, quiesced)
+		assertIndexEquivalent(t, idx, want, numShards)
 		// The per-job lookup is the inverse of the buckets on both, for
 		// the jobs the matrix left out of the snapshot too.
 		pool := []string{"twice", "again", "hushed"}
@@ -227,16 +264,36 @@ func TestChurnMatrixEquivalence(t *testing.T) {
 			pool = append(pool, fmt.Sprintf("job%03d", i))
 		}
 		assertJobShardsInvertBuckets(t, idx, pool...)
-		assertJobShardsInvertBuckets(t, fresh.Index(), pool...)
+		assertJobShardsInvertBuckets(t, want, pool...)
 
 		j := specsJSON2(t, idx)
-		if prevVersion >= 0 {
-			if contentMoved, versionMoved := j != prevJSON, idx.Version() != prevVersion; contentMoved != versionMoved {
+		if prev != nil {
+			if contentMoved, versionMoved := j != prevJSON, idx.Version() != prev.Version(); contentMoved != versionMoved {
 				t.Fatalf("round %d: content moved=%v but version moved=%v (%d -> %d)",
-					round, contentMoved, versionMoved, prevVersion, idx.Version())
+					round, contentMoved, versionMoved, prev.Version(), idx.Version())
 			}
 		}
-		prevJSON, prevVersion = j, idx.Version()
+		if round == 20 {
+			// An overflow is a bigger change set, not a rebuild: a bucket
+			// keeps its array exactly when its content did not change.
+			kept, replaced := 0, 0
+			was, is := shardFingerprint(t, prev, numShards), shardFingerprint(t, idx, numShards)
+			for s := range numShards {
+				same := SameBucket(prev.ShardSpecs(shardmanager.ShardID(s)), idx.ShardSpecs(shardmanager.ShardID(s)))
+				if equal := slices.Equal(was[s], is[s]); same != equal {
+					t.Fatalf("overflow round, shard %d: content equal = %v, same array = %v", s, equal, same)
+				}
+				if len(is[s]) > 0 && same {
+					kept++
+				} else if !same {
+					replaced++
+				}
+			}
+			if kept == 0 || replaced == 0 {
+				t.Fatalf("overflow round not exercised: %d non-empty buckets kept, %d replaced", kept, replaced)
+			}
+		}
+		prev, prevJSON = idx, j
 	}
 }
 
@@ -331,9 +388,7 @@ func TestPublishedIndexImmutableUnderSplices(t *testing.T) {
 	if same == 0 || changed == 0 {
 		t.Fatalf("contract not exercised: %d buckets kept, %d replaced", same, changed)
 	}
-	fresh := New(store, clk, 90*time.Second, numShards)
-	fresh.Quiesce("job04")
-	assertIndexEquivalent(t, idx3, fresh.Index(), numShards)
+	assertIndexEquivalent(t, idx3, scratchIndex(store, numShards, map[string]bool{"job04": true}), numShards)
 }
 
 // TestQuiesceSplicesWithoutRebuild: quiescing and unquiescing splice the
@@ -384,7 +439,7 @@ func TestQuiesceSplicesWithoutRebuild(t *testing.T) {
 	if got := specsJSON2(t, idx3); got != json1 {
 		t.Fatal("unquiesce did not restore the original content")
 	}
-	assertIndexEquivalent(t, idx3, New(store, clk, 90*time.Second, numShards).Index(), numShards)
+	assertIndexEquivalent(t, idx3, scratchIndex(store, numShards, nil), numShards)
 }
 
 // TestCommitEntryForDroppedJob covers the delete-between-journal-and-read
@@ -414,17 +469,18 @@ func TestCommitEntryForDroppedJob(t *testing.T) {
 			t.Fatalf("dropped job leaked: %+v", is.Spec)
 		}
 	})
-	assertIndexEquivalent(t, idx, New(store, clk, 90*time.Second, numShards).Index(), numShards)
+	assertIndexEquivalent(t, idx, scratchIndex(store, numShards, nil), numShards)
 
 	// Re-create after the drop: insert splice.
 	commitJob(t, store, "b", 1, 3)
 	svc.Invalidate()
-	assertIndexEquivalent(t, svc.Index(), New(store, clk, 90*time.Second, numShards).Index(), numShards)
+	assertIndexEquivalent(t, svc.Index(), scratchIndex(store, numShards, nil), numShards)
 }
 
 // TestJournalOverflowResyncThenIncremental: after a burst larger than the
-// journal ring forces a full resync, the service's cursor is caught up —
-// the next one-job change goes back to rebuilding only that job.
+// journal ring turns the whole fleet into one change set, the service's
+// cursor is caught up — the next one-job change goes back to rebuilding
+// only that job.
 func TestJournalOverflowResyncThenIncremental(t *testing.T) {
 	const numShards = 64
 	const tasks = 4
@@ -448,10 +504,10 @@ func TestJournalOverflowResyncThenIncremental(t *testing.T) {
 	}
 	svc.Invalidate()
 	idx := svc.Index()
-	assertIndexEquivalent(t, idx, New(store, clk, 90*time.Second, numShards).Index(), numShards)
+	assertIndexEquivalent(t, idx, scratchIndex(store, numShards, nil), numShards)
 
-	// Post-resync: incremental again. One changed job regenerates exactly
-	// its own specs.
+	// After the overflow: journal-driven again. One changed job
+	// regenerates exactly its own specs.
 	cfg := jobCfg("job07", tasks)
 	cfg.Package.Version = "v999"
 	doc, err := cfg.ToDoc()
@@ -462,9 +518,9 @@ func TestJournalOverflowResyncThenIncremental(t *testing.T) {
 	svc.Invalidate()
 	idx2 := svc.Index()
 	if got := regeneratedJobs(idx, idx2); !slices.Equal(got, []string{"job07"}) {
-		t.Fatalf("post-resync incremental regenerated jobs %v, want only job07", got)
+		t.Fatalf("post-overflow regeneration rebuilt jobs %v, want only job07", got)
 	}
-	assertIndexEquivalent(t, idx2, New(store, clk, 90*time.Second, numShards).Index(), numShards)
+	assertIndexEquivalent(t, idx2, scratchIndex(store, numShards, nil), numShards)
 }
 
 // TestIndexReadersDoNotBlockOnRegeneration pins the PR 7 reader-stall

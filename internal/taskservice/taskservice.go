@@ -24,18 +24,19 @@
 //
 // Regeneration itself is O(changed jobs), not O(fleet): the service
 // holds a cursor into the Job Store's running-entry change journal and
-// rebuilds only the jobs the journal names, recording each change as
-// edits of the previous index's copy-on-write shard chunks that the
-// publish applies bucket by bucket (see index.go). Deletes, quiesces,
-// and unquiesces are single-group edits too. If the
-// cursor falls off the journal's bounded ring (or the store was
-// Restored), the service falls back to a full fleet walk that still
-// reuses every cached per-job group whose running-entry revision is
-// unchanged.
+// visits only the jobs the journal names (plus quiesce toggles),
+// recording each content change as edits of the previous index's
+// copy-on-write shard chunks that the publish applies bucket by bucket
+// (see index.go). If the cursor falls off the journal's bounded ring (or
+// the store was Restored), the change set is simply bigger — every
+// running job and every cached group — and goes through the same splice:
+// a job whose running-entry revision is unchanged keeps its group, and a
+// bucket whose content is unchanged keeps its array.
 package taskservice
 
 import (
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -71,6 +72,7 @@ type Service struct {
 	includedShared bool                 // included is referenced by the published index (copy before write)
 	cursor         uint64               // position in the Job Store's change journal
 	changeBuf      []jobstore.Change    // reused ChangesSince buffer
+	touched        []string             // reused: this regeneration's job names, sorted, unique
 	genCount       int
 	version        int
 	quiesced       map[string]struct{}
@@ -86,7 +88,6 @@ type Service struct {
 	rebuildNames []string
 	rebuildRevs  []int64
 	rebuilt      []*jobGroup
-	rebuildSeen  map[string]struct{}
 	buildFn      func(int)
 }
 
@@ -122,7 +123,6 @@ func New(store *jobstore.Store, clock simclock.Clock, ttl time.Duration, numShar
 		quiesced:     make(map[string]struct{}),
 		quiesceDirty: make(map[string]struct{}),
 		rebuildPar:   par,
-		rebuildSeen:  make(map[string]struct{}),
 	}
 	s.buildFn = func(i int) {
 		s.rebuilt[i] = s.buildGroup(s.rebuildNames[i], s.rebuildRevs[i])
@@ -224,49 +224,60 @@ func (s *Service) invalidatePub() {
 	}
 }
 
-// regenerateLocked rebuilds the snapshot from the change journal: only
-// jobs named by journal entries (plus quiesce toggles) are rebuilt and
-// recorded in a copy-on-write draft of the previous index. If nothing
-// content-changing happened, no draft is created and the previously
-// published index (and version) is returned unchanged. Caller holds
-// regenMu.
+// regenerateLocked publishes the snapshot for everything that changed
+// since the last regeneration: the jobs the change journal names — or,
+// if the cursor fell off it, every running job and every cached group —
+// plus the quiesce toggles. Each of them is visited once, in name order:
+// its group is forgotten if the job no longer runs and rebuilt if its
+// running-entry revision moved, and a content change of its part of the
+// snapshot is recorded in a copy-on-write draft of the previous index.
+// If nothing content-changing happened, no draft is created and the
+// previously published index (and version) is returned unchanged; the
+// very first publish is a draft over nothing. Caller holds regenMu.
 func (s *Service) regenerateLocked() *SnapshotIndex {
 	changes, next, ok := s.store.ChangesSince(s.cursor, s.changeBuf[:0])
 	s.changeBuf = changes
 	s.cursor = next
-	if !ok {
-		// Cursor fell off the journal (burst bigger than the ring, or a
-		// store Restore): rebuild from a fleet walk, still reusing every
-		// group whose revision is unchanged. The walk happens after
-		// ChangesSince, so anything it misses has seq > cursor and is
-		// replayed next round.
-		return s.resyncLocked()
+	names := s.touched[:0]
+	if ok {
+		for _, ch := range changes {
+			names = append(names, ch.Name)
+		}
+	} else {
+		// The cursor fell off the journal (a burst bigger than the ring, or
+		// a store Restore): every running job is a change, and so is every
+		// cached group the listing lacks, so that a dropped job's group is
+		// forgotten. Adding only those keeps the sort below near-linear.
+		// The listing happens after ChangesSince, so anything it misses
+		// has seq > cursor and is replayed next round.
+		running := s.store.RunningNames() // sorted
+		names = append(names, running...)
+		for name := range s.groups {
+			if _, listed := slices.BinarySearch(running, name); !listed {
+				names = append(names, name)
+			}
+		}
 	}
+	for name := range s.quiesceDirty {
+		names = append(names, name)
+	}
+	clear(s.quiesceDirty)
+	slices.Sort(names)
+	names = slices.Compact(names)
+	s.touched = names
 
-	// Rebuild every changed group up front, in parallel: group
-	// generation (decode, spec expansion, bucketing) is pure per-job work,
-	// so it fans out across the pool while the order-sensitive inclusion
-	// pass below stays sequential — and finds a warm cache.
+	// Rebuild every stale group up front, in parallel: group generation
+	// (decode, spec expansion, bucketing) is pure per-job work, so it fans
+	// out across the pool while the order-sensitive inclusion pass below
+	// stays sequential — and finds a warm cache.
 	s.rebuildNames = s.rebuildNames[:0]
 	s.rebuildRevs = s.rebuildRevs[:0]
-	clear(s.rebuildSeen)
-	for _, ch := range changes {
-		if ch.Drop {
-			continue
+	for _, name := range names {
+		rev, live := s.store.RunningRevision(name)
+		if g := s.groups[name]; live && (g == nil || g.rev != rev) {
+			s.rebuildNames = append(s.rebuildNames, name)
+			s.rebuildRevs = append(s.rebuildRevs, rev)
 		}
-		if _, dup := s.rebuildSeen[ch.Name]; dup {
-			continue
-		}
-		s.rebuildSeen[ch.Name] = struct{}{}
-		rev, live := s.store.RunningRevision(ch.Name)
-		if !live {
-			continue
-		}
-		if g := s.groups[ch.Name]; g != nil && g.rev == rev {
-			continue
-		}
-		s.rebuildNames = append(s.rebuildNames, ch.Name)
-		s.rebuildRevs = append(s.rebuildRevs, rev)
 	}
 	s.rebuildGroups()
 
@@ -278,44 +289,24 @@ func (s *Service) regenerateLocked() *SnapshotIndex {
 		}
 		return d
 	}
-
-	for _, ch := range changes {
-		name := ch.Name
-		if ch.Drop {
+	for _, name := range names {
+		if rev, live := s.store.RunningRevision(name); !live {
 			delete(s.groups, name)
-			s.updateInclusion(name, draft)
-			continue
-		}
-		rev, live := s.store.RunningRevision(name)
-		if !live {
-			// Deleted between the journal append and this read; the drop
-			// entry will confirm, but the group must not linger.
-			delete(s.groups, name)
-			s.updateInclusion(name, draft)
-			continue
-		}
-		if g := s.groups[name]; g == nil || g.rev != rev {
+		} else if g := s.groups[name]; g == nil || g.rev != rev {
+			// Recommitted since the prebuild read it.
 			s.groups[name] = s.buildGroup(name, rev)
 		}
 		s.updateInclusion(name, draft)
 	}
-	for name := range s.quiesceDirty {
-		s.updateInclusion(name, draft)
-		delete(s.quiesceDirty, name)
-	}
 	s.genCount++
 
 	if d == nil {
-		// Byte-identical content: keep the published index (and version)
-		// so Task Managers skip reconciliation. Before the first publish
-		// an empty index must still be produced.
 		if prev != nil {
+			// Byte-identical content: keep the published index (and
+			// version) so Task Managers skip reconciliation.
 			return prev
 		}
-		s.version++
-		idx := newIndex(s.version, s.numShards, s.included)
-		s.includedShared = true
-		return idx
+		draft() // the first publish, of nothing: an empty index
 	}
 	s.version++
 	idx := d.publish(s.version, s.numShards, s.included)
@@ -342,7 +333,8 @@ func (s *Service) updateInclusion(name string, draft func() *indexDraft) {
 		// Absent and staying absent (stopped, zero tasks, quiesced, or a
 		// drop of a job that was never included).
 	case found && include && s.included[pos] == g:
-		// Same group pointer: duplicate journal entry or a no-op toggle.
+		// Same group pointer: revision unchanged (a no-op toggle, or an
+		// untouched job in an overflow's change set).
 	case found && include:
 		old := s.included[pos]
 		s.ensureIncludedOwned(0)
@@ -429,67 +421,6 @@ func (s *Service) rebuildGroups() {
 		s.groups[name] = s.rebuilt[i]
 		s.rebuilt[i] = nil
 	}
-}
-
-// resyncLocked is the full-fleet fallback: walk every running job,
-// reusing the cached spec group of each one whose running-entry revision
-// is unchanged, and rebuild the index from scratch. The version is
-// bumped only if the assembled content differs from the previously
-// published index. Caller holds regenMu.
-func (s *Service) resyncLocked() *SnapshotIndex {
-	names := s.store.RunningNames() // sorted
-	// Pre-generate every stale or missing group in parallel, exactly as
-	// the incremental path does; the sequential assembly walk below then
-	// finds a warm cache. Names are already unique, so no dedup set.
-	s.rebuildNames = s.rebuildNames[:0]
-	s.rebuildRevs = s.rebuildRevs[:0]
-	for _, job := range names {
-		rev, ok := s.store.RunningRevision(job)
-		if !ok {
-			continue
-		}
-		if g := s.groups[job]; g != nil && g.rev == rev {
-			continue
-		}
-		s.rebuildNames = append(s.rebuildNames, job)
-		s.rebuildRevs = append(s.rebuildRevs, rev)
-	}
-	s.rebuildGroups()
-	groups := make(map[string]*jobGroup, len(names))
-	included := make([]*jobGroup, 0, len(names))
-	for _, job := range names {
-		rev, ok := s.store.RunningRevision(job)
-		if !ok {
-			continue // deleted between listing and read
-		}
-		g := s.groups[job]
-		if g == nil || g.rev != rev {
-			g = s.buildGroup(job, rev)
-		}
-		groups[job] = g
-		if len(g.indexed) == 0 {
-			continue // stopped, undecodable, or zero tasks
-		}
-		if _, q := s.quiesced[job]; q {
-			continue
-		}
-		included = append(included, g)
-	}
-	s.groups = groups
-	clear(s.quiesceDirty) // the walk consulted the quiesce set for every job
-	s.genCount++
-	s.included = included
-	prev := s.publishedIdx()
-	if prev != nil && sameContent(prev.groups, included) {
-		// Byte-identical content: keep the published index (and version).
-		// The fresh included list is the service's own copy.
-		s.includedShared = false
-		return prev
-	}
-	s.version++
-	idx := newIndex(s.version, s.numShards, included)
-	s.includedShared = true
-	return idx
 }
 
 // buildGroup generates one job's spec group: expand the running config
