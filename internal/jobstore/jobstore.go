@@ -20,12 +20,15 @@
 //
 // Concurrency layout: entries live in 64 lock stripes keyed by an FNV-1a
 // hash of the job name, so per-job reads, CAS writes, and running-entry
-// commits on different jobs never contend on one mutex. Fleet-wide name
-// listings are copy-on-write sorted snapshots rebuilt lazily after a name
+// commits on different jobs never contend on one mutex. The running-name
+// listing is a copy-on-write sorted snapshot rebuilt lazily after a name
 // set change — steady-state reads are allocation-free pointer loads. The
 // store also tracks which jobs changed (expected-side writes, deletes,
 // quarantine lifts) in per-stripe dirty sets the State Syncer drains, so
-// a synchronization round visits only jobs that can possibly need work.
+// a synchronization round visits only jobs that can possibly need work,
+// and keeps a per-stripe version ledger (expected version against the
+// version running realizes) from which the syncer's safety-net sweep
+// reads just the diverged jobs.
 package jobstore
 
 import (
@@ -163,6 +166,77 @@ type jobStripe struct {
 	// sync holds the State Syncer's durable per-job bookkeeping (failure
 	// streaks, backoff deadlines, pending follow-up actions).
 	sync map[string]*SyncState
+	// versions is the stripe's version ledger: one inline entry per job
+	// with an expected or a running entry, rewritten under the write lock
+	// wherever either entry changes. It is what DivergedRangeInto walks, so
+	// the State Syncer's safety-net sweep reads one compact map per stripe
+	// instead of chasing two entry pointers per job.
+	versions map[string]versionPair
+}
+
+// versionPair is one job's version-ledger entry: the expected version,
+// the expected version its running entry realizes, and which of the two
+// entries exist.
+type versionPair struct {
+	exp, run       int64
+	hasExp, hasRun bool
+}
+
+// diverged reports whether the job may need synchronization: an entry is
+// missing, or running realizes a different expected version. It is the
+// negation of the converged test the State Syncer's planJob applies.
+func (p versionPair) diverged() bool {
+	return !p.hasExp || !p.hasRun || p.exp != p.run
+}
+
+// setExpLocked records the job's expected version in the ledger. The
+// caller holds st's write lock.
+func (st *jobStripe) setExpLocked(name string, v int64) {
+	p := st.versions[name]
+	p.exp, p.hasExp = v, true
+	st.versions[name] = p
+}
+
+// setRunLocked records the version the job's running entry realizes.
+// The caller holds st's write lock.
+func (st *jobStripe) setRunLocked(name string, v int64) {
+	p := st.versions[name]
+	p.run, p.hasRun = v, true
+	st.versions[name] = p
+}
+
+// dropExpLocked and dropRunLocked forget one side of the job's ledger
+// entry, and the entry itself once neither side remains. The caller
+// holds st's write lock.
+func (st *jobStripe) dropExpLocked(name string) {
+	p := st.versions[name]
+	if !p.hasRun {
+		delete(st.versions, name)
+		return
+	}
+	p.exp, p.hasExp = 0, false
+	st.versions[name] = p
+}
+
+func (st *jobStripe) dropRunLocked(name string) {
+	p := st.versions[name]
+	if !p.hasExp {
+		delete(st.versions, name)
+		return
+	}
+	p.run, p.hasRun = 0, false
+	st.versions[name] = p
+}
+
+// reset empties every per-job map of the stripe. The caller holds st's
+// write lock (or owns the store exclusively).
+func (st *jobStripe) reset() {
+	st.expected = make(map[string]*Expected)
+	st.running = make(map[string]*Running)
+	st.quarantined = make(map[string]Quarantine)
+	st.dirty = make(map[string]uint64)
+	st.sync = make(map[string]*SyncState)
+	st.versions = make(map[string]versionPair)
 }
 
 // nameIndex maintains a copy-on-write sorted name snapshot over the
@@ -208,7 +282,6 @@ type Store struct {
 	stripes  [numStripes]jobStripe
 	revSeq   atomic.Int64  // source of Running.revision values
 	dirtySeq atomic.Uint64 // source of DirtyMark.Seq values
-	expNames nameIndex
 	runNames nameIndex
 
 	commitHooks atomic.Pointer[CommitHooks]
@@ -230,15 +303,9 @@ type Store struct {
 func New() *Store {
 	s := &Store{}
 	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.expected = make(map[string]*Expected)
-		st.running = make(map[string]*Running)
-		st.quarantined = make(map[string]Quarantine)
-		st.dirty = make(map[string]uint64)
-		st.sync = make(map[string]*SyncState)
+		s.stripes[i].reset()
 	}
 	empty := []string{}
-	s.expNames.snap.Store(&empty)
 	s.runNames.snap.Store(&empty)
 	return s
 }
@@ -279,8 +346,8 @@ func (s *Store) Create(name string, base config.Doc) error {
 	e := &Expected{Version: 1}
 	e.Layers[config.LayerBase] = base.Clone()
 	st.expected[name] = e
+	st.setExpLocked(name, e.Version)
 	s.markLocked(st, name)
-	s.expNames.invalidate()
 	return nil
 }
 
@@ -296,8 +363,8 @@ func (s *Store) Delete(name string) error {
 	}
 	delete(st.expected, name)
 	delete(st.quarantined, name)
+	st.dropExpLocked(name)
 	s.markLocked(st, name)
-	s.expNames.invalidate()
 	return nil
 }
 
@@ -352,6 +419,7 @@ func (s *Store) SetLayer(name string, layer config.Layer, doc config.Doc, baseVe
 	}
 	e.Layers[layer] = doc.Clone()
 	e.Version++
+	st.setExpLocked(name, e.Version)
 	s.markLocked(st, name)
 	return e.Version, nil
 }
@@ -493,11 +561,11 @@ func (s *Store) RunningRevision(name string) (int64, bool) {
 }
 
 // PlanView is everything the State Syncer's per-candidate prologue needs
-// to classify a job, gathered under a single stripe lock. The previous
-// shape — SyncStateOf, ExpectedVersion, Quarantined, RunningVersion as
-// separate calls — acquired the same stripe's RWMutex four times per
-// candidate; at a 1M-task sweep slice that lock traffic dominated the
-// converged round. One PlanViewOf call is one RLock and four map lookups.
+// to classify a job, gathered under a single stripe lock: one RLock and
+// four map lookups instead of four separate calls. Candidates are the
+// marked, journaled, mid-streak and diverged jobs only — the safety-net
+// sweep filters converged jobs out through the version ledger
+// (DivergedRangeInto), so sweep volumes never reach this read.
 type PlanView struct {
 	ExpectedVersion int64
 	RunningVersion  int64
@@ -572,6 +640,7 @@ func (s *Store) commitRunning(name string, cfg config.Doc, version int64) error 
 	st.mu.Lock()
 	_, existed := st.running[name]
 	st.running[name] = &Running{Config: cfg, Version: version, revision: rev}
+	st.setRunLocked(name, version)
 	st.mu.Unlock()
 	if !existed {
 		s.runNames.invalidate()
@@ -591,7 +660,10 @@ func (s *Store) DropRunning(name string) {
 	st := s.stripeFor(name)
 	st.mu.Lock()
 	_, existed := st.running[name]
-	delete(st.running, name)
+	if existed {
+		delete(st.running, name)
+		st.dropRunLocked(name)
+	}
 	st.mu.Unlock()
 	if existed {
 		s.runNames.invalidate()
@@ -599,23 +671,24 @@ func (s *Store) DropRunning(name string) {
 	}
 }
 
-// ExpectedNames returns all jobs with an expected entry, sorted. The
-// returned slice is a shared copy-on-write snapshot: callers must not
-// modify it. Steady-state calls are a single atomic load.
+// ExpectedNames returns all jobs with an expected entry, sorted, in a
+// fresh slice the caller owns. Only offline tools list the expected side
+// of the fleet, so unlike RunningNames it collects on every call.
 func (s *Store) ExpectedNames() []string {
-	return s.expNames.names(func() []string {
-		return s.collectNames(func(st *jobStripe) int { return len(st.expected) }, func(st *jobStripe, out []string) []string {
-			for k := range st.expected {
-				out = append(out, k)
-			}
-			return out
-		})
+	out := s.collectNames(func(st *jobStripe) int { return len(st.expected) }, func(st *jobStripe, out []string) []string {
+		for k := range st.expected {
+			out = append(out, k)
+		}
+		return out
 	})
+	sort.Strings(out)
+	return out
 }
 
 // RunningNames returns all jobs with a running entry, sorted. The
 // returned slice is a shared copy-on-write snapshot: callers must not
-// modify it.
+// modify it. Steady-state calls are a single atomic load — the monitor,
+// the Task Service and the spec feed's resync walk read it on hot paths.
 func (s *Store) RunningNames() []string {
 	return s.runNames.names(func() []string {
 		return s.collectNames(func(st *jobStripe) int { return len(st.running) }, func(st *jobStripe, out []string) []string {
@@ -669,6 +742,31 @@ func (s *Store) DirtyMarksRangeInto(lo, hi int, buf []DirtyMark) []DirtyMark {
 	}
 	slices.SortFunc(out, func(a, b DirtyMark) int { return strings.Compare(a.Name, b.Name) })
 	return out
+}
+
+// DivergedRangeInto appends to buf the jobs of stripes [lo, hi) that may
+// need synchronization — an expected or a running entry is missing, or
+// running realizes a different expected version — sorts only what it
+// appended, and returns the extended slice together with visited, the
+// number of jobs it looked at (|expected ∪ running| in range). It is the
+// State Syncer's safety-net sweep: one read lock per stripe and a walk
+// over the stripe's version ledger, so a converged range costs no
+// per-job lock and, with a reusable buffer, no allocation.
+func (s *Store) DivergedRangeInto(lo, hi int, buf []string) (out []string, visited int) {
+	out = buf
+	for i := lo; i < hi; i++ {
+		st := &s.stripes[i]
+		st.mu.RLock()
+		visited += len(st.versions)
+		for name, p := range st.versions {
+			if p.diverged() {
+				out = append(out, name)
+			}
+		}
+		st.mu.RUnlock()
+	}
+	slices.Sort(out[len(buf):])
+	return out, visited
 }
 
 // ClearDirtyIf removes the job's dirty mark if it has not been re-marked
@@ -925,15 +1023,12 @@ func (s *Store) Restore(data []byte) error {
 		s.stripes[i].mu.Lock()
 	}
 	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.expected = make(map[string]*Expected)
-		st.running = make(map[string]*Running)
-		st.quarantined = make(map[string]Quarantine)
-		st.dirty = make(map[string]uint64)
-		st.sync = make(map[string]*SyncState)
+		s.stripes[i].reset()
 	}
 	for k, v := range snap.Expected {
-		s.stripeFor(k).expected[k] = v
+		st := s.stripeFor(k)
+		st.expected[k] = v
+		st.setExpLocked(k, v.Version)
 	}
 	for k, v := range snap.Running {
 		// Serialized snapshots carry neither revisions nor merge caches
@@ -943,6 +1038,7 @@ func (s *Store) Restore(data []byte) error {
 		v.revision = s.revSeq.Add(1)
 		st := s.stripeFor(k)
 		st.running[k] = v
+		st.setRunLocked(k, v.Version)
 		if _, ok := st.expected[k]; !ok {
 			// Deleted-while-down jobs must tear down even if the snapshot
 			// predates their deletion's dirty mark.
@@ -974,7 +1070,6 @@ func (s *Store) Restore(data []byte) error {
 		s.leases[row.Shard] = &row
 	}
 	s.leaseMu.Unlock()
-	s.expNames.invalidate()
 	s.runNames.invalidate()
 	// Restore replaced the store wholesale: no cursor issued before this
 	// point can be caught up entry-by-entry. Force every journal consumer

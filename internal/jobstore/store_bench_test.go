@@ -97,15 +97,32 @@ func BenchmarkMergedExpectedSharedHit(b *testing.B) {
 	}
 }
 
-// BenchmarkExpectedNames50k measures listing every job name — the per
-// round fleet enumeration on the State Syncer's read path.
-func BenchmarkExpectedNames50k(b *testing.B) {
+// BenchmarkRunningNames50k measures listing every running job name — the
+// copy-on-write snapshot the monitor, the Task Service and the spec
+// feed's resync walk read.
+func BenchmarkRunningNames50k(b *testing.B) {
 	s := benchStore(b, 50_000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := len(s.ExpectedNames()); got != 50_000 {
+		if got := len(s.RunningNames()); got != 50_000 {
 			b.Fatalf("names = %d", got)
+		}
+	}
+}
+
+// BenchmarkDivergedRange50kConverged measures the State Syncer's
+// safety-net sweep over one tenth of the stripes of a converged 50 000-job
+// store: a version-ledger walk that finds nothing and allocates nothing.
+func BenchmarkDivergedRange50kConverged(b *testing.B) {
+	s := benchStore(b, 50_000)
+	var buf []string
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var visited int
+		if buf, visited = s.DivergedRangeInto(0, NumStripes/10, buf[:0]); len(buf) != 0 || visited == 0 {
+			b.Fatalf("diverged %d of %d", len(buf), visited)
 		}
 	}
 }

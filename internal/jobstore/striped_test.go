@@ -71,43 +71,51 @@ func TestDirtySetSemantics(t *testing.T) {
 func TestNameSnapshotsAreCopyOnWrite(t *testing.T) {
 	s := New()
 	for i := 0; i < 100; i++ {
-		if err := s.Create(fmt.Sprintf("j%03d", i), config.Doc{"taskCount": 1}); err != nil {
-			t.Fatal(err)
-		}
+		s.CommitRunning(fmt.Sprintf("j%03d", i), config.Doc{"taskCount": 1}, 1)
 	}
-	a := s.ExpectedNames()
-	bnames := s.ExpectedNames()
+	a := s.RunningNames()
+	bnames := s.RunningNames()
 	if &a[0] != &bnames[0] {
-		t.Fatal("consecutive ExpectedNames calls must share one snapshot")
+		t.Fatal("consecutive RunningNames calls must share one snapshot")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { s.ExpectedNames() }); allocs != 0 {
-		t.Fatalf("steady-state ExpectedNames allocates %v per call, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { s.RunningNames() }); allocs != 0 {
+		t.Fatalf("steady-state RunningNames allocates %v per call, want 0", allocs)
 	}
-	if err := s.Create("zzz", config.Doc{"taskCount": 1}); err != nil {
-		t.Fatal(err)
-	}
-	c := s.ExpectedNames()
+	s.CommitRunning("zzz", config.Doc{"taskCount": 1}, 1)
+	c := s.RunningNames()
 	if len(c) != 101 || c[100] != "zzz" {
-		t.Fatalf("snapshot after Create = len %d, last %q", len(c), c[len(c)-1])
+		t.Fatalf("snapshot after a first commit = len %d, last %q", len(c), c[len(c)-1])
 	}
 	if len(a) != 100 {
 		t.Fatalf("old snapshot mutated: len %d, want 100", len(a))
 	}
-
-	// RunningNames follows the same discipline.
-	s.CommitRunning("j000", config.Doc{"taskCount": 1}, 1)
-	r1 := s.RunningNames()
-	if !reflect.DeepEqual(r1, []string{"j000"}) {
-		t.Fatalf("RunningNames = %v", r1)
-	}
 	s.CommitRunning("j000", config.Doc{"taskCount": 2}, 2) // re-commit: name set unchanged
-	r2 := s.RunningNames()
-	if &r1[0] != &r2[0] {
+	if d := s.RunningNames(); &c[0] != &d[0] {
 		t.Fatal("re-commit of an existing job must not invalidate the name snapshot")
 	}
 	s.DropRunning("j000")
-	if got := s.RunningNames(); len(got) != 0 {
-		t.Fatalf("RunningNames after DropRunning = %v", got)
+	if got := s.RunningNames(); len(got) != 100 || got[0] != "j001" {
+		t.Fatalf("RunningNames after DropRunning = len %d, first %q", len(got), got[0])
+	}
+	if len(c) != 101 || c[0] != "j000" {
+		t.Fatalf("old snapshot mutated by DropRunning: len %d, first %q", len(c), c[0])
+	}
+
+	// ExpectedNames keeps no snapshot: every call is a fresh sorted slice
+	// the caller owns.
+	if err := s.Create("b", config.Doc{"taskCount": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Create("a", config.Doc{"taskCount": 1}); err != nil {
+		t.Fatal(err)
+	}
+	e1 := s.ExpectedNames()
+	if !reflect.DeepEqual(e1, []string{"a", "b"}) {
+		t.Fatalf("ExpectedNames = %v", e1)
+	}
+	e1[0] = "mutated"
+	if e2 := s.ExpectedNames(); e2[0] != "a" {
+		t.Fatalf("ExpectedNames shares its result across calls: %v", e2)
 	}
 }
 

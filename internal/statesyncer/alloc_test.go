@@ -1,8 +1,8 @@
 package statesyncer
 
 // The steady-state allocation contract, enforced in the tier-1 gate: a
-// converged round — candidate assembly, the rotating sweep slice, plan
-// build, bookkeeping — performs zero allocation. The 1M-task benchmark
+// converged round — candidate assembly, the rotating sweep's ledger walk,
+// plan build, bookkeeping — performs zero allocation. The 1M-task benchmark
 // (BenchmarkScaleSyncerRound1MConverged) enforces the same ceiling at
 // scale; this test keeps the contract cheap enough to run on every push.
 

@@ -10,7 +10,9 @@ package statesyncer
 // must allocate at most steadyAllocCeiling objects, regardless of fleet
 // size. A regression that re-introduces per-fleet allocation (a full
 // sweep spike, a rebuilt plan buffer) fails the benchmark rather than
-// just moving a number.
+// just moving a number. It and the sharded variant also assert that a
+// converged round plans no candidate at all: the sweep hands planJob
+// only diverged jobs, so re-planning converged ones fails too.
 
 import (
 	"fmt"
@@ -65,6 +67,9 @@ func BenchmarkScaleSyncerRound1MConverged(b *testing.B) {
 	runtime.ReadMemStats(&m1)
 	if per := float64(m1.Mallocs-m0.Mallocs) / float64(b.N); per > steadyAllocCeiling {
 		b.Fatalf("converged 1M-task round allocates %.1f objects/op, ceiling %d", per, steadyAllocCeiling)
+	}
+	if n := len(syncer.scratch.candidates); n != 0 {
+		b.Fatalf("converged 1M-task round planned %d candidates, want 0", n)
 	}
 }
 
@@ -141,6 +146,11 @@ func BenchmarkScaleSyncerRound1MShardedConverged(b *testing.B) {
 	runtime.ReadMemStats(&m1)
 	if per := float64(m1.Mallocs-m0.Mallocs) / float64(b.N); per > steadyAllocCeiling {
 		b.Fatalf("converged sharded pass allocates %.1f objects/op, ceiling %d", per, steadyAllocCeiling)
+	}
+	for _, nd := range nodes {
+		if n := len(nd.slices[nd.HomeSlice()].engine.scratch.candidates); n != 0 {
+			b.Fatalf("converged slice %d round planned %d candidates, want 0", nd.HomeSlice(), n)
+		}
 	}
 }
 

@@ -20,13 +20,17 @@
 // a round examines only the marked jobs plus jobs with outstanding
 // failures or post-commit retries, so a converged fleet costs almost
 // nothing per round. Each round additionally sweeps a rotating
-// 1/sweepRounds slice of the fleet's sorted name snapshots — the safety
-// net that preserves the stateless-round durability argument: even if a
-// dirty mark were ever lost, a slice within the next sweepRounds rounds
-// rediscovers the divergence from the expected/running difference alone,
-// amortized so that no single round pays an O(fleet) spike. Steady-state
-// rounds reuse per-syncer scratch buffers and a persistent worker pool: a
-// converged fleet — at a million tasks — synchronizes without allocating.
+// 1/sweepRounds share of its stripes — the safety net that preserves the
+// stateless-round durability argument: even if a dirty mark were ever
+// lost, a sweep within the next sweepRounds rounds rediscovers the
+// divergence from the expected/running difference alone, amortized so
+// that no single round pays an O(fleet) spike. The sweep compares the
+// store's per-stripe version ledger (jobstore.DivergedRangeInto) and
+// hands planJob only the jobs whose running entry does not realize the
+// expected version, so converged jobs cost a ledger read, not a plan.
+// Steady-state rounds reuse per-syncer scratch buffers and a persistent
+// worker pool: a converged fleet — at a million tasks — synchronizes
+// without allocating.
 //
 // The syncer's crash-critical bookkeeping is durable: dirty marks are
 // cleared only after a job's synchronization succeeded (never drained up
@@ -237,8 +241,8 @@ type Stats struct {
 	JobsExamined  int
 	JobsConverged int // syncs successfully applied
 	Sweeps        int // resync rounds: the engine swept its whole stripe slice
-	SweepSlices   int // rotating sweep slices visited
-	SweepJobs     int // jobs visited via sweeps, resync or sliced
+	SweepSlices   int // rotating sweep positions visited
+	SweepJobs     int // jobs the sweeps looked at, resync or rotating
 }
 
 // Add returns the field-wise sum of two counter sets: a Node sums its
@@ -273,9 +277,9 @@ const (
 	// ("parallelize the complex ones", §III-B).
 	maxParallelComplex = 16
 	// sweepRounds is the rotation of the safety-net sweep: every round
-	// re-examines 1/sweepRounds of the fleet, so a lost dirty mark is
-	// rediscovered within sweepRounds rounds and no round pays an
-	// O(fleet) spike.
+	// walks the version ledger of 1/sweepRounds of the engine's stripes
+	// (sweepStripes), so a lost dirty mark is rediscovered within
+	// sweepRounds rounds and no round pays an O(fleet) spike.
 	sweepRounds = 10
 	// maxSyncWorkers caps the GOMAXPROCS-wide pool that builds plans and
 	// applies the simple commits.
@@ -318,7 +322,7 @@ type Syncer struct {
 
 	// Shard scope: the syncer examines only jobs whose store stripe
 	// falls in [stripeLo, stripeHi). The default full-fleet syncer spans
-	// every stripe and skips the filtered-view machinery entirely.
+	// every stripe and reads no journal.
 	stripeLo, stripeHi int
 
 	// cursor is the sharded syncer's position in the store's running-entry
@@ -335,40 +339,12 @@ type Syncer struct {
 	// worker pool are reused round over round so the converged steady
 	// state allocates nothing.
 	roundMu   sync.Mutex
-	sweepPos  int // next rotating sweep slice, in [0, sweepRounds)
+	sweepPos  int // next rotating sweep position, in [0, sweepRounds)
 	scratch   roundScratch
-	expView   stripeView
-	runView   stripeView
 	wp        *workpool.Pool
 	planFn    func(int)
 	simpleFn  func(int)
 	complexFn func(int)
-}
-
-// stripeView caches the stripe-range projection of a store name
-// snapshot. The store's ExpectedNames/RunningNames snapshots are
-// immutable and replaced wholesale on a name-set change, so slice
-// identity (length plus backing pointer) tells the view whether its
-// cached filter is still current — and layer churn never changes the
-// name set, so the converged and churn steady states both reuse the
-// cached projection without allocating or rescanning.
-type stripeView struct {
-	src  []string
-	mine []string
-}
-
-func (v *stripeView) filter(global []string, lo, hi int) []string {
-	if len(global) == len(v.src) && (len(global) == 0 || &global[0] == &v.src[0]) {
-		return v.mine
-	}
-	v.mine = v.mine[:0]
-	for _, name := range global {
-		if st := jobstore.StripeOf(name); st >= lo && st < hi {
-			v.mine = append(v.mine, name)
-		}
-	}
-	v.src = global
-	return v.mine
 }
 
 // roundScratch holds every buffer RunRound reuses across rounds. Slices
@@ -376,25 +352,25 @@ func (v *stripeView) filter(global []string, lo, hi int) []string {
 // place. Nothing in here carries meaning between rounds — it exists so
 // steady-state rounds are allocation-free. Ownership rule: a round may
 // hand any of these slices to planJob/executePlan workers, but nothing
-// outside the syncer ever sees them; store snapshots flow in (shared,
-// read-only), scratch never flows out.
+// outside the syncer ever sees them; scratch never flows out.
 type roundScratch struct {
-	marks          []jobstore.DirtyMark
-	dirty          []string
-	markSeq        map[string]uint64
-	changes        []jobstore.Change // journal batch (sharded syncers)
-	jnames         []string          // journal names in stripe range, sorted+deduped
-	syncNames      []string          // SyncStateNamesRangeInto destination
-	u1, u2, u3, u4 []string          // unionSortedInto destinations (candidate assembly)
-	candidates     []string          // this round's candidates; aliases u* or a store snapshot
-	now            time.Time
-	results        []planned
-	differs        []config.Differ // per-result-slot diff scratch, reused across rounds
-	simple         []Plan
-	complexPlans   []Plan
-	teardown       []string
-	simpleErrs     []error
-	complexErrs    []error
+	marks        []jobstore.DirtyMark
+	dirty        []string
+	markSeq      map[string]uint64
+	changes      []jobstore.Change // journal batch (sharded syncers)
+	jnames       []string          // journal names in stripe range, sorted+deduped
+	diverged     []string          // DivergedRangeInto destination: the sweep's finds
+	syncNames    []string          // SyncStateNamesRangeInto destination
+	u1, u2, u3   []string          // unionSortedInto destinations (candidate assembly)
+	candidates   []string          // this round's candidates; aliases diverged or u*
+	now          time.Time
+	results      []planned
+	differs      []config.Differ // per-result-slot diff scratch, reused across rounds
+	simple       []Plan
+	complexPlans []Plan
+	teardown     []string
+	simpleErrs   []error
+	complexErrs  []error
 }
 
 // New returns a Syncer over store using act for complex-plan side effects.
@@ -678,8 +654,9 @@ type RoundResult struct {
 	// cursor up (new to the slice, fell behind, or the store was Restored)
 	// and swept its entire stripe slice instead of the rotating one.
 	Swept bool
-	// SweepJobs is the number of jobs this round visited via its sweep —
-	// the rotating slice, or the whole stripe slice when Swept.
+	// SweepJobs is the number of jobs this round's sweep looked at — the
+	// jobs of the rotating stripes, or of the whole stripe slice when
+	// Swept — diverged or not.
 	SweepJobs int
 }
 
@@ -699,8 +676,10 @@ type planned struct {
 // Pure reads plus the content-equal inline commit — safe to run on many
 // jobs concurrently over the striped store. The prologue reads the job's
 // whole classification state (versions, quarantine, backoff) in a single
-// locked pass: at sweep volumes the four separate lock acquisitions this
-// replaced were most of a converged round's cost.
+// locked pass. It is the only classifier: the sweep's ledger filter drops
+// only jobs whose running entry realizes the expected version, which this
+// answers with PlanNoop unless a mark, the journal or a sync state brings
+// them in anyway.
 func (s *Syncer) planJob(job string, now time.Time, dd *config.Differ) planned {
 	v := s.store.PlanViewOf(job)
 	if v.FailureStreak > 0 && now.Before(v.NextRetryAt) {
@@ -731,10 +710,11 @@ func (s *Syncer) planJob(job string, now time.Time, dd *config.Differ) planned {
 }
 
 // RunRound performs one synchronization pass: assemble the candidate set
-// (changed jobs plus this round's rotating sweep slice), build plans on a
-// bounded worker pool, batch-apply the simple commits in parallel, execute
-// complex plans (bounded parallelism), tear down deleted jobs, and update
-// failure/quarantine accounting. All bookkeeping merges in sorted job
+// (changed jobs plus the diverged jobs this round's sweep found), build
+// plans on a bounded worker pool, batch-apply the simple commits in
+// parallel, execute complex plans (bounded parallelism), tear down
+// deleted jobs, and update failure/quarantine accounting. All
+// bookkeeping merges in sorted job
 // order, so results are deterministic regardless of worker interleaving.
 // Every buffer the round needs lives in the per-syncer scratch, so a
 // converged steady-state round performs no allocation.
@@ -757,9 +737,9 @@ func (s *Syncer) RunRound() RoundResult {
 	// Candidate assembly. Every round visits the marked jobs (drained
 	// from this syncer's stripes only), every job with durable sync state
 	// in range, any job whose running entry moved in the change journal
-	// (sharded syncers), and one rotating 1/sweepRounds slice of the
-	// (stripe-filtered) sorted name snapshots — the durability safety
-	// net, amortized so no round pays an O(fleet) spike. Marks are only
+	// (sharded syncers), and the diverged jobs of one rotating
+	// 1/sweepRounds share of its stripes — the durability safety net,
+	// amortized so no round pays an O(fleet) spike. Marks are only
 	// peeked here — each one is cleared individually once its job's
 	// synchronization succeeded, so a crash mid-round loses nothing.
 	sc.marks = s.store.DirtyMarksRangeInto(s.stripeLo, s.stripeHi, sc.marks[:0])
@@ -774,8 +754,8 @@ func (s *Syncer) RunRound() RoundResult {
 	// cannot be caught up incrementally — this syncer is new to the
 	// slice (a lease steal), fell behind, or the store was Restored —
 	// so this round sweeps its entire stripe slice: the successor's
-	// one-ordinary-round convergence path. Work stays O(slice), never
-	// O(fleet).
+	// one-ordinary-round convergence path. The walk stays O(slice), never
+	// O(fleet), and only the slice's diverged jobs are planned.
 	resync := false
 	sc.jnames = sc.jnames[:0]
 	if s.sharded() {
@@ -794,39 +774,31 @@ func (s *Syncer) RunRound() RoundResult {
 		}
 	}
 
+	// The safety-net sweep walks the store's version ledger over this
+	// round's stripes and returns only the diverged jobs: a swept job
+	// that is converged and unmarked would get PlanNoop from planJob and
+	// nothing else, so filtering it out before planning changes no
+	// outcome. A resync round walks the whole stripe range and overrides
+	// the sweep gate: a stolen slice must converge now.
 	pos := s.sweepPos
 	s.sweepPos = (pos + 1) % sweepRounds
 	gated := s.opts.SweepGate != nil && !s.opts.SweepGate(pos, sweepRounds)
-	var sweepExp, sweepRun []string
+	sc.diverged = sc.diverged[:0]
+	visited := 0
 	if !gated || resync {
-		// Expected and running are sliced independently over their own
-		// snapshots: in the converged steady state the two slices carry
-		// the same names, so the union below takes its subset fast path
-		// and the whole assembly allocates nothing. Sharded syncers
-		// project the snapshots onto their stripe range first (cached —
-		// see stripeView). A resync round takes the whole slice and
-		// overrides the sweep gate: a stolen slice must converge now.
-		expAll := s.store.ExpectedNames()
-		runAll := s.store.RunningNames()
-		if s.sharded() {
-			expAll = s.expView.filter(expAll, s.stripeLo, s.stripeHi)
-			runAll = s.runView.filter(runAll, s.stripeLo, s.stripeHi)
+		lo, hi := s.stripeLo, s.stripeHi
+		if !resync {
+			lo, hi = sweepStripes(s.stripeLo, s.stripeHi, pos)
 		}
-		if resync {
-			sweepExp, sweepRun = expAll, runAll
-		} else {
-			sweepExp = sweepSlice(expAll, pos, sweepRounds)
-			sweepRun = sweepSlice(runAll, pos, sweepRounds)
-		}
+		sc.diverged, visited = s.store.DivergedRangeInto(lo, hi, sc.diverged)
 	}
-	swept := unionSortedInto(&sc.u1, sweepExp, sweepRun)
-	candidates := unionSortedInto(&sc.u2, swept, sc.dirty)
-	candidates = unionSortedInto(&sc.u3, candidates, sc.jnames)
+	candidates := unionSortedInto(&sc.u1, sc.diverged, sc.dirty)
+	candidates = unionSortedInto(&sc.u2, candidates, sc.jnames)
 	sc.syncNames = s.store.SyncStateNamesRangeInto(s.stripeLo, s.stripeHi, sc.syncNames[:0])
-	candidates = unionSortedInto(&sc.u4, candidates, sc.syncNames)
+	candidates = unionSortedInto(&sc.u3, candidates, sc.syncNames)
 	sc.candidates = candidates
 	res.Swept = resync
-	res.SweepJobs = len(swept)
+	res.SweepJobs = visited
 
 	// Build plans in parallel. Workers write disjoint slots, and the
 	// merge below walks them in sorted-job order.
@@ -966,7 +938,7 @@ func (s *Syncer) RunRound() RoundResult {
 	} else if !gated {
 		s.stats.SweepSlices++
 	}
-	s.stats.SweepJobs += len(swept)
+	s.stats.SweepJobs += visited
 	s.stats.SimpleSyncs += res.Simple
 	s.stats.ComplexSyncs += res.Complex
 	s.mu.Unlock()
@@ -1024,21 +996,21 @@ func (s *Syncer) retryFollowUps(now time.Time, res *RoundResult) {
 	}
 }
 
-// sweepSlice returns the pos-th of n contiguous slices of names; the n
-// slices partition the snapshot, so n consecutive rounds visit every
-// name. Bounds are recomputed from the live snapshot each round: a
-// stable fleet is covered exactly once per rotation, and churn shifts
-// slice boundaries only by the churned count — new jobs arrive with
-// dirty marks anyway, so only lost-mark rediscovery rides on the sweep.
-func sweepSlice(names []string, pos, n int) []string {
-	lo := pos * len(names) / n
-	hi := (pos + 1) * len(names) / n
-	return names[lo:hi]
+// sweepStripes returns the stripes [lo, hi) the rotating sweep visits at
+// rotation position pos over the engine's stripe range [stripeLo,
+// stripeHi): the sweepRounds positions partition the range into
+// contiguous runs of ⌊n/sweepRounds⌋ or ⌈n/sweepRounds⌉ stripes, so
+// sweepRounds consecutive rounds visit every stripe exactly once. A
+// job's stripe is a pure function of its name, so coverage holds however
+// the fleet churns.
+func sweepStripes(stripeLo, stripeHi, pos int) (lo, hi int) {
+	n := stripeHi - stripeLo
+	return stripeLo + pos*n/sweepRounds, stripeLo + (pos+1)*n/sweepRounds
 }
 
 // unionSortedInto merges two sorted, duplicate-free name slices. When b
-// is a subset of a — the converged steady state, where the sweep slices
-// carry the same names and nothing is dirty — it returns a itself
+// is a subset of a — the converged steady state, where nothing is marked
+// and the sweep found nothing, so both are empty — it returns a itself
 // without touching dst. Otherwise it merges into dst's backing array
 // (grown as needed and retained as round scratch) and returns it.
 func unionSortedInto(dst *[]string, a, b []string) []string {

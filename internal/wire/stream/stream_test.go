@@ -165,12 +165,44 @@ func TestDecoderCompaction(t *testing.T) {
 	}
 }
 
+// tcpPair returns both ends of a loopback TCP connection, closed when the
+// test ends. Unlike net.Pipe, a TCP conn whose peer has closed still
+// accepts SetReadDeadline and then reads the close as io.EOF — the
+// spec feed's real transport.
+func tcpPair(t *testing.T) (client, server net.Conn) {
+	t.Helper()
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, _ := lis.Accept()
+		accepted <- c
+	}()
+	client, err = net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server = <-accepted
+	if server == nil {
+		client.Close()
+		t.Fatal("accept failed")
+	}
+	t.Cleanup(func() {
+		client.Close()
+		server.Close()
+	})
+	return client, server
+}
+
 // TestFrameReaderEOFDiscrimination: a peer close between frames is a
 // clean io.EOF; a close mid-frame is io.ErrUnexpectedEOF — the
 // conn-level torn-frame signal, never a delivered frame.
 func TestFrameReaderEOFDiscrimination(t *testing.T) {
 	t.Run("clean", func(t *testing.T) {
-		client, server := net.Pipe()
+		client, server := tcpPair(t)
 		go func() {
 			server.Write(frame(0x07, []byte("whole")))
 			server.Close()
@@ -185,7 +217,7 @@ func TestFrameReaderEOFDiscrimination(t *testing.T) {
 		}
 	})
 	t.Run("torn", func(t *testing.T) {
-		client, server := net.Pipe()
+		client, server := tcpPair(t)
 		f := frame(0x07, []byte("never-delivered"))
 		go func() {
 			server.Write(f[:len(f)-2])
