@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -458,14 +459,6 @@ func jsonFieldNames(v any) []string {
 	return names
 }
 
-func fieldNames[T any](fields []field[T]) []string {
-	names := make([]string, len(fields))
-	for i, f := range fields {
-		names[i] = f.name
-	}
-	return names
-}
-
 // TestFieldTablesMatchStructTags pins JobConfigFromDoc's field tables to
 // the structs' json tags: a field added to a struct but not to its table
 // would silently stop decoding.
@@ -475,11 +468,34 @@ func TestFieldTablesMatchStructTags(t *testing.T) {
 			t.Errorf("%s field table = %v, struct tags = %v", name, got, want)
 		}
 	}
-	check("JobConfig", fieldNames(jobConfigFields), jsonFieldNames(JobConfig{}))
-	check("Package", fieldNames(packageFields), jsonFieldNames(Package{}))
-	check("Resources", fieldNames(resourcesFields), jsonFieldNames(Resources{}))
-	check("Input", fieldNames(inputFields), jsonFieldNames(Input{}))
-	check("Output", fieldNames(outputFields), jsonFieldNames(Output{}))
+	check("JobConfig", appendFieldNames(nil, jobConfigFields), jsonFieldNames(JobConfig{}))
+	check("Package", appendFieldNames(nil, packageFields), jsonFieldNames(Package{}))
+	check("Resources", appendFieldNames(nil, resourcesFields), jsonFieldNames(Resources{}))
+	check("Input", appendFieldNames(nil, inputFields), jsonFieldNames(Input{}))
+	check("Output", appendFieldNames(nil, outputFields), jsonFieldNames(Output{}))
+}
+
+// TestSchemaKeyMatchesFieldTables: SchemaKey knows exactly the field
+// tables' names — exact bytes, no case variant, prefix or extension.
+func TestSchemaKeyMatchesFieldTables(t *testing.T) {
+	names := appendFieldNames(nil, jobConfigFields)
+	names = appendFieldNames(names, packageFields)
+	names = appendFieldNames(names, resourcesFields)
+	names = appendFieldNames(names, inputFields)
+	names = appendFieldNames(names, outputFields)
+	for _, n := range names {
+		if k, ok := SchemaKey([]byte(n)); !ok || k != n {
+			t.Errorf("SchemaKey(%q) = %q, %v", n, k, ok)
+		}
+		for _, v := range []string{strings.ToUpper(n[:1]) + n[1:], n + "x", n[:len(n)-1], ""} {
+			if slices.Contains(names, v) {
+				continue
+			}
+			if k, ok := SchemaKey([]byte(v)); ok {
+				t.Errorf("SchemaKey(%q) = %q: not a field name", v, k)
+			}
+		}
+	}
 }
 
 // TestJobConfigFromDocGoValues covers what the fuzz target cannot build

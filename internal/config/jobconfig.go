@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -263,6 +264,53 @@ var (
 		{"category", func(o *Output, v any) error { return setString(&o.Category, v) }},
 	}
 )
+
+// schemaKeys holds every JSON field name of the JobConfig schema — the
+// names of the field tables above, nested objects included — bucketed by
+// length. It is built once and never written again.
+var schemaKeys = func() [][]string {
+	var names []string
+	names = appendFieldNames(names, jobConfigFields)
+	names = appendFieldNames(names, packageFields)
+	names = appendFieldNames(names, resourcesFields)
+	names = appendFieldNames(names, inputFields)
+	names = appendFieldNames(names, outputFields)
+	var byLen [][]string
+	for _, n := range names {
+		for len(byLen) <= len(n) {
+			byLen = append(byLen, nil)
+		}
+		if !slices.Contains(byLen[len(n)], n) {
+			byLen[len(n)] = append(byLen[len(n)], n)
+		}
+	}
+	return byLen
+}()
+
+func appendFieldNames[T any](names []string, fields []field[T]) []string {
+	for _, f := range fields {
+		names = append(names, f.name)
+	}
+	return names
+}
+
+// SchemaKey returns the schema's own string for a document key that is,
+// byte for byte, one of the JobConfig schema's JSON field names, and false
+// for any other key (a case variant included). A decoder that keeps the
+// keys it reads can use it to share one string per field name instead of
+// allocating one per occurrence: the lookup does not allocate, at most
+// four names share a length, and a first-byte check skips most of them.
+func SchemaKey(b []byte) (string, bool) {
+	if len(b) == 0 || len(b) >= len(schemaKeys) {
+		return "", false
+	}
+	for _, k := range schemaKeys[len(b)] {
+		if k[0] == b[0] && string(b) == k {
+			return k, true
+		}
+	}
+	return "", false
+}
 
 // fieldIndex resolves a document key to its field the way encoding/json
 // does: the exact name first, then the first field equal under Unicode

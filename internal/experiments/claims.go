@@ -160,7 +160,7 @@ func ClaimSimpleSync(p Params) *Result {
 	// Global package release: every job differs again.
 	for i := 0; i < jobs; i++ {
 		if _, err := store.SetLayer(fmt.Sprintf("j%05d", i), config.LayerProvisioner,
-			config.Doc{}.SetPath("package.version", "v2"), jobstore.AnyVersion); err != nil {
+			config.Doc{}.SetPath("package.version", "v2"), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 			panic(err)
 		}
 	}

@@ -65,16 +65,20 @@ func (s *Service) Delete(name string) error {
 // that would break the job is rejected with no write.
 //
 // The read is shared (jobstore.GetExpectedShared): only the layer handed
-// to mutate is copied, and the trial merge aliases the other layers
-// instead of copying them — it is decoded and dropped, never written.
+// to mutate is copied, and that copy is the one the store keeps — mutate
+// must return it, or a doc of its own making, and retain nothing it
+// returns. The trial merge aliases the other three layers instead of
+// copying them; it is decoded, validated, and handed to the write, which
+// installs it as the version's merged cache, so the State Syncer commits
+// the very merge validated here.
 func (s *Service) UpdateLayer(name string, layer config.Layer, mutate func(config.Doc) config.Doc) error {
 	var lastErr error
 	for attempt := 0; attempt < maxCASRetries; attempt++ {
-		e, err := s.store.GetExpectedShared(name)
+		base, err := s.store.GetExpectedShared(name)
 		if err != nil {
 			return err
 		}
-		cur := e.Layers[layer].Clone()
+		cur := base.Layers[layer].Clone()
 		if cur == nil {
 			cur = config.Doc{}
 		}
@@ -84,8 +88,9 @@ func (s *Service) UpdateLayer(name string, layer config.Layer, mutate func(confi
 		}
 
 		// Validate the merged view with the candidate layer in place.
-		e.Layers[layer] = next
-		merged := config.MergeLayersShared(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3])
+		layers := base.Layers
+		layers[layer] = next
+		merged := config.MergeLayersShared(layers[0], layers[1], layers[2], layers[3])
 		cfg, err := config.JobConfigFromDoc(merged)
 		if err != nil {
 			return fmt.Errorf("jobservice: update %s/%s produces undecodable config: %w", name, layer, err)
@@ -94,7 +99,7 @@ func (s *Service) UpdateLayer(name string, layer config.Layer, mutate func(confi
 			return fmt.Errorf("jobservice: update %s/%s rejected: %w", name, layer, err)
 		}
 
-		_, err = s.store.SetLayer(name, layer, next, e.Version)
+		_, err = s.store.SetLayer(name, layer, next, base, merged)
 		if err == nil {
 			return nil
 		}

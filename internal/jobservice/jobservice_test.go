@@ -1,6 +1,7 @@
 package jobservice
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -298,5 +299,71 @@ func TestNonFiniteResourcesRejected(t *testing.T) {
 		if err := s.Provision(bad); err == nil {
 			t.Fatalf("cpuCores %v provisioned", cpu)
 		}
+	}
+}
+
+// TestLayerWriteRejectedAcrossRecreate: a job deleted and re-created
+// between a writer's read and its write is back at version 1, like the
+// job the writer read. The write must still fail — its layer and its
+// validated merge were built on the old Base — and UpdateLayer's retry
+// must apply the change to the new incarnation, validated against it.
+func TestLayerWriteRejectedAcrossRecreate(t *testing.T) {
+	s := newService(t)
+	store := s.Store()
+	recreate := func() {
+		t.Helper()
+		if err := s.Delete("j1"); err != nil {
+			t.Fatal(err)
+		}
+		cfg := validConfig("j1")
+		cfg.Input.Partitions = 48
+		cfg.Package.Version = "v9"
+		if err := s.Provision(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// The store's CAS, directly: version 1 read, version 1 found.
+	base, err := store.GetExpectedShared("j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recreate()
+	oncall := config.Doc{"taskCount": 12}
+	stale := config.MergeLayersShared(base.Layers[0], base.Layers[1], base.Layers[2], oncall)
+	if _, err := store.SetLayer("j1", config.LayerOncall, oncall, base, stale); !errors.Is(err, jobstore.ErrVersionMismatch) {
+		t.Fatalf("write across a re-create: err = %v, want ErrVersionMismatch", err)
+	}
+
+	// Through the Job Service: the first attempt loses to a re-create
+	// landing between its read and its write; the retry lands.
+	calls := 0
+	err = s.UpdateLayer("j1", config.LayerOncall, func(d config.Doc) config.Doc {
+		calls++
+		if calls == 1 {
+			recreate()
+		}
+		return d.SetPath("taskCount", 12)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 2 {
+		t.Fatalf("mutate ran %d times, want 2 (the first write must lose its CAS)", calls)
+	}
+	cfg, version, err := s.Desired("j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if version != 2 || cfg.TaskCount != 12 || cfg.Input.Partitions != 48 || cfg.Package.Version != "v9" {
+		t.Fatalf("Desired = %+v at version %d; want the new incarnation with taskCount 12 at version 2", cfg, version)
+	}
+	e, err := store.GetExpectedShared("j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, _, _ := store.MergedExpectedShared("j1")
+	if want := config.MergeLayersShared(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3]); !config.Equal(merged, want) {
+		t.Fatalf("cached merge %v, stored stack merges to %v", merged, want)
 	}
 }

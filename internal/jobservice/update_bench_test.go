@@ -10,18 +10,20 @@ import (
 )
 
 // updateLayerAllocCeiling bounds one validated layer write on a job with
-// all 14 fields configured. The path copies the one layer it edits
-// (once for the caller's mutation, once as the store's own), merges the
-// four layers by aliasing, and decodes the merge directly into the typed
-// config: 17 objects measured. The encoding/json round trip plus three
-// deep copies of the whole stack it replaced cost 104; the ceiling is
-// half of that.
+// all 14 fields configured. The path copies the one layer it edits once
+// (the caller's mutation edits the copy the store then keeps), merges the
+// four layers by aliasing, decodes the merge directly into the typed
+// config, and hands the merge to the store as the new version's cache:
+// 13 objects measured. The encoding/json round trip plus three deep
+// copies of the whole stack it replaced cost 104; the ceiling is half of
+// that.
 const updateLayerAllocCeiling = 52
 
 // BenchmarkUpdateLayer measures the Job Service's write path — the
 // per-job cost of a fleet-wide package release: one SetPackageVersion
 // (shared read, clone of the edited layer, trial merge, typed decode,
-// Validate, CAS write) on a fully configured job, held to
+// Validate, CAS write of the clone and the merge) on a fully configured
+// job, held to
 // updateLayerAllocCeiling by an in-bench MemStats delta over a fixed
 // batch, so that one iteration (-benchtime=1x) arms it too.
 func BenchmarkUpdateLayer(b *testing.B) {

@@ -30,7 +30,7 @@ func TestDirtyMarksAndConditionalClear(t *testing.T) {
 
 	// A write landing after the peek re-stamps the mark; clearing with
 	// the stale seq must refuse.
-	if _, err := s.SetLayer("a", config.LayerOncall, config.Doc{"x": 1}, AnyVersion); err != nil {
+	if _, err := s.SetLayer("a", config.LayerOncall, config.Doc{"x": 1}, Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.ClearDirtyIf("a", marks[0].Seq) {

@@ -13,10 +13,11 @@
 //     updates their atomicity.
 //
 // Every job carries a single version covering its expected layers. Writers
-// follow read-modify-write: they pass back the version their decision was
-// based on, and the store rejects stale writes (ErrVersionMismatch). This
-// is the consistency guarantee the Job Service relies on when, e.g., two
-// oncalls update the oncall configuration simultaneously (§III-A).
+// follow read-modify-write: they pass back the stack their decision was
+// based on — its version and its very layer maps — and the store rejects
+// stale writes (ErrVersionMismatch). This is the consistency guarantee
+// the Job Service relies on when, e.g., two oncalls update the oncall
+// configuration simultaneously (§III-A).
 //
 // Concurrency layout: entries live in 64 lock stripes keyed by an FNV-1a
 // hash of the job name, so per-job reads, CAS writes, and running-entry
@@ -36,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -48,8 +50,9 @@ import (
 )
 
 // ErrVersionMismatch is returned by compare-and-set writes whose base
-// version is stale: another writer updated the job first. Callers must
-// re-read, re-apply their decision, and retry.
+// stack is stale: another writer updated the job first, or the job was
+// deleted and re-created. Callers must re-read, re-apply their decision,
+// and retry.
 var ErrVersionMismatch = errors.New("jobstore: version mismatch")
 
 // ErrNotFound is returned when the named job has no expected entry.
@@ -70,11 +73,13 @@ type Expected struct {
 	Layers  [4]config.Doc // indexed by config.Layer; nil layers unset
 	Version int64
 
-	// merged caches the precedence merge of Layers as of mergedVersion.
-	// Maintained only on the store's canonical entries (not on snapshots
-	// handed to callers); invisible to JSON serialization. The cached doc
-	// is immutable: it is replaced, never modified, so it can be handed
-	// out by MergedExpectedShared without cloning.
+	// merged caches the precedence merge of Layers as of mergedVersion:
+	// installed by the layer write that validated it (SetLayer), or
+	// computed by the first MergedExpectedShared of a version that has
+	// none. Maintained only on the store's canonical entries (not on
+	// snapshots handed to callers); invisible to JSON serialization. The
+	// cached doc is immutable: it is replaced, never modified, so it can be
+	// handed out by MergedExpectedShared without cloning.
 	merged        config.Doc
 	mergedVersion int64
 }
@@ -294,9 +299,6 @@ type Store struct {
 	// first acquire or restore.
 	leaseMu sync.Mutex
 	leases  map[int]*ShardLease
-
-	mergedHits   atomic.Int64 // MergedExpected served from cache
-	mergedMisses atomic.Int64 // MergedExpected recomputed the merge
 }
 
 // New returns an empty store.
@@ -369,7 +371,8 @@ func (s *Store) Delete(name string) error {
 }
 
 // GetExpected returns a snapshot of the job's expected stack. The layer
-// docs are the caller's to mutate.
+// docs are the caller's to mutate — copies, so the snapshot is no base for
+// SetLayer, which proves its base by layer identity.
 func (s *Store) GetExpected(name string) (Expected, error) {
 	e, err := s.GetExpectedShared(name)
 	if err != nil {
@@ -387,7 +390,8 @@ func (s *Store) GetExpected(name string) (Expected, error) {
 // they stay intact for as long as the caller holds them, because SetLayer
 // replaces a layer wholesale and never writes into the old doc. This is
 // the Job Service's read-modify-write read: it clones the one layer it
-// edits and only reads the rest.
+// edits, only reads the rest, and passes the stack back to SetLayer as
+// the base of its write.
 func (s *Store) GetExpectedShared(name string) (Expected, error) {
 	st := s.stripeFor(name)
 	st.mu.RLock()
@@ -399,11 +403,29 @@ func (s *Store) GetExpectedShared(name string) (Expected, error) {
 	return Expected{Layers: e.Layers, Version: e.Version}, nil
 }
 
-// SetLayer replaces one expected layer under CAS: the write succeeds only
-// if the job's version still equals baseVersion (or baseVersion is
-// AnyVersion). On success the job's version is bumped and returned, and
-// the job is marked dirty for the State Syncer's next change-driven round.
-func (s *Store) SetLayer(name string, layer config.Layer, doc config.Doc, baseVersion int64) (int64, error) {
+// SetLayer replaces one expected layer under compare-and-set and returns
+// the job's new version; the job is marked dirty for the State Syncer's
+// next change-driven round.
+//
+// base is the stack the write was computed from, as GetExpectedShared
+// returned it. The write lands only if the job's entry still holds that
+// very stack: the same version, and in each of the four layers the same
+// map (identity, not content). A job deleted and re-created in between
+// restarts at version 1 but holds a new Base layer, so a write read from
+// its predecessor fails with ErrVersionMismatch like any stale write. A
+// base whose Version is AnyVersion writes unconditionally.
+//
+// The store keeps doc itself, without copying it: the caller hands it
+// over and must not modify it, or anything reachable from it, afterwards.
+//
+// merged is the caller's merge of the new stack —
+// config.MergeLayersShared of base.Layers with doc in place of
+// base.Layers[layer] — or nil. When the CAS proved base current, the
+// store installs it as the new version's merged cache, so the next
+// MergedExpectedShared serves the merge the writer validated instead of
+// computing it again. It is immutable and shared from then on, like every
+// cached merge. An AnyVersion write proves nothing and ignores it.
+func (s *Store) SetLayer(name string, layer config.Layer, doc config.Doc, base Expected, merged config.Doc) (int64, error) {
 	if !layer.Valid() {
 		return 0, fmt.Errorf("jobstore: invalid layer %v", layer)
 	}
@@ -414,14 +436,30 @@ func (s *Store) SetLayer(name string, layer config.Layer, doc config.Doc, baseVe
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	if baseVersion != AnyVersion && e.Version != baseVersion {
-		return 0, fmt.Errorf("%w: job %s at version %d, write based on %d", ErrVersionMismatch, name, e.Version, baseVersion)
+	current := e.Version == base.Version && sameLayers(&e.Layers, &base.Layers)
+	if !current {
+		if base.Version != AnyVersion {
+			return 0, fmt.Errorf("%w: job %s at version %d is not the stack the write read (version %d)", ErrVersionMismatch, name, e.Version, base.Version)
+		}
+		merged = nil // built from a stack the store does not hold
 	}
-	e.Layers[layer] = doc.Clone()
+	e.Layers[layer] = doc
 	e.Version++
+	e.merged, e.mergedVersion = merged, e.Version
 	st.setExpLocked(name, e.Version)
 	s.markLocked(st, name)
 	return e.Version, nil
+}
+
+// sameLayers reports whether two stacks hold the very same layer maps
+// (both nil counts as the same).
+func sameLayers(a, b *[4]config.Doc) bool {
+	for i := range a {
+		if reflect.ValueOf(a[i]).Pointer() != reflect.ValueOf(b[i]).Pointer() {
+			return false
+		}
+	}
+	return true
 }
 
 // MergedExpected returns the effective desired configuration — the
@@ -438,8 +476,10 @@ func (s *Store) MergedExpected(name string) (config.Doc, int64, error) {
 
 // MergedExpectedShared returns the cached merged document itself, without
 // cloning. The merge (Algorithm 1) is cached per version on the store's
-// entry: the first read after a layer write pays for the 4-layer merge;
-// every later read of the same version is a map lookup. The returned Doc
+// entry: a Job Service layer write installs the merge it validated, and a
+// version written without one (Create, an AnyVersion write, Restore) pays
+// for the 4-layer merge on its first read; every other read is a map
+// lookup. The returned Doc
 // is IMMUTABLE and shared — callers must not modify it (or anything
 // reachable from it). This is the State Syncer's per-round read path: a
 // round over tens of thousands of jobs neither re-merges nor re-clones.
@@ -450,7 +490,6 @@ func (s *Store) MergedExpectedShared(name string) (config.Doc, int64, error) {
 	if ok && e.merged != nil && e.mergedVersion == e.Version {
 		out, v := e.merged, e.Version
 		st.mu.RUnlock()
-		s.mergedHits.Add(1)
 		return out, v, nil
 	}
 	st.mu.RUnlock()
@@ -467,8 +506,8 @@ func (s *Store) MergedExpectedShared(name string) (config.Doc, int64, error) {
 	if e.merged == nil || e.mergedVersion != e.Version {
 		// Alias-sharing merge: subtrees contributed by a single layer are
 		// referenced, not deep-copied. That is safe here because layer docs
-		// are only ever replaced wholesale (SetLayer installs a fresh
-		// clone, never mutates the old doc), so a cached merged doc keeps
+		// are only ever replaced wholesale (SetLayer installs the doc it is
+		// handed, never mutates the old one), so a cached merged doc keeps
 		// its referenced subtrees intact across later writes — and because
 		// the cache contract already makes the merged doc immutable-shared.
 		// Re-merging after a one-layer change allocates only the collision
@@ -477,17 +516,8 @@ func (s *Store) MergedExpectedShared(name string) (config.Doc, int64, error) {
 		// churn-round fast path).
 		e.merged = config.MergeLayersShared(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3])
 		e.mergedVersion = e.Version
-		s.mergedMisses.Add(1)
-	} else {
-		s.mergedHits.Add(1)
 	}
 	return e.merged, e.Version, nil
-}
-
-// MergedCacheStats reports how many MergedExpected calls were served from
-// the per-version cache vs. recomputed the merge. For tests and metrics.
-func (s *Store) MergedCacheStats() (hits, misses int64) {
-	return s.mergedHits.Load(), s.mergedMisses.Load()
 }
 
 // GetRunning returns a snapshot of the job's running configuration. The

@@ -55,7 +55,11 @@ func TestCreateIsolatesCallerDoc(t *testing.T) {
 func TestSetLayerCAS(t *testing.T) {
 	s := New()
 	s.Create("j1", baseDoc())
-	v, err := s.SetLayer("j1", config.LayerScaler, config.Doc{"taskCount": 15}, 1)
+	base, err := s.GetExpectedShared("j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := s.SetLayer("j1", config.LayerScaler, config.Doc{"taskCount": 15}, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,19 +67,25 @@ func TestSetLayerCAS(t *testing.T) {
 		t.Fatalf("new version = %d, want 2", v)
 	}
 	// Stale write rejected.
-	if _, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"taskCount": 30}, 1); !errors.Is(err, ErrVersionMismatch) {
+	if _, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"taskCount": 30}, base, nil); !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("stale write err = %v, want ErrVersionMismatch", err)
 	}
+	// A base of the right version but other layer maps is stale too: a
+	// cloned read (GetExpected) proves nothing about the stored stack.
+	clone, _ := s.GetExpected("j1")
+	if _, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"taskCount": 30}, clone, nil); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("write on a cloned base err = %v, want ErrVersionMismatch", err)
+	}
 	// AnyVersion bypasses.
-	if _, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"taskCount": 30}, AnyVersion); err != nil {
+	if _, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"taskCount": 30}, Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid layer rejected.
-	if _, err := s.SetLayer("j1", config.Layer(9), config.Doc{}, AnyVersion); err == nil {
+	if _, err := s.SetLayer("j1", config.Layer(9), config.Doc{}, Expected{Version: AnyVersion}, nil); err == nil {
 		t.Fatal("invalid layer accepted")
 	}
 	// Unknown job rejected.
-	if _, err := s.SetLayer("nope", config.LayerBase, config.Doc{}, AnyVersion); !errors.Is(err, ErrNotFound) {
+	if _, err := s.SetLayer("nope", config.LayerBase, config.Doc{}, Expected{Version: AnyVersion}, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -83,8 +93,8 @@ func TestSetLayerCAS(t *testing.T) {
 func TestMergedExpectedPrecedence(t *testing.T) {
 	s := New()
 	s.Create("j1", baseDoc())
-	s.SetLayer("j1", config.LayerScaler, config.Doc{"taskCount": 15}, AnyVersion)
-	s.SetLayer("j1", config.LayerOncall, config.Doc{"taskCount": 30}, AnyVersion)
+	s.SetLayer("j1", config.LayerScaler, config.Doc{"taskCount": 15}, Expected{Version: AnyVersion}, nil)
+	s.SetLayer("j1", config.LayerOncall, config.Doc{"taskCount": 30}, Expected{Version: AnyVersion}, nil)
 	merged, version, err := s.MergedExpected("j1")
 	if err != nil {
 		t.Fatal(err)
@@ -180,7 +190,7 @@ func TestDeleteClearsQuarantine(t *testing.T) {
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := New()
 	s.Create("j1", baseDoc())
-	s.SetLayer("j1", config.LayerScaler, config.Doc{"taskCount": 15}, AnyVersion)
+	s.SetLayer("j1", config.LayerScaler, config.Doc{"taskCount": 15}, Expected{Version: AnyVersion}, nil)
 	s.CommitRunning("j1", config.Doc{"taskCount": 15}, 2)
 	s.SetQuarantine("j2", "test")
 	data, err := s.Snapshot()
@@ -229,13 +239,13 @@ func TestConcurrentCASOneWinnerPerVersion(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e, err := s.GetExpected("j1")
+			e, err := s.GetExpectedShared("j1")
 			ready.Done()
 			if err != nil {
 				return
 			}
 			<-start
-			v, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"taskCount": i}, e.Version)
+			v, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"taskCount": i}, e, nil)
 			if err == nil {
 				wins <- v
 			}

@@ -77,7 +77,7 @@ func randomLedgerOp(t *testing.T, s *Store, rng *rand.Rand, names []string) stri
 		s.Create(name, config.Doc{"taskCount": 1})
 		return "Create " + name
 	case 1:
-		s.SetLayer(name, config.LayerScaler, config.Doc{"taskCount": rng.Intn(8)}, AnyVersion)
+		s.SetLayer(name, config.LayerScaler, config.Doc{"taskCount": rng.Intn(8)}, Expected{Version: AnyVersion}, nil)
 		return "SetLayer " + name
 	case 2:
 		s.Delete(name)

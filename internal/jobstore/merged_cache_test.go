@@ -1,6 +1,11 @@
 package jobstore
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/config"
@@ -11,26 +16,28 @@ func TestMergedExpectedCachedPerVersion(t *testing.T) {
 	if err := s.Create("j1", config.Doc{"taskCount": 4, "pkg": config.Doc{"version": "v1"}}); err != nil {
 		t.Fatal(err)
 	}
-	h0, m0 := s.MergedCacheStats()
 
-	d1, v1, err := s.MergedExpected("j1")
+	// The first read of a version merges; every later one is served the
+	// same cached map.
+	d1, v1, err := s.MergedExpectedShared("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _, err := s.MergedExpected("j1")
+	d2, _, err := s.MergedExpectedShared("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, m1 := s.MergedCacheStats()
-	if m1-m0 != 1 || h1-h0 != 1 {
-		t.Fatalf("two reads of one version: misses=%d hits=%d, want 1 and 1", m1-m0, h1-h0)
-	}
-	if !config.Equal(d1, d2) {
-		t.Fatal("cached merge differs from computed merge")
+	if !sameDoc(d1, d2) {
+		t.Fatal("second read of one version merged again")
 	}
 
-	// Callers own the returned doc: mutating it must not poison the cache.
-	d1.SetPath("pkg.version", "corrupted")
+	// Callers of the cloning read own the returned doc: mutating it must
+	// not poison the cache.
+	c, _, err := s.MergedExpected("j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetPath("pkg.version", "corrupted")
 	d3, _, err := s.MergedExpected("j1")
 	if err != nil {
 		t.Fatal(err)
@@ -39,20 +46,214 @@ func TestMergedExpectedCachedPerVersion(t *testing.T) {
 		t.Fatalf("caller mutation leaked into cache: pkg.version = %v", v)
 	}
 
-	// A layer write moves the version and invalidates the cache.
-	if _, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"pkg": config.Doc{"version": "v2"}}, v1); err != nil {
-		t.Fatal(err)
-	}
-	d4, _, err := s.MergedExpected("j1")
+	// A layer write that hands over its merge installs it: the next read
+	// serves that very doc.
+	base, err := s.GetExpectedShared("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := d4.GetPath("pkg.version"); v != "v2" {
+	oncall := config.Doc{"pkg": config.Doc{"version": "v2"}}
+	merged := config.MergeLayersShared(base.Layers[0], base.Layers[1], base.Layers[2], oncall)
+	if _, err := s.SetLayer("j1", config.LayerOncall, oncall, base, merged); err != nil {
+		t.Fatal(err)
+	}
+	d4, v4, err := s.MergedExpectedShared("j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v4 != v1+1 || !sameDoc(d4, merged) {
+		t.Fatalf("read after a write with its merge: version %d, served the written merge = %v; want %d, true", v4, sameDoc(d4, merged), v1+1)
+	}
+
+	// A write without one moves the version and invalidates the cache: the
+	// next read merges the new stack, once.
+	if _, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"pkg": config.Doc{"version": "v3"}}, Expected{Version: AnyVersion}, nil); err != nil {
+		t.Fatal(err)
+	}
+	d5, _, err := s.MergedExpectedShared("j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := d5.GetPath("pkg.version"); v != "v3" {
 		t.Fatalf("stale merge served after SetLayer: pkg.version = %v", v)
 	}
-	_, m2 := s.MergedCacheStats()
-	if m2-m1 != 1 {
-		t.Fatalf("post-write read recomputed %d times, want 1", m2-m1)
+	if d6, _, _ := s.MergedExpectedShared("j1"); !sameDoc(d5, d6) {
+		t.Fatal("post-write reads merged more than once")
+	}
+}
+
+// sameDoc reports whether a and b are the same map.
+func sameDoc(a, b config.Doc) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
+
+// writeLayer is the Job Service's layer write as the store sees it: a
+// shared read, a private copy of one layer for edit, the merge of the new
+// stack, and the compare-and-set write that hands both over — retried
+// while the CAS fails.
+func writeLayer(s *Store, name string, layer config.Layer, edit func(config.Doc) config.Doc) error {
+	for {
+		base, err := s.GetExpectedShared(name)
+		if err != nil {
+			return err
+		}
+		next := base.Layers[layer].Clone()
+		if next == nil {
+			next = config.Doc{}
+		}
+		next = edit(next)
+		layers := base.Layers
+		layers[layer] = next
+		merged := config.MergeLayersShared(layers[0], layers[1], layers[2], layers[3])
+		if _, err := s.SetLayer(name, layer, next, base, merged); !errors.Is(err, ErrVersionMismatch) {
+			return err
+		}
+	}
+}
+
+// mergedMatchesStack checks the job's merged cache against a fresh merge
+// of its stored layers, at the entry's version. The stack is read before
+// and after the merged doc, and the check is made only if both reads
+// found the very same stack: a version alone does not name one, since a
+// deleted and re-created job counts from 1 again. It reports false
+// without checking when a concurrent write got in between. Safe to call
+// from any goroutine: a mismatch is reported with t.Errorf.
+func mergedMatchesStack(t *testing.T, s *Store, name, step string) bool {
+	t.Helper()
+	e, err := s.GetExpectedShared(name)
+	got, v, mErr := s.MergedExpectedShared(name)
+	after, aErr := s.GetExpectedShared(name)
+	if err != nil || mErr != nil || aErr != nil {
+		return errors.Is(err, ErrNotFound) && errors.Is(mErr, ErrNotFound) && errors.Is(aErr, ErrNotFound)
+	}
+	if v != e.Version || after.Version != e.Version || !sameLayers(&after.Layers, &e.Layers) {
+		return false
+	}
+	if want := config.MergeLayersShared(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3]); !config.Equal(got, want) {
+		t.Errorf("%s: %s at version %d: cached merge %v, stack merges to %v", step, name, v, got, want)
+	}
+	return true
+}
+
+// randomStackOp applies one random change to a job's expected stack and
+// describes it: a Job Service layer write (with its merge) or layer clear,
+// an AnyVersion write (without one), a write from a stack read before
+// another write, or before a delete and re-create of the job — both of
+// which must fail and install nothing — a delete, a (re-)create with a
+// new base, and Restore(Snapshot()).
+func randomStackOp(t *testing.T, s *Store, rng *rand.Rand, names []string) string {
+	name := names[rng.Intn(len(names))]
+	layer := config.Layer(1 + rng.Intn(3))
+	n := rng.Intn(100)
+	set := func(d config.Doc) config.Doc {
+		switch rng.Intn(3) {
+		case 0:
+			return d.SetPath("taskCount", n)
+		case 1:
+			return d.SetPath("package.version", fmt.Sprintf("v%d", n))
+		default:
+			return d.SetPath("input.partitions", n)
+		}
+	}
+	switch rng.Intn(8) {
+	case 0, 1:
+		writeLayer(s, name, layer, set)
+		return fmt.Sprintf("UpdateLayer %s/%s", name, layer)
+	case 2:
+		writeLayer(s, name, layer, func(config.Doc) config.Doc { return config.Doc{} })
+		return fmt.Sprintf("ClearLayer %s/%s", name, layer)
+	case 3:
+		s.SetLayer(name, layer, set(config.Doc{}), Expected{Version: AnyVersion}, nil)
+		return fmt.Sprintf("AnyVersion write %s/%s", name, layer)
+	case 4:
+		base, err := s.GetExpectedShared(name)
+		if err != nil {
+			return "stale read of missing " + name
+		}
+		step := "write after another write"
+		if rng.Intn(2) == 0 {
+			writeLayer(s, name, config.Layer(1+rng.Intn(3)), set)
+		} else {
+			step = "write across a re-create"
+			s.Delete(name)
+			s.Create(name, config.Doc{"name": name, "taskCount": n})
+		}
+		next := set(config.Doc{})
+		layers := base.Layers
+		layers[layer] = next
+		merged := config.MergeLayersShared(layers[0], layers[1], layers[2], layers[3])
+		if _, err := s.SetLayer(name, layer, next, base, merged); !errors.Is(err, ErrVersionMismatch) && !errors.Is(err, ErrNotFound) {
+			t.Errorf("%s of %s: err = %v, want ErrVersionMismatch", step, name, err)
+		}
+		return fmt.Sprintf("%s %s/%s", step, name, layer)
+	case 5:
+		s.Delete(name)
+		return "Delete " + name
+	case 6:
+		s.Create(name, config.Doc{"name": name, "taskCount": n, "input": config.Doc{"partitions": n + 1}})
+		return "Create " + name
+	default:
+		data, err := s.Snapshot()
+		if err == nil {
+			err = s.Restore(data)
+		}
+		if err != nil {
+			t.Errorf("Restore(Snapshot()): %v", err)
+		}
+		return "Restore(Snapshot())"
+	}
+}
+
+// TestMergedCacheEqualsStack: through random sequences of layer writes
+// (with the writer's merge handed over, and without), clears, stale and
+// cross-incarnation writes, deletes, re-creates and Restores, the merged
+// document the store serves is, after every op, the merge of the layers
+// it stores, at the entry's version.
+func TestMergedCacheEqualsStack(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		for i := 0; i < 200; i++ {
+			step := fmt.Sprintf("seed %d op %d: %s", seed, i, randomStackOp(t, s, rng, names))
+			for _, name := range names {
+				if !mergedMatchesStack(t, s, name, step) {
+					t.Fatalf("%s: %s: stack and merged reads disagree with no concurrent writer", step, name)
+				}
+			}
+			if t.Failed() {
+				return
+			}
+		}
+	}
+}
+
+// TestMergedCacheEqualsStackConcurrent is the same property with writers
+// racing on a few jobs (run it under -race): each checks the jobs after
+// its own ops whenever no other write moved the version in between, and
+// every job is checked once they are done.
+func TestMergedCacheEqualsStackConcurrent(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	s := New()
+	var wg sync.WaitGroup
+	for w := int64(0); w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(100 + w))
+			for i := 0; i < 150; i++ {
+				step := fmt.Sprintf("writer %d op %d: %s", w, i, randomStackOp(t, s, rng, names))
+				for _, name := range names {
+					mergedMatchesStack(t, s, name, step)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, name := range names {
+		if !mergedMatchesStack(t, s, name, "after the writers") {
+			t.Fatalf("%s: stack and merged reads disagree after the writers", name)
+		}
 	}
 }
 

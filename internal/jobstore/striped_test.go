@@ -37,7 +37,7 @@ func TestDirtySetSemantics(t *testing.T) {
 	}
 
 	// SetLayer marks dirty; CommitRunning does not.
-	if _, err := s.SetLayer("a", config.LayerScaler, config.Doc{"taskCount": 2}, AnyVersion); err != nil {
+	if _, err := s.SetLayer("a", config.LayerScaler, config.Doc{"taskCount": 2}, Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.CommitRunning("b", config.Doc{"taskCount": 1}, 1)
@@ -137,7 +137,7 @@ func TestSharedDocsAvoidCloning(t *testing.T) {
 	}
 
 	// A layer write replaces (never mutates) the cached doc.
-	if _, err := s.SetLayer("j", config.LayerOncall, config.Doc{}.SetPath("package.version", "v2"), AnyVersion); err != nil {
+	if _, err := s.SetLayer("j", config.LayerOncall, config.Doc{}.SetPath("package.version", "v2"), Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
 	d3, _, err := s.MergedExpectedShared("j")
@@ -233,7 +233,7 @@ func TestConcurrentFanIn(t *testing.T) {
 				name := fmt.Sprintf("j%03d", (w*137+i)%jobs)
 				switch i % 5 {
 				case 0:
-					s.SetLayer(name, config.LayerScaler, config.Doc{"taskCount": i}, AnyVersion)
+					s.SetLayer(name, config.LayerScaler, config.Doc{"taskCount": i}, Expected{Version: AnyVersion}, nil)
 				case 1:
 					if doc, v, err := s.MergedExpectedShared(name); err == nil {
 						s.CommitRunningShared(name, doc, v)

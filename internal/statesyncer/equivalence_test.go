@@ -329,16 +329,16 @@ func applyOp(t *testing.T, store *jobstore.Store, o op) {
 		}
 	case "simple":
 		doc := config.Doc{}.SetPath("package.version", fmt.Sprintf("v%d", o.arg))
-		if _, err := store.SetLayer(o.job, config.LayerProvisioner, doc, jobstore.AnyVersion); err != nil {
+		if _, err := store.SetLayer(o.job, config.LayerProvisioner, doc, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 			t.Fatal(err)
 		}
 	case "complex":
 		doc := config.Doc{}.SetPath("taskCount", 4+o.arg%8)
-		if _, err := store.SetLayer(o.job, config.LayerScaler, doc, jobstore.AnyVersion); err != nil {
+		if _, err := store.SetLayer(o.job, config.LayerScaler, doc, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 			t.Fatal(err)
 		}
 	case "revert":
-		if _, err := store.SetLayer(o.job, config.LayerScaler, config.Doc{}, jobstore.AnyVersion); err != nil {
+		if _, err := store.SetLayer(o.job, config.LayerScaler, config.Doc{}, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 			t.Fatal(err)
 		}
 	case "delete":

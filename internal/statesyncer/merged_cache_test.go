@@ -1,6 +1,7 @@
 package statesyncer
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -9,7 +10,8 @@ import (
 // TestRoundsReuseCachedMerges verifies that repeated synchronization
 // rounds over jobs whose expected stack did not change never re-run the
 // Algorithm 1 layer merge: the Job Store serves the per-version cached
-// document.
+// document — for a job written through the Job Service, the very merge
+// the write validated.
 func TestRoundsReuseCachedMerges(t *testing.T) {
 	svc, syncer, act, clk := newWorld(t, Options{})
 	for _, name := range []string{"a", "b", "c"} {
@@ -26,7 +28,18 @@ func TestRoundsReuseCachedMerges(t *testing.T) {
 	}
 
 	syncer.RunRound() // plans a's complex sync; the stop action fails
-	_, missesAfterFirst := svc.Store().MergedCacheStats()
+	merged := func() []config.Doc {
+		var docs []config.Doc
+		for _, name := range []string{"a", "b", "c"} {
+			d, _, err := svc.Store().MergedExpectedShared(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs = append(docs, d)
+		}
+		return docs
+	}
+	first := merged()
 
 	// "a" is re-examined every round: each starts past its retry deadline,
 	// and four failures in all stay short of the quarantine.
@@ -34,10 +47,10 @@ func TestRoundsReuseCachedMerges(t *testing.T) {
 		clk.RunFor(pastLongestBackoff)
 		syncer.RunRound()
 	}
-	_, missesAfterMany := svc.Store().MergedCacheStats()
-	if missesAfterMany != missesAfterFirst {
-		t.Fatalf("rounds over an unchanged expected stack recomputed %d merges, want 0",
-			missesAfterMany-missesAfterFirst)
+	for i, d := range merged() {
+		if reflect.ValueOf(d).Pointer() != reflect.ValueOf(first[i]).Pointer() {
+			t.Fatalf("rounds over an unchanged expected stack re-merged job %d", i)
+		}
 	}
 	if syncer.FailureCount("a") == 0 {
 		t.Fatal("setup: job a should be failing its sync")

@@ -44,7 +44,7 @@ func churn(b *testing.B, store *jobstore.Store, n, k, round int) {
 	for i := 0; i < n; i += k {
 		name := fmt.Sprintf("j%05d", i)
 		doc := config.Doc{}.SetPath("package.version", v)
-		if _, err := store.SetLayer(name, config.LayerProvisioner, doc, jobstore.AnyVersion); err != nil {
+		if _, err := store.SetLayer(name, config.LayerProvisioner, doc, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -185,7 +185,7 @@ func TestShardedLeaseStealConvergence(t *testing.T) {
 	}
 	release := func(name, v string) {
 		doc := config.Doc{}.SetPath("package.version", v)
-		if _, err := store.SetLayer(name, config.LayerProvisioner, doc, jobstore.AnyVersion); err != nil {
+		if _, err := store.SetLayer(name, config.LayerProvisioner, doc, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -295,7 +295,7 @@ func testOneSliceNodeVsEngine(t *testing.T) {
 	}
 	set := func(job string, layer config.Layer, path string, v any) {
 		for _, store := range stores {
-			if _, err := store.SetLayer(job, layer, config.Doc{}.SetPath(path, v), jobstore.AnyVersion); err != nil {
+			if _, err := store.SetLayer(job, layer, config.Doc{}.SetPath(path, v), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -371,7 +371,7 @@ func testFourShardsVsEngine(t *testing.T) {
 			name := fmt.Sprintf("j%05d", i)
 			doc := config.Doc{}.SetPath("package.version", v)
 			for _, store := range []*jobstore.Store{single, sharded} {
-				if _, err := store.SetLayer(name, config.LayerProvisioner, doc, jobstore.AnyVersion); err != nil {
+				if _, err := store.SetLayer(name, config.LayerProvisioner, doc, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -44,7 +44,7 @@ func sweepFleet(t *testing.T, fleet int, opts Options) (*jobstore.Store, *Syncer
 func divergeAndDropMark(t *testing.T, store *jobstore.Store, job string) {
 	t.Helper()
 	doc := config.Doc{}.SetPath("package.version", "v2")
-	if _, err := store.SetLayer(job, config.LayerProvisioner, doc, jobstore.AnyVersion); err != nil {
+	if _, err := store.SetLayer(job, config.LayerProvisioner, doc, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range store.DirtyMarksRangeInto(0, jobstore.NumStripes, nil) {

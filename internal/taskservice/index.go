@@ -273,9 +273,13 @@ type bucketEdit struct {
 }
 
 // newDraft starts a draft over base (nil base = empty index, e.g. the
-// very first publish).
-func newDraft(base *SnapshotIndex, numShards int) *indexDraft {
-	d := &indexDraft{chunks: make([]*shardChunk, numChunks(numShards))}
+// very first publish), with room for editHint edits: the regeneration's
+// estimate, so that the edit list is allocated once rather than grown.
+func newDraft(base *SnapshotIndex, numShards, editHint int) *indexDraft {
+	d := &indexDraft{
+		chunks: make([]*shardChunk, numChunks(numShards)),
+		edits:  make([]bucketEdit, 0, editHint),
+	}
 	if base != nil {
 		copy(d.chunks, base.chunks)
 		d.total = base.total
@@ -287,6 +291,11 @@ func newDraft(base *SnapshotIndex, numShards int) *indexDraft {
 // either may be nil (pure insert / pure remove). It walks the union of
 // both groups' sorted shard lists, so the work is proportional to the
 // shards the job actually touches.
+//
+// Callers apply each job at most once per draft, in ascending job-name
+// order (regenerateLocked walks its sorted, duplicate-free change set):
+// publish relies on it, taking an edit's position in the list as its
+// job's rank.
 func (d *indexDraft) applyGroup(job string, oldG, newG *jobGroup) {
 	var os, ns []groupShard
 	if oldG != nil {
@@ -317,24 +326,27 @@ func (d *indexDraft) applyGroup(job string, oldG, newG *jobGroup) {
 }
 
 // publish applies the recorded edits and freezes the draft into an
-// immutable index. Ordered by (shard, job), the edits of one bucket are
-// adjacent and those of one chunk consecutive: each touched chunk is
-// privatized (cloned) exactly once and each touched bucket rebuilt
-// exactly once. Chunks never touched stay shared with the base index by
-// pointer, untouched buckets of a cloned chunk by slice.
+// immutable index. The edits are walked in (shard, job) order, which
+// makes those of one bucket adjacent and those of one chunk consecutive:
+// each touched chunk is privatized (cloned) exactly once and each touched
+// bucket rebuilt exactly once. Chunks never touched stay shared with the
+// base index by pointer, untouched buckets of a cloned chunk by slice.
+//
+// The order comes from sorting one integer per edit, shard<<32 | position
+// (shard IDs and edit counts are far below 2^32): edits arrived in
+// job-name order (see applyGroup), so within a shard position order is
+// job order. No edit is moved and no name compared.
 func (d *indexDraft) publish(version, numShards int, groups []*jobGroup) *SnapshotIndex {
-	edits := d.edits
-	slices.SortFunc(edits, func(a, b bucketEdit) int {
-		if c := cmp.Compare(a.shard, b.shard); c != 0 {
-			return c
-		}
-		return strings.Compare(a.job, b.job)
-	})
+	order := make([]uint64, len(d.edits))
+	for i := range d.edits {
+		order[i] = uint64(d.edits[i].shard)<<32 | uint64(i)
+	}
+	slices.Sort(order)
 	owned := -1 // the chunk this walk privatized last
-	for lo := 0; lo < len(edits); {
-		shard := edits[lo].shard
+	for lo := 0; lo < len(order); {
+		shard := order[lo] >> 32
 		hi := lo + 1
-		for hi < len(edits) && edits[hi].shard == shard {
+		for hi < len(order) && order[hi]>>32 == shard {
 			hi++
 		}
 		ci, li := int(shard)>>chunkShift, int(shard)&(chunkWidth-1)
@@ -346,7 +358,7 @@ func (d *indexDraft) publish(version, numShards int, groups []*jobGroup) *Snapsh
 			d.chunks[ci] = nc
 			owned = ci
 		}
-		d.chunks[ci].buckets[li] = rebuildBucket(d.chunks[ci].buckets[li], edits[lo:hi])
+		d.chunks[ci].buckets[li] = rebuildBucket(d.chunks[ci].buckets[li], d.edits, order[lo:hi])
 		lo = hi
 	}
 	return &SnapshotIndex{
@@ -361,18 +373,19 @@ func (d *indexDraft) publish(version, numShards int, groups []*jobGroup) *Snapsh
 // rebuildBucket returns bucket b with the entries of every edited job
 // replaced by that edit's repl, in one new array — always a new one, so
 // that SameBucket tells the old bucket from the result; nil if nothing is
-// left, the one representation of an empty bucket. edits are in
-// ascending job order, one per job. The result keeps the bucket's
-// invariant: entries grouped by job in ascending job-name order. b is
-// never modified — it may be shared with a published index.
+// left, the one representation of an empty bucket. The bucket's edits are
+// edits[uint32(k)] for each k of order, in ascending job order, one per
+// job. The result keeps the bucket's invariant: entries grouped by job in
+// ascending job-name order. b is never modified — it may be shared with a
+// published index.
 //
 // The first pass locates each edited job's run in b (JobRun, searching
 // on from the previous one) and sizes the result exactly; the second
 // copies the stretches between the runs and the replacements.
-func rebuildBucket(b []IndexedSpec, edits []bucketEdit) []IndexedSpec {
+func rebuildBucket(b []IndexedSpec, edits []bucketEdit, order []uint64) []IndexedSpec {
 	size, from := len(b), 0
-	for i := range edits {
-		e := &edits[i]
+	for _, k := range order {
+		e := &edits[uint32(k)]
 		lo, hi := JobRun(b[from:], e.job)
 		e.lo, e.hi = from+lo, from+hi
 		size += len(e.repl) - (hi - lo)
@@ -383,8 +396,8 @@ func rebuildBucket(b []IndexedSpec, edits []bucketEdit) []IndexedSpec {
 	}
 	out := make([]IndexedSpec, 0, size)
 	from = 0
-	for i := range edits {
-		e := &edits[i]
+	for _, k := range order {
+		e := &edits[uint32(k)]
 		out = append(append(out, b[from:e.lo]...), e.repl...)
 		from = e.hi
 	}

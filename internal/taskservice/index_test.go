@@ -378,7 +378,7 @@ func TestConcurrentSnapshotAndStoreWrites(t *testing.T) {
 		for i := 0; i < iters; i++ {
 			name := fmt.Sprintf("job%02d", i%10)
 			if _, err := store.SetLayer(name, config.LayerOncall,
-				config.Doc{"note": strconv.Itoa(i)}, jobstore.AnyVersion); err != nil {
+				config.Doc{"note": strconv.Itoa(i)}, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 				t.Error(err)
 				return
 			}

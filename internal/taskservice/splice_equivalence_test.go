@@ -558,3 +558,45 @@ func TestIndexReadersDoNotBlockOnRegeneration(t *testing.T) {
 		t.Fatalf("post-regeneration fetch got %d specs, want 5", len(specs))
 	}
 }
+
+// TestPublishOrderIsNameOrderWhateverTheJournalSays: publish orders a
+// bucket's edits by their arrival, which is job-name order because the
+// regeneration walks its change set sorted — not by the journal's order.
+// Here every journal runs against name order, and many jobs share each of
+// a few buckets: a first publish, then one regeneration that re-shards,
+// drops and inserts jobs in reverse name order, must both splice to the
+// from-scratch index.
+func TestPublishOrderIsNameOrderWhateverTheJournalSays(t *testing.T) {
+	const numShards = 8
+	const jobs = 60
+	store := jobstore.New()
+	clk := simclock.NewSim(epoch)
+	name := func(i int) string { return fmt.Sprintf("job%02d", i) }
+	for i := jobs - 1; i >= 0; i-- {
+		commitJob(t, store, name(i), 1+i%6, 1)
+	}
+	svc := New(store, clk, 90*time.Second, numShards)
+	check := func(step string) {
+		t.Helper()
+		idx, want := svc.Index(), scratchIndex(store, numShards, nil)
+		if !IndexEqual(idx, want) {
+			t.Fatalf("%s: spliced index differs from the from-scratch one", step)
+		}
+		assertIndexEquivalent(t, idx, want, numShards)
+	}
+	check("first publish")
+
+	for i := jobs - 1; i >= 0; i-- {
+		switch i % 4 {
+		case 0:
+			store.DropRunning(name(i))
+		case 1:
+			commitJob(t, store, name(i)+"x", 1+i%5, 1) // a new job right after name(i)
+			fallthrough
+		default:
+			commitJob(t, store, name(i), 1+(i+3)%6, 2) // re-sharded
+		}
+	}
+	svc.Invalidate()
+	check("reverse-order churn")
+}

@@ -279,13 +279,13 @@ func (s *Service) regenerateLocked() *SnapshotIndex {
 			s.rebuildRevs = append(s.rebuildRevs, rev)
 		}
 	}
-	s.rebuildGroups()
+	editHint := s.rebuildGroups()
 
 	prev := s.publishedIdx()
 	var d *indexDraft
 	draft := func() *indexDraft {
 		if d == nil {
-			d = newDraft(prev, s.numShards)
+			d = newDraft(prev, s.numShards, editHint)
 		}
 		return d
 	}
@@ -392,11 +392,13 @@ func (s *Service) ensureIncludedOwned(grow int) {
 // persistent worker pool and installs them in the cache. Small batches
 // run inline — fan-out only pays for itself on churn-sized batches.
 // Caller holds regenMu; buildGroup is pure per-job work (store reads
-// plus private allocation), so workers never contend.
-func (s *Service) rebuildGroups() {
+// plus private allocation), so workers never contend. It returns how many
+// shards the new groups touch in all: the index edits they make if each
+// replaces a group of the same shards, which is what a release does.
+func (s *Service) rebuildGroups() (shards int) {
 	n := len(s.rebuildNames)
 	if n == 0 {
-		return
+		return 0
 	}
 	if cap(s.rebuilt) < n {
 		s.rebuilt = make([]*jobGroup, n)
@@ -419,8 +421,10 @@ func (s *Service) rebuildGroups() {
 	}
 	for i, name := range s.rebuildNames {
 		s.groups[name] = s.rebuilt[i]
+		shards += len(s.rebuilt[i].shards)
 		s.rebuilt[i] = nil
 	}
+	return shards
 }
 
 // buildGroup generates one job's spec group: expand the running config

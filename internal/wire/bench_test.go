@@ -1,6 +1,9 @@
 package wire
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 func BenchmarkEncodeDoc(b *testing.B) {
 	doc := sampleDoc()
@@ -16,19 +19,43 @@ func BenchmarkEncodeDoc(b *testing.B) {
 	b.SetBytes(int64(len(e.Buf)))
 }
 
+// decodeDocAllocCeiling bounds one DecodeDoc of sampleDoc, whose 14 keys
+// include 11 JobConfig field names. Those decode to the schema's own
+// strings (config.SchemaKey): 26 objects measured, against 37 when every
+// key was copied. The margin is small, so
+// a schema key that allocates again fails the bench smoke.
+const decodeDocAllocCeiling = 28
+
+// BenchmarkDecodeDoc measures the mirror's per-document decode, held to
+// decodeDocAllocCeiling by an in-bench MemStats delta over a fixed batch,
+// so that one iteration (-benchtime=1x) arms it too.
 func BenchmarkDecodeDoc(b *testing.B) {
 	var e Encoder
 	if err := e.AppendDoc(sampleDoc()); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(len(e.Buf)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	decode := func() {
 		r := NewReader(e.Buf)
 		if _, err := DecodeDoc(&r); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.SetBytes(int64(len(e.Buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decode()
+	}
+	b.StopTimer()
+	const batch = 64
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < batch; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&m1)
+	if per := float64(m1.Mallocs-m0.Mallocs) / batch; per > decodeDocAllocCeiling {
+		b.Fatalf("DecodeDoc allocates %.1f objects/op, ceiling %d", per, decodeDocAllocCeiling)
 	}
 }
 

@@ -13,6 +13,14 @@
 // where the primary holds int or an integral float64 decodes the same
 // JobConfig; config.Equal (canonical-JSON comparison) holds across a
 // wire round trip.
+//
+// A decoded key that is one of the JobConfig schema's JSON field names
+// ("name", "package", "taskCount", "cpuCores", … — config.SchemaKey,
+// exact bytes only) is not allocated: it is the schema's own string,
+// shared by every document decoded. That is safe because strings are
+// immutable and the set is a fixed, read-only table built from the
+// schema's field tables — a peer cannot add to it, so hostile input
+// decodes as before. Every other key is copied out of the frame.
 
 package wire
 
@@ -108,8 +116,9 @@ func (e *Encoder) appendDocBody(d config.Doc) error {
 }
 
 // DecodeDoc decodes a vDoc value from r. The result is freshly
-// allocated; nothing in it aliases the frame buffer, so it is safe to
-// hand to a Job Store (which keeps documents forever).
+// allocated, but for the schema's shared key strings; nothing in it
+// aliases the frame buffer, so it is safe to hand to a Job Store (which
+// keeps documents forever).
 func DecodeDoc(r *Reader) (config.Doc, error) {
 	v, err := decodeValue(r, 0)
 	if err != nil {
@@ -125,6 +134,16 @@ func DecodeDoc(r *Reader) (config.Doc, error) {
 // DecodeValue decodes one document value from r.
 func DecodeValue(r *Reader) (any, error) {
 	return decodeValue(r, 0)
+}
+
+// docKey reads a document key: the schema's own string for a JobConfig
+// field name, a fresh copy of anything else.
+func docKey(r *Reader) string {
+	b := r.Bytes()
+	if k, ok := config.SchemaKey(b); ok {
+		return k
+	}
+	return string(b)
 }
 
 func decodeValue(r *Reader, depth int) (any, error) {
@@ -173,7 +192,7 @@ func decodeValue(r *Reader, depth int) (any, error) {
 		}
 		d := make(config.Doc, n)
 		for i := uint64(0); i < n; i++ {
-			k := r.String()
+			k := docKey(r)
 			v, err := decodeValue(r, depth+1)
 			if err != nil {
 				return nil, err
