@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -463,39 +462,20 @@ func jsonFieldNames(v any) []string {
 // the structs' json tags: a field added to a struct but not to its table
 // would silently stop decoding.
 func TestFieldTablesMatchStructTags(t *testing.T) {
-	check := func(name string, got, want []string) {
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s field table = %v, struct tags = %v", name, got, want)
-		}
-	}
-	check("JobConfig", appendFieldNames(nil, jobConfigFields), jsonFieldNames(JobConfig{}))
-	check("Package", appendFieldNames(nil, packageFields), jsonFieldNames(Package{}))
-	check("Resources", appendFieldNames(nil, resourcesFields), jsonFieldNames(Resources{}))
-	check("Input", appendFieldNames(nil, inputFields), jsonFieldNames(Input{}))
-	check("Output", appendFieldNames(nil, outputFields), jsonFieldNames(Output{}))
-}
-
-// TestSchemaKeyMatchesFieldTables: SchemaKey knows exactly the field
-// tables' names — exact bytes, no case variant, prefix or extension.
-func TestSchemaKeyMatchesFieldTables(t *testing.T) {
-	names := appendFieldNames(nil, jobConfigFields)
-	names = appendFieldNames(names, packageFields)
-	names = appendFieldNames(names, resourcesFields)
-	names = appendFieldNames(names, inputFields)
-	names = appendFieldNames(names, outputFields)
-	for _, n := range names {
-		if k, ok := SchemaKey([]byte(n)); !ok || k != n {
-			t.Errorf("SchemaKey(%q) = %q, %v", n, k, ok)
-		}
-		for _, v := range []string{strings.ToUpper(n[:1]) + n[1:], n + "x", n[:len(n)-1], ""} {
-			if slices.Contains(names, v) {
-				continue
-			}
-			if k, ok := SchemaKey([]byte(v)); ok {
-				t.Errorf("SchemaKey(%q) = %q: not a field name", v, k)
+	var check func(typ reflect.Type, fields Fields)
+	check = func(typ reflect.Type, fields Fields) {
+		var names []string
+		for i, f := range fields {
+			names = append(names, f.name)
+			if f.sub != nil && i < typ.NumField() {
+				check(typ.Field(i).Type, f.sub)
 			}
 		}
+		if want := jsonFieldNames(reflect.New(typ).Elem().Interface()); !reflect.DeepEqual(names, want) {
+			t.Errorf("%s field table = %v, struct tags = %v", typ.Name(), names, want)
+		}
 	}
+	check(reflect.TypeOf(JobConfig{}), jobConfigFields)
 }
 
 // TestJobConfigFromDocGoValues covers what the fuzz target cannot build

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -220,222 +219,256 @@ func JobConfigFromDoc(d Doc) (*JobConfig, error) {
 	return c, nil
 }
 
-// field is one JSON-named struct field of T and the store that decodes a
-// document value into it.
-type field[T any] struct {
-	name string
-	set  func(*T, any) error
+// Fields is the field table of JobConfig or of an object nested in it.
+// It is the schema JobConfigFromDoc walks, and a streaming decoder walks
+// the same tables: Lookup resolves a key, and a Field's setters store a
+// value of each JSON kind by JobConfigFromDoc's rules, so a decoder that
+// meets an object's keys in sorted order — each looked up, each value set
+// or its error noted — builds what JobConfigFromDoc builds from the same
+// document, and fails where it fails.
+type Fields []Field
+
+// Field is one JSON-named field. Exactly one of its stores is set — the
+// one for the field's kind; an object field has its nested table instead.
+// Every store takes the root JobConfig, so one table serves every level.
+type Field struct {
+	name     string
+	setStr   func(*JobConfig, string)
+	setInt   func(*JobConfig, int64) bool // false: the number overflows the field
+	setFloat func(*JobConfig, float64)
+	setBool  func(*JobConfig, bool)
+	sub      Fields
+}
+
+func stringField[S ~string](name string, at func(*JobConfig) *S) Field {
+	return Field{name: name, setStr: func(c *JobConfig, s string) { *at(c) = S(s) }}
+}
+
+func intField[I int | int64](name string, at func(*JobConfig) *I) Field {
+	return Field{name: name, setInt: func(c *JobConfig, n int64) bool {
+		if int64(I(n)) != n {
+			return false
+		}
+		*at(c) = I(n)
+		return true
+	}}
+}
+
+func floatField(name string, at func(*JobConfig) *float64) Field {
+	return Field{name: name, setFloat: func(c *JobConfig, x float64) { *at(c) = x }}
+}
+
+func boolField(name string, at func(*JobConfig) *bool) Field {
+	return Field{name: name, setBool: func(c *JobConfig, b bool) { *at(c) = b }}
+}
+
+func objectField(name string, sub ...Field) Field {
+	return Field{name: name, sub: sub}
 }
 
 // The field tables mirror the json tags of the structs above;
 // TestFieldTablesMatchStructTags keeps them in step.
-var (
-	jobConfigFields = []field[JobConfig]{
-		{"name", func(c *JobConfig, v any) error { return setString(&c.Name, v) }},
-		{"package", func(c *JobConfig, v any) error { return setObject(&c.Package, v, packageFields) }},
-		{"taskCount", func(c *JobConfig, v any) error { return setInt(&c.TaskCount, v) }},
-		{"threadsPerTask", func(c *JobConfig, v any) error { return setInt(&c.ThreadsPerTask, v) }},
-		{"taskResources", func(c *JobConfig, v any) error { return setObject(&c.TaskResources, v, resourcesFields) }},
-		{"operator", func(c *JobConfig, v any) error { return setString(&c.Operator, v) }},
-		{"input", func(c *JobConfig, v any) error { return setObject(&c.Input, v, inputFields) }},
-		{"output", func(c *JobConfig, v any) error { return setObject(&c.Output, v, outputFields) }},
-		{"checkpointDir", func(c *JobConfig, v any) error { return setString(&c.CheckpointDir, v) }},
-		{"enforcement", func(c *JobConfig, v any) error { return setString(&c.Enforcement, v) }},
-		{"priority", func(c *JobConfig, v any) error { return setInt(&c.Priority, v) }},
-		{"maxTaskCount", func(c *JobConfig, v any) error { return setInt(&c.MaxTaskCount, v) }},
-		{"sloSeconds", func(c *JobConfig, v any) error { return setFloat(&c.SLOSeconds, v) }},
-		{"stopped", func(c *JobConfig, v any) error { return setBool(&c.Stopped, v) }},
-	}
-	packageFields = []field[Package]{
-		{"name", func(p *Package, v any) error { return setString(&p.Name, v) }},
-		{"version", func(p *Package, v any) error { return setString(&p.Version, v) }},
-	}
-	resourcesFields = []field[Resources]{
-		{"cpuCores", func(r *Resources, v any) error { return setFloat(&r.CPUCores, v) }},
-		{"memoryBytes", func(r *Resources, v any) error { return setInt(&r.MemoryBytes, v) }},
-		{"diskBytes", func(r *Resources, v any) error { return setInt(&r.DiskBytes, v) }},
-		{"networkBps", func(r *Resources, v any) error { return setInt(&r.NetworkBps, v) }},
-	}
-	inputFields = []field[Input]{
-		{"category", func(in *Input, v any) error { return setString(&in.Category, v) }},
-		{"partitions", func(in *Input, v any) error { return setInt(&in.Partitions, v) }},
-	}
-	outputFields = []field[Output]{
-		{"category", func(o *Output, v any) error { return setString(&o.Category, v) }},
-	}
-)
-
-// schemaKeys holds every JSON field name of the JobConfig schema — the
-// names of the field tables above, nested objects included — bucketed by
-// length. It is built once and never written again.
-var schemaKeys = func() [][]string {
-	var names []string
-	names = appendFieldNames(names, jobConfigFields)
-	names = appendFieldNames(names, packageFields)
-	names = appendFieldNames(names, resourcesFields)
-	names = appendFieldNames(names, inputFields)
-	names = appendFieldNames(names, outputFields)
-	var byLen [][]string
-	for _, n := range names {
-		for len(byLen) <= len(n) {
-			byLen = append(byLen, nil)
-		}
-		if !slices.Contains(byLen[len(n)], n) {
-			byLen[len(n)] = append(byLen[len(n)], n)
-		}
-	}
-	return byLen
-}()
-
-func appendFieldNames[T any](names []string, fields []field[T]) []string {
-	for _, f := range fields {
-		names = append(names, f.name)
-	}
-	return names
+var jobConfigFields = Fields{
+	stringField("name", func(c *JobConfig) *string { return &c.Name }),
+	objectField("package",
+		stringField("name", func(c *JobConfig) *string { return &c.Package.Name }),
+		stringField("version", func(c *JobConfig) *string { return &c.Package.Version }),
+	),
+	intField("taskCount", func(c *JobConfig) *int { return &c.TaskCount }),
+	intField("threadsPerTask", func(c *JobConfig) *int { return &c.ThreadsPerTask }),
+	objectField("taskResources",
+		floatField("cpuCores", func(c *JobConfig) *float64 { return &c.TaskResources.CPUCores }),
+		intField("memoryBytes", func(c *JobConfig) *int64 { return &c.TaskResources.MemoryBytes }),
+		intField("diskBytes", func(c *JobConfig) *int64 { return &c.TaskResources.DiskBytes }),
+		intField("networkBps", func(c *JobConfig) *int64 { return &c.TaskResources.NetworkBps }),
+	),
+	stringField("operator", func(c *JobConfig) *Operator { return &c.Operator }),
+	objectField("input",
+		stringField("category", func(c *JobConfig) *string { return &c.Input.Category }),
+		intField("partitions", func(c *JobConfig) *int { return &c.Input.Partitions }),
+	),
+	objectField("output",
+		stringField("category", func(c *JobConfig) *string { return &c.Output.Category }),
+	),
+	stringField("checkpointDir", func(c *JobConfig) *string { return &c.CheckpointDir }),
+	stringField("enforcement", func(c *JobConfig) *MemoryEnforcement { return &c.Enforcement }),
+	intField("priority", func(c *JobConfig) *int { return &c.Priority }),
+	intField("maxTaskCount", func(c *JobConfig) *int { return &c.MaxTaskCount }),
+	floatField("sloSeconds", func(c *JobConfig) *float64 { return &c.SLOSeconds }),
+	boolField("stopped", func(c *JobConfig) *bool { return &c.Stopped }),
 }
 
-// SchemaKey returns the schema's own string for a document key that is,
-// byte for byte, one of the JobConfig schema's JSON field names, and false
-// for any other key (a case variant included). A decoder that keeps the
-// keys it reads can use it to share one string per field name instead of
-// allocating one per occurrence: the lookup does not allocate, at most
-// four names share a length, and a first-byte check skips most of them.
-func SchemaKey(b []byte) (string, bool) {
-	if len(b) == 0 || len(b) >= len(schemaKeys) {
-		return "", false
+// JobConfigFields returns the top-level table of the JobConfig schema. It
+// is shared and must not be modified.
+func JobConfigFields() Fields { return jobConfigFields }
+
+// Lookup resolves a document key to its field the way encoding/json does:
+// the exact name first, then the first field equal under Unicode case
+// folding; nil for a key that names no field. key is not retained.
+func (fs Fields) Lookup(key string) *Field {
+	if i := fs.index(key); i >= 0 {
+		return &fs[i]
 	}
-	for _, k := range schemaKeys[len(b)] {
-		if k[0] == b[0] && string(b) == k {
-			return k, true
-		}
-	}
-	return "", false
+	return nil
 }
 
-// fieldIndex resolves a document key to its field the way encoding/json
-// does: the exact name first, then the first field equal under Unicode
-// case folding; -1 for a key that names no field.
-func fieldIndex[T any](fields []field[T], key string) int {
-	for i := range fields {
-		if fields[i].name == key {
+func (fs Fields) index(key string) int {
+	for i := range fs {
+		if fs[i].name == key {
 			return i
 		}
 	}
-	for i := range fields {
-		if strings.EqualFold(fields[i].name, key) {
+	for i := range fs {
+		if strings.EqualFold(fs[i].name, key) {
 			return i
 		}
 	}
 	return -1
 }
 
-// decodeFields stores every entry of d that names a field into dst. Stores
-// into distinct fields commute, so the map's own iteration order serves —
-// until two keys turn out to name one field; then the decode starts over
-// from dst's original value in sorted key order, the order in which
-// encoding/json would have met them.
-func decodeFields[T any](dst *T, d map[string]any, fields []field[T]) error {
-	orig := *dst
+// SetBool stores a JSON boolean into the field.
+func (f *Field) SetBool(c *JobConfig, b bool) error {
+	if f.setBool == nil {
+		return f.kindError("bool")
+	}
+	f.setBool(c, b)
+	return nil
+}
+
+// SetInt stores a JSON number that the document holds as an integer.
+func (f *Field) SetInt(c *JobConfig, n int64) error {
+	switch {
+	case f.setInt != nil:
+		if !f.setInt(c, n) {
+			return fmt.Errorf("%s: number %d overflows the field", f.name, n)
+		}
+	case f.setFloat != nil:
+		f.setFloat(c, float64(n))
+	default:
+		return f.kindError("number")
+	}
+	return nil
+}
+
+// SetFloat stores a JSON number that the document holds as a float64: an
+// integer field takes it only if it is integral and in range.
+func (f *Field) SetFloat(c *JobConfig, x float64) error {
+	switch {
+	case f.setFloat != nil:
+		f.setFloat(c, x)
+	case f.setInt != nil:
+		n, ok := integerOf(x)
+		if !ok {
+			return fmt.Errorf("%s: number %v is not an integer in range", f.name, x)
+		}
+		return f.SetInt(c, n)
+	default:
+		return f.kindError("number")
+	}
+	return nil
+}
+
+// SetString stores a JSON string given as bytes, which are copied.
+// Invalid UTF-8 becomes U+FFFD, one per invalid byte, as encoding/json
+// writes it.
+func (f *Field) SetString(c *JobConfig, b []byte) error {
+	if f.setStr == nil {
+		return f.kindError("string")
+	}
+	if utf8.Valid(b) {
+		f.setStr(c, string(b))
+	} else {
+		f.setStr(c, string([]rune(string(b))))
+	}
+	return nil
+}
+
+func (f *Field) setString(c *JobConfig, s string) error {
+	if f.setStr == nil {
+		return f.kindError("string")
+	}
+	if !utf8.ValidString(s) {
+		s = string([]rune(s))
+	}
+	f.setStr(c, s)
+	return nil
+}
+
+// Object returns the table of an object field, into which a JSON object
+// value merges field by field; any other field is an error.
+func (f *Field) Object() (Fields, error) {
+	if f.sub == nil {
+		return nil, f.kindError("object")
+	}
+	return f.sub, nil
+}
+
+// Array is the error a JSON array value is for the field: the schema has
+// no array fields.
+func (f *Field) Array() error { return f.kindError("array") }
+
+func (f *Field) kindError(kind string) error {
+	return fmt.Errorf("%s: cannot decode a JSON %s into the field", f.name, kind)
+}
+
+// set stores one document value into the field.
+func (f *Field) set(c *JobConfig, v any) error {
+	switch x := v.(type) {
+	case nil:
+		return nil
+	case bool:
+		return f.SetBool(c, x)
+	case int:
+		return f.SetInt(c, int64(x))
+	case int64:
+		return f.SetInt(c, x)
+	case float64:
+		return f.SetFloat(c, x)
+	case string:
+		return f.setString(c, x)
+	case []any:
+		return f.Array()
+	}
+	m, ok := asDoc(v)
+	if !ok {
+		return fmt.Errorf("%s: cannot decode %T", f.name, v)
+	}
+	sub, err := f.Object()
+	if err != nil {
+		return err
+	}
+	return decodeFields(c, m, sub)
+}
+
+// decodeFields stores every entry of d that names a field of fields into
+// c. Stores into distinct fields commute, so the map's own iteration order
+// serves — until two keys turn out to name one field; then the decode
+// starts over from c's original value in sorted key order, the order in
+// which encoding/json would have met them.
+func decodeFields(c *JobConfig, d map[string]any, fields Fields) error {
+	orig := *c
 	var seen uint32
 	for k, v := range d {
-		i := fieldIndex(fields, k)
+		i := fields.index(k)
 		if i < 0 {
 			continue
 		}
 		if seen&(1<<i) != 0 {
-			*dst = orig
+			*c = orig
 			for _, k := range sortedKeysOf(d) {
-				if i := fieldIndex(fields, k); i >= 0 {
-					if err := fields[i].set(dst, d[k]); err != nil {
-						return fmt.Errorf("%s: %w", k, err)
+				if f := fields.Lookup(k); f != nil {
+					if err := f.set(c, d[k]); err != nil {
+						return err
 					}
 				}
 			}
 			return nil
 		}
 		seen |= 1 << i
-		if err := fields[i].set(dst, v); err != nil {
-			return fmt.Errorf("%s: %w", k, err)
+		if err := fields[i].set(c, v); err != nil {
+			return err
 		}
 	}
-	return nil
-}
-
-// setObject merges a nested object into the struct *dst already holds.
-func setObject[T any](dst *T, v any, fields []field[T]) error {
-	if v == nil {
-		return nil
-	}
-	m, ok := asDoc(v)
-	if !ok {
-		return kindError(v, "object")
-	}
-	return decodeFields(dst, m, fields)
-}
-
-func setString[S ~string](dst *S, v any) error {
-	switch x := v.(type) {
-	case nil:
-	case string:
-		if !utf8.ValidString(x) {
-			// encoding/json writes each invalid byte as U+FFFD, which is
-			// what the conversion through runes produces.
-			x = string([]rune(x))
-		}
-		*dst = S(x)
-	default:
-		return kindError(v, "string")
-	}
-	return nil
-}
-
-func setBool(dst *bool, v any) error {
-	switch x := v.(type) {
-	case nil:
-	case bool:
-		*dst = x
-	default:
-		return kindError(v, "bool")
-	}
-	return nil
-}
-
-func setFloat(dst *float64, v any) error {
-	switch x := v.(type) {
-	case nil:
-	case float64:
-		*dst = x
-	case int:
-		*dst = float64(x)
-	case int64:
-		*dst = float64(x)
-	default:
-		return kindError(v, "number")
-	}
-	return nil
-}
-
-func setInt[I int | int64](dst *I, v any) error {
-	var n int64
-	switch x := v.(type) {
-	case nil:
-		return nil
-	case int:
-		n = int64(x)
-	case int64:
-		n = x
-	case float64:
-		var ok bool
-		if n, ok = integerOf(x); !ok {
-			return fmt.Errorf("number %v is not an integer in range", x)
-		}
-	default:
-		return kindError(v, "number")
-	}
-	if int64(I(n)) != n {
-		return fmt.Errorf("number %d overflows %T", n, *dst)
-	}
-	*dst = I(n)
 	return nil
 }
 
@@ -458,9 +491,4 @@ func integerOf(f float64) (int64, bool) {
 	}
 	n, err := strconv.ParseInt(strconv.FormatFloat(f, 'f', -1, 64), 10, 64)
 	return n, err == nil
-}
-
-// kindError reports a document value of the wrong JSON kind for its field.
-func kindError(v any, want string) error {
-	return fmt.Errorf("cannot decode %T into %s", v, want)
 }

@@ -1,12 +1,17 @@
 // Remote Task Service consumer: the client half of the Job/Task Service
 // RPC seam. A FeedClient subscribes to a SpecFeed (the transport-shaped
 // boundary — same idiom as the State Syncer's ShardDriver), applies the
-// delta frames to a local mirror Job Store, and runs an ordinary
-// taskservice.Service over that mirror. Everything downstream of the
-// mirror — journal-cursor regeneration, COW shard-index splicing,
-// spec generation — is the exact machinery the in-process Task Service
-// runs, which is what makes the remote index byte-identical to the
-// local one once the feed converges (the chaos soak's invariant).
+// delta frames to a replica of the running table — one row per running
+// job, holding the typed JobConfig that each entry's document decodes to
+// once, on arrival (wire.DecodeJobConfigBlob) — and runs an ordinary
+// taskservice.Service over that replica. The remote index is
+// byte-identical to the local one once the feed converges (the chaos
+// soak's invariant) because everything that makes it is shared or equal:
+// the Service's regeneration, COW shard-index splicing and spec
+// generation are the same code; the replica's change set names every job
+// the journal does; and each row's config is the one the local Service
+// decodes from the same running document (DecodeJobConfigBlob is
+// defined as JobConfigFromDoc of the decoded document).
 //
 // Cursor protocol (mirrors the Job Store journal's contract):
 //
@@ -25,9 +30,11 @@ package taskservice
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
-	"unsafe"
 
+	"repro/internal/config"
 	"repro/internal/jobstore"
 	"repro/internal/shardmanager"
 	"repro/internal/simclock"
@@ -47,10 +54,10 @@ type SpecFeed interface {
 type FeedClientStats struct {
 	Polls   int64 // feed polls issued
 	Bytes   int64 // frame bytes received
-	Applied int64 // commits + drops applied to the mirror
+	Applied int64 // commits + drops applied to the replica
 	Skipped int64 // entries skipped: revision already held
 	Resyncs int64 // full resyncs begun (resync-needed redirects)
-	// Failures counts polls that returned a transport error (the mirror
+	// Failures counts polls that returned a transport error (the replica
 	// kept serving its last index across each one).
 	Failures int64
 	// Resumes counts successful polls that ended a failure streak; the
@@ -64,21 +71,21 @@ type FeedClientStats struct {
 	LastResumeLag int64
 }
 
-// FeedClient consumes a SpecFeed into a mirror Job Store and serves
-// task-spec snapshots from it. Not safe for concurrent use; a remote
-// Task Service pumps its feed from one loop.
+// FeedClient consumes a SpecFeed into a running-table replica and serves
+// task-spec snapshots from it. Pump is not safe for concurrent use — a
+// remote Task Service pumps its feed from one loop — but Index and the
+// Service may be used from any goroutine meanwhile.
 type FeedClient struct {
-	feed   SpecFeed
-	id     string
-	clock  simclock.Clock
-	mirror *jobstore.Store
-	svc    *Service
+	feed  SpecFeed
+	id    string
+	clock simclock.Clock
+	rep   *replica
+	svc   *Service
 
 	cursor      uint64
 	resync      bool
 	resumeAfter string
 	seen        map[string]struct{} // names walked by the current resync
-	lastRev     map[string]int64    // server revision applied per job
 	buf         []byte              // reused frame buffer
 	max         int                 // per-frame entry bound; 0 = server default
 	stats       FeedClientStats
@@ -93,18 +100,17 @@ type FeedClient struct {
 }
 
 // NewFeedClient returns a subscriber over feed. id names it in the
-// server's registry; ttl and numShards configure the mirror's Task
+// server's registry; ttl and numShards configure the replica's Task
 // Service exactly like New.
 func NewFeedClient(feed SpecFeed, id string, clock simclock.Clock, ttl time.Duration, numShards int) *FeedClient {
-	mirror := jobstore.New()
+	rep := newReplica()
 	return &FeedClient{
-		feed:    feed,
-		id:      id,
-		clock:   clock,
-		mirror:  mirror,
-		svc:     New(mirror, clock, ttl, numShards),
-		lastRev: make(map[string]int64),
-		lastOK:  clock.Now(),
+		feed:   feed,
+		id:     id,
+		clock:  clock,
+		rep:    rep,
+		svc:    newService(rep, clock, ttl, numShards),
+		lastOK: clock.Now(),
 	}
 }
 
@@ -115,14 +121,11 @@ func (c *FeedClient) SetMaxEntries(n int) { c.max = n }
 // ID returns the subscriber name this client registers under.
 func (c *FeedClient) ID() string { return c.id }
 
-// Service returns the mirror-backed Task Service.
+// Service returns the replica-backed Task Service.
 func (c *FeedClient) Service() *Service { return c.svc }
 
-// Index returns the mirror's current task-spec snapshot.
+// Index returns the replica's current task-spec snapshot.
 func (c *FeedClient) Index() *SnapshotIndex { return c.svc.Index() }
-
-// Mirror exposes the mirror store (tests, invariant checks).
-func (c *FeedClient) Mirror() *jobstore.Store { return c.mirror }
 
 // Cursor returns the client's journal position.
 func (c *FeedClient) Cursor() uint64 { return c.cursor }
@@ -132,9 +135,9 @@ func (c *FeedClient) Stats() FeedClientStats { return c.stats }
 
 // Pump issues one poll and applies the reply. done reports the client is
 // caught up (an empty delta); a resync in progress always returns
-// done=false. On a transport error the cursor and mirror are untouched —
+// done=false. On a transport error the cursor and replica are untouched —
 // the next Pump retries the identical window — and the client enters
-// degraded mode: the mirror keeps serving its last index while StaleFor
+// degraded mode: the replica keeps serving its last index while StaleFor
 // grows monotonically until a poll succeeds again.
 func (c *FeedClient) Pump() (done bool, err error) {
 	if c.dark {
@@ -146,10 +149,10 @@ func (c *FeedClient) Pump() (done bool, err error) {
 	applied := c.stats.Applied
 	done, err = c.pump()
 	if c.stats.Applied != applied {
-		// Entries landed in the mirror: drop the published snapshot's
+		// Entries landed in the replica: drop the published snapshot's
 		// freshness so an attached Task Manager sees them on its next
 		// fetch rather than at TTL expiry. (Errors mid-batch still
-		// invalidate — whatever applied is already in the mirror.)
+		// invalidate — whatever applied is already in the replica.)
 		c.svc.Invalidate()
 	}
 	if err != nil {
@@ -223,19 +226,19 @@ func (c *FeedClient) pump() (done bool, err error) {
 	}
 }
 
-// StaleFor is the mirror's staleness bound: the time since the last
+// StaleFor is the replica's staleness bound: the time since the last
 // successful poll (since client creation before any). It is the
 // degraded-mode contract — monotonically non-decreasing while the feed
 // is unreachable, reset by the next successful poll — and the Task
 // Manager's proactive ConnectionTimeout gate consumes it via the
-// taskmanager.StalenessSource seam: a mirror staler than the gate keeps
+// taskmanager.StalenessSource seam: a replica staler than the gate keeps
 // serving what already runs but starts nothing new.
 func (c *FeedClient) StaleFor() time.Duration {
 	return c.clock.Since(c.lastOK)
 }
 
 // Degraded reports a failure streak in progress: at least one poll has
-// failed since the last success, and the mirror is serving its last
+// failed since the last success, and the replica is serving its last
 // applied state.
 func (c *FeedClient) Degraded() bool { return c.dark }
 
@@ -267,7 +270,7 @@ func (c *FeedClient) beginResync(next uint64) {
 	c.resync = true
 	c.resumeAfter = ""
 	c.cursor = next
-	c.seen = make(map[string]struct{}, len(c.lastRev))
+	c.seen = make(map[string]struct{}, c.rep.size())
 }
 
 func (c *FeedClient) applyChunk(body []byte) error {
@@ -281,17 +284,14 @@ func (c *FeedClient) applyChunk(body []byte) error {
 			return err
 		}
 		name := string(it.Name)
-		if c.lastRev[name] == it.Rev {
+		if c.rep.holds(it.Name, it.Rev) {
 			c.stats.Skipped++
 		} else {
-			doc, err := wire.DecodeDocBlob(it.Doc)
+			cfg, err := wire.DecodeJobConfigBlob(it.Doc)
 			if err != nil {
 				return fmt.Errorf("taskservice: resync doc %q: %w", name, err)
 			}
-			if err := c.mirror.CommitRunningShared(name, doc, it.Version); err != nil {
-				return err
-			}
-			c.lastRev[name] = it.Rev
+			c.rep.commit(it.Name, it.Rev, it.Version, cfg)
 			c.stats.Applied++
 		}
 		c.seen[name] = struct{}{}
@@ -303,17 +303,11 @@ func (c *FeedClient) applyChunk(body []byte) error {
 	return nil
 }
 
-// finishResync drops every mirrored job the walk did not see: entries
+// finishResync drops every replicated job the walk did not see: entries
 // whose server-side drop predates the resync and whose journal entry is
 // therefore unreachable from the adopted cursor.
 func (c *FeedClient) finishResync() {
-	for _, name := range c.mirror.RunningNames() {
-		if _, ok := c.seen[name]; !ok {
-			c.mirror.DropRunning(name)
-			delete(c.lastRev, name)
-			c.stats.Applied++
-		}
-	}
+	c.stats.Applied += int64(c.rep.dropUnseen(c.seen))
 	c.resync = false
 	c.resumeAfter = ""
 	c.seen = nil
@@ -329,47 +323,147 @@ func (c *FeedClient) applyDelta(body []byte) (done bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		// The view string never escapes into a map or the store: the skip
-		// check only indexes by it, and both store paths get clones —
-		// DropRunning journals the name it is given, so a view into the
-		// reused frame buffer would turn to garbage on the next poll and
-		// the mirror's incremental index rebuild would never splice the
-		// dropped job out.
-		nameView := viewString(ent.Name)
 		if ent.Drop {
-			name := string(ent.Name)
-			c.mirror.DropRunning(name)
-			delete(c.lastRev, name)
+			c.rep.drop(ent.Name)
 			c.stats.Applied++
 			continue
 		}
-		if c.lastRev[nameView] == ent.Rev {
+		if c.rep.holds(ent.Name, ent.Rev) {
 			c.stats.Skipped++
 			continue
 		}
-		doc, err := wire.DecodeDocBlob(ent.Doc)
+		cfg, err := wire.DecodeJobConfigBlob(ent.Doc)
 		if err != nil {
-			return false, fmt.Errorf("taskservice: delta doc %q: %w", nameView, err)
+			return false, fmt.Errorf("taskservice: delta doc %q: %w", ent.Name, err)
 		}
-		name := string(ent.Name)
-		if err := c.mirror.CommitRunningShared(name, doc, ent.Version); err != nil {
-			return false, err
-		}
-		c.lastRev[name] = ent.Rev
+		c.rep.commit(ent.Name, ent.Rev, ent.Version, cfg)
 		c.stats.Applied++
 	}
 	c.cursor = delta.Next
 	return delta.Count == 0, nil
 }
 
-// viewString views b as a string without copying; valid only while the
-// frame buffer is unmodified (the same contract as
-// wire.Reader.StringView).
-func viewString(b []byte) string {
-	if len(b) == 0 {
-		return ""
+// replica is a FeedClient's running table: one row per job the feed has
+// delivered as running, and the set of names committed or dropped since
+// the FeedClient's Service last asked. Pump is the only writer and the
+// Service the only consumer of the set, so the set needs no cursor and
+// never overflows. The Service's pool workers read rows while Pump writes
+// them, so every access holds mu, except the writer's own reads (holds,
+// size), which no other write can race.
+type replica struct {
+	mu      sync.RWMutex
+	rows    map[string]replicaRow
+	touched map[string]struct{}
+	rev     int64 // the last local revision stamped
+}
+
+// replicaRow is one replicated running entry.
+type replicaRow struct {
+	name    string            // the row's key, shared by the touched set
+	srvRev  int64             // the server's revision: the feed's dedup key
+	version int64             // the expected version the entry realizes
+	rev     int64             // local revision, stamped on every apply: the Service's group-cache key
+	cfg     *config.JobConfig // nil: the document is not a JobConfig
+}
+
+func newReplica() *replica {
+	return &replica{rows: make(map[string]replicaRow), touched: make(map[string]struct{})}
+}
+
+// holds reports whether the row for name is at server revision srvRev.
+// Writer only.
+func (r *replica) holds(name []byte, srvRev int64) bool {
+	row, ok := r.rows[string(name)]
+	return ok && row.srvRev == srvRev
+}
+
+// size returns the number of rows. Writer only.
+func (r *replica) size() int { return len(r.rows) }
+
+// commit installs a job's running entry under a fresh local revision.
+// name may be a view into the frame buffer; the row keeps a copy.
+func (r *replica) commit(name []byte, srvRev, version int64, cfg *config.JobConfig) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	row, ok := r.rows[string(name)]
+	if !ok {
+		row.name = string(name)
 	}
-	return unsafe.String(&b[0], len(b))
+	r.rev++
+	row.srvRev, row.version, row.rev, row.cfg = srvRev, version, r.rev, cfg
+	r.rows[row.name] = row
+	r.touched[row.name] = struct{}{}
+}
+
+// drop removes a job's row, if it has one.
+func (r *replica) drop(name []byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if row, ok := r.rows[string(name)]; ok {
+		delete(r.rows, row.name)
+		r.touched[row.name] = struct{}{}
+	}
+}
+
+// dropUnseen removes every row whose name is not in seen and returns how
+// many it removed.
+func (r *replica) dropUnseen(seen map[string]struct{}) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for name := range r.rows {
+		if _, ok := seen[name]; !ok {
+			delete(r.rows, name)
+			r.touched[name] = struct{}{}
+			n++
+		}
+	}
+	return n
+}
+
+// ChangesSince hands over the names touched since the previous call and
+// forgets them. The cursor is not needed — the replica has one consumer —
+// so it is returned unchanged, and the set is never lost to an overflow.
+func (r *replica) ChangesSince(cursor uint64, buf []jobstore.Change) ([]jobstore.Change, uint64, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for name := range r.touched {
+		buf = append(buf, jobstore.Change{Name: name})
+	}
+	if len(r.touched) > 256 {
+		// A release or a resync touched many: let the large table go, so
+		// that each later hand-over costs what it hands over.
+		r.touched = make(map[string]struct{})
+	} else {
+		clear(r.touched)
+	}
+	return buf, cursor, true
+}
+
+// RunningNames lists the replicated jobs, sorted.
+func (r *replica) RunningNames() []string {
+	r.mu.RLock()
+	names := make([]string, 0, len(r.rows))
+	for name := range r.rows {
+		names = append(names, name)
+	}
+	r.mu.RUnlock()
+	slices.Sort(names)
+	return names
+}
+
+// RunningRevision returns a job's local revision.
+func (r *replica) RunningRevision(name string) (int64, bool) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	row, ok := r.rows[name]
+	return row.rev, ok
+}
+
+func (r *replica) runningConfig(name string) *config.JobConfig {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.rows[name].cfg
 }
 
 // IndexEqual reports whether two snapshot indexes describe the same

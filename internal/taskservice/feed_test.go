@@ -1,7 +1,15 @@
 package taskservice
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"maps"
+	"reflect"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -168,9 +176,9 @@ func TestFeedOverflowMidPaginationNoTornDelta(t *testing.T) {
 	if st.Resyncs != 1 {
 		t.Fatalf("resyncs = %d, want 1", st.Resyncs)
 	}
-	// The mirror matches the fleet exactly: 4 jobs, no burn remnants.
-	if names := h.remote.Mirror().RunningNames(); len(names) != 4 {
-		t.Fatalf("mirror holds %v, want the 4 jobs", names)
+	// The replica matches the fleet exactly: 4 jobs, no burn remnants.
+	if names := h.remote.rep.RunningNames(); len(names) != 4 {
+		t.Fatalf("replica holds %v, want the 4 jobs", names)
 	}
 	if got := h.remote.Index().Len(); got != 16 {
 		t.Fatalf("remote index holds %d tasks, want 16", got)
@@ -236,23 +244,29 @@ func TestFeedChurnMatrixByteIdentity(t *testing.T) {
 				t.Fatal("matrix never exercised the revision-dedup skip path")
 			}
 
-			// Mirror store contents equal the source running table.
-			names := h.store.RunningNames()
-			mnames := h.remote.Mirror().RunningNames()
-			if len(names) != len(mnames) {
-				t.Fatalf("mirror names %v != source %v", mnames, names)
-			}
-			for i, n := range names {
-				if mnames[i] != n {
-					t.Fatalf("mirror names %v != source %v", mnames, names)
-				}
-				cfg, version, _, ok := h.store.RunningEntry(n)
-				mcfg, mversion, _, mok := h.remote.Mirror().RunningEntry(n)
-				if !ok || !mok || version != mversion || !config.Equal(cfg, mcfg) {
-					t.Fatalf("mirror entry %s diverged", n)
-				}
-			}
+			h.checkReplica(t)
 		})
+	}
+}
+
+// checkReplica fails unless the replica holds exactly the source's
+// running table: the same names, the same version per name, and per name
+// the config JobConfigFromDoc decodes from the source's running document
+// (nil where it fails).
+func (h *feedHarness) checkReplica(t *testing.T) {
+	t.Helper()
+	names, rnames := h.store.RunningNames(), h.remote.rep.RunningNames()
+	if !slices.Equal(names, rnames) {
+		t.Fatalf("replica names %v != source %v", rnames, names)
+	}
+	for _, n := range names {
+		doc, version, _, _ := h.store.RunningEntry(n)
+		row := h.remote.rep.rows[n]
+		want, err := config.JobConfigFromDoc(doc)
+		if row.version != version || (row.cfg == nil) != (err != nil) ||
+			(row.cfg != nil && !reflect.DeepEqual(row.cfg, want)) {
+			t.Fatalf("replica row %s = version %d, %+v; source version %d, %+v (%v)", n, row.version, row.cfg, version, want, err)
+		}
 	}
 }
 
@@ -291,4 +305,138 @@ type fakeFeed struct{ frame []byte }
 
 func (f *fakeFeed) PollFeed(req wire.FeedRequest, buf []byte) ([]byte, error) {
 	return append(buf, f.frame...), nil
+}
+
+// switchFeed serves inner's replies until frame is set, then frame.
+type switchFeed struct {
+	inner SpecFeed
+	frame []byte
+}
+
+func (f *switchFeed) PollFeed(req wire.FeedRequest, buf []byte) ([]byte, error) {
+	if f.frame != nil {
+		return append(buf, f.frame...), nil
+	}
+	return f.inner.PollFeed(req, buf)
+}
+
+// TestFeedClientRejectsDuplicateDocKeys: a delta entry whose document
+// repeats a key — each key and value well formed, only their order
+// broken — is a feed error that leaves the replica and the cursor as
+// they were.
+func TestFeedClientRejectsDuplicateDocKeys(t *testing.T) {
+	h := newFeedHarness(t, 4)
+	h.commit(t, "jobs/a", 2, 1)
+	feed := &switchFeed{inner: h.feed.Loopback()}
+	c := NewFeedClient(feed, "x", feedTestClock(), 90*time.Second, 4)
+	if err := c.Sync(0); err != nil {
+		t.Fatal(err)
+	}
+	c.Index() // hands the touched set over to the Service
+
+	// Encode {"name": …, "namf": …}, then rename "namf" to "name".
+	var e wire.Encoder
+	mark := e.AppendDeltaHeader(c.Cursor()+1, 1)
+	if err := e.AppendDeltaCommit("jobs/a", 99, 2, config.Doc{"name": "jobs/a", "namf": "jobs/b"}); err != nil {
+		t.Fatal(err)
+	}
+	e.EndFrame(mark)
+	i := bytes.LastIndex(e.Buf, []byte("namf"))
+	e.Buf[i+3] = 'e'
+	feed.frame = e.Buf
+
+	rows, cursor, rev := maps.Clone(c.rep.rows), c.Cursor(), c.rep.rev
+	if _, err := c.Pump(); !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("pump err = %v, want wire.ErrMalformed", err)
+	}
+	if !reflect.DeepEqual(c.rep.rows, rows) || c.Cursor() != cursor || c.rep.rev != rev || len(c.rep.touched) != 0 {
+		t.Fatal("a malformed delta changed the replica")
+	}
+}
+
+// TestFeedPumpConcurrentIndex pumps fleet-wide releases in small frames
+// while two readers fetch the index, so the Service's pool workers read
+// replica rows as Pump writes them. Run with -race.
+func TestFeedPumpConcurrentIndex(t *testing.T) {
+	h := newFeedHarness(t, 16)
+	const jobs = 64 // past the pool's inline threshold
+	for i := 0; i < jobs; i++ {
+		h.commit(t, fmt.Sprintf("jobs/j%02d", i), 2, 1)
+	}
+	h.mustConverge(t)
+	h.remote.SetMaxEntries(24)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				if idx := h.remote.Index(); idx.Len() == 0 {
+					t.Error("remote index emptied mid-release")
+					return
+				}
+			}
+		}()
+	}
+	for v := 2; v <= 6; v++ {
+		for i := 0; i < jobs; i++ {
+			h.commit(t, fmt.Sprintf("jobs/j%02d", i), 1+v%3, v)
+		}
+		if err := h.remote.Sync(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	h.mustConverge(t)
+	h.checkReplica(t)
+}
+
+// replicaBytesPerJobCeiling bounds the live heap a FeedClient holds per
+// replicated job: its row, the row's key and the decoded JobConfig with
+// its strings: ≈ 480 B measured for feedJobDoc on amd64. Mirroring the
+// documents into a Job Store cost ≈ 1 780 B per job by the same measure.
+const replicaBytesPerJobCeiling = 560
+
+// TestFeedReplicaBytesPerJob syncs a fresh FeedClient over a fleet and
+// holds the live heap it adds, less its reused frame buffer, to the
+// ceiling per job.
+func TestFeedReplicaBytesPerJob(t *testing.T) {
+	const jobs = 4000
+	h := newFeedHarness(t, 64)
+	for i := 0; i < jobs; i++ {
+		h.commit(t, fmt.Sprintf("jobs/j%05d", i), 4, 1)
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// A first client warms the server's frame cache, so the second one's
+	// heap is its own.
+	if err := NewFeedClient(h.feed.Loopback(), "warm", feedTestClock(), 90*time.Second, 64).Sync(0); err != nil {
+		t.Fatal(err)
+	}
+	base := liveHeap()
+	c := NewFeedClient(h.feed.Loopback(), "bytes", feedTestClock(), 90*time.Second, 64)
+	if err := c.Sync(0); err != nil {
+		t.Fatal(err)
+	}
+	// Hand the touched set over as the Service would, without building
+	// the index, whose specs are not the replica's.
+	c.rep.ChangesSince(0, nil)
+	held := int64(liveHeap()-base) - int64(cap(c.buf))
+	perJob := float64(held) / jobs
+	t.Logf("replica of %d jobs: %d B, %.0f B/job", jobs, held, perJob)
+	if c.rep.size() != jobs {
+		t.Fatalf("replica holds %d jobs, want %d", c.rep.size(), jobs)
+	}
+	if perJob > replicaBytesPerJobCeiling {
+		t.Fatalf("the replica holds %.0f B of live heap per job, ceiling %d", perJob, replicaBytesPerJobCeiling)
+	}
+	runtime.KeepAlive(c)
 }

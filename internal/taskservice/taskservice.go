@@ -31,7 +31,9 @@
 // the store was Restored), the change set is simply bigger — every
 // running job and every cached group — and goes through the same splice:
 // a job whose running-entry revision is unchanged keeps its group, and a
-// bucket whose content is unchanged keeps its array.
+// bucket whose content is unchanged keeps its array. A remote Task
+// Service runs the same Service over a FeedClient's replica of the
+// running table instead of the Job Store (see feed.go).
 package taskservice
 
 import (
@@ -51,9 +53,53 @@ import (
 	"repro/internal/workpool"
 )
 
+// runningTable is what a Service reads: the running configurations by
+// name, their revisions, and which names changed since a cursor. The
+// primary Job Store is one (storeTable); a FeedClient's replica of it is
+// the other.
+type runningTable interface {
+	runningIndex
+	// runningConfig returns a job's running configuration, nil if it is
+	// not running or its document is not a JobConfig. The result is shared
+	// and must not be modified.
+	runningConfig(name string) *config.JobConfig
+}
+
+// runningIndex is the part of a running table the Job Store serves as it
+// is.
+type runningIndex interface {
+	// ChangesSince appends the changes after cursor to buf and returns the
+	// cursor to pass next; ok=false means the cursor fell off the record
+	// of changes, and every running job must be treated as changed.
+	ChangesSince(cursor uint64, buf []jobstore.Change) (changes []jobstore.Change, next uint64, ok bool)
+	// RunningNames lists the running jobs, sorted.
+	RunningNames() []string
+	// RunningRevision returns the revision of a job's running entry, which
+	// changes on every commit of it.
+	RunningRevision(name string) (int64, bool)
+}
+
+// storeTable reads the running table of the primary Job Store, decoding
+// a job's running document when its group is rebuilt.
+type storeTable struct{ *jobstore.Store }
+
+func (t storeTable) runningConfig(name string) *config.JobConfig {
+	// Shared read: JobConfigFromDoc only decodes, so the running doc
+	// needs no defensive copy — at refresh scale the clones dominated.
+	r, ok := t.GetRunningShared(name)
+	if !ok {
+		return nil
+	}
+	cfg, err := config.JobConfigFromDoc(r.Config)
+	if err != nil {
+		return nil
+	}
+	return cfg
+}
+
 // Service generates and caches task-spec snapshots.
 type Service struct {
-	store     *jobstore.Store
+	table     runningTable
 	clock     simclock.Clock
 	ttl       time.Duration
 	numShards int
@@ -70,7 +116,7 @@ type Service struct {
 	groups         map[string]*jobGroup // per-job cache, keyed by job name; persistent across rounds
 	included       []*jobGroup          // groups currently in the snapshot, sorted by job name
 	includedShared bool                 // included is referenced by the published index (copy before write)
-	cursor         uint64               // position in the Job Store's change journal
+	cursor         uint64               // position in the running table's changes
 	changeBuf      []jobstore.Change    // reused ChangesSince buffer
 	touched        []string             // reused: this regeneration's job names, sorted, unique
 	genCount       int
@@ -104,6 +150,10 @@ type publishedSnap struct {
 // the Shard Manager's shard-space size, used to precompute the snapshot's
 // shard→specs index; non-positive defaults to the production 1024.
 func New(store *jobstore.Store, clock simclock.Clock, ttl time.Duration, numShards int) *Service {
+	return newService(storeTable{store}, clock, ttl, numShards)
+}
+
+func newService(table runningTable, clock simclock.Clock, ttl time.Duration, numShards int) *Service {
 	if ttl <= 0 {
 		ttl = 90 * time.Second
 	}
@@ -115,7 +165,7 @@ func New(store *jobstore.Store, clock simclock.Clock, ttl time.Duration, numShar
 		par = 16
 	}
 	s := &Service{
-		store:        store,
+		table:        table,
 		clock:        clock,
 		ttl:          ttl,
 		numShards:    numShards,
@@ -235,7 +285,7 @@ func (s *Service) invalidatePub() {
 // previously published index (and version) is returned unchanged; the
 // very first publish is a draft over nothing. Caller holds regenMu.
 func (s *Service) regenerateLocked() *SnapshotIndex {
-	changes, next, ok := s.store.ChangesSince(s.cursor, s.changeBuf[:0])
+	changes, next, ok := s.table.ChangesSince(s.cursor, s.changeBuf[:0])
 	s.changeBuf = changes
 	s.cursor = next
 	names := s.touched[:0]
@@ -250,7 +300,7 @@ func (s *Service) regenerateLocked() *SnapshotIndex {
 		// forgotten. Adding only those keeps the sort below near-linear.
 		// The listing happens after ChangesSince, so anything it misses
 		// has seq > cursor and is replayed next round.
-		running := s.store.RunningNames() // sorted
+		running := s.table.RunningNames() // sorted
 		names = append(names, running...)
 		for name := range s.groups {
 			if _, listed := slices.BinarySearch(running, name); !listed {
@@ -273,7 +323,7 @@ func (s *Service) regenerateLocked() *SnapshotIndex {
 	s.rebuildNames = s.rebuildNames[:0]
 	s.rebuildRevs = s.rebuildRevs[:0]
 	for _, name := range names {
-		rev, live := s.store.RunningRevision(name)
+		rev, live := s.table.RunningRevision(name)
 		if g := s.groups[name]; live && (g == nil || g.rev != rev) {
 			s.rebuildNames = append(s.rebuildNames, name)
 			s.rebuildRevs = append(s.rebuildRevs, rev)
@@ -290,7 +340,7 @@ func (s *Service) regenerateLocked() *SnapshotIndex {
 		return d
 	}
 	for _, name := range names {
-		if rev, live := s.store.RunningRevision(name); !live {
+		if rev, live := s.table.RunningRevision(name); !live {
 			delete(s.groups, name)
 		} else if g := s.groups[name]; g == nil || g.rev != rev {
 			// Recommitted since the prebuild read it.
@@ -429,8 +479,8 @@ func (s *Service) rebuildGroups() (shards int) {
 
 // buildGroup generates one job's spec group: expand the running config
 // into specs and precompute each task's identity, shard, and per-shard
-// sub-buckets. Jobs whose running config is undecodable or
-// administratively stopped produce an empty group.
+// sub-buckets. Jobs whose running document is not a JobConfig or that
+// are administratively stopped produce an empty group.
 //
 // A task's identity and shard depend only on the job's name and the task
 // index, so a rebuild that keeps the task count (a package release, a
@@ -440,14 +490,8 @@ func (s *Service) rebuildGroups() (shards int) {
 // the pool has drained.
 func (s *Service) buildGroup(job string, rev int64) *jobGroup {
 	g := &jobGroup{job: job, rev: rev}
-	// Shared read: JobConfigFromDoc only decodes, so the running doc
-	// needs no defensive copy — at refresh scale the clones dominated.
-	r, ok := s.store.GetRunningShared(job)
-	if !ok {
-		return g
-	}
-	cfg, err := config.JobConfigFromDoc(r.Config)
-	if err != nil || cfg.Stopped || cfg.TaskCount <= 0 {
+	cfg := s.table.runningConfig(job)
+	if cfg == nil || cfg.Stopped || cfg.TaskCount <= 0 {
 		return g
 	}
 	g.specs = SpecsForJob(cfg)

@@ -14,9 +14,9 @@
 //	  item:       string name | varint rev | varint version | blob doc
 //
 // Delta and chunk payloads are consumed through by-value iterators whose
-// entries hold zero-copy views; decoding a doc into a config.Doc is a
+// entries hold zero-copy views; decoding a doc (DecodeJobConfigBlob) is a
 // separate explicit step, so a consumer that skips a job (revision
-// already applied) never materializes its document.
+// already applied) never decodes its document.
 
 package wire
 
@@ -87,7 +87,7 @@ type Delta struct {
 
 // DeltaEntry is one journal change. Name and Doc are views into the
 // frame; Doc is the encoded document blob of a commit (nil for drops),
-// decoded on demand with DecodeDocBlob.
+// decoded on demand with DecodeJobConfigBlob.
 type DeltaEntry struct {
 	Name    []byte
 	Drop    bool
@@ -271,10 +271,12 @@ func (c *ResyncChunk) Item() (ChunkItem, error) {
 }
 
 // DecodeDocBlob materializes an entry's document view (DeltaEntry.Doc or
-// ChunkItem.Doc) into a freshly allocated config-doc tree.
+// ChunkItem.Doc) into a freshly allocated config-doc tree. No production
+// path keeps a document: it is the definition DecodeJobConfigBlob is held
+// to, and what tests read entries with.
 func DecodeDocBlob(blob []byte) (config.Doc, error) {
 	r := NewReader(blob)
-	d, err := DecodeDoc(&r)
+	d, err := decodeDoc(&r)
 	if err != nil {
 		return nil, err
 	}
@@ -282,4 +284,32 @@ func DecodeDocBlob(blob []byte) (config.Doc, error) {
 		return nil, malformed("%d trailing bytes after document", r.Remaining())
 	}
 	return d, nil
+}
+
+// DecodeJobConfigBlob decodes an entry's document view straight into a
+// JobConfig, without building the document: the result equals
+// config.JobConfigFromDoc(DecodeDocBlob(blob)), and it fails where that
+// fails. A blob DecodeDocBlob rejects is an error; a well-formed document
+// that JobConfigFromDoc rejects is a nil config and no error. Nothing in
+// the result aliases blob. FuzzJobConfigBlob holds it to its definition.
+func DecodeJobConfigBlob(blob []byte) (*config.JobConfig, error) {
+	d := configDecoder{r: NewReader(blob), cfg: new(config.JobConfig)}
+	r := &d.r
+	if tag := r.Byte(); tag != vDoc {
+		if r.Err() == nil {
+			r.fail("expected document, got value tag 0x%02x", tag)
+		}
+		return nil, r.Err()
+	}
+	d.object(config.JobConfigFields(), 0)
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	if r.Remaining() != 0 {
+		return nil, malformed("%d trailing bytes after document", r.Remaining())
+	}
+	if d.unfit {
+		return nil, nil
+	}
+	return d.cfg, nil
 }

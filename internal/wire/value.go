@@ -9,22 +9,22 @@
 // both travel as vInt and decode as int64, float64 travels as vFloat.
 // That matches config.JobConfigFromDoc, which is defined as the
 // encoding/json round trip of the document and so decodes a number by
-// its value, whatever Go type carries it — a mirror that holds int64
+// its value, whatever Go type carries it — a document that holds int64
 // where the primary holds int or an integral float64 decodes the same
 // JobConfig; config.Equal (canonical-JSON comparison) holds across a
 // wire round trip.
 //
-// A decoded key that is one of the JobConfig schema's JSON field names
-// ("name", "package", "taskCount", "cpuCores", … — config.SchemaKey,
-// exact bytes only) is not allocated: it is the schema's own string,
-// shared by every document decoded. That is safe because strings are
-// immutable and the set is a fixed, read-only table built from the
-// schema's field tables — a peer cannot add to it, so hostile input
-// decodes as before. Every other key is copied out of the frame.
+// A document's keys are strictly ascending in byte order: the encoder
+// sorts them, and every decoder rejects a duplicate or out-of-order key as
+// malformed. So each object has exactly one encoding, and a streaming
+// decoder meets case-variant keys ("Name", "name") in the sorted order in
+// which config.JobConfigFromDoc applies them — what lets
+// DecodeJobConfigBlob build a JobConfig without building the document.
 
 package wire
 
 import (
+	"bytes"
 	"sort"
 
 	"repro/internal/config"
@@ -115,11 +115,9 @@ func (e *Encoder) appendDocBody(d config.Doc) error {
 	return err
 }
 
-// DecodeDoc decodes a vDoc value from r. The result is freshly
-// allocated, but for the schema's shared key strings; nothing in it
-// aliases the frame buffer, so it is safe to hand to a Job Store (which
-// keeps documents forever).
-func DecodeDoc(r *Reader) (config.Doc, error) {
+// decodeDoc decodes a vDoc value from r into a freshly allocated tree
+// that does not alias the frame buffer.
+func decodeDoc(r *Reader) (config.Doc, error) {
 	v, err := decodeValue(r, 0)
 	if err != nil {
 		return nil, err
@@ -136,14 +134,14 @@ func DecodeValue(r *Reader) (any, error) {
 	return decodeValue(r, 0)
 }
 
-// docKey reads a document key: the schema's own string for a JobConfig
-// field name, a fresh copy of anything else.
-func docKey(r *Reader) string {
-	b := r.Bytes()
-	if k, ok := config.SchemaKey(b); ok {
-		return k
+// docKey reads the i-th key of a document and checks that it sorts
+// strictly after prev, the key before it.
+func docKey(r *Reader, i uint64, prev []byte) []byte {
+	k := r.Bytes()
+	if i > 0 && r.Err() == nil && bytes.Compare(prev, k) >= 0 {
+		r.fail("document key %q does not sort after %q", k, prev)
 	}
-	return string(b)
+	return k
 }
 
 func decodeValue(r *Reader, depth int) (any, error) {
@@ -191,13 +189,14 @@ func decodeValue(r *Reader, depth int) (any, error) {
 			return nil, malformed("doc count %d exceeds %d remaining bytes", n, r.Remaining())
 		}
 		d := make(config.Doc, n)
+		var k []byte
 		for i := uint64(0); i < n; i++ {
-			k := docKey(r)
+			k = docKey(r, i, k)
 			v, err := decodeValue(r, depth+1)
 			if err != nil {
 				return nil, err
 			}
-			d[k] = v
+			d[string(k)] = v
 		}
 		return d, r.Err()
 	default:
@@ -205,5 +204,99 @@ func decodeValue(r *Reader, depth int) (any, error) {
 			return nil, err
 		}
 		return nil, malformed("unknown value tag 0x%02x", tag)
+	}
+}
+
+// configDecoder decodes a document straight into a JobConfig, walking the
+// bytes once and the schema's field tables alongside: a key that names a
+// field has its value stored by the field's setter, every other value is
+// only validated. It checks everything decodeValue checks, in the same
+// order, so it fails as a wire error exactly where decodeDoc would. A
+// value that does not fit its field marks the document as no JobConfig;
+// the walk goes on, so a wire error later in the blob still wins.
+type configDecoder struct {
+	r     Reader
+	cfg   *config.JobConfig
+	unfit bool
+}
+
+// value decodes one value at depth into f, or only validates it if f is
+// nil.
+func (d *configDecoder) value(f *config.Field, depth int) {
+	r := &d.r
+	if depth > maxDepth {
+		r.fail("document nesting exceeds %d levels", maxDepth)
+		return
+	}
+	var err error
+	switch tag := r.Byte(); tag {
+	case vNil:
+	case vFalse, vTrue:
+		if f != nil {
+			err = f.SetBool(d.cfg, tag == vTrue)
+		}
+	case vInt:
+		if n := r.Varint(); f != nil && r.Err() == nil {
+			err = f.SetInt(d.cfg, n)
+		}
+	case vFloat:
+		if x := r.Float(); f != nil && r.Err() == nil {
+			err = f.SetFloat(d.cfg, x)
+		}
+	case vString:
+		if b := r.Bytes(); f != nil && r.Err() == nil {
+			err = f.SetString(d.cfg, b)
+		}
+	case vArray:
+		n := r.Uvarint()
+		if r.Err() != nil {
+			return
+		}
+		if n > uint64(r.Remaining()) {
+			r.fail("array count %d exceeds %d remaining bytes", n, r.Remaining())
+			return
+		}
+		if f != nil {
+			err = f.Array()
+		}
+		for i := uint64(0); i < n && r.Err() == nil; i++ {
+			d.value(nil, depth+1)
+		}
+	case vDoc:
+		var fields config.Fields
+		if f != nil {
+			fields, err = f.Object()
+		}
+		d.object(fields, depth)
+	default:
+		if r.Err() == nil {
+			r.fail("unknown value tag 0x%02x", tag)
+		}
+	}
+	if err != nil {
+		d.unfit = true
+	}
+}
+
+// object decodes the body of a vDoc value at depth — its tag already
+// read — into fields, or only validates it if fields is nil.
+func (d *configDecoder) object(fields config.Fields, depth int) {
+	r := &d.r
+	n := r.Uvarint()
+	if r.Err() != nil {
+		return
+	}
+	if n > uint64(r.Remaining()) {
+		r.fail("doc count %d exceeds %d remaining bytes", n, r.Remaining())
+		return
+	}
+	var k []byte
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		k = docKey(r, i, k)
+		var f *config.Field
+		if fields != nil && !d.unfit {
+			f = fields.Lookup(asString(k))
+		}
+		d.value(f, depth+1)
 	}
 }

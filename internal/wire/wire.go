@@ -21,7 +21,7 @@
 //     for names and nested documents, and deltas/chunks are consumed
 //     through by-value iterators — a subscriber that only needs to
 //     advance its cursor touches no heap. Materializing a string or a
-//     config.Doc is an explicit, caller-chosen step.
+//     JobConfig is an explicit, caller-chosen step.
 //  3. Hostile-input safety: malformed frames produce errors, never
 //     panics or large speculative allocations. Lengths are validated
 //     against the remaining input before use and document nesting is

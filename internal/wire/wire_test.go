@@ -3,12 +3,9 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
-	"slices"
 	"testing"
-	"unsafe"
 
 	"repro/internal/config"
 )
@@ -73,7 +70,7 @@ func TestDocRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReader(e.Buf)
-	got, err := DecodeDoc(&r)
+	got, err := decodeDoc(&r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +112,7 @@ func TestDocIntWidthNormalizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReader(e.Buf)
-	got, err := DecodeDoc(&r)
+	got, err := decodeDoc(&r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,78 +360,5 @@ func TestEncoderReuseNoGrowth(t *testing.T) {
 	}
 	if cap(e.Buf) != warmCap {
 		t.Fatalf("buffer regrew: %d -> %d", warmCap, cap(e.Buf))
-	}
-}
-
-// docPaths lists every key path of d, arrays walked by index, sorted: the
-// decoded key set, compared as a whole.
-func docPaths(prefix string, v any, out []string) []string {
-	switch x := v.(type) {
-	case config.Doc:
-		for k, el := range x {
-			out = docPaths(prefix+"/"+k, el, append(out, prefix+"/"+k))
-		}
-	case map[string]any:
-		return docPaths(prefix, config.Doc(x), out)
-	case []any:
-		for i, el := range x {
-			out = docPaths(fmt.Sprintf("%s[%d]", prefix, i), el, out)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// TestDecodeDocSchemaKeys: keys that are JobConfig field names decode to
-// the schema's own strings, every other key — unknown names, case
-// variants next to the exact name, names of other nesting levels — to a
-// copy, and either way the decoded document is the one encoded: equal by
-// config.Equal, with the same key set, and owning nothing of the frame.
-func TestDecodeDocSchemaKeys(t *testing.T) {
-	docs := []config.Doc{
-		sampleDoc(),
-		{"name": "j", "Name": "case variant", "NAME": 1, "nAme": nil},
-		{"taskResources": config.Doc{"cpuCores": 1.5, "CpuCores": 2.5, "cpucores": int64(3)}},
-		{"package": config.Doc{"version": "v1", "Version": "v2", "extra": config.Doc{"name": "nested", "zz": []any{config.Doc{"category": "c", "x": nil}}}}},
-		{"": "empty key", "n": 1, "threadsPerTask": int64(2), "threadsPerTasks": int64(3), "maxTaskCountX": true, "é": "multibyte"},
-		{},
-	}
-	for _, doc := range docs {
-		var e Encoder
-		if err := e.AppendDoc(doc); err != nil {
-			t.Fatal(err)
-		}
-		r := NewReader(e.Buf)
-		got, err := DecodeDoc(&r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clear(e.Buf) // nothing decoded may alias the frame
-		if !config.Equal(doc, got) {
-			t.Fatalf("decode mismatch:\n in: %v\nout: %v", doc, got)
-		}
-		if want, have := docPaths("", doc, nil), docPaths("", got, nil); !slices.Equal(want, have) {
-			t.Fatalf("decoded key set %q, want %q", have, want)
-		}
-		var walk func(config.Doc)
-		walk = func(d config.Doc) {
-			for k, v := range d {
-				schema, isSchema := config.SchemaKey([]byte(k))
-				if k != "" && isSchema != (unsafe.StringData(k) == unsafe.StringData(schema)) {
-					t.Fatalf("key %q: schema key %v, decoded to the schema's string %v", k, isSchema, !isSchema)
-				}
-				if sub, ok := v.(config.Doc); ok {
-					walk(sub)
-				}
-				if arr, ok := v.([]any); ok {
-					for _, el := range arr {
-						if sub, ok := el.(config.Doc); ok {
-							walk(sub)
-						}
-					}
-				}
-			}
-		}
-		walk(got)
 	}
 }

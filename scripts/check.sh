@@ -27,11 +27,13 @@ go -C bench test .
 # fresh mutations. Long fuzzing sessions grow the corpus offline; this
 # catches frame-decoder and round-trip regressions fast — and any drift
 # of the typed config decoder from the encoding/json round trip it
-# stands for, of TaskSpec.Equal from byte-equality of the specs' JSON
+# stands for, of the feed's blob-to-JobConfig decode from the document
+# decode it stands for, of TaskSpec.Equal from byte-equality of the specs' JSON
 # forms (what decided a restart before specs were compared), or of the
 # batched Task.Advance from the per-partition drain it replaced.
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzFrameDecode' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzDocRoundTrip' -fuzztime 5s
+go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzJobConfigBlob' -fuzztime 5s
 go test ./internal/wire/stream -run 'XXXNONE' -fuzz 'FuzzStreamDecode' -fuzztime 5s
 go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzJobConfigFromDoc' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzSpecEqualMatchesJSON' -fuzztime 5s
