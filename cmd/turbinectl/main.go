@@ -151,19 +151,19 @@ func main() {
 		for _, l := range leases {
 			byShard[l.Shard] = l
 		}
-		// Per-slice job and dirty counts give the store-visible round
+		// Per-slice job and diverged counts give the store-visible round
 		// picture: what each shard owns and what it still has to drive.
 		jobs := make([]int, n)
 		for _, name := range store.ExpectedNames() {
 			jobs[statesyncer.SliceOfName(name, n)]++
 		}
 		now := time.Now()
-		fmt.Printf("%-6s %-13s %-6s %-6s %-14s %-6s %s\n",
-			"SHARD", "STRIPES", "JOBS", "DIRTY", "HOLDER", "EPOCH", "LEASE")
-		var dirtyBuf []jobstore.DirtyMark
+		fmt.Printf("%-6s %-13s %-6s %-8s %-14s %-6s %s\n",
+			"SHARD", "STRIPES", "JOBS", "DIVERGED", "HOLDER", "EPOCH", "LEASE")
+		var diverged []string
 		for k := 0; k < n; k++ {
 			lo, hi := statesyncer.ShardStripeRange(k, n)
-			dirtyBuf = store.DirtyMarksRangeInto(lo, hi, dirtyBuf[:0])
+			diverged = store.DivergedRangeInto(lo, hi, diverged[:0])
 			holder, epoch, lease := "-", "-", "unclaimed"
 			if l, ok := byShard[k]; ok {
 				holder = l.Holder
@@ -174,8 +174,8 @@ func main() {
 					lease = fmt.Sprintf("expired %s ago (stealable)", now.Sub(l.Expires).Round(time.Second))
 				}
 			}
-			fmt.Printf("%-6d %-13s %-6d %-6d %-14s %-6s %s\n",
-				k, fmt.Sprintf("[%d,%d)", lo, hi), jobs[k], len(dirtyBuf), holder, epoch, lease)
+			fmt.Printf("%-6d %-13s %-6d %-8d %-14s %-6s %s\n",
+				k, fmt.Sprintf("[%d,%d)", lo, hi), jobs[k], len(diverged), holder, epoch, lease)
 		}
 	case "serve-feed":
 		// Stand-alone spec-feed server: bind the loaded store's feed to a

@@ -89,8 +89,13 @@ func newConvergenceWorld(t *testing.T, seed uint64, jobs int, rules []faultinjec
 	return &convergenceWorld{clk: clk, store: store, syncer: syncer, act: act, inj: inj, jobs: jobs}
 }
 
+// diverged returns the store's diverged set.
+func (w *convergenceWorld) diverged() []string {
+	return w.store.DivergedRangeInto(0, jobstore.NumStripes, nil)
+}
+
 func (w *convergenceWorld) converged() bool {
-	return w.store.DirtyCount() == 0 && len(w.store.SyncStateNames()) == 0
+	return len(w.diverged()) == 0 && len(w.store.SyncStateNames()) == 0
 }
 
 // requireTaskCount6 fails unless every job runs the changed task count.
@@ -126,8 +131,8 @@ func runConvergence(t *testing.T, seed uint64, jobs int, rules []faultinject.Rul
 		w.syncer.RunRound()
 	}
 	if res.rounds == maxRounds {
-		t.Fatalf("no convergence after %d rounds (dirty=%d, syncstates=%v)",
-			maxRounds, w.store.DirtyCount(), w.store.SyncStateNames())
+		t.Fatalf("no convergence after %d rounds (diverged=%v, syncstates=%v)",
+			maxRounds, w.diverged(), w.store.SyncStateNames())
 	}
 	if q := w.store.QuarantinedNames(); len(q) != 0 {
 		t.Fatalf("unexpected quarantines: %v", q)
@@ -211,8 +216,8 @@ func TestBackoffCutsProbesDuringOutage(t *testing.T) {
 		w.clk.RunFor(syncInterval)
 	}
 	if !w.converged() {
-		t.Fatalf("not converged two rounds after the quarantines were cleared (dirty=%d, syncstates=%v)",
-			w.store.DirtyCount(), w.store.SyncStateNames())
+		t.Fatalf("not converged two rounds after the quarantines were cleared (diverged=%v, syncstates=%v)",
+			w.diverged(), w.store.SyncStateNames())
 	}
 	w.requireTaskCount6(t)
 }

@@ -12,6 +12,8 @@
 //   - No orphaned tasks after a teardown, even one faulted mid-flight.
 //   - Once faults stop, the faulty cluster's Job Store converges to a
 //     state byte-identical to the fault-free baseline's.
+//   - Each store's diverged set equals a from-scratch expected/running
+//     comparison, and is empty once the fault-free tail has run.
 //
 // Everything is driven by the simulated clock and a single seed, so a
 // run is replayable event-for-event.
@@ -20,12 +22,14 @@ package chaos
 import (
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/config"
 	"repro/internal/faultinject"
 	"repro/internal/jobservice"
+	"repro/internal/jobstore"
 	"repro/internal/simclock"
 	"repro/internal/statesyncer"
 	"repro/internal/taskmanager"
@@ -164,10 +168,6 @@ func rules(clusterName string, transport string) []faultinject.Rule {
 		// the stricter "no attempt, ever". The stale-cache degradation
 		// itself is covered by faultinject's unit tests.
 		{Op: faultinject.OpSMReportLoads, Rate: 0.20, Kind: faultinject.KindError, After: faultsFrom, Until: faultsUntil},
-		// Dropped rotating-sweep slices: the syncer skips its 1/N share of
-		// the fleet that round, so a lost dirty mark waits a full extra
-		// rotation — coverage degrades but never disappears.
-		{Op: faultinject.OpSweepSlice, Rate: 0.25, Kind: faultinject.KindError, After: faultsFrom, Until: faultsUntil},
 		{Op: faultinject.OpActuatorStop, Rate: 0.05, Kind: faultinject.KindLatency, Latency: 2 * time.Second, After: faultsFrom, Until: faultsUntil},
 		// Short blackout, shorter than the 60 s failover interval: four
 		// consecutive 10 s beats are lost (the Shard Manager observes
@@ -225,9 +225,9 @@ func rules(clusterName string, transport string) []faultinject.Rule {
 	// Shard-round partitions: the Node skips the slice's round and
 	// withholds its lease renewal, so a sustained partition decays the
 	// lease toward a steal (or, with no peer, toward the Node's own
-	// re-acquire); the rediscovery sweep and journal resync cover
-	// whatever the skipped rounds missed. Latency records slow shards
-	// without failing them.
+	// re-acquire); the slice's diverged set still holds whatever the
+	// skipped rounds missed. Latency records slow shards without failing
+	// them.
 	return append(rs,
 		faultinject.Rule{Op: faultinject.OpShardRound, Rate: 0.10, Kind: faultinject.KindError, After: faultsFrom, Until: faultsUntil},
 		faultinject.Rule{Op: faultinject.OpShardRound, Rate: 0.05, Kind: faultinject.KindLatency, Latency: 3 * time.Second, After: faultsFrom, Until: faultsUntil},
@@ -270,6 +270,11 @@ func Run(opts Options) (*Result, error) {
 	}
 	baseline.Store.ClearShardLeases()
 	faulty.Store.ClearShardLeases()
+	for _, store := range []*jobstore.Store{baseline.Store, faulty.Store} {
+		if _, err := checkDivergedSet(store); err != nil {
+			return res, fmt.Errorf("seed %d: %w", opts.Seed, err)
+		}
+	}
 
 	res.BaselineSnapshot, err = baseline.Store.Snapshot()
 	if err != nil {
@@ -310,7 +315,6 @@ func newCluster(opts Options, name string, faults bool) (*cluster.Cluster, *faul
 		cfg.WrapSpecFeed = func(id string, inner taskservice.SpecFeed) taskservice.SpecFeed {
 			return inj.SpecFeed(id, inner)
 		}
-		cfg.Syncer.SweepGate = inj.SweepGate()
 		cfg.WrapShardDriver = func(slice int, d statesyncer.ShardDriver) statesyncer.ShardDriver {
 			return inj.ShardDriver(slice, d)
 		}
@@ -532,8 +536,10 @@ func runSchedule(c *cluster.Cluster, inj *faultinject.Injector, opts Options, re
 			return fmt.Errorf("job %s runs %d tasks, want %d", name, got, want)
 		}
 	}
-	if n := c.Store.DirtyCount(); n != 0 {
-		return fmt.Errorf("%d dirty marks left after the tail", n)
+	if diverged, err := checkDivergedSet(c.Store); err != nil {
+		return err
+	} else if len(diverged) != 0 {
+		return fmt.Errorf("jobs still diverged after the tail: %v", diverged)
 	}
 	if names := c.Store.SyncStateNames(); len(names) != 0 {
 		return fmt.Errorf("sync state left after the tail: %v", names)
@@ -577,4 +583,25 @@ func runSchedule(c *cluster.Cluster, inj *faultinject.Injector, opts Options, re
 		res.ServerFeed = c.Feed.Stats()
 	}
 	return nil
+}
+
+// checkDivergedSet holds the store's diverged set to the comparison the
+// paper's stateless State Syncer makes from scratch: every job with an
+// expected or a running entry whose running entry is missing or realizes
+// another expected version. It returns the set.
+func checkDivergedSet(store *jobstore.Store) ([]string, error) {
+	names := append(store.ExpectedNames(), store.RunningNames()...)
+	slices.Sort(names)
+	var want []string
+	for _, name := range slices.Compact(names) {
+		v := store.PlanViewOf(name)
+		if !v.HasExpected || !v.HasRunning || v.RunningVersion != v.ExpectedVersion {
+			want = append(want, name)
+		}
+	}
+	got := store.DivergedRangeInto(0, jobstore.NumStripes, nil)
+	if !slices.Equal(got, want) {
+		return got, fmt.Errorf("diverged set %v, from-scratch comparison %v", got, want)
+	}
+	return got, nil
 }

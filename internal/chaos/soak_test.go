@@ -63,15 +63,11 @@ func runSoak(t *testing.T, seed uint64, shards int) {
 	}
 	t.Logf("seed %d shards %d: %d faults injected, %d syncer restarts, %d lease steals, store converged (%d bytes)",
 		seed, shards, len(res.Trace), res.SyncerRestarts, res.LeaseSteals, len(res.FaultySnapshot))
-	sweepDrops, feedFaults, shardFaults := false, false, false
+	feedFaults, shardFaults := false, false
 	for _, k := range res.TraceKeys {
 		t.Logf("  %s", k)
-		sweepDrops = sweepDrops || strings.HasPrefix(k, string(faultinject.OpSweepSlice)+" ")
 		feedFaults = feedFaults || strings.HasPrefix(k, string(faultinject.OpSpecFeed)+" ")
 		shardFaults = shardFaults || strings.HasPrefix(k, string(faultinject.OpShardRound)+" ")
-	}
-	if !sweepDrops {
-		t.Fatal("no sweep-slice drops in the trace — the rotating-sweep seam is not wired")
 	}
 	if !feedFaults {
 		t.Fatal("no spec-feed faults in the trace — the spec-feed seam is not wired")

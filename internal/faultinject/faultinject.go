@@ -43,7 +43,6 @@ const (
 	OpSMReportLoads        Op = "sm.reportLoads"
 	OpTaskFetch            Op = "taskservice.fetch"
 	OpStoreCommit          Op = "store.commit"
-	OpSweepSlice           Op = "syncer.sweepSlice"
 	OpShardRound           Op = "syncer.shardRound"
 	OpSpecFeed             Op = "jobservice.specFeed"
 	// OpFeedConn fires inside the spec feed's socket transport, on the
@@ -447,25 +446,6 @@ func (s *taskSource) Index() *taskservice.SnapshotIndex {
 	s.cached = idx
 	s.mu.Unlock()
 	return idx
-}
-
-// ---- Sweep-slice seam ----
-
-// SweepGate returns a gate for statesyncer.Options.SweepGate, keyed by
-// the slice position within the rotation. An error/timeout rule drops
-// that round's slice — the syncer skips its share of the fleet and a
-// lost dirty mark must wait for the rotation to come back around, the
-// degraded-coverage mode the rotating sweep is designed to bound.
-// Latency rules record without dropping.
-func (in *Injector) SweepGate() func(pos, of int) bool {
-	return func(pos, of int) bool {
-		if ev, ok := in.decide(OpSweepSlice, strconv.Itoa(pos)); ok {
-			if errFor(ev) != nil {
-				return false
-			}
-		}
-		return true
-	}
 }
 
 // ---- Shard-round seam ----

@@ -1,6 +1,7 @@
 package jobstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"reflect"
@@ -9,49 +10,6 @@ import (
 
 	"repro/internal/config"
 )
-
-func TestDirtyMarksAndConditionalClear(t *testing.T) {
-	s := New()
-	if err := s.Create("a", config.Doc{"taskCount": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Create("b", config.Doc{"taskCount": 1}); err != nil {
-		t.Fatal(err)
-	}
-
-	marks := s.DirtyMarksRangeInto(0, NumStripes, nil)
-	if len(marks) != 2 || marks[0].Name != "a" || marks[1].Name != "b" {
-		t.Fatalf("DirtyMarks = %+v", marks)
-	}
-	// Peeking does not consume: the marks are still there.
-	if n := s.DirtyCount(); n != 2 {
-		t.Fatalf("DirtyCount after peek = %d", n)
-	}
-
-	// A write landing after the peek re-stamps the mark; clearing with
-	// the stale seq must refuse.
-	if _, err := s.SetLayer("a", config.LayerOncall, config.Doc{"x": 1}, Expected{Version: AnyVersion}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if s.ClearDirtyIf("a", marks[0].Seq) {
-		t.Fatal("ClearDirtyIf cleared a re-marked job")
-	}
-	if n := s.DirtyCount(); n != 2 {
-		t.Fatalf("DirtyCount = %d, want 2 (mark must survive)", n)
-	}
-
-	// Clearing with the current seq succeeds.
-	if !s.ClearDirtyIf("b", marks[1].Seq) {
-		t.Fatal("ClearDirtyIf refused an un-re-marked job")
-	}
-	// Clearing an unmarked job is a no-op success.
-	if !s.ClearDirtyIf("b", marks[1].Seq) {
-		t.Fatal("ClearDirtyIf on an unmarked job should report cleared")
-	}
-	if got := takeDirty(s); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("dirty set = %v, want [a]", got)
-	}
-}
 
 func TestSyncStateLifecycle(t *testing.T) {
 	s := New()
@@ -97,6 +55,9 @@ func TestSyncStateLifecycle(t *testing.T) {
 	}
 }
 
+// TestSnapshotRestoreCarriesSyncerState: a snapshot carries the per-job
+// sync states, and Restore rebuilds the diverged set from the restored
+// entries — the same set the source store kept.
 func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 	s := New()
 	for _, job := range []string{"quiet", "pending", "streaky"} {
@@ -107,11 +68,13 @@ func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// "quiet" converged: its mark is consumed. The other two stay dirty.
-	for _, m := range s.DirtyMarksRangeInto(0, NumStripes, nil) {
-		if m.Name == "quiet" {
-			s.ClearDirtyIf(m.Name, m.Seq)
-		}
+	// "streaky" has a release its running entry does not realize yet, and
+	// "orphan" was deleted with its tasks still running.
+	if _, err := s.SetLayer("streaky", config.LayerOncall, config.Doc{"taskCount": 2}, Expected{Version: AnyVersion}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CommitRunning("orphan", config.Doc{"taskCount": 1}, 1); err != nil {
+		t.Fatal(err)
 	}
 	deadline := time.Unix(500, 0).UTC()
 	s.UpdateSyncState("pending", func(ss *SyncState) { ss.FollowUps = []string{"resume"} })
@@ -129,11 +92,12 @@ func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Schema-2 restore revives exactly the serialized change set: quiet
-	// must NOT come back dirty, so a restarted syncer's first round is an
-	// ordinary change-driven round, not an effective full sweep.
-	if got := takeDirty(s2); !reflect.DeepEqual(got, []string{"pending", "streaky"}) {
-		t.Fatalf("dirty after restore = %v, want [pending streaky]", got)
+	want := s.DivergedRangeInto(0, NumStripes, nil)
+	if !reflect.DeepEqual(want, []string{"orphan", "streaky"}) {
+		t.Fatalf("source diverged set = %v, want [orphan streaky]", want)
+	}
+	if got := s2.DivergedRangeInto(0, NumStripes, nil); !reflect.DeepEqual(got, want) {
+		t.Fatalf("diverged set after restore = %v, want %v", got, want)
 	}
 	ss, ok := s2.SyncStateOf("pending")
 	if !ok || !reflect.DeepEqual(ss.FollowUps, []string{"resume"}) {
@@ -148,8 +112,52 @@ func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 	}
 }
 
+// TestRestoreIgnoresSerializedDirtySet: a schema-3 snapshot still carries
+// the dirty set the store used to keep. Restore derives the diverged set
+// from the entries instead, so a converged job the old set named comes
+// back out of it.
+func TestRestoreIgnoresSerializedDirtySet(t *testing.T) {
+	s := New()
+	if err := s.Create("done", config.Doc{"taskCount": 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CommitRunning("done", config.Doc{"taskCount": 1}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Create("new", config.Doc{"taskCount": 1}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	m["schema"] = json.RawMessage("3")
+	m["dirty"] = json.RawMessage(`["done", "new"]`)
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New()
+	if err := s2.Restore(data); err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.DivergedRangeInto(0, NumStripes, nil); !reflect.DeepEqual(got, []string{"new"}) {
+		t.Fatalf("diverged set after a schema-3 restore = %v, want [new]", got)
+	}
+	if data, err = s2.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(data, []byte(`"dirty"`)) {
+		t.Fatal("a restored store serializes a dirty set again")
+	}
+}
+
 // TestRestoreRejectsLegacySnapshot: a snapshot from before schema 2 (the
-// field absent, or 1) carries no dirty set or sync states, so Restore
+// field absent, or 1) carries no sync states, so Restore
 // refuses it and leaves the store's contents and journal as they were.
 func TestRestoreRejectsLegacySnapshot(t *testing.T) {
 	s := New()
@@ -167,7 +175,6 @@ func TestRestoreRejectsLegacySnapshot(t *testing.T) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		t.Fatal(err)
 	}
-	delete(m, "dirty")
 	delete(m, "sync")
 
 	target := New()

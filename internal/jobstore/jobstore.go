@@ -23,13 +23,12 @@
 // hash of the job name, so per-job reads, CAS writes, and running-entry
 // commits on different jobs never contend on one mutex. The running-name
 // listing is a copy-on-write sorted snapshot rebuilt lazily after a name
-// set change — steady-state reads are allocation-free pointer loads. The
-// store also tracks which jobs changed (expected-side writes, deletes,
-// quarantine lifts) in per-stripe dirty sets the State Syncer drains, so
-// a synchronization round visits only jobs that can possibly need work,
-// and keeps a per-stripe version ledger (expected version against the
-// version running realizes) from which the syncer's safety-net sweep
-// reads just the diverged jobs.
+// set change — steady-state reads are allocation-free pointer loads.
+// Each stripe also keeps the exact set of its diverged jobs — an entry
+// missing, or running realizing another expected version — refreshed
+// under the write lock by every write to either entry, so a State Syncer
+// round reads just the jobs that can need work and a converged fleet
+// costs it nothing.
 package jobstore
 
 import (
@@ -40,7 +39,6 @@ import (
 	"reflect"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,8 +105,7 @@ type Quarantine struct {
 // persisted in the store so it survives a syncer restart (the paper's
 // durability leg of ACIDF). A syncer restored from a snapshot resumes
 // failure streaks, backoff deadlines, and pending post-commit follow-up
-// actions exactly where its predecessor died, instead of waiting for the
-// next full sweep to rediscover the work.
+// actions exactly where its predecessor died.
 type SyncState struct {
 	// FailureStreak counts consecutive failed synchronizations; the
 	// syncer quarantines the job when it reaches its threshold.
@@ -134,17 +131,6 @@ func (ss *SyncState) clone() *SyncState {
 	return &out
 }
 
-// DirtyMark is one entry of the store's change set: a job that may need
-// synchronization, plus the change-sequence number current when the mark
-// was read. The State Syncer clears a mark only conditionally on the seq
-// it saw (ClearDirtyIf), so a write landing while a round is in flight
-// re-marks the job rather than being lost — and a syncer crash between
-// reading the marks and finishing the round leaves the marks in place.
-type DirtyMark struct {
-	Name string
-	Seq  uint64
-}
-
 // CommitHooks intercept CommitRunning: Before runs ahead of the write
 // (returning an error aborts the commit), After runs once the write is
 // visible. Both run outside the stripe locks. Used by the fault injector
@@ -161,76 +147,30 @@ type jobStripe struct {
 	expected    map[string]*Expected
 	running     map[string]*Running
 	quarantined map[string]Quarantine
-	// dirty is the stripe's slice of the store-wide change set: jobs
-	// whose expected entry was created, rewritten, or deleted (or whose
-	// quarantine was lifted) since the State Syncer last cleared their
-	// marks. The value is the store-wide change sequence stamped when the
-	// job was (re)marked; ClearDirtyIf compares against it so concurrent
-	// writes are never un-marked.
-	dirty map[string]uint64
 	// sync holds the State Syncer's durable per-job bookkeeping (failure
 	// streaks, backoff deadlines, pending follow-up actions).
 	sync map[string]*SyncState
-	// versions is the stripe's version ledger: one inline entry per job
-	// with an expected or a running entry, rewritten under the write lock
-	// wherever either entry changes. It is what DivergedRangeInto walks, so
-	// the State Syncer's safety-net sweep reads one compact map per stripe
-	// instead of chasing two entry pointers per job.
-	versions map[string]versionPair
+	// diverged is exactly the set of the stripe's jobs that may need
+	// synchronization: an expected or a running entry is missing, or
+	// running realizes a different expected version — the negation of
+	// the converged test the State Syncer's planJob applies. Every write
+	// to either entry refreshes the job's membership (noteLocked) under
+	// the write lock, so the set can be neither lost nor stale; it is
+	// derived state, rebuilt by Restore and never serialized.
+	diverged map[string]struct{}
 }
 
-// versionPair is one job's version-ledger entry: the expected version,
-// the expected version its running entry realizes, and which of the two
-// entries exist.
-type versionPair struct {
-	exp, run       int64
-	hasExp, hasRun bool
-}
-
-// diverged reports whether the job may need synchronization: an entry is
-// missing, or running realizes a different expected version. It is the
-// negation of the converged test the State Syncer's planJob applies.
-func (p versionPair) diverged() bool {
-	return !p.hasExp || !p.hasRun || p.exp != p.run
-}
-
-// setExpLocked records the job's expected version in the ledger. The
-// caller holds st's write lock.
-func (st *jobStripe) setExpLocked(name string, v int64) {
-	p := st.versions[name]
-	p.exp, p.hasExp = v, true
-	st.versions[name] = p
-}
-
-// setRunLocked records the version the job's running entry realizes.
-// The caller holds st's write lock.
-func (st *jobStripe) setRunLocked(name string, v int64) {
-	p := st.versions[name]
-	p.run, p.hasRun = v, true
-	st.versions[name] = p
-}
-
-// dropExpLocked and dropRunLocked forget one side of the job's ledger
-// entry, and the entry itself once neither side remains. The caller
-// holds st's write lock.
-func (st *jobStripe) dropExpLocked(name string) {
-	p := st.versions[name]
-	if !p.hasRun {
-		delete(st.versions, name)
+// noteLocked recomputes the job's membership in the diverged set from
+// its entries. The caller holds st's write lock.
+func (st *jobStripe) noteLocked(name string) {
+	e, hasExp := st.expected[name]
+	r, hasRun := st.running[name]
+	converged := hasExp && hasRun && e.Version == r.Version
+	if converged || !hasExp && !hasRun {
+		delete(st.diverged, name)
 		return
 	}
-	p.exp, p.hasExp = 0, false
-	st.versions[name] = p
-}
-
-func (st *jobStripe) dropRunLocked(name string) {
-	p := st.versions[name]
-	if !p.hasExp {
-		delete(st.versions, name)
-		return
-	}
-	p.run, p.hasRun = 0, false
-	st.versions[name] = p
+	st.diverged[name] = struct{}{}
 }
 
 // reset empties every per-job map of the stripe. The caller holds st's
@@ -239,9 +179,8 @@ func (st *jobStripe) reset() {
 	st.expected = make(map[string]*Expected)
 	st.running = make(map[string]*Running)
 	st.quarantined = make(map[string]Quarantine)
-	st.dirty = make(map[string]uint64)
 	st.sync = make(map[string]*SyncState)
-	st.versions = make(map[string]versionPair)
+	st.diverged = make(map[string]struct{})
 }
 
 // nameIndex maintains a copy-on-write sorted name snapshot over the
@@ -285,8 +224,7 @@ func (ni *nameIndex) names(collect func() []string) []string {
 // Store is the in-memory Job Store. Safe for concurrent use.
 type Store struct {
 	stripes  [numStripes]jobStripe
-	revSeq   atomic.Int64  // source of Running.revision values
-	dirtySeq atomic.Uint64 // source of DirtyMark.Seq values
+	revSeq   atomic.Int64 // source of Running.revision values
 	runNames nameIndex
 
 	commitHooks atomic.Pointer[CommitHooks]
@@ -330,12 +268,6 @@ func (s *Store) stripeFor(name string) *jobStripe {
 	return &s.stripes[StripeOf(name)]
 }
 
-// markLocked stamps a fresh change-sequence mark for name. The caller
-// holds st's write lock.
-func (s *Store) markLocked(st *jobStripe, name string) {
-	st.dirty[name] = s.dirtySeq.Add(1)
-}
-
 // Create registers a new job whose Base layer is base. It fails if the job
 // already exists.
 func (s *Store) Create(name string, base config.Doc) error {
@@ -348,8 +280,7 @@ func (s *Store) Create(name string, base config.Doc) error {
 	e := &Expected{Version: 1}
 	e.Layers[config.LayerBase] = base.Clone()
 	st.expected[name] = e
-	st.setExpLocked(name, e.Version)
-	s.markLocked(st, name)
+	st.noteLocked(name)
 	return nil
 }
 
@@ -365,8 +296,7 @@ func (s *Store) Delete(name string) error {
 	}
 	delete(st.expected, name)
 	delete(st.quarantined, name)
-	st.dropExpLocked(name)
-	s.markLocked(st, name)
+	st.noteLocked(name)
 	return nil
 }
 
@@ -404,8 +334,8 @@ func (s *Store) GetExpectedShared(name string) (Expected, error) {
 }
 
 // SetLayer replaces one expected layer under compare-and-set and returns
-// the job's new version; the job is marked dirty for the State Syncer's
-// next change-driven round.
+// the job's new version, which puts the job in the diverged set until
+// the State Syncer commits a running entry realizing it.
 //
 // base is the stack the write was computed from, as GetExpectedShared
 // returned it. The write lands only if the job's entry still holds that
@@ -446,8 +376,7 @@ func (s *Store) SetLayer(name string, layer config.Layer, doc config.Doc, base E
 	e.Layers[layer] = doc
 	e.Version++
 	e.merged, e.mergedVersion = merged, e.Version
-	st.setExpLocked(name, e.Version)
-	s.markLocked(st, name)
+	st.noteLocked(name)
 	return e.Version, nil
 }
 
@@ -593,9 +522,8 @@ func (s *Store) RunningRevision(name string) (int64, bool) {
 // PlanView is everything the State Syncer's per-candidate prologue needs
 // to classify a job, gathered under a single stripe lock: one RLock and
 // four map lookups instead of four separate calls. Candidates are the
-// marked, journaled, mid-streak and diverged jobs only — the safety-net
-// sweep filters converged jobs out through the version ledger
-// (DivergedRangeInto), so sweep volumes never reach this read.
+// diverged and the mid-streak jobs only, so converged jobs never reach
+// this read.
 type PlanView struct {
 	ExpectedVersion int64
 	RunningVersion  int64
@@ -670,7 +598,7 @@ func (s *Store) commitRunning(name string, cfg config.Doc, version int64) error 
 	st.mu.Lock()
 	_, existed := st.running[name]
 	st.running[name] = &Running{Config: cfg, Version: version, revision: rev}
-	st.setRunLocked(name, version)
+	st.noteLocked(name)
 	st.mu.Unlock()
 	if !existed {
 		s.runNames.invalidate()
@@ -692,7 +620,7 @@ func (s *Store) DropRunning(name string) {
 	_, existed := st.running[name]
 	if existed {
 		delete(st.running, name)
-		st.dropRunLocked(name)
+		st.noteLocked(name)
 	}
 	st.mu.Unlock()
 	if existed {
@@ -750,87 +678,30 @@ func (s *Store) collectNames(size func(*jobStripe) int, appendKeys func(*jobStri
 	return out
 }
 
-// DirtyMarksRangeInto appends the change set of stripes [lo, hi) — the
-// jobs marked by Create, SetLayer, Delete, ClearQuarantine and Restore,
-// every write that can make a job need synchronization — to buf
-// (typically the [:0] reslice of a caller-owned scratch buffer) without
-// clearing it, sorted by name, and returns the extended slice. A State
-// Syncer engine reads only its own slice of the change set at the start
-// of a round and clears each mark only after the job's synchronization
-// succeeded (ClearDirtyIf), so a crash mid-round leaves every unfinished
-// job marked for the successor. With an empty change set and a reusable
-// buffer — the converged steady state — it performs no allocation.
-func (s *Store) DirtyMarksRangeInto(lo, hi int, buf []DirtyMark) []DirtyMark {
+// DivergedRangeInto appends to buf the diverged jobs of stripes [lo, hi)
+// — an expected or a running entry is missing, or running realizes a
+// different expected version — sorts only what it appended, and returns
+// the extended slice. It reads each stripe's diverged set under one read
+// lock, so it costs O(stripes + diverged jobs) and, with a reusable
+// buffer, a converged range allocates nothing. This is every State
+// Syncer round's candidate feed.
+func (s *Store) DivergedRangeInto(lo, hi int, buf []string) []string {
 	out := buf
 	for i := lo; i < hi; i++ {
 		st := &s.stripes[i]
 		st.mu.RLock()
-		for name, seq := range st.dirty {
-			out = append(out, DirtyMark{Name: name, Seq: seq})
-		}
-		st.mu.RUnlock()
-	}
-	slices.SortFunc(out, func(a, b DirtyMark) int { return strings.Compare(a.Name, b.Name) })
-	return out
-}
-
-// DivergedRangeInto appends to buf the jobs of stripes [lo, hi) that may
-// need synchronization — an expected or a running entry is missing, or
-// running realizes a different expected version — sorts only what it
-// appended, and returns the extended slice together with visited, the
-// number of jobs it looked at (|expected ∪ running| in range). It is the
-// State Syncer's safety-net sweep: one read lock per stripe and a walk
-// over the stripe's version ledger, so a converged range costs no
-// per-job lock and, with a reusable buffer, no allocation.
-func (s *Store) DivergedRangeInto(lo, hi int, buf []string) (out []string, visited int) {
-	out = buf
-	for i := lo; i < hi; i++ {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		visited += len(st.versions)
-		for name, p := range st.versions {
-			if p.diverged() {
-				out = append(out, name)
-			}
+		for name := range st.diverged {
+			out = append(out, name)
 		}
 		st.mu.RUnlock()
 	}
 	slices.Sort(out[len(buf):])
-	return out, visited
+	return out
 }
 
-// ClearDirtyIf removes the job's dirty mark if it has not been re-marked
-// since seq was read (its current seq is <= seq). It reports whether the
-// mark was cleared; a false return means a concurrent write re-marked
-// the job mid-round and it stays a candidate for the next round.
-func (s *Store) ClearDirtyIf(name string, seq uint64) bool {
-	st := s.stripeFor(name)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	cur, ok := st.dirty[name]
-	if !ok {
-		return true
-	}
-	if cur > seq {
-		return false
-	}
-	delete(st.dirty, name)
-	return true
-}
-
-// DirtyCount reports how many jobs are currently marked dirty.
-func (s *Store) DirtyCount() int {
-	n := 0
-	for i := range s.stripes {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		n += len(st.dirty)
-		st.mu.RUnlock()
-	}
-	return n
-}
-
-// SetQuarantine marks a job quarantined with a reason.
+// SetQuarantine marks a job quarantined with a reason. Quarantine leaves
+// the diverged set alone: the State Syncer's planJob answers a
+// quarantined job itself.
 func (s *Store) SetQuarantine(name, reason string) {
 	st := s.stripeFor(name)
 	st.mu.Lock()
@@ -838,17 +709,13 @@ func (s *Store) SetQuarantine(name, reason string) {
 	st.quarantined[name] = Quarantine{Reason: reason}
 }
 
-// ClearQuarantine lifts a job's quarantine and marks the job dirty, so
-// the State Syncer re-examines it on its next change-driven round.
+// ClearQuarantine lifts a job's quarantine. A job still diverged is in
+// the diverged set already, so the State Syncer retries it next round.
 func (s *Store) ClearQuarantine(name string) {
 	st := s.stripeFor(name)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if _, ok := st.quarantined[name]; !ok {
-		return
-	}
 	delete(st.quarantined, name)
-	s.markLocked(st, name)
 }
 
 // Quarantined reports whether a job is quarantined, and why.
@@ -966,12 +833,13 @@ func (s *Store) SyncStateNamesRangeInto(lo, hi int, buf []string) []string {
 	return out
 }
 
-// snapshotSchema identifies the current serialized layout. Schema 3
-// added the shard-lease table; schema 2 added the dirty set and the
-// per-job sync states; schema 1 (implicit, field absent) predates all
-// three. Restore rejects schemas below 2: they lack the crash-critical
-// syncer state.
-const snapshotSchema = 3
+// snapshotSchema identifies the current serialized layout. Schema 4
+// dropped the dirty set, which Restore now derives from the entries;
+// schema 3 added the shard-lease table; schema 2 added the dirty set and
+// the per-job sync states; schema 1 (implicit, field absent) predates
+// them. Restore reads schemas 2 to 4, ignoring a serialized dirty set,
+// and rejects older ones: they lack the crash-critical syncer state.
+const snapshotSchema = 4
 
 // snapshot is the serialized form of the whole store.
 type snapshot struct {
@@ -979,10 +847,9 @@ type snapshot struct {
 	Expected    map[string]*Expected  `json:"expected"`
 	Running     map[string]*Running   `json:"running"`
 	Quarantined map[string]Quarantine `json:"quarantined"`
-	// Dirty and Sync carry the State Syncer's crash-critical state so a
-	// syncer restored from a snapshot resumes exactly where it died.
-	Dirty []string              `json:"dirty,omitempty"`
-	Sync  map[string]*SyncState `json:"sync,omitempty"`
+	// Sync carries the State Syncer's crash-critical state so a syncer
+	// restored from a snapshot resumes exactly where it died.
+	Sync map[string]*SyncState `json:"sync,omitempty"`
 	// ShardLeases carries the shard-ownership table, so a restored
 	// cluster resumes with the lease map it crashed with (schema 3).
 	ShardLeases []ShardLease `json:"shardLeases,omitempty"`
@@ -1017,9 +884,6 @@ func (s *Store) Snapshot() ([]byte, error) {
 		for k, v := range st.quarantined {
 			snap.Quarantined[k] = v
 		}
-		for k := range st.dirty {
-			snap.Dirty = append(snap.Dirty, k)
-		}
 		for k, v := range st.sync {
 			if snap.Sync == nil {
 				snap.Sync = make(map[string]*SyncState)
@@ -1027,20 +891,17 @@ func (s *Store) Snapshot() ([]byte, error) {
 			snap.Sync[k] = v
 		}
 	}
-	sort.Strings(snap.Dirty)
 	snap.ShardLeases = s.ShardLeases()
 	return json.MarshalIndent(snap, "", "  ")
 }
 
 // Restore replaces the store's contents from a Snapshot. Every running
 // entry is restamped with a fresh revision so spec caches rebuild rather
-// than trust pre-restore state. A snapshot carries the dirty set and the
-// per-job sync states, so the restored change set is exactly the
-// serialized one (plus any running-without-expected orphans, which must
-// tear down) — a syncer restarted from it converges in one ordinary
-// change-driven round. A snapshot whose schema is below 2 (or absent)
-// carries neither and is rejected with an error, leaving the store as it
-// was.
+// than trust pre-restore state. The diverged set is rebuilt from the
+// restored entries and the per-job sync states come from the snapshot,
+// so a syncer restarted from it converges in one ordinary round. A
+// snapshot whose schema is below 2 (or absent) carries no sync states and
+// is rejected with an error, leaving the store as it was.
 func (s *Store) Restore(data []byte) error {
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
@@ -1056,9 +917,7 @@ func (s *Store) Restore(data []byte) error {
 		s.stripes[i].reset()
 	}
 	for k, v := range snap.Expected {
-		st := s.stripeFor(k)
-		st.expected[k] = v
-		st.setExpLocked(k, v.Version)
+		s.stripeFor(k).expected[k] = v
 	}
 	for k, v := range snap.Running {
 		// Serialized snapshots carry neither revisions nor merge caches
@@ -1066,20 +925,16 @@ func (s *Store) Restore(data []byte) error {
 		// revision so downstream caches keyed on (job, revision) rebuild
 		// rather than serve pre-restore content.
 		v.revision = s.revSeq.Add(1)
-		st := s.stripeFor(k)
-		st.running[k] = v
-		st.setRunLocked(k, v.Version)
-		if _, ok := st.expected[k]; !ok {
-			// Deleted-while-down jobs must tear down even if the snapshot
-			// predates their deletion's dirty mark.
-			s.markLocked(st, k)
-		}
+		s.stripeFor(k).running[k] = v
+	}
+	for k := range snap.Expected {
+		s.stripeFor(k).noteLocked(k)
+	}
+	for k := range snap.Running {
+		s.stripeFor(k).noteLocked(k)
 	}
 	for k, v := range snap.Quarantined {
 		s.stripeFor(k).quarantined[k] = v
-	}
-	for _, k := range snap.Dirty {
-		s.markLocked(s.stripeFor(k), k)
 	}
 	for k, v := range snap.Sync {
 		if v == nil || v.empty() {

@@ -9,63 +9,57 @@ import (
 	"repro/internal/config"
 )
 
-// takeDirty reads the whole change set and clears exactly the marks it
-// read, as a syncer round that converged every marked job does; it
-// returns the marked names, sorted.
-func takeDirty(s *Store) []string {
-	var names []string
-	for _, m := range s.DirtyMarksRangeInto(0, NumStripes, nil) {
-		s.ClearDirtyIf(m.Name, m.Seq)
-		names = append(names, m.Name)
-	}
-	return names
+// divergedAll reads the whole store's diverged set.
+func divergedAll(s *Store) []string {
+	return s.DivergedRangeInto(0, NumStripes, nil)
 }
 
-func TestDirtySetSemantics(t *testing.T) {
+// TestDivergedSetSemantics walks one job pair through every write that
+// moves the diverged set, and the quarantine writes that must not.
+func TestDivergedSetSemantics(t *testing.T) {
 	s := New()
+	check := func(step string, want ...string) {
+		t.Helper()
+		if got := divergedAll(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("diverged set after %s = %v, want %v", step, got, want)
+		}
+	}
+	check("New")
 	if err := s.Create("b", config.Doc{"taskCount": 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Create("a", config.Doc{"taskCount": 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := takeDirty(s); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Fatalf("dirty set after Create = %v, want [a b]", got)
-	}
-	if got := takeDirty(s); len(got) != 0 {
-		t.Fatalf("second read of the dirty set = %v, want empty", got)
-	}
+	check("Create", "a", "b")
+	s.CommitRunning("a", config.Doc{"taskCount": 1}, 1)
+	s.CommitRunning("b", config.Doc{"taskCount": 1}, 1)
+	check("CommitRunning")
 
-	// SetLayer marks dirty; CommitRunning does not.
+	// A layer write diverges the job until a commit realizes its version;
+	// a commit of a stale version leaves it diverged.
 	if _, err := s.SetLayer("a", config.LayerScaler, config.Doc{"taskCount": 2}, Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
-	s.CommitRunning("b", config.Doc{"taskCount": 1}, 1)
-	if got := takeDirty(s); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("dirty set after SetLayer+CommitRunning = %v, want [a]", got)
-	}
+	check("SetLayer", "a")
+	s.CommitRunning("a", config.Doc{"taskCount": 1}, 1)
+	check("a stale CommitRunning", "a")
+	s.CommitRunning("a", config.Doc{"taskCount": 2}, 2)
+	check("CommitRunning")
 
-	// Delete marks dirty so teardown happens without a sweep.
+	// Quarantine does not move the set, either way.
+	s.SetQuarantine("a", "boom")
+	check("SetQuarantine")
+	s.ClearQuarantine("a")
+	check("ClearQuarantine")
+
+	// Delete diverges the job until its running entry is dropped.
 	if err := s.Delete("b"); err != nil {
 		t.Fatal(err)
 	}
-	if got := takeDirty(s); !reflect.DeepEqual(got, []string{"b"}) {
-		t.Fatalf("dirty set after Delete = %v, want [b]", got)
-	}
-
-	// ClearQuarantine marks dirty only when a quarantine was lifted.
-	s.ClearQuarantine("a") // not quarantined: no-op
-	if got := s.DirtyCount(); got != 0 {
-		t.Fatalf("DirtyCount after no-op ClearQuarantine = %d, want 0", got)
-	}
-	s.SetQuarantine("a", "boom")
-	if got := s.DirtyCount(); got != 0 {
-		t.Fatalf("SetQuarantine must not mark dirty, DirtyCount = %d", got)
-	}
-	s.ClearQuarantine("a")
-	if got := takeDirty(s); !reflect.DeepEqual(got, []string{"a"}) {
-		t.Fatalf("dirty set after ClearQuarantine = %v, want [a]", got)
-	}
+	check("Delete", "b")
+	s.DropRunning("b")
+	check("DropRunning")
 }
 
 func TestNameSnapshotsAreCopyOnWrite(t *testing.T) {
@@ -170,7 +164,7 @@ func TestSharedDocsAvoidCloning(t *testing.T) {
 	}
 }
 
-func TestRestoreMarksEverythingDirtyAndRestampsRevisions(t *testing.T) {
+func TestRestoreRebuildsDivergedSetAndRestampsRevisions(t *testing.T) {
 	s := New()
 	if err := s.Create("keep", config.Doc{"taskCount": 1}); err != nil {
 		t.Fatal(err)
@@ -182,13 +176,16 @@ func TestRestoreMarksEverythingDirtyAndRestampsRevisions(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The target's own pending job is replaced along with its entries.
 	s2 := New()
-	takeDirty(s2)
+	if err := s2.Create("stale", config.Doc{"taskCount": 1}); err != nil {
+		t.Fatal(err)
+	}
 	if err := s2.Restore(data); err != nil {
 		t.Fatal(err)
 	}
-	if got := takeDirty(s2); !reflect.DeepEqual(got, []string{"keep", "orphan"}) {
-		t.Fatalf("dirty set after Restore = %v, want [keep orphan]", got)
+	if got := divergedAll(s2); !reflect.DeepEqual(got, []string{"orphan"}) {
+		t.Fatalf("diverged set after Restore = %v, want [orphan]", got)
 	}
 	rev1, ok1 := s2.RunningRevision("keep")
 	rev2, ok2 := s2.RunningRevision("orphan")
@@ -215,7 +212,7 @@ func TestStripeDistribution(t *testing.T) {
 
 // TestConcurrentFanIn exercises the striped store under the race detector:
 // concurrent CAS writes, shared merged reads, commits, name listings, and
-// dirty drains across overlapping jobs.
+// diverged-set reads across overlapping jobs.
 func TestConcurrentFanIn(t *testing.T) {
 	s := New()
 	const jobs = 256
@@ -245,7 +242,7 @@ func TestConcurrentFanIn(t *testing.T) {
 					s.GetRunningShared(name)
 					s.RunningRevision(name)
 				case 4:
-					takeDirty(s)
+					divergedAll(s)
 				}
 			}
 		}(w)

@@ -1,8 +1,8 @@
 package statesyncer
 
 // The steady-state allocation contract, enforced in the tier-1 gate: a
-// converged round — candidate assembly, the rotating sweep's ledger walk,
-// plan build, bookkeeping — performs zero allocation. The 1M-task benchmark
+// converged round — candidate assembly from the diverged set, plan build,
+// bookkeeping — performs zero allocation. The 1M-task benchmark
 // (BenchmarkScaleSyncerRound1MConverged) enforces the same ceiling at
 // scale; this test keeps the contract cheap enough to run on every push.
 
@@ -38,8 +38,8 @@ func TestConvergedRoundAllocFree(t *testing.T) {
 	if res := syncer.RunRound(); res.Simple != fleet {
 		t.Fatalf("setup round synced %d/%d", res.Simple, fleet)
 	}
-	// Warm one full rotation so every scratch buffer reaches its
-	// high-water size.
+	// Warm a few rounds so every scratch buffer reaches its high-water
+	// size.
 	for r := 0; r < 10; r++ {
 		syncer.RunRound()
 	}

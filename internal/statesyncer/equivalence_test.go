@@ -18,21 +18,21 @@ import (
 	"repro/internal/simclock"
 )
 
-// This file pins the change-driven round implementation against a
+// This file pins the diverged-set round implementation against a
 // verbatim port of the pre-change-tracking full-scan round: randomized
 // fleets run through both side by side, and after every round the two
 // Job Stores must serialize byte-identically, with matching plan-kind
 // counts, failure/quarantine accounting, and pendingAfter retry state.
 //
 // The comparison strips the snapshot sections the legacy design never
-// had (schema, dirty set, sync states): the legacy port keeps its
+// had (schema, sync states): the legacy port keeps its
 // failure/retry bookkeeping in memory, so only the job-facing sections
 // (expected, running, quarantined) are byte-compared. The legacy round
 // retries every failed job every round; the scripts advance the clock
 // past the longest backoff between rounds, so the production syncer's
 // deadlines have always passed and it does too.
 
-// legacySyncer is the full-scan RunRound as it was before dirty-set
+// legacySyncer is the full-scan RunRound as it was before change-driven
 // rounds, ported verbatim (clone-based store reads, per-round full
 // enumeration, sequential simple batch).
 type legacySyncer struct {
@@ -394,10 +394,10 @@ func genScript(seed int64, rounds int) [][]op {
 	return script
 }
 
-// snapshotOf serializes the store's job-facing sections only: schema,
-// dirty marks, and durable sync states are PR-5 additions the legacy
-// implementation keeps in memory, so they are excluded from the
-// byte-equality comparison.
+// snapshotOf serializes the store's job-facing sections only: the schema
+// and the durable sync states are additions the legacy implementation
+// never had (it keeps its bookkeeping in memory), so they are excluded
+// from the byte-equality comparison.
 func snapshotOf(t *testing.T, store *jobstore.Store) []byte {
 	t.Helper()
 	data, err := store.Snapshot()
@@ -409,7 +409,6 @@ func snapshotOf(t *testing.T, store *jobstore.Store) []byte {
 		t.Fatal(err)
 	}
 	delete(m, "schema")
-	delete(m, "dirty")
 	delete(m, "sync")
 	out, err := json.Marshal(m) // map keys marshal sorted: deterministic
 	if err != nil {
@@ -450,7 +449,7 @@ func equalStringMaps(a, b map[string]int) bool {
 	return true
 }
 
-func runEquivalence(t *testing.T, seed int64, newOpts Options) {
+func runEquivalence(t *testing.T, seed int64) {
 	const rounds = 40
 	script := genScript(seed, rounds)
 	clk := simclock.NewSim(time.Unix(0, 0))
@@ -458,7 +457,7 @@ func runEquivalence(t *testing.T, seed int64, newOpts Options) {
 	legacyStore := jobstore.New()
 	newStore := jobstore.New()
 	legacy := newLegacy(legacyStore, newFlaky(), clk)
-	syncer := New(newStore, newFlaky(), clk, newOpts)
+	syncer := New(newStore, newFlaky(), clk, Options{})
 
 	for r := 0; r < rounds; r++ {
 		clk.RunFor(pastLongestBackoff)
@@ -484,13 +483,10 @@ func runEquivalence(t *testing.T, seed int64, newOpts Options) {
 		}
 
 		lstats, nstats := legacy.stats, syncer.Stats()
-		// Sweep accounting is structural, not behavioral: the legacy
-		// implementation scans the whole fleet every round by definition,
-		// the production one rotates slices. Everything else must agree
-		// exactly.
-		lstats.Sweeps, nstats.Sweeps = 0, 0
-		lstats.SweepSlices, nstats.SweepSlices = 0, 0
-		lstats.SweepJobs, nstats.SweepJobs = 0, 0
+		// Diverged-set reads are structural, not behavioral: the legacy
+		// implementation scans the whole fleet every round by definition.
+		// Everything else must agree exactly.
+		nstats.SweepJobs = 0
 		if lstats != nstats {
 			t.Fatalf("round %d: stats diverged:\nlegacy: %+v\nnew:    %+v", r, lstats, nstats)
 		}
@@ -530,23 +526,15 @@ func runEquivalence(t *testing.T, seed int64, newOpts Options) {
 // the clock by it between rounds makes every failed job due again.
 const pastLongestBackoff = 30 * time.Second << maxRetryDoublings
 
+// The subtest keeps its established name so results stay comparable
+// across runs; it is the production syncer under default Options, whose
+// rounds read the store's diverged set.
 func TestRoundEquivalenceRandomized(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts Options
-	}{
-		{"sweep=rotating", Options{}},
-		// Marks alone converge: with every sweep slice declined, only
-		// dirty marks, journal entries and durable sync state feed rounds.
-		{"sweep=declined", Options{SweepGate: func(pos, of int) bool { return false }}},
-	} {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 5; seed++ {
-				runEquivalence(t, seed, tc.opts)
-			}
-		})
-	}
+	t.Run("sweep=rotating", func(t *testing.T) {
+		for seed := int64(1); seed <= 5; seed++ {
+			runEquivalence(t, seed)
+		}
+	})
 }
 
 // TestRoundEquivalenceParallelDeterminism runs the same script through a

@@ -21,6 +21,14 @@ func killAfterCommit(store *jobstore.Store, syncer *Syncer, job string) {
 	})
 }
 
+// requireConverged fails unless the store's diverged set is empty.
+func requireConverged(t *testing.T, store *jobstore.Store) {
+	t.Helper()
+	if left := store.DivergedRangeInto(0, jobstore.NumStripes, nil); len(left) != 0 {
+		t.Fatalf("jobs still diverged: %v", left)
+	}
+}
+
 // restoreInto snapshots src and restores it into a fresh store,
 // modeling a replacement syncer booting from the durable database.
 func restoreInto(t *testing.T, src *jobstore.Store) *jobstore.Store {
@@ -40,8 +48,8 @@ func restoreInto(t *testing.T, src *jobstore.Store) *jobstore.Store {
 // acceptance test: a syncer killed mid-round — after a complex plan's
 // commit landed but before its post-commit follow-ups ran — leaves a
 // durable follow-up record. A replacement syncer restored from the store
-// snapshot must finish the job within ONE ordinary change-driven round,
-// without a full sweep.
+// snapshot must finish the job within ONE ordinary round, and a second
+// round must find no work.
 func TestCrashAfterCommitRestoreConvergesInOneRound(t *testing.T) {
 	svc, syncer, act, clk := newWorld(t, Options{})
 	store := svc.Store()
@@ -71,9 +79,8 @@ func TestCrashAfterCommitRestoreConvergesInOneRound(t *testing.T) {
 	restored := restoreInto(t, store)
 	successor := New(restored, act, clk, Options{})
 
-	res := successor.RunRound()
-	if res.Swept {
-		t.Fatal("restored syncer's first round was a full sweep")
+	if res := successor.RunRound(); len(res.Failed) != 0 {
+		t.Fatalf("restored syncer's first round failed: %+v", res)
 	}
 	if act.resumeCount("j1") != 1 {
 		t.Fatalf("restored syncer resumed %d times, want 1", act.resumeCount("j1"))
@@ -81,9 +88,7 @@ func TestCrashAfterCommitRestoreConvergesInOneRound(t *testing.T) {
 	if _, ok := restored.SyncStateOf("j1"); ok {
 		t.Fatal("follow-up record not cleared after completion")
 	}
-	if n := restored.DirtyCount(); n != 0 {
-		t.Fatalf("%d dirty marks left after one round", n)
-	}
+	requireConverged(t, restored)
 	// The one round fully converged the fleet: nothing for later rounds.
 	if res2 := successor.RunRound(); res2.Simple+res2.Complex+res2.Deleted != 0 || len(res2.Failed) != 0 {
 		t.Fatalf("second round still had work: %+v", res2)
@@ -93,8 +98,8 @@ func TestCrashAfterCommitRestoreConvergesInOneRound(t *testing.T) {
 // TestCrashBeforeCommitRestoreReplansInOneRound covers the other crash
 // edge: the syncer dies with the commit refused (crash-before-commit).
 // The durable intent record replays "resume" — un-quiescing the job in
-// its previous configuration, i.e. the rollback — and the still-standing
-// dirty mark re-plans and completes the update in the same round.
+// its previous configuration, i.e. the rollback — and the job, still
+// diverged, is re-planned and completed in the same round.
 func TestCrashBeforeCommitRestoreReplansInOneRound(t *testing.T) {
 	svc, syncer, act, clk := newWorld(t, Options{})
 	store := svc.Store()
@@ -121,9 +126,6 @@ func TestCrashBeforeCommitRestoreReplansInOneRound(t *testing.T) {
 	restored := restoreInto(t, store)
 	successor := New(restored, act, clk, Options{})
 	res := successor.RunRound()
-	if res.Swept {
-		t.Fatal("restored syncer's first round was a full sweep")
-	}
 	if res.Complex != 1 {
 		t.Fatalf("restored round = %+v, want one complex sync", res)
 	}
@@ -131,8 +133,9 @@ func TestCrashBeforeCommitRestoreReplansInOneRound(t *testing.T) {
 	if !ok || intAt(r.Config, "taskCount") != 20 {
 		t.Fatalf("not converged after one round: %+v, %v", r, ok)
 	}
-	if n := restored.DirtyCount(); n != 0 {
-		t.Fatalf("%d dirty marks left after one round", n)
+	requireConverged(t, restored)
+	if res2 := successor.RunRound(); res2.Simple+res2.Complex+res2.Deleted != 0 || len(res2.Failed) != 0 {
+		t.Fatalf("second round still had work: %+v", res2)
 	}
 }
 
@@ -253,9 +256,7 @@ func TestQuarantineParksFollowUpsUntilCleared(t *testing.T) {
 	if _, ok := store.SyncStateOf("j1"); ok {
 		t.Fatal("sync state leaked after follow-up completed")
 	}
-	if n := store.DirtyCount(); n != 0 {
-		t.Fatalf("%d dirty marks left", n)
-	}
+	requireConverged(t, store)
 }
 
 // TestRetryDeadlineNeverBeyondFourIntervals pins the bound that stands

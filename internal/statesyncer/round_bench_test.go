@@ -106,7 +106,7 @@ func BenchmarkSyncerRound50kNodeVsEngineConverged(b *testing.B) {
 	_, engine := benchFleet(b, jobs, Options{})
 	_, nodes, clk := benchShardedFleet(b, jobs, 1)
 	node := nodes[0]
-	for r := 0; r < 10; r++ { // every rotation slice once: scratch at high water
+	for r := 0; r < 10; r++ { // warm rounds: scratch at high water
 		engine.RunRound()
 		tickFleet(nodes, clk)
 	}

@@ -11,8 +11,9 @@ package statesyncer
 // size. A regression that re-introduces per-fleet allocation (a full
 // sweep spike, a rebuilt plan buffer) fails the benchmark rather than
 // just moving a number. It and the sharded variant also assert that a
-// converged round plans no candidate at all: the sweep hands planJob
-// only diverged jobs, so re-planning converged ones fails too.
+// converged round plans no candidate at all and reads no job from the
+// store's diverged set (Stats.SweepJobs does not move), so a round that
+// re-plans converged jobs or walks them again fails too.
 
 import (
 	"fmt"
@@ -50,14 +51,15 @@ func BenchmarkScaleSyncerRound1MConverged(b *testing.B) {
 		b.Skip("scale tier: run via make bench-scale")
 	}
 	_, syncer := benchFleet(b, scaleJobs, Options{})
-	// Warm every rotation slice once so the round scratch reaches its
-	// high-water size before measurement.
+	// Warm a few rounds so the round scratch reaches its high-water size
+	// before measurement.
 	for r := 0; r < 10; r++ {
 		syncer.RunRound()
 	}
 	b.ReportAllocs()
 	var m0, m1 runtime.MemStats
 	runtime.GC()
+	read0 := syncer.Stats().SweepJobs
 	runtime.ReadMemStats(&m0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -70,6 +72,9 @@ func BenchmarkScaleSyncerRound1MConverged(b *testing.B) {
 	}
 	if n := len(syncer.scratch.candidates); n != 0 {
 		b.Fatalf("converged 1M-task round planned %d candidates, want 0", n)
+	}
+	if n := syncer.Stats().SweepJobs - read0; n != 0 {
+		b.Fatalf("converged 1M-task rounds read %d jobs from the diverged set, want 0", n)
 	}
 }
 
@@ -131,9 +136,17 @@ func BenchmarkScaleSyncerRound1MShardedConverged(b *testing.B) {
 	for r := 0; r < 10; r++ {
 		tickFleet(nodes, clk)
 	}
+	sweepJobs := func() int {
+		n := 0
+		for _, nd := range nodes {
+			n += nd.Stats().SweepJobs
+		}
+		return n
+	}
 	b.ReportAllocs()
 	var m0, m1 runtime.MemStats
 	runtime.GC()
+	read0 := sweepJobs()
 	runtime.ReadMemStats(&m0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -152,13 +165,16 @@ func BenchmarkScaleSyncerRound1MShardedConverged(b *testing.B) {
 			b.Fatalf("converged slice %d round planned %d candidates, want 0", nd.HomeSlice(), n)
 		}
 	}
+	if n := sweepJobs() - read0; n != 0 {
+		b.Fatalf("converged sharded passes read %d jobs from the diverged set, want 0", n)
+	}
 }
 
 // BenchmarkScaleSyncerRound1MShardedChurn1pct measures the latency one
 // shard pays to converge its stripe of a fleet-wide 1% churn wave: the
 // peer shards' rounds run off the timer (on real deployments they run
 // concurrently on other hosts), then node 0's full scheduling pass —
-// journal-cursor feed, slice round, lease renewal — is timed. Compare
+// lease check, slice round, lease renewal — is timed. Compare
 // against BenchmarkScaleSyncerRound1MChurn1pct, where a single syncer
 // pays for the whole wave; the ISSUE acceptance wants ≥2.5× at N=4.
 func BenchmarkScaleSyncerRound1MShardedChurn1pct(b *testing.B) {

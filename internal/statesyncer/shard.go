@@ -46,11 +46,8 @@
 // lease expiry.
 //
 // A stolen slice converges in one ordinary round: the thief's engine
-// starts with a journal cursor of zero (or one predating a Restore), so
-// its first round takes the resync path — an O(slice) sweep of its
-// stripe range, never O(fleet) — and every divergence the dead owner
-// left behind (durable dirty marks, sync state, version drift) is
-// rediscovered immediately.
+// reads the slice's diverged set and sync states like every round does,
+// and every divergence the dead owner left behind is in them.
 package statesyncer
 
 import (

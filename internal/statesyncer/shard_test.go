@@ -218,8 +218,8 @@ func TestShardedLeaseStealConvergence(t *testing.T) {
 		}
 	}
 
-	// Past the TTL a peer steals the slice, and its first round — the
-	// journal-cursor resync sweep of just that slice — converges every
+	// Past the TTL a peer steals the slice, and its first round — an
+	// ordinary read of the slice's diverged set — converges every
 	// divergence the dead owner left behind.
 	clk.RunFor(3 * 90 * time.Second)
 	tickAll(nodes, clk)
@@ -249,10 +249,81 @@ func TestShardedLeaseStealConvergence(t *testing.T) {
 			t.Fatalf("job %s not converged after the steal: running package.version = %v", name, v)
 		}
 	}
+	lo, hi := ShardStripeRange(1, shards)
+	if left := store.DivergedRangeInto(lo, hi, nil); len(left) != 0 {
+		t.Fatalf("slice 1 still diverged after the thief's first round: %v", left)
+	}
+	// The thief's next round over the stolen slice finds no work.
+	tickAll(nodes, clk)
+	for _, st := range thief.Status() {
+		if res := st.LastRound; st.Slice == 1 && res.Simple+res.Complex+res.Deleted+len(res.Failed) != 0 {
+			t.Fatalf("the thief's second round over slice 1 still had work: %+v", res)
+		}
+	}
 	for _, n := range nodes {
 		if v := n.Violations(); v != 0 {
 			t.Fatalf("node %s reports %d lease violations, want 0", n.ID(), v)
 		}
+	}
+}
+
+// TestResyncRoundSyncsOnlyItsSlice: after a Restore, the first round of a
+// 4-slice engine syncs every divergence in its slice and touches nothing
+// in the other slices, and its second round finds no work.
+func TestResyncRoundSyncsOnlyItsSlice(t *testing.T) {
+	const fleet, shards, slice = 200, 4, 1
+	store, _, clk := shardFleet(t, fleet, shards, nil)
+	engines := make([]*Syncer, shards)
+	for k := range engines {
+		lo, hi := ShardStripeRange(k, shards)
+		engines[k] = NewStriped(store, nil, clk, Options{}, lo, hi)
+		engines[k].RunRound() // the created fleet converges slice by slice
+	}
+
+	// Two divergences per slice: a layer release on the slice's first
+	// fleet job, and a job created after the fleet converged.
+	firstIn := func(prefix string, k int) string {
+		for i := 0; ; i++ {
+			if name := fmt.Sprintf("%s%05d", prefix, i); SliceOfName(name, shards) == k {
+				return name
+			}
+		}
+	}
+	var victims []string
+	for k := 0; k < shards; k++ {
+		released, late := firstIn("j", k), firstIn("late", k)
+		doc := config.Doc{}.SetPath("package.version", "v2")
+		if _, err := store.SetLayer(released, config.LayerProvisioner, doc, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
+			t.Fatal(err)
+		}
+		shardJob(t, store, late)
+		victims = append(victims, released, late)
+	}
+	data, err := store.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Restore(data); err != nil {
+		t.Fatal(err)
+	}
+
+	res := engines[slice].RunRound()
+	if res.Simple != 2 || len(res.Failed) != 0 {
+		t.Fatalf("first round after the restore = %+v, want the slice's 2 divergences synced", res)
+	}
+	lo, hi := ShardStripeRange(slice, shards)
+	if left := store.DivergedRangeInto(lo, hi, nil); len(left) != 0 {
+		t.Fatalf("slice %d still diverged after its first round: %v", slice, left)
+	}
+	for _, name := range victims {
+		v := store.PlanViewOf(name)
+		converged := v.HasRunning && v.RunningVersion == v.ExpectedVersion
+		if inSlice := SliceOfName(name, shards) == slice; converged != inSlice {
+			t.Fatalf("%s (slice %d) converged=%v after slice %d's round", name, SliceOfName(name, shards), converged, slice)
+		}
+	}
+	if res := engines[slice].RunRound(); res.Simple+res.Complex+res.Deleted+len(res.Failed) != 0 {
+		t.Fatalf("second round after the restore still had work: %+v", res)
 	}
 }
 

@@ -16,33 +16,27 @@
 //   - Durability: running eventually converges to expected even if the
 //     syncer itself crashes between rounds — rounds are stateless.
 //
-// Rounds are change-driven: writers to the Job Store mark jobs dirty, and
-// a round examines only the marked jobs plus jobs with outstanding
-// failures or post-commit retries, so a converged fleet costs almost
-// nothing per round. Each round additionally sweeps a rotating
-// 1/sweepRounds share of its stripes — the safety net that preserves the
-// stateless-round durability argument: even if a dirty mark were ever
-// lost, a sweep within the next sweepRounds rounds rediscovers the
-// divergence from the expected/running difference alone, amortized so
-// that no single round pays an O(fleet) spike. The sweep compares the
-// store's per-stripe version ledger (jobstore.DivergedRangeInto) and
-// hands planJob only the jobs whose running entry does not realize the
-// expected version, so converged jobs cost a ledger read, not a plan.
-// Steady-state rounds reuse per-syncer scratch buffers and a persistent
-// worker pool: a converged fleet — at a million tasks — synchronizes
-// without allocating.
+// The expected/running comparison is stored, level-triggered state: each
+// Job Store stripe keeps the exact set of its diverged jobs, updated
+// under the stripe lock by every write to either entry. A round's
+// candidates are that set over the engine's stripes plus the jobs with
+// durable sync state (failure streaks, pending follow-ups), and nothing
+// else — every other job is converged, so planJob would answer it
+// PlanNoop. The round stays stateless in the paper's sense: it keeps no
+// cursor or mark of its own, and a write landing mid-round leaves its job
+// diverged for the next one. A converged fleet — at a million tasks —
+// costs a round one read lock per stripe and, with the per-syncer
+// scratch buffers and persistent worker pool, no allocation.
 //
-// The syncer's crash-critical bookkeeping is durable: dirty marks are
-// cleared only after a job's synchronization succeeded (never drained up
-// front), and failure streaks, backoff deadlines, and pending post-commit
-// follow-up actions live in the Job Store (jobstore.SyncState), captured
-// by Snapshot and revived by Restore. A syncer that dies mid-round
-// therefore leaves behind exactly the state its successor needs to
-// converge within one ordinary change-driven round — no full sweep
-// required. Failed jobs retry under exponential backoff with
-// deterministic per-job jitter until the streak quarantines them, so a
-// dark downstream dependency produces a trickle of probes instead of a
-// retry storm every round.
+// The syncer's remaining crash-critical bookkeeping is durable: failure
+// streaks, backoff deadlines, and pending post-commit follow-up actions
+// live in the Job Store (jobstore.SyncState), captured by Snapshot and
+// revived by Restore, which rebuilds the diverged set from the entries.
+// A syncer that dies mid-round therefore leaves behind exactly the state
+// its successor needs to converge within one ordinary round. Failed jobs
+// retry under exponential backoff with deterministic per-job jitter until
+// the streak quarantines them, so a dark downstream dependency produces a
+// trickle of probes instead of a retry storm every round.
 //
 // Synchronizations come in two classes (§III-B): simple ones are a direct
 // copy of the merged expected configuration into the running table (e.g. a
@@ -64,7 +58,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -240,9 +233,7 @@ type Stats struct {
 	Quarantines   int
 	JobsExamined  int
 	JobsConverged int // syncs successfully applied
-	Sweeps        int // resync rounds: the engine swept its whole stripe slice
-	SweepSlices   int // rotating sweep positions visited
-	SweepJobs     int // jobs the sweeps looked at, resync or rotating
+	SweepJobs     int // jobs the rounds read from the diverged set
 }
 
 // Add returns the field-wise sum of two counter sets: a Node sums its
@@ -256,8 +247,6 @@ func (a Stats) Add(b Stats) Stats {
 	a.Quarantines += b.Quarantines
 	a.JobsExamined += b.JobsExamined
 	a.JobsConverged += b.JobsConverged
-	a.Sweeps += b.Sweeps
-	a.SweepSlices += b.SweepSlices
 	a.SweepJobs += b.SweepJobs
 	return a
 }
@@ -276,11 +265,6 @@ const (
 	// maxParallelComplex complex plans are in flight at once in a round
 	// ("parallelize the complex ones", §III-B).
 	maxParallelComplex = 16
-	// sweepRounds is the rotation of the safety-net sweep: every round
-	// walks the version ledger of 1/sweepRounds of the engine's stripes
-	// (sweepStripes), so a lost dirty mark is rediscovered within
-	// sweepRounds rounds and no round pays an O(fleet) spike.
-	sweepRounds = 10
 	// maxSyncWorkers caps the GOMAXPROCS-wide pool that builds plans and
 	// applies the simple commits.
 	maxSyncWorkers = 16
@@ -293,12 +277,6 @@ type Options struct {
 	Interval time.Duration
 	// OnAlert, if set, receives quarantine alerts.
 	OnAlert func(Alert)
-	// SweepGate, if set, is consulted before each round's sweep slice
-	// (pos in [0, of)); returning false skips the slice this round,
-	// leaving rediscovery to the next rotation. It is a fault-injection
-	// seam: the chaos harness drops slices to prove convergence does not
-	// depend on any particular sweep landing.
-	SweepGate func(pos, of int) bool
 }
 
 // Syncer is the round engine that drives expected→running convergence
@@ -321,25 +299,15 @@ type Syncer struct {
 	stats Stats
 
 	// Shard scope: the syncer examines only jobs whose store stripe
-	// falls in [stripeLo, stripeHi). The default full-fleet syncer spans
-	// every stripe and reads no journal.
+	// falls in [stripeLo, stripeHi). The full-fleet syncer spans every
+	// stripe.
 	stripeLo, stripeHi int
-
-	// cursor is the sharded syncer's position in the store's running-entry
-	// change journal: each round consumes ChangesSince(cursor) filtered to
-	// its stripe range, so commits by other actors (a prior lease holder,
-	// an operator) become candidates without waiting for sweep rotation. A
-	// stale cursor (fell behind the ring, or the store was Restored) makes
-	// the round sweep its entire stripe slice once — the lease-steal
-	// catch-up path — and re-adopts the returned cursor.
-	cursor uint64
 
 	// Round machinery. Rounds are serialized under roundMu; the scratch
 	// buffers, the pre-bound worker closures, and the lazily created
 	// worker pool are reused round over round so the converged steady
 	// state allocates nothing.
 	roundMu   sync.Mutex
-	sweepPos  int // next rotating sweep position, in [0, sweepRounds)
 	scratch   roundScratch
 	wp        *workpool.Pool
 	planFn    func(int)
@@ -354,15 +322,10 @@ type Syncer struct {
 // hand any of these slices to planJob/executePlan workers, but nothing
 // outside the syncer ever sees them; scratch never flows out.
 type roundScratch struct {
-	marks        []jobstore.DirtyMark
-	dirty        []string
-	markSeq      map[string]uint64
-	changes      []jobstore.Change // journal batch (sharded syncers)
-	jnames       []string          // journal names in stripe range, sorted+deduped
-	diverged     []string          // DivergedRangeInto destination: the sweep's finds
-	syncNames    []string          // SyncStateNamesRangeInto destination
-	u1, u2, u3   []string          // unionSortedInto destinations (candidate assembly)
-	candidates   []string          // this round's candidates; aliases diverged or u*
+	diverged     []string // DivergedRangeInto destination
+	syncNames    []string // SyncStateNamesRangeInto destination
+	union        []string // unionSortedInto destination
+	candidates   []string // this round's candidates; aliases diverged or union
 	now          time.Time
 	results      []planned
 	differs      []config.Differ // per-result-slot diff scratch, reused across rounds
@@ -381,8 +344,7 @@ func New(store *jobstore.Store, act Actuator, clock simclock.Clock, opts Options
 // NewStriped returns a Syncer restricted to jobs whose store stripe falls
 // in [lo, hi): the round engine of one State Syncer shard slice. It is
 // the same machinery as a full-fleet Syncer — scratch buffers, worker
-// pool, durable bookkeeping — with candidate discovery scoped to the
-// stripe range and fed incrementally from the store's change journal.
+// pool, durable bookkeeping, candidate code — over the stripe range.
 func NewStriped(store *jobstore.Store, act Actuator, clock simclock.Clock, opts Options, lo, hi int) *Syncer {
 	if opts.Interval <= 0 {
 		opts.Interval = 30 * time.Second
@@ -405,7 +367,6 @@ func NewStriped(store *jobstore.Store, act Actuator, clock simclock.Clock, opts 
 		stripeLo: lo,
 		stripeHi: hi,
 	}
-	s.scratch.markSeq = make(map[string]uint64)
 	// The worker closures are bound once, here, and read the per-round
 	// inputs out of the scratch struct: handing the pool a fresh closure
 	// every round would allocate in the steady state.
@@ -436,12 +397,6 @@ func (s *Syncer) Kill() { s.killed.Store(true) }
 func (s *Syncer) Killed() bool { return s.killed.Load() }
 
 func (s *Syncer) dead() bool { return s.killed.Load() }
-
-// sharded reports whether this syncer drives a proper stripe subset of
-// the fleet (a shard slice) rather than every stripe.
-func (s *Syncer) sharded() bool {
-	return s.stripeLo != 0 || s.stripeHi != jobstore.NumStripes
-}
 
 // errKilled aborts plan execution after a simulated crash. It is never
 // recorded as a job failure: a dead syncer does no accounting.
@@ -578,7 +533,7 @@ func (s *Syncer) executePlan(p Plan) error {
 		// follow-ups instead of leaving the job quiesced forever. If it
 		// dies right BEFORE the commit, replaying "resume" un-quiesces
 		// the job in its previous configuration — the rollback — and the
-		// still-standing dirty mark re-plans the update.
+		// job, still diverged, is re-planned.
 		s.setFollowUps(p.Job, followUpKeys(p.after))
 	}
 	if p.commitDoc != nil {
@@ -650,14 +605,6 @@ type RoundResult struct {
 	Deleted  int
 	Failed   []string
 	Duration time.Duration
-	// Swept reports a resync round: the engine could not catch its journal
-	// cursor up (new to the slice, fell behind, or the store was Restored)
-	// and swept its entire stripe slice instead of the rotating one.
-	Swept bool
-	// SweepJobs is the number of jobs this round's sweep looked at — the
-	// jobs of the rotating stripes, or of the whole stripe slice when
-	// Swept — diverged or not.
-	SweepJobs int
 }
 
 // planned is one candidate's outcome from the parallel plan-build phase.
@@ -665,10 +612,10 @@ type planned struct {
 	plan     Plan
 	examined bool
 	// gone marks a candidate with neither expected nor running entry: a
-	// stale dirty mark or failure record for a fully torn-down job.
+	// stale failure record for a fully torn-down job.
 	gone bool
 	// backedOff marks a mid-streak candidate whose backoff deadline has
-	// not passed: skipped entirely this round, dirty mark retained.
+	// not passed: skipped entirely this round.
 	backedOff bool
 }
 
@@ -676,10 +623,9 @@ type planned struct {
 // Pure reads plus the content-equal inline commit — safe to run on many
 // jobs concurrently over the striped store. The prologue reads the job's
 // whole classification state (versions, quarantine, backoff) in a single
-// locked pass. It is the only classifier: the sweep's ledger filter drops
-// only jobs whose running entry realizes the expected version, which this
-// answers with PlanNoop unless a mark, the journal or a sync state brings
-// them in anyway.
+// locked pass. It is the only classifier: a job outside the diverged set
+// has its running entry realize its expected version, which this answers
+// with PlanNoop outside backoff.
 func (s *Syncer) planJob(job string, now time.Time, dd *config.Differ) planned {
 	v := s.store.PlanViewOf(job)
 	if v.FailureStreak > 0 && now.Before(v.NextRetryAt) {
@@ -702,20 +648,20 @@ func (s *Syncer) planJob(job string, now time.Time, dd *config.Differ) planned {
 	}
 	merged, version, err := s.store.MergedExpectedShared(job)
 	if err != nil {
-		// Deleted between the version read and the merge: the delete
-		// re-marked the job dirty, so the next round tears it down.
+		// Deleted between the version read and the merge: the job stays
+		// diverged, so the next round tears it down.
 		return planned{plan: Plan{Job: job, Kind: PlanNoop}}
 	}
 	return planned{plan: s.buildPlan(job, merged, version, dd), examined: true}
 }
 
 // RunRound performs one synchronization pass: assemble the candidate set
-// (changed jobs plus the diverged jobs this round's sweep found), build
-// plans on a bounded worker pool, batch-apply the simple commits in
-// parallel, execute complex plans (bounded parallelism), tear down
-// deleted jobs, and update failure/quarantine accounting. All
-// bookkeeping merges in sorted job
-// order, so results are deterministic regardless of worker interleaving.
+// (the diverged jobs plus the jobs with durable sync state, in the
+// engine's stripes), build plans on a bounded worker pool, batch-apply
+// the simple commits in parallel, execute complex plans (bounded
+// parallelism), tear down deleted jobs, and update failure/quarantine
+// accounting. All bookkeeping merges in sorted job order, so results are
+// deterministic regardless of worker interleaving.
 // Every buffer the round needs lives in the per-syncer scratch, so a
 // converged steady-state round performs no allocation.
 func (s *Syncer) RunRound() RoundResult {
@@ -734,71 +680,14 @@ func (s *Syncer) RunRound() RoundResult {
 	// but still held (e.g. quiesced).
 	s.retryFollowUps(sc.now, &res)
 
-	// Candidate assembly. Every round visits the marked jobs (drained
-	// from this syncer's stripes only), every job with durable sync state
-	// in range, any job whose running entry moved in the change journal
-	// (sharded syncers), and the diverged jobs of one rotating
-	// 1/sweepRounds share of its stripes — the durability safety net,
-	// amortized so no round pays an O(fleet) spike. Marks are only
-	// peeked here — each one is cleared individually once its job's
-	// synchronization succeeded, so a crash mid-round loses nothing.
-	sc.marks = s.store.DirtyMarksRangeInto(s.stripeLo, s.stripeHi, sc.marks[:0])
-	clear(sc.markSeq)
-	sc.dirty = sc.dirty[:0]
-	for _, m := range sc.marks {
-		sc.dirty = append(sc.dirty, m.Name)
-		sc.markSeq[m.Name] = m.Seq
-	}
-
-	// Journal-cursor feed (sharded syncers). resync means the cursor
-	// cannot be caught up incrementally — this syncer is new to the
-	// slice (a lease steal), fell behind, or the store was Restored —
-	// so this round sweeps its entire stripe slice: the successor's
-	// one-ordinary-round convergence path. The walk stays O(slice), never
-	// O(fleet), and only the slice's diverged jobs are planned.
-	resync := false
-	sc.jnames = sc.jnames[:0]
-	if s.sharded() {
-		var ok bool
-		sc.changes, s.cursor, ok = s.store.ChangesSince(s.cursor, sc.changes[:0])
-		if !ok {
-			resync = true
-		} else {
-			for _, ch := range sc.changes {
-				if st := jobstore.StripeOf(ch.Name); st >= s.stripeLo && st < s.stripeHi {
-					sc.jnames = append(sc.jnames, ch.Name)
-				}
-			}
-			slices.Sort(sc.jnames)
-			sc.jnames = slices.Compact(sc.jnames)
-		}
-	}
-
-	// The safety-net sweep walks the store's version ledger over this
-	// round's stripes and returns only the diverged jobs: a swept job
-	// that is converged and unmarked would get PlanNoop from planJob and
-	// nothing else, so filtering it out before planning changes no
-	// outcome. A resync round walks the whole stripe range and overrides
-	// the sweep gate: a stolen slice must converge now.
-	pos := s.sweepPos
-	s.sweepPos = (pos + 1) % sweepRounds
-	gated := s.opts.SweepGate != nil && !s.opts.SweepGate(pos, sweepRounds)
-	sc.diverged = sc.diverged[:0]
-	visited := 0
-	if !gated || resync {
-		lo, hi := s.stripeLo, s.stripeHi
-		if !resync {
-			lo, hi = sweepStripes(s.stripeLo, s.stripeHi, pos)
-		}
-		sc.diverged, visited = s.store.DivergedRangeInto(lo, hi, sc.diverged)
-	}
-	candidates := unionSortedInto(&sc.u1, sc.diverged, sc.dirty)
-	candidates = unionSortedInto(&sc.u2, candidates, sc.jnames)
+	// Candidate assembly: the store's diverged set over this engine's
+	// stripes, plus every job with durable sync state in range (mid-streak
+	// or holding follow-ups). Any other job is converged and would get
+	// PlanNoop, so leaving it out changes no outcome.
+	sc.diverged = s.store.DivergedRangeInto(s.stripeLo, s.stripeHi, sc.diverged[:0])
 	sc.syncNames = s.store.SyncStateNamesRangeInto(s.stripeLo, s.stripeHi, sc.syncNames[:0])
-	candidates = unionSortedInto(&sc.u3, candidates, sc.syncNames)
+	candidates := unionSortedInto(&sc.union, sc.diverged, sc.syncNames)
 	sc.candidates = candidates
-	res.Swept = resync
-	res.SweepJobs = visited
 
 	// Build plans in parallel. Workers write disjoint slots, and the
 	// merge below walks them in sorted-job order.
@@ -830,25 +719,18 @@ func (s *Syncer) RunRound() RoundResult {
 			examined++
 		}
 		if r.backedOff {
-			continue // mark retained; retried after the deadline passes
+			continue // retried after the deadline passes
 		}
 		if r.gone {
-			// Fully gone job: drop its durable record and mark, or it
-			// would stay a candidate forever.
+			// Fully gone job: drop its durable record, or it would stay a
+			// candidate forever.
 			s.store.ClearSyncState(job)
-			if seq, ok := sc.markSeq[job]; ok {
-				s.store.ClearDirtyIf(job, seq)
-			}
 			continue
 		}
 		switch r.plan.Kind {
 		case PlanNoop:
 			if r.plan.commitErr != nil {
 				s.handlePlanError(job, r.plan.commitErr, &res)
-			} else if seq, ok := sc.markSeq[job]; ok {
-				// Converged (or quarantined): the mark is consumed. A
-				// concurrent write re-marked with a higher seq and wins.
-				s.store.ClearDirtyIf(job, seq)
 			}
 		case PlanSimple:
 			sc.simple = append(sc.simple, r.plan)
@@ -878,7 +760,7 @@ func (s *Syncer) RunRound() RoundResult {
 				s.handlePlanError(sc.simple[i].Job, sc.simpleErrs[i], &res)
 				continue
 			}
-			s.recordSuccess(sc.simple[i].Job, sc.markSeq)
+			s.recordSuccess(sc.simple[i].Job)
 			res.Simple++
 		}
 	}
@@ -897,14 +779,14 @@ func (s *Syncer) RunRound() RoundResult {
 				s.handlePlanError(sc.complexPlans[i].Job, sc.complexErrs[i], &res)
 				continue
 			}
-			s.recordSuccess(sc.complexPlans[i].Job, sc.markSeq)
+			s.recordSuccess(sc.complexPlans[i].Job)
 			res.Complex++
 		}
 	}
 
 	// Tear down jobs whose expected entry is gone: stop tasks, then drop
 	// the running entry. Errors retry (under backoff) like any failed
-	// plan: the dirty mark is retained and the streak is durable.
+	// plan: the job stays diverged and the streak is durable.
 	for _, job := range sc.teardown {
 		if s.dead() {
 			break
@@ -919,9 +801,6 @@ func (s *Syncer) RunRound() RoundResult {
 		s.store.DropRunning(job)
 		_ = s.act.ResumeJob(job)    // clear any hold; no specs remain anyway
 		s.store.ClearSyncState(job) // teardown resolved any failure streak
-		if seq, ok := sc.markSeq[job]; ok {
-			s.store.ClearDirtyIf(job, seq)
-		}
 		s.mu.Lock()
 		s.stats.Deletes++
 		s.mu.Unlock()
@@ -933,12 +812,7 @@ func (s *Syncer) RunRound() RoundResult {
 	}
 	s.mu.Lock()
 	s.stats.Rounds++
-	if res.Swept {
-		s.stats.Sweeps++
-	} else if !gated {
-		s.stats.SweepSlices++
-	}
-	s.stats.SweepJobs += visited
+	s.stats.SweepJobs += len(sc.diverged)
 	s.stats.SimpleSyncs += res.Simple
 	s.stats.ComplexSyncs += res.Complex
 	s.mu.Unlock()
@@ -996,21 +870,9 @@ func (s *Syncer) retryFollowUps(now time.Time, res *RoundResult) {
 	}
 }
 
-// sweepStripes returns the stripes [lo, hi) the rotating sweep visits at
-// rotation position pos over the engine's stripe range [stripeLo,
-// stripeHi): the sweepRounds positions partition the range into
-// contiguous runs of ⌊n/sweepRounds⌋ or ⌈n/sweepRounds⌉ stripes, so
-// sweepRounds consecutive rounds visit every stripe exactly once. A
-// job's stripe is a pure function of its name, so coverage holds however
-// the fleet churns.
-func sweepStripes(stripeLo, stripeHi, pos int) (lo, hi int) {
-	n := stripeHi - stripeLo
-	return stripeLo + pos*n/sweepRounds, stripeLo + (pos+1)*n/sweepRounds
-}
-
 // unionSortedInto merges two sorted, duplicate-free name slices. When b
-// is a subset of a — the converged steady state, where nothing is marked
-// and the sweep found nothing, so both are empty — it returns a itself
+// is a subset of a — the converged steady state, where nothing is
+// diverged and no job has sync state, so both are empty — it returns a itself
 // without touching dst. Otherwise it merges into dst's backing array
 // (grown as needed and retained as round scratch) and returns it.
 func unionSortedInto(dst *[]string, a, b []string) []string {
@@ -1080,24 +942,20 @@ func (s *Syncer) handlePlanError(job string, err error, res *RoundResult) {
 	s.recordFailure(job, err, res)
 }
 
-// recordSuccess resolves a job's failure streak and consumes its dirty
-// mark (if the mark was not re-stamped by a concurrent write mid-round).
-func (s *Syncer) recordSuccess(job string, markSeq map[string]uint64) {
+// recordSuccess resolves a job's failure streak.
+func (s *Syncer) recordSuccess(job string) {
 	if s.dead() {
 		return
 	}
 	s.store.ResolveFailureStreak(job)
-	if seq, ok := markSeq[job]; ok {
-		s.store.ClearDirtyIf(job, seq)
-	}
 	s.mu.Lock()
 	s.stats.JobsConverged++
 	s.mu.Unlock()
 }
 
 // recordFailure bumps the job's durable failure streak, stamps its next
-// backoff deadline, and quarantines it at the threshold. The dirty mark
-// is deliberately NOT cleared: a failed job stays a candidate.
+// backoff deadline, and quarantines it at the threshold. A failed job
+// stays a candidate: its streak is durable sync state.
 func (s *Syncer) recordFailure(job string, err error, res *RoundResult) {
 	if s.dead() {
 		return
