@@ -20,6 +20,7 @@
 package chaos
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"slices"
@@ -69,7 +70,7 @@ type Result struct {
 	TraceKeys []string
 	// Final full Job Store snapshots of the faulty and baseline
 	// clusters. A converged faulty store matches the baseline's byte for
-	// byte — including the dirty/sync sections, which must both be empty.
+	// byte — including the sync section, which must be empty.
 	FaultySnapshot   []byte
 	BaselineSnapshot []byte
 	SyncerRestarts   int
@@ -541,9 +542,6 @@ func runSchedule(c *cluster.Cluster, inj *faultinject.Injector, opts Options, re
 	} else if len(diverged) != 0 {
 		return fmt.Errorf("jobs still diverged after the tail: %v", diverged)
 	}
-	if names := c.Store.SyncStateNames(); len(names) != 0 {
-		return fmt.Errorf("sync state left after the tail: %v", names)
-	}
 	if qs := c.Jobs.Quarantined(); len(qs) != 0 {
 		return fmt.Errorf("jobs still quarantined after the tail: %v", qs)
 	}
@@ -586,16 +584,38 @@ func runSchedule(c *cluster.Cluster, inj *faultinject.Injector, opts Options, re
 }
 
 // checkDivergedSet holds the store's diverged set to the comparison the
-// paper's stateless State Syncer makes from scratch: every job with an
-// expected or a running entry whose running entry is missing or realizes
-// another expected version. It returns the set.
+// paper's stateless State Syncer makes from scratch, read off the store's
+// serialized snapshot: every job that holds a sync record, or has an
+// expected or a running entry and no running entry realizing the
+// expected version. It returns the set.
 func checkDivergedSet(store *jobstore.Store) ([]string, error) {
-	names := append(store.ExpectedNames(), store.RunningNames()...)
+	data, err := store.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	var snap struct {
+		Expected, Running map[string]struct{ Version int64 }
+		Sync              map[string]json.RawMessage
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, m := range []map[string]struct{ Version int64 }{snap.Expected, snap.Running} {
+		for name := range m {
+			names = append(names, name)
+		}
+	}
+	for name := range snap.Sync {
+		names = append(names, name)
+	}
 	slices.Sort(names)
 	var want []string
 	for _, name := range slices.Compact(names) {
-		v := store.PlanViewOf(name)
-		if !v.HasExpected || !v.HasRunning || v.RunningVersion != v.ExpectedVersion {
+		e, hasExp := snap.Expected[name]
+		r, hasRun := snap.Running[name]
+		_, held := snap.Sync[name]
+		if held || !hasExp || !hasRun || r.Version != e.Version {
 			want = append(want, name)
 		}
 	}

@@ -32,8 +32,8 @@ func TestSyncStateLifecycle(t *testing.T) {
 	if got.FollowUps[0] != "resume" {
 		t.Fatal("SyncStateOf returned a shared slice")
 	}
-	if names := s.SyncStateNames(); !reflect.DeepEqual(names, []string{"j"}) {
-		t.Fatalf("SyncStateNames = %v", names)
+	if names := divergedAll(s); !reflect.DeepEqual(names, []string{"j"}) {
+		t.Fatalf("diverged set = %v", names)
 	}
 
 	// Emptying the entry removes it entirely.
@@ -44,8 +44,8 @@ func TestSyncStateLifecycle(t *testing.T) {
 	if _, ok := s.SyncStateOf("j"); ok {
 		t.Fatal("empty sync state not removed")
 	}
-	if names := s.SyncStateNames(); len(names) != 0 {
-		t.Fatalf("SyncStateNames = %v, want empty", names)
+	if names := divergedAll(s); len(names) != 0 {
+		t.Fatalf("diverged set = %v, want empty", names)
 	}
 
 	s.UpdateSyncState("j", func(ss *SyncState) { ss.FailureStreak = 1 })
@@ -57,7 +57,8 @@ func TestSyncStateLifecycle(t *testing.T) {
 
 // TestSnapshotRestoreCarriesSyncerState: a snapshot carries the per-job
 // sync states, and Restore rebuilds the diverged set from the restored
-// entries — the same set the source store kept.
+// entries and sync states — the same set the source store kept, with the
+// converged job that holds a pending resume in it.
 func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 	s := New()
 	for _, job := range []string{"quiet", "pending", "streaky"} {
@@ -93,8 +94,8 @@ func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 	}
 
 	want := s.DivergedRangeInto(0, NumStripes, nil)
-	if !reflect.DeepEqual(want, []string{"orphan", "streaky"}) {
-		t.Fatalf("source diverged set = %v, want [orphan streaky]", want)
+	if !reflect.DeepEqual(want, []string{"orphan", "pending", "streaky"}) {
+		t.Fatalf("source diverged set = %v, want [orphan pending streaky]", want)
 	}
 	if got := s2.DivergedRangeInto(0, NumStripes, nil); !reflect.DeepEqual(got, want) {
 		t.Fatalf("diverged set after restore = %v, want %v", got, want)
@@ -107,8 +108,62 @@ func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 	if !ok || ss.FailureStreak != 3 || !ss.NextRetryAt.Equal(deadline) {
 		t.Fatalf("streaky sync state = %+v, %v", ss, ok)
 	}
-	if names := s2.SyncStateNames(); !reflect.DeepEqual(names, []string{"pending", "streaky"}) {
-		t.Fatalf("SyncStateNames after restore = %v", names)
+}
+
+// TestRestoreSchema4PendingResumeJoinsDivergedSet pins the on-disk form:
+// a schema-4 snapshot of a converged job whose record holds a pending
+// resume restores it into the diverged set, so the next round replays it,
+// and serializes the record back byte for byte.
+func TestRestoreSchema4PendingResumeJoinsDivergedSet(t *testing.T) {
+	const snap = `{
+  "schema": 4,
+  "expected": {
+    "j": {
+      "Layers": [
+        {
+          "taskCount": 1
+        },
+        null,
+        null,
+        null
+      ],
+      "Version": 1
+    }
+  },
+  "running": {
+    "j": {
+      "Config": {
+        "taskCount": 1
+      },
+      "Version": 1
+    }
+  },
+  "quarantined": {},
+  "sync": {
+    "j": {
+      "nextRetryAt": "0001-01-01T00:00:00Z",
+      "followUps": [
+        "resume"
+      ]
+    }
+  }
+}`
+	s := New()
+	if err := s.Restore([]byte(snap)); err != nil {
+		t.Fatal(err)
+	}
+	if got := divergedAll(s); !reflect.DeepEqual(got, []string{"j"}) {
+		t.Fatalf("diverged set after restore = %v, want [j]", got)
+	}
+	if v := s.PlanViewOf("j"); !v.Resume || v.RunningVersion != v.ExpectedVersion {
+		t.Fatalf("PlanViewOf = %+v, want a converged job with a pending resume", v)
+	}
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(data) != snap {
+		t.Fatalf("snapshot after restore:\n%s\nwant:\n%s", data, snap)
 	}
 }
 

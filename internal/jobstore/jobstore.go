@@ -24,11 +24,11 @@
 // commits on different jobs never contend on one mutex. The running-name
 // listing is a copy-on-write sorted snapshot rebuilt lazily after a name
 // set change — steady-state reads are allocation-free pointer loads.
-// Each stripe also keeps the exact set of its diverged jobs — an entry
-// missing, or running realizing another expected version — refreshed
-// under the write lock by every write to either entry, so a State Syncer
-// round reads just the jobs that can need work and a converged fleet
-// costs it nothing.
+// Each stripe also keeps the exact set of its jobs that can need State
+// Syncer work — an entry missing, running realizing another expected
+// version, or a durable sync record held — refreshed under the write lock
+// by every write to an entry or a sync record, so a round reads just
+// those jobs and a converged fleet costs it nothing.
 package jobstore
 
 import (
@@ -151,22 +151,24 @@ type jobStripe struct {
 	// streaks, backoff deadlines, pending follow-up actions).
 	sync map[string]*SyncState
 	// diverged is exactly the set of the stripe's jobs that may need
-	// synchronization: an expected or a running entry is missing, or
-	// running realizes a different expected version — the negation of
-	// the converged test the State Syncer's planJob applies. Every write
-	// to either entry refreshes the job's membership (noteLocked) under
-	// the write lock, so the set can be neither lost nor stale; it is
-	// derived state, rebuilt by Restore and never serialized.
+	// State Syncer work: an expected or a running entry is missing,
+	// running realizes a different expected version — the negation of the
+	// converged test planJob applies — or the job holds a sync record (a
+	// failure streak or a pending resume). Every write to an entry or a
+	// sync record refreshes the job's membership (noteLocked) under the
+	// write lock, so the set can be neither lost nor stale; it is derived
+	// state, rebuilt by Restore and never serialized.
 	diverged map[string]struct{}
 }
 
 // noteLocked recomputes the job's membership in the diverged set from
-// its entries. The caller holds st's write lock.
+// its entries and its sync record. The caller holds st's write lock.
 func (st *jobStripe) noteLocked(name string) {
 	e, hasExp := st.expected[name]
 	r, hasRun := st.running[name]
+	_, held := st.sync[name]
 	converged := hasExp && hasRun && e.Version == r.Version
-	if converged || !hasExp && !hasRun {
+	if !held && (converged || !hasExp && !hasRun) {
 		delete(st.diverged, name)
 		return
 	}
@@ -522,8 +524,8 @@ func (s *Store) RunningRevision(name string) (int64, bool) {
 // PlanView is everything the State Syncer's per-candidate prologue needs
 // to classify a job, gathered under a single stripe lock: one RLock and
 // four map lookups instead of four separate calls. Candidates are the
-// diverged and the mid-streak jobs only, so converged jobs never reach
-// this read.
+// diverged set's members only, so converged jobs without a sync record
+// never reach this read.
 type PlanView struct {
 	ExpectedVersion int64
 	RunningVersion  int64
@@ -531,10 +533,11 @@ type PlanView struct {
 	HasRunning      bool
 	Quarantined     bool
 	// FailureStreak and NextRetryAt mirror the job's SyncState (zero
-	// values if it has none); FollowUps are not included — the prologue
-	// only needs the backoff gate.
+	// values if it has none), and Resume reports that it holds follow-ups:
+	// a committed plan's post-commit resume is still pending.
 	FailureStreak int
 	NextRetryAt   time.Time
+	Resume        bool
 }
 
 // PlanViewOf reads a job's plan-relevant state in one locked pass.
@@ -557,6 +560,7 @@ func (s *Store) PlanViewOf(name string) PlanView {
 	if ss, ok := st.sync[name]; ok {
 		v.FailureStreak = ss.FailureStreak
 		v.NextRetryAt = ss.NextRetryAt
+		v.Resume = len(ss.FollowUps) > 0
 	}
 	return v
 }
@@ -679,12 +683,12 @@ func (s *Store) collectNames(size func(*jobStripe) int, appendKeys func(*jobStri
 }
 
 // DivergedRangeInto appends to buf the diverged jobs of stripes [lo, hi)
-// — an expected or a running entry is missing, or running realizes a
-// different expected version — sorts only what it appended, and returns
-// the extended slice. It reads each stripe's diverged set under one read
-// lock, so it costs O(stripes + diverged jobs) and, with a reusable
-// buffer, a converged range allocates nothing. This is every State
-// Syncer round's candidate feed.
+// — an expected or a running entry is missing, running realizes a
+// different expected version, or a sync record is held — sorts only what
+// it appended, and returns the extended slice. It reads each stripe's
+// diverged set under one read lock, so it costs O(stripes + diverged
+// jobs) and, with a reusable buffer, a converged range allocates
+// nothing. This is every State Syncer round's one candidate feed.
 func (s *Store) DivergedRangeInto(lo, hi int, buf []string) []string {
 	out := buf
 	for i := lo; i < hi; i++ {
@@ -754,7 +758,8 @@ func (s *Store) SyncStateOf(name string) (SyncState, bool) {
 
 // UpdateSyncState applies fn to the job's sync state under the stripe
 // lock, creating the entry if absent. An entry left empty (no streak, no
-// follow-ups) is removed, so converged jobs carry no durable residue.
+// follow-ups) is removed, so converged jobs carry no durable residue and
+// leave the diverged set.
 func (s *Store) UpdateSyncState(name string, fn func(*SyncState)) {
 	st := s.stripeFor(name)
 	st.mu.Lock()
@@ -766,9 +771,10 @@ func (s *Store) UpdateSyncState(name string, fn func(*SyncState)) {
 	fn(ss)
 	if ss.empty() {
 		delete(st.sync, name)
-		return
+	} else {
+		st.sync[name] = ss
 	}
-	st.sync[name] = ss
+	st.noteLocked(name)
 }
 
 // ResolveFailureStreak clears the job's failure streak and backoff
@@ -789,6 +795,7 @@ func (s *Store) ResolveFailureStreak(name string) {
 	ss.NextRetryAt = time.Time{}
 	if ss.empty() {
 		delete(st.sync, name)
+		st.noteLocked(name)
 	}
 }
 
@@ -798,39 +805,8 @@ func (s *Store) ClearSyncState(name string) {
 	st := s.stripeFor(name)
 	st.mu.Lock()
 	delete(st.sync, name)
+	st.noteLocked(name)
 	st.mu.Unlock()
-}
-
-// SyncStateNames returns every job with durable sync bookkeeping,
-// sorted. These are the State Syncer's standing retry candidates: jobs
-// mid-failure-streak or with pending post-commit follow-ups.
-func (s *Store) SyncStateNames() []string {
-	out := s.collectNames(func(st *jobStripe) int { return len(st.sync) }, func(st *jobStripe, out []string) []string {
-		for k := range st.sync {
-			out = append(out, k)
-		}
-		return out
-	})
-	sort.Strings(out)
-	return out
-}
-
-// SyncStateNamesRangeInto appends (sorted) the names with durable sync
-// bookkeeping in stripes [lo, hi) to buf — the shard-scoped form of
-// SyncStateNames, allocation-free with a reusable buffer when the range
-// is converged.
-func (s *Store) SyncStateNamesRangeInto(lo, hi int, buf []string) []string {
-	out := buf
-	for i := lo; i < hi; i++ {
-		st := &s.stripes[i]
-		st.mu.RLock()
-		for k := range st.sync {
-			out = append(out, k)
-		}
-		st.mu.RUnlock()
-	}
-	sort.Strings(out)
-	return out
 }
 
 // snapshotSchema identifies the current serialized layout. Schema 4
@@ -897,10 +873,10 @@ func (s *Store) Snapshot() ([]byte, error) {
 
 // Restore replaces the store's contents from a Snapshot. Every running
 // entry is restamped with a fresh revision so spec caches rebuild rather
-// than trust pre-restore state. The diverged set is rebuilt from the
-// restored entries and the per-job sync states come from the snapshot,
-// so a syncer restarted from it converges in one ordinary round. A
-// snapshot whose schema is below 2 (or absent) carries no sync states and
+// than trust pre-restore state. The per-job sync states come from the
+// snapshot and the diverged set is rebuilt from the restored entries and
+// sync states, so a syncer restarted from it converges in one ordinary
+// round. A snapshot whose schema is below 2 (or absent) carries no sync states and
 // is rejected with an error, leaving the store as it was.
 func (s *Store) Restore(data []byte) error {
 	var snap snapshot
@@ -927,12 +903,6 @@ func (s *Store) Restore(data []byte) error {
 		v.revision = s.revSeq.Add(1)
 		s.stripeFor(k).running[k] = v
 	}
-	for k := range snap.Expected {
-		s.stripeFor(k).noteLocked(k)
-	}
-	for k := range snap.Running {
-		s.stripeFor(k).noteLocked(k)
-	}
 	for k, v := range snap.Quarantined {
 		s.stripeFor(k).quarantined[k] = v
 	}
@@ -941,6 +911,15 @@ func (s *Store) Restore(data []byte) error {
 			continue
 		}
 		s.stripeFor(k).sync[k] = v.clone()
+	}
+	for k := range snap.Expected {
+		s.stripeFor(k).noteLocked(k)
+	}
+	for k := range snap.Running {
+		s.stripeFor(k).noteLocked(k)
+	}
+	for k := range snap.Sync {
+		s.stripeFor(k).noteLocked(k)
 	}
 	for i := range s.stripes {
 		s.stripes[i].mu.Unlock()

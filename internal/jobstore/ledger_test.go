@@ -29,7 +29,8 @@ var ledgerRanges = [][2]int{{0, NumStripes}, {16, 32}, {5, 6}, {9, 9}}
 // checkLedger holds the diverged set to the paper's stateless full
 // comparison, kept here as the test oracle: for each range
 // DivergedRangeInto must append exactly the sorted names PlanViewOf calls
-// not converged after the caller's prefix, and leave the prefix alone.
+// not converged, or that hold a sync record, after the caller's prefix,
+// and leave the prefix alone.
 func checkLedger(t *testing.T, s *Store, names []string, step string) {
 	t.Helper()
 	for _, r := range ledgerRanges {
@@ -40,7 +41,8 @@ func checkLedger(t *testing.T, s *Store, names []string, step string) {
 				continue
 			}
 			v := s.PlanViewOf(name)
-			if (v.HasExpected || v.HasRunning) && !(v.HasExpected && v.HasRunning && v.RunningVersion == v.ExpectedVersion) {
+			_, held := s.SyncStateOf(name)
+			if held || (v.HasExpected || v.HasRunning) && !(v.HasExpected && v.HasRunning && v.RunningVersion == v.ExpectedVersion) {
 				want = append(want, name)
 			}
 		}
@@ -60,14 +62,14 @@ func checkLedger(t *testing.T, s *Store, names []string, step string) {
 }
 
 // randomLedgerOp applies one random write — every Store method that
-// changes an expected or a running entry, the quarantine writes that
-// must leave the set alone, and a Snapshot → Restore round trip — and
-// describes it. Writes that fail (creating a job that exists, editing one
+// changes an expected or a running entry or a sync record, the
+// quarantine writes that must leave the set alone, and a Snapshot →
+// Restore round trip — and describes it. Writes that fail (creating a job that exists, editing one
 // that does not) are part of the mix: a refused write must leave the set
 // alone too.
 func randomLedgerOp(t *testing.T, s *Store, rng *rand.Rand, names []string) string {
 	name := names[rng.Intn(len(names))]
-	switch op := rng.Intn(9); op {
+	switch op := rng.Intn(12); op {
 	case 0:
 		s.Create(name, config.Doc{"taskCount": 1})
 		return "Create " + name
@@ -105,16 +107,34 @@ func randomLedgerOp(t *testing.T, s *Store, rng *rand.Rand, names []string) stri
 	case 7:
 		s.SetQuarantine(name, "random")
 		return "SetQuarantine " + name
-	default:
+	case 8:
 		s.ClearQuarantine(name)
 		return "ClearQuarantine " + name
+	case 9:
+		// A streak, a pending resume, both, or neither (which empties
+		// the record).
+		streak, resume := rng.Intn(2), rng.Intn(2) == 0
+		s.UpdateSyncState(name, func(ss *SyncState) {
+			ss.FailureStreak = streak
+			ss.FollowUps = nil
+			if resume {
+				ss.FollowUps = []string{"resume"}
+			}
+		})
+		return fmt.Sprintf("UpdateSyncState %s streak=%d resume=%v", name, streak, resume)
+	case 10:
+		s.ResolveFailureStreak(name)
+		return "ResolveFailureStreak " + name
+	default:
+		s.ClearSyncState(name)
+		return "ClearSyncState " + name
 	}
 }
 
 // TestVersionLedgerMatchesEntries: through random sequences of every
-// write that touches an expected or a running entry — re-creates under a
-// deleted name, quarantines and Restore included — the diverged set
-// agrees with the entries themselves after every op.
+// write that touches an expected or a running entry or a sync record —
+// re-creates under a deleted name, quarantines and Restore included — the
+// diverged set agrees with the entries and records after every op.
 func TestVersionLedgerMatchesEntries(t *testing.T) {
 	names := ledgerUniverse(40)
 	for seed := int64(1); seed <= 4; seed++ {

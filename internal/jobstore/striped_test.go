@@ -15,7 +15,8 @@ func divergedAll(s *Store) []string {
 }
 
 // TestDivergedSetSemantics walks one job pair through every write that
-// moves the diverged set, and the quarantine writes that must not.
+// moves the diverged set — entry writes and sync-record writes — and the
+// quarantine writes that must not.
 func TestDivergedSetSemantics(t *testing.T) {
 	s := New()
 	check := func(step string, want ...string) {
@@ -52,6 +53,28 @@ func TestDivergedSetSemantics(t *testing.T) {
 	check("SetQuarantine")
 	s.ClearQuarantine("a")
 	check("ClearQuarantine")
+
+	// A sync record keeps a converged job in the set until it is gone.
+	s.UpdateSyncState("a", func(ss *SyncState) { ss.FailureStreak = 1 })
+	check("UpdateSyncState (streak)", "a")
+	s.ResolveFailureStreak("a")
+	check("ResolveFailureStreak")
+	s.UpdateSyncState("a", func(ss *SyncState) {
+		ss.FailureStreak = 2
+		ss.FollowUps = []string{"resume"}
+	})
+	s.ResolveFailureStreak("a")
+	check("ResolveFailureStreak (resume pending)", "a")
+	s.UpdateSyncState("a", func(ss *SyncState) { ss.FollowUps = nil })
+	check("UpdateSyncState (emptied)")
+	s.UpdateSyncState("a", func(ss *SyncState) { ss.FollowUps = []string{"resume"} })
+	check("UpdateSyncState (resume)", "a")
+	s.ClearSyncState("a")
+	check("ClearSyncState")
+	s.UpdateSyncState("gone", func(ss *SyncState) { ss.FailureStreak = 1 })
+	check("UpdateSyncState (no entries)", "gone")
+	s.ClearSyncState("gone")
+	check("ClearSyncState (no entries)")
 
 	// Delete diverges the job until its running entry is dropped.
 	if err := s.Delete("b"); err != nil {

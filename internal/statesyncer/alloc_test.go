@@ -16,11 +16,10 @@ import (
 	"repro/internal/simclock"
 )
 
-func TestConvergedRoundAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation accounting is not meaningful under -race")
-	}
-	const fleet = 2048
+// convergedFleet provisions fleet jobs, syncs them in one round and warms
+// a few more rounds so every scratch buffer reaches its high-water size.
+func convergedFleet(t *testing.T, fleet int) (*jobstore.Store, *Syncer) {
+	t.Helper()
 	store := jobstore.New()
 	clk := simclock.NewSim(time.Unix(0, 0))
 	syncer := New(store, nil, clk, Options{})
@@ -38,15 +37,50 @@ func TestConvergedRoundAllocFree(t *testing.T) {
 	if res := syncer.RunRound(); res.Simple != fleet {
 		t.Fatalf("setup round synced %d/%d", res.Simple, fleet)
 	}
-	// Warm a few rounds so every scratch buffer reaches its high-water
-	// size.
 	for r := 0; r < 10; r++ {
 		syncer.RunRound()
 	}
+	return store, syncer
+}
+
+func TestConvergedRoundAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not meaningful under -race")
+	}
+	_, syncer := convergedFleet(t, 2048)
 	allocs := testing.AllocsPerRun(20, func() {
 		syncer.RunRound()
 	})
 	if allocs != 0 {
 		t.Fatalf("converged round allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestParkedFollowUpsCostOneReadEach: a converged fleet in which k
+// quarantined jobs hold parked resumes. The diverged set holds exactly
+// those k, so each round reads k jobs from it — the round's one listing
+// — and, with every resume parked, allocates nothing.
+func TestParkedFollowUpsCostOneReadEach(t *testing.T) {
+	const k = 7
+	store, syncer := convergedFleet(t, 2048)
+	for i := 0; i < k; i++ {
+		name := fmt.Sprintf("j%04d", i*97)
+		store.UpdateSyncState(name, func(ss *jobstore.SyncState) { ss.FollowUps = []string{followUpResume} })
+		store.SetQuarantine(name, "parked")
+	}
+	for r := 0; r < 3; r++ {
+		before := syncer.Stats().SweepJobs
+		if res := syncer.RunRound(); len(res.Failed) != 0 || res.Simple+res.Complex+res.Deleted != 0 {
+			t.Fatalf("round %d = %+v, want no work", r, res)
+		}
+		if got := syncer.Stats().SweepJobs - before; got != k {
+			t.Fatalf("round %d read %d jobs from the diverged set, want %d", r, got, k)
+		}
+	}
+	if raceEnabled {
+		return // allocation accounting is not meaningful under -race
+	}
+	if allocs := testing.AllocsPerRun(20, func() { syncer.RunRound() }); allocs != 0 {
+		t.Fatalf("round over %d parked resumes allocates %.1f objects, want 0", k, allocs)
 	}
 }

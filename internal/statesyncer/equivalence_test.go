@@ -3,7 +3,6 @@ package statesyncer
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -66,6 +65,9 @@ func (s *legacySyncer) buildPlan(job string, merged config.Doc, version int64) P
 		changes = config.Diff(running.Config, merged)
 		if len(changes) == 0 {
 			s.store.CommitRunning(job, merged, version)
+			// Parity patch: the content-equal commit converges the job,
+			// which resolves its failure streak rather than leaking it.
+			delete(s.failures, job)
 			return Plan{Job: job, Kind: PlanNoop}
 		}
 	}
@@ -88,10 +90,9 @@ func (s *legacySyncer) buildPlan(job string, merged config.Doc, version int64) P
 			return s.act.RedistributeCheckpoints(job, partitions, oldCount, newCount)
 		}},
 	}
-	after := []Action{{Name: "resume job (start new tasks)", Run: func() error { return s.act.ResumeJob(job) }}}
 	rollback := []Action{{Name: "roll back: resume job in its previous configuration", Run: func() error { return s.act.ResumeJob(job) }}}
 	return Plan{Job: job, Kind: PlanComplex, Changes: changes, Actions: actions,
-		commitDoc: merged, commitVersion: version, after: after, rollback: rollback}
+		commitDoc: merged, commitVersion: version, resume: true, rollback: rollback}
 }
 
 func (s *legacySyncer) runRound() RoundResult {
@@ -156,7 +157,7 @@ func (s *legacySyncer) runRound() RoundResult {
 
 	for _, p := range simple {
 		if err := s.executePlan(p); err != nil {
-			s.handlePlanError(p.Job, err, &res)
+			s.recordFailure(p.Job, err, &res)
 			continue
 		}
 		delete(s.failures, p.Job)
@@ -165,7 +166,7 @@ func (s *legacySyncer) runRound() RoundResult {
 	}
 	for _, p := range complexPlans {
 		if err := s.executePlan(p); err != nil {
-			s.handlePlanError(p.Job, err, &res)
+			s.recordFailure(p.Job, err, &res)
 			continue
 		}
 		delete(s.failures, p.Job)
@@ -213,24 +214,14 @@ func (s *legacySyncer) executePlan(p Plan) error {
 	if p.commitDoc != nil {
 		_ = s.store.CommitRunning(p.Job, p.commitDoc, p.commitVersion)
 	}
-	for i, a := range p.after {
-		if err := a.Run(); err != nil {
-			return &afterError{
-				job:       p.Job,
-				remaining: p.after[i:],
-				err:       fmt.Errorf("%s: post-commit action %q: %w", p.Job, a.Name, err),
-			}
+	if p.resume {
+		resume := Action{Name: "resume job (start new tasks)", Run: func() error { return s.act.ResumeJob(p.Job) }}
+		if err := resume.Run(); err != nil {
+			s.pendingAfter[p.Job] = []Action{resume}
+			return fmt.Errorf("%s: post-commit action %q: %w", p.Job, resume.Name, err)
 		}
 	}
 	return nil
-}
-
-func (s *legacySyncer) handlePlanError(job string, err error, res *RoundResult) {
-	var ae *afterError
-	if errors.As(err, &ae) {
-		s.pendingAfter[job] = ae.remaining
-	}
-	s.recordFailure(job, err, res)
 }
 
 func (s *legacySyncer) recordFailure(job string, err error, res *RoundResult) {
@@ -494,7 +485,7 @@ func runEquivalence(t *testing.T, seed int64) {
 		// The new syncer's failure/retry bookkeeping lives in the store.
 		newFailures := make(map[string]int)
 		var newPending []string
-		for _, job := range newStore.SyncStateNames() {
+		for _, job := range newStore.DivergedRangeInto(0, jobstore.NumStripes, nil) {
 			ss, ok := newStore.SyncStateOf(job)
 			if !ok {
 				continue

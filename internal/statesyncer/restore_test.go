@@ -201,7 +201,7 @@ func TestDeleteMidStreakClearsAccounting(t *testing.T) {
 	if got := syncer.FailureCount("j1"); got != 0 {
 		t.Fatalf("streak leaked after teardown: %d", got)
 	}
-	if names := svc.Store().SyncStateNames(); len(names) != 0 {
+	if names := svc.Store().DivergedRangeInto(0, jobstore.NumStripes, nil); len(names) != 0 {
 		t.Fatalf("sync state leaked after teardown: %v", names)
 	}
 	if st := syncer.Stats(); st.Quarantines != 0 {

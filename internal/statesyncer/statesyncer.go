@@ -17,20 +17,21 @@
 //     syncer itself crashes between rounds — rounds are stateless.
 //
 // The expected/running comparison is stored, level-triggered state: each
-// Job Store stripe keeps the exact set of its diverged jobs, updated
-// under the stripe lock by every write to either entry. A round's
-// candidates are that set over the engine's stripes plus the jobs with
-// durable sync state (failure streaks, pending follow-ups), and nothing
-// else — every other job is converged, so planJob would answer it
-// PlanNoop. The round stays stateless in the paper's sense: it keeps no
-// cursor or mark of its own, and a write landing mid-round leaves its job
-// diverged for the next one. A converged fleet — at a million tasks —
-// costs a round one read lock per stripe and, with the per-syncer
-// scratch buffers and persistent worker pool, no allocation.
+// Job Store stripe keeps the exact set of its diverged jobs — entries
+// that disagree, or a durable sync record (a failure streak, a pending
+// resume) — updated under the stripe lock by every write to either. That
+// set over the engine's stripes is a round's one candidate feed, read
+// once, and planJob its one classifier: every other job is converged, so
+// planJob would answer it PlanNoop. The round stays stateless in the
+// paper's sense: it keeps no cursor or mark of its own, and a write
+// landing mid-round leaves its job diverged for the next one. A converged
+// fleet — at a million tasks — costs a round one read lock per stripe
+// and, with the per-syncer scratch buffers and persistent worker pool, no
+// allocation.
 //
 // The syncer's remaining crash-critical bookkeeping is durable: failure
-// streaks, backoff deadlines, and pending post-commit follow-up actions
-// live in the Job Store (jobstore.SyncState), captured by Snapshot and
+// streaks, backoff deadlines, and a pending post-commit resume live in
+// the Job Store (jobstore.SyncState), captured by Snapshot and
 // revived by Restore, which rebuilds the diverged set from the entries.
 // A syncer that dies mid-round therefore leaves behind exactly the state
 // its successor needs to converge within one ordinary round. Failed jobs
@@ -58,6 +59,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -126,41 +128,16 @@ func (k PlanKind) String() string {
 	}
 }
 
-// Action is one idempotent step of an execution plan. Post-commit
-// follow-up actions additionally carry a stable Key, the durable form
-// persisted in the Job Store's SyncState so a restarted syncer can
-// reconstruct and finish them.
+// Action is one idempotent step of an execution plan.
 type Action struct {
 	Name string
-	Key  string
 	Run  func() error
 }
 
-// followUpResume is the durable key of the "resume job" follow-up — the
-// only post-commit action complex plans emit today.
+// followUpResume is the durable key of a complex plan's post-commit
+// resume in the Job Store's SyncState.FollowUps — the write-ahead record
+// a restarted syncer replays. The replay acts on this key alone.
 const followUpResume = "resume"
-
-// followUpAction reconstructs a follow-up action from its durable key.
-// Unknown keys (from a newer snapshot) report ok=false and are dropped.
-func (s *Syncer) followUpAction(job, key string) (Action, bool) {
-	switch key {
-	case followUpResume:
-		return Action{
-			Name: "resume job (start new tasks)",
-			Key:  key,
-			Run:  func() error { return s.act.ResumeJob(job) },
-		}, true
-	}
-	return Action{}, false
-}
-
-func followUpKeys(actions []Action) []string {
-	keys := make([]string, len(actions))
-	for i, a := range actions {
-		keys[i] = a.Key
-	}
-	return keys
-}
 
 // Plan is the execution plan for one job in one round.
 type Plan struct {
@@ -182,10 +159,10 @@ type Plan struct {
 	// content-equal fast path, so the round treats the job as failed
 	// rather than converged.
 	commitErr error
-	// after runs post-commit follow-ups (resume a quiesced job). Failures
-	// here do not undo the commit; the follow-up is idempotent and the
-	// next round retries it if the difference persists.
-	after []Action
+	// resume runs the post-commit step: resume the quiesced job. A failure
+	// here does not undo the commit; the resume is idempotent and stays
+	// durably pending until a later round's replay succeeds.
+	resume bool
 	// rollback runs when an action fails BEFORE the commit: it returns
 	// the job to its previous consistent state (e.g. un-quiesce so the
 	// old-configuration tasks keep running) — the paper's "cleans up,
@@ -280,10 +257,10 @@ type Options struct {
 }
 
 // Syncer is the round engine that drives expected→running convergence
-// over one stripe range. All crash-critical
-// per-job bookkeeping (failure streaks, backoff deadlines, pending
-// post-commit follow-ups) lives in the Job Store, not on the Syncer —
-// a replacement Syncer over the same store resumes seamlessly.
+// over one stripe range. All crash-critical per-job bookkeeping (failure
+// streaks, backoff deadlines, a pending post-commit resume) lives in the
+// Job Store, not on the Syncer — a replacement Syncer over the same store
+// resumes seamlessly.
 type Syncer struct {
 	store *jobstore.Store
 	act   Actuator
@@ -322,10 +299,7 @@ type Syncer struct {
 // hand any of these slices to planJob/executePlan workers, but nothing
 // outside the syncer ever sees them; scratch never flows out.
 type roundScratch struct {
-	diverged     []string // DivergedRangeInto destination
-	syncNames    []string // SyncStateNamesRangeInto destination
-	union        []string // unionSortedInto destination
-	candidates   []string // this round's candidates; aliases diverged or union
+	candidates   []string // this round's candidates: DivergedRangeInto's destination
 	now          time.Time
 	results      []planned
 	differs      []config.Differ // per-result-slot diff scratch, reused across rounds
@@ -372,7 +346,7 @@ func NewStriped(store *jobstore.Store, act Actuator, clock simclock.Clock, opts 
 	// every round would allocate in the steady state.
 	s.planFn = func(i int) {
 		sc := &s.scratch
-		sc.results[i] = s.planJob(sc.candidates[i], sc.now, &sc.differs[i])
+		sc.results[i] = s.planJob(sc.candidates[i], sc.now, &sc.differs[i], false)
 	}
 	s.simpleFn = func(i int) {
 		sc := &s.scratch
@@ -476,14 +450,12 @@ func (s *Syncer) buildPlan(job string, merged config.Doc, version int64, dd *con
 			},
 		},
 	}
-	resume, _ := s.followUpAction(job, followUpResume)
-	after := []Action{resume}
 	rollback := []Action{{
 		Name: "roll back: resume job in its previous configuration",
 		Run:  func() error { return s.act.ResumeJob(job) },
 	}}
 	return Plan{Job: job, Kind: PlanComplex, Changes: changes, Actions: actions,
-		commitDoc: merged, commitVersion: version, after: after, rollback: rollback}
+		commitDoc: merged, commitVersion: version, resume: true, rollback: rollback}
 }
 
 func intAt(d config.Doc, path string) int {
@@ -504,10 +476,10 @@ func intAt(d config.Doc, path string) int {
 }
 
 // executePlan runs a plan's actions in order and commits on full success.
-// Plans with post-commit follow-ups write their follow-up keys into the
-// store BEFORE committing (write-ahead intent): a syncer that crashes
-// after the commit but before the follow-ups leaves a durable record its
-// successor replays. Every step is guarded on the killed flag so a
+// A plan with a post-commit resume records it in the store BEFORE
+// committing (write-ahead intent): a syncer that crashes after the
+// commit but before the resume leaves a durable record its successor
+// replays. Every step is guarded on the killed flag so a
 // simulated crash stops the plan exactly where a dead process would.
 func (s *Syncer) executePlan(p Plan) error {
 	for _, a := range p.Actions {
@@ -527,14 +499,14 @@ func (s *Syncer) executePlan(p Plan) error {
 	if s.dead() {
 		return errKilled
 	}
-	if len(p.after) > 0 {
+	if p.resume {
 		// Write-ahead intent: if the syncer dies right after the commit
-		// lands, the restored syncer finds these keys and finishes the
-		// follow-ups instead of leaving the job quiesced forever. If it
-		// dies right BEFORE the commit, replaying "resume" un-quiesces
-		// the job in its previous configuration — the rollback — and the
-		// job, still diverged, is re-planned.
-		s.setFollowUps(p.Job, followUpKeys(p.after))
+		// lands, the restored syncer finds the record and resumes the job
+		// instead of leaving it quiesced forever. If it dies right BEFORE
+		// the commit, replaying "resume" un-quiesces the job in its
+		// previous configuration — the rollback — and the job, still
+		// diverged, is re-planned.
+		s.setResumePending(p.Job, true)
 	}
 	if p.commitDoc != nil {
 		// The shared commit: merged came from MergedExpectedShared and is
@@ -543,60 +515,40 @@ func (s *Syncer) executePlan(p Plan) error {
 			if s.dead() {
 				return errKilled
 			}
-			s.setFollowUps(p.Job, nil)
+			s.setResumePending(p.Job, false)
 			for _, rb := range p.rollback {
 				_ = rb.Run()
 			}
 			return fmt.Errorf("%s: commit: %w", p.Job, err)
 		}
 	}
-	for i, a := range p.after {
+	if p.resume {
 		if s.dead() {
 			return errKilled
 		}
-		if err := a.Run(); err != nil {
-			remaining := p.after[i:]
-			s.setFollowUps(p.Job, followUpKeys(remaining))
-			return &afterError{
-				job:       p.Job,
-				remaining: remaining,
-				err:       fmt.Errorf("%s: post-commit action %q: %w", p.Job, a.Name, err),
-			}
+		// A failed resume stays recorded for a later round's replay.
+		if err := s.act.ResumeJob(p.Job); err != nil {
+			return fmt.Errorf("%s: post-commit action %q: %w", p.Job, "resume job (start new tasks)", err)
 		}
-	}
-	if len(p.after) > 0 {
-		s.setFollowUps(p.Job, nil)
+		s.setResumePending(p.Job, false)
 	}
 	return nil
 }
 
-// setFollowUps persists (or, with no keys, clears) the job's pending
-// post-commit follow-up record. Suppressed after Kill, like every other
-// store write from a dead syncer.
-func (s *Syncer) setFollowUps(job string, keys []string) {
+// setResumePending records (or clears) the job's pending post-commit
+// resume. Suppressed after Kill, like every other store write from a
+// dead syncer.
+func (s *Syncer) setResumePending(job string, pending bool) {
 	if s.dead() {
 		return
 	}
 	s.store.UpdateSyncState(job, func(ss *jobstore.SyncState) {
-		if len(keys) == 0 {
-			ss.FollowUps = nil
-			return
+		ss.FollowUps = nil
+		if pending {
+			ss.FollowUps = []string{followUpResume}
 		}
-		ss.FollowUps = append([]string(nil), keys...)
 	})
 }
-
-// afterError marks a plan whose commit landed but whose post-commit
-// follow-ups failed; the remaining actions must be retried until they
-// succeed even though the job now looks converged.
-type afterError struct {
-	job       string
-	remaining []Action
-	err       error
-}
-
-func (e *afterError) Error() string { return e.err.Error() }
-func (e *afterError) Unwrap() error { return e.err }
 
 // RoundResult summarizes one synchronization round.
 type RoundResult struct {
@@ -617,19 +569,29 @@ type planned struct {
 	// backedOff marks a mid-streak candidate whose backoff deadline has
 	// not passed: skipped entirely this round.
 	backedOff bool
+	// resume marks a candidate with a pending post-commit resume: the
+	// round's merge replays it, then plans the job.
+	resume bool
 }
 
 // planJob classifies one candidate job and builds its plan if divergent.
 // Pure reads plus the content-equal inline commit — safe to run on many
 // jobs concurrently over the striped store. The prologue reads the job's
-// whole classification state (versions, quarantine, backoff) in a single
-// locked pass. It is the only classifier: a job outside the diverged set
-// has its running entry realize its expected version, which this answers
-// with PlanNoop outside backoff.
-func (s *Syncer) planJob(job string, now time.Time, dd *config.Differ) planned {
+// whole classification state (versions, quarantine, backoff, a pending
+// resume) in a single locked pass. It is the only classifier: a job
+// outside the diverged set has its running entry realize its expected
+// version and no sync record, which this answers with PlanNoop. A
+// pending resume that passes the backoff and quarantine gates is
+// reported for replay instead of planned, unless replayed says the
+// round's merge already replayed it this round.
+func (s *Syncer) planJob(job string, now time.Time, dd *config.Differ, replayed bool) planned {
 	v := s.store.PlanViewOf(job)
 	if v.FailureStreak > 0 && now.Before(v.NextRetryAt) {
 		return planned{plan: Plan{Job: job, Kind: PlanNoop}, backedOff: true}
+	}
+	if v.Resume && !v.Quarantined && !replayed {
+		// Quarantine parks the resume until an oncall clears it.
+		return planned{plan: Plan{Job: job, Kind: PlanNoop}, resume: true}
 	}
 	if !v.HasExpected {
 		// Deleted job: tear down if tasks may still run. Quarantine does
@@ -655,15 +617,15 @@ func (s *Syncer) planJob(job string, now time.Time, dd *config.Differ) planned {
 	return planned{plan: s.buildPlan(job, merged, version, dd), examined: true}
 }
 
-// RunRound performs one synchronization pass: assemble the candidate set
-// (the diverged jobs plus the jobs with durable sync state, in the
-// engine's stripes), build plans on a bounded worker pool, batch-apply
-// the simple commits in parallel, execute complex plans (bounded
-// parallelism), tear down deleted jobs, and update failure/quarantine
-// accounting. All bookkeeping merges in sorted job order, so results are
-// deterministic regardless of worker interleaving.
-// Every buffer the round needs lives in the per-syncer scratch, so a
-// converged steady-state round performs no allocation.
+// RunRound performs one synchronization pass: read the candidates (the
+// diverged set over the engine's stripes), build plans on a bounded
+// worker pool, replay pending resumes, batch-apply the simple commits in
+// parallel, execute complex plans (bounded parallelism), tear down
+// deleted jobs, and update failure/quarantine accounting. All
+// bookkeeping merges in sorted job order, so results are deterministic
+// regardless of worker interleaving. Every buffer the round needs lives
+// in the per-syncer scratch, so a converged steady-state round performs
+// no allocation.
 func (s *Syncer) RunRound() RoundResult {
 	start := time.Now() // wall time: measures real sync cost, not sim time
 	var res RoundResult
@@ -675,19 +637,11 @@ func (s *Syncer) RunRound() RoundResult {
 	sc := &s.scratch
 	sc.now = s.clock.Now()
 
-	// Retry post-commit follow-ups left over from earlier rounds (or from
-	// a crashed predecessor) first: these jobs are converged by version
-	// but still held (e.g. quiesced).
-	s.retryFollowUps(sc.now, &res)
-
-	// Candidate assembly: the store's diverged set over this engine's
-	// stripes, plus every job with durable sync state in range (mid-streak
-	// or holding follow-ups). Any other job is converged and would get
+	// The candidates: the store's diverged set over this engine's stripes.
+	// Any other job is converged with no sync record and would get
 	// PlanNoop, so leaving it out changes no outcome.
-	sc.diverged = s.store.DivergedRangeInto(s.stripeLo, s.stripeHi, sc.diverged[:0])
-	sc.syncNames = s.store.SyncStateNamesRangeInto(s.stripeLo, s.stripeHi, sc.syncNames[:0])
-	candidates := unionSortedInto(&sc.union, sc.diverged, sc.syncNames)
-	sc.candidates = candidates
+	sc.candidates = s.store.DivergedRangeInto(s.stripeLo, s.stripeHi, sc.candidates[:0])
+	candidates := sc.candidates
 
 	// Build plans in parallel. Workers write disjoint slots, and the
 	// merge below walks them in sorted-job order.
@@ -715,6 +669,17 @@ func (s *Syncer) RunRound() RoundResult {
 	for i := range sc.results {
 		r := &sc.results[i]
 		job := candidates[i]
+		if r.resume {
+			// A pending resume — left by a failed post-commit step or a
+			// crashed predecessor — replays before any plan executes, and
+			// the job is planned as the replay left it (a new backoff or a
+			// quarantine holds its plan back this round).
+			s.replayResume(job, &res)
+			if s.dead() {
+				return res
+			}
+			*r = s.planJob(job, sc.now, &sc.differs[i], true)
+		}
 		if r.examined {
 			examined++
 		}
@@ -731,6 +696,11 @@ func (s *Syncer) RunRound() RoundResult {
 		case PlanNoop:
 			if r.plan.commitErr != nil {
 				s.handlePlanError(job, r.plan.commitErr, &res)
+			} else if r.examined && !s.dead() {
+				// Converged by the content-equal inline commit (a change
+				// reverted before it synced): that resolves any streak
+				// its failed syncs left, with no counter moved.
+				s.store.ResolveFailureStreak(job)
 			}
 		case PlanSimple:
 			sc.simple = append(sc.simple, r.plan)
@@ -812,7 +782,7 @@ func (s *Syncer) RunRound() RoundResult {
 	}
 	s.mu.Lock()
 	s.stats.Rounds++
-	s.stats.SweepJobs += len(sc.diverged)
+	s.stats.SweepJobs += len(candidates)
 	s.stats.SimpleSyncs += res.Simple
 	s.stats.ComplexSyncs += res.Complex
 	s.mu.Unlock()
@@ -821,94 +791,25 @@ func (s *Syncer) RunRound() RoundResult {
 	return res
 }
 
-// retryFollowUps replays pending post-commit follow-up actions recorded
-// in the store — both this syncer's and those inherited from a crashed
-// predecessor — scoped to this syncer's stripe range. Quarantined jobs
-// keep their follow-ups parked until an oncall clears the quarantine;
-// mid-streak jobs wait out their backoff.
-func (s *Syncer) retryFollowUps(now time.Time, res *RoundResult) {
-	sc := &s.scratch
-	sc.syncNames = s.store.SyncStateNamesRangeInto(s.stripeLo, s.stripeHi, sc.syncNames[:0])
-	for _, job := range sc.syncNames {
-		if s.dead() {
-			return
-		}
-		ss, ok := s.store.SyncStateOf(job)
-		if !ok || len(ss.FollowUps) == 0 {
-			continue
-		}
-		if _, quarantined := s.store.Quarantined(job); quarantined {
-			continue
-		}
-		if ss.FailureStreak > 0 && now.Before(ss.NextRetryAt) {
-			continue
-		}
-		done := 0
-		var err error
-		for _, key := range ss.FollowUps {
-			a, known := s.followUpAction(job, key)
-			if !known {
-				done++ // unknown key from a newer snapshot: drop it
-				continue
-			}
-			if err = a.Run(); err != nil {
-				break
-			}
-			done++
-		}
-		if s.dead() {
-			return
-		}
-		if err == nil {
-			// Follow-ups complete: the job is fully converged, so its
-			// failure streak is resolved along with the record.
-			s.store.ClearSyncState(job)
-		} else {
-			s.setFollowUps(job, ss.FollowUps[done:])
-			s.recordFailure(job, err, res)
-		}
+// replayResume replays the job's pending post-commit resume — this
+// syncer's or a crashed predecessor's. planJob's gates already held back
+// a job in backoff or quarantine. Success clears the job's whole sync
+// record, resolving its failure streak; a failure keeps the record and
+// counts against the streak. Keys other than "resume" are ignored.
+func (s *Syncer) replayResume(job string, res *RoundResult) {
+	ss, _ := s.store.SyncStateOf(job)
+	var err error
+	if !s.dead() && slices.Contains(ss.FollowUps, followUpResume) {
+		err = s.act.ResumeJob(job)
 	}
-}
-
-// unionSortedInto merges two sorted, duplicate-free name slices. When b
-// is a subset of a — the converged steady state, where nothing is
-// diverged and no job has sync state, so both are empty — it returns a itself
-// without touching dst. Otherwise it merges into dst's backing array
-// (grown as needed and retained as round scratch) and returns it.
-func unionSortedInto(dst *[]string, a, b []string) []string {
-	i, subset := 0, true
-	for _, x := range b {
-		for i < len(a) && a[i] < x {
-			i++
-		}
-		if i >= len(a) || a[i] != x {
-			subset = false
-			break
-		}
+	if s.dead() {
+		return
 	}
-	if subset {
-		return a
+	if err != nil {
+		s.recordFailure(job, err, res)
+		return
 	}
-	out := (*dst)[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	*dst = out
-	return out
+	s.store.ClearSyncState(job)
 }
 
 // forEach runs fn(i) for every i in [0, n) on up to par workers.
@@ -932,9 +833,9 @@ func (s *Syncer) forEach(n, par, minParallel int, fn func(int)) {
 	s.wp.Run(n, par, fn)
 }
 
-// handlePlanError routes a plan failure. Post-commit (afterError)
-// failures already persisted their remaining follow-ups durably inside
-// executePlan; a killed plan did no work and records nothing.
+// handlePlanError routes a plan failure. A failed post-commit resume is
+// already durably pending from executePlan's write-ahead record; a killed
+// plan did no work and records nothing.
 func (s *Syncer) handlePlanError(job string, err error, res *RoundResult) {
 	if errors.Is(err, errKilled) {
 		return
@@ -984,8 +885,8 @@ func (s *Syncer) recordFailure(job string, err error, res *RoundResult) {
 	res.Failed = append(res.Failed, job)
 	if quarantine {
 		// The streak is resolved by the quarantine itself (mirroring the
-		// old in-memory map deletion); pending follow-ups stay parked so
-		// clearing the quarantine can finish them rather than leak them.
+		// old in-memory map deletion); a pending resume stays parked so
+		// clearing the quarantine can finish it rather than leak it.
 		s.store.UpdateSyncState(job, func(ss *jobstore.SyncState) {
 			ss.FailureStreak = 0
 			ss.NextRetryAt = time.Time{}

@@ -220,6 +220,48 @@ func TestFailedComplexSyncAbortsAndRetries(t *testing.T) {
 	}
 }
 
+// TestRevertedChangeResolvesFailureStreak: a change that failed once and
+// is then reverted converges through the content-equal inline commit. That
+// resolves the job's failure streak — with no sync counted — so the job
+// leaves the candidate set and its next real failure counts as the first.
+func TestRevertedChangeResolvesFailureStreak(t *testing.T) {
+	svc, syncer, act, _ := newWorld(t, Options{})
+	store := svc.Store()
+	svc.Provision(validConfig("j1"))
+	syncer.RunRound()
+	svc.SetTaskCount("j1", config.LayerScaler, 20)
+	act.failStops["j1"] = 1
+	if res := syncer.RunRound(); len(res.Failed) != 1 || syncer.FailureCount("j1") != 1 {
+		t.Fatalf("failing round = %+v, streak %d", res, syncer.FailureCount("j1"))
+	}
+
+	if err := svc.ClearLayer("j1", config.LayerScaler); err != nil {
+		t.Fatal(err)
+	}
+	before := syncer.Stats()
+	res := syncer.RunRound()
+	if res.Simple+res.Complex+res.Deleted != 0 || len(res.Failed) != 0 {
+		t.Fatalf("revert round = %+v, want no sync", res)
+	}
+	if got := syncer.FailureCount("j1"); got != 0 {
+		t.Fatalf("streak after the revert converged the job = %d, want 0", got)
+	}
+	if left := store.DivergedRangeInto(0, jobstore.NumStripes, nil); len(left) != 0 {
+		t.Fatalf("diverged set after the revert = %v, want empty", left)
+	}
+	after := syncer.Stats()
+	if after.JobsConverged != before.JobsConverged || after.Failures != before.Failures {
+		t.Fatalf("revert moved counters: %+v -> %+v", before, after)
+	}
+
+	svc.SetTaskCount("j1", config.LayerScaler, 30)
+	act.failStops["j1"] = 1
+	syncer.RunRound()
+	if ss, _ := store.SyncStateOf("j1"); ss.FailureStreak != 1 || !ss.NextRetryAt.IsZero() {
+		t.Fatalf("next failure's record = %+v, want a first failure (streak 1, no backoff)", ss)
+	}
+}
+
 func TestRepeatedFailureQuarantinesAndAlerts(t *testing.T) {
 	var alerts []Alert
 	svc, syncer, act, clk := newWorld(t, Options{
