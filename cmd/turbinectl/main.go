@@ -308,8 +308,8 @@ func main() {
 		}
 		if fl != nil {
 			ls := fl.Stats()
-			fmt.Printf("listener: %d conns accepted, %d polls served, %d bad frames\n",
-				ls.Accepted, ls.Served, ls.BadFrames)
+			fmt.Printf("listener: %d conns accepted, %d refused, %d polls served, %d bad frames\n",
+				ls.Accepted, ls.Refused, ls.Served, ls.BadFrames)
 			fl.Close()
 		}
 	case "plan":

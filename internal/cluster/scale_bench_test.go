@@ -90,9 +90,11 @@ func BenchmarkScaleSimHour(b *testing.B) {
 		b.Fatal(err)
 	}
 	spec := &engine.TaskSpec{
-		Job: "probe", TaskCount: 1, Threads: 2, Operator: config.OpAggregate,
-		InputCategory: "probe_in", Partitions: engine.AssignPartitions(partitions, 1, 0),
-		Resources: config.Resources{CPUCores: 2, MemoryBytes: 8 << 30},
+		JobSpec: &engine.JobSpec{
+			Job: "probe", TaskCount: 1, Threads: 2, Operator: config.OpAggregate,
+			InputCategory: "probe_in", Resources: config.Resources{CPUCores: 2, MemoryBytes: 8 << 30},
+		},
+		Partitions: engine.AssignPartitions(partitions, 1, 0),
 	}
 	probe := engine.NewTask(spec, engine.DefaultProfile(config.OpAggregate), c.Bus, c.Ckpt)
 	if err := probe.Start(); err != nil {

@@ -182,12 +182,16 @@ func FuzzAdvanceMatchesPerPartitionDrain(f *testing.F) {
 		}
 		top := parts[n-1] + 1 // partition numbers 0..top-1 are compared
 
+		index := rng.Intn(8) // draw order: index, then resources
 		spec := &TaskSpec{
-			Job: "j", Index: rng.Intn(8), TaskCount: 8, Threads: 1 + int(threads%8),
-			Operator: config.OpTransform, InputCategory: "in", OutputCategory: "out",
-			Partitions:  parts,
-			Resources:   config.Resources{CPUCores: float64(rng.Intn(5)), MemoryBytes: int64(rng.Intn(3)) << 28},
-			Enforcement: config.EnforceCgroup,
+			JobSpec: &JobSpec{
+				Job: "j", TaskCount: 8, Threads: 1 + int(threads%8),
+				Operator: config.OpTransform, InputCategory: "in", OutputCategory: "out",
+				Resources:   config.Resources{CPUCores: float64(rng.Intn(5)), MemoryBytes: int64(rng.Intn(3)) << 28},
+				Enforcement: config.EnforceCgroup,
+			},
+			Index:      index,
+			Partitions: parts,
 		}
 		if stateful {
 			spec.Operator = config.OpAggregate

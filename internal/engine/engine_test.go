@@ -18,17 +18,19 @@ import (
 
 func testSpec(job string, index, of, partitions int) *TaskSpec {
 	return &TaskSpec{
-		Job:            job,
-		Index:          index,
-		TaskCount:      of,
-		PackageName:    "tailer",
-		PackageVersion: "v1",
-		Threads:        2,
-		Operator:       config.OpTailer,
-		InputCategory:  job + "_in",
-		Partitions:     AssignPartitions(partitions, of, index),
-		Resources:      config.Resources{CPUCores: 2, MemoryBytes: 2 << 30},
-		Enforcement:    config.EnforceCgroup,
+		JobSpec: &JobSpec{
+			Job:            job,
+			TaskCount:      of,
+			PackageName:    "tailer",
+			PackageVersion: "v1",
+			Threads:        2,
+			Operator:       config.OpTailer,
+			InputCategory:  job + "_in",
+			Resources:      config.Resources{CPUCores: 2, MemoryBytes: 2 << 30},
+			Enforcement:    config.EnforceCgroup,
+		},
+		Index:      index,
+		Partitions: AssignPartitions(partitions, of, index),
 	}
 }
 
@@ -52,14 +54,18 @@ func TestTaskID(t *testing.T) {
 }
 
 // TestEqualCoversEveryField flips each field of a TaskSpec in turn, by
-// reflection and down through nested structs, and requires Equal to
-// notice: a field added to the spec (or to config.Resources) without
-// extending Equal fails here.
+// reflection and down through nested structs and the JobSpec template,
+// and requires Equal to notice: a field added to the spec, the template
+// (or config.Resources) without extending Equal fails here. Each flip
+// lands on a private copy of the template, so it can never reach base
+// through a shared pointer.
 func TestEqualCoversEveryField(t *testing.T) {
 	base := testSpec("j1", 1, 2, 8)
 	base.OutputCategory, base.CheckpointDir, base.Priority = "out", "/ckpt/j1/1", 3
 	clone := func() *TaskSpec {
 		c := *base
+		tmpl := *base.JobSpec
+		c.JobSpec = &tmpl
 		c.Partitions = slices.Clone(base.Partitions)
 		return &c
 	}
@@ -68,7 +74,7 @@ func TestEqualCoversEveryField(t *testing.T) {
 	}
 	typ := reflect.TypeOf(*base)
 	for _, path := range leafFields(typ, nil) {
-		name := typ.FieldByIndex(path).Name
+		name := fieldName(typ, path)
 		flipped := clone()
 		v := reflect.ValueOf(flipped).Elem().FieldByIndex(path)
 		switch {
@@ -95,21 +101,48 @@ func TestEqualCoversEveryField(t *testing.T) {
 	if !none.Equal(empty) {
 		t.Error("nil and empty Partitions differ")
 	}
+	// Distinct but equal templates are the same job; one template does
+	// not make two tasks the same.
+	if other := clone(); other.JobSpec == base.JobSpec || !base.Equal(other) || !other.Equal(base) {
+		t.Error("specs with distinct but equal templates are not Equal")
+	}
+	sibling := *base
+	sibling.Index++
+	if base.Equal(&sibling) || sibling.Equal(base) {
+		t.Error("specs sharing one template are Equal across task indexes")
+	}
 }
 
 // leafFields lists the index paths of every non-struct field of t,
-// descending into struct-typed fields.
+// descending into struct-typed fields and embedded struct pointers.
 func leafFields(t reflect.Type, prefix []int) [][]int {
 	var out [][]int
 	for i := 0; i < t.NumField(); i++ {
 		path := append(slices.Clone(prefix), i)
-		if ft := t.Field(i).Type; ft.Kind() == reflect.Struct {
+		ft := t.Field(i).Type
+		if t.Field(i).Anonymous && ft.Kind() == reflect.Pointer {
+			ft = ft.Elem()
+		}
+		if ft.Kind() == reflect.Struct {
 			out = append(out, leafFields(ft, path)...)
 		} else {
 			out = append(out, path)
 		}
 	}
 	return out
+}
+
+// fieldName spells a leafFields path as a selector chain.
+func fieldName(t reflect.Type, path []int) string {
+	names := make([]string, len(path))
+	for i, k := range path {
+		if t.Kind() == reflect.Pointer {
+			t = t.Elem()
+		}
+		names[i] = t.Field(k).Name
+		t = t.Field(k).Type
+	}
+	return strings.Join(names, ".")
 }
 
 // FuzzSpecEqualMatchesJSON pins value identity to the content hash it
@@ -152,11 +185,14 @@ func FuzzSpecEqualMatchesJSON(f *testing.F) {
 		}
 		build := func(version string, cpu float64, partitions int) TaskSpec {
 			spec := TaskSpec{
-				Job: job, Index: index, TaskCount: threads, PackageName: pkg, PackageVersion: version,
-				Threads: threads, Operator: config.Operator(pkg), InputCategory: job + "_in",
-				OutputCategory: out, CheckpointDir: dir, Priority: priority,
-				Resources:   config.Resources{CPUCores: cpu, MemoryBytes: mem, DiskBytes: int64(priority), NetworkBps: mem >> 3},
-				Enforcement: config.MemoryEnforcement(version),
+				JobSpec: &JobSpec{
+					Job: job, TaskCount: threads, PackageName: pkg, PackageVersion: version,
+					Threads: threads, Operator: config.Operator(pkg), InputCategory: job + "_in",
+					OutputCategory: out, Priority: priority,
+					Resources:   config.Resources{CPUCores: cpu, MemoryBytes: mem, DiskBytes: int64(priority), NetworkBps: mem >> 3},
+					Enforcement: config.MemoryEnforcement(version),
+				},
+				Index: index, CheckpointDir: dir,
 			}
 			// partitions < 0: nil slice; 0: empty; else a range.
 			if partitions >= 0 {
@@ -194,6 +230,11 @@ func FuzzSpecEqualMatchesJSON(f *testing.F) {
 			b.CheckpointDir += "x"
 		case 11:
 			b.Priority++
+		}
+		// The specs of one group build share their template: let half the
+		// pairs whose templates are equal take Equal's pointer path.
+		if flip >= 128 && *a.JobSpec == *b.JobSpec {
+			b.JobSpec = a.JobSpec
 		}
 		got := a.Equal(&b)
 		if got != b.Equal(&a) {
@@ -447,8 +488,8 @@ func TestSecondInstanceCannotStart(t *testing.T) {
 	// botched shard move) must not start — and must take nothing: not the
 	// free partitions 0 and 1 it lists ahead of the conflict either.
 	t2dup := NewTask(&TaskSpec{
-		Job: "j", Index: 99, TaskCount: 1, Threads: 1,
-		Operator: config.OpTailer, InputCategory: "j_in",
+		JobSpec:    &JobSpec{Job: "j", TaskCount: 1, Threads: 1, Operator: config.OpTailer, InputCategory: "j_in"},
+		Index:      99,
 		Partitions: []int{0, 1, 2, 3},
 	}, prof, bus, ckpt)
 	if err := t2dup.Start(); err == nil {
@@ -682,10 +723,12 @@ func TestDrainConservationProperty(t *testing.T) {
 		var consumed int64
 		for i := 0; i < tasks; i++ {
 			spec := &TaskSpec{
-				Job: "j", Index: i, TaskCount: tasks, Threads: 8,
-				Operator: config.OpTailer, InputCategory: "c",
+				JobSpec: &JobSpec{
+					Job: "j", TaskCount: tasks, Threads: 8, Operator: config.OpTailer, InputCategory: "c",
+					Resources: config.Resources{CPUCores: 8, MemoryBytes: 64 << 30},
+				},
+				Index:      i,
 				Partitions: AssignPartitions(parts, tasks, i),
-				Resources:  config.Resources{CPUCores: 8, MemoryBytes: 64 << 30},
 			}
 			task := NewTask(spec, prof, bus, ckpt)
 			if err := task.Start(); err != nil {

@@ -6,9 +6,11 @@
 // state and checkpoints, and writes to an output category. This package
 // provides:
 //
-//   - TaskSpec: everything needed to run one task (the Task Service
-//     generates these from job configurations, §IV), compared by value
-//     (Equal) to decide whether a running task must restart;
+//   - JobSpec and TaskSpec: everything needed to run one task (the Task
+//     Service generates these from job configurations, §IV) — a JobSpec
+//     template the tasks of one job share, and per task its index,
+//     partitions and checkpoint directory — compared by value (Equal) to
+//     decide whether a running task must restart;
 //   - Task: a simulated task runtime driven by Advance(dt), with a
 //     calibrated processing-rate and memory model, OOM behaviour, and
 //     checkpoint persistence — per interval one snapshot of its
@@ -38,26 +40,39 @@ import (
 	"repro/internal/config"
 )
 
-// TaskSpec includes all configuration necessary to run a task, such as
-// package version, arguments, and number of threads (paper §IV). Specs are
-// value objects, compared with Equal. A spec published in a Task Service
-// snapshot is immutable and shared by pointer — between index versions and
-// with every task started from it — so consumers copy before changing one.
-type TaskSpec struct {
+// JobSpec is the part of a task spec every task of one job shares: the
+// template the Task Service fills in once per job (paper §IV) and every
+// TaskSpec of the job points at. Like the specs that point at it, a
+// published template is immutable.
+type JobSpec struct {
 	Job            string                   `json:"job"`
-	Index          int                      `json:"index"` // 0-based within job
 	TaskCount      int                      `json:"taskCount"`
 	PackageName    string                   `json:"packageName"`
 	PackageVersion string                   `json:"packageVersion"`
 	Threads        int                      `json:"threads"`
 	Operator       config.Operator          `json:"operator"`
 	InputCategory  string                   `json:"inputCategory"`
-	Partitions     []int                    `json:"partitions"` // owned input partitions
 	OutputCategory string                   `json:"outputCategory,omitempty"`
 	Resources      config.Resources         `json:"resources"`
 	Enforcement    config.MemoryEnforcement `json:"enforcement,omitempty"`
-	CheckpointDir  string                   `json:"checkpointDir,omitempty"`
 	Priority       int                      `json:"priority,omitempty"`
+}
+
+// TaskSpec includes all configuration necessary to run a task, such as
+// package version, arguments, and number of threads (paper §IV): its
+// job's shared template plus the three fields that differ per task.
+// Embedding the template pointer keeps every job-level field a selector
+// of the spec (spec.PackageVersion) and in its JSON form. Specs are value
+// objects, compared with Equal. A spec published in a Task Service
+// snapshot is immutable and shared by pointer — between index versions
+// and with every task started from it — and so is its template: a value
+// copy of a spec still shares the template, so a consumer that changes a
+// job-level field copies the JobSpec too.
+type TaskSpec struct {
+	*JobSpec
+	Index         int    `json:"index"`      // 0-based within job
+	Partitions    []int  `json:"partitions"` // owned input partitions
+	CheckpointDir string `json:"checkpointDir,omitempty"`
 }
 
 // ID returns the stable task identity "job#index". Identity survives spec
@@ -83,27 +98,19 @@ func JobOfTaskID(id string) string {
 // it is what decides that a running task keeps going across a snapshot
 // refresh rather than restarting. Specs the index carried over from its
 // previous version are the same object, so most calls return on the
-// pointer. Nil and empty Partitions are equal, strings compare as bytes,
-// and a NaN resource would equal nothing, itself included —
-// config.JobConfig.Validate keeps non-finite resources out of the system.
+// pointer, and the tasks of one group build share one template, so most
+// of the rest compare it by pointer too. Nil and empty Partitions are
+// equal, strings compare as bytes, and a NaN resource would equal
+// nothing, itself included — config.JobConfig.Validate keeps non-finite
+// resources out of the system.
 func (s *TaskSpec) Equal(o *TaskSpec) bool {
 	if s == o {
 		return true
 	}
-	return s.Job == o.Job &&
-		s.Index == o.Index &&
-		s.TaskCount == o.TaskCount &&
-		s.PackageName == o.PackageName &&
-		s.PackageVersion == o.PackageVersion &&
-		s.Threads == o.Threads &&
-		s.Operator == o.Operator &&
-		s.InputCategory == o.InputCategory &&
-		slices.Equal(s.Partitions, o.Partitions) &&
-		s.OutputCategory == o.OutputCategory &&
-		s.Resources == o.Resources &&
-		s.Enforcement == o.Enforcement &&
+	return s.Index == o.Index &&
 		s.CheckpointDir == o.CheckpointDir &&
-		s.Priority == o.Priority
+		slices.Equal(s.Partitions, o.Partitions) &&
+		(s.JobSpec == o.JobSpec || *s.JobSpec == *o.JobSpec)
 }
 
 // AssignPartitions splits partition indices [0,total) into taskCount

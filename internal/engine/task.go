@@ -88,8 +88,10 @@ func NewTask(spec *TaskSpec, profile *Profile, bus *scribe.Bus, ckpt *Checkpoint
 // Instance returns the unique identity of this task instance.
 func (t *Task) Instance() string { return t.instance }
 
-// Spec returns the spec the task was started from.
-func (t *Task) Spec() TaskSpec { return *t.spec }
+// Spec returns the spec the task was started from. It is the publisher's
+// own spec, shared and read-only; a value copy of it would still share
+// its JobSpec template.
+func (t *Task) Spec() *TaskSpec { return t.spec }
 
 // Start acquires the ownership lease for every owned partition, restores
 // checkpointed offsets, and begins processing. If any lease is held by

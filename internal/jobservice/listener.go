@@ -20,6 +20,9 @@
 //   - Per-connection reply and request buffers are reused across polls,
 //     so a converged subscriber costs the server no steady-state
 //     allocation beyond the conn's goroutine.
+//   - At most maxConns connections are live at once; an accept beyond
+//     that is closed on the spot, before it costs a goroutine or a
+//     buffer, and counted as refused.
 package jobservice
 
 import (
@@ -44,6 +47,11 @@ type ListenerOptions struct {
 	WriteTimeout time.Duration
 }
 
+// maxConns bounds a FeedListener's live connections. A deployment holds
+// one per remote Task Service; a peer that opens connections without end
+// must not get a goroutine and its buffers for each.
+const maxConns = 256
+
 // maxRequestBody bounds an accepted request frame's body: a feed request
 // is a byte of flags, two varints, and two short strings. Anything
 // larger is hostile.
@@ -65,6 +73,9 @@ type ListenerStats struct {
 	// BadFrames counts connections dropped for a malformed, oversized,
 	// or wrong-kind request frame.
 	BadFrames int64
+	// Refused counts connections closed on accept because maxConns were
+	// live.
+	Refused int64
 }
 
 // FeedListener serves a SpecFeedServer over a net.Listener. Each
@@ -75,7 +86,7 @@ type FeedListener struct {
 	lis  net.Listener
 	opts ListenerOptions
 
-	accepted, served, badFrames atomic.Int64
+	accepted, served, badFrames, refused atomic.Int64
 
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -109,6 +120,7 @@ func (l *FeedListener) Stats() ListenerStats {
 		Accepted:  l.accepted.Load(),
 		Served:    l.served.Load(),
 		BadFrames: l.badFrames.Load(),
+		Refused:   l.refused.Load(),
 	}
 }
 
@@ -143,6 +155,12 @@ func (l *FeedListener) acceptLoop() {
 			l.mu.Unlock()
 			conn.Close()
 			return
+		}
+		if len(l.conns) >= maxConns {
+			l.mu.Unlock()
+			conn.Close()
+			l.refused.Add(1)
+			continue
 		}
 		l.conns[conn] = struct{}{}
 		l.accepted.Add(1)

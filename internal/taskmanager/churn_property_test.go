@@ -251,7 +251,7 @@ func (h *churnHarness) view(tm *Manager) map[string]taskView {
 				h.t.Fatalf("%s shard %d slot %d: task %s (running=%v) under entry %s of shard %d",
 					tm.id, s, i, spec.ID(), task.Running(), is.ID, is.Shard)
 			}
-			content := fingerprint(h.t, &spec)
+			content := fingerprint(h.t, spec)
 			if want := fingerprint(h.t, is.Spec); content != want {
 				h.t.Fatalf("%s: %s runs spec %s, its bucket entry says %s", tm.id, is.ID, content, want)
 			}
@@ -404,7 +404,11 @@ func (h *churnHarness) recordPublished(b []taskservice.IndexedSpec) {
 	}
 	p := &publishedBucket{bucket: b, entries: slices.Clone(b), specs: make([]engine.TaskSpec, len(b))}
 	for i, is := range b {
+		// A deep copy: the value copy alone would share the template, and a
+		// write through it would show on both sides of the comparison.
+		tmpl := *is.Spec.JobSpec
 		p.specs[i] = *is.Spec
+		p.specs[i].JobSpec = &tmpl
 		p.specs[i].Partitions = slices.Clone(is.Spec.Partitions)
 	}
 	h.published[&b[0]] = p

@@ -106,7 +106,8 @@ type ShardManagerClient interface {
 
 // ProfileFunc resolves the true engine profile for a task's job; the
 // cluster harness supplies it (the binary's behaviour travels with the
-// job, not with Turbine).
+// job, not with Turbine). spec is a copy of the index's spec, so it still
+// shares the index's read-only JobSpec.
 type ProfileFunc func(spec engine.TaskSpec) *engine.Profile
 
 // Options tune a Task Manager. Zero values take the paper's defaults.

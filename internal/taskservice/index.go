@@ -37,8 +37,10 @@ import (
 
 // IndexedSpec is one task spec with its derived scheduling state
 // precomputed: stable identity and shard. The Spec pointer targets the
-// index's internal storage — callers must treat it as read-only and copy
-// the value (`spec := *is.Spec`) before any mutation.
+// index's internal storage, and so does the JobSpec template it points
+// at — callers must treat both as read-only. A value copy (`spec :=
+// *is.Spec`) isolates the per-task fields only; a caller that changes a
+// job-level field copies the template as well (Specs does both).
 // The same holds for a bucket of them (ShardSpecs): a consumer may retain
 // the slice across index versions and compare it with SameBucket, and may
 // never write through it.
@@ -78,23 +80,38 @@ func JobRun(bucket []IndexedSpec, job string) (lo, hi int) {
 }
 
 // groupShard is one job's contribution to one shard's bucket: the
-// job's specs that hash onto that shard, in task-index order.
+// job's specs that hash onto that shard, in task-index order. They are
+// the window of the group's indexed array that ends at end and starts
+// where the previous groupShard's ends (jobGroup.window).
 type groupShard struct {
 	shard shardmanager.ShardID
-	specs []IndexedSpec
+	end   int
 }
 
 // jobGroup is the generated spec set of one job, cached between snapshot
 // regenerations. A group is immutable once built; rev records the Job
-// Store running-entry revision it was built from, and shards holds the
-// group's per-shard sub-buckets (sorted by shard) ready to be spliced into
-// the published index.
+// Store running-entry revision it was built from. spec is the template
+// every one of specs points at, so one allocation holds the job-level
+// fields of all its tasks. indexed holds the tasks in (shard, task
+// index) order, and shards windows it: the group's per-shard sub-buckets
+// (sorted by shard), ready to be spliced into the published index.
 type jobGroup struct {
 	job     string
 	rev     int64
-	specs   []engine.TaskSpec
-	indexed []IndexedSpec // Spec pointers target specs above
-	shards  []groupShard  // sorted by shard
+	spec    engine.JobSpec
+	specs   []engine.TaskSpec // by task index
+	indexed []IndexedSpec     // by (shard, task index); Spec pointers target specs
+	shards  []groupShard      // windows of indexed, sorted by shard
+}
+
+// window returns the specs of g.shards[k]: a capped window of g.indexed,
+// so an append through it can never reach the next shard's entries.
+func (g *jobGroup) window(k int) []IndexedSpec {
+	lo, hi := 0, g.shards[k].end
+	if k > 0 {
+		lo = g.shards[k-1].end
+	}
+	return g.indexed[lo:hi:hi]
 }
 
 // sameSpecs reports whether g and o hold equal specs in the same order —
@@ -105,33 +122,33 @@ func (g *jobGroup) sameSpecs(o *jobGroup) bool {
 	return slices.EqualFunc(g.indexed, o.indexed, func(a, b IndexedSpec) bool { return a.Spec.Equal(b.Spec) })
 }
 
-// buildGroupShards buckets a group's indexed specs by shard, each bucket
-// in task-index order, buckets sorted by shard: one copy of indexed,
-// sorted by (shard, task index), with every bucket a capped window of
-// that one array.
-func buildGroupShards(indexed []IndexedSpec) []groupShard {
-	if len(indexed) == 0 {
-		return nil
-	}
-	byShard := slices.Clone(indexed)
-	slices.SortFunc(byShard, func(a, b IndexedSpec) int {
+// sortByShard puts a group's indexed specs in (shard, task index) order.
+func sortByShard(indexed []IndexedSpec) {
+	slices.SortFunc(indexed, func(a, b IndexedSpec) int {
 		if c := cmp.Compare(a.Shard, b.Shard); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Spec.Index, b.Spec.Index)
 	})
+}
+
+// buildGroupShards lists the shards of a group's indexed specs, already
+// in (shard, task index) order, each with the end of its window: the only
+// allocation is the list.
+func buildGroupShards(indexed []IndexedSpec) []groupShard {
+	if len(indexed) == 0 {
+		return nil
+	}
 	n := 1
-	for i := 1; i < len(byShard); i++ {
-		if byShard[i].Shard != byShard[i-1].Shard {
+	for i := 1; i < len(indexed); i++ {
+		if indexed[i].Shard != indexed[i-1].Shard {
 			n++
 		}
 	}
 	shards := make([]groupShard, 0, n)
-	lo := 0
-	for hi := 1; hi <= len(byShard); hi++ {
-		if hi == len(byShard) || byShard[hi].Shard != byShard[lo].Shard {
-			shards = append(shards, groupShard{shard: byShard[lo].Shard, specs: byShard[lo:hi:hi]})
-			lo = hi
+	for hi := 1; hi <= len(indexed); hi++ {
+		if hi == len(indexed) || indexed[hi].Shard != indexed[hi-1].Shard {
+			shards = append(shards, groupShard{shard: indexed[hi-1].Shard, end: hi})
 		}
 	}
 	return shards
@@ -220,10 +237,11 @@ func (idx *SnapshotIndex) JobShards(dst []shardmanager.ShardID, job string) []sh
 	return dst
 }
 
-// Each calls fn for every spec in the snapshot, in job order, without
-// copying anything. The Task Manager reads buckets, never the whole
-// snapshot; this is for audits that need every spec once (the frozen
-// benchmark harness is the one caller outside tests).
+// Each calls fn for every spec in the snapshot, in job order and within
+// a job in (shard, task index) order, without copying anything. The Task
+// Manager reads buckets, never the whole snapshot; this is for audits
+// that need every spec once (the frozen benchmark harness is the one
+// caller outside tests).
 func (idx *SnapshotIndex) Each(fn func(IndexedSpec)) {
 	for _, g := range idx.groups {
 		for _, is := range g.indexed {
@@ -232,14 +250,19 @@ func (idx *SnapshotIndex) Each(fn func(IndexedSpec)) {
 	}
 }
 
-// Specs returns a defensive deep copy of every task spec, in job order.
-// Callers own the result; mutating it cannot corrupt the index or any
-// other caller's view. Hot-path consumers should use ShardSpecs instead.
+// Specs returns a defensive deep copy of every task spec, in job order,
+// then task index: one cloned JobSpec per job, which the copies of its
+// tasks share. Callers own the result; mutating it cannot corrupt the
+// index or any other caller's view. Hot-path consumers should use
+// ShardSpecs instead.
 func (idx *SnapshotIndex) Specs() []engine.TaskSpec {
 	out := make([]engine.TaskSpec, 0, idx.total)
 	for _, g := range idx.groups {
+		tmpl := new(engine.JobSpec)
+		*tmpl = g.spec
 		for i := range g.specs {
 			spec := g.specs[i]
+			spec.JobSpec = tmpl
 			spec.Partitions = append([]int(nil), spec.Partitions...)
 			out = append(out, spec)
 		}
@@ -314,10 +337,10 @@ func (d *indexDraft) applyGroup(job string, oldG, newG *jobGroup) {
 			e.shard = os[i].shard
 			i++
 		case i >= len(os) || ns[j].shard < os[i].shard:
-			e.shard, e.repl = ns[j].shard, ns[j].specs
+			e.shard, e.repl = ns[j].shard, newG.window(j)
 			j++
 		default:
-			e.shard, e.repl = ns[j].shard, ns[j].specs
+			e.shard, e.repl = ns[j].shard, newG.window(j)
 			i++
 			j++
 		}

@@ -3,6 +3,8 @@ package taskservice
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -167,15 +169,146 @@ func TestIncrementalRegenerationRebuildsOnlyChangedJobs(t *testing.T) {
 	}
 }
 
-// TestSpecStructSizes pins the two per-task objects of an index: every
-// published spec and every bucket entry of every version pays for a field
-// added to them (a memoised hash string was 16 B on each).
+// TestSpecStructSizes pins the per-task objects of an index, and the
+// per-job template: every published spec and every bucket entry of every
+// version pays for a field added to them (a memoised hash string was 16 B
+// on each), and a job-level field belongs in the JobSpec, paid once per
+// job.
 func TestSpecStructSizes(t *testing.T) {
-	if got := unsafe.Sizeof(engine.TaskSpec{}); got > 216 {
-		t.Errorf("engine.TaskSpec is %d B, ceiling 216", got)
+	if got := unsafe.Sizeof(engine.TaskSpec{}); got > 56 {
+		t.Errorf("engine.TaskSpec is %d B, ceiling 56", got)
+	}
+	if got := unsafe.Sizeof(engine.JobSpec{}); got > 168 {
+		t.Errorf("engine.JobSpec is %d B, ceiling 168", got)
 	}
 	if got := unsafe.Sizeof(IndexedSpec{}); got > 32 {
 		t.Errorf("IndexedSpec is %d B, ceiling 32", got)
+	}
+}
+
+// indexBytesPerTaskCeiling bounds the live heap a Service's index holds
+// per task: 251 B measured on linux/amd64 for 8-task jobs over 4 096
+// shards (one JobSpec and shard list per job; per task a 56 B spec, its
+// group and bucket entries, ID and checkpoint directory), plus 7 %. A
+// full TaskSpec per task cost 443 B by the same measure.
+const indexBytesPerTaskCeiling = 270
+
+// TestIndexBytesPerTask builds a Service's first index over a fleet and
+// holds the live heap it adds to the ceiling per task.
+func TestIndexBytesPerTask(t *testing.T) {
+	const jobs, tasksPerJob, numShards = 4000, 8, 4096
+	store := jobstore.New()
+	for i := 0; i < jobs; i++ {
+		commitJob(t, store, fmt.Sprintf("jobs/j%05d", i), tasksPerJob, 1)
+	}
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := liveHeap()
+	svc := New(store, simclock.NewSim(epoch), 90*time.Second, numShards)
+	idx := svc.Index()
+	held := int64(liveHeap() - base)
+	perTask := float64(held) / (jobs * tasksPerJob)
+	t.Logf("index of %d tasks: %d B, %.0f B/task", idx.Len(), held, perTask)
+	if idx.Len() != jobs*tasksPerJob {
+		t.Fatalf("index holds %d tasks, want %d", idx.Len(), jobs*tasksPerJob)
+	}
+	if perTask > indexBytesPerTaskCeiling {
+		t.Fatalf("the index holds %.0f B of live heap per task, ceiling %d", perTask, indexBytesPerTaskCeiling)
+	}
+	runtime.KeepAlive(svc)
+}
+
+// TestRebuildKeepsFreshGroupShape drives seeded releases, resource
+// changes and task-count changes through one long-lived Service, whose
+// count-preserving rebuilds copy the old group's IDs, shards and order
+// instead of hashing and sorting. After every step each group must be
+// shaped exactly as a fresh Service over the same store builds it: the
+// same (ID, shard, task index) sequence, the same shard windows over
+// that one array, and every entry pointing at its own group's spec,
+// whose template is the group's.
+func TestRebuildKeepsFreshGroupShape(t *testing.T) {
+	const numShards = 64
+	store := jobstore.New()
+	clk := simclock.NewSim(epoch)
+	rng := rand.New(rand.NewSource(7))
+	cfgs := make([]*config.JobConfig, 24)
+	rev := int64(0)
+	commit := func(cfg *config.JobConfig) {
+		doc, err := cfg.ToDoc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rev++
+		if err := store.CommitRunning(cfg.Name, doc, rev); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range cfgs {
+		cfgs[i] = jobCfg(fmt.Sprintf("job%02d", i), 1+rng.Intn(12))
+		commit(cfgs[i])
+	}
+	svc := New(store, clk, 90*time.Second, numShards)
+	svc.Index()
+	for step := 0; step < 60; step++ {
+		for k := 0; k < 1+rng.Intn(6); k++ {
+			cfg := cfgs[rng.Intn(len(cfgs))]
+			switch rng.Intn(3) {
+			case 0:
+				cfg.Package.Version = "v" + strconv.Itoa(step)
+			case 1:
+				cfg.TaskResources.MemoryBytes += 1 << 20
+			default:
+				cfg.TaskCount = 1 + rng.Intn(12)
+			}
+			commit(cfg)
+		}
+		svc.Invalidate()
+		svc.Index()
+		fresh := New(store, clk, 90*time.Second, numShards)
+		fresh.Index()
+		if len(svc.groups) != len(fresh.groups) {
+			t.Fatalf("step %d: %d groups, fresh %d", step, len(svc.groups), len(fresh.groups))
+		}
+		for name, want := range fresh.groups {
+			assertGroupShape(t, svc.groups[name], want)
+		}
+	}
+}
+
+// assertGroupShape checks g against a freshly built group of the same
+// job; see TestRebuildKeepsFreshGroupShape.
+func assertGroupShape(t *testing.T, g, want *jobGroup) {
+	t.Helper()
+	if g == nil || len(g.indexed) != len(want.indexed) || len(g.shards) != len(want.shards) {
+		t.Fatalf("%s: group shape differs from a fresh build", want.job)
+	}
+	if g.spec != want.spec {
+		t.Fatalf("%s: template %+v, fresh %+v", want.job, g.spec, want.spec)
+	}
+	for i, is := range g.indexed {
+		w := want.indexed[i]
+		if is.ID != w.ID || is.Shard != w.Shard || is.Spec.Index != w.Spec.Index {
+			t.Fatalf("%s entry %d: (%s, %d, %d), fresh (%s, %d, %d)",
+				want.job, i, is.ID, is.Shard, is.Spec.Index, w.ID, w.Shard, w.Spec.Index)
+		}
+		if is.Spec != &g.specs[is.Spec.Index] || is.Spec.JobSpec != &g.spec || !is.Spec.Equal(w.Spec) {
+			t.Fatalf("%s entry %d (%s) does not point at its own group's spec and template", want.job, i, is.ID)
+		}
+	}
+	for k, gs := range g.shards {
+		if w := want.shards[k]; gs != w {
+			t.Fatalf("%s: window %d is shard %d up to entry %d, fresh shard %d up to entry %d", want.job, k, gs.shard, gs.end, w.shard, w.end)
+		}
+		for _, is := range g.window(k) {
+			if is.Shard != gs.shard {
+				t.Fatalf("%s: window %d of shard %d holds %s of shard %d", want.job, k, gs.shard, is.ID, is.Shard)
+			}
+		}
 	}
 }
 

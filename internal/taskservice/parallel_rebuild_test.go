@@ -49,7 +49,7 @@ func TestPartitionWindowMatchesAssignPartitions(t *testing.T) {
 // caller appending through one task's partition slice must not clobber a
 // neighbour's range in the shared arena.
 func TestPartitionWindowsAreWriteIsolated(t *testing.T) {
-	specs := SpecsForJob(jobCfg("iso", 4))
+	specs := SpecsForJob(jobCfg("iso", 4), new(engine.JobSpec))
 	grown := append(specs[0].Partitions, 999)
 	_ = grown
 	for i, s := range specs {

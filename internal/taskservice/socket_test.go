@@ -429,3 +429,49 @@ func TestListenerRejectsHostileFrames(t *testing.T) {
 		t.Fatalf("listener stats %+v: want 3 bad frames", st)
 	}
 }
+
+// TestListenerBoundsConnections: a peer that opens connections without
+// end gets the listener's 256 and no more — every accept beyond them is
+// closed on the spot and counted as refused — and once they are gone a
+// real subscriber dials in and syncs.
+func TestListenerBoundsConnections(t *testing.T) {
+	const limit, extra = 256, 8 // limit: the listener's connection cap
+	h := newSocketHarness(t, 8)
+	h.commit(t, "jobs/a", 4, 1)
+	addr := h.lis.Addr().String()
+	conns := make([]net.Conn, 0, limit+extra)
+	defer func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+	for i := 0; i < limit+extra; i++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, c)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for st := h.lis.Stats(); st.Accepted+st.Refused < limit+extra && time.Now().Before(deadline); st = h.lis.Stats() {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := h.lis.Stats(); st.Accepted != limit || st.Refused != extra {
+		t.Fatalf("listener stats %+v: want %d accepted, %d refused", st, limit, extra)
+	}
+	for _, c := range conns {
+		c.Close()
+	}
+	conns = conns[:0]
+
+	// The server drops the closed connections as their reads end; until
+	// it has, a dial may still be refused, and the client backs off.
+	for err := h.remote.Sync(0); err != nil; err = h.remote.Sync(0) {
+		if time.Now().After(deadline) {
+			t.Fatalf("no sync after the flood ended: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+		h.clk.RunFor(5 * time.Minute) // past any redial backoff
+	}
+	h.mustConverge(t)
+}

@@ -42,13 +42,13 @@ func scratchIndex(store *jobstore.Store, numShards int, quiesced map[string]bool
 		}
 		idx.groups = append(idx.groups, g)
 		idx.total += len(g.indexed)
-		for _, gs := range g.shards {
+		for k, gs := range g.shards {
 			ci := int(gs.shard) >> chunkShift
 			if idx.chunks[ci] == nil {
 				idx.chunks[ci] = &shardChunk{}
 			}
 			b := &idx.chunks[ci].buckets[int(gs.shard)&(chunkWidth-1)]
-			*b = append(*b, gs.specs...)
+			*b = append(*b, g.window(k)...)
 		}
 	}
 	return idx

@@ -478,38 +478,38 @@ func (s *Service) rebuildGroups() (shards int) {
 }
 
 // buildGroup generates one job's spec group: expand the running config
-// into specs and precompute each task's identity, shard, and per-shard
-// sub-buckets. Jobs whose running document is not a JobConfig or that
-// are administratively stopped produce an empty group.
+// into specs over the group's own template and precompute each task's
+// identity, shard, and per-shard sub-buckets. Jobs whose running document
+// is not a JobConfig or that are administratively stopped produce an
+// empty group.
 //
 // A task's identity and shard depend only on the job's name and the task
 // index, so a rebuild that keeps the task count (a package release, a
-// resource change) takes both from the cached group it replaces rather
-// than formatting and MD5-ing them again. Pool workers call buildGroup
-// concurrently; they only read s.groups, which rebuildGroups writes after
-// the pool has drained.
+// resource change) takes the cached group's indexed sequence — IDs,
+// shards and (shard, task index) order — and repoints each entry at the
+// new spec of its index: no formatting, no MD5, no sort. Pool workers
+// call buildGroup concurrently; they only read s.groups, which
+// rebuildGroups writes after the pool has drained.
 func (s *Service) buildGroup(job string, rev int64) *jobGroup {
 	g := &jobGroup{job: job, rev: rev}
 	cfg := s.table.runningConfig(job)
 	if cfg == nil || cfg.Stopped || cfg.TaskCount <= 0 {
 		return g
 	}
-	g.specs = SpecsForJob(cfg)
+	g.specs = SpecsForJob(cfg, &g.spec)
 	g.indexed = make([]IndexedSpec, len(g.specs))
-	var prev []IndexedSpec
 	if old := s.groups[job]; old != nil && len(old.indexed) == len(g.specs) {
-		prev = old.indexed
-	}
-	for i := range g.specs {
-		spec := &g.specs[i]
-		is := IndexedSpec{Spec: spec}
-		if prev != nil {
-			is.ID, is.Shard = prev[i].ID, prev[i].Shard
-		} else {
-			is.ID = spec.ID()
-			is.Shard = shardmanager.ShardOf(is.ID, s.numShards)
+		for i, is := range old.indexed {
+			is.Spec = &g.specs[is.Spec.Index]
+			g.indexed[i] = is
 		}
-		g.indexed[i] = is
+	} else {
+		for i := range g.specs {
+			spec := &g.specs[i]
+			id := spec.ID()
+			g.indexed[i] = IndexedSpec{ID: id, Shard: shardmanager.ShardOf(id, s.numShards), Spec: spec}
+		}
+		sortByShard(g.indexed)
 	}
 	g.shards = buildGroupShards(g.indexed)
 	return g
@@ -540,8 +540,23 @@ func (s *Service) Generations() int {
 
 // SpecsForJob expands one job configuration into its task specs: one spec
 // per parallelism slot, with contiguous disjoint partition ranges and
-// template substitutions applied.
-func SpecsForJob(cfg *config.JobConfig) []engine.TaskSpec {
+// template substitutions applied. It sets *tmpl to the job's template and
+// points every spec at it, so the caller decides where the one copy of
+// the job-level fields lives.
+func SpecsForJob(cfg *config.JobConfig, tmpl *engine.JobSpec) []engine.TaskSpec {
+	*tmpl = engine.JobSpec{
+		Job:            cfg.Name,
+		TaskCount:      cfg.TaskCount,
+		PackageName:    cfg.Package.Name,
+		PackageVersion: cfg.Package.Version,
+		Threads:        cfg.ThreadsPerTask,
+		Operator:       cfg.Operator,
+		InputCategory:  cfg.Input.Category,
+		OutputCategory: cfg.Output.Category,
+		Resources:      cfg.TaskResources,
+		Enforcement:    cfg.Enforcement,
+		Priority:       cfg.Priority,
+	}
 	specs := make([]engine.TaskSpec, 0, cfg.TaskCount)
 	// One shared partition arena per job: AssignPartitions hands out
 	// contiguous disjoint ranges of [0,total), so every spec's partition
@@ -561,20 +576,10 @@ func SpecsForJob(cfg *config.JobConfig) []engine.TaskSpec {
 	dir := parseTemplate(cfg.CheckpointDir, cfg.Name)
 	for i := 0; i < cfg.TaskCount; i++ {
 		specs = append(specs, engine.TaskSpec{
-			Job:            cfg.Name,
-			Index:          i,
-			TaskCount:      cfg.TaskCount,
-			PackageName:    cfg.Package.Name,
-			PackageVersion: cfg.Package.Version,
-			Threads:        cfg.ThreadsPerTask,
-			Operator:       cfg.Operator,
-			InputCategory:  cfg.Input.Category,
-			Partitions:     partitionWindow(arena, total, cfg.TaskCount, i),
-			OutputCategory: cfg.Output.Category,
-			Resources:      cfg.TaskResources,
-			Enforcement:    cfg.Enforcement,
-			CheckpointDir:  dir.expand(i),
-			Priority:       cfg.Priority,
+			JobSpec:       tmpl,
+			Index:         i,
+			Partitions:    partitionWindow(arena, total, cfg.TaskCount, i),
+			CheckpointDir: dir.expand(i),
 		})
 	}
 	return specs

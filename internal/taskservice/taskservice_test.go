@@ -74,7 +74,7 @@ func TestTemplateSubstitution(t *testing.T) {
 	// Substitution is one pass over the template: what $JOB expands to is
 	// text. A job named "a$TASK" checkpoints under its own name — not under
 	// "a0", "a1", which are other jobs' directories.
-	for i, s := range SpecsForJob(jobCfg("a$TASK", 2)) {
+	for i, s := range SpecsForJob(jobCfg("a$TASK", 2), new(engine.JobSpec)) {
 		if want := "/ckpt/a$TASK/" + strconv.Itoa(i); s.CheckpointDir != want {
 			t.Fatalf("CheckpointDir = %q, want %q", s.CheckpointDir, want)
 		}
@@ -169,7 +169,7 @@ func TestSpecsForJobResourcePropagation(t *testing.T) {
 	cfg.TaskResources = config.Resources{CPUCores: 2.5, MemoryBytes: 3 << 30}
 	cfg.Enforcement = config.EnforceCgroup
 	cfg.Priority = 7
-	for _, s := range SpecsForJob(cfg) {
+	for _, s := range SpecsForJob(cfg, new(engine.JobSpec)) {
 		if s.Resources.CPUCores != 2.5 || s.Resources.MemoryBytes != 3<<30 {
 			t.Fatalf("resources = %+v", s.Resources)
 		}
@@ -180,10 +180,10 @@ func TestSpecsForJobResourcePropagation(t *testing.T) {
 }
 
 func TestSpecChangesOnPackageBump(t *testing.T) {
-	a := SpecsForJob(jobCfg("j1", 1))[0]
+	a := SpecsForJob(jobCfg("j1", 1), new(engine.JobSpec))[0]
 	cfg := jobCfg("j1", 1)
 	cfg.Package.Version = "v4"
-	b := SpecsForJob(cfg)[0]
+	b := SpecsForJob(cfg, new(engine.JobSpec))[0]
 	if a.ID() != b.ID() {
 		t.Fatal("task identity changed on package bump")
 	}
