@@ -288,8 +288,8 @@ func main() {
 			if total > 0 {
 				rate = 100 * float64(fs.FrameHits) / float64(total)
 			}
-			fmt.Printf("frame cache: %d hits / %d misses (%.0f%% hit rate); resync redirects: %d; evicted subscribers: %d\n",
-				fs.FrameHits, fs.FrameMisses, rate, fs.Resyncs, fs.Evicted)
+			fmt.Printf("frame cache: %d hits / %d misses (%.0f%% hit rate); resync redirects: %d; evicted subscribers: %d; unregistered polls: %d\n",
+				fs.FrameHits, fs.FrameMisses, rate, fs.Resyncs, fs.Evicted, fs.Unregistered)
 		}
 		if len(dials) > 0 {
 			var d taskservice.DialStats

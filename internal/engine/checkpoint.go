@@ -23,10 +23,11 @@ import (
 // deals out 0..n-1), so a record is a few cache lines and every call is
 // one lock and one map lookup however many partitions it names: a task
 // pays one call to start, one per interval to persist its progress
-// (Checkpoint) and one to stop; the job monitor pays one per job
-// (Consumed). A record grows to the largest partition number it has been
-// asked to hold and reads beyond it see the zero value, so a partition
-// nobody wrote is indistinguishable from one that was never mentioned.
+// (Checkpoint), one to stop and one to restart in place (Handover); the
+// job monitor pays one per job (Consumed). A record grows to the largest
+// partition number it has been asked to hold and reads beyond it see the
+// zero value, so a partition nobody wrote is indistinguishable from one
+// that was never mentioned.
 // Partition numbers are non-negative and instance names non-empty: Start
 // refuses anything else, so nothing a started task later passes can be.
 type CheckpointStore struct {
@@ -149,6 +150,33 @@ func (s *CheckpointStore) Stop(job string, partitions []int, instance string, of
 		r.offsets[p] = offsets[i]
 		r.release(p, instance)
 	}
+}
+
+// Handover restarts one task instance in place under a single lock: it
+// persists offsets (parallel to partitions) and moves the lease of every
+// listed partition from instance from to instance to, taking any that
+// nobody holds. That is what Stop by from and then Start by to would
+// leave, but no lease is free or held twice in between. It is all or
+// nothing: if a third instance holds any of the partitions, Handover
+// changes nothing and returns false, and the caller's Stop and Start
+// record the violation.
+func (s *CheckpointStore) Handover(job string, partitions []int, from, to string, offsets []int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.recordLocked(job, partitions)
+	for _, p := range partitions {
+		if cur := r.owners[p]; cur != "" && cur != from {
+			return false
+		}
+	}
+	for i, p := range partitions {
+		if r.owners[p] == "" {
+			r.live++
+		}
+		r.owners[p] = to
+		r.offsets[p] = offsets[i]
+	}
+	return true
 }
 
 // ForceReleaseTask drops every lease held by taskID in job. Used when a

@@ -700,8 +700,8 @@ func TestMaxRateUncappedCPU(t *testing.T) {
 	spec.Threads = 3
 	spec.Resources.CPUCores = 0 // no cap
 	task := NewTask(spec, DefaultProfile(config.OpTailer), nil, nil)
-	if got, want := task.MaxRate(), float64(3*3<<20); got != want {
-		t.Fatalf("MaxRate = %v, want %v", got, want)
+	if got, want := task.maxRateLocked(), float64(3*3<<20); got != want {
+		t.Fatalf("maxRateLocked = %v, want %v", got, want)
 	}
 }
 

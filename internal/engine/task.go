@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -42,14 +43,18 @@ var instanceSeq atomic.Uint64
 // Task is one simulated stream processing task: the unit Turbine
 // schedules, moves, restarts, and scales. Drive it with Advance.
 type Task struct {
-	spec     *TaskSpec // shared with whoever published it; never written
-	instance string    // unique per Task object: "<job>#<index>@<seq>"
-	profile  *Profile
-	bus      *scribe.Bus
-	ckpt     *CheckpointStore
+	bus  *scribe.Bus
+	ckpt *CheckpointStore
 
-	mu      sync.Mutex
-	running bool
+	mu sync.Mutex
+	// spec, instance and profile are the current incarnation's: NewTask
+	// sets them and Respec replaces all three. spec is shared with whoever
+	// published it and never written; instance, "<job>#<index>@<seq>", is
+	// unique per incarnation and names its leases.
+	spec     *TaskSpec
+	instance string
+	profile  *Profile
+	running  bool
 	// oomBackoff skips processing for one interval after an OOM kill,
 	// modelling the restart cost.
 	oomBackoff bool
@@ -72,26 +77,39 @@ type Task struct {
 // (shared by all tasks of a job); bus and ckpt are the Scribe bus and
 // checkpoint store it reads, writes, and recovers through.
 func NewTask(spec *TaskSpec, profile *Profile, bus *scribe.Bus, ckpt *CheckpointStore) *Task {
-	var name [64]byte // most instance names fit and cost the one string
-	b := append(name[:0], spec.Job...)
-	b = strconv.AppendInt(append(b, '#'), int64(spec.Index), 10)
-	b = strconv.AppendUint(append(b, '@'), instanceSeq.Add(1), 10)
 	return &Task{
 		spec:     spec,
-		instance: string(b),
+		instance: instanceName(spec),
 		profile:  profile,
 		bus:      bus,
 		ckpt:     ckpt,
 	}
 }
 
-// Instance returns the unique identity of this task instance.
-func (t *Task) Instance() string { return t.instance }
+// instanceName returns a fresh instance name for a task of spec.
+func instanceName(spec *TaskSpec) string {
+	var name [64]byte // most instance names fit and cost the one string
+	b := append(name[:0], spec.Job...)
+	b = strconv.AppendInt(append(b, '#'), int64(spec.Index), 10)
+	b = strconv.AppendUint(append(b, '@'), instanceSeq.Add(1), 10)
+	return string(b)
+}
 
-// Spec returns the spec the task was started from. It is the publisher's
-// own spec, shared and read-only; a value copy of it would still share
-// its JobSpec template.
-func (t *Task) Spec() *TaskSpec { return t.spec }
+// Instance returns the unique identity of the task's current incarnation.
+func (t *Task) Instance() string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.instance
+}
+
+// Spec returns the spec the current incarnation was started from. It is
+// the publisher's own spec, shared and read-only; a value copy of it would
+// still share its JobSpec template.
+func (t *Task) Spec() *TaskSpec {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.spec
+}
 
 // Start acquires the ownership lease for every owned partition, restores
 // checkpointed offsets, and begins processing. If any lease is held by
@@ -114,6 +132,32 @@ func (t *Task) Start() error {
 	t.offsets, t.ends = offsets, ends
 	t.running = true
 	return nil
+}
+
+// Respec restarts a running task in place on spec, a spec of the same job
+// over the same partitions, and reports whether it did. It leaves what
+// Stop, then NewTask(spec, profile, …) and Start of the successor would:
+// a new incarnation under a fresh instance name, holding every lease of
+// the old one, resuming from the offsets the old one checkpointed, with
+// no OOM or stats history. One checkpoint-store call persists the offsets
+// and moves the leases, so no lease is free or held twice at any instant;
+// the offsets buffer is kept, since Start would reload exactly those
+// offsets into it. A task that is not running, a spec of another job or
+// other partitions, or a lease a third instance holds leaves the task as
+// it was and returns false: the caller stops and starts instead.
+func (t *Task) Respec(spec *TaskSpec, profile *Profile) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.running || spec.Job != t.spec.Job || !slices.Equal(spec.Partitions, t.spec.Partitions) {
+		return false
+	}
+	instance := instanceName(spec)
+	if !t.ckpt.Handover(spec.Job, spec.Partitions, t.instance, instance, t.offsets) {
+		return false
+	}
+	t.spec, t.instance, t.profile = spec, instance, profile
+	t.last, t.oomBackoff, t.oomCount, t.restarts = Stats{}, false, 0, 0
+	return true
 }
 
 // newOffsetsAndEnds cuts a task's two per-partition arrays out of one
@@ -212,10 +256,10 @@ func lag(ends, offsets []int64) int64 {
 	return total
 }
 
-// MaxRate returns the task's maximum stable processing rate in
+// maxRateLocked returns the task's maximum stable processing rate in
 // bytes/second: P · min(threads, allocated cores). A zero CPU allocation
 // means no cgroup CPU cap.
-func (t *Task) MaxRate() float64 {
+func (t *Task) maxRateLocked() float64 {
 	eff := float64(t.spec.Threads)
 	if t.spec.Resources.CPUCores > 0 && t.spec.Resources.CPUCores < eff {
 		eff = t.spec.Resources.CPUCores
@@ -224,7 +268,7 @@ func (t *Task) MaxRate() float64 {
 }
 
 // Advance processes up to dt of simulated time: it drains owned partitions
-// at up to MaxRate, writes output, checkpoints offsets, updates memory
+// at up to maxRateLocked, writes output, checkpoints offsets, updates memory
 // usage, and OOM-kills itself if the memory limit is exceeded under
 // enforcement. It returns the interval's stats.
 func (t *Task) Advance(dt time.Duration) Stats {
@@ -248,7 +292,7 @@ func (t *Task) Advance(dt time.Duration) Stats {
 	// snapshot of the partitions' end offsets.
 	parts, offsets, ends := t.spec.Partitions, t.offsets, t.ends
 	t.bus.Ends(t.spec.InputCategory, parts, ends)
-	capacity := int64(t.MaxRate() * secs)
+	capacity := int64(t.maxRateLocked() * secs)
 	totalBacklog := lag(ends, offsets)
 	var consumed int64
 	drained := totalBacklog > 0 && capacity > 0

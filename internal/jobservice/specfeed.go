@@ -44,6 +44,10 @@ const (
 	DefaultFeedBatch = 1024
 	// DefaultFeedChunk is the running-entry bound per resync page.
 	DefaultFeedChunk = 512
+	// maxSubscribers bounds the subscriber registry by count, as the TTL
+	// bounds it by age: a poll under a first-seen name that finds the
+	// registry full is served but not registered.
+	maxSubscribers = 4096
 )
 
 // FeedStats are the spec feed's cumulative counters.
@@ -56,6 +60,10 @@ type FeedStats struct {
 	// Evicted counts subscribers dropped from the registry for silence
 	// longer than the eviction TTL (SetSubscriberTTL).
 	Evicted int64
+	// Unregistered counts polls served under a first-seen name that the
+	// full registry could not take, even after an eviction sweep. The
+	// registry is status only, so these polls are served like any other.
+	Unregistered int64
 }
 
 // SubscriberStatus is one subscriber's last observed feed position.
@@ -95,14 +103,15 @@ type SpecFeedServer struct {
 	scratch []jobstore.Change
 	enc     wire.Encoder
 
-	hits, misses, resyncs, evicted atomic.Int64
+	hits, misses, resyncs, evicted, unregistered atomic.Int64
 
 	subMu sync.Mutex
 	subs  map[string]*subscriberState
 	// Eviction policy (SetSubscriberTTL): a subscriber silent for longer
 	// than ttl on clock is dropped from the registry, so a long-lived
-	// server does not grow without bound as remote Task Services churn.
-	// nil clock disables eviction.
+	// server does not grow without bound as remote Task Services churn;
+	// maxSubscribers bounds it whatever the policy. nil clock disables
+	// eviction.
 	evictClock simclock.Clock
 	evictTTL   time.Duration
 	lastSweep  time.Time
@@ -135,10 +144,11 @@ func NewSpecFeed(store *jobstore.Store) *SpecFeedServer {
 // Stats returns the cumulative feed counters.
 func (f *SpecFeedServer) Stats() FeedStats {
 	return FeedStats{
-		FrameHits:   f.hits.Load(),
-		FrameMisses: f.misses.Load(),
-		Resyncs:     f.resyncs.Load(),
-		Evicted:     f.evicted.Load(),
+		FrameHits:    f.hits.Load(),
+		FrameMisses:  f.misses.Load(),
+		Resyncs:      f.resyncs.Load(),
+		Evicted:      f.evicted.Load(),
+		Unregistered: f.unregistered.Load(),
 	}
 }
 
@@ -161,11 +171,11 @@ func (f *SpecFeedServer) SetSubscriberTTL(clock simclock.Clock, ttl time.Duratio
 	f.lastSweep = clock.Now()
 }
 
-// evictLocked sweeps silent subscribers. Caller holds subMu. Sweeps are
-// rate-limited to one per quarter-TTL so the registry scan cost stays
-// amortized even under heavy poll traffic.
-func (f *SpecFeedServer) evictLocked(now time.Time) {
-	if f.evictClock == nil || now.Sub(f.lastSweep) < f.evictTTL/4 {
+// evictLocked sweeps silent subscribers. Caller holds subMu. Unless
+// forced, sweeps are rate-limited to one per quarter-TTL so the registry
+// scan cost stays amortized even under heavy poll traffic.
+func (f *SpecFeedServer) evictLocked(now time.Time, force bool) {
+	if f.evictClock == nil || !force && now.Sub(f.lastSweep) < f.evictTTL/4 {
 		return
 	}
 	f.lastSweep = now
@@ -186,7 +196,7 @@ func (f *SpecFeedServer) Subscribers() []SubscriberStatus {
 	var now time.Time
 	if f.evictClock != nil {
 		now = f.evictClock.Now()
-		f.evictLocked(now)
+		f.evictLocked(now, false)
 	}
 	out := make([]SubscriberStatus, 0, len(f.subs))
 	for name, st := range f.subs {
@@ -347,7 +357,9 @@ func (f *SpecFeedServer) takePooled() *cachedFrame {
 // note updates the subscriber registry. The fast path — a known
 // subscriber — performs a map lookup keyed by the (possibly view)
 // string and mutates in place, no allocation; only a first-seen
-// subscriber clones its name.
+// subscriber clones its name. A first-seen subscriber that finds the
+// registry full forces an eviction sweep, and if that frees nothing it
+// stays unregistered.
 func (f *SpecFeedServer) note(req wire.FeedRequest, redirected, resyncPoll bool) {
 	if req.Subscriber == "" {
 		return
@@ -356,13 +368,20 @@ func (f *SpecFeedServer) note(req wire.FeedRequest, redirected, resyncPoll bool)
 	defer f.subMu.Unlock()
 	st, ok := f.subs[req.Subscriber]
 	if !ok {
+		if len(f.subs) >= maxSubscribers && f.evictClock != nil {
+			f.evictLocked(f.evictClock.Now(), true)
+		}
+		if len(f.subs) >= maxSubscribers {
+			f.unregistered.Add(1)
+			return
+		}
 		st = &subscriberState{}
 		f.subs[strings.Clone(req.Subscriber)] = st
 	}
 	if f.evictClock != nil {
 		now := f.evictClock.Now()
 		st.lastPoll = now
-		f.evictLocked(now)
+		f.evictLocked(now, false)
 	}
 	st.polls++
 	if resyncPoll {

@@ -1,6 +1,7 @@
 package jobservice
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -68,5 +69,53 @@ func TestFeedSubscriberEviction(t *testing.T) {
 	clk.RunFor(24 * time.Hour)
 	if got := len(f.Subscribers()); got != 2 {
 		t.Fatalf("%d subscribers after disarm, want 2", got)
+	}
+}
+
+// TestFeedSubscriberRegistryBounded: however many names poll, the registry
+// holds at most maxSubscribers. A first-seen name that finds it full is
+// still served — the registry is status only — but stays out of it and is
+// counted in Unregistered. A full registry forces an eviction sweep past
+// the quarter-TTL rate limit, so with a TTL armed a silent subscriber
+// makes room for the newcomer.
+func TestFeedSubscriberRegistryBounded(t *testing.T) {
+	store := jobstore.New()
+	f := NewSpecFeed(store)
+	clk := simclock.NewSim(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	f.SetSubscriberTTL(clk, 10*time.Minute)
+	commitN(t, store, 4, 1)
+
+	pollDelta(t, f, wire.FeedRequest{Subscriber: "ghost"})
+	clk.RunFor(9 * time.Minute)
+	pollDelta(t, f, wire.FeedRequest{Subscriber: "ts-0001"}) // sweeps; the ghost is not yet past the TTL
+	clk.RunFor(90 * time.Second)                             // now it is, but the next sweep is not due
+	for i := 2; i < maxSubscribers; i++ {
+		pollDelta(t, f, wire.FeedRequest{Subscriber: fmt.Sprintf("ts-%04d", i)})
+	}
+	if got := len(f.subs); got != maxSubscribers {
+		t.Fatalf("%d subscribers registered, want the full %d", got, maxSubscribers)
+	}
+
+	// The newcomer forces the sweep, which takes the ghost out and lets it in.
+	if d, _ := pollDelta(t, f, wire.FeedRequest{Subscriber: "newcomer"}); d.Count != 4 {
+		t.Fatalf("newcomer served %d changes, want 4", d.Count)
+	}
+	st := f.Stats()
+	if _, in := f.subs["newcomer"]; !in || st.Evicted != 1 || st.Unregistered != 0 {
+		t.Fatalf("newcomer registered %v, Evicted %d, Unregistered %d; want true, 1, 0", in, st.Evicted, st.Unregistered)
+	}
+
+	// Nobody else is silent: the next newcomer is served but not kept,
+	// every time it polls.
+	for poll := 1; poll <= 2; poll++ {
+		if d, _ := pollDelta(t, f, wire.FeedRequest{Subscriber: "late"}); d.Count != 4 {
+			t.Fatalf("late subscriber served %d changes, want 4", d.Count)
+		}
+		if got := f.Stats().Unregistered; got != int64(poll) {
+			t.Fatalf("Unregistered = %d after %d polls, want %d", got, poll, poll)
+		}
+	}
+	if _, in := f.subs["late"]; in || len(f.subs) != maxSubscribers {
+		t.Fatalf("late subscriber registered %v, registry %d; want false, %d", in, len(f.subs), maxSubscribers)
 	}
 }

@@ -18,11 +18,20 @@ import (
 )
 
 // restartAllocCeiling bounds what Refresh may allocate per task it
-// restarts: the engine.Task, its instance name, the spec ID, the lease and
-// offset bookkeeping of Stop and Start. The real cost is ~10 objects; the
-// ceiling leaves headroom while staying far below anything proportional
-// to the tasks a manager merely keeps running.
-const restartAllocCeiling = 24
+// restarts. A package bump keeps every task's partitions, so each restart
+// is in place (engine.Task.Respec): the new instance name, plus whatever
+// the profile hook allocates — one object in this fixture. At most 2.5 per
+// restart was measured; the ceiling leaves one object of headroom and
+// stays far below anything proportional to the tasks a manager merely
+// keeps running.
+const restartAllocCeiling = 3
+
+// bracketNoise is what the process was seen to add to one touched
+// manager's MemStats bracket beyond Refresh's own allocations: up to 6
+// objects, in about one refresh in 5 000. An untouched manager's Refresh
+// can be repeated until the bracket is clean; a touched one's cannot, so
+// its ceiling carries this allowance.
+const bracketNoise = 6
 
 // BenchmarkManagerRefresh measures one fleet-wide refresh cycle after a
 // one-job package bump: 16 managers x (1k jobs x 8 tasks), at most 8 of
@@ -217,7 +226,8 @@ func newBenchFleet(b *testing.B, jobs, tasksPer, containers, numShards int) *ben
 // via runtime.MemStats deltas bracketed around each Refresh, the two
 // allocation ceilings that make the Task Manager O(changed): a manager
 // none of whose buckets the version bump touched allocates nothing, and
-// one with k touched buckets allocates one task slice per bucket plus a
+// one with k touched buckets allocates at most one object per bucket (the
+// manager's spare slot array may have to grow to the bucket) plus a
 // bounded amount per restarted task.
 func benchRefreshCycle(b *testing.B, jobs, tasksPer, containers, numShards int) {
 	f := newBenchFleet(b, jobs, tasksPer, containers, numShards)
@@ -269,7 +279,7 @@ func benchRefreshCycle(b *testing.B, jobs, tasksPer, containers, numShards int) 
 			if touched[k] == 0 && spent != 0 {
 				b.Fatalf("%s: refresh after a bump that touched none of its buckets allocated %d objects, want 0", tm.ID(), spent)
 			}
-			if ceiling := uint64(touched[k] + restarts[k]*restartAllocCeiling); spent > ceiling {
+			if ceiling := uint64(touched[k] + restarts[k]*restartAllocCeiling + bracketNoise); spent > ceiling {
 				b.Fatalf("%s: refresh over %d touched buckets (%d restarts) allocated %d objects, ceiling %d",
 					tm.ID(), touched[k], restarts[k], spent, ceiling)
 			}

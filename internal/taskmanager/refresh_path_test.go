@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -153,6 +154,134 @@ func TestRefreshRestartsOnAnyFieldChange(t *testing.T) {
 	}
 	if w.ckpt.Violations() != 0 {
 		t.Fatalf("violations: %d", w.ckpt.Violations())
+	}
+}
+
+// runningTasks maps every running task of the world to the engine.Task in
+// its slot.
+func (w *world) runningTasks() map[string]*engine.Task {
+	out := make(map[string]*engine.Task)
+	for _, tm := range w.tms {
+		tm.mu.Lock()
+		for _, sh := range tm.shards {
+			for i, task := range sh.tasks {
+				if task != nil {
+					out[sh.bucket[i].ID] = task
+				}
+			}
+		}
+		tm.mu.Unlock()
+	}
+	return out
+}
+
+// TestSpecChangeRestartsInPlace: a package bump keeps every task's
+// partitions, so each of the job's tasks restarts in place — its slot
+// keeps the same engine.Task, now running the new spec under a new
+// instance that holds every lease the old one held, and resuming from the
+// offsets it had reached (the checkpointed ones). A parallelism change
+// moves partitions, so it still stops every task and starts new ones.
+func TestSpecChangeRestartsInPlace(t *testing.T) {
+	w := newWorld(t, 3)
+	w.addJob(t, "j1", 4, 8)
+	w.addJob(t, "j2", 4, 8)
+	w.refreshAll()
+	w.bus.AppendEven("j1_in", 256<<20, 1000)
+	for _, tm := range w.tms {
+		tm.Advance(5 * time.Second) // drains part of the input: offsets and backlog both nonzero
+	}
+	// checkpointed checks that task's partitions are leased to its current
+	// instance and returns its backlog at the checkpointed offsets.
+	checkpointed := func(task *engine.Task) (backlog int64) {
+		t.Helper()
+		spec := task.Spec()
+		for _, p := range spec.Partitions {
+			if owner, _ := w.ckpt.Owner(spec.Job, p); owner != task.Instance() {
+				t.Fatalf("partition %d of %s leased to %q, task runs as %s", p, spec.Job, owner, task.Instance())
+			}
+			written, _, err := w.bus.Written(spec.InputCategory, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			backlog += written - w.ckpt.Offset(spec.Job, p)
+		}
+		return backlog
+	}
+	statsSum := func() (s Stats) {
+		for _, tm := range w.tms {
+			st := tm.Stats()
+			s.Started += st.Started
+			s.Stopped += st.Stopped
+			s.Restarted += st.Restarted
+			s.StartErrors += st.StartErrors
+		}
+		return s
+	}
+	tasks, instances, backlogs := w.runningTasks(), w.instances(), map[string]int64{}
+	for id, task := range tasks {
+		backlogs[id] = task.Backlog()
+		if engine.JobOfTaskID(id) == "j1" && (backlogs[id] == 0 || backlogs[id] != checkpointed(task)) {
+			t.Fatalf("%s: backlog %d, %d at its checkpoint; want equal and nonzero", id, backlogs[id], checkpointed(task))
+		}
+	}
+	stats := statsSum()
+
+	w.recommit(t, "j1", 2, func(c *config.JobConfig) { c.Package.Version = "v2" })
+	w.refreshAll()
+	after := w.runningTasks()
+	if len(after) != 8 {
+		t.Fatalf("%d tasks run after the bump, want 8", len(after))
+	}
+	for id, task := range after {
+		if task != tasks[id] {
+			t.Fatalf("%s: slot holds a new engine.Task; a package bump restarts in place", id)
+		}
+		if engine.JobOfTaskID(id) == "j2" {
+			if task.Instance() != instances[id] {
+				t.Fatalf("%s: j2 did not change, but its task restarted", id)
+			}
+			continue
+		}
+		if inst := task.Instance(); inst == instances[id] || !strings.HasPrefix(inst, id+"@") {
+			t.Fatalf("%s: instance %s -> %s, want a new %s@<seq>", id, instances[id], inst, id)
+		}
+		if v := task.Spec().PackageVersion; v != "v2" {
+			t.Fatalf("%s runs package %s, want v2", id, v)
+		}
+		if got := task.Backlog(); got != backlogs[id] || got != checkpointed(task) {
+			t.Fatalf("%s: backlog %d after the restart, %d at its checkpoint, %d before; want all equal", id, got, checkpointed(task), backlogs[id])
+		}
+	}
+	got := statsSum()
+	if d := (Stats{Started: got.Started - stats.Started, Stopped: got.Stopped - stats.Stopped,
+		Restarted: got.Restarted - stats.Restarted, StartErrors: got.StartErrors - stats.StartErrors}); d != (Stats{Started: 4, Restarted: 4}) {
+		t.Fatalf("the bump counted %+v, want 4 restarts that are also 4 starts", d)
+	}
+	if w.ckpt.LiveOwners("j1") != 8 || w.ckpt.Violations() != 0 {
+		t.Fatalf("j1: %d live leases, %d violations; want 8, 0", w.ckpt.LiveOwners("j1"), w.ckpt.Violations())
+	}
+
+	// Four tasks over eight partitions become two: every survivor's
+	// partitions change, so each is stopped and a new task started. (One
+	// manager runs them all: across managers, a repartition without the
+	// State Syncer's StopJob fan-out is a lease conflict by design.)
+	w = newWorld(t, 1)
+	w.addJob(t, "j1", 4, 8)
+	w.refreshAll()
+	tasks = w.runningTasks()
+	w.recommit(t, "j1", 2, func(c *config.JobConfig) { c.TaskCount = 2 })
+	w.refreshAll()
+	after = w.runningTasks()
+	for id, task := range after {
+		if task == tasks[id] {
+			t.Fatalf("%s kept its engine.Task across a change of its partitions", id)
+		}
+	}
+	if st := w.tms[0].Stats(); len(after) != 2 || st.Restarted != 2 || st.Stopped != 2 || st.Started != 4+2 {
+		t.Fatalf("%d tasks run after 4 -> 2, counted %+v; want 2 running, 2 restarted, 2 stopped, 6 started", len(after), st)
+	}
+	if w.ckpt.LiveOwners("j1") != 8 || w.ckpt.Violations() != 0 {
+		t.Fatalf("j1: %d live leases, %d violations; want 8, 0", w.ckpt.LiveOwners("j1"), w.ckpt.Violations())
 	}
 }
 

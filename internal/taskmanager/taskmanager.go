@@ -20,7 +20,12 @@
 // keeps running while the spec published for it is Equal to the one it
 // was started from (specs are compared, never hashed; the index shares
 // the specs of unchanged jobs, so that is mostly a pointer comparison)
-// and is restarted when it is not.
+// and is restarted when it is not. A restart whose new spec still names
+// the task's partitions — a package release, a resource change — happens
+// in place: the running engine.Task takes the new spec and hands its
+// leases to a fresh instance name in one checkpoint-store call
+// (engine.Task.Respec). Only a task whose partitions moved is stopped and
+// started anew.
 //
 // Beside the table the manager retains one pointer: the index of its last
 // Refresh that passed the gates. That Refresh moved every owned shard
@@ -181,7 +186,7 @@ func ValidateFailoverTiming(connectionTimeout, failoverInterval time.Duration) e
 // ownedShard is everything the manager knows about one shard it owns.
 // bucket is the index's own published slice the shard was last reconciled
 // against — retained, never written — and tasks runs parallel to it:
-// tasks[i] is the live task started from bucket[i].Spec, nil where none
+// tasks[i] is the live task running bucket[i].Spec, nil where none
 // runs. ID and job are read from the bucket, stats from the task.
 //
 // Invariant: while pending is false every entry of tasks is non-nil.
@@ -199,9 +204,9 @@ type ownedShard struct {
 
 // Stats are cumulative Task Manager counters.
 type Stats struct {
-	Started     int
+	Started     int // in-place restarts included
 	Stopped     int
-	Restarted   int // spec changes
+	Restarted   int // spec changes, whether restarted in place or stopped and started
 	StartErrors int // lease conflicts etc.
 	Reboots     int // proactive self-reboots
 	OOMKills    int
@@ -233,6 +238,7 @@ type Manager struct {
 	// it publishes.
 	retained    *taskservice.SnapshotIndex
 	scratch     []shardmanager.ShardID // reused shard list: Refresh's unclean shards, a job's shards
+	spare       []*engine.Task         // all nil: the slot array rebaseLocked fills next
 	connected   bool
 	unreachable bool // last heartbeat timed out (partition-shaped), or the container died and has not heartbeat since
 	lastContact time.Time
@@ -413,11 +419,13 @@ func (m *Manager) Shards() []shardmanager.ShardID {
 // that did not change is recognised by its spec pointer.
 //
 // Reconciliation is two-phase over all visited shards: every task whose
-// spec vanished or changed is stopped before any task is started. A
-// partition a new spec claims may be held by a task this same pass stops
-// in a later shard (a repartitioned job spans shards); releasing first
-// means the start finds the lease free instead of failing and waiting a
-// whole fetch interval for its retry.
+// spec vanished or whose partitions changed is stopped before any task is
+// started. A partition a new spec claims may be held by a task this same
+// pass stops in a later shard (a repartitioned job spans shards);
+// releasing first means the start finds the lease free instead of failing
+// and waiting a whole fetch interval for its retry. A changed task that
+// keeps its partitions is restarted in place in phase 1: its leases pass
+// straight to its new instance, and no other spec of its job claims them.
 func (m *Manager) Refresh() {
 	if !m.container.Alive() {
 		return
@@ -484,20 +492,28 @@ func (m *Manager) Refresh() {
 // rebaseLocked is reconcile phase 1 for one shard: move the record onto
 // the bucket the current index publishes, carrying over every task whose
 // spec is still there, equal, and stopping the rest. Both buckets are in
-// (job, task index) order, so one merge walk pairs them.
+// (job, task index) order, so one merge walk pairs them. A task whose
+// spec changed but still names its partitions is restarted in place
+// (engine.Task.Respec) and keeps its slot; any other changed task is
+// stopped here and started again by phase 2. The new slot array is the
+// manager's spare, and the old one becomes the spare.
 func (m *Manager) rebaseLocked(sh *ownedShard, next []taskservice.IndexedSpec) {
 	if taskservice.SameBucket(sh.bucket, next) {
 		return // pending only: the slots already line up with next
 	}
 	old, oldTasks := sh.bucket, sh.tasks
-	tasks := make([]*engine.Task, len(next))
+	tasks := slices.Grow(m.spare[:0], len(next))[:len(next)]
+	clear(tasks)
 	i := 0
 	for j := range next {
-		for i < len(old) && specOrder(old[i].Spec, next[j].Spec) < 0 {
+		c := 1 // nonzero unless old[i] pairs with next[j]
+		for ; i < len(old); i++ {
+			if c = entryOrder(&old[i], &next[j]); c >= 0 {
+				break
+			}
 			m.stopVanishedLocked(oldTasks[i])
-			i++
 		}
-		if i == len(old) || specOrder(old[i].Spec, next[j].Spec) > 0 {
+		if c != 0 {
 			continue // new to the shard: phase 2 starts it
 		}
 		if t := oldTasks[i]; t != nil {
@@ -505,10 +521,16 @@ func (m *Manager) rebaseLocked(sh *ownedShard, next []taskservice.IndexedSpec) {
 				tasks[j] = t
 			} else {
 				// Spec changed (package bump, resource change,
-				// repartition): phase 2 restarts it with the new spec.
-				t.Stop()
-				m.running--
+				// repartition).
 				m.stats.Restarted++
+				if spec := next[j].Spec; slices.Equal(spec.Partitions, old[i].Spec.Partitions) &&
+					t.Respec(spec, m.profile(*spec)) {
+					tasks[j] = t
+					m.stats.Started++
+				} else {
+					t.Stop() // phase 2 starts it with the new spec
+					m.running--
+				}
 			}
 		}
 		i++
@@ -517,20 +539,21 @@ func (m *Manager) rebaseLocked(sh *ownedShard, next []taskservice.IndexedSpec) {
 		m.stopVanishedLocked(oldTasks[i])
 	}
 	sh.bucket, sh.tasks = next, tasks
+	clear(oldTasks[:cap(oldTasks)])
+	m.spare = oldTasks
 }
 
-// specOrder orders specs the way index buckets do: by job name, then
-// task index. An entry the index carried over from a bucket's previous
-// version still points at the same spec, so most pairs compare equal on
-// the pointer alone.
-func specOrder(a, b *engine.TaskSpec) int {
-	if a == b {
+// entryOrder orders bucket entries the way index buckets do: by job name,
+// then task index. Successive index versions share an entry's ID string,
+// so most pairs compare equal on it without looking at their specs.
+func entryOrder(a, b *taskservice.IndexedSpec) int {
+	if a.ID == b.ID {
 		return 0
 	}
-	if c := strings.Compare(a.Job, b.Job); c != 0 {
+	if c := strings.Compare(a.Spec.Job, b.Spec.Job); c != 0 {
 		return c
 	}
-	return cmp.Compare(a.Index, b.Index)
+	return cmp.Compare(a.Spec.Index, b.Spec.Index)
 }
 
 // stopVanishedLocked stops a task whose spec left the shard's bucket (job

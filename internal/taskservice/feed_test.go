@@ -100,6 +100,41 @@ func TestFeedClientMirrorsFleet(t *testing.T) {
 	}
 }
 
+// TestFeedServesPastFullRegistry: the feed server's subscriber registry
+// is bounded by count, and it is status only. A remote Task Service that
+// first polls once the registry is full stays out of it — every one of
+// its polls counts as Unregistered — and still mirrors the fleet exactly,
+// through a full-resync walk and the deltas after it.
+func TestFeedServesPastFullRegistry(t *testing.T) {
+	h := newFeedHarness(t, 8)
+	for i := 0; i < 6; i++ {
+		h.commit(t, fmt.Sprintf("jobs/j%02d", i), 4, 1)
+	}
+	for i := 0; h.feed.Stats().Unregistered == 0; i++ {
+		if i == 1<<16 {
+			t.Fatal("the subscriber registry took 65 536 names")
+		}
+		if _, err := h.feed.PollFeed(wire.FeedRequest{Subscriber: fmt.Sprintf("filler-%05d", i)}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	registered, unregistered := len(h.feed.Subscribers()), h.feed.Stats().Unregistered
+
+	h.mustConverge(t)
+	h.commit(t, "jobs/j00", 6, 2)
+	h.store.DropRunning("jobs/j05")
+	h.mustConverge(t)
+	if got := h.remote.Index().Len(); got != 24+2-4 {
+		t.Fatalf("remote index holds %d tasks, want 22", got)
+	}
+	if got := len(h.feed.Subscribers()); got != registered {
+		t.Fatalf("registry grew from %d to %d subscribers", registered, got)
+	}
+	if got := h.feed.Stats().Unregistered - unregistered; got < 2 {
+		t.Fatalf("%d of the remote's polls counted as Unregistered over two syncs", got)
+	}
+}
+
 // TestFeedRestoreTriggersExactlyOneResync: Restore burns a journal
 // sequence to invalidate every outstanding cursor. A remote subscriber
 // must observe exactly one resync-needed redirect, walk the fleet once,
