@@ -314,7 +314,7 @@ func main() {
 		}
 	case "plan":
 		name := requireArg(args, 1, "job name")
-		merged, version, err := store.MergedExpected(name)
+		merged, version, err := store.MergedExpectedShared(name)
 		if err != nil {
 			log.Fatal(err)
 		}

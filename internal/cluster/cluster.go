@@ -235,14 +235,13 @@ type jobRecord struct {
 	profile   *engine.Profile
 	generator *workload.Generator
 
-	// The typed decode of the running configuration, cached on the
-	// store-wide commit revision it was decoded from. The revision, unlike
-	// the per-job version, never repeats: a job deleted and re-created
-	// under the same name starts again at version 1 but commits at a new
+	// The store-wide commit revision of the running entry last observed,
+	// 0 before the job was first seen running. The revision, unlike the
+	// per-job version, never repeats: a job deleted and re-created under
+	// the same name starts again at version 1 but commits at a new
 	// revision.
-	cfg          *config.JobConfig
-	cfgRevision  int64
-	cfgChangedAt time.Time // when this running commit was first observed
+	revision  int64
+	changedAt time.Time // when this running commit was first observed
 
 	// The last monitor tick's signals — replaced whole every tick, the
 	// pointee never written — and the running tasks it counted.
@@ -285,28 +284,22 @@ func (c *Cluster) recordLocked(job string) *jobRecord {
 	return rec
 }
 
-// runningRecord returns a running job's record and its decoded running
-// configuration, re-decoded only after the running entry was re-committed.
-// The configuration is shared: callers must not mutate it.
+// runningRecord returns a running job's record and its running
+// configuration, the store's typed one; false if the job is not running
+// or its running document is no JobConfig. The configuration is shared:
+// callers must not mutate it.
 func (c *Cluster) runningRecord(job string) (*jobRecord, *config.JobConfig, bool) {
-	// Shared read: on a miss the doc goes straight into the read-only
-	// decoder.
-	doc, _, revision, ok := c.Store.RunningEntry(job)
-	if !ok {
+	cfg, _, revision, ok := c.Store.RunningEntry(job)
+	if !ok || cfg == nil {
 		return nil, nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rec := c.records[job]
-	if rec == nil || rec.cfg == nil || rec.cfgRevision != revision {
-		cfg, err := config.JobConfigFromDoc(doc)
-		if err != nil {
-			return nil, nil, false
-		}
-		rec = c.recordLocked(job)
-		rec.cfg, rec.cfgRevision, rec.cfgChangedAt = cfg, revision, c.Clk.Now()
+	rec := c.recordLocked(job)
+	if rec.revision != revision {
+		rec.revision, rec.changedAt = revision, c.Clk.Now()
 	}
-	return rec, rec.cfg, true
+	return rec, cfg, true
 }
 
 // dropJobLocked forgets a job: its record, its metric series (row and
@@ -331,10 +324,10 @@ func (c *Cluster) SecondsSinceConfigChange(job string) float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rec := c.records[job]
-	if rec == nil || rec.cfg == nil {
+	if rec == nil || rec.revision == 0 {
 		return -1
 	}
-	return c.Clk.Now().Sub(rec.cfgChangedAt).Seconds()
+	return c.Clk.Now().Sub(rec.changedAt).Seconds()
 }
 
 // New builds (but does not start) a cluster.
@@ -830,7 +823,7 @@ func (c *Cluster) monitorTick() {
 		// monitor tick, config read and scaler scan remembers it again:
 		// forget it for good.
 		for job, rec := range c.records {
-			if rec.cfg != nil && rec.monitoredTick != c.monitorTicks {
+			if rec.revision != 0 && rec.monitoredTick != c.monitorTicks {
 				c.dropJobLocked(job)
 			}
 		}

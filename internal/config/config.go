@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -209,35 +210,85 @@ func (d Doc) Clone() Doc {
 
 // GetPath returns the value at a dotted path such as "package.version".
 func (d Doc) GetPath(path string) (any, bool) {
-	cur := any(d)
-	for _, part := range strings.Split(path, ".") {
-		m, ok := asDoc(cur)
-		if !ok {
+	cur := d
+	for {
+		part, rest, nested := strings.Cut(path, ".")
+		v, ok := cur[part]
+		if !ok || !nested {
+			return v, ok
+		}
+		if cur, ok = asDoc(v); !ok {
 			return nil, false
 		}
-		cur, ok = m[part]
-		if !ok {
-			return nil, false
-		}
+		path = rest
 	}
-	return cur, true
 }
 
 // SetPath sets the value at a dotted path, creating intermediate objects.
 // It returns d for chaining. Setting through a non-object value replaces it.
 func (d Doc) SetPath(path string, value any) Doc {
-	parts := strings.Split(path, ".")
 	cur := d
-	for _, part := range parts[:len(parts)-1] {
+	for {
+		part, rest, nested := strings.Cut(path, ".")
+		if !nested {
+			cur[part] = value
+			return d
+		}
 		next, ok := asDoc(cur[part])
 		if !ok {
 			next = Doc{}
 			cur[part] = next
 		}
-		cur = next
+		cur, path = next, rest
 	}
-	cur[parts[len(parts)-1]] = value
-	return d
+}
+
+// CheckFinite returns an error naming a path at which d holds a NaN or an
+// infinity, nil if it holds none. Such a number has no JSON form: a store
+// holding one could not be snapshotted. It allocates only to report.
+func (d Doc) CheckFinite() error {
+	if path, bad := nonFinite(d); bad {
+		return fmt.Errorf("%s: number is not finite", path)
+	}
+	return nil
+}
+
+// nonFinite reports whether v holds a NaN or an infinity, and the path to
+// it relative to v, built only on the way out of a find.
+func nonFinite(v any) (string, bool) {
+	switch x := v.(type) {
+	case float64:
+		return "", !isFinite(x)
+	case float32:
+		return "", !isFinite(float64(x))
+	case []any:
+		for i, el := range x {
+			if path, bad := nonFinite(el); bad {
+				return joinPath("["+strconv.Itoa(i)+"]", path), true
+			}
+		}
+	case Doc:
+		return nonFiniteIn(x)
+	case map[string]any:
+		return nonFiniteIn(x)
+	}
+	return "", false
+}
+
+func nonFiniteIn(m map[string]any) (string, bool) {
+	for k, el := range m {
+		if path, bad := nonFinite(el); bad {
+			return joinPath(k, path), true
+		}
+	}
+	return "", false
+}
+
+func joinPath(head, rest string) string {
+	if rest == "" || rest[0] == '[' {
+		return head + rest
+	}
+	return head + "." + rest
 }
 
 // Equal reports whether two docs are structurally equal as JSON values.

@@ -127,6 +127,38 @@ func TestGetSetPath(t *testing.T) {
 	if _, ok := d.GetPath("taskCount.nested"); ok {
 		t.Fatal("GetPath traversed through scalar")
 	}
+	// Empty parts are keys like any other.
+	d.SetPath(".a.", 1)
+	if v, ok := d[""].(Doc)["a"].(Doc)[""]; !ok || v != 1 {
+		t.Fatalf("SetPath(%q) built %v", ".a.", d)
+	}
+	if v, ok := d.GetPath(".a."); !ok || v != 1 {
+		t.Fatalf("GetPath(%q) = %v,%v", ".a.", v, ok)
+	}
+	// A walk over existing objects allocates nothing.
+	if n := testing.AllocsPerRun(100, func() {
+		d.GetPath("package.version")
+		d.SetPath("package.version", "v8")
+	}); n != 0 {
+		t.Fatalf("path walk allocates %.0f objects", n)
+	}
+}
+
+func TestCheckFinite(t *testing.T) {
+	ok := Doc{"a": 1.5, "b": []any{int64(2), Doc{"c": float32(3)}}, "d": map[string]any{"e": nil}}
+	if err := ok.CheckFinite(); err != nil {
+		t.Fatalf("finite doc rejected: %v", err)
+	}
+	for path, d := range map[string]Doc{
+		"sloSeconds":             {"sloSeconds": math.Inf(1)},
+		"taskResources.cpuCores": {"taskResources": Doc{"cpuCores": math.NaN()}},
+		"x[1].y":                 {"x": []any{1.0, map[string]any{"y": float32(math.Inf(-1))}}},
+	} {
+		err := d.CheckFinite()
+		if err == nil || !strings.HasPrefix(err.Error(), path+":") {
+			t.Errorf("%v: CheckFinite = %v, want an error at %s", d, err, path)
+		}
+	}
 }
 
 func TestEqualNormalizesNumbers(t *testing.T) {
@@ -388,6 +420,9 @@ func TestJobConfigValidateRejections(t *testing.T) {
 		{"tasks exceed partitions", func(c *JobConfig) { c.TaskCount = 99 }},
 		{"tasks exceed cap", func(c *JobConfig) { c.MaxTaskCount = 2 }},
 		{"negative resources", func(c *JobConfig) { c.TaskResources.CPUCores = -1 }},
+		{"NaN cpuCores", func(c *JobConfig) { c.TaskResources.CPUCores = math.NaN() }},
+		{"infinite SLO", func(c *JobConfig) { c.SLOSeconds = math.Inf(1) }},
+		{"NaN SLO", func(c *JobConfig) { c.SLOSeconds = math.NaN() }},
 	}
 	for _, tc := range cases {
 		c := validConfig()

@@ -277,12 +277,8 @@ func Claim33PctFootprint(p Params) *Result {
 	var dedicatedMem, turbineMem int64
 	nTasks := 0
 	for _, job := range c.Store.RunningNames() {
-		r, ok := c.Store.GetRunningShared(job)
-		if !ok {
-			continue
-		}
-		jc, err := config.JobConfigFromDoc(r.Config)
-		if err != nil {
+		jc, _, _, ok := c.Store.RunningEntry(job)
+		if !ok || jc == nil {
 			continue
 		}
 		for i := 0; i < jc.TaskCount; i++ {

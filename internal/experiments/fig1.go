@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/autoscaler"
 	"repro/internal/cluster"
-	"repro/internal/config"
 	"repro/internal/shardmanager"
 	"repro/internal/statesyncer"
 	"repro/internal/taskmanager"
@@ -129,15 +128,9 @@ func Fig1Growth(p Params) *Result {
 func configuredTasks(c *cluster.Cluster) float64 {
 	total := 0.0
 	for _, job := range c.Store.RunningNames() {
-		r, ok := c.Store.GetRunningShared(job)
-		if !ok {
-			continue
+		if cfg, _, _, ok := c.Store.RunningEntry(job); ok && cfg != nil {
+			total += float64(cfg.TaskCount)
 		}
-		cfg, err := config.JobConfigFromDoc(r.Config)
-		if err != nil {
-			continue
-		}
-		total += float64(cfg.TaskCount)
 	}
 	return total
 }

@@ -77,9 +77,9 @@ func TableIJobStore(p Params) *Result {
 	row[0] = "running"
 	res.Rows = append(res.Rows, row)
 
-	cfg, err := config.JobConfigFromDoc(merged)
-	if err != nil {
-		panic(err)
+	cfg, _, _, _ := store.RunningEntry("demo/job")
+	if cfg == nil {
+		panic("demo/job runs no JobConfig")
 	}
 	res.Summary = map[string]float64{
 		"merged_task_count": float64(cfg.TaskCount), // 30: oncall wins

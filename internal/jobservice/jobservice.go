@@ -67,10 +67,13 @@ func (s *Service) Delete(name string) error {
 // The read is shared (jobstore.GetExpectedShared): only the layer handed
 // to mutate is copied, and that copy is the one the store keeps — mutate
 // must return it, or a doc of its own making, and retain nothing it
-// returns. The trial merge aliases the other three layers instead of
-// copying them; it is decoded, validated, and handed to the write, which
-// installs it as the version's merged cache, so the State Syncer commits
-// the very merge validated here.
+// returns. A candidate layer holding a NaN or an infinity is rejected:
+// no JSON form holds it, so the store could not be snapshotted. The trial
+// merge aliases the other three layers instead of copying them; it is
+// decoded, validated, and handed to the write with its decoded config,
+// which the store installs as the version's merged cache, so the State
+// Syncer commits — and the Task Service and spec feed read — the very
+// merge and config validated here.
 func (s *Service) UpdateLayer(name string, layer config.Layer, mutate func(config.Doc) config.Doc) error {
 	var lastErr error
 	for attempt := 0; attempt < maxCASRetries; attempt++ {
@@ -86,6 +89,9 @@ func (s *Service) UpdateLayer(name string, layer config.Layer, mutate func(confi
 		if next == nil {
 			next = config.Doc{}
 		}
+		if err := next.CheckFinite(); err != nil {
+			return fmt.Errorf("jobservice: update %s/%s rejected: %w", name, layer, err)
+		}
 
 		// Validate the merged view with the candidate layer in place.
 		layers := base.Layers
@@ -99,7 +105,7 @@ func (s *Service) UpdateLayer(name string, layer config.Layer, mutate func(confi
 			return fmt.Errorf("jobservice: update %s/%s rejected: %w", name, layer, err)
 		}
 
-		_, err = s.store.SetLayer(name, layer, next, base, merged)
+		_, err = s.store.SetLayer(name, layer, next, base, &jobstore.Merged{Doc: merged, Config: cfg})
 		if err == nil {
 			return nil
 		}
@@ -111,19 +117,18 @@ func (s *Service) UpdateLayer(name string, layer config.Layer, mutate func(confi
 	return fmt.Errorf("jobservice: update %s/%s exceeded %d CAS retries: %w", name, layer, maxCASRetries, lastErr)
 }
 
-// Desired returns the job's merged expected configuration, decoded and
-// typed, along with the version it reflects.
+// Desired returns the job's merged expected configuration, typed, along
+// with the version it reflects. The config is the store's shared one:
+// callers must not modify it.
 func (s *Service) Desired(name string) (*config.JobConfig, int64, error) {
-	// Shared read: the merged doc is only decoded, never mutated.
-	doc, version, err := s.store.MergedExpectedShared(name)
+	m, version, err := s.store.MergedExpectedShared(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	cfg, err := config.JobConfigFromDoc(doc)
-	if err != nil {
-		return nil, 0, fmt.Errorf("jobservice: desired %s: %w", name, err)
+	if m.Config == nil {
+		return nil, 0, fmt.Errorf("jobservice: desired %s: the merged configuration is no JobConfig", name)
 	}
-	return cfg, version, nil
+	return m.Config, version, nil
 }
 
 // SetTaskCount writes a task-count override into the given layer. This is

@@ -302,6 +302,38 @@ func TestNonFiniteResourcesRejected(t *testing.T) {
 	}
 }
 
+// TestNonFiniteNumbersRejected: a NaN or an infinity has no JSON form,
+// so a store that accepted one could never be snapshotted again. A
+// non-finite SLO fails Validate, on Provision and on a layer write; a
+// non-finite number under a key the schema does not know fails the
+// layer check. Either way nothing is written, and the store still
+// snapshots.
+func TestNonFiniteNumbersRejected(t *testing.T) {
+	s := newService(t)
+	_, before, _ := s.Desired("j1")
+	for _, x := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		for _, path := range []string{"sloSeconds", "annotations.weight"} {
+			err := s.UpdateLayer("j1", config.LayerOncall, func(d config.Doc) config.Doc {
+				return d.SetPath(path, x)
+			})
+			if err == nil || !strings.Contains(err.Error(), "rejected") {
+				t.Fatalf("%s %v: err = %v, want a rejection", path, x, err)
+			}
+		}
+		bad := validConfig("j2")
+		bad.SLOSeconds = x
+		if err := s.Provision(bad); err == nil {
+			t.Fatalf("sloSeconds %v provisioned", x)
+		}
+	}
+	if _, version, _ := s.Desired("j1"); version != before {
+		t.Fatalf("a rejected update wrote: version %d → %d", before, version)
+	}
+	if _, err := s.Store().Snapshot(); err != nil {
+		t.Fatalf("snapshot after rejected updates: %v", err)
+	}
+}
+
 // TestLayerWriteRejectedAcrossRecreate: a job deleted and re-created
 // between a writer's read and its write is back at version 1, like the
 // job the writer read. The write must still fail — its layer and its
@@ -331,7 +363,7 @@ func TestLayerWriteRejectedAcrossRecreate(t *testing.T) {
 	recreate()
 	oncall := config.Doc{"taskCount": 12}
 	stale := config.MergeLayersShared(base.Layers[0], base.Layers[1], base.Layers[2], oncall)
-	if _, err := store.SetLayer("j1", config.LayerOncall, oncall, base, stale); !errors.Is(err, jobstore.ErrVersionMismatch) {
+	if _, err := store.SetLayer("j1", config.LayerOncall, oncall, base, &jobstore.Merged{Doc: stale}); !errors.Is(err, jobstore.ErrVersionMismatch) {
 		t.Fatalf("write across a re-create: err = %v, want ErrVersionMismatch", err)
 	}
 
@@ -363,7 +395,7 @@ func TestLayerWriteRejectedAcrossRecreate(t *testing.T) {
 		t.Fatal(err)
 	}
 	merged, _, _ := store.MergedExpectedShared("j1")
-	if want := config.MergeLayersShared(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3]); !config.Equal(merged, want) {
+	if want := config.MergeLayersShared(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3]); !config.Equal(merged.Doc, want) {
 		t.Fatalf("cached merge %v, stored stack merges to %v", merged, want)
 	}
 }

@@ -10,10 +10,10 @@
 //
 // The frame cache makes fan-out free. A delta frame built with the full
 // batch limit is a pure function of (cursor, journal head): the journal
-// assigns sequence numbers under its mutex, documents encode
-// deterministically, and every running-table mutation journals — so the
-// head moving is exactly the signal that any cached frame might be
-// stale. Cached frames are keyed by cursor and valid for one journal
+// assigns sequence numbers under its mutex, a running entry's typed
+// config encodes in one fixed key order, and every running-table
+// mutation journals — so the head moving is exactly the signal that any
+// cached frame might be stale. Cached frames are keyed by cursor and valid for one journal
 // head (any commit or drop empties the cache); that covers mid-catch-up
 // windows too, so K subscribers draining the same churn tick share each
 // window's encoding, not just the final empty frame. Requests with a
@@ -225,24 +225,18 @@ func (f *SpecFeedServer) Subscribers() []SubscriberStatus {
 // the registry clones it before retaining.
 func (f *SpecFeedServer) PollFeed(req wire.FeedRequest, buf []byte) ([]byte, error) {
 	if req.Resync {
-		frame, err := f.resyncPage(req, buf)
-		if err != nil {
-			return nil, err
-		}
+		frame := f.resyncPage(req, buf)
 		f.note(req, false, true)
 		return frame, nil
 	}
-	frame, redirected, err := f.delta(req, buf)
-	if err != nil {
-		return nil, err
-	}
+	frame, redirected := f.delta(req, buf)
 	f.note(req, redirected, false)
 	return frame, nil
 }
 
 // delta serves a batched ChangesSince window, or a resync-needed
 // redirect when the cursor fell off the journal.
-func (f *SpecFeedServer) delta(req wire.FeedRequest, buf []byte) (frame []byte, redirected bool, err error) {
+func (f *SpecFeedServer) delta(req wire.FeedRequest, buf []byte) (frame []byte, redirected bool) {
 	max := req.Max
 	if max <= 0 || max > f.batch {
 		max = f.batch
@@ -263,7 +257,7 @@ func (f *SpecFeedServer) delta(req wire.FeedRequest, buf []byte) (frame []byte, 
 	// than it asked for.
 	if cf, ok := f.frames[req.Cursor]; ok && max == f.batch {
 		f.hits.Add(1)
-		return append(buf, cf.data...), false, nil
+		return append(buf, cf.data...), false
 	}
 	f.misses.Add(1)
 
@@ -274,7 +268,7 @@ func (f *SpecFeedServer) delta(req wire.FeedRequest, buf []byte) (frame []byte, 
 	if !ok {
 		f.resyncs.Add(1)
 		e.AppendResyncNeeded(next)
-		return append(buf, e.Buf...), true, nil
+		return append(buf, e.Buf...), true
 	}
 	mark := e.AppendDeltaHeader(next, len(changes))
 	for _, ch := range changes {
@@ -291,9 +285,7 @@ func (f *SpecFeedServer) delta(req wire.FeedRequest, buf []byte) (frame []byte, 
 			e.AppendDeltaDrop(ch.Name)
 			continue
 		}
-		if err := e.AppendDeltaCommit(ch.Name, rev, version, cfg); err != nil {
-			return nil, false, fmt.Errorf("specfeed: encode %q: %w", ch.Name, err)
-		}
+		e.AppendDeltaCommit(ch.Name, rev, version, cfg)
 	}
 	e.EndFrame(mark)
 	if max == f.batch {
@@ -301,12 +293,12 @@ func (f *SpecFeedServer) delta(req wire.FeedRequest, buf []byte) (frame []byte, 
 		cf.data = append(cf.data[:0], e.Buf...)
 		f.frames[req.Cursor] = cf
 	}
-	return append(buf, e.Buf...), false, nil
+	return append(buf, e.Buf...), false
 }
 
 // resyncPage serves one page of the full running-table walk: the names
 // after req.ResumeAfter, in sorted order, bounded by the chunk size.
-func (f *SpecFeedServer) resyncPage(req wire.FeedRequest, buf []byte) ([]byte, error) {
+func (f *SpecFeedServer) resyncPage(req wire.FeedRequest, buf []byte) []byte {
 	max := req.Max
 	if max <= 0 || max > f.chunk {
 		max = f.chunk
@@ -335,14 +327,12 @@ func (f *SpecFeedServer) resyncPage(req wire.FeedRequest, buf []byte) ([]byte, e
 			// reach the subscriber after the resync completes.
 			continue
 		}
-		if err := e.AppendChunkItem(name, rev, version, cfg); err != nil {
-			return nil, fmt.Errorf("specfeed: encode %q: %w", name, err)
-		}
+		e.AppendChunkItem(name, rev, version, cfg)
 		count++
 	}
 	e.PatchChunkCount(countMark, count)
 	e.EndFrame(mark)
-	return append(buf, e.Buf...), nil
+	return append(buf, e.Buf...)
 }
 
 func (f *SpecFeedServer) takePooled() *cachedFrame {

@@ -2,6 +2,7 @@ package jobservice
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -71,12 +72,13 @@ func TestFeedDeltaFromZero(t *testing.T) {
 			continue
 		}
 		commits++
-		doc, err := wire.DecodeDocBlob(ent.Doc)
+		cfg, err := wire.DecodeJobConfigBlob(ent.Doc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !config.Equal(doc, feedDoc(string(ent.Name), 1)) {
-			t.Fatalf("doc mismatch for %s", ent.Name)
+		want, err := config.JobConfigFromDoc(feedDoc(string(ent.Name), 1))
+		if err != nil || !reflect.DeepEqual(cfg, want) {
+			t.Fatalf("config of %s = %+v, want %+v (%v)", ent.Name, cfg, want, err)
 		}
 	}
 	// j0001's commit entry is served as an early drop — the job was gone

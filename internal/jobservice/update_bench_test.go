@@ -13,11 +13,17 @@ import (
 // all 14 fields configured. The path copies the one layer it edits once
 // (the caller's mutation edits the copy the store then keeps), merges the
 // four layers by aliasing, decodes the merge directly into the typed
-// config, and hands the merge to the store as the new version's cache:
-// 13 objects measured. The encoding/json round trip plus three deep
-// copies of the whole stack it replaced cost 104; the ceiling is half of
-// that.
-const updateLayerAllocCeiling = 52
+// config, and hands both to the store as the new version's cache: 12
+// objects measured (13 while SetPath split its path into a slice). The
+// encoding/json round trip plus three deep copies of the whole stack it
+// replaced cost 104. The ceiling is the measured count plus a third.
+const updateLayerAllocCeiling = 16
+
+// provisionAllocCeiling bounds one Provision of a job with 13 of its 14
+// fields configured: the direct ToDoc's five maps and boxed values, and
+// Create's copy of them, 44 objects measured. The encoding/json round
+// trip ToDoc replaced made it 100; the ceiling is half of that.
+const provisionAllocCeiling = 50
 
 // BenchmarkUpdateLayer measures the Job Service's write path — the
 // per-job cost of a fleet-wide package release: one SetPackageVersion
@@ -71,5 +77,55 @@ func BenchmarkUpdateLayer(b *testing.B) {
 	runtime.ReadMemStats(&m1)
 	if per := float64(m1.Mallocs-m0.Mallocs) / float64(len(versions)); per > updateLayerAllocCeiling {
 		b.Fatalf("UpdateLayer allocates %.1f objects/op, ceiling %d", per, updateLayerAllocCeiling)
+	}
+}
+
+// BenchmarkProvision measures admitting one fully configured job —
+// Validate, the direct ToDoc, and the store's Create, which keeps its own
+// copy of the base layer — held to provisionAllocCeiling by an in-bench
+// MemStats delta over a fixed batch, so that one iteration
+// (-benchtime=1x) arms it too.
+func BenchmarkProvision(b *testing.B) {
+	cfg := &config.JobConfig{
+		Package:        config.Package{Name: "tailer", Version: "v1"},
+		TaskCount:      8,
+		ThreadsPerTask: 2,
+		TaskResources:  config.Resources{CPUCores: 1, MemoryBytes: 1 << 30, DiskBytes: 1 << 30, NetworkBps: 1 << 20},
+		Operator:       config.OpTailer,
+		Input:          config.Input{Category: "in", Partitions: 16},
+		Output:         config.Output{Category: "out"},
+		CheckpointDir:  "/ckpt/$JOB/$TASK",
+		Enforcement:    config.EnforceCgroup,
+		Priority:       3,
+		MaxTaskCount:   32,
+		SLOSeconds:     90,
+	}
+	const batch = 64
+	n := max(b.N, batch)
+	names := make([]string, n+batch)
+	for i := range names {
+		names[i] = "j" + strconv.Itoa(i)
+	}
+	s := New(jobstore.New())
+	provision := func(name string) {
+		cfg.Name = name
+		if err := s.Provision(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		provision(names[i])
+	}
+	b.StopTimer()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for _, name := range names[n:] {
+		provision(name)
+	}
+	runtime.ReadMemStats(&m1)
+	if per := float64(m1.Mallocs-m0.Mallocs) / batch; per > provisionAllocCeiling {
+		b.Fatalf("Provision allocates %.1f objects/op, ceiling %d", per, provisionAllocCeiling)
 	}
 }

@@ -71,21 +71,49 @@ type Expected struct {
 	Layers  [4]config.Doc // indexed by config.Layer; nil layers unset
 	Version int64
 
-	// merged caches the precedence merge of Layers as of mergedVersion:
-	// installed by the layer write that validated it (SetLayer), or
-	// computed by the first MergedExpectedShared of a version that has
-	// none. Maintained only on the store's canonical entries (not on
-	// snapshots handed to callers); invisible to JSON serialization. The
-	// cached doc is immutable: it is replaced, never modified, so it can be
-	// handed out by MergedExpectedShared without cloning.
-	merged        config.Doc
+	// merged caches the precedence merge of Layers as of mergedVersion,
+	// with its typed config: installed by the layer write that validated
+	// it (SetLayer), or computed by the first MergedExpectedShared of a
+	// version that has none. Maintained only on the store's canonical
+	// entries (not on snapshots handed to callers); invisible to JSON
+	// serialization. The cache is immutable: it is replaced, never
+	// modified, so it can be handed out by MergedExpectedShared without
+	// cloning.
+	merged        Merged
 	mergedVersion int64
+}
+
+// Merged is one expected version in both of its forms: the precedence
+// merge of its layers (Algorithm 1) and the JobConfig that merge decodes
+// to. Config is config.JobConfigFromDoc(Doc), or nil when Doc is no
+// JobConfig. Each version is decoded once — by the Job Service's
+// validation, or by the first merge of a version written without one —
+// and commits to the running entry with its config, which the Task
+// Service, the spec feed and the monitor read (a running entry read from
+// a snapshot is decoded once, by Restore). Both are IMMUTABLE and shared
+// once the store holds them.
+type Merged struct {
+	Doc    config.Doc
+	Config *config.JobConfig
+}
+
+// decoded pairs doc with its typed config.
+func decoded(doc config.Doc) Merged {
+	cfg, err := config.JobConfigFromDoc(doc)
+	if err != nil {
+		cfg = nil
+	}
+	return Merged{Doc: doc, Config: cfg}
 }
 
 // Running is a read snapshot of a job's running configuration.
 type Running struct {
 	Config  config.Doc
 	Version int64 // the expected version this running state realizes
+
+	// typed is Config's JobConfig, nil if Config is no JobConfig. Set on
+	// the store's own entries only; RunningEntry reads it.
+	typed *config.JobConfig
 
 	// revision is a store-wide monotonic sequence stamped on every
 	// CommitRunning. Unlike Version (which tracks the expected entry the
@@ -352,12 +380,13 @@ func (s *Store) GetExpectedShared(name string) (Expected, error) {
 //
 // merged is the caller's merge of the new stack —
 // config.MergeLayersShared of base.Layers with doc in place of
-// base.Layers[layer] — or nil. When the CAS proved base current, the
-// store installs it as the new version's merged cache, so the next
-// MergedExpectedShared serves the merge the writer validated instead of
-// computing it again. It is immutable and shared from then on, like every
-// cached merge. An AnyVersion write proves nothing and ignores it.
-func (s *Store) SetLayer(name string, layer config.Layer, doc config.Doc, base Expected, merged config.Doc) (int64, error) {
+// base.Layers[layer] — with the JobConfig it decodes to, or nil. When the
+// CAS proved base current, the store installs it as the new version's
+// merged cache, so the next MergedExpectedShared serves the merge and the
+// config the writer validated instead of computing them again. Both are
+// immutable and shared from then on, like every cached merge. An
+// AnyVersion write proves nothing and ignores it.
+func (s *Store) SetLayer(name string, layer config.Layer, doc config.Doc, base Expected, merged *Merged) (int64, error) {
 	if !layer.Valid() {
 		return 0, fmt.Errorf("jobstore: invalid layer %v", layer)
 	}
@@ -377,7 +406,10 @@ func (s *Store) SetLayer(name string, layer config.Layer, doc config.Doc, base E
 	}
 	e.Layers[layer] = doc
 	e.Version++
-	e.merged, e.mergedVersion = merged, e.Version
+	e.merged, e.mergedVersion = Merged{}, e.Version
+	if merged != nil {
+		e.merged = *merged
+	}
 	st.noteLocked(name)
 	return e.Version, nil
 }
@@ -398,43 +430,44 @@ func sameLayers(a, b *[4]config.Doc) bool {
 // The returned Doc is the caller's to mutate; readers that only inspect
 // the document should use MergedExpectedShared and skip the clone.
 func (s *Store) MergedExpected(name string) (config.Doc, int64, error) {
-	doc, v, err := s.MergedExpectedShared(name)
+	m, v, err := s.MergedExpectedShared(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	return doc.Clone(), v, nil
+	return m.Doc.Clone(), v, nil
 }
 
-// MergedExpectedShared returns the cached merged document itself, without
-// cloning. The merge (Algorithm 1) is cached per version on the store's
-// entry: a Job Service layer write installs the merge it validated, and a
-// version written without one (Create, an AnyVersion write, Restore) pays
-// for the 4-layer merge on its first read; every other read is a map
-// lookup. The returned Doc
-// is IMMUTABLE and shared — callers must not modify it (or anything
-// reachable from it). This is the State Syncer's per-round read path: a
-// round over tens of thousands of jobs neither re-merges nor re-clones.
-func (s *Store) MergedExpectedShared(name string) (config.Doc, int64, error) {
+// MergedExpectedShared returns the cached merge itself, without cloning.
+// The merge (Algorithm 1) and its typed config are cached per version on
+// the store's entry: a Job Service layer write installs the merge and
+// config it validated, and a version written without them (Create, an
+// AnyVersion write, Restore) pays for the 4-layer merge and one decode on
+// its first read; every other read is a map lookup. The returned doc and
+// config are IMMUTABLE and shared — callers must not modify them (or
+// anything reachable from them). This is the State Syncer's per-round
+// read path: a round over tens of thousands of jobs neither re-merges nor
+// re-clones nor re-decodes.
+func (s *Store) MergedExpectedShared(name string) (Merged, int64, error) {
 	st := s.stripeFor(name)
 	st.mu.RLock()
 	e, ok := st.expected[name]
-	if ok && e.merged != nil && e.mergedVersion == e.Version {
+	if ok && e.merged.Doc != nil && e.mergedVersion == e.Version {
 		out, v := e.merged, e.Version
 		st.mu.RUnlock()
 		return out, v, nil
 	}
 	st.mu.RUnlock()
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, name)
+		return Merged{}, 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	e, ok = st.expected[name] // re-check: the job may have been deleted
 	if !ok {
-		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, name)
+		return Merged{}, 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
-	if e.merged == nil || e.mergedVersion != e.Version {
+	if e.merged.Doc == nil || e.mergedVersion != e.Version {
 		// Alias-sharing merge: subtrees contributed by a single layer are
 		// referenced, not deep-copied. That is safe here because layer docs
 		// are only ever replaced wholesale (SetLayer installs the doc it is
@@ -445,7 +478,7 @@ func (s *Store) MergedExpectedShared(name string) (config.Doc, int64, error) {
 		// levels, and unchanged subtrees keep their map identity, which
 		// lets config.Diff skip them without walking (the State Syncer's
 		// churn-round fast path).
-		e.merged = config.MergeLayersShared(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3])
+		e.merged = decoded(config.MergeLayersShared(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3]))
 		e.mergedVersion = e.Version
 	}
 	return e.merged, e.Version, nil
@@ -475,13 +508,15 @@ func (s *Store) GetRunningShared(name string) (Running, bool) {
 	return Running{Config: r.Config, Version: r.Version, revision: r.revision}, true
 }
 
-// RunningEntry returns a job's running configuration together with both
-// identity coordinates — the expected version it realizes and the
-// store-wide commit revision — under a single stripe lock. The returned
-// Config is IMMUTABLE and shared, like GetRunningShared's. This is the
-// spec feed's per-job read: the revision rides every encoded delta so a
-// remote mirror can skip re-applying a doc it already holds.
-func (s *Store) RunningEntry(name string) (cfg config.Doc, version, revision int64, ok bool) {
+// RunningEntry returns a job's running configuration, typed — nil if its
+// document is no JobConfig — together with both identity coordinates: the
+// expected version it realizes and the store-wide commit revision, all
+// under a single stripe lock. The returned config is IMMUTABLE and shared.
+// This is the read of the spec feed, the Task Service and the cluster's
+// monitor: the config was decoded once, when its version was, and the
+// revision rides every encoded delta so a remote mirror can skip
+// re-applying an entry it already holds.
+func (s *Store) RunningEntry(name string) (cfg *config.JobConfig, version, revision int64, ok bool) {
 	st := s.stripeFor(name)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -489,7 +524,7 @@ func (s *Store) RunningEntry(name string) (cfg config.Doc, version, revision int
 	if !present {
 		return nil, 0, 0, false
 	}
-	return r.Config, r.Version, r.revision, true
+	return r.typed, r.Version, r.revision, true
 }
 
 // RunningVersion returns just the version of a job's running entry,
@@ -568,19 +603,21 @@ func (s *Store) PlanViewOf(name string) PlanView {
 // CommitRunning records that the cluster now runs cfg, which realizes
 // expected version version. Only the State Syncer calls this, and only
 // after the execution plan completed — the atomic commit point of a job
-// update (§III-B). The store keeps its own deep copy of cfg. The error
-// is always nil unless commit hooks (fault injection) are installed.
+// update (§III-B). The store keeps its own deep copy of cfg, and decodes
+// it. The error is always nil unless commit hooks (fault injection) are
+// installed.
 func (s *Store) CommitRunning(name string, cfg config.Doc, version int64) error {
-	return s.commitRunning(name, cfg.Clone(), version)
+	return s.commitRunning(name, decoded(cfg.Clone()), version)
 }
 
-// CommitRunningShared is CommitRunning without the defensive copy: the
-// store keeps cfg itself. The caller must treat cfg as immutable from
-// this point on. The State Syncer commits the shared merged document it
-// read via MergedExpectedShared — which is already immutable — so the
-// batched simple-sync path copies nothing.
-func (s *Store) CommitRunningShared(name string, cfg config.Doc, version int64) error {
-	return s.commitRunning(name, cfg, version)
+// CommitRunningShared is CommitRunning without the defensive copy and
+// without the decode: the store keeps m's doc and config themselves. The
+// caller must treat both as immutable from this point on. The State
+// Syncer commits the shared merge it read via MergedExpectedShared —
+// which is already immutable and decoded — so the batched simple-sync
+// path copies and decodes nothing.
+func (s *Store) CommitRunningShared(name string, m Merged, version int64) error {
+	return s.commitRunning(name, m, version)
 }
 
 // SetCommitHooks installs (or, with nil, removes) the commit intercept
@@ -590,7 +627,7 @@ func (s *Store) SetCommitHooks(h *CommitHooks) {
 	s.commitHooks.Store(h)
 }
 
-func (s *Store) commitRunning(name string, cfg config.Doc, version int64) error {
+func (s *Store) commitRunning(name string, m Merged, version int64) error {
 	hooks := s.commitHooks.Load()
 	if hooks != nil && hooks.Before != nil {
 		if err := hooks.Before(name); err != nil {
@@ -601,7 +638,7 @@ func (s *Store) commitRunning(name string, cfg config.Doc, version int64) error 
 	st := s.stripeFor(name)
 	st.mu.Lock()
 	_, existed := st.running[name]
-	st.running[name] = &Running{Config: cfg, Version: version, revision: rev}
+	st.running[name] = &Running{Config: m.Doc, Version: version, typed: m.Config, revision: rev}
 	st.noteLocked(name)
 	st.mu.Unlock()
 	if !existed {
@@ -897,9 +934,11 @@ func (s *Store) Restore(data []byte) error {
 	}
 	for k, v := range snap.Running {
 		// Serialized snapshots carry neither revisions nor merge caches
-		// (both are unexported): restamp every running entry with a fresh
-		// revision so downstream caches keyed on (job, revision) rebuild
-		// rather than serve pre-restore content.
+		// nor typed configs (all unexported): decode each running entry
+		// once, and restamp it with a fresh revision so downstream caches
+		// keyed on (job, revision) rebuild rather than serve pre-restore
+		// content.
+		v.typed = decoded(v.Config).Config
 		v.revision = s.revSeq.Add(1)
 		s.stripeFor(k).running[k] = v
 	}

@@ -215,11 +215,39 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if _, ok := restored.GetRunning("j1"); !ok {
 		t.Fatal("running entry lost in restore")
 	}
+	// The typed config is not serialized: Restore decodes it, once.
+	if cfg, v, _, ok := restored.RunningEntry("j1"); !ok || cfg == nil || cfg.TaskCount != 15 || v != 2 {
+		t.Fatalf("restored running entry = %+v at version %d (%v)", cfg, v, ok)
+	}
 	if _, ok := restored.Quarantined("j2"); !ok {
 		t.Fatal("quarantine lost in restore")
 	}
 	if err := restored.Restore([]byte("not json")); err == nil {
 		t.Fatal("garbage restore accepted")
+	}
+}
+
+// TestRunningEntryIsTyped: a running entry carries the JobConfig of its
+// document. A shared commit keeps the one it is handed, the copying
+// commit decodes its own, and a document that is no JobConfig has none.
+func TestRunningEntryIsTyped(t *testing.T) {
+	s := New()
+	s.Create("j1", baseDoc())
+	m, v, err := s.MergedExpectedShared("j1")
+	if err != nil || m.Config == nil {
+		t.Fatalf("merge = %+v, %v", m, err)
+	}
+	s.CommitRunningShared("j1", m, v)
+	if cfg, _, _, _ := s.RunningEntry("j1"); cfg != m.Config {
+		t.Fatalf("shared commit: running config %p, committed %p", cfg, m.Config)
+	}
+	s.CommitRunning("j1", config.Doc{"taskCount": 3}, v)
+	if cfg, _, _, _ := s.RunningEntry("j1"); cfg == nil || cfg.TaskCount != 3 {
+		t.Fatalf("copying commit: running config %+v, want taskCount 3", cfg)
+	}
+	s.CommitRunning("j1", config.Doc{"taskCount": "three"}, v)
+	if cfg, _, _, ok := s.RunningEntry("j1"); !ok || cfg != nil {
+		t.Fatalf("undecodable commit: running config %+v (%v), want nil", cfg, ok)
 	}
 }
 

@@ -89,7 +89,7 @@ func randomLedgerOp(t *testing.T, s *Store, rng *rand.Rand, names []string) stri
 		if op == 3 {
 			s.CommitRunning(name, config.Doc{"taskCount": 1}, v)
 		} else {
-			s.CommitRunningShared(name, config.Doc{"taskCount": 1}, v)
+			s.CommitRunningShared(name, decoded(config.Doc{"taskCount": 1}), v)
 		}
 		return fmt.Sprintf("CommitRunning %s v%d", name, v)
 	case 5:

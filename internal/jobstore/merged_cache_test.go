@@ -19,16 +19,16 @@ func TestMergedExpectedCachedPerVersion(t *testing.T) {
 
 	// The first read of a version merges; every later one is served the
 	// same cached map.
-	d1, v1, err := s.MergedExpectedShared("j1")
+	m1, v1, err := s.MergedExpectedShared("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _, err := s.MergedExpectedShared("j1")
+	m2, _, err := s.MergedExpectedShared("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameDoc(d1, d2) {
-		t.Fatal("second read of one version merged again")
+	if !sameDoc(m1.Doc, m2.Doc) || m1.Config == nil || m1.Config != m2.Config {
+		t.Fatal("second read of one version merged or decoded again")
 	}
 
 	// Callers of the cloning read own the returned doc: mutating it must
@@ -53,16 +53,16 @@ func TestMergedExpectedCachedPerVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	oncall := config.Doc{"pkg": config.Doc{"version": "v2"}}
-	merged := config.MergeLayersShared(base.Layers[0], base.Layers[1], base.Layers[2], oncall)
-	if _, err := s.SetLayer("j1", config.LayerOncall, oncall, base, merged); err != nil {
+	merged := decoded(config.MergeLayersShared(base.Layers[0], base.Layers[1], base.Layers[2], oncall))
+	if _, err := s.SetLayer("j1", config.LayerOncall, oncall, base, &merged); err != nil {
 		t.Fatal(err)
 	}
-	d4, v4, err := s.MergedExpectedShared("j1")
+	m4, v4, err := s.MergedExpectedShared("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v4 != v1+1 || !sameDoc(d4, merged) {
-		t.Fatalf("read after a write with its merge: version %d, served the written merge = %v; want %d, true", v4, sameDoc(d4, merged), v1+1)
+	if v4 != v1+1 || !sameDoc(m4.Doc, merged.Doc) || m4.Config != merged.Config {
+		t.Fatalf("read after a write with its merge: version %d, served the written merge = %v; want %d, true", v4, sameDoc(m4.Doc, merged.Doc), v1+1)
 	}
 
 	// A write without one moves the version and invalidates the cache: the
@@ -70,14 +70,14 @@ func TestMergedExpectedCachedPerVersion(t *testing.T) {
 	if _, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"pkg": config.Doc{"version": "v3"}}, Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
-	d5, _, err := s.MergedExpectedShared("j1")
+	m5, _, err := s.MergedExpectedShared("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := d5.GetPath("pkg.version"); v != "v3" {
+	if v, _ := m5.Doc.GetPath("pkg.version"); v != "v3" {
 		t.Fatalf("stale merge served after SetLayer: pkg.version = %v", v)
 	}
-	if d6, _, _ := s.MergedExpectedShared("j1"); !sameDoc(d5, d6) {
+	if m6, _, _ := s.MergedExpectedShared("j1"); !sameDoc(m5.Doc, m6.Doc) || m5.Config != m6.Config {
 		t.Fatal("post-write reads merged more than once")
 	}
 }
@@ -104,17 +104,18 @@ func writeLayer(s *Store, name string, layer config.Layer, edit func(config.Doc)
 		next = edit(next)
 		layers := base.Layers
 		layers[layer] = next
-		merged := config.MergeLayersShared(layers[0], layers[1], layers[2], layers[3])
-		if _, err := s.SetLayer(name, layer, next, base, merged); !errors.Is(err, ErrVersionMismatch) {
+		merged := decoded(config.MergeLayersShared(layers[0], layers[1], layers[2], layers[3]))
+		if _, err := s.SetLayer(name, layer, next, base, &merged); !errors.Is(err, ErrVersionMismatch) {
 			return err
 		}
 	}
 }
 
 // mergedMatchesStack checks the job's merged cache against a fresh merge
-// of its stored layers, at the entry's version. The stack is read before
-// and after the merged doc, and the check is made only if both reads
-// found the very same stack: a version alone does not name one, since a
+// of its stored layers, and its config against a decode of the cached
+// doc, at the entry's version. The stack is read before and after the
+// merged doc, and the check is made only if both reads found the very
+// same stack: a version alone does not name one, since a
 // deleted and re-created job counts from 1 again. It reports false
 // without checking when a concurrent write got in between. Safe to call
 // from any goroutine: a mismatch is reported with t.Errorf.
@@ -129,8 +130,11 @@ func mergedMatchesStack(t *testing.T, s *Store, name, step string) bool {
 	if v != e.Version || after.Version != e.Version || !sameLayers(&after.Layers, &e.Layers) {
 		return false
 	}
-	if want := config.MergeLayersShared(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3]); !config.Equal(got, want) {
-		t.Errorf("%s: %s at version %d: cached merge %v, stack merges to %v", step, name, v, got, want)
+	if want := config.MergeLayersShared(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3]); !config.Equal(got.Doc, want) {
+		t.Errorf("%s: %s at version %d: cached merge %v, stack merges to %v", step, name, v, got.Doc, want)
+	}
+	if want := decoded(got.Doc).Config; !reflect.DeepEqual(got.Config, want) {
+		t.Errorf("%s: %s at version %d: cached config %+v, the merge decodes to %+v", step, name, v, got.Config, want)
 	}
 	return true
 }
@@ -181,8 +185,8 @@ func randomStackOp(t *testing.T, s *Store, rng *rand.Rand, names []string) strin
 		next := set(config.Doc{})
 		layers := base.Layers
 		layers[layer] = next
-		merged := config.MergeLayersShared(layers[0], layers[1], layers[2], layers[3])
-		if _, err := s.SetLayer(name, layer, next, base, merged); !errors.Is(err, ErrVersionMismatch) && !errors.Is(err, ErrNotFound) {
+		merged := decoded(config.MergeLayersShared(layers[0], layers[1], layers[2], layers[3]))
+		if _, err := s.SetLayer(name, layer, next, base, &merged); !errors.Is(err, ErrVersionMismatch) && !errors.Is(err, ErrNotFound) {
 			t.Errorf("%s of %s: err = %v, want ErrVersionMismatch", step, name, err)
 		}
 		return fmt.Sprintf("%s %s/%s", step, name, layer)

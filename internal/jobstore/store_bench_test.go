@@ -68,7 +68,7 @@ func BenchmarkCommitRunningSharedFanIn(b *testing.B) {
 	for i := range names {
 		names[i] = fmt.Sprintf("j%05d", i)
 	}
-	cfg := config.Doc{"taskCount": 4, "package": config.Doc{"version": "v2"}}
+	cfg := decoded(config.Doc{"taskCount": 4, "package": config.Doc{"version": "v2"}})
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

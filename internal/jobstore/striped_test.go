@@ -141,26 +141,28 @@ func TestSharedDocsAvoidCloning(t *testing.T) {
 	if err := s.Create("j", config.Doc{"taskCount": 4, "package": config.Doc{"version": "v1"}}); err != nil {
 		t.Fatal(err)
 	}
-	d1, v1, err := s.MergedExpectedShared("j")
+	m1, v1, err := s.MergedExpectedShared("j")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, v2, err := s.MergedExpectedShared("j")
+	m2, v2, err := s.MergedExpectedShared("j")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v1 != v2 || reflect.ValueOf(d1).Pointer() != reflect.ValueOf(d2).Pointer() {
-		t.Fatal("MergedExpectedShared must return the cached doc itself on a hit")
+	d1, d2 := m1.Doc, m2.Doc
+	if v1 != v2 || reflect.ValueOf(d1).Pointer() != reflect.ValueOf(d2).Pointer() || m1.Config != m2.Config {
+		t.Fatal("MergedExpectedShared must return the cached doc and config themselves on a hit")
 	}
 
 	// A layer write replaces (never mutates) the cached doc.
 	if _, err := s.SetLayer("j", config.LayerOncall, config.Doc{}.SetPath("package.version", "v2"), Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
-	d3, _, err := s.MergedExpectedShared("j")
+	m3, _, err := s.MergedExpectedShared("j")
 	if err != nil {
 		t.Fatal(err)
 	}
+	d3 := m3.Doc
 	if reflect.ValueOf(d3).Pointer() == reflect.ValueOf(d1).Pointer() {
 		t.Fatal("stale cached doc returned after layer write")
 	}
@@ -172,7 +174,7 @@ func TestSharedDocsAvoidCloning(t *testing.T) {
 	}
 
 	// CommitRunningShared stores the doc itself; GetRunningShared hands it back.
-	s.CommitRunningShared("j", d3, 2)
+	s.CommitRunningShared("j", m3, 2)
 	r, ok := s.GetRunningShared("j")
 	if !ok {
 		t.Fatal("running entry missing")

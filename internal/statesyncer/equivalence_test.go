@@ -79,7 +79,7 @@ func (s *legacySyncer) buildPlan(job string, merged config.Doc, version int64) P
 		}
 	}
 	if !hasRunning || !complex {
-		return Plan{Job: job, Kind: PlanSimple, Changes: changes, commitDoc: merged, commitVersion: version}
+		return Plan{Job: job, Kind: PlanSimple, Changes: changes, commit: jobstore.Merged{Doc: merged}, commitVersion: version}
 	}
 	oldCount := intAt(running.Config, "taskCount")
 	newCount := intAt(merged, "taskCount")
@@ -92,7 +92,7 @@ func (s *legacySyncer) buildPlan(job string, merged config.Doc, version int64) P
 	}
 	rollback := []Action{{Name: "roll back: resume job in its previous configuration", Run: func() error { return s.act.ResumeJob(job) }}}
 	return Plan{Job: job, Kind: PlanComplex, Changes: changes, Actions: actions,
-		commitDoc: merged, commitVersion: version, resume: true, rollback: rollback}
+		commit: jobstore.Merged{Doc: merged}, commitVersion: version, resume: true, rollback: rollback}
 }
 
 func (s *legacySyncer) runRound() RoundResult {
@@ -211,8 +211,8 @@ func (s *legacySyncer) executePlan(p Plan) error {
 			return fmt.Errorf("%s: action %q: %w", p.Job, a.Name, err)
 		}
 	}
-	if p.commitDoc != nil {
-		_ = s.store.CommitRunning(p.Job, p.commitDoc, p.commitVersion)
+	if p.commit.Doc != nil {
+		_ = s.store.CommitRunning(p.Job, p.commit.Doc, p.commitVersion)
 	}
 	if p.resume {
 		resume := Action{Name: "resume job (start new tasks)", Run: func() error { return s.act.ResumeJob(p.Job) }}

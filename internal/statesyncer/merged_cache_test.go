@@ -31,11 +31,11 @@ func TestRoundsReuseCachedMerges(t *testing.T) {
 	merged := func() []config.Doc {
 		var docs []config.Doc
 		for _, name := range []string{"a", "b", "c"} {
-			d, _, err := svc.Store().MergedExpectedShared(name)
+			m, _, err := svc.Store().MergedExpectedShared(name)
 			if err != nil {
 				t.Fatal(err)
 			}
-			docs = append(docs, d)
+			docs = append(docs, m.Doc)
 		}
 		return docs
 	}

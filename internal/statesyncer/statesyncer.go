@@ -145,15 +145,15 @@ type Plan struct {
 	Kind    PlanKind
 	Changes []config.Change
 	Actions []Action
-	// commitDoc and commitVersion are the new running configuration to
-	// publish; the executor commits them only after every action
-	// succeeded (the atomic commit point). A nil commitDoc means the
-	// plan has no commit (noop, delete). Plain data instead of a bound
+	// commit and commitVersion are the new running configuration — the
+	// merged doc and its typed config — to publish; the executor commits
+	// them only after every action succeeded (the atomic commit point). A
+	// nil commit.Doc means the plan has no commit (noop, delete). Plain data instead of a bound
 	// closure: simple-sync churn builds hundreds of plans per round, and
 	// a per-plan closure capture is a heap allocation the steady-state
 	// scratch design forbids. The commit error is always nil unless
 	// fault injection intercepts the store commit.
-	commitDoc     config.Doc
+	commit        jobstore.Merged
 	commitVersion int64
 	// commitErr records a failed inline commit from BuildPlan's
 	// content-equal fast path, so the round treats the job as failed
@@ -386,9 +386,10 @@ func (s *Syncer) Stats() Stats {
 // BuildPlan computes the execution plan for one job given its merged
 // expected configuration. It is exported for tests and for turbinectl's
 // dry-run mode. merged is treated as immutable from this point on: the
-// syncer passes the store's shared cached doc, and a committed plan
-// publishes that same doc into the running table without cloning.
-func (s *Syncer) BuildPlan(job string, merged config.Doc, version int64) Plan {
+// syncer passes the store's shared cache, and a committed plan publishes
+// that same doc and config into the running table without cloning or
+// decoding.
+func (s *Syncer) BuildPlan(job string, merged jobstore.Merged, version int64) Plan {
 	var dd config.Differ
 	return s.buildPlan(job, merged, version, &dd)
 }
@@ -396,7 +397,7 @@ func (s *Syncer) BuildPlan(job string, merged config.Doc, version int64) Plan {
 // buildPlan is BuildPlan diffing through dd — a per-worker-slot Differ
 // on the round path, so a churn round's diffs reuse each slot's change
 // and key buffers instead of allocating per job.
-func (s *Syncer) buildPlan(job string, merged config.Doc, version int64, dd *config.Differ) Plan {
+func (s *Syncer) buildPlan(job string, merged jobstore.Merged, version int64, dd *config.Differ) Plan {
 	// Version short-circuit: the running entry records which expected
 	// version it realizes. If that hasn't moved, there is nothing to
 	// diff — the common case for tens of thousands of converged jobs.
@@ -408,7 +409,7 @@ func (s *Syncer) buildPlan(job string, merged config.Doc, version int64, dd *con
 	running, hasRunning := s.store.GetRunningShared(job)
 	var changes []config.Change
 	if hasRunning {
-		changes = dd.Diff(running.Config, merged)
+		changes = dd.Diff(running.Config, merged.Doc)
 		if len(changes) == 0 {
 			// Content equal even though the version moved (e.g. an
 			// override written and reverted): commit the version so
@@ -431,13 +432,13 @@ func (s *Syncer) buildPlan(job string, merged config.Doc, version int64, dd *con
 		// New jobs and direct copies are simple synchronizations: the
 		// commit itself is the whole plan, and the new settings propagate
 		// to tasks through the Task Service (§IV).
-		return Plan{Job: job, Kind: PlanSimple, Changes: changes, commitDoc: merged, commitVersion: version}
+		return Plan{Job: job, Kind: PlanSimple, Changes: changes, commit: merged, commitVersion: version}
 	}
 
 	// Complex synchronization: multi-step, strictly ordered (§III-B).
 	oldCount := intAt(running.Config, "taskCount")
-	newCount := intAt(merged, "taskCount")
-	partitions := intAt(merged, "input.partitions")
+	newCount := intAt(merged.Doc, "taskCount")
+	partitions := intAt(merged.Doc, "input.partitions")
 	actions := []Action{
 		{
 			Name: fmt.Sprintf("stop %d old tasks", oldCount),
@@ -455,7 +456,7 @@ func (s *Syncer) buildPlan(job string, merged config.Doc, version int64, dd *con
 		Run:  func() error { return s.act.ResumeJob(job) },
 	}}
 	return Plan{Job: job, Kind: PlanComplex, Changes: changes, Actions: actions,
-		commitDoc: merged, commitVersion: version, resume: true, rollback: rollback}
+		commit: merged, commitVersion: version, resume: true, rollback: rollback}
 }
 
 func intAt(d config.Doc, path string) int {
@@ -508,10 +509,11 @@ func (s *Syncer) executePlan(p Plan) error {
 		// diverged, is re-planned.
 		s.setResumePending(p.Job, true)
 	}
-	if p.commitDoc != nil {
+	if p.commit.Doc != nil {
 		// The shared commit: merged came from MergedExpectedShared and is
-		// immutable, so the store keeps the doc itself — no clone.
-		if err := s.store.CommitRunningShared(p.Job, p.commitDoc, p.commitVersion); err != nil {
+		// immutable, so the store keeps the doc and config themselves — no
+		// clone, no decode.
+		if err := s.store.CommitRunningShared(p.Job, p.commit, p.commitVersion); err != nil {
 			if s.dead() {
 				return errKilled
 			}

@@ -403,7 +403,7 @@ func TestPeriodicRoundsOnClock(t *testing.T) {
 func TestBuildPlanKinds(t *testing.T) {
 	svc, syncer, _, _ := newWorld(t, Options{})
 	svc.Provision(validConfig("j1"))
-	merged, version, _ := svc.Store().MergedExpected("j1")
+	merged, version, _ := svc.Store().MergedExpectedShared("j1")
 
 	// No running entry: simple (fresh start).
 	p := syncer.BuildPlan("j1", merged, version)
@@ -420,7 +420,7 @@ func TestBuildPlanKinds(t *testing.T) {
 
 	// taskCount change: complex with 2 ordered actions.
 	svc.SetTaskCount("j1", config.LayerScaler, 16)
-	merged, version, _ = svc.Store().MergedExpected("j1")
+	merged, version, _ = svc.Store().MergedExpectedShared("j1")
 	p = syncer.BuildPlan("j1", merged, version)
 	if p.Kind != PlanComplex || len(p.Actions) != 2 {
 		t.Fatalf("plan = %+v", p)

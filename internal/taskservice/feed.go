@@ -10,8 +10,10 @@
 // the Service's regeneration, COW shard-index splicing and spec
 // generation are the same code; the replica's change set names every job
 // the journal does; and each row's config is the one the local Service
-// decodes from the same running document (DecodeJobConfigBlob is
-// defined as JobConfigFromDoc of the decoded document).
+// reads from the Job Store, because the feed encodes that very config
+// (wire.AppendJobConfig) and DecodeJobConfigBlob returns it from the
+// bytes. A running entry that is no JobConfig travels as the empty
+// document, whose zero config, like nil, runs no tasks.
 //
 // Cursor protocol (mirrors the Job Store journal's contract):
 //
@@ -460,10 +462,13 @@ func (r *replica) RunningRevision(name string) (int64, bool) {
 	return row.rev, ok
 }
 
-func (r *replica) runningConfig(name string) *config.JobConfig {
+// RunningEntry returns a job's replicated config, the version it
+// realizes and its local revision.
+func (r *replica) RunningEntry(name string) (*config.JobConfig, int64, int64, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.rows[name].cfg
+	row, ok := r.rows[name]
+	return row.cfg, row.version, row.rev, ok
 }
 
 // IndexEqual reports whether two snapshot indexes describe the same

@@ -100,6 +100,36 @@ func TestFeedClientMirrorsFleet(t *testing.T) {
 	}
 }
 
+// TestFeedNoJobConfigRunsNoTasks: a running document that is no
+// JobConfig has no typed config in the store; the feed sends it as the
+// empty document, and both Task Services give the job an empty group —
+// through a delta, and through the resync walk after a Restore.
+func TestFeedNoJobConfigRunsNoTasks(t *testing.T) {
+	h := newFeedHarness(t, 8)
+	h.commit(t, "jobs/a", 4, 1)
+	if err := h.store.CommitRunning("jobs/b", config.Doc{"taskCount": "four"}, 1); err != nil {
+		t.Fatal(err)
+	}
+	h.mustConverge(t)
+	if got := h.remote.Index().Len(); got != 4 {
+		t.Fatalf("remote index holds %d tasks, want jobs/a's 4", got)
+	}
+	h.checkReplica(t)
+
+	data, err := h.store.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.store.Restore(data); err != nil {
+		t.Fatal(err)
+	}
+	h.mustConverge(t)
+	if h.remote.Stats().Resyncs == 0 {
+		t.Fatal("the restore did not send the subscriber through a resync walk")
+	}
+	h.checkReplica(t)
+}
+
 // TestFeedServesPastFullRegistry: the feed server's subscriber registry
 // is bounded by count, and it is status only. A remote Task Service that
 // first polls once the registry is full stays out of it — every one of
@@ -286,8 +316,9 @@ func TestFeedChurnMatrixByteIdentity(t *testing.T) {
 
 // checkReplica fails unless the replica holds exactly the source's
 // running table: the same names, the same version per name, and per name
-// the config JobConfigFromDoc decodes from the source's running document
-// (nil where it fails).
+// the source's running config — or, where the source's document is no
+// JobConfig, the zero config, which the empty document it travels as
+// decodes to: neither runs a task.
 func (h *feedHarness) checkReplica(t *testing.T) {
 	t.Helper()
 	names, rnames := h.store.RunningNames(), h.remote.rep.RunningNames()
@@ -295,12 +326,13 @@ func (h *feedHarness) checkReplica(t *testing.T) {
 		t.Fatalf("replica names %v != source %v", rnames, names)
 	}
 	for _, n := range names {
-		doc, version, _, _ := h.store.RunningEntry(n)
+		want, version, _, _ := h.store.RunningEntry(n)
+		if want == nil {
+			want = &config.JobConfig{}
+		}
 		row := h.remote.rep.rows[n]
-		want, err := config.JobConfigFromDoc(doc)
-		if row.version != version || (row.cfg == nil) != (err != nil) ||
-			(row.cfg != nil && !reflect.DeepEqual(row.cfg, want)) {
-			t.Fatalf("replica row %s = version %d, %+v; source version %d, %+v (%v)", n, row.version, row.cfg, version, want, err)
+		if row.version != version || !reflect.DeepEqual(row.cfg, want) {
+			t.Fatalf("replica row %s = version %d, %+v; source version %d, %+v", n, row.version, row.cfg, version, want)
 		}
 	}
 }
@@ -315,9 +347,7 @@ func TestFeedClientRejectsModeMismatches(t *testing.T) {
 	// Hand-feed a chunk frame to a delta-mode client.
 	var e wire.Encoder
 	mark, countMark := e.AppendResyncChunkHeader(true)
-	if err := e.AppendChunkItem("jobs/a", 1, 1, config.Doc{"k": "v"}); err != nil {
-		t.Fatal(err)
-	}
+	e.AppendChunkItem("jobs/a", 1, 1, &config.JobConfig{Name: "k"})
 	e.PatchChunkCount(countMark, 1)
 	e.EndFrame(mark)
 	c := NewFeedClient(&fakeFeed{frame: e.Buf}, "x", feedTestClock(), 90*time.Second, 4)
@@ -369,15 +399,14 @@ func TestFeedClientRejectsDuplicateDocKeys(t *testing.T) {
 	}
 	c.Index() // hands the touched set over to the Service
 
-	// Encode {"name": …, "namf": …}, then rename "namf" to "name".
+	// Encode {"operator": …, "priority": …}, then rename "priority" to
+	// "operator".
 	var e wire.Encoder
 	mark := e.AppendDeltaHeader(c.Cursor()+1, 1)
-	if err := e.AppendDeltaCommit("jobs/a", 99, 2, config.Doc{"name": "jobs/a", "namf": "jobs/b"}); err != nil {
-		t.Fatal(err)
-	}
+	e.AppendDeltaCommit("jobs/a", 99, 2, &config.JobConfig{Operator: config.OpTailer, Priority: 1})
 	e.EndFrame(mark)
-	i := bytes.LastIndex(e.Buf, []byte("namf"))
-	e.Buf[i+3] = 'e'
+	i := bytes.LastIndex(e.Buf, []byte("priority"))
+	copy(e.Buf[i:], "operator")
 	feed.frame = e.Buf
 
 	rows, cursor, rev := maps.Clone(c.rep.rows), c.Cursor(), c.rep.rev

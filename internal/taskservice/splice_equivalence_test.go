@@ -29,7 +29,7 @@ import (
 // the groups' sub-buckets in job-name order. A fresh Service is no
 // oracle: its first publish runs the very splice under test.
 func scratchIndex(store *jobstore.Store, numShards int, quiesced map[string]bool) *SnapshotIndex {
-	gen := &Service{table: storeTable{store}, numShards: numShards, groups: make(map[string]*jobGroup)}
+	gen := &Service{table: store, numShards: numShards, groups: make(map[string]*jobGroup)}
 	idx := &SnapshotIndex{numShards: numShards, chunks: make([]*shardChunk, numChunks(numShards))}
 	for _, job := range store.RunningNames() {
 		rev, ok := store.RunningRevision(job)

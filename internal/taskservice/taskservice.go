@@ -55,19 +55,8 @@ import (
 
 // runningTable is what a Service reads: the running configurations by
 // name, their revisions, and which names changed since a cursor. The
-// primary Job Store is one (storeTable); a FeedClient's replica of it is
-// the other.
+// primary Job Store is one; a FeedClient's replica of it is the other.
 type runningTable interface {
-	runningIndex
-	// runningConfig returns a job's running configuration, nil if it is
-	// not running or its document is not a JobConfig. The result is shared
-	// and must not be modified.
-	runningConfig(name string) *config.JobConfig
-}
-
-// runningIndex is the part of a running table the Job Store serves as it
-// is.
-type runningIndex interface {
 	// ChangesSince appends the changes after cursor to buf and returns the
 	// cursor to pass next; ok=false means the cursor fell off the record
 	// of changes, and every running job must be treated as changed.
@@ -77,24 +66,11 @@ type runningIndex interface {
 	// RunningRevision returns the revision of a job's running entry, which
 	// changes on every commit of it.
 	RunningRevision(name string) (int64, bool)
-}
-
-// storeTable reads the running table of the primary Job Store, decoding
-// a job's running document when its group is rebuilt.
-type storeTable struct{ *jobstore.Store }
-
-func (t storeTable) runningConfig(name string) *config.JobConfig {
-	// Shared read: JobConfigFromDoc only decodes, so the running doc
-	// needs no defensive copy — at refresh scale the clones dominated.
-	r, ok := t.GetRunningShared(name)
-	if !ok {
-		return nil
-	}
-	cfg, err := config.JobConfigFromDoc(r.Config)
-	if err != nil {
-		return nil
-	}
-	return cfg
+	// RunningEntry returns a job's running configuration — nil if it is
+	// not running or its document is not a JobConfig — with the version it
+	// realizes and its revision. The config is shared and must not be
+	// modified.
+	RunningEntry(name string) (cfg *config.JobConfig, version, revision int64, ok bool)
 }
 
 // Service generates and caches task-spec snapshots.
@@ -150,7 +126,7 @@ type publishedSnap struct {
 // the Shard Manager's shard-space size, used to precompute the snapshot's
 // shard→specs index; non-positive defaults to the production 1024.
 func New(store *jobstore.Store, clock simclock.Clock, ttl time.Duration, numShards int) *Service {
-	return newService(storeTable{store}, clock, ttl, numShards)
+	return newService(store, clock, ttl, numShards)
 }
 
 func newService(table runningTable, clock simclock.Clock, ttl time.Duration, numShards int) *Service {
@@ -317,7 +293,7 @@ func (s *Service) regenerateLocked() *SnapshotIndex {
 	s.touched = names
 
 	// Rebuild every stale group up front, in parallel: group generation
-	// (decode, spec expansion, bucketing) is pure per-job work, so it fans
+	// (spec expansion, bucketing) is pure per-job work, so it fans
 	// out across the pool while the order-sensitive inclusion pass below
 	// stays sequential — and finds a warm cache.
 	s.rebuildNames = s.rebuildNames[:0]
@@ -492,7 +468,7 @@ func (s *Service) rebuildGroups() (shards int) {
 // rebuildGroups writes after the pool has drained.
 func (s *Service) buildGroup(job string, rev int64) *jobGroup {
 	g := &jobGroup{job: job, rev: rev}
-	cfg := s.table.runningConfig(job)
+	cfg, _, _, _ := s.table.RunningEntry(job)
 	if cfg == nil || cfg.Stopped || cfg.TaskCount <= 0 {
 		return g
 	}

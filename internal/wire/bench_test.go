@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-func BenchmarkEncodeDoc(b *testing.B) {
-	doc := sampleDoc()
-	var e Encoder
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Reset()
-		if err := e.AppendDoc(doc); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.SetBytes(int64(len(e.Buf)))
-}
-
 // decodeJobConfigAllocCeiling bounds one DecodeJobConfigBlob of
 // sampleDoc: the JobConfig and its four non-empty strings, 5 objects
 // measured. The generic decode plus config.JobConfigFromDoc, which the
@@ -61,18 +47,17 @@ func BenchmarkDecodeJobConfigBlob(b *testing.B) {
 }
 
 // BenchmarkEncodeDeltaCommit is the per-changed-job cost of a churn
-// tick's feed frame: one commit entry with its running doc inlined.
+// tick's feed frame: one commit entry with its running config inlined
+// (TestEncoderReuseNoGrowth holds it to zero allocations).
 func BenchmarkEncodeDeltaCommit(b *testing.B) {
-	doc := sampleDoc()
+	cfg := sampleConfig()
 	var e Encoder
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Reset()
 		mark := e.AppendDeltaHeader(uint64(i), 1)
-		if err := e.AppendDeltaCommit("ads/metrics", 7, 3, doc); err != nil {
-			b.Fatal(err)
-		}
+		e.AppendDeltaCommit("ads/metrics", 7, 3, cfg)
 		e.EndFrame(mark)
 	}
 	b.SetBytes(int64(len(e.Buf)))
@@ -84,9 +69,7 @@ func BenchmarkEncodeDeltaCommit(b *testing.B) {
 func BenchmarkDecodeDeltaSkip(b *testing.B) {
 	var e Encoder
 	mark := e.AppendDeltaHeader(42, 1)
-	if err := e.AppendDeltaCommit("ads/metrics", 7, 3, sampleDoc()); err != nil {
-		b.Fatal(err)
-	}
+	e.AppendDeltaCommit("ads/metrics", 7, 3, sampleConfig())
 	e.EndFrame(mark)
 	_, body, _, err := DecodeFrame(e.Buf)
 	if err != nil {

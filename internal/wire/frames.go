@@ -113,18 +113,15 @@ func (e *Encoder) AppendDeltaDrop(name string) {
 }
 
 // AppendDeltaCommit appends a commit entry carrying the job's running
-// document.
-func (e *Encoder) AppendDeltaCommit(name string, rev, version int64, doc config.Doc) error {
+// configuration as its document (AppendJobConfig).
+func (e *Encoder) AppendDeltaCommit(name string, rev, version int64, cfg *config.JobConfig) {
 	e.Buf = append(e.Buf, 0)
 	e.Buf = AppendString(e.Buf, name)
 	e.Buf = AppendVarint(e.Buf, rev)
 	e.Buf = AppendVarint(e.Buf, version)
 	mark := e.BeginBlob()
-	if err := e.AppendValue(doc); err != nil {
-		return err
-	}
+	e.AppendJobConfig(cfg)
 	e.EndBlob(mark)
-	return nil
 }
 
 // DecodeDelta reads a FrameDelta header and returns its entry iterator.
@@ -223,17 +220,15 @@ func (e *Encoder) PatchChunkCount(countMark, count int) {
 	putU32(e.Buf[countMark:], uint32(count))
 }
 
-// AppendChunkItem appends one running entry to a resync page.
-func (e *Encoder) AppendChunkItem(name string, rev, version int64, doc config.Doc) error {
+// AppendChunkItem appends one running entry to a resync page, its
+// configuration as its document (AppendJobConfig).
+func (e *Encoder) AppendChunkItem(name string, rev, version int64, cfg *config.JobConfig) {
 	e.Buf = AppendString(e.Buf, name)
 	e.Buf = AppendVarint(e.Buf, rev)
 	e.Buf = AppendVarint(e.Buf, version)
 	mark := e.BeginBlob()
-	if err := e.AppendValue(doc); err != nil {
-		return err
-	}
+	e.AppendJobConfig(cfg)
 	e.EndBlob(mark)
-	return nil
 }
 
 // DecodeResyncChunk reads a FrameResyncChunk header and returns its

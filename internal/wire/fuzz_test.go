@@ -18,13 +18,13 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(append([]byte(nil), e.Buf...))
 	e.Reset()
 	mark := e.AppendDeltaHeader(9, 2)
-	_ = e.AppendDeltaCommit("jobs/a", 1, 1, sampleDoc())
+	e.AppendDeltaCommit("jobs/a", 1, 1, sampleConfig())
 	e.AppendDeltaDrop("jobs/b")
 	e.EndFrame(mark)
 	f.Add(append([]byte(nil), e.Buf...))
 	e.Reset()
 	mark, countMark := e.AppendResyncChunkHeader(true)
-	_ = e.AppendChunkItem("jobs/a", 1, 1, config.Doc{"k": "v"})
+	e.AppendChunkItem("jobs/a", 1, 1, &config.JobConfig{Name: "k"})
 	e.PatchChunkCount(countMark, 1)
 	e.EndFrame(mark)
 	f.Add(append([]byte(nil), e.Buf...))

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -63,22 +64,7 @@ func nested(levels int) config.Doc {
 // config, case-variant keys, kind mismatches, nulls, invalid UTF-8, the
 // float/integer boundaries, nesting at maxDepth ± 1 and trailing bytes.
 func jobConfigBlobSeeds(t testing.TB) [][]byte {
-	full, err := (&config.JobConfig{
-		Name:           "ads/metrics",
-		Package:        config.Package{Name: "scuba_tailer", Version: "v7"},
-		TaskCount:      8,
-		ThreadsPerTask: 2,
-		TaskResources:  config.Resources{CPUCores: 2.5, MemoryBytes: 2 << 30, DiskBytes: 1 << 40, NetworkBps: 1e9},
-		Operator:       config.OpTailer,
-		Input:          config.Input{Category: "ads_metrics_in", Partitions: 64},
-		Output:         config.Output{Category: "ads_metrics_out"},
-		CheckpointDir:  "/ckpt/$JOB/$TASK",
-		Enforcement:    config.EnforceCgroup,
-		Priority:       3,
-		MaxTaskCount:   32,
-		SLOSeconds:     90,
-		Stopped:        true,
-	}).ToDoc()
+	full, err := sampleConfig().ToDoc()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,4 +253,131 @@ func TestDocKeysStrictlyAscending(t *testing.T) {
 	if cfg, err := DecodeJobConfigBlob(ascending); err != nil || cfg == nil || cfg.Name != "a" {
 		t.Fatalf("ascending keys: %+v, %v; want name a", cfg, err)
 	}
+}
+
+// docOf is the document AppendJobConfig stands for: cfg.ToDoc — its keys,
+// omissions and strings — with every non-zero integer field as the
+// integer itself, as the scaler's and oncall's layer writes hold them,
+// and a non-finite float, which ToDoc refuses, in its place.
+func docOf(t testing.TB, cfg *config.JobConfig) config.Doc {
+	t.Helper()
+	finite := *cfg
+	if !isFinite(finite.TaskResources.CPUCores) {
+		finite.TaskResources.CPUCores = 0
+	}
+	if !isFinite(finite.SLOSeconds) {
+		finite.SLOSeconds = 0
+	}
+	d, err := finite.ToDoc()
+	if err != nil {
+		t.Fatalf("ToDoc of finite %+v: %v", finite, err)
+	}
+	set := func(path string, v any, present bool) {
+		if present {
+			d.SetPath(path, v)
+		}
+	}
+	r := cfg.TaskResources
+	set("taskResources.cpuCores", r.CPUCores, !isFinite(r.CPUCores))
+	set("sloSeconds", cfg.SLOSeconds, !isFinite(cfg.SLOSeconds))
+	for path, n := range map[string]int64{
+		"taskCount": int64(cfg.TaskCount), "threadsPerTask": int64(cfg.ThreadsPerTask),
+		"input.partitions": int64(cfg.Input.Partitions), "priority": int64(cfg.Priority),
+		"maxTaskCount": int64(cfg.MaxTaskCount), "taskResources.memoryBytes": r.MemoryBytes,
+		"taskResources.diskBytes": r.DiskBytes, "taskResources.networkBps": r.NetworkBps,
+	} {
+		set(path, n, n != 0)
+	}
+	return d
+}
+
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// checkAppendJobConfig fails unless AppendJobConfig(cfg) is, byte for
+// byte, the generic encoding of the document it stands for (docOf), and
+// DecodeJobConfigBlob returns cfg from it — with invalid UTF-8 replaced
+// as JobConfigFromDoc replaces it, and a float -0 read back as 0.
+func checkAppendJobConfig(t testing.TB, cfg *config.JobConfig) {
+	t.Helper()
+	var e Encoder
+	e.AppendJobConfig(cfg)
+	if want := encodeDoc(t, docOf(t, cfg)); !bytes.Equal(e.Buf, want) {
+		t.Fatalf("%+v:\n  typed %x\n  doc   %x", *cfg, e.Buf, want)
+	}
+	got, err := DecodeJobConfigBlob(e.Buf)
+	if err != nil || got == nil {
+		t.Fatalf("%+v: decode = %+v, %v", *cfg, got, err)
+	}
+	want := *cfg
+	for _, s := range []*string{&want.Name, &want.Package.Name, &want.Package.Version,
+		(*string)(&want.Operator), &want.Input.Category, &want.Output.Category,
+		&want.CheckpointDir, (*string)(&want.Enforcement)} {
+		*s = string([]rune(*s))
+	}
+	for _, x := range []*float64{&want.TaskResources.CPUCores, &want.SLOSeconds} {
+		if *x == 0 {
+			*x = 0 // a -0 is left out, like every zero
+		}
+	}
+	// %#v, not reflect.DeepEqual: NaN is the same value on both sides.
+	if fmt.Sprintf("%#v", *got) != fmt.Sprintf("%#v", want) {
+		t.Fatalf("round trip:\n  got  %#v\n  want %#v", *got, want)
+	}
+}
+
+func TestAppendJobConfigSeeds(t *testing.T) {
+	for _, cfg := range []*config.JobConfig{
+		sampleConfig(),
+		{},
+		{Name: "bad\xff\xfeutf8", Package: config.Package{Version: "\xed\xa0\x80"}},
+		{TaskCount: -1, Priority: math.MinInt, MaxTaskCount: math.MaxInt,
+			TaskResources: config.Resources{MemoryBytes: 1<<53 + 1, DiskBytes: math.MaxInt64, NetworkBps: math.MinInt64}},
+		{SLOSeconds: math.Inf(-1), TaskResources: config.Resources{CPUCores: math.NaN()}},
+		{SLOSeconds: math.Copysign(0, -1), Stopped: true},
+	} {
+		checkAppendJobConfig(t, cfg)
+	}
+	var e Encoder
+	e.AppendJobConfig(nil)
+	if cfg, err := DecodeJobConfigBlob(e.Buf); err != nil || cfg == nil || *cfg != (config.JobConfig{}) {
+		t.Fatalf("nil config decodes to %+v, %v; want the zero config", cfg, err)
+	}
+}
+
+// FuzzAppendJobConfig holds the spec feed's typed encoding to the
+// generic encoding of the document it stands for, and to an exact round
+// trip through DecodeJobConfigBlob, for any config: integers beyond 2^53
+// and at the int64 limits, non-finite and negative-zero floats, empty
+// nested structs, and invalid UTF-8.
+func FuzzAppendJobConfig(f *testing.F) {
+	c := sampleConfig()
+	f.Add(c.Name, c.Package.Name, c.Package.Version, string(c.Operator), c.Input.Category,
+		c.Output.Category, c.CheckpointDir, string(c.Enforcement), int64(c.TaskCount),
+		int64(c.ThreadsPerTask), int64(c.Input.Partitions), int64(c.Priority), int64(c.MaxTaskCount),
+		c.TaskResources.MemoryBytes, c.TaskResources.DiskBytes, c.TaskResources.NetworkBps,
+		c.TaskResources.CPUCores, c.SLOSeconds, c.Stopped)
+	f.Add("", "", "", "", "", "", "", "", int64(0), int64(0), int64(0), int64(0), int64(0),
+		int64(0), int64(0), int64(0), 0.0, 0.0, false)
+	f.Add("\xff", "é", "\xed\xa0\x80", "x", "", "c", "", "jvm", int64(-1), int64(math.MaxInt64),
+		int64(math.MinInt64), int64(1<<53+1), int64(1), int64(1<<53+1), int64(-(1<<53)-1),
+		int64(7), math.Inf(1), math.NaN(), true)
+	f.Fuzz(func(t *testing.T, name, pkg, version, op, in, out, ckpt, enf string,
+		tasks, threads, parts, prio, maxTasks, mem, disk, net int64, cpu, slo float64, stopped bool) {
+		checkAppendJobConfig(t, &config.JobConfig{
+			Name:           name,
+			Package:        config.Package{Name: pkg, Version: version},
+			TaskCount:      int(tasks),
+			ThreadsPerTask: int(threads),
+			TaskResources:  config.Resources{CPUCores: cpu, MemoryBytes: mem, DiskBytes: disk, NetworkBps: net},
+			Operator:       config.Operator(op),
+			Input:          config.Input{Category: in, Partitions: int(parts)},
+			Output:         config.Output{Category: out},
+			CheckpointDir:  ckpt,
+			Enforcement:    config.MemoryEnforcement(enf),
+			Priority:       int(prio),
+			MaxTaskCount:   int(maxTasks),
+			SLOSeconds:     slo,
+			Stopped:        stopped,
+		})
+	})
 }

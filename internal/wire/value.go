@@ -1,31 +1,28 @@
 // Document codec: config.Doc values (JSON-shaped trees) in a compact
-// tagged binary form. Documents encode deterministically — object keys
-// are sorted — so two polls of the same revision produce byte-identical
-// payloads, which is what makes the spec feed's frame cache sound: a
-// cached frame is not "probably equivalent" to a re-encode, it is the
-// same bytes.
+// tagged binary form. The spec feed encodes a running entry's typed
+// config (AppendJobConfig) as the document it stands for; the decoders
+// read any document.
 //
-// Numbers keep their JSON semantics, not their Go type: int and int64
-// both travel as vInt and decode as int64, float64 travels as vFloat.
-// That matches config.JobConfigFromDoc, which is defined as the
-// encoding/json round trip of the document and so decodes a number by
-// its value, whatever Go type carries it — a document that holds int64
-// where the primary holds int or an integral float64 decodes the same
-// JobConfig; config.Equal (canonical-JSON comparison) holds across a
-// wire round trip.
+// Numbers keep their JSON semantics, not their Go type: an integer
+// travels as vInt and decodes as int64, a float64 as vFloat. That matches
+// config.JobConfigFromDoc, which is defined as the encoding/json round
+// trip of the document and so decodes a number by its value, whatever
+// Go type carries it.
 //
 // A document's keys are strictly ascending in byte order: the encoder
-// sorts them, and every decoder rejects a duplicate or out-of-order key as
-// malformed. So each object has exactly one encoding, and a streaming
-// decoder meets case-variant keys ("Name", "name") in the sorted order in
-// which config.JobConfigFromDoc applies them — what lets
-// DecodeJobConfigBlob build a JobConfig without building the document.
+// writes them so, and every decoder rejects a duplicate or out-of-order
+// key as malformed. So each object has exactly one encoding — two polls
+// of the same revision produce byte-identical payloads, which is what
+// makes the spec feed's frame cache sound — and a streaming decoder meets
+// case-variant keys ("Name", "name") in the sorted order in which
+// config.JobConfigFromDoc applies them, which lets DecodeJobConfigBlob
+// build a JobConfig without building the document.
 
 package wire
 
 import (
 	"bytes"
-	"sort"
+	"unicode/utf8"
 
 	"repro/internal/config"
 )
@@ -42,77 +39,117 @@ const (
 	vDoc    byte = 7 // uvarint count + sorted (string key, value) pairs
 )
 
-// AppendDoc encodes d as a vDoc value into the encoder's buffer.
-func (e *Encoder) AppendDoc(d config.Doc) error {
-	return e.appendDocBody(d)
-}
-
-// AppendValue encodes one document value (scalar, array, or nested doc).
-func (e *Encoder) AppendValue(v any) error {
-	switch x := v.(type) {
-	case nil:
-		e.Buf = append(e.Buf, vNil)
-	case bool:
-		if x {
-			e.Buf = append(e.Buf, vTrue)
-		} else {
-			e.Buf = append(e.Buf, vFalse)
-		}
-	case int:
-		e.Buf = append(e.Buf, vInt)
-		e.Buf = AppendVarint(e.Buf, int64(x))
-	case int32:
-		e.Buf = append(e.Buf, vInt)
-		e.Buf = AppendVarint(e.Buf, int64(x))
-	case int64:
-		e.Buf = append(e.Buf, vInt)
-		e.Buf = AppendVarint(e.Buf, x)
-	case float64:
-		e.Buf = append(e.Buf, vFloat)
-		e.Buf = AppendFloat(e.Buf, x)
-	case string:
-		e.Buf = append(e.Buf, vString)
-		e.Buf = AppendString(e.Buf, x)
-	case []any:
-		e.Buf = append(e.Buf, vArray)
-		e.Buf = AppendUvarint(e.Buf, uint64(len(x)))
-		for _, el := range x {
-			if err := e.AppendValue(el); err != nil {
-				return err
-			}
-		}
-	case config.Doc:
-		return e.appendDocBody(x)
-	case map[string]any:
-		return e.appendDocBody(config.Doc(x))
-	default:
-		return malformed("unsupported document value type %T", v)
-	}
-	return nil
-}
-
-// appendDocBody writes the vDoc tag, count, and sorted key/value pairs.
-// The sorted-key scratch is a stack: each nesting level claims a region
-// of e.keys and truncates it on the way out, so deep documents reuse one
-// backing array.
-func (e *Encoder) appendDocBody(d config.Doc) error {
+// AppendJobConfig encodes cfg as a vDoc value: the document
+// config.JobConfig.ToDoc builds — the same keys, present and omitted
+// alike, strings as ToDoc stores them — except that integer fields
+// travel as vInt, exactly, where ToDoc rounds them through float64. It
+// writes straight from the struct, in a fixed sorted key order: no maps,
+// no sort, and no allocation once the buffer is warm.
+// DecodeJobConfigBlob returns cfg from the bytes, so a remote replica
+// holds the very config the primary holds. A nil cfg — a running
+// document that is no JobConfig — encodes as the empty document, whose
+// config runs no tasks, as nil does. FuzzAppendJobConfig holds it to the
+// document encoding it stands for.
+func (e *Encoder) AppendJobConfig(cfg *config.JobConfig) {
 	e.Buf = append(e.Buf, vDoc)
-	e.Buf = AppendUvarint(e.Buf, uint64(len(d)))
-	mark := len(e.keys)
-	for k := range d {
-		e.keys = append(e.keys, k)
+	if cfg == nil {
+		e.Buf = AppendUvarint(e.Buf, 0)
+		return
 	}
-	keys := e.keys[mark:]
-	sort.Strings(keys)
-	var err error
-	for _, k := range keys {
-		e.Buf = AppendString(e.Buf, k)
-		if err = e.AppendValue(d[k]); err != nil {
-			break
-		}
+	c := cfg
+	// taskResources, input, output and package are always present.
+	e.Buf = AppendUvarint(e.Buf, 4+nonZero(c.CheckpointDir)+nonZero(c.Enforcement)+
+		nonZero(c.MaxTaskCount)+nonZero(c.Name)+nonZero(c.Operator)+
+		nonZero(c.Priority)+nonZero(c.SLOSeconds)+nonZero(c.Stopped)+
+		nonZero(c.TaskCount)+nonZero(c.ThreadsPerTask))
+	e.text("checkpointDir", c.CheckpointDir)
+	e.text("enforcement", string(c.Enforcement))
+	e.object("input", nonZero(c.Input.Category)+nonZero(c.Input.Partitions))
+	e.text("category", c.Input.Category)
+	e.integer("partitions", int64(c.Input.Partitions))
+	e.integer("maxTaskCount", int64(c.MaxTaskCount))
+	e.text("name", c.Name)
+	e.text("operator", string(c.Operator))
+	e.object("output", nonZero(c.Output.Category))
+	e.text("category", c.Output.Category)
+	e.object("package", nonZero(c.Package.Name)+nonZero(c.Package.Version))
+	e.text("name", c.Package.Name)
+	e.text("version", c.Package.Version)
+	e.integer("priority", int64(c.Priority))
+	e.float("sloSeconds", c.SLOSeconds)
+	if c.Stopped {
+		e.Buf = AppendString(e.Buf, "stopped")
+		e.Buf = append(e.Buf, vTrue)
 	}
-	e.keys = e.keys[:mark]
-	return err
+	e.integer("taskCount", int64(c.TaskCount))
+	r := &c.TaskResources
+	e.object("taskResources", nonZero(r.CPUCores)+nonZero(r.DiskBytes)+
+		nonZero(r.MemoryBytes)+nonZero(r.NetworkBps))
+	e.float("cpuCores", r.CPUCores)
+	e.integer("diskBytes", r.DiskBytes)
+	e.integer("memoryBytes", r.MemoryBytes)
+	e.integer("networkBps", r.NetworkBps)
+	e.integer("threadsPerTask", int64(c.ThreadsPerTask))
+}
+
+// nonZero counts a field the document holds: one that is not its type's
+// zero value (omitempty; a float -0 is zero too).
+func nonZero[T comparable](v T) uint64 {
+	var zero T
+	if v != zero {
+		return 1
+	}
+	return 0
+}
+
+// object writes a key and the header of the object value with n fields
+// that follow it.
+func (e *Encoder) object(key string, n uint64) {
+	e.Buf = AppendString(e.Buf, key)
+	e.Buf = append(e.Buf, vDoc)
+	e.Buf = AppendUvarint(e.Buf, n)
+}
+
+// text writes a non-empty string field, each byte of an invalid UTF-8
+// sequence as U+FFFD, as encoding/json writes it.
+func (e *Encoder) text(key, s string) {
+	if s == "" {
+		return
+	}
+	e.Buf = AppendString(e.Buf, key)
+	e.Buf = append(e.Buf, vString)
+	if utf8.ValidString(s) {
+		e.Buf = AppendString(e.Buf, s)
+		return
+	}
+	n := 0
+	for _, r := range s {
+		n += utf8.RuneLen(r)
+	}
+	e.Buf = AppendUvarint(e.Buf, uint64(n))
+	for _, r := range s {
+		e.Buf = utf8.AppendRune(e.Buf, r)
+	}
+}
+
+// integer writes a non-zero integer field.
+func (e *Encoder) integer(key string, n int64) {
+	if n == 0 {
+		return
+	}
+	e.Buf = AppendString(e.Buf, key)
+	e.Buf = append(e.Buf, vInt)
+	e.Buf = AppendVarint(e.Buf, n)
+}
+
+// float writes a non-zero float field.
+func (e *Encoder) float(key string, x float64) {
+	if x == 0 {
+		return
+	}
+	e.Buf = AppendString(e.Buf, key)
+	e.Buf = append(e.Buf, vFloat)
+	e.Buf = AppendFloat(e.Buf, x)
 }
 
 // decodeDoc decodes a vDoc value from r into a freshly allocated tree

@@ -13,10 +13,9 @@
 // Design rules, in priority order:
 //
 //  1. Allocation-aware encode: every Append* function writes into a
-//     caller-owned []byte and returns the extended slice, so a steady
-//     state with warm buffers encodes without allocating. Encoder
-//     bundles the buffer with the sorted-key scratch that document
-//     encoding needs.
+//     caller-owned []byte and returns the extended slice, or into an
+//     Encoder's reusable buffer, so a steady state with warm buffers
+//     encodes without allocating.
 //  2. Zero-copy decode views: Reader yields []byte views into the frame
 //     for names and nested documents, and deltas/chunks are consumed
 //     through by-value iterators — a subscriber that only needs to
@@ -249,16 +248,13 @@ func asString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// Encoder owns a reusable output buffer plus the scratch that document
-// encoding needs. Zero value is ready; Reset between messages keeps the
-// capacity, so a warm steady state encodes with zero allocations.
-// Encoders are not safe for concurrent use.
+// Encoder owns a reusable output buffer. Zero value is ready; Reset
+// between messages keeps the capacity, so a warm steady state encodes
+// with zero allocations. Encoders are not safe for concurrent use.
 type Encoder struct {
 	// Buf is the accumulated output. Callers may take it (e.g. to cache
 	// a finished frame) as long as they Reset or replace it afterwards.
 	Buf []byte
-
-	keys []string // sorted-key scratch; stack of regions, one per doc level
 }
 
 // Reset truncates the output buffer, keeping capacity.

@@ -29,6 +29,26 @@ func sampleDoc() config.Doc {
 	}
 }
 
+// sampleConfig is a config with every field set.
+func sampleConfig() *config.JobConfig {
+	return &config.JobConfig{
+		Name:           "ads/metrics",
+		Package:        config.Package{Name: "scuba_tailer", Version: "v7"},
+		TaskCount:      8,
+		ThreadsPerTask: 2,
+		TaskResources:  config.Resources{CPUCores: 2.5, MemoryBytes: 2 << 30, DiskBytes: 1 << 40, NetworkBps: 1e9},
+		Operator:       config.OpTailer,
+		Input:          config.Input{Category: "ads_metrics_in", Partitions: 64},
+		Output:         config.Output{Category: "ads_metrics_out"},
+		CheckpointDir:  "/ckpt/$JOB/$TASK",
+		Enforcement:    config.EnforceCgroup,
+		Priority:       3,
+		MaxTaskCount:   32,
+		SLOSeconds:     90,
+		Stopped:        true,
+	}
+}
+
 func TestVarintRoundTrip(t *testing.T) {
 	var e Encoder
 	uvals := []uint64{0, 1, 127, 128, 1 << 20, math.MaxUint64}
@@ -158,16 +178,12 @@ func TestFeedRequestRoundTrip(t *testing.T) {
 }
 
 func TestDeltaRoundTrip(t *testing.T) {
-	docA := sampleDoc()
+	cfgA := sampleConfig()
 	var e Encoder
 	mark := e.AppendDeltaHeader(917, 3)
-	if err := e.AppendDeltaCommit("jobs/a", 41, 7, docA); err != nil {
-		t.Fatal(err)
-	}
+	e.AppendDeltaCommit("jobs/a", 41, 7, cfgA)
 	e.AppendDeltaDrop("jobs/b")
-	if err := e.AppendDeltaCommit("jobs/c", 42, 1, config.Doc{"k": "v"}); err != nil {
-		t.Fatal(err)
-	}
+	e.AppendDeltaCommit("jobs/c", 42, 1, nil)
 	e.EndFrame(mark)
 
 	kind, body, rest, err := DecodeFrame(e.Buf)
@@ -189,9 +205,9 @@ func TestDeltaRoundTrip(t *testing.T) {
 	if err != nil || string(ent.Name) != "jobs/a" || ent.Drop || ent.Rev != 41 || ent.Version != 7 {
 		t.Fatalf("entry 0 = %+v err %v", ent, err)
 	}
-	doc, err := DecodeDocBlob(ent.Doc)
-	if err != nil || !config.Equal(doc, docA) {
-		t.Fatalf("entry 0 doc mismatch (err %v)", err)
+	cfg, err := DecodeJobConfigBlob(ent.Doc)
+	if err != nil || !reflect.DeepEqual(cfg, cfgA) {
+		t.Fatalf("entry 0 config = %+v (err %v), want %+v", cfg, err, cfgA)
 	}
 	ent, err = d.Entry()
 	if err != nil || string(ent.Name) != "jobs/b" || !ent.Drop || ent.Doc != nil {
@@ -200,6 +216,11 @@ func TestDeltaRoundTrip(t *testing.T) {
 	ent, err = d.Entry()
 	if err != nil || string(ent.Name) != "jobs/c" || ent.Rev != 42 {
 		t.Fatalf("entry 2 = %+v err %v", ent, err)
+	}
+	// A running document that is no JobConfig travels as the empty
+	// document: a zero config, which runs no tasks.
+	if doc, err := DecodeDocBlob(ent.Doc); err != nil || len(doc) != 0 {
+		t.Fatalf("entry 2 doc = %v (err %v), want the empty document", doc, err)
 	}
 	if _, err := d.Entry(); err == nil {
 		t.Fatal("over-read did not error")
@@ -220,12 +241,8 @@ func TestResyncFramesRoundTrip(t *testing.T) {
 
 	e.Reset()
 	mark, countMark := e.AppendResyncChunkHeader(true)
-	if err := e.AppendChunkItem("jobs/a", 9, 2, config.Doc{"x": int64(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AppendChunkItem("jobs/b", 10, 3, config.Doc{"y": int64(2)}); err != nil {
-		t.Fatal(err)
-	}
+	e.AppendChunkItem("jobs/a", 9, 2, &config.JobConfig{TaskCount: 1})
+	e.AppendChunkItem("jobs/b", 10, 3, &config.JobConfig{Priority: 2})
 	e.PatchChunkCount(countMark, 2)
 	e.EndFrame(mark)
 
@@ -244,6 +261,9 @@ func TestResyncFramesRoundTrip(t *testing.T) {
 	if err != nil || string(it.Name) != "jobs/a" || it.Rev != 9 || it.Version != 2 {
 		t.Fatalf("item 0 = %+v err %v", it, err)
 	}
+	if cfg, err := DecodeJobConfigBlob(it.Doc); err != nil || cfg == nil || cfg.TaskCount != 1 {
+		t.Fatalf("item 0 config = %+v err %v", cfg, err)
+	}
 	it, err = c.Item()
 	if err != nil || string(it.Name) != "jobs/b" {
 		t.Fatalf("item 1 = %+v err %v", it, err)
@@ -259,9 +279,7 @@ func TestResyncFramesRoundTrip(t *testing.T) {
 func TestChunkCountPatchedBelowEmitted(t *testing.T) {
 	var e Encoder
 	mark, countMark := e.AppendResyncChunkHeader(false)
-	if err := e.AppendChunkItem("jobs/only", 1, 1, config.Doc{}); err != nil {
-		t.Fatal(err)
-	}
+	e.AppendChunkItem("jobs/only", 1, 1, &config.JobConfig{})
 	e.PatchChunkCount(countMark, 1) // planned 3, two vanished
 	e.EndFrame(mark)
 	_, body, _, err := DecodeFrame(e.Buf)
@@ -343,14 +361,12 @@ func TestReaderViewsAlias(t *testing.T) {
 }
 
 func TestEncoderReuseNoGrowth(t *testing.T) {
-	doc := sampleDoc()
+	cfg := sampleConfig()
 	var e Encoder
 	encode := func() {
 		e.Reset()
 		mark := e.AppendDeltaHeader(9, 1)
-		if err := e.AppendDeltaCommit("ads/metrics", 7, 3, doc); err != nil {
-			t.Fatal(err)
-		}
+		e.AppendDeltaCommit("ads/metrics", 7, 3, cfg)
 		e.EndFrame(mark)
 	}
 	encode()

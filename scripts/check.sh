@@ -26,17 +26,20 @@ go -C bench test .
 # Fuzz smoke: a few seconds per target over the committed corpus plus
 # fresh mutations. Long fuzzing sessions grow the corpus offline; this
 # catches frame-decoder and round-trip regressions fast — and any drift
-# of the typed config decoder from the encoding/json round trip it
-# stands for, of the feed's blob-to-JobConfig decode from the document
-# decode it stands for, of TaskSpec.Equal from byte-equality of the specs' JSON
+# of the typed config decoder and of the direct ToDoc from the
+# encoding/json round trips they stand for, of the feed's blob-to-JobConfig
+# decode from the document decode it stands for, of the feed's typed
+# encode from the document encoding it stands for, of TaskSpec.Equal from byte-equality of the specs' JSON
 # forms (what decided a restart before specs were compared), of the
 # batched Task.Advance from the per-partition drain it replaced, or of the
 # in-place Task.Respec from the Stop, NewTask, Start restart it stands for.
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzFrameDecode' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzDocRoundTrip' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzJobConfigBlob' -fuzztime 5s
+go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzAppendJobConfig' -fuzztime 5s
 go test ./internal/wire/stream -run 'XXXNONE' -fuzz 'FuzzStreamDecode' -fuzztime 5s
 go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzJobConfigFromDoc' -fuzztime 5s
+go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzToDocMatchesJSON' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzSpecEqualMatchesJSON' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzAdvanceMatchesPerPartitionDrain' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzRespecMatchesRestart' -fuzztime 5s
