@@ -299,7 +299,10 @@ func (s *Store) stripeFor(name string) *jobStripe {
 }
 
 // Create registers a new job whose Base layer is base. It fails if the job
-// already exists.
+// already exists. The job starts unquarantined, at version 1 — or, when a
+// deleted namesake's running entry still awaits its teardown, one above
+// that entry's version, so the new job stays diverged until the State
+// Syncer commits its own configuration.
 func (s *Store) Create(name string, base config.Doc) error {
 	st := s.stripeFor(name)
 	st.mu.Lock()
@@ -308,8 +311,12 @@ func (s *Store) Create(name string, base config.Doc) error {
 		return fmt.Errorf("jobstore: job %q already exists", name)
 	}
 	e := &Expected{Version: 1}
+	if r, ok := st.running[name]; ok {
+		e.Version = r.Version + 1
+	}
 	e.Layers[config.LayerBase] = base.Clone()
 	st.expected[name] = e
+	delete(st.quarantined, name)
 	st.noteLocked(name)
 	return nil
 }
@@ -371,9 +378,9 @@ func (s *Store) GetExpectedShared(name string) (Expected, error) {
 // returned it. The write lands only if the job's entry still holds that
 // very stack: the same version, and in each of the four layers the same
 // map (identity, not content). A job deleted and re-created in between
-// restarts at version 1 but holds a new Base layer, so a write read from
-// its predecessor fails with ErrVersionMismatch like any stale write. A
-// base whose Version is AnyVersion writes unconditionally.
+// may restart at its predecessor's version but holds a new Base layer, so
+// a write read from its predecessor fails with ErrVersionMismatch like any
+// stale write. A base whose Version is AnyVersion writes unconditionally.
 //
 // The store keeps doc itself, without copying it: the caller hands it
 // over and must not modify it, or anything reachable from it, afterwards.
@@ -654,13 +661,17 @@ func (s *Store) commitRunning(name string, m Merged, version int64) error {
 }
 
 // DropRunning removes the running entry after a deleted job's tasks have
-// been stopped.
+// been stopped. A job with no expected entry is then gone, and so is any
+// quarantine its failed teardowns left.
 func (s *Store) DropRunning(name string) {
 	st := s.stripeFor(name)
 	st.mu.Lock()
 	_, existed := st.running[name]
 	if existed {
 		delete(st.running, name)
+		if _, ok := st.expected[name]; !ok {
+			delete(st.quarantined, name)
+		}
 		st.noteLocked(name)
 	}
 	st.mu.Unlock()

@@ -33,12 +33,8 @@ func requireConverged(t *testing.T, store *jobstore.Store) {
 // modeling a replacement syncer booting from the durable database.
 func restoreInto(t *testing.T, src *jobstore.Store) *jobstore.Store {
 	t.Helper()
-	data, err := src.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
 	dst := jobstore.New()
-	if err := dst.Restore(data); err != nil {
+	if err := dst.Restore(snapshotOf(t, src)); err != nil {
 		t.Fatal(err)
 	}
 	return dst

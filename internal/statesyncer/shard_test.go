@@ -299,11 +299,7 @@ func TestResyncRoundSyncsOnlyItsSlice(t *testing.T) {
 		shardJob(t, store, late)
 		victims = append(victims, released, late)
 	}
-	data, err := store.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Restore(data); err != nil {
+	if err := store.Restore(snapshotOf(t, store)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -410,15 +406,7 @@ func testOneSliceNodeVsEngine(t *testing.T) {
 		t.Fatalf("one-slice node's lease row = %+v, %v; want holder %s at epoch 1", l, ok, node.ID())
 	}
 	noded.ClearShardLeases()
-	a, err := bare.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := noded.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
+	if a, b := snapshotOf(t, bare), snapshotOf(t, noded); string(a) != string(b) {
 		t.Fatalf("bare engine and one-slice node diverged: %d vs %d bytes", len(a), len(b))
 	}
 }
@@ -486,15 +474,7 @@ func testFourShardsVsEngine(t *testing.T) {
 
 	single.ClearShardLeases()
 	sharded.ClearShardLeases()
-	a, err := single.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := sharded.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
+	if a, b := snapshotOf(t, single), snapshotOf(t, sharded); string(a) != string(b) {
 		t.Fatalf("single and sharded deployments diverged: %d vs %d bytes", len(a), len(b))
 	}
 }
