@@ -37,6 +37,7 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/statesyncer"
 	"repro/internal/taskservice"
+	"repro/internal/wire"
 )
 
 func main() {
@@ -74,14 +75,26 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("job %s (expected version %d)\n", name, e.Version)
+		empty, err := wire.EncodeDoc(config.Doc{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		for _, l := range config.Layers() {
-			doc := e.Layers[l]
-			if doc == nil || len(doc) == 0 {
+			layer := e.Layers[l]
+			doc, err := layer.Doc()
+			if err != nil {
+				log.Fatal(err)
+			}
+			if len(doc) == 0 {
 				fmt.Printf("  %-12s (empty)\n", l)
 				continue
 			}
 			fmt.Printf("  %-12s %d keys\n", l, len(doc))
-			for _, ch := range config.Diff(config.Doc{}, doc) {
+			leaves, err := wire.DiffBlobs(empty, layer)
+			if err != nil {
+				log.Fatal(err)
+			}
+			for _, ch := range leaves {
 				fmt.Printf("    %s = %v\n", ch.Path, ch.To)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestMergeTopOverridesScalars(t *testing.T) {
@@ -539,5 +540,42 @@ func TestJobConfigFromDocGoValues(t *testing.T) {
 	cfg, err := JobConfigFromDoc(docs[3])
 	if err != nil || cfg.Package.Version != "v\ufffd\ufffd1" {
 		t.Fatalf("invalid UTF-8 not replaced byte for byte: %+v, %v", cfg, err)
+	}
+}
+
+// TestOwnStringsCoversEveryString: after OwnStrings no string field of a
+// JobConfig views the buffer its strings were cut from.
+func TestOwnStringsCoversEveryString(t *testing.T) {
+	var c JobConfig
+	buf := strings.Repeat("abcdefgh", 32)
+	var fields []reflect.Value
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.String:
+				fields = append(fields, f)
+			case reflect.Struct:
+				walk(f)
+			}
+		}
+	}
+	walk(reflect.ValueOf(&c).Elem())
+	for i, f := range fields {
+		f.SetString(buf[i : i+3])
+	}
+	want := c
+	c.OwnStrings()
+	if c != want {
+		t.Fatalf("OwnStrings changed the config: %+v, want %+v", c, want)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(buf)))
+	for _, f := range fields {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(f.String()))); p >= lo && p < lo+uintptr(len(buf)) {
+			t.Errorf("a string field %q still views the buffer", f.String())
+		}
+	}
+	if len(fields) != 8 {
+		t.Fatalf("JobConfig has %d string fields; OwnStrings moves 8", len(fields))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -139,6 +140,48 @@ type JobConfig struct {
 	// Stopped marks a job administratively stopped (capacity manager may
 	// stop low-priority jobs as a last resort, §V-F).
 	Stopped bool `json:"stopped,omitempty"`
+}
+
+// stringFields returns the addresses of c's string fields.
+func (c *JobConfig) stringFields() [8]*string {
+	return [...]*string{&c.Name, &c.Package.Name, &c.Package.Version, (*string)(&c.Operator),
+		&c.Input.Category, &c.Output.Category, &c.CheckpointDir, (*string)(&c.Enforcement)}
+}
+
+// OwnStrings moves every string field of c into one allocation of their
+// total size, so that c keeps no view of the buffer it was decoded from
+// (wire.DecodeJobConfigBlob's strings view its blob).
+func (c *JobConfig) OwnStrings() {
+	fields := c.stringFields()
+	n := 0
+	for _, f := range fields {
+		n += len(*f)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	for _, f := range fields {
+		b.WriteString(*f)
+	}
+	all := b.String()
+	for _, f := range fields {
+		*f, all = all[:len(*f)], all[len(*f):]
+	}
+}
+
+// ShareStrings makes each string field of c that equals the same field
+// of prev the very string prev holds, so that the configs of a job's
+// versions share the strings they have in common: a map keyed by one of
+// them then finds the others' by pointer, without comparing bytes.
+func (c *JobConfig) ShareStrings(prev *JobConfig) {
+	if prev == nil {
+		return
+	}
+	cs, ps := c.stringFields(), prev.stringFields()
+	for i := range cs {
+		if *cs[i] == *ps[i] {
+			*cs[i] = *ps[i]
+		}
+	}
 }
 
 // Validate checks that a merged configuration is runnable.
@@ -433,22 +476,10 @@ func (f *Field) SetFloat(c *JobConfig, x float64) error {
 	return nil
 }
 
-// SetString stores a JSON string given as bytes, which are copied.
-// Invalid UTF-8 becomes U+FFFD, one per invalid byte, as encoding/json
-// writes it.
-func (f *Field) SetString(c *JobConfig, b []byte) error {
-	if f.setStr == nil {
-		return f.kindError("string")
-	}
-	if utf8.Valid(b) {
-		f.setStr(c, string(b))
-	} else {
-		f.setStr(c, string([]rune(string(b))))
-	}
-	return nil
-}
-
-func (f *Field) setString(c *JobConfig, s string) error {
+// SetString stores a JSON string. The field keeps s itself when it is
+// valid UTF-8; otherwise a copy with each byte of an invalid sequence
+// replaced by U+FFFD, as encoding/json writes it.
+func (f *Field) SetString(c *JobConfig, s string) error {
 	if f.setStr == nil {
 		return f.kindError("string")
 	}
@@ -487,7 +518,7 @@ func (f *Field) set(c *JobConfig, v any) error {
 	case float64:
 		return f.SetFloat(c, x)
 	case string:
-		return f.setString(c, x)
+		return f.SetString(c, x)
 	case []any:
 		return f.Array()
 	}
@@ -517,7 +548,7 @@ func decodeFields(c *JobConfig, d map[string]any, fields Fields) error {
 		}
 		if seen&(1<<i) != 0 {
 			*c = orig
-			for _, k := range sortedKeysOf(d) {
+			for _, k := range sortedKeys(d) {
 				if f := fields.Lookup(k); f != nil {
 					if err := f.set(c, d[k]); err != nil {
 						return err
@@ -553,4 +584,13 @@ func integerOf(f float64) (int64, bool) {
 	}
 	n, err := strconv.ParseInt(strconv.FormatFloat(f, 'f', -1, 64), 10, 64)
 	return n, err == nil
+}
+
+func sortedKeys(d map[string]any) []string {
+	keys := make([]string, 0, len(d))
+	for k := range d {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/shardmanager"
 	"repro/internal/simclock"
 	"repro/internal/statesyncer"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -142,25 +143,24 @@ func ClaimSimpleSync(p Params) *Result {
 	clk := simclock.NewSim(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	syncer := statesyncer.New(store, statesyncer.NopActuator{}, clk, statesyncer.Options{})
 
-	base, err := tailerConfig("template", 4, 16, 0, 0).ToDoc()
-	if err != nil {
-		panic(err)
-	}
+	cfg := tailerConfig("template", 4, 16, 0, 0)
 	for i := 0; i < jobs; i++ {
 		name := fmt.Sprintf("j%05d", i)
-		doc := base.Clone()
-		doc.SetPath("name", name)
-		doc.SetPath("input.category", name+"_in")
-		if err := store.Create(name, doc); err != nil {
+		cfg.Name, cfg.Input.Category = name, name+"_in"
+		if err := store.Create(name, wire.JobConfigBlob(cfg), nil); err != nil {
 			panic(err)
 		}
 	}
 	// Round 1: initial convergence (all simple).
 	first := syncer.RunRound()
 	// Global package release: every job differs again.
+	bump, err := wire.EncodeDoc(config.Doc{}.SetPath("package.version", "v2"))
+	if err != nil {
+		panic(err)
+	}
 	for i := 0; i < jobs; i++ {
 		if _, err := store.SetLayer(fmt.Sprintf("j%05d", i), config.LayerProvisioner,
-			config.Doc{}.SetPath("package.version", "v2"), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
+			bump, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 			panic(err)
 		}
 	}

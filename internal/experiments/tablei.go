@@ -57,9 +57,9 @@ func TableIJobStore(p Params) *Result {
 		return []string{"expected", label, tc, pv}
 	}
 	for _, l := range config.Layers() {
-		d := e.Layers[l]
-		if d == nil {
-			d = config.Doc{}
+		d, err := e.Layers[l].Doc()
+		if err != nil {
+			panic(err)
 		}
 		res.Rows = append(res.Rows, layerRow(l.String(), d))
 	}

@@ -137,7 +137,7 @@ func TestCrashBeforeCommitRefusesWriteAndLatches(t *testing.T) {
 		{Op: OpActuatorStop, Rate: 1, Kind: KindError},
 	})
 	store := jobstore.New()
-	if err := store.Create("j", config.Doc{"taskCount": 1}); err != nil {
+	if err := store.Create("j", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
 	in.InstallStoreHooks(store)
@@ -179,7 +179,7 @@ func TestCrashAfterCommitFiresOnceWriteIsDurable(t *testing.T) {
 		{Op: OpStoreCommit, Key: "j", Rate: 1, Kind: KindCrashAfterCommit, MaxHits: 1},
 	})
 	store := jobstore.New()
-	if err := store.Create("j", config.Doc{"taskCount": 1}); err != nil {
+	if err := store.Create("j", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
 	in.InstallStoreHooks(store)

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/jobstore"
+	"repro/internal/wire"
 )
 
 // maxCASRetries bounds the optimistic-concurrency retry loop. Contention
@@ -40,17 +41,14 @@ func New(store *jobstore.Store) *Service {
 func (s *Service) Store() *jobstore.Store { return s.store }
 
 // Provision admits a new job: it validates the full configuration and
-// writes it as the job's Base layer. This is what the Provision Service
-// calls after compiling and optimizing an application (§II).
+// writes it, encoded straight from the struct, as the job's Base layer.
+// This is what the Provision Service calls after compiling and optimizing
+// an application (§II).
 func (s *Service) Provision(cfg *config.JobConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return fmt.Errorf("jobservice: provision %q: %w", cfg.Name, err)
 	}
-	doc, err := cfg.ToDoc()
-	if err != nil {
-		return fmt.Errorf("jobservice: provision %q: %w", cfg.Name, err)
-	}
-	return s.store.Create(cfg.Name, doc)
+	return s.store.Create(cfg.Name, wire.JobConfigBlob(cfg), cfg)
 }
 
 // Delete removes a job. The State Syncer will stop its tasks on the next
@@ -64,24 +62,26 @@ func (s *Service) Delete(name string) error {
 // expected configuration that would result is validated first; an update
 // that would break the job is rejected with no write.
 //
-// The read is shared (jobstore.GetExpectedShared): only the layer handed
-// to mutate is copied, and that copy is the one the store keeps — mutate
-// must return it, or a doc of its own making, and retain nothing it
-// returns. A candidate layer holding a NaN or an infinity is rejected:
-// no JSON form holds it, so the store could not be snapshotted. The trial
-// merge aliases the other three layers instead of copying them; it is
-// decoded, validated, and handed to the write with its decoded config,
-// which the store installs as the version's merged cache, so the State
-// Syncer commits — and the Task Service and spec feed read — the very
-// merge and config validated here.
+// Only the layer handed to mutate is decoded — a document of the
+// caller's own, which mutate may modify and return, or replace. A
+// candidate layer holding a NaN or an infinity is rejected: no JSON form
+// holds it, so the store could not be snapshotted. The candidate is
+// encoded and merged over the other three layers' blobs as they are
+// (wire.MergeBlobs); the merge is decoded, validated, and handed to the
+// write with its decoded config, which the store installs as the
+// version's merged cache, so the State Syncer commits — and the Task
+// Service and spec feed read — the very merge and config validated here.
 func (s *Service) UpdateLayer(name string, layer config.Layer, mutate func(config.Doc) config.Doc) error {
 	var lastErr error
 	for attempt := 0; attempt < maxCASRetries; attempt++ {
-		base, err := s.store.GetExpectedShared(name)
+		base, err := s.store.GetExpected(name)
 		if err != nil {
 			return err
 		}
-		cur := base.Layers[layer].Clone()
+		cur, err := base.Layers[layer].Doc()
+		if err != nil {
+			return fmt.Errorf("jobservice: update %s/%s: %w", name, layer, err)
+		}
 		if cur == nil {
 			cur = config.Doc{}
 		}
@@ -92,12 +92,24 @@ func (s *Service) UpdateLayer(name string, layer config.Layer, mutate func(confi
 		if err := next.CheckFinite(); err != nil {
 			return fmt.Errorf("jobservice: update %s/%s rejected: %w", name, layer, err)
 		}
+		doc, err := wire.EncodeDoc(next)
+		if err != nil {
+			return fmt.Errorf("jobservice: update %s/%s rejected: %w", name, layer, err)
+		}
 
 		// Validate the merged view with the candidate layer in place.
 		layers := base.Layers
-		layers[layer] = next
-		merged := config.MergeLayersShared(layers[0], layers[1], layers[2], layers[3])
-		cfg, err := config.JobConfigFromDoc(merged)
+		layers[layer] = doc
+		merged, err := wire.MergeBlobs(layers[:])
+		if err != nil {
+			return fmt.Errorf("jobservice: update %s/%s: %w", name, layer, err)
+		}
+		cfg, err := wire.DecodeJobConfigBlob(merged)
+		if err == nil && cfg == nil {
+			// Rare: decode the document to name the field that does not fit.
+			d, _ := merged.Doc()
+			_, err = config.JobConfigFromDoc(d)
+		}
 		if err != nil {
 			return fmt.Errorf("jobservice: update %s/%s produces undecodable config: %w", name, layer, err)
 		}
@@ -105,7 +117,7 @@ func (s *Service) UpdateLayer(name string, layer config.Layer, mutate func(confi
 			return fmt.Errorf("jobservice: update %s/%s rejected: %w", name, layer, err)
 		}
 
-		_, err = s.store.SetLayer(name, layer, next, base, &jobstore.Merged{Doc: merged, Config: cfg})
+		_, err = s.store.SetLayer(name, layer, doc, base, &jobstore.Merged{Doc: merged, Config: cfg})
 		if err == nil {
 			return nil
 		}

@@ -1,14 +1,17 @@
 package jobservice
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/jobstore"
+	"repro/internal/wire"
 )
 
 func validConfig(name string) *config.JobConfig {
@@ -356,15 +359,33 @@ func TestLayerWriteRejectedAcrossRecreate(t *testing.T) {
 	}
 
 	// The store's CAS, directly: version 1 read, version 1 found.
-	base, err := store.GetExpectedShared("j1")
+	base, err := store.GetExpected("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	recreate()
-	oncall := config.Doc{"taskCount": 12}
-	stale := config.MergeLayersShared(base.Layers[0], base.Layers[1], base.Layers[2], oncall)
+	oncall := docBlob(config.Doc{"taskCount": 12})
+	stale, err := wire.MergeBlobs([]wire.Blob{base.Layers[0], base.Layers[1], base.Layers[2], oncall})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := store.SetLayer("j1", config.LayerOncall, oncall, base, &jobstore.Merged{Doc: stale}); !errors.Is(err, jobstore.ErrVersionMismatch) {
 		t.Fatalf("write across a re-create: err = %v, want ErrVersionMismatch", err)
+	}
+
+	// A re-create with a byte-identical config restarts at the same
+	// version with equal layer bytes: the CAS tells the incarnations
+	// apart by blob identity, not content.
+	base, err = store.GetExpected("j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recreate()
+	if again, _ := store.GetExpected("j1"); again.Version != base.Version || !bytes.Equal(again.Layers[0], base.Layers[0]) {
+		t.Fatalf("re-create = version %d, base layer %x; want version %d, base layer %x", again.Version, again.Layers[0], base.Version, base.Layers[0])
+	}
+	if _, err := store.SetLayer("j1", config.LayerOncall, oncall, base, &jobstore.Merged{Doc: stale}); !errors.Is(err, jobstore.ErrVersionMismatch) {
+		t.Fatalf("write across a byte-identical re-create: err = %v, want ErrVersionMismatch", err)
 	}
 
 	// Through the Job Service: the first attempt loses to a re-create
@@ -390,12 +411,40 @@ func TestLayerWriteRejectedAcrossRecreate(t *testing.T) {
 	if version != 2 || cfg.TaskCount != 12 || cfg.Input.Partitions != 48 || cfg.Package.Version != "v9" {
 		t.Fatalf("Desired = %+v at version %d; want the new incarnation with taskCount 12 at version 2", cfg, version)
 	}
-	e, err := store.GetExpectedShared("j1")
+	e, err := store.GetExpected("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	merged, _, _ := store.MergedExpectedShared("j1")
-	if want := config.MergeLayersShared(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3]); !config.Equal(merged.Doc, want) {
-		t.Fatalf("cached merge %v, stored stack merges to %v", merged, want)
+	if want, err := wire.MergeBlobs(e.Layers[:]); err != nil || !bytes.Equal(merged.Doc, want) {
+		t.Fatalf("cached merge %x, stored stack merges to %x (%v)", merged.Doc, want, err)
+	}
+}
+
+// TestVersionsShareProvisionedStrings: every version's config holds the
+// very strings the job was provisioned with wherever they did not change,
+// so the caller's maps keyed by them find the job's by pointer.
+func TestVersionsShareProvisionedStrings(t *testing.T) {
+	s := New(jobstore.New())
+	cfg := validConfig("j1")
+	if err := s.Provision(cfg); err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	for step, write := range []func() error{
+		func() error { return nil },
+		func() error { return s.SetPackageVersion("j1", "v9") },
+		func() error { return s.SetTaskCount("j1", config.LayerScaler, 2) },
+	} {
+		if err := write(); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := s.Desired("j1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !same(got.Name, cfg.Name) || !same(got.Input.Category, cfg.Input.Category) || !same(got.Package.Name, cfg.Package.Name) {
+			t.Fatalf("step %d: Desired's strings are not the provisioned ones", step)
+		}
 	}
 }

@@ -10,26 +10,26 @@ import (
 )
 
 // updateLayerAllocCeiling bounds one validated layer write on a job with
-// all 14 fields configured. The path copies the one layer it edits once
-// (the caller's mutation edits the copy the store then keeps), merges the
-// four layers by aliasing, decodes the merge directly into the typed
-// config, and hands both to the store as the new version's cache: 12
-// objects measured (13 while SetPath split its path into a slice). The
-// encoding/json round trip plus three deep copies of the whole stack it
-// replaced cost 104. The ceiling is the measured count plus a third.
-const updateLayerAllocCeiling = 16
+// all 14 fields configured. The path decodes the one layer it edits into
+// a document whose keys and strings view its blob, encodes the edit, merges
+// the four layer blobs into one, decodes the merge into the typed config,
+// and hands both blobs to the store: 9 objects measured. The map stack it
+// replaced cost 12. The ceiling is the measured count plus a third.
+const updateLayerAllocCeiling = 12
 
 // provisionAllocCeiling bounds one Provision of a job with 13 of its 14
-// fields configured: the direct ToDoc's five maps and boxed values, and
-// Create's copy of them, 44 objects measured. The encoding/json round
-// trip ToDoc replaced made it 100; the ceiling is half of that.
-const provisionAllocCeiling = 50
+// fields configured: the typed config encoded straight to a blob, the
+// store's copy of it, the version's decoded config and the entry — 4
+// objects — and the growth of the store's maps, 5.3 objects per job
+// measured over the batch. Building the document as maps cost 44. The
+// ceiling is the measured count plus a third, rounded up.
+const provisionAllocCeiling = 8
 
 // BenchmarkUpdateLayer measures the Job Service's write path — the
 // per-job cost of a fleet-wide package release: one SetPackageVersion
-// (shared read, clone of the edited layer, trial merge, typed decode,
-// Validate, CAS write of the clone and the merge) on a fully configured
-// job, held to
+// (read of the stack, decode of the edited layer, encode, trial merge,
+// typed decode, Validate, CAS write of the layer and the merge) on a
+// fully configured job, held to
 // updateLayerAllocCeiling by an in-bench MemStats delta over a fixed
 // batch, so that one iteration (-benchtime=1x) arms it too.
 func BenchmarkUpdateLayer(b *testing.B) {
@@ -81,8 +81,8 @@ func BenchmarkUpdateLayer(b *testing.B) {
 }
 
 // BenchmarkProvision measures admitting one fully configured job —
-// Validate, the direct ToDoc, and the store's Create, which keeps its own
-// copy of the base layer — held to provisionAllocCeiling by an in-bench
+// Validate, the typed encoding, and the store's Create, which keeps its
+// own copy of the base layer — held to provisionAllocCeiling by an in-bench
 // MemStats delta over a fixed batch, so that one iteration
 // (-benchtime=1x) arms it too.
 func BenchmarkProvision(b *testing.B) {

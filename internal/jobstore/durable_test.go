@@ -62,7 +62,7 @@ func TestSyncStateLifecycle(t *testing.T) {
 func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 	s := New()
 	for _, job := range []string{"quiet", "pending", "streaky"} {
-		if err := s.Create(job, config.Doc{"taskCount": 1}); err != nil {
+		if err := s.Create(job, docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.CommitRunning(job, config.Doc{"taskCount": 1}, 1); err != nil {
@@ -71,7 +71,7 @@ func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 	}
 	// "streaky" has a release its running entry does not realize yet, and
 	// "orphan" was deleted with its tasks still running.
-	if _, err := s.SetLayer("streaky", config.LayerOncall, config.Doc{"taskCount": 2}, Expected{Version: AnyVersion}, nil); err != nil {
+	if _, err := s.SetLayer("streaky", config.LayerOncall, docBlob(config.Doc{"taskCount": 2}), Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CommitRunning("orphan", config.Doc{"taskCount": 1}, 1); err != nil {
@@ -173,13 +173,13 @@ func TestRestoreSchema4PendingResumeJoinsDivergedSet(t *testing.T) {
 // back out of it.
 func TestRestoreIgnoresSerializedDirtySet(t *testing.T) {
 	s := New()
-	if err := s.Create("done", config.Doc{"taskCount": 1}); err != nil {
+	if err := s.Create("done", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CommitRunning("done", config.Doc{"taskCount": 1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Create("new", config.Doc{"taskCount": 1}); err != nil {
+	if err := s.Create("new", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := s.Snapshot()
@@ -216,7 +216,7 @@ func TestRestoreIgnoresSerializedDirtySet(t *testing.T) {
 // refuses it and leaves the store's contents and journal as they were.
 func TestRestoreRejectsLegacySnapshot(t *testing.T) {
 	s := New()
-	if err := s.Create("keep", config.Doc{"taskCount": 1}); err != nil {
+	if err := s.Create("keep", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.CommitRunning("keep", config.Doc{"taskCount": 1}, 1); err != nil {
@@ -261,7 +261,7 @@ func TestRestoreRejectsLegacySnapshot(t *testing.T) {
 
 func TestCommitHooks(t *testing.T) {
 	s := New()
-	if err := s.Create("j", config.Doc{"taskCount": 1}); err != nil {
+	if err := s.Create("j", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
 

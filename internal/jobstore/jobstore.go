@@ -12,9 +12,13 @@
 //     that realize it succeeded — that commit discipline is what gives job
 //     updates their atomicity.
 //
-// Every job carries a single version covering its expected layers. Writers
-// follow read-modify-write: they pass back the stack their decision was
-// based on — its version and its very layer maps — and the store rejects
+// Every document the store holds — each layer, each version's merge, each
+// running entry — is one immutable wire.Blob in the canonical sorted-key
+// encoding, so reads share it without copying and the heap holds no map
+// trees. Every job carries a single version covering its expected layers.
+// Writers follow read-modify-write: they pass back the stack their
+// decision was based on — its version and its very layer blobs — and the
+// store rejects
 // stale writes (ErrVersionMismatch). This is the consistency guarantee
 // the Job Service relies on when, e.g., two oncalls update the oncall
 // configuration simultaneously (§III-A).
@@ -32,19 +36,21 @@
 package jobstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
-	"reflect"
 	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/stripe"
+	"repro/internal/wire"
 )
 
 // ErrVersionMismatch is returned by compare-and-set writes whose base
@@ -66,54 +72,72 @@ const AnyVersion int64 = -1
 // while the fixed array stays cache-friendly.
 const numStripes = 64
 
-// Expected is a read snapshot of a job's expected configuration stack.
+// Expected is a job's expected configuration stack. Its layer blobs are
+// IMMUTABLE and shared: a write replaces a layer, never modifies one.
 type Expected struct {
-	Layers  [4]config.Doc // indexed by config.Layer; nil layers unset
+	Layers  [4]wire.Blob // indexed by config.Layer; empty layers unset
 	Version int64
 
 	// merged caches the precedence merge of Layers as of mergedVersion,
 	// with its typed config: installed by the layer write that validated
 	// it (SetLayer), or computed by the first MergedExpectedShared of a
 	// version that has none. Maintained only on the store's canonical
-	// entries (not on snapshots handed to callers); invisible to JSON
-	// serialization. The cache is immutable: it is replaced, never
-	// modified, so it can be handed out by MergedExpectedShared without
-	// cloning.
+	// entries (not on stacks handed to callers); invisible to JSON
+	// serialization.
 	merged        Merged
 	mergedVersion int64
 }
 
 // Merged is one expected version in both of its forms: the precedence
-// merge of its layers (Algorithm 1) and the JobConfig that merge decodes
-// to. Config is config.JobConfigFromDoc(Doc), or nil when Doc is no
-// JobConfig. Each version is decoded once — by the Job Service's
-// validation, or by the first merge of a version written without one —
-// and commits to the running entry with its config, which the Task
-// Service, the spec feed and the monitor read (a running entry read from
-// a snapshot is decoded once, by Restore). Both are IMMUTABLE and shared
-// once the store holds them.
+// merge of its layers (Algorithm 1, wire.MergeBlobs) and the JobConfig
+// that merge decodes to — nil when it is no JobConfig. Each version is
+// decoded once — by the Job Service's validation, or by the first merge
+// of a version written without one — and commits to the running entry
+// with its config, which the Task Service, the spec feed and the monitor
+// read (a running entry read from a snapshot is decoded once, by
+// Restore). Both are IMMUTABLE and shared once the store holds them; the
+// config's strings are views of the blob.
 type Merged struct {
-	Doc    config.Doc
+	Doc    wire.Blob
 	Config *config.JobConfig
 }
 
 // decoded pairs doc with its typed config.
-func decoded(doc config.Doc) Merged {
-	cfg, err := config.JobConfigFromDoc(doc)
+func decoded(doc wire.Blob) Merged {
+	cfg, err := wire.DecodeJobConfigBlob(doc)
 	if err != nil {
 		cfg = nil
 	}
 	return Merged{Doc: doc, Config: cfg}
 }
 
-// Running is a read snapshot of a job's running configuration.
+// share gives m's config, before anyone else holds it, the strings it
+// has in common with prev, the config of the job's previous version.
+func (m *Merged) share(prev *config.JobConfig) {
+	if m.Config != nil {
+		m.Config.ShareStrings(prev)
+	}
+}
+
+// Running is a job's running configuration as a document of the caller's
+// own, and the expected version it realizes.
 type Running struct {
 	Config  config.Doc
+	Version int64
+}
+
+// runEntry is the store's running entry; its exported fields are its
+// serialized form.
+type runEntry struct {
+	Config  wire.Blob
 	Version int64 // the expected version this running state realizes
 
-	// typed is Config's JobConfig, nil if Config is no JobConfig. Set on
-	// the store's own entries only; RunningEntry reads it.
+	// typed is Config's JobConfig, nil if Config is no JobConfig.
 	typed *config.JobConfig
+
+	// doc is Config decoded, once, by the first GetRunningShared of the
+	// entry; nil until then.
+	doc config.Doc
 
 	// revision is a store-wide monotonic sequence stamped on every
 	// CommitRunning. Unlike Version (which tracks the expected entry the
@@ -173,7 +197,7 @@ type CommitHooks struct {
 type jobStripe struct {
 	mu          sync.RWMutex
 	expected    map[string]*Expected
-	running     map[string]*Running
+	running     map[string]*runEntry
 	quarantined map[string]Quarantine
 	// sync holds the State Syncer's durable per-job bookkeeping (failure
 	// streaks, backoff deadlines, pending follow-up actions).
@@ -207,7 +231,7 @@ func (st *jobStripe) noteLocked(name string) {
 // write lock (or owns the store exclusively).
 func (st *jobStripe) reset() {
 	st.expected = make(map[string]*Expected)
-	st.running = make(map[string]*Running)
+	st.running = make(map[string]*runEntry)
 	st.quarantined = make(map[string]Quarantine)
 	st.sync = make(map[string]*SyncState)
 	st.diverged = make(map[string]struct{})
@@ -298,12 +322,23 @@ func (s *Store) stripeFor(name string) *jobStripe {
 	return &s.stripes[StripeOf(name)]
 }
 
-// Create registers a new job whose Base layer is base. It fails if the job
-// already exists. The job starts unquarantined, at version 1 — or, when a
-// deleted namesake's running entry still awaits its teardown, one above
-// that entry's version, so the new job stays diverged until the State
-// Syncer commits its own configuration.
-func (s *Store) Create(name string, base config.Doc) error {
+// Create registers a new job whose Base layer is base, a document the
+// store copies: no two Create calls share a blob, so a layer blob names
+// one incarnation of a job (see SetLayer). It fails if the job already
+// exists or base is no well-formed document. The job starts
+// unquarantined, at version 1 — or, when a deleted namesake's running
+// entry still awaits its teardown, one above that entry's version, so the
+// new job stays diverged until the State Syncer commits its own
+// configuration.
+//
+// src, when not nil, is the config base was encoded from: the store then
+// decodes the version's config at once and gives it src's strings
+// (config.JobConfig.ShareStrings), which every later version of the job
+// inherits, so the caller's maps keyed by them find the job's by pointer.
+func (s *Store) Create(name string, base wire.Blob, src *config.JobConfig) error {
+	if err := wire.CheckDoc(base); err != nil {
+		return fmt.Errorf("jobstore: create %q: %w", name, err)
+	}
 	st := s.stripeFor(name)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -314,7 +349,11 @@ func (s *Store) Create(name string, base config.Doc) error {
 	if r, ok := st.running[name]; ok {
 		e.Version = r.Version + 1
 	}
-	e.Layers[config.LayerBase] = base.Clone()
+	e.Layers[config.LayerBase] = bytes.Clone(base)
+	if src != nil {
+		e.merged, e.mergedVersion = decoded(e.Layers[config.LayerBase]), e.Version
+		e.merged.share(src)
+	}
 	st.expected[name] = e
 	delete(st.quarantined, name)
 	st.noteLocked(name)
@@ -337,29 +376,12 @@ func (s *Store) Delete(name string) error {
 	return nil
 }
 
-// GetExpected returns a snapshot of the job's expected stack. The layer
-// docs are the caller's to mutate — copies, so the snapshot is no base for
-// SetLayer, which proves its base by layer identity.
+// GetExpected returns the job's expected stack. Its layer blobs are the
+// store's own, IMMUTABLE and shared: SetLayer replaces a layer and never
+// writes into the old blob. This is the Job Service's read-modify-write
+// read: it decodes the one layer it edits, and passes the stack back to
+// SetLayer as the base of its write.
 func (s *Store) GetExpected(name string) (Expected, error) {
-	e, err := s.GetExpectedShared(name)
-	if err != nil {
-		return Expected{}, err
-	}
-	for i, l := range e.Layers {
-		e.Layers[i] = l.Clone() // outside the stripe lock: layers are immutable
-	}
-	return e, nil
-}
-
-// GetExpectedShared returns the job's expected stack without cloning it:
-// the layer docs are the store's own. They are IMMUTABLE and shared —
-// callers must not modify them (or anything reachable from them) — and
-// they stay intact for as long as the caller holds them, because SetLayer
-// replaces a layer wholesale and never writes into the old doc. This is
-// the Job Service's read-modify-write read: it clones the one layer it
-// edits, only reads the rest, and passes the stack back to SetLayer as
-// the base of its write.
-func (s *Store) GetExpectedShared(name string) (Expected, error) {
 	st := s.stripeFor(name)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -374,28 +396,36 @@ func (s *Store) GetExpectedShared(name string) (Expected, error) {
 // the job's new version, which puts the job in the diverged set until
 // the State Syncer commits a running entry realizing it.
 //
-// base is the stack the write was computed from, as GetExpectedShared
-// returned it. The write lands only if the job's entry still holds that
-// very stack: the same version, and in each of the four layers the same
-// map (identity, not content). A job deleted and re-created in between
-// may restart at its predecessor's version but holds a new Base layer, so
-// a write read from its predecessor fails with ErrVersionMismatch like any
-// stale write. A base whose Version is AnyVersion writes unconditionally.
+// base is the stack the write was computed from, as GetExpected returned
+// it. The write lands only if the job's entry still holds that very
+// stack: the same version, and in each of the four layers the same blob
+// (identity, not content). A job deleted and re-created in between may
+// restart at its predecessor's version, even with a byte-identical
+// config, but holds a new Base blob (Create copies), so a write read from
+// its predecessor fails with ErrVersionMismatch like any stale write. A
+// base whose Version is AnyVersion writes unconditionally.
 //
-// The store keeps doc itself, without copying it: the caller hands it
-// over and must not modify it, or anything reachable from it, afterwards.
+// doc is a document, or empty to unset the layer. The store keeps doc
+// itself, without copying it: the caller hands it over and must not
+// modify it afterwards.
 //
-// merged is the caller's merge of the new stack —
-// config.MergeLayersShared of base.Layers with doc in place of
-// base.Layers[layer] — with the JobConfig it decodes to, or nil. When the
-// CAS proved base current, the store installs it as the new version's
-// merged cache, so the next MergedExpectedShared serves the merge and the
-// config the writer validated instead of computing them again. Both are
+// merged is the caller's merge of the new stack — wire.MergeBlobs of
+// base.Layers with doc in place of base.Layers[layer] — with the
+// JobConfig it decodes to, or nil. When the CAS proved base current, the
+// store installs it as the new version's merged cache, so the next
+// MergedExpectedShared serves the merge and the config the writer
+// validated instead of computing them again; first it gives the config
+// the strings it has in common with the previous version's. Both are
 // immutable and shared from then on, like every cached merge. An
 // AnyVersion write proves nothing and ignores it.
-func (s *Store) SetLayer(name string, layer config.Layer, doc config.Doc, base Expected, merged *Merged) (int64, error) {
+func (s *Store) SetLayer(name string, layer config.Layer, doc wire.Blob, base Expected, merged *Merged) (int64, error) {
 	if !layer.Valid() {
 		return 0, fmt.Errorf("jobstore: invalid layer %v", layer)
+	}
+	if len(doc) > 0 {
+		if err := wire.CheckDoc(doc); err != nil {
+			return 0, fmt.Errorf("jobstore: set %s/%s: %w", name, layer, err)
+		}
 	}
 	st := s.stripeFor(name)
 	st.mu.Lock()
@@ -413,19 +443,22 @@ func (s *Store) SetLayer(name string, layer config.Layer, doc config.Doc, base E
 	}
 	e.Layers[layer] = doc
 	e.Version++
+	prev := e.merged.Config
 	e.merged, e.mergedVersion = Merged{}, e.Version
 	if merged != nil {
 		e.merged = *merged
+		e.merged.share(prev)
 	}
 	st.noteLocked(name)
 	return e.Version, nil
 }
 
-// sameLayers reports whether two stacks hold the very same layer maps
-// (both nil counts as the same).
-func sameLayers(a, b *[4]config.Doc) bool {
+// sameLayers reports whether two stacks hold the very same layer blobs:
+// the same bytes in memory, not equal content (both empty counts as the
+// same).
+func sameLayers(a, b *[4]wire.Blob) bool {
 	for i := range a {
-		if reflect.ValueOf(a[i]).Pointer() != reflect.ValueOf(b[i]).Pointer() {
+		if len(a[i]) != len(b[i]) || unsafe.SliceData(a[i]) != unsafe.SliceData(b[i]) {
 			return false
 		}
 	}
@@ -433,27 +466,27 @@ func sameLayers(a, b *[4]config.Doc) bool {
 }
 
 // MergedExpected returns the effective desired configuration — the
-// precedence merge of all expected layers — and the version it reflects.
-// The returned Doc is the caller's to mutate; readers that only inspect
-// the document should use MergedExpectedShared and skip the clone.
+// precedence merge of all expected layers — as a document of the
+// caller's own, and the version it reflects. Readers of the merge itself
+// use MergedExpectedShared.
 func (s *Store) MergedExpected(name string) (config.Doc, int64, error) {
 	m, v, err := s.MergedExpectedShared(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	return m.Doc.Clone(), v, nil
+	d, err := m.Doc.Doc()
+	return d, v, err
 }
 
-// MergedExpectedShared returns the cached merge itself, without cloning.
-// The merge (Algorithm 1) and its typed config are cached per version on
-// the store's entry: a Job Service layer write installs the merge and
-// config it validated, and a version written without them (Create, an
-// AnyVersion write, Restore) pays for the 4-layer merge and one decode on
-// its first read; every other read is a map lookup. The returned doc and
-// config are IMMUTABLE and shared — callers must not modify them (or
-// anything reachable from them). This is the State Syncer's per-round
+// MergedExpectedShared returns the cached merge itself. The merge
+// (Algorithm 1) and its typed config are cached per version on the
+// store's entry: a Job Service layer write installs the merge and config
+// it validated, and a version written without them (Create, an
+// AnyVersion write, Restore) pays for the merge and one decode on its
+// first read; every other read is a map lookup. The returned blob and
+// config are IMMUTABLE and shared. This is the State Syncer's per-round
 // read path: a round over tens of thousands of jobs neither re-merges nor
-// re-clones nor re-decodes.
+// re-decodes.
 func (s *Store) MergedExpectedShared(name string) (Merged, int64, error) {
 	st := s.stripeFor(name)
 	st.mu.RLock()
@@ -475,44 +508,79 @@ func (s *Store) MergedExpectedShared(name string) (Merged, int64, error) {
 		return Merged{}, 0, fmt.Errorf("%w: %s", ErrNotFound, name)
 	}
 	if e.merged.Doc == nil || e.mergedVersion != e.Version {
-		// Alias-sharing merge: subtrees contributed by a single layer are
-		// referenced, not deep-copied. That is safe here because layer docs
-		// are only ever replaced wholesale (SetLayer installs the doc it is
-		// handed, never mutates the old one), so a cached merged doc keeps
-		// its referenced subtrees intact across later writes — and because
-		// the cache contract already makes the merged doc immutable-shared.
-		// Re-merging after a one-layer change allocates only the collision
-		// levels, and unchanged subtrees keep their map identity, which
-		// lets config.Diff skip them without walking (the State Syncer's
-		// churn-round fast path).
-		e.merged = decoded(config.MergeLayersShared(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3]))
+		// A job configured by one layer merges to that layer's blob itself.
+		doc, err := wire.MergeBlobs(e.Layers[:])
+		if err != nil {
+			return Merged{}, 0, fmt.Errorf("jobstore: merge %s: %w", name, err)
+		}
+		prev := e.merged.Config
+		e.merged = decoded(doc)
+		e.merged.share(prev)
 		e.mergedVersion = e.Version
 	}
 	return e.merged, e.Version, nil
 }
 
-// GetRunning returns a snapshot of the job's running configuration. The
-// returned Config is the caller's to mutate.
+// GetRunning returns the job's running configuration as a document of the
+// caller's own.
 func (s *Store) GetRunning(name string) (Running, bool) {
-	r, ok := s.GetRunningShared(name)
+	m, version, ok := s.RunningDoc(name)
 	if !ok {
 		return Running{}, false
 	}
-	return Running{Config: r.Config.Clone(), Version: r.Version}, true
+	d, err := m.Doc.Doc()
+	if err != nil {
+		return Running{}, false // the store holds well-formed documents only
+	}
+	return Running{Config: d, Version: version}, true
 }
 
-// GetRunningShared returns the job's running entry without cloning its
-// configuration. The returned Config is IMMUTABLE and shared — callers
-// must not modify it. The State Syncer diffs against it every round.
+// GetRunningShared returns the job's running configuration as a document
+// shared with every other caller: decoded by the entry's first read and
+// kept with the entry, so a reader that polls the fleet's documents
+// decodes each commit once. It is IMMUTABLE — callers must not modify it.
 func (s *Store) GetRunningShared(name string) (Running, bool) {
+	st := s.stripeFor(name)
+	st.mu.RLock()
+	r, ok := st.running[name]
+	if ok && r.doc != nil {
+		out := Running{Config: r.doc, Version: r.Version}
+		st.mu.RUnlock()
+		return out, true
+	}
+	st.mu.RUnlock()
+	if !ok {
+		return Running{}, false
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	r, ok = st.running[name] // re-check: the entry may have been replaced
+	if !ok {
+		return Running{}, false
+	}
+	if r.doc == nil {
+		d, err := r.Config.Doc()
+		if err != nil {
+			return Running{}, false // the store holds well-formed documents only
+		}
+		r.doc = d
+	}
+	return Running{Config: r.doc, Version: r.Version}, true
+}
+
+// RunningDoc returns the job's running entry as the Merged it was
+// committed from, and the expected version it realizes. Both are
+// IMMUTABLE and shared. The State Syncer diffs against the blob every
+// round.
+func (s *Store) RunningDoc(name string) (Merged, int64, bool) {
 	st := s.stripeFor(name)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	r, ok := st.running[name]
 	if !ok {
-		return Running{}, false
+		return Merged{}, 0, false
 	}
-	return Running{Config: r.Config, Version: r.Version, revision: r.revision}, true
+	return Merged{Doc: r.Config, Config: r.typed}, r.Version, true
 }
 
 // RunningEntry returns a job's running configuration, typed — nil if its
@@ -610,19 +678,21 @@ func (s *Store) PlanViewOf(name string) PlanView {
 // CommitRunning records that the cluster now runs cfg, which realizes
 // expected version version. Only the State Syncer calls this, and only
 // after the execution plan completed — the atomic commit point of a job
-// update (§III-B). The store keeps its own deep copy of cfg, and decodes
-// it. The error is always nil unless commit hooks (fault injection) are
-// installed.
+// update (§III-B). The store encodes cfg and decodes its config. The
+// error is nil unless cfg holds a value no document holds, or commit
+// hooks (fault injection) are installed.
 func (s *Store) CommitRunning(name string, cfg config.Doc, version int64) error {
-	return s.commitRunning(name, decoded(cfg.Clone()), version)
+	doc, err := wire.EncodeDoc(cfg)
+	if err != nil {
+		return fmt.Errorf("jobstore: commit %s: %w", name, err)
+	}
+	return s.commitRunning(name, decoded(doc), version)
 }
 
-// CommitRunningShared is CommitRunning without the defensive copy and
-// without the decode: the store keeps m's doc and config themselves. The
-// caller must treat both as immutable from this point on. The State
-// Syncer commits the shared merge it read via MergedExpectedShared —
-// which is already immutable and decoded — so the batched simple-sync
-// path copies and decodes nothing.
+// CommitRunningShared is CommitRunning of a merge the store already
+// holds: it keeps m's blob and config themselves. The State Syncer
+// commits the merge it read via MergedExpectedShared, so the batched
+// simple-sync path copies and decodes nothing.
 func (s *Store) CommitRunningShared(name string, m Merged, version int64) error {
 	return s.commitRunning(name, m, version)
 }
@@ -645,7 +715,7 @@ func (s *Store) commitRunning(name string, m Merged, version int64) error {
 	st := s.stripeFor(name)
 	st.mu.Lock()
 	_, existed := st.running[name]
-	st.running[name] = &Running{Config: m.Doc, Version: version, typed: m.Config, revision: rev}
+	st.running[name] = &runEntry{Config: m.Doc, Version: version, typed: m.Config, revision: rev}
 	st.noteLocked(name)
 	st.mu.Unlock()
 	if !existed {
@@ -865,11 +935,14 @@ func (s *Store) ClearSyncState(name string) {
 // and rejects older ones: they lack the crash-critical syncer state.
 const snapshotSchema = 4
 
-// snapshot is the serialized form of the whole store.
+// snapshot is the serialized form of the whole store. A blob marshals as
+// the document it encodes, so holding documents as blobs left the layout
+// as it was; Restore reads every number as a float64, as encoding/json
+// reads it into a document.
 type snapshot struct {
 	Schema      int                   `json:"schema,omitempty"`
 	Expected    map[string]*Expected  `json:"expected"`
-	Running     map[string]*Running   `json:"running"`
+	Running     map[string]*runEntry  `json:"running"`
 	Quarantined map[string]Quarantine `json:"quarantined"`
 	// Sync carries the State Syncer's crash-critical state so a syncer
 	// restored from a snapshot resumes exactly where it died.
@@ -894,7 +967,7 @@ func (s *Store) Snapshot() ([]byte, error) {
 	snap := snapshot{
 		Schema:      snapshotSchema,
 		Expected:    make(map[string]*Expected),
-		Running:     make(map[string]*Running),
+		Running:     make(map[string]*runEntry),
 		Quarantined: make(map[string]Quarantine),
 	}
 	for i := range s.stripes {

@@ -1,6 +1,7 @@
 package jobstore
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -18,12 +19,22 @@ func baseDoc() config.Doc {
 	}
 }
 
-func TestCreateAndGetExpected(t *testing.T) {
-	s := New()
-	if err := s.Create("j1", baseDoc()); err != nil {
+// layerDoc decodes one layer of a stack.
+func layerDoc(t *testing.T, e Expected, l config.Layer) config.Doc {
+	t.Helper()
+	d, err := e.Layers[l].Doc()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Create("j1", baseDoc()); err == nil {
+	return d
+}
+
+func TestCreateAndGetExpected(t *testing.T) {
+	s := New()
+	if err := s.Create("j1", docBlob(baseDoc()), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Create("j1", docBlob(baseDoc()), nil); err == nil {
 		t.Fatal("duplicate create accepted")
 	}
 	e, err := s.GetExpected("j1")
@@ -33,7 +44,7 @@ func TestCreateAndGetExpected(t *testing.T) {
 	if e.Version != 1 {
 		t.Fatalf("Version = %d, want 1", e.Version)
 	}
-	if v, _ := e.Layers[config.LayerBase].GetPath("taskCount"); v != 10 {
+	if v, _ := layerDoc(t, e, config.LayerBase).GetPath("taskCount"); v != int64(10) {
 		t.Fatalf("base taskCount = %v", v)
 	}
 	if _, err := s.GetExpected("missing"); !errors.Is(err, ErrNotFound) {
@@ -44,22 +55,22 @@ func TestCreateAndGetExpected(t *testing.T) {
 func TestCreateIsolatesCallerDoc(t *testing.T) {
 	s := New()
 	d := baseDoc()
-	s.Create("j1", d)
+	s.Create("j1", docBlob(d), nil)
 	d["taskCount"] = 999 // caller mutates after create
 	e, _ := s.GetExpected("j1")
-	if v, _ := e.Layers[config.LayerBase].GetPath("taskCount"); v != 10 {
+	if v, _ := layerDoc(t, e, config.LayerBase).GetPath("taskCount"); v != int64(10) {
 		t.Fatalf("store aliased caller's doc: taskCount = %v", v)
 	}
 }
 
 func TestSetLayerCAS(t *testing.T) {
 	s := New()
-	s.Create("j1", baseDoc())
-	base, err := s.GetExpectedShared("j1")
+	s.Create("j1", docBlob(baseDoc()), nil)
+	base, err := s.GetExpected("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := s.SetLayer("j1", config.LayerScaler, config.Doc{"taskCount": 15}, base, nil)
+	v, err := s.SetLayer("j1", config.LayerScaler, docBlob(config.Doc{"taskCount": 15}), base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,39 +78,42 @@ func TestSetLayerCAS(t *testing.T) {
 		t.Fatalf("new version = %d, want 2", v)
 	}
 	// Stale write rejected.
-	if _, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"taskCount": 30}, base, nil); !errors.Is(err, ErrVersionMismatch) {
+	if _, err := s.SetLayer("j1", config.LayerOncall, docBlob(config.Doc{"taskCount": 30}), base, nil); !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("stale write err = %v, want ErrVersionMismatch", err)
 	}
-	// A base of the right version but other layer maps is stale too: a
-	// cloned read (GetExpected) proves nothing about the stored stack.
+	// A base of the right version but other layer blobs is stale too: an
+	// equal copy proves nothing about the stored stack.
 	clone, _ := s.GetExpected("j1")
-	if _, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"taskCount": 30}, clone, nil); !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("write on a cloned base err = %v, want ErrVersionMismatch", err)
+	for i, l := range clone.Layers {
+		clone.Layers[i] = bytes.Clone(l)
+	}
+	if _, err := s.SetLayer("j1", config.LayerOncall, docBlob(config.Doc{"taskCount": 30}), clone, nil); !errors.Is(err, ErrVersionMismatch) {
+		t.Fatalf("write on a copied base err = %v, want ErrVersionMismatch", err)
 	}
 	// AnyVersion bypasses.
-	if _, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"taskCount": 30}, Expected{Version: AnyVersion}, nil); err != nil {
+	if _, err := s.SetLayer("j1", config.LayerOncall, docBlob(config.Doc{"taskCount": 30}), Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Invalid layer rejected.
-	if _, err := s.SetLayer("j1", config.Layer(9), config.Doc{}, Expected{Version: AnyVersion}, nil); err == nil {
+	if _, err := s.SetLayer("j1", config.Layer(9), docBlob(config.Doc{}), Expected{Version: AnyVersion}, nil); err == nil {
 		t.Fatal("invalid layer accepted")
 	}
 	// Unknown job rejected.
-	if _, err := s.SetLayer("nope", config.LayerBase, config.Doc{}, Expected{Version: AnyVersion}, nil); !errors.Is(err, ErrNotFound) {
+	if _, err := s.SetLayer("nope", config.LayerBase, docBlob(config.Doc{}), Expected{Version: AnyVersion}, nil); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestMergedExpectedPrecedence(t *testing.T) {
 	s := New()
-	s.Create("j1", baseDoc())
-	s.SetLayer("j1", config.LayerScaler, config.Doc{"taskCount": 15}, Expected{Version: AnyVersion}, nil)
-	s.SetLayer("j1", config.LayerOncall, config.Doc{"taskCount": 30}, Expected{Version: AnyVersion}, nil)
+	s.Create("j1", docBlob(baseDoc()), nil)
+	s.SetLayer("j1", config.LayerScaler, docBlob(config.Doc{"taskCount": 15}), Expected{Version: AnyVersion}, nil)
+	s.SetLayer("j1", config.LayerOncall, docBlob(config.Doc{"taskCount": 30}), Expected{Version: AnyVersion}, nil)
 	merged, version, err := s.MergedExpected("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := merged.GetPath("taskCount"); v != 30 {
+	if v, _ := merged.GetPath("taskCount"); v != int64(30) {
 		t.Fatalf("merged taskCount = %v, want 30 (oncall wins)", v)
 	}
 	if v, _ := merged.GetPath("package.version"); v != "v1" {
@@ -120,7 +134,7 @@ func TestRunningLifecycle(t *testing.T) {
 	if !ok || r.Version != 5 {
 		t.Fatalf("running = %+v,%v", r, ok)
 	}
-	if v, _ := r.Config.GetPath("taskCount"); v != 10 {
+	if v, _ := r.Config.GetPath("taskCount"); v != int64(10) {
 		t.Fatalf("running taskCount = %v", v)
 	}
 	s.DropRunning("j1")
@@ -131,7 +145,7 @@ func TestRunningLifecycle(t *testing.T) {
 
 func TestDeleteLeavesRunningForSyncer(t *testing.T) {
 	s := New()
-	s.Create("j1", baseDoc())
+	s.Create("j1", docBlob(baseDoc()), nil)
 	s.CommitRunning("j1", baseDoc(), 1)
 	if err := s.Delete("j1"); err != nil {
 		t.Fatal(err)
@@ -149,8 +163,8 @@ func TestDeleteLeavesRunningForSyncer(t *testing.T) {
 
 func TestNamesSorted(t *testing.T) {
 	s := New()
-	s.Create("zj", baseDoc())
-	s.Create("aj", baseDoc())
+	s.Create("zj", docBlob(baseDoc()), nil)
+	s.Create("aj", docBlob(baseDoc()), nil)
 	s.CommitRunning("mj", config.Doc{}, 1)
 	if got := s.ExpectedNames(); len(got) != 2 || got[0] != "aj" {
 		t.Fatalf("ExpectedNames = %v", got)
@@ -162,7 +176,7 @@ func TestNamesSorted(t *testing.T) {
 
 func TestQuarantine(t *testing.T) {
 	s := New()
-	s.Create("j1", baseDoc())
+	s.Create("j1", docBlob(baseDoc()), nil)
 	s.SetQuarantine("j1", "5 consecutive sync failures")
 	q, ok := s.Quarantined("j1")
 	if !ok || q.Reason == "" {
@@ -179,7 +193,7 @@ func TestQuarantine(t *testing.T) {
 
 func TestDeleteClearsQuarantine(t *testing.T) {
 	s := New()
-	s.Create("j1", baseDoc())
+	s.Create("j1", docBlob(baseDoc()), nil)
 	s.SetQuarantine("j1", "x")
 	s.Delete("j1")
 	if _, ok := s.Quarantined("j1"); ok {
@@ -189,8 +203,8 @@ func TestDeleteClearsQuarantine(t *testing.T) {
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := New()
-	s.Create("j1", baseDoc())
-	s.SetLayer("j1", config.LayerScaler, config.Doc{"taskCount": 15}, Expected{Version: AnyVersion}, nil)
+	s.Create("j1", docBlob(baseDoc()), nil)
+	s.SetLayer("j1", config.LayerScaler, docBlob(config.Doc{"taskCount": 15}), Expected{Version: AnyVersion}, nil)
 	s.CommitRunning("j1", config.Doc{"taskCount": 15}, 2)
 	s.SetQuarantine("j2", "test")
 	data, err := s.Snapshot()
@@ -232,7 +246,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 // commit decodes its own, and a document that is no JobConfig has none.
 func TestRunningEntryIsTyped(t *testing.T) {
 	s := New()
-	s.Create("j1", baseDoc())
+	s.Create("j1", docBlob(baseDoc()), nil)
 	m, v, err := s.MergedExpectedShared("j1")
 	if err != nil || m.Config == nil {
 		t.Fatalf("merge = %+v, %v", m, err)
@@ -253,7 +267,7 @@ func TestRunningEntryIsTyped(t *testing.T) {
 
 func TestConcurrentCASOneWinnerPerVersion(t *testing.T) {
 	s := New()
-	s.Create("j1", baseDoc())
+	s.Create("j1", docBlob(baseDoc()), nil)
 	const writers = 16
 	var wg sync.WaitGroup
 	wins := make(chan int64, writers)
@@ -267,13 +281,13 @@ func TestConcurrentCASOneWinnerPerVersion(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e, err := s.GetExpectedShared("j1")
+			e, err := s.GetExpected("j1")
 			ready.Done()
 			if err != nil {
 				return
 			}
 			<-start
-			v, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"taskCount": i}, e, nil)
+			v, err := s.SetLayer("j1", config.LayerOncall, docBlob(config.Doc{"taskCount": i}), e, nil)
 			if err == nil {
 				wins <- v
 			}
@@ -299,7 +313,7 @@ func TestGetRunningIsolated(t *testing.T) {
 	r, _ := s.GetRunning("j1")
 	r.Config["taskCount"] = 999
 	r2, _ := s.GetRunning("j1")
-	if v, _ := r2.Config.GetPath("taskCount"); v != 10 {
+	if v, _ := r2.Config.GetPath("taskCount"); v != int64(10) {
 		t.Fatal("GetRunning aliased internal state")
 	}
 }
@@ -309,7 +323,7 @@ func TestSaveLoadFile(t *testing.T) {
 	path := filepath.Join(dir, "store.json")
 
 	s := New()
-	s.Create("j1", baseDoc())
+	s.Create("j1", docBlob(baseDoc()), nil)
 	s.CommitRunning("j1", baseDoc(), 1)
 	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)

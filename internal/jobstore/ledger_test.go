@@ -71,10 +71,10 @@ func randomLedgerOp(t *testing.T, s *Store, rng *rand.Rand, names []string) stri
 	name := names[rng.Intn(len(names))]
 	switch op := rng.Intn(12); op {
 	case 0:
-		s.Create(name, config.Doc{"taskCount": 1})
+		s.Create(name, docBlob(config.Doc{"taskCount": 1}), nil)
 		return "Create " + name
 	case 1:
-		s.SetLayer(name, config.LayerScaler, config.Doc{"taskCount": rng.Intn(8)}, Expected{Version: AnyVersion}, nil)
+		s.SetLayer(name, config.LayerScaler, docBlob(config.Doc{"taskCount": rng.Intn(8)}), Expected{Version: AnyVersion}, nil)
 		return "SetLayer " + name
 	case 2:
 		s.Delete(name)
@@ -83,13 +83,13 @@ func randomLedgerOp(t *testing.T, s *Store, rng *rand.Rand, names []string) stri
 		// Mostly the version the expected entry is at (converging the
 		// job), sometimes a stale or made-up one.
 		v := int64(rng.Intn(3) + 1)
-		if e, err := s.GetExpectedShared(name); err == nil && rng.Intn(3) > 0 {
+		if e, err := s.GetExpected(name); err == nil && rng.Intn(3) > 0 {
 			v = e.Version
 		}
 		if op == 3 {
 			s.CommitRunning(name, config.Doc{"taskCount": 1}, v)
 		} else {
-			s.CommitRunningShared(name, decoded(config.Doc{"taskCount": 1}), v)
+			s.CommitRunningShared(name, decoded(docBlob(config.Doc{"taskCount": 1})), v)
 		}
 		return fmt.Sprintf("CommitRunning %s v%d", name, v)
 	case 5:

@@ -7,18 +7,20 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/config"
+	"repro/internal/wire"
 )
 
 func TestMergedExpectedCachedPerVersion(t *testing.T) {
 	s := New()
-	if err := s.Create("j1", config.Doc{"taskCount": 4, "pkg": config.Doc{"version": "v1"}}); err != nil {
+	if err := s.Create("j1", docBlob(config.Doc{"taskCount": 4, "pkg": config.Doc{"version": "v1"}}), nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// The first read of a version merges; every later one is served the
-	// same cached map.
+	// same cached blob. A single layer's merge is that layer's blob.
 	m1, v1, err := s.MergedExpectedShared("j1")
 	if err != nil {
 		t.Fatal(err)
@@ -27,11 +29,14 @@ func TestMergedExpectedCachedPerVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !sameDoc(m1.Doc, m2.Doc) || m1.Config == nil || m1.Config != m2.Config {
+	if !sameBlob(m1.Doc, m2.Doc) || m1.Config == nil || m1.Config != m2.Config {
 		t.Fatal("second read of one version merged or decoded again")
 	}
+	if base, _ := s.GetExpected("j1"); !sameBlob(m1.Doc, base.Layers[config.LayerBase]) {
+		t.Fatal("a one-layer merge copied its layer")
+	}
 
-	// Callers of the cloning read own the returned doc: mutating it must
+	// Callers of the decoding read own the returned doc: mutating it must
 	// not poison the cache.
 	c, _, err := s.MergedExpected("j1")
 	if err != nil {
@@ -47,13 +52,13 @@ func TestMergedExpectedCachedPerVersion(t *testing.T) {
 	}
 
 	// A layer write that hands over its merge installs it: the next read
-	// serves that very doc.
-	base, err := s.GetExpectedShared("j1")
+	// serves that very blob.
+	base, err := s.GetExpected("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	oncall := config.Doc{"pkg": config.Doc{"version": "v2"}}
-	merged := decoded(config.MergeLayersShared(base.Layers[0], base.Layers[1], base.Layers[2], oncall))
+	oncall := docBlob(config.Doc{"pkg": config.Doc{"version": "v2"}})
+	merged := decoded(mergeOf(t, base.Layers[0], base.Layers[1], base.Layers[2], oncall))
 	if _, err := s.SetLayer("j1", config.LayerOncall, oncall, base, &merged); err != nil {
 		t.Fatal(err)
 	}
@@ -61,77 +66,92 @@ func TestMergedExpectedCachedPerVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v4 != v1+1 || !sameDoc(m4.Doc, merged.Doc) || m4.Config != merged.Config {
-		t.Fatalf("read after a write with its merge: version %d, served the written merge = %v; want %d, true", v4, sameDoc(m4.Doc, merged.Doc), v1+1)
+	if v4 != v1+1 || !sameBlob(m4.Doc, merged.Doc) || m4.Config != merged.Config {
+		t.Fatalf("read after a write with its merge: version %d, served the written merge = %v; want %d, true", v4, sameBlob(m4.Doc, merged.Doc), v1+1)
 	}
 
 	// A write without one moves the version and invalidates the cache: the
 	// next read merges the new stack, once.
-	if _, err := s.SetLayer("j1", config.LayerOncall, config.Doc{"pkg": config.Doc{"version": "v3"}}, Expected{Version: AnyVersion}, nil); err != nil {
+	if _, err := s.SetLayer("j1", config.LayerOncall, docBlob(config.Doc{"pkg": config.Doc{"version": "v3"}}), Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
 	m5, _, err := s.MergedExpectedShared("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := m5.Doc.GetPath("pkg.version"); v != "v3" {
-		t.Fatalf("stale merge served after SetLayer: pkg.version = %v", v)
+	if d, _ := m5.Doc.Doc(); d["pkg"].(config.Doc)["version"] != "v3" {
+		t.Fatalf("stale merge served after SetLayer: %v", d)
 	}
-	if m6, _, _ := s.MergedExpectedShared("j1"); !sameDoc(m5.Doc, m6.Doc) || m5.Config != m6.Config {
+	if m6, _, _ := s.MergedExpectedShared("j1"); !sameBlob(m5.Doc, m6.Doc) || m5.Config != m6.Config {
 		t.Fatal("post-write reads merged more than once")
 	}
 }
 
-// sameDoc reports whether a and b are the same map.
-func sameDoc(a, b config.Doc) bool {
-	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+// sameBlob reports whether a and b are the same bytes in memory.
+func sameBlob(a, b wire.Blob) bool {
+	return len(a) == len(b) && unsafe.SliceData(a) == unsafe.SliceData(b)
+}
+
+// mergeOf is the Job Service's merge of a stack.
+func mergeOf(t *testing.T, layers ...wire.Blob) wire.Blob {
+	m, err := wire.MergeBlobs(layers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 // writeLayer is the Job Service's layer write as the store sees it: a
-// shared read, a private copy of one layer for edit, the merge of the new
-// stack, and the compare-and-set write that hands both over — retried
-// while the CAS fails.
-func writeLayer(s *Store, name string, layer config.Layer, edit func(config.Doc) config.Doc) error {
+// read of the stack, a decoded copy of one layer for edit, the merge of
+// the new stack, and the compare-and-set write that hands both over —
+// retried while the CAS fails.
+func writeLayer(t *testing.T, s *Store, name string, layer config.Layer, edit func(config.Doc) config.Doc) error {
 	for {
-		base, err := s.GetExpectedShared(name)
+		base, err := s.GetExpected(name)
 		if err != nil {
 			return err
 		}
-		next := base.Layers[layer].Clone()
+		next, _ := base.Layers[layer].Doc()
 		if next == nil {
 			next = config.Doc{}
 		}
-		next = edit(next)
+		doc := docBlob(edit(next))
 		layers := base.Layers
-		layers[layer] = next
-		merged := decoded(config.MergeLayersShared(layers[0], layers[1], layers[2], layers[3]))
-		if _, err := s.SetLayer(name, layer, next, base, &merged); !errors.Is(err, ErrVersionMismatch) {
+		layers[layer] = doc
+		merged := decoded(mergeOf(t, layers[:]...))
+		if _, err := s.SetLayer(name, layer, doc, base, &merged); !errors.Is(err, ErrVersionMismatch) {
 			return err
 		}
 	}
 }
 
-// mergedMatchesStack checks the job's merged cache against a fresh merge
-// of its stored layers, and its config against a decode of the cached
-// doc, at the entry's version. The stack is read before and after the
-// merged doc, and the check is made only if both reads found the very
-// same stack: a version alone does not name one, since a
-// deleted and re-created job counts from 1 again. It reports false
-// without checking when a concurrent write got in between. Safe to call
-// from any goroutine: a mismatch is reported with t.Errorf.
+// mergedMatchesStack checks the job's merged cache against config.Merge
+// folded over its decoded layers, and its config against a decode of the
+// cached doc, at the entry's version. The stack is read before and after
+// the merged doc, and the check is made only if both reads found the
+// very same stack: a version alone does not name one, since a deleted
+// and re-created job counts from 1 again. It reports false without
+// checking when a concurrent write got in between. Safe to call from any
+// goroutine: a mismatch is reported with t.Errorf.
 func mergedMatchesStack(t *testing.T, s *Store, name, step string) bool {
 	t.Helper()
-	e, err := s.GetExpectedShared(name)
+	e, err := s.GetExpected(name)
 	got, v, mErr := s.MergedExpectedShared(name)
-	after, aErr := s.GetExpectedShared(name)
+	after, aErr := s.GetExpected(name)
 	if err != nil || mErr != nil || aErr != nil {
 		return errors.Is(err, ErrNotFound) && errors.Is(mErr, ErrNotFound) && errors.Is(aErr, ErrNotFound)
 	}
 	if v != e.Version || after.Version != e.Version || !sameLayers(&after.Layers, &e.Layers) {
 		return false
 	}
-	if want := config.MergeLayersShared(e.Layers[0], e.Layers[1], e.Layers[2], e.Layers[3]); !config.Equal(got.Doc, want) {
-		t.Errorf("%s: %s at version %d: cached merge %v, stack merges to %v", step, name, v, got.Doc, want)
+	want := config.Doc{}
+	for _, l := range e.Layers {
+		if d, _ := l.Doc(); d != nil {
+			want = config.Merge(want, d)
+		}
+	}
+	if gotDoc, err := got.Doc.Doc(); err != nil || !config.Equal(gotDoc, want) {
+		t.Errorf("%s: %s at version %d: cached merge %v (%v), stack merges to %v", step, name, v, gotDoc, err, want)
 	}
 	if want := decoded(got.Doc).Config; !reflect.DeepEqual(got.Config, want) {
 		t.Errorf("%s: %s at version %d: cached config %+v, the merge decodes to %+v", step, name, v, got.Config, want)
@@ -161,31 +181,31 @@ func randomStackOp(t *testing.T, s *Store, rng *rand.Rand, names []string) strin
 	}
 	switch rng.Intn(8) {
 	case 0, 1:
-		writeLayer(s, name, layer, set)
+		writeLayer(t, s, name, layer, set)
 		return fmt.Sprintf("UpdateLayer %s/%s", name, layer)
 	case 2:
-		writeLayer(s, name, layer, func(config.Doc) config.Doc { return config.Doc{} })
+		writeLayer(t, s, name, layer, func(config.Doc) config.Doc { return config.Doc{} })
 		return fmt.Sprintf("ClearLayer %s/%s", name, layer)
 	case 3:
-		s.SetLayer(name, layer, set(config.Doc{}), Expected{Version: AnyVersion}, nil)
+		s.SetLayer(name, layer, docBlob(set(config.Doc{})), Expected{Version: AnyVersion}, nil)
 		return fmt.Sprintf("AnyVersion write %s/%s", name, layer)
 	case 4:
-		base, err := s.GetExpectedShared(name)
+		base, err := s.GetExpected(name)
 		if err != nil {
 			return "stale read of missing " + name
 		}
 		step := "write after another write"
 		if rng.Intn(2) == 0 {
-			writeLayer(s, name, config.Layer(1+rng.Intn(3)), set)
+			writeLayer(t, s, name, config.Layer(1+rng.Intn(3)), set)
 		} else {
 			step = "write across a re-create"
 			s.Delete(name)
-			s.Create(name, config.Doc{"name": name, "taskCount": n})
+			s.Create(name, docBlob(config.Doc{"name": name, "taskCount": n}), nil)
 		}
-		next := set(config.Doc{})
+		next := docBlob(set(config.Doc{}))
 		layers := base.Layers
 		layers[layer] = next
-		merged := decoded(config.MergeLayersShared(layers[0], layers[1], layers[2], layers[3]))
+		merged := decoded(mergeOf(t, layers[:]...))
 		if _, err := s.SetLayer(name, layer, next, base, &merged); !errors.Is(err, ErrVersionMismatch) && !errors.Is(err, ErrNotFound) {
 			t.Errorf("%s of %s: err = %v, want ErrVersionMismatch", step, name, err)
 		}
@@ -194,7 +214,7 @@ func randomStackOp(t *testing.T, s *Store, rng *rand.Rand, names []string) strin
 		s.Delete(name)
 		return "Delete " + name
 	case 6:
-		s.Create(name, config.Doc{"name": name, "taskCount": n, "input": config.Doc{"partitions": n + 1}})
+		s.Create(name, docBlob(config.Doc{"name": name, "taskCount": n, "input": config.Doc{"partitions": n + 1}}), nil)
 		return "Create " + name
 	default:
 		data, err := s.Snapshot()

@@ -18,7 +18,7 @@ func benchStore(b *testing.B, n int) *Store {
 			"taskResources": config.Doc{"cpuCores": 0.5, "memoryBytes": 1 << 29},
 			"input":         config.Doc{"category": name + "_in", "partitions": 16},
 		}
-		if err := s.Create(name, doc); err != nil {
+		if err := s.Create(name, docBlob(doc), nil); err != nil {
 			b.Fatal(err)
 		}
 		merged, v, err := s.MergedExpected(name)
@@ -68,7 +68,7 @@ func BenchmarkCommitRunningSharedFanIn(b *testing.B) {
 	for i := range names {
 		names[i] = fmt.Sprintf("j%05d", i)
 	}
-	cfg := decoded(config.Doc{"taskCount": 4, "package": config.Doc{"version": "v2"}})
+	cfg := decoded(docBlob(config.Doc{"taskCount": 4, "package": config.Doc{"version": "v2"}}))
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {

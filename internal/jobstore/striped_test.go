@@ -1,6 +1,7 @@
 package jobstore
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"sync"
@@ -26,10 +27,10 @@ func TestDivergedSetSemantics(t *testing.T) {
 		}
 	}
 	check("New")
-	if err := s.Create("b", config.Doc{"taskCount": 1}); err != nil {
+	if err := s.Create("b", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Create("a", config.Doc{"taskCount": 1}); err != nil {
+	if err := s.Create("a", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
 	check("Create", "a", "b")
@@ -39,7 +40,7 @@ func TestDivergedSetSemantics(t *testing.T) {
 
 	// A layer write diverges the job until a commit realizes its version;
 	// a commit of a stale version leaves it diverged.
-	if _, err := s.SetLayer("a", config.LayerScaler, config.Doc{"taskCount": 2}, Expected{Version: AnyVersion}, nil); err != nil {
+	if _, err := s.SetLayer("a", config.LayerScaler, docBlob(config.Doc{"taskCount": 2}), Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
 	check("SetLayer", "a")
@@ -120,10 +121,10 @@ func TestNameSnapshotsAreCopyOnWrite(t *testing.T) {
 
 	// ExpectedNames keeps no snapshot: every call is a fresh sorted slice
 	// the caller owns.
-	if err := s.Create("b", config.Doc{"taskCount": 1}); err != nil {
+	if err := s.Create("b", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Create("a", config.Doc{"taskCount": 1}); err != nil {
+	if err := s.Create("a", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
 	e1 := s.ExpectedNames()
@@ -138,7 +139,7 @@ func TestNameSnapshotsAreCopyOnWrite(t *testing.T) {
 
 func TestSharedDocsAvoidCloning(t *testing.T) {
 	s := New()
-	if err := s.Create("j", config.Doc{"taskCount": 4, "package": config.Doc{"version": "v1"}}); err != nil {
+	if err := s.Create("j", docBlob(config.Doc{"taskCount": 4, "package": config.Doc{"version": "v1"}}), nil); err != nil {
 		t.Fatal(err)
 	}
 	m1, v1, err := s.MergedExpectedShared("j")
@@ -150,12 +151,13 @@ func TestSharedDocsAvoidCloning(t *testing.T) {
 		t.Fatal(err)
 	}
 	d1, d2 := m1.Doc, m2.Doc
-	if v1 != v2 || reflect.ValueOf(d1).Pointer() != reflect.ValueOf(d2).Pointer() || m1.Config != m2.Config {
-		t.Fatal("MergedExpectedShared must return the cached doc and config themselves on a hit")
+	if v1 != v2 || !sameBlob(d1, d2) || m1.Config != m2.Config {
+		t.Fatal("MergedExpectedShared must return the cached blob and config themselves on a hit")
 	}
+	before := bytes.Clone(d1)
 
-	// A layer write replaces (never mutates) the cached doc.
-	if _, err := s.SetLayer("j", config.LayerOncall, config.Doc{}.SetPath("package.version", "v2"), Expected{Version: AnyVersion}, nil); err != nil {
+	// A layer write replaces (never mutates) the cached blob.
+	if _, err := s.SetLayer("j", config.LayerOncall, docBlob(config.Doc{}.SetPath("package.version", "v2")), Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
 	m3, _, err := s.MergedExpectedShared("j")
@@ -163,35 +165,41 @@ func TestSharedDocsAvoidCloning(t *testing.T) {
 		t.Fatal(err)
 	}
 	d3 := m3.Doc
-	if reflect.ValueOf(d3).Pointer() == reflect.ValueOf(d1).Pointer() {
-		t.Fatal("stale cached doc returned after layer write")
+	if sameBlob(d3, d1) {
+		t.Fatal("stale cached blob returned after layer write")
 	}
-	if got, _ := d1.GetPath("package.version"); got != "v1" {
-		t.Fatalf("old shared doc mutated: package.version = %v", got)
+	if !bytes.Equal(d1, before) {
+		t.Fatal("old shared blob mutated")
 	}
-	if got, _ := d3.GetPath("package.version"); got != "v2" {
-		t.Fatalf("new shared doc = %v, want v2", got)
+	if got := m3.Config.Package.Version; got != "v2" {
+		t.Fatalf("new shared config = %v, want v2", got)
 	}
 
-	// CommitRunningShared stores the doc itself; GetRunningShared hands it back.
+	// CommitRunningShared stores the blob itself; RunningDoc hands it back.
 	s.CommitRunningShared("j", m3, 2)
-	r, ok := s.GetRunningShared("j")
+	r, _, ok := s.RunningDoc("j")
 	if !ok {
 		t.Fatal("running entry missing")
 	}
-	if reflect.ValueOf(r.Config).Pointer() != reflect.ValueOf(d3).Pointer() {
-		t.Fatal("GetRunningShared must return the committed doc without cloning")
+	if !sameBlob(r.Doc, d3) || r.Config != m3.Config {
+		t.Fatal("RunningDoc must return the committed blob and config without copying")
 	}
-	// GetRunning still isolates callers.
+	// GetRunningShared decodes the entry once and shares the document;
+	// GetRunning decodes a document of the caller's own.
+	sh1, _ := s.GetRunningShared("j")
+	sh2, _ := s.GetRunningShared("j")
+	if got, _ := sh1.Config.GetPath("package.version"); got != "v2" || reflect.ValueOf(sh1.Config).Pointer() != reflect.ValueOf(sh2.Config).Pointer() {
+		t.Fatalf("GetRunningShared = %v then another document; want package.version v2, shared", sh1.Config)
+	}
 	rc, _ := s.GetRunning("j")
-	if reflect.ValueOf(rc.Config).Pointer() == reflect.ValueOf(d3).Pointer() {
-		t.Fatal("GetRunning must clone")
+	if got, _ := rc.Config.GetPath("package.version"); got != "v2" || reflect.ValueOf(rc.Config).Pointer() == reflect.ValueOf(sh1.Config).Pointer() {
+		t.Fatalf("GetRunning = %v, want package.version v2 in a document of its own", rc.Config)
 	}
 }
 
 func TestRestoreRebuildsDivergedSetAndRestampsRevisions(t *testing.T) {
 	s := New()
-	if err := s.Create("keep", config.Doc{"taskCount": 1}); err != nil {
+	if err := s.Create("keep", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
 	s.CommitRunning("keep", config.Doc{"taskCount": 1}, 1)
@@ -203,7 +211,7 @@ func TestRestoreRebuildsDivergedSetAndRestampsRevisions(t *testing.T) {
 
 	// The target's own pending job is replaced along with its entries.
 	s2 := New()
-	if err := s2.Create("stale", config.Doc{"taskCount": 1}); err != nil {
+	if err := s2.Create("stale", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Restore(data); err != nil {
@@ -242,7 +250,7 @@ func TestConcurrentFanIn(t *testing.T) {
 	s := New()
 	const jobs = 256
 	for i := 0; i < jobs; i++ {
-		if err := s.Create(fmt.Sprintf("j%03d", i), config.Doc{"taskCount": 1}); err != nil {
+		if err := s.Create(fmt.Sprintf("j%03d", i), docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -255,7 +263,7 @@ func TestConcurrentFanIn(t *testing.T) {
 				name := fmt.Sprintf("j%03d", (w*137+i)%jobs)
 				switch i % 5 {
 				case 0:
-					s.SetLayer(name, config.LayerScaler, config.Doc{"taskCount": i}, Expected{Version: AnyVersion}, nil)
+					s.SetLayer(name, config.LayerScaler, docBlob(config.Doc{"taskCount": i}), Expected{Version: AnyVersion}, nil)
 				case 1:
 					if doc, v, err := s.MergedExpectedShared(name); err == nil {
 						s.CommitRunningShared(name, doc, v)

@@ -30,7 +30,7 @@ func convergedFleet(t *testing.T, fleet int) (*jobstore.Store, *Syncer) {
 			"package": config.Doc{"name": "tailer", "version": "v1"},
 			"input":   config.Doc{"category": name + "_in", "partitions": 8},
 		}
-		if err := store.Create(name, doc); err != nil {
+		if err := store.Create(name, docBlob(doc), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,10 +1,11 @@
 package statesyncer
 
 import (
-	"reflect"
 	"testing"
+	"unsafe"
 
 	"repro/internal/config"
+	"repro/internal/wire"
 )
 
 // TestRoundsReuseCachedMerges verifies that repeated synchronization
@@ -28,8 +29,8 @@ func TestRoundsReuseCachedMerges(t *testing.T) {
 	}
 
 	syncer.RunRound() // plans a's complex sync; the stop action fails
-	merged := func() []config.Doc {
-		var docs []config.Doc
+	merged := func() []wire.Blob {
+		var docs []wire.Blob
 		for _, name := range []string{"a", "b", "c"} {
 			m, _, err := svc.Store().MergedExpectedShared(name)
 			if err != nil {
@@ -48,7 +49,7 @@ func TestRoundsReuseCachedMerges(t *testing.T) {
 		syncer.RunRound()
 	}
 	for i, d := range merged() {
-		if reflect.ValueOf(d).Pointer() != reflect.ValueOf(first[i]).Pointer() {
+		if unsafe.SliceData(d) != unsafe.SliceData(first[i]) {
 			t.Fatalf("rounds over an unchanged expected stack re-merged job %d", i)
 		}
 	}

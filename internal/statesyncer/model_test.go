@@ -74,8 +74,11 @@ func docJSON(v any) string {
 // observe reads the real stack's state of one job in the model's terms.
 func observe(store *jobstore.Store, name string) *modelJob {
 	var j modelJob
-	if e, err := store.GetExpectedShared(name); err == nil {
-		j.exp, j.layers, j.version = true, e.Layers, e.Version
+	if e, err := store.GetExpected(name); err == nil {
+		j.exp, j.version = true, e.Version
+		for i, l := range e.Layers {
+			j.layers[i], _ = l.Doc()
+		}
 	}
 	if r, ok := store.GetRunningShared(name); ok {
 		j.run, j.runVer = r.Config, r.Version
@@ -129,8 +132,8 @@ func (m *model) apply(o op) bool {
 	case o.kind == "delete":
 		j.exp, j.layers, j.version, j.quarantine = false, [4]config.Doc{}, 0, ""
 	default:
-		d := j.layers[o.layer].Clone()
-		if o.kind == "clear" || d == nil {
+		d := config.Merge(config.Doc{}, j.layers[o.layer]) // a copy
+		if o.kind == "clear" {
 			d = config.Doc{}
 		}
 		switch o.kind {
@@ -180,6 +183,16 @@ func complexChange(a, b config.Doc) bool {
 	return false
 }
 
+// counts reads a complex plan's task and partition counts from a
+// document; one that is no JobConfig counts 0 of each.
+func counts(d config.Doc) (tasks, partitions int) {
+	cfg, err := config.JobConfigFromDoc(d)
+	if err != nil {
+		return 0, 0
+	}
+	return cfg.TaskCount, cfg.Input.Partitions
+}
+
 // round is one State Syncer round at now.
 func (m *model) round(now time.Time) RoundResult {
 	var res RoundResult
@@ -222,11 +235,12 @@ func (m *model) round(now time.Time) RoundResult {
 	for _, name := range complexJobs {
 		j := m.jobs[name]
 		merged := j.merged()
-		oldN, newN := intAt(j.run, "taskCount"), intAt(merged, "taskCount")
+		oldN, _ := counts(j.run)
+		newN, partitions := counts(merged)
 		step, err := fmt.Sprintf("stop %d old tasks", oldN), m.act.StopJobTasks(name)
 		if err == nil {
 			step = fmt.Sprintf("redistribute checkpoints %d->%d tasks", oldN, newN)
-			err = m.act.RedistributeCheckpoints(name, intAt(merged, "input.partitions"), oldN, newN)
+			err = m.act.RedistributeCheckpoints(name, partitions, oldN, newN)
 		}
 		if err != nil {
 			_ = m.act.ResumeJob(name) // roll back: the old tasks run on
@@ -266,7 +280,8 @@ func (m *model) tasks(name string) []string {
 	var out []string
 	if j := m.jobs[name]; j.run != nil && !m.act.quiesced[name] {
 		pkg, _ := j.run.GetPath("package.version")
-		for i := range intAt(j.run, "taskCount") {
+		n, _ := counts(j.run)
+		for i := range n {
 			id := fmt.Sprintf("%s#%d", name, i)
 			sum := md5.Sum([]byte(id))
 			out = append(out, fmt.Sprintf("%s %d %v", id, binary.BigEndian.Uint64(sum[:8])%modelShards, pkg))

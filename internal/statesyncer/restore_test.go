@@ -125,9 +125,9 @@ func TestCrashBeforeCommitRestoreReplansInOneRound(t *testing.T) {
 	if res.Complex != 1 {
 		t.Fatalf("restored round = %+v, want one complex sync", res)
 	}
-	r, ok := restored.GetRunning("j1")
-	if !ok || intAt(r.Config, "taskCount") != 20 {
-		t.Fatalf("not converged after one round: %+v, %v", r, ok)
+	cfg, _, _, ok := restored.RunningEntry("j1")
+	if !ok || cfg == nil || cfg.TaskCount != 20 {
+		t.Fatalf("not converged after one round: %+v, %v", cfg, ok)
 	}
 	requireConverged(t, restored)
 	if res2 := successor.RunRound(); res2.Simple+res2.Complex+res2.Deleted != 0 || len(res2.Failed) != 0 {

@@ -26,7 +26,7 @@ func benchFleet(b *testing.B, n int, opts Options) (*jobstore.Store, *Syncer) {
 			"taskResources": config.Doc{"cpuCores": 0.5, "memoryBytes": 1 << 29},
 			"input":         config.Doc{"category": name + "_in", "partitions": 16},
 		}
-		if err := store.Create(name, doc); err != nil {
+		if err := store.Create(name, docBlob(doc), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,7 +44,7 @@ func churn(b *testing.B, store *jobstore.Store, n, k, round int) {
 	for i := 0; i < n; i += k {
 		name := fmt.Sprintf("j%05d", i)
 		doc := config.Doc{}.SetPath("package.version", v)
-		if _, err := store.SetLayer(name, config.LayerProvisioner, doc, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
+		if _, err := store.SetLayer(name, config.LayerProvisioner, docBlob(doc), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -93,7 +93,7 @@ func benchShardedFleet(b *testing.B, n, shards int) (*jobstore.Store, []*Node, *
 			"taskResources": config.Doc{"cpuCores": 0.5, "memoryBytes": 1 << 29},
 			"input":         config.Doc{"category": name + "_in", "partitions": 16},
 		}
-		if err := store.Create(name, doc); err != nil {
+		if err := store.Create(name, docBlob(doc), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

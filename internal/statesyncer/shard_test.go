@@ -52,7 +52,7 @@ func shardJob(t testing.TB, store *jobstore.Store, name string) {
 		"taskResources": config.Doc{"cpuCores": 0.5, "memoryBytes": 1 << 29},
 		"input":         config.Doc{"category": name + "_in", "partitions": 16},
 	}
-	if err := store.Create(name, doc); err != nil {
+	if err := store.Create(name, docBlob(doc), nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -185,7 +185,7 @@ func TestShardedLeaseStealConvergence(t *testing.T) {
 	}
 	release := func(name, v string) {
 		doc := config.Doc{}.SetPath("package.version", v)
-		if _, err := store.SetLayer(name, config.LayerProvisioner, doc, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
+		if _, err := store.SetLayer(name, config.LayerProvisioner, docBlob(doc), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -293,7 +293,7 @@ func TestResyncRoundSyncsOnlyItsSlice(t *testing.T) {
 	for k := 0; k < shards; k++ {
 		released, late := firstIn("j", k), firstIn("late", k)
 		doc := config.Doc{}.SetPath("package.version", "v2")
-		if _, err := store.SetLayer(released, config.LayerProvisioner, doc, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
+		if _, err := store.SetLayer(released, config.LayerProvisioner, docBlob(doc), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 			t.Fatal(err)
 		}
 		shardJob(t, store, late)
@@ -362,7 +362,7 @@ func testOneSliceNodeVsEngine(t *testing.T) {
 	}
 	set := func(job string, layer config.Layer, path string, v any) {
 		for _, store := range stores {
-			if _, err := store.SetLayer(job, layer, config.Doc{}.SetPath(path, v), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
+			if _, err := store.SetLayer(job, layer, docBlob(config.Doc{}.SetPath(path, v)), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -430,7 +430,7 @@ func testFourShardsVsEngine(t *testing.T) {
 			name := fmt.Sprintf("j%05d", i)
 			doc := config.Doc{}.SetPath("package.version", v)
 			for _, store := range []*jobstore.Store{single, sharded} {
-				if _, err := store.SetLayer(name, config.LayerProvisioner, doc, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
+				if _, err := store.SetLayer(name, config.LayerProvisioner, docBlob(doc), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 					t.Fatal(err)
 				}
 			}

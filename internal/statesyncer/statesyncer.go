@@ -69,6 +69,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/jobstore"
 	"repro/internal/simclock"
+	"repro/internal/wire"
 	"repro/internal/workpool"
 )
 
@@ -143,10 +144,10 @@ const followUpResume = "resume"
 type Plan struct {
 	Job     string
 	Kind    PlanKind
-	Changes []config.Change
+	Changes []wire.Change
 	Actions []Action
 	// commit and commitVersion are the new running configuration — the
-	// merged doc and its typed config — to publish; the executor commits
+	// merged blob and its typed config — to publish; the executor commits
 	// them only after every action succeeded (the atomic commit point). A
 	// nil commit.Doc means the plan has no commit (noop, delete). Plain data instead of a bound
 	// closure: simple-sync churn builds hundreds of plans per round, and
@@ -302,7 +303,7 @@ type roundScratch struct {
 	candidates   []string // this round's candidates: DivergedRangeInto's destination
 	now          time.Time
 	results      []planned
-	differs      []config.Differ // per-result-slot diff scratch, reused across rounds
+	differs      []wire.Differ // per-result-slot diff scratch, reused across rounds
 	simple       []Plan
 	complexPlans []Plan
 	teardown     []string
@@ -387,29 +388,31 @@ func (s *Syncer) Stats() Stats {
 // expected configuration. It is exported for tests and for turbinectl's
 // dry-run mode. merged is treated as immutable from this point on: the
 // syncer passes the store's shared cache, and a committed plan publishes
-// that same doc and config into the running table without cloning or
+// that same blob and config into the running table without copying or
 // decoding.
 func (s *Syncer) BuildPlan(job string, merged jobstore.Merged, version int64) Plan {
-	var dd config.Differ
+	var dd wire.Differ
 	return s.buildPlan(job, merged, version, &dd)
 }
 
 // buildPlan is BuildPlan diffing through dd — a per-worker-slot Differ
 // on the round path, so a churn round's diffs reuse each slot's change
-// and key buffers instead of allocating per job.
-func (s *Syncer) buildPlan(job string, merged jobstore.Merged, version int64, dd *config.Differ) Plan {
+// buffer instead of allocating per job. The plan's changes are views of
+// the two blobs.
+func (s *Syncer) buildPlan(job string, merged jobstore.Merged, version int64, dd *wire.Differ) Plan {
 	// Version short-circuit: the running entry records which expected
 	// version it realizes. If that hasn't moved, there is nothing to
 	// diff — the common case for tens of thousands of converged jobs.
 	if rv, ok := s.store.RunningVersion(job); ok && rv == version {
 		return Plan{Job: job, Kind: PlanNoop}
 	}
-	// Shared read: Diff only inspects the docs, so the running config
-	// needs no defensive copy.
-	running, hasRunning := s.store.GetRunningShared(job)
-	var changes []config.Change
+	running, _, hasRunning := s.store.RunningDoc(job)
+	var changes []wire.Change
 	if hasRunning {
-		changes = dd.Diff(running.Config, merged.Doc)
+		var err error
+		if changes, err = dd.Diff(running.Doc, merged.Doc); err != nil {
+			return Plan{Job: job, Kind: PlanNoop, commitErr: fmt.Errorf("%s: diff: %w", job, err)}
+		}
 		if len(changes) == 0 {
 			// Content equal even though the version moved (e.g. an
 			// override written and reverted): commit the version so
@@ -436,9 +439,8 @@ func (s *Syncer) buildPlan(job string, merged jobstore.Merged, version int64, dd
 	}
 
 	// Complex synchronization: multi-step, strictly ordered (§III-B).
-	oldCount := intAt(running.Config, "taskCount")
-	newCount := intAt(merged.Doc, "taskCount")
-	partitions := intAt(merged.Doc, "input.partitions")
+	oldCount, _ := countsOf(running.Config)
+	newCount, partitions := countsOf(merged.Config)
 	actions := []Action{
 		{
 			Name: fmt.Sprintf("stop %d old tasks", oldCount),
@@ -459,21 +461,13 @@ func (s *Syncer) buildPlan(job string, merged jobstore.Merged, version int64, dd
 		commit: merged, commitVersion: version, resume: true, rollback: rollback}
 }
 
-func intAt(d config.Doc, path string) int {
-	v, ok := d.GetPath(path)
-	if !ok {
-		return 0
+// countsOf reads a complex plan's task and partition counts from a typed
+// config; a document that is no JobConfig counts 0 of each.
+func countsOf(cfg *config.JobConfig) (tasks, partitions int) {
+	if cfg == nil {
+		return 0, 0
 	}
-	switch n := v.(type) {
-	case int:
-		return n
-	case float64:
-		return int(n)
-	case int64:
-		return int(n)
-	default:
-		return 0
-	}
+	return cfg.TaskCount, cfg.Input.Partitions
 }
 
 // executePlan runs a plan's actions in order and commits on full success.
@@ -511,8 +505,8 @@ func (s *Syncer) executePlan(p Plan) error {
 	}
 	if p.commit.Doc != nil {
 		// The shared commit: merged came from MergedExpectedShared and is
-		// immutable, so the store keeps the doc and config themselves — no
-		// clone, no decode.
+		// immutable, so the store keeps the blob and config themselves —
+		// no copy, no decode.
 		if err := s.store.CommitRunningShared(p.Job, p.commit, p.commitVersion); err != nil {
 			if s.dead() {
 				return errKilled
@@ -586,7 +580,7 @@ type planned struct {
 // pending resume that passes the backoff and quarantine gates is
 // reported for replay instead of planned, unless replayed says the
 // round's merge already replayed it this round.
-func (s *Syncer) planJob(job string, now time.Time, dd *config.Differ, replayed bool) planned {
+func (s *Syncer) planJob(job string, now time.Time, dd *wire.Differ, replayed bool) planned {
 	v := s.store.PlanViewOf(job)
 	if v.FailureStreak > 0 && now.Before(v.NextRetryAt) {
 		return planned{plan: Plan{Job: job, Kind: PlanNoop}, backedOff: true}
@@ -656,7 +650,7 @@ func (s *Syncer) RunRound() RoundResult {
 	// diff scratch is the churn path's round-over-round buffer reuse.
 	if cap(sc.differs) < len(candidates) {
 		sc.differs = append(sc.differs[:cap(sc.differs)],
-			make([]config.Differ, len(candidates)-cap(sc.differs))...)
+			make([]wire.Differ, len(candidates)-cap(sc.differs))...)
 	}
 	sc.differs = sc.differs[:len(candidates)]
 	s.forEach(len(candidates), s.par, 32, s.planFn)

@@ -134,7 +134,7 @@ func TestNewJobSyncsSimple(t *testing.T) {
 	if !ok {
 		t.Fatal("running entry not committed")
 	}
-	if v, _ := r.Config.GetPath("taskCount"); v != float64(10) {
+	if v, _ := r.Config.GetPath("taskCount"); v != int64(10) {
 		t.Fatalf("running taskCount = %v", v)
 	}
 	if len(act.stops) != 0 {

@@ -1,0 +1,15 @@
+package taskservice
+
+import (
+	"repro/internal/config"
+	"repro/internal/wire"
+)
+
+// docBlob encodes a test document the way the store holds it.
+func docBlob(d config.Doc) wire.Blob {
+	b, err := wire.EncodeDoc(d)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}

@@ -3,8 +3,8 @@
 // boundary — same idiom as the State Syncer's ShardDriver), applies the
 // delta frames to a replica of the running table — one row per running
 // job, holding the typed JobConfig that each entry's document decodes to
-// once, on arrival (wire.DecodeJobConfigBlob) — and runs an ordinary
-// taskservice.Service over that replica. The remote index is
+// once, on arrival, into a config that owns its strings (decodeEntry) —
+// and runs an ordinary taskservice.Service over that replica. The remote index is
 // byte-identical to the local one once the feed converges (the chaos
 // soak's invariant) because everything that makes it is shared or equal:
 // the Service's regeneration, COW shard-index splicing and spec
@@ -289,7 +289,7 @@ func (c *FeedClient) applyChunk(body []byte) error {
 		if c.rep.holds(it.Name, it.Rev) {
 			c.stats.Skipped++
 		} else {
-			cfg, err := wire.DecodeJobConfigBlob(it.Doc)
+			cfg, err := decodeEntry(it.Doc)
 			if err != nil {
 				return fmt.Errorf("taskservice: resync doc %q: %w", name, err)
 			}
@@ -334,7 +334,7 @@ func (c *FeedClient) applyDelta(body []byte) (done bool, err error) {
 			c.stats.Skipped++
 			continue
 		}
-		cfg, err := wire.DecodeJobConfigBlob(ent.Doc)
+		cfg, err := decodeEntry(ent.Doc)
 		if err != nil {
 			return false, fmt.Errorf("taskservice: delta doc %q: %w", ent.Name, err)
 		}
@@ -343,6 +343,17 @@ func (c *FeedClient) applyDelta(body []byte) (done bool, err error) {
 	}
 	c.cursor = delta.Next
 	return delta.Count == 0, nil
+}
+
+// decodeEntry decodes an entry's document, a view of a frame buffer the
+// next poll reuses, into a config that owns its strings: two
+// allocations, the config and one for all of its strings.
+func decodeEntry(doc []byte) (*config.JobConfig, error) {
+	cfg, err := wire.DecodeJobConfigBlob(doc)
+	if cfg != nil {
+		cfg.OwnStrings()
+	}
+	return cfg, err
 }
 
 // replica is a FeedClient's running table: one row per job the feed has

@@ -481,7 +481,7 @@ func TestConcurrentSnapshotAndStoreWrites(t *testing.T) {
 	clk := simclock.NewSim(epoch)
 	for i := 0; i < 10; i++ {
 		name := fmt.Sprintf("job%02d", i)
-		if err := store.Create(name, config.Doc{"taskCount": 2}); err != nil {
+		if err := store.Create(name, docBlob(config.Doc{"taskCount": 2}), nil); err != nil {
 			t.Fatal(err)
 		}
 		commitJob(t, store, name, 2, 1)
@@ -511,7 +511,7 @@ func TestConcurrentSnapshotAndStoreWrites(t *testing.T) {
 		for i := 0; i < iters; i++ {
 			name := fmt.Sprintf("job%02d", i%10)
 			if _, err := store.SetLayer(name, config.LayerOncall,
-				config.Doc{"note": strconv.Itoa(i)}, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
+				docBlob(config.Doc{"note": strconv.Itoa(i)}), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 				t.Error(err)
 				return
 			}

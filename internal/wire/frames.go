@@ -265,28 +265,24 @@ func (c *ResyncChunk) Item() (ChunkItem, error) {
 	return it, r.Err()
 }
 
-// DecodeDocBlob materializes an entry's document view (DeltaEntry.Doc or
-// ChunkItem.Doc) into a freshly allocated config-doc tree. No production
-// path keeps a document: it is the definition DecodeJobConfigBlob is held
-// to, and what tests read entries with.
+// DecodeDocBlob materializes a document — an entry's view (DeltaEntry.Doc
+// or ChunkItem.Doc) or a Blob — into a freshly allocated config-doc tree
+// that does not alias blob, as a feed entry needs: its frame buffer is
+// reused. A Blob's own Doc method is the aliasing form. It is the
+// definition DecodeJobConfigBlob is held to, and what tests read entries
+// with.
 func DecodeDocBlob(blob []byte) (config.Doc, error) {
-	r := NewReader(blob)
-	d, err := decodeDoc(&r)
-	if err != nil {
-		return nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, malformed("%d trailing bytes after document", r.Remaining())
-	}
-	return d, nil
+	return decodeBlob(blob, false)
 }
 
-// DecodeJobConfigBlob decodes an entry's document view straight into a
-// JobConfig, without building the document: the result equals
+// DecodeJobConfigBlob decodes a document straight into a JobConfig,
+// without building the document: the result equals
 // config.JobConfigFromDoc(DecodeDocBlob(blob)), and it fails where that
 // fails. A blob DecodeDocBlob rejects is an error; a well-formed document
-// that JobConfigFromDoc rejects is a nil config and no error. Nothing in
-// the result aliases blob. FuzzJobConfigBlob holds it to its definition.
+// that JobConfigFromDoc rejects is a nil config and no error. Its strings
+// are views of blob wherever they are valid UTF-8, so blob must never
+// change afterwards: a feed entry is copied into a blob of its own first.
+// FuzzJobConfigBlob holds it to its definition.
 func DecodeJobConfigBlob(blob []byte) (*config.JobConfig, error) {
 	d := configDecoder{r: NewReader(blob), cfg: new(config.JobConfig)}
 	r := &d.r
@@ -297,11 +293,8 @@ func DecodeJobConfigBlob(blob []byte) (*config.JobConfig, error) {
 		return nil, r.Err()
 	}
 	d.object(config.JobConfigFields(), 0)
-	if err := r.Err(); err != nil {
+	if err := r.end(); err != nil {
 		return nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, malformed("%d trailing bytes after document", r.Remaining())
 	}
 	if d.unfit {
 		return nil, nil

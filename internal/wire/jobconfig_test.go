@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+	"unsafe"
 
 	"repro/internal/config"
 )
@@ -380,4 +381,39 @@ func FuzzAppendJobConfig(f *testing.F) {
 			Stopped:        stopped,
 		})
 	})
+}
+
+// TestJobConfigBlobStringsAlias: the typed decode keeps a view of the
+// blob for a valid UTF-8 string and a U+FFFD copy for an invalid one.
+func TestJobConfigBlobStringsAlias(t *testing.T) {
+	blob := encodeDoc(t, config.Doc{"name": "jobs/a", "operator": "bad\xffop"})
+	cfg, err := DecodeJobConfigBlob(blob)
+	if err != nil || cfg == nil {
+		t.Fatalf("decode = %+v, %v", cfg, err)
+	}
+	inBlob := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		lo := uintptr(unsafe.Pointer(&blob[0]))
+		return p >= lo && p < lo+uintptr(len(blob))
+	}
+	if cfg.Name != "jobs/a" || !inBlob(cfg.Name) {
+		t.Fatalf("name %q is not a view of the blob", cfg.Name)
+	}
+	if cfg.Operator != "bad�op" || inBlob(string(cfg.Operator)) {
+		t.Fatalf("operator %q: want a U+FFFD copy", cfg.Operator)
+	}
+}
+
+// TestNonMinimalVarintRejected: a varint in a longer form than the
+// encoders write is malformed, so each value has exactly one encoding.
+func TestNonMinimalVarintRejected(t *testing.T) {
+	for _, b := range [][]byte{
+		{vDoc, 0x80, 0x00},                  // a count of 0 in two bytes
+		{vDoc, 1, 0x81, 0x00, 'a', vNil},    // a key length of 1 in two bytes
+		{vDoc, 1, 1, 'a', vInt, 0x82, 0x00}, // the integer 1 in two bytes
+	} {
+		if _, err := DecodeDocBlob(b); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%x: err = %v, want ErrMalformed", b, err)
+		}
+	}
 }

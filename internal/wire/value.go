@@ -1,7 +1,7 @@
 // Document codec: config.Doc values (JSON-shaped trees) in a compact
-// tagged binary form. The spec feed encodes a running entry's typed
-// config (AppendJobConfig) as the document it stands for; the decoders
-// read any document.
+// tagged binary form. The Job Store holds every document in it (Blob);
+// the spec feed encodes a running entry's typed config (AppendJobConfig)
+// as the document it stands for; the decoders read any document.
 //
 // Numbers keep their JSON semantics, not their Go type: an integer
 // travels as vInt and decodes as int64, a float64 as vFloat. That matches
@@ -9,19 +9,21 @@
 // trip of the document and so decodes a number by its value, whatever
 // Go type carries it.
 //
-// A document's keys are strictly ascending in byte order: the encoder
-// writes them so, and every decoder rejects a duplicate or out-of-order
-// key as malformed. So each object has exactly one encoding — two polls
-// of the same revision produce byte-identical payloads, which is what
-// makes the spec feed's frame cache sound — and a streaming decoder meets
-// case-variant keys ("Name", "name") in the sorted order in which
-// config.JobConfigFromDoc applies them, which lets DecodeJobConfigBlob
-// build a JobConfig without building the document.
+// A document's keys are strictly ascending in byte order, and every
+// varint is in its shortest form: the encoders write them so, and every
+// decoder rejects anything else as malformed. So each document has
+// exactly one encoding — two polls of the same revision produce
+// byte-identical payloads, which is what makes the spec feed's frame
+// cache sound, and a merge of blobs can copy values verbatim — and a
+// streaming decoder meets case-variant keys ("Name", "name") in the
+// sorted order in which config.JobConfigFromDoc applies them, which lets
+// DecodeJobConfigBlob build a JobConfig without building the document.
 
 package wire
 
 import (
 	"bytes"
+	"slices"
 	"unicode/utf8"
 
 	"repro/internal/config"
@@ -152,10 +154,81 @@ func (e *Encoder) float(key string, x float64) {
 	e.Buf = AppendFloat(e.Buf, x)
 }
 
-// decodeDoc decodes a vDoc value from r into a freshly allocated tree
-// that does not alias the frame buffer.
-func decodeDoc(r *Reader) (config.Doc, error) {
-	v, err := decodeValue(r, 0)
+// AppendDoc encodes d as a vDoc value, keys sorted at every level.
+func (e *Encoder) AppendDoc(d config.Doc) error {
+	return e.appendDocBody(d)
+}
+
+// AppendValue encodes one document value (scalar, array, or nested doc).
+func (e *Encoder) AppendValue(v any) error {
+	switch x := v.(type) {
+	case nil:
+		e.Buf = append(e.Buf, vNil)
+	case bool:
+		if x {
+			e.Buf = append(e.Buf, vTrue)
+		} else {
+			e.Buf = append(e.Buf, vFalse)
+		}
+	case int:
+		e.Buf = append(e.Buf, vInt)
+		e.Buf = AppendVarint(e.Buf, int64(x))
+	case int32:
+		e.Buf = append(e.Buf, vInt)
+		e.Buf = AppendVarint(e.Buf, int64(x))
+	case int64:
+		e.Buf = append(e.Buf, vInt)
+		e.Buf = AppendVarint(e.Buf, x)
+	case float64:
+		e.Buf = append(e.Buf, vFloat)
+		e.Buf = AppendFloat(e.Buf, x)
+	case string:
+		e.Buf = append(e.Buf, vString)
+		e.Buf = AppendString(e.Buf, x)
+	case []any:
+		e.Buf = append(e.Buf, vArray)
+		e.Buf = AppendUvarint(e.Buf, uint64(len(x)))
+		for _, el := range x {
+			if err := e.AppendValue(el); err != nil {
+				return err
+			}
+		}
+	case config.Doc:
+		return e.appendDocBody(x)
+	case map[string]any:
+		return e.appendDocBody(config.Doc(x))
+	default:
+		return malformed("unsupported document value type %T", v)
+	}
+	return nil
+}
+
+// appendDocBody writes the vDoc tag, count, and sorted key/value pairs.
+// The key buffer lives on the stack for the documents a job config is
+// made of.
+func (e *Encoder) appendDocBody(d config.Doc) error {
+	e.Buf = append(e.Buf, vDoc)
+	e.Buf = AppendUvarint(e.Buf, uint64(len(d)))
+	var stack [16]string
+	keys := stack[:0]
+	for k := range d {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		e.Buf = AppendString(e.Buf, k)
+		if err := e.AppendValue(d[k]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// decodeDoc decodes a vDoc value from r into a tree. With alias, its
+// keys and strings are views of r's buffer, which must then never
+// change; without, nothing in the tree aliases it.
+func decodeDoc(r *Reader, alias bool) (config.Doc, error) {
+	v, err := decodeValue(r, 0, alias)
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +241,7 @@ func decodeDoc(r *Reader) (config.Doc, error) {
 
 // DecodeValue decodes one document value from r.
 func DecodeValue(r *Reader) (any, error) {
-	return decodeValue(r, 0)
+	return decodeValue(r, 0, false)
 }
 
 // docKey reads the i-th key of a document and checks that it sorts
@@ -181,7 +254,15 @@ func docKey(r *Reader, i uint64, prev []byte) []byte {
 	return k
 }
 
-func decodeValue(r *Reader, depth int) (any, error) {
+// text returns b as a string: a view of it with alias, else a copy.
+func text(b []byte, alias bool) string {
+	if alias {
+		return asString(b)
+	}
+	return string(b)
+}
+
+func decodeValue(r *Reader, depth int, alias bool) (any, error) {
 	if depth > maxDepth {
 		return nil, malformed("document nesting exceeds %d levels", maxDepth)
 	}
@@ -197,7 +278,7 @@ func decodeValue(r *Reader, depth int) (any, error) {
 	case vFloat:
 		return r.Float(), r.Err()
 	case vString:
-		return r.String(), r.Err()
+		return text(r.Bytes(), alias), r.Err()
 	case vArray:
 		n := r.Uvarint()
 		if err := r.Err(); err != nil {
@@ -210,7 +291,7 @@ func decodeValue(r *Reader, depth int) (any, error) {
 		}
 		arr := make([]any, 0, n)
 		for i := uint64(0); i < n; i++ {
-			el, err := decodeValue(r, depth+1)
+			el, err := decodeValue(r, depth+1, alias)
 			if err != nil {
 				return nil, err
 			}
@@ -229,11 +310,11 @@ func decodeValue(r *Reader, depth int) (any, error) {
 		var k []byte
 		for i := uint64(0); i < n; i++ {
 			k = docKey(r, i, k)
-			v, err := decodeValue(r, depth+1)
+			v, err := decodeValue(r, depth+1, alias)
 			if err != nil {
 				return nil, err
 			}
-			d[string(k)] = v
+			d[text(k, alias)] = v
 		}
 		return d, r.Err()
 	default:
@@ -241,6 +322,65 @@ func decodeValue(r *Reader, depth int) (any, error) {
 			return nil, err
 		}
 		return nil, malformed("unknown value tag 0x%02x", tag)
+	}
+}
+
+// skipValue reads past one value at depth, checking everything
+// decodeValue checks, in the same order, without building it.
+func skipValue(r *Reader, depth int) {
+	if depth > maxDepth {
+		r.fail("document nesting exceeds %d levels", maxDepth)
+		return
+	}
+	skipBody(r, r.Byte(), depth)
+}
+
+// skipBody reads past the rest of a value whose tag was read.
+func skipBody(r *Reader, tag byte, depth int) {
+	switch tag {
+	case vNil, vFalse, vTrue:
+	case vInt:
+		r.Varint()
+	case vFloat:
+		r.Float()
+	case vString:
+		r.Bytes()
+	case vArray:
+		n := r.Uvarint()
+		if r.Err() != nil {
+			return
+		}
+		if n > uint64(r.Remaining()) {
+			r.fail("array count %d exceeds %d remaining bytes", n, r.Remaining())
+			return
+		}
+		for i := uint64(0); i < n && r.Err() == nil; i++ {
+			skipValue(r, depth+1)
+		}
+	case vDoc:
+		skipObject(r, depth)
+	default:
+		if r.Err() == nil {
+			r.fail("unknown value tag 0x%02x", tag)
+		}
+	}
+}
+
+// skipObject reads past the body of a vDoc value at depth, its tag
+// already read.
+func skipObject(r *Reader, depth int) {
+	n := r.Uvarint()
+	if r.Err() != nil {
+		return
+	}
+	if n > uint64(r.Remaining()) {
+		r.fail("doc count %d exceeds %d remaining bytes", n, r.Remaining())
+		return
+	}
+	var k []byte
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		k = docKey(r, i, k)
+		skipValue(r, depth+1)
 	}
 }
 
@@ -258,57 +398,38 @@ type configDecoder struct {
 }
 
 // value decodes one value at depth into f, or only validates it if f is
-// nil.
+// nil. A string field keeps a view of the blob.
 func (d *configDecoder) value(f *config.Field, depth int) {
 	r := &d.r
-	if depth > maxDepth {
-		r.fail("document nesting exceeds %d levels", maxDepth)
+	if f == nil || depth > maxDepth {
+		skipValue(r, depth)
 		return
 	}
 	var err error
 	switch tag := r.Byte(); tag {
-	case vNil:
 	case vFalse, vTrue:
-		if f != nil {
-			err = f.SetBool(d.cfg, tag == vTrue)
-		}
+		err = f.SetBool(d.cfg, tag == vTrue)
 	case vInt:
-		if n := r.Varint(); f != nil && r.Err() == nil {
+		if n := r.Varint(); r.Err() == nil {
 			err = f.SetInt(d.cfg, n)
 		}
 	case vFloat:
-		if x := r.Float(); f != nil && r.Err() == nil {
+		if x := r.Float(); r.Err() == nil {
 			err = f.SetFloat(d.cfg, x)
 		}
 	case vString:
-		if b := r.Bytes(); f != nil && r.Err() == nil {
-			err = f.SetString(d.cfg, b)
+		if b := r.Bytes(); r.Err() == nil {
+			err = f.SetString(d.cfg, asString(b))
 		}
 	case vArray:
-		n := r.Uvarint()
-		if r.Err() != nil {
-			return
-		}
-		if n > uint64(r.Remaining()) {
-			r.fail("array count %d exceeds %d remaining bytes", n, r.Remaining())
-			return
-		}
-		if f != nil {
-			err = f.Array()
-		}
-		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			d.value(nil, depth+1)
-		}
+		err = f.Array()
+		skipBody(r, tag, depth)
 	case vDoc:
 		var fields config.Fields
-		if f != nil {
-			fields, err = f.Object()
-		}
+		fields, err = f.Object()
 		d.object(fields, depth)
-	default:
-		if r.Err() == nil {
-			r.fail("unknown value tag 0x%02x", tag)
-		}
+	default: // null leaves the field as it is
+		skipBody(r, tag, depth)
 	}
 	if err != nil {
 		d.unfit = true

@@ -133,12 +133,19 @@ func (r *Reader) Uvarint() uint64 {
 		return 0
 	}
 	u, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
+	if n <= 0 || !r.minimal(n) {
 		r.fail("bad uvarint at offset %d", r.off)
 		return 0
 	}
 	r.off += n
 	return u
+}
+
+// minimal reports whether the n-byte varint at the read offset is in its
+// shortest form, as the encoders write every varint: a longer one ends in
+// a zero byte. So each value has exactly one encoding.
+func (r *Reader) minimal(n int) bool {
+	return n == 1 || r.buf[r.off+n-1] != 0
 }
 
 // Varint reads a zigzag signed varint.
@@ -147,7 +154,7 @@ func (r *Reader) Varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
+	if n <= 0 || !r.minimal(n) {
 		r.fail("bad varint at offset %d", r.off)
 		return 0
 	}

@@ -90,7 +90,7 @@ func TestDocRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReader(e.Buf)
-	got, err := decodeDoc(&r)
+	got, err := decodeDoc(&r, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestDocIntWidthNormalizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReader(e.Buf)
-	got, err := decodeDoc(&r)
+	got, err := decodeDoc(&r, false)
 	if err != nil {
 		t.Fatal(err)
 	}

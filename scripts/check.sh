@@ -27,9 +27,11 @@ go -C bench test .
 # fresh mutations. Long fuzzing sessions grow the corpus offline; this
 # catches frame-decoder and round-trip regressions fast — and any drift
 # of the typed config decoder and of the direct ToDoc from the
-# encoding/json round trips they stand for, of the feed's blob-to-JobConfig
-# decode from the document decode it stands for, of the feed's typed
-# encode from the document encoding it stands for, of TaskSpec.Equal from byte-equality of the specs' JSON
+# encoding/json round trips they stand for, of the blob-to-JobConfig
+# decode from the document decode it stands for, of the typed encode from
+# the document encoding it stands for, of the Job Store's blob merge and
+# blob diff from the map merge and map diff they replaced, of
+# TaskSpec.Equal from byte-equality of the specs' JSON
 # forms (what decided a restart before specs were compared), of the
 # batched Task.Advance from the per-partition drain it replaced, or of the
 # in-place Task.Respec from the Stop, NewTask, Start restart it stands for.
@@ -40,6 +42,8 @@ go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzAppendJobConfig' -fuzztime 5s
 go test ./internal/wire/stream -run 'XXXNONE' -fuzz 'FuzzStreamDecode' -fuzztime 5s
 go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzJobConfigFromDoc' -fuzztime 5s
 go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzToDocMatchesJSON' -fuzztime 5s
+go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzMergeBlobs' -fuzztime 5s
+go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzDiffBlobs' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzSpecEqualMatchesJSON' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzAdvanceMatchesPerPartitionDrain' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzRespecMatchesRestart' -fuzztime 5s
