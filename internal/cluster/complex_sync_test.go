@@ -1,10 +1,12 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/config"
+	"repro/internal/engine"
 	"repro/internal/workload"
 )
 
@@ -103,7 +105,8 @@ func TestQuarantinedJobLeftAlone(t *testing.T) {
 	// Sabotage: plant a foreign lease under the job so StopJobTasks keeps
 	// finding a live owner and the plan keeps failing (modelling a wedged
 	// external process holding the checkpoint directory).
-	if err := c.Ckpt.Start("j1", []int{99}, "saboteur@1", make([]int64, 1)); err != nil {
+	saboteur := engine.Incarnation{Seq: math.MaxUint64} // a number no task draws
+	if err := c.Ckpt.Start("j1", []int{99}, saboteur, make([]int64, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Jobs.SetTaskCount("j1", config.LayerOncall, 4); err != nil {
@@ -121,7 +124,7 @@ func TestQuarantinedJobLeftAlone(t *testing.T) {
 		t.Fatalf("quarantined job runs %d tasks, want 2 (old config)", got)
 	}
 	// Oncall clears the saboteur and the quarantine; sync proceeds.
-	c.Ckpt.ForceReleaseTask("j1", "saboteur@1")
+	c.Ckpt.ForceReleaseTask("j1", saboteur)
 	c.Store.ClearQuarantine("j1")
 	c.Run(5 * time.Minute)
 	if got := c.JobRunningTasks("j1"); got != 4 {

@@ -418,6 +418,7 @@ func TestJobConfigValidateRejections(t *testing.T) {
 		{"zero threads", func(c *JobConfig) { c.ThreadsPerTask = 0 }},
 		{"no input", func(c *JobConfig) { c.Input.Category = "" }},
 		{"zero partitions", func(c *JobConfig) { c.Input.Partitions = 0 }},
+		{"more partitions than a task service lays out", func(c *JobConfig) { c.Input.Partitions = maxPartitions + 1 }},
 		{"tasks exceed partitions", func(c *JobConfig) { c.TaskCount = 99 }},
 		{"tasks exceed cap", func(c *JobConfig) { c.MaxTaskCount = 2 }},
 		{"negative resources", func(c *JobConfig) { c.TaskResources.CPUCores = -1 }},

@@ -184,6 +184,12 @@ func (c *JobConfig) ShareStrings(prev *JobConfig) {
 	}
 }
 
+// maxPartitions bounds a job's input partitions. The Task Service lays
+// out a job's partition numbers in one array and every task holds a few
+// words per partition it owns, so a count no category has would fail
+// there, or exhaust memory, after the config was accepted.
+const maxPartitions = 1 << 16
+
 // Validate checks that a merged configuration is runnable.
 func (c *JobConfig) Validate() error {
 	var errs []error
@@ -202,8 +208,8 @@ func (c *JobConfig) Validate() error {
 	if c.Input.Category == "" {
 		errs = append(errs, errors.New("input category is required"))
 	}
-	if c.Input.Partitions <= 0 {
-		errs = append(errs, fmt.Errorf("input partitions must be positive, got %d", c.Input.Partitions))
+	if c.Input.Partitions <= 0 || c.Input.Partitions > maxPartitions {
+		errs = append(errs, fmt.Errorf("input partitions must be in 1..%d, got %d", maxPartitions, c.Input.Partitions))
 	}
 	if c.TaskCount > c.Input.Partitions {
 		errs = append(errs, fmt.Errorf("taskCount %d exceeds input partitions %d: a task must own at least one partition", c.TaskCount, c.Input.Partitions))

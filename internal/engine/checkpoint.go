@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 )
 
@@ -27,22 +28,44 @@ import (
 // job monitor pays one per job (Consumed). A record grows to the largest
 // partition number it has been asked to hold and reads beyond it see the
 // zero value, so a partition nobody wrote is indistinguishable from one
-// that was never mentioned.
-// Partition numbers are non-negative and instance names non-empty: Start
-// refuses anything else, so nothing a started task later passes can be.
+// that was never mentioned. A lease owner is an Incarnation, two integers,
+// so the records hold no pointers and a lease check compares numbers;
+// Owner formats the owner's name only when asked.
+// Partition numbers are non-negative and owners non-zero: Start refuses
+// anything else, so nothing a started task later passes can be.
 type CheckpointStore struct {
 	mu         sync.Mutex
 	jobs       map[string]*jobCheckpoint
 	violations int
 }
 
+// Incarnation names one instance of one task — the lease owner the
+// duplicate-instance invariant (§IV) is about: two live processes for
+// one task are two incarnations. Index is the task's index within its
+// job and Seq a number no other incarnation in the process shares
+// (NewTask and Respec draw it from instanceSeq). The zero Incarnation is
+// no owner.
+type Incarnation struct {
+	Seq   uint64
+	Index int
+}
+
+// name returns the incarnation's name in job, "<job>#<index>@<seq>".
+func (in Incarnation) name(job string) string {
+	var name [64]byte // most names fit and cost the one string
+	b := append(name[:0], job...)
+	b = strconv.AppendInt(append(b, '#'), int64(in.Index), 10)
+	b = strconv.AppendUint(append(b, '@'), in.Seq, 10)
+	return string(b)
+}
+
 // jobCheckpoint is one job's record. The three slices always have the same
-// length; owners[p] == "" means partition p has no live lease, and live
+// length; a zero owners[p] means partition p has no live lease, and live
 // counts the entries that do.
 type jobCheckpoint struct {
 	offsets []int64
 	state   []int64 // state size, stateful operators only
-	owners  []string
+	owners  []Incarnation
 	live    int
 }
 
@@ -51,10 +74,10 @@ func NewCheckpointStore() *CheckpointStore {
 	return &CheckpointStore{jobs: make(map[string]*jobCheckpoint)}
 }
 
-// release drops partition p's lease if instance holds it.
-func (r *jobCheckpoint) release(p int, instance string) {
-	if instance != "" && r.owners[p] == instance {
-		r.owners[p] = ""
+// release drops partition p's lease if owner holds it.
+func (r *jobCheckpoint) release(p int, owner Incarnation) {
+	if owner != (Incarnation{}) && r.owners[p] == owner {
+		r.owners[p] = Incarnation{}
 		r.live--
 	}
 }
@@ -74,42 +97,42 @@ func (s *CheckpointStore) recordLocked(job string, partitions []int) *jobCheckpo
 	if n := len(r.offsets); need > n {
 		r.offsets = append(r.offsets, make([]int64, need-n)...)
 		r.state = append(r.state, make([]int64, need-n)...)
-		r.owners = append(r.owners, make([]string, need-n)...)
+		r.owners = append(r.owners, make([]Incarnation, need-n)...)
 	}
 	return r
 }
 
 // Start begins one task instance under a single lock: it takes the
-// ownership lease of every listed partition of job for instance and
-// writes the partitions' checkpointed offsets into into, in the order
-// given (into must be at least as long as partitions). It is all or
-// nothing — if any partition is leased to a different instance, Start
-// takes none, leaves into alone, records one duplication violation and
-// fails. Leases instance already holds are kept.
-func (s *CheckpointStore) Start(job string, partitions []int, instance string, into []int64) error {
+// ownership lease of every listed partition of job for owner and writes
+// the partitions' checkpointed offsets into into, in the order given
+// (into must be at least as long as partitions). It is all or nothing —
+// if any partition is leased to a different incarnation, Start takes
+// none, leaves into alone, records one duplication violation and fails.
+// Leases owner already holds are kept.
+func (s *CheckpointStore) Start(job string, partitions []int, owner Incarnation, into []int64) error {
 	into = into[:len(partitions)]
-	if instance == "" {
-		return fmt.Errorf("engine: job %s: a lease needs an instance name", job)
+	if owner == (Incarnation{}) {
+		return fmt.Errorf("engine: job %s: a lease needs an owner", job)
 	}
 	for _, p := range partitions {
 		if p < 0 {
-			return fmt.Errorf("engine: job %s has no partition %d (requested by %s)", job, p, instance)
+			return fmt.Errorf("engine: job %s has no partition %d (requested by %s)", job, p, owner.name(job))
 		}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.recordLocked(job, partitions)
 	for _, p := range partitions {
-		if cur := r.owners[p]; cur != "" && cur != instance {
+		if cur := r.owners[p]; cur != (Incarnation{}) && cur != owner {
 			s.violations++
-			return fmt.Errorf("engine: partition %d of job %s already owned by %s (requested by %s)", p, job, cur, instance)
+			return fmt.Errorf("engine: partition %d of job %s already owned by %s (requested by %s)", p, job, cur.name(job), owner.name(job))
 		}
 	}
 	for i, p := range partitions {
-		if r.owners[p] == "" {
+		if r.owners[p] == (Incarnation{}) {
 			r.live++
 		}
-		r.owners[p] = instance
+		r.owners[p] = owner
 		into[i] = r.offsets[p]
 	}
 	return nil
@@ -138,39 +161,38 @@ func (s *CheckpointStore) Checkpoint(job string, partitions []int, offsets []int
 }
 
 // Stop ends one task instance under a single lock: it persists offsets
-// (parallel to partitions) and gives up every lease instance holds on
-// them. A lease owned by someone else (or not held) is left alone:
+// (parallel to partitions) and gives up every lease owner holds on them. A lease owned by someone else (or not held) is left alone:
 // stopping is idempotent because a container can be forcefully killed
 // after a DROP_SHARD timed out (§IV-A2) and the kill path re-releases.
-func (s *CheckpointStore) Stop(job string, partitions []int, instance string, offsets []int64) {
+func (s *CheckpointStore) Stop(job string, partitions []int, owner Incarnation, offsets []int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.recordLocked(job, partitions)
 	for i, p := range partitions {
 		r.offsets[p] = offsets[i]
-		r.release(p, instance)
+		r.release(p, owner)
 	}
 }
 
 // Handover restarts one task instance in place under a single lock: it
 // persists offsets (parallel to partitions) and moves the lease of every
-// listed partition from instance from to instance to, taking any that
-// nobody holds. That is what Stop by from and then Start by to would
-// leave, but no lease is free or held twice in between. It is all or
-// nothing: if a third instance holds any of the partitions, Handover
-// changes nothing and returns false, and the caller's Stop and Start
-// record the violation.
-func (s *CheckpointStore) Handover(job string, partitions []int, from, to string, offsets []int64) bool {
+// listed partition from incarnation from to incarnation to (non-zero),
+// taking any that nobody holds. That is what Stop by from and then Start
+// by to would leave, but no lease is free or held twice in between. It is
+// all or nothing: if a third incarnation holds any of the partitions,
+// Handover changes nothing and returns false, and the caller's Stop and
+// Start record the violation.
+func (s *CheckpointStore) Handover(job string, partitions []int, from, to Incarnation, offsets []int64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.recordLocked(job, partitions)
 	for _, p := range partitions {
-		if cur := r.owners[p]; cur != "" && cur != from {
+		if cur := r.owners[p]; cur != (Incarnation{}) && cur != from {
 			return false
 		}
 	}
 	for i, p := range partitions {
-		if r.owners[p] == "" {
+		if r.owners[p] == (Incarnation{}) {
 			r.live++
 		}
 		r.owners[p] = to
@@ -179,30 +201,30 @@ func (s *CheckpointStore) Handover(job string, partitions []int, from, to string
 	return true
 }
 
-// ForceReleaseTask drops every lease held by taskID in job. Used when a
-// container dies without a clean shutdown: the fail-over protocol
-// guarantees the old tasks are no longer processing before new owners
-// acquire (§IV-C).
-func (s *CheckpointStore) ForceReleaseTask(job, taskID string) {
+// ForceReleaseTask drops every lease held by owner in job, and none of
+// its successors'. Used when a container dies without a clean shutdown:
+// the fail-over protocol guarantees the old tasks are no longer
+// processing before new owners acquire (§IV-C).
+func (s *CheckpointStore) ForceReleaseTask(job string, owner Incarnation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if r := s.jobs[job]; r != nil {
 		for p := range r.owners {
-			r.release(p, taskID)
+			r.release(p, owner)
 		}
 	}
 }
 
-// Owner returns the live owner of (job, partition), if any.
+// Owner returns the name of the live owner of (job, partition),
+// "<job>#<index>@<seq>", if any.
 func (s *CheckpointStore) Owner(job string, partition int) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := s.jobs[job]
-	if r == nil || partition < 0 || partition >= len(r.owners) {
+	if r == nil || partition < 0 || partition >= len(r.owners) || r.owners[partition] == (Incarnation{}) {
 		return "", false
 	}
-	id := r.owners[partition]
-	return id, id != ""
+	return r.owners[partition].name(job), true
 }
 
 // Violations returns how many duplicate-ownership attempts were recorded.

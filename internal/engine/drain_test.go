@@ -238,7 +238,7 @@ func FuzzAdvanceMatchesPerPartitionDrain(f *testing.F) {
 			}
 			ref.offsets[p] = start[i]
 		}
-		ckpt.Stop("j", parts, "predecessor", start)
+		ckpt.Stop("j", parts, Incarnation{}, start) // nobody's lease: offsets only
 
 		task := NewTask(spec, &profile, bus, ckpt)
 		if err := task.Start(); err != nil {
@@ -252,8 +252,8 @@ func FuzzAdvanceMatchesPerPartitionDrain(f *testing.F) {
 			if got != want {
 				t.Fatalf("step %d (dt %v): Stats\n got  %+v\n want %+v", step, dt, got, want)
 			}
-			if !slices.Equal(task.offsets, rt.offsets) {
-				t.Fatalf("step %d: offsets\n got  %v\n want %v", step, task.offsets, rt.offsets)
+			if offsets, _ := positions(task.pos); !slices.Equal(offsets, rt.offsets) {
+				t.Fatalf("step %d: offsets\n got  %v\n want %v", step, offsets, rt.offsets)
 			}
 			for p := 0; p < top; p++ {
 				if g, w := ckpt.Offset("j", p), ref.offsets[p]; g != w {
@@ -282,7 +282,7 @@ func FuzzAdvanceMatchesPerPartitionDrain(f *testing.F) {
 type sparseCheckpoints struct {
 	offsets    map[string]map[int]int64
 	state      map[string]map[int]int64
-	owners     map[string]map[int]string
+	owners     map[string]map[int]Incarnation
 	violations int
 }
 
@@ -290,20 +290,20 @@ func newSparseCheckpoints() *sparseCheckpoints {
 	return &sparseCheckpoints{
 		offsets: make(map[string]map[int]int64),
 		state:   make(map[string]map[int]int64),
-		owners:  make(map[string]map[int]string),
+		owners:  make(map[string]map[int]Incarnation),
 	}
 }
 
-func (s *sparseCheckpoints) start(job string, partitions []int, instance string) ([]int64, error) {
+func (s *sparseCheckpoints) start(job string, partitions []int, instance Incarnation) ([]int64, error) {
 	owners := s.owners[job]
 	for _, p := range partitions {
 		if cur, ok := owners[p]; ok && cur != instance {
 			s.violations++
-			return nil, fmt.Errorf("partition %d of %s owned by %s", p, job, cur)
+			return nil, fmt.Errorf("partition %d of %s owned by %v", p, job, cur)
 		}
 	}
 	if owners == nil {
-		owners = make(map[int]string)
+		owners = make(map[int]Incarnation)
 		s.owners[job] = owners
 	}
 	offsets := make([]int64, len(partitions))
@@ -321,7 +321,7 @@ func (s *sparseCheckpoints) set(m map[string]map[int]int64, job string, p int, v
 	m[job][p] = v
 }
 
-func (s *sparseCheckpoints) stop(job string, partitions []int, instance string, offsets []int64) {
+func (s *sparseCheckpoints) stop(job string, partitions []int, instance Incarnation, offsets []int64) {
 	for i, p := range partitions {
 		s.set(s.offsets, job, p, offsets[i])
 		if s.owners[job][p] == instance {
@@ -330,7 +330,7 @@ func (s *sparseCheckpoints) stop(job string, partitions []int, instance string, 
 	}
 }
 
-func (s *sparseCheckpoints) forceRelease(job, instance string) {
+func (s *sparseCheckpoints) forceRelease(job string, instance Incarnation) {
 	for p, owner := range s.owners[job] {
 		if owner == instance {
 			delete(s.owners[job], p)
@@ -352,7 +352,7 @@ func (s *sparseCheckpoints) deleteJob(job string) {
 func TestCheckpointStoreDenseMatchesSparse(t *testing.T) {
 	universe := []int{0, 1, 2, 3, 7, 31, 32, 63, 64, 1000, 4097}
 	jobs := []string{"a", "b"}
-	instances := []string{"t#0@1", "t#0@2", "t#1@3", "t#2@4"}
+	instances := []Incarnation{{Seq: 1, Index: 0}, {Seq: 2, Index: 0}, {Seq: 3, Index: 1}, {Seq: 4, Index: 2}}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		dense, sparse := NewCheckpointStore(), newSparseCheckpoints()
@@ -377,7 +377,7 @@ func TestCheckpointStoreDenseMatchesSparse(t *testing.T) {
 				err := dense.Start(job, parts, inst, got)
 				want, wantErr := sparse.start(job, parts, inst)
 				if (err != nil) != (wantErr != nil) {
-					t.Fatalf("seed %d step %d: Start(%s, %v, %s) = %v, oracle %v", seed, step, job, parts, inst, err, wantErr)
+					t.Fatalf("seed %d step %d: Start(%s, %v, %v) = %v, oracle %v", seed, step, job, parts, inst, err, wantErr)
 				}
 				if err == nil && !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d: Start restored %v, oracle %v", seed, step, got, want)
@@ -426,7 +426,11 @@ func TestCheckpointStoreDenseMatchesSparse(t *testing.T) {
 				}
 				for _, p := range append([]int{5, 5000}, universe...) { // incl. never mentioned, and beyond the record
 					owner, held := dense.Owner(j, p)
-					if wantOwner, wantHeld := sparse.owners[j][p]; owner != wantOwner || held != wantHeld {
+					wantOwner, wantHeld := "", false
+					if o, ok := sparse.owners[j][p]; ok {
+						wantOwner, wantHeld = o.name(j), true
+					}
+					if owner != wantOwner || held != wantHeld {
 						t.Fatalf("seed %d step %d: Owner(%s, %d) = %q, %v; oracle %q, %v", seed, step, j, p, owner, held, wantOwner, wantHeld)
 					}
 					if got, want := dense.Offset(j, p), sparse.offsets[j][p]; got != want {

@@ -336,17 +336,18 @@ func TestValidatePartitionAssignmentErrors(t *testing.T) {
 func TestCheckpointLeasePreventsDuplicates(t *testing.T) {
 	ckpt := NewCheckpointStore()
 	offsets := make([]int64, 3)
-	if err := ckpt.Start("j", []int{0, 1}, "j#0", offsets); err != nil {
+	first, dup, next, other := Incarnation{Seq: 1}, Incarnation{Seq: 2}, Incarnation{Seq: 3}, Incarnation{Seq: 4, Index: 1}
+	if err := ckpt.Start("j", []int{0, 1}, first, offsets); err != nil {
 		t.Fatal(err)
 	}
 	// Same owner re-acquires fine.
-	if err := ckpt.Start("j", []int{0, 1}, "j#0", offsets); err != nil {
+	if err := ckpt.Start("j", []int{0, 1}, first, offsets); err != nil {
 		t.Fatal(err)
 	}
 	// Different owner fails and is recorded — once, however many of its
 	// partitions conflict — and takes nothing, not even the free partition
 	// listed ahead of the conflict.
-	if err := ckpt.Start("j", []int{2, 0, 1}, "j#0-dup", offsets); err == nil {
+	if err := ckpt.Start("j", []int{2, 0, 1}, dup, offsets); err == nil {
 		t.Fatal("duplicate acquisition allowed")
 	}
 	if ckpt.Violations() != 1 {
@@ -356,11 +357,11 @@ func TestCheckpointLeasePreventsDuplicates(t *testing.T) {
 		t.Fatalf("refused start kept partition 2 for %q", owner)
 	}
 	// Stop by non-owner releases nothing (its offsets still persist).
-	ckpt.Stop("j", []int{0}, "j#0-dup", []int64{7})
-	if owner, ok := ckpt.Owner("j", 0); !ok || owner != "j#0" {
+	ckpt.Stop("j", []int{0}, dup, []int64{7})
+	if owner, ok := ckpt.Owner("j", 0); !ok || owner != "j#0@1" {
 		t.Fatalf("owner = %q,%v", owner, ok)
 	}
-	ckpt.Stop("j", []int{0, 1}, "j#0", []int64{500, 300})
+	ckpt.Stop("j", []int{0, 1}, first, []int64{500, 300})
 	if _, ok := ckpt.Owner("j", 0); ok {
 		t.Fatal("lease survived stop")
 	}
@@ -368,17 +369,17 @@ func TestCheckpointLeasePreventsDuplicates(t *testing.T) {
 		t.Fatalf("LiveOwners = %d after stop", ckpt.LiveOwners("j"))
 	}
 	// The next start resumes from what Stop persisted, in the order asked.
-	err := ckpt.Start("j", []int{1, 0, 5}, "j#0@2", offsets)
+	err := ckpt.Start("j", []int{1, 0, 5}, next, offsets)
 	if err != nil || !reflect.DeepEqual(offsets, []int64{300, 500, 0}) {
 		t.Fatalf("restored offsets = %v, %v; want [300 500 0]", offsets, err)
 	}
 	// Names the dense record cannot hold are refused before anything is
 	// taken, and are no duplication.
-	if err := ckpt.Start("j", []int{3, -1}, "j#1", offsets); err == nil {
+	if err := ckpt.Start("j", []int{3, -1}, other, offsets); err == nil {
 		t.Fatal("negative partition accepted")
 	}
-	if err := ckpt.Start("j", []int{3}, "", offsets); err == nil {
-		t.Fatal("empty instance name accepted")
+	if err := ckpt.Start("j", []int{3}, Incarnation{}, offsets); err == nil {
+		t.Fatal("zero owner accepted")
 	}
 	if _, ok := ckpt.Owner("j", 3); ok || ckpt.LiveOwners("j") != 3 || ckpt.Violations() != 1 {
 		t.Fatalf("refused starts left a trace: %d live, %d violations", ckpt.LiveOwners("j"), ckpt.Violations())
@@ -430,18 +431,18 @@ func TestCheckpointOffsetsAndState(t *testing.T) {
 func TestForceReleaseTask(t *testing.T) {
 	ckpt := NewCheckpointStore()
 	offsets := make([]int64, 2)
-	if err := ckpt.Start("j", []int{0, 1}, "j#0", offsets); err != nil {
+	if err := ckpt.Start("j", []int{0, 1}, Incarnation{Seq: 1, Index: 0}, offsets); err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.Start("j", []int{2}, "j#1", offsets); err != nil {
+	if err := ckpt.Start("j", []int{2}, Incarnation{Seq: 2, Index: 1}, offsets); err != nil {
 		t.Fatal(err)
 	}
-	ckpt.ForceReleaseTask("j", "j#0")
+	ckpt.ForceReleaseTask("j", Incarnation{Seq: 1, Index: 0})
 	if ckpt.LiveOwners("j") != 1 {
 		t.Fatalf("LiveOwners = %d, want 1", ckpt.LiveOwners("j"))
 	}
-	if owner, _ := ckpt.Owner("j", 2); owner != "j#1" {
-		t.Fatal("wrong lease dropped")
+	if owner, _ := ckpt.Owner("j", 2); owner != "j#1@2" {
+		t.Fatalf("wrong lease dropped: partition 2 owned by %q", owner)
 	}
 }
 

@@ -11,15 +11,14 @@ import (
 // restartAllocCeiling bounds one task restart — the old instance's Stop,
 // then NewTask and Start of its successor — for a 2-partition task of a
 // job the checkpoint store has seen before. The restart takes the store's
-// lock twice and allocates the Task, its instance name and its offsets:
-// 3 objects measured. One lock round trip per partition and call, an
-// offsets map and a formatted name cost 10; the ceiling is half of that.
-const restartAllocCeiling = 5
+// lock twice and allocates the Task and its offsets: 2 objects measured.
+// A lease owner is a number, so the new incarnation costs no name.
+const restartAllocCeiling = 2
 
 // respecAllocCeiling bounds one in-place restart (Task.Respec) of the same
-// task: one checkpoint-store call that moves the leases, and the new
-// instance name, the one object it allocates.
-const respecAllocCeiling = 1
+// task: one checkpoint-store call that moves the leases to a new
+// incarnation number, and nothing allocated.
+const respecAllocCeiling = 0
 
 // BenchmarkTaskRestart measures what a Task Manager pays per task when a
 // spec changes under it (a package release restarts every task of the

@@ -20,7 +20,11 @@
 //     leases, one dense record per job, which make the paper's "no two
 //     active instances of the same task" invariant (§IV) directly
 //     testable — a second acquisition of a live lease is a recorded
-//     violation.
+//     violation. A lease is owned by an Incarnation, a task index and a
+//     number unique to one incarnation of the task: the records hold no
+//     pointers, a cold start allocates only the Task and its offsets, a
+//     restart in place (Task.Respec) nothing, and the name
+//     "<job>#<index>@<seq>" is formatted only when asked for.
 //
 // The rate model is intentionally simple and matches the paper's estimator
 // assumptions (§V-B): a task with k threads and a per-thread maximum

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,9 +34,10 @@ type Stats struct {
 	OOMKilled bool
 }
 
-// instanceSeq distinguishes instances of the same task identity: the
+// instanceSeq numbers the incarnations of every task in the process: the
 // duplicate-instance invariant (§IV) is about two live *processes* for one
-// task, so ownership leases are per-instance, not per-identity.
+// task, so ownership leases are per-incarnation, not per-identity. The
+// first number it hands out is 1; 0 is no incarnation.
 var instanceSeq atomic.Uint64
 
 // Task is one simulated stream processing task: the unit Turbine
@@ -47,24 +47,25 @@ type Task struct {
 	ckpt *CheckpointStore
 
 	mu sync.Mutex
-	// spec, instance and profile are the current incarnation's: NewTask
-	// sets them and Respec replaces all three. spec is shared with whoever
-	// published it and never written; instance, "<job>#<index>@<seq>", is
-	// unique per incarnation and names its leases.
-	spec     *TaskSpec
-	instance string
-	profile  *Profile
-	running  bool
+	// spec, seq and profile are the current incarnation's: NewTask sets
+	// them and Respec replaces all three. spec is shared with whoever
+	// published it and never written; seq, from instanceSeq, is unique
+	// per incarnation, and with spec.Index it is the Incarnation that owns
+	// the task's leases. Its name, "<job>#<index>@<seq>", is formatted
+	// only by Instance.
+	spec    *TaskSpec
+	seq     uint64
+	profile *Profile
+	running bool
 	// oomBackoff skips processing for one interval after an OOM kill,
 	// modelling the restart cost.
 	oomBackoff bool
-	// offsets and ends run parallel to spec.Partitions and share one
-	// allocation, made by the first Start (both nil before it). offsets
-	// is the task's read position; ends is Advance's scratch for the
-	// bus snapshot, kept here so a steady-state Advance allocates
-	// nothing at any partition count.
-	offsets  []int64
-	ends     []int64
+	// pos is two arrays parallel to spec.Partitions, back to back in one
+	// allocation made by the first Start (nil before it): the task's read
+	// offsets, then Advance's scratch for the bus snapshot of end
+	// offsets, kept here so a steady-state Advance allocates nothing at
+	// any partition count. positions splits it.
+	pos      []int64
 	last     Stats
 	oomCount int
 	restarts int
@@ -78,28 +79,25 @@ type Task struct {
 // checkpoint store it reads, writes, and recovers through.
 func NewTask(spec *TaskSpec, profile *Profile, bus *scribe.Bus, ckpt *CheckpointStore) *Task {
 	return &Task{
-		spec:     spec,
-		instance: instanceName(spec),
-		profile:  profile,
-		bus:      bus,
-		ckpt:     ckpt,
+		spec:    spec,
+		seq:     instanceSeq.Add(1),
+		profile: profile,
+		bus:     bus,
+		ckpt:    ckpt,
 	}
 }
 
-// instanceName returns a fresh instance name for a task of spec.
-func instanceName(spec *TaskSpec) string {
-	var name [64]byte // most instance names fit and cost the one string
-	b := append(name[:0], spec.Job...)
-	b = strconv.AppendInt(append(b, '#'), int64(spec.Index), 10)
-	b = strconv.AppendUint(append(b, '@'), instanceSeq.Add(1), 10)
-	return string(b)
+// incarnation returns the lease owner the current incarnation is.
+func (t *Task) incarnation() Incarnation {
+	return Incarnation{Seq: t.seq, Index: t.spec.Index}
 }
 
-// Instance returns the unique identity of the task's current incarnation.
+// Instance returns the name of the task's current incarnation,
+// "<job>#<index>@<seq>", unique in the process.
 func (t *Task) Instance() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.instance
+	return t.incarnation().name(t.spec.Job)
 }
 
 // Spec returns the spec the current incarnation was started from. It is
@@ -121,24 +119,32 @@ func (t *Task) Start() error {
 	if t.running {
 		return nil
 	}
-	offsets, ends := t.offsets, t.ends
-	if offsets == nil {
-		offsets, ends = newOffsetsAndEnds(len(t.spec.Partitions))
+	pos := t.pos
+	if pos == nil {
+		pos = make([]int64, 2*len(t.spec.Partitions))
 	}
-	if err := t.ckpt.Start(t.spec.Job, t.spec.Partitions, t.instance, offsets); err != nil {
+	offsets, _ := positions(pos)
+	if err := t.ckpt.Start(t.spec.Job, t.spec.Partitions, t.incarnation(), offsets); err != nil {
 		return fmt.Errorf("start %s: %w", t.spec.ID(), err)
 	}
 	// Kept only now: until a Start succeeds, Backlog reads the checkpoint.
-	t.offsets, t.ends = offsets, ends
+	t.pos = pos
 	t.running = true
 	return nil
+}
+
+// positions splits a task's pos into its read offsets and the scratch
+// for end offsets.
+func positions(pos []int64) (offsets, ends []int64) {
+	n := len(pos) / 2
+	return pos[:n:n], pos[n:]
 }
 
 // Respec restarts a running task in place on spec, a spec of the same job
 // over the same partitions, and reports whether it did. It leaves what
 // Stop, then NewTask(spec, profile, …) and Start of the successor would:
-// a new incarnation under a fresh instance name, holding every lease of
-// the old one, resuming from the offsets the old one checkpointed, with
+// a new incarnation under a fresh number, holding every lease of the old
+// one, resuming from the offsets the old one checkpointed, with
 // no OOM or stats history. One checkpoint-store call persists the offsets
 // and moves the leases, so no lease is free or held twice at any instant;
 // the offsets buffer is kept, since Start would reload exactly those
@@ -151,20 +157,14 @@ func (t *Task) Respec(spec *TaskSpec, profile *Profile) bool {
 	if !t.running || spec.Job != t.spec.Job || !slices.Equal(spec.Partitions, t.spec.Partitions) {
 		return false
 	}
-	instance := instanceName(spec)
-	if !t.ckpt.Handover(spec.Job, spec.Partitions, t.instance, instance, t.offsets) {
+	next := Incarnation{Seq: instanceSeq.Add(1), Index: spec.Index}
+	offsets, _ := positions(t.pos)
+	if !t.ckpt.Handover(spec.Job, spec.Partitions, t.incarnation(), next, offsets) {
 		return false
 	}
-	t.spec, t.instance, t.profile = spec, instance, profile
+	t.spec, t.seq, t.profile = spec, next.Seq, profile
 	t.last, t.oomBackoff, t.oomCount, t.restarts = Stats{}, false, 0, 0
 	return true
-}
-
-// newOffsetsAndEnds cuts a task's two per-partition arrays out of one
-// allocation.
-func newOffsetsAndEnds(n int) (offsets, ends []int64) {
-	buf := make([]int64, 2*n)
-	return buf[:n:n], buf[n:]
 }
 
 // Stop checkpoints final offsets, releases all leases, and halts
@@ -175,7 +175,8 @@ func (t *Task) Stop() {
 	if !t.running {
 		return
 	}
-	t.ckpt.Stop(t.spec.Job, t.spec.Partitions, t.instance, t.offsets)
+	offsets, _ := positions(t.pos)
+	t.ckpt.Stop(t.spec.Job, t.spec.Partitions, t.incarnation(), offsets)
 	t.running = false
 }
 
@@ -189,7 +190,7 @@ func (t *Task) Kill() {
 	if !t.running {
 		return
 	}
-	t.ckpt.ForceReleaseTask(t.spec.Job, t.instance)
+	t.ckpt.ForceReleaseTask(t.spec.Job, t.incarnation())
 	t.running = false
 }
 
@@ -231,10 +232,10 @@ func (t *Task) Backlog() int64 {
 
 // backlogLocked takes a fresh bus snapshot and sums the lag behind it.
 func (t *Task) backlogLocked() int64 {
-	offsets, ends := t.offsets, t.ends
-	if offsets == nil {
+	offsets, ends := positions(t.pos)
+	if t.pos == nil {
 		// Never started: what a first Start would resume from.
-		offsets, ends = newOffsetsAndEnds(len(t.spec.Partitions))
+		offsets, ends = positions(make([]int64, 2*len(t.spec.Partitions)))
 		for i, p := range t.spec.Partitions {
 			offsets[i] = t.ckpt.Offset(t.spec.Job, p)
 		}
@@ -290,7 +291,8 @@ func (t *Task) Advance(dt time.Duration) Stats {
 	// One bus read for the whole interval: everything below — backlogs,
 	// quotas, new offsets, the backlog left over — is arithmetic on this
 	// snapshot of the partitions' end offsets.
-	parts, offsets, ends := t.spec.Partitions, t.offsets, t.ends
+	parts := t.spec.Partitions
+	offsets, ends := positions(t.pos)
 	t.bus.Ends(t.spec.InputCategory, parts, ends)
 	capacity := int64(t.maxRateLocked() * secs)
 	totalBacklog := lag(ends, offsets)

@@ -145,3 +145,51 @@ func TestSchema4SnapshotWrittenAsBefore(t *testing.T) {
 		t.Fatalf("Snapshot =\n%s\nwant\n%s", got, want)
 	}
 }
+
+// TestRestoreKeepsIntegersExact: an integer above 2^53 survives a
+// snapshot and restore exactly, in the desired and the running config —
+// a restore that read every number as a float64 returned 2^53 for it.
+func TestRestoreKeepsIntegersExact(t *testing.T) {
+	const mem = 1<<53 + 1 // 9 007 199 254 740 993: no float64 holds it
+	store := jobstore.New()
+	s := New(store)
+	cfg := &config.JobConfig{
+		Name: "j", Package: config.Package{Name: "p", Version: "v1"},
+		TaskCount: 2, ThreadsPerTask: 1,
+		TaskResources: config.Resources{CPUCores: 0.5, MemoryBytes: mem},
+		Operator:      config.OpTailer,
+		Input:         config.Input{Category: "j_in", Partitions: 4},
+	}
+	if err := s.Provision(cfg); err != nil {
+		t.Fatal(err)
+	}
+	m, v, err := store.MergedExpectedShared("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.CommitRunningShared("j", m, v); err != nil {
+		t.Fatal(err)
+	}
+	data, err := store.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := jobstore.New()
+	if err := restored.Restore(data); err != nil {
+		t.Fatal(err)
+	}
+	desired, _, err := New(restored).Desired("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := desired.TaskResources.MemoryBytes; got != mem {
+		t.Errorf("Desired memoryBytes = %d after the restore, want %d", got, mem)
+	}
+	running, _, _, ok := restored.RunningEntry("j")
+	if !ok || running == nil {
+		t.Fatalf("running entry lost in the restore: %v, %v", running, ok)
+	}
+	if got := running.TaskResources.MemoryBytes; got != mem {
+		t.Errorf("running memoryBytes = %d after the restore, want %d", got, mem)
+	}
+}

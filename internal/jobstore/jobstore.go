@@ -937,8 +937,8 @@ const snapshotSchema = 4
 
 // snapshot is the serialized form of the whole store. A blob marshals as
 // the document it encodes, so holding documents as blobs left the layout
-// as it was; Restore reads every number as a float64, as encoding/json
-// reads it into a document.
+// as it was; Restore reads an integer literal in int64 range as that
+// exact int64 and any other number as a float64 (wire.Blob.UnmarshalJSON).
 type snapshot struct {
 	Schema      int                   `json:"schema,omitempty"`
 	Expected    map[string]*Expected  `json:"expected"`

@@ -220,7 +220,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := merged.GetPath("taskCount"); v != float64(15) {
+	if v, _ := merged.GetPath("taskCount"); v != int64(15) {
 		t.Fatalf("restored taskCount = %v", v)
 	}
 	if version != 2 {

@@ -26,11 +26,13 @@ import (
 const managerBytesPerTaskCeiling = 32
 
 // taskStructCeiling bounds the engine.Task object itself — the other term
-// of the fleet's per-task heap. 192 B is an allocator size class, and what
-// the struct measures while it refers to the index's spec; holding its own
-// copy of the spec made it 400 B (a 416 B allocation), which BENCHMARK.json
-// saw as 18 MB of heap_mb on the 80 K-task fleet.
-const taskStructCeiling = 192
+// of the fleet's per-task heap. 160 B is an allocator size class, and what
+// the struct measures while it refers to the index's spec, names its
+// incarnation by number and keeps one slice header for its offsets and
+// end offsets; holding its own copy of the spec made it 400 B (a 416 B
+// allocation), which BENCHMARK.json saw as 18 MB of heap_mb on the
+// 80 K-task fleet.
+const taskStructCeiling = 160
 
 func TestTaskStructSize(t *testing.T) {
 	if got := unsafe.Sizeof(engine.Task{}); got > taskStructCeiling {

@@ -19,12 +19,12 @@ import (
 
 // restartAllocCeiling bounds what Refresh may allocate per task it
 // restarts. A package bump keeps every task's partitions, so each restart
-// is in place (engine.Task.Respec): the new instance name, plus whatever
-// the profile hook allocates — one object in this fixture. At most 2.5 per
-// restart was measured; the ceiling leaves one object of headroom and
-// stays far below anything proportional to the tasks a manager merely
+// is in place (engine.Task.Respec), which allocates nothing, plus
+// whatever the profile hook allocates — one object in this fixture. About
+// 1.1 per restart was measured; the ceiling leaves one object of headroom
+// and stays far below anything proportional to the tasks a manager merely
 // keeps running.
-const restartAllocCeiling = 3
+const restartAllocCeiling = 2
 
 // bracketNoise is what the process was seen to add to one touched
 // manager's MemStats bracket beyond Refresh's own allocations: up to 6

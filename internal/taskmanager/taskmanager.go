@@ -23,8 +23,8 @@
 // and is restarted when it is not. A restart whose new spec still names
 // the task's partitions — a package release, a resource change — happens
 // in place: the running engine.Task takes the new spec and hands its
-// leases to a fresh instance name in one checkpoint-store call
-// (engine.Task.Respec). Only a task whose partitions moved is stopped and
+// leases to a fresh incarnation in one checkpoint-store call
+// (engine.Task.Respec), allocating nothing. Only a task whose partitions moved is stopped and
 // started anew.
 //
 // Beside the table the manager retains one pointer: the index of its last

@@ -11,6 +11,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"io"
+	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/config"
@@ -125,16 +129,26 @@ func (b Blob) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON reads a JSON object as encoding/json reads it into a
-// config.Doc — every number a float64 — and encodes it; null is the
-// empty blob.
+// config.Doc, except that a number literal that is an integer in int64
+// range reads exactly, as an int64; any other number — a fraction, an
+// exponent, out of range, or -0 — reads as a float64, as encoding/json
+// reads it. null is the empty blob.
 func (b *Blob) UnmarshalJSON(data []byte) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.UseNumber()
 	var d config.Doc
-	if err := json.Unmarshal(data, &d); err != nil {
+	if err := dec.Decode(&d); err != nil {
 		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("json: trailing data after the document")
 	}
 	if d == nil {
 		*b = nil
 		return nil
+	}
+	if _, err := exactNumbers(map[string]any(d)); err != nil {
+		return err
 	}
 	enc, err := EncodeDoc(d)
 	if err != nil {
@@ -142,6 +156,44 @@ func (b *Blob) UnmarshalJSON(data []byte) error {
 	}
 	*b = enc
 	return nil
+}
+
+// exactNumbers replaces every json.Number in v, in place, by the int64 or
+// float64 UnmarshalJSON reads it as, and returns v.
+func exactNumbers(v any) (any, error) {
+	var err error
+	switch x := v.(type) {
+	case json.Number:
+		return numberValue(string(x))
+	case []any:
+		for i := range x {
+			if x[i], err = exactNumbers(x[i]); err != nil {
+				return nil, err
+			}
+		}
+	case map[string]any:
+		for k, el := range x {
+			if x[k], err = exactNumbers(el); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return v, nil
+}
+
+// numberValue is the value of the JSON number literal lit: an int64 if
+// lit is an integer in int64 range other than -0, else a float64.
+func numberValue(lit string) (any, error) {
+	if lit != "-0" && !strings.ContainsAny(lit, ".eE") {
+		if n, err := strconv.ParseInt(lit, 10, 64); err == nil {
+			return n, nil
+		}
+	}
+	f, err := strconv.ParseFloat(lit, 64)
+	if err != nil {
+		return nil, fmt.Errorf("json: cannot read number %s as a float64", lit)
+	}
+	return f, nil
 }
 
 // MergeBlobs is paper Algorithm 1 over blobs, with config.Merge's

@@ -378,3 +378,55 @@ func TestEncoderReuseNoGrowth(t *testing.T) {
 		t.Fatalf("buffer regrew: %d -> %d", warmCap, cap(e.Buf))
 	}
 }
+
+// TestBlobUnmarshalJSONNumbers: a JSON number that is an integer in int64
+// range reads exactly, as vInt, at every depth; every other number reads
+// as the float64 encoding/json reads it, as vFloat; and what is no single
+// readable document is refused.
+func TestBlobUnmarshalJSONNumbers(t *testing.T) {
+	cases := []struct {
+		lit  string
+		want any
+	}{
+		{"0", int64(0)},
+		{"-1", int64(-1)},
+		{"9007199254740993", int64(1<<53 + 1)},
+		{"9223372036854775807", int64(math.MaxInt64)},
+		{"-9223372036854775808", int64(math.MinInt64)},
+		{"9223372036854775808", float64(1 << 63)}, // out of range
+		{"-0", math.Copysign(0, -1)},
+		{"1.0", 1.0},
+		{"1e3", 1000.0},
+		{"2.5E-1", 0.25},
+		{"5e-324", 5e-324}, // subnormal
+	}
+	for _, c := range cases {
+		var b Blob
+		data := []byte(`{"n":` + c.lit + `,"a":[` + c.lit + `],"d":{"n":` + c.lit + `}}`)
+		if err := b.UnmarshalJSON(data); err != nil {
+			t.Fatalf("%s: %v", c.lit, err)
+		}
+		d, err := b.Doc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []any{d["n"], d["a"].([]any)[0], d["d"].(config.Doc)["n"]} {
+			if reflect.TypeOf(got) != reflect.TypeOf(c.want) || got != c.want || math.Signbit(toFloat(got)) != math.Signbit(toFloat(c.want)) {
+				t.Errorf("%s reads as %T %v, want %T %v", c.lit, got, got, c.want, c.want)
+			}
+		}
+	}
+	for _, bad := range []string{`{"n":1e400}`, `{"n":1} x`, `[1]`} {
+		var b Blob
+		if err := b.UnmarshalJSON([]byte(bad)); err == nil {
+			t.Errorf("%s read as %v", bad, b)
+		}
+	}
+}
+
+func toFloat(v any) float64 {
+	if n, ok := v.(int64); ok {
+		return float64(n)
+	}
+	return v.(float64)
+}

@@ -34,7 +34,9 @@ go -C bench test .
 # TaskSpec.Equal from byte-equality of the specs' JSON
 # forms (what decided a restart before specs were compared), of the
 # batched Task.Advance from the per-partition drain it replaced, or of the
-# in-place Task.Respec from the Stop, NewTask, Start restart it stands for.
+# in-place Task.Respec from the Stop, NewTask, Start restart it stands for
+# — and any job config the Job Service accepts that a later stage (syncer
+# round, spec feed, Task Service expansion) rejects or panics on.
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzFrameDecode' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzDocRoundTrip' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzJobConfigBlob' -fuzztime 5s
@@ -47,3 +49,4 @@ go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzDiffBlobs' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzSpecEqualMatchesJSON' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzAdvanceMatchesPerPartitionDrain' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzRespecMatchesRestart' -fuzztime 5s
+go test ./internal/statesyncer -run 'XXXNONE' -fuzz 'FuzzInputBoundary' -fuzztime 5s
