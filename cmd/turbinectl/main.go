@@ -98,8 +98,8 @@ func main() {
 				fmt.Printf("    %s = %v\n", ch.Path, ch.To)
 			}
 		}
-		if r, ok := store.GetRunning(name); ok {
-			fmt.Printf("  running realizes expected version %d\n", r.Version)
+		if _, version, ok := store.RunningDoc(name); ok {
+			fmt.Printf("  running realizes expected version %d\n", version)
 		} else {
 			fmt.Println("  not running yet")
 		}
@@ -327,7 +327,7 @@ func main() {
 		}
 	case "plan":
 		name := requireArg(args, 1, "job name")
-		merged, version, err := store.MergedExpectedShared(name)
+		merged, version, err := store.MergedExpected(name)
 		if err != nil {
 			log.Fatal(err)
 		}

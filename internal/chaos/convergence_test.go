@@ -104,7 +104,7 @@ func (w *convergenceWorld) converged() bool {
 func (w *convergenceWorld) requireTaskCount6(t *testing.T) {
 	t.Helper()
 	for i := 0; i < w.jobs; i++ {
-		r, ok := w.store.GetRunning(jobName(i))
+		r, ok := w.store.GetRunningShared(jobName(i))
 		if !ok {
 			t.Fatalf("%s missing after convergence", jobName(i))
 		}

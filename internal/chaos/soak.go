@@ -526,7 +526,7 @@ func runSchedule(c *cluster.Cluster, inj *faultinject.Injector, opts Options, re
 	if n := c.Ckpt.LiveOwners(teardownJob); n != 0 {
 		return fmt.Errorf("%d live checkpoint owners of deleted job %s", n, teardownJob)
 	}
-	if _, ok := c.Store.RunningVersion(teardownJob); ok {
+	if _, _, ok := c.Store.RunningDoc(teardownJob); ok {
 		return fmt.Errorf("deleted job %s still has a running entry", teardownJob)
 	}
 

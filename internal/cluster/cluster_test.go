@@ -198,7 +198,7 @@ func TestJobRemovalTearsDownTasks(t *testing.T) {
 	if got := c.JobRunningTasks("j1"); got != 0 {
 		t.Fatalf("tasks = %d after removal", got)
 	}
-	if _, ok := c.Store.GetRunning("j1"); ok {
+	if _, ok := c.Store.GetRunningShared("j1"); ok {
 		t.Fatal("running entry survived removal")
 	}
 }

@@ -49,7 +49,7 @@ func TestRecreatedJobServesFreshConfig(t *testing.T) {
 	if got := c.JobRunningTasks("j"); got != 4 {
 		t.Fatalf("second incarnation runs %d tasks, want 4", got)
 	}
-	if v, _ := c.Store.RunningVersion("j"); v != 1 {
+	if _, v, _ := c.Store.RunningDoc("j"); v != 1 {
 		t.Fatalf("running version of the re-created job = %d; the scenario needs the version to repeat", v)
 	}
 	sig, ok := c.JobSignals("j")

@@ -437,11 +437,7 @@ func TestJobConfigValidateRejections(t *testing.T) {
 
 func TestJobConfigDocRoundTrip(t *testing.T) {
 	c := validConfig()
-	d, err := c.ToDoc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := JobConfigFromDoc(d)
+	back, err := JobConfigFromDoc(jsonDoc(t, c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,10 +449,7 @@ func TestJobConfigDocRoundTrip(t *testing.T) {
 func TestScalerLayerOverridesTaskCountOnly(t *testing.T) {
 	// The canonical paper scenario (§III-A): job at 10 tasks; Auto Scaler
 	// sets 15; Oncall sets 30. Oncall wins, everything else intact.
-	base, err := validConfig().ToDoc()
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := jsonDoc(t, validConfig())
 	scaler := Doc{}.SetPath("taskCount", 15)
 	oncall := Doc{}.SetPath("taskCount", 30)
 	merged := MergeLayersShared(base, nil, scaler, oncall)

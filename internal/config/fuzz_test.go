@@ -2,7 +2,6 @@ package config
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -133,7 +132,7 @@ func FuzzJobConfigFromDoc(f *testing.F) {
 			return // undecodable is fine; disagreeing or panicking is not
 		}
 		// Decoded configs re-encode without error.
-		if _, err := cfg.ToDoc(); err != nil {
+		if _, err := json.Marshal(cfg); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
 		_ = cfg.Validate()
@@ -160,70 +159,18 @@ func FuzzSetGetPath(f *testing.F) {
 	})
 }
 
-// toDocViaJSON is the reference ToDoc is defined against: the
-// encoding/json round trip it used to be.
-func toDocViaJSON(c *JobConfig) (Doc, error) {
+// jsonDoc is c as encoding/json's round trip makes it a Doc: json.Marshal,
+// then json.Unmarshal — nested objects as map[string]any, every number a
+// float64.
+func jsonDoc(t *testing.T, c *JobConfig) Doc {
+	t.Helper()
 	raw, err := json.Marshal(c)
 	if err != nil {
-		return nil, fmt.Errorf("marshal job config: %w", err)
+		t.Fatalf("marshal job config: %v", err)
 	}
 	var d Doc
 	if err := json.Unmarshal(raw, &d); err != nil {
-		return nil, fmt.Errorf("unmarshal job config doc: %w", err)
+		t.Fatalf("unmarshal job config doc: %v", err)
 	}
-	return d, nil
-}
-
-// checkToDoc fails unless c.ToDoc() is what the round trip returns: the
-// same document — Go types included — or the same error.
-func checkToDoc(t *testing.T, c *JobConfig) {
-	t.Helper()
-	got, err := c.ToDoc()
-	want, wantErr := toDocViaJSON(c)
-	if (err != nil) != (wantErr != nil) || err != nil && err.Error() != wantErr.Error() {
-		t.Fatalf("%+v: ToDoc err = %v, encoding/json err = %v", *c, err, wantErr)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%+v:\n  direct        %#v\n  encoding/json %#v", *c, got, want)
-	}
-}
-
-// FuzzToDocMatchesJSON holds the direct ToDoc to the encoding/json round
-// trip for any config: integers beyond 2^53 and at the int64 limits,
-// NaN, infinities and -0, empty nested structs, and invalid UTF-8.
-func FuzzToDocMatchesJSON(f *testing.F) {
-	c := validConfig()
-	f.Add(c.Name, c.Package.Name, c.Package.Version, string(c.Operator), c.Input.Category,
-		c.Output.Category, c.CheckpointDir, string(c.Enforcement), int64(c.TaskCount),
-		int64(c.ThreadsPerTask), int64(c.Input.Partitions), int64(c.Priority), int64(c.MaxTaskCount),
-		c.TaskResources.MemoryBytes, c.TaskResources.DiskBytes, c.TaskResources.NetworkBps,
-		c.TaskResources.CPUCores, c.SLOSeconds, c.Stopped)
-	f.Add("", "", "", "", "", "", "", "", int64(0), int64(0), int64(0), int64(0), int64(0),
-		int64(0), int64(0), int64(0), math.Copysign(0, -1), 0.0, false)
-	f.Add("\xff", "é\u2028<>&", "\xed\xa0\x80", "x", "", "c", "", "jvm", int64(-1), int64(math.MaxInt64),
-		int64(math.MinInt64), int64(1<<53+1), int64(1), int64(1<<53+1), int64(-(1<<53)-1),
-		int64(7), 1e-7, 1e21, true)
-	f.Add("", "", "", "", "", "", "", "", int64(0), int64(0), int64(0), int64(0), int64(0),
-		int64(0), int64(0), int64(0), math.NaN(), 90.0, false)
-	f.Add("", "", "", "", "", "", "", "", int64(0), int64(0), int64(0), int64(0), int64(0),
-		int64(0), int64(0), int64(0), 1.0, math.Inf(-1), false)
-	f.Fuzz(func(t *testing.T, name, pkg, version, op, in, out, ckpt, enf string,
-		tasks, threads, parts, prio, maxTasks, mem, disk, net int64, cpu, slo float64, stopped bool) {
-		checkToDoc(t, &JobConfig{
-			Name:           name,
-			Package:        Package{Name: pkg, Version: version},
-			TaskCount:      int(tasks),
-			ThreadsPerTask: int(threads),
-			TaskResources:  Resources{CPUCores: cpu, MemoryBytes: mem, DiskBytes: disk, NetworkBps: net},
-			Operator:       Operator(op),
-			Input:          Input{Category: in, Partitions: int(parts)},
-			Output:         Output{Category: out},
-			CheckpointDir:  ckpt,
-			Enforcement:    MemoryEnforcement(enf),
-			Priority:       int(prio),
-			MaxTaskCount:   int(maxTasks),
-			SLOSeconds:     slo,
-			Stopped:        stopped,
-		})
-	})
+	return d
 }

@@ -1,7 +1,6 @@
 package config
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -232,68 +231,6 @@ func (c *JobConfig) Validate() error {
 		errs = append(errs, fmt.Errorf("sloSeconds must be finite, got %v", c.SLOSeconds))
 	}
 	return errors.Join(errs...)
-}
-
-// ToDoc returns c as a layering Doc. It builds the document directly and
-// returns exactly what the encoding/json round trip — Marshal c, Unmarshal
-// the bytes into a Doc — returns: a top-level Doc whose nested objects are
-// map[string]any, every number a float64, omitempty fields left out when
-// zero, the four nested structs always present, and invalid UTF-8 turned
-// into U+FFFD one byte at a time. It fails where json.Marshal fails — on a
-// non-finite float — with json.Marshal's error. FuzzToDocMatchesJSON holds
-// it to that round trip.
-func (c *JobConfig) ToDoc() (Doc, error) {
-	if !isFinite(c.TaskResources.CPUCores) || !isFinite(c.SLOSeconds) {
-		_, err := json.Marshal(c)
-		return nil, fmt.Errorf("marshal job config: %w", err)
-	}
-	d := make(Doc, 14)
-	putString(d, "name", c.Name)
-	pkg := make(map[string]any, 2)
-	putString(pkg, "name", c.Package.Name)
-	putString(pkg, "version", c.Package.Version)
-	d["package"] = pkg
-	putNumber(d, "taskCount", float64(c.TaskCount))
-	putNumber(d, "threadsPerTask", float64(c.ThreadsPerTask))
-	res := make(map[string]any, 4)
-	putNumber(res, "cpuCores", c.TaskResources.CPUCores)
-	putNumber(res, "memoryBytes", float64(c.TaskResources.MemoryBytes))
-	putNumber(res, "diskBytes", float64(c.TaskResources.DiskBytes))
-	putNumber(res, "networkBps", float64(c.TaskResources.NetworkBps))
-	d["taskResources"] = res
-	putString(d, "operator", string(c.Operator))
-	in := make(map[string]any, 2)
-	putString(in, "category", c.Input.Category)
-	putNumber(in, "partitions", float64(c.Input.Partitions))
-	d["input"] = in
-	out := make(map[string]any, 1)
-	putString(out, "category", c.Output.Category)
-	d["output"] = out
-	putString(d, "checkpointDir", c.CheckpointDir)
-	putString(d, "enforcement", string(c.Enforcement))
-	putNumber(d, "priority", float64(c.Priority))
-	putNumber(d, "maxTaskCount", float64(c.MaxTaskCount))
-	putNumber(d, "sloSeconds", c.SLOSeconds)
-	if c.Stopped {
-		d["stopped"] = true
-	}
-	return d, nil
-}
-
-// putString stores a non-empty string as encoding/json writes and reads
-// it back.
-func putString(m map[string]any, key, s string) {
-	if s != "" {
-		m[key] = validUTF8(s)
-	}
-}
-
-// putNumber stores a non-zero number; an integer field arrives converted
-// to float64, which rounds it as parsing its decimal text would.
-func putNumber(m map[string]any, key string, x float64) {
-	if x != 0 {
-		m[key] = x
-	}
 }
 
 // validUTF8 returns s with each byte of an invalid UTF-8 sequence replaced

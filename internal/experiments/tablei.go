@@ -6,6 +6,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/jobservice"
 	"repro/internal/jobstore"
+	"repro/internal/wire"
 )
 
 // TableIJobStore reproduces Table I: the job store schema — an Expected
@@ -46,7 +47,11 @@ func TableIJobStore(p Params) *Result {
 		Title:  "Job store schema: expected layers merged by precedence into the running configuration",
 		Header: []string{"table", "layer", "taskCount", "package.version"},
 	}
-	layerRow := func(label string, d config.Doc) []string {
+	layerRow := func(label string, b wire.Blob) []string {
+		d, err := b.Doc()
+		if err != nil {
+			panic(err)
+		}
 		tc, pv := "-", "-"
 		if v, ok := d.GetPath("taskCount"); ok {
 			tc = fmt.Sprintf("%v", v)
@@ -57,27 +62,25 @@ func TableIJobStore(p Params) *Result {
 		return []string{"expected", label, tc, pv}
 	}
 	for _, l := range config.Layers() {
-		d, err := e.Layers[l].Doc()
-		if err != nil {
-			panic(err)
-		}
-		res.Rows = append(res.Rows, layerRow(l.String(), d))
+		res.Rows = append(res.Rows, layerRow(l.String(), e.Layers[l]))
 	}
 
 	merged, version, err := store.MergedExpected("demo/job")
 	if err != nil {
 		panic(err)
 	}
-	res.Rows = append(res.Rows, layerRow("MERGED", merged))
+	res.Rows = append(res.Rows, layerRow("MERGED", merged.Doc))
 
 	// The State Syncer would commit this as the running configuration.
-	store.CommitRunning("demo/job", merged, version)
-	r, _ := store.GetRunning("demo/job")
-	row := layerRow("running", r.Config)
+	if err := store.CommitRunning("demo/job", merged, version); err != nil {
+		panic(err)
+	}
+	running, _, _ := store.RunningDoc("demo/job")
+	row := layerRow("running", running.Doc)
 	row[0] = "running"
 	res.Rows = append(res.Rows, row)
 
-	cfg, _, _, _ := store.RunningEntry("demo/job")
+	cfg := running.Config
 	if cfg == nil {
 		panic("demo/job runs no JobConfig")
 	}

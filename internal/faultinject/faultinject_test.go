@@ -145,10 +145,10 @@ func TestCrashBeforeCommitRefusesWriteAndLatches(t *testing.T) {
 	var crashes []Event
 	in.OnCrash(func(ev Event) { crashes = append(crashes, ev) })
 
-	if err := store.CommitRunning("j", config.Doc{"taskCount": 1}, 1); err == nil {
+	if err := store.CommitRunning("j", committed(config.Doc{"taskCount": 1}), 1); err == nil {
 		t.Fatal("crash-before-commit did not refuse the write")
 	}
-	if _, ok := store.GetRunning("j"); ok {
+	if _, ok := store.GetRunningShared("j"); ok {
 		t.Fatal("refused commit still landed")
 	}
 	if len(crashes) != 1 || crashes[0].Kind != KindCrashBeforeCommit {
@@ -168,7 +168,7 @@ func TestCrashBeforeCommitRefusesWriteAndLatches(t *testing.T) {
 		t.Fatal("rule still mute after Rearm")
 	}
 	// The commit rule was MaxHits 1: the restarted process can commit.
-	if err := store.CommitRunning("j", config.Doc{"taskCount": 1}, 1); err != nil {
+	if err := store.CommitRunning("j", committed(config.Doc{"taskCount": 1}), 1); err != nil {
 		t.Fatalf("commit after restart: %v", err)
 	}
 }
@@ -186,9 +186,9 @@ func TestCrashAfterCommitFiresOnceWriteIsDurable(t *testing.T) {
 
 	var durableAtCrash bool
 	in.OnCrash(func(ev Event) {
-		_, durableAtCrash = store.GetRunning("j")
+		_, durableAtCrash = store.GetRunningShared("j")
 	})
-	if err := store.CommitRunning("j", config.Doc{"taskCount": 2}, 1); err != nil {
+	if err := store.CommitRunning("j", committed(config.Doc{"taskCount": 2}), 1); err != nil {
 		t.Fatalf("crash-after-commit must not refuse the write: %v", err)
 	}
 	if !durableAtCrash {

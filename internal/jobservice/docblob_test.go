@@ -2,6 +2,7 @@ package jobservice
 
 import (
 	"repro/internal/config"
+	"repro/internal/jobstore"
 	"repro/internal/wire"
 )
 
@@ -12,4 +13,10 @@ func docBlob(d config.Doc) wire.Blob {
 		panic(err)
 	}
 	return b
+}
+
+// committed is a test document as a running commit: the store decodes
+// its config.
+func committed(d config.Doc) jobstore.Merged {
+	return jobstore.Merged{Doc: docBlob(d)}
 }

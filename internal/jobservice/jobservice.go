@@ -133,7 +133,7 @@ func (s *Service) UpdateLayer(name string, layer config.Layer, mutate func(confi
 // with the version it reflects. The config is the store's shared one:
 // callers must not modify it.
 func (s *Service) Desired(name string) (*config.JobConfig, int64, error) {
-	m, version, err := s.store.MergedExpectedShared(name)
+	m, version, err := s.store.MergedExpected(name)
 	if err != nil {
 		return nil, 0, err
 	}

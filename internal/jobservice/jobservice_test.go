@@ -415,7 +415,7 @@ func TestLayerWriteRejectedAcrossRecreate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, _, _ := store.MergedExpectedShared("j1")
+	merged, _, _ := store.MergedExpected("j1")
 	if want, err := wire.MergeBlobs(e.Layers[:]); err != nil || !bytes.Equal(merged.Doc, want) {
 		t.Fatalf("cached merge %x, stored stack merges to %x (%v)", merged.Doc, want, err)
 	}

@@ -20,7 +20,7 @@ func TestQuarantineListAndClearResyncsNextRound(t *testing.T) {
 	clk := simclock.NewSim(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
 	syncer := statesyncer.New(store, statesyncer.NopActuator{}, clk, statesyncer.Options{})
 	syncer.RunRound()
-	if _, ok := store.GetRunning("j1"); !ok {
+	if _, ok := store.GetRunningShared("j1"); !ok {
 		t.Fatal("initial sync did not commit j1")
 	}
 
@@ -42,7 +42,7 @@ func TestQuarantineListAndClearResyncsNextRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	syncer.RunRound()
-	if r, _ := store.GetRunning("j1"); intPath(r.Config, "taskCount") == 20 {
+	if r, _ := store.GetRunningShared("j1"); intPath(r.Config, "taskCount") == 20 {
 		t.Fatal("syncer acted on a quarantined job")
 	}
 
@@ -57,7 +57,7 @@ func TestQuarantineListAndClearResyncsNextRound(t *testing.T) {
 	if res.Complex+res.Simple == 0 {
 		t.Fatalf("cleared job not re-synced next round: %+v", res)
 	}
-	r, _ := store.GetRunning("j1")
+	r, _ := store.GetRunningShared("j1")
 	if intPath(r.Config, "taskCount") != 20 {
 		t.Fatalf("running taskCount = %v after clear+round, want 20", r.Config["taskCount"])
 	}

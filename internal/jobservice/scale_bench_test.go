@@ -62,7 +62,7 @@ func feedScaleFleet(b *testing.B) (*jobstore.Store, *SpecFeedServer) {
 	store := jobstore.New()
 	for i := 0; i < feedScaleJobs; i++ {
 		name := feedScaleName(i)
-		if err := store.CommitRunning(name, feedScaleDoc(name, "v1"), 1); err != nil {
+		if err := store.CommitRunning(name, committed(feedScaleDoc(name, "v1")), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -174,7 +174,7 @@ func BenchmarkScaleSpecFeedChurn1pct(b *testing.B) {
 		base := (i * churn) % feedScaleJobs
 		for j := 0; j < churn; j++ {
 			name := feedScaleName((base + j) % feedScaleJobs)
-			if err := store.CommitRunning(name, feedScaleDoc(name, fmt.Sprintf("v%d.%d", i+2, j)), int64(i+2)); err != nil {
+			if err := store.CommitRunning(name, committed(feedScaleDoc(name, fmt.Sprintf("v%d.%d", i+2, j))), int64(i+2)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -110,9 +110,9 @@ func TestSchema4SnapshotWrittenAsBefore(t *testing.T) {
 	}
 	commit := func(name string) {
 		t.Helper()
-		m, v, err := store.MergedExpectedShared(name)
+		m, v, err := store.MergedExpected(name)
 		must(err)
-		must(store.CommitRunningShared(name, m, v))
+		must(store.CommitRunning(name, m, v))
 	}
 	for i, name := range []string{"jobs/a", "jobs/b", "jobs/c", "jobs/d"} {
 		must(s.Provision(mk(name, []int{4, 8, 2, 1}[i])))
@@ -163,11 +163,11 @@ func TestRestoreKeepsIntegersExact(t *testing.T) {
 	if err := s.Provision(cfg); err != nil {
 		t.Fatal(err)
 	}
-	m, v, err := store.MergedExpectedShared("j")
+	m, v, err := store.MergedExpected("j")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.CommitRunningShared("j", m, v); err != nil {
+	if err := store.CommitRunning("j", m, v); err != nil {
 		t.Fatal(err)
 	}
 	data, err := store.Snapshot()

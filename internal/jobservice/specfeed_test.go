@@ -22,7 +22,7 @@ func commitN(t testing.TB, store *jobstore.Store, n, version int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("jobs/j%04d", i)
-		if err := store.CommitRunning(name, feedDoc(name, version), int64(version)); err != nil {
+		if err := store.CommitRunning(name, committed(feedDoc(name, version)), int64(version)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestFeedResyncWalk(t *testing.T) {
 
 	// Burn the journal far past its capacity.
 	for i := 0; i < jobstore.JournalCap+8; i++ {
-		if err := store.CommitRunning("jobs/burn", feedDoc("jobs/burn", i), int64(i+1)); err != nil {
+		if err := store.CommitRunning("jobs/burn", committed(feedDoc("jobs/burn", i)), int64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}

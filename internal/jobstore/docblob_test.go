@@ -13,3 +13,9 @@ func docBlob(d config.Doc) wire.Blob {
 	}
 	return b
 }
+
+// committed is a test document as a running commit: the store decodes
+// its config.
+func committed(d config.Doc) Merged {
+	return Merged{Doc: docBlob(d)}
+}

@@ -65,7 +65,7 @@ func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 		if err := s.Create(job, docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.CommitRunning(job, config.Doc{"taskCount": 1}, 1); err != nil {
+		if err := s.CommitRunning(job, committed(config.Doc{"taskCount": 1}), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +74,7 @@ func TestSnapshotRestoreCarriesSyncerState(t *testing.T) {
 	if _, err := s.SetLayer("streaky", config.LayerOncall, docBlob(config.Doc{"taskCount": 2}), Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CommitRunning("orphan", config.Doc{"taskCount": 1}, 1); err != nil {
+	if err := s.CommitRunning("orphan", committed(config.Doc{"taskCount": 1}), 1); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Unix(500, 0).UTC()
@@ -155,7 +155,7 @@ func TestRestoreSchema4PendingResumeJoinsDivergedSet(t *testing.T) {
 	if got := divergedAll(s); !reflect.DeepEqual(got, []string{"j"}) {
 		t.Fatalf("diverged set after restore = %v, want [j]", got)
 	}
-	if v := s.PlanViewOf("j"); !v.Resume || v.RunningVersion != v.ExpectedVersion {
+	if v := s.PlanViewOf("j"); !v.Resume || !v.Converged {
 		t.Fatalf("PlanViewOf = %+v, want a converged job with a pending resume", v)
 	}
 	data, err := s.Snapshot()
@@ -176,7 +176,7 @@ func TestRestoreIgnoresSerializedDirtySet(t *testing.T) {
 	if err := s.Create("done", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CommitRunning("done", config.Doc{"taskCount": 1}, 1); err != nil {
+	if err := s.CommitRunning("done", committed(config.Doc{"taskCount": 1}), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Create("new", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
@@ -219,7 +219,7 @@ func TestRestoreRejectsLegacySnapshot(t *testing.T) {
 	if err := s.Create("keep", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CommitRunning("keep", config.Doc{"taskCount": 1}, 1); err != nil {
+	if err := s.CommitRunning("keep", committed(config.Doc{"taskCount": 1}), 1); err != nil {
 		t.Fatal(err)
 	}
 	data, err := s.Snapshot()
@@ -233,7 +233,7 @@ func TestRestoreRejectsLegacySnapshot(t *testing.T) {
 	delete(m, "sync")
 
 	target := New()
-	if err := target.CommitRunning("resident", config.Doc{"taskCount": 2}, 1); err != nil {
+	if err := target.CommitRunning("resident", committed(config.Doc{"taskCount": 2}), 1); err != nil {
 		t.Fatal(err)
 	}
 	head := target.JournalHead()
@@ -277,7 +277,7 @@ func TestCommitHooks(t *testing.T) {
 		After: func(name string) { after = append(after, name) },
 	})
 
-	if err := s.CommitRunning("j", config.Doc{"taskCount": 1}, 1); err != nil {
+	if err := s.CommitRunning("j", committed(config.Doc{"taskCount": 1}), 1); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(before, []string{"j"}) || !reflect.DeepEqual(after, []string{"j"}) {
@@ -285,10 +285,10 @@ func TestCommitHooks(t *testing.T) {
 	}
 
 	// A Before error aborts the commit: no running entry appears.
-	if err := s.CommitRunning("blocked", config.Doc{"taskCount": 1}, 1); err == nil {
+	if err := s.CommitRunning("blocked", committed(config.Doc{"taskCount": 1}), 1); err == nil {
 		t.Fatal("commit succeeded despite Before error")
 	}
-	if _, ok := s.GetRunning("blocked"); ok {
+	if _, ok := s.GetRunningShared("blocked"); ok {
 		t.Fatal("aborted commit still wrote the running entry")
 	}
 	if len(after) != 1 {
@@ -297,7 +297,7 @@ func TestCommitHooks(t *testing.T) {
 
 	// Removing the hooks restores plain commits.
 	s.SetCommitHooks(nil)
-	if err := s.CommitRunning("blocked", config.Doc{"taskCount": 1}, 1); err != nil {
+	if err := s.CommitRunning("blocked", committed(config.Doc{"taskCount": 1}), 1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -80,7 +80,7 @@ type Expected struct {
 
 	// merged caches the precedence merge of Layers as of mergedVersion,
 	// with its typed config: installed by the layer write that validated
-	// it (SetLayer), or computed by the first MergedExpectedShared of a
+	// it (SetLayer), or computed by the first MergedExpected of a
 	// version that has none. Maintained only on the store's canonical
 	// entries (not on stacks handed to callers); invisible to JSON
 	// serialization.
@@ -119,8 +119,9 @@ func (m *Merged) share(prev *config.JobConfig) {
 	}
 }
 
-// Running is a job's running configuration as a document of the caller's
-// own, and the expected version it realizes.
+// Running is a job's running configuration as a document, shared with
+// every other reader of the entry and IMMUTABLE, and the expected version
+// it realizes.
 type Running struct {
 	Config  config.Doc
 	Version int64
@@ -413,11 +414,11 @@ func (s *Store) GetExpected(name string) (Expected, error) {
 // base.Layers with doc in place of base.Layers[layer] — with the
 // JobConfig it decodes to, or nil. When the CAS proved base current, the
 // store installs it as the new version's merged cache, so the next
-// MergedExpectedShared serves the merge and the config the writer
-// validated instead of computing them again; first it gives the config
-// the strings it has in common with the previous version's. Both are
-// immutable and shared from then on, like every cached merge. An
-// AnyVersion write proves nothing and ignores it.
+// MergedExpected serves the merge and the config the writer validated
+// instead of computing them again; first it gives the config the strings
+// it has in common with the previous version's. Both are immutable and
+// shared from then on, like every cached merge. An AnyVersion write
+// proves nothing and ignores it.
 func (s *Store) SetLayer(name string, layer config.Layer, doc wire.Blob, base Expected, merged *Merged) (int64, error) {
 	if !layer.Valid() {
 		return 0, fmt.Errorf("jobstore: invalid layer %v", layer)
@@ -466,28 +467,16 @@ func sameLayers(a, b *[4]wire.Blob) bool {
 }
 
 // MergedExpected returns the effective desired configuration — the
-// precedence merge of all expected layers — as a document of the
-// caller's own, and the version it reflects. Readers of the merge itself
-// use MergedExpectedShared.
-func (s *Store) MergedExpected(name string) (config.Doc, int64, error) {
-	m, v, err := s.MergedExpectedShared(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	d, err := m.Doc.Doc()
-	return d, v, err
-}
-
-// MergedExpectedShared returns the cached merge itself. The merge
-// (Algorithm 1) and its typed config are cached per version on the
-// store's entry: a Job Service layer write installs the merge and config
-// it validated, and a version written without them (Create, an
+// precedence merge of all expected layers (Algorithm 1) with its typed
+// config — and the version it reflects. Both are cached per version on
+// the store's entry: a Job Service layer write installs the merge and
+// config it validated, and a version written without them (Create, an
 // AnyVersion write, Restore) pays for the merge and one decode on its
 // first read; every other read is a map lookup. The returned blob and
 // config are IMMUTABLE and shared. This is the State Syncer's per-round
 // read path: a round over tens of thousands of jobs neither re-merges nor
 // re-decodes.
-func (s *Store) MergedExpectedShared(name string) (Merged, int64, error) {
+func (s *Store) MergedExpected(name string) (Merged, int64, error) {
 	st := s.stripeFor(name)
 	st.mu.RLock()
 	e, ok := st.expected[name]
@@ -519,20 +508,6 @@ func (s *Store) MergedExpectedShared(name string) (Merged, int64, error) {
 		e.mergedVersion = e.Version
 	}
 	return e.merged, e.Version, nil
-}
-
-// GetRunning returns the job's running configuration as a document of the
-// caller's own.
-func (s *Store) GetRunning(name string) (Running, bool) {
-	m, version, ok := s.RunningDoc(name)
-	if !ok {
-		return Running{}, false
-	}
-	d, err := m.Doc.Doc()
-	if err != nil {
-		return Running{}, false // the store holds well-formed documents only
-	}
-	return Running{Config: d, Version: version}, true
 }
 
 // GetRunningShared returns the job's running configuration as a document
@@ -570,8 +545,9 @@ func (s *Store) GetRunningShared(name string) (Running, bool) {
 
 // RunningDoc returns the job's running entry as the Merged it was
 // committed from, and the expected version it realizes. Both are
-// IMMUTABLE and shared. The State Syncer diffs against the blob every
-// round.
+// IMMUTABLE and shared. The State Syncer reads it once per candidate
+// job: the version short-circuits a converged job, and the blob is what
+// it diffs the merge against.
 func (s *Store) RunningDoc(name string) (Merged, int64, bool) {
 	st := s.stripeFor(name)
 	st.mu.RLock()
@@ -588,9 +564,10 @@ func (s *Store) RunningDoc(name string) (Merged, int64, bool) {
 // expected version it realizes and the store-wide commit revision, all
 // under a single stripe lock. The returned config is IMMUTABLE and shared.
 // This is the read of the spec feed, the Task Service and the cluster's
-// monitor: the config was decoded once, when its version was, and the
-// revision rides every encoded delta so a remote mirror can skip
-// re-applying an entry it already holds.
+// monitor: the config was decoded once, when its version was. The
+// revision moves on every CommitRunning: the Task Service keys its
+// per-job spec groups on it, and it rides every encoded delta so a
+// remote mirror can skip re-applying an entry it already holds.
 func (s *Store) RunningEntry(name string) (cfg *config.JobConfig, version, revision int64, ok bool) {
 	st := s.stripeFor(name)
 	st.mu.RLock()
@@ -602,46 +579,17 @@ func (s *Store) RunningEntry(name string) (cfg *config.JobConfig, version, revis
 	return r.typed, r.Version, r.revision, true
 }
 
-// RunningVersion returns just the version of a job's running entry,
-// without cloning its configuration — the State Syncer's fast path.
-func (s *Store) RunningVersion(name string) (int64, bool) {
-	st := s.stripeFor(name)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	r, ok := st.running[name]
-	if !ok {
-		return 0, false
-	}
-	return r.Version, true
-}
-
-// RunningRevision returns the commit revision of a job's running entry:
-// a store-wide monotonic sequence that moves on every CommitRunning. The
-// Task Service keys its per-job spec groups on it, so a snapshot
-// regeneration rebuilds only the jobs whose running entry was actually
-// rewritten since the last snapshot.
-func (s *Store) RunningRevision(name string) (int64, bool) {
-	st := s.stripeFor(name)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	r, ok := st.running[name]
-	if !ok {
-		return 0, false
-	}
-	return r.revision, true
-}
-
 // PlanView is everything the State Syncer's per-candidate prologue needs
 // to classify a job, gathered under a single stripe lock: one RLock and
 // four map lookups instead of four separate calls. Candidates are the
 // diverged set's members only, so converged jobs without a sync record
 // never reach this read.
 type PlanView struct {
-	ExpectedVersion int64
-	RunningVersion  int64
-	HasExpected     bool
-	HasRunning      bool
-	Quarantined     bool
+	HasExpected bool
+	HasRunning  bool
+	// Converged reports that running realizes the expected version.
+	Converged   bool
+	Quarantined bool
 	// FailureStreak and NextRetryAt mirror the job's SyncState (zero
 	// values if it has none), and Resume reports that it holds follow-ups:
 	// a committed plan's post-commit resume is still pending.
@@ -655,18 +603,10 @@ func (s *Store) PlanViewOf(name string) PlanView {
 	st := s.stripeFor(name)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	var v PlanView
-	if e, ok := st.expected[name]; ok {
-		v.HasExpected = true
-		v.ExpectedVersion = e.Version
-	}
-	if r, ok := st.running[name]; ok {
-		v.HasRunning = true
-		v.RunningVersion = r.Version
-	}
-	if _, ok := st.quarantined[name]; ok {
-		v.Quarantined = true
-	}
+	e, hasExp := st.expected[name]
+	r, hasRun := st.running[name]
+	v := PlanView{HasExpected: hasExp, HasRunning: hasRun, Converged: hasExp && hasRun && e.Version == r.Version}
+	_, v.Quarantined = st.quarantined[name]
 	if ss, ok := st.sync[name]; ok {
 		v.FailureStreak = ss.FailureStreak
 		v.NextRetryAt = ss.NextRetryAt
@@ -675,36 +615,23 @@ func (s *Store) PlanViewOf(name string) PlanView {
 	return v
 }
 
-// CommitRunning records that the cluster now runs cfg, which realizes
+// CommitRunning records that the cluster now runs m, which realizes
 // expected version version. Only the State Syncer calls this, and only
 // after the execution plan completed — the atomic commit point of a job
-// update (§III-B). The store encodes cfg and decodes its config. The
-// error is nil unless cfg holds a value no document holds, or commit
-// hooks (fault injection) are installed.
-func (s *Store) CommitRunning(name string, cfg config.Doc, version int64) error {
-	doc, err := wire.EncodeDoc(cfg)
-	if err != nil {
-		return fmt.Errorf("jobstore: commit %s: %w", name, err)
+// update (§III-B). The store keeps m's blob and config themselves: the
+// syncer commits the merge it read via MergedExpected, so the batched
+// simple-sync path copies and decodes nothing. When m.Config is nil the
+// store decodes it from m.Doc, so an entry's config is always its blob's
+// decode. The error is nil unless m.Doc is no well-formed document, or
+// commit hooks (fault injection) are installed.
+func (s *Store) CommitRunning(name string, m Merged, version int64) error {
+	if m.Config == nil {
+		cfg, err := wire.DecodeJobConfigBlob(m.Doc)
+		if err != nil {
+			return fmt.Errorf("jobstore: commit %s: %w", name, err)
+		}
+		m.Config = cfg
 	}
-	return s.commitRunning(name, decoded(doc), version)
-}
-
-// CommitRunningShared is CommitRunning of a merge the store already
-// holds: it keeps m's blob and config themselves. The State Syncer
-// commits the merge it read via MergedExpectedShared, so the batched
-// simple-sync path copies and decodes nothing.
-func (s *Store) CommitRunningShared(name string, m Merged, version int64) error {
-	return s.commitRunning(name, m, version)
-}
-
-// SetCommitHooks installs (or, with nil, removes) the commit intercept
-// points. Only the fault injector uses this; production clusters run
-// with no hooks and pay a single atomic load per commit.
-func (s *Store) SetCommitHooks(h *CommitHooks) {
-	s.commitHooks.Store(h)
-}
-
-func (s *Store) commitRunning(name string, m Merged, version int64) error {
 	hooks := s.commitHooks.Load()
 	if hooks != nil && hooks.Before != nil {
 		if err := hooks.Before(name); err != nil {
@@ -728,6 +655,13 @@ func (s *Store) commitRunning(name string, m Merged, version int64) error {
 		hooks.After(name)
 	}
 	return nil
+}
+
+// SetCommitHooks installs (or, with nil, removes) the commit intercept
+// points. Only the fault injector uses this; production clusters run
+// with no hooks and pay a single atomic load per commit.
+func (s *Store) SetCommitHooks(h *CommitHooks) {
+	s.commitHooks.Store(h)
 }
 
 // DropRunning removes the running entry after a deleted job's tasks have
@@ -997,8 +931,10 @@ func (s *Store) Snapshot() ([]byte, error) {
 // than trust pre-restore state. The per-job sync states come from the
 // snapshot and the diverged set is rebuilt from the restored entries and
 // sync states, so a syncer restarted from it converges in one ordinary
-// round. A snapshot whose schema is below 2 (or absent) carries no sync states and
-// is rejected with an error, leaving the store as it was.
+// round. A snapshot whose schema is below 2 (or absent) carries no sync
+// states, and one with a null expected entry or a running entry without
+// a document holds no job: both are rejected with an error, leaving the
+// store as it was.
 func (s *Store) Restore(data []byte) error {
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
@@ -1006,6 +942,16 @@ func (s *Store) Restore(data []byte) error {
 	}
 	if snap.Schema < 2 {
 		return fmt.Errorf("jobstore: restore: snapshot schema %d predates the syncer state (schema 2)", snap.Schema)
+	}
+	for k, v := range snap.Expected {
+		if v == nil {
+			return fmt.Errorf("jobstore: restore: expected entry %q is null", k)
+		}
+	}
+	for k, v := range snap.Running {
+		if v == nil || len(v.Config) == 0 {
+			return fmt.Errorf("jobstore: restore: running entry %q holds no document", k)
+		}
 	}
 	for i := range s.stripes {
 		s.stripes[i].mu.Lock()

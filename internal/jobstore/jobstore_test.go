@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/wire"
 )
 
 func baseDoc() config.Doc {
@@ -19,10 +20,10 @@ func baseDoc() config.Doc {
 	}
 }
 
-// layerDoc decodes one layer of a stack.
-func layerDoc(t *testing.T, e Expected, l config.Layer) config.Doc {
+// docOf decodes a blob the store holds.
+func docOf(t *testing.T, b wire.Blob) config.Doc {
 	t.Helper()
-	d, err := e.Layers[l].Doc()
+	d, err := b.Doc()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestCreateAndGetExpected(t *testing.T) {
 	if e.Version != 1 {
 		t.Fatalf("Version = %d, want 1", e.Version)
 	}
-	if v, _ := layerDoc(t, e, config.LayerBase).GetPath("taskCount"); v != int64(10) {
+	if v, _ := docOf(t, e.Layers[config.LayerBase]).GetPath("taskCount"); v != int64(10) {
 		t.Fatalf("base taskCount = %v", v)
 	}
 	if _, err := s.GetExpected("missing"); !errors.Is(err, ErrNotFound) {
@@ -58,7 +59,7 @@ func TestCreateIsolatesCallerDoc(t *testing.T) {
 	s.Create("j1", docBlob(d), nil)
 	d["taskCount"] = 999 // caller mutates after create
 	e, _ := s.GetExpected("j1")
-	if v, _ := layerDoc(t, e, config.LayerBase).GetPath("taskCount"); v != int64(10) {
+	if v, _ := docOf(t, e.Layers[config.LayerBase]).GetPath("taskCount"); v != int64(10) {
 		t.Fatalf("store aliased caller's doc: taskCount = %v", v)
 	}
 }
@@ -109,10 +110,11 @@ func TestMergedExpectedPrecedence(t *testing.T) {
 	s.Create("j1", docBlob(baseDoc()), nil)
 	s.SetLayer("j1", config.LayerScaler, docBlob(config.Doc{"taskCount": 15}), Expected{Version: AnyVersion}, nil)
 	s.SetLayer("j1", config.LayerOncall, docBlob(config.Doc{"taskCount": 30}), Expected{Version: AnyVersion}, nil)
-	merged, version, err := s.MergedExpected("j1")
+	m, version, err := s.MergedExpected("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
+	merged := docOf(t, m.Doc)
 	if v, _ := merged.GetPath("taskCount"); v != int64(30) {
 		t.Fatalf("merged taskCount = %v, want 30 (oncall wins)", v)
 	}
@@ -126,11 +128,11 @@ func TestMergedExpectedPrecedence(t *testing.T) {
 
 func TestRunningLifecycle(t *testing.T) {
 	s := New()
-	if _, ok := s.GetRunning("j1"); ok {
+	if _, ok := s.GetRunningShared("j1"); ok {
 		t.Fatal("phantom running entry")
 	}
-	s.CommitRunning("j1", config.Doc{"taskCount": 10}, 5)
-	r, ok := s.GetRunning("j1")
+	s.CommitRunning("j1", committed(config.Doc{"taskCount": 10}), 5)
+	r, ok := s.GetRunningShared("j1")
 	if !ok || r.Version != 5 {
 		t.Fatalf("running = %+v,%v", r, ok)
 	}
@@ -138,7 +140,7 @@ func TestRunningLifecycle(t *testing.T) {
 		t.Fatalf("running taskCount = %v", v)
 	}
 	s.DropRunning("j1")
-	if _, ok := s.GetRunning("j1"); ok {
+	if _, ok := s.GetRunningShared("j1"); ok {
 		t.Fatal("running entry survived drop")
 	}
 }
@@ -146,14 +148,14 @@ func TestRunningLifecycle(t *testing.T) {
 func TestDeleteLeavesRunningForSyncer(t *testing.T) {
 	s := New()
 	s.Create("j1", docBlob(baseDoc()), nil)
-	s.CommitRunning("j1", baseDoc(), 1)
+	s.CommitRunning("j1", committed(baseDoc()), 1)
 	if err := s.Delete("j1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.GetExpected("j1"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("expected entry survived delete")
 	}
-	if _, ok := s.GetRunning("j1"); !ok {
+	if _, ok := s.GetRunningShared("j1"); !ok {
 		t.Fatal("running entry must remain until syncer stops tasks")
 	}
 	if err := s.Delete("j1"); !errors.Is(err, ErrNotFound) {
@@ -165,7 +167,7 @@ func TestNamesSorted(t *testing.T) {
 	s := New()
 	s.Create("zj", docBlob(baseDoc()), nil)
 	s.Create("aj", docBlob(baseDoc()), nil)
-	s.CommitRunning("mj", config.Doc{}, 1)
+	s.CommitRunning("mj", committed(config.Doc{}), 1)
 	if got := s.ExpectedNames(); len(got) != 2 || got[0] != "aj" {
 		t.Fatalf("ExpectedNames = %v", got)
 	}
@@ -205,7 +207,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := New()
 	s.Create("j1", docBlob(baseDoc()), nil)
 	s.SetLayer("j1", config.LayerScaler, docBlob(config.Doc{"taskCount": 15}), Expected{Version: AnyVersion}, nil)
-	s.CommitRunning("j1", config.Doc{"taskCount": 15}, 2)
+	s.CommitRunning("j1", committed(config.Doc{"taskCount": 15}), 2)
 	s.SetQuarantine("j2", "test")
 	data, err := s.Snapshot()
 	if err != nil {
@@ -216,17 +218,17 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err := restored.Restore(data); err != nil {
 		t.Fatal(err)
 	}
-	merged, version, err := restored.MergedExpected("j1")
+	m, version, err := restored.MergedExpected("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := merged.GetPath("taskCount"); v != int64(15) {
+	if v, _ := docOf(t, m.Doc).GetPath("taskCount"); v != int64(15) {
 		t.Fatalf("restored taskCount = %v", v)
 	}
 	if version != 2 {
 		t.Fatalf("restored version = %d", version)
 	}
-	if _, ok := restored.GetRunning("j1"); !ok {
+	if _, ok := restored.GetRunningShared("j1"); !ok {
 		t.Fatal("running entry lost in restore")
 	}
 	// The typed config is not serialized: Restore decodes it, once.
@@ -242,26 +244,30 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 // TestRunningEntryIsTyped: a running entry carries the JobConfig of its
-// document. A shared commit keeps the one it is handed, the copying
-// commit decodes its own, and a document that is no JobConfig has none.
+// document. A commit keeps the one it is handed, decodes its own from a
+// blob committed without one, and a document that is no JobConfig has
+// none; a blob that is no document is refused.
 func TestRunningEntryIsTyped(t *testing.T) {
 	s := New()
 	s.Create("j1", docBlob(baseDoc()), nil)
-	m, v, err := s.MergedExpectedShared("j1")
+	m, v, err := s.MergedExpected("j1")
 	if err != nil || m.Config == nil {
 		t.Fatalf("merge = %+v, %v", m, err)
 	}
-	s.CommitRunningShared("j1", m, v)
+	s.CommitRunning("j1", m, v)
 	if cfg, _, _, _ := s.RunningEntry("j1"); cfg != m.Config {
-		t.Fatalf("shared commit: running config %p, committed %p", cfg, m.Config)
+		t.Fatalf("commit with a config: running config %p, committed %p", cfg, m.Config)
 	}
-	s.CommitRunning("j1", config.Doc{"taskCount": 3}, v)
+	s.CommitRunning("j1", committed(config.Doc{"taskCount": 3}), v)
 	if cfg, _, _, _ := s.RunningEntry("j1"); cfg == nil || cfg.TaskCount != 3 {
-		t.Fatalf("copying commit: running config %+v, want taskCount 3", cfg)
+		t.Fatalf("blob-only commit: running config %+v, want taskCount 3", cfg)
 	}
-	s.CommitRunning("j1", config.Doc{"taskCount": "three"}, v)
+	s.CommitRunning("j1", committed(config.Doc{"taskCount": "three"}), v)
 	if cfg, _, _, ok := s.RunningEntry("j1"); !ok || cfg != nil {
 		t.Fatalf("undecodable commit: running config %+v (%v), want nil", cfg, ok)
+	}
+	if err := s.CommitRunning("j1", Merged{Doc: wire.Blob{0xff}}, v); err == nil {
+		t.Fatal("commit of a malformed blob accepted")
 	}
 }
 
@@ -307,24 +313,13 @@ func TestConcurrentCASOneWinnerPerVersion(t *testing.T) {
 	}
 }
 
-func TestGetRunningIsolated(t *testing.T) {
-	s := New()
-	s.CommitRunning("j1", config.Doc{"taskCount": 10}, 1)
-	r, _ := s.GetRunning("j1")
-	r.Config["taskCount"] = 999
-	r2, _ := s.GetRunning("j1")
-	if v, _ := r2.Config.GetPath("taskCount"); v != int64(10) {
-		t.Fatal("GetRunning aliased internal state")
-	}
-}
-
 func TestSaveLoadFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "store.json")
 
 	s := New()
 	s.Create("j1", docBlob(baseDoc()), nil)
-	s.CommitRunning("j1", baseDoc(), 1)
+	s.CommitRunning("j1", committed(baseDoc()), 1)
 	if err := s.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +335,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if len(restored.ExpectedNames()) != 1 {
 		t.Fatalf("names = %v", restored.ExpectedNames())
 	}
-	if _, ok := restored.GetRunning("j1"); !ok {
+	if _, ok := restored.GetRunningShared("j1"); !ok {
 		t.Fatal("running entry lost")
 	}
 

@@ -88,7 +88,7 @@ func (j *journal) invalidateAll() {
 // more than JournalCap entries behind, it claims a position the journal
 // never issued (ahead of the head), or the store was Restored since it
 // was issued. The caller must rebuild from a full fleet walk
-// (RunningNames + RunningRevision) and adopt the returned cursor; the
+// (RunningNames + RunningEntry) and adopt the returned cursor; the
 // walk must happen AFTER this call, so any commit the walk misses has a
 // larger sequence number and is replayed by the following ChangesSince.
 func (s *Store) ChangesSince(cursor uint64, buf []Change) (changes []Change, next uint64, ok bool) {

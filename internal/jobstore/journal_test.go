@@ -11,7 +11,7 @@ import (
 func commitN(t testing.TB, s *Store, name string, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if err := s.CommitRunning(name, config.Doc{"v": int64(i)}, int64(i+1)); err != nil {
+		if err := s.CommitRunning(name, committed(config.Doc{"v": int64(i)}), int64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -19,10 +19,10 @@ func commitN(t testing.TB, s *Store, name string, n int) {
 
 func TestJournalRecordsCommitsAndDropsInOrder(t *testing.T) {
 	s := New()
-	s.CommitRunning("a", config.Doc{}, 1)
-	s.CommitRunning("b", config.Doc{}, 1)
+	s.CommitRunning("a", committed(config.Doc{}), 1)
+	s.CommitRunning("b", committed(config.Doc{}), 1)
 	s.DropRunning("a")
-	s.CommitRunning("b", config.Doc{"x": int64(1)}, 2)
+	s.CommitRunning("b", committed(config.Doc{"x": int64(1)}), 2)
 
 	changes, next, ok := s.ChangesSince(0, nil)
 	if !ok {
@@ -74,7 +74,7 @@ func TestJournalOverflowForcesResync(t *testing.T) {
 
 	// The resync cursor works incrementally from there on.
 	_, next, _ := s.ChangesSince(0, nil)
-	s.CommitRunning("hot", config.Doc{"post": int64(1)}, 99)
+	s.CommitRunning("hot", committed(config.Doc{"post": int64(1)}), 99)
 	changes, next2, ok := s.ChangesSince(next, nil)
 	if !ok || len(changes) != 1 || changes[0].Name != "hot" || next2 != next+1 {
 		t.Fatalf("post-resync catch-up: %+v next=%d ok=%v", changes, next2, ok)
@@ -90,7 +90,7 @@ func TestJournalOverflowForcesResync(t *testing.T) {
 
 func TestJournalRestoreInvalidatesAllCursors(t *testing.T) {
 	s := New()
-	s.CommitRunning("a", config.Doc{}, 1)
+	s.CommitRunning("a", committed(config.Doc{}), 1)
 	_, cursor, ok := s.ChangesSince(0, nil)
 	if !ok {
 		t.Fatal("setup")
@@ -113,7 +113,7 @@ func TestJournalRestoreInvalidatesAllCursors(t *testing.T) {
 		t.Fatalf("post-restore cursor unstable: %+v next=%d ok=%v", changes, next2, ok)
 	}
 	// And new commits flow normally.
-	s.CommitRunning("b", config.Doc{}, 1)
+	s.CommitRunning("b", committed(config.Doc{}), 1)
 	if changes, _, ok := s.ChangesSince(next, nil); !ok || len(changes) != 1 || changes[0].Name != "b" {
 		t.Fatalf("post-restore commit not journaled: %+v ok=%v", changes, ok)
 	}
@@ -146,7 +146,7 @@ func TestJournalConcurrentCommitsNeverLost(t *testing.T) {
 			defer wg.Done()
 			name := fmt.Sprintf("job%d", w)
 			for i := 0; i < perWriter; i++ {
-				s.CommitRunning(name, config.Doc{"i": int64(i)}, int64(i+1))
+				s.CommitRunning(name, committed(config.Doc{"i": int64(i)}), int64(i+1))
 			}
 		}(w)
 	}

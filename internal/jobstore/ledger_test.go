@@ -6,10 +6,12 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/wire"
 )
 
 // ledgerUniverse is the name set the diverged-set tests draw from: small, so
@@ -28,8 +30,9 @@ var ledgerRanges = [][2]int{{0, NumStripes}, {16, 32}, {5, 6}, {9, 9}}
 
 // checkLedger holds the diverged set to the paper's stateless full
 // comparison, kept here as the test oracle: for each range
-// DivergedRangeInto must append exactly the sorted names PlanViewOf calls
-// not converged, or that hold a sync record, after the caller's prefix,
+// DivergedRangeInto must append exactly the sorted names whose expected
+// and running entries (GetExpected, RunningDoc) are not converged, or that
+// hold a sync record, after the caller's prefix,
 // and leave the prefix alone.
 func checkLedger(t *testing.T, s *Store, names []string, step string) {
 	t.Helper()
@@ -40,9 +43,11 @@ func checkLedger(t *testing.T, s *Store, names []string, step string) {
 			if st := StripeOf(name); st < lo || st >= hi {
 				continue
 			}
-			v := s.PlanViewOf(name)
+			e, err := s.GetExpected(name)
+			hasExp := err == nil
+			_, rv, hasRun := s.RunningDoc(name)
 			_, held := s.SyncStateOf(name)
-			if held || (v.HasExpected || v.HasRunning) && !(v.HasExpected && v.HasRunning && v.RunningVersion == v.ExpectedVersion) {
+			if held || (hasExp || hasRun) && !(hasExp && hasRun && e.Version == rv) {
 				want = append(want, name)
 			}
 		}
@@ -86,10 +91,18 @@ func randomLedgerOp(t *testing.T, s *Store, rng *rand.Rand, names []string) stri
 		if e, err := s.GetExpected(name); err == nil && rng.Intn(3) > 0 {
 			v = e.Version
 		}
-		if op == 3 {
-			s.CommitRunning(name, config.Doc{"taskCount": 1}, v)
-		} else {
-			s.CommitRunningShared(name, decoded(docBlob(config.Doc{"taskCount": 1})), v)
+		// A blob alone (the store decodes its config) or a merge with
+		// its config; now and then a document that is no JobConfig.
+		d := config.Doc{"taskCount": rng.Intn(4)}
+		if rng.Intn(4) == 0 {
+			d = config.Doc{"taskCount": "many"}
+		}
+		m := committed(d)
+		if op == 4 {
+			m = decoded(m.Doc)
+		}
+		if err := s.CommitRunning(name, m, v); err != nil {
+			t.Errorf("CommitRunning %s: %v", name, err)
 		}
 		return fmt.Sprintf("CommitRunning %s v%d", name, v)
 	case 5:
@@ -193,4 +206,72 @@ func TestVersionLedgerConcurrentWriters(t *testing.T) {
 	close(stop)
 	walker.Wait()
 	checkLedger(t, s, names, "after concurrent writers")
+}
+
+// checkRunningReads holds the running-entry reads to one another for
+// every job of names: RunningEntry's config is the typed decode of
+// RunningDoc's blob (nil exactly when the blob is no JobConfig), both
+// report the same version, and GetRunningShared's document is the
+// blob's decode. It returns each running job's revision.
+func checkRunningReads(t *testing.T, s *Store, names []string, step string) map[string]int64 {
+	t.Helper()
+	revs := make(map[string]int64)
+	for _, name := range names {
+		m, version, ok := s.RunningDoc(name)
+		cfg, entryVersion, rev, entryOK := s.RunningEntry(name)
+		shared, sharedOK := s.GetRunningShared(name)
+		if ok != entryOK || ok != sharedOK {
+			t.Fatalf("%s: %s running in RunningDoc %v, RunningEntry %v, GetRunningShared %v", step, name, ok, entryOK, sharedOK)
+		}
+		if !ok {
+			continue
+		}
+		revs[name] = rev
+		if version != entryVersion || version != shared.Version {
+			t.Fatalf("%s: %s versions: RunningDoc %d, RunningEntry %d, GetRunningShared %d", step, name, version, entryVersion, shared.Version)
+		}
+		want, err := wire.DecodeJobConfigBlob(m.Doc)
+		if err != nil {
+			t.Fatalf("%s: %s holds a malformed blob: %v", step, name, err)
+		}
+		if cfg != m.Config || (cfg == nil) != (want == nil) || cfg != nil && !reflect.DeepEqual(*cfg, *want) {
+			t.Fatalf("%s: %s config %+v (RunningDoc's %p), want the blob's decode %+v", step, name, cfg, m.Config, want)
+		}
+		doc, err := m.Doc.Doc()
+		if err != nil || !reflect.DeepEqual(shared.Config, doc) {
+			t.Fatalf("%s: %s GetRunningShared = %v, want the blob's decode %v (%v)", step, name, shared.Config, doc, err)
+		}
+	}
+	return revs
+}
+
+// TestRunningReadsAgree: through random sequences of every write — among
+// them commits of a bare blob and of a merge with its config, drops and
+// Snapshot → Restore round trips — the running reads agree after every
+// op, a commit moves its job's revision past every revision issued
+// before, a restore restamps every entry so, and nothing else moves one.
+func TestRunningReadsAgree(t *testing.T) {
+	names := ledgerUniverse(24)
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := New()
+		prev := checkRunningReads(t, s, names, "empty store")
+		var issued int64 // the highest revision seen so far
+		for i := 0; i < 400; i++ {
+			op := randomLedgerOp(t, s, rng, names)
+			step := fmt.Sprintf("seed %d op %d (%s)", seed, i, op)
+			revs := checkRunningReads(t, s, names, step)
+			fields := strings.Fields(op)
+			for name, rev := range revs {
+				moved := fields[0] == "CommitRunning" && fields[1] == name || op == "Restore(Snapshot())"
+				if old, had := prev[name]; moved && rev <= issued || !moved && (!had || rev != old) {
+					t.Fatalf("%s: %s revision %d (was %d, present %v; highest issued %d)", step, name, rev, old, had, issued)
+				}
+			}
+			for _, rev := range revs {
+				issued = max(issued, rev)
+			}
+			prev = revs
+		}
+	}
 }

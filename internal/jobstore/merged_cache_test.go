@@ -21,11 +21,11 @@ func TestMergedExpectedCachedPerVersion(t *testing.T) {
 
 	// The first read of a version merges; every later one is served the
 	// same cached blob. A single layer's merge is that layer's blob.
-	m1, v1, err := s.MergedExpectedShared("j1")
+	m1, v1, err := s.MergedExpected("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := s.MergedExpectedShared("j1")
+	m2, _, err := s.MergedExpected("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,18 +36,18 @@ func TestMergedExpectedCachedPerVersion(t *testing.T) {
 		t.Fatal("a one-layer merge copied its layer")
 	}
 
-	// Callers of the decoding read own the returned doc: mutating it must
-	// not poison the cache.
-	c, _, err := s.MergedExpected("j1")
+	// A caller owns the document it decodes from the merge: mutating it
+	// must not poison the cache.
+	c, err := m1.Doc.Doc()
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SetPath("pkg.version", "corrupted")
-	d3, _, err := s.MergedExpected("j1")
+	m3, _, err := s.MergedExpected("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := d3.GetPath("pkg.version"); v != "v1" {
+	if v, _ := docOf(t, m3.Doc).GetPath("pkg.version"); v != "v1" {
 		t.Fatalf("caller mutation leaked into cache: pkg.version = %v", v)
 	}
 
@@ -62,7 +62,7 @@ func TestMergedExpectedCachedPerVersion(t *testing.T) {
 	if _, err := s.SetLayer("j1", config.LayerOncall, oncall, base, &merged); err != nil {
 		t.Fatal(err)
 	}
-	m4, v4, err := s.MergedExpectedShared("j1")
+	m4, v4, err := s.MergedExpected("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +75,14 @@ func TestMergedExpectedCachedPerVersion(t *testing.T) {
 	if _, err := s.SetLayer("j1", config.LayerOncall, docBlob(config.Doc{"pkg": config.Doc{"version": "v3"}}), Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
-	m5, _, err := s.MergedExpectedShared("j1")
+	m5, _, err := s.MergedExpected("j1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d, _ := m5.Doc.Doc(); d["pkg"].(config.Doc)["version"] != "v3" {
 		t.Fatalf("stale merge served after SetLayer: %v", d)
 	}
-	if m6, _, _ := s.MergedExpectedShared("j1"); !sameBlob(m5.Doc, m6.Doc) || m5.Config != m6.Config {
+	if m6, _, _ := s.MergedExpected("j1"); !sameBlob(m5.Doc, m6.Doc) || m5.Config != m6.Config {
 		t.Fatal("post-write reads merged more than once")
 	}
 }
@@ -136,7 +136,7 @@ func writeLayer(t *testing.T, s *Store, name string, layer config.Layer, edit fu
 func mergedMatchesStack(t *testing.T, s *Store, name, step string) bool {
 	t.Helper()
 	e, err := s.GetExpected(name)
-	got, v, mErr := s.MergedExpectedShared(name)
+	got, v, mErr := s.MergedExpected(name)
 	after, aErr := s.GetExpected(name)
 	if err != nil || mErr != nil || aErr != nil {
 		return errors.Is(err, ErrNotFound) && errors.Is(mErr, ErrNotFound) && errors.Is(aErr, ErrNotFound)
@@ -281,20 +281,22 @@ func TestMergedCacheEqualsStackConcurrent(t *testing.T) {
 	}
 }
 
-func TestRunningRevisionMovesOnEveryCommit(t *testing.T) {
+// TestEntryRevisionMovesOnEveryCommit: RunningEntry's revision moves on
+// every commit, and Restore restamps it.
+func TestEntryRevisionMovesOnEveryCommit(t *testing.T) {
 	s := New()
-	if _, ok := s.RunningRevision("ghost"); ok {
+	if _, _, _, ok := s.RunningEntry("ghost"); ok {
 		t.Fatal("revision for missing job")
 	}
-	s.CommitRunning("j1", config.Doc{"taskCount": 1}, 1)
-	r1, ok := s.RunningRevision("j1")
+	s.CommitRunning("j1", committed(config.Doc{"taskCount": 1}), 1)
+	_, _, r1, ok := s.RunningEntry("j1")
 	if !ok {
 		t.Fatal("no revision after commit")
 	}
 	// Re-committing the SAME version (even the same content) must move the
 	// revision: caches keyed on it can never serve a stale config.
-	s.CommitRunning("j1", config.Doc{"taskCount": 1}, 1)
-	r2, _ := s.RunningRevision("j1")
+	s.CommitRunning("j1", committed(config.Doc{"taskCount": 1}), 1)
+	_, _, r2, _ := s.RunningEntry("j1")
 	if r2 <= r1 {
 		t.Fatalf("revision did not advance: %d -> %d", r1, r2)
 	}
@@ -308,7 +310,7 @@ func TestRunningRevisionMovesOnEveryCommit(t *testing.T) {
 	if err := s2.Restore(data); err != nil {
 		t.Fatal(err)
 	}
-	if r, ok := s2.RunningRevision("j1"); !ok || r == 0 {
+	if _, _, r, ok := s2.RunningEntry("j1"); !ok || r == 0 {
 		t.Fatalf("restored revision = %d, ok=%v; want fresh nonzero", r, ok)
 	}
 }

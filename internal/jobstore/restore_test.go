@@ -1,0 +1,128 @@
+package jobstore
+
+import (
+	"bytes"
+	"os"
+	"testing"
+
+	"repro/internal/config"
+)
+
+// nullEntrySnapshots name jobs whose entries hold nothing: a null expected
+// or running entry, or a running entry without a document.
+var nullEntrySnapshots = []string{
+	`{"schema":4,"expected":{},"running":{"j":null},"quarantined":{}}`,
+	`{"schema":4,"expected":{"j":null},"running":{},"quarantined":{}}`,
+	`{"schema":4,"expected":{"j":null},"running":{"j":{"Config":{"taskCount":1},"Version":1}}}`,
+	`{"schema":4,"running":{"j":{"Config":null,"Version":1}}}`,
+	`{"expected":{"j":null}}`,
+}
+
+// residentStore is a store with one converged job, one job awaiting its
+// first commit and one quarantined job with a failure streak.
+func residentStore(t testing.TB) *Store {
+	t.Helper()
+	s := New()
+	for _, name := range []string{"keep", "pending", "parked"} {
+		if err := s.Create(name, docBlob(config.Doc{"name": name, "taskCount": 2}), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, v, err := s.MergedExpected("keep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.CommitRunning("keep", m, v); err != nil {
+		t.Fatal(err)
+	}
+	s.SetQuarantine("parked", "test")
+	s.UpdateSyncState("parked", func(ss *SyncState) { ss.FailureStreak = 3 })
+	return s
+}
+
+func snapshotOf(t testing.TB, s *Store) []byte {
+	t.Helper()
+	data, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	return data
+}
+
+// TestRestoreRejectsNullEntries: Restore refuses a snapshot with a job
+// whose entry holds nothing before it touches the store, which keeps its
+// contents and its locks: reads and writes go on working.
+func TestRestoreRejectsNullEntries(t *testing.T) {
+	for _, snap := range nullEntrySnapshots {
+		s := residentStore(t)
+		before := snapshotOf(t, s)
+		if err := s.Restore([]byte(snap)); err == nil {
+			t.Errorf("%s: restored", snap)
+			continue
+		}
+		if after := snapshotOf(t, s); !bytes.Equal(before, after) {
+			t.Errorf("%s: a rejected restore changed the store:\n%s", snap, after)
+		}
+		m, v, err := s.MergedExpected("pending")
+		if err != nil {
+			t.Fatalf("%s: MergedExpected after a rejected restore: %v", snap, err)
+		}
+		if err := s.CommitRunning("pending", m, v); err != nil {
+			t.Fatalf("%s: CommitRunning after a rejected restore: %v", snap, err)
+		}
+	}
+}
+
+// readAll reads every job of s through each per-job read, none of which
+// may panic on a restored store.
+func readAll(s *Store) {
+	for _, name := range s.ExpectedNames() {
+		s.GetExpected(name)
+		s.MergedExpected(name)
+		s.PlanViewOf(name)
+	}
+	for _, name := range s.RunningNames() {
+		s.RunningDoc(name)
+		s.RunningEntry(name)
+		s.GetRunningShared(name)
+	}
+	s.DivergedRangeInto(0, NumStripes, nil)
+}
+
+// FuzzRestore holds Restore, the snapshot-file boundary LoadFile feeds,
+// to its contract on any bytes: either it returns an error and the
+// store's Snapshot is what it was, or it succeeds, every read works on
+// what it restored, and Snapshot → Restore → Snapshot is byte-identical.
+func FuzzRestore(f *testing.F) {
+	for _, snap := range nullEntrySnapshots {
+		f.Add([]byte(snap))
+	}
+	golden, err := os.ReadFile("../jobservice/testdata/schema4_snapshot.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte(`{"schema":2,"expected":{"j":{"Layers":[{"taskCount":1},null,null,null],"Version":2}},` +
+		`"running":{"j":{"Config":{"taskCount":1},"Version":1}},"quarantined":{},"dirty":["j"],` +
+		`"sync":{"j":{"failureStreak":1,"nextRetryAt":"2026-01-01T00:00:00Z","followUps":["resume"]}}}`))
+	f.Add([]byte(`{"schema":3,"expected":{},"running":{},"quarantined":{"q":{"Reason":"r"}},` +
+		`"shardLeases":[{"shard":1,"holder":"node-1","epoch":2,"expires":"2026-01-01T00:02:00Z"}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := residentStore(t)
+		before := snapshotOf(t, s)
+		if err := s.Restore(data); err != nil {
+			if after := snapshotOf(t, s); !bytes.Equal(before, after) {
+				t.Fatalf("rejected restore (%v) changed the store:\n%s", err, after)
+			}
+			return
+		}
+		readAll(s)
+		first := snapshotOf(t, s)
+		if err := s.Restore(first); err != nil {
+			t.Fatalf("Restore of its own Snapshot: %v\n%s", err, first)
+		}
+		if second := snapshotOf(t, s); !bytes.Equal(first, second) {
+			t.Fatalf("Snapshot → Restore → Snapshot differs:\n%s\n---\n%s", first, second)
+		}
+	})
+}

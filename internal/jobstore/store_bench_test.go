@@ -32,37 +32,8 @@ func benchStore(b *testing.B, n int) *Store {
 
 // BenchmarkCommitRunningFanIn measures concurrent CommitRunning calls
 // across distinct jobs — the State Syncer's batched simple-sync commit
-// path under parallelism.
+// path under parallelism, committing a merge with its config.
 func BenchmarkCommitRunningFanIn(b *testing.B) {
-	s := benchStore(b, 50_000)
-	cfg := config.Doc{"taskCount": 4, "package": config.Doc{"version": "v2"}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			s.CommitRunning(fmt.Sprintf("j%05d", i%50_000), cfg, 1)
-			i++
-		}
-	})
-}
-
-// BenchmarkMergedExpectedHit measures the per-version cache hit path of
-// MergedExpected (clones the cached doc for the caller).
-func BenchmarkMergedExpectedHit(b *testing.B) {
-	s := benchStore(b, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.MergedExpected(fmt.Sprintf("j%05d", i%1024)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCommitRunningSharedFanIn is the fan-in without the defensive
-// copy — the syncer's batched simple-commit write as it actually runs.
-func BenchmarkCommitRunningSharedFanIn(b *testing.B) {
 	s := benchStore(b, 50_000)
 	names := make([]string, 50_000)
 	for i := range names {
@@ -74,15 +45,15 @@ func BenchmarkCommitRunningSharedFanIn(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {
-			s.CommitRunningShared(names[i%50_000], cfg, 1)
+			s.CommitRunning(names[i%50_000], cfg, 1)
 			i++
 		}
 	})
 }
 
-// BenchmarkMergedExpectedSharedHit measures the clone-free cache-hit read
-// the State Syncer performs per examined job.
-func BenchmarkMergedExpectedSharedHit(b *testing.B) {
+// BenchmarkMergedExpectedHit measures the clone-free cache-hit read the
+// State Syncer performs per examined job.
+func BenchmarkMergedExpectedHit(b *testing.B) {
 	s := benchStore(b, 1024)
 	names := make([]string, 1024)
 	for i := range names {
@@ -91,7 +62,7 @@ func BenchmarkMergedExpectedSharedHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.MergedExpectedShared(names[i%1024]); err != nil {
+		if _, _, err := s.MergedExpected(names[i%1024]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -34,8 +34,8 @@ func TestDivergedSetSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("Create", "a", "b")
-	s.CommitRunning("a", config.Doc{"taskCount": 1}, 1)
-	s.CommitRunning("b", config.Doc{"taskCount": 1}, 1)
+	s.CommitRunning("a", committed(config.Doc{"taskCount": 1}), 1)
+	s.CommitRunning("b", committed(config.Doc{"taskCount": 1}), 1)
 	check("CommitRunning")
 
 	// A layer write diverges the job until a commit realizes its version;
@@ -44,9 +44,9 @@ func TestDivergedSetSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("SetLayer", "a")
-	s.CommitRunning("a", config.Doc{"taskCount": 1}, 1)
+	s.CommitRunning("a", committed(config.Doc{"taskCount": 1}), 1)
 	check("a stale CommitRunning", "a")
-	s.CommitRunning("a", config.Doc{"taskCount": 2}, 2)
+	s.CommitRunning("a", committed(config.Doc{"taskCount": 2}), 2)
 	check("CommitRunning")
 
 	// Quarantine does not move the set, either way.
@@ -89,7 +89,7 @@ func TestDivergedSetSemantics(t *testing.T) {
 func TestNameSnapshotsAreCopyOnWrite(t *testing.T) {
 	s := New()
 	for i := 0; i < 100; i++ {
-		s.CommitRunning(fmt.Sprintf("j%03d", i), config.Doc{"taskCount": 1}, 1)
+		s.CommitRunning(fmt.Sprintf("j%03d", i), committed(config.Doc{"taskCount": 1}), 1)
 	}
 	a := s.RunningNames()
 	bnames := s.RunningNames()
@@ -99,7 +99,7 @@ func TestNameSnapshotsAreCopyOnWrite(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { s.RunningNames() }); allocs != 0 {
 		t.Fatalf("steady-state RunningNames allocates %v per call, want 0", allocs)
 	}
-	s.CommitRunning("zzz", config.Doc{"taskCount": 1}, 1)
+	s.CommitRunning("zzz", committed(config.Doc{"taskCount": 1}), 1)
 	c := s.RunningNames()
 	if len(c) != 101 || c[100] != "zzz" {
 		t.Fatalf("snapshot after a first commit = len %d, last %q", len(c), c[len(c)-1])
@@ -107,7 +107,7 @@ func TestNameSnapshotsAreCopyOnWrite(t *testing.T) {
 	if len(a) != 100 {
 		t.Fatalf("old snapshot mutated: len %d, want 100", len(a))
 	}
-	s.CommitRunning("j000", config.Doc{"taskCount": 2}, 2) // re-commit: name set unchanged
+	s.CommitRunning("j000", committed(config.Doc{"taskCount": 2}), 2) // re-commit: name set unchanged
 	if d := s.RunningNames(); &c[0] != &d[0] {
 		t.Fatal("re-commit of an existing job must not invalidate the name snapshot")
 	}
@@ -142,17 +142,17 @@ func TestSharedDocsAvoidCloning(t *testing.T) {
 	if err := s.Create("j", docBlob(config.Doc{"taskCount": 4, "package": config.Doc{"version": "v1"}}), nil); err != nil {
 		t.Fatal(err)
 	}
-	m1, v1, err := s.MergedExpectedShared("j")
+	m1, v1, err := s.MergedExpected("j")
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, v2, err := s.MergedExpectedShared("j")
+	m2, v2, err := s.MergedExpected("j")
 	if err != nil {
 		t.Fatal(err)
 	}
 	d1, d2 := m1.Doc, m2.Doc
 	if v1 != v2 || !sameBlob(d1, d2) || m1.Config != m2.Config {
-		t.Fatal("MergedExpectedShared must return the cached blob and config themselves on a hit")
+		t.Fatal("MergedExpected must return the cached blob and config themselves on a hit")
 	}
 	before := bytes.Clone(d1)
 
@@ -160,7 +160,7 @@ func TestSharedDocsAvoidCloning(t *testing.T) {
 	if _, err := s.SetLayer("j", config.LayerOncall, docBlob(config.Doc{}.SetPath("package.version", "v2")), Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
-	m3, _, err := s.MergedExpectedShared("j")
+	m3, _, err := s.MergedExpected("j")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +175,8 @@ func TestSharedDocsAvoidCloning(t *testing.T) {
 		t.Fatalf("new shared config = %v, want v2", got)
 	}
 
-	// CommitRunningShared stores the blob itself; RunningDoc hands it back.
-	s.CommitRunningShared("j", m3, 2)
+	// CommitRunning stores the blob itself; RunningDoc hands it back.
+	s.CommitRunning("j", m3, 2)
 	r, _, ok := s.RunningDoc("j")
 	if !ok {
 		t.Fatal("running entry missing")
@@ -184,16 +184,11 @@ func TestSharedDocsAvoidCloning(t *testing.T) {
 	if !sameBlob(r.Doc, d3) || r.Config != m3.Config {
 		t.Fatal("RunningDoc must return the committed blob and config without copying")
 	}
-	// GetRunningShared decodes the entry once and shares the document;
-	// GetRunning decodes a document of the caller's own.
+	// GetRunningShared decodes the entry once and shares the document.
 	sh1, _ := s.GetRunningShared("j")
 	sh2, _ := s.GetRunningShared("j")
 	if got, _ := sh1.Config.GetPath("package.version"); got != "v2" || reflect.ValueOf(sh1.Config).Pointer() != reflect.ValueOf(sh2.Config).Pointer() {
 		t.Fatalf("GetRunningShared = %v then another document; want package.version v2, shared", sh1.Config)
-	}
-	rc, _ := s.GetRunning("j")
-	if got, _ := rc.Config.GetPath("package.version"); got != "v2" || reflect.ValueOf(rc.Config).Pointer() == reflect.ValueOf(sh1.Config).Pointer() {
-		t.Fatalf("GetRunning = %v, want package.version v2 in a document of its own", rc.Config)
 	}
 }
 
@@ -202,8 +197,8 @@ func TestRestoreRebuildsDivergedSetAndRestampsRevisions(t *testing.T) {
 	if err := s.Create("keep", docBlob(config.Doc{"taskCount": 1}), nil); err != nil {
 		t.Fatal(err)
 	}
-	s.CommitRunning("keep", config.Doc{"taskCount": 1}, 1)
-	s.CommitRunning("orphan", config.Doc{"taskCount": 1}, 1) // deleted-while-down shape
+	s.CommitRunning("keep", committed(config.Doc{"taskCount": 1}), 1)
+	s.CommitRunning("orphan", committed(config.Doc{"taskCount": 1}), 1) // deleted-while-down shape
 	data, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -220,8 +215,8 @@ func TestRestoreRebuildsDivergedSetAndRestampsRevisions(t *testing.T) {
 	if got := divergedAll(s2); !reflect.DeepEqual(got, []string{"orphan"}) {
 		t.Fatalf("diverged set after Restore = %v, want [orphan]", got)
 	}
-	rev1, ok1 := s2.RunningRevision("keep")
-	rev2, ok2 := s2.RunningRevision("orphan")
+	_, _, rev1, ok1 := s2.RunningEntry("keep")
+	_, _, rev2, ok2 := s2.RunningEntry("orphan")
 	if !ok1 || !ok2 || rev1 == rev2 || rev1 <= 0 || rev2 <= 0 {
 		t.Fatalf("restored revisions = %d,%d; want distinct positive", rev1, rev2)
 	}
@@ -265,15 +260,15 @@ func TestConcurrentFanIn(t *testing.T) {
 				case 0:
 					s.SetLayer(name, config.LayerScaler, docBlob(config.Doc{"taskCount": i}), Expected{Version: AnyVersion}, nil)
 				case 1:
-					if doc, v, err := s.MergedExpectedShared(name); err == nil {
-						s.CommitRunningShared(name, doc, v)
+					if doc, v, err := s.MergedExpected(name); err == nil {
+						s.CommitRunning(name, doc, v)
 					}
 				case 2:
 					s.ExpectedNames()
 					s.RunningNames()
 				case 3:
 					s.GetRunningShared(name)
-					s.RunningRevision(name)
+					s.RunningEntry(name)
 				case 4:
 					divergedAll(s)
 				}

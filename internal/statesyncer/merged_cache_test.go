@@ -32,7 +32,7 @@ func TestRoundsReuseCachedMerges(t *testing.T) {
 	merged := func() []wire.Blob {
 		var docs []wire.Blob
 		for _, name := range []string{"a", "b", "c"} {
-			m, _, err := svc.Store().MergedExpectedShared(name)
+			m, _, err := svc.Store().MergedExpected(name)
 			if err != nil {
 				t.Fatal(err)
 			}

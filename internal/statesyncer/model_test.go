@@ -16,6 +16,7 @@ import (
 	"repro/internal/jobstore"
 	"repro/internal/simclock"
 	"repro/internal/taskservice"
+	"repro/internal/wire"
 )
 
 // The State Syncer's executable spec: the control plane of §III-B as one
@@ -119,7 +120,7 @@ func (m *model) apply(o op) bool {
 		if j.exp {
 			return false
 		}
-		base, _ := traceConfig(o).ToDoc()
+		base, _ := wire.JobConfigBlob(traceConfig(o)).Doc()
 		// One above a running version left by a namesake; 1 if there is none.
 		j.exp, j.layers, j.version, j.quarantine = true, [4]config.Doc{base}, j.runVer+1, ""
 	case o.kind == "clearq":

@@ -60,7 +60,7 @@ func TestComplexSyncPhaseOrdering(t *testing.T) {
 	act := &orderingActuator{}
 	syncer := New(svc.Store(), act, clk, Options{})
 	act.observe = func() string {
-		r, ok := svc.Store().GetRunning("j1")
+		r, ok := svc.Store().GetRunningShared("j1")
 		if !ok {
 			return "none"
 		}
@@ -104,7 +104,7 @@ func TestResumeFailureRetriesWithoutRecommit(t *testing.T) {
 	if len(res.Failed) != 1 {
 		t.Fatalf("round = %+v", res)
 	}
-	r, ok := svc.Store().GetRunning("j1")
+	r, ok := svc.Store().GetRunningShared("j1")
 	if !ok {
 		t.Fatal("commit lost")
 	}

@@ -198,7 +198,7 @@ func TestShardedLeaseStealConvergence(t *testing.T) {
 	if !nodes[1].Killed() {
 		t.Fatal("crash driver did not fire")
 	}
-	if r, ok := store.GetRunning(slice1[0]); !ok {
+	if r, ok := store.GetRunningShared(slice1[0]); !ok {
 		t.Fatal("the crashing round's commit did not land")
 	} else if v, _ := r.Config.GetPath("package.version"); v != "v2" {
 		t.Fatalf("the crashing round's commit did not land: running package.version = %v", v)
@@ -241,7 +241,7 @@ func TestShardedLeaseStealConvergence(t *testing.T) {
 		t.Fatalf("slice 1 lease = %+v, want holder %s epoch 2", l, thief.ID())
 	}
 	for _, name := range slice1 {
-		r, ok := store.GetRunning(name)
+		r, ok := store.GetRunningShared(name)
 		if !ok {
 			t.Fatalf("job %s not running after the steal", name)
 		}
@@ -312,8 +312,7 @@ func TestResyncRoundSyncsOnlyItsSlice(t *testing.T) {
 		t.Fatalf("slice %d still diverged after its first round: %v", slice, left)
 	}
 	for _, name := range victims {
-		v := store.PlanViewOf(name)
-		converged := v.HasRunning && v.RunningVersion == v.ExpectedVersion
+		converged := store.PlanViewOf(name).Converged
 		if inSlice := SliceOfName(name, shards) == slice; converged != inSlice {
 			t.Fatalf("%s (slice %d) converged=%v after slice %d's round", name, SliceOfName(name, shards), converged, slice)
 		}

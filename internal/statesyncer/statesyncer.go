@@ -403,10 +403,10 @@ func (s *Syncer) buildPlan(job string, merged jobstore.Merged, version int64, dd
 	// Version short-circuit: the running entry records which expected
 	// version it realizes. If that hasn't moved, there is nothing to
 	// diff — the common case for tens of thousands of converged jobs.
-	if rv, ok := s.store.RunningVersion(job); ok && rv == version {
+	running, rv, hasRunning := s.store.RunningDoc(job)
+	if hasRunning && rv == version {
 		return Plan{Job: job, Kind: PlanNoop}
 	}
-	running, _, hasRunning := s.store.RunningDoc(job)
 	var changes []wire.Change
 	if hasRunning {
 		var err error
@@ -417,7 +417,7 @@ func (s *Syncer) buildPlan(job string, merged jobstore.Merged, version int64, dd
 			// Content equal even though the version moved (e.g. an
 			// override written and reverted): commit the version so
 			// future rounds take the fast path.
-			if err := s.store.CommitRunningShared(job, merged, version); err != nil {
+			if err := s.store.CommitRunning(job, merged, version); err != nil {
 				return Plan{Job: job, Kind: PlanNoop, commitErr: fmt.Errorf("%s: commit: %w", job, err)}
 			}
 			return Plan{Job: job, Kind: PlanNoop}
@@ -504,10 +504,10 @@ func (s *Syncer) executePlan(p Plan) error {
 		s.setResumePending(p.Job, true)
 	}
 	if p.commit.Doc != nil {
-		// The shared commit: merged came from MergedExpectedShared and is
-		// immutable, so the store keeps the blob and config themselves —
-		// no copy, no decode.
-		if err := s.store.CommitRunningShared(p.Job, p.commit, p.commitVersion); err != nil {
+		// The plan's merge came from MergedExpected and is immutable, so
+		// the store keeps the blob and config themselves — no copy, no
+		// decode.
+		if err := s.store.CommitRunning(p.Job, p.commit, p.commitVersion); err != nil {
 			if s.dead() {
 				return errKilled
 			}
@@ -601,10 +601,10 @@ func (s *Syncer) planJob(job string, now time.Time, dd *wire.Differ, replayed bo
 		return planned{plan: Plan{Job: job, Kind: PlanNoop}}
 	}
 	// Cheap convergence check before merging the full layer stack.
-	if v.HasRunning && v.RunningVersion == v.ExpectedVersion {
+	if v.Converged {
 		return planned{plan: Plan{Job: job, Kind: PlanNoop}}
 	}
-	merged, version, err := s.store.MergedExpectedShared(job)
+	merged, version, err := s.store.MergedExpected(job)
 	if err != nil {
 		// Deleted between the version read and the merge: the job stays
 		// diverged, so the next round tears it down.

@@ -111,7 +111,7 @@ func newWorld(t *testing.T, opts Options) (*jobservice.Service, *Syncer, *fakeAc
 // normalizing numeric JSON representations the way real consumers do.
 func runningTaskCount(t *testing.T, svc *jobservice.Service, job string) int {
 	t.Helper()
-	r, ok := svc.Store().GetRunning(job)
+	r, ok := svc.Store().GetRunningShared(job)
 	if !ok {
 		t.Fatalf("no running entry for %s", job)
 	}
@@ -130,7 +130,7 @@ func TestNewJobSyncsSimple(t *testing.T) {
 	if res.Simple != 1 || res.Complex != 0 {
 		t.Fatalf("round = %+v", res)
 	}
-	r, ok := svc.Store().GetRunning("j1")
+	r, ok := svc.Store().GetRunningShared("j1")
 	if !ok {
 		t.Fatal("running entry not committed")
 	}
@@ -160,7 +160,7 @@ func TestPackageReleaseIsSimpleSync(t *testing.T) {
 	if len(act.stops) != 0 {
 		t.Fatal("simple sync stopped tasks")
 	}
-	r, _ := svc.Store().GetRunning("j1")
+	r, _ := svc.Store().GetRunningShared("j1")
 	if v, _ := r.Config.GetPath("package.version"); v != "v2" {
 		t.Fatalf("running package.version = %v", v)
 	}
@@ -315,7 +315,7 @@ func TestDeletedJobTearDown(t *testing.T) {
 	if act.stopCount("j1") != 1 {
 		t.Fatal("deleted job's tasks not stopped")
 	}
-	if _, ok := svc.Store().GetRunning("j1"); ok {
+	if _, ok := svc.Store().GetRunningShared("j1"); ok {
 		t.Fatal("running entry survived delete sync")
 	}
 }
@@ -331,7 +331,7 @@ func TestDeleteTearDownRetriesOnFailure(t *testing.T) {
 	if res.Deleted != 0 || len(res.Failed) != 1 {
 		t.Fatalf("round = %+v", res)
 	}
-	if _, ok := svc.Store().GetRunning("j1"); !ok {
+	if _, ok := svc.Store().GetRunningShared("j1"); !ok {
 		t.Fatal("running dropped despite stop failure")
 	}
 	res = syncer.RunRound()
@@ -385,11 +385,11 @@ func TestPeriodicRoundsOnClock(t *testing.T) {
 	node.Start()
 	defer node.Stop()
 	clk.RunFor(29 * time.Second)
-	if _, ok := store.GetRunning("j1"); ok {
+	if _, ok := store.GetRunningShared("j1"); ok {
 		t.Fatal("synced before first interval")
 	}
 	clk.RunFor(2 * time.Second)
-	if _, ok := store.GetRunning("j1"); !ok {
+	if _, ok := store.GetRunningShared("j1"); !ok {
 		t.Fatal("not synced after interval")
 	}
 	if got := node.Stats().Rounds; got != 1 {
@@ -403,7 +403,7 @@ func TestPeriodicRoundsOnClock(t *testing.T) {
 func TestBuildPlanKinds(t *testing.T) {
 	svc, syncer, _, _ := newWorld(t, Options{})
 	svc.Provision(validConfig("j1"))
-	merged, version, _ := svc.Store().MergedExpectedShared("j1")
+	merged, version, _ := svc.Store().MergedExpected("j1")
 
 	// No running entry: simple (fresh start).
 	p := syncer.BuildPlan("j1", merged, version)
@@ -420,7 +420,7 @@ func TestBuildPlanKinds(t *testing.T) {
 
 	// taskCount change: complex with 2 ordered actions.
 	svc.SetTaskCount("j1", config.LayerScaler, 16)
-	merged, version, _ = svc.Store().MergedExpectedShared("j1")
+	merged, version, _ = svc.Store().MergedExpected("j1")
 	p = syncer.BuildPlan("j1", merged, version)
 	if p.Kind != PlanComplex || len(p.Actions) != 2 {
 		t.Fatalf("plan = %+v", p)

@@ -469,10 +469,7 @@ func (h *churnHarness) commit(name string, j *churnJob) {
 		Operator:       config.OpTailer,
 		Input:          config.Input{Category: name + "_in", Partitions: 12},
 	}
-	doc, err := cfg.ToDoc()
-	if err != nil {
-		h.t.Fatal(err)
-	}
+	doc := runningOf(cfg)
 	j.rev++
 	if err := h.w.store.CommitRunning(name, doc, j.rev); err != nil {
 		h.t.Fatal(err)

@@ -63,10 +63,7 @@ func TestManagerBytesPerTask(t *testing.T) {
 			Operator:       config.OpTailer,
 			Input:          config.Input{Category: name + "_in", Partitions: tasksPer},
 		}
-		doc, err := cfg.ToDoc()
-		if err != nil {
-			t.Fatal(err)
-		}
+		doc := runningOf(cfg)
 		if err := store.CommitRunning(name, doc, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -163,10 +160,7 @@ func TestRetainedIndexPinsNoFleetGeneration(t *testing.T) {
 				Operator:       config.OpTailer,
 				Input:          config.Input{Category: name + "_in", Partitions: tasksPer},
 			}
-			doc, err := cfg.ToDoc()
-			if err != nil {
-				t.Fatal(err)
-			}
+			doc := runningOf(cfg)
 			if err := w.store.CommitRunning(name, doc, version); err != nil {
 				t.Fatal(err)
 			}

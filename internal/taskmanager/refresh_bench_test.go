@@ -198,10 +198,7 @@ func newBenchFleet(b *testing.B, jobs, tasksPer, containers, numShards int) *ben
 			Operator:       config.OpTailer,
 			Input:          config.Input{Category: name + "_in", Partitions: tasksPer},
 		}
-		doc, err := cfg.ToDoc()
-		if err != nil {
-			b.Fatal(err)
-		}
+		doc := runningOf(cfg)
 		if err := store.CommitRunning(name, doc, version); err != nil {
 			b.Fatal(err)
 		}

@@ -46,16 +46,13 @@ func (w *world) moves() (n int) {
 // had its way with it, and invalidates the snapshot cache.
 func (w *world) recommit(t *testing.T, job string, version int64, mutate func(*config.JobConfig)) {
 	t.Helper()
-	r, _ := w.store.GetRunning(job)
+	r, _ := w.store.GetRunningShared(job)
 	cfg, err := config.JobConfigFromDoc(r.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mutate(cfg)
-	doc, err := cfg.ToDoc()
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := runningOf(cfg)
 	w.store.CommitRunning(job, doc, version)
 	w.ts.Invalidate()
 }

@@ -13,9 +13,16 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/taskservice"
 	"repro/internal/tupperware"
+	"repro/internal/wire"
 )
 
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// runningOf is cfg as a running commit, encoded as the Job Service
+// encodes a config: the store decodes it.
+func runningOf(cfg *config.JobConfig) jobstore.Merged {
+	return jobstore.Merged{Doc: wire.JobConfigBlob(cfg)}
+}
 
 // world wires a minimal Task Management stack: job store → task service →
 // shard manager → N task managers on a tupperware cluster.
@@ -89,10 +96,7 @@ func (w *world) addJob(t *testing.T, name string, tasks, partitions int) {
 	if err := w.bus.CreateCategory(name+"_in", partitions); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := cfg.ToDoc()
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := runningOf(cfg)
 	w.store.CommitRunning(name, doc, 1)
 	w.ts.Invalidate()
 }
@@ -169,10 +173,10 @@ func TestSpecChangeRestartsTask(t *testing.T) {
 		t.Fatalf("restarts before change = %d", before)
 	}
 	// Package bump: same task identity, different spec.
-	r, _ := w.store.GetRunning("j1")
+	r, _ := w.store.GetRunningShared("j1")
 	cfg, _ := config.JobConfigFromDoc(r.Config)
 	cfg.Package.Version = "v2"
-	doc, _ := cfg.ToDoc()
+	doc := runningOf(cfg)
 	w.store.CommitRunning("j1", doc, 2)
 	w.ts.Invalidate()
 	w.refreshAll()
@@ -348,7 +352,7 @@ func TestWithoutProactiveTimeoutDuplicatesWouldOccur(t *testing.T) {
 		Input:         config.Input{Category: "j1_in", Partitions: 8},
 	}
 	bus.CreateCategory("j1_in", 8)
-	doc, _ := cfg.ToDoc()
+	doc := runningOf(cfg)
 	store.CommitRunning("j1", doc, 1)
 	ts.Invalidate()
 	for _, tm := range tms {
@@ -400,7 +404,7 @@ func TestOOMKillsCounted(t *testing.T) {
 		Enforcement:   config.EnforceCgroup,
 	}
 	w.bus.CreateCategory("j1_in", 2)
-	doc, _ := cfg.ToDoc()
+	doc := runningOf(cfg)
 	w.store.CommitRunning("j1", doc, 1)
 	w.ts.Invalidate()
 	w.refreshAll()

@@ -116,7 +116,7 @@ func TestHeartbeatTimeoutCountsTowardProactiveReboot(t *testing.T) {
 		Input:         config.Input{Category: "j1_in", Partitions: 8},
 	}
 	bus.CreateCategory("j1_in", 8)
-	doc, _ := cfg.ToDoc()
+	doc := runningOf(cfg)
 	store.CommitRunning("j1", doc, 1)
 	ts.Invalidate()
 	for _, tm := range tms {

@@ -68,10 +68,7 @@ func TestReportLoadsUsesWindowedMean(t *testing.T) {
 	if err := bus.CreateCategory("wj_in", 4); err != nil {
 		t.Fatal(err)
 	}
-	doc, err := cfg.ToDoc()
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := runningOf(cfg)
 	// Sample a few idle ticks first: the container owns its shards but
 	// runs nothing yet, so zero-usage points land in the window.
 	for i := 0; i < 3; i++ {

@@ -2,6 +2,7 @@ package taskservice
 
 import (
 	"repro/internal/config"
+	"repro/internal/jobstore"
 	"repro/internal/wire"
 )
 
@@ -12,4 +13,16 @@ func docBlob(d config.Doc) wire.Blob {
 		panic(err)
 	}
 	return b
+}
+
+// committed is a test document as a running commit: the store decodes
+// its config.
+func committed(d config.Doc) jobstore.Merged {
+	return jobstore.Merged{Doc: docBlob(d)}
+}
+
+// runningOf is cfg as a running commit, encoded as the Job Service
+// encodes a config: the store decodes it.
+func runningOf(cfg *config.JobConfig) jobstore.Merged {
+	return jobstore.Merged{Doc: wire.JobConfigBlob(cfg)}
 }

@@ -465,14 +465,6 @@ func (r *replica) RunningNames() []string {
 	return names
 }
 
-// RunningRevision returns a job's local revision.
-func (r *replica) RunningRevision(name string) (int64, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	row, ok := r.rows[name]
-	return row.rev, ok
-}
-
 // RunningEntry returns a job's replicated config, the version it
 // realizes and its local revision.
 func (r *replica) RunningEntry(name string) (*config.JobConfig, int64, int64, bool) {

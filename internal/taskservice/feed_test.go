@@ -61,7 +61,7 @@ func newFeedHarness(t *testing.T, shards int) *feedHarness {
 
 func (h *feedHarness) commit(t *testing.T, name string, tasks, version int) {
 	t.Helper()
-	if err := h.store.CommitRunning(name, feedJobDoc(name, tasks, version), int64(version)); err != nil {
+	if err := h.store.CommitRunning(name, committed(feedJobDoc(name, tasks, version)), int64(version)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -107,7 +107,7 @@ func TestFeedClientMirrorsFleet(t *testing.T) {
 func TestFeedNoJobConfigRunsNoTasks(t *testing.T) {
 	h := newFeedHarness(t, 8)
 	h.commit(t, "jobs/a", 4, 1)
-	if err := h.store.CommitRunning("jobs/b", config.Doc{"taskCount": "four"}, 1); err != nil {
+	if err := h.store.CommitRunning("jobs/b", committed(config.Doc{"taskCount": "four"}), 1); err != nil {
 		t.Fatal(err)
 	}
 	h.mustConverge(t)

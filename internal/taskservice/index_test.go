@@ -21,10 +21,7 @@ import (
 
 func commitJob(t testing.TB, store *jobstore.Store, name string, tasks int, version int64) {
 	t.Helper()
-	doc, err := jobCfg(name, tasks).ToDoc()
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := runningOf(jobCfg(name, tasks))
 	store.CommitRunning(name, doc, version)
 }
 
@@ -53,20 +50,14 @@ func TestIncrementalRegenerationMatchesFromScratch(t *testing.T) {
 		name := fmt.Sprintf("job%02d", j)
 		cfg := jobCfg(name, 1+j%5)
 		cfg.Package.Version = "v9"
-		doc, err := cfg.ToDoc()
-		if err != nil {
-			t.Fatal(err)
-		}
+		doc := runningOf(cfg)
 		store.CommitRunning(name, doc, 2)
 	}
 	store.DropRunning("job15")
 	commitJob(t, store, "job99", 4, 1)
 	stopped := jobCfg("job07", 2)
 	stopped.Stopped = true
-	doc, err := stopped.ToDoc()
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := runningOf(stopped)
 	store.CommitRunning("job07", doc, 2)
 
 	svc.Invalidate()
@@ -123,10 +114,7 @@ func TestIncrementalRegenerationRebuildsOnlyChangedJobs(t *testing.T) {
 	// bucket.
 	cfg := jobCfg("job20", tasks)
 	cfg.Package.Version = "v9"
-	doc, err := cfg.ToDoc()
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := runningOf(cfg)
 	store.CommitRunning("job20", doc, 2)
 	svc.Invalidate()
 	idx1 := svc.Index()
@@ -239,10 +227,7 @@ func TestRebuildKeepsFreshGroupShape(t *testing.T) {
 	cfgs := make([]*config.JobConfig, 24)
 	rev := int64(0)
 	commit := func(cfg *config.JobConfig) {
-		doc, err := cfg.ToDoc()
-		if err != nil {
-			t.Fatal(err)
-		}
+		doc := runningOf(cfg)
 		rev++
 		if err := store.CommitRunning(cfg.Name, doc, rev); err != nil {
 			t.Fatal(err)
@@ -450,10 +435,7 @@ func TestJobShardsInvertsShardSpecs(t *testing.T) {
 	step("stopped", func() {
 		cfg := jobCfg("a", 1)
 		cfg.Stopped = true
-		doc, err := cfg.ToDoc()
-		if err != nil {
-			t.Fatal(err)
-		}
+		doc := runningOf(cfg)
 		store.CommitRunning("a", doc, 2)
 	})
 	step("dropped and resumed", func() { store.DropRunning("zz"); svc.Unquiesce("job0") })
@@ -516,12 +498,7 @@ func TestConcurrentSnapshotAndStoreWrites(t *testing.T) {
 				return
 			}
 			cfg := jobCfg(name, 1+i%3)
-			doc, err := cfg.ToDoc()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			store.CommitRunning(name, doc, int64(i))
+			store.CommitRunning(name, runningOf(cfg), int64(i))
 			if _, _, err := store.MergedExpected(name); err != nil {
 				t.Error(err)
 				return

@@ -76,10 +76,7 @@ func TestParallelRebuildEquivalence(t *testing.T) {
 	commit := func(name string, tasks int, pkg string) {
 		cfg := jobCfg(name, tasks)
 		cfg.Package.Version = pkg
-		doc, err := cfg.ToDoc()
-		if err != nil {
-			t.Fatal(err)
-		}
+		doc := runningOf(cfg)
 		vers[name]++
 		if err := store.CommitRunning(name, doc, vers[name]); err != nil {
 			t.Fatal(err)
@@ -111,12 +108,9 @@ func TestParallelRebuildSkipsDropsAndDuplicates(t *testing.T) {
 	clk := simclock.NewSim(epoch)
 	svc := New(store, clk, 90*time.Second, 16)
 
-	doc, err := jobCfg("a", 2).ToDoc()
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := runningOf(jobCfg("a", 2))
 	store.CommitRunning("a", doc, 1)
-	store.CommitRunning("b", runningDoc(t, jobCfg("b", 3)), 1)
+	store.CommitRunning("b", runningOf(jobCfg("b", 3)), 1)
 	if got := svc.Index().Len(); got != 5 {
 		t.Fatalf("initial snapshot has %d specs, want 5", got)
 	}
@@ -127,7 +121,7 @@ func TestParallelRebuildSkipsDropsAndDuplicates(t *testing.T) {
 	store.CommitRunning("a", doc, 2)
 	store.CommitRunning("a", doc, 3)
 	store.DropRunning("b")
-	store.CommitRunning("c", runningDoc(t, jobCfg("c", 4)), 1)
+	store.CommitRunning("c", runningOf(jobCfg("c", 4)), 1)
 	store.DropRunning("c")
 	svc.Invalidate()
 	if got := svc.Index().Len(); got != 2 {

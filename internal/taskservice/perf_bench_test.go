@@ -18,10 +18,7 @@ func benchStore(b *testing.B, jobs, tasks int) *jobstore.Store {
 	store := jobstore.New()
 	for i := 0; i < jobs; i++ {
 		name := fmt.Sprintf("job%04d", i)
-		doc, err := jobCfg(name, tasks).ToDoc()
-		if err != nil {
-			b.Fatal(err)
-		}
+		doc := runningOf(jobCfg(name, tasks))
 		store.CommitRunning(name, doc, 1)
 	}
 	return store
@@ -96,7 +93,7 @@ func BenchmarkSnapshotIncremental(b *testing.B) {
 		b.StopTimer()
 		cfg := jobCfg("job0500", 8)
 		cfg.Package.Version = "v" + strconv.Itoa(i)
-		doc, _ := cfg.ToDoc()
+		doc := runningOf(cfg)
 		store.CommitRunning("job0500", doc, int64(i+2))
 		svc.Invalidate()
 		runtime.ReadMemStats(&m0)

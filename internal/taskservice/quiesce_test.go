@@ -11,8 +11,8 @@ import (
 func TestQuiesceSuppressesSpecsImmediately(t *testing.T) {
 	store := jobstore.New()
 	clk := simclock.NewSim(epoch)
-	store.CommitRunning("j1", runningDoc(t, jobCfg("j1", 4)), 1)
-	store.CommitRunning("j2", runningDoc(t, jobCfg("j2", 2)), 1)
+	store.CommitRunning("j1", runningOf(jobCfg("j1", 4)), 1)
+	store.CommitRunning("j2", runningOf(jobCfg("j2", 2)), 1)
 	svc := New(store, clk, 90*time.Second, 64)
 
 	if specs, _ := svc.Snapshot(); len(specs) != 6 {
@@ -50,7 +50,7 @@ func TestQuiesceUnknownJobHarmless(t *testing.T) {
 func TestSnapshotVersionChangesOnlyOnContentChange(t *testing.T) {
 	store := jobstore.New()
 	clk := simclock.NewSim(epoch)
-	store.CommitRunning("j1", runningDoc(t, jobCfg("j1", 2)), 1)
+	store.CommitRunning("j1", runningOf(jobCfg("j1", 2)), 1)
 	svc := New(store, clk, 90*time.Second, 64)
 
 	_, v1 := svc.Snapshot()
@@ -61,7 +61,7 @@ func TestSnapshotVersionChangesOnlyOnContentChange(t *testing.T) {
 		t.Fatalf("version moved with no content change: %d -> %d", v1, v2)
 	}
 	// Content change: version moves after the cache expires.
-	store.CommitRunning("j1", runningDoc(t, jobCfg("j1", 5)), 2)
+	store.CommitRunning("j1", runningOf(jobCfg("j1", 5)), 2)
 	clk.RunFor(2 * time.Minute)
 	_, v3 := svc.Snapshot()
 	if v3 == v2 {

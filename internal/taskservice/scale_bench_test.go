@@ -53,10 +53,7 @@ func refreshFleet(b *testing.B) (*Service, func(name, ver string, version int64)
 	commit := func(name, ver string, version int64) {
 		cfg := jobCfg(name, refreshTasks)
 		cfg.Package.Version = ver
-		doc, err := cfg.ToDoc()
-		if err != nil {
-			b.Fatal(err)
-		}
+		doc := runningOf(cfg)
 		if err := store.CommitRunning(name, doc, version); err != nil {
 			b.Fatal(err)
 		}

@@ -65,7 +65,7 @@ func newSocketHarness(t *testing.T, shards int) *socketHarness {
 
 func (h *socketHarness) commit(t *testing.T, name string, tasks, version int) {
 	t.Helper()
-	if err := h.store.CommitRunning(name, feedJobDoc(name, tasks, version), int64(version)); err != nil {
+	if err := h.store.CommitRunning(name, committed(feedJobDoc(name, tasks, version)), int64(version)); err != nil {
 		t.Fatal(err)
 	}
 }

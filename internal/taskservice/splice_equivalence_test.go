@@ -32,7 +32,7 @@ func scratchIndex(store *jobstore.Store, numShards int, quiesced map[string]bool
 	gen := &Service{table: store, numShards: numShards, groups: make(map[string]*jobGroup)}
 	idx := &SnapshotIndex{numShards: numShards, chunks: make([]*shardChunk, numChunks(numShards))}
 	for _, job := range store.RunningNames() {
-		rev, ok := store.RunningRevision(job)
+		_, _, rev, ok := store.RunningEntry(job)
 		if !ok || quiesced[job] {
 			continue
 		}
@@ -142,10 +142,7 @@ func TestChurnMatrixEquivalence(t *testing.T) {
 			}
 			cfgs[name] = cfg
 		}
-		doc, err := cfg.ToDoc()
-		if err != nil {
-			t.Fatal(err)
-		}
+		doc := runningOf(cfg)
 		vers[name]++
 		if err := store.CommitRunning(name, doc, vers[name]); err != nil {
 			t.Fatal(err)
@@ -317,10 +314,7 @@ func TestPublishedIndexImmutableUnderSplices(t *testing.T) {
 		name := fmt.Sprintf("job%02d", i)
 		cfg := jobCfg(name, 1+i%4)
 		cfg.Package.Version = "v9"
-		doc, err := cfg.ToDoc()
-		if err != nil {
-			t.Fatal(err)
-		}
+		doc := runningOf(cfg)
 		store.CommitRunning(name, doc, 2)
 	}
 	store.DropRunning("job03")
@@ -496,10 +490,7 @@ func TestJournalOverflowResyncThenIncremental(t *testing.T) {
 	for i := 0; i < jobstore.JournalCap+10; i++ {
 		cfg := jobCfg(fmt.Sprintf("job%02d", i%30), tasks)
 		cfg.Package.Version = fmt.Sprintf("v%d", 2+i/30)
-		doc, err := cfg.ToDoc()
-		if err != nil {
-			t.Fatal(err)
-		}
+		doc := runningOf(cfg)
 		store.CommitRunning(fmt.Sprintf("job%02d", i%30), doc, int64(2+i))
 	}
 	svc.Invalidate()
@@ -510,10 +501,7 @@ func TestJournalOverflowResyncThenIncremental(t *testing.T) {
 	// regenerates exactly its own specs.
 	cfg := jobCfg("job07", tasks)
 	cfg.Package.Version = "v999"
-	doc, err := cfg.ToDoc()
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := runningOf(cfg)
 	store.CommitRunning("job07", doc, 999)
 	svc.Invalidate()
 	idx2 := svc.Index()

@@ -54,7 +54,7 @@ import (
 )
 
 // runningTable is what a Service reads: the running configurations by
-// name, their revisions, and which names changed since a cursor. The
+// name with their revisions, and which names changed since a cursor. The
 // primary Job Store is one; a FeedClient's replica of it is the other.
 type runningTable interface {
 	// ChangesSince appends the changes after cursor to buf and returns the
@@ -63,13 +63,10 @@ type runningTable interface {
 	ChangesSince(cursor uint64, buf []jobstore.Change) (changes []jobstore.Change, next uint64, ok bool)
 	// RunningNames lists the running jobs, sorted.
 	RunningNames() []string
-	// RunningRevision returns the revision of a job's running entry, which
-	// changes on every commit of it.
-	RunningRevision(name string) (int64, bool)
 	// RunningEntry returns a job's running configuration — nil if it is
 	// not running or its document is not a JobConfig — with the version it
-	// realizes and its revision. The config is shared and must not be
-	// modified.
+	// realizes and its revision, which changes on every commit of it. The
+	// config is shared and must not be modified.
 	RunningEntry(name string) (cfg *config.JobConfig, version, revision int64, ok bool)
 }
 
@@ -299,7 +296,7 @@ func (s *Service) regenerateLocked() *SnapshotIndex {
 	s.rebuildNames = s.rebuildNames[:0]
 	s.rebuildRevs = s.rebuildRevs[:0]
 	for _, name := range names {
-		rev, live := s.table.RunningRevision(name)
+		_, _, rev, live := s.table.RunningEntry(name)
 		if g := s.groups[name]; live && (g == nil || g.rev != rev) {
 			s.rebuildNames = append(s.rebuildNames, name)
 			s.rebuildRevs = append(s.rebuildRevs, rev)
@@ -316,7 +313,7 @@ func (s *Service) regenerateLocked() *SnapshotIndex {
 		return d
 	}
 	for _, name := range names {
-		if rev, live := s.table.RunningRevision(name); !live {
+		if _, _, rev, live := s.table.RunningEntry(name); !live {
 			delete(s.groups, name)
 		} else if g := s.groups[name]; g == nil || g.rev != rev {
 			// Recommitted since the prebuild read it.

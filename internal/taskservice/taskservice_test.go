@@ -13,15 +13,6 @@ import (
 
 var epoch = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
-func runningDoc(t *testing.T, cfg *config.JobConfig) config.Doc {
-	t.Helper()
-	d, err := cfg.ToDoc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
 func jobCfg(name string, tasks int) *config.JobConfig {
 	return &config.JobConfig{
 		Name:           name,
@@ -40,7 +31,7 @@ func jobCfg(name string, tasks int) *config.JobConfig {
 func TestSnapshotGeneratesSpecsPerTask(t *testing.T) {
 	store := jobstore.New()
 	clk := simclock.NewSim(epoch)
-	store.CommitRunning("j1", runningDoc(t, jobCfg("j1", 4)), 1)
+	store.CommitRunning("j1", runningOf(jobCfg("j1", 4)), 1)
 	svc := New(store, clk, 90*time.Second, 64)
 
 	specs, _ := svc.Snapshot()
@@ -62,7 +53,7 @@ func TestSnapshotGeneratesSpecsPerTask(t *testing.T) {
 func TestTemplateSubstitution(t *testing.T) {
 	store := jobstore.New()
 	clk := simclock.NewSim(epoch)
-	store.CommitRunning("j1", runningDoc(t, jobCfg("j1", 2)), 1)
+	store.CommitRunning("j1", runningOf(jobCfg("j1", 2)), 1)
 	specs, _ := New(store, clk, 0, 64).Snapshot()
 	for _, s := range specs {
 		want := "/ckpt/j1/" + map[int]string{0: "0", 1: "1"}[s.Index]
@@ -94,11 +85,11 @@ func TestTemplateSubstitution(t *testing.T) {
 func TestSnapshotCachedWithinTTL(t *testing.T) {
 	store := jobstore.New()
 	clk := simclock.NewSim(epoch)
-	store.CommitRunning("j1", runningDoc(t, jobCfg("j1", 2)), 1)
+	store.CommitRunning("j1", runningOf(jobCfg("j1", 2)), 1)
 	svc := New(store, clk, 90*time.Second, 64)
 
 	svc.Snapshot()
-	store.CommitRunning("j1", runningDoc(t, jobCfg("j1", 8)), 2)
+	store.CommitRunning("j1", runningOf(jobCfg("j1", 8)), 2)
 
 	// Inside TTL: stale snapshot.
 	clk.RunFor(60 * time.Second)
@@ -121,10 +112,10 @@ func TestSnapshotCachedWithinTTL(t *testing.T) {
 func TestInvalidateForcesRegeneration(t *testing.T) {
 	store := jobstore.New()
 	clk := simclock.NewSim(epoch)
-	store.CommitRunning("j1", runningDoc(t, jobCfg("j1", 2)), 1)
+	store.CommitRunning("j1", runningOf(jobCfg("j1", 2)), 1)
 	svc := New(store, clk, 90*time.Second, 64)
 	svc.Snapshot()
-	store.CommitRunning("j1", runningDoc(t, jobCfg("j1", 5)), 2)
+	store.CommitRunning("j1", runningOf(jobCfg("j1", 5)), 2)
 	svc.Invalidate()
 	if specs, _ := svc.Snapshot(); len(specs) != 5 {
 		t.Fatalf("Invalidate did not force regeneration: %d specs", len(specs))
@@ -136,7 +127,7 @@ func TestStoppedJobsProduceNoSpecs(t *testing.T) {
 	clk := simclock.NewSim(epoch)
 	cfg := jobCfg("j1", 2)
 	cfg.Stopped = true
-	store.CommitRunning("j1", runningDoc(t, cfg), 1)
+	store.CommitRunning("j1", runningOf(cfg), 1)
 	if specs, _ := New(store, clk, 0, 64).Snapshot(); len(specs) != 0 {
 		t.Fatalf("stopped job produced %d specs", len(specs))
 	}
@@ -145,8 +136,8 @@ func TestStoppedJobsProduceNoSpecs(t *testing.T) {
 func TestMultipleJobsSortedOrder(t *testing.T) {
 	store := jobstore.New()
 	clk := simclock.NewSim(epoch)
-	store.CommitRunning("b", runningDoc(t, jobCfg("b", 1)), 1)
-	store.CommitRunning("a", runningDoc(t, jobCfg("a", 1)), 1)
+	store.CommitRunning("b", runningOf(jobCfg("b", 1)), 1)
+	store.CommitRunning("a", runningOf(jobCfg("a", 1)), 1)
 	specs, _ := New(store, clk, 0, 64).Snapshot()
 	if len(specs) != 2 || specs[0].Job != "a" || specs[1].Job != "b" {
 		t.Fatalf("specs = %+v", specs)
@@ -156,8 +147,8 @@ func TestMultipleJobsSortedOrder(t *testing.T) {
 func TestUndecodableRunningConfigSkipped(t *testing.T) {
 	store := jobstore.New()
 	clk := simclock.NewSim(epoch)
-	store.CommitRunning("bad", config.Doc{"taskCount": "not-a-number"}, 1)
-	store.CommitRunning("good", runningDoc(t, jobCfg("good", 1)), 1)
+	store.CommitRunning("bad", committed(config.Doc{"taskCount": "not-a-number"}), 1)
+	store.CommitRunning("good", runningOf(jobCfg("good", 1)), 1)
 	specs, _ := New(store, clk, 0, 64).Snapshot()
 	if len(specs) != 1 || specs[0].Job != "good" {
 		t.Fatalf("specs = %+v", specs)

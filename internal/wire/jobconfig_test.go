@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -65,10 +66,7 @@ func nested(levels int) config.Doc {
 // config, case-variant keys, kind mismatches, nulls, invalid UTF-8, the
 // float/integer boundaries, nesting at maxDepth ± 1 and trailing bytes.
 func jobConfigBlobSeeds(t testing.TB) [][]byte {
-	full, err := sampleConfig().ToDoc()
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := jsonDoc(t, sampleConfig())
 	docs := []config.Doc{
 		full,
 		sampleDoc(),
@@ -256,10 +254,12 @@ func TestDocKeysStrictlyAscending(t *testing.T) {
 	}
 }
 
-// docOf is the document AppendJobConfig stands for: cfg.ToDoc — its keys,
-// omissions and strings — with every non-zero integer field as the
-// integer itself, as the scaler's and oncall's layer writes hold them,
-// and a non-finite float, which ToDoc refuses, in its place.
+// docOf is the document AppendJobConfig stands for: encoding/json's
+// round trip of cfg — json.Marshal, then json.Unmarshal into a
+// config.Doc: its keys, omissions and strings — with every non-zero
+// integer field as the integer itself, as the scaler's and oncall's layer
+// writes hold them, and a non-finite float, which json.Marshal refuses,
+// in its place.
 func docOf(t testing.TB, cfg *config.JobConfig) config.Doc {
 	t.Helper()
 	finite := *cfg
@@ -269,10 +269,7 @@ func docOf(t testing.TB, cfg *config.JobConfig) config.Doc {
 	if !isFinite(finite.SLOSeconds) {
 		finite.SLOSeconds = 0
 	}
-	d, err := finite.ToDoc()
-	if err != nil {
-		t.Fatalf("ToDoc of finite %+v: %v", finite, err)
-	}
+	d := jsonDoc(t, &finite)
 	set := func(path string, v any, present bool) {
 		if present {
 			d.SetPath(path, v)
@@ -288,6 +285,22 @@ func docOf(t testing.TB, cfg *config.JobConfig) config.Doc {
 		"taskResources.diskBytes": r.DiskBytes, "taskResources.networkBps": r.NetworkBps,
 	} {
 		set(path, n, n != 0)
+	}
+	return d
+}
+
+// jsonDoc is encoding/json's round trip of cfg, which must be finite:
+// json.Marshal, then json.Unmarshal into a config.Doc — nested objects as
+// map[string]any and every number a float64.
+func jsonDoc(t testing.TB, cfg *config.JobConfig) config.Doc {
+	t.Helper()
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		t.Fatalf("marshal %+v: %v", *cfg, err)
+	}
+	var d config.Doc
+	if err := json.Unmarshal(raw, &d); err != nil {
+		t.Fatalf("unmarshal %s: %v", raw, err)
 	}
 	return d
 }

@@ -42,9 +42,10 @@ const (
 )
 
 // AppendJobConfig encodes cfg as a vDoc value: the document
-// config.JobConfig.ToDoc builds — the same keys, present and omitted
-// alike, strings as ToDoc stores them — except that integer fields
-// travel as vInt, exactly, where ToDoc rounds them through float64. It
+// encoding/json makes of cfg (Marshal, then Unmarshal into a
+// config.Doc) — the same keys, present and omitted alike, strings as
+// encoding/json writes them — except that integer fields travel as vInt,
+// exactly, where that round trip rounds them through float64. It
 // writes straight from the struct, in a fixed sorted key order: no maps,
 // no sort, and no allocation once the buffer is warm.
 // DecodeJobConfigBlob returns cfg from the bytes, so a remote replica

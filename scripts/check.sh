@@ -26,27 +26,30 @@ go -C bench test .
 # Fuzz smoke: a few seconds per target over the committed corpus plus
 # fresh mutations. Long fuzzing sessions grow the corpus offline; this
 # catches frame-decoder and round-trip regressions fast — and any drift
-# of the typed config decoder and of the direct ToDoc from the
-# encoding/json round trips they stand for, of the blob-to-JobConfig
-# decode from the document decode it stands for, of the typed encode from
-# the document encoding it stands for, of the Job Store's blob merge and
-# blob diff from the map merge and map diff they replaced, of
-# TaskSpec.Equal from byte-equality of the specs' JSON
-# forms (what decided a restart before specs were compared), of the
-# batched Task.Advance from the per-partition drain it replaced, or of the
-# in-place Task.Respec from the Stop, NewTask, Start restart it stands for
-# — and any job config the Job Service accepts that a later stage (syncer
-# round, spec feed, Task Service expansion) rejects or panics on.
+# of the typed config decoder from the encoding/json round trip it stands
+# for, of the blob-to-JobConfig decode from the document decode it stands
+# for, of the typed encode from the encoding/json document of the config
+# it stands for, of the Job Store's blob merge and blob diff from the map
+# merge and map diff they replaced, of TaskSpec.Equal from byte-equality
+# of the specs' JSON forms (what decided a restart before specs were
+# compared), of the batched Task.Advance from the per-partition drain it
+# replaced, or of the in-place Task.Respec from the Stop, NewTask, Start
+# restart it stands for — any job config the Job Service accepts that a
+# later stage (syncer round, spec feed, Task Service expansion) rejects or
+# panics on, and any snapshot file Restore panics on, half-applies when it
+# refuses it, or restores to a store that does not snapshot back to it.
+# FuzzRestore's inputs are whole snapshots, slow to minimize: a short
+# minimization budget leaves the smoke its seconds to mutate.
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzFrameDecode' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzDocRoundTrip' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzJobConfigBlob' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzAppendJobConfig' -fuzztime 5s
 go test ./internal/wire/stream -run 'XXXNONE' -fuzz 'FuzzStreamDecode' -fuzztime 5s
 go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzJobConfigFromDoc' -fuzztime 5s
-go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzToDocMatchesJSON' -fuzztime 5s
 go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzMergeBlobs' -fuzztime 5s
 go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzDiffBlobs' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzSpecEqualMatchesJSON' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzAdvanceMatchesPerPartitionDrain' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzRespecMatchesRestart' -fuzztime 5s
 go test ./internal/statesyncer -run 'XXXNONE' -fuzz 'FuzzInputBoundary' -fuzztime 5s
+go test ./internal/jobstore -run 'XXXNONE' -fuzz 'FuzzRestore' -fuzztime 5s -fuzzminimizetime 1s
