@@ -201,7 +201,7 @@ func main() {
 			addr = args[1]
 		}
 		feed := jobservice.NewSpecFeed(store)
-		feed.SetSubscriberTTL(simclock.NewReal(), 15*time.Minute)
+		feed.SetSubscriberTTL(simclock.NewReal())
 		lis, err := net.Listen("tcp", addr)
 		if err != nil {
 			log.Fatal(err)
@@ -216,8 +216,9 @@ func main() {
 		// the loaded store, subscribe n remote Task Services, and report
 		// the seam's operational counters. A loaded snapshot burns a
 		// journal sequence exactly like a Restore, so every subscriber
-		// demonstrates the real remote-bootstrap path: one resync
-		// redirect, one chunk walk, then incremental deltas.
+		// demonstrates the real remote-bootstrap path: one redirect, one
+		// walk of the running table in delta pages, then incremental
+		// deltas.
 		//
 		// -transport=loopback (default) round-trips frames in process;
 		// -transport=tcp serves the same frames over real sockets — via a
@@ -245,13 +246,13 @@ func main() {
 		switch *transport {
 		case "loopback":
 			feed = jobservice.NewSpecFeed(store)
-			feed.SetSubscriberTTL(simclock.NewReal(), 15*time.Minute)
+			feed.SetSubscriberTTL(simclock.NewReal())
 			mkFeed = func(int) taskservice.SpecFeed { return feed.Loopback() }
 		case "tcp":
 			addr := *dialAddr
 			if addr == "" {
 				feed = jobservice.NewSpecFeed(store)
-				feed.SetSubscriberTTL(simclock.NewReal(), 15*time.Minute)
+				feed.SetSubscriberTTL(simclock.NewReal())
 				lis, err := net.Listen("tcp", "127.0.0.1:0")
 				if err != nil {
 					log.Fatal(err)

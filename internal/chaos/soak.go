@@ -87,7 +87,8 @@ type Result struct {
 	// RemoteFeed is the faulty cluster's remote Task Service subscriber
 	// counters: its polls ran through the OpSpecFeed fault rules, and its
 	// Resyncs > 0 is evidence the force-resync storm actually redirected
-	// it onto the chunk-walk path before the final index-identity check
+	// it onto the walk of the running table before the final
+	// index-identity check
 	// (loopback runs only; TCP runs drop the storm and require zero).
 	RemoteFeed taskservice.FeedClientStats
 	// RemoteDial and Listener are the socket-binding counters of a TCP

@@ -350,7 +350,7 @@ func New(cfg Config) (*Cluster, error) {
 	c.Feed = jobservice.NewSpecFeed(c.Store)
 	// Remote Task Services churn; evict subscribers silent for 15 min so
 	// the feed registry tracks the live fleet, not its history.
-	c.Feed.SetSubscriberTTL(c.Clk, 15*time.Minute)
+	c.Feed.SetSubscriberTTL(c.Clk)
 	c.Metrics = metrics.NewStore(c.Clk, cfg.MetricsRetention)
 	c.seriesTaskCount = c.Metrics.Handle("cluster/taskCount")
 	c.seriesInputRate = c.Metrics.Handle("cluster/inputRate")

@@ -413,6 +413,7 @@ func TestJobConfigValidateRejections(t *testing.T) {
 		mutate func(*JobConfig)
 	}{
 		{"empty name", func(c *JobConfig) { c.Name = "" }},
+		{"name over the bound", func(c *JobConfig) { c.Name = strings.Repeat("n", MaxJobNameLen+1) }},
 		{"no package", func(c *JobConfig) { c.Package = Package{} }},
 		{"zero tasks", func(c *JobConfig) { c.TaskCount = 0 }},
 		{"zero threads", func(c *JobConfig) { c.ThreadsPerTask = 0 }},

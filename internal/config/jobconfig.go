@@ -189,11 +189,20 @@ func (c *JobConfig) ShareStrings(prev *JobConfig) {
 // there, or exhaust memory, after the config was accepted.
 const maxPartitions = 1 << 16
 
+// MaxJobNameLen bounds a job's name, in bytes. A feed subscriber walking
+// the running table names the last job it applied in its next request,
+// and the feed listener bounds a request's size by this, so a longer
+// name ending a page would have every retry of that request refused.
+const MaxJobNameLen = 1 << 10
+
 // Validate checks that a merged configuration is runnable.
 func (c *JobConfig) Validate() error {
 	var errs []error
 	if c.Name == "" {
 		errs = append(errs, errors.New("job name is required"))
+	}
+	if len(c.Name) > MaxJobNameLen {
+		errs = append(errs, fmt.Errorf("job name is %d bytes, over the %d-byte bound", len(c.Name), MaxJobNameLen))
 	}
 	if c.Package.Name == "" || c.Package.Version == "" {
 		errs = append(errs, errors.New("package name and version are required"))

@@ -78,8 +78,8 @@ const (
 	KindPartialBatch Kind = "partial-batch"
 	// KindForceResync (spec feed) corrupts the poll's cursor to a
 	// position the journal never issued, forcing the server's
-	// resync-needed redirect: a full chunk-walk storm when armed at a
-	// high rate.
+	// redirect: a storm of full walks of the running table when armed
+	// at a high rate.
 	KindForceResync Kind = "force-resync"
 	// KindTornWrite (feed conn) lets half of a Write's bytes escape onto
 	// the wire, then severs the connection: the peer reassembles a
@@ -490,8 +490,8 @@ type specFeed struct {
 // stale mirror exactly as §IV-D degrades Task Managers. KindPartialBatch
 // clamps the batch bound to 1 so the window arrives in single-entry
 // frames; KindForceResync corrupts the cursor so the server redirects
-// into a full chunk-walk. KindLatency records a slow poll without
-// failing it.
+// into a full walk of the running table. KindLatency records a slow poll
+// without failing it.
 func (in *Injector) SpecFeed(id string, inner taskservice.SpecFeed) taskservice.SpecFeed {
 	return &specFeed{in: in, key: id, inner: inner}
 }

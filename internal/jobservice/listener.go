@@ -26,6 +26,7 @@
 package jobservice
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -33,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/wire"
 	"repro/internal/wire/stream"
 )
@@ -52,10 +54,11 @@ type ListenerOptions struct {
 // must not get a goroutine and its buffers for each.
 const maxConns = 256
 
-// maxRequestBody bounds an accepted request frame's body: a feed request
-// is a byte of flags, two varints, and two short strings. Anything
-// larger is hostile.
-const maxRequestBody = 4 << 10
+// maxRequestBody bounds an accepted request frame's body: the kind byte
+// and a feed request's flags byte, two varints, and two length-prefixed
+// strings — ResumeAfter, a job name, and the subscriber ID, allowed the
+// same length. Anything larger is hostile.
+const maxRequestBody = 2 + 2*binary.MaxVarintLen64 + 2*(binary.MaxVarintLen64+config.MaxJobNameLen)
 
 func (o *ListenerOptions) fillDefaults() {
 	if o.ReadTimeout <= 0 {

@@ -1,12 +1,14 @@
 // Spec feed: the Job Service's server half of the Job/Task Service RPC
 // seam. A remote Task Service (or any journal consumer) polls the feed
 // with its journal cursor and receives batched ChangesSince deltas as
-// encoded wire frames; a cursor that cannot be caught up incrementally
-// is redirected onto a chunked full-resync walk of the running table.
+// encoded wire frames. Every reply is a delta: a cursor that cannot be
+// caught up incrementally gets a redirect (a delta with no entries
+// naming the cursor to adopt), and the walk of the running table that
+// follows is served as pages of deltas too, in name order.
 // The feed is transport-agnostic: PollFeed speaks (request struct in,
 // frame bytes out), and the in-process Loopback — which round-trips the
-// request through the wire codec too — is one transport; a socket server
-// would be another, with no server changes.
+// request through the wire codec too — is one transport; the
+// FeedListener's socket is another, with no server changes.
 //
 // The frame cache makes fan-out free. A delta frame built with the full
 // batch limit is a pure function of (cursor, journal head): the journal
@@ -38,16 +40,18 @@ import (
 )
 
 const (
-	// DefaultFeedBatch is the delta-entry bound per frame. It matches
-	// the journal capacity's order of magnitude so a subscriber one
-	// full ring behind catches up in a handful of frames.
+	// DefaultFeedBatch is the entry bound per frame, for journal windows
+	// and walk pages alike. It matches the journal capacity's order of
+	// magnitude so a subscriber one full ring behind catches up in a
+	// handful of frames.
 	DefaultFeedBatch = 1024
-	// DefaultFeedChunk is the running-entry bound per resync page.
-	DefaultFeedChunk = 512
-	// maxSubscribers bounds the subscriber registry by count, as the TTL
-	// bounds it by age: a poll under a first-seen name that finds the
-	// registry full is served but not registered.
+	// maxSubscribers bounds the subscriber registry by count, as
+	// subscriberTTL bounds it by age: a poll under a first-seen name that
+	// finds the registry full is served but not registered.
 	maxSubscribers = 4096
+	// subscriberTTL is how long a subscriber may stay silent before
+	// eviction (SetSubscriberTTL) drops it from the registry.
+	subscriberTTL = 15 * time.Minute
 )
 
 // FeedStats are the spec feed's cumulative counters.
@@ -55,10 +59,10 @@ type FeedStats struct {
 	// FrameHits / FrameMisses count delta polls served from /
 	// built into the encoded-frame cache.
 	FrameHits, FrameMisses int64
-	// Resyncs counts polls answered with a resync-needed redirect.
+	// Resyncs counts polls answered with a redirect.
 	Resyncs int64
 	// Evicted counts subscribers dropped from the registry for silence
-	// longer than the eviction TTL (SetSubscriberTTL).
+	// longer than subscriberTTL (SetSubscriberTTL).
 	Evicted int64
 	// Unregistered counts polls served under a first-seen name that the
 	// full registry could not take, even after an eviction sweep. The
@@ -77,7 +81,7 @@ type SubscriberStatus struct {
 	// Polls and Resyncs are cumulative for this subscriber.
 	Polls   int64
 	Resyncs int64
-	// Resyncing reports the subscriber is mid chunk-walk.
+	// Resyncing reports the subscriber is mid-walk.
 	Resyncing bool
 	// SincePoll is the subscriber's server-side staleness: time since
 	// its last poll on the eviction clock. Zero when no eviction clock
@@ -90,7 +94,6 @@ type SubscriberStatus struct {
 type SpecFeedServer struct {
 	store *jobstore.Store
 	batch int
-	chunk int
 
 	// mu guards the encoder, the change scratch, and the frame cache.
 	// Polls serialize on it: the critical section is a journal read plus
@@ -107,13 +110,12 @@ type SpecFeedServer struct {
 
 	subMu sync.Mutex
 	subs  map[string]*subscriberState
-	// Eviction policy (SetSubscriberTTL): a subscriber silent for longer
-	// than ttl on clock is dropped from the registry, so a long-lived
-	// server does not grow without bound as remote Task Services churn;
-	// maxSubscribers bounds it whatever the policy. nil clock disables
+	// Eviction (SetSubscriberTTL): a subscriber silent for longer than
+	// subscriberTTL on evictClock is dropped from the registry, so a
+	// long-lived server does not grow without bound as remote Task
+	// Services churn; maxSubscribers bounds it either way. nil disables
 	// eviction.
 	evictClock simclock.Clock
-	evictTTL   time.Duration
 	lastSweep  time.Time
 }
 
@@ -129,13 +131,12 @@ type subscriberState struct {
 	lastPoll  time.Time // eviction clock; zero when eviction is off
 }
 
-// NewSpecFeed returns a feed server over store with default batch and
-// chunk bounds.
+// NewSpecFeed returns a feed server over store with the default batch
+// bound.
 func NewSpecFeed(store *jobstore.Store) *SpecFeedServer {
 	return &SpecFeedServer{
 		store:  store,
 		batch:  DefaultFeedBatch,
-		chunk:  DefaultFeedChunk,
 		frames: make(map[uint64]*cachedFrame),
 		subs:   make(map[string]*subscriberState),
 	}
@@ -153,21 +154,15 @@ func (f *SpecFeedServer) Stats() FeedStats {
 }
 
 // SetSubscriberTTL arms subscriber eviction: a subscriber whose last
-// poll is more than ttl behind clock's now is dropped from the
+// poll is more than subscriberTTL behind clock's now is dropped from the
 // registry. Eviction is lazy — swept opportunistically on polls and on
 // Subscribers() reads — so it adds no background goroutine; an evicted
 // subscriber that polls again simply re-registers (its cursor rides in
-// its own requests, so no state is lost). ttl <= 0 disables eviction.
-func (f *SpecFeedServer) SetSubscriberTTL(clock simclock.Clock, ttl time.Duration) {
+// its own requests, so no state is lost).
+func (f *SpecFeedServer) SetSubscriberTTL(clock simclock.Clock) {
 	f.subMu.Lock()
 	defer f.subMu.Unlock()
-	if ttl <= 0 {
-		f.evictClock = nil
-		f.evictTTL = 0
-		return
-	}
 	f.evictClock = clock
-	f.evictTTL = ttl
 	f.lastSweep = clock.Now()
 }
 
@@ -175,12 +170,12 @@ func (f *SpecFeedServer) SetSubscriberTTL(clock simclock.Clock, ttl time.Duratio
 // forced, sweeps are rate-limited to one per quarter-TTL so the registry
 // scan cost stays amortized even under heavy poll traffic.
 func (f *SpecFeedServer) evictLocked(now time.Time, force bool) {
-	if f.evictClock == nil || !force && now.Sub(f.lastSweep) < f.evictTTL/4 {
+	if f.evictClock == nil || !force && now.Sub(f.lastSweep) < subscriberTTL/4 {
 		return
 	}
 	f.lastSweep = now
 	for name, st := range f.subs {
-		if now.Sub(st.lastPoll) > f.evictTTL {
+		if now.Sub(st.lastPoll) > subscriberTTL {
 			delete(f.subs, name)
 			f.evicted.Add(1)
 		}
@@ -234,8 +229,8 @@ func (f *SpecFeedServer) PollFeed(req wire.FeedRequest, buf []byte) ([]byte, err
 	return frame, nil
 }
 
-// delta serves a batched ChangesSince window, or a resync-needed
-// redirect when the cursor fell off the journal.
+// delta serves a batched ChangesSince window, or a redirect when the
+// cursor fell off the journal.
 func (f *SpecFeedServer) delta(req wire.FeedRequest, buf []byte) (frame []byte, redirected bool) {
 	max := req.Max
 	if max <= 0 || max > f.batch {
@@ -267,25 +262,12 @@ func (f *SpecFeedServer) delta(req wire.FeedRequest, buf []byte) (frame []byte, 
 	e.Reset()
 	if !ok {
 		f.resyncs.Add(1)
-		e.AppendResyncNeeded(next)
+		e.AppendRedirect(next)
 		return append(buf, e.Buf...), true
 	}
 	mark := e.AppendDeltaHeader(next, len(changes))
 	for _, ch := range changes {
-		if ch.Drop {
-			e.AppendDeltaDrop(ch.Name)
-			continue
-		}
-		cfg, version, rev, live := f.store.RunningEntry(ch.Name)
-		if !live {
-			// The entry was dropped after this commit was journaled;
-			// the drop's own entry has a higher seq and will confirm.
-			// Sending the drop early is consistent with the journal's
-			// read-newer-than-entry ordering contract.
-			e.AppendDeltaDrop(ch.Name)
-			continue
-		}
-		e.AppendDeltaCommit(ch.Name, rev, version, cfg)
+		f.appendEntry(ch.Name, ch.Drop)
 	}
 	e.EndFrame(mark)
 	if max == f.batch {
@@ -296,43 +278,48 @@ func (f *SpecFeedServer) delta(req wire.FeedRequest, buf []byte) (frame []byte, 
 	return append(buf, e.Buf...), false
 }
 
-// resyncPage serves one page of the full running-table walk: the names
-// after req.ResumeAfter, in sorted order, bounded by the chunk size.
+// resyncPage serves one page of the running table's walk as a delta:
+// the running entries of up to one batch of names after
+// req.ResumeAfter, in name order, and next echoing the subscriber's
+// adopted cursor. The walk ends at the first empty page.
 func (f *SpecFeedServer) resyncPage(req wire.FeedRequest, buf []byte) []byte {
 	max := req.Max
-	if max <= 0 || max > f.chunk {
-		max = f.chunk
+	if max <= 0 || max > f.batch {
+		max = f.batch
 	}
 	names := f.store.RunningNames()
 	start := sort.SearchStrings(names, req.ResumeAfter)
 	if start < len(names) && names[start] == req.ResumeAfter {
 		start++
 	}
-	end := start + max
-	done := end >= len(names)
-	if done {
-		end = len(names)
-	}
+	names = names[start:min(start+max, len(names))]
 
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	e := &f.enc
 	e.Reset()
-	mark, countMark := e.AppendResyncChunkHeader(done)
-	count := 0
-	for _, name := range names[start:end] {
-		cfg, version, rev, live := f.store.RunningEntry(name)
-		if !live {
-			// Dropped since the name snapshot; its journal entry will
-			// reach the subscriber after the resync completes.
-			continue
-		}
-		e.AppendChunkItem(name, rev, version, cfg)
-		count++
+	mark := e.AppendDeltaHeader(req.Cursor, len(names))
+	for _, name := range names {
+		f.appendEntry(name, false)
 	}
-	e.PatchChunkCount(countMark, count)
 	e.EndFrame(mark)
 	return append(buf, e.Buf...)
+}
+
+// appendEntry appends a drop of name, or its running entry as a commit,
+// to the frame being encoded. A job dropped since its name was read from
+// the journal or the running table goes as a drop too: the drop's own
+// journal entry has a higher seq and will confirm it, and sending it
+// early is consistent with the journal's read-newer-than-entry contract.
+// Caller holds mu.
+func (f *SpecFeedServer) appendEntry(name string, drop bool) {
+	if !drop {
+		if cfg, version, rev, live := f.store.RunningEntry(name); live {
+			f.enc.AppendDeltaCommit(name, rev, version, cfg)
+			return
+		}
+	}
+	f.enc.AppendDeltaDrop(name)
 }
 
 func (f *SpecFeedServer) takePooled() *cachedFrame {

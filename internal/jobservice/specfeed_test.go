@@ -3,6 +3,7 @@ package jobservice
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/config"
@@ -158,13 +159,14 @@ func TestFeedPartialBatchNotCached(t *testing.T) {
 	}
 }
 
-// TestFeedResyncWalk: an overflowed cursor redirects once, the chunk
-// walk pages the fleet in sorted order, and the adopted cursor replays
-// everything committed after the redirect.
+// TestFeedResyncWalk: an overflowed cursor redirects once, the walk
+// pages the fleet in sorted order as deltas, one batch per page, up to
+// the first empty page, and the adopted cursor replays everything
+// committed after the redirect.
 func TestFeedResyncWalk(t *testing.T) {
 	store := jobstore.New()
 	f := NewSpecFeed(store)
-	f.chunk = 2 // 3 pages over 5 jobs
+	f.batch = 2 // pages of 2, 2, 1 and 0 entries over 5 jobs
 	commitN(t, store, 5, 1)
 
 	// Burn the journal far past its capacity.
@@ -175,52 +177,42 @@ func TestFeedResyncWalk(t *testing.T) {
 	}
 	store.DropRunning("jobs/burn")
 
-	frame, err := f.PollFeed(wire.FeedRequest{Subscriber: "s", Cursor: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
+	redirect, _ := pollDelta(t, f, wire.FeedRequest{Subscriber: "s", Cursor: 1})
+	if !redirect.Redirect || redirect.Count != 0 {
+		t.Fatalf("reply = %+v, want a redirect", redirect)
 	}
-	kind, body, _, err := wire.DecodeFrame(frame)
-	if err != nil || kind != wire.FrameResyncNeeded {
-		t.Fatalf("kind=0x%02x err=%v, want resync-needed", kind, err)
-	}
-	next, err := wire.DecodeResyncNeeded(body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	next := redirect.Next
 	if next != store.JournalHead() {
 		t.Fatalf("redirect cursor = %d, head = %d", next, store.JournalHead())
 	}
 
 	// Walk the pages.
 	var walked []string
+	var sizes []int
 	resume := ""
 	for page := 0; ; page++ {
 		if page > 4 {
 			t.Fatal("walk did not terminate")
 		}
-		frame, err := f.PollFeed(wire.FeedRequest{Subscriber: "s", Resync: true, ResumeAfter: resume}, nil)
-		if err != nil {
-			t.Fatal(err)
+		d, _ := pollDelta(t, f, wire.FeedRequest{Subscriber: "s", Cursor: next, Resync: true, ResumeAfter: resume})
+		if d.Redirect || d.Next != next {
+			t.Fatalf("page %d = %+v, want a delta echoing cursor %d", page, d, next)
 		}
-		kind, body, _, err := wire.DecodeFrame(frame)
-		if err != nil || kind != wire.FrameResyncChunk {
-			t.Fatalf("kind=0x%02x err=%v", kind, err)
-		}
-		c, err := wire.DecodeResyncChunk(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < c.Count; i++ {
-			it, err := c.Item()
-			if err != nil {
-				t.Fatal(err)
+		sizes = append(sizes, d.Count)
+		for i := 0; i < d.Count; i++ {
+			ent, err := d.Entry()
+			if err != nil || ent.Drop {
+				t.Fatalf("page %d entry %d = %+v (err %v), want a commit", page, i, ent, err)
 			}
-			walked = append(walked, string(it.Name))
-			resume = string(it.Name)
+			walked = append(walked, string(ent.Name))
+			resume = string(ent.Name)
 		}
-		if c.Done {
+		if d.Count == 0 {
 			break
 		}
+	}
+	if !slices.Equal(sizes, []int{2, 2, 1, 0}) {
+		t.Fatalf("page sizes %v, want [2 2 1 0]", sizes)
 	}
 	want := []string{"jobs/j0000", "jobs/j0001", "jobs/j0002", "jobs/j0003", "jobs/j0004"}
 	if len(walked) != len(want) {

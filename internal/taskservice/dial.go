@@ -25,6 +25,7 @@
 package taskservice
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -175,8 +176,7 @@ func (t *DialTransport) PollFeed(req wire.FeedRequest, buf []byte) ([]byte, erro
 	t.streak = 0
 	// Re-frame the body for the FeedClient, which decodes a full frame
 	// (kind included) exactly as the Loopback hands it one.
-	buf = append(buf, 0, 0, 0, 0)
-	putU32(buf[len(buf)-4:], uint32(1+len(body)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(1+len(body)))
 	buf = append(buf, kind)
 	return append(buf, body...), nil
 }
@@ -221,12 +221,4 @@ func (t *DialTransport) fail(err error) error {
 	t.nextDial = t.opts.Clock.Now().Add(backoff.Delay(
 		t.opts.BackoffBase, t.opts.BackoffMax, t.streak-1, t.addr, uint64(t.streak)))
 	return err
-}
-
-// putU32 writes v little-endian at the start of b.
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
 }

@@ -15,17 +15,19 @@
 // bytes. A running entry that is no JobConfig travels as the empty
 // document, whose zero config, like nil, runs no tasks.
 //
-// Cursor protocol (mirrors the Job Store journal's contract):
+// Cursor protocol (mirrors the Job Store journal's contract). Every
+// reply is a delta frame, and in either mode an empty one means
+// "nothing more":
 //
-//   - Delta polls carry the cursor; an empty delta (count 0) means
-//     caught up.
-//   - A resync-needed redirect adopts the server's fresh cursor FIRST,
-//     then chunk-walks the fleet; any commit the walk misses has a
-//     larger sequence number and replays through the adopted cursor —
-//     so one redirect costs exactly one walk, never a loop.
+//   - Delta polls carry the cursor; an empty delta means caught up.
+//   - A redirect adopts the server's fresh cursor FIRST, then walks the
+//     running table in name-ordered pages, each a delta, until the
+//     first empty page; any commit the walk misses has a larger
+//     sequence number and replays through the adopted cursor — so one
+//     redirect costs exactly one walk, never a loop.
 //   - Every commit entry carries the server-side revision; the client
 //     skips re-applying revisions it already holds, so the delta replay
-//     after a chunk walk re-commits nothing the walk already delivered.
+//     after a walk re-commits nothing the walk already delivered.
 //     (A Restore restamps every revision on purpose — rebuild, don't
 //     trust — so a post-Restore walk re-commits each entry exactly once.)
 package taskservice
@@ -58,7 +60,7 @@ type FeedClientStats struct {
 	Bytes   int64 // frame bytes received
 	Applied int64 // commits + drops applied to the replica
 	Skipped int64 // entries skipped: revision already held
-	Resyncs int64 // full resyncs begun (resync-needed redirects)
+	Resyncs int64 // full resyncs begun (redirects)
 	// Failures counts polls that returned a transport error (the replica
 	// kept serving its last index across each one).
 	Failures int64
@@ -69,7 +71,7 @@ type FeedClientStats struct {
 	// dedup skips) the most recent resume had to replay to catch back up
 	// — the journal-lag cost of the outage it ended. A cheap reconnect
 	// (no journal overflow, light churn while dark) keeps it small; a
-	// resync-redirected resume counts its full chunk walk.
+	// resync-redirected resume counts its full walk.
 	LastResumeLag int64
 }
 
@@ -136,11 +138,12 @@ func (c *FeedClient) Cursor() uint64 { return c.cursor }
 func (c *FeedClient) Stats() FeedClientStats { return c.stats }
 
 // Pump issues one poll and applies the reply. done reports the client is
-// caught up (an empty delta); a resync in progress always returns
-// done=false. On a transport error the cursor and replica are untouched —
-// the next Pump retries the identical window — and the client enters
-// degraded mode: the replica keeps serving its last index while StaleFor
-// grows monotonically until a poll succeeds again.
+// caught up (an empty delta in delta mode); a resync in progress, and the
+// empty page that ends it, return done=false. On a transport error the
+// cursor and replica are untouched — the next Pump retries the identical
+// window — and the client enters degraded mode: the replica keeps
+// serving its last index while StaleFor grows monotonically until a poll
+// succeeds again.
 func (c *FeedClient) Pump() (done bool, err error) {
 	if c.dark {
 		// This poll would break the failure streak: restart the resume-lag
@@ -205,27 +208,10 @@ func (c *FeedClient) pump() (done bool, err error) {
 	if len(rest) != 0 {
 		return false, fmt.Errorf("taskservice: feed reply carries %d trailing bytes", len(rest))
 	}
-	switch kind {
-	case wire.FrameResyncNeeded:
-		next, err := wire.DecodeResyncNeeded(body)
-		if err != nil {
-			return false, err
-		}
-		c.beginResync(next)
-		return false, nil
-	case wire.FrameResyncChunk:
-		if !c.resync {
-			return false, fmt.Errorf("taskservice: unexpected resync chunk in delta mode")
-		}
-		return false, c.applyChunk(body)
-	case wire.FrameDelta:
-		if c.resync {
-			return false, fmt.Errorf("taskservice: unexpected delta mid-resync")
-		}
-		return c.applyDelta(body)
-	default:
+	if kind != wire.FrameDelta {
 		return false, fmt.Errorf("taskservice: unexpected feed frame kind 0x%02x", kind)
 	}
+	return c.applyDelta(body)
 }
 
 // StaleFor is the replica's staleness bound: the time since the last
@@ -263,46 +249,16 @@ func (c *FeedClient) Sync(maxPolls int) error {
 	return fmt.Errorf("taskservice: feed did not converge within %d polls", maxPolls)
 }
 
-// beginResync adopts the server's fresh cursor and enters chunk-walk
-// mode. Adopting the cursor BEFORE the walk is what makes one redirect
-// cost one walk: a Restore-burned cursor is replaced by a live one, so
-// the post-walk delta poll succeeds instead of redirecting again.
+// beginResync adopts the server's fresh cursor and enters walk mode.
+// Adopting the cursor BEFORE the walk is what makes one redirect cost
+// one walk: a Restore-burned cursor is replaced by a live one, so the
+// post-walk delta poll succeeds instead of redirecting again.
 func (c *FeedClient) beginResync(next uint64) {
 	c.stats.Resyncs++
 	c.resync = true
 	c.resumeAfter = ""
 	c.cursor = next
 	c.seen = make(map[string]struct{}, c.rep.size())
-}
-
-func (c *FeedClient) applyChunk(body []byte) error {
-	chunk, err := wire.DecodeResyncChunk(body)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < chunk.Count; i++ {
-		it, err := chunk.Item()
-		if err != nil {
-			return err
-		}
-		name := string(it.Name)
-		if c.rep.holds(it.Name, it.Rev) {
-			c.stats.Skipped++
-		} else {
-			cfg, err := decodeEntry(it.Doc)
-			if err != nil {
-				return fmt.Errorf("taskservice: resync doc %q: %w", name, err)
-			}
-			c.rep.commit(it.Name, it.Rev, it.Version, cfg)
-			c.stats.Applied++
-		}
-		c.seen[name] = struct{}{}
-		c.resumeAfter = name
-	}
-	if chunk.Done {
-		c.finishResync()
-	}
-	return nil
 }
 
 // finishResync drops every replicated job the walk did not see: entries
@@ -315,34 +271,62 @@ func (c *FeedClient) finishResync() {
 	c.seen = nil
 }
 
+// applyDelta applies one reply: a redirect begins a walk, and entries
+// apply alike in both modes. In walk mode each name is also recorded as
+// seen and as the page to resume after, and the first empty page ends
+// the walk.
 func (c *FeedClient) applyDelta(body []byte) (done bool, err error) {
 	delta, err := wire.DecodeDelta(body)
 	if err != nil {
 		return false, err
+	}
+	if delta.Redirect {
+		if c.resync {
+			return false, fmt.Errorf("taskservice: redirect mid-walk")
+		}
+		c.beginResync(delta.Next)
+		return false, nil
 	}
 	for i := 0; i < delta.Count; i++ {
 		ent, err := delta.Entry()
 		if err != nil {
 			return false, err
 		}
-		if ent.Drop {
-			c.rep.drop(ent.Name)
-			c.stats.Applied++
-			continue
+		if err := c.applyEntry(ent); err != nil {
+			return false, err
 		}
-		if c.rep.holds(ent.Name, ent.Rev) {
-			c.stats.Skipped++
-			continue
+		if c.resync {
+			name := string(ent.Name)
+			c.seen[name] = struct{}{}
+			c.resumeAfter = name
 		}
-		cfg, err := decodeEntry(ent.Doc)
-		if err != nil {
-			return false, fmt.Errorf("taskservice: delta doc %q: %w", ent.Name, err)
-		}
-		c.rep.commit(ent.Name, ent.Rev, ent.Version, cfg)
-		c.stats.Applied++
 	}
 	c.cursor = delta.Next
+	if delta.Count == 0 && c.resync {
+		c.finishResync()
+		return false, nil
+	}
 	return delta.Count == 0, nil
+}
+
+// applyEntry applies one commit or drop to the replica.
+func (c *FeedClient) applyEntry(ent wire.DeltaEntry) error {
+	if ent.Drop {
+		c.rep.drop(ent.Name)
+		c.stats.Applied++
+		return nil
+	}
+	if c.rep.holds(ent.Name, ent.Rev) {
+		c.stats.Skipped++
+		return nil
+	}
+	cfg, err := decodeEntry(ent.Doc)
+	if err != nil {
+		return fmt.Errorf("taskservice: delta doc %q: %w", ent.Name, err)
+	}
+	c.rep.commit(ent.Name, ent.Rev, ent.Version, cfg)
+	c.stats.Applied++
+	return nil
 }
 
 // decodeEntry decodes an entry's document, a view of a frame buffer the

@@ -167,7 +167,7 @@ func TestFeedServesPastFullRegistry(t *testing.T) {
 
 // TestFeedRestoreTriggersExactlyOneResync: Restore burns a journal
 // sequence to invalidate every outstanding cursor. A remote subscriber
-// must observe exactly one resync-needed redirect, walk the fleet once,
+// must observe exactly one redirect, walk the fleet once,
 // and NOT loop. Restore restamps every running revision (the store's
 // rebuild-don't-trust contract), so the walk re-commits each entry
 // exactly once; what must not happen is a second redirect.
@@ -337,22 +337,23 @@ func (h *feedHarness) checkReplica(t *testing.T) {
 	}
 }
 
-// TestFeedClientRejectsModeMismatches: a delta frame mid-resync or a
-// chunk frame in delta mode is a protocol violation, not silently
+// TestFeedClientRejectsModeMismatches: a redirect mid-walk, or a frame
+// of a kind the feed never sends, is a protocol violation, not silently
 // applied state.
 func TestFeedClientRejectsModeMismatches(t *testing.T) {
-	h := newFeedHarness(t, 4)
-	h.commit(t, "jobs/a", 2, 1)
-
-	// Hand-feed a chunk frame to a delta-mode client.
+	// A redirect begins a walk; a second one before the walk ends errs
+	// and leaves the walk where it was.
 	var e wire.Encoder
-	mark, countMark := e.AppendResyncChunkHeader(true)
-	e.AppendChunkItem("jobs/a", 1, 1, &config.JobConfig{Name: "k"})
-	e.PatchChunkCount(countMark, 1)
-	e.EndFrame(mark)
+	e.AppendRedirect(7)
 	c := NewFeedClient(&fakeFeed{frame: e.Buf}, "x", feedTestClock(), 90*time.Second, 4)
+	if done, err := c.Pump(); err != nil || done {
+		t.Fatalf("first redirect: pump = (%v, %v)", done, err)
+	}
 	if _, err := c.Pump(); err == nil {
-		t.Fatal("chunk frame in delta mode did not error")
+		t.Fatal("redirect mid-walk did not error")
+	}
+	if st := c.Stats(); st.Resyncs != 1 || !c.resync || c.Cursor() != 7 {
+		t.Fatalf("after the rejected redirect: resyncs %d, walking %v, cursor %d", st.Resyncs, c.resync, c.Cursor())
 	}
 
 	// And an unknown frame kind.
@@ -364,6 +365,65 @@ func TestFeedClientRejectsModeMismatches(t *testing.T) {
 	if _, err := c.Pump(); err == nil {
 		t.Fatal("unknown frame kind did not error")
 	}
+}
+
+// TestFeedWalkPageCarriesDrops: a walk page is a delta, so a name the
+// server found dropped after taking the page's name list arrives as a
+// drop: it applies (and counts in Applied) like any delta drop, and the
+// walk still resumes after it and ends at the first empty page.
+func TestFeedWalkPageCarriesDrops(t *testing.T) {
+	frame := func(build func(e *wire.Encoder)) []byte {
+		var e wire.Encoder
+		build(&e)
+		return e.Buf
+	}
+	feed := &scriptFeed{frames: [][]byte{
+		frame(func(e *wire.Encoder) { e.AppendRedirect(5) }),
+		frame(func(e *wire.Encoder) {
+			mark := e.AppendDeltaHeader(5, 2)
+			e.AppendDeltaCommit("jobs/a", 1, 1, &config.JobConfig{Name: "jobs/a"})
+			e.AppendDeltaDrop("jobs/b")
+			e.EndFrame(mark)
+		}),
+		frame(func(e *wire.Encoder) { e.EndFrame(e.AppendDeltaHeader(5, 0)) }),
+		frame(func(e *wire.Encoder) { e.EndFrame(e.AppendDeltaHeader(5, 0)) }),
+	}}
+	c := NewFeedClient(feed, "x", feedTestClock(), 90*time.Second, 4)
+	if err := c.Sync(len(feed.frames)); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.rep.RunningNames(); !slices.Equal(got, []string{"jobs/a"}) {
+		t.Fatalf("replica holds %v, want [jobs/a]", got)
+	}
+	if st := c.Stats(); st.Applied != 2 || st.Resyncs != 1 || c.Cursor() != 5 {
+		t.Fatalf("stats %+v cursor %d: want 2 applied, 1 resync, cursor 5", st, c.Cursor())
+	}
+	want := []wire.FeedRequest{
+		{Cursor: 0},
+		{Cursor: 5, Resync: true},
+		{Cursor: 5, Resync: true, ResumeAfter: "jobs/b"},
+		{Cursor: 5},
+	}
+	for i := range want {
+		want[i].Subscriber = "x"
+	}
+	if !slices.Equal(feed.reqs, want) {
+		t.Fatalf("requests %+v, want %+v", feed.reqs, want)
+	}
+}
+
+// scriptFeed serves its frames in order and records each request.
+type scriptFeed struct {
+	frames [][]byte
+	reqs   []wire.FeedRequest
+}
+
+func (f *scriptFeed) PollFeed(req wire.FeedRequest, buf []byte) ([]byte, error) {
+	if len(f.reqs) == len(f.frames) {
+		return nil, errors.New("script exhausted")
+	}
+	f.reqs = append(f.reqs, req)
+	return append(buf, f.frames[len(f.reqs)-1]...), nil
 }
 
 type fakeFeed struct{ frame []byte }

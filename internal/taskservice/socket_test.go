@@ -16,10 +16,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/config"
 	"repro/internal/jobservice"
 	"repro/internal/jobstore"
 	"repro/internal/simclock"
@@ -168,7 +170,7 @@ func TestSocketReconnectAfterOverflowResyncsOnce(t *testing.T) {
 }
 
 // TestSocketDisconnectStormMidResync: the harshest interleaving —
-// overflow forces a resync, the chunk walk is clamped to one entry per
+// overflow forces a resync, the walk is clamped to one entry per
 // frame, and the connection is cut every few polls mid-walk. ResumeAfter
 // and the adopted cursor survive each cut, so the walk completes without
 // a second redirect and the index is still byte-identical.
@@ -210,6 +212,32 @@ func TestSocketDisconnectStormMidResync(t *testing.T) {
 	}
 	if ds := h.tr.Stats(); ds.Reconnects < 3 {
 		t.Fatalf("%d reconnects, want several (the storm did not bite)", ds.Reconnects)
+	}
+}
+
+// TestSocketWalkPastLongestName: a job with the longest name Validate
+// admits ends a walk page, so the next walk request carries it as
+// ResumeAfter. The listener must take that request: the walk converges
+// with one resync and no bad frame.
+func TestSocketWalkPastLongestName(t *testing.T) {
+	h := newSocketHarness(t, 8)
+	long := "jobs/" + strings.Repeat("n", config.MaxJobNameLen-len("jobs/"))
+	for _, name := range []string{"jobs/a", long, "jobs/z"} {
+		h.commit(t, name, 2, 1)
+	}
+	h.mustConverge(t)
+
+	h.tr.Close()
+	h.overflow(t)
+	h.remote.SetMaxEntries(1) // every name ends a page
+	defer h.remote.SetMaxEntries(0)
+	h.mustConverge(t)
+
+	if rs := h.remote.Stats().Resyncs; rs != 1 {
+		t.Fatalf("%d resyncs, want exactly 1", rs)
+	}
+	if st := h.lis.Stats(); st.BadFrames != 0 {
+		t.Fatalf("listener stats %+v: want no bad frames", st)
 	}
 }
 

@@ -1,20 +1,22 @@
-// Spec-feed frame codecs: the three message shapes that cross the
-// Job Service → Task Service seam, plus the poll request. See the
+// Spec-feed frame codecs: the poll request and its one reply shape, the
+// delta, which crosses the Job Service → Task Service seam. See the
 // package comment for the framing rules.
 //
 // Frame layouts (after the u32 length + kind byte):
 //
 //	FeedRequest:  flags(bit0 resync) | uvarint cursor | uvarint max |
 //	              string subscriber | string resumeAfter
-//	Delta:        uvarint next | uvarint count | count × entry
+//	Delta:        flags(bit0 redirect) | uvarint next | uvarint count |
+//	              count × entry
 //	  entry:      flags(bit0 drop) | string name |
 //	              commit only: varint rev | varint version | blob doc
-//	ResyncNeeded: uvarint next
-//	ResyncChunk:  flags(bit0 done) | uvarint count | count × item
-//	  item:       string name | varint rev | varint version | blob doc
 //
-// Delta and chunk payloads are consumed through by-value iterators whose
-// entries hold zero-copy views; decoding a doc (DecodeJobConfigBlob) is a
+// A delta answers both kinds of poll: a journal window in delta mode, a
+// page of the running table's walk in resync mode. A redirect is a delta
+// with no entries whose next is the cursor to adopt before walking.
+//
+// Delta entries are consumed through a by-value iterator whose entries
+// hold zero-copy views; decoding a doc (DecodeJobConfigBlob) is a
 // separate explicit step, so a consumer that skips a job (revision
 // already applied) never decodes its document.
 
@@ -33,10 +35,11 @@ type FeedRequest struct {
 	// Max bounds the entries in the reply frame; 0 means the server
 	// default. The fault injector's "partial batch" is Max=1.
 	Max int
-	// Resync selects chunk-walk mode: the reply pages the full fleet
-	// starting after ResumeAfter.
+	// Resync selects walk mode: the reply is the next page of the
+	// running table, in name order after ResumeAfter, with Cursor as its
+	// next.
 	Resync bool
-	// ResumeAfter is the last job name applied from the previous chunk.
+	// ResumeAfter is the last job name applied from the previous page.
 	ResumeAfter string
 }
 
@@ -77,6 +80,10 @@ func DecodeFeedRequest(body []byte) (FeedRequest, error) {
 // Delta iterates a FrameDelta body. Obtain with DecodeDelta; call Entry
 // exactly Count times. Entries hold views into the frame buffer.
 type Delta struct {
+	// Redirect marks a cursor that cannot be caught up: the frame has no
+	// entries, and Next is the cursor to adopt before walking the
+	// running table.
+	Redirect bool
 	// Next is the cursor to hold after applying every entry.
 	Next uint64
 	// Count is the number of entries in the frame.
@@ -96,14 +103,29 @@ type DeltaEntry struct {
 	Doc     []byte
 }
 
+// deltaRedirect is the delta header's redirect flag.
+const deltaRedirect = 1
+
 // AppendDeltaHeader begins a FrameDelta with its cursor and entry count,
 // returning the frame mark for EndFrame. Entries follow via
 // AppendDeltaCommit / AppendDeltaDrop — exactly count of them.
 func (e *Encoder) AppendDeltaHeader(next uint64, count int) int {
 	mark := e.BeginFrame(FrameDelta)
+	e.Buf = append(e.Buf, 0)
 	e.Buf = AppendUvarint(e.Buf, next)
 	e.Buf = AppendUvarint(e.Buf, uint64(count))
 	return mark
+}
+
+// AppendRedirect encodes a complete redirect: a FrameDelta with no
+// entries telling the subscriber to adopt next and walk the running
+// table.
+func (e *Encoder) AppendRedirect(next uint64) {
+	mark := e.BeginFrame(FrameDelta)
+	e.Buf = append(e.Buf, deltaRedirect)
+	e.Buf = AppendUvarint(e.Buf, next)
+	e.Buf = AppendUvarint(e.Buf, 0)
+	e.EndFrame(mark)
 }
 
 // AppendDeltaDrop appends a drop entry.
@@ -127,10 +149,17 @@ func (e *Encoder) AppendDeltaCommit(name string, rev, version int64, cfg *config
 // DecodeDelta reads a FrameDelta header and returns its entry iterator.
 func DecodeDelta(body []byte) (Delta, error) {
 	r := NewReader(body)
-	d := Delta{Next: r.Uvarint()}
+	flags := r.Byte()
+	d := Delta{Redirect: flags&deltaRedirect != 0, Next: r.Uvarint()}
 	n := r.Uvarint()
 	if err := r.Err(); err != nil {
 		return Delta{}, err
+	}
+	if flags&^deltaRedirect != 0 {
+		return Delta{}, malformed("unknown delta flags 0x%02x", flags)
+	}
+	if d.Redirect && n != 0 {
+		return Delta{}, malformed("redirect carries %d entries", n)
 	}
 	if n > uint64(r.Remaining()) {
 		return Delta{}, malformed("delta count %d exceeds %d remaining bytes", n, r.Remaining())
@@ -160,117 +189,11 @@ func (d *Delta) Entry() (DeltaEntry, error) {
 	return ent, r.Err()
 }
 
-// AppendResyncNeeded encodes a FrameResyncNeeded: the subscriber must
-// chunk-walk from the returned cursor.
-func (e *Encoder) AppendResyncNeeded(next uint64) {
-	mark := e.BeginFrame(FrameResyncNeeded)
-	e.Buf = AppendUvarint(e.Buf, next)
-	e.EndFrame(mark)
-}
-
-// DecodeResyncNeeded decodes a FrameResyncNeeded body.
-func DecodeResyncNeeded(body []byte) (next uint64, err error) {
-	r := NewReader(body)
-	next = r.Uvarint()
-	if r.Remaining() != 0 && r.Err() == nil {
-		return 0, malformed("%d trailing bytes after resync-needed", r.Remaining())
-	}
-	return next, r.Err()
-}
-
-// ResyncChunk iterates a FrameResyncChunk body: one page of the full
-// fleet walk, sorted by job name.
-type ResyncChunk struct {
-	// Done marks the final page: nothing is running beyond its last item.
-	Done bool
-	// Count is the number of items in the page.
-	Count int
-	r     Reader
-	left  int
-}
-
-// ChunkItem is one running entry in a resync page. Views, like
-// DeltaEntry's.
-type ChunkItem struct {
-	Name    []byte
-	Rev     int64
-	Version int64
-	Doc     []byte
-}
-
-// AppendResyncChunkHeader begins a FrameResyncChunk; items follow via
-// AppendChunkItem, then PatchChunkCount + EndFrame. The count field is a
-// fixed u32 so the server can emit items first — skipping entries that
-// vanished between its name snapshot and the per-job read — and patch
-// the real count afterwards. countMark is the patch position.
-func (e *Encoder) AppendResyncChunkHeader(done bool) (mark, countMark int) {
-	mark = e.BeginFrame(FrameResyncChunk)
-	var flags byte
-	if done {
-		flags |= 1
-	}
-	e.Buf = append(e.Buf, flags)
-	countMark = e.BeginBlob() // u32 slot, patched by PatchChunkCount
-	return mark, countMark
-}
-
-// PatchChunkCount writes the final item count into the slot reserved by
-// AppendResyncChunkHeader.
-func (e *Encoder) PatchChunkCount(countMark, count int) {
-	putU32(e.Buf[countMark:], uint32(count))
-}
-
-// AppendChunkItem appends one running entry to a resync page, its
-// configuration as its document (AppendJobConfig).
-func (e *Encoder) AppendChunkItem(name string, rev, version int64, cfg *config.JobConfig) {
-	e.Buf = AppendString(e.Buf, name)
-	e.Buf = AppendVarint(e.Buf, rev)
-	e.Buf = AppendVarint(e.Buf, version)
-	mark := e.BeginBlob()
-	e.AppendJobConfig(cfg)
-	e.EndBlob(mark)
-}
-
-// DecodeResyncChunk reads a FrameResyncChunk header and returns its
-// item iterator.
-func DecodeResyncChunk(body []byte) (ResyncChunk, error) {
-	r := NewReader(body)
-	flags := r.Byte()
-	c := ResyncChunk{Done: flags&1 != 0}
-	n := r.u32()
-	if err := r.Err(); err != nil {
-		return ResyncChunk{}, err
-	}
-	if n > uint64(r.Remaining()) {
-		return ResyncChunk{}, malformed("chunk count %d exceeds %d remaining bytes", n, r.Remaining())
-	}
-	c.Count = int(n)
-	c.left = int(n)
-	c.r = r
-	return c, nil
-}
-
-// Item decodes the next page item.
-func (c *ResyncChunk) Item() (ChunkItem, error) {
-	if c.left <= 0 {
-		return ChunkItem{}, malformed("chunk over-read: all %d items consumed", c.Count)
-	}
-	c.left--
-	r := &c.r
-	var it ChunkItem
-	it.Name = r.Bytes()
-	it.Rev = r.Varint()
-	it.Version = r.Varint()
-	it.Doc = r.Blob()
-	return it, r.Err()
-}
-
-// DecodeDocBlob materializes a document — an entry's view (DeltaEntry.Doc
-// or ChunkItem.Doc) or a Blob — into a freshly allocated config-doc tree
-// that does not alias blob, as a feed entry needs: its frame buffer is
-// reused. A Blob's own Doc method is the aliasing form. It is the
-// definition DecodeJobConfigBlob is held to, and what tests read entries
-// with.
+// DecodeDocBlob materializes a document — an entry's view (DeltaEntry.Doc)
+// or a Blob — into a freshly allocated config-doc tree that does not
+// alias blob, as a feed entry needs: its frame buffer is reused. A Blob's
+// own Doc method is the aliasing form. It is the definition
+// DecodeJobConfigBlob is held to, and what tests read entries with.
 func DecodeDocBlob(blob []byte) (config.Doc, error) {
 	return decodeBlob(blob, false)
 }

@@ -23,13 +23,12 @@ func FuzzFrameDecode(f *testing.F) {
 	e.EndFrame(mark)
 	f.Add(append([]byte(nil), e.Buf...))
 	e.Reset()
-	mark, countMark := e.AppendResyncChunkHeader(true)
-	e.AppendChunkItem("jobs/a", 1, 1, &config.JobConfig{Name: "k"})
-	e.PatchChunkCount(countMark, 1)
+	mark = e.AppendDeltaHeader(9, 1)
+	e.AppendDeltaCommit("jobs/a", 1, 1, &config.JobConfig{Name: "k"})
 	e.EndFrame(mark)
 	f.Add(append([]byte(nil), e.Buf...))
 	e.Reset()
-	e.AppendResyncNeeded(123)
+	e.AppendRedirect(123)
 	f.Add(append([]byte(nil), e.Buf...))
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{255, 255, 255, 255, 1})
@@ -44,12 +43,13 @@ func FuzzFrameDecode(f *testing.F) {
 			switch kind {
 			case FrameFeedRequest:
 				_, _ = DecodeFeedRequest(body)
-			case FrameResyncNeeded:
-				_, _ = DecodeResyncNeeded(body)
 			case FrameDelta:
 				d, err := DecodeDelta(body)
 				if err != nil {
 					return
+				}
+				if d.Redirect && d.Count != 0 {
+					t.Fatalf("redirect decoded with %d entries", d.Count)
 				}
 				for i := 0; i < d.Count; i++ {
 					ent, err := d.Entry()
@@ -59,18 +59,6 @@ func FuzzFrameDecode(f *testing.F) {
 					if ent.Doc != nil {
 						_, _ = DecodeDocBlob(ent.Doc)
 					}
-				}
-			case FrameResyncChunk:
-				c, err := DecodeResyncChunk(body)
-				if err != nil {
-					return
-				}
-				for i := 0; i < c.Count; i++ {
-					it, err := c.Item()
-					if err != nil {
-						break
-					}
-					_, _ = DecodeDocBlob(it.Doc)
 				}
 			}
 			rest = next

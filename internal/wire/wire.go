@@ -5,7 +5,7 @@
 //
 // The codec exists so that a multi-process deployment is a wiring
 // change, not a refactor (ROADMAP): every value that would cross a
-// process boundary — a spec feed delta, a resync chunk, a feed request —
+// process boundary — a feed request and the delta that answers it —
 // already round-trips through this package inside the single-process
 // build, and the in-process loopback transport in jobservice exercises
 // it on every poll.
@@ -17,10 +17,10 @@
 //     Encoder's reusable buffer, so a steady state with warm buffers
 //     encodes without allocating.
 //  2. Zero-copy decode views: Reader yields []byte views into the frame
-//     for names and nested documents, and deltas/chunks are consumed
-//     through by-value iterators — a subscriber that only needs to
-//     advance its cursor touches no heap. Materializing a string or a
-//     JobConfig is an explicit, caller-chosen step.
+//     for names and nested documents, and deltas are consumed through a
+//     by-value iterator — a subscriber that only needs to advance its
+//     cursor touches no heap. Materializing a string or a JobConfig is
+//     an explicit, caller-chosen step.
 //  3. Hostile-input safety: malformed frames produce errors, never
 //     panics or large speculative allocations. Lengths are validated
 //     against the remaining input before use and document nesting is
@@ -28,8 +28,8 @@
 //
 // Integers encode as LEB128 varints (unsigned, or zigzag for signed);
 // frame and document-blob lengths are fixed 4-byte little-endian so a
-// blob can be skipped — or length-patched after encoding — without
-// shifting bytes.
+// blob can be skipped without reading it, and an encoder can write the
+// body first and fill in its length after, without shifting bytes.
 package wire
 
 import (
@@ -43,15 +43,11 @@ import (
 // Frame kinds. A frame on the wire is: u32 little-endian body length,
 // then the body; the body's first byte is its kind.
 const (
-	// FrameDelta carries a batched ChangesSince window: journal entries
-	// (cursor..next] with each commit's running doc inlined.
+	// FrameDelta is the feed's one reply: a batched ChangesSince window
+	// (journal entries (cursor..next] with each commit's running doc
+	// inlined), one page of the running table's walk, or a redirect
+	// onto that walk.
 	FrameDelta byte = 0x01
-	// FrameResyncNeeded tells a subscriber its cursor cannot be caught
-	// up incrementally; it must chunk-walk the fleet from ResyncNeeded's
-	// next cursor.
-	FrameResyncNeeded byte = 0x02
-	// FrameResyncChunk carries one bounded page of a full fleet walk.
-	FrameResyncChunk byte = 0x03
 	// FrameFeedRequest is a subscriber's poll request.
 	FrameFeedRequest byte = 0x04
 )
@@ -227,24 +223,6 @@ func (r *Reader) Blob() []byte {
 	r.off += 4
 	return r.take(uint64(n))
 }
-
-// u32 reads a fixed-width little-endian uint32 (the patchable count
-// fields).
-func (r *Reader) u32() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+4 > len(r.buf) {
-		r.fail("u32 past end at offset %d", r.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return uint64(v)
-}
-
-// putU32 writes v little-endian at the start of b.
-func putU32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
 
 // asString views b as a string without copying. Empty views normalize
 // to "" so the result never carries a dangling pointer.

@@ -227,74 +227,67 @@ func TestDeltaRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResyncFramesRoundTrip: a resync is carried by deltas alone. The
+// redirect is a delta with the redirect flag, no entries, and the cursor
+// to adopt as next; a walk page is a plain delta.
 func TestResyncFramesRoundTrip(t *testing.T) {
 	var e Encoder
-	e.AppendResyncNeeded(5150)
+	e.AppendRedirect(5150)
 	kind, body, rest, err := DecodeFrame(e.Buf)
-	if err != nil || kind != FrameResyncNeeded || len(rest) != 0 {
+	if err != nil || kind != FrameDelta || len(rest) != 0 {
 		t.Fatalf("kind=0x%02x err=%v", kind, err)
 	}
-	next, err := DecodeResyncNeeded(body)
-	if err != nil || next != 5150 {
-		t.Fatalf("next=%d err=%v", next, err)
+	d, err := DecodeDelta(body)
+	if err != nil || !d.Redirect || d.Next != 5150 || d.Count != 0 {
+		t.Fatalf("redirect = %+v err %v", d, err)
+	}
+	if _, err := d.Entry(); err == nil {
+		t.Fatal("over-read of a redirect did not error")
 	}
 
 	e.Reset()
-	mark, countMark := e.AppendResyncChunkHeader(true)
-	e.AppendChunkItem("jobs/a", 9, 2, &config.JobConfig{TaskCount: 1})
-	e.AppendChunkItem("jobs/b", 10, 3, &config.JobConfig{Priority: 2})
-	e.PatchChunkCount(countMark, 2)
+	mark := e.AppendDeltaHeader(5150, 2)
+	e.AppendDeltaCommit("jobs/a", 9, 2, &config.JobConfig{TaskCount: 1})
+	e.AppendDeltaDrop("jobs/b")
 	e.EndFrame(mark)
-
-	kind, body, _, err = DecodeFrame(e.Buf)
-	if err != nil || kind != FrameResyncChunk {
-		t.Fatalf("kind=0x%02x err=%v", kind, err)
-	}
-	c, err := DecodeResyncChunk(body)
+	_, body, _, err = DecodeFrame(e.Buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Done || c.Count != 2 {
-		t.Fatalf("chunk header = %+v", c)
+	d, err = DecodeDelta(body)
+	if err != nil || d.Redirect || d.Next != 5150 || d.Count != 2 {
+		t.Fatalf("page header = %+v err %v", d, err)
 	}
-	it, err := c.Item()
-	if err != nil || string(it.Name) != "jobs/a" || it.Rev != 9 || it.Version != 2 {
-		t.Fatalf("item 0 = %+v err %v", it, err)
+	ent, err := d.Entry()
+	if err != nil || string(ent.Name) != "jobs/a" || ent.Rev != 9 || ent.Version != 2 {
+		t.Fatalf("entry 0 = %+v err %v", ent, err)
 	}
-	if cfg, err := DecodeJobConfigBlob(it.Doc); err != nil || cfg == nil || cfg.TaskCount != 1 {
-		t.Fatalf("item 0 config = %+v err %v", cfg, err)
+	if cfg, err := DecodeJobConfigBlob(ent.Doc); err != nil || cfg == nil || cfg.TaskCount != 1 {
+		t.Fatalf("entry 0 config = %+v err %v", cfg, err)
 	}
-	it, err = c.Item()
-	if err != nil || string(it.Name) != "jobs/b" {
-		t.Fatalf("item 1 = %+v err %v", it, err)
-	}
-	if _, err := c.Item(); err == nil {
-		t.Fatal("over-read did not error")
+	if ent, err := d.Entry(); err != nil || string(ent.Name) != "jobs/b" || !ent.Drop {
+		t.Fatalf("entry 1 = %+v err %v", ent, err)
 	}
 }
 
-// TestChunkCountPatchedBelowEmitted: the server skips entries that
-// vanish between its name snapshot and the per-job read; the patched
-// count must rule, not the planned one.
-func TestChunkCountPatchedBelowEmitted(t *testing.T) {
-	var e Encoder
-	mark, countMark := e.AppendResyncChunkHeader(false)
-	e.AppendChunkItem("jobs/only", 1, 1, &config.JobConfig{})
-	e.PatchChunkCount(countMark, 1) // planned 3, two vanished
-	e.EndFrame(mark)
-	_, body, _, err := DecodeFrame(e.Buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := DecodeResyncChunk(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Done || c.Count != 1 {
-		t.Fatalf("chunk header = %+v", c)
-	}
-	if it, err := c.Item(); err != nil || string(it.Name) != "jobs/only" {
-		t.Fatalf("item = %+v err %v", it, err)
+// TestDeltaFlagsMalformed: a redirect that carries entries, and a header
+// flag no encoder writes, are malformed.
+func TestDeltaFlagsMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		flags byte
+		count uint64
+	}{
+		{"redirect with entries", deltaRedirect, 1},
+		{"unknown flag", 2, 0},
+	} {
+		body := append([]byte{tc.flags}, AppendUvarint(nil, 7)...)
+		body = AppendUvarint(body, tc.count)
+		body = append(body, 1)
+		body = AppendString(body, "jobs/a")
+		if _, err := DecodeDelta(body); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", tc.name, err)
+		}
 	}
 }
 

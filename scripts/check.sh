@@ -36,8 +36,11 @@ go -C bench test .
 # replaced, or of the in-place Task.Respec from the Stop, NewTask, Start
 # restart it stands for — any job config the Job Service accepts that a
 # later stage (syncer round, spec feed, Task Service expansion) rejects or
-# panics on, and any snapshot file Restore panics on, half-applies when it
-# refuses it, or restores to a store that does not snapshot back to it.
+# panics on, any snapshot file Restore panics on, half-applies when it
+# refuses it, or restores to a store that does not snapshot back to it,
+# and any schedule of commits, drops, overflows, restores, bounded pumps,
+# forced redirects and failed polls after which a spec-feed subscriber
+# does not converge to the running table.
 # FuzzRestore's inputs are whole snapshots, slow to minimize: a short
 # minimization budget leaves the smoke its seconds to mutate.
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzFrameDecode' -fuzztime 5s
@@ -52,4 +55,5 @@ go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzSpecEqualMatchesJSON' -fuzzt
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzAdvanceMatchesPerPartitionDrain' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzRespecMatchesRestart' -fuzztime 5s
 go test ./internal/statesyncer -run 'XXXNONE' -fuzz 'FuzzInputBoundary' -fuzztime 5s
+go test ./internal/taskservice -run 'XXXNONE' -fuzz 'FuzzFeedConverges' -fuzztime 5s
 go test ./internal/jobstore -run 'XXXNONE' -fuzz 'FuzzRestore' -fuzztime 5s -fuzzminimizetime 1s
