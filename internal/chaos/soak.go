@@ -38,13 +38,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Options size a soak run. Zero values take defaults.
+// Options select a soak run. Zero values take defaults.
 type Options struct {
 	Seed uint64
-	// Jobs is the number of long-lived jobs (default 6); one additional
-	// job is created and deleted mid-run to probe teardown under faults.
-	Jobs  int
-	Hosts int
 	// SyncerShards is the number of lease-coordinated State Syncer Nodes
 	// in BOTH clusters (baseline and faulty); <= 1 means one. Every run
 	// faults the Node ↔ slice transport and asserts zero lease
@@ -111,14 +107,12 @@ const (
 	tail = 10 * time.Minute
 )
 
-func (o *Options) fillDefaults() {
-	if o.Jobs <= 0 {
-		o.Jobs = 6
-	}
-	if o.Hosts <= 0 {
-		o.Hosts = 4
-	}
-}
+// soakJobs long-lived jobs run on soakHosts hosts; one additional job is
+// created and deleted mid-run to probe teardown under faults.
+const (
+	soakJobs  = 6
+	soakHosts = 4
+)
 
 func jobName(i int) string { return fmt.Sprintf("soak/j%02d", i) }
 
@@ -239,7 +233,6 @@ func rules(clusterName string, transport string) []faultinject.Rule {
 // Run executes one soak. It returns an error the moment any invariant
 // breaks; a nil error means every check passed.
 func Run(opts Options) (*Result, error) {
-	opts.fillDefaults()
 	res := &Result{}
 
 	baseline, _, err := newCluster(opts, "base", false)
@@ -298,7 +291,7 @@ func newCluster(opts Options, name string, faults bool) (*cluster.Cluster, *faul
 	start := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	cfg := cluster.Config{
 		Name:         name,
-		Hosts:        opts.Hosts,
+		Hosts:        soakHosts,
 		StartTime:    start,
 		SyncerShards: opts.SyncerShards,
 	}
@@ -428,7 +421,7 @@ func runSchedule(c *cluster.Cluster, inj *faultinject.Injector, opts Options, re
 	}
 
 	tasksOf := make(map[string]int)
-	for i := 0; i < opts.Jobs; i++ {
+	for i := 0; i < soakJobs; i++ {
 		name := jobName(i)
 		tasksOf[name] = 4
 		if err := c.AddJob(cluster.JobSpec{

@@ -106,7 +106,7 @@ func TestChaosSoakSocket(t *testing.T) {
 		t.Fatal("no feed-conn faults in the trace — the byte-stream seam is not wired")
 	}
 	if res.RemoteDial.TornFrames != 0 {
-		t.Fatalf("client observed %d torn frames — the stream decoder delivered corrupt replies", res.RemoteDial.TornFrames)
+		t.Fatalf("client observed %d torn frames — the frame reader delivered corrupt replies", res.RemoteDial.TornFrames)
 	}
 	if res.RemoteDial.Reconnects < 1 {
 		t.Fatalf("client reconnected %d times, want at least 1 (disconnect faults did not bite)", res.RemoteDial.Reconnects)

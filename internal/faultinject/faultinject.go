@@ -82,12 +82,12 @@ const (
 	// at a high rate.
 	KindForceResync Kind = "force-resync"
 	// KindTornWrite (feed conn) lets half of a Write's bytes escape onto
-	// the wire, then severs the connection: the peer reassembles a
-	// partial frame that must never surface as a complete one.
+	// the wire, then severs the connection: the peer reads a partial
+	// frame that must never surface as a complete one.
 	KindTornWrite Kind = "torn-write"
 	// KindShortRead (feed conn) clamps a Read to one byte without
 	// failing it: the frame arrives, but sliced at an adversarial
-	// boundary — the stream decoder's reassembly path under load.
+	// boundary — wire.ReadFrame's many-read path under load.
 	KindShortRead Kind = "short-read"
 	// KindHungConn (feed conn) models a peer that stays connected but
 	// goes silent: the call fails with the deadline-expiry error a real
@@ -579,8 +579,7 @@ func (c *feedConn) Write(p []byte) (int, error) {
 			n := len(p) / 2
 			if n > 0 {
 				// Half the frame escapes onto the wire before the cut —
-				// the peer's decoder holds a partial frame it must never
-				// surface.
+				// the peer reads a partial frame it must never surface.
 				c.Conn.Write(p[:n])
 			}
 			c.Conn.Close()

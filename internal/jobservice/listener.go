@@ -9,9 +9,9 @@
 //
 // Robustness contract per connection:
 //
-//   - Requests are reassembled by a stream.Decoder with a tight body
-//     bound (feed requests are tiny), so hostile lengths and torn
-//     request frames drop the connection without buffering or panicking.
+//   - Requests are read whole by wire.ReadFrame with a tight body bound
+//     (feed requests are tiny), so hostile lengths and torn request
+//     frames drop the connection without buffering or panicking.
 //   - Read deadlines bound how long an idle or trickling peer can hold
 //     a connection; write deadlines bound a peer that stops draining
 //     replies. Either expiry drops the connection — the client's
@@ -26,6 +26,7 @@
 package jobservice
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -36,7 +37,6 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/wire"
-	"repro/internal/wire/stream"
 )
 
 // ListenerOptions tune a FeedListener. Zero values take defaults.
@@ -181,11 +181,14 @@ func (l *FeedListener) serveConn(conn net.Conn) {
 		delete(l.conns, conn)
 		l.mu.Unlock()
 	}()
-	r := stream.NewFrameReader(conn, l.opts.ReadTimeout, maxRequestBody)
-	var reply []byte // reused across polls on this conn
+	br := bufio.NewReader(conn)
+	var request, reply []byte // reused across polls on this conn
 	for {
-		kind, body, err := r.ReadFrame()
-		if err != nil {
+		if conn.SetReadDeadline(time.Now().Add(l.opts.ReadTimeout)) != nil {
+			return
+		}
+		var err error
+		if request, err = wire.ReadFrame(br, request[:0], maxRequestBody); err != nil {
 			// io.EOF between frames is a clean hang-up; anything else —
 			// torn request, hostile length, deadline — is a drop either
 			// way. Errors carrying wire.ErrMalformed count as bad frames.
@@ -194,6 +197,7 @@ func (l *FeedListener) serveConn(conn net.Conn) {
 			}
 			return
 		}
+		kind, body, _, _ := wire.DecodeFrame(request) // a whole frame: cannot fail
 		if kind != wire.FrameFeedRequest {
 			l.badFrames.Add(1)
 			return
@@ -203,7 +207,7 @@ func (l *FeedListener) serveConn(conn net.Conn) {
 			l.badFrames.Add(1)
 			return
 		}
-		// req's strings are views into the frame buffer; PollFeed's
+		// req's strings are views into the request buffer; PollFeed's
 		// registry clones before retaining, per its contract.
 		reply, err = l.pollInto(req, reply[:0])
 		if err != nil {
@@ -212,7 +216,10 @@ func (l *FeedListener) serveConn(conn net.Conn) {
 			// let the client's retry path decide.
 			return
 		}
-		if err := stream.WriteFrame(conn, reply, l.opts.WriteTimeout); err != nil {
+		if conn.SetWriteDeadline(time.Now().Add(l.opts.WriteTimeout)) != nil {
+			return
+		}
+		if _, err := conn.Write(reply); err != nil {
 			return
 		}
 		l.served.Add(1)

@@ -37,6 +37,7 @@ package jobstore
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -337,6 +338,9 @@ func (s *Store) stripeFor(name string) *jobStripe {
 // (config.JobConfig.ShareStrings), which every later version of the job
 // inherits, so the caller's maps keyed by them find the job's by pointer.
 func (s *Store) Create(name string, base wire.Blob, src *config.JobConfig) error {
+	if err := checkName(name); err != nil {
+		return fmt.Errorf("jobstore: create: %w", err)
+	}
 	if err := wire.CheckDoc(base); err != nil {
 		return fmt.Errorf("jobstore: create %q: %w", name, err)
 	}
@@ -934,7 +938,8 @@ func (s *Store) Snapshot() ([]byte, error) {
 // round. A snapshot whose schema is below 2 (or absent) carries no sync
 // states, and one with a null expected entry or a running entry without
 // a document holds no job: both are rejected with an error, leaving the
-// store as it was.
+// store as it was, and so is a job name in any section longer than
+// config.MaxJobNameLen.
 func (s *Store) Restore(data []byte) error {
 	var snap snapshot
 	if err := json.Unmarshal(data, &snap); err != nil {
@@ -942,6 +947,10 @@ func (s *Store) Restore(data []byte) error {
 	}
 	if snap.Schema < 2 {
 		return fmt.Errorf("jobstore: restore: snapshot schema %d predates the syncer state (schema 2)", snap.Schema)
+	}
+	if err := cmp.Or(checkNames(snap.Expected), checkNames(snap.Running),
+		checkNames(snap.Quarantined), checkNames(snap.Sync)); err != nil {
+		return fmt.Errorf("jobstore: restore: %w", err)
 	}
 	for k, v := range snap.Expected {
 		if v == nil {
@@ -1009,6 +1018,26 @@ func (s *Store) Restore(data []byte) error {
 	// through its full-resync path, exactly like the revision restamp
 	// above forces the spec caches to rebuild.
 	s.journal.invalidateAll()
+	return nil
+}
+
+// checkName refuses a job name longer than config.MaxJobNameLen, the
+// bound every spec-feed request is sized by: a longer name ending a walk
+// page would make the next walk request too large for the feed listener.
+func checkName(name string) error {
+	if len(name) > config.MaxJobNameLen {
+		return fmt.Errorf("job name of %d bytes is over the %d-byte bound", len(name), config.MaxJobNameLen)
+	}
+	return nil
+}
+
+// checkNames applies checkName to a snapshot section's job names.
+func checkNames[V any](section map[string]V) error {
+	for name := range section {
+		if err := checkName(name); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -50,6 +51,22 @@ func TestCreateAndGetExpected(t *testing.T) {
 	}
 	if _, err := s.GetExpected("missing"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", err)
+	}
+}
+
+// TestCreateRejectsOverlongName: Create refuses a job name one byte over
+// config.MaxJobNameLen and takes one at the bound.
+func TestCreateRejectsOverlongName(t *testing.T) {
+	s := New()
+	long := strings.Repeat("n", config.MaxJobNameLen+1)
+	if err := s.Create(long, docBlob(baseDoc()), nil); err == nil {
+		t.Fatal("Create took a name over the bound")
+	}
+	if _, err := s.GetExpected(long); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("refused job is readable: %v", err)
+	}
+	if err := s.Create(long[1:], docBlob(baseDoc()), nil); err != nil {
+		t.Fatalf("a name at the bound: %v", err)
 	}
 }
 

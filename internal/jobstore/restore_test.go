@@ -3,6 +3,7 @@ package jobstore
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -53,7 +54,39 @@ func snapshotOf(t testing.TB, s *Store) []byte {
 // whose entry holds nothing before it touches the store, which keeps its
 // contents and its locks: reads and writes go on working.
 func TestRestoreRejectsNullEntries(t *testing.T) {
-	for _, snap := range nullEntrySnapshots {
+	requireRejected(t, nullEntrySnapshots)
+}
+
+// overlongNameSnapshots hold, one section each, a job name longer than
+// config.MaxJobNameLen, with n the name's length.
+func overlongNameSnapshots(n int) []string {
+	name := strings.Repeat("n", n)
+	return []string{
+		`{"schema":4,"expected":{"` + name + `":{"Layers":[{"taskCount":1},null,null,null],"Version":1}}}`,
+		`{"schema":4,"running":{"` + name + `":{"Config":{"taskCount":1},"Version":1}}}`,
+		`{"schema":4,"quarantined":{"` + name + `":{"Reason":"r"}}}`,
+		`{"schema":4,"sync":{"` + name + `":{"failureStreak":1}}}`,
+	}
+}
+
+// TestRestoreRejectsOverlongNames: a job name one byte over
+// config.MaxJobNameLen, in any section, is refused like a null entry;
+// one at the bound restores.
+func TestRestoreRejectsOverlongNames(t *testing.T) {
+	requireRejected(t, overlongNameSnapshots(config.MaxJobNameLen+1))
+	for _, snap := range overlongNameSnapshots(config.MaxJobNameLen) {
+		if err := New().Restore([]byte(snap)); err != nil {
+			t.Errorf("a name at the bound: %v", err)
+		}
+	}
+}
+
+// requireRejected restores each snapshot into a resident store and
+// requires an error that leaves the store's contents and locks as they
+// were.
+func requireRejected(t *testing.T, snaps []string) {
+	t.Helper()
+	for _, snap := range snaps {
 		s := residentStore(t)
 		before := snapshotOf(t, s)
 		if err := s.Restore([]byte(snap)); err == nil {

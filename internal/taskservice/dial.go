@@ -13,19 +13,20 @@
 //     request, so a reconnect simply resumes the delta stream — zero
 //     full resyncs unless the journal overflowed while the client was
 //     dark (the socket cursor-edge suite pins both sides of that line).
-//   - Frame integrity: replies are reassembled by a stream.Decoder that
-//     never yields a torn frame; a connection cut mid-reply surfaces as
-//     a transport error (cursor untouched, identical window retried),
-//     and a reply that decodes but leaves stray bytes on the stream is
-//     counted in TornFrames and drops the connection — the chaos soak
-//     asserts that counter stays zero under fault storms.
+//   - Frame integrity: each reply is read whole by wire.ReadFrame
+//     straight into the FeedClient's buffer, never a torn frame; a
+//     connection cut mid-reply surfaces as a transport error (cursor
+//     untouched, identical window retried), and a reply followed by
+//     stray bytes on the stream is counted in TornFrames and drops the
+//     connection — the chaos soak asserts that counter stays zero under
+//     fault storms.
 //
 // Not safe for concurrent use: like the Loopback, one DialTransport
 // serves one FeedClient's poll loop.
 package taskservice
 
 import (
-	"encoding/binary"
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -34,7 +35,6 @@ import (
 	"repro/internal/backoff"
 	"repro/internal/simclock"
 	"repro/internal/wire"
-	"repro/internal/wire/stream"
 )
 
 // ErrBackoff is returned by PollFeed while the transport is inside a
@@ -103,6 +103,10 @@ type DialStats struct {
 	TornFrames int64
 }
 
+// readChunk is the reply reader's buffer size: one read takes up to this
+// many bytes off the conn, and any it holds past a reply are stray.
+const readChunk = 32 << 10
+
 // DialTransport is a SpecFeed over a TCP (or any net.Dial-able)
 // connection to a FeedListener.
 type DialTransport struct {
@@ -111,7 +115,7 @@ type DialTransport struct {
 	opts    DialOptions
 
 	conn     net.Conn
-	rd       *stream.FrameReader
+	br       *bufio.Reader // reads conn; bytes it holds past a reply are stray
 	enc      wire.Encoder
 	everConn bool // a session existed before (distinguishes reconnects)
 
@@ -141,7 +145,6 @@ func (t *DialTransport) Close() {
 	if t.conn != nil {
 		t.conn.Close()
 		t.conn = nil
-		t.rd = nil
 	}
 }
 
@@ -159,26 +162,27 @@ func (t *DialTransport) PollFeed(req wire.FeedRequest, buf []byte) ([]byte, erro
 	}
 	t.enc.Reset()
 	t.enc.AppendFeedRequest(req)
-	if err := stream.WriteFrame(t.conn, t.enc.Buf, t.opts.WriteTimeout); err != nil {
+	err := t.conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
+	if err == nil {
+		_, err = t.conn.Write(t.enc.Buf)
+	}
+	if err != nil {
 		return nil, t.fail(fmt.Errorf("taskservice: feed request write: %w", err))
 	}
-	t.rd.Timeout = t.opts.ReadTimeout
-	kind, body, err := t.rd.ReadFrame()
+	if err = t.conn.SetReadDeadline(time.Now().Add(t.opts.ReadTimeout)); err == nil {
+		buf, err = wire.ReadFrame(t.br, buf, wire.MaxFrameBody)
+	}
 	if err != nil {
 		return nil, t.fail(fmt.Errorf("taskservice: feed reply read: %w", err))
 	}
-	if t.rd.Buffered() != 0 {
+	if n := t.br.Buffered(); n != 0 {
 		// One request, one reply: bytes beyond the frame mean the stream
 		// is desynchronized — a torn or injected reply. Never deliver it.
 		t.stats.TornFrames++
-		return nil, t.fail(fmt.Errorf("taskservice: %d stray bytes after feed reply frame", t.rd.Buffered()))
+		return nil, t.fail(fmt.Errorf("taskservice: %d stray bytes after feed reply frame", n))
 	}
 	t.streak = 0
-	// Re-frame the body for the FeedClient, which decodes a full frame
-	// (kind included) exactly as the Loopback hands it one.
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(1+len(body)))
-	buf = append(buf, kind)
-	return append(buf, body...), nil
+	return buf, nil
 }
 
 // dial attempts one connection, honoring the backoff window.
@@ -198,7 +202,7 @@ func (t *DialTransport) dial() error {
 		conn = t.opts.WrapConn(conn)
 	}
 	t.conn = conn
-	t.rd = stream.NewFrameReader(conn, t.opts.ReadTimeout, 0)
+	t.br = bufio.NewReaderSize(conn, readChunk)
 	if t.everConn {
 		t.stats.Reconnects++
 	}
@@ -211,9 +215,7 @@ func (t *DialTransport) dial() error {
 func (t *DialTransport) fail(err error) error {
 	if t.conn != nil {
 		t.stats.ConnErrors++
-		t.conn.Close()
-		t.conn = nil
-		t.rd = nil
+		t.Close()
 	}
 	t.streak++
 	// base·2^(streak-1) capped at BackoffMax, less per-(addr, streak)

@@ -105,8 +105,13 @@ type FeedClient struct {
 
 // NewFeedClient returns a subscriber over feed. id names it in the
 // server's registry; ttl and numShards configure the replica's Task
-// Service exactly like New.
+// Service exactly like New. An id longer than config.MaxJobNameLen
+// panics: the feed listener's request bound is derived from that length,
+// so it would refuse every poll.
 func NewFeedClient(feed SpecFeed, id string, clock simclock.Clock, ttl time.Duration, numShards int) *FeedClient {
+	if len(id) > config.MaxJobNameLen {
+		panic(fmt.Sprintf("taskservice: feed subscriber ID of %d bytes, over the %d-byte bound", len(id), config.MaxJobNameLen))
+	}
 	rep := newReplica()
 	return &FeedClient{
 		feed:   feed,

@@ -15,7 +15,9 @@ package taskservice
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -26,7 +28,6 @@ import (
 	"repro/internal/jobstore"
 	"repro/internal/simclock"
 	"repro/internal/wire"
-	"repro/internal/wire/stream"
 )
 
 // socketHarness is the feedHarness with the loopback replaced by a real
@@ -217,10 +218,12 @@ func TestSocketDisconnectStormMidResync(t *testing.T) {
 
 // TestSocketWalkPastLongestName: a job with the longest name Validate
 // admits ends a walk page, so the next walk request carries it as
-// ResumeAfter. The listener must take that request: the walk converges
-// with one resync and no bad frame.
+// ResumeAfter, from a subscriber whose ID is as long as NewFeedClient
+// admits. The listener must take that request: the walk converges with
+// one resync and no bad frame.
 func TestSocketWalkPastLongestName(t *testing.T) {
 	h := newSocketHarness(t, 8)
+	h.remote = NewFeedClient(h.tr, strings.Repeat("s", config.MaxJobNameLen), h.clk, 90*time.Second, 8)
 	long := "jobs/" + strings.Repeat("n", config.MaxJobNameLen-len("jobs/"))
 	for _, name := range []string{"jobs/a", long, "jobs/z"} {
 		h.commit(t, name, 2, 1)
@@ -239,6 +242,19 @@ func TestSocketWalkPastLongestName(t *testing.T) {
 	if st := h.lis.Stats(); st.BadFrames != 0 {
 		t.Fatalf("listener stats %+v: want no bad frames", st)
 	}
+}
+
+// TestFeedClientRejectsOverlongID: an ID one byte longer than the
+// listener's request bound allows is a programming error, refused when
+// the client is made rather than on every poll.
+func TestFeedClientRejectsOverlongID(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewFeedClient took an ID over config.MaxJobNameLen")
+		}
+	}()
+	clk := simclock.NewSim(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	NewFeedClient(nil, strings.Repeat("s", config.MaxJobNameLen+1), clk, 90*time.Second, 8)
 }
 
 // TestSocketDeadServerBackoffGating: with the server down, the first
@@ -321,8 +337,8 @@ func TestSocketTornReplyNeverDelivered(t *testing.T) {
 		defer conn.Close()
 		// Read the request frame, then reply with a valid frame PLUS
 		// trailing garbage in one write.
-		r := stream.NewFrameReader(conn, time.Second, 0)
-		if _, _, err := r.ReadFrame(); err != nil {
+		conn.SetReadDeadline(time.Now().Add(time.Second))
+		if _, err := wire.ReadFrame(conn, nil, wire.MaxFrameBody); err != nil {
 			return
 		}
 		var e wire.Encoder
@@ -344,6 +360,63 @@ func TestSocketTornReplyNeverDelivered(t *testing.T) {
 	}
 	if tr.Connected() {
 		t.Fatal("connection survived a protocol violation")
+	}
+}
+
+// TestSocketSilentServerTimesOut: a server that accepts and never
+// replies trips DialOptions.ReadTimeout; the poll fails with the
+// deadline error and the connection is dropped.
+func TestSocketSilentServerTimesOut(t *testing.T) {
+	nl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nl.Close()
+	go func() {
+		conn, err := nl.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		io.Copy(io.Discard, conn) // read requests, answer none
+	}()
+
+	clk := simclock.NewSim(time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC))
+	tr := DialFeed(nl.Addr().String(), DialOptions{Clock: clk, ReadTimeout: 50 * time.Millisecond})
+	defer tr.Close()
+	if _, err := tr.PollFeed(wire.FeedRequest{Subscriber: "x"}, nil); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("poll of a silent server: %v, want a deadline error", err)
+	}
+	if tr.Connected() {
+		t.Fatal("connection survived a read timeout")
+	}
+	if ds := tr.Stats(); ds.ConnErrors != 1 || ds.TornFrames != 0 {
+		t.Fatalf("dial stats %+v: want 1 conn error, no torn frame", ds)
+	}
+}
+
+// TestListenerDropsSilentClient: a client that connects and never sends
+// a request is dropped after ListenerOptions.ReadTimeout, and the drop is
+// no bad frame.
+func TestListenerDropsSilentClient(t *testing.T) {
+	nl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis := jobservice.ServeFeed(jobservice.NewSpecFeed(jobstore.New()), nl,
+		jobservice.ListenerOptions{ReadTimeout: 50 * time.Millisecond})
+	defer lis.Close()
+	conn, err := net.Dial("tcp", nl.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("silent client read %d bytes, %v; want the server's hang-up (io.EOF)", n, err)
+	}
+	if st := lis.Stats(); st.Accepted != 1 || st.BadFrames != 0 {
+		t.Fatalf("listener stats %+v: want 1 accepted, no bad frame", st)
 	}
 }
 

@@ -24,7 +24,10 @@
 //  3. Hostile-input safety: malformed frames produce errors, never
 //     panics or large speculative allocations. Lengths are validated
 //     against the remaining input before use and document nesting is
-//     depth-capped; FuzzFrameDecode holds the no-panic line.
+//     depth-capped; FuzzFrameDecode holds the no-panic line. Off a
+//     socket, ReadFrame rejects a zero or over-bound length before it
+//     allocates and grows its buffer only with the bytes that arrive;
+//     FuzzReadFrame holds it to a walk of the whole input.
 //
 // Integers encode as LEB128 varints (unsigned, or zigzag for signed);
 // frame and document-blob lengths are fixed 4-byte little-endian so a
@@ -36,6 +39,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"unsafe"
 )
@@ -288,4 +292,53 @@ func DecodeFrame(b []byte) (kind byte, body []byte, rest []byte, err error) {
 	}
 	frame := b[4 : 4+n]
 	return frame[0], frame[1:], b[4+n:], nil
+}
+
+// MaxFrameBody bounds a reply frame's body read off a socket. A delta
+// batching DefaultFeedBatch full job documents stays well under it;
+// anything larger is a corrupt or hostile length.
+const MaxFrameBody = 1 << 26 // 64 MiB
+
+// readAhead bounds how far ReadFrame grows its buffer past the bytes
+// that have arrived: by the larger of readAhead and what has arrived, so
+// a peer that claims a large body and stalls costs only what it sent.
+const readAhead = 1 << 20
+
+// ReadFrame reads one whole frame from r and appends it to buf: length
+// prefix, kind and body, exactly what DecodeFrame reads. A zero length or
+// one above maxBody is malformed and rejected before anything is
+// allocated for the body. A clean close before the first prefix byte is
+// io.EOF; a close mid-frame is io.ErrUnexpectedEOF. A frame is returned
+// only once all of its bytes have arrived; on any error buf is returned
+// unchanged. A buf with room for the frame is read into without
+// allocating.
+func ReadFrame(r io.Reader, buf []byte, maxBody int) ([]byte, error) {
+	out := append(buf, 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, out[len(buf):]); err != nil {
+		return buf, err
+	}
+	n := binary.LittleEndian.Uint32(out[len(buf):])
+	if n == 0 {
+		return buf, malformed("empty frame body")
+	}
+	if uint64(n) > uint64(maxBody) {
+		return buf, malformed("frame body of %d bytes exceeds the %d-byte bound", n, maxBody)
+	}
+	end := len(out) + int(n)
+	for len(out) < end {
+		if len(out) == cap(out) {
+			grown := make([]byte, len(out), min(end, len(out)+max(len(out), readAhead)))
+			copy(grown, out)
+			out = grown
+		}
+		next := min(cap(out), end)
+		if _, err := io.ReadFull(r, out[len(out):next]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return buf, err
+		}
+		out = out[:next]
+	}
+	return out, nil
 }

@@ -41,13 +41,15 @@ go -C bench test .
 # and any schedule of commits, drops, overflows, restores, bounded pumps,
 # forced redirects and failed polls after which a spec-feed subscriber
 # does not converge to the running table.
-# FuzzRestore's inputs are whole snapshots, slow to minimize: a short
-# minimization budget leaves the smoke its seconds to mutate.
+# FuzzRestore's inputs are whole snapshots, slow to minimize, and
+# FuzzReadFrame can spend a whole run minimizing one new input at 0
+# execs/s: a short minimization budget leaves the smoke its seconds to
+# mutate.
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzFrameDecode' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzDocRoundTrip' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzJobConfigBlob' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzAppendJobConfig' -fuzztime 5s
-go test ./internal/wire/stream -run 'XXXNONE' -fuzz 'FuzzStreamDecode' -fuzztime 5s
+go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzReadFrame' -fuzztime 5s -fuzzminimizetime 1s
 go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzJobConfigFromDoc' -fuzztime 5s
 go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzMergeBlobs' -fuzztime 5s
 go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzDiffBlobs' -fuzztime 5s
