@@ -114,6 +114,112 @@ func FuzzMergeBlobs(f *testing.F) {
 	})
 }
 
+// editValue is the value a FuzzEditBlob input writes: one of each kind a
+// document holds, chosen by kind, plus one EncodeDoc refuses.
+func editValue(kind byte, num float64, s string, obj []byte) any {
+	switch kind % 9 {
+	case 0:
+		return nil
+	case 1:
+		return num > 0
+	case 2:
+		return int(num)
+	case 3:
+		return num
+	case 4:
+		return s
+	case 5:
+		d, err := wire.DecodeDocBlob(obj)
+		if err != nil {
+			return config.Doc{}
+		}
+		return d
+	case 6:
+		return []any{num, s, config.Doc{s: num}}
+	case 7:
+		return []any{float32(num)} // no document value
+	default:
+		return map[string]any{s: int64(num)}
+	}
+}
+
+// FuzzEditBlob: EditBlob of EncodeDoc(d) at path to v is exactly the
+// canonical encoding of d.SetPath(path, v), and fails exactly where that
+// encoding fails; so is a second edit at path2, with the first, unless
+// the two overlap, which is an error. A document that does not decode is
+// an error too.
+func FuzzEditBlob(f *testing.F) {
+	nested := mustEncode(f, config.Doc{"y": int64(1), "z": config.Doc{}})
+	add := func(doc []byte, path, path2 string, kind byte, num float64) {
+		f.Add(doc, path, path2, kind, num, "s", nested)
+	}
+	sample := mustEncode(f, config.Doc{"taskCount": int64(8), "package": config.Doc{"name": "tailer", "version": "v1"},
+		"taskResources": config.Doc{"cpuCores": 0.5}, "list": []any{int64(1), "two"}})
+	deep := strings.Repeat("x.", 64) + "y"                                                                             // one level past the deepest document the codec takes
+	add(sample, "taskCount", "", 2, 9)                                                                                 // top level
+	add(sample, "package.version", "", 4, 0)                                                                           // nested
+	add(sample, "taskResources.cpuCores", "taskResources.memoryBytes", 3, 1.5)                                         // siblings, one new
+	add(mustEncode(f, config.Doc{"package": "flat"}), "package.version", "", 4, 0)                                     // through a scalar
+	add(sample, "package", "", 5, 0)                                                                                   // an object over an object
+	add(sample, "list", "", 6, 2)                                                                                      // an array
+	add(sample, "list.x", "", 1, 1)                                                                                    // through an array
+	add(mustEncode(f, config.Doc{"a": config.Doc{"b": int64(1)}, "a-": int64(2), "a.b": int64(3)}), "a.c", "a-", 2, 4) // a byte below '.'
+	add(sample, "Aardvark", "", 0, 0)                                                                                  // a new first key
+	add(sample, "zzz", "", 2, -3)                                                                                      // a new last key
+	add(sample, "", "a..b", 2, 1)                                                                                      // empty keys
+	add(sample, "package", "package.version", 4, 0)                                                                    // overlapping edits
+	add(sample, "taskResources.cpuCores", "", 3, math.NaN())
+	add(sample, "sloSeconds", "", 3, math.Inf(1))
+	add(sample, "taskResources.cpuCores", "x", 3, math.Inf(-1))
+	add(sample, "taskCount", "", 7, 1)           // no document value
+	add(mustEncode(f, nest(63)), deep, "", 2, 1) // the depth cap
+	add(mustEncode(f, nest(62)), deep[2:], "", 5, 0)
+	for _, seed := range blobSeeds(f) {
+		add(seed, "package.version", "taskCount", 4, 0)
+	}
+	f.Fuzz(func(t *testing.T, doc []byte, path, path2 string, kind byte, num float64, s string, obj []byte) {
+		v := editValue(kind, num, s, obj)
+		edits := []wire.Edit{{Path: path, Value: v}}
+		if path2 != "" {
+			edits = append(edits, wire.Edit{Path: path2, Value: s})
+		}
+		d := config.Doc{}
+		if len(doc) > 0 {
+			var err error
+			if d, err = wire.DecodeDocBlob(doc); err != nil {
+				if got, err := wire.EditBlob(doc, edits...); err == nil {
+					t.Fatalf("EditBlob edited a document DecodeDocBlob rejects (%v): %x", err, got)
+				}
+				return
+			}
+			doc = mustEncode(t, d)
+		}
+		got, err := wire.EditBlob(doc, edits...)
+		if len(edits) == 2 {
+			if p, q := path, path2; p == q || strings.HasPrefix(q, p+".") || strings.HasPrefix(p, q+".") {
+				if err == nil || !strings.Contains(err.Error(), "overlap") {
+					t.Fatalf("edits at %q and %q overlap: EditBlob = %x, %v", p, q, got, err)
+				}
+				return
+			}
+			d.SetPath(path2, s)
+		}
+		want, wantErr := wire.EncodeDoc(d.SetPath(path, v))
+		if wantErr != nil {
+			if err == nil {
+				t.Fatalf("EditBlob accepted what EncodeDoc refuses (%v): %x", wantErr, got)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("EditBlob: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("EditBlob = %x\nwant       %x (%v)", got, want, d)
+		}
+	})
+}
+
 // FuzzDiffBlobs: DiffBlobs reports the paths Differ.Diff reports for the
 // decoded documents, with the same values, and fails exactly when a
 // document does not decode. Documents holding a NaN are skipped: the

@@ -19,6 +19,7 @@ package config
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -150,30 +151,15 @@ func (d Doc) GetPath(path string) (any, bool) {
 	}
 }
 
-// SetPath sets the value at a dotted path, creating intermediate objects.
-// It returns d for chaining. Setting through a non-object value replaces it.
-func (d Doc) SetPath(path string, value any) Doc {
-	cur := d
-	for {
-		part, rest, nested := strings.Cut(path, ".")
-		if !nested {
-			cur[part] = value
-			return d
+// CheckFinite returns an error naming a path at which the document value
+// v holds a NaN or an infinity, nil if it holds none. Such a number has
+// no JSON form: a store holding one could not be snapshotted. It
+// allocates only to report.
+func CheckFinite(v any) error {
+	if path, bad := nonFinite(v); bad {
+		if path == "" {
+			return errors.New("number is not finite")
 		}
-		next, ok := asDoc(cur[part])
-		if !ok {
-			next = Doc{}
-			cur[part] = next
-		}
-		cur, path = next, rest
-	}
-}
-
-// CheckFinite returns an error naming a path at which d holds a NaN or an
-// infinity, nil if it holds none. Such a number has no JSON form: a store
-// holding one could not be snapshotted. It allocates only to report.
-func (d Doc) CheckFinite() error {
-	if path, bad := nonFinite(d); bad {
 		return fmt.Errorf("%s: number is not finite", path)
 	}
 	return nil

@@ -147,15 +147,25 @@ func TestGetSetPath(t *testing.T) {
 
 func TestCheckFinite(t *testing.T) {
 	ok := Doc{"a": 1.5, "b": []any{int64(2), Doc{"c": float32(3)}}, "d": map[string]any{"e": nil}}
-	if err := ok.CheckFinite(); err != nil {
+	if err := CheckFinite(ok); err != nil {
 		t.Fatalf("finite doc rejected: %v", err)
+	}
+	for _, v := range []any{"s", int64(-3), nil, []any{1.5}} {
+		if err := CheckFinite(v); err != nil {
+			t.Fatalf("finite value %v rejected: %v", v, err)
+		}
+	}
+	for _, v := range []any{math.NaN(), math.Inf(-1), []any{1.0, math.Inf(1)}} {
+		if err := CheckFinite(v); err == nil {
+			t.Fatalf("CheckFinite(%v) = nil, want an error", v)
+		}
 	}
 	for path, d := range map[string]Doc{
 		"sloSeconds":             {"sloSeconds": math.Inf(1)},
 		"taskResources.cpuCores": {"taskResources": Doc{"cpuCores": math.NaN()}},
 		"x[1].y":                 {"x": []any{1.0, map[string]any{"y": float32(math.Inf(-1))}}},
 	} {
-		err := d.CheckFinite()
+		err := CheckFinite(d)
 		if err == nil || !strings.HasPrefix(err.Error(), path+":") {
 			t.Errorf("%v: CheckFinite = %v, want an error at %s", d, err, path)
 		}

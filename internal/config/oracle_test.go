@@ -5,11 +5,13 @@ import (
 	"encoding/json"
 	"reflect"
 	"sort"
+	"strings"
 )
 
-// The map forms of layering and diffing: the store once merged and diffed
-// config.Doc trees with these; it now works on wire blobs, and these are
-// the oracles wire.MergeBlobs and wire.Differ are fuzzed against
+// The map forms of layering, editing and diffing: the store once merged,
+// edited and diffed config.Doc trees with these; it now works on wire
+// blobs, and these are the oracles wire.MergeBlobs, wire.EditBlob and
+// wire.Differ are fuzzed against
 // (internal/config/blob_fuzz_test.go) and the reference the layering and
 // diff property tests check.
 
@@ -75,6 +77,27 @@ func mergeShared(bottom, top Doc) Doc {
 		bottom[k] = topValue
 	}
 	return bottom
+}
+
+// SetPath sets the value at a dotted path, creating intermediate objects.
+// It returns d for chaining. Setting through a non-object value replaces it.
+// It is the map form of a layer edit, the oracle wire.EditBlob is fuzzed
+// against (FuzzEditBlob).
+func (d Doc) SetPath(path string, value any) Doc {
+	cur := d
+	for {
+		part, rest, nested := strings.Cut(path, ".")
+		if !nested {
+			cur[part] = value
+			return d
+		}
+		next, ok := asDoc(cur[part])
+		if !ok {
+			next = Doc{}
+			cur[part] = next
+		}
+		cur, path = next, rest
+	}
 }
 
 // Clone returns a deep copy of d.

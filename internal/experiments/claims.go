@@ -154,7 +154,7 @@ func ClaimSimpleSync(p Params) *Result {
 	// Round 1: initial convergence (all simple).
 	first := syncer.RunRound()
 	// Global package release: every job differs again.
-	bump, err := wire.EncodeDoc(config.Doc{}.SetPath("package.version", "v2"))
+	bump, err := wire.EditBlob(nil, wire.Edit{Path: "package.version", Value: "v2"})
 	if err != nil {
 		panic(err)
 	}

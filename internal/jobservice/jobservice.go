@@ -15,6 +15,8 @@ package jobservice
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 
 	"repro/internal/config"
 	"repro/internal/jobstore"
@@ -29,6 +31,9 @@ const maxCASRetries = 16
 // Service wraps a job store with validated, consistent update operations.
 type Service struct {
 	store *jobstore.Store
+	// beforeWrite, if set, runs between a layer write's read of the
+	// stack and its CAS: a test's hook for a write that loses the race.
+	beforeWrite func()
 }
 
 // New returns a Service over store.
@@ -57,42 +62,52 @@ func (s *Service) Delete(name string) error {
 	return s.store.Delete(name)
 }
 
-// UpdateLayer applies mutate to the job's current copy of one layer and
-// writes it back under CAS, retrying on version conflicts. The merged
-// expected configuration that would result is validated first; an update
-// that would break the job is rejected with no write.
+// UpdateLayer applies edits — each sets the value at a dotted path — to
+// the job's current copy of one layer and writes it back under CAS,
+// retrying on version conflicts. The merged expected configuration that
+// would result is validated first; an update that would break the job is
+// rejected with no write.
 //
-// Only the layer handed to mutate is decoded — a document of the
-// caller's own, which mutate may modify and return, or replace. A
-// candidate layer holding a NaN or an infinity is rejected: no JSON form
-// holds it, so the store could not be snapshotted. The candidate is
-// encoded and merged over the other three layers' blobs as they are
+// An edit holding a NaN or an infinity is rejected: no JSON form holds
+// it, so the store could not be snapshotted. Only the values written are
+// checked; the rest of the layer was checked when it was written. The
+// edits are spliced into the layer's blob (wire.EditBlob), and the result
+// is merged over the other three layers' blobs as they are
 // (wire.MergeBlobs); the merge is decoded, validated, and handed to the
 // write with its decoded config, which the store installs as the
 // version's merged cache, so the State Syncer commits — and the Task
 // Service and spec feed read — the very merge and config validated here.
-func (s *Service) UpdateLayer(name string, layer config.Layer, mutate func(config.Doc) config.Doc) error {
+func (s *Service) UpdateLayer(name string, layer config.Layer, edits ...wire.Edit) error {
+	for _, e := range edits {
+		if err := config.CheckFinite(e.Value); err != nil {
+			// A copy of the path, so that no edit escapes (wire.EditBlob).
+			return fmt.Errorf("jobservice: update %s/%s rejected: %s: %w", name, layer, strings.Clone(e.Path), err)
+		}
+	}
+	return s.writeLayer(name, layer, edits, false)
+}
+
+// ClearLayer resets a layer to the empty document (e.g. removing an
+// oncall override once the incident is over).
+func (s *Service) ClearLayer(name string, layer config.Layer) error {
+	return s.writeLayer(name, layer, nil, true)
+}
+
+// writeLayer is UpdateLayer's CAS loop: it writes the layer with edits
+// spliced in, or the empty document if reset.
+func (s *Service) writeLayer(name string, layer config.Layer, edits []wire.Edit, reset bool) error {
 	var lastErr error
 	for attempt := 0; attempt < maxCASRetries; attempt++ {
 		base, err := s.store.GetExpected(name)
 		if err != nil {
 			return err
 		}
-		cur, err := base.Layers[layer].Doc()
-		if err != nil {
-			return fmt.Errorf("jobservice: update %s/%s: %w", name, layer, err)
+		var doc wire.Blob
+		if reset {
+			doc, err = wire.EditBlob(nil)
+		} else {
+			doc, err = wire.EditBlob(base.Layers[layer], edits...)
 		}
-		if cur == nil {
-			cur = config.Doc{}
-		}
-		next := mutate(cur)
-		if next == nil {
-			next = config.Doc{}
-		}
-		if err := next.CheckFinite(); err != nil {
-			return fmt.Errorf("jobservice: update %s/%s rejected: %w", name, layer, err)
-		}
-		doc, err := wire.EncodeDoc(next)
 		if err != nil {
 			return fmt.Errorf("jobservice: update %s/%s rejected: %w", name, layer, err)
 		}
@@ -117,6 +132,9 @@ func (s *Service) UpdateLayer(name string, layer config.Layer, mutate func(confi
 			return fmt.Errorf("jobservice: update %s/%s rejected: %w", name, layer, err)
 		}
 
+		if s.beforeWrite != nil {
+			s.beforeWrite()
+		}
 		_, err = s.store.SetLayer(name, layer, doc, base, &jobstore.Merged{Doc: merged, Config: cfg})
 		if err == nil {
 			return nil
@@ -148,53 +166,67 @@ func (s *Service) Desired(name string) (*config.JobConfig, int64, error) {
 // oncall's manual override (layer Oncall) from the paper's running
 // example (§III-A).
 func (s *Service) SetTaskCount(name string, layer config.Layer, n int) error {
-	return s.UpdateLayer(name, layer, func(d config.Doc) config.Doc {
-		return d.SetPath("taskCount", n)
-	})
+	return s.UpdateLayer(name, layer, wire.Edit{Path: "taskCount", Value: n})
 }
 
 // SetTaskResources writes a per-task resource override into the given
-// layer: the Auto Scaler's vertical-scaling write (§V-E).
+// layer: the Auto Scaler's vertical-scaling write (§V-E). A zero field is
+// left as the layer has it; a negative, NaN or infinite field, or a
+// Resources with no field set, is rejected with nothing written.
 func (s *Service) SetTaskResources(name string, layer config.Layer, r config.Resources) error {
-	return s.UpdateLayer(name, layer, func(d config.Doc) config.Doc {
-		if r.CPUCores > 0 {
-			d.SetPath("taskResources.cpuCores", r.CPUCores)
-		}
-		if r.MemoryBytes > 0 {
-			d.SetPath("taskResources.memoryBytes", r.MemoryBytes)
-		}
-		if r.DiskBytes > 0 {
-			d.SetPath("taskResources.diskBytes", r.DiskBytes)
-		}
-		if r.NetworkBps > 0 {
-			d.SetPath("taskResources.networkBps", r.NetworkBps)
-		}
-		return d
-	})
+	field := ""
+	switch {
+	case !(r.CPUCores >= 0) || math.IsInf(r.CPUCores, 1): // NaN fails every comparison
+		field = "cpuCores"
+	case r.MemoryBytes < 0:
+		field = "memoryBytes"
+	case r.DiskBytes < 0:
+		field = "diskBytes"
+	case r.NetworkBps < 0:
+		field = "networkBps"
+	case r == config.Resources{}:
+		return fmt.Errorf("jobservice: update %s/%s rejected: no resource set", name, layer)
+	}
+	if field != "" {
+		return fmt.Errorf("jobservice: update %s/%s rejected: taskResources.%s is neither zero nor finite and positive", name, layer, field)
+	}
+	var edits [4]wire.Edit
+	n := 0
+	if r.CPUCores > 0 {
+		edits[n] = wire.Edit{Path: "taskResources.cpuCores", Value: r.CPUCores}
+		n++
+	}
+	if r.MemoryBytes > 0 {
+		edits[n] = wire.Edit{Path: "taskResources.memoryBytes", Value: r.MemoryBytes}
+		n++
+	}
+	if r.DiskBytes > 0 {
+		edits[n] = wire.Edit{Path: "taskResources.diskBytes", Value: r.DiskBytes}
+		n++
+	}
+	if r.NetworkBps > 0 {
+		edits[n] = wire.Edit{Path: "taskResources.networkBps", Value: r.NetworkBps}
+		n++
+	}
+	return s.UpdateLayer(name, layer, edits[:n]...)
 }
 
 // SetPackageVersion writes a package release into the Provisioner layer —
 // the cluster-wide engine upgrade path (§I, §III-B "package release").
 func (s *Service) SetPackageVersion(name, version string) error {
-	return s.UpdateLayer(name, config.LayerProvisioner, func(d config.Doc) config.Doc {
-		return d.SetPath("package.version", version)
-	})
+	return s.UpdateLayer(name, config.LayerProvisioner, wire.Edit{Path: "package.version", Value: version})
 }
 
 // SetMaxTaskCount writes a horizontal-scaling cap into the Oncall layer
 // (operators temporarily lift the default cap during recoveries, §VI-B1).
 func (s *Service) SetMaxTaskCount(name string, n int) error {
-	return s.UpdateLayer(name, config.LayerOncall, func(d config.Doc) config.Doc {
-		return d.SetPath("maxTaskCount", n)
-	})
+	return s.UpdateLayer(name, config.LayerOncall, wire.Edit{Path: "maxTaskCount", Value: n})
 }
 
 // SetStopped writes the administrative stop bit into the Oncall layer;
 // the Capacity Manager uses it to park low-priority jobs (§V-F).
 func (s *Service) SetStopped(name string, stopped bool) error {
-	return s.UpdateLayer(name, config.LayerOncall, func(d config.Doc) config.Doc {
-		return d.SetPath("stopped", stopped)
-	})
+	return s.UpdateLayer(name, config.LayerOncall, wire.Edit{Path: "stopped", Value: stopped})
 }
 
 // QuarantinedJob is one quarantined job and the reason the State Syncer
@@ -228,12 +260,4 @@ func (s *Service) ClearQuarantine(name string) error {
 	}
 	s.store.ClearQuarantine(name)
 	return nil
-}
-
-// ClearLayer resets a layer to empty (e.g. removing an oncall override
-// once the incident is over).
-func (s *Service) ClearLayer(name string, layer config.Layer) error {
-	return s.UpdateLayer(name, layer, func(config.Doc) config.Doc {
-		return config.Doc{}
-	})
 }

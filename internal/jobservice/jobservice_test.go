@@ -202,13 +202,9 @@ func TestConcurrentLayerWritersAllLand(t *testing.T) {
 			defer wg.Done()
 			var err error
 			if i%2 == 0 {
-				err = s.UpdateLayer("j1", config.LayerOncall, func(d config.Doc) config.Doc {
-					return d.SetPath("maxTaskCount", 32)
-				})
+				err = s.UpdateLayer("j1", config.LayerOncall, wire.Edit{Path: "maxTaskCount", Value: 32})
 			} else {
-				err = s.UpdateLayer("j1", config.LayerOncall, func(d config.Doc) config.Doc {
-					return d.SetPath("priority", 7)
-				})
+				err = s.UpdateLayer("j1", config.LayerOncall, wire.Edit{Path: "priority", Value: 7})
 			}
 			if err != nil {
 				t.Errorf("writer %d: %v", i, err)
@@ -249,27 +245,81 @@ func TestSetTaskResourcesAllDimensions(t *testing.T) {
 	}
 }
 
-func TestUpdateLayerNilMutationResult(t *testing.T) {
+// TestSetTaskResourcesRejectsUnwritable: a field that is NaN, infinite
+// or negative, or a Resources with no field set, has nothing the scaler
+// layer can hold. The write is refused as a rejection, and neither the
+// version nor the desired config moves.
+func TestSetTaskResourcesRejectsUnwritable(t *testing.T) {
 	s := newService(t)
-	// A mutate function returning nil resets the layer to empty.
+	want, before, _ := s.Desired("j1")
+	for _, r := range []config.Resources{
+		{CPUCores: math.NaN()},
+		{},
+		{CPUCores: -2},
+		{CPUCores: math.Inf(1), MemoryBytes: 1 << 30},
+		{CPUCores: 2, MemoryBytes: -1},
+		{DiskBytes: -1},
+		{NetworkBps: -1},
+	} {
+		err := s.SetTaskResources("j1", config.LayerScaler, r)
+		if err == nil || !strings.Contains(err.Error(), "rejected") {
+			t.Fatalf("%+v: err = %v, want a rejection", r, err)
+		}
+		cfg, version, err := s.Desired("j1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if version != before || cfg.TaskResources != want.TaskResources {
+			t.Fatalf("%+v: version %d → %d, resources %+v → %+v; want no write", r, before, version, want.TaskResources, cfg.TaskResources)
+		}
+	}
+}
+
+// TestClearLayerResetsToEmpty: ClearLayer writes the empty document, not
+// an unset layer, and the layers below show through it.
+func TestClearLayerResetsToEmpty(t *testing.T) {
+	s := newService(t)
 	if err := s.SetTaskCount("j1", config.LayerOncall, 20); err != nil {
 		t.Fatal(err)
 	}
-	err := s.UpdateLayer("j1", config.LayerOncall, func(config.Doc) config.Doc { return nil })
-	if err != nil {
+	if err := s.ClearLayer("j1", config.LayerOncall); err != nil {
 		t.Fatal(err)
 	}
 	cfg, _, _ := s.Desired("j1")
 	if cfg.TaskCount != 10 {
 		t.Fatalf("TaskCount = %d, want base 10", cfg.TaskCount)
 	}
+	e, err := s.Store().GetExpected("j1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := docBlob(config.Doc{}); !bytes.Equal(e.Layers[config.LayerOncall], want) {
+		t.Fatalf("cleared layer = %x, want the empty document %x", e.Layers[config.LayerOncall], want)
+	}
+}
+
+// TestUpdateLayerOverlappingEditsRejected: two edits of one path, or one
+// through the other, have no order-free meaning, so the write is refused.
+func TestUpdateLayerOverlappingEditsRejected(t *testing.T) {
+	s := newService(t)
+	_, before, _ := s.Desired("j1")
+	for _, pair := range [][2]string{{"taskCount", "taskCount"}, {"package", "package.version"}, {"package.version", "package"}} {
+		err := s.UpdateLayer("j1", config.LayerOncall, wire.Edit{Path: pair[0], Value: "x"}, wire.Edit{Path: pair[1], Value: "y"})
+		if err == nil || !strings.Contains(err.Error(), "overlap") {
+			t.Fatalf("edits at %q and %q: err = %v, want an overlap rejection", pair[0], pair[1], err)
+		}
+	}
+	if err := s.UpdateLayer("j1", config.LayerOncall, wire.Edit{Path: "package.version", Value: "v3"}, wire.Edit{Path: "package.versions", Value: "x"}); err != nil {
+		t.Fatalf("sibling edits rejected: %v", err)
+	}
+	if _, after, _ := s.Desired("j1"); after != before+1 {
+		t.Fatalf("version %d → %d, want one write", before, after)
+	}
 }
 
 func TestUpdateLayerUndecodableRejected(t *testing.T) {
 	s := newService(t)
-	err := s.UpdateLayer("j1", config.LayerOncall, func(d config.Doc) config.Doc {
-		return d.SetPath("taskCount", "NaN-string")
-	})
+	err := s.UpdateLayer("j1", config.LayerOncall, wire.Edit{Path: "taskCount", Value: "NaN-string"})
 	if err == nil {
 		t.Fatal("undecodable layer accepted")
 	}
@@ -283,9 +333,7 @@ func TestNonFiniteResourcesRejected(t *testing.T) {
 	s := newService(t)
 	_, before, _ := s.Desired("j1")
 	for _, cpu := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
-		err := s.UpdateLayer("j1", config.LayerScaler, func(d config.Doc) config.Doc {
-			return d.SetPath("taskResources.cpuCores", cpu)
-		})
+		err := s.UpdateLayer("j1", config.LayerScaler, wire.Edit{Path: "taskResources.cpuCores", Value: cpu})
 		if err == nil || !strings.Contains(err.Error(), "rejected") {
 			t.Fatalf("cpuCores %v: err = %v, want a rejection", cpu, err)
 		}
@@ -316,9 +364,7 @@ func TestNonFiniteNumbersRejected(t *testing.T) {
 	_, before, _ := s.Desired("j1")
 	for _, x := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
 		for _, path := range []string{"sloSeconds", "annotations.weight"} {
-			err := s.UpdateLayer("j1", config.LayerOncall, func(d config.Doc) config.Doc {
-				return d.SetPath(path, x)
-			})
+			err := s.UpdateLayer("j1", config.LayerOncall, wire.Edit{Path: path, Value: x})
 			if err == nil || !strings.Contains(err.Error(), "rejected") {
 				t.Fatalf("%s %v: err = %v, want a rejection", path, x, err)
 			}
@@ -391,18 +437,19 @@ func TestLayerWriteRejectedAcrossRecreate(t *testing.T) {
 	// Through the Job Service: the first attempt loses to a re-create
 	// landing between its read and its write; the retry lands.
 	calls := 0
-	err = s.UpdateLayer("j1", config.LayerOncall, func(d config.Doc) config.Doc {
+	s.beforeWrite = func() {
 		calls++
 		if calls == 1 {
 			recreate()
 		}
-		return d.SetPath("taskCount", 12)
-	})
+	}
+	err = s.SetTaskCount("j1", config.LayerOncall, 12)
+	s.beforeWrite = nil
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls != 2 {
-		t.Fatalf("mutate ran %d times, want 2 (the first write must lose its CAS)", calls)
+		t.Fatalf("the write was tried %d times, want 2 (the first must lose its CAS)", calls)
 	}
 	cfg, version, err := s.Desired("j1")
 	if err != nil {

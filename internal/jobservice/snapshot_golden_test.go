@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/jobstore"
+	"repro/internal/wire"
 )
 
 // testdata/schema4_snapshot.json is a schema-4 snapshot written by the
@@ -119,10 +120,9 @@ func TestSchema4SnapshotWrittenAsBefore(t *testing.T) {
 	}
 	must(s.SetPackageVersion("jobs/a", "v2"))
 	must(s.SetTaskCount("jobs/a", config.LayerScaler, 6))
-	must(s.UpdateLayer("jobs/a", config.LayerOncall, func(d config.Doc) config.Doc {
-		d.SetPath("notes.list", []any{1, "two", 3.5, nil, true})
-		return d.SetPath("notes.empty", config.Doc{})
-	}))
+	must(s.UpdateLayer("jobs/a", config.LayerOncall,
+		wire.Edit{Path: "notes.list", Value: []any{1, "two", 3.5, nil, true}},
+		wire.Edit{Path: "notes.empty", Value: config.Doc{}}))
 	commit("jobs/a")
 	commit("jobs/b")
 	must(s.SetTaskResources("jobs/b", config.LayerScaler, config.Resources{CPUCores: 1.25, MemoryBytes: 2 << 30}))

@@ -10,12 +10,12 @@ import (
 )
 
 // updateLayerAllocCeiling bounds one validated layer write on a job with
-// all 14 fields configured. The path decodes the one layer it edits into
-// a document whose keys and strings view its blob, encodes the edit, merges
-// the four layer blobs into one, decodes the merge into the typed config,
-// and hands both blobs to the store: 9 objects measured. The map stack it
-// replaced cost 12. The ceiling is the measured count plus a third.
-const updateLayerAllocCeiling = 12
+// all 14 fields configured. The path splices the edit into the layer's
+// blob (one allocation, the new layer), merges the four layer blobs into
+// one, decodes the merge into the typed config, and hands both blobs to
+// the store: 3 objects measured. The ceiling is the measured count plus
+// a third.
+const updateLayerAllocCeiling = 4
 
 // provisionAllocCeiling bounds one Provision of a job with 13 of its 14
 // fields configured: the typed config encoded straight to a blob, the
@@ -27,9 +27,9 @@ const provisionAllocCeiling = 8
 
 // BenchmarkUpdateLayer measures the Job Service's write path — the
 // per-job cost of a fleet-wide package release: one SetPackageVersion
-// (read of the stack, decode of the edited layer, encode, trial merge,
-// typed decode, Validate, CAS write of the layer and the merge) on a
-// fully configured job, held to
+// (read of the stack, the edit spliced into the layer's blob, trial
+// merge, typed decode, Validate, CAS write of the layer and the merge)
+// on a fully configured job, held to
 // updateLayerAllocCeiling by an in-bench MemStats delta over a fixed
 // batch, so that one iteration (-benchtime=1x) arms it too.
 func BenchmarkUpdateLayer(b *testing.B) {

@@ -42,7 +42,7 @@ func TestMergedExpectedCachedPerVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetPath("pkg.version", "corrupted")
+	c["pkg"].(config.Doc)["version"] = "corrupted"
 	m3, _, err := s.MergedExpected("j1")
 	if err != nil {
 		t.Fatal(err)
@@ -102,20 +102,16 @@ func mergeOf(t *testing.T, layers ...wire.Blob) wire.Blob {
 }
 
 // writeLayer is the Job Service's layer write as the store sees it: a
-// read of the stack, a decoded copy of one layer for edit, the merge of
-// the new stack, and the compare-and-set write that hands both over —
-// retried while the CAS fails.
-func writeLayer(t *testing.T, s *Store, name string, layer config.Layer, edit func(config.Doc) config.Doc) error {
+// read of the stack, the new layer made from the current one by next, the
+// merge of the new stack, and the compare-and-set write that hands both
+// over — retried while the CAS fails.
+func writeLayer(t *testing.T, s *Store, name string, layer config.Layer, next func(wire.Blob) wire.Blob) error {
 	for {
 		base, err := s.GetExpected(name)
 		if err != nil {
 			return err
 		}
-		next, _ := base.Layers[layer].Doc()
-		if next == nil {
-			next = config.Doc{}
-		}
-		doc := docBlob(edit(next))
+		doc := next(base.Layers[layer])
 		layers := base.Layers
 		layers[layer] = doc
 		merged := decoded(mergeOf(t, layers[:]...))
@@ -123,6 +119,15 @@ func writeLayer(t *testing.T, s *Store, name string, layer config.Layer, edit fu
 			return err
 		}
 	}
+}
+
+// editOf is the Job Service's edit of a layer: e spliced into b.
+func editOf(t *testing.T, b wire.Blob, e wire.Edit) wire.Blob {
+	d, err := wire.EditBlob(b, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // mergedMatchesStack checks the job's merged cache against config.Merge
@@ -169,25 +174,26 @@ func randomStackOp(t *testing.T, s *Store, rng *rand.Rand, names []string) strin
 	name := names[rng.Intn(len(names))]
 	layer := config.Layer(1 + rng.Intn(3))
 	n := rng.Intn(100)
-	set := func(d config.Doc) config.Doc {
+	set := func() wire.Edit {
 		switch rng.Intn(3) {
 		case 0:
-			return d.SetPath("taskCount", n)
+			return wire.Edit{Path: "taskCount", Value: n}
 		case 1:
-			return d.SetPath("package.version", fmt.Sprintf("v%d", n))
+			return wire.Edit{Path: "package.version", Value: fmt.Sprintf("v%d", n)}
 		default:
-			return d.SetPath("input.partitions", n)
+			return wire.Edit{Path: "input.partitions", Value: n}
 		}
 	}
+	update := func(b wire.Blob) wire.Blob { return editOf(t, b, set()) }
 	switch rng.Intn(8) {
 	case 0, 1:
-		writeLayer(t, s, name, layer, set)
+		writeLayer(t, s, name, layer, update)
 		return fmt.Sprintf("UpdateLayer %s/%s", name, layer)
 	case 2:
-		writeLayer(t, s, name, layer, func(config.Doc) config.Doc { return config.Doc{} })
+		writeLayer(t, s, name, layer, func(wire.Blob) wire.Blob { return docBlob(config.Doc{}) })
 		return fmt.Sprintf("ClearLayer %s/%s", name, layer)
 	case 3:
-		s.SetLayer(name, layer, docBlob(set(config.Doc{})), Expected{Version: AnyVersion}, nil)
+		s.SetLayer(name, layer, editOf(t, nil, set()), Expected{Version: AnyVersion}, nil)
 		return fmt.Sprintf("AnyVersion write %s/%s", name, layer)
 	case 4:
 		base, err := s.GetExpected(name)
@@ -196,13 +202,13 @@ func randomStackOp(t *testing.T, s *Store, rng *rand.Rand, names []string) strin
 		}
 		step := "write after another write"
 		if rng.Intn(2) == 0 {
-			writeLayer(t, s, name, config.Layer(1+rng.Intn(3)), set)
+			writeLayer(t, s, name, config.Layer(1+rng.Intn(3)), update)
 		} else {
 			step = "write across a re-create"
 			s.Delete(name)
 			s.Create(name, docBlob(config.Doc{"name": name, "taskCount": n}), nil)
 		}
-		next := docBlob(set(config.Doc{}))
+		next := editOf(t, nil, set())
 		layers := base.Layers
 		layers[layer] = next
 		merged := decoded(mergeOf(t, layers[:]...))

@@ -157,7 +157,7 @@ func TestSharedDocsAvoidCloning(t *testing.T) {
 	before := bytes.Clone(d1)
 
 	// A layer write replaces (never mutates) the cached blob.
-	if _, err := s.SetLayer("j", config.LayerOncall, docBlob(config.Doc{}.SetPath("package.version", "v2")), Expected{Version: AnyVersion}, nil); err != nil {
+	if _, err := s.SetLayer("j", config.LayerOncall, docBlob(config.Doc{"package": config.Doc{"version": "v2"}}), Expected{Version: AnyVersion}, nil); err != nil {
 		t.Fatal(err)
 	}
 	m3, _, err := s.MergedExpected("j")

@@ -129,7 +129,7 @@ func FuzzInputBoundary(f *testing.F) {
 		}
 
 		var tmpl engine.JobSpec
-		specs := taskservice.SpecsForJob(running, &tmpl)
+		specs := taskservice.SpecsForJob(running, &tmpl, nil)
 		if len(specs) != running.TaskCount {
 			t.Fatalf("%d specs for taskCount %d", len(specs), running.TaskCount)
 		}

@@ -139,9 +139,9 @@ func (m *model) apply(o op) bool {
 		}
 		switch o.kind {
 		case "bump":
-			d.SetPath("package.version", fmt.Sprintf("v%d", o.n))
+			d = config.Merge(d, config.Doc{"package": config.Doc{"version": fmt.Sprintf("v%d", o.n)}})
 		case "scale":
-			d.SetPath("taskCount", o.n)
+			d["taskCount"] = o.n
 		}
 		j.layers[o.layer] = d
 		j.version++

@@ -43,7 +43,7 @@ func churn(b *testing.B, store *jobstore.Store, n, k, round int) {
 	v := fmt.Sprintf("v%d", round)
 	for i := 0; i < n; i += k {
 		name := fmt.Sprintf("j%05d", i)
-		doc := config.Doc{}.SetPath("package.version", v)
+		doc := config.Doc{"package": config.Doc{"version": v}}
 		if _, err := store.SetLayer(name, config.LayerProvisioner, docBlob(doc), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 			b.Fatal(err)
 		}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/jobstore"
 	"repro/internal/simclock"
+	"repro/internal/wire"
 )
 
 func TestShardStripeRangePartition(t *testing.T) {
@@ -184,7 +185,7 @@ func TestShardedLeaseStealConvergence(t *testing.T) {
 		t.Fatalf("only %d jobs on slice 1; fleet too small for the test", len(slice1))
 	}
 	release := func(name, v string) {
-		doc := config.Doc{}.SetPath("package.version", v)
+		doc := config.Doc{"package": config.Doc{"version": v}}
 		if _, err := store.SetLayer(name, config.LayerProvisioner, docBlob(doc), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -292,7 +293,7 @@ func TestResyncRoundSyncsOnlyItsSlice(t *testing.T) {
 	var victims []string
 	for k := 0; k < shards; k++ {
 		released, late := firstIn("j", k), firstIn("late", k)
-		doc := config.Doc{}.SetPath("package.version", "v2")
+		doc := config.Doc{"package": config.Doc{"version": "v2"}}
 		if _, err := store.SetLayer(released, config.LayerProvisioner, docBlob(doc), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -361,7 +362,11 @@ func testOneSliceNodeVsEngine(t *testing.T) {
 	}
 	set := func(job string, layer config.Layer, path string, v any) {
 		for _, store := range stores {
-			if _, err := store.SetLayer(job, layer, docBlob(config.Doc{}.SetPath(path, v)), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
+			doc, err := wire.EditBlob(nil, wire.Edit{Path: path, Value: v})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := store.SetLayer(job, layer, doc, jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -427,7 +432,7 @@ func testFourShardsVsEngine(t *testing.T) {
 		v := fmt.Sprintf("v%d", round)
 		for i := 0; i < jobs; i += 7 {
 			name := fmt.Sprintf("j%05d", i)
-			doc := config.Doc{}.SetPath("package.version", v)
+			doc := config.Doc{"package": config.Doc{"version": v}}
 			for _, store := range []*jobstore.Store{single, sharded} {
 				if _, err := store.SetLayer(name, config.LayerProvisioner, docBlob(doc), jobstore.Expected{Version: jobstore.AnyVersion}, nil); err != nil {
 					t.Fatal(err)

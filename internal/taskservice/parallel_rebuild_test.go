@@ -49,7 +49,7 @@ func TestPartitionWindowMatchesAssignPartitions(t *testing.T) {
 // caller appending through one task's partition slice must not clobber a
 // neighbour's range in the shared arena.
 func TestPartitionWindowsAreWriteIsolated(t *testing.T) {
-	specs := SpecsForJob(jobCfg("iso", 4), new(engine.JobSpec))
+	specs := SpecsForJob(jobCfg("iso", 4), new(engine.JobSpec), nil)
 	grown := append(specs[0].Partitions, 999)
 	_ = grown
 	for i, s := range specs {
@@ -57,6 +57,80 @@ func TestPartitionWindowsAreWriteIsolated(t *testing.T) {
 		if !reflect.DeepEqual(s.Partitions, want) {
 			t.Fatalf("task %d partitions corrupted by neighbour append: %v, want %v", i, s.Partitions, want)
 		}
+	}
+}
+
+// TestSpecsForJobReusesWindowsOfEqualCounts: an expansion over an
+// earlier one assigns exactly engine.AssignPartitions's ranges whatever
+// the earlier counts were, and shares the earlier windows exactly when
+// the task and partition counts both match.
+func TestSpecsForJobReusesWindowsOfEqualCounts(t *testing.T) {
+	expand := func(total, tasks int, prev []engine.TaskSpec) []engine.TaskSpec {
+		cfg := jobCfg("re", tasks)
+		cfg.Input.Partitions = total
+		return SpecsForJob(cfg, new(engine.JobSpec), prev)
+	}
+	for total := -1; total <= 12; total++ {
+		for tasks := 1; tasks <= 5; tasks++ {
+			prev := expand(total, tasks, nil)
+			for total2 := -1; total2 <= 12; total2++ {
+				for tasks2 := 1; tasks2 <= 5; tasks2++ {
+					specs := expand(total2, tasks2, prev)
+					same := total == total2 && tasks == tasks2
+					for i, s := range specs {
+						want := engine.AssignPartitions(total2, tasks2, i)
+						if (want == nil) != (s.Partitions == nil) || !reflect.DeepEqual(s.Partitions, want) {
+							t.Fatalf("(%d,%d) over (%d,%d): task %d partitions %v, want %v", total2, tasks2, total, tasks, i, s.Partitions, want)
+						}
+						if len(want) == 0 {
+							continue
+						}
+						shared := i < len(prev) && len(prev[i].Partitions) > 0 && &s.Partitions[0] == &prev[i].Partitions[0]
+						if shared != same {
+							t.Fatalf("(%d,%d) over (%d,%d): task %d shares its window: %v, want %v", total2, tasks2, total, tasks, i, shared, same)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestReleaseRebuildSharesLayout: a rebuild that keeps the task count
+// shares the cached group's shard windows, and its partition windows
+// too if the partition count is kept; one that changes the task count
+// lays its group out afresh.
+func TestReleaseRebuildSharesLayout(t *testing.T) {
+	store := jobstore.New()
+	svc := New(store, simclock.NewSim(epoch), 90*time.Second, 64)
+	version := int64(0)
+	rebuild := func(tasks, partitions int, pkg string) *jobGroup {
+		t.Helper()
+		cfg := jobCfg("j", tasks)
+		cfg.Input.Partitions, cfg.Package.Version = partitions, pkg
+		version++
+		if err := store.CommitRunning("j", runningOf(cfg), version); err != nil {
+			t.Fatal(err)
+		}
+		svc.Invalidate()
+		svc.Index()
+		return svc.groups["j"]
+	}
+	g1 := rebuild(8, 16, "v1")
+	g2 := rebuild(8, 16, "v2")
+	if &g2.shards[0] != &g1.shards[0] || &g2.specs[0].Partitions[0] != &g1.specs[0].Partitions[0] {
+		t.Fatal("a release rebuilt the group's shard or partition windows")
+	}
+	if g2.spec.PackageVersion != "v2" || g2.indexed[0].Spec.PackageVersion != "v2" {
+		t.Fatalf("release rebuild serves version %q", g2.indexed[0].Spec.PackageVersion)
+	}
+	g3 := rebuild(8, 24, "v2")
+	if &g3.shards[0] != &g2.shards[0] || &g3.specs[0].Partitions[0] == &g2.specs[0].Partitions[0] {
+		t.Fatal("a repartition must keep the shard windows and rebuild the partition windows")
+	}
+	g4 := rebuild(6, 24, "v2")
+	if &g4.shards[0] == &g3.shards[0] || len(g4.indexed) != 6 {
+		t.Fatal("a rescale shared the old layout")
 	}
 }
 

@@ -2,6 +2,7 @@ package taskservice
 
 import (
 	"fmt"
+	"repro/internal/config"
 	"runtime"
 	"strconv"
 	"testing"
@@ -41,24 +42,27 @@ func BenchmarkSnapshotRegenerate(b *testing.B) {
 }
 
 // An incremental regeneration allocates one array per bucket it changes,
-// one clone per chunk holding such a bucket, and — for jobs of the
-// benchmarks' 8-task shape — regenAllocsPerJob objects per job it rebuilds
-// (17.1 measured over 100 and over 400 rebuilt jobs, + 10 %: the decoded
-// config, the specs and their partition arena, a checkpoint directory per
-// task, the indexed entries and their by-shard copy, the group; nothing
-// per task beyond its directory string) plus regenAllocsFixed for the
-// draft, the index and scratch growth (~11 measured). Buckets are not
-// rebuilt per job that changed in them, chunks not cloned per bucket.
+// one clone per chunk holding such a bucket, a number of objects per job
+// it rebuilds, and regenAllocsFixed for the draft, the index and scratch
+// growth (~11 measured). Buckets are not rebuilt per job that changed in
+// them, chunks not cloned per bucket. For jobs of the benchmarks' 8-task
+// shape, a release-shaped rebuild (same task and partition counts) costs
+// releaseRegenAllocsPerJob: 13.0 measured over 400 rebuilt jobs, + 10 %
+// — the group, its specs, its indexed entries, the checkpoint template's
+// two strings and one directory per task; the IDs, shard windows and
+// partition windows are the cached group's. The 1M-fleet tier holds its
+// rebuilds to the looser regenAllocsPerJob.
 const (
-	regenAllocsPerJob = 19
-	regenAllocsFixed  = 128
+	regenAllocsPerJob        = 19
+	releaseRegenAllocsPerJob = 14
+	regenAllocsFixed         = 128
 )
 
 // regenAllocCeiling is the in-bench allocation ceiling for the
 // regeneration that published next over prev after rebuilding rebuilt
 // jobs: the buckets and chunks that actually differ between the two
 // indexes, plus the stated constants.
-func regenAllocCeiling(prev, next *SnapshotIndex, rebuilt int) uint64 {
+func regenAllocCeiling(prev, next *SnapshotIndex, rebuilt, perJob int) uint64 {
 	touched := 0
 	for ci, c := range next.chunks {
 		if c == prev.chunks[ci] {
@@ -71,7 +75,7 @@ func regenAllocCeiling(prev, next *SnapshotIndex, rebuilt int) uint64 {
 			}
 		}
 	}
-	return uint64(touched + regenAllocsPerJob*rebuilt + regenAllocsFixed)
+	return uint64(touched + perJob*rebuilt + regenAllocsFixed)
 }
 
 // BenchmarkSnapshotIncremental measures regeneration when exactly one job
@@ -104,12 +108,62 @@ func BenchmarkSnapshotIncremental(b *testing.B) {
 		if idx.Len() != 8000 {
 			b.Fatalf("specs = %d", idx.Len())
 		}
-		if spent, ceiling := m1.Mallocs-m0.Mallocs, regenAllocCeiling(prev, idx, 1); spent > ceiling {
+		if spent, ceiling := m1.Mallocs-m0.Mallocs, regenAllocCeiling(prev, idx, 1, releaseRegenAllocsPerJob); spent > ceiling {
 			b.Fatalf("one-changed-job regeneration allocates %d objects, ceiling %d", spent, ceiling)
 		}
 		prev = idx
 		b.StartTimer()
 	}
+}
+
+// benchRegenerate measures regenerations after rebuilt of 1k 8-task jobs
+// change by change each time, holding each to regenAllocCeiling with
+// perJob, and reports the objects spent per rebuilt job beyond the
+// buckets and chunks it touched.
+func benchRegenerate(b *testing.B, rebuilt, perJob int, change func(cfg *config.JobConfig, i int)) {
+	store := benchStore(b, 1000, 8)
+	clk := simclock.NewSim(epoch)
+	svc := New(store, clk, 90*time.Second, 1024)
+	prev := svc.Index()
+	var m0, m1 runtime.MemStats
+	var spent, touched uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		for j := 0; j < rebuilt; j++ {
+			name := fmt.Sprintf("job%04d", (i*rebuilt+j)%1000)
+			cfg := jobCfg(name, 8)
+			change(cfg, i)
+			if err := store.CommitRunning(name, runningOf(cfg), int64(i+2)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		svc.Invalidate()
+		runtime.ReadMemStats(&m0)
+		b.StartTimer()
+		idx := svc.Index()
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		ceiling := regenAllocCeiling(prev, idx, rebuilt, perJob)
+		if n := m1.Mallocs - m0.Mallocs; n > ceiling {
+			b.Fatalf("regeneration of %d rebuilt jobs allocates %d objects, ceiling %d", rebuilt, n, ceiling)
+		}
+		spent += m1.Mallocs - m0.Mallocs
+		touched += ceiling - uint64(perJob*rebuilt+regenAllocsFixed)
+		prev = idx
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(spent-touched)/float64(b.N*rebuilt), "objects/job")
+}
+
+// BenchmarkSnapshotRelease regenerates after a package release of 400
+// jobs: same task count, same partitions, new version. Each group is
+// rebuilt onto its cached layout, held to releaseRegenAllocsPerJob.
+func BenchmarkSnapshotRelease(b *testing.B) {
+	benchRegenerate(b, 400, releaseRegenAllocsPerJob, func(cfg *config.JobConfig, i int) {
+		cfg.Package.Version = "v" + strconv.Itoa(i+4)
+	})
 }
 
 // BenchmarkBuildGroupShards50K buckets one 50 000-task job's group over

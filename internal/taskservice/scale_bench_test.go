@@ -124,7 +124,7 @@ func BenchmarkScaleRefresh1MChurn1pct(b *testing.B) {
 		// 1,250 groups rebuilt: the changed buckets and chunks plus the
 		// per-job constant (see regenAllocCeiling) — some 32K objects,
 		// where an O(fleet) regression would pay for 125K groups.
-		if spent, ceiling := m1.Mallocs-m0.Mallocs, regenAllocCeiling(prev, idx, churn); spent > ceiling {
+		if spent, ceiling := m1.Mallocs-m0.Mallocs, regenAllocCeiling(prev, idx, churn, releaseRegenAllocsPerJob); spent > ceiling {
 			b.Fatalf("1%%-churn 1M refresh allocates %d objects, ceiling %d", spent, ceiling)
 		}
 		prev = idx
@@ -166,7 +166,7 @@ func BenchmarkScaleRefresh1MOverflow(b *testing.B) {
 		if idx.Len() != refreshJobs*refreshTasks {
 			b.Fatalf("specs = %d", idx.Len())
 		}
-		if spent, ceiling := m1.Mallocs-m0.Mallocs, regenAllocCeiling(prev, idx, churn); spent > ceiling {
+		if spent, ceiling := m1.Mallocs-m0.Mallocs, regenAllocCeiling(prev, idx, churn, releaseRegenAllocsPerJob); spent > ceiling {
 			b.Fatalf("overflowed 1%%-churn 1M refresh allocates %d objects, ceiling %d", spent, ceiling)
 		}
 		prev = idx

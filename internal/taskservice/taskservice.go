@@ -460,30 +460,42 @@ func (s *Service) rebuildGroups() (shards int) {
 // index, so a rebuild that keeps the task count (a package release, a
 // resource change) takes the cached group's indexed sequence — IDs,
 // shards and (shard, task index) order — and repoints each entry at the
-// new spec of its index: no formatting, no MD5, no sort. Pool workers
-// call buildGroup concurrently; they only read s.groups, which
-// rebuildGroups writes after the pool has drained.
+// new spec of its index: no formatting, no MD5, no sort. Its shard
+// windows depend on the IDs alone, so it shares them too, and its specs
+// share the cached group's partition windows when the partition count is
+// unchanged as well (SpecsForJob). Pool workers call buildGroup
+// concurrently; they only read s.groups, which rebuildGroups writes
+// after the pool has drained.
 func (s *Service) buildGroup(job string, rev int64) *jobGroup {
 	g := &jobGroup{job: job, rev: rev}
 	cfg, _, _, _ := s.table.RunningEntry(job)
 	if cfg == nil || cfg.Stopped || cfg.TaskCount <= 0 {
 		return g
 	}
-	g.specs = SpecsForJob(cfg, &g.spec)
+	old := s.groups[job]
+	if old != nil && len(old.indexed) != cfg.TaskCount {
+		old = nil
+	}
+	var prev []engine.TaskSpec
+	if old != nil {
+		prev = old.specs
+	}
+	g.specs = SpecsForJob(cfg, &g.spec, prev)
 	g.indexed = make([]IndexedSpec, len(g.specs))
-	if old := s.groups[job]; old != nil && len(old.indexed) == len(g.specs) {
+	if old != nil {
 		for i, is := range old.indexed {
 			is.Spec = &g.specs[is.Spec.Index]
 			g.indexed[i] = is
 		}
-	} else {
-		for i := range g.specs {
-			spec := &g.specs[i]
-			id := spec.ID()
-			g.indexed[i] = IndexedSpec{ID: id, Shard: shardmanager.ShardOf(id, s.numShards), Spec: spec}
-		}
-		sortByShard(g.indexed)
+		g.shards = old.shards
+		return g
 	}
+	for i := range g.specs {
+		spec := &g.specs[i]
+		id := spec.ID()
+		g.indexed[i] = IndexedSpec{ID: id, Shard: shardmanager.ShardOf(id, s.numShards), Spec: spec}
+	}
+	sortByShard(g.indexed)
 	g.shards = buildGroupShards(g.indexed)
 	return g
 }
@@ -515,8 +527,11 @@ func (s *Service) Generations() int {
 // per parallelism slot, with contiguous disjoint partition ranges and
 // template substitutions applied. It sets *tmpl to the job's template and
 // points every spec at it, so the caller decides where the one copy of
-// the job-level fields lives.
-func SpecsForJob(cfg *config.JobConfig, tmpl *engine.JobSpec) []engine.TaskSpec {
+// the job-level fields lives. prev, if not nil, is an earlier expansion
+// of the job: when it has as many tasks and was assigned as many
+// partitions, the new specs take its partition windows, which are a
+// function of those two counts alone.
+func SpecsForJob(cfg *config.JobConfig, tmpl *engine.JobSpec, prev []engine.TaskSpec) []engine.TaskSpec {
 	*tmpl = engine.JobSpec{
 		Job:            cfg.Name,
 		TaskCount:      cfg.TaskCount,
@@ -537,10 +552,13 @@ func SpecsForJob(cfg *config.JobConfig, tmpl *engine.JobSpec) []engine.TaskSpec 
 	// of a per-task allocation. Nothing downstream mutates spec
 	// partitions (Specs() deep-copies; task runners only read), and the
 	// three-index windows keep an append through one slice from ever
-	// reaching a neighbour's range.
-	var arena []int
+	// reaching a neighbour's range. So windows are shared across
+	// expansions too: prev's cover [0, its total), and a valid assignment
+	// covers them all.
 	total := cfg.Input.Partitions
-	if total > 0 && cfg.TaskCount > 0 {
+	reuse := total > 0 && len(prev) == cfg.TaskCount && assigned(prev) == total
+	var arena []int
+	if !reuse && total > 0 && cfg.TaskCount > 0 {
 		arena = make([]int, total)
 		for p := range arena {
 			arena[p] = p
@@ -548,14 +566,29 @@ func SpecsForJob(cfg *config.JobConfig, tmpl *engine.JobSpec) []engine.TaskSpec 
 	}
 	dir := parseTemplate(cfg.CheckpointDir, cfg.Name)
 	for i := 0; i < cfg.TaskCount; i++ {
+		var parts []int
+		if reuse {
+			parts = prev[i].Partitions
+		} else {
+			parts = partitionWindow(arena, total, cfg.TaskCount, i)
+		}
 		specs = append(specs, engine.TaskSpec{
 			JobSpec:       tmpl,
 			Index:         i,
-			Partitions:    partitionWindow(arena, total, cfg.TaskCount, i),
+			Partitions:    parts,
 			CheckpointDir: dir.expand(i),
 		})
 	}
 	return specs
+}
+
+// assigned is the number of partitions specs were assigned in all.
+func assigned(specs []engine.TaskSpec) int {
+	n := 0
+	for i := range specs {
+		n += len(specs[i].Partitions)
+	}
+	return n
 }
 
 // partitionWindow returns task index's contiguous partition range as a

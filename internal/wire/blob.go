@@ -243,7 +243,7 @@ type keyCursor struct {
 
 // open positions c on the first key of the object value obj.
 func (c *keyCursor) open(obj []byte) {
-	c.r = NewReader(obj)
+	*c = keyCursor{r: NewReader(obj)}
 	if tag := c.r.Byte(); tag != vDoc && c.r.Err() == nil {
 		c.r.fail("expected document, got value tag 0x%02x", tag)
 	}
@@ -339,12 +339,133 @@ func (b *builder) mergeObjects(from int, top bool) error {
 			}
 		}
 	}
-	// The count leads the object but is known only now: shift the body up
-	// by its width.
+	b.putCount(at, count)
+	return nil
+}
+
+// putCount inserts count at at, where an object's body begins: the
+// count leads the object but is known only once the body is written, so
+// the body shifts up by its width.
+func (b *builder) putCount(at int, count uint64) {
 	var tmp [binary.MaxVarintLen64]byte
 	w := binary.PutUvarint(tmp[:], count)
 	b.Buf = append(b.Buf, tmp[:w]...)
 	copy(b.Buf[at+w:], b.Buf[at:len(b.Buf)-w])
 	copy(b.Buf[at:], tmp[:w])
+}
+
+// Edit is one write into a document: the value at the dotted Path
+// becomes Value, any value AppendValue encodes.
+type Edit struct {
+	Path  string
+	Value any
+}
+
+// emptyDoc is the empty document, the one an empty blob stands for.
+var emptyDoc = Blob{vDoc, 0}
+
+// EditBlob returns the document b encodes (the empty document for an
+// empty b) with every edit written, as config.Doc's SetPath writes one:
+// each dot-separated part of a path but the last names an object,
+// created where it is missing and replacing any other value; the last
+// part's key takes the edit's value, an object too, whatever it held. No
+// path may equal another or lead through it. The result is the canonical
+// encoding of the edited document, built in one pass over b's sorted
+// keys that copies every value no edit reaches verbatim, as one
+// allocation. b is checked as it is read, as MergeBlobs checks a layer;
+// the values are encoded as they are, finite or not.
+func EditBlob(b Blob, edits ...Edit) (Blob, error) {
+	for i := range edits {
+		for j := i + 1; j < len(edits); j++ {
+			if p, q := edits[i].Path, edits[j].Path; leads(p, q) || leads(q, p) {
+				// Copies, so that no edit escapes: a caller's edits and
+				// their boxed values stay on its stack.
+				return nil, fmt.Errorf("wire: edits at %q and %q overlap", strings.Clone(p), strings.Clone(q))
+			}
+		}
+	}
+	if len(b) == 0 {
+		b = emptyDoc
+	}
+	return build(func(e *builder) error { return e.editObject(b, edits, "", 0) })
+}
+
+// leads reports whether path p equals q or leads through it.
+func leads(p, q string) bool {
+	return strings.HasPrefix(q, p) && (len(q) == len(p) || q[len(p)] == '.')
+}
+
+// editObject writes the object value obj (nil for none) at depth with
+// the edits whose paths start with prefix written into it, the rest of
+// each such path being a key under it. The edits' keys at this level
+// merge into obj's sorted keys: a key no edit names keeps its value
+// verbatim, a key that ends an edit's path takes its value, and a key
+// that leads on is edited in turn, as an object.
+func (b *builder) editObject(obj []byte, edits []Edit, prefix string, depth int) error {
+	var c keyCursor
+	if obj != nil {
+		c.open(obj)
+	}
+	b.Buf = append(b.Buf, vDoc)
+	at := len(b.Buf)
+	count := uint64(0)
+	last, started := "", false
+	for {
+		// The least key after last that an edit names here; edits are few.
+		key, ei, found := "", -1, false
+		for i := range edits {
+			rest, ok := strings.CutPrefix(edits[i].Path, prefix)
+			if !ok {
+				continue
+			}
+			k, _, _ := strings.Cut(rest, ".")
+			if (!started || k > last) && (!found || k < key) {
+				key, ei, found = k, i, true
+			}
+		}
+		for c.live && (!found || asString(c.key) < key) {
+			v := span(&c.r, depth+1)
+			if v == nil {
+				break
+			}
+			b.Buf = AppendUvarint(b.Buf, uint64(len(c.key)))
+			b.Buf = append(b.Buf, c.key...)
+			b.Buf = append(b.Buf, v...)
+			count++
+			c.next()
+		}
+		if err := c.r.Err(); err != nil {
+			return err
+		}
+		if !found {
+			break
+		}
+		var old []byte
+		if c.live && asString(c.key) == key {
+			if old = span(&c.r, depth+1); old == nil {
+				return c.r.Err()
+			}
+			c.next()
+		}
+		b.Buf = AppendString(b.Buf, key)
+		if path := edits[ei].Path; len(path) == len(prefix)+len(key) {
+			if err := b.AppendValue(edits[ei].Value); err != nil {
+				return err
+			}
+		} else {
+			if len(old) == 0 || old[0] != vDoc {
+				old = nil
+			}
+			if err := b.editObject(old, edits, path[:len(prefix)+len(key)+1], depth+1); err != nil {
+				return err
+			}
+		}
+		count++
+		last, started = key, true
+	}
+	if err := c.r.end(); err != nil {
+		return err
+	}
+	b.putCount(at, count)
 	return nil
 }

@@ -52,26 +52,28 @@ func DiffBlobs(a, b Blob) ([]Change, error) {
 	return d.Diff(a, b)
 }
 
-// Differ computes DiffBlobs with a reusable change slice, so a caller
-// that diffs many pairs — the State Syncer diffs one pair per divergent
-// job per round — allocates only the paths of nested changes. Not safe
-// for concurrent use; hold one per worker slot.
+// Differ computes DiffBlobs with reusable scratch: the change slice and
+// a pair of key cursors per nesting level it has met. A caller that
+// diffs many pairs — the State Syncer diffs one pair per divergent job
+// per round — allocates only the paths of nested changes. Not safe for
+// concurrent use; hold one per worker slot.
 type Differ struct {
 	out []Change
+	cs  []keyCursor // cs[2k], cs[2k+1]: the two objects compared at depth k
 }
 
 // Diff is DiffBlobs with reuse: the returned slice is valid until the
 // next call, and its paths and values are views of a and b.
 func (d *Differ) Diff(a, b Blob) ([]Change, error) {
 	d.out = d.out[:0]
-	var ca, cb keyCursor
-	ca.open(a)
-	cb.open(b)
-	d.objects("", &ca, &cb, 0)
-	if err := ca.r.end(); err != nil {
-		return nil, err
+	d.open(0, a, b)
+	d.objects("", 0)
+	err := d.cs[0].r.end()
+	if err == nil {
+		err = d.cs[1].r.end()
 	}
-	if err := cb.r.end(); err != nil {
+	clear(d.cs) // hold no blob alive between diffs
+	if err != nil {
 		return nil, err
 	}
 	// The walk emits in key order per level, which differs from dotted
@@ -80,10 +82,26 @@ func (d *Differ) Diff(a, b Blob) ([]Change, error) {
 	return d.out, nil
 }
 
-// objects diffs two objects at depth, opened on their first keys,
-// emitting paths under prefix. Every value is checked as it is read.
-func (d *Differ) objects(prefix string, a, b *keyCursor, depth int) {
-	for a.live || b.live {
+// open positions the cursor pair of depth on the objects a and b. The
+// first call makes room for a job config's two levels at once.
+func (d *Differ) open(depth int, a, b []byte) {
+	if n := 2*depth + 2; len(d.cs) < n {
+		d.cs = append(d.cs, make([]keyCursor, max(n, 4)-len(d.cs))...)
+	}
+	d.cs[2*depth].open(a)
+	d.cs[2*depth+1].open(b)
+}
+
+// objects diffs the two objects the cursor pair of depth is opened on,
+// emitting paths under prefix. Every value is checked as it is read. A
+// nested object is diffed on the next depth's pair, which may grow d.cs:
+// this level's cursors are looked up afresh after it.
+func (d *Differ) objects(prefix string, depth int) {
+	for {
+		a, b := &d.cs[2*depth], &d.cs[2*depth+1]
+		if !a.live && !b.live {
+			return
+		}
 		c := 0
 		switch {
 		case !b.live:
@@ -109,10 +127,10 @@ func (d *Differ) objects(prefix string, a, b *keyCursor, depth int) {
 			switch {
 			case va == nil || vb == nil || bytes.Equal(va, vb):
 			case va[0] == vDoc && vb[0] == vDoc:
-				var sa, sb keyCursor
-				sa.open(va)
-				sb.open(vb)
-				d.objects(join(prefix, a.key), &sa, &sb, depth+1)
+				path := join(prefix, a.key)
+				d.open(depth+1, va, vb)
+				d.objects(path, depth+1)
+				a, b = &d.cs[2*depth], &d.cs[2*depth+1]
 			case !leafEqual(va, vb):
 				d.emit(prefix, a.key, va, vb)
 			}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -271,9 +272,14 @@ func docOf(t testing.TB, cfg *config.JobConfig) config.Doc {
 	}
 	d := jsonDoc(t, &finite)
 	set := func(path string, v any, present bool) {
-		if present {
-			d.SetPath(path, v)
+		if !present {
+			return
 		}
+		at := map[string]any(d)
+		if head, key, nested := strings.Cut(path, "."); nested {
+			at, path = at[head].(map[string]any), key
+		}
+		at[path] = v
 	}
 	r := cfg.TaskResources
 	set("taskResources.cpuCores", r.CPUCores, !isFinite(r.CPUCores))

@@ -23,6 +23,7 @@ package wire
 
 import (
 	"bytes"
+	"reflect"
 	"slices"
 	"unicode/utf8"
 
@@ -199,7 +200,9 @@ func (e *Encoder) AppendValue(v any) error {
 	case map[string]any:
 		return e.appendDocBody(config.Doc(x))
 	default:
-		return malformed("unsupported document value type %T", v)
+		// The type, not v itself: a v that escapes here would put every
+		// Edit's value on the heap.
+		return malformed("unsupported document value type %s", reflect.TypeOf(v))
 	}
 	return nil
 }

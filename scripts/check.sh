@@ -29,8 +29,8 @@ go -C bench test .
 # of the typed config decoder from the encoding/json round trip it stands
 # for, of the blob-to-JobConfig decode from the document decode it stands
 # for, of the typed encode from the encoding/json document of the config
-# it stands for, of the Job Store's blob merge and blob diff from the map
-# merge and map diff they replaced, of TaskSpec.Equal from byte-equality
+# it stands for, of the Job Store's blob merge, blob edit and blob diff
+# from the map merge, path write and map diff they replaced, of TaskSpec.Equal from byte-equality
 # of the specs' JSON forms (what decided a restart before specs were
 # compared), of the batched Task.Advance from the per-partition drain it
 # replaced, or of the in-place Task.Respec from the Stop, NewTask, Start
@@ -52,6 +52,7 @@ go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzAppendJobConfig' -fuzztime 5s
 go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzReadFrame' -fuzztime 5s -fuzzminimizetime 1s
 go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzJobConfigFromDoc' -fuzztime 5s
 go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzMergeBlobs' -fuzztime 5s
+go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzEditBlob' -fuzztime 5s
 go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzDiffBlobs' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzSpecEqualMatchesJSON' -fuzztime 5s
 go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzAdvanceMatchesPerPartitionDrain' -fuzztime 5s
