@@ -37,7 +37,7 @@ const (
 	steadyAllocCeiling = 8
 
 	// churnAllocPerJobCeiling bounds the allocations per CHANGED job in a
-	// 1% churn round. The churn path reuses the round scratch (per-slot
+	// 1% churn round. The churn path reuses the round scratch (per-planner
 	// Differs, plan data instead of commit closures), leaving ~9 objects
 	// per divergent job: the shared layer re-merge, the fresh running
 	// entry, and the diff's change-path strings. The old closure-building

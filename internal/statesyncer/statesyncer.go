@@ -303,7 +303,8 @@ type roundScratch struct {
 	candidates   []string // this round's candidates: DivergedRangeInto's destination
 	now          time.Time
 	results      []planned
-	differs      []wire.Differ // per-result-slot diff scratch, reused across rounds
+	next         atomic.Int64  // the next candidate a planner takes
+	differs      []wire.Differ // one per concurrent planner, reused across rounds
 	simple       []Plan
 	complexPlans []Plan
 	teardown     []string
@@ -345,9 +346,15 @@ func NewStriped(store *jobstore.Store, act Actuator, clock simclock.Clock, opts 
 	// The worker closures are bound once, here, and read the per-round
 	// inputs out of the scratch struct: handing the pool a fresh closure
 	// every round would allocate in the steady state.
-	s.planFn = func(i int) {
+	s.planFn = func(k int) {
 		sc := &s.scratch
-		sc.results[i] = s.planJob(sc.candidates[i], sc.now, &sc.differs[i], false)
+		for {
+			i := int(sc.next.Add(1) - 1)
+			if i >= len(sc.candidates) {
+				return
+			}
+			sc.results[i] = s.planJob(sc.candidates[i], sc.now, &sc.differs[k], false)
+		}
 	}
 	s.simpleFn = func(i int) {
 		sc := &s.scratch
@@ -395,10 +402,9 @@ func (s *Syncer) BuildPlan(job string, merged jobstore.Merged, version int64) Pl
 	return s.buildPlan(job, merged, version, &dd)
 }
 
-// buildPlan is BuildPlan diffing through dd — a per-worker-slot Differ
-// on the round path, so a churn round's diffs reuse each slot's change
-// buffer instead of allocating per job. The plan's changes are views of
-// the two blobs.
+// buildPlan is BuildPlan diffing through dd. The plan's changes are
+// views of the two blobs in dd's change buffer, valid until dd's next
+// diff.
 func (s *Syncer) buildPlan(job string, merged jobstore.Merged, version int64, dd *wire.Differ) Plan {
 	// Version short-circuit: the running entry records which expected
 	// version it realizes. If that hasn't moved, there is nothing to
@@ -610,7 +616,11 @@ func (s *Syncer) planJob(job string, now time.Time, dd *wire.Differ, replayed bo
 		// diverged, so the next round tears it down.
 		return planned{plan: Plan{Job: job, Kind: PlanNoop}}
 	}
-	return planned{plan: s.buildPlan(job, merged, version, dd), examined: true}
+	plan := s.buildPlan(job, merged, version, dd)
+	// The changes classified the plan. They live in the planner's Differ,
+	// which its next job reuses, and nothing in a round reads them.
+	plan.Changes = nil
+	return planned{plan: plan, examined: true}
 }
 
 // RunRound performs one synchronization pass: read the candidates (the
@@ -639,21 +649,24 @@ func (s *Syncer) RunRound() RoundResult {
 	sc.candidates = s.store.DivergedRangeInto(s.stripeLo, s.stripeHi, sc.candidates[:0])
 	candidates := sc.candidates
 
-	// Build plans in parallel. Workers write disjoint slots, and the
+	// Build plans in parallel: each planner takes candidates off a shared
+	// counter and diffs through its own Differ, whose scratch the churn
+	// path reuses round over round. Planners write disjoint slots, and the
 	// merge below walks them in sorted-job order.
 	if cap(sc.results) < len(candidates) {
 		sc.results = make([]planned, len(candidates))
 	} else {
 		sc.results = sc.results[:len(candidates)]
 	}
-	// Grow (never shrink) the per-slot differs alongside results: kept
-	// diff scratch is the churn path's round-over-round buffer reuse.
-	if cap(sc.differs) < len(candidates) {
-		sc.differs = append(sc.differs[:cap(sc.differs)],
-			make([]wire.Differ, len(candidates)-cap(sc.differs))...)
+	planners := 1
+	if len(candidates) >= 32 {
+		planners = min(s.par, len(candidates))
 	}
-	sc.differs = sc.differs[:len(candidates)]
-	s.forEach(len(candidates), s.par, 32, s.planFn)
+	if len(sc.differs) < planners {
+		sc.differs = make([]wire.Differ, planners)
+	}
+	sc.next.Store(0)
+	s.forEach(planners, planners, 1, s.planFn)
 	if s.dead() {
 		return res
 	}
@@ -674,7 +687,7 @@ func (s *Syncer) RunRound() RoundResult {
 			if s.dead() {
 				return res
 			}
-			*r = s.planJob(job, sc.now, &sc.differs[i], true)
+			*r = s.planJob(job, sc.now, &sc.differs[0], true)
 		}
 		if r.examined {
 			examined++

@@ -69,7 +69,9 @@ func SameBucket(a, b []IndexedSpec) bool {
 // bucket keeps each job's entries in one run, runs in ascending job-name
 // order, so the run starts where a binary search puts the name. The name
 // is read off each entry's own ID ("job#index") rather than through its
-// Spec pointer: one cache miss less per probe.
+// Spec pointer: one cache miss less per probe. The Task Manager's
+// StopJob finds a job's tasks with it, and a publish the place of a job
+// new to a bucket.
 func JobRun(bucket []IndexedSpec, job string) (lo, hi int) {
 	lo = sort.Search(len(bucket), func(i int) bool { return engine.JobOfTaskID(bucket[i].ID) >= job })
 	hi = lo
@@ -89,12 +91,14 @@ type groupShard struct {
 }
 
 // jobGroup is the generated spec set of one job, cached between snapshot
-// regenerations. A group is immutable once built; rev records the Job
-// Store running-entry revision it was built from. spec is the template
-// every one of specs points at, so one allocation holds the job-level
-// fields of all its tasks. indexed holds the tasks in (shard, task
-// index) order, and shards windows it: the group's per-shard sub-buckets
-// (sorted by shard), ready to be spliced into the published index.
+// regenerations. A group is immutable once built but for rev, the Job
+// Store running-entry revision whose content it holds: a rebuild to
+// identical content moves rev onto the cached group (updateInclusion).
+// spec is the template every one of specs points at, so one allocation
+// holds the job-level fields of all its tasks. indexed holds the tasks
+// in (shard, task index) order, and shards windows it: the group's
+// per-shard sub-buckets (sorted by shard), ready to be spliced into the
+// published index.
 type jobGroup struct {
 	job     string
 	rev     int64
@@ -281,18 +285,37 @@ type indexDraft struct {
 	chunks []*shardChunk
 	total  int
 	edits  []bucketEdit
+	// order is publish's scratch, one allocation: chunk ci's edits are
+	// keys[starts[ci]:starts[ci+1]], each key shard<<32 | edit position.
+	starts, keys []uint64
 }
 
-// bucketEdit says that from this regeneration on, job's entries in
-// shard's bucket are exactly repl (nil: none). A regeneration visits each
-// job once, so a (shard, job) pair has at most one edit. lo and hi are
-// publish's scratch: where job's old run sits in the bucket being
-// rebuilt.
+// bucketEdit says that from this regeneration on, a job's entries in
+// shard's bucket are window tk of group to instead of window fk of group
+// from; a nil group is no entries (a pure insert or removal). A
+// regeneration visits each job once, so a (shard, job) pair has at most
+// one edit.
 type bucketEdit struct {
-	shard  shardmanager.ShardID
-	job    string
-	repl   []IndexedSpec
-	lo, hi int
+	from, to *jobGroup
+	fk, tk   int32
+	shard    shardmanager.ShardID
+}
+
+// run is the job's entries in the bucket before the edit: the old
+// group's window, which the bucket holds verbatim.
+func (e *bucketEdit) run() []IndexedSpec {
+	if e.from == nil {
+		return nil
+	}
+	return e.from.window(int(e.fk))
+}
+
+// repl is the job's entries in the bucket after the edit.
+func (e *bucketEdit) repl() []IndexedSpec {
+	if e.to == nil {
+		return nil
+	}
+	return e.to.window(int(e.tk))
 }
 
 // newDraft starts a draft over base (nil base = empty index, e.g. the
@@ -313,13 +336,15 @@ func newDraft(base *SnapshotIndex, numShards, editHint int) *indexDraft {
 // applyGroup replaces oldG's contribution to the draft with newG's;
 // either may be nil (pure insert / pure remove). It walks the union of
 // both groups' sorted shard lists, so the work is proportional to the
-// shards the job actually touches.
+// shards the job actually touches. oldG must be the group whose entries
+// the published buckets hold (updateInclusion keeps it so): publish
+// finds them by identity.
 //
 // Callers apply each job at most once per draft, in ascending job-name
 // order (regenerateLocked walks its sorted, duplicate-free change set):
 // publish relies on it, taking an edit's position in the list as its
 // job's rank.
-func (d *indexDraft) applyGroup(job string, oldG, newG *jobGroup) {
+func (d *indexDraft) applyGroup(oldG, newG *jobGroup) {
 	var os, ns []groupShard
 	if oldG != nil {
 		os = oldG.shards
@@ -331,16 +356,16 @@ func (d *indexDraft) applyGroup(job string, oldG, newG *jobGroup) {
 	}
 	i, j := 0, 0
 	for i < len(os) || j < len(ns) {
-		e := bucketEdit{job: job}
+		var e bucketEdit
 		switch {
 		case j >= len(ns) || (i < len(os) && os[i].shard < ns[j].shard):
-			e.shard = os[i].shard
+			e = bucketEdit{shard: os[i].shard, from: oldG, fk: int32(i)}
 			i++
 		case i >= len(os) || ns[j].shard < os[i].shard:
-			e.shard, e.repl = ns[j].shard, newG.window(j)
+			e = bucketEdit{shard: ns[j].shard, to: newG, tk: int32(j)}
 			j++
 		default:
-			e.shard, e.repl = ns[j].shard, newG.window(j)
+			e = bucketEdit{shard: ns[j].shard, from: oldG, fk: int32(i), to: newG, tk: int32(j)}
 			i++
 			j++
 		}
@@ -348,81 +373,102 @@ func (d *indexDraft) applyGroup(job string, oldG, newG *jobGroup) {
 	}
 }
 
-// publish applies the recorded edits and freezes the draft into an
-// immutable index. The edits are walked in (shard, job) order, which
-// makes those of one bucket adjacent and those of one chunk consecutive:
-// each touched chunk is privatized (cloned) exactly once and each touched
-// bucket rebuilt exactly once. Chunks never touched stay shared with the
-// base index by pointer, untouched buckets of a cloned chunk by slice.
-//
-// The order comes from sorting one integer per edit, shard<<32 | position
-// (shard IDs and edit counts are far below 2^32): edits arrived in
-// job-name order (see applyGroup), so within a shard position order is
-// job order. No edit is moved and no name compared.
-func (d *indexDraft) publish(version, numShards int, groups []*jobGroup) *SnapshotIndex {
-	order := make([]uint64, len(d.edits))
+// order groups the edits by chunk in one counting pass over chunk
+// numbers — O(edits + chunks), the order of the chunk-pointer copy the
+// draft already made — keeping them in job order within each chunk. The
+// chunk counts and the keys share one allocation; the counts end as
+// chunk boundaries. Ordering inside a chunk is rebuildChunk's.
+func (d *indexDraft) order() {
+	n := len(d.chunks)
+	buf := make([]uint64, n+2+len(d.edits))
+	d.starts, d.keys = buf[:n+2], buf[n+2:]
 	for i := range d.edits {
-		order[i] = uint64(d.edits[i].shard)<<32 | uint64(i)
+		d.starts[int(d.edits[i].shard)>>chunkShift+2]++
 	}
-	slices.Sort(order)
-	owned := -1 // the chunk this walk privatized last
-	for lo := 0; lo < len(order); {
-		shard := order[lo] >> 32
+	for ci := 2; ci < len(d.starts); ci++ {
+		d.starts[ci] += d.starts[ci-1]
+	}
+	for i := range d.edits {
+		shard := d.edits[i].shard
+		next := &d.starts[int(shard)>>chunkShift+1]
+		d.keys[*next] = uint64(shard)<<32 | uint64(i)
+		*next++
+	}
+}
+
+// rebuildChunk applies chunk ci's edits, ordered by order. Their keys
+// sort to (shard, position) order — shard IDs and edit counts are far
+// below 2^32 — which makes the edits of one bucket adjacent and, because
+// edits arrived in job-name order, in job order: the chunk is privatized
+// (cloned) once and each touched bucket rebuilt once. Untouched buckets
+// of the clone keep their slices, and an untouched chunk its pointer.
+// Chunks are disjoint, so workers may rebuild different chunks of one
+// draft at once.
+func (d *indexDraft) rebuildChunk(ci int) {
+	keys := d.keys[d.starts[ci]:d.starts[ci+1]]
+	if len(keys) == 0 {
+		return
+	}
+	slices.Sort(keys)
+	nc := &shardChunk{}
+	if old := d.chunks[ci]; old != nil {
+		*nc = *old
+	}
+	for lo := 0; lo < len(keys); {
+		shard := keys[lo] >> 32
 		hi := lo + 1
-		for hi < len(order) && order[hi]>>32 == shard {
+		for hi < len(keys) && keys[hi]>>32 == shard {
 			hi++
 		}
-		ci, li := int(shard)>>chunkShift, int(shard)&(chunkWidth-1)
-		if ci != owned {
-			nc := &shardChunk{}
-			if old := d.chunks[ci]; old != nil {
-				*nc = *old
-			}
-			d.chunks[ci] = nc
-			owned = ci
-		}
-		d.chunks[ci].buckets[li] = rebuildBucket(d.chunks[ci].buckets[li], d.edits, order[lo:hi])
+		b := &nc.buckets[int(shard)&(chunkWidth-1)]
+		*b = rebuildBucket(*b, d.edits, keys[lo:hi])
 		lo = hi
 	}
-	return &SnapshotIndex{
-		version:   version,
-		numShards: numShards,
-		groups:    groups,
-		total:     d.total,
-		chunks:    d.chunks,
-	}
+	d.chunks[ci] = nc
 }
 
 // rebuildBucket returns bucket b with the entries of every edited job
 // replaced by that edit's repl, in one new array — always a new one, so
 // that SameBucket tells the old bucket from the result; nil if nothing is
 // left, the one representation of an empty bucket. The bucket's edits are
-// edits[uint32(k)] for each k of order, in ascending job order, one per
+// edits[uint32(k)] for each k of keys, in ascending job order, one per
 // job. The result keeps the bucket's invariant: entries grouped by job in
 // ascending job-name order. b is never modified — it may be shared with a
 // published index.
 //
-// The first pass locates each edited job's run in b (JobRun, searching
-// on from the previous one) and sizes the result exactly; the second
-// copies the stretches between the runs and the replacements.
-func rebuildBucket(b []IndexedSpec, edits []bucketEdit, order []uint64) []IndexedSpec {
-	size, from := len(b), 0
-	for _, k := range order {
+// The result's size follows from the windows' lengths alone. An edited
+// job's old run is its old window, which the bucket holds verbatim: the
+// copy scans on from the previous edit's end for the window's first
+// entry, comparing spec pointers — no ID is parsed, no name compared. A
+// job new to the bucket goes where JobRun's search on its name puts it.
+// A window the scan does not find is a broken index, and panics.
+func rebuildBucket(b []IndexedSpec, edits []bucketEdit, keys []uint64) []IndexedSpec {
+	size := len(b)
+	for _, k := range keys {
 		e := &edits[uint32(k)]
-		lo, hi := JobRun(b[from:], e.job)
-		e.lo, e.hi = from+lo, from+hi
-		size += len(e.repl) - (hi - lo)
-		from = e.hi
+		size += len(e.repl()) - len(e.run())
 	}
 	if size == 0 {
 		return nil
 	}
 	out := make([]IndexedSpec, 0, size)
-	from = 0
-	for _, k := range order {
+	from := 0
+	for _, k := range keys {
 		e := &edits[uint32(k)]
-		out = append(append(out, b[from:e.lo]...), e.repl...)
-		from = e.hi
+		run, at := e.run(), from
+		if len(run) > 0 {
+			for at < len(b) && b[at].Spec != run[0].Spec {
+				at++
+			}
+			if at == len(b) {
+				panic("taskservice: an edited job's entries are missing from their bucket")
+			}
+		} else {
+			lo, _ := JobRun(b[from:], e.to.job)
+			at += lo
+		}
+		out = append(append(out, b[from:at]...), e.repl()...)
+		from = at + len(run)
 	}
 	return append(out, b[from:]...)
 }

@@ -45,16 +45,14 @@ func BenchmarkSnapshotRegenerate(b *testing.B) {
 // one clone per chunk holding such a bucket, a number of objects per job
 // it rebuilds, and regenAllocsFixed for the draft, the index and scratch
 // growth (~11 measured). Buckets are not rebuilt per job that changed in
-// them, chunks not cloned per bucket. For jobs of the benchmarks' 8-task
-// shape, a release-shaped rebuild (same task and partition counts) costs
-// releaseRegenAllocsPerJob: 13.0 measured over 400 rebuilt jobs, + 10 %
-// — the group, its specs, its indexed entries, the checkpoint template's
-// two strings and one directory per task; the IDs, shard windows and
-// partition windows are the cached group's. The 1M-fleet tier holds its
-// rebuilds to the looser regenAllocsPerJob.
+// them, chunks not cloned per bucket. A release-shaped rebuild (same
+// task and partition counts, same checkpoint template) costs
+// releaseRegenAllocsPerJob: 3.02 measured over 400 rebuilt 8-task jobs,
+// + 10 % rounded up — the group, its specs and its indexed entries; the
+// IDs, shard windows, partition windows and checkpoint directories are
+// the cached group's. The 1M-fleet tier holds its releases to the same.
 const (
-	regenAllocsPerJob        = 19
-	releaseRegenAllocsPerJob = 14
+	releaseRegenAllocsPerJob = 4
 	regenAllocsFixed         = 128
 )
 

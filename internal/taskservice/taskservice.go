@@ -97,18 +97,28 @@ type Service struct {
 	quiesced       map[string]struct{}
 	quiesceDirty   map[string]struct{} // quiesce flags toggled since the last regeneration
 
-	// Parallel group-rebuild machinery (guarded by regenMu): changed
-	// jobs' spec groups are generated on a persistent worker pool before
-	// the sequential splice pass, which then hits a warm cache. The
-	// scratch slices and the pre-bound worker closure are reused across
-	// regenerations, like the State Syncer's round scratch.
+	// Parallel machinery (guarded by regenMu): changed jobs' spec groups
+	// are generated on a persistent worker pool before the sequential
+	// splice pass, which then hits a warm cache, and a large publish
+	// rebuilds its chunks on the same pool. The scratch slices and the
+	// pre-bound worker closures are reused across regenerations, like the
+	// State Syncer's round scratch; draft is set only while a publish
+	// runs, so no edit list outlives its publish.
 	wp           *workpool.Pool
 	rebuildPar   int
 	rebuildNames []string
 	rebuildRevs  []int64
 	rebuilt      []*jobGroup
 	buildFn      func(int)
+	draft        *indexDraft
+	chunkFn      func(int)
 }
+
+// publishFanOut is the edit count from which a publish rebuilds its
+// chunks on the worker pool: a release wave's thousands of edits split
+// across cores, while a churn tick's couple of hundred cost less than
+// waking a helper.
+const publishFanOut = 512
 
 // publishedSnap bundles the published index with its cache metadata so
 // readers can check freshness with a single atomic load.
@@ -150,6 +160,7 @@ func newService(table runningTable, clock simclock.Clock, ttl time.Duration, num
 	s.buildFn = func(i int) {
 		s.rebuilt[i] = s.buildGroup(s.rebuildNames[i], s.rebuildRevs[i])
 	}
+	s.chunkFn = func(ci int) { s.draft.rebuildChunk(ci) }
 	return s
 }
 
@@ -332,16 +343,50 @@ func (s *Service) regenerateLocked() *SnapshotIndex {
 		draft() // the first publish, of nothing: an empty index
 	}
 	s.version++
-	idx := d.publish(s.version, s.numShards, s.included)
+	idx := s.publish(d)
 	s.includedShared = true
 	return idx
 }
 
+// publish applies d's edits and freezes it into the next index: the
+// edits are ordered by chunk, then each touched chunk is rebuilt — on the
+// worker pool for a draft of publishFanOut edits or more, inline below
+// that. Caller holds regenMu.
+func (s *Service) publish(d *indexDraft) *SnapshotIndex {
+	d.order()
+	if s.rebuildPar <= 1 || len(d.edits) < publishFanOut {
+		for ci := range d.chunks {
+			d.rebuildChunk(ci)
+		}
+	} else {
+		s.draft = d
+		s.pool().Run(len(d.chunks), s.rebuildPar, s.chunkFn)
+		s.draft = nil
+	}
+	return &SnapshotIndex{
+		version:   s.version,
+		numShards: s.numShards,
+		groups:    s.included,
+		total:     d.total,
+		chunks:    d.chunks,
+	}
+}
+
+// pool returns the worker pool, started on first use.
+func (s *Service) pool() *workpool.Pool {
+	if s.wp == nil {
+		s.wp = workpool.New(s.rebuildPar - 1)
+	}
+	return s.wp
+}
+
 // updateInclusion reconciles one job's membership in the included-group
 // list (and the index draft) with its current group and quiesce state.
-// Only content-changing transitions create or touch the draft; a group
-// rebuilt to equal specs swaps the cached pointer without publishing
-// anything.
+// Only content-changing transitions create or touch the draft. An
+// included group is always the one whose entries the published buckets
+// hold — publish finds a job's old entries by their spec pointers — so a
+// group rebuilt to equal specs is dropped for the cached one, which takes
+// its revision, and nothing is published.
 func (s *Service) updateInclusion(name string, draft func() *indexDraft) {
 	g := s.groups[name]
 	include := g != nil && len(g.indexed) > 0
@@ -360,26 +405,28 @@ func (s *Service) updateInclusion(name string, draft func() *indexDraft) {
 		// untouched job in an overflow's change set).
 	case found && include:
 		old := s.included[pos]
-		s.ensureIncludedOwned(0)
-		s.included[pos] = g
 		if old.sameSpecs(g) {
 			// Rebuilt to identical content (e.g. a commit that rewrote
 			// the same config under a new revision): no splice, no
 			// version movement.
+			old.rev = g.rev
+			s.groups[name] = old
 			return
 		}
-		draft().applyGroup(name, old, g)
+		s.ensureIncludedOwned(0)
+		s.included[pos] = g
+		draft().applyGroup(old, g)
 	case found:
 		old := s.included[pos]
 		s.ensureIncludedOwned(0)
 		s.included = append(s.included[:pos], s.included[pos+1:]...)
-		draft().applyGroup(name, old, nil)
+		draft().applyGroup(old, nil)
 	default:
 		s.ensureIncludedOwned(1)
 		s.included = append(s.included, nil)
 		copy(s.included[pos+1:], s.included[pos:])
 		s.included[pos] = g
-		draft().applyGroup(name, nil, g)
+		draft().applyGroup(nil, g)
 	}
 }
 
@@ -437,10 +484,7 @@ func (s *Service) rebuildGroups() (shards int) {
 			s.buildFn(i)
 		}
 	} else {
-		if s.wp == nil {
-			s.wp = workpool.New(s.rebuildPar - 1)
-		}
-		s.wp.Run(n, par, s.buildFn)
+		s.pool().Run(n, par, s.buildFn)
 	}
 	for i, name := range s.rebuildNames {
 		s.groups[name] = s.rebuilt[i]
@@ -461,9 +505,10 @@ func (s *Service) rebuildGroups() (shards int) {
 // resource change) takes the cached group's indexed sequence — IDs,
 // shards and (shard, task index) order — and repoints each entry at the
 // new spec of its index: no formatting, no MD5, no sort. Its shard
-// windows depend on the IDs alone, so it shares them too, and its specs
+// windows depend on the IDs alone, so it shares them too; its specs
 // share the cached group's partition windows when the partition count is
-// unchanged as well (SpecsForJob). Pool workers call buildGroup
+// unchanged as well, and its checkpoint directories when the template is
+// (SpecsForJob). Pool workers call buildGroup
 // concurrently; they only read s.groups, which rebuildGroups writes
 // after the pool has drained.
 func (s *Service) buildGroup(job string, rev int64) *jobGroup {
@@ -530,7 +575,9 @@ func (s *Service) Generations() int {
 // the job-level fields lives. prev, if not nil, is an earlier expansion
 // of the job: when it has as many tasks and was assigned as many
 // partitions, the new specs take its partition windows, which are a
-// function of those two counts alone.
+// function of those two counts alone; and a task whose checkpoint
+// template expands to prev's directory of its index takes that string,
+// so a release of a templated job formats no directory.
 func SpecsForJob(cfg *config.JobConfig, tmpl *engine.JobSpec, prev []engine.TaskSpec) []engine.TaskSpec {
 	*tmpl = engine.JobSpec{
 		Job:            cfg.Name,
@@ -564,20 +611,28 @@ func SpecsForJob(cfg *config.JobConfig, tmpl *engine.JobSpec, prev []engine.Task
 			arena[p] = p
 		}
 	}
-	dir := parseTemplate(cfg.CheckpointDir, cfg.Name)
+	// Only a $TASK template formats a string per task, so only its
+	// directories are worth keeping: another expands to one shared string
+	// or to a view of this config, and keeping that would pin the previous
+	// config's blob.
+	keepDirs := len(prev) > 0 && strings.Contains(cfg.CheckpointDir, "$TASK")
+	var dir specTemplate
 	for i := 0; i < cfg.TaskCount; i++ {
-		var parts []int
+		spec := engine.TaskSpec{JobSpec: tmpl, Index: i}
 		if reuse {
-			parts = prev[i].Partitions
+			spec.Partitions = prev[i].Partitions
 		} else {
-			parts = partitionWindow(arena, total, cfg.TaskCount, i)
+			spec.Partitions = partitionWindow(arena, total, cfg.TaskCount, i)
 		}
-		specs = append(specs, engine.TaskSpec{
-			JobSpec:       tmpl,
-			Index:         i,
-			Partitions:    parts,
-			CheckpointDir: dir.expand(i),
-		})
+		if keepDirs && i < len(prev) && expandsTo(cfg.CheckpointDir, cfg.Name, i, prev[i].CheckpointDir) {
+			spec.CheckpointDir = prev[i].CheckpointDir
+		} else {
+			if dir == nil {
+				dir = parseTemplate(cfg.CheckpointDir, cfg.Name)
+			}
+			spec.CheckpointDir = dir.expand(i)
+		}
+		specs = append(specs, spec)
 	}
 	return specs
 }
@@ -625,6 +680,42 @@ func parseTemplate(template, job string) specTemplate {
 		parts[i] = strings.ReplaceAll(p, "$JOB", job)
 	}
 	return parts
+}
+
+// expandsTo reports whether parseTemplate(template, job).expand(index)
+// is dir, without building the expansion. $TASK and $JOB references
+// cannot overlap, so substituting both in one left-to-right walk is
+// parseTemplate's split at $TASK, then $JOB within each part.
+func expandsTo(template, job string, index int, dir string) bool {
+	var buf [20]byte
+	task := strconv.AppendInt(buf[:0], int64(index), 10)
+	for {
+		lit := strings.IndexByte(template, '$')
+		if lit < 0 {
+			return dir == template
+		}
+		if !strings.HasPrefix(dir, template[:lit]) {
+			return false
+		}
+		template, dir = template[lit:], dir[lit:]
+		switch {
+		case strings.HasPrefix(template, "$TASK"):
+			if len(dir) < len(task) || dir[:len(task)] != string(task) {
+				return false
+			}
+			template, dir = template[len("$TASK"):], dir[len(task):]
+		case strings.HasPrefix(template, "$JOB"):
+			if !strings.HasPrefix(dir, job) {
+				return false
+			}
+			template, dir = template[len("$JOB"):], dir[len(job):]
+		default:
+			if dir == "" || dir[0] != '$' {
+				return false
+			}
+			template, dir = template[1:], dir[1:]
+		}
+	}
 }
 
 // expand applies the template to one task: $TASK becomes the task index.

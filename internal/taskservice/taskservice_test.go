@@ -80,6 +80,31 @@ func TestTemplateSubstitution(t *testing.T) {
 			t.Fatalf("template %q expands to %q, want %q", tc.template, got, tc.want)
 		}
 	}
+
+	// expandsTo, which lets a rebuild keep a directory it would format
+	// again, agrees with the expansion, and allocates nothing.
+	for _, template := range []string{"", "/fixed", "/ckpt/$JOB/$TASK", "$TASK$JOB$TASK", "$JO$TASKB/$$JOB", "$$TASK$", "$TAS$JOBK"} {
+		for _, job := range []string{"j", "a$TASK", "$JOB", ""} {
+			dir := parseTemplate(template, job)
+			for _, i := range []int{0, 7, 12, 100} {
+				exp := dir.expand(i)
+				if !expandsTo(template, job, i, exp) {
+					t.Fatalf("template %q, job %q, task %d: expandsTo misses %q", template, job, i, exp)
+				}
+				for _, other := range []string{exp + "x", exp + "$", "x" + exp, dir.expand(i + 1), dir.expand(i * 10)} {
+					if other != exp && expandsTo(template, job, i, other) {
+						t.Fatalf("template %q, job %q, task %d: expandsTo takes %q for %q", template, job, i, other, exp)
+					}
+				}
+				if len(exp) > 0 && expandsTo(template, job, i, exp[:len(exp)-1]) {
+					t.Fatalf("template %q, job %q, task %d: expandsTo takes a prefix of %q", template, job, i, exp)
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { expandsTo("/ckpt/$JOB/$TASK", "job", 12, "/ckpt/job/12") }); n != 0 {
+		t.Fatalf("expandsTo allocates %.1f objects, want 0", n)
+	}
 }
 
 func TestSnapshotCachedWithinTTL(t *testing.T) {

@@ -14,6 +14,10 @@ go build ./...
 # which gives a reason per entry.
 go run ./scripts/surface
 go test -race ./...
+# A Task Service publishes a small draft inline and a large one on its
+# worker pool, as wide as GOMAXPROCS: one and four procs take both paths
+# under the race detector whatever the host's core count.
+go test -race -cpu 1,4 ./internal/taskservice
 # -short keeps the Scale* 1M-fleet benchmarks out of tier-1; CI's
 # scale-smoke job (`make bench-scale`) runs each of them once.
 go test -short ./... -run 'XXXNONE' -bench . -benchtime 1x
