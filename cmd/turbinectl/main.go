@@ -75,26 +75,21 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("job %s (expected version %d)\n", name, e.Version)
-		empty, err := wire.EncodeDoc(config.Doc{})
-		if err != nil {
-			log.Fatal(err)
-		}
+		empty, _ := wire.EditBlob(nil) // no edits: the empty document, no error
 		for _, l := range config.Layers() {
-			layer := e.Layers[l]
-			doc, err := layer.Doc()
-			if err != nil {
-				log.Fatal(err)
+			// The diff from the empty document is one change per key.
+			var keys []wire.Change
+			if layer := e.Layers[l]; len(layer) > 0 {
+				if keys, err = wire.DiffBlobs(empty, layer); err != nil {
+					log.Fatal(err)
+				}
 			}
-			if len(doc) == 0 {
+			if len(keys) == 0 {
 				fmt.Printf("  %-12s (empty)\n", l)
 				continue
 			}
-			fmt.Printf("  %-12s %d keys\n", l, len(doc))
-			leaves, err := wire.DiffBlobs(empty, layer)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for _, ch := range leaves {
+			fmt.Printf("  %-12s %d keys\n", l, len(keys))
+			for _, ch := range keys {
 				fmt.Printf("    %s = %v\n", ch.Path, ch.To)
 			}
 		}

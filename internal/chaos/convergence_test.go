@@ -104,16 +104,12 @@ func (w *convergenceWorld) converged() bool {
 func (w *convergenceWorld) requireTaskCount6(t *testing.T) {
 	t.Helper()
 	for i := 0; i < w.jobs; i++ {
-		r, ok := w.store.GetRunningShared(jobName(i))
-		if !ok {
-			t.Fatalf("%s missing after convergence", jobName(i))
+		r, _, ok := w.store.RunningDoc(jobName(i))
+		if !ok || r.Config == nil {
+			t.Fatalf("%s runs no config after convergence", jobName(i))
 		}
-		jc, err := config.JobConfigFromDoc(r.Config)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if jc.TaskCount != 6 {
-			t.Fatalf("%s converged to task count %d, want 6", jobName(i), jc.TaskCount)
+		if n := r.Config.TaskCount; n != 6 {
+			t.Fatalf("%s converged to task count %d, want 6", jobName(i), n)
 		}
 	}
 }

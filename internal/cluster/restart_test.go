@@ -29,10 +29,8 @@ func TestOnlySyncerNodeCrashRestartResumesOnFirstTick(t *testing.T) {
 			atV2 := func() int {
 				n := 0
 				for _, name := range jobs {
-					if r, ok := c.Store.GetRunningShared(name); ok {
-						if v, _ := r.Config.GetPath("package.version"); v == "v2" {
-							n++
-						}
+					if m, _, ok := c.Store.RunningDoc(name); ok && m.Config != nil && m.Config.Package.Version == "v2" {
+						n++
 					}
 				}
 				return n

@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// FuzzMerge feeds arbitrary JSON documents through Algorithm 1 and checks
-// the structural invariants that the State Syncer depends on: the merge
-// never panics, is idempotent, and top-level scalar keys of the top layer
-// always win.
+// FuzzMerge is the map merge oracle's self-check: it feeds arbitrary JSON
+// documents through Merge and checks the invariants of Algorithm 1 the
+// blob merge is held to — the merge never panics, is idempotent, and
+// top-level scalar keys of the top layer always win.
 func FuzzMerge(f *testing.F) {
 	f.Add(`{"taskCount":10}`, `{"taskCount":15}`)
 	f.Add(`{"pkg":{"name":"t","v":1}}`, `{"pkg":{"v":2}}`)
@@ -139,8 +139,8 @@ func FuzzJobConfigFromDoc(f *testing.F) {
 	})
 }
 
-// FuzzSetGetPath checks path traversal never panics and set-then-get
-// round-trips on fresh paths.
+// FuzzSetGetPath is the path oracles' self-check: traversal never panics
+// and SetPath then GetPath round-trips on fresh paths.
 func FuzzSetGetPath(f *testing.F) {
 	f.Add("a.b.c", 5)
 	f.Add("taskCount", 10)

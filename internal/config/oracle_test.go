@@ -8,12 +8,113 @@ import (
 	"strings"
 )
 
-// The map forms of layering, editing and diffing: the store once merged,
-// edited and diffed config.Doc trees with these; it now works on wire
-// blobs, and these are the oracles wire.MergeBlobs, wire.EditBlob and
-// wire.Differ are fuzzed against
+// The map forms of layering, equality, path reads, editing and diffing:
+// the store once merged, compared, read, edited and diffed config.Doc
+// trees with these; it now works on wire blobs, and these are the oracles
+// wire.MergeBlobs, wire.EditBlob and wire.Differ are fuzzed against
 // (internal/config/blob_fuzz_test.go) and the reference the layering and
 // diff property tests check.
+
+// Merge implements paper Algorithm 1 (layerConfigs): it returns a new Doc
+// in which every key of top overrides bottom, except that when both sides
+// hold JSON objects the merge recurses. Neither input is modified.
+func Merge(bottom, top Doc) Doc {
+	out := make(Doc, len(bottom)+len(top))
+	for k, v := range bottom {
+		out[k] = deepCopyValue(v)
+	}
+	mergeInto(out, top)
+	return out
+}
+
+// mergeInto merges top into dst in place. dst (and everything reachable
+// from it) must be privately owned by the caller; values taken from top
+// are deep-copied, so dst never aliases top afterwards.
+func mergeInto(dst, top Doc) {
+	for k, topValue := range top {
+		topMap, topIsMap := asDoc(topValue)
+		dstValue, inDst := dst[k]
+		if topIsMap && inDst {
+			if dstMap, ok := asDoc(dstValue); ok {
+				// Keep the merged subtree typed as Doc.
+				dst[k] = dstMap
+				mergeInto(dstMap, topMap)
+				continue
+			}
+		}
+		dst[k] = deepCopyValue(topValue)
+	}
+}
+
+func deepCopyValue(v any) any {
+	switch x := v.(type) {
+	case Doc:
+		return Doc(deepCopyMap(x))
+	case map[string]any:
+		return deepCopyMap(x)
+	case []any:
+		out := make([]any, len(x))
+		for i, e := range x {
+			out[i] = deepCopyValue(e)
+		}
+		return out
+	default:
+		return v
+	}
+}
+
+func deepCopyMap(m map[string]any) map[string]any {
+	out := make(map[string]any, len(m))
+	for k, v := range m {
+		out[k] = deepCopyValue(v)
+	}
+	return out
+}
+
+// GetPath returns the value at a dotted path such as "package.version".
+func (d Doc) GetPath(path string) (any, bool) {
+	cur := d
+	for {
+		part, rest, nested := strings.Cut(path, ".")
+		v, ok := cur[part]
+		if !ok || !nested {
+			return v, ok
+		}
+		if cur, ok = asDoc(v); !ok {
+			return nil, false
+		}
+		path = rest
+	}
+}
+
+// Equal reports whether two docs are structurally equal as JSON values.
+// Numeric values compare by their canonical JSON encoding, so int(5) and
+// float64(5) are equal, matching the layering semantics.
+func Equal(a, b Doc) bool {
+	ja, err := canonicalJSON(a)
+	if err != nil {
+		return false
+	}
+	jb, err := canonicalJSON(b)
+	if err != nil {
+		return false
+	}
+	return bytes.Equal(ja, jb)
+}
+
+// canonicalJSON round-trips through encoding/json so that all numbers are
+// float64 and map keys are sorted (encoding/json sorts map keys).
+func canonicalJSON(d Doc) ([]byte, error) {
+	raw, err := json.Marshal(d)
+	if err != nil {
+		return nil, err
+	}
+	var v any
+	if err := json.Unmarshal(raw, &v); err != nil {
+		return nil, err
+	}
+	return json.Marshal(v)
+}
 
 // MergeLayersShared folds docs with Merge, in order: docs[0] is the bottom
 // layer, the last doc has the highest precedence, nil docs are skipped —

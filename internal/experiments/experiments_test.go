@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -60,8 +61,16 @@ func TestTableIExperiment(t *testing.T) {
 	if res.Summary["merged_task_count"] != 30 {
 		t.Fatalf("merged_task_count = %v", res.Summary["merged_task_count"])
 	}
-	if len(res.Rows) != 6 { // 4 layers + merged + running
-		t.Fatalf("rows = %d", len(res.Rows))
+	want := [][]string{
+		{"expected", "base", "10", "v1"},
+		{"expected", "provisioner", "-", "v2"},
+		{"expected", "scaler", "15", "-"},
+		{"expected", "oncall", "30", "-"},
+		{"expected", "MERGED", "30", "v2"},
+		{"running", "running", "30", "v2"},
+	}
+	if !reflect.DeepEqual(res.Rows, want) {
+		t.Fatalf("rows = %q, want %q", res.Rows, want)
 	}
 }
 

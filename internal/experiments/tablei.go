@@ -1,7 +1,8 @@
 package experiments
 
 import (
-	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/config"
 	"repro/internal/jobservice"
@@ -47,19 +48,9 @@ func TableIJobStore(p Params) *Result {
 		Title:  "Job store schema: expected layers merged by precedence into the running configuration",
 		Header: []string{"table", "layer", "taskCount", "package.version"},
 	}
+	empty, _ := wire.EditBlob(nil) // no edits: the empty document, no error
 	layerRow := func(label string, b wire.Blob) []string {
-		d, err := b.Doc()
-		if err != nil {
-			panic(err)
-		}
-		tc, pv := "-", "-"
-		if v, ok := d.GetPath("taskCount"); ok {
-			tc = fmt.Sprintf("%v", v)
-		}
-		if v, ok := d.GetPath("package.version"); ok {
-			pv = fmt.Sprintf("%v", v)
-		}
-		return []string{"expected", label, tc, pv}
+		return []string{"expected", label, pathValue(empty, b, "taskCount"), pathValue(empty, b, "package.version")}
 	}
 	for _, l := range config.Layers() {
 		res.Rows = append(res.Rows, layerRow(l.String(), e.Layers[l]))
@@ -92,4 +83,22 @@ func TableIJobStore(p Params) *Result {
 		"oncall layer (30 tasks) outranks scaler (15) which outranks base (10); provisioner's v2 release survives underneath",
 		"a later scaler write cannot clobber the oncall override — the §III-A consistency requirement")
 	return res
+}
+
+// pathValue formats the value at the dotted path in document b as %v
+// does, or "-" where b holds none. The diff from the empty document is
+// one change per key, holding the key's value; an object on the path is
+// read the same way.
+func pathValue(empty, b wire.Blob, path string) string {
+	key, rest, nested := strings.Cut(path, ".")
+	// An unset layer, or a value that is no object, has no diff: no keys.
+	changes, _ := wire.DiffBlobs(empty, b)
+	i := slices.IndexFunc(changes, func(c wire.Change) bool { return c.Path == key })
+	if i < 0 {
+		return "-"
+	}
+	if nested {
+		return pathValue(empty, wire.Blob(changes[i].To), rest)
+	}
+	return changes[i].To.String()
 }

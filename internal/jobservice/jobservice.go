@@ -120,11 +120,6 @@ func (s *Service) writeLayer(name string, layer config.Layer, edits []wire.Edit,
 			return fmt.Errorf("jobservice: update %s/%s: %w", name, layer, err)
 		}
 		cfg, err := wire.DecodeJobConfigBlob(merged)
-		if err == nil && cfg == nil {
-			// Rare: decode the document to name the field that does not fit.
-			d, _ := merged.Doc()
-			_, err = config.JobConfigFromDoc(d)
-		}
 		if err != nil {
 			return fmt.Errorf("jobservice: update %s/%s produces undecodable config: %w", name, layer, err)
 		}

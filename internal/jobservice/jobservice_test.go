@@ -317,11 +317,29 @@ func TestUpdateLayerOverlappingEditsRejected(t *testing.T) {
 	}
 }
 
+// TestUpdateLayerUndecodableRejected: an edit whose merge is no JobConfig
+// is refused with the error of the field that does not fit, and nothing
+// is written.
 func TestUpdateLayerUndecodableRejected(t *testing.T) {
-	s := newService(t)
-	err := s.UpdateLayer("j1", config.LayerOncall, wire.Edit{Path: "taskCount", Value: "NaN-string"})
-	if err == nil {
-		t.Fatal("undecodable layer accepted")
+	const prefix = "jobservice: update j1/oncall produces undecodable config: decode job config: "
+	for _, tc := range []struct {
+		edit wire.Edit
+		want string
+	}{
+		{wire.Edit{Path: "taskCount", Value: "x"}, "taskCount: cannot decode a JSON string into the field"},
+		{wire.Edit{Path: "taskResources.cpuCores", Value: "x"}, "cpuCores: cannot decode a JSON string into the field"},
+		{wire.Edit{Path: "input", Value: 3}, "input: cannot decode a JSON number into the field"},
+		{wire.Edit{Path: "taskCount", Value: 2.5}, "taskCount: number 2.5 is not an integer in range"},
+	} {
+		s := newService(t)
+		_, before, _ := s.Desired("j1")
+		err := s.UpdateLayer("j1", config.LayerOncall, tc.edit)
+		if err == nil || err.Error() != prefix+tc.want {
+			t.Errorf("%s = %v: err = %v, want %q", tc.edit.Path, tc.edit.Value, err, prefix+tc.want)
+		}
+		if _, version, _ := s.Desired("j1"); version != before {
+			t.Errorf("%s = %v: rejected update moved the version %d → %d", tc.edit.Path, tc.edit.Value, before, version)
+		}
 	}
 }
 

@@ -42,7 +42,7 @@ func TestQuarantineListAndClearResyncsNextRound(t *testing.T) {
 		t.Fatal(err)
 	}
 	syncer.RunRound()
-	if r, _ := store.GetRunningShared("j1"); intPath(r.Config, "taskCount") == 20 {
+	if r, _, _ := store.RunningDoc("j1"); r.Config.TaskCount == 20 {
 		t.Fatal("syncer acted on a quarantined job")
 	}
 
@@ -57,20 +57,7 @@ func TestQuarantineListAndClearResyncsNextRound(t *testing.T) {
 	if res.Complex+res.Simple == 0 {
 		t.Fatalf("cleared job not re-synced next round: %+v", res)
 	}
-	r, _ := store.GetRunningShared("j1")
-	if intPath(r.Config, "taskCount") != 20 {
-		t.Fatalf("running taskCount = %v after clear+round, want 20", r.Config["taskCount"])
+	if r, _, _ := store.RunningDoc("j1"); r.Config.TaskCount != 20 {
+		t.Fatalf("running taskCount = %v after clear+round, want 20", r.Config.TaskCount)
 	}
-}
-
-func intPath(d config.Doc, key string) int {
-	switch v := d[key].(type) {
-	case int:
-		return v
-	case float64:
-		return int(v)
-	case int64:
-		return int(v)
-	}
-	return -1
 }

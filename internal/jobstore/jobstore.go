@@ -103,12 +103,10 @@ type Merged struct {
 	Config *config.JobConfig
 }
 
-// decoded pairs doc with its typed config.
+// decoded pairs doc, a well-formed document, with its typed config: nil
+// if it is no JobConfig, the one error its decode can then return.
 func decoded(doc wire.Blob) Merged {
-	cfg, err := wire.DecodeJobConfigBlob(doc)
-	if err != nil {
-		cfg = nil
-	}
+	cfg, _ := wire.DecodeJobConfigBlob(doc)
 	return Merged{Doc: doc, Config: cfg}
 }
 
@@ -631,7 +629,7 @@ func (s *Store) PlanViewOf(name string) PlanView {
 func (s *Store) CommitRunning(name string, m Merged, version int64) error {
 	if m.Config == nil {
 		cfg, err := wire.DecodeJobConfigBlob(m.Doc)
-		if err != nil {
+		if errors.Is(err, wire.ErrMalformed) {
 			return fmt.Errorf("jobstore: commit %s: %w", name, err)
 		}
 		m.Config = cfg

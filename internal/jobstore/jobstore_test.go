@@ -21,6 +21,16 @@ func baseDoc() config.Doc {
 	}
 }
 
+// cfgOf decodes the typed config of a blob the store holds.
+func cfgOf(t *testing.T, b wire.Blob) *config.JobConfig {
+	t.Helper()
+	c, err := wire.DecodeJobConfigBlob(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // docOf decodes a blob the store holds.
 func docOf(t *testing.T, b wire.Blob) config.Doc {
 	t.Helper()
@@ -46,7 +56,7 @@ func TestCreateAndGetExpected(t *testing.T) {
 	if e.Version != 1 {
 		t.Fatalf("Version = %d, want 1", e.Version)
 	}
-	if v, _ := docOf(t, e.Layers[config.LayerBase]).GetPath("taskCount"); v != int64(10) {
+	if v := cfgOf(t, e.Layers[config.LayerBase]).TaskCount; v != 10 {
 		t.Fatalf("base taskCount = %v", v)
 	}
 	if _, err := s.GetExpected("missing"); !errors.Is(err, ErrNotFound) {
@@ -76,7 +86,7 @@ func TestCreateIsolatesCallerDoc(t *testing.T) {
 	s.Create("j1", docBlob(d), nil)
 	d["taskCount"] = 999 // caller mutates after create
 	e, _ := s.GetExpected("j1")
-	if v, _ := docOf(t, e.Layers[config.LayerBase]).GetPath("taskCount"); v != int64(10) {
+	if v := cfgOf(t, e.Layers[config.LayerBase]).TaskCount; v != 10 {
 		t.Fatalf("store aliased caller's doc: taskCount = %v", v)
 	}
 }
@@ -131,11 +141,10 @@ func TestMergedExpectedPrecedence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged := docOf(t, m.Doc)
-	if v, _ := merged.GetPath("taskCount"); v != int64(30) {
+	if v := m.Config.TaskCount; v != 30 {
 		t.Fatalf("merged taskCount = %v, want 30 (oncall wins)", v)
 	}
-	if v, _ := merged.GetPath("package.version"); v != "v1" {
+	if v := m.Config.Package.Version; v != "v1" {
 		t.Fatalf("merged package.version = %v (base must survive)", v)
 	}
 	if version != 3 {
@@ -149,11 +158,11 @@ func TestRunningLifecycle(t *testing.T) {
 		t.Fatal("phantom running entry")
 	}
 	s.CommitRunning("j1", committed(config.Doc{"taskCount": 10}), 5)
-	r, ok := s.GetRunningShared("j1")
-	if !ok || r.Version != 5 {
-		t.Fatalf("running = %+v,%v", r, ok)
+	r, version, ok := s.RunningDoc("j1")
+	if !ok || version != 5 {
+		t.Fatalf("running = %+v,%d,%v", r, version, ok)
 	}
-	if v, _ := r.Config.GetPath("taskCount"); v != int64(10) {
+	if v := r.Config.TaskCount; v != 10 {
 		t.Fatalf("running taskCount = %v", v)
 	}
 	s.DropRunning("j1")
@@ -239,7 +248,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := docOf(t, m.Doc).GetPath("taskCount"); v != int64(15) {
+	if v := m.Config.TaskCount; v != 15 {
 		t.Fatalf("restored taskCount = %v", v)
 	}
 	if version != 2 {

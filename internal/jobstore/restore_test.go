@@ -3,6 +3,7 @@ package jobstore
 import (
 	"bytes"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -81,6 +82,32 @@ func TestRestoreRejectsOverlongNames(t *testing.T) {
 	}
 }
 
+// deepDocSnapshots hold a document whose innermost value sits levels deep,
+// as the codec counts nesting: once as an expected layer, once as a
+// running entry.
+func deepDocSnapshots(levels int) []string {
+	doc := strings.Repeat(`{"a":`, levels) + "1" + strings.Repeat("}", levels)
+	return []string{
+		`{"schema":4,"expected":{"j":{"Layers":[` + doc + `,null,null,null],"Version":1}}}`,
+		`{"schema":4,"running":{"j":{"Config":` + doc + `,"Version":1}}}`,
+	}
+}
+
+// TestRestoreRejectsDeepDocument: a document nested deeper than the codec
+// reads, as a layer or as a running entry, is refused like a null entry;
+// one at the bound restores and snapshots back to itself. Restoring the
+// deeper one would fail every later merge of the job and every Snapshot.
+func TestRestoreRejectsDeepDocument(t *testing.T) {
+	requireRejected(t, deepDocSnapshots(65))
+	for _, snap := range deepDocSnapshots(64) {
+		s := residentStore(t)
+		if err := s.Restore([]byte(snap)); err != nil {
+			t.Fatalf("%.60s…: %v", snap, err)
+		}
+		requireRestoresBack(t, s)
+	}
+}
+
 // requireRejected restores each snapshot into a resident store and
 // requires an error that leaves the store's contents and locks as they
 // were.
@@ -127,7 +154,7 @@ func readAll(s *Store) {
 // store's Snapshot is what it was, or it succeeds, every read works on
 // what it restored, and Snapshot → Restore → Snapshot is byte-identical.
 func FuzzRestore(f *testing.F) {
-	for _, snap := range nullEntrySnapshots {
+	for _, snap := range slices.Concat(nullEntrySnapshots, deepDocSnapshots(65)) {
 		f.Add([]byte(snap))
 	}
 	golden, err := os.ReadFile("../jobservice/testdata/schema4_snapshot.json")
@@ -149,13 +176,20 @@ func FuzzRestore(f *testing.F) {
 			}
 			return
 		}
-		readAll(s)
-		first := snapshotOf(t, s)
-		if err := s.Restore(first); err != nil {
-			t.Fatalf("Restore of its own Snapshot: %v\n%s", err, first)
-		}
-		if second := snapshotOf(t, s); !bytes.Equal(first, second) {
-			t.Fatalf("Snapshot → Restore → Snapshot differs:\n%s\n---\n%s", first, second)
-		}
+		requireRestoresBack(t, s)
 	})
+}
+
+// requireRestoresBack fails unless every read works on s and Snapshot →
+// Restore → Snapshot is byte-identical.
+func requireRestoresBack(t testing.TB, s *Store) {
+	t.Helper()
+	readAll(s)
+	first := snapshotOf(t, s)
+	if err := s.Restore(first); err != nil {
+		t.Fatalf("Restore of its own Snapshot: %v\n%s", err, first)
+	}
+	if second := snapshotOf(t, s); !bytes.Equal(first, second) {
+		t.Fatalf("Snapshot → Restore → Snapshot differs:\n%s\n---\n%s", first, second)
+	}
 }

@@ -187,8 +187,8 @@ func TestSharedDocsAvoidCloning(t *testing.T) {
 	// GetRunningShared decodes the entry once and shares the document.
 	sh1, _ := s.GetRunningShared("j")
 	sh2, _ := s.GetRunningShared("j")
-	if got, _ := sh1.Config.GetPath("package.version"); got != "v2" || reflect.ValueOf(sh1.Config).Pointer() != reflect.ValueOf(sh2.Config).Pointer() {
-		t.Fatalf("GetRunningShared = %v then another document; want package.version v2, shared", sh1.Config)
+	if !reflect.DeepEqual(sh1.Config, docOf(t, d3)) || reflect.ValueOf(sh1.Config).Pointer() != reflect.ValueOf(sh2.Config).Pointer() {
+		t.Fatalf("GetRunningShared = %v then another document; want the blob's document, shared", sh1.Config)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -25,12 +26,14 @@ import (
 // Task Service. After every round the two must agree on every job's
 // entries, quarantine and sync record, on the diverged set, on the Task
 // Service's index, on the round's result and on the Stats. The model
-// merges the four layers with config.Merge, commits a plan's config only
-// after its actions succeed, splits plans on complexPaths, retries under
-// backoff.Delay up to quarantineAfter failures, starts a namesake
-// re-created before its predecessor's teardown above the running version,
-// leaves nothing of a torn-down job, and lists each task of each running,
-// un-quiesced job at the shard the MD5 of its ID picks.
+// merges the four layers with its own Algorithm 1 (layered) and compares
+// and reads documents with its own sameJSON and at, never the store's
+// blob code; it commits a plan's config only after its actions succeed,
+// splits plans on complexPaths, retries under backoff.Delay up to
+// quarantineAfter failures, starts a namesake re-created before its
+// predecessor's teardown above the running version, leaves nothing of a
+// torn-down job, and lists each task of each running, un-quiesced job at
+// the shard the MD5 of its ID picks.
 
 // modelJob is everything the model knows of one job name.
 type modelJob struct {
@@ -49,10 +52,52 @@ func (j *modelJob) merged() config.Doc {
 	out := config.Doc{}
 	for _, l := range j.layers {
 		if l != nil {
-			out = config.Merge(out, l)
+			out = layered(out, l)
 		}
 	}
 	return out
+}
+
+// layered is paper Algorithm 1 on two documents: top's keys override
+// bottom's, and where both hold an object the merge recurses. Every map
+// it writes is a fresh one, so neither input changes.
+func layered(bottom, top config.Doc) config.Doc {
+	out := maps.Clone(bottom)
+	if out == nil {
+		out = config.Doc{}
+	}
+	for k, v := range top {
+		b, bObj := out[k].(config.Doc)
+		t, tObj := v.(config.Doc)
+		if bObj && tObj {
+			v = layered(b, t)
+		}
+		out[k] = v
+	}
+	return out
+}
+
+// sameJSON reports whether a and b are equal as JSON values: numbers by
+// value, read through float64 as encoding/json reads them.
+func sameJSON(a, b any) bool { return canonical(a) == canonical(b) }
+
+func canonical(v any) string {
+	var back any
+	_ = json.Unmarshal([]byte(docJSON(v)), &back) // docJSON writes JSON
+	return docJSON(back)
+}
+
+// at reads the value at a dotted path, nil where there is none.
+func at(d config.Doc, path string) any {
+	var v any = d
+	for _, k := range strings.Split(path, ".") {
+		obj, ok := v.(config.Doc)
+		if !ok {
+			return nil
+		}
+		v = obj[k]
+	}
+	return v
 }
 
 func (j *modelJob) converged() bool {
@@ -133,13 +178,13 @@ func (m *model) apply(o op) bool {
 	case o.kind == "delete":
 		j.exp, j.layers, j.version, j.quarantine = false, [4]config.Doc{}, 0, ""
 	default:
-		d := config.Merge(config.Doc{}, j.layers[o.layer]) // a copy
+		d := layered(config.Doc{}, j.layers[o.layer]) // a copy
 		if o.kind == "clear" {
 			d = config.Doc{}
 		}
 		switch o.kind {
 		case "bump":
-			d = config.Merge(d, config.Doc{"package": config.Doc{"version": fmt.Sprintf("v%d", o.n)}})
+			d = layered(d, config.Doc{"package": config.Doc{"version": fmt.Sprintf("v%d", o.n)}})
 		case "scale":
 			d["taskCount"] = o.n
 		}
@@ -175,9 +220,7 @@ func (m *model) succeed(j *modelJob, count *int) {
 // complexChange reports whether a and b differ at any of complexPaths.
 func complexChange(a, b config.Doc) bool {
 	for _, p := range complexPaths {
-		va, _ := a.GetPath(p)
-		vb, _ := b.GetPath(p)
-		if !config.Equal(config.Doc{"v": va}, config.Doc{"v": vb}) {
+		if !sameJSON(at(a, p), at(b, p)) {
 			return true
 		}
 	}
@@ -216,7 +259,7 @@ func (m *model) round(now time.Time) RoundResult {
 		case !j.exp: // gone: drop the stale record
 			j.streak, j.retryAt, j.resume = 0, time.Time{}, false
 		case j.quarantine != "" || j.run != nil && j.runVer == j.version: // parked, or only the record diverged
-		case j.run != nil && config.Equal(j.run, j.merged()):
+		case j.run != nil && sameJSON(j.run, j.merged()):
 			// The version moved and the content did not: commit the version.
 			m.stats.JobsExamined++
 			j.run, j.runVer, j.streak, j.retryAt = j.merged(), j.version, 0, time.Time{}
@@ -280,7 +323,7 @@ const modelShards = 64
 func (m *model) tasks(name string) []string {
 	var out []string
 	if j := m.jobs[name]; j.run != nil && !m.act.quiesced[name] {
-		pkg, _ := j.run.GetPath("package.version")
+		pkg := at(j.run, "package.version")
 		n, _ := counts(j.run)
 		for i := range n {
 			id := fmt.Sprintf("%s#%d", name, i)

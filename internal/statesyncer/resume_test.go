@@ -60,15 +60,14 @@ func TestComplexSyncPhaseOrdering(t *testing.T) {
 	act := &orderingActuator{}
 	syncer := New(svc.Store(), act, clk, Options{})
 	act.observe = func() string {
-		r, ok := svc.Store().GetRunningShared("j1")
+		r, _, ok := svc.Store().RunningDoc("j1")
 		if !ok {
 			return "none"
 		}
-		cfg, err := config.JobConfigFromDoc(r.Config)
-		if err != nil {
+		if r.Config == nil {
 			return "bad"
 		}
-		if cfg.TaskCount == 20 {
+		if r.Config.TaskCount == 20 {
 			return "new"
 		}
 		return "old"
@@ -104,13 +103,8 @@ func TestResumeFailureRetriesWithoutRecommit(t *testing.T) {
 	if len(res.Failed) != 1 {
 		t.Fatalf("round = %+v", res)
 	}
-	r, ok := svc.Store().GetRunningShared("j1")
-	if !ok {
-		t.Fatal("commit lost")
-	}
-	cfg, _ := config.JobConfigFromDoc(r.Config)
-	if cfg.TaskCount != 20 {
-		t.Fatalf("running taskCount = %d", cfg.TaskCount)
+	if n := runningTaskCount(t, svc, "j1"); n != 20 {
+		t.Fatalf("running taskCount = %d", n)
 	}
 
 	res = syncer.RunRound()

@@ -199,9 +199,9 @@ func TestShardedLeaseStealConvergence(t *testing.T) {
 	if !nodes[1].Killed() {
 		t.Fatal("crash driver did not fire")
 	}
-	if r, ok := store.GetRunningShared(slice1[0]); !ok {
+	if r, _, ok := store.RunningDoc(slice1[0]); !ok {
 		t.Fatal("the crashing round's commit did not land")
-	} else if v, _ := r.Config.GetPath("package.version"); v != "v2" {
+	} else if v := r.Config.Package.Version; v != "v2" {
 		t.Fatalf("the crashing round's commit did not land: running package.version = %v", v)
 	}
 
@@ -242,11 +242,11 @@ func TestShardedLeaseStealConvergence(t *testing.T) {
 		t.Fatalf("slice 1 lease = %+v, want holder %s epoch 2", l, thief.ID())
 	}
 	for _, name := range slice1 {
-		r, ok := store.GetRunningShared(name)
+		r, _, ok := store.RunningDoc(name)
 		if !ok {
 			t.Fatalf("job %s not running after the steal", name)
 		}
-		if v, _ := r.Config.GetPath("package.version"); v != "v3" {
+		if v := r.Config.Package.Version; v != "v3" {
 			t.Fatalf("job %s not converged after the steal: running package.version = %v", name, v)
 		}
 	}

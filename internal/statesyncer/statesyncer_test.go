@@ -107,19 +107,14 @@ func newWorld(t *testing.T, opts Options) (*jobservice.Service, *Syncer, *fakeAc
 	return svc, New(store, act, clk, opts), act, clk
 }
 
-// runningTaskCount decodes the running config and returns its task count,
-// normalizing numeric JSON representations the way real consumers do.
+// runningTaskCount returns the task count of the job's running config.
 func runningTaskCount(t *testing.T, svc *jobservice.Service, job string) int {
 	t.Helper()
-	r, ok := svc.Store().GetRunningShared(job)
-	if !ok {
-		t.Fatalf("no running entry for %s", job)
+	r, _, ok := svc.Store().RunningDoc(job)
+	if !ok || r.Config == nil {
+		t.Fatalf("no running config for %s", job)
 	}
-	cfg, err := config.JobConfigFromDoc(r.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cfg.TaskCount
+	return r.Config.TaskCount
 }
 
 func TestNewJobSyncsSimple(t *testing.T) {
@@ -130,11 +125,7 @@ func TestNewJobSyncsSimple(t *testing.T) {
 	if res.Simple != 1 || res.Complex != 0 {
 		t.Fatalf("round = %+v", res)
 	}
-	r, ok := svc.Store().GetRunningShared("j1")
-	if !ok {
-		t.Fatal("running entry not committed")
-	}
-	if v, _ := r.Config.GetPath("taskCount"); v != int64(10) {
+	if v := runningTaskCount(t, svc, "j1"); v != 10 {
 		t.Fatalf("running taskCount = %v", v)
 	}
 	if len(act.stops) != 0 {
@@ -160,8 +151,8 @@ func TestPackageReleaseIsSimpleSync(t *testing.T) {
 	if len(act.stops) != 0 {
 		t.Fatal("simple sync stopped tasks")
 	}
-	r, _ := svc.Store().GetRunningShared("j1")
-	if v, _ := r.Config.GetPath("package.version"); v != "v2" {
+	r, _, _ := svc.Store().RunningDoc("j1")
+	if v := r.Config.Package.Version; v != "v2" {
 		t.Fatalf("running package.version = %v", v)
 	}
 }

@@ -46,13 +46,10 @@ func (w *world) moves() (n int) {
 // had its way with it, and invalidates the snapshot cache.
 func (w *world) recommit(t *testing.T, job string, version int64, mutate func(*config.JobConfig)) {
 	t.Helper()
-	r, _ := w.store.GetRunningShared(job)
-	cfg, err := config.JobConfigFromDoc(r.Config)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mutate(cfg)
-	doc := runningOf(cfg)
+	r, _, _ := w.store.RunningDoc(job)
+	cfg := *r.Config // the store's is shared: mutate a copy
+	mutate(&cfg)
+	doc := runningOf(&cfg)
 	w.store.CommitRunning(job, doc, version)
 	w.ts.Invalidate()
 }

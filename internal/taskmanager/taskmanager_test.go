@@ -173,10 +173,10 @@ func TestSpecChangeRestartsTask(t *testing.T) {
 		t.Fatalf("restarts before change = %d", before)
 	}
 	// Package bump: same task identity, different spec.
-	r, _ := w.store.GetRunningShared("j1")
-	cfg, _ := config.JobConfigFromDoc(r.Config)
+	r, _, _ := w.store.RunningDoc("j1")
+	cfg := *r.Config // the store's is shared: change a copy
 	cfg.Package.Version = "v2"
-	doc := runningOf(cfg)
+	doc := runningOf(&cfg)
 	w.store.CommitRunning("j1", doc, 2)
 	w.ts.Invalidate()
 	w.refreshAll()

@@ -33,6 +33,7 @@
 package taskservice
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -336,13 +337,17 @@ func (c *FeedClient) applyEntry(ent wire.DeltaEntry) error {
 
 // decodeEntry decodes an entry's document, a view of a frame buffer the
 // next poll reuses, into a config that owns its strings: two
-// allocations, the config and one for all of its strings.
+// allocations, the config and one for all of its strings. A document
+// that is no JobConfig is a nil config, as on the primary, not an error.
 func decodeEntry(doc []byte) (*config.JobConfig, error) {
 	cfg, err := wire.DecodeJobConfigBlob(doc)
+	if errors.Is(err, wire.ErrMalformed) {
+		return nil, err
+	}
 	if cfg != nil {
 		cfg.OwnStrings()
 	}
-	return cfg, err
+	return cfg, nil
 }
 
 // replica is a FeedClient's running table: one row per job the feed has

@@ -132,7 +132,8 @@ func (b Blob) MarshalJSON() ([]byte, error) {
 // config.Doc, except that a number literal that is an integer in int64
 // range reads exactly, as an int64; any other number — a fraction, an
 // exponent, out of range, or -0 — reads as a float64, as encoding/json
-// reads it. null is the empty blob.
+// reads it. null is the empty blob. What CheckDoc refuses is an error: a
+// snapshot restores nothing the store could not read back.
 func (b *Blob) UnmarshalJSON(data []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.UseNumber()
@@ -152,6 +153,9 @@ func (b *Blob) UnmarshalJSON(data []byte) error {
 	}
 	enc, err := EncodeDoc(d)
 	if err != nil {
+		return err
+	}
+	if err := CheckDoc(enc); err != nil {
 		return err
 	}
 	*b = enc
@@ -196,15 +200,14 @@ func numberValue(lit string) (any, error) {
 	return f, nil
 }
 
-// MergeBlobs is paper Algorithm 1 over blobs, with config.Merge's
-// semantics folded over layers in increasing precedence: empty layers
-// are skipped, a later layer's value wins, and where two layers both
-// hold an object at a key the merge recurses. It is a k-way merge-join
-// of the layers' sorted keys that copies every value only one layer
-// contributes verbatim, so the result is the canonical encoding of the
-// merged document. A single layer's merge is that layer's blob itself;
-// no layer merges to the empty document. A layer that is not one
-// well-formed document is an error.
+// MergeBlobs is paper Algorithm 1 over blobs, folded over layers in
+// increasing precedence: empty layers are skipped, a later layer's value
+// wins, and where two layers both hold an object at a key the merge
+// recurses. It is a k-way merge-join of the layers' sorted keys that
+// copies every value only one layer contributes verbatim, so the result
+// is the canonical encoding of the merged document. A single layer's
+// merge is that layer's blob itself; no layer merges to the empty
+// document. A layer that is not one well-formed document is an error.
 func MergeBlobs(layers []Blob) (Blob, error) {
 	var top Blob
 	n := 0

@@ -22,7 +22,11 @@
 
 package wire
 
-import "repro/internal/config"
+import (
+	"fmt"
+
+	"repro/internal/config"
+)
 
 // FeedRequest is one subscriber poll. The zero value is a fresh
 // subscriber: cursor 0, server-chosen batch size, delta mode.
@@ -201,10 +205,11 @@ func DecodeDocBlob(blob []byte) (config.Doc, error) {
 // DecodeJobConfigBlob decodes a document straight into a JobConfig,
 // without building the document: the result equals
 // config.JobConfigFromDoc(DecodeDocBlob(blob)), and it fails where that
-// fails. A blob DecodeDocBlob rejects is an error; a well-formed document
-// that JobConfigFromDoc rejects is a nil config and no error. Its strings
-// are views of blob wherever they are valid UTF-8, so blob must never
-// change afterwards: a feed entry is copied into a blob of its own first.
+// fails: a blob DecodeDocBlob rejects with ErrMalformed, and a document
+// that is no JobConfig with the error of its first unfit field, which
+// does not wrap ErrMalformed. Its strings are views of blob wherever
+// they are valid UTF-8, so blob must never change afterwards: a feed
+// entry is copied into a blob of its own first.
 // FuzzJobConfigBlob holds it to its definition.
 func DecodeJobConfigBlob(blob []byte) (*config.JobConfig, error) {
 	d := configDecoder{r: NewReader(blob), cfg: new(config.JobConfig)}
@@ -219,8 +224,8 @@ func DecodeJobConfigBlob(blob []byte) (*config.JobConfig, error) {
 	if err := r.end(); err != nil {
 		return nil, err
 	}
-	if d.unfit {
-		return nil, nil
+	if d.unfit != nil {
+		return nil, fmt.Errorf("decode job config: %w", d.unfit)
 	}
 	return d.cfg, nil
 }

@@ -81,7 +81,7 @@ func FuzzDocRoundTrip(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
-		v, err := DecodeValue(&r)
+		v, err := decodeValue(&r, 0, false)
 		if err != nil {
 			return
 		}
@@ -90,7 +90,7 @@ func FuzzDocRoundTrip(f *testing.F) {
 			t.Fatalf("re-encode of decoded value failed: %v", err)
 		}
 		r2 := NewReader(enc.Buf)
-		v2, err := DecodeValue(&r2)
+		v2, err := decodeValue(&r2, 0, false)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

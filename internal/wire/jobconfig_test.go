@@ -17,23 +17,26 @@ import (
 // checkJobConfigBlob fails unless DecodeJobConfigBlob(blob) is what it is
 // defined as — DecodeDocBlob then config.JobConfigFromDoc — in whether the
 // blob is malformed, in whether the document is a JobConfig, and in the
-// value. It reports which of the three outcomes blob had.
+// value. A malformed blob is a nil config and ErrMalformed; a document
+// that is no JobConfig, exactly when JobConfigFromDoc errs, is a nil
+// config and an error that does not wrap ErrMalformed. It reports which
+// of the three outcomes blob had.
 func checkJobConfigBlob(t testing.TB, blob []byte) (malformed, unfit bool) {
 	t.Helper()
 	got, err := DecodeJobConfigBlob(blob)
 	doc, docErr := DecodeDocBlob(blob)
-	if (err != nil) != (docErr != nil) {
+	if errors.Is(err, ErrMalformed) != (docErr != nil) {
 		t.Fatalf("blob %x: typed decode err = %v, document decode err = %v", blob, err, docErr)
 	}
-	if err != nil {
-		if !errors.Is(err, ErrMalformed) || got != nil {
+	if docErr != nil {
+		if got != nil {
 			t.Fatalf("blob %x: typed decode = %+v, %v; want nil and ErrMalformed", blob, got, err)
 		}
 		return true, false
 	}
 	want, cfgErr := config.JobConfigFromDoc(doc)
-	if (got == nil) != (cfgErr != nil) {
-		t.Fatalf("blob %x (%v): typed decode = %+v, JobConfigFromDoc err = %v", blob, doc, got, cfgErr)
+	if (err != nil) != (cfgErr != nil) || (got == nil) != (cfgErr != nil) {
+		t.Fatalf("blob %x (%v): typed decode = %+v, %v; JobConfigFromDoc err = %v", blob, doc, got, err, cfgErr)
 	}
 	// %#v, not reflect.DeepEqual: a NaN cpuCores is the same value on
 	// both sides, and the wire carries NaN faithfully.
@@ -208,7 +211,8 @@ func TestJobConfigBlobMatchesDocDecode(t *testing.T) {
 
 // FuzzJobConfigBlob holds DecodeJobConfigBlob to its definition for any
 // bytes: DecodeDocBlob then config.JobConfigFromDoc, in whether the blob
-// is malformed, in whether the document is a JobConfig, and in value.
+// is malformed, in whether the document is a JobConfig — and in the
+// error that tells the two apart — and in value.
 func FuzzJobConfigBlob(f *testing.F) {
 	for _, b := range jobConfigBlobSeeds(f) {
 		f.Add(b)

@@ -1,13 +1,14 @@
-// Document codec: config.Doc values (JSON-shaped trees) in a compact
-// tagged binary form. The Job Store holds every document in it (Blob);
-// the spec feed encodes a running entry's typed config (AppendJobConfig)
-// as the document it stands for; the decoders read any document.
+// Document codec: JSON-shaped documents in a compact tagged binary form,
+// the only form production reads and writes them in: the Job Store holds
+// every document as a Blob, and the spec feed encodes a running entry's
+// typed config (AppendJobConfig) as the document it stands for. A
+// config.Doc tree crosses it only at a snapshot's JSON edge and in tests.
 //
 // Numbers keep their JSON semantics, not their Go type: an integer
 // travels as vInt and decodes as int64, a float64 as vFloat. That matches
-// config.JobConfigFromDoc, which is defined as the encoding/json round
-// trip of the document and so decodes a number by its value, whatever
-// Go type carries it.
+// config.JobConfigFromDoc, the typed decode's definition, which is the
+// encoding/json round trip of the document and so decodes a number by
+// its value, whatever Go type carries it.
 //
 // A document's keys are strictly ascending in byte order, and every
 // varint is in its shortest form: the encoders write them so, and every
@@ -243,11 +244,6 @@ func decodeDoc(r *Reader, alias bool) (config.Doc, error) {
 	return d, nil
 }
 
-// DecodeValue decodes one document value from r.
-func DecodeValue(r *Reader) (any, error) {
-	return decodeValue(r, 0, false)
-}
-
 // docKey reads the i-th key of a document and checks that it sorts
 // strictly after prev, the key before it.
 func docKey(r *Reader, i uint64, prev []byte) []byte {
@@ -392,13 +388,14 @@ func skipObject(r *Reader, depth int) {
 // bytes once and the schema's field tables alongside: a key that names a
 // field has its value stored by the field's setter, every other value is
 // only validated. It checks everything decodeValue checks, in the same
-// order, so it fails as a wire error exactly where decodeDoc would. A
-// value that does not fit its field marks the document as no JobConfig;
-// the walk goes on, so a wire error later in the blob still wins.
+// order, so it fails as a wire error exactly where decodeDoc would. The
+// first value that does not fit its field keeps the setter's error and
+// makes the document no JobConfig; the walk goes on, so a wire error
+// later in the blob still wins.
 type configDecoder struct {
 	r     Reader
 	cfg   *config.JobConfig
-	unfit bool
+	unfit error
 }
 
 // value decodes one value at depth into f, or only validates it if f is
@@ -435,8 +432,8 @@ func (d *configDecoder) value(f *config.Field, depth int) {
 	default: // null leaves the field as it is
 		skipBody(r, tag, depth)
 	}
-	if err != nil {
-		d.unfit = true
+	if d.unfit == nil {
+		d.unfit = err
 	}
 }
 
@@ -456,7 +453,7 @@ func (d *configDecoder) object(fields config.Fields, depth int) {
 	for i := uint64(0); i < n && r.Err() == nil; i++ {
 		k = docKey(r, i, k)
 		var f *config.Field
-		if fields != nil && !d.unfit {
+		if fields != nil && d.unfit == nil {
 			f = fields.Lookup(asString(k))
 		}
 		d.value(f, depth+1)

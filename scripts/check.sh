@@ -27,40 +27,15 @@ go test -short ./... -run 'XXXNONE' -bench . -benchtime 1x
 # breaks the harness fails here, not in the benchmark run after merge.
 go -C bench vet .
 go -C bench test .
-# Fuzz smoke: a few seconds per target over the committed corpus plus
-# fresh mutations. Long fuzzing sessions grow the corpus offline; this
-# catches frame-decoder and round-trip regressions fast — and any drift
-# of the typed config decoder from the encoding/json round trip it stands
-# for, of the blob-to-JobConfig decode from the document decode it stands
-# for, of the typed encode from the encoding/json document of the config
-# it stands for, of the Job Store's blob merge, blob edit and blob diff
-# from the map merge, path write and map diff they replaced, of TaskSpec.Equal from byte-equality
-# of the specs' JSON forms (what decided a restart before specs were
-# compared), of the batched Task.Advance from the per-partition drain it
-# replaced, or of the in-place Task.Respec from the Stop, NewTask, Start
-# restart it stands for — any job config the Job Service accepts that a
-# later stage (syncer round, spec feed, Task Service expansion) rejects or
-# panics on, any snapshot file Restore panics on, half-applies when it
-# refuses it, or restores to a store that does not snapshot back to it,
-# and any schedule of commits, drops, overflows, restores, bounded pumps,
-# forced redirects and failed polls after which a spec-feed subscriber
-# does not converge to the running table.
-# FuzzRestore's inputs are whole snapshots, slow to minimize, and
-# FuzzReadFrame can spend a whole run minimizing one new input at 0
-# execs/s: a short minimization budget leaves the smoke its seconds to
-# mutate.
-go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzFrameDecode' -fuzztime 5s
-go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzDocRoundTrip' -fuzztime 5s
-go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzJobConfigBlob' -fuzztime 5s
-go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzAppendJobConfig' -fuzztime 5s
-go test ./internal/wire -run 'XXXNONE' -fuzz 'FuzzReadFrame' -fuzztime 5s -fuzzminimizetime 1s
-go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzJobConfigFromDoc' -fuzztime 5s
-go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzMergeBlobs' -fuzztime 5s
-go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzEditBlob' -fuzztime 5s
-go test ./internal/config -run 'XXXNONE' -fuzz 'FuzzDiffBlobs' -fuzztime 5s
-go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzSpecEqualMatchesJSON' -fuzztime 5s
-go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzAdvanceMatchesPerPartitionDrain' -fuzztime 5s
-go test ./internal/engine -run 'XXXNONE' -fuzz 'FuzzRespecMatchesRestart' -fuzztime 5s
-go test ./internal/statesyncer -run 'XXXNONE' -fuzz 'FuzzInputBoundary' -fuzztime 5s
-go test ./internal/taskservice -run 'XXXNONE' -fuzz 'FuzzFeedConverges' -fuzztime 5s
-go test ./internal/jobstore -run 'XXXNONE' -fuzz 'FuzzRestore' -fuzztime 5s -fuzzminimizetime 1s
+# Fuzz smoke: every fuzz target of every package, found with
+# `go test -list`, for 5 s over its committed corpus plus fresh mutations
+# (each target's doc comment says what it holds). Each name is anchored:
+# a bare -fuzz FuzzMerge also matches FuzzMergeBlobs, and the run fails.
+# A short minimization budget keeps a target with slow inputs (whole
+# snapshots, framed streams) from spending its seconds minimizing one.
+fuzz_list=$(go test -list '^Fuzz' ./...)
+echo "$fuzz_list" |
+	awk '/^Fuzz/ { t[n++] = $1 } /^ok/ { for (i = 0; i < n; i++) print $2, t[i]; n = 0 }' |
+	while read -r pkg target; do
+		go test "$pkg" -run 'XXXNONE' -fuzz "^$target\$" -fuzztime 5s -fuzzminimizetime 1s
+	done
