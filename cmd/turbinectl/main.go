@@ -189,8 +189,7 @@ func main() {
 		// Stand-alone spec-feed server: bind the loaded store's feed to a
 		// real TCP listener and block. Remote Task Services (or `feed
 		// -transport=tcp -dial=<addr>` from another terminal) connect with
-		// DialFeed and speak the exact frames the loopback transport
-		// round-trips in process.
+		// DialFeed and poll the same server over the wire.
 		addr := "127.0.0.1:7600"
 		if len(args) > 1 {
 			addr = args[1]
@@ -215,7 +214,7 @@ func main() {
 		// walk of the running table in delta pages, then incremental
 		// deltas.
 		//
-		// -transport=loopback (default) round-trips frames in process;
+		// -transport=loopback (default) polls the server in process;
 		// -transport=tcp serves the same frames over real sockets — via a
 		// self-contained localhost listener, or an already-running
 		// `serve-feed` named by -dial. (Flags precede the count:
@@ -242,7 +241,7 @@ func main() {
 		case "loopback":
 			feed = jobservice.NewSpecFeed(store)
 			feed.SetSubscriberTTL(simclock.NewReal())
-			mkFeed = func(int) taskservice.SpecFeed { return feed.Loopback() }
+			mkFeed = func(int) taskservice.SpecFeed { return feed }
 		case "tcp":
 			addr := *dialAddr
 			if addr == "" {

@@ -48,7 +48,7 @@ type Options struct {
 	// schedule a Node crash + lease-steal sequence.
 	SyncerShards int
 	// FeedTransport selects the remote Task Service's spec-feed binding:
-	// "" or "loopback" is the in-process transport with the PR 9
+	// "" or "loopback" polls the feed server in process, under the
 	// force-resync storm; "tcp" serves the feed on a real localhost
 	// socket and swaps the storm for byte-stream faults (torn frames
 	// mid-write, short reads, hung conns, disconnect storms) on the
@@ -85,10 +85,10 @@ type Result struct {
 	// Resyncs > 0 is evidence the force-resync storm actually redirected
 	// it onto the walk of the running table before the final
 	// index-identity check
-	// (loopback runs only; TCP runs drop the storm and require zero).
+	// (in-process runs only; TCP runs drop the storm and require zero).
 	RemoteFeed taskservice.FeedClientStats
 	// RemoteDial and Listener are the socket-binding counters of a TCP
-	// run (zero values on loopback runs): reconnect/backoff churn on the
+	// run (zero values on in-process runs): reconnect/backoff churn on the
 	// client side, accepted conns and bad frames on the server side.
 	RemoteDial taskservice.DialStats
 	Listener   jobservice.ListenerStats
@@ -336,10 +336,10 @@ func runSchedule(c *cluster.Cluster, inj *faultinject.Injector, opts Options, re
 		// Remote Task Service, its polls running through the OpSpecFeed
 		// fault rules. It pumps on a fixed cadence through the whole storm;
 		// dropped polls and force-resync redirects just leave it lagging or
-		// mid-walk until the next tick. The loopback transport is
-		// in-process; "tcp" serves the feed on a real localhost socket and
-		// dials it through the OpFeedConn byte-stream faults, the
-		// OpSpecFeed rules still stacked above the transport.
+		// mid-walk until the next tick. By default it polls the feed
+		// server in process; "tcp" serves the feed on a real localhost
+		// socket and dials it through the OpFeedConn byte-stream faults,
+		// the OpSpecFeed rules still stacked above the transport.
 		sub := remoteSub(c.Cfg.Name)
 		if opts.FeedTransport == "tcp" {
 			lis, err := net.Listen("tcp", "127.0.0.1:0")

@@ -127,8 +127,8 @@ func TestChaosSoakSocket(t *testing.T) {
 	t.Logf("seed %d tcp: %d dials (%d reconnects, %d dial errors, %d backoff skips), %d conns accepted, %d polls served, %d bad frames",
 		seed, res.RemoteDial.Dials, res.RemoteDial.Reconnects, res.RemoteDial.DialErrors, res.RemoteDial.BackoffSkips,
 		res.Listener.Accepted, res.Listener.Served, res.Listener.BadFrames)
-	t.Logf("  remote feed: %d polls, %d failures, %d resumes (last lag %d), %d applied, %d skipped",
-		res.RemoteFeed.Polls, res.RemoteFeed.Failures, res.RemoteFeed.Resumes, res.RemoteFeed.LastResumeLag,
+	t.Logf("  remote feed: %d polls, %d failures, %d resumes, %d applied, %d skipped",
+		res.RemoteFeed.Polls, res.RemoteFeed.Failures, res.RemoteFeed.Resumes,
 		res.RemoteFeed.Applied, res.RemoteFeed.Skipped)
 }
 

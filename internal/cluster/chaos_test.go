@@ -22,7 +22,8 @@ func TestChaosDay(t *testing.T) {
 	const seed = 1337
 	rng := rand.New(rand.NewSource(seed))
 
-	c := newCluster(t, Config{Hosts: 6, EnableScaler: true})
+	cut := map[string]bool{}
+	c := newCluster(t, Config{Hosts: 6, EnableScaler: true, WrapSM: partitionWrap(cut)})
 	const jobs = 10
 	for i := 0; i < jobs; i++ {
 		job := tailerJob(fmt.Sprintf("job%02d", i), 1+rng.Intn(4), 16)
@@ -35,7 +36,6 @@ func TestChaosDay(t *testing.T) {
 	hosts := c.Hosts()
 	down := map[string]bool{}
 	tms := c.TaskManagers()
-	partitioned := map[int]bool{}
 
 	// 24 hours of chaos: every 20 minutes something happens.
 	for step := 0; step < 72; step++ {
@@ -63,16 +63,11 @@ func TestChaosDay(t *testing.T) {
 				}
 			}
 		case 2: // partition a container from the shard manager
-			i := rng.Intn(len(tms))
-			if !partitioned[i] {
-				tms[i].SetConnected(false)
-				partitioned[i] = true
-			}
+			cut[tms[rng.Intn(len(tms))].ID()] = true
 		case 3: // heal a partition
-			for i := range partitioned {
-				if partitioned[i] {
-					tms[i].SetConnected(true)
-					delete(partitioned, i)
+			for _, tm := range tms {
+				if cut[tm.ID()] {
+					delete(cut, tm.ID())
 					break
 				}
 			}
@@ -95,9 +90,7 @@ func TestChaosDay(t *testing.T) {
 			c.RestoreHost(h)
 		}
 	}
-	for i := range partitioned {
-		tms[i].SetConnected(true)
-	}
+	clear(cut)
 	for i := 0; i < jobs; i++ {
 		c.Store.ClearQuarantine(fmt.Sprintf("job%02d", i))
 	}
@@ -142,5 +135,13 @@ func TestChaosDay(t *testing.T) {
 	}
 	if totalConsumed == 0 {
 		t.Fatal("nothing processed during the chaos day")
+	}
+	// The partitions bit: a cut-off container rebooted itself.
+	reboots := 0
+	for _, tm := range tms {
+		reboots += tm.Stats().Reboots
+	}
+	if reboots == 0 {
+		t.Fatal("no container rebooted proactively: the partitions never bit")
 	}
 }

@@ -183,7 +183,7 @@ type Cluster struct {
 	Jobs    *jobservice.Service
 	TaskSvc *taskservice.Service
 	// Feed is the Job Service's spec-feed server: remote Task Services
-	// subscribe to it (NewRemoteTaskService) over loopback transports.
+	// subscribe to it (NewRemoteTaskService) by polling it in process.
 	Feed *jobservice.SpecFeedServer
 	SM   *shardmanager.Manager
 	TW   *tupperware.Cluster
@@ -1107,13 +1107,12 @@ func (c *Cluster) TaskManagers() []*taskmanager.Manager {
 
 // NewRemoteTaskService returns a Task Service that mirrors this
 // cluster's Job Store over the spec-feed seam instead of reading it
-// directly: a FeedClient over the in-process loopback transport, with
-// the same lease TTL and shard-space size as the built-in TaskSvc so a
-// converged mirror's index is byte-identical to the local one. The
-// WrapSpecFeed hook (fault injection) interposes on the transport when
-// configured.
+// directly: a FeedClient polling Feed in process, with the same lease
+// TTL and shard-space size as the built-in TaskSvc so a converged
+// mirror's index is byte-identical to the local one. The WrapSpecFeed
+// hook (fault injection) interposes on the feed when configured.
 func (c *Cluster) NewRemoteTaskService(id string) *taskservice.FeedClient {
-	return c.NewRemoteTaskServiceOver(id, c.Feed.Loopback())
+	return c.NewRemoteTaskServiceOver(id, c.Feed)
 }
 
 // NewRemoteTaskServiceOver is NewRemoteTaskService over a caller-chosen

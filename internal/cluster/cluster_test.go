@@ -9,6 +9,7 @@ import (
 	"repro/internal/config"
 	"repro/internal/engine"
 	"repro/internal/shardmanager"
+	"repro/internal/taskmanager"
 	"repro/internal/workload"
 )
 
@@ -26,6 +27,28 @@ func tailerJob(name string, tasks, partitions int) *config.JobConfig {
 		Enforcement:    config.EnforceCgroup,
 		SLOSeconds:     90,
 	}
+}
+
+// partitionWrap is a Config.WrapSM that cuts off every container whose
+// ID is in cut: its heartbeats time out (shardmanager.ErrTimeout) without
+// reaching the Shard Manager — a network partition as both sides see it.
+func partitionWrap(cut map[string]bool) func(string, taskmanager.ShardManagerClient) taskmanager.ShardManagerClient {
+	return func(id string, inner taskmanager.ShardManagerClient) taskmanager.ShardManagerClient {
+		return partitionedSM{ShardManagerClient: inner, id: id, cut: cut}
+	}
+}
+
+type partitionedSM struct {
+	taskmanager.ShardManagerClient
+	id  string
+	cut map[string]bool
+}
+
+func (p partitionedSM) Heartbeat(id string) error {
+	if p.cut[p.id] {
+		return shardmanager.ErrTimeout
+	}
+	return p.ShardManagerClient.Heartbeat(id)
 }
 
 func newCluster(t *testing.T, cfg Config) *Cluster {

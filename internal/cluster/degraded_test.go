@@ -68,12 +68,13 @@ func TestShardManagerOutageDegradedMode(t *testing.T) {
 // reboot proactively (it cannot tell whether the SM is failing its shards
 // over), even while another container experiences the SM as merely slow.
 func TestOutageVsPartitionDistinction(t *testing.T) {
-	c := newCluster(t, Config{Hosts: 2})
+	cut := map[string]bool{}
+	c := newCluster(t, Config{Hosts: 2, WrapSM: partitionWrap(cut)})
 	c.AddJob(JobSpec{Config: tailerJob("j1", 4, 8), Pattern: workload.Constant(2 * mb)})
 	c.Run(3 * time.Minute)
 
 	tms := c.TaskManagers()
-	tms[0].SetConnected(false) // partition: cannot reach the SM at all
+	cut[tms[0].ID()] = true // partition: no heartbeat reaches the SM at all
 	c.Run(2 * time.Minute)
 	if tms[0].Stats().Reboots != 1 {
 		t.Fatalf("partitioned container reboots = %d, want 1", tms[0].Stats().Reboots)
@@ -81,7 +82,7 @@ func TestOutageVsPartitionDistinction(t *testing.T) {
 	if tms[1].Stats().Reboots != 0 {
 		t.Fatal("healthy container rebooted")
 	}
-	tms[0].SetConnected(true)
+	delete(cut, tms[0].ID())
 	c.Run(5 * time.Minute)
 	if got := c.JobRunningTasks("j1"); got != 4 {
 		t.Fatalf("tasks = %d after partition healed", got)

@@ -1,7 +1,6 @@
-// FeedListener: the spec feed's socket binding. It serves the exact
-// request/response frames the Loopback transport round-trips in process
-// — a FrameFeedRequest in, one reply frame out — over real net.Conns,
-// which makes a multi-process deployment launch-script work: run
+// FeedListener: the spec feed's socket binding. It serves PollFeed as
+// request/response frames — a FrameFeedRequest in, one reply frame out —
+// over real net.Conns, which makes a multi-process deployment launch-script work: run
 // `turbinectl serve-feed` next to the Job Service, point remote Task
 // Services' DialFeed at it, and the SpecFeedServer underneath cannot
 // tell the difference (same PollFeed entry point, same frame cache,

@@ -2,7 +2,7 @@ package jobservice
 
 // Million-task scale tier for the spec feed: the
 // Job Store's 125K-job fleet (× 8 tasks = 1M task tier) fanned out to 8
-// remote subscribers over the loopback wire transport.
+// subscribers polling the server, each decoding every frame it receives.
 //
 // The two measured shapes are the feed's perf contract:
 //
@@ -76,7 +76,7 @@ func feedScaleFleet(b *testing.B) (*jobstore.Store, *SpecFeedServer) {
 // full mirror is covered by the taskservice churn-matrix test and the
 // chaos soak).
 type feedPoller struct {
-	lb     *Loopback
+	feed   *SpecFeedServer
 	id     string
 	cursor uint64
 	buf    []byte
@@ -85,7 +85,7 @@ type feedPoller struct {
 // drain polls until caught up, returning frames seen and bytes received.
 func (p *feedPoller) drain(b *testing.B) (polls int, bytes int64) {
 	for {
-		frame, err := p.lb.PollFeed(wire.FeedRequest{Subscriber: p.id, Cursor: p.cursor}, p.buf[:0])
+		frame, err := p.feed.PollFeed(wire.FeedRequest{Subscriber: p.id, Cursor: p.cursor}, p.buf[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func feedScaleSubscribers(b *testing.B, store *jobstore.Store, feed *SpecFeedSer
 	head := store.JournalHead()
 	for i := range subs {
 		subs[i] = &feedPoller{
-			lb:     feed.Loopback(),
+			feed:   feed,
 			id:     fmt.Sprintf("ts-%d", i),
 			cursor: head, // adopted post-resync position; the walk itself is not the measured op
 			buf:    make([]byte, 0, 1<<20),
@@ -128,6 +128,9 @@ func feedScaleSubscribers(b *testing.B, store *jobstore.Store, feed *SpecFeedSer
 	return subs
 }
 
+// BenchmarkScaleSpecFeedConverged: 8 subscribers at the journal head
+// each poll the one cached empty frame and decode it; the whole round,
+// request through decoded reply, allocates nothing.
 func BenchmarkScaleSpecFeedConverged(b *testing.B) {
 	if testing.Short() {
 		b.Skip("scale tier: run via make bench-scale")
@@ -158,6 +161,11 @@ func BenchmarkScaleSpecFeedConverged(b *testing.B) {
 	}
 }
 
+// BenchmarkScaleSpecFeedChurn1pct: 1 % of the fleet is rewritten, then
+// 8 subscribers drain it. Each receives bytes in proportion to the
+// changed jobs (feedChurnPerJobByteCeiling), and the frame cache serves
+// the fan-out: hits at least match misses, and misses stay at a few a
+// tick.
 func BenchmarkScaleSpecFeedChurn1pct(b *testing.B) {
 	if testing.Short() {
 		b.Skip("scale tier: run via make bench-scale")

@@ -6,9 +6,9 @@
 // naming the cursor to adopt), and the walk of the running table that
 // follows is served as pages of deltas too, in name order.
 // The feed is transport-agnostic: PollFeed speaks (request struct in,
-// frame bytes out), and the in-process Loopback — which round-trips the
-// request through the wire codec too — is one transport; the
-// FeedListener's socket is another, with no server changes.
+// frame bytes out), so an in-process subscriber polls the server itself
+// and the FeedListener's socket serves the same entry point, with no
+// server changes.
 //
 // The frame cache makes fan-out free. A delta frame built with the full
 // batch limit is a pure function of (cursor, journal head): the journal
@@ -27,7 +27,6 @@
 package jobservice
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -371,44 +370,4 @@ func (f *SpecFeedServer) note(req wire.FeedRequest, redirected, resyncPoll bool)
 		st.resyncs++
 		st.resyncing = true
 	}
-}
-
-// Loopback returns an in-process transport bound to this server for ONE
-// subscriber: each poll serializes the request through the wire codec,
-// decodes it server-side into zero-copy views, and copies the reply
-// frame into the caller's buffer — the same byte traffic a socket
-// transport carries, minus the socket. Like a connection, a Loopback is
-// not safe for concurrent use; create one per subscriber.
-func (f *SpecFeedServer) Loopback() *Loopback {
-	return &Loopback{srv: f}
-}
-
-// Loopback is the in-process spec-feed transport.
-type Loopback struct {
-	srv    *SpecFeedServer
-	reqEnc wire.Encoder
-	resp   []byte
-}
-
-// PollFeed implements the feed boundary over the in-process hop.
-func (l *Loopback) PollFeed(req wire.FeedRequest, buf []byte) ([]byte, error) {
-	l.reqEnc.Reset()
-	l.reqEnc.AppendFeedRequest(req)
-	kind, body, _, err := wire.DecodeFrame(l.reqEnc.Buf)
-	if err != nil {
-		return nil, err
-	}
-	if kind != wire.FrameFeedRequest {
-		return nil, fmt.Errorf("specfeed: loopback framed kind 0x%02x, want feed request", kind)
-	}
-	decoded, err := wire.DecodeFeedRequest(body)
-	if err != nil {
-		return nil, err
-	}
-	frame, err := l.srv.PollFeed(decoded, l.resp[:0])
-	if err != nil {
-		return nil, err
-	}
-	l.resp = frame
-	return append(buf, frame...), nil
 }

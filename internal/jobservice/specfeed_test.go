@@ -278,24 +278,3 @@ func TestFeedConvergedPollZeroAllocs(t *testing.T) {
 		t.Fatalf("converged poll allocates %.1f/op, want 0", allocs)
 	}
 }
-
-// TestFeedLoopbackSameBytes: the loopback transport's wire round trip
-// delivers byte-identical frames to a direct server call.
-func TestFeedLoopbackSameBytes(t *testing.T) {
-	store := jobstore.New()
-	f := NewSpecFeed(store)
-	commitN(t, store, 4, 1)
-
-	direct, err := f.PollFeed(wire.FeedRequest{Subscriber: "d"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb := f.Loopback()
-	viaLoop, err := lb.PollFeed(wire.FeedRequest{Subscriber: "l"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(direct) != string(viaLoop) {
-		t.Fatal("loopback frame differs from direct frame")
-	}
-}

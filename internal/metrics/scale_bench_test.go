@@ -19,6 +19,9 @@ import (
 	"repro/internal/workload"
 )
 
+// BenchmarkScaleMetricsFanIn1M appends a simulated minute of a million
+// values with 14-day retention live, as a series per task and as a row
+// per shard, and holds the warm appends to zero allocations.
 func BenchmarkScaleMetricsFanIn1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("scale tier: run via make bench-scale")

@@ -1,7 +1,6 @@
 package shardmanager
 
 import (
-	"container/heap"
 	"math"
 	"sort"
 	"time"
@@ -25,9 +24,9 @@ func (m *Manager) AssignUnassigned() int {
 // shard order, for determinism) onto a min-heap of containers keyed by
 // shard count. Cost is O(U log C) for U unassigned shards — the shard
 // space is never scanned. Region-constrained shards pick the
-// least-counted eligible container and fix the same heap entry, so
-// constrained and unconstrained placements always see each other's
-// counts.
+// least-counted eligible container from the heap slice and fix its
+// entry, so constrained and unconstrained placements always see each
+// other's counts.
 func (m *Manager) assignUnassignedLocked() int {
 	if len(m.unassigned) == 0 {
 		return 0
@@ -46,135 +45,93 @@ func (m *Manager) assignUnassignedLocked() int {
 	// shards, and load-based balancing refines placement once loads are
 	// reported. The counts seed from the reverse index, not a mapping
 	// scan.
-	h := make(countHeap, len(alive))
-	byID := make(map[string]*countEntry, len(alive))
+	h := rankHeap{es: make([]rankEntry, len(alive))}
 	for i, c := range alive {
-		e := &countEntry{container: c, count: len(m.contShards[c.id]), idx: i}
-		h[i] = e
-		byID[c.id] = e
+		h.es[i] = rankEntry{container: c, key: float64(len(m.contShards[c.id]))}
 	}
-	heap.Init(&h)
+	h.init()
 	assigned := 0
 	for _, s := range pending {
-		var best *countEntry
-		if want, constrained := m.regions[s]; !constrained {
-			best = h[0]
-		} else {
-			for _, c := range alive {
-				if c.region != want {
-					continue
-				}
-				if e := byID[c.id]; best == nil || e.count < best.count {
-					best = e
+		best := 0
+		if want, constrained := m.regions[s]; constrained {
+			best = -1
+			for i, e := range h.es {
+				if e.container.region == want && (best < 0 || h.less(i, best)) {
+					best = i
 				}
 			}
-			if best == nil {
+			if best < 0 {
 				continue // no eligible container; retry next pass
 			}
 		}
-		m.placeLocked(s, best.container)
+		m.placeLocked(s, h.es[best].container)
 		assigned++
-		best.count++
-		heap.Fix(&h, best.idx)
+		h.es[best].key++
+		h.fix(best)
 	}
 	return assigned
 }
 
-// countEntry / countHeap implement a min-heap of containers by shard
-// count (ties broken by ID for determinism). Entries track their heap
-// index so out-of-band count bumps (region-constrained placements) can
-// heap.Fix in place.
-type countEntry struct {
+// rankEntry / rankHeap implement a binary min-heap of containers keyed by
+// (key, ID) — the ID breaks ties, for determinism. Placement keys a
+// container by its shard count, balancing by its load score. Hand-rolled
+// rather than container/heap: push and removal run once per move on the
+// hot path and must not box entries into interfaces.
+type rankEntry struct {
 	container *containerState
-	count     int
-	idx       int
+	key       float64
 }
 
-type countHeap []*countEntry
+type rankHeap struct{ es []rankEntry }
 
-func (h countHeap) Len() int { return len(h) }
-func (h countHeap) Less(i, j int) bool {
-	if h[i].count != h[j].count {
-		return h[i].count < h[j].count
-	}
-	return h[i].container.id < h[j].container.id
-}
-func (h countHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx = i
-	h[j].idx = j
-}
-func (h *countHeap) Push(x any) {
-	e := x.(*countEntry)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
-func (h *countHeap) Pop() any {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// recvEntry / recvHeap implement the receiver min-heap for balancing:
-// containers below the utilization-band floor, keyed by (score, ID). A
-// hand-rolled binary heap rather than container/heap — push/removal runs
-// once per move on the hot path and must not box entries into
-// interfaces.
-type recvEntry struct {
-	container *containerState
-	score     float64
-}
-
-type recvHeap struct{ es []recvEntry }
-
-func (h *recvHeap) less(i, j int) bool {
-	if h.es[i].score != h.es[j].score {
-		return h.es[i].score < h.es[j].score
+func (h *rankHeap) less(i, j int) bool {
+	if h.es[i].key != h.es[j].key {
+		return h.es[i].key < h.es[j].key
 	}
 	return h.es[i].container.id < h.es[j].container.id
 }
 
-func (h *recvHeap) init() {
+func (h *rankHeap) init() {
 	for i := len(h.es)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)
 	}
 }
 
-func (h *recvHeap) push(e recvEntry) {
+func (h *rankHeap) push(e rankEntry) {
 	h.es = append(h.es, e)
-	for i := len(h.es) - 1; i > 0; {
+	h.siftUp(len(h.es) - 1)
+}
+
+// removeAt deletes and returns the entry at index i, restoring heap order.
+func (h *rankHeap) removeAt(i int) rankEntry {
+	e := h.es[i]
+	last := len(h.es) - 1
+	h.es[i] = h.es[last]
+	h.es = h.es[:last]
+	if i < last {
+		h.fix(i)
+	}
+	return e
+}
+
+// fix restores heap order after the key at index i changed.
+func (h *rankHeap) fix(i int) {
+	h.siftDown(i)
+	h.siftUp(i)
+}
+
+func (h *rankHeap) siftUp(i int) {
+	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(i, parent) {
-			break
+			return
 		}
 		h.es[i], h.es[parent] = h.es[parent], h.es[i]
 		i = parent
 	}
 }
 
-// removeAt deletes and returns the entry at index i, restoring heap order.
-func (h *recvHeap) removeAt(i int) recvEntry {
-	e := h.es[i]
-	last := len(h.es) - 1
-	h.es[i] = h.es[last]
-	h.es = h.es[:last]
-	if i < last {
-		h.siftDown(i)
-		for j := i; j > 0; {
-			parent := (j - 1) / 2
-			if !h.less(j, parent) {
-				break
-			}
-			h.es[j], h.es[parent] = h.es[parent], h.es[j]
-			j = parent
-		}
-	}
-	return e
-}
-
-func (h *recvHeap) siftDown(i int) {
+func (h *rankHeap) siftDown(i int) {
 	n := len(h.es)
 	for {
 		min := i
@@ -355,11 +312,11 @@ func (m *Manager) Rebalance() RebalanceResult {
 func (m *Manager) drainDonorsLocked(res *RebalanceResult, alive, donors []*containerState,
 	scores, capScore map[string]float64, ref config.Resources, high, low float64) {
 
-	rh := recvHeap{es: make([]recvEntry, 0, len(alive))}
+	rh := rankHeap{es: make([]rankEntry, 0, len(alive))}
 	inLow := make(map[string]bool, len(alive))
 	for _, c := range alive {
 		if scores[c.id] < low {
-			rh.es = append(rh.es, recvEntry{container: c, score: scores[c.id]})
+			rh.es = append(rh.es, rankEntry{container: c, key: scores[c.id]})
 			inLow[c.id] = true
 		}
 	}
@@ -420,10 +377,10 @@ func (m *Manager) drainDonorsLocked(res *RebalanceResult, alive, donors []*conta
 				continue // no container fleet-wide has room; skip the scan
 			}
 
-			eligible := func(e recvEntry) bool {
+			eligible := func(e rankEntry) bool {
 				return m.regionOKLocked(sh.id, e.container) &&
-					e.score+sh.score <= high &&
-					e.score+sh.score <= capScore[e.container.id]
+					e.key+sh.score <= high &&
+					e.key+sh.score <= capScore[e.container.id]
 			}
 			var recv *containerState
 			if len(rh.es) > 0 {
@@ -434,12 +391,7 @@ func (m *Manager) drainDonorsLocked(res *RebalanceResult, alive, donors []*conta
 					// the (score, ID)-minimum eligible entry in place.
 					best := -1
 					for i := range rh.es {
-						if !eligible(rh.es[i]) {
-							continue
-						}
-						if best < 0 || rh.es[i].score < rh.es[best].score ||
-							(rh.es[i].score == rh.es[best].score &&
-								rh.es[i].container.id < rh.es[best].container.id) {
+						if eligible(rh.es[i]) && (best < 0 || rh.less(i, best)) {
 							best = i
 						}
 					}
@@ -474,7 +426,7 @@ func (m *Manager) drainDonorsLocked(res *RebalanceResult, alive, donors []*conta
 				// The receiver came off the heap; re-enter it with its
 				// new score if it is still below the floor.
 				if scores[recv.id] < low {
-					rh.push(recvEntry{container: recv, score: scores[recv.id]})
+					rh.push(rankEntry{container: recv, key: scores[recv.id]})
 				} else {
 					inLow[recv.id] = false
 				}
@@ -488,7 +440,7 @@ func (m *Manager) drainDonorsLocked(res *RebalanceResult, alive, donors []*conta
 		// A drained donor can drop below the floor and become a receiver
 		// for later donors.
 		if scores[donor.id] < low && !inLow[donor.id] {
-			rh.push(recvEntry{container: donor, score: scores[donor.id]})
+			rh.push(rankEntry{container: donor, key: scores[donor.id]})
 			inLow[donor.id] = true
 		}
 	}

@@ -8,6 +8,8 @@ package shardmanager
 
 import "testing"
 
+// BenchmarkScaleRebalance1M times one balancing pass over 100K shards on
+// 10K containers; it reports allocations and holds no ceiling.
 func BenchmarkScaleRebalance1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("scale tier: run via make bench-scale")

@@ -19,8 +19,6 @@ import "time"
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
-	// AfterFunc schedules f to run once after d has elapsed.
-	AfterFunc(d time.Duration, f func()) Timer
 	// TickEvery schedules f to run every d, first firing after d.
 	// Panics if d <= 0.
 	TickEvery(d time.Duration, f func()) Ticker
@@ -28,7 +26,7 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 }
 
-// Timer is a handle to a pending AfterFunc invocation.
+// Timer is a handle to a pending Sim.AfterFunc invocation.
 type Timer interface {
 	// Stop cancels the timer. It reports whether the call prevented the
 	// function from firing.

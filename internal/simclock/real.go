@@ -6,7 +6,7 @@ import (
 )
 
 // Real is a Clock backed by the time package, for live deployments.
-// Callbacks run on their own goroutines, matching time.AfterFunc semantics.
+// Each TickEvery callback runs on a goroutine of its own.
 type Real struct{}
 
 // NewReal returns the wall-clock Clock.
@@ -17,15 +17,6 @@ func (Real) Now() time.Time { return time.Now() }
 
 // Since returns the wall-clock time elapsed since t.
 func (Real) Since(t time.Time) time.Duration { return time.Since(t) }
-
-// AfterFunc schedules f once after d using time.AfterFunc.
-func (Real) AfterFunc(d time.Duration, f func()) Timer {
-	return realTimer{time.AfterFunc(d, f)}
-}
-
-type realTimer struct{ t *time.Timer }
-
-func (t realTimer) Stop() bool { return t.t.Stop() }
 
 // TickEvery runs f every d on a dedicated goroutine until Stop is called.
 func (Real) TickEvery(d time.Duration, f func()) Ticker {

@@ -217,14 +217,18 @@ func TestRealClockBasics(t *testing.T) {
 	if now.Before(before) {
 		t.Fatal("Real.Now went backwards")
 	}
-	done := make(chan struct{})
-	c.AfterFunc(time.Millisecond, func() { close(done) })
+	fired := make(chan struct{}, 1)
+	tk := c.TickEvery(time.Millisecond, func() {
+		select {
+		case fired <- struct{}{}:
+		default:
+		}
+	})
 	select {
-	case <-done:
+	case <-fired:
 	case <-time.After(time.Second):
-		t.Fatal("Real.AfterFunc never fired")
+		t.Fatal("Real.TickEvery never fired")
 	}
-	tk := c.TickEvery(time.Millisecond, func() {})
 	tk.Stop()
 	tk.Stop() // idempotent
 }

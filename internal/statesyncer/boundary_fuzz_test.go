@@ -17,7 +17,7 @@ import (
 // task-count or resource edit that UpdateLayer accepts, never makes a
 // later stage panic or reject it. After each, one State Syncer round
 // commits the job with no failure or quarantine and the running config
-// equals the desired one; the spec feed's Loopback frame carries a
+// equals the desired one; the spec feed's frame carries a
 // config that decodes to that very config; and Task Service expansion
 // yields TaskCount specs whose partitions are a valid assignment.
 func FuzzInputBoundary(f *testing.F) {
@@ -97,7 +97,7 @@ func FuzzInputBoundary(f *testing.F) {
 		}
 
 		running, _, _, _ := store.RunningEntry(name)
-		frame, err := jobservice.NewSpecFeed(store).Loopback().PollFeed(wire.FeedRequest{Subscriber: "fuzz"}, nil)
+		frame, err := jobservice.NewSpecFeed(store).PollFeed(wire.FeedRequest{Subscriber: "fuzz"}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

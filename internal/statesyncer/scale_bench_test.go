@@ -46,6 +46,9 @@ const (
 	churnAllocPerJobCeiling = 16
 )
 
+// BenchmarkScaleSyncerRound1MConverged: a converged round over 1M tasks
+// allocates at most steadyAllocCeiling objects, plans no candidate and
+// reads no job from the diverged set.
 func BenchmarkScaleSyncerRound1MConverged(b *testing.B) {
 	if testing.Short() {
 		b.Skip("scale tier: run via make bench-scale")
@@ -280,6 +283,9 @@ func BenchmarkScaleSyncerShardedSpeedup(b *testing.B) {
 	b.ReportMetric(tSingle.Seconds()/tShard.Seconds(), "speedup")
 }
 
+// BenchmarkScaleSyncerRound1MChurn1pct: a round that syncs a 1 % package
+// release allocates at most churnAllocPerJobCeiling objects per changed
+// job.
 func BenchmarkScaleSyncerRound1MChurn1pct(b *testing.B) {
 	if testing.Short() {
 		b.Skip("scale tier: run via make bench-scale")

@@ -84,6 +84,7 @@ type churnHarness struct {
 	killed    []bool            // per manager: the tasks that went since the last check were killed, not stopped
 	stale     []time.Duration   // per manager: the staleness its task source reports
 	mismatch  []bool            // per manager: its Shard Manager link reports another shard-space size
+	dark      []bool            // per manager: its heartbeats time out (a partition)
 
 	blocked        map[string]bool // task IDs whose Start must fail: a foreign lease holds a partition
 	quiesced       map[string]bool // jobs the matrix left quiesced
@@ -140,6 +141,14 @@ type probeSM struct {
 	ShardManagerClient
 	after    func()
 	mismatch *bool // report a shard space twice the real one: the third gate
+	dark     *bool // time heartbeats out, never reaching the Shard Manager: the first gate
+}
+
+func (p probeSM) Heartbeat(id string) error {
+	if *p.dark {
+		return shardmanager.ErrTimeout
+	}
+	return p.ShardManagerClient.Heartbeat(id)
 }
 
 func (p probeSM) NumShards() int {
@@ -191,6 +200,7 @@ func newChurnHarness(t *testing.T, seed int64) *churnHarness {
 		killed:    make([]bool, churnContainers),
 		stale:     make([]time.Duration, churnContainers),
 		mismatch:  make([]bool, churnContainers),
+		dark:      make([]bool, churnContainers),
 		blocked:   make(map[string]bool),
 		quiesced:  make(map[string]bool),
 		seen:      make(map[string]struct{}),
@@ -208,7 +218,7 @@ func newChurnHarness(t *testing.T, seed int64) *churnHarness {
 		}
 		k := k
 		after := func() { h.check(k) }
-		w.tms = append(w.tms, New(ct, probeClock{w.clk, after}, &probeSource{h, k}, probeSM{w.sm, after, &h.mismatch[k]}, w.bus, w.ckpt, profile, Options{}))
+		w.tms = append(w.tms, New(ct, probeClock{w.clk, after}, &probeSource{h, k}, probeSM{w.sm, after, &h.mismatch[k], &h.dark[k]}, w.bus, w.ckpt, profile, Options{}))
 	}
 	for _, tm := range w.tms {
 		tm.Start()
@@ -522,7 +532,9 @@ func (h *churnHarness) gatedRefresh(k, gate int, bump func(), stop string) {
 	w, tm := h.w, h.w.tms[k]
 	switch gate {
 	case 0:
-		tm.SetConnected(false)
+		// The gate shuts at the first heartbeat that times out.
+		h.dark[k] = true
+		w.clk.RunFor(tm.opts.HeartbeatInterval)
 	case 1:
 		h.stale[k] = DefaultConnectionTimeout
 	case 2:
@@ -554,7 +566,7 @@ func (h *churnHarness) gatedRefresh(k, gate int, bump func(), stop string) {
 	h.stopJobEverywhere(stop)
 	switch gate {
 	case 0:
-		tm.SetConnected(true)
+		h.dark[k] = false
 	case 1:
 		h.stale[k] = 0
 	case 2:
@@ -731,10 +743,10 @@ func (h *churnHarness) run() []string {
 				case 7: // StopJob without a quiesce: the next Refresh restarts the tasks
 					h.stopJobEverywhere(n)
 				case 8: // link down past the proactive timeout, back before the failover
-					tm := w.tms[rng.Intn(churnContainers)]
-					tm.SetConnected(false)
+					k := rng.Intn(churnContainers)
+					h.dark[k] = true
 					w.clk.RunFor(45 * time.Second)
-					tm.SetConnected(true)
+					h.dark[k] = false
 				case 9, 10: // a Refresh held back by a gate while the source moves on, then the fan-out
 					h.gatedRefresh(rng.Intn(churnContainers), rng.Intn(3), func() {
 						for i := 0; i < churnJobPool; i++ {

@@ -84,7 +84,7 @@ func TestDegradedSourceGatesNewWorkOnly(t *testing.T) {
 func TestDegradedGateOverSocketFeed(t *testing.T) {
 	w := newWorld(t, 0)
 	feed := jobservice.NewSpecFeed(w.store)
-	remote := taskservice.NewFeedClient(feed.Loopback(), "tm-mirror", w.clk, 90*time.Second, 64)
+	remote := taskservice.NewFeedClient(feed, "tm-mirror", w.clk, 90*time.Second, 64)
 	host := "h-mirror"
 	if err := w.tw.AddHost(host, config.Resources{CPUCores: 48, MemoryBytes: 256 << 30}); err != nil {
 		t.Fatal(err)
@@ -115,7 +115,7 @@ func TestDegradedGateOverSocketFeed(t *testing.T) {
 	w.clk.RunFor(DefaultConnectionTimeout + time.Second)
 	w.addJob(t, "jobs/parked", 2, 8)
 	if err := remote.Sync(0); err == nil {
-		// The loopback never fails, so Sync succeeds and resets staleness
+		// An in-process poll never fails, so Sync succeeds and resets staleness
 		// — advance again WITHOUT syncing to re-stale the mirror, then
 		// verify the gate. (The socket suite covers real failures.)
 		tm.Refresh()
@@ -133,5 +133,5 @@ func TestDegradedGateOverSocketFeed(t *testing.T) {
 		}
 		return
 	}
-	t.Fatal(fmt.Errorf("loopback sync failed unexpectedly"))
+	t.Fatal(fmt.Errorf("in-process sync failed unexpectedly"))
 }

@@ -211,7 +211,8 @@ func TestRetainedIndexPinsNoFleetGeneration(t *testing.T) {
 	// Cut off but serving: exactly the generation it last reconciled stays,
 	// not one per release.
 	cutOff := w.tms[1]
-	cutOff.SetConnected(false)
+	w.links[1].setDark(true)
+	w.clk.RunFor(cutOff.opts.HeartbeatInterval) // the gate shuts at the first heartbeat that times out
 	for i := 0; i < releases; i++ {
 		release()
 	}

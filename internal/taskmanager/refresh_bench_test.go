@@ -43,7 +43,8 @@ func BenchmarkManagerRefresh(b *testing.B) {
 
 // BenchmarkScaleManagerRefresh is the same cycle at BENCHMARK.json's fleet
 // shape — 10 000 jobs x 8 tasks, 64 managers, 4 096 shards — where a
-// one-job bump leaves at least 56 managers untouched.
+// one-job bump leaves at least 56 managers untouched, with the same
+// ceilings (see benchRefreshCycle).
 func BenchmarkScaleManagerRefresh(b *testing.B) {
 	if testing.Short() {
 		b.Skip("scale tier: run via make bench-scale")

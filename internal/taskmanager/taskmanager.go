@@ -43,13 +43,15 @@
 // an unreachable Shard Manager bounds by the 40 s proactive reboot below —
 // and an idle one holds none.
 //
-// Fail-over safety (§IV-C): the Task Manager heartbeats the Shard Manager;
-// if it cannot reach it, it proactively times out (40 seconds) BEFORE the
-// Shard Manager's fail-over interval (60 seconds) and reboots itself —
-// stopping all of its tasks — so that when the Shard Manager gives its
-// shards away, no two active instances of the same task can exist. If it
-// reconnects before fail-over, its shards remain and tasks restart in
-// place.
+// Fail-over safety (§IV-C): the Task Manager heartbeats the Shard Manager,
+// and a heartbeat that times out (shardmanager.ErrTimeout) is how a
+// partition shows on this side. From the first unanswered beat Refresh
+// starts nothing, and once the silence reaches the proactive timeout (40
+// seconds), BEFORE the Shard Manager's fail-over interval (60 seconds),
+// the manager reboots itself — stopping all of its tasks — so that when
+// the Shard Manager gives its shards away, no two active instances of the
+// same task can exist. If a heartbeat gets through before fail-over, its
+// shards remain and tasks restart in place.
 package taskmanager
 
 import (
@@ -239,8 +241,7 @@ type Manager struct {
 	retained    *taskservice.SnapshotIndex
 	scratch     []shardmanager.ShardID // reused shard list: Refresh's unclean shards, a job's shards
 	spare       []*engine.Task         // all nil: the slot array rebaseLocked fills next
-	connected   bool
-	unreachable bool // last heartbeat timed out (partition-shaped), or the container died and has not heartbeat since
+	unreachable bool                   // last heartbeat timed out (partition-shaped), or the container died and has not heartbeat since
 	lastContact time.Time
 	rebootedEp  bool // already rebooted in this disconnection episode
 	stats       Stats
@@ -270,7 +271,6 @@ func New(container *tupperware.Container, clock simclock.Clock, source TaskSourc
 		profile:     profile,
 		opts:        opts,
 		shards:      make(map[shardmanager.ShardID]*ownedShard),
-		connected:   true,
 		lastContact: clock.Now(),
 	}
 }
@@ -306,19 +306,6 @@ func (m *Manager) Shutdown() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.stopAllLocked()
-}
-
-// SetConnected simulates the network path to the Shard Manager going down
-// or up (the connection-failure scenario of §IV-C).
-func (m *Manager) SetConnected(connected bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	wasDown := !m.connected
-	m.connected = connected
-	if connected && wasDown {
-		m.rebootedEp = false
-		m.unreachable = false
-	}
 }
 
 // AddShard implements shardmanager.Handler: the container now owns the
@@ -431,15 +418,14 @@ func (m *Manager) Refresh() {
 		return
 	}
 	m.mu.Lock()
-	reachable := m.connected && !m.unreachable
+	unreachable := m.unreachable
 	m.mu.Unlock()
-	if !reachable {
-		// Shard ownership cannot be confirmed while the Shard Manager is
-		// unreachable — whether the simulated link is down or heartbeats
-		// are timing out: keep running what we run, but start nothing new —
-		// a rebooted-but-disconnected container must stay idle until it
-		// re-connects, or it could duplicate tasks the Shard Manager has
-		// failed over elsewhere (§IV-C).
+	if unreachable {
+		// Shard ownership cannot be confirmed while heartbeats to the
+		// Shard Manager go unanswered: keep running what we run, but start
+		// nothing new — a rebooted-but-disconnected container must stay
+		// idle until a heartbeat gets through, or it could duplicate tasks
+		// the Shard Manager has failed over elsewhere (§IV-C).
 		return
 	}
 	if ss, ok := m.source.(StalenessSource); ok {
@@ -595,18 +581,10 @@ func (m *Manager) heartbeat() {
 	if !m.container.Alive() {
 		return // dead containers don't heartbeat; SM will fail them over
 	}
-	m.mu.Lock()
-	connected := m.connected
-	m.mu.Unlock()
-
-	var err error
-	if connected {
-		err = m.sm.Heartbeat(m.id)
-	}
-	if !connected || errors.Is(err, shardmanager.ErrTimeout) {
-		// No contact this beat: either the simulated link is down or the
-		// heartbeat timed out on the wire (the fault injector's blackout,
-		// indistinguishable from a network partition). Either way the
+	err := m.sm.Heartbeat(m.id)
+	if errors.Is(err, shardmanager.ErrTimeout) {
+		// No contact this beat: the heartbeat timed out on the wire, which
+		// is what a network partition looks like from this side. The
 		// silence counts toward the proactive connection timeout (§IV-C).
 		m.mu.Lock()
 		m.unreachable = true

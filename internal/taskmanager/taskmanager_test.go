@@ -35,6 +35,7 @@ type world struct {
 	ckpt  *engine.CheckpointStore
 	tw    *tupperware.Cluster
 	tms   []*Manager
+	links []*blackoutSM // container i's Shard Manager link, to cut with setDark
 }
 
 func newWorld(t *testing.T, containers int) *world {
@@ -43,7 +44,7 @@ func newWorld(t *testing.T, containers int) *world {
 }
 
 // newWorldWrapped is newWorld with container i's Shard Manager link run
-// through wrap (nil: the Shard Manager itself).
+// through wrap (nil: the Shard Manager itself), under links[i].
 func newWorldWrapped(t *testing.T, containers int, wrap func(i int, sm ShardManagerClient) ShardManagerClient) *world {
 	t.Helper()
 	w := &world{
@@ -71,7 +72,9 @@ func newWorldWrapped(t *testing.T, containers int, wrap func(i int, sm ShardMana
 		if wrap != nil {
 			smc = wrap(i, smc)
 		}
-		tm := New(ct, w.clk, w.ts, smc, w.bus, w.ckpt, profile, Options{})
+		link := &blackoutSM{ShardManagerClient: smc}
+		w.links = append(w.links, link)
+		tm := New(ct, w.clk, w.ts, link, w.bus, w.ckpt, profile, Options{})
 		tm.Start()
 		w.tms = append(w.tms, tm)
 	}
@@ -271,7 +274,7 @@ func TestProactiveTimeoutPreventsDuplicates(t *testing.T) {
 	if before == 0 {
 		t.Skip("all shards landed on tm1; hash layout changed")
 	}
-	w.tms[0].SetConnected(false)
+	w.links[0].setDark(true)
 
 	// At 40s the TM reboots itself (stops tasks); at 60s SM fails over;
 	// tm1 then starts the tasks.
@@ -297,9 +300,9 @@ func TestReconnectBeforeFailoverKeepsShards(t *testing.T) {
 	defer w.sm.Stop()
 
 	shardsBefore := len(w.tms[0].Shards())
-	w.tms[0].SetConnected(false)
+	w.links[0].setDark(true)
 	w.clk.RunFor(45 * time.Second) // reboot at 40s, failover not yet
-	w.tms[0].SetConnected(true)
+	w.links[0].setDark(false)
 	w.clk.RunFor(15 * time.Second) // heartbeat resumes before 60s silence
 
 	if got := len(w.tms[0].Shards()); got != shardsBefore {
@@ -331,10 +334,15 @@ func TestWithoutProactiveTimeoutDuplicatesWouldOccur(t *testing.T) {
 		return engine.DefaultProfile(spec.Operator)
 	}
 	var tms []*Manager
+	bsm := &blackoutSM{ShardManagerClient: sm}
 	for i := 0; i < 2; i++ {
 		tw.AddHost(fmt.Sprintf("h%d", i), config.Resources{CPUCores: 48, MemoryBytes: 256 << 30})
 		ct, _ := tw.AllocateOn(fmt.Sprintf("h%d", i), fmt.Sprintf("tc%d", i), config.Resources{CPUCores: 40, MemoryBytes: 200 << 30})
-		tm := New(ct, clk, ts, sm, bus, ckpt, profile, Options{
+		var client ShardManagerClient = sm
+		if i == 0 {
+			client = bsm // only tm0's link is cut
+		}
+		tm := New(ct, clk, ts, client, bus, ckpt, profile, Options{
 			ConnectionTimeout: 10 * time.Minute, // BROKEN: > failover 60s
 		})
 		tm.Start()
@@ -362,7 +370,7 @@ func TestWithoutProactiveTimeoutDuplicatesWouldOccur(t *testing.T) {
 		t.Skip("all shards on tm1; hash layout changed")
 	}
 
-	tms[0].SetConnected(false)
+	bsm.setDark(true)
 	clk.RunFor(5 * time.Minute)
 
 	// tm0 never rebooted (timeout too long) and still holds leases; tm1

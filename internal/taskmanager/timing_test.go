@@ -49,12 +49,13 @@ func TestValidateFailoverTiming(t *testing.T) {
 	}
 }
 
-// blackoutSM wraps a real Shard Manager so heartbeats can be made to time
-// out on the wire — the fault injector's partition-shaped failure. While
-// dark, heartbeats neither reach the SM nor return: the caller sees
-// ErrTimeout and the SM sees silence.
+// blackoutSM wraps a container's Shard Manager link so heartbeats can be
+// made to time out on the wire — a network partition, the fault
+// injector's partition-shaped failure. While dark, heartbeats neither
+// reach the SM nor return: the caller sees ErrTimeout and the SM sees
+// silence.
 type blackoutSM struct {
-	*shardmanager.Manager
+	ShardManagerClient
 	mu   sync.Mutex
 	dark bool
 }
@@ -72,14 +73,13 @@ func (b *blackoutSM) Heartbeat(id string) error {
 	if dark {
 		return shardmanager.ErrTimeout
 	}
-	return b.Manager.Heartbeat(id)
+	return b.ShardManagerClient.Heartbeat(id)
 }
 
 // TestHeartbeatTimeoutCountsTowardProactiveReboot drives the §IV-C
-// protocol through ErrTimeout rather than SetConnected: a heartbeat
-// blackout must count as silence, trigger the proactive reboot before the
-// SM's failover, and gate Refresh from restarting tasks whose ownership
-// cannot be confirmed.
+// protocol through ErrTimeout: a heartbeat blackout must count as
+// silence, trigger the proactive reboot before the SM's failover, and gate
+// Refresh from restarting tasks whose ownership cannot be confirmed.
 func TestHeartbeatTimeoutCountsTowardProactiveReboot(t *testing.T) {
 	clk := simclock.NewSim(epoch)
 	store := jobstore.New()
@@ -88,7 +88,7 @@ func TestHeartbeatTimeoutCountsTowardProactiveReboot(t *testing.T) {
 	tw := tupperware.NewCluster()
 	ts := taskservice.New(store, clk, 90*time.Second, 64)
 	sm := shardmanager.New(clk, shardmanager.Options{NumShards: 64})
-	bsm := &blackoutSM{Manager: sm}
+	bsm := &blackoutSM{ShardManagerClient: sm}
 	profile := func(spec engine.TaskSpec) *engine.Profile {
 		return engine.DefaultProfile(spec.Operator)
 	}

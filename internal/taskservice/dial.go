@@ -1,6 +1,5 @@
-// DialTransport: the spec feed's socket client. It implements the same
-// SpecFeed boundary the Loopback does, over a real net.Conn to a
-// jobservice.FeedListener, and owns everything a real network makes the
+// DialTransport: the spec feed's socket client. It implements the
+// SpecFeed boundary over a real net.Conn to a jobservice.FeedListener, and owns everything a real network makes the
 // client's problem:
 //
 //   - Reconnect with bounded exponential backoff and deterministic
@@ -21,8 +20,8 @@
 //     connection — the chaos soak asserts that counter stays zero under
 //     fault storms.
 //
-// Not safe for concurrent use: like the Loopback, one DialTransport
-// serves one FeedClient's poll loop.
+// Not safe for concurrent use: one DialTransport serves one FeedClient's
+// poll loop.
 package taskservice
 
 import (

@@ -46,9 +46,9 @@ import (
 	"repro/internal/wire"
 )
 
-// SpecFeed is the transport-agnostic spec-feed boundary. The in-process
-// implementation is jobservice.SpecFeedServer (direct) or its Loopback
-// (request/response through the wire codec); the fault injector wraps
+// SpecFeed is the transport-agnostic spec-feed boundary. In process it
+// is jobservice.SpecFeedServer itself; across processes it is a
+// DialTransport to a jobservice.FeedListener; the fault injector wraps
 // either. Implementations append the reply frame to buf and return the
 // extended slice.
 type SpecFeed interface {
@@ -68,12 +68,6 @@ type FeedClientStats struct {
 	// Resumes counts successful polls that ended a failure streak; the
 	// staleness bound resets on each.
 	Resumes int64
-	// LastResumeLag is the number of journal entries (commits + drops +
-	// dedup skips) the most recent resume had to replay to catch back up
-	// — the journal-lag cost of the outage it ended. A cheap reconnect
-	// (no journal overflow, light churn while dark) keeps it small; a
-	// resync-redirected resume counts its full walk.
-	LastResumeLag int64
 }
 
 // FeedClient consumes a SpecFeed into a running-table replica and serves
@@ -92,16 +86,13 @@ type FeedClient struct {
 	resumeAfter string
 	seen        map[string]struct{} // names walked by the current resync
 	buf         []byte              // reused frame buffer
-	max         int                 // per-frame entry bound; 0 = server default
 	stats       FeedClientStats
 
 	// Degraded-mode bookkeeping: lastOK is the clock time of the last
 	// successful poll (client creation before any); dark marks a failure
-	// streak in progress, during which catching-up entry counts
-	// accumulate into LastResumeLag once the streak breaks.
-	lastOK     time.Time
-	dark       bool
-	catchingUp bool
+	// streak in progress.
+	lastOK time.Time
+	dark   bool
 }
 
 // NewFeedClient returns a subscriber over feed. id names it in the
@@ -123,10 +114,6 @@ func NewFeedClient(feed SpecFeed, id string, clock simclock.Clock, ttl time.Dura
 		lastOK: clock.Now(),
 	}
 }
-
-// SetMaxEntries bounds the entries requested per frame (0 restores the
-// server default). Tests use small bounds to force pagination.
-func (c *FeedClient) SetMaxEntries(n int) { c.max = n }
 
 // ID returns the subscriber name this client registers under.
 func (c *FeedClient) ID() string { return c.id }
@@ -151,12 +138,6 @@ func (c *FeedClient) Stats() FeedClientStats { return c.stats }
 // serving its last index while StaleFor grows monotonically until a poll
 // succeeds again.
 func (c *FeedClient) Pump() (done bool, err error) {
-	if c.dark {
-		// This poll would break the failure streak: restart the resume-lag
-		// accumulator BEFORE it runs, so entries it replays count toward
-		// this resume (pump's deferred accumulator adds to it).
-		c.stats.LastResumeLag = 0
-	}
 	applied := c.stats.Applied
 	done, err = c.pump()
 	if c.stats.Applied != applied {
@@ -173,13 +154,9 @@ func (c *FeedClient) Pump() (done bool, err error) {
 	}
 	if c.dark {
 		c.dark = false
-		c.catchingUp = true
 		c.stats.Resumes++
 	}
 	c.lastOK = c.clock.Now()
-	if c.catchingUp && done {
-		c.catchingUp = false
-	}
 	return done, nil
 }
 
@@ -187,7 +164,6 @@ func (c *FeedClient) pump() (done bool, err error) {
 	req := wire.FeedRequest{
 		Subscriber:  c.id,
 		Cursor:      c.cursor,
-		Max:         c.max,
 		Resync:      c.resync,
 		ResumeAfter: c.resumeAfter,
 	}
@@ -198,14 +174,6 @@ func (c *FeedClient) pump() (done bool, err error) {
 	c.buf = frame
 	c.stats.Polls++
 	c.stats.Bytes += int64(len(frame))
-	applied := c.stats.Applied + c.stats.Skipped
-	defer func() {
-		// Entries replayed while breaking (or just after breaking) a
-		// failure streak are the resume's journal-lag cost.
-		if err == nil && (c.dark || c.catchingUp) {
-			c.stats.LastResumeLag += c.stats.Applied + c.stats.Skipped - applied
-		}
-	}()
 
 	kind, body, rest, err := wire.DecodeFrame(frame)
 	if err != nil {

@@ -48,7 +48,7 @@ func (f *faultFeed) PollFeed(req wire.FeedRequest, buf []byte) ([]byte, error) {
 	return f.inner.PollFeed(req, buf)
 }
 
-// FuzzFeedConverges drives a remote FeedClient over the Loopback through
+// FuzzFeedConverges drives a remote FeedClient polling the server through
 // a byte-chosen schedule of commits, drops, journal overflows, restores,
 // bounded pumps, forced redirects and failed polls. Whatever the
 // schedule, the client then syncs to a replica equal to the running
@@ -80,16 +80,18 @@ func FuzzFeedConverges(f *testing.F) {
 		clk := feedTestClock()
 		store := jobstore.New()
 		srv := jobservice.NewSpecFeed(store)
-		ff := &faultFeed{inner: srv.Loopback()}
+		pager := &maxFeed{inner: srv}
+		ff := &faultFeed{inner: pager}
 		h := &feedHarness{
 			store:  store,
 			feed:   srv,
+			pager:  pager,
 			remote: NewFeedClient(ff, "fuzz", clk, 90*time.Second, 4),
 		}
 		names := [4]string{"jobs/a", "jobs/b", "jobs/c", "jobs/d"}
 		version, overflows := 1, 0
 		pump := func(max int) {
-			h.remote.SetMaxEntries(max)
+			pager.max = max
 			if _, err := h.remote.Pump(); err != nil && !errors.Is(err, errInjected) {
 				t.Fatalf("pump: %v", err)
 			}
@@ -140,7 +142,7 @@ func FuzzFeedConverges(f *testing.F) {
 			}
 		}
 
-		h.remote.SetMaxEntries(0)
+		pager.max = 0
 		if err := h.remote.Sync(0); err != nil {
 			t.Fatal(err)
 		}

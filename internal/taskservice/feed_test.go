@@ -38,10 +38,12 @@ func feedJobDoc(name string, tasks, version int) config.Doc {
 }
 
 // feedHarness is a Job Store + feed server + local Task Service + one
-// remote FeedClient over the loopback transport, all sharing one clock.
+// remote FeedClient polling the server through a pager, all sharing one
+// clock.
 type feedHarness struct {
 	store  *jobstore.Store
 	feed   *jobservice.SpecFeedServer
+	pager  *maxFeed
 	local  *Service
 	remote *FeedClient
 }
@@ -51,12 +53,27 @@ func newFeedHarness(t *testing.T, shards int) *feedHarness {
 	clk := feedTestClock()
 	store := jobstore.New()
 	feed := jobservice.NewSpecFeed(store)
+	pager := &maxFeed{inner: feed}
 	return &feedHarness{
 		store:  store,
 		feed:   feed,
+		pager:  pager,
 		local:  New(store, clk, 90*time.Second, shards),
-		remote: NewFeedClient(feed.Loopback(), "remote-ts", clk, 90*time.Second, shards),
+		remote: NewFeedClient(pager, "remote-ts", clk, 90*time.Second, shards),
 	}
+}
+
+// maxFeed bounds every poll to max entries per frame (0: the server's
+// batch), as the fault injector's partial batches do: tests page through
+// it.
+type maxFeed struct {
+	inner SpecFeed
+	max   int
+}
+
+func (f *maxFeed) PollFeed(req wire.FeedRequest, buf []byte) ([]byte, error) {
+	req.Max = f.max
+	return f.inner.PollFeed(req, buf)
 }
 
 func (h *feedHarness) commit(t *testing.T, name string, tasks, version int) {
@@ -212,12 +229,12 @@ func TestFeedRestoreTriggersExactlyOneResync(t *testing.T) {
 }
 
 // TestFeedOverflowMidPaginationNoTornDelta: a client paginating with
-// tiny batches (SetMaxEntries(1)) while the journal overflows under it
+// tiny batches (one entry a frame) while the journal overflows under it
 // must never apply a torn window — it redirects onto a resync and
 // converges to the exact fleet.
 func TestFeedOverflowMidPaginationNoTornDelta(t *testing.T) {
 	h := newFeedHarness(t, 8)
-	h.remote.SetMaxEntries(1)
+	h.pager.max = 1
 	for i := 0; i < 4; i++ {
 		h.commit(t, fmt.Sprintf("jobs/j%02d", i), 4, 1)
 	}
@@ -452,7 +469,7 @@ func (f *switchFeed) PollFeed(req wire.FeedRequest, buf []byte) ([]byte, error) 
 func TestFeedClientRejectsDuplicateDocKeys(t *testing.T) {
 	h := newFeedHarness(t, 4)
 	h.commit(t, "jobs/a", 2, 1)
-	feed := &switchFeed{inner: h.feed.Loopback()}
+	feed := &switchFeed{inner: h.feed}
 	c := NewFeedClient(feed, "x", feedTestClock(), 90*time.Second, 4)
 	if err := c.Sync(0); err != nil {
 		t.Fatal(err)
@@ -488,7 +505,7 @@ func TestFeedPumpConcurrentIndex(t *testing.T) {
 		h.commit(t, fmt.Sprintf("jobs/j%02d", i), 2, 1)
 	}
 	h.mustConverge(t)
-	h.remote.SetMaxEntries(24)
+	h.pager.max = 24
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -542,11 +559,11 @@ func TestFeedReplicaBytesPerJob(t *testing.T) {
 	}
 	// A first client warms the server's frame cache, so the second one's
 	// heap is its own.
-	if err := NewFeedClient(h.feed.Loopback(), "warm", feedTestClock(), 90*time.Second, 64).Sync(0); err != nil {
+	if err := NewFeedClient(h.feed, "warm", feedTestClock(), 90*time.Second, 64).Sync(0); err != nil {
 		t.Fatal(err)
 	}
 	base := liveHeap()
-	c := NewFeedClient(h.feed.Loopback(), "bytes", feedTestClock(), 90*time.Second, 64)
+	c := NewFeedClient(h.feed, "bytes", feedTestClock(), 90*time.Second, 64)
 	if err := c.Sync(0); err != nil {
 		t.Fatal(err)
 	}

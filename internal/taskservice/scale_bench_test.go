@@ -65,6 +65,8 @@ func refreshFleet(b *testing.B) (*Service, func(name, ver string, version int64)
 	return svc, commit
 }
 
+// BenchmarkScaleRefresh1M regenerates the index after one job changed,
+// held to refreshOneJobAllocCeiling objects.
 func BenchmarkScaleRefresh1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("scale tier: run via make bench-scale")
@@ -95,6 +97,10 @@ func BenchmarkScaleRefresh1M(b *testing.B) {
 	}
 }
 
+// BenchmarkScaleRefresh1MChurn1pct regenerates the index after 1 % of
+// the fleet changed, held to one object per bucket and chunk the
+// regeneration changed plus a stated constant per rebuilt job
+// (regenAllocCeiling).
 func BenchmarkScaleRefresh1MChurn1pct(b *testing.B) {
 	if testing.Short() {
 		b.Skip("scale tier: run via make bench-scale")
@@ -174,6 +180,9 @@ func BenchmarkScaleRefresh1MOverflow(b *testing.B) {
 	}
 }
 
+// BenchmarkScaleRefresh1MQuiesceToggle quiesces and unquiesces one job,
+// two splice-only regenerations held to refreshQuiesceAllocCeiling
+// objects.
 func BenchmarkScaleRefresh1MQuiesceToggle(b *testing.B) {
 	if testing.Short() {
 		b.Skip("scale tier: run via make bench-scale")

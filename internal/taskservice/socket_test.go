@@ -30,13 +30,14 @@ import (
 	"repro/internal/wire"
 )
 
-// socketHarness is the feedHarness with the loopback replaced by a real
-// listener + dialed transport pair.
+// socketHarness is the feedHarness with a real listener + dialed
+// transport pair between the pager and the server.
 type socketHarness struct {
 	store  *jobstore.Store
 	feed   *jobservice.SpecFeedServer
 	lis    *jobservice.FeedListener
 	tr     *DialTransport
+	pager  *maxFeed
 	local  *Service
 	remote *FeedClient
 	clk    *simclock.Sim
@@ -55,13 +56,15 @@ func newSocketHarness(t *testing.T, shards int) *socketHarness {
 	t.Cleanup(func() { lis.Close() })
 	tr := DialFeed(nl.Addr().String(), DialOptions{Clock: clk})
 	t.Cleanup(tr.Close)
+	pager := &maxFeed{inner: tr}
 	return &socketHarness{
 		store:  store,
 		feed:   feed,
 		lis:    lis,
 		tr:     tr,
+		pager:  pager,
 		local:  New(store, clk, 90*time.Second, shards),
-		remote: NewFeedClient(tr, "remote-ts", clk, 90*time.Second, shards),
+		remote: NewFeedClient(pager, "remote-ts", clk, 90*time.Second, shards),
 		clk:    clk,
 	}
 }
@@ -185,8 +188,7 @@ func TestSocketDisconnectStormMidResync(t *testing.T) {
 
 	h.tr.Close()
 	h.overflow(t)
-	h.remote.SetMaxEntries(1) // paginate: one entry per frame
-	defer h.remote.SetMaxEntries(0)
+	h.pager.max = 1 // paginate: one entry per frame
 
 	polls := 0
 	for {
@@ -223,7 +225,7 @@ func TestSocketDisconnectStormMidResync(t *testing.T) {
 // one resync and no bad frame.
 func TestSocketWalkPastLongestName(t *testing.T) {
 	h := newSocketHarness(t, 8)
-	h.remote = NewFeedClient(h.tr, strings.Repeat("s", config.MaxJobNameLen), h.clk, 90*time.Second, 8)
+	h.remote = NewFeedClient(h.pager, strings.Repeat("s", config.MaxJobNameLen), h.clk, 90*time.Second, 8)
 	long := "jobs/" + strings.Repeat("n", config.MaxJobNameLen-len("jobs/"))
 	for _, name := range []string{"jobs/a", long, "jobs/z"} {
 		h.commit(t, name, 2, 1)
@@ -232,8 +234,7 @@ func TestSocketWalkPastLongestName(t *testing.T) {
 
 	h.tr.Close()
 	h.overflow(t)
-	h.remote.SetMaxEntries(1) // every name ends a page
-	defer h.remote.SetMaxEntries(0)
+	h.pager.max = 1 // every name ends a page
 	h.mustConverge(t)
 
 	if rs := h.remote.Stats().Resyncs; rs != 1 {
@@ -423,7 +424,8 @@ func TestListenerDropsSilentClient(t *testing.T) {
 // TestSocketStalenessBound: the degraded-mode contract on the sim
 // clock — StaleFor grows monotonically across failed polls and dark
 // time, resets to zero on the next successful poll, and the resume is
-// counted with its journal lag.
+// counted and replays what was committed while dark from the cursor, not
+// by a resync.
 func TestSocketStalenessBound(t *testing.T) {
 	h := newSocketHarness(t, 4)
 	h.commit(t, "jobs/a", 2, 1)
@@ -431,6 +433,7 @@ func TestSocketStalenessBound(t *testing.T) {
 	if got := h.remote.StaleFor(); got != 0 {
 		t.Fatalf("StaleFor %v right after a sync, want 0", got)
 	}
+	before := h.remote.Stats()
 
 	// Kill the server side entirely: polls now fail.
 	h.lis.Close()
@@ -468,8 +471,8 @@ func TestSocketStalenessBound(t *testing.T) {
 	if st.Resumes != 1 || st.Failures == 0 {
 		t.Fatalf("stats %+v: want 1 resume and >0 failures", st)
 	}
-	if st.LastResumeLag < 1 {
-		t.Fatalf("resume lag %d, want >= 1 (the dark-time commit)", st.LastResumeLag)
+	if applied := st.Applied - before.Applied; applied < 1 || st.Resyncs != 0 {
+		t.Fatalf("resume applied %d entries with %d resyncs, want >= 1 (the dark-time commit) and 0", applied, st.Resyncs)
 	}
 	if h.remote.Degraded() {
 		t.Fatal("client still degraded after resume")

@@ -4,11 +4,10 @@
 // ships running configs and each mirror derives its specs.)
 //
 // The codec exists so that a multi-process deployment is a wiring
-// change, not a refactor (ROADMAP): every value that would cross a
-// process boundary — a feed request and the delta that answers it —
-// already round-trips through this package inside the single-process
-// build, and the in-process loopback transport in jobservice exercises
-// it on every poll.
+// change, not a refactor (ROADMAP): the delta that answers a feed poll
+// is encoded by the server and decoded by the mirror on every poll even
+// inside the single-process build, and the socket binding (jobservice's
+// FeedListener, taskservice's DialTransport) frames the request too.
 //
 // Design rules, in priority order:
 //

@@ -183,6 +183,29 @@ func TestFeedRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFeedRequestRoundTripAllocFree: a warm encoder encodes a poll request
+// and the decoder reads it back as views into the frame, allocating
+// nothing — what a socket subscriber and the listener pay per poll.
+func TestFeedRequestRoundTripAllocFree(t *testing.T) {
+	req := FeedRequest{Subscriber: "ts-west-3", Cursor: 12345, Max: 64, Resync: true, ResumeAfter: "jobs/zz"}
+	var e Encoder
+	roundTrip := func() {
+		e.Reset()
+		e.AppendFeedRequest(req)
+		kind, body, _, err := DecodeFrame(e.Buf)
+		if err != nil || kind != FrameFeedRequest {
+			t.Fatalf("kind=0x%02x err=%v", kind, err)
+		}
+		if got, err := DecodeFeedRequest(body); err != nil || got != req {
+			t.Fatalf("request round trip: got %+v (%v), want %+v", got, err, req)
+		}
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Fatalf("warm feed request round trip allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func TestDeltaRoundTrip(t *testing.T) {
 	cfgA := sampleConfig()
 	var e Encoder
