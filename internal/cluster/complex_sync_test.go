@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -105,8 +104,12 @@ func TestQuarantinedJobLeftAlone(t *testing.T) {
 	// Sabotage: plant a foreign lease under the job so StopJobTasks keeps
 	// finding a live owner and the plan keeps failing (modelling a wedged
 	// external process holding the checkpoint directory).
-	saboteur := engine.Incarnation{Seq: math.MaxUint64} // a number no task draws
-	if err := c.Ckpt.Start("j1", []int{99}, saboteur, make([]int64, 1)); err != nil {
+	saboteur := engine.NewTask(&engine.TaskSpec{
+		JobSpec:    &engine.JobSpec{Job: "j1", InputCategory: "j1_in"},
+		Index:      99,
+		Partitions: []int{99},
+	}, engine.DefaultProfile(config.OpTailer), nil, c.Ckpt)
+	if err := saboteur.Start(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Jobs.SetTaskCount("j1", config.LayerOncall, 4); err != nil {
@@ -124,7 +127,7 @@ func TestQuarantinedJobLeftAlone(t *testing.T) {
 		t.Fatalf("quarantined job runs %d tasks, want 2 (old config)", got)
 	}
 	// Oncall clears the saboteur and the quarantine; sync proceeds.
-	c.Ckpt.ForceReleaseTask("j1", saboteur)
+	saboteur.Kill()
 	c.Store.ClearQuarantine("j1")
 	c.Run(5 * time.Minute)
 	if got := c.JobRunningTasks("j1"); got != 4 {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -15,35 +16,42 @@ import (
 // The store also tracks partition ownership leases. Turbine's task
 // management must never run two active instances of the same task (§IV);
 // with disjoint partition ownership that reduces to "no partition has two
-// live owners". Start enforces it and records violations, so tests and
-// experiments can assert the invariant end to end.
+// live owners". A task's Start enforces it and records violations, so
+// tests and experiments can assert the invariant end to end.
 //
 // Layout: one record per job, holding dense slices indexed by partition
-// number — offset, state size, lease owner — and the count of live
-// leases. Partitions are small consecutive integers (AssignPartitions
-// deals out 0..n-1), so a record is a few cache lines and every call is
-// one lock and one map lookup however many partitions it names: a task
-// pays one call to start, one per interval to persist its progress
-// (Checkpoint), one to stop and one to restart in place (Handover); the
-// job monitor pays one per job (Consumed). A record grows to the largest
+// number — offset, lease owner, and (once a stateful task writes one)
+// state size — and the count of live leases. Partitions are small
+// consecutive integers (AssignPartitions deals out 0..n-1), so a record is
+// a few cache lines. A task's Start finds its job's record by name under
+// the store's lock and hands the record back from that same critical
+// section; the task keeps it, and its per-interval checkpoint (Advance),
+// its Stop and its in-place restarts (Handover) reach the record through
+// it with no name lookup. DeleteJob retires a job's record: the next Start
+// of the name creates a fresh one, and a task still holding the retired
+// record writes only into it, never into its namesake's. The job monitor
+// pays one lookup per job (Consumed). A record grows to the largest
 // partition number it has been asked to hold and reads beyond it see the
 // zero value, so a partition nobody wrote is indistinguishable from one
 // that was never mentioned. A lease owner is an Incarnation, two integers,
-// so the records hold no pointers and a lease check compares numbers;
-// Owner formats the owner's name only when asked.
-// Partition numbers are non-negative and owners non-zero: Start refuses
+// so a lease check compares numbers; Owner formats the owner's name only
+// when asked.
+// Partition numbers are non-negative and owners non-zero: start refuses
 // anything else, so nothing a started task later passes can be.
 type CheckpointStore struct {
 	mu         sync.Mutex
 	jobs       map[string]*jobCheckpoint
 	violations int
+	// detached is the record of no job, the handle NewTask gives a task
+	// until its first Start: it only leads to the store.
+	detached jobCheckpoint
 }
 
 // Incarnation names one instance of one task — the lease owner the
 // duplicate-instance invariant (§IV) is about: two live processes for
 // one task are two incarnations. Index is the task's index within its
 // job and Seq a number no other incarnation in the process shares
-// (NewTask and Respec draw it from instanceSeq). The zero Incarnation is
+// (NewTask and Handover draw it from instanceSeq). The zero Incarnation is
 // no owner.
 type Incarnation struct {
 	Seq   uint64
@@ -59,19 +67,27 @@ func (in Incarnation) name(job string) string {
 	return string(b)
 }
 
-// jobCheckpoint is one job's record. The three slices always have the same
-// length; a zero owners[p] means partition p has no live lease, and live
-// counts the entries that do.
+// jobCheckpoint is one job's record. offsets and owners always have the
+// same length; state is nil until a stateful task writes a state size,
+// then grown as needed, and a partition beyond it has state size zero. A
+// zero owners[p] means partition p has no live lease, and live counts the
+// entries that do. store is the store the record belongs to; every field
+// below it is guarded by store.mu. A retired record (DeleteJob) is no
+// longer the job's: writes to it change nothing anyone can read.
 type jobCheckpoint struct {
+	store   *CheckpointStore
 	offsets []int64
 	state   []int64 // state size, stateful operators only
 	owners  []Incarnation
 	live    int
+	retired bool
 }
 
 // NewCheckpointStore returns an empty store.
 func NewCheckpointStore() *CheckpointStore {
-	return &CheckpointStore{jobs: make(map[string]*jobCheckpoint)}
+	s := &CheckpointStore{jobs: make(map[string]*jobCheckpoint)}
+	s.detached.store = s
+	return s
 }
 
 // release drops partition p's lease if owner holds it.
@@ -82,41 +98,46 @@ func (r *jobCheckpoint) release(p int, owner Incarnation) {
 	}
 }
 
-// recordLocked returns job's record, created and grown as needed to hold
-// every listed partition.
-func (s *CheckpointStore) recordLocked(job string, partitions []int) *jobCheckpoint {
+// span returns one more than the largest listed partition.
+func span(partitions []int) int {
 	need := 0
 	for _, p := range partitions {
 		need = max(need, p+1)
 	}
+	return need
+}
+
+// recordLocked returns job's record, created and grown as needed to hold
+// every listed partition.
+func (s *CheckpointStore) recordLocked(job string, partitions []int) *jobCheckpoint {
 	r := s.jobs[job]
 	if r == nil {
-		r = &jobCheckpoint{}
+		r = &jobCheckpoint{store: s}
 		s.jobs[job] = r
 	}
-	if n := len(r.offsets); need > n {
+	if need, n := span(partitions), len(r.offsets); need > n {
 		r.offsets = append(r.offsets, make([]int64, need-n)...)
-		r.state = append(r.state, make([]int64, need-n)...)
 		r.owners = append(r.owners, make([]Incarnation, need-n)...)
 	}
 	return r
 }
 
-// Start begins one task instance under a single lock: it takes the
-// ownership lease of every listed partition of job for owner and writes
-// the partitions' checkpointed offsets into into, in the order given
-// (into must be at least as long as partitions). It is all or nothing —
-// if any partition is leased to a different incarnation, Start takes
-// none, leaves into alone, records one duplication violation and fails.
-// Leases owner already holds are kept.
-func (s *CheckpointStore) Start(job string, partitions []int, owner Incarnation, into []int64) error {
+// start begins one task instance under a single lock: it takes the
+// ownership lease of every listed partition of job for owner, writes the
+// partitions' checkpointed offsets into into, in the order given (into
+// must be at least as long as partitions), and returns the job's record,
+// which the caller keeps for its later writes. It is all or nothing — if
+// any partition is leased to a different incarnation, start takes none,
+// leaves into alone, records one duplication violation and fails. Leases
+// owner already holds are kept.
+func (s *CheckpointStore) start(job string, partitions []int, owner Incarnation, into []int64) (*jobCheckpoint, error) {
 	into = into[:len(partitions)]
 	if owner == (Incarnation{}) {
-		return fmt.Errorf("engine: job %s: a lease needs an owner", job)
+		return nil, fmt.Errorf("engine: job %s: a lease needs an owner", job)
 	}
 	for _, p := range partitions {
 		if p < 0 {
-			return fmt.Errorf("engine: job %s has no partition %d (requested by %s)", job, p, owner.name(job))
+			return nil, fmt.Errorf("engine: job %s has no partition %d (requested by %s)", job, p, owner.name(job))
 		}
 	}
 	s.mu.Lock()
@@ -125,7 +146,7 @@ func (s *CheckpointStore) Start(job string, partitions []int, owner Incarnation,
 	for _, p := range partitions {
 		if cur := r.owners[p]; cur != (Incarnation{}) && cur != owner {
 			s.violations++
-			return fmt.Errorf("engine: partition %d of job %s already owned by %s (requested by %s)", p, job, cur.name(job), owner.name(job))
+			return nil, fmt.Errorf("engine: partition %d of job %s already owned by %s (requested by %s)", p, job, cur.name(job), owner.name(job))
 		}
 	}
 	for i, p := range partitions {
@@ -135,21 +156,26 @@ func (s *CheckpointStore) Start(job string, partitions []int, owner Incarnation,
 		r.owners[p] = owner
 		into[i] = r.offsets[p]
 	}
-	return nil
+	return r, nil
 }
 
-// Checkpoint persists one task's progress under a single lock — its one
+// checkpoint persists one task's progress under a single lock — its one
 // write per processing interval. offsets, parallel to partitions, become
 // the partitions' checkpointed offsets unless nil (an interval that
 // consumed nothing has nothing new to persist). stateBytes, unless
 // negative, is recorded as the state size of every listed partition:
 // stateful operators write it alongside offsets, and parallelism changes
 // move this state between tasks, which is why they are "complex"
-// synchronizations. Leases are neither required nor changed.
-func (s *CheckpointStore) Checkpoint(job string, partitions []int, offsets []int64, stateBytes int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.recordLocked(job, partitions)
+// synchronizations. Leases are neither required nor changed. The record
+// must hold every listed partition (start grew it to).
+func (r *jobCheckpoint) checkpoint(partitions []int, offsets []int64, stateBytes int64) {
+	r.store.mu.Lock()
+	defer r.store.mu.Unlock()
+	if stateBytes >= 0 {
+		if need, n := span(partitions), len(r.state); need > n {
+			r.state = append(r.state, make([]int64, need-n)...)
+		}
+	}
 	for i, p := range partitions {
 		if offsets != nil {
 			r.offsets[p] = offsets[i]
@@ -160,32 +186,32 @@ func (s *CheckpointStore) Checkpoint(job string, partitions []int, offsets []int
 	}
 }
 
-// Stop ends one task instance under a single lock: it persists offsets
-// (parallel to partitions) and gives up every lease owner holds on them. A lease owned by someone else (or not held) is left alone:
-// stopping is idempotent because a container can be forcefully killed
-// after a DROP_SHARD timed out (§IV-A2) and the kill path re-releases.
-func (s *CheckpointStore) Stop(job string, partitions []int, owner Incarnation, offsets []int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.recordLocked(job, partitions)
+// stop ends one task instance under a single lock: it persists offsets
+// (parallel to partitions) and gives up every lease owner holds on them.
+// A lease owned by someone else (or not held) is left alone: stopping is
+// idempotent because a container can be forcefully killed after a
+// DROP_SHARD timed out (§IV-A2) and the kill path re-releases.
+func (r *jobCheckpoint) stop(partitions []int, owner Incarnation, offsets []int64) {
+	r.store.mu.Lock()
+	defer r.store.mu.Unlock()
 	for i, p := range partitions {
 		r.offsets[p] = offsets[i]
 		r.release(p, owner)
 	}
 }
 
-// Handover restarts one task instance in place under a single lock: it
-// persists offsets (parallel to partitions) and moves the lease of every
-// listed partition from incarnation from to incarnation to (non-zero),
-// taking any that nobody holds. That is what Stop by from and then Start
-// by to would leave, but no lease is free or held twice in between. It is
-// all or nothing: if a third incarnation holds any of the partitions,
-// Handover changes nothing and returns false, and the caller's Stop and
-// Start record the violation.
-func (s *CheckpointStore) Handover(job string, partitions []int, from, to Incarnation, offsets []int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r := s.recordLocked(job, partitions)
+// handoverLocked restarts one task instance in place: it persists offsets
+// (parallel to partitions) and moves the lease of every listed partition
+// from incarnation from to incarnation to (non-zero), taking any that
+// nobody holds. That is what a stop by from and then a start by to would
+// leave, but no lease is free or held twice in between. It is all or
+// nothing: if the record is retired or a third incarnation holds any of
+// the partitions, it changes nothing and returns false, and the caller's
+// stop and start record the violation.
+func (r *jobCheckpoint) handoverLocked(partitions []int, from, to Incarnation, offsets []int64) bool {
+	if r.retired {
+		return false
+	}
 	for _, p := range partitions {
 		if cur := r.owners[p]; cur != (Incarnation{}) && cur != from {
 			return false
@@ -199,6 +225,68 @@ func (s *CheckpointStore) Handover(job string, partitions []int, from, to Incarn
 		r.offsets[p] = offsets[i]
 	}
 	return true
+}
+
+// Respec is one in-place restart for Handover: Task, running, is to take
+// Spec, a spec of the same job over the same partitions, and Profile.
+// Handover sets Done to whether it did.
+type Respec struct {
+	Task    *Task
+	Spec    *TaskSpec
+	Profile *Profile
+	Done    bool
+}
+
+// Handover restarts every task of batch in place: each leaves what Stop,
+// then NewTask(Spec, Profile, …) and Start of the successor would — a new
+// incarnation under a fresh number, holding every lease of the old one,
+// resuming from the offsets the old one checkpointed, with no OOM or
+// stats history — and the offsets buffer is kept, since Start would
+// reload exactly those offsets into it. The whole batch is one critical
+// section of the store: one lock, and one draw of the batch's incarnation
+// numbers, handed out in batch order. So no lease is free or held twice at
+// any instant, and a Refresh that restarts a release wave's tasks pays one
+// lock, not one per task. An entry whose task is not running, is not
+// started on this store, or is offered a spec of another job or other
+// partitions — or whose record is retired or has a lease a third instance
+// holds — leaves its task as it was with Done false: the caller stops and
+// starts it instead. It returns how many it restarted. The tasks of a
+// batch must be distinct; each task's lock is held for the whole batch.
+func (s *CheckpointStore) Handover(batch []Respec) int {
+	valid := uint64(0)
+	for k := range batch {
+		r := &batch[k]
+		t := r.Task
+		t.mu.Lock()
+		r.Done = t.running && t.rec.store == s && r.Spec.Job == t.spec.Job &&
+			slices.Equal(r.Spec.Partitions, t.spec.Partitions)
+		if r.Done {
+			valid++
+		}
+	}
+	seq := instanceSeq.Add(valid) - valid
+	n := 0
+	s.mu.Lock()
+	for k := range batch {
+		r := &batch[k]
+		if !r.Done {
+			continue
+		}
+		t := r.Task
+		seq++
+		next := Incarnation{Seq: seq, Index: r.Spec.Index}
+		offsets, _ := positions(t.pos)
+		if r.Done = t.rec.handoverLocked(r.Spec.Partitions, t.incarnation(), next, offsets); r.Done {
+			t.spec, t.seq, t.profile = r.Spec, next.Seq, r.Profile
+			t.last, t.oomBackoff, t.oomCount, t.restarts = Stats{}, false, 0, 0
+			n++
+		}
+	}
+	s.mu.Unlock()
+	for k := range batch {
+		batch[k].Task.mu.Unlock()
+	}
+	return n
 }
 
 // ForceReleaseTask drops every lease held by owner in job, and none of
@@ -302,9 +390,14 @@ func (s *CheckpointStore) LiveOwners(job string) int {
 	return 0
 }
 
-// DeleteJob removes all checkpoints, state, and leases for job.
+// DeleteJob removes all checkpoints, state, and leases for job. Its
+// record is retired, not reused: a task still holding it cannot write
+// into the record a later job of the same name starts.
 func (s *CheckpointStore) DeleteJob(job string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	delete(s.jobs, job)
+	if r := s.jobs[job]; r != nil {
+		r.retired = true
+		delete(s.jobs, job)
+	}
 }

@@ -238,7 +238,7 @@ func FuzzAdvanceMatchesPerPartitionDrain(f *testing.F) {
 			}
 			ref.offsets[p] = start[i]
 		}
-		ckpt.Stop("j", parts, Incarnation{}, start) // nobody's lease: offsets only
+		ckpt.stopJob("j", parts, Incarnation{}, start) // nobody's lease: offsets only
 
 		task := NewTask(spec, &profile, bus, ckpt)
 		if err := task.Start(); err != nil {
@@ -374,7 +374,7 @@ func TestCheckpointStoreDenseMatchesSparse(t *testing.T) {
 			switch {
 			case op < 35:
 				got := make([]int64, len(parts))
-				err := dense.Start(job, parts, inst, got)
+				err := dense.startJob(job, parts, inst, got)
 				want, wantErr := sparse.start(job, parts, inst)
 				if (err != nil) != (wantErr != nil) {
 					t.Fatalf("seed %d step %d: Start(%s, %v, %v) = %v, oracle %v", seed, step, job, parts, inst, err, wantErr)
@@ -383,7 +383,7 @@ func TestCheckpointStoreDenseMatchesSparse(t *testing.T) {
 					t.Fatalf("seed %d step %d: Start restored %v, oracle %v", seed, step, got, want)
 				}
 			case op < 60:
-				dense.Stop(job, parts, inst, vals)
+				dense.stopJob(job, parts, inst, vals)
 				sparse.stop(job, parts, inst, vals)
 			case op < 85:
 				offsets, state := vals, int64(-1)
@@ -393,7 +393,7 @@ func TestCheckpointStoreDenseMatchesSparse(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					state = rng.Int63n(1 << 20)
 				}
-				dense.Checkpoint(job, parts, offsets, state)
+				dense.checkpointJob(job, parts, offsets, state)
 				for i, p := range parts {
 					if offsets != nil {
 						sparse.set(sparse.offsets, job, p, offsets[i])

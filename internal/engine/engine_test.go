@@ -337,17 +337,17 @@ func TestCheckpointLeasePreventsDuplicates(t *testing.T) {
 	ckpt := NewCheckpointStore()
 	offsets := make([]int64, 3)
 	first, dup, next, other := Incarnation{Seq: 1}, Incarnation{Seq: 2}, Incarnation{Seq: 3}, Incarnation{Seq: 4, Index: 1}
-	if err := ckpt.Start("j", []int{0, 1}, first, offsets); err != nil {
+	if err := ckpt.startJob("j", []int{0, 1}, first, offsets); err != nil {
 		t.Fatal(err)
 	}
 	// Same owner re-acquires fine.
-	if err := ckpt.Start("j", []int{0, 1}, first, offsets); err != nil {
+	if err := ckpt.startJob("j", []int{0, 1}, first, offsets); err != nil {
 		t.Fatal(err)
 	}
 	// Different owner fails and is recorded — once, however many of its
 	// partitions conflict — and takes nothing, not even the free partition
 	// listed ahead of the conflict.
-	if err := ckpt.Start("j", []int{2, 0, 1}, dup, offsets); err == nil {
+	if err := ckpt.startJob("j", []int{2, 0, 1}, dup, offsets); err == nil {
 		t.Fatal("duplicate acquisition allowed")
 	}
 	if ckpt.Violations() != 1 {
@@ -357,11 +357,11 @@ func TestCheckpointLeasePreventsDuplicates(t *testing.T) {
 		t.Fatalf("refused start kept partition 2 for %q", owner)
 	}
 	// Stop by non-owner releases nothing (its offsets still persist).
-	ckpt.Stop("j", []int{0}, dup, []int64{7})
+	ckpt.stopJob("j", []int{0}, dup, []int64{7})
 	if owner, ok := ckpt.Owner("j", 0); !ok || owner != "j#0@1" {
 		t.Fatalf("owner = %q,%v", owner, ok)
 	}
-	ckpt.Stop("j", []int{0, 1}, first, []int64{500, 300})
+	ckpt.stopJob("j", []int{0, 1}, first, []int64{500, 300})
 	if _, ok := ckpt.Owner("j", 0); ok {
 		t.Fatal("lease survived stop")
 	}
@@ -369,16 +369,16 @@ func TestCheckpointLeasePreventsDuplicates(t *testing.T) {
 		t.Fatalf("LiveOwners = %d after stop", ckpt.LiveOwners("j"))
 	}
 	// The next start resumes from what Stop persisted, in the order asked.
-	err := ckpt.Start("j", []int{1, 0, 5}, next, offsets)
+	err := ckpt.startJob("j", []int{1, 0, 5}, next, offsets)
 	if err != nil || !reflect.DeepEqual(offsets, []int64{300, 500, 0}) {
 		t.Fatalf("restored offsets = %v, %v; want [300 500 0]", offsets, err)
 	}
 	// Names the dense record cannot hold are refused before anything is
 	// taken, and are no duplication.
-	if err := ckpt.Start("j", []int{3, -1}, other, offsets); err == nil {
+	if err := ckpt.startJob("j", []int{3, -1}, other, offsets); err == nil {
 		t.Fatal("negative partition accepted")
 	}
-	if err := ckpt.Start("j", []int{3}, Incarnation{}, offsets); err == nil {
+	if err := ckpt.startJob("j", []int{3}, Incarnation{}, offsets); err == nil {
 		t.Fatal("zero owner accepted")
 	}
 	if _, ok := ckpt.Owner("j", 3); ok || ckpt.LiveOwners("j") != 3 || ckpt.Violations() != 1 {
@@ -392,7 +392,7 @@ func TestCheckpointOffsetsAndState(t *testing.T) {
 		t.Fatal("fresh offset not zero")
 	}
 	// Offsets only: state sizes stay as they were.
-	ckpt.Checkpoint("j", []int{0, 1}, []int64{500, 300}, -1)
+	ckpt.checkpointJob("j", []int{0, 1}, []int64{500, 300}, -1)
 	if ckpt.Offset("j", 0) != 500 || ckpt.Offset("j", 1) != 300 {
 		t.Fatal("offset not persisted")
 	}
@@ -409,8 +409,8 @@ func TestCheckpointOffsetsAndState(t *testing.T) {
 		t.Fatalf("an offsets-only checkpoint wrote state: %d", ckpt.JobState("j"))
 	}
 	// State only: one size for every listed partition, offsets untouched.
-	ckpt.Checkpoint("j", []int{0}, nil, 1000)
-	ckpt.Checkpoint("j", []int{1, 2}, nil, 2000)
+	ckpt.checkpointJob("j", []int{0}, nil, 1000)
+	ckpt.checkpointJob("j", []int{1, 2}, nil, 2000)
 	if ckpt.JobState("j") != 5000 {
 		t.Fatalf("JobState = %d", ckpt.JobState("j"))
 	}
@@ -418,7 +418,7 @@ func TestCheckpointOffsetsAndState(t *testing.T) {
 		t.Fatal("StateSize wrong")
 	}
 	// Both at once, and a state size of zero is a size.
-	ckpt.Checkpoint("j", []int{1}, []int64{350}, 0)
+	ckpt.checkpointJob("j", []int{1}, []int64{350}, 0)
 	if ckpt.Offset("j", 0) != 500 || ckpt.Offset("j", 1) != 350 || ckpt.StateSize("j", 1) != 0 {
 		t.Fatal("combined checkpoint wrong")
 	}
@@ -431,10 +431,10 @@ func TestCheckpointOffsetsAndState(t *testing.T) {
 func TestForceReleaseTask(t *testing.T) {
 	ckpt := NewCheckpointStore()
 	offsets := make([]int64, 2)
-	if err := ckpt.Start("j", []int{0, 1}, Incarnation{Seq: 1, Index: 0}, offsets); err != nil {
+	if err := ckpt.startJob("j", []int{0, 1}, Incarnation{Seq: 1, Index: 0}, offsets); err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.Start("j", []int{2}, Incarnation{Seq: 2, Index: 1}, offsets); err != nil {
+	if err := ckpt.startJob("j", []int{2}, Incarnation{Seq: 2, Index: 1}, offsets); err != nil {
 		t.Fatal(err)
 	}
 	ckpt.ForceReleaseTask("j", Incarnation{Seq: 1, Index: 0})
@@ -700,7 +700,7 @@ func TestMaxRateUncappedCPU(t *testing.T) {
 	spec := testSpec("j", 0, 1, 1)
 	spec.Threads = 3
 	spec.Resources.CPUCores = 0 // no cap
-	task := NewTask(spec, DefaultProfile(config.OpTailer), nil, nil)
+	task := NewTask(spec, DefaultProfile(config.OpTailer), nil, NewCheckpointStore())
 	if got, want := task.maxRateLocked(), float64(3*3<<20); got != want {
 		t.Fatalf("maxRateLocked = %v, want %v", got, want)
 	}

@@ -127,7 +127,7 @@ func TestLeaseIncarnationsProperty(t *testing.T) {
 				before, old := task.Instance(), task.incarnation()
 				next := testSpec(task.spec.Job, task.spec.Index, task.spec.TaskCount, parts)
 				next.PackageVersion = "v" + before
-				if !task.Respec(next, prof) {
+				if !respecOne(task, next, prof) {
 					t.Fatalf("seed %d step %d: Respec refused running %s", seed, step, before)
 				}
 				if task.Instance() == before {
@@ -199,4 +199,68 @@ func heldPartitions(m map[int]*Task) []int {
 	}
 	slices.Sort(out)
 	return out
+}
+
+// TestNamesakeAfterDeleteJob re-creates a job under the same name after
+// DeleteJob while a task of the deleted job still runs and holds the old
+// job's record. Nothing that task does — its checkpoints, a stateful state
+// size, an in-place restart, its Stop — may reach the namesake's record:
+// the new job's tasks resume from zero, keep their leases and see no state
+// they did not write.
+func TestNamesakeAfterDeleteJob(t *testing.T) {
+	bus, ckpt := scribe.NewBus(), NewCheckpointStore()
+	if err := bus.CreateCategory("j_in", 2); err != nil {
+		t.Fatal(err)
+	}
+	prof := DefaultProfile(config.OpAggregate) // stateful: Advance writes state too
+	stale := NewTask(testSpec("j", 0, 1, 2), prof, bus, ckpt)
+	if err := stale.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < 2; p++ {
+		if err := bus.Append("j_in", p, 1<<20, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale.Advance(time.Second)
+	if ckpt.Offset("j", 0) == 0 {
+		t.Fatal("the first job checkpointed nothing")
+	}
+
+	ckpt.DeleteJob("j")
+	fresh := NewTask(testSpec("j", 0, 1, 2), DefaultProfile(config.OpTailer), bus, ckpt)
+	if err := fresh.Start(); err != nil {
+		t.Fatalf("the namesake's start met the deleted job's leases: %v", err)
+	}
+	check := func(when string) {
+		t.Helper()
+		for p := 0; p < 2; p++ {
+			if off, st := ckpt.Offset("j", p), ckpt.StateSize("j", p); off != 0 || st != 0 {
+				t.Fatalf("%s: namesake's partition %d holds offset %d, state %d; the deleted job's task wrote them", when, p, off, st)
+			}
+			if owner, _ := ckpt.Owner("j", p); owner != fresh.Instance() {
+				t.Fatalf("%s: namesake's partition %d leased to %q, want %s", when, p, owner, fresh.Instance())
+			}
+		}
+		if ckpt.LiveOwners("j") != 2 || ckpt.Violations() != 0 {
+			t.Fatalf("%s: %d live leases, %d violations", when, ckpt.LiveOwners("j"), ckpt.Violations())
+		}
+	}
+	check("after the namesake's start")
+
+	for p := 0; p < 2; p++ {
+		if err := bus.Append("j_in", p, 1<<20, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stale.Advance(time.Second)
+	check("after the deleted job's task checkpointed")
+	next := testSpec("j", 0, 1, 2)
+	next.PackageVersion = "v2"
+	if respecOne(stale, next, prof) {
+		t.Fatal("a task of the deleted job restarted in place on its retired record")
+	}
+	check("after the deleted job's task was offered an in-place restart")
+	stale.Stop()
+	check("after the deleted job's task stopped")
 }

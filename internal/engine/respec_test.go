@@ -155,7 +155,7 @@ func FuzzRespecMatchesRestart(f *testing.F) {
 		// A spec over other partitions is refused and changes nothing.
 		old := respec.task.Instance()
 		moved := &TaskSpec{JobSpec: next.JobSpec, Index: spec.Index, Partitions: append(slices.Clone(parts), top)}
-		if respec.task.Respec(moved, &nextProfile) || respec.task.Instance() != old || respec.task.Spec() != spec {
+		if respecOne(respec.task, moved, &nextProfile) || respec.task.Instance() != old || respec.task.Spec() != spec {
 			t.Fatal("Respec took a spec whose partitions moved")
 		}
 
@@ -167,7 +167,7 @@ func FuzzRespecMatchesRestart(f *testing.F) {
 				stale[i] = rng.Int63n(1 << 30)
 			}
 			for _, tw := range twins {
-				tw.ckpt.Checkpoint("j", parts, stale, -1)
+				tw.ckpt.checkpointJob("j", parts, stale, -1)
 			}
 		}
 		restart.task.Stop()
@@ -175,7 +175,7 @@ func FuzzRespecMatchesRestart(f *testing.F) {
 		if err := restart.task.Start(); err != nil {
 			t.Fatal(err)
 		}
-		if !respec.task.Respec(next, &nextProfile) {
+		if !respecOne(respec.task, next, &nextProfile) {
 			t.Fatal("Respec refused a running task's spec over the same partitions")
 		}
 		inst := respec.task.Instance()

@@ -21,10 +21,12 @@
 //     active instances of the same task" invariant (§IV) directly
 //     testable — a second acquisition of a live lease is a recorded
 //     violation. A lease is owned by an Incarnation, a task index and a
-//     number unique to one incarnation of the task: the records hold no
-//     pointers, a cold start allocates only the Task and its offsets, a
-//     restart in place (Task.Respec) nothing, and the name
-//     "<job>#<index>@<seq>" is formatted only when asked for.
+//     number unique to one incarnation of the task: the lease columns hold
+//     no pointers, a cold start allocates only the Task and its offsets, a
+//     restart in place (CheckpointStore.Handover, a whole batch under one
+//     lock) nothing, and the name "<job>#<index>@<seq>" is formatted only
+//     when asked for. A started task keeps its job's record and writes
+//     through it, so a namesake created after DeleteJob never sees it.
 //
 // The rate model is intentionally simple and matches the paper's estimator
 // assumptions (§V-B): a task with k threads and a per-thread maximum

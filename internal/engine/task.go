@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,15 +42,19 @@ var instanceSeq atomic.Uint64
 // Task is one simulated stream processing task: the unit Turbine
 // schedules, moves, restarts, and scales. Drive it with Advance.
 type Task struct {
-	bus  *scribe.Bus
-	ckpt *CheckpointStore
+	bus *scribe.Bus
+	// rec is the task's job's checkpoint record, as its last Start
+	// returned it (the store's detached record before the first): its
+	// checkpoints, Stop and in-place restarts write through it with no
+	// lookup by name, and rec.store is the checkpoint store.
+	rec *jobCheckpoint
 
 	mu sync.Mutex
 	// spec, seq and profile are the current incarnation's: NewTask sets
-	// them and Respec replaces all three. spec is shared with whoever
-	// published it and never written; seq, from instanceSeq, is unique
-	// per incarnation, and with spec.Index it is the Incarnation that owns
-	// the task's leases. Its name, "<job>#<index>@<seq>", is formatted
+	// them and CheckpointStore.Handover replaces all three. spec is shared
+	// with whoever published it and never written; seq, from instanceSeq,
+	// is unique per incarnation, and with spec.Index it is the Incarnation
+	// that owns the task's leases. Its name, "<job>#<index>@<seq>", is formatted
 	// only by Instance.
 	spec    *TaskSpec
 	seq     uint64
@@ -83,7 +86,7 @@ func NewTask(spec *TaskSpec, profile *Profile, bus *scribe.Bus, ckpt *Checkpoint
 		seq:     instanceSeq.Add(1),
 		profile: profile,
 		bus:     bus,
-		ckpt:    ckpt,
+		rec:     &ckpt.detached,
 	}
 }
 
@@ -124,11 +127,12 @@ func (t *Task) Start() error {
 		pos = make([]int64, 2*len(t.spec.Partitions))
 	}
 	offsets, _ := positions(pos)
-	if err := t.ckpt.Start(t.spec.Job, t.spec.Partitions, t.incarnation(), offsets); err != nil {
+	rec, err := t.rec.store.start(t.spec.Job, t.spec.Partitions, t.incarnation(), offsets)
+	if err != nil {
 		return fmt.Errorf("start %s: %w", t.spec.ID(), err)
 	}
 	// Kept only now: until a Start succeeds, Backlog reads the checkpoint.
-	t.pos = pos
+	t.pos, t.rec = pos, rec
 	t.running = true
 	return nil
 }
@@ -140,33 +144,6 @@ func positions(pos []int64) (offsets, ends []int64) {
 	return pos[:n:n], pos[n:]
 }
 
-// Respec restarts a running task in place on spec, a spec of the same job
-// over the same partitions, and reports whether it did. It leaves what
-// Stop, then NewTask(spec, profile, …) and Start of the successor would:
-// a new incarnation under a fresh number, holding every lease of the old
-// one, resuming from the offsets the old one checkpointed, with
-// no OOM or stats history. One checkpoint-store call persists the offsets
-// and moves the leases, so no lease is free or held twice at any instant;
-// the offsets buffer is kept, since Start would reload exactly those
-// offsets into it. A task that is not running, a spec of another job or
-// other partitions, or a lease a third instance holds leaves the task as
-// it was and returns false: the caller stops and starts instead.
-func (t *Task) Respec(spec *TaskSpec, profile *Profile) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.running || spec.Job != t.spec.Job || !slices.Equal(spec.Partitions, t.spec.Partitions) {
-		return false
-	}
-	next := Incarnation{Seq: instanceSeq.Add(1), Index: spec.Index}
-	offsets, _ := positions(t.pos)
-	if !t.ckpt.Handover(spec.Job, spec.Partitions, t.incarnation(), next, offsets) {
-		return false
-	}
-	t.spec, t.seq, t.profile = spec, next.Seq, profile
-	t.last, t.oomBackoff, t.oomCount, t.restarts = Stats{}, false, 0, 0
-	return true
-}
-
 // Stop checkpoints final offsets, releases all leases, and halts
 // processing. Stop is idempotent.
 func (t *Task) Stop() {
@@ -176,7 +153,7 @@ func (t *Task) Stop() {
 		return
 	}
 	offsets, _ := positions(t.pos)
-	t.ckpt.Stop(t.spec.Job, t.spec.Partitions, t.incarnation(), offsets)
+	t.rec.stop(t.spec.Partitions, t.incarnation(), offsets)
 	t.running = false
 }
 
@@ -190,7 +167,7 @@ func (t *Task) Kill() {
 	if !t.running {
 		return
 	}
-	t.ckpt.ForceReleaseTask(t.spec.Job, t.incarnation())
+	t.rec.store.ForceReleaseTask(t.spec.Job, t.incarnation())
 	t.running = false
 }
 
@@ -237,7 +214,7 @@ func (t *Task) backlogLocked() int64 {
 		// Never started: what a first Start would resume from.
 		offsets, ends = positions(make([]int64, 2*len(t.spec.Partitions)))
 		for i, p := range t.spec.Partitions {
-			offsets[i] = t.ckpt.Offset(t.spec.Job, p)
+			offsets[i] = t.rec.store.Offset(t.spec.Job, p)
 		}
 	}
 	t.bus.Ends(t.spec.InputCategory, t.spec.Partitions, ends)
@@ -349,7 +326,7 @@ func (t *Task) Advance(dt time.Duration) Stats {
 		persist = offsets
 	}
 	if drained || statePerPart >= 0 {
-		t.ckpt.Checkpoint(t.spec.Job, parts, persist, statePerPart)
+		t.rec.checkpoint(parts, persist, statePerPart)
 	}
 
 	st := Stats{

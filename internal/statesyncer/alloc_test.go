@@ -8,6 +8,7 @@ package statesyncer
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -82,5 +83,34 @@ func TestParkedFollowUpsCostOneReadEach(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, func() { syncer.RunRound() }); allocs != 0 {
 		t.Fatalf("round over %d parked resumes allocates %.1f objects, want 0", k, allocs)
+	}
+}
+
+// TestRoundScratchPinsNoPlans: once a round that synced the whole fleet
+// is done, the scratch it reuses holds none of its plans — no merged blob,
+// config or change list of a commit stays reachable from the syncer until
+// a later round overwrites it.
+func TestRoundScratchPinsNoPlans(t *testing.T) {
+	store := jobstore.New()
+	syncer := New(store, nil, simclock.NewSim(time.Unix(0, 0)), Options{})
+	for i := 0; i < 64; i++ {
+		name := fmt.Sprintf("j%04d", i)
+		doc := config.Doc{
+			"name": name, "taskCount": 2,
+			"package": config.Doc{"name": "tailer", "version": "v1"},
+			"input":   config.Doc{"category": name + "_in", "partitions": 2},
+		}
+		if err := store.Create(name, docBlob(doc), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res := syncer.RunRound(); res.Simple != 64 {
+		t.Fatalf("round synced %d/64", res.Simple)
+	}
+	sc := &syncer.scratch
+	for i, r := range sc.results[:cap(sc.results)] {
+		if !reflect.ValueOf(r).IsZero() {
+			t.Fatalf("scratch result %d still holds %s's plan after the round", i, r.plan.Job)
+		}
 	}
 }

@@ -294,23 +294,30 @@ type Syncer struct {
 }
 
 // roundScratch holds every buffer RunRound reuses across rounds. Slices
-// are length-reset and grow to a high-water mark; the map is cleared in
-// place. Nothing in here carries meaning between rounds — it exists so
-// steady-state rounds are allocation-free. Ownership rule: a round may
-// hand any of these slices to planJob/executePlan workers, but nothing
-// outside the syncer ever sees them; scratch never flows out.
+// are length-reset and grow to a high-water mark. Nothing in here carries
+// meaning between rounds — it exists so steady-state rounds are
+// allocation-free — and nothing is pinned between them either: a round
+// ends by clearing its plans, which hold the merged blob and config each
+// commit published, and the simple and complex lists are positions in
+// results, not copies of its plans. Ownership rule: a round may hand any
+// of these slices to planJob/executePlan workers, but nothing outside the
+// syncer ever sees them; scratch never flows out.
 type roundScratch struct {
 	candidates   []string // this round's candidates: DivergedRangeInto's destination
 	now          time.Time
 	results      []planned
 	next         atomic.Int64  // the next candidate a planner takes
 	differs      []wire.Differ // one per concurrent planner, reused across rounds
-	simple       []Plan
-	complexPlans []Plan
+	simple       []int         // positions in results of this round's simple plans
+	complexPlans []int         // and of its complex ones
 	teardown     []string
 	simpleErrs   []error
 	complexErrs  []error
 }
+
+// release drops the round's plans, and the blobs and configs they
+// reference, once the round is done.
+func (sc *roundScratch) release() { clear(sc.results) }
 
 // New returns a Syncer over store using act for complex-plan side effects.
 func New(store *jobstore.Store, act Actuator, clock simclock.Clock, opts Options) *Syncer {
@@ -358,11 +365,11 @@ func NewStriped(store *jobstore.Store, act Actuator, clock simclock.Clock, opts 
 	}
 	s.simpleFn = func(i int) {
 		sc := &s.scratch
-		sc.simpleErrs[i] = s.executePlan(sc.simple[i])
+		sc.simpleErrs[i] = s.executePlan(sc.results[sc.simple[i]].plan)
 	}
 	s.complexFn = func(i int) {
 		sc := &s.scratch
-		sc.complexErrs[i] = s.executePlan(sc.complexPlans[i])
+		sc.complexErrs[i] = s.executePlan(sc.results[sc.complexPlans[i]].plan)
 	}
 	return s
 }
@@ -641,6 +648,7 @@ func (s *Syncer) RunRound() RoundResult {
 	s.roundMu.Lock()
 	defer s.roundMu.Unlock()
 	sc := &s.scratch
+	defer sc.release()
 	sc.now = s.clock.Now()
 
 	// The candidates: the store's diverged set over this engine's stripes.
@@ -712,9 +720,9 @@ func (s *Syncer) RunRound() RoundResult {
 				s.store.ResolveFailureStreak(job)
 			}
 		case PlanSimple:
-			sc.simple = append(sc.simple, r.plan)
+			sc.simple = append(sc.simple, i)
 		case PlanComplex:
-			sc.complexPlans = append(sc.complexPlans, r.plan)
+			sc.complexPlans = append(sc.complexPlans, i)
 		case PlanDelete:
 			sc.teardown = append(sc.teardown, job)
 		}
@@ -735,11 +743,12 @@ func (s *Syncer) RunRound() RoundResult {
 		}
 		s.forEach(len(sc.simple), s.par, 256, s.simpleFn)
 		for i := range sc.simple {
+			job := candidates[sc.simple[i]]
 			if sc.simpleErrs[i] != nil {
-				s.handlePlanError(sc.simple[i].Job, sc.simpleErrs[i], &res)
+				s.handlePlanError(job, sc.simpleErrs[i], &res)
 				continue
 			}
-			s.recordSuccess(sc.simple[i].Job)
+			s.recordSuccess(job)
 			res.Simple++
 		}
 	}
@@ -754,11 +763,12 @@ func (s *Syncer) RunRound() RoundResult {
 		}
 		s.forEach(len(sc.complexPlans), maxParallelComplex, 2, s.complexFn)
 		for i := range sc.complexPlans {
+			job := candidates[sc.complexPlans[i]]
 			if sc.complexErrs[i] != nil {
-				s.handlePlanError(sc.complexPlans[i].Job, sc.complexErrs[i], &res)
+				s.handlePlanError(job, sc.complexErrs[i], &res)
 				continue
 			}
-			s.recordSuccess(sc.complexPlans[i].Job)
+			s.recordSuccess(job)
 			res.Complex++
 		}
 	}

@@ -25,7 +25,6 @@ package taskmanager
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -638,7 +637,11 @@ func (h *churnHarness) run() []string {
 	h.refreshAll()
 
 	conflict := &churnJob{tasks: 2, version: 1}
-	intruder := engine.Incarnation{Seq: math.MaxUint64} // a number no task draws
+	// A task no manager runs, over partition 0 of conflictJob.
+	intruder := engine.NewTask(&engine.TaskSpec{
+		JobSpec:    &engine.JobSpec{Job: conflictJob, InputCategory: conflictJob + "_in"},
+		Partitions: []int{0},
+	}, engine.DefaultProfile(config.OpTailer), nil, w.ckpt)
 	reviveAt := map[int]int{9: 1, 24: 31, 39: 58}
 	for round := 0; round < churnRounds; round++ {
 		switch {
@@ -648,13 +651,13 @@ func (h *churnHarness) run() []string {
 			// A foreign instance holds partition 0 of a job about to be
 			// created: task #0's Start must fail, on every Refresh of its
 			// manager, until the lease goes — and nothing else may try.
-			if err := w.ckpt.Start(conflictJob, []int{0}, intruder, make([]int64, 1)); err != nil {
+			if err := intruder.Start(); err != nil {
 				t.Fatal(err)
 			}
 			h.blocked[engine.TaskID(conflictJob, 0)] = true
 			h.commit(conflictJob, conflict)
 		case round == 22:
-			w.ckpt.ForceReleaseTask(conflictJob, intruder)
+			intruder.Kill()
 			delete(h.blocked, engine.TaskID(conflictJob, 0))
 		case round == 30:
 			// More journal entries than the ring holds between two

@@ -19,11 +19,11 @@ import (
 
 // restartAllocCeiling bounds what Refresh may allocate per task it
 // restarts. A package bump keeps every task's partitions, so each restart
-// is in place (engine.Task.Respec), which allocates nothing, plus
-// whatever the profile hook allocates — one object in this fixture. About
-// 1.1 per restart was measured; the ceiling leaves one object of headroom
-// and stays far below anything proportional to the tasks a manager merely
-// keeps running.
+// is in place (engine.CheckpointStore.Handover), which allocates nothing,
+// plus whatever the profile hook allocates — one object in this fixture.
+// About 1.1 per restart was measured; the ceiling leaves one object of
+// headroom and stays far below anything proportional to the tasks a
+// manager merely keeps running.
 const restartAllocCeiling = 2
 
 // bracketNoise is what the process was seen to add to one touched
@@ -50,6 +50,84 @@ func BenchmarkScaleManagerRefresh(b *testing.B) {
 		b.Skip("scale tier: run via make bench-scale")
 	}
 	benchRefreshCycle(b, 10_000, 8, 64, 4096)
+}
+
+// BenchmarkScaleWaveRefresh is one release wave at BENCHMARK.json's fleet
+// shape — 10 000 jobs x 8 tasks, 64 managers, 4 096 shards — as
+// release_push drives it: each op bumps the package of 10 % of the jobs
+// (the next tenth each op), then all 64 managers Refresh. Only the 64
+// Refresh calls are timed, and the op reports ns per changed task. In
+// bench, each op must restart exactly 8 000 tasks, every one in place (no
+// task stopped or started cold), and the wave's Refresh calls may
+// allocate no more than the profile hook does for those restarts: a
+// bucket that keeps its tasks reuses its slot array, and the restarts'
+// queue and the checkpoint-store handover allocate nothing once warm.
+func BenchmarkScaleWaveRefresh(b *testing.B) {
+	if testing.Short() {
+		b.Skip("scale tier: run via make bench-scale")
+	}
+	const jobs, tasksPer, wave = 10_000, 8, 1_000
+	f := newBenchFleet(b, jobs, tasksPer, 64, 4096)
+	hook := testing.AllocsPerRun(100, func() { engine.DefaultProfile(config.OpTailer) })
+	sum := func() (st Stats) {
+		for _, tm := range f.tms {
+			s := tm.Stats()
+			st.Restarted += s.Restarted
+			st.Started += s.Started
+			st.Stopped += s.Stopped
+			st.StartErrors += s.StartErrors
+		}
+		return st
+	}
+	var m0, m1 runtime.MemStats
+	bump := 0 // waves committed so far
+	// cycle commits the next wave, regenerates the index, and refreshes
+	// every manager; only the refreshes are timed when timed is set.
+	cycle := func(timed bool) {
+		bump++
+		version := fmt.Sprintf("v%d", bump/(jobs/wave)+2)
+		lo := (bump - 1) % (jobs / wave) * wave
+		for j := lo; j < lo+wave; j++ {
+			f.commit(j, version, int64(bump+1))
+		}
+		f.ts.Invalidate()
+		f.ts.Index()
+		before := sum()
+		runtime.ReadMemStats(&m0)
+		if timed {
+			b.StartTimer()
+		}
+		for _, tm := range f.tms {
+			tm.Refresh()
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&m1)
+		after := sum()
+		restarted := after.Restarted - before.Restarted
+		if restarted != wave*tasksPer || after.Started-before.Started != restarted ||
+			after.Stopped != before.Stopped || after.StartErrors != before.StartErrors {
+			b.Fatalf("wave %d: %d restarted, %d started, %d stopped, %d start errors; want %d restarted in place",
+				bump, restarted, after.Started-before.Started, after.Stopped-before.Stopped,
+				after.StartErrors-before.StartErrors, wave*tasksPer)
+		}
+		if timed {
+			spent := m1.Mallocs - m0.Mallocs
+			if ceiling := uint64(float64(restarted)*hook) + bracketNoise; spent > ceiling {
+				b.Fatalf("wave %d: refreshing %d in-place restarts allocated %d objects, ceiling %d (the profile hook's %.0f per restart)",
+					bump, restarted, spent, ceiling, hook)
+			}
+		}
+	}
+	for lap := 0; lap < jobs/wave; lap++ {
+		cycle(false) // grows each manager's restart queue to its largest wave
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(true)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*wave*tasksPer), "ns/changed-task")
 }
 
 // BenchmarkScaleStopJobFanout is the first phase of a complex

@@ -23,9 +23,12 @@
 // and is restarted when it is not. A restart whose new spec still names
 // the task's partitions — a package release, a resource change — happens
 // in place: the running engine.Task takes the new spec and hands its
-// leases to a fresh incarnation in one checkpoint-store call
-// (engine.Task.Respec), allocating nothing. Only a task whose partitions moved is stopped and
-// started anew.
+// leases to a fresh incarnation, and every such restart of one Refresh
+// pass shares one checkpoint-store critical section
+// (engine.CheckpointStore.Handover), allocating nothing. A bucket that
+// keeps its tasks, as a release leaves it, is reconciled in its own slot
+// array, one spec-pointer comparison per entry. Only a task whose
+// partitions moved is stopped and started anew.
 //
 // Beside the table the manager retains one pointer: the index of its last
 // Refresh that passed the gates. That Refresh moved every owned shard
@@ -238,10 +241,14 @@ type Manager struct {
 	// retained is the index of the last Refresh that passed the gates, nil
 	// while running is 0: every shard with a running task holds the bucket
 	// it publishes.
-	retained    *taskservice.SnapshotIndex
-	scratch     []shardmanager.ShardID // reused shard list: Refresh's unclean shards, a job's shards
-	spare       []*engine.Task         // all nil: the slot array rebaseLocked fills next
-	unreachable bool                   // last heartbeat timed out (partition-shaped), or the container died and has not heartbeat since
+	retained *taskservice.SnapshotIndex
+	scratch  []shardmanager.ShardID // reused shard list: Refresh's unclean shards, a job's shards
+	spare    []*engine.Task         // all nil: the slot array rebaseLocked fills next
+	// respecs are the in-place restarts a Refresh pass queued, and
+	// respecSlots the slot each task holds; both are empty between passes.
+	respecs     []engine.Respec
+	respecSlots []**engine.Task
+	unreachable bool // last heartbeat timed out (partition-shaped), or the container died and has not heartbeat since
 	lastContact time.Time
 	rebootedEp  bool // already rebooted in this disconnection episode
 	stats       Stats
@@ -411,8 +418,9 @@ func (m *Manager) Shards() []shardmanager.ShardID {
 // pass stops in a later shard (a repartitioned job spans shards);
 // releasing first means the start finds the lease free instead of failing
 // and waiting a whole fetch interval for its retry. A changed task that
-// keeps its partitions is restarted in place in phase 1: its leases pass
-// straight to its new instance, and no other spec of its job claims them.
+// keeps its partitions is restarted in place between the phases, all of
+// the pass's in one checkpoint-store call: its leases pass straight to its
+// new instance, and no other spec of its job claims them.
 func (m *Manager) Refresh() {
 	if !m.container.Alive() {
 		return
@@ -470,6 +478,7 @@ func (m *Manager) Refresh() {
 	for _, s := range visit {
 		m.rebaseLocked(m.shards[s], idx.ShardSpecs(s))
 	}
+	m.respecLocked()
 	for _, s := range visit {
 		m.startMissingLocked(m.shards[s])
 	}
@@ -478,45 +487,55 @@ func (m *Manager) Refresh() {
 // rebaseLocked is reconcile phase 1 for one shard: move the record onto
 // the bucket the current index publishes, carrying over every task whose
 // spec is still there, equal, and stopping the rest. Both buckets are in
-// (job, task index) order, so one merge walk pairs them. A task whose
-// spec changed but still names its partitions is restarted in place
-// (engine.Task.Respec) and keeps its slot; any other changed task is
-// stopped here and started again by phase 2. The new slot array is the
-// manager's spare, and the old one becomes the spare.
+// (job, task index) order, so one merge walk pairs them. A task whose spec
+// changed but still names its partitions is queued for an in-place
+// restart (respecLocked) and keeps its slot meanwhile; any other changed
+// task, and one whose restart is refused there, is stopped and started
+// again by phase 2. A bucket that keeps its tasks — the same IDs in the
+// same order, as a package release or a resource change leaves every
+// bucket it touches — pairs position for position, so the walk skips the
+// ordering and reconciles the shard's slot array in place; any other
+// bucket's slots go to the manager's spare array, and the old one becomes
+// the spare.
 func (m *Manager) rebaseLocked(sh *ownedShard, next []taskservice.IndexedSpec) {
 	if taskservice.SameBucket(sh.bucket, next) {
 		return // pending only: the slots already line up with next
 	}
 	old, oldTasks := sh.bucket, sh.tasks
-	tasks := slices.Grow(m.spare[:0], len(next))[:len(next)]
-	clear(tasks)
+	keep := keepsTasks(old, next)
+	tasks := oldTasks
+	if !keep {
+		tasks = slices.Grow(m.spare[:0], len(next))[:len(next)]
+	}
 	i := 0
 	for j := range next {
-		c := 1 // nonzero unless old[i] pairs with next[j]
-		for ; i < len(old); i++ {
-			if c = entryOrder(&old[i], &next[j]); c >= 0 {
-				break
+		c := 0 // a bucket that keeps its tasks pairs old[j] with next[j]
+		if !keep {
+			for c = 1; i < len(old); i++ {
+				if c = entryOrder(&old[i], &next[j]); c >= 0 {
+					break
+				}
+				m.stopVanishedLocked(oldTasks[i])
 			}
-			m.stopVanishedLocked(oldTasks[i])
 		}
 		if c != 0 {
-			continue // new to the shard: phase 2 starts it
+			tasks[j] = nil // new to the shard: phase 2 starts it
+			continue
 		}
-		if t := oldTasks[i]; t != nil {
-			if old[i].Spec.Equal(next[j].Spec) {
-				tasks[j] = t
+		t, spec := oldTasks[i], next[j].Spec
+		if !keep {
+			tasks[j] = t // in place, the slot holds it already
+		}
+		if t != nil && !old[i].Spec.Equal(spec) { // one pointer comparison unless the spec moved
+			// Spec changed (package bump, resource change, repartition).
+			m.stats.Restarted++
+			if slices.Equal(spec.Partitions, old[i].Spec.Partitions) {
+				m.respecs = append(m.respecs, engine.Respec{Task: t, Spec: spec, Profile: m.profile(*spec)})
+				m.respecSlots = append(m.respecSlots, &tasks[j])
 			} else {
-				// Spec changed (package bump, resource change,
-				// repartition).
-				m.stats.Restarted++
-				if spec := next[j].Spec; slices.Equal(spec.Partitions, old[i].Spec.Partitions) &&
-					t.Respec(spec, m.profile(*spec)) {
-					tasks[j] = t
-					m.stats.Started++
-				} else {
-					t.Stop() // phase 2 starts it with the new spec
-					m.running--
-				}
+				t.Stop() // phase 2 starts it with the new spec
+				tasks[j] = nil
+				m.running--
 			}
 		}
 		i++
@@ -524,9 +543,50 @@ func (m *Manager) rebaseLocked(sh *ownedShard, next []taskservice.IndexedSpec) {
 	for ; i < len(old); i++ {
 		m.stopVanishedLocked(oldTasks[i])
 	}
-	sh.bucket, sh.tasks = next, tasks
-	clear(oldTasks[:cap(oldTasks)])
-	m.spare = oldTasks
+	sh.bucket = next
+	if !keep {
+		sh.tasks = tasks
+		clear(oldTasks[:cap(oldTasks)])
+		m.spare = oldTasks
+	}
+}
+
+// keepsTasks reports whether bucket next lists the tasks old does, in the
+// same order. Successive index versions share an entry's ID string, so
+// each comparison is mostly a pointer comparison.
+func keepsTasks(old, next []taskservice.IndexedSpec) bool {
+	if len(old) != len(next) {
+		return false
+	}
+	for i := range next {
+		if old[i].ID != next[i].ID {
+			return false
+		}
+	}
+	return true
+}
+
+// respecLocked restarts in place every task the pass's phase 1 queued, in
+// one checkpoint-store critical section (engine.CheckpointStore.Handover),
+// and stops each one it refused, emptying its slot for phase 2. The queue
+// is cleared, so it pins no task or spec between passes.
+func (m *Manager) respecLocked() {
+	if len(m.respecs) == 0 {
+		return
+	}
+	m.ckpt.Handover(m.respecs)
+	for k, r := range m.respecs {
+		if r.Done {
+			m.stats.Started++
+			continue
+		}
+		r.Task.Stop() // phase 2 starts it with the new spec
+		*m.respecSlots[k] = nil
+		m.running--
+	}
+	clear(m.respecs)
+	clear(m.respecSlots)
+	m.respecs, m.respecSlots = m.respecs[:0], m.respecSlots[:0]
 }
 
 // entryOrder orders bucket entries the way index buckets do: by job name,

@@ -526,3 +526,37 @@ func TestConcurrentSnapshotAndStoreWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestIndexEqualSeesEveryJobField builds indexes from two stores that
+// agree on every job but one, which differs in one field, and holds
+// IndexEqual to "different" for each such field, job-level and per-task
+// alike, and to "equal" for two independent builds of one fleet.
+func TestIndexEqualSeesEveryJobField(t *testing.T) {
+	const numShards = 2 // a bucket holds runs of several entries per job
+	build := func(edit func(*config.JobConfig)) *SnapshotIndex {
+		store := jobstore.New()
+		for _, name := range []string{"a", "b", "c"} {
+			cfg := jobCfg(name, 6)
+			if name == "b" && edit != nil {
+				edit(cfg)
+			}
+			store.CommitRunning(name, runningOf(cfg), 1)
+		}
+		return scratchIndex(store, numShards, nil)
+	}
+	base := build(nil)
+	if !IndexEqual(base, build(nil)) {
+		t.Fatal("two builds of one fleet compare different")
+	}
+	for what, edit := range map[string]func(*config.JobConfig){
+		"package version": func(c *config.JobConfig) { c.Package.Version = "v9" },
+		"threads":         func(c *config.JobConfig) { c.ThreadsPerTask++ },
+		"memory":          func(c *config.JobConfig) { c.TaskResources.MemoryBytes++ },
+		"input category":  func(c *config.JobConfig) { c.Input.Category += "x" },
+		"partitions":      func(c *config.JobConfig) { c.Input.Partitions++ },
+	} {
+		if IndexEqual(base, build(edit)) {
+			t.Errorf("indexes whose job b differs in its %s compare equal", what)
+		}
+	}
+}
