@@ -1,9 +1,11 @@
 // Running-entry change journal: the store-side half of change-driven
 // snapshot refresh.
 //
-// Every CommitRunning and DropRunning appends one entry to a bounded
-// ring. A consumer (the Task Service) holds a cursor — the sequence
-// number of the last entry it processed — and asks ChangesSince(cursor)
+// Every CommitRunning that changes an entry's content and every
+// DropRunning appends one entry to a bounded ring; a commit that moves
+// only the realized version appends none, since no consumer reads it.
+// A consumer (the Task Service) holds a cursor — the sequence number of
+// the last entry it processed — and asks ChangesSince(cursor)
 // for everything that landed after it, so a snapshot regeneration visits
 // only the jobs whose running entry actually moved, never the fleet.
 // This is the same do-work-proportional-to-change discipline the State

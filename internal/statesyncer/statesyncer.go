@@ -156,10 +156,9 @@ type Plan struct {
 	// fault injection intercepts the store commit.
 	commit        jobstore.Merged
 	commitVersion int64
-	// commitErr records a failed inline commit from BuildPlan's
-	// content-equal fast path, so the round treats the job as failed
-	// rather than converged.
-	commitErr error
+	// diffErr is a noop plan's failed diff of the running and merged
+	// documents: the round records it as the job's failure.
+	diffErr error
 	// resume runs the post-commit step: resume the quiesced job. A failure
 	// here does not undo the commit; the resume is idempotent and stays
 	// durably pending until a later round's replay succeeds.
@@ -400,10 +399,10 @@ func (s *Syncer) Stats() Stats {
 
 // BuildPlan computes the execution plan for one job given its merged
 // expected configuration. It is exported for tests and for turbinectl's
-// dry-run mode. merged is treated as immutable from this point on: the
-// syncer passes the store's shared cache, and a committed plan publishes
-// that same blob and config into the running table without copying or
-// decoding.
+// dry-run mode, and like every plan build it only reads the store.
+// merged is treated as immutable from this point on: the syncer passes
+// the store's shared cache, and a committed plan publishes that same
+// blob and config into the running table without copying or decoding.
 func (s *Syncer) BuildPlan(job string, merged jobstore.Merged, version int64) Plan {
 	var dd wire.Differ
 	return s.buildPlan(job, merged, version, &dd)
@@ -424,16 +423,7 @@ func (s *Syncer) buildPlan(job string, merged jobstore.Merged, version int64, dd
 	if hasRunning {
 		var err error
 		if changes, err = dd.Diff(running.Doc, merged.Doc); err != nil {
-			return Plan{Job: job, Kind: PlanNoop, commitErr: fmt.Errorf("%s: diff: %w", job, err)}
-		}
-		if len(changes) == 0 {
-			// Content equal even though the version moved (e.g. an
-			// override written and reverted): commit the version so
-			// future rounds take the fast path.
-			if err := s.store.CommitRunning(job, merged, version); err != nil {
-				return Plan{Job: job, Kind: PlanNoop, commitErr: fmt.Errorf("%s: commit: %w", job, err)}
-			}
-			return Plan{Job: job, Kind: PlanNoop}
+			return Plan{Job: job, Kind: PlanNoop, diffErr: fmt.Errorf("%s: diff: %w", job, err)}
 		}
 	}
 
@@ -447,7 +437,10 @@ func (s *Syncer) buildPlan(job string, merged jobstore.Merged, version int64, dd
 	if !hasRunning || !complex {
 		// New jobs and direct copies are simple synchronizations: the
 		// commit itself is the whole plan, and the new settings propagate
-		// to tasks through the Task Service (§IV).
+		// to tasks through the Task Service (§IV). A copy with no changes
+		// (an override that sets what the merge already holds, or one
+		// written and reverted) is one too: its commit moves only the
+		// running entry's version.
 		return Plan{Job: job, Kind: PlanSimple, Changes: changes, commit: merged, commitVersion: version}
 	}
 
@@ -584,10 +577,10 @@ type planned struct {
 }
 
 // planJob classifies one candidate job and builds its plan if divergent.
-// Pure reads plus the content-equal inline commit — safe to run on many
-// jobs concurrently over the striped store. The prologue reads the job's
-// whole classification state (versions, quarantine, backoff, a pending
-// resume) in a single locked pass. It is the only classifier: a job
+// It only reads, so it is safe to run on many jobs concurrently over
+// the striped store. The prologue reads the job's whole classification
+// state (versions, quarantine, backoff, a pending resume) in a single
+// locked pass. It is the only classifier: a job
 // outside the diverged set has its running entry realize its expected
 // version and no sync record, which this answers with PlanNoop. A
 // pending resume that passes the backoff and quarantine gates is
@@ -711,13 +704,8 @@ func (s *Syncer) RunRound() RoundResult {
 		}
 		switch r.plan.Kind {
 		case PlanNoop:
-			if r.plan.commitErr != nil {
-				s.handlePlanError(job, r.plan.commitErr, &res)
-			} else if r.examined && !s.dead() {
-				// Converged by the content-equal inline commit (a change
-				// reverted before it synced): that resolves any streak
-				// its failed syncs left, with no counter moved.
-				s.store.ResolveFailureStreak(job)
+			if r.plan.diffErr != nil {
+				s.handlePlanError(job, r.plan.diffErr, &res)
 			}
 		case PlanSimple:
 			sc.simple = append(sc.simple, i)
