@@ -277,7 +277,7 @@ func Claim33PctFootprint(p Params) *Result {
 	var dedicatedMem, turbineMem int64
 	nTasks := 0
 	for _, job := range c.Store.RunningNames() {
-		jc, _, _, ok := c.Store.RunningEntry(job)
+		jc, _, ok := c.Store.RunningEntry(job)
 		if !ok || jc == nil {
 			continue
 		}

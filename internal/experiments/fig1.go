@@ -128,7 +128,7 @@ func Fig1Growth(p Params) *Result {
 func configuredTasks(c *cluster.Cluster) float64 {
 	total := 0.0
 	for _, job := range c.Store.RunningNames() {
-		if cfg, _, _, ok := c.Store.RunningEntry(job); ok && cfg != nil {
+		if cfg, _, ok := c.Store.RunningEntry(job); ok && cfg != nil {
 			total += float64(cfg.TaskCount)
 		}
 	}

@@ -185,7 +185,7 @@ func TestRestoreKeepsIntegersExact(t *testing.T) {
 	if got := desired.TaskResources.MemoryBytes; got != mem {
 		t.Errorf("Desired memoryBytes = %d after the restore, want %d", got, mem)
 	}
-	running, _, _, ok := restored.RunningEntry("j")
+	running, _, ok := restored.RunningEntry("j")
 	if !ok || running == nil {
 		t.Fatalf("running entry lost in the restore: %v, %v", running, ok)
 	}

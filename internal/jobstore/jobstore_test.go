@@ -258,7 +258,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal("running entry lost in restore")
 	}
 	// The typed config is not serialized: Restore decodes it, once.
-	if cfg, v, _, ok := restored.RunningEntry("j1"); !ok || cfg == nil || cfg.TaskCount != 15 || v != 2 {
+	_, v, _ := restored.RunningDoc("j1")
+	if cfg, _, ok := restored.RunningEntry("j1"); !ok || cfg == nil || cfg.TaskCount != 15 || v != 2 {
 		t.Fatalf("restored running entry = %+v at version %d (%v)", cfg, v, ok)
 	}
 	if _, ok := restored.Quarantined("j2"); !ok {
@@ -281,15 +282,15 @@ func TestRunningEntryIsTyped(t *testing.T) {
 		t.Fatalf("merge = %+v, %v", m, err)
 	}
 	s.CommitRunning("j1", m, v)
-	if cfg, _, _, _ := s.RunningEntry("j1"); cfg != m.Config {
+	if cfg, _, _ := s.RunningEntry("j1"); cfg != m.Config {
 		t.Fatalf("commit with a config: running config %p, committed %p", cfg, m.Config)
 	}
 	s.CommitRunning("j1", committed(config.Doc{"taskCount": 3}), v)
-	if cfg, _, _, _ := s.RunningEntry("j1"); cfg == nil || cfg.TaskCount != 3 {
+	if cfg, _, _ := s.RunningEntry("j1"); cfg == nil || cfg.TaskCount != 3 {
 		t.Fatalf("blob-only commit: running config %+v, want taskCount 3", cfg)
 	}
 	s.CommitRunning("j1", committed(config.Doc{"taskCount": "three"}), v)
-	if cfg, _, _, ok := s.RunningEntry("j1"); !ok || cfg != nil {
+	if cfg, _, ok := s.RunningEntry("j1"); !ok || cfg != nil {
 		t.Fatalf("undecodable commit: running config %+v (%v), want nil", cfg, ok)
 	}
 	if err := s.CommitRunning("j1", Merged{Doc: wire.Blob{0xff}}, v); err == nil {

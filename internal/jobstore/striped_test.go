@@ -215,8 +215,8 @@ func TestRestoreRebuildsDivergedSetAndRestampsRevisions(t *testing.T) {
 	if got := divergedAll(s2); !reflect.DeepEqual(got, []string{"orphan"}) {
 		t.Fatalf("diverged set after Restore = %v, want [orphan]", got)
 	}
-	_, _, rev1, ok1 := s2.RunningEntry("keep")
-	_, _, rev2, ok2 := s2.RunningEntry("orphan")
+	_, rev1, ok1 := s2.RunningEntry("keep")
+	_, rev2, ok2 := s2.RunningEntry("orphan")
 	if !ok1 || !ok2 || rev1 == rev2 || rev1 <= 0 || rev2 <= 0 {
 		t.Fatalf("restored revisions = %d,%d; want distinct positive", rev1, rev2)
 	}

@@ -75,7 +75,8 @@ func FuzzInputBoundary(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: accepted job has no desired config: %v", when, err)
 			}
-			running, rv, _, ok := store.RunningEntry(name)
+			m, rv, ok := store.RunningDoc(name)
+			running := m.Config
 			if !ok || rv != version {
 				t.Fatalf("%s: running version %d (%v), desired %d", when, rv, ok, version)
 			}
@@ -96,7 +97,7 @@ func FuzzInputBoundary(f *testing.F) {
 			commits("after the edit")
 		}
 
-		running, _, _, _ := store.RunningEntry(name)
+		running, _, _ := store.RunningEntry(name)
 		frame, err := jobservice.NewSpecFeed(store).PollFeed(wire.FeedRequest{Subscriber: "fuzz"}, nil)
 		if err != nil {
 			t.Fatal(err)

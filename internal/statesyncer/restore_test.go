@@ -125,7 +125,7 @@ func TestCrashBeforeCommitRestoreReplansInOneRound(t *testing.T) {
 	if res.Complex != 1 {
 		t.Fatalf("restored round = %+v, want one complex sync", res)
 	}
-	cfg, _, _, ok := restored.RunningEntry("j1")
+	cfg, _, ok := restored.RunningEntry("j1")
 	if !ok || cfg == nil || cfg.TaskCount != 20 {
 		t.Fatalf("not converged after one round: %+v, %v", cfg, ok)
 	}

@@ -32,7 +32,7 @@ func scratchIndex(store *jobstore.Store, numShards int, quiesced map[string]bool
 	gen := &Service{table: store, numShards: numShards, groups: make(map[string]*jobGroup)}
 	idx := &SnapshotIndex{numShards: numShards, chunks: make([]*shardChunk, numChunks(numShards))}
 	for _, job := range store.RunningNames() {
-		_, _, rev, ok := store.RunningEntry(job)
+		_, rev, ok := store.RunningEntry(job)
 		if !ok || quiesced[job] {
 			continue
 		}

@@ -64,10 +64,10 @@ type runningTable interface {
 	// RunningNames lists the running jobs, sorted.
 	RunningNames() []string
 	// RunningEntry returns a job's running configuration — nil if it is
-	// not running or its document is not a JobConfig — with the version it
-	// realizes and its revision, which changes on every commit of it. The
-	// config is shared and must not be modified.
-	RunningEntry(name string) (cfg *config.JobConfig, version, revision int64, ok bool)
+	// not running or its document is not a JobConfig — and its revision,
+	// which changes on every commit of new content. The config is shared
+	// and must not be modified.
+	RunningEntry(name string) (cfg *config.JobConfig, revision int64, ok bool)
 }
 
 // Service generates and caches task-spec snapshots.
@@ -307,7 +307,7 @@ func (s *Service) regenerateLocked() *SnapshotIndex {
 	s.rebuildNames = s.rebuildNames[:0]
 	s.rebuildRevs = s.rebuildRevs[:0]
 	for _, name := range names {
-		_, _, rev, live := s.table.RunningEntry(name)
+		_, rev, live := s.table.RunningEntry(name)
 		if g := s.groups[name]; live && (g == nil || g.rev != rev) {
 			s.rebuildNames = append(s.rebuildNames, name)
 			s.rebuildRevs = append(s.rebuildRevs, rev)
@@ -324,7 +324,7 @@ func (s *Service) regenerateLocked() *SnapshotIndex {
 		return d
 	}
 	for _, name := range names {
-		if _, _, rev, live := s.table.RunningEntry(name); !live {
+		if _, rev, live := s.table.RunningEntry(name); !live {
 			delete(s.groups, name)
 		} else if g := s.groups[name]; g == nil || g.rev != rev {
 			// Recommitted since the prebuild read it.
@@ -513,7 +513,7 @@ func (s *Service) rebuildGroups() (shards int) {
 // after the pool has drained.
 func (s *Service) buildGroup(job string, rev int64) *jobGroup {
 	g := &jobGroup{job: job, rev: rev}
-	cfg, _, _, _ := s.table.RunningEntry(job)
+	cfg, _, _ := s.table.RunningEntry(job)
 	if cfg == nil || cfg.Stopped || cfg.TaskCount <= 0 {
 		return g
 	}
