@@ -54,10 +54,10 @@ type ListenerOptions struct {
 const maxConns = 256
 
 // maxRequestBody bounds an accepted request frame's body: the kind byte
-// and a feed request's flags byte, two varints, and two length-prefixed
-// strings — ResumeAfter, a job name, and the subscriber ID, allowed the
-// same length. Anything larger is hostile.
-const maxRequestBody = 2 + 2*binary.MaxVarintLen64 + 2*(binary.MaxVarintLen64+config.MaxJobNameLen)
+// and a feed request's flags byte, its 8-byte incarnation, two varints,
+// and two length-prefixed strings — ResumeAfter, a job name, and the
+// subscriber ID, allowed the same length. Anything larger is hostile.
+const maxRequestBody = 2 + 8 + 2*binary.MaxVarintLen64 + 2*(binary.MaxVarintLen64+config.MaxJobNameLen)
 
 func (o *ListenerOptions) fillDefaults() {
 	if o.ReadTimeout <= 0 {

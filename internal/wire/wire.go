@@ -162,17 +162,20 @@ func (r *Reader) Varint() int64 {
 }
 
 // Float reads 8 little-endian bytes as a float64.
-func (r *Reader) Float() float64 {
+func (r *Reader) Float() float64 { return math.Float64frombits(r.Uint64()) }
+
+// Uint64 reads 8 little-endian bytes.
+func (r *Reader) Uint64() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	if r.off+8 > len(r.buf) {
-		r.fail("float past end at offset %d", r.off)
+		r.fail("8 bytes past end at offset %d", r.off)
 		return 0
 	}
-	f := math.Float64frombits(binary.LittleEndian.Uint64(r.buf[r.off:]))
+	u := binary.LittleEndian.Uint64(r.buf[r.off:])
 	r.off += 8
-	return f
+	return u
 }
 
 // take validates and consumes n bytes, returning a view into the buffer.
