@@ -1,5 +1,5 @@
 #!/bin/sh
-# Tier-1 verification: vet, build, the API-surface audit, race-enabled
+# Tier-1 verification: gofmt, vet, build, the API-surface audit, race-enabled
 # tests, a one-shot benchmark smoke pass (compiles and exercises every
 # benchmark body once; perf numbers come from `make bench-e2e` and
 # `make bench-pair`, see EXPERIMENTS.md), the end-to-end harness's own vet
@@ -7,6 +7,15 @@
 set -eux
 cd "$(dirname "$0")/.."
 
+# Every Go file of the repo (tracked, or new and not ignored — so never
+# the benchmark's build trees) is gofmt-clean: gofmt -l lists the ones
+# that are not.
+unformatted=$(git ls-files -co --exclude-standard '*.go' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt needed on:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 go vet ./...
 go build ./...
 # No option that nothing outside its package sets, no exported internal/**
